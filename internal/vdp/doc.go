@@ -67,6 +67,17 @@
 //     ResumeShardedSession and AuditSegmentedLog are the sharded
 //     counterparts of ResumeSession and AuditLog.
 //
+// # Board-log grammar
+//
+// ResumeSession, AuditLog and TailAuditor — and their segmented, sketch-row
+// and cross-node compositions — all read a board log through one
+// incremental state machine, boardGrammar in grammar.go. It owns every
+// accept/reject rule of the record stream (epoch contiguity, one verdict
+// per submission, withdraw-only-undecided, the budget-charge chain, seal
+// assembly and the positional seal-vs-roster check, snapshot pinning) and
+// reports violations as one positional error type; the readers only consume
+// its events. grammar.go is the single place to change a rule.
+//
 // Wire encodings for every message that crosses a process boundary — or
 // lands in the board log — live in wire.go and wirelog.go. All encodings
 // lead with a format-version byte (WireVersion) and validate every

@@ -115,6 +115,7 @@ func recoverRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string
 // recovered log to that same digest. No crash point may corrupt evidence or
 // fork the release.
 func TestFaultInjectionMatrix(t *testing.T) {
+	shrinkTailWindow(t)
 	pub := testPublic(t, 2, 1, 4)
 	subs := faultSubs(t, pub)
 	want, appends := faultBaseline(t, pub, subs)
@@ -139,7 +140,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer log.Close()
-				a, err := TailAuditLog(pub, log, TailOptions{Workers: 2, Window: 2})
+				a, err := TailAuditLog(pub, log, TailOptions{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -368,6 +369,77 @@ func TestFaultInjectionCompactBoundary(t *testing.T) {
 			}
 			if err := AuditLog(ctx, pub, log, 0, 2); err != nil {
 				t.Fatalf("audit after crashed Compact: %v", err)
+			}
+		})
+	}
+}
+
+// TestFaultInjectionTornChunkedSeal pins the one shape where the grammar
+// keeps the looser of the pre-unification rules. The store dies part-way
+// through a chunked seal; the server reboots into the still-open epoch, a
+// late client is admitted, and Finalize seals from chunk 0 again — leaving
+// an abandoned chunk prefix followed by ordinary records. Every party is
+// honest, so recovery, the offline audit and the live tail must all accept
+// the log, at the digest of an uninterrupted run over the same clients. (A
+// record spliced INTO a seal that then continues is still refused — see the
+// chunk-interleave row of TestBoardGrammarConformance.)
+func TestFaultInjectionTornChunkedSeal(t *testing.T) {
+	shrinkSealChunks(t)
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	subs := faultSubs(t, pub)
+	early, late := subs[:3], subs[3]
+	want, _ := faultBaseline(t, pub, subs)
+
+	for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
+		t.Run(kind.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "board.log")
+			// Appends 0..5 are the early clients' records, 6 is seal chunk 0:
+			// the store dies on chunk 1.
+			crashRun(t, pub, early, path, kind, 2*len(early)+1)
+
+			log, err := store.OpenFileLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			opts := SessionOptions{Rand: testSeed(70), Store: log, Parallelism: 2}
+			sess, err := ResumeSession(ctx, pub, opts)
+			if err != nil {
+				t.Fatalf("resume over the torn seal: %v", err)
+			}
+			if sess.Finalized() || sess.Submitted() != len(early) {
+				t.Fatalf("resumed finalized=%v with %d clients, want the open epoch with %d", sess.Finalized(), sess.Submitted(), len(early))
+			}
+			if err := sess.Submit(ctx, late); err != nil {
+				t.Fatalf("late client after the torn seal: %v", err)
+			}
+			res, err := sess.Finalize(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(TranscriptDigest(pub, res.Transcript), want) {
+				t.Fatal("recovered digest differs from the uninterrupted run")
+			}
+
+			if err := AuditLog(ctx, pub, log, 0, 2); err != nil {
+				t.Fatalf("offline audit of the honest log: %v", err)
+			}
+			a, err := TailAuditLog(pub, log, TailOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			pollUntilSealed(t, a)
+			if !bytes.Equal(a.Digest(), want) {
+				t.Fatal("live tail digest differs from the uninterrupted run")
+			}
+			again, err := ResumeSession(ctx, pub, opts)
+			if err != nil {
+				t.Fatalf("reboot after the retried seal: %v", err)
+			}
+			if !again.Finalized() || !bytes.Equal(TranscriptDigest(pub, again.SealedTranscript()), want) {
+				t.Fatal("rebooted session lost the sealed epoch")
 			}
 		})
 	}

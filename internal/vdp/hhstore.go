@@ -1,7 +1,6 @@
 package vdp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -22,19 +21,14 @@ import (
 
 // ResumeSketchSession reconstructs a sketch session from its segmented
 // board log after a restart. Every row's segment is replayed and resumed
-// exactly as ResumeSession would — including the row-0 budget ledger, whose
-// chain is re-verified and whose interrupted charges and refusals are
-// converged — and the rows are then reconciled: laggards from an
-// interrupted Reset are rolled forward, a fully-sealed epoch missing its
-// merged-seal manifest record is healed, and a manifest record disagreeing
-// with the recomputed digest refuses to resume. opts.Rand must carry the
-// original root seed, exactly as with ResumeShardedSession.
+// exactly as ResumeSession would — including the row-0 budget ledger — and
+// the rows are then reconciled exactly as ResumeShardedSession reconciles
+// shards (see resumeSegments). opts.Rand must carry the original root seed.
 func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout, opts SessionOptions) (*SketchSession, error) {
 	if err := validateSketchOptions(pub, layout, opts); err != nil {
 		return nil, err
 	}
-	seg := opts.Segmented
-	if seg == nil {
+	if opts.Segmented == nil {
 		return nil, fmt.Errorf("%w: ResumeSketchSession needs SessionOptions.Segmented", ErrBadConfig)
 	}
 	root, err := newRandSource(opts.Rand)
@@ -42,66 +36,12 @@ func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout,
 		return nil, err
 	}
 	hs := &SketchSession{pub: pub, layout: layout, opts: opts, resumed: true}
-	per := perShardWorkers(opts.Parallelism, layout.Rows)
-	maxEpoch := 0
-	for r := 0; r < layout.Rows; r++ {
-		so := subSessionOptions(opts, per)
-		if r > 0 {
-			so.Budget = nil
-		}
-		so.Store = seg.Board(r)
-		s, err := resumeSessionFromSource(ctx, pub, so, root.forkShard(r, layout.Rows))
-		if err != nil {
-			return nil, fmt.Errorf("vdp: resuming sketch row %d: %w", r, err)
-		}
-		hs.rows = append(hs.rows, s)
-		if s.Epoch() > maxEpoch {
-			maxEpoch = s.Epoch()
-		}
-	}
-	for r, s := range hs.rows {
-		for s.Epoch() < maxEpoch {
-			if err := s.Reset(); err != nil {
-				return nil, fmt.Errorf("vdp: rolling sketch row %d forward to epoch %d: %w", r, maxEpoch, err)
-			}
-		}
-	}
-	hs.epoch = maxEpoch
-
-	seals, err := readMergedSeals(seg)
-	if err != nil {
+	var finalized bool
+	if hs.rows, hs.epoch, finalized, err = resumeSegments(ctx, pub, opts, root, layout.Rows, rowSegments); err != nil {
 		return nil, err
 	}
-	for epoch := range seals {
-		if epoch > maxEpoch {
-			return nil, fmt.Errorf("vdp: manifest seals epoch %d but the rows have only reached epoch %d", epoch, maxEpoch)
-		}
-	}
-	allSealed := true
-	for _, s := range hs.rows {
-		if !s.Finalized() {
-			allSealed = false
-			break
-		}
-	}
-	if allSealed {
-		ts := make([]*Transcript, layout.Rows)
-		for r, s := range hs.rows {
-			if ts[r] = s.SealedTranscript(); ts[r] == nil {
-				return nil, fmt.Errorf("%w: sketch row %d is sealed but its transcript is not recoverable", ErrBadConfig, r)
-			}
-		}
-		digest := MergedTranscriptDigest(pub, ts)
-		if want, ok := seals[maxEpoch]; ok {
-			if !bytes.Equal(want, digest) {
-				return nil, fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the row seals", maxEpoch)
-			}
-		} else if err := appendMergedSeal(seg, maxEpoch, layout.Rows, digest); err != nil {
-			return nil, err
-		}
+	if finalized {
 		hs.state = sessionFinalized
-	} else if _, ok := seals[maxEpoch]; ok {
-		return nil, fmt.Errorf("vdp: manifest seals epoch %d but not every row segment is sealed", maxEpoch)
 	}
 	return hs, nil
 }
@@ -110,63 +50,15 @@ func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout,
 // log alone: each row's segment is audited exactly as AuditLog audits a
 // single board log (sealed transcript re-verified, arrival records
 // cross-checked, budget-charge chain replayed), the row rosters must obey
-// the admission gate (every client row r > 0 seats also sits on row 0 —
-// row 0 admits first, so a foreign client on a later row is a forged
-// roster), and the merged digest recomputed from the row seals must equal
-// the manifest's merged-seal record. epoch < 0 selects the latest merged
-// epoch; workers follows the AuditParallel convention.
+// the admission gate (every client row r > 0 seats also sits on row 0), and
+// the merged digest recomputed from the row seals must equal the manifest's
+// merged-seal record. epoch < 0 selects the latest merged epoch; workers
+// follows the AuditParallel convention.
 func AuditSketchLog(ctx context.Context, pub *Public, layout sketch.Layout, seg *store.SegmentedLog, epoch, workers int) error {
-	if err := layout.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if pub.Bins() != layout.Width {
-		return fmt.Errorf("%w: layout width %d but the protocol has %d bins", ErrBadConfig, layout.Width, pub.Bins())
-	}
-	if seg.Shards() != layout.Rows {
-		return fmt.Errorf("%w: segmented log holds %d segments but the layout has %d rows", ErrBadConfig, seg.Shards(), layout.Rows)
-	}
-	seals, err := readMergedSeals(seg)
-	if err != nil {
+	if err := validateSketchOptions(pub, layout, SessionOptions{Segmented: seg}); err != nil {
 		return err
 	}
-	if epoch < 0 {
-		epoch = -1
-		for e := range seals {
-			if e > epoch {
-				epoch = e
-			}
-		}
-		if epoch < 0 {
-			return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
-		}
-	}
-	want, ok := seals[epoch]
-	if !ok {
-		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
-	}
-	ts := make([]*Transcript, layout.Rows)
-	for r := range ts {
-		t, err := auditLogEpoch(ctx, pub, seg.Segment(r), epoch, workers)
-		if err != nil {
-			return fmt.Errorf("sketch row %d: %w", r, err)
-		}
-		ts[r] = t
-	}
-	row0 := make(map[int]bool, len(ts[0].Clients))
-	for _, cp := range ts[0].Clients {
-		row0[cp.ID] = true
-	}
-	for r := 1; r < len(ts); r++ {
-		for _, cp := range ts[r].Clients {
-			if !row0[cp.ID] {
-				return fmt.Errorf("%w: sketch row %d seats client %d, which row 0 never admitted", ErrAuditFail, r, cp.ID)
-			}
-		}
-	}
-	if got := MergedTranscriptDigest(pub, ts); !bytes.Equal(got, want) {
-		return fmt.Errorf("%w: epoch %d merged digest disagrees with the manifest's merged seal", ErrAuditFail, epoch)
-	}
-	return nil
+	return auditSegmented(ctx, pub, seg, epoch, workers, rowSegments)
 }
 
 // TailSketchLog opens a live audit tail over a sketch session's segmented
@@ -176,31 +68,8 @@ func AuditSketchLog(ctx context.Context, pub *Public, layout sketch.Layout, seg 
 // rows carry no charges, and any charge record appearing there fails their
 // chain replay at the unknown-client check.
 func TailSketchLog(pub *Public, layout sketch.Layout, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if seg.Shards() != layout.Rows {
-		return nil, fmt.Errorf("%w: segmented log holds %d segments but the layout has %d rows", ErrBadConfig, seg.Shards(), layout.Rows)
-	}
-	m := &MergedTailAuditor{pub: pub, seals: make(map[int][]byte)}
-	for r := 0; r < layout.Rows; r++ {
-		ro := opts
-		if r > 0 {
-			ro.Budget = nil
-		}
-		a := NewTailAuditor(pub, ro)
-		t, err := seg.Segment(r).Tail()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		a.AttachTailer(t)
-		m.shards = append(m.shards, a)
-	}
-	manTail, err := seg.Manifest().Tail()
-	if err != nil {
-		m.Close()
+	if err := validateSketchOptions(pub, layout, SessionOptions{Segmented: seg}); err != nil {
 		return nil, err
 	}
-	return &SegmentedTail{merged: m, manTail: manTail}, nil
+	return tailSegments(pub, seg, opts, rowSegments)
 }

@@ -7,8 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/store"
 )
 
 // Per-client privacy-budget ledger.
@@ -270,29 +268,6 @@ func (l *budgetLedger) apply(payload []byte) error {
 // digest returns a copy of the chain head.
 func (l *budgetLedger) digest() []byte {
 	return append([]byte(nil), l.head...)
-}
-
-// replayLedger rebuilds a board log's budget ledger from its charge records
-// alone — a cheap full-log scan that decodes nothing else. Chain integrity
-// is always verified; policy conformance too when cfg is non-nil. The
-// returned ledger is the resumed session's (or an auditor's) charge state.
-func replayLedger(log store.BoardLog, cfg *BudgetConfig) (*budgetLedger, error) {
-	led := newBudgetLedger(cfg)
-	i := -1
-	err := log.Replay(func(rec *store.Record) error {
-		i++
-		if rec.Kind != RecordBudgetCharge {
-			return nil
-		}
-		if err := led.apply(rec.Payload); err != nil {
-			return fmt.Errorf("vdp: board log record %d: %w", i, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return led, nil
 }
 
 // LedgerDigest returns the session's budget-ledger chain head: the genesis

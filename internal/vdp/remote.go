@@ -65,7 +65,7 @@ func ResumeShardSession(ctx context.Context, pub *Public, opts SessionOptions, s
 	if err != nil {
 		return nil, err
 	}
-	return resumeSessionFromSource(ctx, pub, opts, root.forkShard(shard, shards))
+	return resumeSessionFromSource(ctx, pub, opts, root.forkShard(shard, shards), shard, shards)
 }
 
 // checkShardIndex validates a (shard, shards) pair.
@@ -108,24 +108,10 @@ func DecodeMergedSealRecord(b []byte) (shards int, digest []byte, err error) {
 // AuditMerged.
 func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript, error) {
 	var sealBytes []byte
-	var chunks sealAssembly
-	err := log.Replay(func(rec *store.Record) error {
-		if int(rec.Epoch) != epoch {
-			return nil
+	err := scanSeals(log, func(e int, seal []byte) {
+		if e == epoch {
+			sealBytes = seal
 		}
-		switch rec.Kind {
-		case RecordSeal:
-			sealBytes = rec.Payload
-		case RecordSealChunk:
-			done, err := chunks.add(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if done != nil {
-				sealBytes = done
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -139,28 +125,14 @@ func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript,
 // AuditMergedLogs audits one merged epoch across the per-node board logs of
 // a cluster, in shard order: each log is audited exactly as AuditLog audits
 // a single session's log (sealed transcript fully re-verified AND
-// cross-checked against the log's own per-arrival records), then the shard
-// map is checked — every client on the shard ShardOf assigns it, no client
-// on two shards — and the merged digest over the K recovered transcripts is
-// returned for comparison against the recorded merged seal. It is
+// cross-checked against the log's own per-arrival records) with its grammar
+// pinned to the shard map — every client on the shard ShardOf assigns it,
+// hence none on two — and the merged digest over the K recovered transcripts
+// is returned for comparison against the recorded merged seal. It is
 // AuditSegmentedLog with the segments fetched from K machines instead of one
 // directory. workers follows the AuditParallel convention (0 = all cores).
 func AuditMergedLogs(ctx context.Context, pub *Public, logs []store.BoardLog, epoch, workers int) ([]byte, error) {
-	if len(logs) == 0 {
-		return nil, fmt.Errorf("%w: no node logs to audit", ErrAuditFail)
-	}
-	ts := make([]*Transcript, len(logs))
-	for i, lg := range logs {
-		t, err := auditLogEpoch(ctx, pub, lg, epoch, workers)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		ts[i] = t
-	}
-	if err := checkShardAssignment(ts); err != nil {
-		return nil, err
-	}
-	return MergedTranscriptDigest(pub, ts), nil
+	return auditSegments(ctx, pub, logs, epoch, workers, shardSegments)
 }
 
 // EncodeSubmitPayload serializes the body of a one-per-frame "submit"

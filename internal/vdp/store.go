@@ -1,7 +1,6 @@
 package vdp
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -85,39 +84,19 @@ func decodeSnapshot(b []byte) (epoch int, digest []byte, err error) {
 	return epoch, digest, nil
 }
 
-// snapshotMark locates the newest snapshot in a board log.
-type snapshotMark struct {
-	index  int // record index of the snapshot
-	epoch  int // the sealed epoch it pins
-	digest []byte
-}
-
-// lastSnapshot scans a board log for its newest snapshot record. The scan
-// reads frames but decodes no submissions or seals, so it stays cheap even
-// on logs holding many compacted epochs.
-func lastSnapshot(log store.BoardLog) (*snapshotMark, error) {
-	var out *snapshotMark
-	i := -1
+// lastSnapshotIndex scans a board log for the record index of its newest
+// snapshot, -1 when it holds none. The scan reads frames and decodes
+// nothing; the grammar validates the snapshot record itself.
+func lastSnapshotIndex(log store.BoardLog) (int, error) {
+	last, i := -1, -1
 	err := log.Replay(func(rec *store.Record) error {
 		i++
-		if rec.Kind != RecordSnapshot {
-			return nil
+		if rec.Kind == RecordSnapshot {
+			last = i
 		}
-		epoch, digest, err := decodeSnapshot(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("vdp: board log record %d: snapshot: %w", i, err)
-		}
-		if epoch != int(rec.Epoch) {
-			return fmt.Errorf("vdp: board log record %d: snapshot payload pins epoch %d but the record belongs to epoch %d",
-				i, epoch, rec.Epoch)
-		}
-		out = &snapshotMark{index: i, epoch: epoch, digest: digest}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return last, err
 }
 
 // sealChunkSize caps one seal record's payload. It sits well under the
@@ -187,28 +166,6 @@ func (a *sealAssembly) add(body []byte) ([]byte, error) {
 	}
 	a.total, a.next, a.pieces = 0, 0, nil
 	return out, nil
-}
-
-// track advances the assembly without retaining chunk bytes, for callers
-// that only need to know when a chunked seal completes (SealedEpochs).
-func (a *sealAssembly) track(body []byte) (complete bool, err error) {
-	index, total, _, err := decodeSealChunk(body)
-	if err != nil {
-		return false, err
-	}
-	if index == 0 {
-		a.total, a.next, a.pieces = total, 0, nil
-	}
-	if total != a.total || index != a.next {
-		return false, fmt.Errorf("vdp: seal chunk %d of %d arrived out of sequence (expected %d of %d)",
-			index, total, a.next, a.total)
-	}
-	a.next++
-	if a.next < a.total {
-		return false, nil
-	}
-	a.total, a.next = 0, 0
-	return true, nil
 }
 
 // appendSeal persists a sealed transcript, splitting it across chunk
@@ -343,206 +300,6 @@ func (s *Session) syncStore() error {
 	return nil
 }
 
-// replayedClient is one submission reconstructed from the board log.
-type replayedClient struct {
-	sub     *ClientSubmission
-	decided bool
-	reject  error
-	onBoard bool
-}
-
-// replayState folds a board log into the roster of its last open epoch.
-type replayState struct {
-	epoch     int
-	sealed    bool
-	sealBytes []byte // the sealed transcript's encoding, when sealed
-	seal      sealAssembly
-	order     []*replayedClient
-	byID      map[int]*replayedClient
-	charged   map[int]bool // clients with a budget-charge record this epoch
-}
-
-// removeFromOrder splices one replayed client out of the submission order,
-// mirroring Session.removeFromOrderLocked.
-func (st *replayState) removeFromOrder(rc *replayedClient) {
-	for j, c := range st.order {
-		if c == rc {
-			st.order = append(st.order[:j], st.order[j+1:]...)
-			return
-		}
-	}
-}
-
-// replayLog reconstructs the per-epoch state machine from a board log. It
-// validates that every record belongs to the epoch that was current when it
-// was appended and that the submission/verdict/seal/reset grammar holds —
-// a log that violates it was not written by a Session and is rejected.
-func replayLog(pub *Public, log store.BoardLog) (*replayState, error) {
-	return replayLogFrom(pub, log, -1, 0)
-}
-
-// replayLogFrom is replayLog starting past a snapshot boundary: records up
-// to and including index skipTo are skipped without decoding (a snapshot
-// vouches for everything before it), and the state machine opens at
-// startEpoch. skipTo < 0 replays the whole log from epoch 0.
-func replayLogFrom(pub *Public, log store.BoardLog, skipTo, startEpoch int) (*replayState, error) {
-	st := &replayState{epoch: startEpoch, byID: make(map[int]*replayedClient), charged: make(map[int]bool)}
-	i := -1
-	err := log.Replay(func(rec *store.Record) error {
-		i++
-		if i <= skipTo {
-			return nil
-		}
-		if int(rec.Epoch) != st.epoch {
-			return fmt.Errorf("vdp: board log record %d belongs to epoch %d, current epoch is %d",
-				i, rec.Epoch, st.epoch)
-		}
-		switch rec.Kind {
-		case RecordSubmission:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: submission after epoch %d was sealed", i, st.epoch)
-			}
-			sub, err := pub.DecodeClientSubmission(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if prev, dup := st.byID[sub.Public.ID]; dup {
-				if prev.decided {
-					return fmt.Errorf("vdp: board log record %d: duplicate submission from client %d", i, sub.Public.ID)
-				}
-				// An undecided earlier submission followed by a retry means
-				// the earlier one was withdrawn live but its withdrawal
-				// record was lost (withdrawals are best-effort by design:
-				// they compensate for a store that is already failing). The
-				// live session could only have admitted the retry if the
-				// original was gone, so the retry supersedes it.
-				st.removeFromOrder(prev)
-			}
-			rc := &replayedClient{sub: sub}
-			st.byID[sub.Public.ID] = rc
-			st.order = append(st.order, rc)
-		case RecordVerdict:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: verdict after epoch %d was sealed", i, st.epoch)
-			}
-			id, reject, onBoard, err := decodeVerdict(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			rc, ok := st.byID[id]
-			if !ok {
-				return fmt.Errorf("vdp: board log record %d: verdict for unknown client %d", i, id)
-			}
-			rc.decided = true
-			rc.reject = reject
-			rc.onBoard = onBoard
-		case RecordWithdraw:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: withdrawal after epoch %d was sealed", i, st.epoch)
-			}
-			id, err := decodeWithdraw(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			rc, ok := st.byID[id]
-			if !ok {
-				return fmt.Errorf("vdp: board log record %d: withdrawal of unknown client %d", i, id)
-			}
-			if rc.decided {
-				// A live session only withdraws clients whose verification
-				// never completed; withdrawing a decided client is not a
-				// state a Session can produce.
-				return fmt.Errorf("vdp: board log record %d: withdrawal of decided client %d", i, id)
-			}
-			delete(st.byID, id)
-			st.removeFromOrder(rc)
-		case RecordSeal:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: epoch %d sealed twice", i, st.epoch)
-			}
-			st.sealed = true
-			st.sealBytes = rec.Payload
-		case RecordSealChunk:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: epoch %d sealed twice", i, st.epoch)
-			}
-			done, err := st.seal.add(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if done != nil {
-				st.sealed = true
-				st.sealBytes = done
-			}
-		case RecordBudgetCharge:
-			if st.sealed {
-				return fmt.Errorf("vdp: board log record %d: budget charge after epoch %d was sealed", i, st.epoch)
-			}
-			id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: %w", i, err)
-			}
-			if chEpoch != st.epoch {
-				return fmt.Errorf("vdp: board log record %d: budget charge pins epoch %d, current epoch is %d",
-					i, chEpoch, st.epoch)
-			}
-			if _, ok := st.byID[id]; !ok {
-				// A session only charges a client whose submission record is
-				// already on the log (the charge follows it in the same
-				// commit window).
-				return fmt.Errorf("vdp: board log record %d: budget charge for unknown client %d", i, id)
-			}
-			if st.charged[id] {
-				return fmt.Errorf("vdp: board log record %d: client %d charged twice in epoch %d", i, id, st.epoch)
-			}
-			st.charged[id] = true
-		case RecordReset:
-			st.epoch++
-			st.sealed = false
-			st.sealBytes = nil
-			st.seal = sealAssembly{}
-			st.order = nil
-			st.byID = make(map[int]*replayedClient)
-			st.charged = make(map[int]bool)
-		case RecordSnapshot:
-			if !st.sealed {
-				return fmt.Errorf("vdp: board log record %d: snapshot of epoch %d, which is not sealed", i, st.epoch)
-			}
-			snapEpoch, digest, err := decodeSnapshot(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: snapshot: %w", i, err)
-			}
-			if snapEpoch != st.epoch {
-				return fmt.Errorf("vdp: board log record %d: snapshot pins epoch %d, current epoch is %d",
-					i, snapEpoch, st.epoch)
-			}
-			d, err := transcriptDigestFromBytes(pub, st.sealBytes)
-			if err != nil {
-				return fmt.Errorf("vdp: board log record %d: sealed transcript: %w", i, err)
-			}
-			if !bytes.Equal(d, digest) {
-				return fmt.Errorf("vdp: board log record %d: snapshot digest for epoch %d disagrees with its seal",
-					i, st.epoch)
-			}
-			// The snapshot is the epoch boundary: open the next epoch.
-			st.epoch++
-			st.sealed = false
-			st.sealBytes = nil
-			st.seal = sealAssembly{}
-			st.order = nil
-			st.byID = make(map[int]*replayedClient)
-			st.charged = make(map[int]bool)
-		default:
-			return fmt.Errorf("vdp: board log record %d: unknown kind %d", i, rec.Kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // ResumeSession reconstructs a session from its board log after a restart.
 // The log is replayed to the last epoch boundary: sealed and reset epochs
 // are skipped over, and the final epoch's submissions are re-admitted in
@@ -566,79 +323,111 @@ func ResumeSession(ctx context.Context, pub *Public, opts SessionOptions) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	return resumeSessionFromSource(ctx, pub, opts, root)
+	return resumeSessionFromSource(ctx, pub, opts, root, 0, 1)
 }
 
 // resumeSessionFromSource is ResumeSession over an already-derived root
-// randomness source; ResumeShardedSession uses it to hand every shard its
-// own fork of one root seed.
-func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptions, root *randSource) (*Session, error) {
+// randomness source, for a log that is shard `shard` of `shards`:
+// ResumeShardedSession and ResumeShardSession hand every shard its own fork
+// of one root seed and pin its grammar to the clients ShardOf assigns it.
+func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptions, root *randSource, shard, shards int) (*Session, error) {
 	if opts.Store == nil {
 		return nil, fmt.Errorf("%w: ResumeSession needs SessionOptions.Store", ErrBadConfig)
 	}
+	if err := opts.Budget.validate(); err != nil {
+		return nil, err
+	}
 	// Snapshot boot: a compacted log carries a digest-pinned boundary for
 	// every sealed-and-compacted epoch, so recovery decodes only the records
-	// after the newest one instead of re-deriving every prior epoch. The
-	// skipped evidence stays in the log; AuditLog still verifies it offline.
-	snap, err := lastSnapshot(opts.Store)
+	// after the newest one; everything before it is skimmed (grammar and
+	// charge chain, no submission decode, no digest recomputed). The skipped
+	// evidence stays in the log; AuditLog still verifies it offline.
+	snapAt, err := lastSnapshotIndex(opts.Store)
 	if err != nil {
 		return nil, err
 	}
-	skipTo, startEpoch := -1, 0
-	if snap != nil {
-		skipTo, startEpoch = snap.index, snap.epoch+1
-	}
-	st, err := replayLogFrom(pub, opts.Store, skipTo, startEpoch)
+	// The machine's ledger re-verifies every charge link against the
+	// configured policy across the whole log (charges are lifetime state);
+	// its head is what LedgerDigest exposes — byte-identical to the crashed
+	// session's.
+	g := newBoardGrammar(pub, opts.Budget, false)
+	g.shardIdx, g.shardCount = shard, shards
+	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
+	i := -1
+	err = opts.Store.Replay(func(rec *store.Record) error {
+		i++
+		if i <= snapAt {
+			return g.Skim(rec, i, -1)
+		}
+		ev, err := g.Feed(rec, i, -1)
+		switch ev.kind {
+		case evSubmission:
+			subs[ev.client.id] = ev.sub
+		case evBoundary:
+			subs = make(map[int]*ClientSubmission)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+
 	s := newSessionFromSource(NewEngine(pub, opts.Parallelism), opts, root)
 	s.resumed = true
-	s.epoch = st.epoch
-	s.rs = s.root.fork(st.epoch)
-	if st.sealed {
+	s.epoch = g.epoch
+	s.rs = s.root.fork(g.epoch)
+	if g.sealed {
 		s.state = sessionFinalized
-		t, err := pub.DecodeTranscript(st.sealBytes)
+		t, err := pub.DecodeTranscript(g.seal)
 		if err != nil {
-			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", st.epoch, err)
+			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", g.epoch, err)
 		}
 		s.sealedT = t
 	}
 	if opts.Budget != nil {
-		if err := opts.Budget.validate(); err != nil {
-			return nil, err
-		}
-		// Rebuild the charge chain from the full log (charges are lifetime
-		// state, so the scan ignores snapshot boundaries) and re-verify every
-		// link against the configured policy. The resumed chain head is what
-		// LedgerDigest exposes — byte-identical to the crashed session's.
-		led, err := replayLedger(opts.Store, opts.Budget)
-		if err != nil {
-			return nil, err
-		}
-		s.ledger = led
+		s.ledger = g.ledger
 	}
 
-	for _, rc := range st.order {
-		id := rc.sub.Public.ID
-		cl := &sessionClient{public: rc.sub.Public, payloads: rc.sub.Payloads}
-		if !rc.decided && !st.sealed && s.ledger != nil && !s.ledger.canCharge(st.epoch, id) {
+	// install re-admits one client; off the board its ID is only reserved —
+	// the public part never reaches the roster, as in the live Submit path.
+	install := func(id int, decided bool, reject error, onBoard bool) {
+		sc := &sessionClient{public: subs[id].Public, payloads: subs[id].Payloads, decided: decided, reject: reject}
+		s.byID[id] = sc
+		if reject != nil {
+			s.rejected[id] = reject
+		}
+		if !decided || onBoard {
+			s.order = append(s.order, sc)
+		}
+	}
+	for id, cl := range g.clients {
+		if cl.decided && !cl.onBoard {
+			install(id, true, cl.reject, false) // payload- or budget-refused
+		}
+	}
+	for _, cl := range g.roster {
+		id := cl.id
+		decided, reject, onBoard := cl.decided, cl.reject, cl.onBoard
+		switch {
+		case decided || g.sealed:
+			// Verdict on record (or the sealed transcript speaks for it).
+		case s.ledger != nil && !s.ledger.canCharge(g.epoch, id):
 			// The crash interrupted a budget refusal (submission record down,
 			// refusal verdict lost). Re-refuse exactly as the live session
 			// would have: verdict on the log, ID reserved off-board, no
 			// charge, no verification.
-			refusal := budgetRefusalError(id, s.ledger.spent[id], s.ledger.cfg.EpochCost, s.ledger.cfg.Total)
-			rc.decided, rc.reject, rc.onBoard = true, refusal, false
-			if err := s.appendRecord(RecordVerdict, st.epoch, encodeVerdict(id, refusal, false)); err != nil {
+			decided, onBoard = true, false
+			reject = budgetRefusalError(id, s.ledger.spent[id], s.ledger.cfg.EpochCost, s.ledger.cfg.Total)
+			if err := s.appendRecord(RecordVerdict, g.epoch, encodeVerdict(id, reject, false)); err != nil {
 				return nil, err
 			}
-		} else if !rc.decided && !st.sealed {
-			if s.ledger != nil && !st.charged[id] {
+		default:
+			if s.ledger != nil {
 				// An admitted client without a charge means the crash beat the
 				// charge append; converge by charging now, like the live
-				// admission would have.
-				if payload, commit := s.ledger.prepareCharge(st.epoch, id); payload != nil {
-					if err := s.appendRecord(RecordBudgetCharge, st.epoch, payload); err != nil {
+				// admission would have (a client already charged yields nil).
+				if payload, commit := s.ledger.prepareCharge(g.epoch, id); payload != nil {
+					if err := s.appendRecord(RecordBudgetCharge, g.epoch, payload); err != nil {
 						return nil, err
 					}
 					commit()
@@ -648,37 +437,26 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 				// The crash hit between the submission and verdict appends (or
 				// the original session deferred). Re-verify with Submit's exact
 				// checks and persist the recovered verdict so the log converges.
-				verdict, onBoard, err := s.verify(ctx, rc.sub)
-				if err != nil {
+				if reject, onBoard, err = s.verify(ctx, subs[id]); err != nil {
 					return nil, fmt.Errorf("vdp: re-verifying client %d during resume: %w", id, err)
 				}
-				rc.decided, rc.reject, rc.onBoard = true, verdict, onBoard
-				if err := s.appendRecord(RecordVerdict, st.epoch, encodeVerdict(id, verdict, onBoard)); err != nil {
+				decided = true
+				if err := s.appendRecord(RecordVerdict, g.epoch, encodeVerdict(id, reject, onBoard)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		cl.decided = rc.decided
-		cl.reject = rc.reject
-		s.byID[cl.public.ID] = cl
-		if rc.reject != nil {
-			s.rejected[cl.public.ID] = rc.reject
-		}
-		if rc.decided && rc.reject != nil && !rc.onBoard {
-			// Payload-refused: ID stays reserved, public part never reaches
-			// the board — same as the live Submit path.
-			continue
-		}
-		s.order = append(s.order, cl)
+		install(id, decided, reject, onBoard)
 	}
 	return s, nil
 }
 
-// AuditLog audits a sealed epoch offline, from the board log alone: the
-// epoch's sealed transcript is decoded and fully re-verified (every client
+// AuditLog audits a sealed epoch offline, from the board log alone: the whole
+// log must obey the record grammar, the epoch's seal must list exactly the
+// clients the log's own arrival records admitted — same order, same bytes —
+// and the sealed transcript is decoded and fully re-verified (every client
 // proof, coin proof, Morra record, Line-13 product and the aggregation —
-// exactly Audit), and the seal is cross-checked against the log's own
-// submission records, so a log whose per-arrival records disagree with the
+// exactly Audit). A log whose per-arrival records disagree with the
 // transcript it sealed is rejected even if the transcript verifies in
 // isolation. epoch < 0 selects the latest sealed epoch. workers follows the
 // AuditParallel convention (0 = all cores).
@@ -695,228 +473,76 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 		}
 		epoch = sealed[len(sealed)-1]
 	}
-	_, err := auditLogEpoch(ctx, pub, log, epoch, workers)
+	_, err := auditLogEpoch(ctx, pub, log, epoch, workers, 0, 1)
 	return err
 }
 
-// auditLogEpoch is the per-epoch core of AuditLog: it replays one epoch's
-// records with the hardened grammar, cross-checks the seal against the
-// per-arrival evidence, fully re-verifies the sealed transcript, and returns
-// it (so the sharded auditor can merge per-shard verdicts).
-func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) (*Transcript, error) {
-	er := struct {
-		seal    []byte
-		snap    []byte         // digest pinned by the epoch's snapshot, if compacted
-		pubs    map[int][]byte // client ID -> encoded ClientPublic from submissions
-		onBoard map[int]bool   // verdict-recorded board membership
-		charged map[int]bool   // budget-charge records seen this epoch
-		refused map[int]bool   // verdicts carrying the budget-refusal marker
-	}{pubs: make(map[int][]byte), onBoard: make(map[int]bool), charged: make(map[int]bool), refused: make(map[int]bool)}
-	var chunks sealAssembly
+// auditLogEpoch is the per-epoch core of AuditLog, for a log that is shard
+// `shard` of `shards`. The audited epoch's records are fed in full and every
+// other epoch's skimmed, so only the audited submissions are ever decoded;
+// the one batched re-verification runs when the seal arrives. It returns the
+// verified transcript (so the segmented auditors can merge per-log verdicts).
+func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (*Transcript, error) {
+	g := newBoardGrammar(pub, nil, true)
+	g.shardIdx, g.shardCount = shard, shards
+	var t *Transcript
+	i := -1
 	err := log.Replay(func(rec *store.Record) error {
+		i++
 		if int(rec.Epoch) != epoch {
-			return nil
+			return g.Skim(rec, i, -1)
 		}
-		// The live session appends nothing to an epoch after sealing it
-		// except the Reset or Snapshot that closes it (Finalize drains
-		// in-flight Submits first), and nothing interleaves with a chunked
-		// seal's append loop. Any other record following (or splicing into)
-		// the seal is log tampering — typically an attempt to erase or
-		// rewrite the evidence the cross-check below relies on.
-		if er.seal != nil && rec.Kind != RecordReset && rec.Kind != RecordSnapshot {
-			return fmt.Errorf("%w: epoch %d has records after its seal", ErrAuditFail, epoch)
+		ev, err := g.Feed(rec, i, -1)
+		if err != nil || ev.kind != evSeal {
+			return err
 		}
-		if chunks.inProgress() && rec.Kind != RecordSealChunk {
-			return fmt.Errorf("%w: epoch %d has records interleaved with its seal chunks", ErrAuditFail, epoch)
+		if t, err = pub.DecodeTranscript(ev.seal); err != nil {
+			return g.errorf("sealed transcript: %v", err)
 		}
-		// Per-record grammar identical to replayLog's: the auditor must
-		// never certify a log the server's own recovery would refuse.
-		switch rec.Kind {
-		case RecordSubmission:
-			sub, err := pub.DecodeClientSubmission(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log submission: %v", ErrAuditFail, err)
-			}
-			id := sub.Public.ID
-			if _, has := er.pubs[id]; has {
-				if _, decided := er.onBoard[id]; decided {
-					return fmt.Errorf("%w: epoch %d holds a duplicate submission from decided client %d",
-						ErrAuditFail, epoch, id)
-				}
-				// Undecided earlier submission + retry = lost withdrawal;
-				// the retry supersedes it, as in replayLog.
-			}
-			er.pubs[id] = pub.EncodeClientPublic(sub.Public)
-		case RecordVerdict:
-			id, reject, onBoard, err := decodeVerdict(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log verdict: %v", ErrAuditFail, err)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d holds a verdict for unknown client %d", ErrAuditFail, epoch, id)
-			}
-			er.onBoard[id] = onBoard
-			if reject != nil && !onBoard && isBudgetRefusalReason(reject.Error()) {
-				er.refused[id] = true
-			}
-		case RecordWithdraw:
-			id, err := decodeWithdraw(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log withdrawal: %v", ErrAuditFail, err)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d withdraws unknown client %d", ErrAuditFail, epoch, id)
-			}
-			if _, decided := er.onBoard[id]; decided {
-				// A session only withdraws clients whose verification never
-				// completed; a withdrawal of a verdict-decided client is a
-				// forgery trying to erase that client from the cross-check.
-				return fmt.Errorf("%w: epoch %d withdraws client %d after its verdict was recorded",
-					ErrAuditFail, epoch, id)
-			}
-			delete(er.pubs, id)
-			delete(er.onBoard, id)
-		case RecordSeal:
-			er.seal = rec.Payload
-		case RecordSealChunk:
-			done, err := chunks.add(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrAuditFail, err)
-			}
-			if done != nil {
-				er.seal = done
-			}
-		case RecordBudgetCharge:
-			id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log budget charge: %v", ErrAuditFail, err)
-			}
-			if chEpoch != epoch {
-				return fmt.Errorf("%w: epoch %d holds a budget charge pinning epoch %d", ErrAuditFail, epoch, chEpoch)
-			}
-			if _, has := er.pubs[id]; !has {
-				return fmt.Errorf("%w: epoch %d charges unknown client %d", ErrAuditFail, epoch, id)
-			}
-			if er.charged[id] {
-				return fmt.Errorf("%w: epoch %d charges client %d twice", ErrAuditFail, epoch, id)
-			}
-			er.charged[id] = true
-		case RecordReset:
-			// The epoch-closing marker carries no evidence.
-		case RecordSnapshot:
-			if er.seal == nil {
-				return fmt.Errorf("%w: epoch %d snapshots before its seal", ErrAuditFail, epoch)
-			}
-			if er.snap != nil {
-				return fmt.Errorf("%w: epoch %d snapshots twice", ErrAuditFail, epoch)
-			}
-			snapEpoch, digest, err := decodeSnapshot(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("%w: board log snapshot: %v", ErrAuditFail, err)
-			}
-			if snapEpoch != epoch {
-				return fmt.Errorf("%w: epoch %d snapshot pins epoch %d", ErrAuditFail, epoch, snapEpoch)
-			}
-			er.snap = digest
-		default:
-			// Reject what a Session cannot have written, mirroring
-			// replayLog: the auditor must never certify a log the server's
-			// own recovery would refuse.
-			return fmt.Errorf("%w: epoch %d holds a record of unknown kind %d", ErrAuditFail, epoch, rec.Kind)
-		}
-		return nil
+		return auditParallel(ctx, pub, t, workers)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Ledger cross-checks. The charge chain spans epochs (budgets are
-	// lifetime state), so its integrity is verified over the whole log — a
-	// cheap scan that decodes only charge records. Within the audited epoch,
-	// the charging policy must hold: a budget-refused client is never
-	// charged, and — whenever the ledger was active this epoch — every other
-	// decided client was charged exactly once at admission.
-	if _, lerr := replayLedger(log, nil); lerr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAuditFail, lerr)
-	}
-	for id := range er.refused {
-		if er.charged[id] {
-			return nil, fmt.Errorf("%w: epoch %d refused client %d over budget but charged it anyway", ErrAuditFail, epoch, id)
-		}
-	}
-	if len(er.charged) > 0 || len(er.refused) > 0 {
-		for id := range er.onBoard {
-			if !er.refused[id] && !er.charged[id] {
-				return nil, fmt.Errorf("%w: epoch %d decided client %d without a budget charge", ErrAuditFail, epoch, id)
-			}
-		}
-	}
-	if er.seal == nil {
+	if t == nil {
 		return nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
 	}
-	t, err := pub.DecodeTranscript(er.seal)
-	if err != nil {
-		return nil, fmt.Errorf("%w: sealed transcript for epoch %d: %v", ErrAuditFail, epoch, err)
-	}
-	if er.snap != nil && !bytes.Equal(er.snap, TranscriptDigest(pub, t)) {
-		// A compacted epoch's snapshot is what later boots trust instead of
-		// this evidence — it must pin exactly the transcript the log sealed.
-		return nil, fmt.Errorf("%w: epoch %d snapshot digest disagrees with its seal", ErrAuditFail, epoch)
-	}
+	return t, nil
+}
 
-	// The seal must agree with the log's own arrival records: every client
-	// on the sealed board was logged at Submit time with identical bytes,
-	// and every client the log marked board-worthy made it onto the seal.
-	onSeal := make(map[int]bool, len(t.Clients))
-	for _, cp := range t.Clients {
-		onSeal[cp.ID] = true
-		logged, ok := er.pubs[cp.ID]
-		if !ok {
-			return nil, fmt.Errorf("%w: epoch %d seal lists client %d, but the log holds no submission for it",
-				ErrAuditFail, epoch, cp.ID)
+// scanSeals streams every completed seal of a board log — a seal record, or
+// the final chunk of a split one — to fn, interpreting nothing else.
+func scanSeals(log store.BoardLog, fn func(epoch int, seal []byte)) error {
+	assemblies := make(map[int]*sealAssembly)
+	return log.Replay(func(rec *store.Record) error {
+		epoch := int(rec.Epoch)
+		switch rec.Kind {
+		case RecordSeal:
+			fn(epoch, rec.Payload)
+		case RecordSealChunk:
+			a := assemblies[epoch]
+			if a == nil {
+				a = &sealAssembly{}
+				assemblies[epoch] = a
+			}
+			done, err := a.add(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if done != nil {
+				fn(epoch, done)
+			}
 		}
-		if sealed := pub.EncodeClientPublic(cp); string(sealed) != string(logged) {
-			return nil, fmt.Errorf("%w: epoch %d seal disagrees with the logged submission of client %d",
-				ErrAuditFail, epoch, cp.ID)
-		}
-	}
-	for id, board := range er.onBoard {
-		if board && !onSeal[id] {
-			return nil, fmt.Errorf("%w: epoch %d: client %d was admitted to the board but is missing from the seal",
-				ErrAuditFail, epoch, id)
-		}
-	}
-	return t, auditParallel(ctx, pub, t, workers)
+		return nil
+	})
 }
 
 // SealedEpochs returns the epochs a board log has sealed, in order. A
 // chunk-split seal counts once its final chunk lands.
 func SealedEpochs(log store.BoardLog) ([]int, error) {
 	var out []int
-	assemblies := make(map[int]*sealAssembly)
-	err := log.Replay(func(rec *store.Record) error {
-		switch rec.Kind {
-		case RecordSeal:
-			out = append(out, int(rec.Epoch))
-		case RecordSealChunk:
-			a := assemblies[int(rec.Epoch)]
-			if a == nil {
-				a = &sealAssembly{}
-				assemblies[int(rec.Epoch)] = a
-			}
-			done, err := a.track(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if done {
-				out = append(out, int(rec.Epoch))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	err := scanSeals(log, func(epoch int, _ []byte) { out = append(out, epoch) })
+	return out, err
 }
 
 // errLogNotEmpty distinguishes "the store already holds records" inside

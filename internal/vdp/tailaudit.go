@@ -18,27 +18,23 @@ import (
 // Live audit tail: the analytical half of the board split. AuditLog
 // re-verifies a sealed epoch from scratch — O(epoch) work after the fact —
 // while a TailAuditor follows the board log as it is written, spending the
-// per-client verification work at arrival time and carrying three pieces of
-// rolling state: the arrival-grammar machine (the same
-// submission/verdict/withdraw/seal grammar replayLog and AuditLog enforce),
-// a roster shadow (every client's logged bytes in board order), and the
-// running Line-13 client product (the Σ-OR-vetted share commitments of every
-// roster client, folded per bin and prover as verdicts land). At seal time
-// the remaining work is O(M·nb·K) — fold the accumulator into the adjusted
-// coin commitments, byte-compare the sealed client section against the
-// shadow, re-derive the release — independent of how many clients the epoch
-// admitted. Any third party holding the log can follow the bulletin board
-// live, which is the paper's public-verifiability story made continuous.
+// per-client verification work at arrival time. The record grammar, the
+// roster and the seal-vs-roster cross-check are the boardGrammar's (the same
+// machine ResumeSession and AuditLog read through, see grammar.go); the tail
+// adds the cryptography: every arrival's Σ-OR proof decided in windows,
+// every logged verdict cross-checked against it, and the running Line-13
+// client product (the Σ-OR-vetted share commitments of every roster client,
+// folded per bin and prover as verdicts land). At seal time the remaining
+// work is O(M·nb·K) — fold the accumulator into the adjusted coin
+// commitments, re-derive the release — independent of how many clients the
+// epoch admitted. Any third party holding the log can follow the bulletin
+// board live, which is the paper's public-verifiability story made
+// continuous.
 
 // TailOptions configures a live audit tail.
 type TailOptions struct {
 	// Workers is the verification pool width (0 = GOMAXPROCS).
 	Workers int
-	// Window is how many unverified submissions accumulate before they are
-	// folded through one batched Σ-OR check (0 = 64). A bigger window
-	// amortizes the random-linear-combination batching better; any pending
-	// remainder is flushed when a verdict needs it or at seal time.
-	Window int
 	// Budget, when set, makes the tail enforce the session's charging policy
 	// in addition to replaying the charge chain: every admitted client must
 	// be charged EpochCost at admission, budget refusals must be genuine
@@ -49,22 +45,20 @@ type TailOptions struct {
 	Budget *BudgetConfig
 }
 
-// defaultTailWindow is the submission batch a tail verifies at once.
-const defaultTailWindow = 64
+// tailWindow is how many unverified submissions accumulate before they are
+// folded through one batched Σ-OR check. A bigger window amortizes the
+// random-linear-combination batching better; any pending remainder is
+// flushed when a verdict needs it or at seal time. A var so tests can shrink
+// it to exercise window boundaries on small boards.
+var tailWindow = 64
 
-// tailClient is one roster-shadow entry: a submission the tail has seen,
-// with where it saw it (for error attribution) and what it concluded.
+// tailClient is the tail's own state for one live client: what its Σ-OR
+// check concluded about the submission the grammar admitted.
 type tailClient struct {
-	raw        []byte // the submission's encoded ClientPublic, as logged
-	pub        *ClientPublic
-	offset     int64 // submission record offset in the log
-	index      int   // submission record index
-	checked    bool  // board proof decided by the batched Σ-OR check
-	valid      bool  // board proof verdict
-	decided    bool  // a verdict record landed
-	reject     bool  // that verdict was a rejection
-	overBudget bool  // that verdict was a budget refusal (never verified)
-	folded     bool  // share commitments folded into the running product
+	pub     *ClientPublic
+	checked bool // board proof decided by the batched Σ-OR check
+	valid   bool // board proof verdict
+	folded  bool // share commitments folded into the running product
 }
 
 // TailAuditor incrementally audits one board log (or one shard segment).
@@ -80,33 +74,21 @@ type tailClient struct {
 type TailAuditor struct {
 	pub     *Public
 	workers int
-	window  int
 
 	mu     sync.Mutex
 	tailer store.Tailer
 	err    error
 
-	shardIdx   int
-	shardCount int
-
+	g       *boardGrammar
 	recIdx  int // records consumed, all epochs
-	epoch   int
-	order   []*tailClient
 	byID    map[int]*tailClient
 	pending []*tailClient
 	// prod[j][pk] is the running product of the roster clients' share
 	// commitments for bin j, prover pk — Line 13's client factor, built as
 	// verdicts land so the seal-time check never walks the roster again.
 	prod    [][]*pedersen.Commitment
-	sealed  bool
-	sealAsm sealAssembly
-	digest  []byte
+	digest  []byte         // the live epoch's verified digest, once sealed
 	history map[int][]byte // sealed epoch -> verified digest
-	// ledger replays the budget-charge chain across epochs (budgets are
-	// lifetime state, so clearEpoch never touches it). Chain integrity is
-	// always enforced; policy checks additionally when TailOptions.Budget
-	// was provided.
-	ledger *budgetLedger
 }
 
 // NewTailAuditor creates a live auditor for a single board log. Feed it
@@ -116,18 +98,12 @@ func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = defaultTailWindow
-	}
 	return &TailAuditor{
-		pub:        pub,
-		workers:    workers,
-		window:     window,
-		shardCount: 1,
-		byID:       make(map[int]*tailClient),
-		history:    make(map[int][]byte),
-		ledger:     newBudgetLedger(opts.Budget),
+		pub:     pub,
+		workers: workers,
+		g:       newBoardGrammar(pub, opts.Budget, true),
+		byID:    make(map[int]*tailClient),
+		history: make(map[int][]byte),
 	}
 }
 
@@ -150,7 +126,7 @@ func TailAuditLog(pub *Public, log store.TailableLog, opts TailOptions) (*TailAu
 func (a *TailAuditor) SetShard(index, count int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.shardIdx, a.shardCount = index, count
+	a.g.shardIdx, a.g.shardCount = index, count
 }
 
 // AttachTailer hands the auditor a store tail to drain on Poll. The auditor
@@ -210,215 +186,70 @@ func (a *TailAuditor) feedLocked(rec *store.Record, off int64) error {
 	return nil
 }
 
-// errAt stamps an audit failure with the record index and offset it was
-// detected at — the first divergent record, since errors are sticky.
-func (a *TailAuditor) errAt(off int64, format string, args ...any) error {
-	return fmt.Errorf("%w: tail record %d (offset %d): %s", ErrAuditFail, a.recIdx, off, fmt.Sprintf(format, args...))
-}
-
-// consume runs one record through the arrival grammar and rolling state.
-// The grammar is replayLog's, hardened with AuditLog's cross-checks: the
-// tail never certifies a log the server's own recovery would refuse.
+// consume runs one record through the grammar and applies its event to the
+// tail's cryptographic state.
 func (a *TailAuditor) consume(rec *store.Record, off int64) error {
-	if int(rec.Epoch) != a.epoch {
-		return a.errAt(off, "belongs to epoch %d, live epoch is %d", rec.Epoch, a.epoch)
-	}
-	if a.sealAsm.inProgress() && rec.Kind != RecordSealChunk {
-		return a.errAt(off, "kind %d interleaved with epoch %d's seal chunks", rec.Kind, a.epoch)
-	}
-	if a.sealed && rec.Kind != RecordReset && rec.Kind != RecordSnapshot {
-		return a.errAt(off, "kind %d after epoch %d was sealed", rec.Kind, a.epoch)
-	}
-	switch rec.Kind {
-	case RecordSubmission:
-		return a.consumeSubmission(rec, off)
-	case RecordVerdict:
-		return a.consumeVerdict(rec, off)
-	case RecordBudgetCharge:
-		return a.consumeCharge(rec, off)
-	case RecordWithdraw:
-		id, err := decodeWithdraw(rec.Payload)
-		if err != nil {
-			return a.errAt(off, "withdrawal: %v", err)
-		}
-		rc, ok := a.byID[id]
-		if !ok {
-			return a.errAt(off, "withdrawal of unknown client %d", id)
-		}
-		if rc.decided {
-			// A session only withdraws clients whose verification never
-			// completed; this is a forgery trying to erase a decided client.
-			return a.errAt(off, "withdrawal of decided client %d (verdict already on the board)", id)
-		}
-		delete(a.byID, id)
-		a.drop(rc)
-		return nil
-	case RecordSeal:
-		return a.verifySeal(rec.Payload, off)
-	case RecordSealChunk:
-		done, err := a.sealAsm.add(rec.Payload)
-		if err != nil {
-			return a.errAt(off, "%v", err)
-		}
-		if done != nil {
-			return a.verifySeal(done, off)
-		}
-		return nil
-	case RecordReset:
-		a.epoch++
-		a.clearEpoch()
-		return nil
-	case RecordSnapshot:
-		if !a.sealed {
-			return a.errAt(off, "snapshot of epoch %d, which is not sealed", a.epoch)
-		}
-		snapEpoch, d, err := decodeSnapshot(rec.Payload)
-		if err != nil {
-			return a.errAt(off, "snapshot: %v", err)
-		}
-		if snapEpoch != a.epoch {
-			return a.errAt(off, "snapshot pins epoch %d, live epoch is %d", snapEpoch, a.epoch)
-		}
-		if !bytes.Equal(d, a.digest) {
-			return a.errAt(off, "snapshot digest for epoch %d disagrees with the live audit", a.epoch)
-		}
-		a.epoch++
-		a.clearEpoch()
-		return nil
-	default:
-		return a.errAt(off, "unknown kind %d", rec.Kind)
-	}
-}
-
-func (a *TailAuditor) consumeSubmission(rec *store.Record, off int64) error {
-	sub, err := a.pub.DecodeClientSubmission(rec.Payload)
+	ev, err := a.g.Feed(rec, a.recIdx, off)
 	if err != nil {
-		return a.errAt(off, "submission: %v", err)
+		return err
 	}
-	// The raw ClientPublic bytes, exactly as logged: the seal walk compares
-	// the sealed client section against these, byte for byte.
-	r := wireReader{b: rec.Payload}
-	r.version()
-	raw := r.lpBytes()
-	if r.err != nil {
-		return a.errAt(off, "submission: %v", r.err)
-	}
-	id := sub.Public.ID
-	if a.shardCount > 1 {
-		if want := ShardOf(id, a.shardCount); want != a.shardIdx {
-			return a.errAt(off, "client %d belongs to shard %d, not shard %d", id, want, a.shardIdx)
+	switch ev.kind {
+	case evSubmission:
+		if prev := a.byID[ev.client.id]; prev != nil {
+			a.unpend(prev) // superseded by this retry
 		}
-	}
-	if prev, dup := a.byID[id]; dup {
-		if prev.decided {
-			return a.errAt(off, "duplicate submission from decided client %d", id)
+		tc := &tailClient{pub: ev.sub.Public}
+		a.byID[ev.client.id] = tc
+		a.pending = append(a.pending, tc)
+		if len(a.pending) >= tailWindow {
+			return a.flushPending()
 		}
-		// Undecided earlier submission + retry = lost withdrawal; the retry
-		// supersedes it, exactly as replayLog resolves the same log.
-		a.drop(prev)
-	}
-	cl := &tailClient{raw: raw, pub: sub.Public, offset: off, index: a.recIdx}
-	a.byID[id] = cl
-	a.order = append(a.order, cl)
-	a.pending = append(a.pending, cl)
-	if len(a.pending) >= a.window {
-		return a.flushPending()
+	case evVerdict:
+		return a.checkVerdict(ev.client)
+	case evWithdraw:
+		a.unpend(a.byID[ev.client.id])
+		delete(a.byID, ev.client.id)
+	case evSeal:
+		return a.verifySeal(ev.seal)
+	case evBoundary:
+		a.byID = make(map[int]*tailClient)
+		a.pending = nil
+		a.prod = nil
+		a.digest = nil
 	}
 	return nil
 }
 
-// consumeCharge replays one budget-charge record through the tail's ledger:
-// the chain link, cumulative arithmetic, and — when the tail knows the
-// policy — amount and cap are all re-verified, and the charge must name a
-// roster client of the live epoch that was not refused over budget.
-func (a *TailAuditor) consumeCharge(rec *store.Record, off int64) error {
-	id, chEpoch, _, _, _, err := decodeBudgetCharge(rec.Payload)
-	if err != nil {
-		return a.errAt(off, "budget charge: %v", err)
-	}
-	if chEpoch != a.epoch {
-		return a.errAt(off, "budget charge pins epoch %d, live epoch is %d", chEpoch, a.epoch)
-	}
-	rc, ok := a.byID[id]
-	if !ok {
-		return a.errAt(off, "budget charge for unknown client %d", id)
-	}
-	if rc.overBudget {
-		return a.errAt(off, "budget charge for client %d, which was refused over budget", id)
-	}
-	if err := a.ledger.apply(rec.Payload); err != nil {
-		return a.errAt(off, "%v", err)
-	}
-	return nil
-}
-
-func (a *TailAuditor) consumeVerdict(rec *store.Record, off int64) error {
-	id, reject, onBoard, err := decodeVerdict(rec.Payload)
-	if err != nil {
-		return a.errAt(off, "verdict: %v", err)
-	}
-	rc, ok := a.byID[id]
-	if !ok {
-		return a.errAt(off, "verdict for unknown client %d", id)
-	}
-	if rc.decided {
-		// A session writes exactly one verdict per admitted submission; a
-		// second one is an attempt to flip an already-public outcome.
-		return a.errAt(off, "second verdict for client %d", id)
-	}
-	if reject != nil && !onBoard && isBudgetRefusalReason(reject.Error()) {
-		// A budget refusal is decided before any verification runs, so the
-		// proof cross-check table below does not apply — the tail instead
-		// verifies the refusal's *justification* against its replayed ledger
-		// (when it knows the policy): a server claiming exhaustion for a
-		// client whose spend affords another epoch is suppressing data.
-		if a.ledger.cfg != nil {
-			if a.ledger.chargedInEpoch(a.epoch, id) {
-				return a.errAt(off, "client %d refused over budget after being charged this epoch", id)
-			}
-			if a.ledger.spent[id]+a.ledger.cfg.EpochCost <= a.ledger.cfg.Total {
-				return a.errAt(off, "client %d refused over budget, but its replayed spend (%d of %d µε) affords another epoch",
-					id, a.ledger.spent[id], a.ledger.cfg.Total)
-			}
-		}
-		rc.decided = true
-		rc.reject = true
-		rc.overBudget = true
-		// Off-board like a payload refusal: the ID stays reserved, the
-		// public part never joins the roster shadow or the Σ-OR window.
-		a.drop(rc)
+// checkVerdict cross-checks a logged verdict against this tail's own
+// verification: the log's claim and the cryptography must agree, record by
+// record.
+func (a *TailAuditor) checkVerdict(cl *boardClient) error {
+	tc := a.byID[cl.id]
+	if cl.refused {
+		// A budget refusal is decided before any verification runs (the
+		// grammar has checked it against the replayed ledger), so there is no
+		// proof verdict to compare; the client never joins the Σ-OR window.
+		a.unpend(tc)
 		return nil
 	}
-	if !rc.checked {
+	if !tc.checked {
 		if err := a.flushPending(); err != nil {
 			return err
 		}
 	}
-	// Cross-check the logged verdict against this tail's own verification:
-	// the log's claim and the cryptography must agree, record by record.
 	switch {
-	case reject == nil && !onBoard:
-		// Session.verify never accepts off-board: acceptance means every
-		// check passed, and passing clients are posted.
-		return a.errAt(off, "client %d accepted but marked off-board — no session writes this", id)
-	case reject == nil && !rc.valid:
-		return a.errAt(off, "client %d accepted, but its board proof fails (submission at offset %d)", id, rc.offset)
-	case reject != nil && onBoard && rc.valid:
-		return a.errAt(off, "client %d rejected on the board, but its board proof verifies (submission at offset %d)", id, rc.offset)
-	case reject != nil && !onBoard && !rc.valid:
+	case cl.reject == nil && !tc.valid:
+		return a.g.errorf("client %d accepted, but its board proof fails (submission at record %d)", cl.id, cl.index)
+	case cl.reject != nil && cl.onBoard && tc.valid:
+		return a.g.errorf("client %d rejected on the board, but its board proof verifies (submission at record %d)", cl.id, cl.index)
+	case cl.reject != nil && !cl.onBoard && !tc.valid:
 		// A payload (private-channel) rejection implies the board proof
 		// passed — Session.verify decides the board first and attributes
 		// board failures as on-board verdicts.
-		return a.errAt(off, "client %d refused off-board as a payload dispute, but its board proof fails (submission at offset %d)", id, rc.offset)
+		return a.g.errorf("client %d refused off-board as a payload dispute, but its board proof fails (submission at record %d)", cl.id, cl.index)
 	}
-	rc.decided = true
-	rc.reject = reject != nil
-	if reject == nil {
-		a.fold(rc)
-	} else if !onBoard {
-		// Payload-refused: the public part never reaches the board, exactly
-		// like Session's removeFromOrderLocked; the ID stays reserved.
-		a.drop(rc)
+	if cl.reject == nil {
+		a.fold(tc)
 	}
 	return nil
 }
@@ -431,17 +262,17 @@ func (a *TailAuditor) flushPending() error {
 		return nil
 	}
 	pubs := make([]*ClientPublic, len(a.pending))
-	for i, cl := range a.pending {
-		pubs[i] = cl.pub
+	for i, tc := range a.pending {
+		pubs[i] = tc.pub
 	}
 	_, rejected, err := a.pub.filterValidClientsBatch(context.Background(), pubs, a.workers)
 	if err != nil {
 		return err
 	}
-	for _, cl := range a.pending {
-		cl.checked = true
-		_, bad := rejected[cl.pub.ID]
-		cl.valid = !bad
+	for _, tc := range a.pending {
+		tc.checked = true
+		_, bad := rejected[tc.pub.ID]
+		tc.valid = !bad
 	}
 	a.pending = a.pending[:0]
 	return nil
@@ -450,8 +281,8 @@ func (a *TailAuditor) flushPending() error {
 // fold accumulates one roster client's share commitments into the running
 // Line-13 product. Commitment Add is immutable, so seal-time reads copy
 // freely.
-func (a *TailAuditor) fold(rc *tailClient) {
-	if rc.folded || !rc.valid {
+func (a *TailAuditor) fold(tc *tailClient) {
+	if tc.folded || !tc.valid {
 		return
 	}
 	m := a.pub.cfg.Bins
@@ -467,85 +298,53 @@ func (a *TailAuditor) fold(rc *tailClient) {
 	}
 	for j := 0; j < m; j++ {
 		for pk := 0; pk < k; pk++ {
-			a.prod[j][pk] = a.prod[j][pk].Add(rc.pub.ShareCommitments[j][pk])
+			a.prod[j][pk] = a.prod[j][pk].Add(tc.pub.ShareCommitments[j][pk])
 		}
 	}
-	rc.folded = true
+	tc.folded = true
 }
 
-// drop splices a client out of the roster shadow (and the unchecked
-// window).
-func (a *TailAuditor) drop(rc *tailClient) {
-	for i, c := range a.order {
-		if c == rc {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
+// unpend removes a client that left the roster from the unchecked window.
+func (a *TailAuditor) unpend(tc *tailClient) {
 	for i, c := range a.pending {
-		if c == rc {
+		if c == tc {
 			a.pending = append(a.pending[:i], a.pending[i+1:]...)
-			break
+			return
 		}
 	}
-}
-
-// clearEpoch resets the per-epoch rolling state at an epoch boundary.
-func (a *TailAuditor) clearEpoch() {
-	a.order = nil
-	a.byID = make(map[int]*tailClient)
-	a.pending = nil
-	a.prod = nil
-	a.sealed = false
-	a.sealAsm = sealAssembly{}
-	a.digest = nil
 }
 
 // verifySeal is the O(1) seal-time check (constant in the epoch's client
-// count): flush the last unchecked window, byte-compare the sealed client
-// section against the roster shadow, then verify only the O(M·nb·K) tail —
-// coin proofs, Morra coins, the Line-13 equation with the pre-folded client
-// product, and the aggregation — and derive the transcript digest without
-// ever re-decoding a client.
-func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
+// count). The grammar has already byte-compared the sealed client section
+// against the roster; what remains is to flush the last unchecked window,
+// then verify only the O(M·nb·K) tail — coin proofs, Morra coins, the
+// Line-13 equation with the pre-folded client product, and the aggregation —
+// and derive the transcript digest without ever re-decoding a client.
+func (a *TailAuditor) verifySeal(sealBytes []byte) error {
 	if err := a.flushPending(); err != nil {
 		return err
 	}
 	// Clients still undecided at seal time (a DeferVerification session
 	// writes no per-arrival verdicts) join the product by their Σ-OR
 	// verdict, exactly as Finalize's batch check decides them.
-	for _, cl := range a.order {
+	for _, cl := range a.g.roster {
 		if !cl.decided {
-			a.fold(cl)
-		}
-		if a.ledger.cfg != nil && !a.ledger.chargedInEpoch(a.epoch, cl.pub.ID) {
-			// Policy: admission always charges. A roster client reaching the
-			// seal uncharged means the curator gave away a free epoch.
-			return a.errAt(off, "epoch %d seals with roster client %d uncharged", a.epoch, cl.pub.ID)
+			a.fold(a.byID[cl.id])
 		}
 	}
 	sp, err := a.pub.splitSealedTranscript(sealBytes)
 	if err != nil {
-		return a.errAt(off, "seal: %v", err)
-	}
-	if len(sp.clientRaw) != len(a.order) {
-		return a.errAt(off, "seal lists %d clients, the live tail admitted %d", len(sp.clientRaw), len(a.order))
-	}
-	for i, raw := range sp.clientRaw {
-		if !bytes.Equal(raw, a.order[i].raw) {
-			return a.errAt(off, "seal position %d disagrees with the logged submission of client %d (offset %d)",
-				i, a.order[i].pub.ID, a.order[i].offset)
-		}
+		return a.g.errorf("seal: %v", err)
 	}
 
 	k := a.pub.cfg.Provers
 	m := a.pub.cfg.Bins
 	if len(sp.coinMsgs) != k || len(sp.morra) != k || len(sp.outputs) != k {
-		return a.errAt(off, "seal covers %d/%d/%d prover records, want %d",
+		return a.g.errorf("seal covers %d/%d/%d prover records, want %d",
 			len(sp.coinMsgs), len(sp.morra), len(sp.outputs), k)
 	}
 	if sp.release == nil {
-		return a.errAt(off, "seal carries no release")
+		return a.g.errorf("seal carries no release")
 	}
 
 	// Per-prover checks, concurrently, mirroring auditParallel — but Line
@@ -598,25 +397,24 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 		return nil
 	})
 	if err != nil {
-		return a.errAt(off, "seal: %v", err)
+		return a.g.errorf("seal: %v", err)
 	}
 
 	release, err := NewVerifierParallel(a.pub, a.workers).Aggregate(sp.outputs)
 	if err != nil {
-		return a.errAt(off, "seal: %v", err)
+		return a.g.errorf("seal: %v", err)
 	}
 	if len(release.Raw) != len(sp.release.Raw) {
-		return a.errAt(off, "seal release has %d bins, aggregation produces %d", len(sp.release.Raw), len(release.Raw))
+		return a.g.errorf("seal release has %d bins, aggregation produces %d", len(sp.release.Raw), len(release.Raw))
 	}
 	for j := range release.Raw {
 		if release.Raw[j] != sp.release.Raw[j] {
-			return a.errAt(off, "seal bin %d = %d, aggregation produces %d", j, sp.release.Raw[j], release.Raw[j])
+			return a.g.errorf("seal bin %d = %d, aggregation produces %d", j, sp.release.Raw[j], release.Raw[j])
 		}
 	}
 
-	a.sealed = true
 	a.digest = sp.digest(a.pub)
-	a.history[a.epoch] = a.digest
+	a.history[a.g.epoch] = a.digest
 	return nil
 }
 
@@ -624,7 +422,7 @@ func (a *TailAuditor) verifySeal(sealBytes []byte, off int64) error {
 func (a *TailAuditor) Epoch() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.epoch
+	return a.g.epoch
 }
 
 // Records returns how many records the tail has consumed.
@@ -638,14 +436,14 @@ func (a *TailAuditor) Records() int {
 func (a *TailAuditor) Clients() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.order)
+	return len(a.g.roster)
 }
 
 // Sealed reports whether the current epoch's seal has been verified.
 func (a *TailAuditor) Sealed() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.sealed
+	return a.digest != nil
 }
 
 // Digest returns the current epoch's verified transcript digest (nil until
@@ -664,7 +462,7 @@ func (a *TailAuditor) Digest() []byte {
 func (a *TailAuditor) LedgerDigest() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ledger.digest()
+	return a.g.ledger.digest()
 }
 
 // VerifiedDigest returns the verified digest of a sealed epoch the tail has
@@ -684,7 +482,7 @@ func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
 func (a *TailAuditor) ReverifySeal(sealBytes []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.verifySeal(sealBytes, -1)
+	return a.verifySeal(sealBytes)
 }
 
 // Err returns the sticky audit failure, if any.
@@ -723,13 +521,18 @@ type MergedTailAuditor struct {
 
 // NewMergedTailAuditor creates a live auditor for a K-shard deployment.
 func NewMergedTailAuditor(pub *Public, shards int, opts TailOptions) *MergedTailAuditor {
-	if shards < 1 {
-		shards = 1
-	}
+	return newMergedTail(pub, max(shards, 1), opts, shardSegments)
+}
+
+// newMergedTail builds one TailAuditor per segment, each reading under its
+// kind's roster rule and charging policy.
+func newMergedTail(pub *Public, n int, opts TailOptions, kind segmentKind) *MergedTailAuditor {
 	m := &MergedTailAuditor{pub: pub, seals: make(map[int][]byte)}
-	for i := 0; i < shards; i++ {
-		a := NewTailAuditor(pub, opts)
-		a.SetShard(i, shards)
+	for i := 0; i < n; i++ {
+		so := opts
+		so.Budget = kind.budget(i, opts.Budget)
+		a := NewTailAuditor(pub, so)
+		a.SetShard(kind.pin(i, n))
 		m.shards = append(m.shards, a)
 	}
 	return m
@@ -833,7 +636,13 @@ type SegmentedTail struct {
 
 // TailAuditMerged opens a live audit tail over a segmented board log.
 func TailAuditMerged(pub *Public, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
-	m := NewMergedTailAuditor(pub, seg.Shards(), opts)
+	return tailSegments(pub, seg, opts, shardSegments)
+}
+
+// tailSegments wires a merged auditor to every segment's (and the
+// manifest's) store tail.
+func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
+	m := newMergedTail(pub, seg.Shards(), opts, kind)
 	for i := 0; i < seg.Shards(); i++ {
 		t, err := seg.Segment(i).Tail()
 		if err != nil {
@@ -924,20 +733,7 @@ type splitSeal struct {
 // exactly DecodeTranscript's, with the client section left undecoded.
 func (p *Public) splitSealedTranscript(b []byte) (*splitSeal, error) {
 	r := wireReader{b: b}
-	r.version()
-	sp := &splitSeal{}
-
-	nClients := r.u32()
-	if r.err == nil && nClients > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d clients", nClients)
-	}
-	for i := uint32(0); i < nClients && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		sp.clientRaw = append(sp.clientRaw, raw)
-	}
+	sp := &splitSeal{clientRaw: readSealedClients(&r)}
 
 	nCoin := r.u32()
 	if r.err == nil && nCoin > maxWireDim {
