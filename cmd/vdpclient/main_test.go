@@ -2,70 +2,23 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
-// testCurator is a minimal in-process sketch-mode server: enough of
-// vdpserver's handler to drive the client-side paths over real TCP.
-func testCurator(t *testing.T, pub *vdp.Public, layout sketch.Layout, hs *vdp.SketchSession) (addr string, release func()) {
+// testCurator is an in-process sketch-mode server — vdpserver's dispatch
+// without its serve loop — to drive the client-side paths over real TCP.
+func testCurator(t *testing.T, pub *vdp.Public, hs *vdp.SketchSession) (addr string, release func()) {
 	t.Helper()
 	ctx := context.Background()
-	var mu sync.Mutex
-	var released *vdp.NoisySketch
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		switch f.Kind {
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if len(subs) == 0 || len(subs)%layout.Rows != 0 {
-				return nil, fmt.Errorf("ragged contribution bundle of %d rows", len(subs))
-			}
-			var vs []vdp.BatchVerdict
-			for at := 0; at < len(subs); at += layout.Rows {
-				rows := subs[at : at+layout.Rows]
-				v := vdp.BatchVerdict{ID: rows[0].Public.ID, Accepted: true}
-				if err := hs.Submit(ctx, &vdp.SketchContribution{ClientID: v.ID, Rows: rows}); err != nil {
-					v.Accepted, v.Reason = false, err.Error()
-				}
-				vs = append(vs, v)
-			}
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(vs)}}, nil
-		case "sketch-query":
-			q, err := vdp.DecodeSketchQuery(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			ns := released
-			mu.Unlock()
-			if ns == nil {
-				return nil, fmt.Errorf("still collecting")
-			}
-			var items []vdp.ItemEstimate
-			if q.Kind == vdp.SketchQueryPoint {
-				est, bound, err := ns.PointQuery(q.Arg)
-				if err != nil {
-					return nil, err
-				}
-				items = []vdp.ItemEstimate{{Item: q.Arg, Estimate: est, Bound: bound}}
-			} else {
-				items = ns.HeavyHitters(q.Arg)
-			}
-			return []*transport.Frame{{Kind: "sketch-estimates", Payload: vdp.EncodeItemEstimates(items)}}, nil
-		}
-		return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-	}
-	srv, err := transport.Listen("127.0.0.1:0", handler)
+	board := server.NewSketch(hs)
+	srv, err := transport.Listen("127.0.0.1:0", server.New(ctx, pub, board, server.Options{Extra: board.Extra}).Handle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +28,7 @@ func testCurator(t *testing.T, pub *vdp.Public, layout sketch.Layout, hs *vdp.Sk
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu.Lock()
-		released = res.Sketch
-		mu.Unlock()
+		board.Release(res.Sketch)
 	}
 }
 
@@ -94,7 +45,7 @@ func TestSketchClientRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, release := testCurator(t, pub, layout, hs)
+	addr, release := testCurator(t, pub, hs)
 	opts := transport.ClientOptions{Timeout: 2 * time.Second}
 
 	submitSketch(pub, layout, addr, 10, 5, 2, opts)

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/sketch"
-	"repro/internal/store"
-	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
@@ -25,27 +21,13 @@ import (
 // "sketch-query" frames (vdpclient -query) are answered from the released
 // sketch for the -serve-queries window, so the release is not just a line in
 // a log but a queryable artifact whose every cell is pinned by the merged
-// transcript digest.
-
-// parseLedgerFlag turns the -ledger flag into a budget policy (nil when the
-// flag is empty: no ledger).
-func parseLedgerFlag(s string) (*vdp.BudgetConfig, error) {
-	if s == "" {
-		return nil, nil
-	}
-	return vdp.ParseBudget(s)
-}
-
-// ledgerDesc renders the policy for the startup banner.
-func ledgerDesc(b *vdp.BudgetConfig) string {
-	if b == nil {
-		return "off"
-	}
-	return fmt.Sprintf("%gε/epoch of %gε", float64(b.EpochCost)/1e6, float64(b.Total)/1e6)
-}
+// transcript digest. Contribution grouping and the query replies live with
+// the shared dispatch (server.Sketch).
 
 // runSketch serves one heavy-hitters epoch end to end: admission, finalize,
-// and the post-release query window.
+// and the post-release query window. A contribution counts as accepted when
+// every row admitted it — live and after a restart alike
+// (SketchSession.Accepted).
 func runSketch(ctx context.Context, pub *vdp.Public, layout sketch.Layout, budget *vdp.BudgetConfig,
 	addr, storeDir string, clients int, grace, serveFor time.Duration) {
 	hs, closeStore, err := openSketchSession(ctx, pub, layout, budget, storeDir)
@@ -56,102 +38,17 @@ func runSketch(ctx context.Context, pub *vdp.Public, layout sketch.Layout, budge
 		defer closeStore()
 	}
 
-	var (
-		mu       sync.Mutex
-		accepted = hs.Row(0).Accepted() // non-zero after recovery
-		released *vdp.NoisySketch
-		done     = make(chan struct{})
-		doneOnce sync.Once
-	)
-	if accepted >= clients {
-		doneOnce.Do(func() { close(done) })
-	}
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		switch f.Kind {
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			contribs, err := groupContributions(layout, subs)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := hs.SubmitBatch(ctx, contribs)
-			if err != nil {
-				return nil, err
-			}
-			// One verdict per contribution, not per row: the client's unit of
-			// admission is the whole W-row bundle, and so is its refusal (a
-			// budget refusal here is the board-recorded, attributable kind).
-			vs := make([]vdp.BatchVerdict, len(contribs))
-			ok := 0
-			for i, c := range contribs {
-				vs[i].ID = c.ClientID
-				if verdicts[i] != nil {
-					vs[i].Reason = verdicts[i].Error()
-				} else {
-					vs[i].Accepted = true
-					ok++
-				}
-			}
-			mu.Lock()
-			accepted += ok
-			n := accepted
-			mu.Unlock()
-			log.Printf("accepted sketch batch of %d contribution(s): %d admitted, %d refused (%d/%d)",
-				len(contribs), ok, len(contribs)-ok, n, clients)
-			if n >= clients {
-				doneOnce.Do(func() { close(done) })
-			}
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(vs)}}, nil
-		case "sketch-query":
-			q, err := vdp.DecodeSketchQuery(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			ns := released
-			mu.Unlock()
-			if ns == nil {
-				return nil, fmt.Errorf("epoch %d is still collecting; queries are served after the release", hs.Epoch())
-			}
-			var items []vdp.ItemEstimate
-			switch q.Kind {
-			case vdp.SketchQueryPoint:
-				est, bound, err := ns.PointQuery(q.Arg)
-				if err != nil {
-					return nil, err
-				}
-				items = []vdp.ItemEstimate{{Item: q.Arg, Estimate: est, Bound: bound}}
-			default:
-				items = ns.HeavyHitters(q.Arg)
-			}
-			return []*transport.Frame{{Kind: "sketch-estimates", Payload: vdp.EncodeItemEstimates(items)}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q in sketch mode (a single \"submit\" frame cannot carry a %d-row contribution; use vdpclient -sketch -item)",
-				f.Kind, layout.Rows)
-		}
-	}
+	board := server.NewSketch(hs)
+	d := server.New(ctx, pub, board, server.Options{
+		Accepted: hs.Accepted(), Target: clients, Extra: board.Extra,
+		Logf: log.Printf, Label: "sketch: ",
+	})
+	drain := serve(ctx, addr, d, grace, "verifiable heavy-hitters curator", fmt.Sprintf("%dx%d sketch, domain %d, nb=%d, ledger=%s, store=%s",
+		layout.Rows, layout.Width, layout.Domain, pub.Coins(), ledgerDesc(budget), storeDesc(storeDir)))
+	defer drain()
 
-	srv, err := transport.Listen(addr, handler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("verifiable heavy-hitters curator listening on %s (%dx%d sketch, domain %d, nb=%d, ledger=%s, store=%s)",
-		srv.Addr(), layout.Rows, layout.Width, layout.Domain, pub.Coins(), ledgerDesc(budget), storeDesc(storeDir))
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-		log.Printf("signal received: finalizing the sketch epoch")
-	}
-
-	mu.Lock()
-	n := accepted
-	mu.Unlock()
+	n := d.Accepted()
 	if n == 0 {
-		srv.Shutdown(context.Background())
 		log.Printf("no accepted contributions; aborting the epoch without a release")
 		return
 	}
@@ -168,14 +65,11 @@ func runSketch(ctx context.Context, pub *vdp.Public, layout sketch.Layout, budge
 	if err != nil {
 		log.Fatalf("sketch finalize failed: %v", err)
 	}
-	mu.Lock()
-	released = res.Sketch
-	mu.Unlock()
+	board.Release(res.Sketch)
 
 	fmt.Printf("verifiable noisy sketch released: %dx%d over domain %d, %d contribution(s), error bound ±%.1f\n",
 		layout.Rows, layout.Width, layout.Domain, res.Sketch.Count, res.Sketch.ErrorBound())
-	top := res.Sketch.HeavyHitters(10)
-	for rank, it := range top {
+	for rank, it := range res.Sketch.HeavyHitters(10) {
 		fmt.Printf("  #%-2d item %d: estimate %.1f (±%.1f)\n", rank+1, it.Item, it.Estimate, it.Bound)
 	}
 	fmt.Printf("merged transcript digest %x...\n", res.Digest[:8])
@@ -194,86 +88,17 @@ func runSketch(ctx context.Context, pub *vdp.Public, layout sketch.Layout, budge
 		case <-ctx.Done():
 		}
 	}
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), grace)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("listener drain: %v", err)
-	}
 }
 
-// openSketchSession opens the sketch store under storeDir — a segmented log
-// whose segments are count-min rows — and either starts a fresh durable
-// SketchSession or recovers the interrupted one, mirroring openSession's
-// Compact-else-Reset turnover for a sealed epoch. An empty storeDir keeps
-// the board in memory.
+// openSketchSession is openSession's sketch counterpart: the store is a
+// segmented log whose segments are count-min rows.
 func openSketchSession(ctx context.Context, pub *vdp.Public, layout sketch.Layout, budget *vdp.BudgetConfig, storeDir string) (*vdp.SketchSession, func() error, error) {
-	opts := vdp.SessionOptions{Budget: budget}
-	if storeDir == "" {
-		hs, err := vdp.NewSketchSession(pub, layout, opts)
-		return hs, nil, err
-	}
-	if _, err := os.Stat(filepath.Join(storeDir, boardLogName)); err == nil {
-		return nil, nil, fmt.Errorf("%s holds an unsharded board log; point -sketch at a fresh directory", storeDir)
-	}
-	if err := os.MkdirAll(storeDir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	seg, err := store.OpenSegmentedLog(storeDir, layout.Rows)
+	seg, closeStore, err := openSegments(storeDir, layout.Rows)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.Segmented = seg
-	if seg.Empty() {
-		hs, err := vdp.NewSketchSession(pub, layout, opts)
-		if err != nil {
-			seg.Close()
-			return nil, nil, err
-		}
-		return hs, seg.Close, nil
-	}
-	hs, err := vdp.ResumeSketchSession(ctx, pub, layout, opts)
-	if err != nil {
-		seg.Close()
-		return nil, nil, fmt.Errorf("recovering sketch store: %w", err)
-	}
-	if hs.Finalized() {
-		if err := hs.Compact(); err != nil {
-			if err = hs.Reset(); err != nil {
-				seg.Close()
-				return nil, nil, err
-			}
-		}
-		log.Printf("recovered sketch store: last epoch sealed, compacted, opening epoch %d", hs.Epoch())
-	} else {
-		log.Printf("recovered sketch store: resuming epoch %d with %d contribution(s)", hs.Epoch(), hs.Row(0).Accepted())
-	}
-	return hs, seg.Close, nil
-}
-
-// groupContributions reassembles a decoded submit-batch frame into whole
-// sketch contributions: Rows consecutive submissions per client, in row
-// order — the exact shape vdpclient -sketch sends (EncodeSubmissionBatch
-// over each contribution's row bundle).
-func groupContributions(layout sketch.Layout, subs []*vdp.ClientSubmission) ([]*vdp.SketchContribution, error) {
-	if len(subs) == 0 || len(subs)%layout.Rows != 0 {
-		return nil, fmt.Errorf("sketch batch carries %d submissions, want a positive multiple of %d (one per row)",
-			len(subs), layout.Rows)
-	}
-	out := make([]*vdp.SketchContribution, 0, len(subs)/layout.Rows)
-	for at := 0; at < len(subs); at += layout.Rows {
-		rows := subs[at : at+layout.Rows]
-		for _, s := range rows {
-			if s == nil || s.Public == nil {
-				return nil, fmt.Errorf("sketch batch has an incomplete submission")
-			}
-		}
-		id := rows[0].Public.ID
-		for _, s := range rows[1:] {
-			if s.Public.ID != id {
-				return nil, fmt.Errorf("sketch batch interleaves clients %d and %d inside one contribution", id, s.Public.ID)
-			}
-		}
-		out = append(out, &vdp.SketchContribution{ClientID: id, Rows: rows})
-	}
-	return out, nil
+	opts := vdp.SessionOptions{Segmented: seg, Budget: budget}
+	return openOrRecover("sketch store", seg == nil || seg.Empty(), closeStore,
+		func() (*vdp.SketchSession, error) { return vdp.NewSketchSession(pub, layout, opts) },
+		func() (*vdp.SketchSession, error) { return vdp.ResumeSketchSession(ctx, pub, layout, opts) })
 }

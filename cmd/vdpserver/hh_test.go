@@ -46,42 +46,6 @@ func TestParseLedgerFlag(t *testing.T) {
 	}
 }
 
-func TestGroupContributions(t *testing.T) {
-	layout := sketch.Layout{Rows: 2, Width: 4, Domain: 8}
-	pub := sketchTestPublic(t, layout.Width, 4)
-	c0, err := pub.NewSketchContribution(layout, 1, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := pub.NewSketchContribution(layout, 2, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := append(append([]*vdp.ClientSubmission{}, c0.Rows...), c1.Rows...)
-
-	got, err := groupContributions(layout, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].ClientID != 1 || got[1].ClientID != 2 {
-		t.Fatalf("grouped %d contributions (%+v), want clients 1 and 2", len(got), got)
-	}
-
-	if _, err := groupContributions(layout, nil); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := groupContributions(layout, subs[:3]); err == nil {
-		t.Error("non-multiple-of-Rows batch accepted")
-	}
-	if _, err := groupContributions(layout, []*vdp.ClientSubmission{subs[0], nil}); err == nil {
-		t.Error("batch with a nil submission accepted")
-	}
-	interleaved := []*vdp.ClientSubmission{c0.Rows[0], c1.Rows[1]}
-	if _, err := groupContributions(layout, interleaved); err == nil {
-		t.Error("batch interleaving two clients inside one contribution accepted")
-	}
-}
-
 func TestOpenSketchSessionLifecycle(t *testing.T) {
 	layout := sketch.Layout{Rows: 2, Width: 4, Domain: 8}
 	pub := sketchTestPublic(t, layout.Width, 4)

@@ -70,18 +70,17 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/group"
+	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -92,15 +91,6 @@ import (
 // server; a sharded server lays out a manifest plus per-shard segments in
 // the same directory instead.
 const boardLogName = "board.log"
-
-// aggregator is the part of the session surface the serving loop needs; both
-// vdp.Session and vdp.ShardedSession implement it. Finalization stays
-// type-specific because the sharded result carries per-shard transcripts.
-type aggregator interface {
-	Submit(ctx context.Context, sub *vdp.ClientSubmission) error
-	SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]error, error)
-	Accepted() int
-}
 
 func main() {
 	var (
@@ -145,7 +135,11 @@ func main() {
 		binsEff = layout.Width
 	}
 
-	pub, err := setupFromFlags(*grp, binsEff, *coins, *eps, *delta)
+	g, err := group.ByName(*grp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pub, err := vdp.Setup(vdp.Config{Group: g, Provers: 1, Bins: binsEff, Coins: *coins, Epsilon: *eps, Delta: *delta})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,177 +148,195 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *shardCnt > 0 || *shardIdx >= 0 {
-		// Cluster node mode: one shard of a router-fronted cluster. The
-		// node's board is a single sub-session; in-process sharding does not
-		// compose with it.
-		if *shardIdx < 0 || *shardIdx >= *shardCnt {
-			log.Fatalf("-shard-index %d out of range for -shard-count %d", *shardIdx, *shardCnt)
-		}
-		if *shards != 1 {
-			log.Fatalf("-shards cannot be combined with cluster node mode (-shard-index/-shard-count)")
-		}
-		if *sketchSp != "" {
-			log.Fatalf("-sketch cannot be combined with cluster node mode (-shard-index/-shard-count)")
-		}
-		if *standby != "" && *replica != "" {
-			log.Fatalf("-standby and -replica-of are mutually exclusive: a process is a primary or a standby, not both")
-		}
-		if *replica != "" {
-			runStandby(ctx, pub, *addr, *storeDir, budget, *shardIdx, *shardCnt, *replica, *grace)
-			return
-		}
-		runNode(ctx, pub, *addr, *storeDir, budget, *shardIdx, *shardCnt, *standby, *grace)
-		return
-	}
-	if *standby != "" || *replica != "" {
+	nodeMode := *shardCnt > 0 || *shardIdx >= 0
+	switch {
+	case nodeMode && (*shardIdx < 0 || *shardIdx >= *shardCnt):
+		log.Fatalf("-shard-index %d out of range for -shard-count %d", *shardIdx, *shardCnt)
+	case nodeMode && *shards != 1:
+		// The node's board is a single sub-session; in-process sharding does
+		// not compose with it.
+		log.Fatalf("-shards cannot be combined with cluster node mode (-shard-index/-shard-count)")
+	case nodeMode && *sketchSp != "":
+		log.Fatalf("-sketch cannot be combined with cluster node mode (-shard-index/-shard-count)")
+	case *standby != "" && *replica != "":
+		log.Fatalf("-standby and -replica-of are mutually exclusive: a process is a primary or a standby, not both")
+	case !nodeMode && (*standby != "" || *replica != ""):
 		log.Fatalf("-standby/-replica-of require cluster node mode (-shard-index/-shard-count)")
-	}
-	if *sketchSp != "" {
-		// Heavy-hitters mode: the board is a SketchSession (one sub-session
-		// per count-min row); the segmented store's segments are rows, not
-		// client-hash shards, so -shards does not compose with it.
-		if *shards != 1 {
-			log.Fatalf("-shards cannot be combined with -sketch (the sketch's rows are the segments)")
-		}
+	case *sketchSp != "" && *shards != 1:
+		// The segmented store's segments are rows, not client-hash shards.
+		log.Fatalf("-shards cannot be combined with -sketch (the sketch's rows are the segments)")
+	case *replica != "":
+		runStandby(ctx, pub, *addr, *storeDir, budget, *shardIdx, *shardCnt, *replica, *grace)
+	case nodeMode:
+		runNode(ctx, pub, *addr, *storeDir, budget, *shardIdx, *shardCnt, *standby, *grace)
+	case *sketchSp != "":
 		runSketch(ctx, pub, layout, budget, *addr, *storeDir, *clients, *grace, *serveQ)
-		return
+	default:
+		runStandalone(ctx, pub, budget, *addr, *storeDir, *shards, *clients, *grace)
 	}
+}
 
-	sess, sharded, closeStore, err := openSession(ctx, pub, *storeDir, budget, *shards)
+// serve is the one serve loop every mode runs: listen, announce, and wait
+// until the dispatch has accepted its target or the process is signalled (a
+// cluster node has no target and waits for the signal). The listener is still
+// up on return; the returned drain closes the door and waits for in-flight
+// connections within the grace period. A stray connection that never
+// completes (half-open peer, port scanner) only forfeits the drain: whatever
+// the caller does next gets its own fresh budget.
+func serve(ctx context.Context, addr string, d *server.Dispatch, grace time.Duration, role, detail string) (drain func()) {
+	srv, err := transport.Listen(addr, d.Handle)
 	if err != nil {
 		log.Fatal(err)
+	}
+	log.Printf("%s listening on %s (%s)", role, srv.Addr(), detail)
+	select {
+	case <-d.Done():
+	case <-ctx.Done():
+		log.Printf("signal received: shutting down gracefully")
+	}
+	return func() {
+		drainCtx, cancel := context.WithTimeout(context.Background(), grace)
+		defer cancel()
+		if err := srv.Shutdown(drainCtx); err != nil {
+			log.Printf("listener drain: %v", err)
+		}
+	}
+}
+
+// epochBoard is the lifecycle surface the open-or-recover turnover needs;
+// vdp.Session, vdp.ShardedSession and vdp.SketchSession all have it.
+type epochBoard interface {
+	Epoch() int
+	Accepted() int
+	Finalized() bool
+	Compact() error
+	Reset() error
+}
+
+// openOrRecover is the one open-or-recover turnover: an empty store starts a
+// fresh session; one holding records recovers the interrupted session — same
+// roster, same board order — and, when the previous incarnation had sealed
+// its epoch, compacts it: the snapshot pins the sealed digest and becomes the
+// epoch boundary, so the next restart boots from it instead of replaying the
+// whole log. A finalized epoch whose seal was lost mid-append cannot be
+// snapshotted; Reset closes it the old way. closeStore (nil for a memory
+// board) is handed back on success and called on failure.
+func openOrRecover[B epochBoard](what string, empty bool, closeStore func() error, fresh, resume func() (B, error)) (B, func() error, error) {
+	open := resume
+	if empty {
+		open = fresh
+	}
+	b, err := open()
+	switch {
+	case err != nil || empty: // nothing recovered
+	case !b.Finalized():
+		log.Printf("recovered %s: resuming epoch %d with %d accepted", what, b.Epoch(), b.Accepted())
+	default:
+		if err = b.Compact(); err != nil {
+			err = b.Reset()
+		}
+		if err == nil {
+			log.Printf("recovered %s: last epoch sealed, compacted, opening epoch %d", what, b.Epoch())
+		}
+	}
+	if err != nil {
+		if closeStore != nil {
+			closeStore()
+		}
+		return b, nil, fmt.Errorf("opening %s: %w", what, err)
+	}
+	return b, closeStore, nil
+}
+
+// openSegments opens the segmented store (a manifest plus n segments; n = 0
+// adopts the manifest's recorded count) a sharded or sketch board writes to;
+// an empty storeDir keeps the board in memory (nil store).
+func openSegments(storeDir string, n int) (seg *store.SegmentedLog, closeStore func() error, err error) {
+	if storeDir == "" {
+		return nil, nil, nil
+	}
+	// An unsharded incarnation's board must be recovered as such, not buried
+	// under a fresh manifest.
+	if _, err := os.Stat(filepath.Join(storeDir, boardLogName)); err == nil {
+		return nil, nil, fmt.Errorf("%s holds an unsharded board log; restart without -shards/-sketch to recover it", storeDir)
+	}
+	if seg, err = store.OpenSegmentedLog(storeDir, n); err != nil {
+		return nil, nil, err
+	}
+	return seg, seg.Close, nil
+}
+
+// runStandalone serves one epoch of the self-finalizing curator: admit until
+// -clients are accepted (or a signal), drain, finalize with whatever was
+// accepted, print and self-audit the release.
+func runStandalone(ctx context.Context, pub *vdp.Public, budget *vdp.BudgetConfig, addr, storeDir string, shards, clients int, grace time.Duration) {
+	var (
+		board interface {
+			server.Board
+			Accepted() int
+		}
+		finalize   func(context.Context)
+		closeStore func() error
+	)
+	// A directory laid out by a sharded incarnation (even with one shard —
+	// OpenSegmentedLog(dir, 1) is valid library usage) must be recovered
+	// through the segmented path, never shadowed by a fresh unsharded board
+	// next to the old evidence. Adopt the manifest's recorded shard count.
+	if shards == 1 && storeDir != "" && store.IsSegmented(storeDir) {
+		log.Printf("%s holds a segmented board log; adopting its recorded shard count", storeDir)
+		shards = 0
+	}
+	if shards == 1 {
+		sess, cs, err := openSession(ctx, pub, storeDir, budget)
+		if err != nil {
+			log.Fatal(err)
+		}
+		board, closeStore, finalize = sess, cs, func(ctx context.Context) { finalizeSession(ctx, pub, sess, storeDir) }
+	} else {
+		ss, cs, err := openShardedSession(ctx, pub, storeDir, budget, shards)
+		if err != nil {
+			log.Fatal(err)
+		}
+		shards = ss.Shards()
+		board, closeStore, finalize = ss, cs, func(ctx context.Context) { finalizeSharded(ctx, pub, ss, storeDir) }
 	}
 	if closeStore != nil {
 		defer closeStore()
 	}
-	var agg aggregator = sess
-	if sharded != nil {
-		agg = sharded
-	}
 
-	var (
-		accepted = agg.Accepted() // non-zero after recovery from a board log
-		mu       sync.Mutex
-		done     = make(chan struct{})
-		doneOnce sync.Once
-	)
-	if accepted >= *clients {
-		doneOnce.Do(func() { close(done) })
-	}
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		switch f.Kind {
-		case "submit":
-			cp, pl, err := decodeSubmission(pub, f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			// Eager verification on the owning shard's worker pool: the verdict
-			// goes straight back on this client's connection, and Finalize will
-			// not re-check anything. With -store-dir the submission and verdict
-			// are durable before the reply is written.
-			if err := agg.Submit(ctx, &vdp.ClientSubmission{Public: cp, Payloads: []*vdp.ClientPayload{pl}}); err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			accepted++
-			n := accepted
-			mu.Unlock()
-			log.Printf("accepted client %d (%d/%d)", cp.ID, n, *clients)
-			if n >= *clients {
-				doneOnce.Do(func() { close(done) })
-			}
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			// The batch front door: the whole frame is admitted under one
-			// roster-lock pass, one fsync window and one folded Σ-OR check,
-			// and the per-client verdicts come back in a single reply frame.
-			// Unlike the one-per-frame path, a rejected client is a verdict
-			// here, not a dropped connection — only a batch-level failure
-			// (closed session, store failure) errors the frame.
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := agg.SubmitBatch(ctx, subs)
-			if err != nil {
-				return nil, err
-			}
-			ok := 0
-			for _, v := range verdicts {
-				if v == nil {
-					ok++
-				}
-			}
-			mu.Lock()
-			accepted += ok
-			n := accepted
-			mu.Unlock()
-			log.Printf("accepted batch of %d: %d admitted, %d rejected (%d/%d)",
-				len(subs), ok, len(subs)-ok, n, *clients)
-			if n >= *clients {
-				doneOnce.Do(func() { close(done) })
-			}
-			reply := vdp.EncodeBatchVerdicts(vdp.VerdictsFor(subs, verdicts))
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: reply}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-		}
-	}
+	d := server.New(ctx, pub, server.Of(board), server.Options{Accepted: board.Accepted(), Target: clients, Logf: log.Printf})
+	drain := serve(ctx, addr, d, grace, "verifiable-dp curator", fmt.Sprintf("K=1, M=%d, nb=%d, shards=%d, ledger=%s, store=%s",
+		pub.Bins(), pub.Coins(), shards, ledgerDesc(budget), storeDesc(storeDir)))
+	drain()
 
-	srv, err := transport.Listen(*addr, handler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("verifiable-dp curator listening on %s (K=1, M=%d, nb=%d, group=%s, shards=%d, ledger=%s, store=%s)",
-		srv.Addr(), pub.Bins(), pub.Coins(), *grp, *shards, ledgerDesc(budget), storeDesc(*storeDir))
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-		log.Printf("signal received: shutting down gracefully")
-	}
-
-	// Close the door and drain in-flight connections within the grace
-	// period. A stray connection that never completes (half-open peer,
-	// port scanner) only forfeits the drain: finalize and audit below get
-	// their own fresh budgets, so the verified release is still produced
-	// from whatever was accepted.
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *grace)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("listener drain: %v", err)
-	}
-
-	mu.Lock()
-	n := accepted
-	mu.Unlock()
+	n := d.Accepted()
 	if n == 0 {
 		log.Printf("no accepted submissions; aborting session without a release")
 		return
 	}
-	if n < *clients {
-		log.Printf("finalizing early with %d/%d clients", n, *clients)
+	if n < clients {
+		log.Printf("finalizing early with %d/%d clients", n, clients)
 	}
+	finalizeCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	finalize(finalizeCtx)
+}
 
-	finalizeCtx, cancelFinalize := context.WithTimeout(context.Background(), *grace)
-	defer cancelFinalize()
-	if sharded != nil {
-		finalizeSharded(finalizeCtx, pub, sharded, *storeDir)
-		return
-	}
-	res, err := sess.Finalize(finalizeCtx)
+// finalizeSession closes an unsharded epoch, prints the release and
+// self-audits the transcript.
+func finalizeSession(ctx context.Context, pub *vdp.Public, sess *vdp.Session, storeDir string) {
+	res, err := sess.Finalize(ctx)
 	if err != nil {
 		log.Fatalf("protocol finalize failed: %v", err)
 	}
 	printRelease(res.Release)
-	if err := vdp.AuditContext(finalizeCtx, pub, res.Transcript); err != nil {
+	if err := vdp.AuditContext(ctx, pub, res.Transcript); err != nil {
 		log.Fatalf("self-audit failed: %v", err)
 	}
 	fmt.Println("transcript audit: PASSED")
-	if *storeDir != "" {
+	if storeDir != "" {
 		fmt.Printf("epoch %d sealed in %s; audit offline with: vdpclient -audit-store %s\n",
-			sess.Epoch(), filepath.Join(*storeDir, boardLogName), *storeDir)
+			sess.Epoch(), filepath.Join(storeDir, boardLogName), storeDir)
 	}
 }
 
@@ -356,120 +368,50 @@ func printRelease(rel *vdp.Release) {
 	}
 }
 
-// openSession opens the board store under storeDir (creating the directory)
-// and either starts a fresh durable session or — when the store already
-// holds records — recovers the interrupted one. Exactly one of the returned
-// sessions is non-nil: the plain one for shards <= 1, the sharded one
-// otherwise. An empty storeDir keeps the board in memory. A non-nil budget
-// enables the privacy-budget ledger on whichever session opens — on the
-// resume paths it is also the policy the recorded charge chain is re-checked
-// against.
-func openSession(ctx context.Context, pub *vdp.Public, storeDir string, budget *vdp.BudgetConfig, shards int) (*vdp.Session, *vdp.ShardedSession, func() error, error) {
-	if shards > 1 {
-		return openShardedSession(ctx, pub, storeDir, budget, shards)
-	}
-	if storeDir == "" {
-		sess, err := vdp.NewSession(pub, vdp.SessionOptions{Budget: budget})
-		return sess, nil, nil, err
-	}
-	// A directory laid out by a sharded incarnation (even with one shard —
-	// OpenSegmentedLog(dir, 1) is valid library usage) must be recovered
-	// through the segmented path, never shadowed by a fresh unsharded board
-	// next to the old evidence. Adopt the manifest's recorded shard count.
-	if store.IsSegmented(storeDir) {
-		log.Printf("%s holds a segmented board log; adopting its recorded shard count", storeDir)
-		return openShardedSession(ctx, pub, storeDir, budget, 0)
-	}
+// openFileLog opens (or creates) one durable log under storeDir, reporting a
+// torn tail left by an interrupted append.
+func openFileLog(storeDir, name string) (*store.FileLog, error) {
 	if err := os.MkdirAll(storeDir, 0o755); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	boardLog, err := store.OpenFileLog(filepath.Join(storeDir, boardLogName))
-	if err != nil {
-		return nil, nil, nil, err
+	l, err := store.OpenFileLog(filepath.Join(storeDir, name))
+	if err == nil && l.Truncated() > 0 {
+		log.Printf("%s: discarded %d torn-tail bytes from an interrupted append", name, l.Truncated())
 	}
-	if tb := boardLog.Truncated(); tb > 0 {
-		log.Printf("board log: discarded %d torn-tail bytes from an interrupted append", tb)
-	}
-	opts := vdp.SessionOptions{Store: boardLog, Budget: budget}
-	if boardLog.Len() == 0 {
-		sess, err := vdp.NewSession(pub, opts)
+	return l, err
+}
+
+// openSession opens the unsharded board: one log file under storeDir, or
+// memory when storeDir is empty. A non-nil budget enables the privacy-budget
+// ledger — on the resume path it is also the policy the recorded charge chain
+// is re-checked against.
+func openSession(ctx context.Context, pub *vdp.Public, storeDir string, budget *vdp.BudgetConfig) (*vdp.Session, func() error, error) {
+	opts := vdp.SessionOptions{Budget: budget}
+	empty, closeStore := true, (func() error)(nil)
+	if storeDir != "" {
+		boardLog, err := openFileLog(storeDir, boardLogName)
 		if err != nil {
-			boardLog.Close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return sess, nil, boardLog.Close, nil
+		opts.Store, empty, closeStore = boardLog, boardLog.Len() == 0, boardLog.Close
 	}
-	sess, err := vdp.ResumeSession(ctx, pub, opts)
-	if err != nil {
-		boardLog.Close()
-		return nil, nil, nil, fmt.Errorf("recovering board log: %w", err)
-	}
-	if sess.Finalized() {
-		// The previous incarnation sealed its epoch; compact it — the
-		// snapshot pins the sealed digest and becomes the epoch boundary, so
-		// the next restart boots from it instead of replaying the whole log.
-		// A finalized epoch whose seal was lost mid-append cannot be
-		// snapshotted; Reset closes it the old way.
-		if err := sess.Compact(); err != nil {
-			if err = sess.Reset(); err != nil {
-				boardLog.Close()
-				return nil, nil, nil, err
-			}
-		}
-		log.Printf("recovered board log: last epoch sealed, compacted, opening epoch %d", sess.Epoch())
-	} else {
-		log.Printf("recovered board log: resuming epoch %d with %d submissions (%d rejected)",
-			sess.Epoch(), sess.Submitted(), len(sess.Rejected()))
-	}
-	return sess, nil, boardLog.Close, nil
+	return openOrRecover("board log", empty, closeStore,
+		func() (*vdp.Session, error) { return vdp.NewSession(pub, opts) },
+		func() (*vdp.Session, error) { return vdp.ResumeSession(ctx, pub, opts) })
 }
 
 // openShardedSession is openSession's sharded counterpart: the store is a
-// segmented log (manifest + one segment per shard) under storeDir.
-func openShardedSession(ctx context.Context, pub *vdp.Public, storeDir string, budget *vdp.BudgetConfig, shards int) (*vdp.Session, *vdp.ShardedSession, func() error, error) {
-	if storeDir == "" {
-		ss, err := vdp.NewShardedSession(pub, vdp.SessionOptions{Shards: shards, Budget: budget})
-		return nil, ss, nil, err
-	}
-	// The converse of the unsharded guard: an unsharded incarnation's board
-	// must be recovered without -shards, not buried under a fresh manifest.
-	if _, err := os.Stat(filepath.Join(storeDir, boardLogName)); err == nil {
-		return nil, nil, nil, fmt.Errorf("%s holds an unsharded board log; restart without -shards to recover it", storeDir)
-	}
-	seg, err := store.OpenSegmentedLog(storeDir, shards)
+// segmented log (manifest + one segment per shard) under storeDir; shards = 0
+// adopts the count an earlier incarnation recorded.
+func openShardedSession(ctx context.Context, pub *vdp.Public, storeDir string, budget *vdp.BudgetConfig, shards int) (*vdp.ShardedSession, func() error, error) {
+	seg, closeStore, err := openSegments(storeDir, shards)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	opts := vdp.SessionOptions{Segmented: seg, Budget: budget}
-	if seg.Empty() {
-		ss, err := vdp.NewShardedSession(pub, opts)
-		if err != nil {
-			seg.Close()
-			return nil, nil, nil, err
-		}
-		return nil, ss, seg.Close, nil
-	}
-	ss, err := vdp.ResumeShardedSession(ctx, pub, opts)
-	if err != nil {
-		seg.Close()
-		return nil, nil, nil, fmt.Errorf("recovering segmented board log: %w", err)
-	}
-	if ss.Finalized() {
-		// Compact the sealed epoch (per-shard snapshots pin the digests, so
-		// the next boot skips the replay); fall back to Reset when a shard's
-		// sealed transcript did not survive.
-		if err := ss.Compact(); err != nil {
-			if err = ss.Reset(); err != nil {
-				seg.Close()
-				return nil, nil, nil, err
-			}
-		}
-		log.Printf("recovered segmented board log: last epoch sealed, compacted, opening epoch %d", ss.Epoch())
-	} else {
-		log.Printf("recovered segmented board log: resuming epoch %d with %d submissions across %d shards (%d rejected)",
-			ss.Epoch(), ss.Submitted(), ss.Shards(), len(ss.Rejected()))
-	}
-	return nil, ss, seg.Close, nil
+	opts := vdp.SessionOptions{Shards: shards, Segmented: seg, Budget: budget}
+	return openOrRecover("segmented board log", seg == nil || seg.Empty(), closeStore,
+		func() (*vdp.ShardedSession, error) { return vdp.NewShardedSession(pub, opts) },
+		func() (*vdp.ShardedSession, error) { return vdp.ResumeShardedSession(ctx, pub, opts) })
 }
 
 func storeDesc(dir string) string {
@@ -479,33 +421,19 @@ func storeDesc(dir string) string {
 	return dir
 }
 
-func setupFromFlags(grpName string, bins, coins int, eps, delta float64) (*vdp.Public, error) {
-	g, err := group.ByName(grpName)
-	if err != nil {
-		return nil, err
+// parseLedgerFlag turns the -ledger flag into a budget policy (nil when the
+// flag is empty: no ledger).
+func parseLedgerFlag(s string) (*vdp.BudgetConfig, error) {
+	if s == "" {
+		return nil, nil
 	}
-	return vdp.Setup(vdp.Config{Group: g, Provers: 1, Bins: bins, Coins: coins, Epsilon: eps, Delta: delta})
+	return vdp.ParseBudget(s)
 }
 
-// decodeSubmission splits a submit payload: u32 publicLen | public | payload.
-func decodeSubmission(pub *vdp.Public, b []byte) (*vdp.ClientPublic, *vdp.ClientPayload, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("short submission")
+// ledgerDesc renders the policy for the startup banner.
+func ledgerDesc(b *vdp.BudgetConfig) string {
+	if b == nil {
+		return "off"
 	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if int(n) > len(b)-4 {
-		return nil, nil, fmt.Errorf("submission length field out of range")
-	}
-	cp, err := pub.DecodeClientPublic(b[4 : 4+n])
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := pub.DecodeClientPayload(b[4+n:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if pl.ClientID != cp.ID || pl.Prover != 0 {
-		return nil, nil, fmt.Errorf("submission parts disagree on identity")
-	}
-	return cp, pl, nil
+	return fmt.Sprintf("%gε/epoch of %gε", float64(b.EpochCost)/1e6, float64(b.Total)/1e6)
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
@@ -34,26 +32,19 @@ func mirrorOptions(grace time.Duration) transport.ClientOptions {
 // board and merged-seal sidecar — under storeDir, falling back to in-memory
 // logs when storeDir is empty. The layout is identical for primaries and
 // standbys, so a promoted standby's directory is a valid node directory.
-func openNodeLogs(storeDir string) (board, seal store.BoardLog, durable bool, closeAll func()) {
+func openNodeLogs(storeDir string) (board, seal store.BoardLog, closeAll func()) {
 	if storeDir == "" {
-		return store.NewMemLog(), store.NewMemLog(), false, func() {}
+		return store.NewMemLog(), store.NewMemLog(), func() {}
 	}
-	if err := os.MkdirAll(storeDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	boardLog, err := store.OpenFileLog(filepath.Join(storeDir, boardLogName))
+	boardLog, err := openFileLog(storeDir, boardLogName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if tb := boardLog.Truncated(); tb > 0 {
-		log.Printf("board log: discarded %d torn-tail bytes from an interrupted append", tb)
-	}
-	sealLog, err := store.OpenFileLog(filepath.Join(storeDir, mergedLogName))
+	sealLog, err := openFileLog(storeDir, mergedLogName)
 	if err != nil {
-		boardLog.Close()
 		log.Fatal(err)
 	}
-	return boardLog, sealLog, true, func() {
+	return boardLog, sealLog, func() {
 		boardLog.Close()
 		sealLog.Close()
 	}
@@ -64,10 +55,9 @@ func openNodeLogs(storeDir string) (board, seal store.BoardLog, durable bool, cl
 // seed derivation (so K nodes merge to the same digest as one ShardedSession
 // with Shards=K), plus the cluster RPC for the router's finalize-merge
 // handshake. Unlike standalone mode the node never finalizes on its own —
-// sealing, merging and epoch turnover are driven by the router — so reaching
-// any particular accepted count does not stop the server, and shutdown
-// leaves an open epoch on disk exactly where ResumeShardSession can pick it
-// up.
+// sealing, merging and epoch turnover are driven by the router — so the
+// dispatch has no target, and shutdown leaves an open epoch on disk exactly
+// where ResumeShardSession can pick it up.
 //
 // With standbyAddr set the node is a replica-set primary: both logs are
 // wrapped in store.ReplicatedLog, whose mirror hook ships every record to
@@ -76,154 +66,77 @@ func openNodeLogs(storeDir string) (board, seal store.BoardLog, durable bool, cl
 // point — so with the standby down, admissions fail until it returns or the
 // router promotes it.
 func runNode(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget *vdp.BudgetConfig, shardIndex, shardCount int, standbyAddr string, grace time.Duration) {
-	boardInner, sealInner, durable, closeLogs := openNodeLogs(storeDir)
+	blog, slog, closeLogs := openNodeLogs(storeDir)
 	defer closeLogs()
 
-	blog, slog := boardInner, sealInner
-	var repl *cluster.Replicator
+	mirror := "none"
 	if standbyAddr != "" {
-		repl = cluster.NewReplicator(standbyAddr, shardIndex, shardCount, mirrorOptions(grace))
+		mirror = standbyAddr
+		repl := cluster.NewReplicator(standbyAddr, shardIndex, shardCount, mirrorOptions(grace))
 		defer repl.Close()
 		var err error
-		blog, err = store.NewReplicatedLog(boardInner, repl.Mirror(cluster.ReplLogBoard))
-		if err != nil {
+		if blog, err = store.NewReplicatedLog(blog, repl.Mirror(cluster.ReplLogBoard)); err != nil {
 			log.Fatal(err)
 		}
-		slog, err = store.NewReplicatedLog(sealInner, repl.Mirror(cluster.ReplLogSeal))
-		if err != nil {
+		if slog, err = store.NewReplicatedLog(slog, repl.Mirror(cluster.ReplLogSeal)); err != nil {
 			log.Fatal(err)
 		}
 		// Best-effort catch-up of pre-existing records; a standby that is not
 		// up yet just means the first acknowledged admission pays for it.
 		for _, l := range []store.BoardLog{blog, slog} {
-			if f, ok := l.(interface{ Flush() error }); ok {
-				if err := f.Flush(); err != nil {
-					log.Printf("standby %s not caught up yet: %v", standbyAddr, err)
-					break
-				}
+			if err := l.(interface{ Flush() error }).Flush(); err != nil {
+				log.Printf("standby %s not caught up yet: %v", standbyAddr, err)
+				break
 			}
 		}
 	}
 
+	// A memory-only, unmirrored node keeps no log at all: nothing to resume
+	// from, nothing to serve over node-log.
+	opts := vdp.SessionOptions{Budget: budget}
+	cfg := cluster.NodeConfig{Shard: shardIndex, Shards: shardCount}
+	empty := true
+	if storeDir != "" || standbyAddr != "" {
+		opts.Store, cfg.BoardLog, cfg.SealLog = blog, blog, slog
+		empty = blog.(interface{ Len() int }).Len() == 0
+	}
 	var (
 		sess *vdp.Session
 		err  error
 	)
-	opts := vdp.SessionOptions{Store: blog, Budget: budget}
-	if !durable && repl == nil {
-		opts.Store = nil // plain in-memory board, no log to keep
-	}
-	empty := true
-	if c, ok := blog.(interface{ Len() int }); ok {
-		empty = c.Len() == 0
-	}
-	if opts.Store == nil || empty {
+	if empty {
 		sess, err = vdp.NewShardSession(pub, opts, shardIndex, shardCount)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		sess, err = vdp.ResumeShardSession(ctx, pub, opts, shardIndex, shardCount)
-		if err != nil {
-			log.Fatalf("recovering board log: %v", err)
-		}
-		// Standalone recovery Resets a sealed epoch to open the next one;
-		// a cluster node must not — the merged seal may still be in
-		// flight, and the router's roll-forward (or an explicit
-		// node-reset) is the only sanctioned turnover.
+	} else if sess, err = vdp.ResumeShardSession(ctx, pub, opts, shardIndex, shardCount); err == nil {
+		// Standalone recovery turns a sealed epoch over to open the next one;
+		// a cluster node must not — the merged seal may still be in flight,
+		// and the router's roll-forward (or an explicit node-reset) is the
+		// only sanctioned turnover.
 		if sess.Finalized() {
 			log.Printf("recovered board log: epoch %d sealed locally; awaiting the router's merge/reset", sess.Epoch())
 		} else {
-			log.Printf("recovered board log: resuming epoch %d with %d submissions (%d rejected)",
-				sess.Epoch(), sess.Submitted(), len(sess.Rejected()))
+			log.Printf("recovered board log: resuming epoch %d with %d accepted", sess.Epoch(), sess.Accepted())
 		}
 	}
-
-	var nodeBoard, nodeSeal store.BoardLog
-	if durable || repl != nil {
-		nodeBoard, nodeSeal = blog, slog
+	if err != nil {
+		log.Fatalf("opening board log: %v", err)
 	}
-	node, err := cluster.NewNode(ctx, pub, sess, cluster.NodeConfig{
-		Shard: shardIndex, Shards: shardCount, BoardLog: nodeBoard, SealLog: nodeSeal,
+	node, err := cluster.NewNode(ctx, pub, sess, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	d := server.New(ctx, pub, server.Of(node), server.Options{
+		Accepted: node.Accepted(), Extra: cluster.Demux(node.Handle),
+		Logf: log.Printf, Label: fmt.Sprintf("shard %d: ", shardIndex),
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var (
-		mu       sync.Mutex
-		accepted = node.Accepted()
-	)
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		if cluster.IsRPC(f.Kind) {
-			return node.Handle(f), nil
-		}
-		switch f.Kind {
-		case "submit":
-			sub, err := pub.DecodeSubmitPayload(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if err := node.Submit(ctx, sub); err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			accepted++
-			n := accepted
-			mu.Unlock()
-			log.Printf("shard %d: accepted client %d (%d so far)", shardIndex, sub.Public.ID, n)
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := node.SubmitBatch(ctx, subs)
-			if err != nil {
-				return nil, err
-			}
-			ok := 0
-			for _, v := range verdicts {
-				if v == nil {
-					ok++
-				}
-			}
-			mu.Lock()
-			accepted += ok
-			n := accepted
-			mu.Unlock()
-			log.Printf("shard %d: accepted batch of %d: %d admitted, %d rejected (%d so far)",
-				shardIndex, len(subs), ok, len(subs)-ok, n)
-			reply := vdp.EncodeBatchVerdicts(vdp.VerdictsFor(subs, verdicts))
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: reply}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-		}
-	}
-
-	srv, err := transport.Listen(addr, handler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mirror := "none"
-	if repl != nil {
-		mirror = standbyAddr
-	}
-	log.Printf("verifiable-dp cluster node listening on %s (shard %d of %d, M=%d, nb=%d, store=%s, standby=%s)",
-		srv.Addr(), shardIndex, shardCount, pub.Bins(), pub.Coins(), storeDesc(storeDir), mirror)
-
-	<-ctx.Done()
-	log.Printf("signal received: shutting down shard %d", shardIndex)
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), grace)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("listener drain: %v", err)
-	}
-	if sess.Finalized() {
+	serve(ctx, addr, d, grace, "verifiable-dp cluster node", fmt.Sprintf("shard %d of %d, M=%d, nb=%d, store=%s, standby=%s",
+		shardIndex, shardCount, pub.Bins(), pub.Coins(), storeDesc(storeDir), mirror))()
+	switch {
+	case sess.Finalized():
 		log.Printf("shard %d exiting with epoch %d sealed", shardIndex, sess.Epoch())
-	} else if storeDir != "" {
+	case storeDir != "":
 		log.Printf("shard %d exiting mid-epoch; epoch %d is resumable from %s", shardIndex, sess.Epoch(), storeDir)
-	} else {
+	default:
 		log.Printf("shard %d exiting mid-epoch; in-memory board discarded", shardIndex)
 	}
 }
@@ -234,11 +147,12 @@ func runNode(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget
 // RPCs so followers can keep tailing through a failover. It takes no
 // admissions until the router promotes it — at which point it fences the old
 // primary, resumes the shard session from the mirror, and serves the full
-// node protocol, submissions included. primaryAddr is not dialed; the
-// primary connects to us, the flag documents the pairing in logs and ps
+// node protocol, submissions included: the Standby is itself the dispatch's
+// board, resolving its promoted node per frame. primaryAddr is not dialed;
+// the primary connects to us, the flag documents the pairing in logs and ps
 // output.
 func runStandby(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget *vdp.BudgetConfig, shardIndex, shardCount int, primaryAddr string, grace time.Duration) {
-	board, seal, _, closeLogs := openNodeLogs(storeDir)
+	board, seal, closeLogs := openNodeLogs(storeDir)
 	defer closeLogs()
 
 	sb, err := cluster.NewStandby(ctx, pub, cluster.StandbyConfig{
@@ -248,82 +162,22 @@ func runStandby(ctx context.Context, pub *vdp.Public, addr, storeDir string, bud
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var (
-		mu       sync.Mutex
-		accepted int
-	)
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		if cluster.IsRPC(f.Kind) {
-			wasPromoted := sb.Promoted()
-			reply := sb.Handle(f)
-			if !wasPromoted && sb.Promoted() {
-				log.Printf("shard %d standby PROMOTED: now serving as the shard's node (%d mirrored records)",
-					shardIndex, sb.MirroredRecords())
-			}
-			return reply, nil
+	rpc := func(f *transport.Frame) []*transport.Frame {
+		wasPromoted := sb.Promoted()
+		reply := sb.Handle(f)
+		if !wasPromoted && sb.Promoted() {
+			log.Printf("shard %d standby PROMOTED: now serving as the shard's node (%d mirrored records)",
+				shardIndex, sb.MirroredRecords())
 		}
-		node := sb.Node()
-		if node == nil {
-			return nil, fmt.Errorf("shard %d standby does not take submissions until promoted", shardIndex)
-		}
-		switch f.Kind {
-		case "submit":
-			sub, err := pub.DecodeSubmitPayload(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if err := node.Submit(ctx, sub); err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			accepted++
-			n := accepted
-			mu.Unlock()
-			log.Printf("shard %d (promoted standby): accepted client %d (%d since promotion)", shardIndex, sub.Public.ID, n)
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := node.SubmitBatch(ctx, subs)
-			if err != nil {
-				return nil, err
-			}
-			ok := 0
-			for _, v := range verdicts {
-				if v == nil {
-					ok++
-				}
-			}
-			mu.Lock()
-			accepted += ok
-			n := accepted
-			mu.Unlock()
-			log.Printf("shard %d (promoted standby): accepted batch of %d: %d admitted, %d rejected (%d since promotion)",
-				shardIndex, len(subs), ok, len(subs)-ok, n)
-			reply := vdp.EncodeBatchVerdicts(vdp.VerdictsFor(subs, verdicts))
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: reply}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-		}
+		return reply
 	}
 
-	srv, err := transport.Listen(addr, handler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("verifiable-dp standby listening on %s (shard %d of %d, mirror of %s, store=%s)",
-		srv.Addr(), shardIndex, shardCount, primaryAddr, storeDesc(storeDir))
-
-	<-ctx.Done()
-	log.Printf("signal received: shutting down shard %d standby", shardIndex)
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), grace)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("listener drain: %v", err)
-	}
+	d := server.New(ctx, pub, server.Of(sb), server.Options{
+		Extra: cluster.Demux(rpc),
+		Logf:  log.Printf, Label: fmt.Sprintf("shard %d (promoted standby): ", shardIndex),
+	})
+	serve(ctx, addr, d, grace, "verifiable-dp standby", fmt.Sprintf("shard %d of %d, mirror of %s, store=%s",
+		shardIndex, shardCount, primaryAddr, storeDesc(storeDir)))()
 	if sb.Promoted() {
 		log.Printf("shard %d exiting as the promoted node; store %s is resumable as a node directory", shardIndex, storeDesc(storeDir))
 	} else {

@@ -3,13 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/group"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
@@ -85,7 +85,7 @@ func startNode(t *testing.T, ctx context.Context, pub *vdp.Public, shard, shards
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	n.srv, err = transport.Listen(addr, nodeHandler(ctx, pub, n.node))
+	n.srv, err = transport.Listen(addr, replicaHandler(ctx, pub, n.node))
 	if err != nil {
 		t.Fatalf("listening for shard %d: %v", shard, err)
 	}
@@ -104,39 +104,14 @@ func (n *testNode) stop() {
 	}
 }
 
-// nodeHandler is the same frame dispatch cmd/vdpserver runs in node mode.
-func nodeHandler(ctx context.Context, pub *vdp.Public, node *Node) transport.Handler {
-	return func(f *transport.Frame) ([]*transport.Frame, error) {
-		if IsRPC(f.Kind) {
-			return node.Handle(f), nil
-		}
-		switch f.Kind {
-		case "submit":
-			sub, err := pub.DecodeSubmitPayload(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if err := node.Submit(ctx, sub); err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := node.SubmitBatch(ctx, subs)
-			if err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{
-				Kind:    "batch-verdicts",
-				Payload: vdp.EncodeBatchVerdicts(vdp.VerdictsFor(subs, verdicts)),
-			}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-		}
-	}
+// replicaHandler is the frame dispatch cmd/vdpserver runs in node and standby
+// mode — the cluster RPC first, then the shared admission dispatch — for a
+// *Node or a *Standby (which refuses admissions until promoted).
+func replicaHandler(ctx context.Context, pub *vdp.Public, r interface {
+	server.Board
+	Handle(*transport.Frame) []*transport.Frame
+}) transport.Handler {
+	return server.New(ctx, pub, server.Of(r), server.Options{Extra: Demux(r.Handle)}).Handle
 }
 
 func buildSubs(t *testing.T, pub *vdp.Public, first, n int) []*vdp.ClientSubmission {

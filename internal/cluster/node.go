@@ -92,8 +92,8 @@ func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeCo
 // Session exposes the wrapped shard session.
 func (n *Node) Session() *vdp.Session { return n.sess }
 
-// Accepted reports the session's accepted-submission count (the aggregator
-// surface the serving loop uses).
+// Accepted reports the session's accepted-submission count; the serving loop
+// seeds the frame dispatch's counter with it after a recovery.
 func (n *Node) Accepted() int { return n.sess.Accepted() }
 
 // Submit admits one submission after checking it is routed to the right

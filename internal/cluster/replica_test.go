@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -38,17 +37,7 @@ func startStandby(t *testing.T, ctx context.Context, pub *vdp.Public, shard, sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-		if IsRPC(f.Kind) {
-			return s.sb.Handle(f), nil
-		}
-		node := s.sb.Node()
-		if node == nil {
-			return nil, fmt.Errorf("shard %d standby does not take submissions until promoted", shard)
-		}
-		return nodeHandler(ctx, pub, node)(f)
-	}
-	s.srv, err = transport.Listen("127.0.0.1:0", handler)
+	s.srv, err = transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, s.sb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +86,7 @@ func startPrimary(t *testing.T, ctx context.Context, pub *vdp.Public, shard, sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.srv, err = transport.Listen("127.0.0.1:0", nodeHandler(ctx, pub, p.node))
+	p.srv, err = transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, p.node))
 	if err != nil {
 		t.Fatal(err)
 	}

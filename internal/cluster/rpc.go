@@ -73,6 +73,18 @@ func IsRPC(kind string) bool {
 	return strings.HasPrefix(kind, "node-") || strings.HasPrefix(kind, "replicate-")
 }
 
+// Demux adapts an RPC endpoint (Node.Handle, Standby.Handle) to the frame
+// dispatch's first-look hook (server.Options.Extra): cluster RPC kinds are
+// served, every other kind is passed on to admission with a nil, nil return.
+func Demux(handle func(*transport.Frame) []*transport.Frame) transport.Handler {
+	return func(f *transport.Frame) ([]*transport.Frame, error) {
+		if !IsRPC(f.Kind) {
+			return nil, nil
+		}
+		return handle(f), nil
+	}
+}
+
 // okKind is the success-reply kind for a request kind.
 func okKind(req string) string { return req + replySuffix }
 

@@ -45,7 +45,7 @@ func startFaultSealNode(t *testing.T, ctx context.Context, pub *vdp.Public, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.srv, err = transport.Listen("127.0.0.1:0", nodeHandler(ctx, pub, n.node))
+	n.srv, err = transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, n.node))
 	if err != nil {
 		t.Fatalf("listening for shard %d: %v", shard, err)
 	}

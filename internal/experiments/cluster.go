@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
@@ -107,7 +108,7 @@ func BootCluster(ctx context.Context, pub *vdp.Public, k int) (*loopCluster, err
 		if err != nil {
 			return nil, err
 		}
-		srv, err := transport.Listen("127.0.0.1:0", nodeHandler(ctx, pub, node))
+		srv, err := transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, node))
 		if err != nil {
 			return nil, err
 		}
@@ -142,40 +143,18 @@ func BootCluster(ctx context.Context, pub *vdp.Public, k int) (*loopCluster, err
 	return lc, nil
 }
 
-// nodeHandler is the frame dispatch cmd/vdpserver runs in node mode: the
-// cluster RPC plus the ordinary admission kinds.
-func nodeHandler(ctx context.Context, pub *vdp.Public, node *cluster.Node) transport.Handler {
-	return func(f *transport.Frame) ([]*transport.Frame, error) {
-		if cluster.IsRPC(f.Kind) {
-			return node.Handle(f), nil
-		}
-		switch f.Kind {
-		case "submit":
-			sub, err := pub.DecodeSubmitPayload(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if err := node.Submit(ctx, sub); err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			subs, err := pub.DecodeSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			verdicts, err := node.SubmitBatch(ctx, subs)
-			if err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{
-				Kind:    "batch-verdicts",
-				Payload: vdp.EncodeBatchVerdicts(vdp.VerdictsFor(subs, verdicts)),
-			}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
-		}
-	}
+// replica is what a node and a standby have in common: a board to admit into
+// and a cluster RPC endpoint.
+type replica interface {
+	server.Board
+	Handle(*transport.Frame) []*transport.Frame
+}
+
+// replicaHandler is the frame dispatch cmd/vdpserver runs in node and standby
+// mode: the cluster RPC first, then the shared admission dispatch (a standby
+// refuses admissions until promoted).
+func replicaHandler(ctx context.Context, pub *vdp.Public, r replica) transport.Handler {
+	return server.New(ctx, pub, server.Of(r), server.Options{Extra: cluster.Demux(r.Handle)}).Handle
 }
 
 // FloodCluster pushes subs through the cluster's client connection in

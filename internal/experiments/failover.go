@@ -100,7 +100,7 @@ func BootReplicaCluster(ctx context.Context, pub *vdp.Public, k int) (*replicaCl
 			return nil, err
 		}
 		rc.standbys = append(rc.standbys, sb)
-		sbSrv, err := transport.Listen("127.0.0.1:0", standbyHandler(ctx, pub, sb))
+		sbSrv, err := transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, sb))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func BootReplicaCluster(ctx context.Context, pub *vdp.Public, k int) (*replicaCl
 		if err != nil {
 			return nil, err
 		}
-		prSrv, err := transport.Listen("127.0.0.1:0", nodeHandler(ctx, pub, node))
+		prSrv, err := transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, node))
 		if err != nil {
 			return nil, err
 		}
@@ -160,21 +160,6 @@ func BootReplicaCluster(ctx context.Context, pub *vdp.Public, k int) (*replicaCl
 	rc.close = append(rc.close, func() { rc.Client.Close() })
 	ok = true
 	return rc, nil
-}
-
-// standbyHandler serves the replica RPC until promotion and the full node
-// dispatch afterwards — the same switch cmd/vdpserver runs in standby mode.
-func standbyHandler(ctx context.Context, pub *vdp.Public, sb *cluster.Standby) transport.Handler {
-	return func(f *transport.Frame) ([]*transport.Frame, error) {
-		if cluster.IsRPC(f.Kind) {
-			return sb.Handle(f), nil
-		}
-		node := sb.Node()
-		if node == nil {
-			return nil, fmt.Errorf("standby does not take submissions until promoted")
-		}
-		return nodeHandler(ctx, pub, node)(f)
-	}
 }
 
 // FloodReplicaCluster pushes subs through the replica cluster's client in

@@ -1,0 +1,384 @@
+package server_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/server"
+	"repro/internal/sketch"
+	"repro/internal/store"
+	"repro/internal/transport"
+	"repro/internal/vdp"
+)
+
+func setup(t *testing.T, bins int) *vdp.Public {
+	t.Helper()
+	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: bins, Coins: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pub
+}
+
+// idOn returns the nth client ID (from 0) that ShardOf maps to shard of 2.
+func idOn(shard, nth int) int {
+	for id := 0; ; id++ {
+		if vdp.ShardOf(id, 2) == shard {
+			if nth == 0 {
+				return id
+			}
+			nth--
+		}
+	}
+}
+
+func submission(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
+	t.Helper()
+	sub, err := pub.NewClientSubmission(id, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// forged returns a submission whose board proof is another client's: it
+// decodes, reaches the board, and earns an attributable rejection.
+func forged(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
+	t.Helper()
+	sub, donor := submission(t, pub, id), submission(t, pub, id+1000)
+	sub.Public.BitProof, sub.Public.OneHotProof = donor.Public.BitProof, donor.Public.OneHotProof
+	return sub
+}
+
+func submitFrame(t *testing.T, pub *vdp.Public, sub *vdp.ClientSubmission) *transport.Frame {
+	t.Helper()
+	payload, err := pub.EncodeSubmitPayload(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &transport.Frame{Kind: "submit", Payload: payload}
+}
+
+func batchFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame {
+	return &transport.Frame{Kind: "submit-batch", Payload: pub.EncodeSubmissionBatch(subs)}
+}
+
+// step is one frame through the handler and the exact reply it must earn:
+// a reply kind with its payload bytes, or a handler error (the transport
+// answers those with an "error" frame and drops the connection).
+type step struct {
+	name    string
+	frame   *transport.Frame
+	kind    string
+	payload []byte
+	errHas  string
+}
+
+func run(t *testing.T, h transport.Handler, steps []step) {
+	t.Helper()
+	for _, st := range steps {
+		replies, err := h(st.frame)
+		if st.errHas != "" {
+			if err == nil || !strings.Contains(err.Error(), st.errHas) {
+				t.Errorf("%s: err = %v, want one containing %q", st.name, err, st.errHas)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: handler error %v, want a %q reply", st.name, err, st.kind)
+			continue
+		}
+		if len(replies) != 1 || replies[0].Kind != st.kind || !bytes.Equal(replies[0].Payload, st.payload) {
+			t.Errorf("%s: want one %q frame carrying %q, got:", st.name, st.kind, st.payload)
+			for _, r := range replies {
+				t.Errorf("  %q frame carrying %q", r.Kind, r.Payload)
+			}
+		}
+	}
+}
+
+// The verdict text every board gives the forged submission: as a bit proof
+// (one bin), and as row 1 of a sketch contribution (a one-hot proof).
+const (
+	forgedReason    = "vdp: client input rejected: client %d: sigma: proof verification failed: challenge split does not sum to e"
+	forgedRowReason = "vdp: sketch row 1: vdp: client input rejected: client %d: coordinate 0: sigma: proof verification failed: challenge split does not sum to e"
+)
+
+// TestDispatchOverEveryAdmitter drives the one handler over the boards
+// cmd/vdpserver wires it to — plain session, Shards:2 session, cluster node,
+// standby before and after promotion — with the same client frames, asserting
+// reply kinds and payload bytes. The boards differ in exactly one reply: a
+// cluster node answers a batch member that belongs to another shard with a
+// per-client verdict, where a whole board admits it.
+func TestDispatchOverEveryAdmitter(t *testing.T) {
+	pub := setup(t, 1)
+	ctx := context.Background()
+	node := func(t *testing.T) *cluster.Node {
+		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{}, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := cluster.NewNode(ctx, pub, sess, cluster.NodeConfig{Shard: 0, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	modes := []struct {
+		name     string
+		open     func(t *testing.T) (server.Board, transport.Handler)
+		misroute bool // a shard-1 client is refused, not admitted
+	}{
+		{"plain", func(t *testing.T) (server.Board, transport.Handler) {
+			s, err := vdp.NewSession(pub, vdp.SessionOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, nil
+		}, false},
+		{"shards-2", func(t *testing.T) (server.Board, transport.Handler) {
+			s, err := vdp.NewShardedSession(pub, vdp.SessionOptions{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, nil
+		}, false},
+		{"node", func(t *testing.T) (server.Board, transport.Handler) {
+			n := node(t)
+			return n, cluster.Demux(n.Handle)
+		}, true},
+		{"promoted-standby", func(t *testing.T) (server.Board, transport.Handler) {
+			sb, err := cluster.NewStandby(ctx, pub, cluster.StandbyConfig{
+				Shard: 0, Shards: 2, Board: store.NewMemLog(), Seal: store.NewMemLog(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := server.New(ctx, pub, server.Of(sb), server.Options{Extra: cluster.Demux(sb.Handle)}).Handle
+			// node-promote, rpc version 2: any epoch, no log-length fence.
+			promote := &transport.Frame{Kind: cluster.KindPromote, Payload: []byte{2, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
+			run(t, h, []step{
+				{name: "submit before promotion", frame: submitFrame(t, pub, submission(t, pub, idOn(0, 0))), errHas: "until promoted"},
+				{name: "batch before promotion", frame: batchFrame(pub, submission(t, pub, idOn(0, 1))), errHas: "until promoted"},
+			})
+			if replies, err := h(promote); err != nil || len(replies) != 1 || replies[0].Kind != cluster.KindPromote+"-ok" {
+				t.Fatalf("promotion: replies %+v, err %v", replies, err)
+			}
+			return sb, cluster.Demux(sb.Handle)
+		}, true},
+	}
+	a, b, c, d := idOn(0, 0), idOn(0, 1), idOn(0, 2), idOn(1, 0)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			board, extra := m.open(t)
+			var logged []string
+			disp := server.New(ctx, pub, server.Of(board), server.Options{
+				Accepted: 1, Target: 4, Extra: extra, Label: m.name + ": ",
+				Logf: func(f string, args ...any) { logged = append(logged, fmt.Sprintf(f, args...)) },
+			})
+			want := []vdp.BatchVerdict{
+				{ID: b, Accepted: true},
+				{ID: c, Reason: fmt.Sprintf(forgedReason, c)},
+				{ID: d, Accepted: true},
+			}
+			if m.misroute {
+				want[2] = vdp.BatchVerdict{ID: d, Reason: fmt.Sprintf(
+					"vdp: client input rejected: client %d belongs to shard 1, this node serves shard 0", d)}
+			}
+			overlong := submitFrame(t, pub, submission(t, pub, a))
+			binary.BigEndian.PutUint32(overlong.Payload, uint32(len(overlong.Payload))) // > len-4
+			huge := submitFrame(t, pub, submission(t, pub, a))
+			binary.BigEndian.PutUint32(huge.Payload, 0xffffffff) // wraps a 32-bit int
+			first := submitFrame(t, pub, submission(t, pub, a))
+			run(t, disp.Handle, []step{
+				{name: "submit", frame: first, kind: "ack", payload: []byte("accepted")},
+				{name: "duplicate submit", frame: first, errHas: "duplicate submission"},
+				{name: "forged submit", frame: submitFrame(t, pub, forged(t, pub, idOn(0, 3))), errHas: "proof verification failed"},
+				{name: "short submit", frame: &transport.Frame{Kind: "submit", Payload: []byte{0, 0}}, errHas: "short submit payload"},
+				{name: "length field past the end", frame: overlong, errHas: "length field out of range"},
+				{name: "length field 2^32-1", frame: huge, errHas: "length field out of range"},
+				{name: "garbage batch", frame: &transport.Frame{Kind: "submit-batch", Payload: []byte{9}}, errHas: "version"},
+				{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
+			})
+			if n := disp.Accepted(); n != 2 {
+				t.Fatalf("accepted = %d after one recovered + one live admission, want 2", n)
+			}
+			select {
+			case <-disp.Done():
+				t.Fatal("Done closed at 2/4")
+			default:
+			}
+			run(t, disp.Handle, []step{{name: "batch", frame: batchFrame(pub, submission(t, pub, b), forged(t, pub, c), submission(t, pub, d)),
+				kind: "batch-verdicts", payload: vdp.EncodeBatchVerdicts(want)}})
+			wantN := 4
+			if m.misroute {
+				wantN = 3
+			}
+			if n := disp.Accepted(); n != wantN {
+				t.Fatalf("accepted = %d after the batch, want %d", n, wantN)
+			}
+			select {
+			case <-disp.Done():
+				if wantN < 4 {
+					t.Fatal("Done closed below the target")
+				}
+			default:
+				if wantN >= 4 {
+					t.Fatal("Done still open at the target")
+				}
+			}
+			wantLog := []string{
+				fmt.Sprintf("%s: accepted client %d (2/4)", m.name, a),
+				fmt.Sprintf("%s: accepted batch of 3: %d admitted, %d rejected (%d/4)", m.name, wantN-2, 5-wantN, wantN),
+			}
+			if strings.Join(logged, "\n") != strings.Join(wantLog, "\n") {
+				t.Errorf("log lines:\n%s\nwant:\n%s", strings.Join(logged, "\n"), strings.Join(wantLog, "\n"))
+			}
+			if extra != nil {
+				// The mode's extra is the cluster RPC: served ahead of admission.
+				replies, err := disp.Handle(&transport.Frame{Kind: cluster.KindStatus})
+				if err != nil || len(replies) != 1 || replies[0].Kind != cluster.KindStatus+"-ok" {
+					t.Errorf("node-status through the dispatch: replies %+v, err %v", replies, err)
+				}
+			}
+		})
+	}
+}
+
+func contribution(t *testing.T, pub *vdp.Public, layout sketch.Layout, id, item int) []*vdp.ClientSubmission {
+	t.Helper()
+	c, err := pub.NewSketchContribution(layout, id, item, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Rows
+}
+
+// TestDispatchSketch is the fifth admitter: contribution grouping (one
+// verdict per contribution; empty, ragged, incomplete and interleaved bundles
+// refused whole), the "submit" explainer, and the query extra before and
+// after the release.
+func TestDispatchSketch(t *testing.T) {
+	layout := sketch.Layout{Rows: 2, Width: 4, Domain: 8}
+	pub := setup(t, layout.Width)
+	ctx := context.Background()
+	hs, err := vdp.NewSketchSession(pub, layout, vdp.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := server.NewSketch(hs)
+	disp := server.New(ctx, pub, board, server.Options{Target: 2, Extra: board.Extra})
+
+	c1, c2, c3 := contribution(t, pub, layout, 1, 3), contribution(t, pub, layout, 2, 5), contribution(t, pub, layout, 3, 5)
+	c3[1] = forged(t, pub, 3) // row 0 admits client 3, row 1 refuses it
+	topK := &transport.Frame{Kind: "sketch-query", Payload: vdp.EncodeSketchQuery(&vdp.SketchQuery{Kind: vdp.SketchQueryTopK, Arg: 3})}
+	point := func(item int) *transport.Frame {
+		return &transport.Frame{Kind: "sketch-query", Payload: vdp.EncodeSketchQuery(&vdp.SketchQuery{Kind: vdp.SketchQueryPoint, Arg: item})}
+	}
+	run(t, disp.Handle, []step{
+		{name: "query before the release", frame: topK, errHas: "still collecting"},
+		{name: "plain submit", frame: &transport.Frame{Kind: "submit"}, errHas: "sketch mode"},
+		{name: "empty batch", frame: batchFrame(pub), errHas: "positive multiple of 2"},
+		{name: "ragged batch", frame: batchFrame(pub, c1[0], c1[1], c2[0]), errHas: "positive multiple of 2"},
+		{name: "interleaved batch", frame: batchFrame(pub, c1[0], c2[1]), errHas: "row 1 carries client 2, want 1"},
+		{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
+		{name: "three contributions", frame: batchFrame(pub, append(append(append([]*vdp.ClientSubmission{}, c1...), c2...), c3...)...),
+			kind: "batch-verdicts", payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{
+				{ID: 1, Accepted: true}, {ID: 2, Accepted: true},
+				{ID: 3, Reason: fmt.Sprintf(forgedRowReason, 3)},
+			})},
+	})
+	if _, err := board.SubmitBatch(ctx, []*vdp.ClientSubmission{c1[0], nil}); err == nil || !strings.Contains(err.Error(), "row 1 is empty") {
+		t.Errorf("bundle with a nil row: err = %v", err)
+	}
+	if err := board.Submit(ctx, c1[0]); err == nil || !strings.Contains(err.Error(), "sketch mode") {
+		t.Errorf("Sketch.Submit: err = %v, want the explainer", err)
+	}
+	select {
+	case <-disp.Done():
+	default:
+		t.Fatal("two whole contributions did not reach the target of 2")
+	}
+	// One definition of "accepted": the live count and the session's own agree
+	// that client 3 — admitted by row 0 alone — is not a contribution.
+	if disp.Accepted() != 2 || hs.Accepted() != 2 || hs.Row(0).Accepted() != 3 {
+		t.Fatalf("accepted: dispatch %d, session %d, row 0 %d; want 2, 2, 3", disp.Accepted(), hs.Accepted(), hs.Row(0).Accepted())
+	}
+
+	res, err := hs.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	board.Release(res.Sketch)
+	est, bound, err := res.Sketch.PointQuery(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, disp.Handle, []step{
+		{name: "top-3", frame: topK, kind: "sketch-estimates", payload: vdp.EncodeItemEstimates(res.Sketch.HeavyHitters(3))},
+		{name: "point", frame: point(5), kind: "sketch-estimates",
+			payload: vdp.EncodeItemEstimates([]vdp.ItemEstimate{{Item: 5, Estimate: est, Bound: bound}})},
+		{name: "point outside the domain", frame: point(99), errHas: "outside domain"},
+		{name: "garbage query", frame: &transport.Frame{Kind: "sketch-query", Payload: []byte{9}}, errHas: "version"},
+	})
+}
+
+// TestSketchRecoveredCount is the regression for the recovered sketch count:
+// a contribution row 0 admitted and row 2 refused is not accepted live, and
+// must not be after a crash and resume either — seeding the count from row 0
+// would let a restarted server finalize one whole contribution early.
+func TestSketchRecoveredCount(t *testing.T) {
+	layout := sketch.Layout{Rows: 3, Width: 4, Domain: 8}
+	pub := setup(t, layout.Width)
+	ctx := context.Background()
+	dir := t.TempDir()
+	seg, err := store.OpenSegmentedLog(dir, layout.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := vdp.NewSketchSession(pub, layout, vdp.SessionOptions{Segmented: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := server.NewSketch(hs)
+	disp := server.New(ctx, pub, board, server.Options{Target: 3, Extra: board.Extra})
+	bad := contribution(t, pub, layout, 9, 2)
+	bad[2] = forged(t, pub, 9)
+	subs := append(append(contribution(t, pub, layout, 7, 1), bad...), contribution(t, pub, layout, 8, 1)...)
+	if _, err := disp.Handle(batchFrame(pub, subs...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := disp.Accepted(); n != 2 {
+		t.Fatalf("live count = %d, want 2 whole contributions", n)
+	}
+	if err := seg.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+
+	seg, err = store.OpenSegmentedLog(dir, layout.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	hs, err = vdp.ResumeSketchSession(ctx, pub, layout, vdp.SessionOptions{Segmented: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row0 := hs.Row(0).Accepted(); row0 != 3 {
+		t.Fatalf("row 0 recovered %d admissions, want 3 (the test needs row 0 to over-count)", row0)
+	}
+	disp = server.New(ctx, pub, server.NewSketch(hs), server.Options{Accepted: hs.Accepted(), Target: 3})
+	if n := disp.Accepted(); n != 2 {
+		t.Fatalf("recovered count = %d, want the live count 2", n)
+	}
+	select {
+	case <-disp.Done():
+		t.Fatal("recovered server reached its target of 3 with 2 whole contributions")
+	default:
+	}
+}

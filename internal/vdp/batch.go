@@ -467,8 +467,8 @@ func (ss *ShardedSession) SubmitBatch(ctx context.Context, subs []*ClientSubmiss
 		return nil, nil
 	}
 	verdicts := make([]error, len(subs))
-	groups := make([][]*ClientSubmission, len(ss.shards))
-	idx := make([][]int, len(ss.shards))
+	groups := make([][]*ClientSubmission, len(ss.segs))
+	idx := make([][]int, len(ss.segs))
 	for i, sub := range subs {
 		if sub == nil || sub.Public == nil {
 			verdicts[i] = fmt.Errorf("%w: nil submission", ErrClientReject)
@@ -478,14 +478,14 @@ func (ss *ShardedSession) SubmitBatch(ctx context.Context, subs []*ClientSubmiss
 		groups[sh] = append(groups[sh], sub)
 		idx[sh] = append(idx[sh], i)
 	}
-	shardErrs := make([]error, len(ss.shards))
-	done := make([]bool, len(ss.shards))
-	_ = forEach(ctx, len(ss.shards), len(ss.shards), func(sh int) error {
+	shardErrs := make([]error, len(ss.segs))
+	done := make([]bool, len(ss.segs))
+	_ = forEach(ctx, len(ss.segs), len(ss.segs), func(sh int) error {
 		if len(groups[sh]) == 0 {
 			done[sh] = true
 			return nil
 		}
-		vs, err := ss.shards[sh].SubmitBatch(ctx, groups[sh])
+		vs, err := ss.segs[sh].SubmitBatch(ctx, groups[sh])
 		shardErrs[sh] = err
 		for k, i := range idx[sh] {
 			if vs != nil {

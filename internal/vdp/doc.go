@@ -67,6 +67,21 @@
 //     ResumeShardedSession and AuditSegmentedLog are the sharded
 //     counterparts of ResumeSession and AuditLog.
 //
+// # Segmented-session core
+//
+// ShardedSession and SketchSession (hh.go: one sub-session per count-min
+// row) are the same thing with a different spread of clients over segments,
+// and share one lifecycle: segmentedSession in segmented.go. It owns the K
+// sub-Sessions and the manifest — construction of fresh and resumed boards,
+// Epoch/Finalized/Resumed, the parallel finalize fan-out with its
+// sealed-segment reuse and retry/consumed rules, Reset, Compact, and healing
+// a missing merged seal — parameterised by the segmentKind (shardSegments,
+// rowSegments) that also parameterises the segmented readers. The two
+// exported types keep only what differs: ShardOf routing and mergeReleases;
+// the row-0 admission gate and assembleSketch. segmented.go is the single
+// place to change a lifecycle rule; the frame dispatch that serves any of
+// these boards over TCP is internal/server.
+//
 // # Board-log grammar
 //
 // ResumeSession, AuditLog and TailAuditor — and their segmented, sketch-row

@@ -154,67 +154,77 @@ func TestFaultInjectionMatrix(t *testing.T) {
 	}
 }
 
+// segmentedPopulation is faultSubs for a segmented board of either kind: the
+// same four fixed clients, as the kind's members (submissions, or whole
+// sketch contributions).
+func segmentedPopulation(t *testing.T, k segCase, pub *Public, segs int) []any {
+	t.Helper()
+	out := make([]any, 4)
+	for i, choice := range []int{1, 0, 1, 1} {
+		m, err := k.member(pub, segs, i, choice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
+
 // segmentedBaseline runs the population uninterrupted over a segmented store
 // and returns the merged digest plus the victim segment's append count — the
-// crash points worth injecting into that one shard.
-func segmentedBaseline(t *testing.T, pub *Public, subs []*ClientSubmission, shards, victim int) (digest []byte, appends int) {
+// crash points worth injecting into that one segment.
+func segmentedBaseline(t *testing.T, k segCase, pub *Public, members []any, segs, victim int) (digest []byte, appends int) {
 	t.Helper()
 	ctx := context.Background()
-	seg, err := store.OpenSegmentedLog(t.TempDir(), shards)
+	seg, err := store.OpenSegmentedLog(t.TempDir(), segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range subs {
-		if err := ss.Submit(ctx, sub); err != nil {
+	b := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2}, segs, false)
+	for _, m := range members {
+		if err := b.submit(ctx, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := ss.Finalize(ctx)
-	if err != nil {
+	if digest, err = b.finalize(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return res.Digest, seg.Segment(victim).Len()
+	return digest, seg.Segment(victim).Len()
 }
 
-// crashSegmented drives a sharded session whose victim segment is fronted by
-// a FaultLog until the fault fires (modeling one shard's disk dying while its
-// siblings stay honest) or the epoch completes.
-func crashSegmented(t *testing.T, pub *Public, subs []*ClientSubmission, dir string, shards, victim int, kind store.FaultKind, trip int) {
+// crashSegmented drives a segmented session whose victim segment is fronted
+// by a FaultLog until the fault fires (modeling one segment's disk dying
+// while its siblings stay honest) or the epoch completes.
+func crashSegmented(t *testing.T, k segCase, pub *Public, members []any, dir string, segs, victim int, kind store.FaultKind, trip int) {
 	t.Helper()
 	ctx := context.Background()
-	seg, err := store.OpenSegmentedLog(dir, shards)
+	seg, err := store.OpenSegmentedLog(dir, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
 	seg.SetBoard(victim, store.NewFaultLog(seg.Segment(victim), kind, trip))
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range subs {
-		if err := ss.Submit(ctx, sub); err != nil {
+	b := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2}, segs, false)
+	for _, m := range members {
+		if err := b.submit(ctx, m); err != nil {
 			if errors.Is(err, store.ErrInjected) {
 				return // the process is dead
 			}
 			t.Fatalf("pre-crash submit: %v", err)
 		}
 	}
-	if _, err := ss.Finalize(ctx); err != nil && !errors.Is(err, store.ErrInjected) {
+	if _, err := b.finalize(ctx); err != nil && !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("pre-crash finalize: %v", err)
 	}
 }
 
 // recoverSegmented reopens the crashed directory the honest way, resumes the
-// sharded session, replays the population (a shard that sealed before the
-// crash refuses late submissions, a surviving record is a duplicate — both
-// expected), completes the epoch and returns the merged digest.
-func recoverSegmented(t *testing.T, pub *Public, subs []*ClientSubmission, dir string) []byte {
+// session, replays the population (a segment that sealed before the crash
+// refuses late submissions, a surviving record is a duplicate — both
+// expected), completes the epoch and returns the merged digest with every
+// segment's sealed roster size.
+func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, dir string, segs int) (digest []byte, rosters []int) {
 	t.Helper()
 	ctx := context.Background()
 	seg, err := store.OpenSegmentedLog(dir, 0)
@@ -222,62 +232,91 @@ func recoverSegmented(t *testing.T, pub *Public, subs []*ClientSubmission, dir s
 		t.Fatalf("recovery reopen: %v", err)
 	}
 	defer seg.Close()
-	ss, err := ResumeShardedSession(ctx, pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2})
+	b, err := k.open(pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2}, segs, true)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	var digest []byte
-	if !ss.Finalized() {
-		for _, sub := range subs {
-			err := ss.Submit(ctx, sub)
+	if !b.Finalized() {
+		for _, m := range members {
+			err := b.submit(ctx, m)
 			if err != nil && !errors.Is(err, ErrClientReject) && !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("post-recovery submit: %v", err)
 			}
 		}
-		res, err := ss.Finalize(ctx)
-		if err != nil {
+		if digest, err = b.finalize(ctx); err != nil {
 			t.Fatalf("post-recovery finalize: %v", err)
 		}
-		digest = res.Digest
-	} else {
-		ts := make([]*Transcript, ss.Shards())
-		for i := range ts {
-			if ts[i] = ss.Shard(i).SealedTranscript(); ts[i] == nil {
-				t.Fatalf("resumed shard %d is finalized without a transcript", i)
-			}
-		}
+	}
+	ts := b.sealedTranscripts()
+	if ts == nil {
+		t.Fatal("recovered board is finalized without every segment's transcript")
+	}
+	if digest == nil {
 		digest = MergedTranscriptDigest(pub, ts)
 	}
+	for _, tr := range ts {
+		rosters = append(rosters, len(tr.Clients))
+	}
 	// The recovered directory as a third party sees it.
-	if err := AuditSegmentedLog(ctx, pub, seg, -1, 2); err != nil {
+	if err := k.audit(ctx, pub, seg, segs, -1, 2); err != nil {
 		t.Fatalf("segmented audit after recovery: %v", err)
 	}
-	return digest
+	return digest, rosters
 }
 
 // TestFaultInjectionSegmented extends the crash matrix to the segmented
-// store: for every append one shard's segment performs and every fault kind,
-// a crash of that single segment — its siblings untouched — recovers to a
-// merged digest byte-identical to the uninterrupted run, and the offline
-// segmented audit accepts the directory.
+// store, over both segment kinds and every victim segment: for every append
+// the victim performs and every fault kind, a crash of that single segment —
+// its siblings untouched — resumes, completes the epoch, and leaves a
+// directory the offline segmented audit accepts; and the recovered merged
+// digest is byte-identical to the uninterrupted run's.
+//
+// Sketch rows earn the digest half only where the lifecycle core is what the
+// fault hit. Their admission fans a contribution out from row 0, so a crash
+// that leaves a contribution's row-0 record on disk without its later rows
+// strands that client: the retry meets row 0's duplicate guard and never
+// reaches the rows that lack it. The matrix pins exactly that shape — row 0
+// complete, at most the one in-flight client missing from later rows, the
+// audit's row-subset rule still satisfied — so the gap is a stated cell, not
+// an unexamined one (closing it is an admission change; see ROADMAP item 4).
 func TestFaultInjectionSegmented(t *testing.T) {
-	const shards, victim = 2, 0
-	pub := testPublic(t, 2, 1, 4)
-	subs := faultSubs(t, pub)
-	want, appends := segmentedBaseline(t, pub, subs, shards, victim)
-	if appends < 3 {
-		t.Fatalf("victim segment cost %d appends, too few crash points to matter", appends)
-	}
-
-	for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
-		for trip := 0; trip < appends; trip++ {
-			t.Run(fmt.Sprintf("%s/append-%d", kind, trip), func(t *testing.T) {
-				dir := t.TempDir()
-				crashSegmented(t, pub, subs, dir, shards, victim, kind, trip)
-				if got := recoverSegmented(t, pub, subs, dir); !bytes.Equal(got, want) {
-					t.Fatalf("%s at segment append %d: recovered merged digest differs from the uninterrupted run", kind, trip)
+	const segs = 2
+	for _, k := range segCases {
+		pub := testPublic(t, 2, k.bins, 4)
+		members := segmentedPopulation(t, k, pub, segs)
+		for victim := 0; victim < segs; victim++ {
+			want, appends := segmentedBaseline(t, k, pub, members, segs, victim)
+			if appends < 3 {
+				t.Fatalf("victim segment cost %d appends, too few crash points to matter", appends)
+			}
+			for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
+				for trip := 0; trip < appends; trip++ {
+					t.Run(fmt.Sprintf("%s/victim-%d/%s/append-%d", k.name, victim, kind, trip), func(t *testing.T) {
+						dir := t.TempDir()
+						crashSegmented(t, k, pub, members, dir, segs, victim, kind, trip)
+						got, rosters := recoverSegmented(t, k, pub, members, dir, segs)
+						// stranded: clients some later row lacks (rows only — a
+						// shard's roster is its own partition of the clients).
+						stranded := 0
+						if !k.kind.pinned {
+							if rosters[0] != len(members) {
+								t.Fatalf("%s at append %d: row 0 seats %d of %d clients after the replay", kind, trip, rosters[0], len(members))
+							}
+							for _, n := range rosters[1:] {
+								stranded = max(stranded, len(members)-n)
+							}
+						}
+						if stranded == 0 {
+							if !bytes.Equal(got, want) {
+								t.Fatalf("%s at segment append %d: recovered merged digest differs from the uninterrupted run", kind, trip)
+							}
+						} else if stranded > 1 || trip >= appends-1 {
+							t.Fatalf("%s at append %d: rosters %v — more than the one in-flight contribution stranded, or stranded by a seal-phase fault",
+								kind, trip, rosters)
+						}
+					})
 				}
-			})
+			}
 		}
 	}
 }

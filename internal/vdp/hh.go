@@ -73,20 +73,39 @@ func (p *Public) NewSketchContribution(layout sketch.Layout, clientID, item int,
 	return c, nil
 }
 
+// GroupContributions cuts a decoded submit-batch frame into whole sketch
+// contributions: rows consecutive submissions per client, in row order — the
+// exact shape a sketch client sends (EncodeSubmissionBatch over each
+// contribution's row bundle). Each bundle is filed under its first row's
+// client; SubmitBatch's shape check refuses one that is incomplete or mixes
+// clients.
+func GroupContributions(rows int, subs []*ClientSubmission) ([]*SketchContribution, error) {
+	if rows < 1 || len(subs) == 0 || len(subs)%rows != 0 {
+		return nil, fmt.Errorf("sketch batch carries %d submissions, want a positive multiple of %d (one per row)", len(subs), rows)
+	}
+	out := make([]*SketchContribution, 0, len(subs)/rows)
+	for at := 0; at < len(subs); at += rows {
+		c := &SketchContribution{Rows: subs[at : at+rows]}
+		if first := c.Rows[0]; first != nil && first.Public != nil {
+			c.ClientID = first.Public.ID
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
 // SketchSession runs one ΠBin Session per count-min row under a single
 // lifecycle: Submit fans a contribution across the rows (row 0 first, as
 // the budget gate), Finalize seals every row and assembles the released
 // NoisySketch, and the epoch is pinned by one merged transcript digest.
+//
+// The lifecycle itself — Epoch, Finalized, Resumed, Reset, Compact and the
+// finalize fan-out with its crash-retry rules — is the segmented-session
+// core (segmented.go), shared with ShardedSession: a row is a segment every
+// client appears on, where a shard is a segment a client is pinned to.
 type SketchSession struct {
-	pub    *Public
+	*segmentedSession
 	layout sketch.Layout
-	opts   SessionOptions
-	rows   []*Session
-
-	mu      sync.Mutex
-	state   sessionState
-	epoch   int
-	resumed bool
 }
 
 // validateSketchOptions checks the option combinations every sketch
@@ -120,64 +139,61 @@ func validateSketchOptions(pub *Public, layout sketch.Layout, opts SessionOption
 // ResumeSketchSession). opts.Budget, when set, charges each client once per
 // epoch — on row 0, at admission — for its whole multi-row contribution.
 func NewSketchSession(pub *Public, layout sketch.Layout, opts SessionOptions) (*SketchSession, error) {
+	return openSketchSession(context.Background(), pub, layout, opts, false)
+}
+
+func openSketchSession(ctx context.Context, pub *Public, layout sketch.Layout, opts SessionOptions, resume bool) (*SketchSession, error) {
 	if err := validateSketchOptions(pub, layout, opts); err != nil {
 		return nil, err
 	}
-	if opts.Segmented != nil && !opts.Segmented.Empty() {
-		return nil, fmt.Errorf("%w: segmented board log already holds records; use ResumeSketchSession to recover it", ErrBadConfig)
-	}
-	root, err := newRandSource(opts.Rand)
+	g, err := openSegmented(ctx, pub, opts, layout.Rows, rowSegments, resume)
 	if err != nil {
 		return nil, err
 	}
-	hs := &SketchSession{pub: pub, layout: layout, opts: opts}
-	per := perShardWorkers(opts.Parallelism, layout.Rows)
-	for r := 0; r < layout.Rows; r++ {
-		so := subSessionOptions(opts, per)
-		if r > 0 {
-			so.Budget = nil // one charge per client, carried by row 0
-		}
-		if opts.Segmented != nil {
-			so.Store = opts.Segmented.Board(r)
-		}
-		hs.rows = append(hs.rows, newSessionFromSource(NewEngine(pub, per), so, root.forkShard(r, layout.Rows)))
-	}
-	return hs, nil
+	return &SketchSession{g, layout}, nil
 }
 
 // Layout returns the session's count-min layout.
 func (hs *SketchSession) Layout() sketch.Layout { return hs.layout }
 
 // Rows returns the row count.
-func (hs *SketchSession) Rows() int { return len(hs.rows) }
+func (hs *SketchSession) Rows() int { return len(hs.segs) }
 
 // Row returns row r's underlying Session.
-func (hs *SketchSession) Row(r int) *Session { return hs.rows[r] }
+func (hs *SketchSession) Row(r int) *Session { return hs.segs[r] }
 
-// Epoch returns the current epoch index.
-func (hs *SketchSession) Epoch() int {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.epoch
-}
-
-// Resumed reports whether the session was recovered from a board log.
-func (hs *SketchSession) Resumed() bool { return hs.resumed }
-
-// Finalized reports whether the current epoch has been sealed.
-func (hs *SketchSession) Finalized() bool {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.state == sessionFinalized
+// Accepted returns how many whole contributions the current epoch holds:
+// clients with a clean verdict on every row — the same definition SubmitBatch
+// answers live (a nil verdict means every row admitted), recomputed from the
+// rows so a recovered server counts exactly what the live one did. Row 0's
+// own count is not it: row 0 admits a client a later row may still refuse.
+func (hs *SketchSession) Accepted() int {
+	clean := make(map[int]int)
+	for _, s := range hs.segs {
+		s.mu.Lock()
+		for _, cl := range s.order {
+			if cl.decided && cl.reject == nil {
+				clean[cl.public.ID]++
+			}
+		}
+		s.mu.Unlock()
+	}
+	n := 0
+	for _, rows := range clean {
+		if rows == len(hs.segs) {
+			n++
+		}
+	}
+	return n
 }
 
 // LedgerDigest returns the budget ledger's chain head (the ledger lives on
 // row 0; nil when the session runs without a budget).
-func (hs *SketchSession) LedgerDigest() []byte { return hs.rows[0].LedgerDigest() }
+func (hs *SketchSession) LedgerDigest() []byte { return hs.segs[0].LedgerDigest() }
 
 // BudgetSpent returns the client's lifetime spend in µε (0 without a
 // budget).
-func (hs *SketchSession) BudgetSpent(clientID int) uint64 { return hs.rows[0].BudgetSpent(clientID) }
+func (hs *SketchSession) BudgetSpent(clientID int) uint64 { return hs.segs[0].BudgetSpent(clientID) }
 
 // NewContribution builds a contribution with the session's deterministic
 // client randomness — the local/testing counterpart of
@@ -186,9 +202,9 @@ func (hs *SketchSession) NewContribution(clientID, item int) (*SketchContributio
 	if item < 0 || item >= hs.layout.Domain {
 		return nil, fmt.Errorf("%w: item %d outside domain [0, %d)", ErrBadConfig, item, hs.layout.Domain)
 	}
-	c := &SketchContribution{ClientID: clientID, Rows: make([]*ClientSubmission, len(hs.rows))}
-	for r := range hs.rows {
-		sub, err := hs.rows[r].NewClientSubmission(clientID, hs.layout.Cell(r, item))
+	c := &SketchContribution{ClientID: clientID, Rows: make([]*ClientSubmission, len(hs.segs))}
+	for r := range hs.segs {
+		sub, err := hs.segs[r].NewClientSubmission(clientID, hs.layout.Cell(r, item))
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +215,8 @@ func (hs *SketchSession) NewContribution(clientID, item int) (*SketchContributio
 
 // checkContribution validates a contribution's shape against the layout.
 func (hs *SketchSession) checkContribution(c *SketchContribution) error {
-	if c == nil || len(c.Rows) != len(hs.rows) {
-		return fmt.Errorf("%w: a contribution needs one submission per layout row (%d)", ErrBadConfig, len(hs.rows))
+	if c == nil || len(c.Rows) != len(hs.segs) {
+		return fmt.Errorf("%w: a contribution needs one submission per layout row (%d)", ErrBadConfig, len(hs.segs))
 	}
 	for r, sub := range c.Rows {
 		if sub == nil || sub.Public == nil {
@@ -224,21 +240,17 @@ func (hs *SketchSession) Submit(ctx context.Context, c *SketchContribution) erro
 	if err := hs.checkContribution(c); err != nil {
 		return err
 	}
-	hs.mu.Lock()
-	if hs.state != sessionOpen {
-		st := hs.state
-		hs.mu.Unlock()
-		return fmt.Errorf("%w: session is %s", ErrBadConfig, st)
-	}
-	hs.mu.Unlock()
-	if err := hs.rows[0].Submit(ctx, c.Rows[0]); err != nil {
+	if err := hs.admitting(); err != nil {
 		return err
 	}
-	if len(hs.rows) == 1 {
+	if err := hs.segs[0].Submit(ctx, c.Rows[0]); err != nil {
+		return err
+	}
+	if len(hs.segs) == 1 {
 		return nil
 	}
-	return forEach(ctx, len(hs.rows)-1, len(hs.rows)-1, func(i int) error {
-		if err := hs.rows[i+1].Submit(ctx, c.Rows[i+1]); err != nil {
+	return forEach(ctx, len(hs.segs)-1, len(hs.segs)-1, func(i int) error {
+		if err := hs.segs[i+1].Submit(ctx, c.Rows[i+1]); err != nil {
 			return fmt.Errorf("vdp: sketch row %d: %w", i+1, err)
 		}
 		return nil
@@ -258,19 +270,15 @@ func (hs *SketchSession) SubmitBatch(ctx context.Context, contribs []*SketchCont
 			return nil, err
 		}
 	}
-	hs.mu.Lock()
-	if hs.state != sessionOpen {
-		st := hs.state
-		hs.mu.Unlock()
-		return nil, fmt.Errorf("%w: session is %s", ErrBadConfig, st)
+	if err := hs.admitting(); err != nil {
+		return nil, err
 	}
-	hs.mu.Unlock()
 	verdicts := make([]error, len(contribs))
 	col := make([]*ClientSubmission, len(contribs))
 	for i, c := range contribs {
 		col[i] = c.Rows[0]
 	}
-	v0, err := hs.rows[0].SubmitBatch(ctx, col)
+	v0, err := hs.segs[0].SubmitBatch(ctx, col)
 	if err != nil {
 		return nil, err
 	}
@@ -281,17 +289,17 @@ func (hs *SketchSession) SubmitBatch(ctx context.Context, contribs []*SketchCont
 			survivors = append(survivors, i)
 		}
 	}
-	if len(hs.rows) == 1 || len(survivors) == 0 {
+	if len(hs.segs) == 1 || len(survivors) == 0 {
 		return verdicts, nil
 	}
 	var mu sync.Mutex
-	ferr := forEach(ctx, len(hs.rows)-1, len(hs.rows)-1, func(i int) error {
+	ferr := forEach(ctx, len(hs.segs)-1, len(hs.segs)-1, func(i int) error {
 		r := i + 1
 		colR := make([]*ClientSubmission, len(survivors))
 		for j, c := range survivors {
 			colR[j] = contribs[c].Rows[r]
 		}
-		vr, err := hs.rows[r].SubmitBatch(ctx, colR)
+		vr, err := hs.segs[r].SubmitBatch(ctx, colR)
 		if err != nil {
 			return fmt.Errorf("vdp: sketch row %d: %w", r, err)
 		}
@@ -321,87 +329,18 @@ type SketchResult struct {
 }
 
 // Finalize seals every row in parallel and assembles the released sketch.
-// Crash-retry follows the sharded contract exactly: a row sealed by an
-// earlier attempt contributes its kept transcript, a failed merged-seal
-// manifest append reopens the session for an in-process retry, and a row
-// consumed by a protocol error spends the epoch.
+// Crash-retry is the segmented core's contract (segmentedSession.finalize),
+// shared with ShardedSession: a row sealed by an earlier attempt contributes
+// its kept transcript, a failed merged-seal manifest append reopens the
+// session for an in-process retry, and a row consumed by a protocol error
+// spends the epoch.
 func (hs *SketchSession) Finalize(ctx context.Context) (*SketchResult, error) {
-	hs.mu.Lock()
-	if hs.state != sessionOpen {
-		st := hs.state
-		hs.mu.Unlock()
-		return nil, fmt.Errorf("%w: session is %s", ErrBadConfig, st)
-	}
-	hs.state = sessionFinalizing
-	epoch := hs.epoch
-	hs.mu.Unlock()
-
-	results := make([]*RunResult, len(hs.rows))
-	err := forEach(ctx, len(hs.rows), len(hs.rows), func(i int) error {
-		s := hs.rows[i]
-		if s.Finalized() {
-			t := s.SealedTranscript()
-			if t == nil {
-				return fmt.Errorf("%w: sketch row %d is finalized but its transcript is not recoverable", ErrBadConfig, i)
-			}
-			results[i] = &RunResult{Release: t.Release, Transcript: t, RejectedClients: s.Rejected()}
-			return nil
-		}
-		res, err := s.Finalize(ctx)
-		if err != nil {
-			return fmt.Errorf("sketch row %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		retryable := ctxErr(ctx) != nil
-		for _, s := range hs.rows {
-			if !s.Finalized() {
-				retryable = true
-			}
-		}
-		for _, s := range hs.rows {
-			if s.Finalized() && s.SealedTranscript() == nil {
-				retryable = false
-				break
-			}
-		}
-		hs.mu.Lock()
-		if retryable {
-			hs.state = sessionOpen
-		} else {
-			hs.state = sessionFinalized
-		}
-		hs.mu.Unlock()
+	out := new(SketchResult)
+	var err error
+	if out.Rows, out.RejectedClients, out.Digest, err = hs.finalize(ctx, nil); err != nil {
 		return nil, err
 	}
-
-	out := &SketchResult{Rows: results, RejectedClients: make(map[int]error)}
-	ts := make([]*Transcript, len(results))
-	for i, res := range results {
-		ts[i] = res.Transcript
-		for id, rerr := range res.RejectedClients {
-			out.RejectedClients[id] = rerr
-		}
-	}
-	out.Sketch = hs.assembleSketch(results)
-	out.Digest = MergedTranscriptDigest(hs.pub, ts)
-
-	if hs.opts.Segmented != nil {
-		if err := appendMergedSeal(hs.opts.Segmented, epoch, len(hs.rows), out.Digest); err != nil {
-			// Rows sealed durably, manifest record missing: reopen so
-			// Finalize can be retried once the store recovers (the retry
-			// re-merges the kept transcripts to the identical digest).
-			hs.mu.Lock()
-			hs.state = sessionOpen
-			hs.mu.Unlock()
-			return nil, err
-		}
-	}
-	hs.mu.Lock()
-	hs.state = sessionFinalized
-	hs.mu.Unlock()
+	out.Sketch = hs.assembleSketch(out.Rows)
 	return out, nil
 }
 
@@ -421,82 +360,6 @@ func (hs *SketchSession) assembleSketch(results []*RunResult) *NoisySketch {
 		}
 	}
 	return ns
-}
-
-// Reset reopens the session for the next epoch: a missing merged-seal
-// manifest record is healed first, then every row advances (skipping rows
-// an earlier partial Reset already advanced).
-func (hs *SketchSession) Reset() error {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if hs.state == sessionFinalizing {
-		return fmt.Errorf("%w: session is finalizing", ErrBadConfig)
-	}
-	if hs.opts.Segmented != nil {
-		if err := hs.healMergedSealLocked(); err != nil {
-			return err
-		}
-	}
-	for r, s := range hs.rows {
-		if s.Epoch() > hs.epoch {
-			continue
-		}
-		if err := s.Reset(); err != nil {
-			return fmt.Errorf("vdp: resetting sketch row %d: %w", r, err)
-		}
-	}
-	hs.epoch++
-	hs.state = sessionOpen
-	return nil
-}
-
-// Compact closes a finalized sketch epoch with per-row snapshot records;
-// see ShardedSession.Compact for the contract.
-func (hs *SketchSession) Compact() error {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	if hs.state != sessionFinalized {
-		return fmt.Errorf("%w: only a finalized epoch can be compacted", ErrBadConfig)
-	}
-	if hs.opts.Segmented != nil {
-		if err := hs.healMergedSealLocked(); err != nil {
-			return err
-		}
-	}
-	for r, s := range hs.rows {
-		if s.Epoch() > hs.epoch {
-			continue
-		}
-		if err := s.Compact(); err != nil {
-			return fmt.Errorf("vdp: compacting sketch row %d: %w", r, err)
-		}
-	}
-	hs.epoch++
-	hs.state = sessionOpen
-	return nil
-}
-
-// healMergedSealLocked appends the current epoch's missing merged-seal
-// manifest record when every row is sealed with its transcript kept.
-// Callers hold hs.mu.
-func (hs *SketchSession) healMergedSealLocked() error {
-	ts := make([]*Transcript, len(hs.rows))
-	for i, s := range hs.rows {
-		if s.Epoch() != hs.epoch || !s.Finalized() {
-			return nil
-		}
-		if ts[i] = s.SealedTranscript(); ts[i] == nil {
-			return nil
-		}
-	}
-	seals, err := readMergedSeals(hs.opts.Segmented)
-	if err != nil {
-		return err
-	}
-	if _, ok := seals[hs.epoch]; ok {
-		return nil
-	}
-	return appendMergedSeal(hs.opts.Segmented, hs.epoch, len(hs.rows), MergedTranscriptDigest(hs.pub, ts))
 }
 
 // NoisySketch is the released count-min sketch: per-row verified noisy

@@ -2,7 +2,6 @@ package vdp
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/sketch"
 	"repro/internal/store"
@@ -23,27 +22,10 @@ import (
 // board log after a restart. Every row's segment is replayed and resumed
 // exactly as ResumeSession would — including the row-0 budget ledger — and
 // the rows are then reconciled exactly as ResumeShardedSession reconciles
-// shards (see resumeSegments). opts.Rand must carry the original root seed.
+// shards (see segmentedSession.reconcile). opts.Rand must carry the original
+// root seed.
 func ResumeSketchSession(ctx context.Context, pub *Public, layout sketch.Layout, opts SessionOptions) (*SketchSession, error) {
-	if err := validateSketchOptions(pub, layout, opts); err != nil {
-		return nil, err
-	}
-	if opts.Segmented == nil {
-		return nil, fmt.Errorf("%w: ResumeSketchSession needs SessionOptions.Segmented", ErrBadConfig)
-	}
-	root, err := newRandSource(opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	hs := &SketchSession{pub: pub, layout: layout, opts: opts, resumed: true}
-	var finalized bool
-	if hs.rows, hs.epoch, finalized, err = resumeSegments(ctx, pub, opts, root, layout.Rows, rowSegments); err != nil {
-		return nil, err
-	}
-	if finalized {
-		hs.state = sessionFinalized
-	}
-	return hs, nil
+	return openSketchSession(ctx, pub, layout, opts, true)
 }
 
 // AuditSketchLog audits a sketch epoch offline, from the segmented board

@@ -4,11 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sync"
 )
 
 // Sharded streaming aggregation: one logical session spread over K
@@ -48,16 +46,13 @@ func ShardOf(clientID, shards int) int {
 // zero-contention property is the point: a single Session serializes all
 // admissions through one roster lock and one board log, which is the
 // bottleneck this type removes.
+//
+// The epoch lifecycle — Epoch, Finalized, Resumed, Reset, Compact and the
+// finalize fan-out with its crash-retry rules — is the segmented-session
+// core (segmented.go), shared with SketchSession; what is specific to a
+// sharded session is ShardOf routing and the merged histogram release.
 type ShardedSession struct {
-	pub    *Public
-	opts   SessionOptions
-	root   *randSource
-	shards []*Session
-
-	mu      sync.Mutex
-	state   sessionState
-	epoch   int
-	resumed bool
+	*segmentedSession
 }
 
 // NewShardedSession opens a sharded session over pub. opts.Shards fixes the
@@ -72,6 +67,24 @@ type ShardedSession struct {
 // merged transcript digest is byte-identical to a plain Session's under the
 // same seed.
 func NewShardedSession(pub *Public, opts SessionOptions) (*ShardedSession, error) {
+	return openShardedSession(context.Background(), pub, opts, false)
+}
+
+// ResumeShardedSession reconstructs a sharded session from its segmented
+// board log after a restart: every shard's segment is replayed and resumed
+// exactly as ResumeSession would, pinned to the clients ShardOf assigns it,
+// and the shards are reconciled into one session (see
+// segmentedSession.reconcile for the interrupted-Reset, interrupted-Finalize
+// and missing-merged-seal cases).
+//
+// opts.Segmented must be the replayed segmented log; it receives all further
+// records. opts.Rand must carry the original root seed for deterministic
+// reproduction, exactly as with ResumeSession.
+func ResumeShardedSession(ctx context.Context, pub *Public, opts SessionOptions) (*ShardedSession, error) {
+	return openShardedSession(ctx, pub, opts, true)
+}
+
+func openShardedSession(ctx context.Context, pub *Public, opts SessionOptions, resume bool) (*ShardedSession, error) {
 	if opts.Store != nil {
 		return nil, fmt.Errorf("%w: a sharded session stores its board in SessionOptions.Segmented, not Store", ErrBadConfig)
 	}
@@ -79,28 +92,11 @@ func NewShardedSession(pub *Public, opts SessionOptions) (*ShardedSession, error
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Budget.validate(); err != nil {
-		return nil, err
-	}
-	if opts.Segmented != nil {
-		if !opts.Segmented.Empty() {
-			return nil, fmt.Errorf("%w: segmented board log already holds records; use ResumeShardedSession to recover it", ErrBadConfig)
-		}
-	}
-	root, err := newRandSource(opts.Rand)
+	g, err := openSegmented(ctx, pub, opts, shards, shardSegments, resume)
 	if err != nil {
 		return nil, err
 	}
-	ss := &ShardedSession{pub: pub, opts: opts, root: root}
-	per := perShardWorkers(opts.Parallelism, shards)
-	for i := 0; i < shards; i++ {
-		so := subSessionOptions(opts, per)
-		if opts.Segmented != nil {
-			so.Store = opts.Segmented.Board(i)
-		}
-		ss.shards = append(ss.shards, newSessionFromSource(NewEngine(pub, per), so, root.forkShard(i, shards)))
-	}
-	return ss, nil
+	return &ShardedSession{g}, nil
 }
 
 // resolveShardCount reconciles opts.Shards with the segmented store's fixed
@@ -126,8 +122,8 @@ func resolveShardCount(opts SessionOptions) (int, error) {
 // pinned to shards by ShardOf, so each shard's chain is the complete charge
 // history of its own clients.
 func (ss *ShardedSession) LedgerDigests() [][]byte {
-	out := make([][]byte, len(ss.shards))
-	for i, s := range ss.shards {
+	out := make([][]byte, len(ss.segs))
+	for i, s := range ss.segs {
 		out[i] = s.LedgerDigest()
 	}
 	return out
@@ -161,42 +157,23 @@ func subSessionOptions(opts SessionOptions, workers int) SessionOptions {
 }
 
 // Shards returns the shard count.
-func (ss *ShardedSession) Shards() int { return len(ss.shards) }
+func (ss *ShardedSession) Shards() int { return len(ss.segs) }
 
 // Shard returns the sub-session for shard i, for introspection (per-shard
 // counters) and tests. Submitting to it directly bypasses the router only in
 // the sense that the caller must pick the right shard; the duplicate and
 // verification semantics are unchanged.
-func (ss *ShardedSession) Shard(i int) *Session { return ss.shards[i] }
+func (ss *ShardedSession) Shard(i int) *Session { return ss.segs[i] }
 
 // ShardFor returns the shard that owns clientID under this session's shard
 // count.
-func (ss *ShardedSession) ShardFor(clientID int) int { return ShardOf(clientID, len(ss.shards)) }
-
-// Epoch returns the current epoch number.
-func (ss *ShardedSession) Epoch() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.epoch
-}
-
-// Resumed reports whether the session was reconstructed from a segmented
-// board log by ResumeShardedSession.
-func (ss *ShardedSession) Resumed() bool { return ss.resumed }
-
-// Finalized reports whether the current epoch has been sealed by Finalize
-// (and not yet reopened by Reset).
-func (ss *ShardedSession) Finalized() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.state == sessionFinalized
-}
+func (ss *ShardedSession) ShardFor(clientID int) int { return ShardOf(clientID, len(ss.segs)) }
 
 // Submitted returns how many clients the current epoch has admitted across
 // all shards.
 func (ss *ShardedSession) Submitted() int {
 	n := 0
-	for _, s := range ss.shards {
+	for _, s := range ss.segs {
 		n += s.Submitted()
 	}
 	return n
@@ -206,7 +183,7 @@ func (ss *ShardedSession) Submitted() int {
 // shards.
 func (ss *ShardedSession) Accepted() int {
 	n := 0
-	for _, s := range ss.shards {
+	for _, s := range ss.segs {
 		n += s.Accepted()
 	}
 	return n
@@ -217,7 +194,7 @@ func (ss *ShardedSession) Accepted() int {
 // collision-free.
 func (ss *ShardedSession) Rejected() map[int]error {
 	out := make(map[int]error)
-	for _, s := range ss.shards {
+	for _, s := range ss.segs {
 		for id, err := range s.Rejected() {
 			out[id] = err
 		}
@@ -229,7 +206,7 @@ func (ss *ShardedSession) Rejected() map[int]error {
 // owning shard's deterministic substream (or crypto/rand when unseeded), the
 // sharded counterpart of Session.NewClientSubmission.
 func (ss *ShardedSession) NewClientSubmission(clientID, choice int) (*ClientSubmission, error) {
-	return ss.shards[ss.ShardFor(clientID)].NewClientSubmission(clientID, choice)
+	return ss.segs[ss.ShardFor(clientID)].NewClientSubmission(clientID, choice)
 }
 
 // Submit routes one client to its shard and admits it there, with exactly
@@ -242,7 +219,7 @@ func (ss *ShardedSession) Submit(ctx context.Context, sub *ClientSubmission) err
 	if sub == nil || sub.Public == nil {
 		return fmt.Errorf("%w: nil submission", ErrClientReject)
 	}
-	return ss.shards[ss.ShardFor(sub.Public.ID)].Submit(ctx, sub)
+	return ss.segs[ss.ShardFor(sub.Public.ID)].Submit(ctx, sub)
 }
 
 // ShardedResult is the outcome of finalizing a sharded epoch: the per-shard
@@ -279,196 +256,19 @@ func (r *ShardedResult) Transcripts() []*Transcript {
 // transcript as-is instead of being finalized twice. With a segmented store
 // the merged digest is appended to the manifest, binding the K segment seals
 // into one auditable epoch. A cancelled ctx reopens the session so Finalize
-// can be retried (deterministically, to the same merged digest).
+// can be retried (deterministically, to the same merged digest); see
+// segmentedSession.finalize for the full retry contract.
 func (ss *ShardedSession) Finalize(ctx context.Context) (*ShardedResult, error) {
-	ss.mu.Lock()
-	if ss.state != sessionOpen {
-		st := ss.state
-		ss.mu.Unlock()
-		return nil, fmt.Errorf("%w: session is %s", ErrBadConfig, st)
-	}
-	ss.state = sessionFinalizing
-	epoch := ss.epoch
-	ss.mu.Unlock()
-
-	results := make([]*RunResult, len(ss.shards))
-	err := forEach(ctx, len(ss.shards), len(ss.shards), func(i int) error {
-		s := ss.shards[i]
-		if s.Finalized() {
-			// Sealed before a crash; the segment already holds the epoch's
-			// transcript, so reuse it rather than double-finalizing.
-			t := s.SealedTranscript()
-			if t == nil {
-				return fmt.Errorf("%w: shard %d is finalized but its transcript is not recoverable", ErrBadConfig, i)
-			}
-			results[i] = &RunResult{Release: t.Release, Transcript: t, RejectedClients: s.Rejected()}
-			return nil
-		}
-		res, err := s.Finalize(ctx)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
+	out := new(ShardedResult)
+	var err error
+	out.Shards, out.RejectedClients, out.Digest, err = ss.finalize(ctx, func(ts []*Transcript) (err error) {
+		out.Release, err = mergeReleases(ss.pub, ts)
+		return err
 	})
 	if err != nil {
-		// A shard that could not complete — cancelled mid-stage, or its seal
-		// append failed — reopens itself (Session.Finalize's retry
-		// contract), while a shard consumed by a protocol error stays
-		// finalized with no transcript. Mirror that here: the epoch is
-		// retryable while some shard is still open (sealed shards contribute
-		// their kept transcripts, so the re-merge reproduces the identical
-		// digest) — but a consumed shard can never merge, so its epoch is
-		// spent no matter what state its siblings are in; retrying would
-		// only bury the protocol error under lifecycle noise and, durably,
-		// seal sibling segments for an epoch that cannot complete.
-		retryable := errors.Is(err, ctxErr(ctx)) && ctxErr(ctx) != nil
-		for _, s := range ss.shards {
-			if !s.Finalized() {
-				retryable = true
-			}
-		}
-		for _, s := range ss.shards {
-			if s.Finalized() && s.SealedTranscript() == nil {
-				retryable = false
-				break
-			}
-		}
-		ss.mu.Lock()
-		if retryable {
-			ss.state = sessionOpen
-		} else {
-			ss.state = sessionFinalized
-		}
-		ss.mu.Unlock()
 		return nil, err
 	}
-
-	out := &ShardedResult{Shards: results, RejectedClients: make(map[int]error)}
-	for _, res := range results {
-		for id, rerr := range res.RejectedClients {
-			out.RejectedClients[id] = rerr
-		}
-	}
-	release, err := mergeReleases(ss.pub, out.Transcripts())
-	if err != nil {
-		ss.mu.Lock()
-		ss.state = sessionFinalized
-		ss.mu.Unlock()
-		return nil, err
-	}
-	out.Release = release
-	out.Digest = MergedTranscriptDigest(ss.pub, out.Transcripts())
-
-	if ss.opts.Segmented != nil {
-		if err := appendMergedSeal(ss.opts.Segmented, epoch, len(ss.shards), out.Digest); err != nil {
-			// The shards sealed durably but the epoch-binding manifest record
-			// did not land. Reopen so Finalize can be retried in-process once
-			// the store recovers: every shard is sealed with its transcript
-			// kept, so the retry re-merges to the identical digest and only
-			// re-attempts this append. (Reset and ResumeShardedSession heal
-			// the same gap, so choosing either over a retry cannot orphan
-			// the epoch.)
-			ss.mu.Lock()
-			ss.state = sessionOpen
-			ss.mu.Unlock()
-			return nil, err
-		}
-	}
-	ss.mu.Lock()
-	ss.state = sessionFinalized
-	ss.mu.Unlock()
 	return out, nil
-}
-
-// Reset reopens a sharded session for the next epoch: every shard advances
-// its epoch (skipping shards that already advanced, so a retried Reset after
-// a partial failure cannot double-advance a shard), and the merged epoch
-// counter moves with them. A durable epoch whose shards all sealed but
-// whose merged-seal manifest record never landed (a failed append, followed
-// by the caller choosing Reset over a Finalize retry) is healed first —
-// otherwise advancing past it would orphan a fully-sealed epoch that
-// AuditSegmentedLog could never accept.
-func (ss *ShardedSession) Reset() error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.state == sessionFinalizing {
-		return fmt.Errorf("%w: session is finalizing", ErrBadConfig)
-	}
-	if ss.opts.Segmented != nil {
-		if err := ss.healMergedSealLocked(); err != nil {
-			return err
-		}
-	}
-	for i, s := range ss.shards {
-		if s.Epoch() > ss.epoch {
-			continue // already advanced by an earlier, partially failed Reset
-		}
-		if err := s.Reset(); err != nil {
-			return fmt.Errorf("vdp: resetting shard %d: %w", i, err)
-		}
-	}
-	ss.epoch++
-	ss.state = sessionOpen
-	return nil
-}
-
-// Compact closes a finalized merged epoch with per-shard snapshot records
-// instead of Resets: each shard pins its sealed transcript's digest in its
-// own segment (the manifest's merged seal already binds them together), so
-// ResumeShardedSession boots every shard from its snapshot. A shard whose
-// sealed transcript is unrecoverable cannot be compacted — the error names
-// it, and Reset remains the way to close such an epoch. Like Reset, a
-// missing merged-seal manifest record is healed first, and a retry skips
-// shards an earlier partial Compact already advanced.
-func (ss *ShardedSession) Compact() error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.state != sessionFinalized {
-		return fmt.Errorf("%w: only a finalized epoch can be compacted", ErrBadConfig)
-	}
-	if ss.opts.Segmented != nil {
-		if err := ss.healMergedSealLocked(); err != nil {
-			return err
-		}
-	}
-	for i, s := range ss.shards {
-		if s.Epoch() > ss.epoch {
-			continue // already advanced by an earlier, partially failed Compact
-		}
-		if err := s.Compact(); err != nil {
-			return fmt.Errorf("vdp: compacting shard %d: %w", i, err)
-		}
-	}
-	ss.epoch++
-	ss.state = sessionOpen
-	return nil
-}
-
-// healMergedSealLocked appends the current epoch's missing merged-seal
-// manifest record when every shard is sealed with its transcript kept —
-// the state a failed appendMergedSeal leaves behind. A no-op when the
-// epoch is not fully sealed (nothing to bind), was consumed by a protocol
-// error (no transcripts to bind), or is already sealed in the manifest.
-// Callers hold ss.mu.
-func (ss *ShardedSession) healMergedSealLocked() error {
-	ts := make([]*Transcript, len(ss.shards))
-	for i, s := range ss.shards {
-		if s.Epoch() != ss.epoch || !s.Finalized() {
-			return nil
-		}
-		if ts[i] = s.SealedTranscript(); ts[i] == nil {
-			return nil
-		}
-	}
-	seals, err := readMergedSeals(ss.opts.Segmented)
-	if err != nil {
-		return err
-	}
-	if _, ok := seals[ss.epoch]; ok {
-		return nil
-	}
-	return appendMergedSeal(ss.opts.Segmented, ss.epoch, len(ss.shards), MergedTranscriptDigest(ss.pub, ts))
 }
 
 // MergedTranscriptDigest pins a sharded epoch: for a single shard it is

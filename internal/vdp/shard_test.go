@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/store"
 )
 
@@ -276,78 +277,184 @@ func TestShardedConcurrentSubmit(t *testing.T) {
 	}
 }
 
-// TestShardedCrashMidFinalize: a crash that seals some shards but not
-// others resumes open, reuses the sealed shards' transcripts, and still
+// segBoard is one segmented board under test: the shared lifecycle core,
+// reached directly, plus the part each kind owns — building and admitting a
+// member of the population, and what Finalize assembles (reduced here to the
+// merged digest). The lifecycle tests below take the segment kind as one more
+// input, so every crash-retry schedule runs over shards and sketch rows alike.
+type segBoard struct {
+	*segmentedSession
+	newMember func(id, choice int) (any, error) // session-deterministic client material
+	submit    func(ctx context.Context, member any) error
+	finalize  func(ctx context.Context) ([]byte, error)
+}
+
+// segCase is a segment kind as a test input.
+type segCase struct {
+	name string
+	bins int // the deployment's bin count
+	kind segmentKind
+	open func(pub *Public, opts SessionOptions, n int, resume bool) (*segBoard, error)
+	// member builds one population member off-session (fixed randomness).
+	member func(pub *Public, n, id, choice int) (any, error)
+	audit  func(ctx context.Context, pub *Public, seg *store.SegmentedLog, n, epoch, workers int) error
+}
+
+// rowLayout is the sketch the row kind runs: n rows of two buckets, so the
+// 0/1 choices of the sharded populations double as items.
+func rowLayout(n int) sketch.Layout { return sketch.Layout{Rows: n, Width: 2, Domain: 2} }
+
+var segCases = []segCase{
+	{
+		name: "shards", bins: 1, kind: shardSegments,
+		open: func(pub *Public, opts SessionOptions, n int, resume bool) (*segBoard, error) {
+			if opts.Segmented == nil && !resume {
+				opts.Shards = n
+			}
+			ss, err := openShardedSession(context.Background(), pub, opts, resume)
+			if err != nil {
+				return nil, err
+			}
+			return &segBoard{
+				segmentedSession: ss.segmentedSession,
+				newMember:        func(id, choice int) (any, error) { return ss.NewClientSubmission(id, choice) },
+				submit: func(ctx context.Context, m any) error {
+					sub, _ := m.(*ClientSubmission)
+					return ss.Submit(ctx, sub)
+				},
+				finalize: func(ctx context.Context) ([]byte, error) {
+					res, err := ss.Finalize(ctx)
+					if err != nil {
+						return nil, err
+					}
+					return res.Digest, AuditMerged(ctx, pub, res.Transcripts(), res.Release, 0)
+				},
+			}, nil
+		},
+		member: func(pub *Public, n, id, choice int) (any, error) {
+			return pub.NewClientSubmission(id, choice, testSeed(byte(40+id)))
+		},
+		audit: func(ctx context.Context, pub *Public, seg *store.SegmentedLog, n, epoch, workers int) error {
+			return AuditSegmentedLog(ctx, pub, seg, epoch, workers)
+		},
+	},
+	{
+		name: "sketch-rows", bins: 2, kind: rowSegments,
+		open: func(pub *Public, opts SessionOptions, n int, resume bool) (*segBoard, error) {
+			hs, err := openSketchSession(context.Background(), pub, rowLayout(n), opts, resume)
+			if err != nil {
+				return nil, err
+			}
+			return &segBoard{
+				segmentedSession: hs.segmentedSession,
+				newMember:        func(id, item int) (any, error) { return hs.NewContribution(id, item) },
+				submit: func(ctx context.Context, m any) error {
+					c, _ := m.(*SketchContribution)
+					return hs.Submit(ctx, c)
+				},
+				finalize: func(ctx context.Context) ([]byte, error) {
+					res, err := hs.Finalize(ctx)
+					if err != nil {
+						return nil, err
+					}
+					return res.Digest, nil
+				},
+			}, nil
+		},
+		member: func(pub *Public, n, id, item int) (any, error) {
+			return pub.NewSketchContribution(rowLayout(n), id, item, testSeed(byte(40+id)))
+		},
+		audit: func(ctx context.Context, pub *Public, seg *store.SegmentedLog, n, epoch, workers int) error {
+			return AuditSketchLog(ctx, pub, rowLayout(n), seg, epoch, workers)
+		},
+	},
+}
+
+// mustOpen opens a segmented board of the case's kind or fails the test.
+func (k segCase) mustOpen(t *testing.T, pub *Public, opts SessionOptions, n int, resume bool) *segBoard {
+	t.Helper()
+	b, err := k.open(pub, opts, n, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// admit builds client id's material from the board's deterministic stream and
+// submits it.
+func (b *segBoard) admit(t *testing.T, id, choice int) {
+	t.Helper()
+	m, err := b.newMember(id, choice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.submit(context.Background(), m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// eachSegKind runs fn once per segment kind, over that kind's deployment.
+func eachSegKind(t *testing.T, nb int, fn func(t *testing.T, k segCase, pub *Public)) {
+	for _, k := range segCases {
+		t.Run(k.name, func(t *testing.T) { fn(t, k, testPublic(t, 1, k.bins, nb)) })
+	}
+}
+
+// TestShardedCrashMidFinalize: a crash that seals some segments but not
+// others resumes open, reuses the sealed segments' transcripts, and still
 // produces the uninterrupted merged digest.
 func TestShardedCrashMidFinalize(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	const shards, n = 3, 9
-	choices := []int{1, 0, 1, 1, 1, 0, 0, 1, 1}
+	eachSegKind(t, 4, func(t *testing.T, k segCase, pub *Public) {
+		const segs = 3
+		choices := []int{1, 0, 1, 1, 1, 0, 0, 1, 1}
+		run := func(opts SessionOptions) *segBoard {
+			b := k.mustOpen(t, pub, opts, segs, false)
+			for i, c := range choices {
+				b.admit(t, i, c)
+			}
+			return b
+		}
 
-	subs := make([]*ClientSubmission, n)
-	run := func(opts SessionOptions) *ShardedSession {
-		s, err := NewShardedSession(pub, opts)
+		ref, err := run(SessionOptions{Rand: testSeed(21)}).finalize(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if subs[i] == nil {
-				sub, err := s.NewClientSubmission(i, choices[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs[i] = sub
-			}
-			if err := s.Submit(context.Background(), subs[i]); err != nil {
-				t.Fatal(err)
-			}
+
+		dir := t.TempDir()
+		seg, err := store.OpenSegmentedLog(dir, segs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return s
-	}
+		b := run(SessionOptions{Rand: testSeed(21), Segmented: seg})
+		// The "crash": exactly one segment finalizes (seals) before the
+		// process dies.
+		if _, err := b.segs[1].Finalize(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	refSession := run(SessionOptions{Rand: testSeed(21), Shards: shards})
-	ref, err := refSession.Finalize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	seg, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := run(SessionOptions{Rand: testSeed(21), Segmented: seg})
-	// The "crash": exactly one shard finalizes (seals its segment) before
-	// the process dies.
-	if _, err := ss.Shard(1).Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	seg2, err := store.OpenSegmentedLog(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg2.Close()
-	resumed, err := ResumeShardedSession(context.Background(), pub, SessionOptions{Rand: testSeed(21), Segmented: seg2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Finalized() {
-		t.Fatal("partially sealed epoch resumed as finalized")
-	}
-	res, err := resumed.Finalize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Digest, ref.Digest) {
-		t.Error("crash mid-finalize changed the merged digest")
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg2, -1, 0); err != nil {
-		t.Errorf("segmented audit after mid-finalize recovery: %v", err)
-	}
+		seg2, err := store.OpenSegmentedLog(dir, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg2.Close()
+		resumed := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(21), Segmented: seg2}, segs, true)
+		if resumed.Finalized() {
+			t.Fatal("partially sealed epoch resumed as finalized")
+		}
+		got, err := resumed.finalize(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Error("crash mid-finalize changed the merged digest")
+		}
+		if err := k.audit(context.Background(), pub, seg2, segs, -1, 0); err != nil {
+			t.Errorf("segmented audit after mid-finalize recovery: %v", err)
+		}
+	})
 }
 
 // TestShardedManifestHeal: a crash after every shard sealed but before the
@@ -560,101 +667,80 @@ func TestShardedAuditTamper(t *testing.T) {
 	})
 }
 
-// TestShardedManifestAppendFailureRetryable: when every shard seals but the
-// manifest's merged-seal append fails, the session must stay retryable —
+// TestShardedManifestAppendFailureRetryable: when every segment seals but
+// the manifest's merged-seal append fails, the session must stay retryable —
 // not report "session is finalized" — so a caller can re-merge in-process
-// once the store recovers (the retry reuses the kept shard transcripts).
+// once the store recovers (the retry reuses the kept segment transcripts).
 func TestShardedManifestAppendFailureRetryable(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := ss.NewClientSubmission(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	// Break only the manifest: the segment seals still land, the
-	// epoch-binding merged-seal record cannot.
-	if err := seg.Manifest().Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Finalize(context.Background()); !errors.Is(err, store.ErrClosed) {
-		t.Fatalf("Finalize with a failing manifest: %v, want the manifest append error", err)
-	}
-	if ss.Finalized() {
-		t.Fatal("manifest append failure marked the session finalized, burying the retry")
-	}
-	// The retry surfaces the same storage error (the manifest is still
-	// down), never the misleading lifecycle error.
-	if _, err := ss.Finalize(context.Background()); errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Finalize retry reported a lifecycle error instead of the storage error: %v", err)
-	}
+	eachSegKind(t, 4, func(t *testing.T, k segCase, pub *Public) {
+		seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		b := k.mustOpen(t, pub, SessionOptions{Segmented: seg}, 2, false)
+		b.admit(t, 0, 1)
+		// Break only the manifest: the segment seals still land, the
+		// epoch-binding merged-seal record cannot.
+		if err := seg.Manifest().Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.finalize(context.Background()); !errors.Is(err, store.ErrClosed) {
+			t.Fatalf("Finalize with a failing manifest: %v, want the manifest append error", err)
+		}
+		if b.Finalized() {
+			t.Fatal("manifest append failure marked the session finalized, burying the retry")
+		}
+		// The retry surfaces the same storage error (the manifest is still
+		// down), never the misleading lifecycle error.
+		if _, err := b.finalize(context.Background()); errors.Is(err, ErrBadConfig) {
+			t.Fatalf("Finalize retry reported a lifecycle error instead of the storage error: %v", err)
+		}
+	})
 }
 
 // TestShardedResetHealsMergedSeal: a caller that answers a failed
 // merged-seal append with Reset (instead of a Finalize retry) must not
 // orphan the fully-sealed epoch — Reset writes the missing manifest record
-// from the kept shard transcripts before advancing.
+// from the kept segment transcripts before advancing.
 func TestShardedResetHealsMergedSeal(t *testing.T) {
-	pub := testPublic(t, 1, 1, 4)
-	seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		sub, err := ss.NewClientSubmission(i, 1)
+	eachSegKind(t, 4, func(t *testing.T, k segCase, pub *Public) {
+		ctx := context.Background()
+		seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.Submit(context.Background(), sub); err != nil {
+		defer seg.Close()
+		b := k.mustOpen(t, pub, SessionOptions{Segmented: seg}, 2, false)
+		for i := 0; i < 4; i++ {
+			b.admit(t, i, 1)
+		}
+		// Seal every segment without the front door: the manifest record is
+		// missing, exactly as after a failed appendMergedSeal.
+		for _, s := range b.segs {
+			if _, err := s.Finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.audit(ctx, pub, seg, 2, 0, 0); err == nil {
+			t.Fatal("epoch 0 audited without a merged seal — test setup is wrong")
+		}
+		if err := b.Reset(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Seal every shard without the front door: the manifest record is
-	// missing, exactly as after a failed appendMergedSeal.
-	for i := 0; i < 2; i++ {
-		if _, err := ss.Shard(i).Finalize(context.Background()); err != nil {
+		// The heal landed: epoch 0 is a complete merged epoch for the auditor,
+		// and the session serves epoch 1 normally.
+		if err := k.audit(ctx, pub, seg, 2, 0, 0); err != nil {
+			t.Errorf("epoch 0 still unauditable after Reset healed the manifest: %v", err)
+		}
+		b.admit(t, 50, 1)
+		if _, err := b.finalize(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 0, 0); err == nil {
-		t.Fatal("epoch 0 audited without a merged seal — test setup is wrong")
-	}
-	if err := ss.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	// The heal landed: epoch 0 is a complete merged epoch for the auditor,
-	// and the session serves epoch 1 normally.
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 0, 0); err != nil {
-		t.Errorf("epoch 0 still unauditable after Reset healed the manifest: %v", err)
-	}
-	sub, err := ss.NewClientSubmission(50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := AuditSegmentedLog(context.Background(), pub, seg, 1, 0); err != nil {
-		t.Errorf("epoch 1 audit: %v", err)
-	}
+		if err := k.audit(ctx, pub, seg, 2, 1, 0); err != nil {
+			t.Errorf("epoch 1 audit: %v", err)
+		}
+	})
 }
 
 // pickIDForShard returns a small non-negative client ID that ShardOf maps to
@@ -704,39 +790,41 @@ func TestShardedStateMachine(t *testing.T) {
 	if err := ss.Submit(context.Background(), nil); !errors.Is(err, ErrClientReject) {
 		t.Errorf("nil submission: %v, want ErrClientReject", err)
 	}
-	sub, err := ss.NewClientSubmission(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Finalize(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !ss.Finalized() {
-		t.Error("session not finalized after Finalize")
-	}
-	if _, err := ss.Finalize(context.Background()); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("double finalize: %v, want ErrBadConfig", err)
-	}
-	if err := ss.Submit(context.Background(), sub); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("submit after finalize: %v, want ErrBadConfig", err)
-	}
-	if err := ss.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if ss.Epoch() != 1 {
-		t.Errorf("epoch after reset = %d, want 1", ss.Epoch())
-	}
-	// The same client ID is fresh again in the new epoch.
-	sub2, err := ss.NewClientSubmission(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Submit(context.Background(), sub2); err != nil {
-		t.Errorf("resubmission in fresh epoch: %v", err)
-	}
+
+	eachSegKind(t, 4, func(t *testing.T, k segCase, pub *Public) {
+		ctx := context.Background()
+		b := k.mustOpen(t, pub, SessionOptions{}, 2, false)
+		if err := b.Compact(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("compacting an open epoch: %v, want ErrBadConfig", err)
+		}
+		m, err := b.newMember(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.submit(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.finalize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Finalized() {
+			t.Error("session not finalized after Finalize")
+		}
+		if _, err := b.finalize(ctx); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("double finalize: %v, want ErrBadConfig", err)
+		}
+		if err := b.submit(ctx, m); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("submit after finalize: %v, want ErrBadConfig", err)
+		}
+		if err := b.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Epoch() != 1 {
+			t.Errorf("epoch after reset = %d, want 1", b.Epoch())
+		}
+		// The same client ID is fresh again in the new epoch.
+		b.admit(t, 0, 1)
+	})
 }
 
 // TestShardedResetDeterminism: a seeded multi-epoch sharded schedule is
@@ -786,35 +874,39 @@ func TestShardedResetDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedFinalizeCancellation: a cancelled Finalize reopens the sharded
-// session, and the retry completes deterministically.
+// TestShardedFinalizeCancellation: a cancelled Finalize reopens the
+// segmented session, and the retry completes deterministically — to the
+// digest of a run that was never cancelled.
 func TestShardedFinalizeCancellation(t *testing.T) {
-	pub := testPublic(t, 1, 1, 8)
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(12), Shards: 2, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		sub, err := ss.NewClientSubmission(i, 1)
+	eachSegKind(t, 8, func(t *testing.T, k segCase, pub *Public) {
+		open := func() *segBoard {
+			b := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(12), Parallelism: 2}, 2, false)
+			for i := 0; i < 4; i++ {
+				b.admit(t, i, 1)
+			}
+			return b
+		}
+		want, err := open().finalize(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.Submit(context.Background(), sub); err != nil {
-			t.Fatal(err)
+		b := open()
+		for _, polls := range []int{0, 2, 6} {
+			if _, err := b.finalize(newCountdownCtx(polls)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Finalize with cancellation after %d polls: %v, want context.Canceled", polls, err)
+			}
+			if b.Finalized() {
+				t.Fatalf("cancellation after %d polls spent the epoch", polls)
+			}
 		}
-	}
-	for _, polls := range []int{0, 2, 6} {
-		if _, err := ss.Finalize(newCountdownCtx(polls)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Finalize with cancellation after %d polls: %v, want context.Canceled", polls, err)
+		got, err := b.finalize(context.Background())
+		if err != nil {
+			t.Fatalf("Finalize retry after cancellation: %v", err)
 		}
-	}
-	res, err := ss.Finalize(context.Background())
-	if err != nil {
-		t.Fatalf("Finalize retry after cancellation: %v", err)
-	}
-	if err := AuditMerged(context.Background(), pub, res.Transcripts(), res.Release, 0); err != nil {
-		t.Errorf("merged audit: %v", err)
-	}
+		if !bytes.Equal(got, want) {
+			t.Error("retry after cancellation changed the merged digest")
+		}
+	})
 }
 
 // BenchmarkShardedSubmit measures front-door contention: many goroutines

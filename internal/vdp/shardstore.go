@@ -95,155 +95,6 @@ func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 	return out, nil
 }
 
-// segmentKind is the one thing the two segmented boards disagree on: how a
-// client's records spread over the segments. Everything else — per-segment
-// record grammar, manifest, merged seal — is shared, so resume, offline
-// audit and live tail of both boards are the same composition of one
-// single-log reader per segment, parameterized by this.
-type segmentKind struct {
-	unit string // what one segment is called in messages
-	// pinned: the segments partition the clients by ShardOf and each segment
-	// charges its own (a sharded session). Otherwise every client appears on
-	// every segment and is admitted — and charged — on segment 0 alone (a
-	// sketch session's rows).
-	pinned bool
-}
-
-var (
-	shardSegments = segmentKind{unit: "shard", pinned: true}
-	rowSegments   = segmentKind{unit: "sketch row"}
-)
-
-// pin returns the shard coordinates segment i's grammar is pinned to.
-func (k segmentKind) pin(i, n int) (shard, shards int) {
-	if k.pinned {
-		return i, n
-	}
-	return 0, 1
-}
-
-// budget returns the charging policy segment i's reader enforces.
-func (k segmentKind) budget(i int, b *BudgetConfig) *BudgetConfig {
-	if k.pinned || i == 0 {
-		return b
-	}
-	return nil
-}
-
-// resumeSegments resumes one session per segment of a segmented board —
-// each exactly as ResumeSession would (same roster, same board order, lost
-// verdicts re-verified, the budget ledger's chain re-verified and its
-// interrupted charges and refusals converged) — and reconciles them:
-//
-//   - A crash mid-Reset leaves some segments an epoch ahead; the laggards
-//     are rolled forward (their Reset is completed), so all agree on the
-//     current epoch again.
-//   - A crash mid-Finalize leaves some segments sealed and others open; the
-//     board resumes open (finalized = false), and its Finalize reuses the
-//     sealed segments' transcripts while finalizing the rest — the merged
-//     digest comes out identical to the uninterrupted run's.
-//   - A crash after every segment sealed but before the manifest's
-//     merged-seal record landed is healed here: the digest is recomputed
-//     from the segment seals and the missing record is appended. A manifest
-//     record that *disagrees* with the recomputed digest is tampering and
-//     refuses to resume.
-func resumeSegments(ctx context.Context, pub *Public, opts SessionOptions, root *randSource, n int, kind segmentKind) (subs []*Session, epoch int, finalized bool, err error) {
-	seg := opts.Segmented
-	per := perShardWorkers(opts.Parallelism, n)
-	for i := 0; i < n; i++ {
-		so := subSessionOptions(opts, per)
-		so.Budget = kind.budget(i, opts.Budget)
-		so.Store = seg.Board(i)
-		shard, shards := kind.pin(i, n)
-		s, err := resumeSessionFromSource(ctx, pub, so, root.forkShard(i, n), shard, shards)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("vdp: resuming %s %d: %w", kind.unit, i, err)
-		}
-		subs = append(subs, s)
-		epoch = max(epoch, s.Epoch())
-	}
-	// Complete any Reset a crash interrupted: every segment must sit at the
-	// same epoch before the board takes new submissions.
-	for i, s := range subs {
-		for s.Epoch() < epoch {
-			if err := s.Reset(); err != nil {
-				return nil, 0, false, fmt.Errorf("vdp: rolling %s %d forward to epoch %d: %w", kind.unit, i, epoch, err)
-			}
-		}
-	}
-
-	seals, err := readMergedSeals(seg)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	for e := range seals {
-		if e > epoch {
-			return nil, 0, false, fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", e, epoch)
-		}
-	}
-	want, merged := seals[epoch]
-	for _, s := range subs {
-		if s.Finalized() {
-			continue
-		}
-		if merged {
-			// The manifest claims the current epoch merged, yet a segment
-			// holds no seal for it: a segment was truncated or swapped after
-			// the fact. Refuse to build on doctored evidence.
-			return nil, 0, false, fmt.Errorf("vdp: manifest seals epoch %d but not every segment is sealed", epoch)
-		}
-		return subs, epoch, false, nil
-	}
-	ts := make([]*Transcript, n)
-	for i, s := range subs {
-		if ts[i] = s.SealedTranscript(); ts[i] == nil {
-			return nil, 0, false, fmt.Errorf("%w: %s %d is sealed but its transcript is not recoverable", ErrBadConfig, kind.unit, i)
-		}
-	}
-	digest := MergedTranscriptDigest(pub, ts)
-	if !merged {
-		err = appendMergedSeal(seg, epoch, n, digest)
-	} else if !bytes.Equal(want, digest) {
-		err = fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals", epoch)
-	}
-	return subs, epoch, true, err
-}
-
-// ResumeShardedSession reconstructs a sharded session from its segmented
-// board log after a restart: every shard's segment is replayed and resumed
-// exactly as ResumeSession would, pinned to the clients ShardOf assigns it,
-// and the shards are reconciled into one session (see resumeSegments for the
-// interrupted-Reset, interrupted-Finalize and missing-merged-seal cases).
-//
-// opts.Segmented must be the replayed segmented log; it receives all further
-// records. opts.Rand must carry the original root seed for deterministic
-// reproduction, exactly as with ResumeSession.
-func ResumeShardedSession(ctx context.Context, pub *Public, opts SessionOptions) (*ShardedSession, error) {
-	if opts.Segmented == nil {
-		return nil, fmt.Errorf("%w: ResumeShardedSession needs SessionOptions.Segmented", ErrBadConfig)
-	}
-	if opts.Store != nil {
-		return nil, fmt.Errorf("%w: a sharded session stores its board in SessionOptions.Segmented, not Store", ErrBadConfig)
-	}
-	shards, err := resolveShardCount(opts)
-	if err != nil {
-		return nil, err
-	}
-	root, err := newRandSource(opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	ss := &ShardedSession{pub: pub, opts: opts, root: root, resumed: true}
-	var finalized bool
-	if ss.shards, ss.epoch, finalized, err = resumeSegments(ctx, pub, opts, root, shards, shardSegments); err != nil {
-		return nil, err
-	}
-	if finalized {
-		ss.state = sessionFinalized
-	}
-	return ss, nil
-}
-
 // auditSegments audits one epoch across the per-segment board logs of a
 // segmented or multi-node board, in segment order: each log is audited
 // exactly as AuditLog audits a single board log — grammar over the whole

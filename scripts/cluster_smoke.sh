@@ -10,6 +10,12 @@
 # anywhere in the wire path, the routing, the merge RPC, or the audit
 # fetch fails here even when the in-process tests pass.
 #
+# Two more lanes follow the main one: a failover lane (replica pairs, the
+# primary of shard 0 SIGKILLed mid-flood) and a standalone lane (vdpserver
+# without -shard-index: -shards 2 over a durable store, SIGKILLed mid-epoch,
+# restarted, released, audited offline) — so every serving mode of the one
+# frame dispatch has a binary-level fence.
+#
 # Usage: scripts/cluster_smoke.sh [clients] [batch]
 set -eu
 
@@ -281,4 +287,67 @@ say "failover lane: offline audit of the promoted standby's durable store"
 "$BIN/vdpclient" -audit-store "$WORK/rsb0" -bins "$BINS" -coins "$COINS"
 "$BIN/vdpclient" -audit-store "$WORK/rpr1" -bins "$BINS" -coins "$COINS"
 
-say "cluster smoke passed: $CLIENTS clients across $NODES nodes, merged, audited; failover lane promoted shard 0's standby mid-flood with zero lost submissions"
+# ---------------------------------------------------------------------------
+# Standalone lane: vdpserver without -shard-index — the curator that counts
+# to -clients, finalizes on its own and prints the release. Half the epoch is
+# submitted, the server is SIGKILLed, restarted on the same -store-dir (the
+# segmented layout is adopted from its manifest, so -shards is not repeated),
+# fed the other half, and must release, self-audit and leave a store the
+# offline auditor accepts.
+# ---------------------------------------------------------------------------
+SPORT=7440
+SDIR="$WORK/standalone"
+
+standalone_submit() {
+    for id in "$@"; do
+        "$BIN/vdpclient" -addr "127.0.0.1:$SPORT" -id "$id" \
+            -choice $((id % BINS)) -bins "$BINS" -coins "$COINS" \
+            -retries 5 -backoff 100ms
+    done
+}
+
+say "standalone lane: vdpserver -clients 6 -shards 2, three submits, kill -9"
+"$BIN/vdpserver" -addr "127.0.0.1:$SPORT" -clients 6 -shards 2 -store-dir "$SDIR" \
+    -bins "$BINS" -coins "$COINS" >"$WORK/standalone0.log" 2>&1 &
+SPID=$!
+PIDS="$PIDS $SPID"
+wait_port "$SPORT"
+standalone_submit 0 1 2
+kill -9 "$SPID" 2>/dev/null || true
+wait "$SPID" 2>/dev/null || true
+
+say "standalone lane: restart on the same store, three more submits"
+"$BIN/vdpserver" -addr "127.0.0.1:$SPORT" -clients 6 -store-dir "$SDIR" \
+    -bins "$BINS" -coins "$COINS" >"$WORK/standalone1.log" 2>&1 &
+SPID=$!
+PIDS="$PIDS $SPID"
+wait_port "$SPORT"
+grep -E "resuming epoch 0 with 3 " "$WORK/standalone1.log" || {
+    echo "restarted standalone server did not resume the interrupted epoch" >&2
+    cat "$WORK/standalone1.log" >&2
+    exit 1
+}
+standalone_submit 3 4 5
+standalone_ok=0
+for _ in $(seq 1 300); do
+    if ! kill -0 "$SPID" 2>/dev/null; then standalone_ok=1; break; fi
+    sleep 0.1
+done
+if [ "$standalone_ok" -ne 1 ] || ! wait "$SPID"; then
+    echo "standalone server did not release after the sixth submission" >&2
+    cat "$WORK/standalone1.log" >&2
+    exit 1
+fi
+for want in "verified release:" "merged transcript audit: PASSED"; do
+    grep -E "$want" "$WORK/standalone1.log" || {
+        echo "standalone server log missing \"$want\"" >&2
+        cat "$WORK/standalone1.log" >&2
+        exit 1
+    }
+done
+
+say "standalone lane: offline audit of the recovered store"
+"$BIN/vdpclient" -audit-store "$SDIR" -bins "$BINS" -coins "$COINS" | tee "$WORK/saudit.log"
+grep -q "offline sharded audit of .*: PASSED" "$WORK/saudit.log"
+
+say "cluster smoke passed: $CLIENTS clients across $NODES nodes, merged, audited; failover lane promoted shard 0's standby mid-flood with zero lost submissions; standalone lane recovered a killed -shards 2 curator and released"
