@@ -60,13 +60,6 @@ func (b *Backend) Addr() string {
 	return b.addrs[b.active]
 }
 
-// Addrs returns the backend's replica addresses in configured order.
-func (b *Backend) Addrs() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.addrs...)
-}
-
 // HasStandby reports whether the backend knows more than one replica.
 func (b *Backend) HasStandby() bool {
 	b.mu.Lock()

@@ -96,22 +96,20 @@ func (n *Node) Session() *vdp.Session { return n.sess }
 // seeds the frame dispatch's counter with it after a recovery.
 func (n *Node) Accepted() int { return n.sess.Accepted() }
 
-// Submit admits one submission after checking it is routed to the right
-// shard; a misrouted client is rejected with a public verdict rather than
-// silently admitted into the wrong sub-board.
+// Submit admits one submission as a batch of one; SubmitBatch holds the
+// node's one admission rule.
 func (n *Node) Submit(ctx context.Context, sub *vdp.ClientSubmission) error {
-	if sub == nil || sub.Public == nil {
-		return fmt.Errorf("%w: nil submission", vdp.ErrClientReject)
+	verdicts, err := n.SubmitBatch(ctx, []*vdp.ClientSubmission{sub})
+	if err != nil {
+		return err
 	}
-	if got := vdp.ShardOf(sub.Public.ID, n.shards); got != n.shard {
-		return fmt.Errorf("%w: client %d belongs to shard %d, this node serves shard %d",
-			vdp.ErrClientReject, sub.Public.ID, got, n.shard)
-	}
-	return n.sess.Submit(ctx, sub)
+	return verdicts[0]
 }
 
-// SubmitBatch admits a batch, rejecting misrouted members individually and
-// passing the rest to the session in arrival order.
+// SubmitBatch admits a batch after checking each member is routed to the
+// right shard: a misrouted client is rejected with a public verdict rather
+// than silently admitted into the wrong sub-board, and the rest pass to the
+// session in arrival order.
 func (n *Node) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]error, error) {
 	verdicts := make([]error, len(subs))
 	keep := make([]*vdp.ClientSubmission, 0, len(subs))

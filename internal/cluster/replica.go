@@ -115,30 +115,12 @@ func (s *Standby) Node() *Node {
 // Promoted reports whether the standby has taken over its shard.
 func (s *Standby) Promoted() bool { return s.Node() != nil }
 
-// admitting resolves the promoted node per call: a standby takes no
-// admissions until the router has promoted it.
-func (s *Standby) admitting() (*Node, error) {
-	if node := s.Node(); node != nil {
-		return node, nil
-	}
-	return nil, fmt.Errorf("cluster: shard %d standby does not take submissions until promoted", s.cfg.Shard)
-}
-
-// Submit admits through the promoted node; it errors until promotion.
-func (s *Standby) Submit(ctx context.Context, sub *vdp.ClientSubmission) error {
-	node, err := s.admitting()
-	if err != nil {
-		return err
-	}
-	return node.Submit(ctx, sub)
-}
-
-// SubmitBatch admits a batch through the promoted node; it errors until
-// promotion.
+// SubmitBatch admits a batch through the promoted node, resolved per call: a
+// standby takes no admissions until the router has promoted it.
 func (s *Standby) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]error, error) {
-	node, err := s.admitting()
-	if err != nil {
-		return nil, err
+	node := s.Node()
+	if node == nil {
+		return nil, fmt.Errorf("cluster: shard %d standby does not take submissions until promoted", s.cfg.Shard)
 	}
 	return node.SubmitBatch(ctx, subs)
 }

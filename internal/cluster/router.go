@@ -226,13 +226,48 @@ func (r *Router) Handler() transport.Handler {
 	}
 }
 
-// routeSubmit forwards one single-submission frame to its shard as a
-// batch of one. The batch form matters: on the node, a rejected batch
-// member is a verdict reply, not a handler error, so the node↔router
-// connection survives rejected clients. The verdict is unpacked back into
-// the single-submit reply shape ("ack" or an "error" frame) for the client;
-// error frames are produced by the router itself rather than by failing the
-// handler, so the client's connection is never dropped because a shard is.
+// shardLeg forwards one shard's share of a client frame — raw submission
+// records and the client IDs peeked from them — as one submit-batch round
+// trip (with failover, see submitShard) and returns the shard's verdicts, one
+// per record in order. A leg that fails as a whole returns the error every
+// one of its members failed with instead. The batch form matters even for a
+// single record: on the node, a rejected batch member is a verdict reply, not
+// a handler error, so the node↔router connection survives rejected clients.
+func (r *Router) shardLeg(sh, sender int, recs [][]byte, ids []int) ([]vdp.BatchVerdict, error) {
+	reply, err := r.submitShard(sh, &transport.Frame{
+		Kind:    "submit-batch",
+		Sender:  sender,
+		Payload: vdp.EncodeRawSubmissionBatch(recs),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard %d unavailable: %v", sh, err)
+	}
+	if reply.Kind == "error" {
+		return nil, fmt.Errorf("shard %d: %s", sh, reply.Payload)
+	}
+	vs, err := vdp.DecodeBatchVerdicts(reply.Payload)
+	if reply.Kind != "batch-verdicts" || err != nil || len(vs) != len(ids) {
+		r.backends[sh].Close() // possibly a stale queued reply: redial in sync
+		return nil, fmt.Errorf("shard %d returned a malformed verdict reply", sh)
+	}
+	for j, id := range ids {
+		if vs[j].ID != id {
+			// Right shape, wrong clients: a desynced reply stream (e.g. a
+			// duplicated frame queued a stale reply) answering with the
+			// previous batch's verdicts; drop the connection so the next round
+			// trip redials in sync.
+			r.backends[sh].Close()
+			return nil, fmt.Errorf("shard %d returned a desynced verdict reply", sh)
+		}
+	}
+	return vs, nil
+}
+
+// routeSubmit forwards one single-submission frame to its shard as a batch
+// of one and unpacks the verdict back into the single-submit reply shape
+// ("ack" or an "error" frame) for the client; error frames are produced by
+// the router itself rather than by failing the handler, so the client's
+// connection is never dropped because a shard is.
 func (r *Router) routeSubmit(f *transport.Frame) ([]*transport.Frame, error) {
 	rec, id, err := vdp.RepackSubmitPayload(f.Payload)
 	if err != nil {
@@ -240,29 +275,9 @@ func (r *Router) routeSubmit(f *transport.Frame) ([]*transport.Frame, error) {
 		// backend would produce.
 		return nil, err
 	}
-	shard := vdp.ShardOf(id, len(r.backends))
-	reply, err := r.submitShard(shard, &transport.Frame{
-		Kind:    "submit-batch",
-		Sender:  f.Sender,
-		Payload: vdp.EncodeRawSubmissionBatch([][]byte{rec}),
-	})
+	vs, err := r.shardLeg(vdp.ShardOf(id, len(r.backends)), f.Sender, [][]byte{rec}, []int{id})
 	if err != nil {
-		return errorReply("shard %d unavailable: %v", shard, err), nil
-	}
-	if reply.Kind == "error" {
-		return []*transport.Frame{{Kind: "error", Payload: reply.Payload}}, nil
-	}
-	if reply.Kind != "batch-verdicts" {
-		return errorReply("shard %d: unexpected reply kind %q", shard, reply.Kind), nil
-	}
-	vs, err := vdp.DecodeBatchVerdicts(reply.Payload)
-	if err != nil || len(vs) != 1 || vs[0].ID != id {
-		// A well-formed reply carrying the wrong client's verdict means the
-		// node connection's reply stream desynced (e.g. a duplicated frame
-		// queued a stale reply); drop the connection so the next round trip
-		// redials in sync.
-		r.backends[shard].Close()
-		return errorReply("shard %d: desynced or malformed verdict reply: %v", shard, err), nil
+		return errorReply("%v", err), nil
 	}
 	if !vs[0].Accepted {
 		return errorReply("%s", vs[0].Reason), nil
@@ -284,10 +299,12 @@ func (r *Router) routeBatch(f *transport.Frame) ([]*transport.Frame, error) {
 	}
 	k := len(r.backends)
 	groups := make([][][]byte, k)
+	groupIDs := make([][]int, k)
 	indices := make([][]int, k)
 	for i, rec := range recs {
 		sh := vdp.ShardOf(ids[i], k)
 		groups[sh] = append(groups[sh], rec)
+		groupIDs[sh] = append(groupIDs[sh], ids[i])
 		indices[sh] = append(indices[sh], i)
 	}
 
@@ -300,41 +317,13 @@ func (r *Router) routeBatch(f *transport.Frame) ([]*transport.Frame, error) {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			fill := func(reason string) {
-				for _, i := range indices[sh] {
-					out[i] = vdp.BatchVerdict{ID: ids[i], Reason: reason}
-				}
-			}
-			reply, err := r.submitShard(sh, &transport.Frame{
-				Kind:    "submit-batch",
-				Sender:  f.Sender,
-				Payload: vdp.EncodeRawSubmissionBatch(groups[sh]),
-			})
-			if err != nil {
-				fill(fmt.Sprintf("shard %d unavailable: %v", sh, err))
-				return
-			}
-			if reply.Kind == "error" {
-				fill(fmt.Sprintf("shard %d: %s", sh, reply.Payload))
-				return
-			}
-			vs, err := vdp.DecodeBatchVerdicts(reply.Payload)
-			if reply.Kind != "batch-verdicts" || err != nil || len(vs) != len(indices[sh]) {
-				r.backends[sh].Close() // possibly a stale queued reply: redial in sync
-				fill(fmt.Sprintf("shard %d returned a malformed verdict reply", sh))
-				return
-			}
+			vs, err := r.shardLeg(sh, f.Sender, groups[sh], groupIDs[sh])
 			for j, i := range indices[sh] {
-				if vs[j].ID != ids[i] {
-					// Right shape, wrong clients: a desynced reply stream
-					// answering with the previous batch's verdicts.
-					r.backends[sh].Close()
-					fill(fmt.Sprintf("shard %d returned a desynced verdict reply", sh))
-					return
+				if err != nil {
+					out[i] = vdp.BatchVerdict{ID: ids[i], Reason: err.Error()}
+				} else {
+					out[i] = vs[j]
 				}
-			}
-			for j, i := range indices[sh] {
-				out[i] = vs[j]
 			}
 		}(sh)
 	}

@@ -134,13 +134,6 @@ func (f *Field) FromInt64(v int64) *Element {
 	return f.newElement(n)
 }
 
-// FromUint64 reduces v into the field.
-func (f *Field) FromUint64(v uint64) *Element {
-	n := new(big.Int).SetUint64(v)
-	n.Mod(n, f.q)
-	return f.newElement(n)
-}
-
 // FromBig reduces v into the field. The argument is not retained.
 func (f *Field) FromBig(v *big.Int) *Element {
 	n := new(big.Int).Mod(v, f.q)
@@ -366,10 +359,6 @@ func (e *Element) Exp(k *big.Int) *Element {
 	}
 	return e.fld.newElement(new(big.Int).Exp(e.n, k, e.fld.q))
 }
-
-// ExpElem raises e to an exponent that is itself a field element of any
-// field (exponents live in Z, represented canonically).
-func (e *Element) ExpElem(k *Element) *Element { return e.Exp(k.n) }
 
 // Bit returns the i'th bit of the canonical representative.
 func (e *Element) Bit(i int) uint { return e.n.Bit(i) }

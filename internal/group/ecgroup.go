@@ -57,17 +57,13 @@ func P256() Group {
 // P256Generic returns the math/big reference implementation of the P-256
 // commitment group: same curve, same generator derivation, same canonical
 // encodings, evaluated through the generic ec.Curve arithmetic. It exists
-// as the cross-check oracle for the fast backend and as the template for
-// instantiating arbitrary curves via NewEC.
+// as the cross-check oracle for the fast backend.
 func P256Generic() Group {
 	p256GenericOnce.Do(func() {
 		p256GenericStd = newECGroup("p256", ec.StdP256())
 	})
 	return p256GenericStd
 }
-
-// NewEC wraps an arbitrary curve as a commitment group.
-func NewEC(name string, curve *ec.Curve) Group { return newECGroup(name, curve) }
 
 func newECGroup(name string, curve *ec.Curve) *ecGroup {
 	g := &ecGroup{name: name, curve: curve}

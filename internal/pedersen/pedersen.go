@@ -133,11 +133,6 @@ func (p *Params) OneNoRandomness() *Commitment {
 	return &Commitment{pp: p, e: p.g}
 }
 
-// FromElement wraps a decoded group element as a commitment.
-func (p *Params) FromElement(e group.Element) *Commitment {
-	return &Commitment{pp: p, e: e}
-}
-
 // Add returns the homomorphic combination: a commitment to the sum of the
 // messages under the sum of the randomness.
 func (c *Commitment) Add(o *Commitment) *Commitment {

@@ -3,9 +3,10 @@
 //
 // The paper's guarantee is a property of one public bulletin board, so the
 // write side of that board is spelled out once. A client frame is decoded,
-// handed to an Admitter, counted, and answered — "submit" with an "ack",
-// "submit-batch" with one "batch-verdicts" frame carrying a verdict per
-// client — by the same code whether the board behind it is a plain
+// handed to an Admitter, counted, and answered — "submit-batch" with one
+// "batch-verdicts" frame carrying a verdict per client, "submit" (admitted as
+// a batch of one, right here in Dispatch.Handle) with an "ack" or its verdict
+// as the error — by the same code whether the board behind it is a plain
 // vdp.Session, a vdp.ShardedSession, a cluster.Node, a cluster.Standby that
 // admits once promoted, or a vdp.SketchSession behind its contribution
 // grouping (Sketch). What a mode adds on top — the cluster RPC, sketch
@@ -20,6 +21,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -27,20 +29,17 @@ import (
 	"repro/internal/vdp"
 )
 
-// Admitter is what the dispatch drives: one decoded submission in, its
-// verdict out; one decoded batch in, the reply frame's verdicts out. A
-// rejected single submission is an error (the connection drops, as it always
-// has); a rejected batch member is a verdict, and only a batch-level failure
-// (closed session, store failure) errors the frame.
+// Admitter is what the dispatch drives: one decoded batch in, the reply
+// frame's verdicts out, one per submission. A rejected member is a verdict;
+// only a batch-level failure (closed session, store failure) errors the
+// frame.
 type Admitter interface {
-	Submit(ctx context.Context, sub *vdp.ClientSubmission) error
 	SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]vdp.BatchVerdict, error)
 }
 
 // Board is the admission shape vdp.Session, vdp.ShardedSession, cluster.Node
 // and cluster.Standby share: batch verdicts as per-slot errors.
 type Board interface {
-	Submit(ctx context.Context, sub *vdp.ClientSubmission) error
 	SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]error, error)
 }
 
@@ -139,7 +138,9 @@ func (d *Dispatch) logf(format string, args ...any) {
 // Handle decodes, admits, counts and encodes one client frame. Verification
 // is eager: the verdict goes straight back on the client's connection, and
 // with a durable board the submission and verdict are on disk before the
-// reply is written.
+// reply is written. A "submit" frame is a batch of one whose single verdict
+// is mapped back to the reply shape it always had: an "ack", or the rejection
+// as the handler's error (the connection drops).
 func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 	if d.opts.Extra != nil {
 		if replies, err := d.opts.Extra(f); replies != nil || err != nil {
@@ -152,8 +153,12 @@ func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := d.adm.Submit(d.ctx, sub); err != nil {
+		verdicts, err := d.adm.SubmitBatch(d.ctx, []*vdp.ClientSubmission{sub})
+		if err != nil {
 			return nil, err
+		}
+		if !verdicts[0].Accepted {
+			return nil, errors.New(verdicts[0].Reason)
 		}
 		d.logf("accepted client %d (%s)", sub.Public.ID, d.count(1))
 		return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
@@ -202,13 +207,6 @@ func (s *Sketch) Release(ns *vdp.NoisySketch) {
 	s.mu.Unlock()
 }
 
-// Submit refuses: one "submit" frame is one ΠBin submission, a contribution
-// is one per row.
-func (s *Sketch) Submit(context.Context, *vdp.ClientSubmission) error {
-	return fmt.Errorf("unexpected frame kind \"submit\" in sketch mode (a single \"submit\" frame cannot carry a %d-row contribution; use vdpclient -sketch -item)",
-		s.hs.Rows())
-}
-
 // SubmitBatch admits the frame's contributions through the session's batched
 // pipeline (row 0 first, as the budget gate).
 func (s *Sketch) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]vdp.BatchVerdict, error) {
@@ -228,11 +226,13 @@ func (s *Sketch) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) 
 }
 
 // Extra is the sketch mode's Options.Extra: "sketch-query" is answered from
-// the release, and "submit" is refused before its payload is even decoded.
+// the release, and "submit" is refused before its payload is even decoded —
+// one "submit" frame is one ΠBin submission, a contribution is one per row.
 func (s *Sketch) Extra(f *transport.Frame) ([]*transport.Frame, error) {
 	switch f.Kind {
 	case "submit":
-		return nil, s.Submit(context.Background(), nil)
+		return nil, fmt.Errorf("unexpected frame kind \"submit\" in sketch mode (a single \"submit\" frame cannot carry a %d-row contribution; use vdpclient -sketch -item)",
+			s.hs.Rows())
 	case "sketch-query":
 	default:
 		return nil, nil

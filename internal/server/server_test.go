@@ -55,6 +55,17 @@ func forged(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
 	return sub
 }
 
+// equivocating returns a submission whose board proof is sound but whose
+// private share opening does not match its commitment: a payload refusal,
+// decided off the board.
+func equivocating(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
+	t.Helper()
+	sub := submission(t, pub, id)
+	o := sub.Payloads[0].Openings[0]
+	o.X = o.X.Add(pub.Field().One())
+	return sub
+}
+
 func submitFrame(t *testing.T, pub *vdp.Public, sub *vdp.ClientSubmission) *transport.Frame {
 	t.Helper()
 	payload, err := pub.EncodeSubmitPayload(sub)
@@ -70,19 +81,27 @@ func batchFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame
 
 // step is one frame through the handler and the exact reply it must earn:
 // a reply kind with its payload bytes, or a handler error (the transport
-// answers those with an "error" frame and drops the connection).
+// answers those with an "error" frame carrying the text and drops the
+// connection) — errIs pins the whole text, errHas a part of it.
 type step struct {
 	name    string
 	frame   *transport.Frame
 	kind    string
 	payload []byte
 	errHas  string
+	errIs   string
 }
 
 func run(t *testing.T, h transport.Handler, steps []step) {
 	t.Helper()
 	for _, st := range steps {
 		replies, err := h(st.frame)
+		if st.errIs != "" {
+			if err == nil || err.Error() != st.errIs {
+				t.Errorf("%s: err = %v, want exactly %q", st.name, err, st.errIs)
+			}
+			continue
+		}
 		if st.errHas != "" {
 			if err == nil || !strings.Contains(err.Error(), st.errHas) {
 				t.Errorf("%s: err = %v, want one containing %q", st.name, err, st.errHas)
@@ -105,6 +124,11 @@ func run(t *testing.T, h transport.Handler, steps []step) {
 // The verdict text every board gives the forged submission: as a bit proof
 // (one bin), and as row 1 of a sketch contribution (a one-hot proof).
 const (
+	duplicateReason = "vdp: client input rejected: duplicate submission from client %d"
+	misroutedReason = "vdp: client input rejected: client %d belongs to shard 1, this node serves shard 0"
+	unpromotedText  = "cluster: shard 0 standby does not take submissions until promoted"
+	payloadReason   = "vdp: client input rejected: client %d share opening for bin 0 does not match its public commitment"
+	budgetReason    = "vdp: client input rejected: client %d privacy budget exhausted: 5 of 5 µε spent, next epoch costs 5 µε"
 	forgedReason    = "vdp: client input rejected: client %d: sigma: proof verification failed: challenge split does not sum to e"
 	forgedRowReason = "vdp: sketch row 1: vdp: client input rejected: client %d: coordinate 0: sigma: proof verification failed: challenge split does not sum to e"
 )
@@ -187,24 +211,33 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 				{ID: d, Accepted: true},
 			}
 			if m.misroute {
-				want[2] = vdp.BatchVerdict{ID: d, Reason: fmt.Sprintf(
-					"vdp: client input rejected: client %d belongs to shard 1, this node serves shard 0", d)}
+				want[2] = vdp.BatchVerdict{ID: d, Reason: fmt.Sprintf(misroutedReason, d)}
 			}
 			overlong := submitFrame(t, pub, submission(t, pub, a))
 			binary.BigEndian.PutUint32(overlong.Payload, uint32(len(overlong.Payload))) // > len-4
 			huge := submitFrame(t, pub, submission(t, pub, a))
 			binary.BigEndian.PutUint32(huge.Payload, 0xffffffff) // wraps a 32-bit int
 			first := submitFrame(t, pub, submission(t, pub, a))
-			run(t, disp.Handle, []step{
+			// The single-"submit" reply surface, text for text: an "ack", or the
+			// verdict as the handler's error.
+			bad, eq := idOn(0, 3), idOn(0, 4)
+			steps := []step{
 				{name: "submit", frame: first, kind: "ack", payload: []byte("accepted")},
-				{name: "duplicate submit", frame: first, errHas: "duplicate submission"},
-				{name: "forged submit", frame: submitFrame(t, pub, forged(t, pub, idOn(0, 3))), errHas: "proof verification failed"},
+				{name: "duplicate submit", frame: first, errIs: fmt.Sprintf(duplicateReason, a)},
+				{name: "forged submit", frame: submitFrame(t, pub, forged(t, pub, bad)), errIs: fmt.Sprintf(forgedReason, bad)},
+				{name: "forged resubmit", frame: submitFrame(t, pub, submission(t, pub, bad)), errIs: fmt.Sprintf(duplicateReason, bad)},
+				{name: "equivocating payload", frame: submitFrame(t, pub, equivocating(t, pub, eq)), errIs: fmt.Sprintf(payloadReason, eq)},
 				{name: "short submit", frame: &transport.Frame{Kind: "submit", Payload: []byte{0, 0}}, errHas: "short submit payload"},
 				{name: "length field past the end", frame: overlong, errHas: "length field out of range"},
 				{name: "length field 2^32-1", frame: huge, errHas: "length field out of range"},
 				{name: "garbage batch", frame: &transport.Frame{Kind: "submit-batch", Payload: []byte{9}}, errHas: "version"},
 				{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
-			})
+			}
+			if m.misroute {
+				e := idOn(1, 1)
+				steps = append(steps, step{name: "misrouted submit", frame: submitFrame(t, pub, submission(t, pub, e)), errIs: fmt.Sprintf(misroutedReason, e)})
+			}
+			run(t, disp.Handle, steps)
 			if n := disp.Accepted(); n != 2 {
 				t.Fatalf("accepted = %d after one recovered + one live admission, want 2", n)
 			}
@@ -248,6 +281,36 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			}
 		})
 	}
+	t.Run("budget-refusal", submitBudgetRefusal)
+}
+
+// submitBudgetRefusal pins the one single-"submit" reply the boards of
+// TestDispatchOverEveryAdmitter cannot earn in their first epoch: a client
+// whose budget is spent is refused with the ledger's verdict as the handler's
+// error, and the refusal reserves its ID like any other verdict.
+func submitBudgetRefusal(t *testing.T) {
+	pub := setup(t, 1)
+	ctx := context.Background()
+	s, err := vdp.NewSession(pub, vdp.SessionOptions{Budget: &vdp.BudgetConfig{EpochCost: 5, Total: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disp := server.New(ctx, pub, server.Of(s), server.Options{})
+	run(t, disp.Handle, []step{{name: "epoch 0", frame: submitFrame(t, pub, submission(t, pub, 1)), kind: "ack", payload: []byte("accepted")}})
+	if _, err := s.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	run(t, disp.Handle, []step{
+		{name: "epoch 1, budget spent", frame: submitFrame(t, pub, submission(t, pub, 1)), errIs: fmt.Sprintf(budgetReason, 1)},
+		{name: "refused client again", frame: submitFrame(t, pub, submission(t, pub, 1)), errIs: fmt.Sprintf(duplicateReason, 1)},
+		{name: "fresh client", frame: submitFrame(t, pub, submission(t, pub, 2)), kind: "ack", payload: []byte("accepted")},
+	})
+	if n := disp.Accepted(); n != 2 {
+		t.Fatalf("accepted = %d, want 2 (a refusal is not an admission)", n)
+	}
 }
 
 func contribution(t *testing.T, pub *vdp.Public, layout sketch.Layout, id, item int) []*vdp.ClientSubmission {
@@ -282,7 +345,7 @@ func TestDispatchSketch(t *testing.T) {
 	}
 	run(t, disp.Handle, []step{
 		{name: "query before the release", frame: topK, errHas: "still collecting"},
-		{name: "plain submit", frame: &transport.Frame{Kind: "submit"}, errHas: "sketch mode"},
+		{name: "plain submit", frame: &transport.Frame{Kind: "submit"}, errIs: `unexpected frame kind "submit" in sketch mode (a single "submit" frame cannot carry a 2-row contribution; use vdpclient -sketch -item)`},
 		{name: "empty batch", frame: batchFrame(pub), errHas: "positive multiple of 2"},
 		{name: "ragged batch", frame: batchFrame(pub, c1[0], c1[1], c2[0]), errHas: "positive multiple of 2"},
 		{name: "interleaved batch", frame: batchFrame(pub, c1[0], c2[1]), errHas: "row 1 carries client 2, want 1"},
@@ -295,9 +358,6 @@ func TestDispatchSketch(t *testing.T) {
 	})
 	if _, err := board.SubmitBatch(ctx, []*vdp.ClientSubmission{c1[0], nil}); err == nil || !strings.Contains(err.Error(), "row 1 is empty") {
 		t.Errorf("bundle with a nil row: err = %v", err)
-	}
-	if err := board.Submit(ctx, c1[0]); err == nil || !strings.Contains(err.Error(), "sketch mode") {
-		t.Errorf("Sketch.Submit: err = %v, want the explainer", err)
 	}
 	select {
 	case <-disp.Done():

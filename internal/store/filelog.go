@@ -263,9 +263,6 @@ func readRecord(r io.Reader) (*Record, int, error) {
 	return rec, 4 + len(rest), nil
 }
 
-// Path returns the log's file path.
-func (l *FileLog) Path() string { return l.path }
-
 // Len returns how many intact records the log holds.
 func (l *FileLog) Len() int {
 	l.mu.Lock()

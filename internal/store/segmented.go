@@ -45,7 +45,6 @@ const maxSegments = 4096
 // each shard writes to its own Segment, which is — but it owns the files'
 // lifecycles and the shard-count invariant.
 type SegmentedLog struct {
-	dir      string
 	shards   int
 	manifest *FileLog
 	segments []*FileLog
@@ -68,7 +67,7 @@ func OpenSegmentedLog(dir string, shards int, opts ...Option) (*SegmentedLog, er
 	if err != nil {
 		return nil, err
 	}
-	s := &SegmentedLog{dir: dir, manifest: manifest}
+	s := &SegmentedLog{manifest: manifest}
 	if manifest.Len() == 0 {
 		if shards < 1 || shards > maxSegments {
 			manifest.Close()
@@ -121,7 +120,7 @@ func OpenSegmentedLogReadOnly(dir string) (*SegmentedLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SegmentedLog{dir: dir, manifest: manifest}
+	s := &SegmentedLog{manifest: manifest}
 	s.shards, err = readShardCount(manifest)
 	if err != nil {
 		manifest.Close()
@@ -163,9 +162,6 @@ func readShardCount(manifest *FileLog) (int, error) {
 	}
 	return shards, nil
 }
-
-// Dir returns the directory the segmented log lives in.
-func (s *SegmentedLog) Dir() string { return s.dir }
 
 // Shards returns the fixed shard count.
 func (s *SegmentedLog) Shards() int { return s.shards }

@@ -5,24 +5,26 @@ import (
 	"fmt"
 )
 
-// Batched admission: the high-throughput front door.
+// Admission: the one path from an arrival to the board.
 //
-// The transport's original contract was one submission per framed
-// round-trip, and Session.Submit verifies each arrival as its own engine
-// task — so the 30× advantage of RLC batch verification (sigma.BitBatch +
-// group.NativeMultiExp, PR 5) never reached the server's front door. This
-// file carries batches through every admission stage instead:
+// Every accept/reject rule of the write side — duplicate screening, budget
+// refusal, the charge append, the group-commit window, verdict install and
+// every rollback — lives in Session.SubmitBatch and nowhere else. A single
+// arrival is a batch of one (Session.Submit wraps it); a frame of N pays the
+// same fixed costs once, which is where the RLC batch verification
+// (sigma.BitBatch + group.NativeMultiExp) earns its advantage:
 //
 //   - EncodeSubmissionBatch / DecodeSubmissionBatch: a versioned wire body
 //     holding N full client submissions, the payload of one "submit-batch"
-//     transport frame. The one-per-frame "submit" kind is untouched; old
-//     clients interoperate unchanged.
+//     transport frame. The one-per-frame "submit" kind is untouched on the
+//     wire; old clients interoperate unchanged.
 //   - Session.SubmitBatch: admits the whole batch under ONE roster-lock
 //     acquisition, persists it inside ONE group-commit fsync window, and
 //     verifies every board proof with ONE combined Σ-OR batch check — with
 //     the fsync and the multi-exponentiation running concurrently. Verdicts
-//     stay per-client and byte-identical to Submit's, so board-reject
-//     semantics, log grammar, and transcript digests are all preserved.
+//     are per-client and independent of how arrivals were framed, so
+//     board-reject semantics, log grammar, and transcript digests do not
+//     depend on batch size.
 //   - ShardedSession.SubmitBatch: splits a batch by ShardOf and runs the
 //     per-shard sub-batches concurrently.
 //   - BatchVerdict (+ codecs): the per-client outcomes the server sends back
@@ -161,21 +163,29 @@ func DecodeBatchVerdicts(b []byte) ([]BatchVerdict, error) {
 // group-commit fsync window, and every member's board proof folds into a
 // single combined Σ-OR batch check (one native multi-exponentiation) that
 // runs concurrently with the fsync. The returned slice holds one verdict
-// per submission, aligned with subs, with exactly Submit's per-client
-// semantics: nil admits the client, an ErrClientReject-wrapped error
-// records the rejection (board-level failures stay on the bulletin board;
-// payload disputes are refused outright and never posted), and duplicates —
-// against the roster or earlier in the same batch — fail without being
-// recorded. Interleaving SubmitBatch with concurrent Submits is safe and
-// verdict-equivalent to any serial order of the same arrivals.
+// per submission, aligned with subs: nil admits the client to the roster; an
+// ErrClientReject-wrapped error records the rejection. A client whose *board
+// proof* fails still appears on the bulletin board with its public verdict; a
+// client whose *payload* fails (bad or missing share openings — a
+// private-channel dispute) is refused outright and never posted, keeping the
+// transcript publicly auditable; a client the budget ledger cannot charge is
+// refused the same way, uncharged. Duplicates — against the roster or earlier
+// in the same batch — and nil members fail without being recorded. With
+// DeferVerification every recorded member's slot is nil and the verdicts
+// come at Finalize. Concurrent calls are safe and verdict-equivalent to any
+// serial order of the same arrivals.
 //
-// A non-nil error reports a batch-level failure. When verdicts is nil the
-// batch was not admitted at all (closed session, cancelled ctx, or a store
-// failure before any verdict was computed; every reservation was
-// withdrawn). When verdicts is non-nil alongside the error, the board
-// reflects the verdicts but the store is failing: members whose verdict
-// record could not be written in order were withdrawn again (their slots
-// carry the error), and the epoch cannot seal until the store recovers.
+// A non-nil error reports a batch-level failure, and outranks every verdict:
+// no member may be acknowledged. When verdicts is nil the batch was not
+// admitted at all (closed session, cancelled ctx, or a store failure before
+// any verdict was computed; every reservation without a verdict record was
+// withdrawn, so a retry is not a duplicate). When verdicts is non-nil
+// alongside the error, the board reflects the verdicts but the store is
+// failing: members whose verdict record could not be written in order were
+// withdrawn again (their slots carry the error), and the epoch cannot seal
+// until the store recovers. A verdict record that was written but whose flush
+// or mirror failed is never withdrawn — a withdrawal after a verdict is not
+// in the board grammar — so a retry of that member meets the duplicate guard.
 func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]error, error) {
 	if len(subs) == 0 {
 		return nil, nil
@@ -213,8 +223,8 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 
 	// One roster-lock acquisition reserves the whole batch: duplicate
 	// screening, board-order append, and the ordered (not-yet-synced) log
-	// writes — so log order equals board order for every member, the same
-	// invariant Submit maintains one client at a time.
+	// writes — so log order equals board order for every member, the property
+	// that makes a recovered transcript byte-identical.
 	verdicts := make([]error, len(subs))
 	admitted := make([]*sessionClient, 0, len(subs))
 	admittedIdx := make([]int, 0, len(subs))
@@ -236,10 +246,12 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 			continue
 		}
 		if s.ledger != nil && !s.ledger.canCharge(epoch, sub.Public.ID) {
-			// Over budget: the member is refused with an attributable verdict
-			// (see Session.refuseOverBudgetLocked) — submission and refusal
-			// records land back to back in this batch's commit window, the ID
-			// stays reserved off-board, and nothing is charged.
+			// The client's lifetime privacy budget cannot cover another epoch:
+			// refuse with an attributable, board-recorded verdict, so
+			// resubmission attempts leave durable evidence. The refusal is
+			// definitive (no verification runs): submission and refusal records
+			// land back to back in this batch's commit window, the ID stays
+			// reserved off-board, and nothing is charged.
 			id := sub.Public.ID
 			refusal := budgetRefusalError(id, s.ledger.spent[id], s.ledger.cfg.EpochCost, s.ledger.cfg.Total)
 			cl := &sessionClient{public: sub.Public, payloads: sub.Payloads, decided: true, reject: refusal}
@@ -273,8 +285,9 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 		admittedIdx = append(admittedIdx, i)
 		if s.ledger != nil {
 			// Charge the member right behind its submission record, in the
-			// same commit window (see Submit). A failed append leaves the
-			// member in the generic unwind set below.
+			// same commit window. The ledger mutates only after the append
+			// succeeds, so a failing store never forks the chain; a failed
+			// append leaves the member in the generic unwind set below.
 			if payload, commit := s.ledger.prepareCharge(epoch, sub.Public.ID); payload != nil {
 				if aerr = s.appendRecordOrdered(RecordBudgetCharge, epoch, payload); aerr != nil {
 					break
@@ -340,8 +353,12 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 		if bv[k] != nil {
 			s.rejected[cl.public.ID] = bv[k]
 			if !onBoard[k] {
-				// Private-channel payload failure: refused outright, the
-				// public part never reaches the bulletin board (see Submit).
+				// The failure happened on the private channel (bad or missing
+				// share openings), so the submission is refused outright and its
+				// public part never reaches the bulletin board. Posting it would
+				// break public auditability: the auditor recomputes the roster
+				// from board proofs alone, and Line 13's commitment product must
+				// cover every board-valid client. The ID stays reserved.
 				s.removeFromOrderLocked(cl)
 			}
 		}
@@ -384,8 +401,10 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 // releasing their IDs for a retry, and appends best-effort withdrawal
 // records (the store is typically already failing; replay treats an
 // unwithdrawn, verdict-less submission as "re-verify", so a lost withdrawal
-// is superseded on the next retry — same contract as Session.withdraw).
-// Callers hold s.mu and must only pass members without a persisted verdict.
+// is superseded on the next retry). Callers hold s.mu — the withdrawal is
+// appended inside the roster lock so a concurrent retry of the same ID cannot
+// slot its submission record between the removal and the withdrawal — and
+// must only pass members without a persisted verdict.
 func (s *Session) withdrawBatchLocked(admitted []*sessionClient, epoch int) {
 	for _, cl := range admitted {
 		delete(s.byID, cl.public.ID)
@@ -399,10 +418,12 @@ func (s *Session) withdrawBatchLocked(admitted []*sessionClient, epoch int) {
 // over every member's board proof (sigma.BitBatch folding the entire
 // arrival batch, decided by a single multi-exponentiation on the native
 // Pippenger backend) and the members' K·N per-prover share-opening checks
-// fanned out over the engine pool. Verdicts — sentinels, reasons, and the
-// onBoard split — are exactly what Submit's per-arrival verify would
-// produce for each member individually; only the wall-clock cost changes.
-// A non-nil err means cancellation, not a verdict.
+// fanned out over the engine pool. Each member's verdict — sentinel, reason
+// and the onBoard split — is what the batch-at-finalize path would produce
+// for it, whatever else shares the batch: board-level failures are publicly
+// attributable and stay on the board, private-channel payload failures mean
+// the submission is refused outright. A non-nil err means cancellation, not
+// a verdict.
 func (s *Session) verifyBatch(ctx context.Context, subs []*ClientSubmission) (verdicts []error, onBoard []bool, err error) {
 	n := len(subs)
 	verdicts = make([]error, n)
@@ -460,8 +481,7 @@ func (s *Session) verifyBatch(ctx context.Context, subs []*ClientSubmission) (ve
 // combined Σ-OR check per shard. Verdicts come back aligned with subs. A
 // shard-level failure is reported through the error return, with the failed
 // shard's slots carrying the error; sibling shards still complete their own
-// sub-batches (a batch is not transactional across shards, exactly as N
-// independent Submits are not).
+// sub-batches (a batch is not transactional across shards).
 func (ss *ShardedSession) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]error, error) {
 	if len(subs) == 0 {
 		return nil, nil

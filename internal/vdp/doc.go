@@ -45,10 +45,11 @@
 //     board, with one random-linear-combination Σ-OR check deciding client
 //     legality for the whole board at once.
 //
-//   - Session: the streaming surface. Submit admits clients one at a time
-//     (verified eagerly on the pool, verdict returned to the caller),
-//     Finalize closes the epoch over the already-verified roster, Reset
-//     reopens the session for the next epoch.
+//   - Session: the streaming surface. SubmitBatch admits an arrival frame
+//     (verified eagerly on the pool, one verdict per member returned to the
+//     caller) and Submit is a frame of one, Finalize closes the epoch over
+//     the already-verified roster, Reset reopens the session for the next
+//     epoch.
 //
 //   - ResumeSession: crash recovery. A Session given SessionOptions.Store
 //     appends every submission, verdict, epoch seal and reset to an
@@ -81,6 +82,18 @@
 // the row-0 admission gate and assembleSketch. segmented.go is the single
 // place to change a lifecycle rule; the frame dispatch that serves any of
 // these boards over TCP is internal/server.
+//
+// # Admission
+//
+// The write side of the board has one implementation, Session.SubmitBatch
+// in batch.go: duplicate screening, budget refusal and charge, the ordered
+// appends inside the roster lock, the group-commit window overlapped with
+// one folded Σ-OR check, verdict install, and every rollback. Submit — on
+// Session, ShardedSession and SketchSession — is a batch of one through it,
+// with no rule of its own, so a verdict, a log record or a crash-recovery
+// outcome cannot depend on how arrivals were framed. batch.go is the single
+// place to change an admission rule; grammar.go (below) is its read-side
+// twin.
 //
 // # Board-log grammar
 //

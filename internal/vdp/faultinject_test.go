@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/store"
@@ -18,6 +19,59 @@ func faultSubs(t *testing.T, pub *Public) []*ClientSubmission {
 	t.Helper()
 	return buildSubs(t, pub, []int{1, 0, 1, 1})
 }
+
+// frameShape is how a population reaches the board — one more input of the
+// crash matrices, so a fault at an append inside a frame's single lock pass is
+// fenced as well as one between arrivals: size 0 is one Submit per member,
+// size n is SubmitBatch frames of n.
+type frameShape struct {
+	name string
+	size int
+}
+
+var frameShapes = []frameShape{{"singles", 0}, {"one-frame-of-4", 4}, {"two-frames-of-2", 2}}
+
+// admitShaped sends members to the board in the shape's frames, through the
+// board's single-arrival (one) and frame (many) entry points, and returns
+// each sent member's outcome the way Submit reports it: the frame's error if
+// the frame failed, the member's verdict otherwise. It stops after the first
+// frame with an injected outcome — the process died there — so the result is
+// shorter than members when later frames were never sent.
+func admitShaped[M any](f frameShape, members []M, one func(M) error, many func([]M) ([]error, error)) []error {
+	var out []error
+	for at := 0; at < len(members); {
+		sent := len(out)
+		if f.size == 0 {
+			out = append(out, one(members[at]))
+			at++
+		} else {
+			frame := members[at:min(at+f.size, len(members))]
+			verdicts, err := many(frame)
+			for i := range frame {
+				if err != nil {
+					out = append(out, err)
+				} else {
+					out = append(out, verdicts[i])
+				}
+			}
+			at += len(frame)
+		}
+		if slices.ContainsFunc(out[sent:], injected) {
+			break
+		}
+	}
+	return out
+}
+
+// admit is admitShaped over a plain session.
+func (f frameShape) admit(ctx context.Context, s *Session, subs []*ClientSubmission) []error {
+	return admitShaped(f, subs,
+		func(sub *ClientSubmission) error { return s.Submit(ctx, sub) },
+		func(frame []*ClientSubmission) ([]error, error) { return s.SubmitBatch(ctx, frame) })
+}
+
+// injected reports the fault harness's own error: the process is dead.
+func injected(err error) bool { return errors.Is(err, store.ErrInjected) }
 
 // faultBaseline runs the population uninterrupted on a plain file log and
 // returns the sealed digest plus the number of appends the epoch costs —
@@ -49,7 +103,7 @@ func faultBaseline(t *testing.T, pub *Public, subs []*ClientSubmission) (digest 
 // crashRun drives a session against a fault-injected log until the fault
 // fires (or the epoch completes, for trips past the epoch's append count),
 // modeling the process dying at that exact write.
-func crashRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string, kind store.FaultKind, trip int) {
+func crashRun(t *testing.T, pub *Public, subs []*ClientSubmission, shape frameShape, path string, kind store.FaultKind, trip int) {
 	t.Helper()
 	ctx := context.Background()
 	inner, err := store.OpenFileLog(path)
@@ -62,15 +116,15 @@ func crashRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range subs {
-		if err := sess.Submit(ctx, sub); err != nil {
-			if errors.Is(err, store.ErrInjected) {
-				return // the process is dead
-			}
+	for _, err := range shape.admit(ctx, sess, subs) {
+		if injected(err) {
+			return // the process is dead
+		}
+		if err != nil {
 			t.Fatalf("pre-crash submit: %v", err)
 		}
 	}
-	if _, err := sess.Finalize(ctx); err != nil && !errors.Is(err, store.ErrInjected) {
+	if _, err := sess.Finalize(ctx); err != nil && !injected(err) {
 		t.Fatalf("pre-crash finalize: %v", err)
 	}
 }
@@ -79,7 +133,7 @@ func crashRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string, 
 // replays the client population (tolerating duplicate rejections for
 // clients whose records survived the crash), finalizes if the crash
 // happened before the seal landed, and returns the sealed digest.
-func recoverRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string) []byte {
+func recoverRun(t *testing.T, pub *Public, subs []*ClientSubmission, shape frameShape, path string) []byte {
 	t.Helper()
 	ctx := context.Background()
 	log, err := store.OpenFileLog(path)
@@ -92,8 +146,7 @@ func recoverRun(t *testing.T, pub *Public, subs []*ClientSubmission, path string
 		t.Fatalf("resume: %v", err)
 	}
 	if !sess.Finalized() {
-		for _, sub := range subs {
-			err := sess.Submit(ctx, sub)
+		for _, err := range shape.admit(ctx, sess, subs) {
 			if err != nil && !errors.Is(err, ErrClientReject) {
 				t.Fatalf("post-recovery submit: %v", err)
 			}
@@ -123,31 +176,147 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		t.Fatalf("baseline epoch cost %d appends, want at least %d", appends, 2*len(subs)+1)
 	}
 
-	for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
-		for trip := 0; trip < appends; trip++ {
-			t.Run(fmt.Sprintf("%s/append-%d", kind, trip), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "board.log")
-				crashRun(t, pub, subs, path, kind, trip)
-				got := recoverRun(t, pub, subs, path)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s at append %d: recovered digest differs from the uninterrupted run", kind, trip)
-				}
+	for _, shape := range frameShapes {
+		for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
+			for trip := 0; trip < appends; trip++ {
+				t.Run(fmt.Sprintf("%s/%s/append-%d", shape.name, kind, trip), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "board.log")
+					crashRun(t, pub, subs, shape, path, kind, trip)
+					got := recoverRun(t, pub, subs, shape, path)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s at append %d: recovered digest differs from the uninterrupted run", kind, trip)
+					}
 
-				// The recovered log as a third party sees it: the live tail
-				// replays it from byte zero and lands on the same digest.
-				log, err := store.OpenFileLogReadOnly(path)
+					// The recovered log as a third party sees it: the live tail
+					// replays it from byte zero and lands on the same digest.
+					log, err := store.OpenFileLogReadOnly(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer log.Close()
+					a, err := TailAuditLog(pub, log, TailOptions{Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer a.Close()
+					pollUntilSealed(t, a)
+					if !bytes.Equal(a.Digest(), want) {
+						t.Fatalf("%s at append %d: live tail digest differs from the uninterrupted run", kind, trip)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFaultInjectionMirrorBlip is the matrix for a fault that does NOT kill
+// the process: a mirrored primary (store.ReplicatedLog) whose standby fails
+// exactly one mirror call and then answers again. The record the failed call
+// covered is in the primary's local log all the same, so whatever admission
+// does next is appended behind it — and must leave a log the grammar accepts.
+// (The hand-copied single-Submit path did not: it withdrew a client whose
+// verdict record the failed call had already written, and the local log no
+// longer resumed.) For the failed call landing on each of an epoch's first
+// four — submission window, verdict window, twice — and every frame shape:
+// the local log resumes at that instant to the live session's own roster,
+// nobody who was acknowledged is missing, nobody who was not is on the board
+// unless a retry says so, and the sealed epoch audits, tails and reboots to
+// the live digest.
+func TestFaultInjectionMirrorBlip(t *testing.T) {
+	shrinkTailWindow(t)
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	// Eight clients: two frames of four, so calls 1..4 all fall in admission.
+	subs := buildSubs(t, pub, []int{1, 0, 1, 1, 0, 1, 1, 0})
+	copyOf := func(l *store.MemLog) *store.MemLog {
+		recs, err := l.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return memLogOf(t, recs)
+	}
+	for _, shape := range []frameShape{{"submit", 0}, {"batch-of-1", 1}, {"batch-of-4", 4}} {
+		for failAt := 1; failAt <= 4; failAt++ {
+			t.Run(fmt.Sprintf("%s/mirror-call-%d", shape.name, failAt), func(t *testing.T) {
+				local := store.NewMemLog()
+				calls := 0
+				mirrored, err := store.NewReplicatedLog(local, func(start int, recs []*store.Record) (int, error) {
+					if calls++; calls == failAt {
+						return 0, errors.New("standby unreachable")
+					}
+					return start + len(recs), nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer log.Close()
-				a, err := TailAuditLog(pub, log, TailOptions{Workers: 2})
+				opts := SessionOptions{Rand: testSeed(70), Store: mirrored, Parallelism: 2}
+				sess, err := NewSession(pub, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outcomes := shape.admit(ctx, sess, subs)
+				unacked := 0
+				for i, err := range outcomes {
+					if err == nil {
+						continue
+					}
+					if unacked++; errors.Is(err, ErrClientReject) {
+						t.Fatalf("client %d: the blip surfaced as a verdict: %v", i, err)
+					}
+				}
+				if want := max(1, shape.size); unacked != want {
+					t.Fatalf("%d clients went unacknowledged, want the failed frame's %d", unacked, want)
+				}
+
+				// The primary restarts on its local log as it stands right now.
+				opts.Store = copyOf(local)
+				resumed, err := ResumeSession(ctx, pub, opts)
+				if err != nil {
+					t.Fatalf("local log does not resume after the blip: %v", err)
+				}
+				if resumed.Submitted() != sess.Submitted() || resumed.Accepted() != sess.Accepted() {
+					t.Fatalf("resumed roster %d (%d accepted), live session %d (%d accepted)",
+						resumed.Submitted(), resumed.Accepted(), sess.Submitted(), sess.Accepted())
+				}
+
+				// Retries: an unacknowledged client is either off the board (and
+				// admitted now) or on it with its verdict (and a duplicate).
+				for i, err := range outcomes {
+					if err == nil {
+						continue
+					}
+					if err := sess.Submit(ctx, subs[i]); err != nil && !errors.Is(err, ErrClientReject) {
+						t.Fatalf("retry of client %d: %v", i, err)
+					}
+				}
+				res, err := sess.Finalize(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := len(res.Transcript.Clients); got != len(subs) || len(res.RejectedClients) != 0 {
+					t.Fatalf("sealed roster holds %d clients (%d rejected), want all %d", got, len(res.RejectedClients), len(subs))
+				}
+				want := TranscriptDigest(pub, res.Transcript)
+
+				if err := AuditLog(ctx, pub, local, 0, 2); err != nil {
+					t.Fatalf("offline audit of the local log: %v", err)
+				}
+				a, err := TailAuditLog(pub, local, TailOptions{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer a.Close()
 				pollUntilSealed(t, a)
 				if !bytes.Equal(a.Digest(), want) {
-					t.Fatalf("%s at append %d: live tail digest differs from the uninterrupted run", kind, trip)
+					t.Fatal("live tail digest differs from the sealed epoch")
+				}
+				opts.Store = copyOf(local)
+				again, err := ResumeSession(ctx, pub, opts)
+				if err != nil {
+					t.Fatalf("reboot on the sealed local log: %v", err)
+				}
+				if !again.Finalized() || !bytes.Equal(TranscriptDigest(pub, again.SealedTranscript()), want) {
+					t.Fatal("rebooted session lost the sealed epoch")
 				}
 			})
 		}
@@ -196,7 +365,7 @@ func segmentedBaseline(t *testing.T, k segCase, pub *Public, members []any, segs
 // crashSegmented drives a segmented session whose victim segment is fronted
 // by a FaultLog until the fault fires (modeling one segment's disk dying
 // while its siblings stay honest) or the epoch completes.
-func crashSegmented(t *testing.T, k segCase, pub *Public, members []any, dir string, segs, victim int, kind store.FaultKind, trip int) {
+func crashSegmented(t *testing.T, k segCase, pub *Public, members []any, shape frameShape, dir string, segs, victim int, kind store.FaultKind, trip int) {
 	t.Helper()
 	ctx := context.Background()
 	seg, err := store.OpenSegmentedLog(dir, segs)
@@ -206,15 +375,15 @@ func crashSegmented(t *testing.T, k segCase, pub *Public, members []any, dir str
 	defer seg.Close()
 	seg.SetBoard(victim, store.NewFaultLog(seg.Segment(victim), kind, trip))
 	b := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2}, segs, false)
-	for _, m := range members {
-		if err := b.submit(ctx, m); err != nil {
-			if errors.Is(err, store.ErrInjected) {
-				return // the process is dead
-			}
+	for _, err := range b.admitShaped(ctx, shape, members) {
+		if injected(err) {
+			return // the process is dead
+		}
+		if err != nil {
 			t.Fatalf("pre-crash submit: %v", err)
 		}
 	}
-	if _, err := b.finalize(ctx); err != nil && !errors.Is(err, store.ErrInjected) {
+	if _, err := b.finalize(ctx); err != nil && !injected(err) {
 		t.Fatalf("pre-crash finalize: %v", err)
 	}
 }
@@ -224,7 +393,7 @@ func crashSegmented(t *testing.T, k segCase, pub *Public, members []any, dir str
 // refuses late submissions, a surviving record is a duplicate — both
 // expected), completes the epoch and returns the merged digest with every
 // segment's sealed roster size.
-func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, dir string, segs int) (digest []byte, rosters []int) {
+func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, shape frameShape, dir string, segs int) (digest []byte, rosters []int) {
 	t.Helper()
 	ctx := context.Background()
 	seg, err := store.OpenSegmentedLog(dir, 0)
@@ -237,8 +406,7 @@ func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, dir s
 		t.Fatalf("resume: %v", err)
 	}
 	if !b.Finalized() {
-		for _, m := range members {
-			err := b.submit(ctx, m)
+		for _, err := range b.admitShaped(ctx, shape, members) {
 			if err != nil && !errors.Is(err, ErrClientReject) && !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("post-recovery submit: %v", err)
 			}
@@ -276,9 +444,14 @@ func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, dir s
 // that leaves a contribution's row-0 record on disk without its later rows
 // strands that client: the retry meets row 0's duplicate guard and never
 // reaches the rows that lack it. The matrix pins exactly that shape — row 0
-// complete, at most the one in-flight client missing from later rows, the
-// audit's row-subset rule still satisfied — so the gap is a stated cell, not
-// an unexamined one (closing it is an admission change; see ROADMAP item 4).
+// complete, at most the one in-flight frame's clients missing from later
+// rows, the audit's row-subset rule still satisfied — so the gap is a stated
+// cell, not an unexamined one (closing it is an admission change; see ROADMAP
+// item 4).
+//
+// Every cell runs over every frame shape, so a fault at an append inside a
+// frame's lock pass — sibling members already written, none acknowledged —
+// is fenced like one between arrivals.
 func TestFaultInjectionSegmented(t *testing.T) {
 	const segs = 2
 	for _, k := range segCases {
@@ -289,32 +462,38 @@ func TestFaultInjectionSegmented(t *testing.T) {
 			if appends < 3 {
 				t.Fatalf("victim segment cost %d appends, too few crash points to matter", appends)
 			}
-			for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
-				for trip := 0; trip < appends; trip++ {
-					t.Run(fmt.Sprintf("%s/victim-%d/%s/append-%d", k.name, victim, kind, trip), func(t *testing.T) {
-						dir := t.TempDir()
-						crashSegmented(t, k, pub, members, dir, segs, victim, kind, trip)
-						got, rosters := recoverSegmented(t, k, pub, members, dir, segs)
-						// stranded: clients some later row lacks (rows only — a
-						// shard's roster is its own partition of the clients).
-						stranded := 0
-						if !k.kind.pinned {
-							if rosters[0] != len(members) {
-								t.Fatalf("%s at append %d: row 0 seats %d of %d clients after the replay", kind, trip, rosters[0], len(members))
+			for _, shape := range frameShapes {
+				// A crash can strand the whole frame in flight, not just one
+				// contribution: the gap below, at the frame's width.
+				inFlight := max(1, shape.size)
+				for _, kind := range []store.FaultKind{store.FaultFail, store.FaultShortWrite, store.FaultTornAppend} {
+					for trip := 0; trip < appends; trip++ {
+						t.Run(fmt.Sprintf("%s/victim-%d/%s/%s/append-%d", k.name, victim, shape.name, kind, trip), func(t *testing.T) {
+							t.Parallel() // cells share only the read-only population
+							dir := t.TempDir()
+							crashSegmented(t, k, pub, members, shape, dir, segs, victim, kind, trip)
+							got, rosters := recoverSegmented(t, k, pub, members, shape, dir, segs)
+							// stranded: clients some later row lacks (rows only — a
+							// shard's roster is its own partition of the clients).
+							stranded := 0
+							if !k.kind.pinned {
+								if rosters[0] != len(members) {
+									t.Fatalf("%s at append %d: row 0 seats %d of %d clients after the replay", kind, trip, rosters[0], len(members))
+								}
+								for _, n := range rosters[1:] {
+									stranded = max(stranded, len(members)-n)
+								}
 							}
-							for _, n := range rosters[1:] {
-								stranded = max(stranded, len(members)-n)
+							if stranded == 0 {
+								if !bytes.Equal(got, want) {
+									t.Fatalf("%s at segment append %d: recovered merged digest differs from the uninterrupted run", kind, trip)
+								}
+							} else if stranded > inFlight || trip >= appends-1 {
+								t.Fatalf("%s at append %d: rosters %v — more than the one in-flight frame (%d) stranded, or stranded by a seal-phase fault",
+									kind, trip, rosters, inFlight)
 							}
-						}
-						if stranded == 0 {
-							if !bytes.Equal(got, want) {
-								t.Fatalf("%s at segment append %d: recovered merged digest differs from the uninterrupted run", kind, trip)
-							}
-						} else if stranded > 1 || trip >= appends-1 {
-							t.Fatalf("%s at append %d: rosters %v — more than the one in-flight contribution stranded, or stranded by a seal-phase fault",
-								kind, trip, rosters)
-						}
-					})
+						})
+					}
 				}
 			}
 		}
@@ -329,13 +508,15 @@ func TestFaultInjectionSeeded(t *testing.T) {
 	subs := faultSubs(t, pub)
 	want, appends := faultBaseline(t, pub, subs)
 
-	for seed := uint64(0); seed < 6; seed++ {
-		kind, trip := store.FaultFromSeed(seed, appends)
-		path := filepath.Join(t.TempDir(), "board.log")
-		crashRun(t, pub, subs, path, kind, trip)
-		if got := recoverRun(t, pub, subs, path); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d (%s at append %d): recovered digest differs from the uninterrupted run",
-				seed, kind, trip)
+	for _, shape := range frameShapes {
+		for seed := uint64(0); seed < 6; seed++ {
+			kind, trip := store.FaultFromSeed(seed, appends)
+			path := filepath.Join(t.TempDir(), "board.log")
+			crashRun(t, pub, subs, shape, path, kind, trip)
+			if got := recoverRun(t, pub, subs, shape, path); !bytes.Equal(got, want) {
+				t.Fatalf("%s, seed %d (%s at append %d): recovered digest differs from the uninterrupted run",
+					shape.name, seed, kind, trip)
+			}
 		}
 	}
 }
@@ -435,7 +616,7 @@ func TestFaultInjectionTornChunkedSeal(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "board.log")
 			// Appends 0..5 are the early clients' records, 6 is seal chunk 0:
 			// the store dies on chunk 1.
-			crashRun(t, pub, early, path, kind, 2*len(early)+1)
+			crashRun(t, pub, early, frameShapes[0], path, kind, 2*len(early)+1)
 
 			log, err := store.OpenFileLog(path)
 			if err != nil {

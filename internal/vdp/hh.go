@@ -229,41 +229,29 @@ func (hs *SketchSession) checkContribution(c *SketchContribution) error {
 	return nil
 }
 
-// Submit admits one client's contribution. Row 0 goes first and is the
-// gate: its error — a budget refusal, a duplicate, or a proof rejection —
-// is returned verbatim (it is the client-facing verdict) and the remaining
-// rows never see the client. Once row 0 admits, rows 1..Rows-1 are
-// submitted in parallel; a rejection there is wrapped with its row index.
-// The budget charge, when configured, lands on row 0's board at admission,
-// and covers the whole contribution.
+// Submit admits one client's contribution — a batch of one through
+// SubmitBatch, whose row-0 gate and fan-out are the only ones. The return
+// value is the contribution's verdict (row 0's verbatim, a later row's
+// wrapped with its row index) unless the batch itself failed.
 func (hs *SketchSession) Submit(ctx context.Context, c *SketchContribution) error {
-	if err := hs.checkContribution(c); err != nil {
+	verdicts, err := hs.SubmitBatch(ctx, []*SketchContribution{c})
+	if err != nil {
 		return err
 	}
-	if err := hs.admitting(); err != nil {
-		return err
-	}
-	if err := hs.segs[0].Submit(ctx, c.Rows[0]); err != nil {
-		return err
-	}
-	if len(hs.segs) == 1 {
-		return nil
-	}
-	return forEach(ctx, len(hs.segs)-1, len(hs.segs)-1, func(i int) error {
-		if err := hs.segs[i+1].Submit(ctx, c.Rows[i+1]); err != nil {
-			return fmt.Errorf("vdp: sketch row %d: %w", i+1, err)
-		}
-		return nil
-	})
+	return verdicts[0]
 }
 
-// SubmitBatch admits many contributions at once, reusing each row's batched
-// admission pipeline (one Σ-OR batch verification, one group-commit fsync
-// per row). Row 0's batch runs first as the budget gate; only its
-// survivors are forwarded to rows 1..Rows-1, which run in parallel.
-// verdicts[i] is contribution i's outcome exactly as Session.SubmitBatch
-// reports it: nil for admitted, the client's attributable rejection
-// otherwise. err is reserved for infrastructure failures.
+// SubmitBatch admits contributions through each row's admission pipeline
+// (one Σ-OR batch verification, one group-commit fsync per row). Row 0's
+// batch runs first and is the gate: its verdict — a budget refusal, a
+// duplicate, a proof rejection — is the client-facing one, returned verbatim,
+// and only its survivors are forwarded to rows 1..Rows-1, which run in
+// parallel; a rejection there is wrapped with its row index. The budget
+// charge, when configured, lands on row 0's board at admission and covers the
+// whole contribution. verdicts[i] is contribution i's outcome as
+// Session.SubmitBatch reports it: nil for admitted, the client's attributable
+// rejection otherwise. err is reserved for malformed contributions and
+// infrastructure failures.
 func (hs *SketchSession) SubmitBatch(ctx context.Context, contribs []*SketchContribution) ([]error, error) {
 	for _, c := range contribs {
 		if err := hs.checkContribution(c); err != nil {

@@ -201,17 +201,6 @@ func peekClientPublicID(pubRaw []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(pubRaw[1:5])), nil
 }
 
-// PeekSubmitPayloadID returns the client ID of a "submit" frame body without
-// any cryptographic validation. A shard router needs only the ID to pick a
-// backend; the owning node does the real decode and verification.
-func PeekSubmitPayloadID(b []byte) (int, error) {
-	pubRaw, _, err := splitSubmitPayload(b)
-	if err != nil {
-		return 0, err
-	}
-	return peekClientPublicID(pubRaw)
-}
-
 // RepackSubmitPayload converts a "submit" frame body into the equivalent
 // single batch submission record (EncodeClientSubmission layout: version |
 // lp(public) | u32 1 | lp(payload)) and returns the peeked client ID, all by

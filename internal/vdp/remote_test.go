@@ -27,9 +27,6 @@ func TestSubmitPayloadWire(t *testing.T) {
 		t.Fatal("encoded a nil submission")
 	}
 
-	if id, err := PeekSubmitPayloadID(body); err != nil || id != 7 {
-		t.Fatalf("peeked id %d err %v, want 7", id, err)
-	}
 	got, err := pub.DecodeSubmitPayload(body)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +75,9 @@ func TestSubmitPayloadWire(t *testing.T) {
 		t.Fatal("reassembled batch is not byte-identical to the original frame")
 	}
 
-	// Hostile framing fails without panicking.
+	// Hostile framing fails without panicking: no body, a short length field,
+	// a length field past the end, a 2^32-scale length field.
 	for _, bad := range [][]byte{nil, {0, 0}, {0, 0, 0, 200, 1}, {255, 0, 0, 0, 1}} {
-		if _, err := PeekSubmitPayloadID(bad); err == nil {
-			t.Fatalf("peek accepted %v", bad)
-		}
 		if _, _, err := RepackSubmitPayload(bad); err == nil {
 			t.Fatalf("repack accepted %v", bad)
 		}

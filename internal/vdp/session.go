@@ -96,16 +96,17 @@ type sessionClient struct {
 }
 
 // Session is the streaming protocol surface: a stateful aggregation window
-// over one deployment. Clients are admitted incrementally with Submit —
-// verified eagerly, on the engine's worker pool, as they arrive — and the
-// release is produced by Finalize, which reuses the already-verified client
-// set instead of re-deciding the board. Reset reopens the session for the
-// next epoch, so one engine serves many releases.
+// over one deployment. Clients are admitted incrementally with SubmitBatch
+// (Submit for a lone arrival) — verified eagerly, on the engine's worker
+// pool, as they arrive — and the release is produced by Finalize, which
+// reuses the already-verified client set instead of re-deciding the board.
+// Reset reopens the session for the next epoch, so one engine serves many
+// releases.
 //
-// Submit is safe for concurrent use from many goroutines; Finalize and
-// Reset serialize against in-flight Submits. The legacy batch entry points
-// (Run, RunWithSubmissions, Count, Histogram) are thin wrappers over a
-// one-epoch session with DeferVerification set.
+// Submit and SubmitBatch are safe for concurrent use from many goroutines;
+// Finalize and Reset serialize against in-flight admissions. The legacy
+// batch entry points (Run, RunWithSubmissions, Count, Histogram) are thin
+// wrappers over a one-epoch session with DeferVerification set.
 type Session struct {
 	pub  *Public
 	eng  *Engine
@@ -263,232 +264,23 @@ func (s *Session) NewClientSubmission(clientID, choice int) (*ClientSubmission, 
 	return s.pub.NewClientSubmission(clientID, choice, rs.stream(labelClient, clientID))
 }
 
-// Submit admits one client into the current epoch. In the default eager
-// mode the client's board proof and per-prover share openings are verified
-// immediately, fanned out over the engine's worker pool, and the verdict is
-// the return value: nil admits the client to the roster; an
-// ErrClientReject-wrapped error records the rejection. A client whose
-// *board proof* fails still appears on the bulletin board with its public
-// verdict, exactly as in the batch path; a client whose *payload* fails
-// (bad or missing share openings — a private-channel dispute) is refused
-// outright and never posted, keeping the transcript publicly auditable.
-// Duplicate IDs and submissions after Finalize fail without being
-// recorded. A cancelled ctx aborts the verification and withdraws the
-// submission, returning ctx.Err().
+// Submit admits one client into the current epoch: a batch of one through
+// SubmitBatch, which is the session's only admission path. The return value
+// is the client's verdict — nil admits it to the roster, an
+// ErrClientReject-wrapped error records the rejection (see SubmitBatch for
+// which rejections stay on the bulletin board) — unless the batch itself
+// failed (closed session, cancelled ctx, failing store), and that error
+// outranks any verdict: the client is acknowledged only once its records are
+// durable.
 //
 // Submit is safe for concurrent use; verdicts are per-client and
 // independent of interleaving.
 func (s *Session) Submit(ctx context.Context, sub *ClientSubmission) error {
-	if sub == nil || sub.Public == nil {
-		return fmt.Errorf("%w: nil submission", ErrClientReject)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	s.flight.RLock()
-	defer s.flight.RUnlock()
-
-	// Encode the durable submission record outside the roster lock; it is
-	// appended *inside* the lock so log order always equals board order —
-	// the property that makes a recovered transcript byte-identical.
-	var subRec []byte
-	if s.opts.Store != nil {
-		subRec = s.pub.EncodeClientSubmission(sub)
-	}
-
-	cl := &sessionClient{public: sub.Public, payloads: sub.Payloads}
-	s.mu.Lock()
-	if s.state != sessionOpen {
-		// Capture the state before unlocking: a concurrent Finalize/Reset
-		// may rewrite it the moment the lock drops.
-		st := s.state
-		s.mu.Unlock()
-		return fmt.Errorf("%w: session is %s", ErrBadConfig, st)
-	}
-	if _, dup := s.byID[sub.Public.ID]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: duplicate submission from client %d", ErrClientReject, sub.Public.ID)
-	}
-	if s.ledger != nil && !s.ledger.canCharge(s.epoch, sub.Public.ID) {
-		// The client's lifetime privacy budget cannot cover another epoch:
-		// refuse with an attributable, board-recorded verdict. The refusal is
-		// definitive (no verification runs), the submission never reaches the
-		// board order, and — unlike an admission — nothing is charged.
-		return s.refuseOverBudgetLocked(cl, subRec)
-	}
-	if subRec != nil {
-		// Ordered write inside the lock; the fsync is deferred to the
-		// group-commit below so concurrent Submits don't serialize on disk.
-		if err := s.appendRecordOrdered(RecordSubmission, s.epoch, subRec); err != nil {
-			// Not durable, not admitted: the reservation was never made.
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if s.ledger != nil {
-		// Charge the epoch's budget right behind the submission record, in
-		// the same group-commit window. The ledger mutates only after the
-		// append succeeds, so a failing store never forks the chain.
-		if payload, commit := s.ledger.prepareCharge(s.epoch, sub.Public.ID); payload != nil {
-			if err := s.appendRecordOrdered(RecordBudgetCharge, s.epoch, payload); err != nil {
-				// The submission record may have landed without its charge;
-				// withdraw it so the log does not admit an uncharged client.
-				_ = s.appendRecord(RecordWithdraw, s.epoch, encodeWithdraw(sub.Public.ID))
-				s.mu.Unlock()
-				return err
-			}
-			commit()
-		}
-	}
-	s.byID[sub.Public.ID] = cl
-	s.order = append(s.order, cl)
-	epoch := s.epoch
-	s.mu.Unlock()
-
-	if subRec != nil {
-		// Group commit: one fsync covers this submission record and any
-		// neighbours that were written since the last flush. It must land
-		// before the client hears anything — verdict or deferred ack.
-		if err := s.syncStore(); err != nil {
-			s.mu.Lock()
-			delete(s.byID, sub.Public.ID)
-			s.removeFromOrderLocked(cl)
-			_ = s.appendRecord(RecordWithdraw, epoch, encodeWithdraw(sub.Public.ID))
-			s.mu.Unlock()
-			return err
-		}
-	}
-
-	if s.opts.DeferVerification {
-		return nil
-	}
-
-	verdict, onBoard, err := s.verify(ctx, sub)
+	verdicts, err := s.SubmitBatch(ctx, []*ClientSubmission{sub})
 	if err != nil {
-		// Cancelled mid-verification: withdraw the reservation so a retry
-		// of the same client is not a duplicate.
-		s.withdraw(cl)
 		return err
 	}
-	s.mu.Lock()
-	cl.decided = true
-	cl.reject = verdict
-	if verdict != nil {
-		s.rejected[sub.Public.ID] = verdict
-		if !onBoard {
-			// The failure happened on the private channel (bad or missing
-			// share openings), so the submission is refused outright and its
-			// public part never reaches the bulletin board. Posting it would
-			// break public auditability: the auditor recomputes the roster
-			// from board proofs alone, and Line 13's commitment product must
-			// cover every board-valid client. The ID stays reserved.
-			s.removeFromOrderLocked(cl)
-		}
-	}
-	s.mu.Unlock()
-
-	// The verdict append (an fsync on a durable store) runs outside the
-	// roster lock: only submission records need log order to equal board
-	// order, and the flight read-lock held for the whole Submit keeps
-	// Finalize/Reset from sealing the epoch under us.
-	if err := s.appendRecord(RecordVerdict, epoch, encodeVerdict(sub.Public.ID, verdict, onBoard)); err != nil {
-		// The verdict cannot be made durable; rather than let log and
-		// session diverge, withdraw the submission entirely (best-effort
-		// withdrawal record — the store is already failing) and report the
-		// storage error instead of a verdict. The withdraw append stays
-		// inside the roster lock so a concurrent retry of the same ID
-		// cannot slot its submission record between the removal and the
-		// withdrawal, which would make the log unreplayable.
-		s.mu.Lock()
-		delete(s.byID, sub.Public.ID)
-		delete(s.rejected, sub.Public.ID)
-		s.removeFromOrderLocked(cl)
-		_ = s.appendRecord(RecordWithdraw, epoch, encodeWithdraw(sub.Public.ID))
-		s.mu.Unlock()
-		return err
-	}
-	return verdict
-}
-
-// verify decides one submission eagerly: the board legality proof via the
-// batched Σ-OR verifier (a batch of one, multi-exponentiations chunked
-// across the engine's pool) and the K per-prover share-opening checks fanned
-// out over the same pool. The verdict — including the exact rejection
-// sentinel and reason — matches what the batch-at-finalize path would
-// produce for the same submission. onBoard reports whether the public part
-// belongs on the bulletin board: board-level failures are publicly
-// attributable and stay on the board (as in the batch path), while
-// private-channel payload failures mean the submission is refused outright.
-// A non-nil err means cancellation, not a verdict.
-func (s *Session) verify(ctx context.Context, sub *ClientSubmission) (verdict error, onBoard bool, err error) {
-	_, rej, err := s.pub.filterValidClientsBatch(ctx, []*ClientPublic{sub.Public}, s.eng.workers)
-	if err != nil {
-		return nil, false, err
-	}
-	if r, ok := rej[sub.Public.ID]; ok {
-		return r, true, nil
-	}
-	k := s.pub.cfg.Provers
-	if len(sub.Payloads) != k {
-		return fmt.Errorf("%w: client %d supplied %d per-prover payloads, want %d",
-			ErrClientReject, sub.Public.ID, len(sub.Payloads), k), false, nil
-	}
-	rejects := make([]error, k)
-	ferr := forEach(ctx, s.eng.workers, k, func(pk int) error {
-		rejects[pk] = s.pub.checkPayloadOpenings(sub.Public, sub.Payloads[pk], pk)
-		return nil
-	})
-	if ferr != nil {
-		return nil, false, ferr
-	}
-	for _, r := range rejects { // lowest prover index names the reason
-		if r != nil {
-			return r, false, nil
-		}
-	}
-	return nil, true, nil
-}
-
-// refuseOverBudgetLocked refuses a submission whose next epoch charge would
-// exceed the client's lifetime budget. Called with s.mu held (and releases
-// it): the submission record still lands on the log — the refusal must be
-// attributable, so resubmission attempts leave durable evidence — followed
-// by an off-board refusal verdict carrying the budget marker. The ID stays
-// reserved for the epoch (like a payload refusal) and is never charged.
-func (s *Session) refuseOverBudgetLocked(cl *sessionClient, subRec []byte) error {
-	id := cl.public.ID
-	refusal := budgetRefusalError(id, s.ledger.spent[id], s.ledger.cfg.EpochCost, s.ledger.cfg.Total)
-	if subRec != nil {
-		if err := s.appendRecordOrdered(RecordSubmission, s.epoch, subRec); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	cl.decided = true
-	cl.reject = refusal
-	s.byID[id] = cl
-	s.rejected[id] = refusal
-	epoch := s.epoch
-	s.mu.Unlock()
-
-	rollback := func() {
-		s.mu.Lock()
-		delete(s.byID, id)
-		delete(s.rejected, id)
-		_ = s.appendRecord(RecordWithdraw, epoch, encodeWithdraw(id))
-		s.mu.Unlock()
-	}
-	if subRec != nil {
-		if err := s.syncStore(); err != nil {
-			rollback()
-			return err
-		}
-	}
-	if err := s.appendRecord(RecordVerdict, epoch, encodeVerdict(id, refusal, false)); err != nil {
-		rollback()
-		return err
-	}
-	return refusal
+	return verdicts[0]
 }
 
 // removeFromOrderLocked splices one client out of the submission order.
@@ -500,19 +292,6 @@ func (s *Session) removeFromOrderLocked(cl *sessionClient) {
 			return
 		}
 	}
-}
-
-// withdraw removes a reserved client whose verification never completed,
-// releasing its ID for a retry. The withdrawal is recorded in the board log
-// (best effort — the submission's own record is already durable, and a
-// replay treats an unwithdrawn, verdict-less submission as "re-verify") so
-// a resumed session agrees with this one about the client's absence.
-func (s *Session) withdraw(cl *sessionClient) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.byID, cl.public.ID)
-	s.removeFromOrderLocked(cl)
-	_ = s.appendRecord(RecordWithdraw, s.epoch, encodeWithdraw(cl.public.ID))
 }
 
 // Finalize closes the current epoch and runs the remaining protocol stages —

@@ -117,18 +117,6 @@ func resolveShardCount(opts SessionOptions) (int, error) {
 	return shards, nil
 }
 
-// LedgerDigests returns every shard's budget-ledger chain head, in shard
-// order (nil per shard when the session runs without a budget). Clients are
-// pinned to shards by ShardOf, so each shard's chain is the complete charge
-// history of its own clients.
-func (ss *ShardedSession) LedgerDigests() [][]byte {
-	out := make([][]byte, len(ss.segs))
-	for i, s := range ss.segs {
-		out[i] = s.LedgerDigest()
-	}
-	return out
-}
-
 // perShardWorkers divides the total engine width across shards, at least one
 // worker each.
 func perShardWorkers(parallelism, shards int) int {

@@ -286,7 +286,24 @@ type segBoard struct {
 	*segmentedSession
 	newMember func(id, choice int) (any, error) // session-deterministic client material
 	submit    func(ctx context.Context, member any) error
+	batch     func(ctx context.Context, members []any) ([]error, error)
 	finalize  func(ctx context.Context) ([]byte, error)
+}
+
+// admitShaped is admitShaped (faultinject_test.go) over the board's kind.
+func (b *segBoard) admitShaped(ctx context.Context, f frameShape, members []any) []error {
+	return admitShaped(f, members,
+		func(m any) error { return b.submit(ctx, m) },
+		func(frame []any) ([]error, error) { return b.batch(ctx, frame) })
+}
+
+// membersAs unboxes a frame of population members.
+func membersAs[M any](members []any) []M {
+	out := make([]M, len(members))
+	for i, m := range members {
+		out[i], _ = m.(M)
+	}
+	return out
 }
 
 // segCase is a segment kind as a test input.
@@ -322,6 +339,9 @@ var segCases = []segCase{
 					sub, _ := m.(*ClientSubmission)
 					return ss.Submit(ctx, sub)
 				},
+				batch: func(ctx context.Context, ms []any) ([]error, error) {
+					return ss.SubmitBatch(ctx, membersAs[*ClientSubmission](ms))
+				},
 				finalize: func(ctx context.Context) ([]byte, error) {
 					res, err := ss.Finalize(ctx)
 					if err != nil {
@@ -351,6 +371,9 @@ var segCases = []segCase{
 				submit: func(ctx context.Context, m any) error {
 					c, _ := m.(*SketchContribution)
 					return hs.Submit(ctx, c)
+				},
+				batch: func(ctx context.Context, ms []any) ([]error, error) {
+					return hs.SubmitBatch(ctx, membersAs[*SketchContribution](ms))
 				},
 				finalize: func(ctx context.Context) ([]byte, error) {
 					res, err := hs.Finalize(ctx)

@@ -389,7 +389,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	}
 
 	// install re-admits one client; off the board its ID is only reserved —
-	// the public part never reaches the roster, as in the live Submit path.
+	// the public part never reaches the roster, as in live admission.
 	install := func(id int, decided bool, reject error, onBoard bool) {
 		sc := &sessionClient{public: subs[id].Public, payloads: subs[id].Payloads, decided: decided, reject: reject}
 		s.byID[id] = sc
@@ -435,12 +435,13 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 			}
 			if !opts.DeferVerification {
 				// The crash hit between the submission and verdict appends (or
-				// the original session deferred). Re-verify with Submit's exact
+				// the original session deferred). Re-verify with admission's own
 				// checks and persist the recovered verdict so the log converges.
-				if reject, onBoard, err = s.verify(ctx, subs[id]); err != nil {
+				bv, on, err := s.verifyBatch(ctx, []*ClientSubmission{subs[id]})
+				if err != nil {
 					return nil, fmt.Errorf("vdp: re-verifying client %d during resume: %w", id, err)
 				}
-				decided = true
+				decided, reject, onBoard = true, bv[0], on[0]
 				if err := s.appendRecord(RecordVerdict, g.epoch, encodeVerdict(id, reject, onBoard)); err != nil {
 					return nil, err
 				}

@@ -20,12 +20,20 @@
 #                 guard landed; the ceiling catches the batch path
 #                 degenerating into per-client engine tasks or per-client
 #                 encode buffers.
+#   submit        BenchmarkSessionSubmit/eager (root package): 64 single
+#                 arrivals through Session.Submit, each a batch of one
+#                 through the same SubmitBatch. ~6300 allocs/op (≈98 per
+#                 arrival, ≈7 of them the one-element slices and the sync
+#                 channel a batch of one still sets up) when the guard
+#                 landed; the ceiling catches the wrapper growing a
+#                 per-arrival allocation storm of its own.
 #
 # Usage: check_allocs.sh [commit-ceiling]   (default 16)
 set -eu
 commit_ceiling="${1:-16}"
 decode_ceiling=6000
 submit_ceiling=16000
+single_ceiling=9000
 
 fail=0
 
@@ -55,6 +63,8 @@ check "decode" ./internal/vdp 'BenchmarkDecodeSubmissionBatch' 'BenchmarkDecodeS
     "$decode_ceiling" "the batch-frame decoder is allocating per element again"
 check "submit-batch" ./internal/vdp 'BenchmarkSubmitBatch$' 'BenchmarkSubmitBatch' \
     "$submit_ceiling" "SubmitBatch is back to per-client tasks or per-client buffers"
+check "submit" . 'BenchmarkSessionSubmit/eager$' 'BenchmarkSessionSubmit/eager' \
+    "$single_ceiling" "a single arrival costs far more than its share of a batch"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

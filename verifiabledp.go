@@ -124,11 +124,12 @@ func GroupSchnorr2048() Group { return group.Schnorr2048() }
 func Setup(cfg Config) (*Public, error) { return vdp.Setup(cfg) }
 
 // NewSession opens a streaming aggregation session over pub: submissions
-// are admitted (and verified) one at a time with Submit, the verifiable
-// release is produced by Finalize, and Reset reopens the session for the
-// next epoch. This is the primary API for services that receive client
-// submissions incrementally; Run and the Count/Histogram helpers are batch
-// conveniences layered on top of it.
+// are admitted (and verified) as they arrive — Submit for one, SubmitBatch
+// for a frame of many, the same admission path — the verifiable release is
+// produced by Finalize, and Reset reopens the session for the next epoch.
+// This is the primary API for services that receive client submissions
+// incrementally; Run and the Count/Histogram helpers are batch conveniences
+// layered on top of it.
 func NewSession(pub *Public, opts SessionOptions) (*Session, error) {
 	return vdp.NewSession(pub, opts)
 }
