@@ -10,7 +10,8 @@ package ec
 //     g and h, with a fused two-table accumulation for Com(x, r).
 //   - P256MultiExp: Pippenger signed-digit bucket multi-exponentiation for
 //     the batched Σ-OR verification product (hundreds to thousands of
-//     terms), replacing per-term windowing with shared buckets.
+//     terms), replacing per-term windowing with shared buckets, its window
+//     picked per call from a cost model over the scalars' lengths.
 //
 // All functions mutate receiver/out parameters in place and allocate only
 // where documented, which is what drives the commit path to near-zero
@@ -45,10 +46,9 @@ var (
 
 	// curve constants in Montgomery form, set at init from the reference
 	// curve parameters (math/big at init only).
-	p256B     fp256.Element
-	p256Gx    fp256.Element
-	p256Gy    fp256.Element
-	p256Three fp256.Element
+	p256B  fp256.Element
+	p256Gx fp256.Element
+	p256Gy fp256.Element
 )
 
 func init() {
@@ -56,8 +56,6 @@ func init() {
 	p256B = fp.FromBig(c.b.BigInt())
 	p256Gx = fp.FromBig(c.gx.BigInt())
 	p256Gy = fp.FromBig(c.gy.BigInt())
-	three := fp256.Element{3}
-	fp.ToMont(&p256Three, &three)
 }
 
 // P256Generator returns the base point G in Jacobian form.
@@ -110,7 +108,8 @@ func (r *P256Point) Double(p *P256Point) {
 	fp.Sub(&t0, &p.x, &delta)
 	fp.Add(&t1, &p.x, &delta)
 	fp.Mul(&alpha, &t0, &t1)
-	fp.Mul(&alpha, &alpha, &p256Three)
+	fp.Double(&t0, &alpha)
+	fp.Add(&alpha, &alpha, &t0)
 	// X₃ = alpha² - 8beta
 	fp.Sqr(&x3, &alpha)
 	fp.Double(&t0, &beta)
@@ -467,67 +466,99 @@ func (t *P256Table) Mul(r *P256Point, k fp256.Element) {
 	r.Set(&acc)
 }
 
-// --- Pippenger multi-exponentiation ---
+// --- multi-exponentiation ---
 
-// p256PippengerWindow picks the bucket window width for n terms:
-// larger batches amortize more bucket-aggregation work per window.
-func p256PippengerWindow(n int) uint {
-	switch {
-	case n < 32:
-		return 4
-	case n < 128:
-		return 6
-	case n < 512:
-		return 8
-	case n < 2048:
-		return 10
-	case n < 8192:
-		return 12
-	default:
-		return 13
+// Field multiplications per point operation (M and S both counted as one):
+// the currency of the window cost model below and of the budget tables in
+// EXPERIMENTS.md.
+const (
+	costMixedAdd = 11 // AddAffine, 7M + 4S
+	costAdd      = 16 // Add, 11M + 5S
+	costDouble   = 8  // Double, 3M + 5S
+)
+
+// p256MaxWindow bounds the bucket window: 2¹² buckets of 96 bytes is the
+// most scratch one call may take.
+const p256MaxWindow = 13
+
+// p256PippengerWindow picks the signed-bucket window width c for one
+// product from a cost model: reach[b] is the number of terms
+// whose scalar is at least b bits long, so window w — bits [wc, wc+c) —
+// costs reach[wc] mixed additions to fill (shorter scalars have no digit
+// there; a 128-bit batching coefficient stops costing anything above
+// window 128/c), 2·2^(c−1) general additions to collapse, and c doublings;
+// and there are maxBits/c + 1 windows, counted from the longest scalar
+// present, not from 256.
+func p256PippengerWindow(reach *[258]int, maxBits int) uint {
+	best, bestCost := uint(0), 0
+	for c := 2; c <= p256MaxWindow; c++ {
+		cost := 0
+		for lo := 0; lo <= maxBits; lo += c {
+			cost += reach[lo]*costMixedAdd + (1<<c)*costAdd + c*costDouble
+		}
+		if best == 0 || cost < bestCost {
+			best, bestCost = uint(c), cost
+		}
 	}
+	return best
 }
 
-// P256MultiExp computes Σ kᵢ·Pᵢ with Pippenger's bucket method over
-// signed windows: each c-bit window of every scalar drops its point into
-// one of 2^(c-1) shared buckets (negative digits contribute the negated
-// point, free in affine form), and the buckets collapse with a running
-// suffix sum. Cost ≈ 256/c·(n + 2^c) additions versus Straus's ~n·256/4,
-// a large win for the thousands-of-terms batched Σ-OR verification.
+// p256SmallMultiExp is the term count below which bucket set-up does not
+// pay and P256MultiExp interleaves wNAF digits on one doubling chain.
+const p256SmallMultiExp = 8
+
+// P256MultiExp computes Σ kᵢ·Pᵢ. From p256SmallMultiExp terms up it is
+// Pippenger's bucket method over signed windows: each c-bit window of
+// every scalar drops its point into one of 2^(c-1) shared buckets
+// (negative digits contribute the negated point, free in affine form), and
+// the buckets collapse with a running suffix sum — ≈ bits/c·(n + 2^c)
+// additions versus Straus's ~n·bits/4, a large win for the
+// thousands-of-terms batched Σ-OR verification. The window comes from
+// p256PippengerWindow. Below that it is p256StrausWNAF.
 //
 // points and scalars must have equal length; scalars are plain limb
-// integers (< 2²⁵⁶). Infinite points contribute nothing.
+// integers (< 2²⁵⁶). Infinite points and zero scalars contribute nothing.
 func P256MultiExp(points []P256Affine, scalars []fp256.Element) P256Point {
 	if len(points) != len(scalars) {
 		panic("ec: P256MultiExp length mismatch")
 	}
-	var acc P256Point
-	acc.SetInfinity()
+	if len(points) < p256SmallMultiExp {
+		return p256StrausWNAF(points, scalars)
+	}
 	n := len(points)
-	if n == 0 {
-		return acc
-	}
-	if n < 8 {
-		// Bucket setup doesn't pay below a handful of terms.
-		var term, jp P256Point
-		for i := range points {
-			jp.SetAffine(&points[i])
-			term.ScalarMult(&jp, scalars[i])
-			acc.Add(&acc, &term)
-		}
-		return acc
-	}
-	c := p256PippengerWindow(n)
-	// Signed digits: window values > 2^(c-1) borrow from the next window,
-	// so digits lie in (-2^(c-1), 2^(c-1)]. The borrow out of the topmost
-	// 256-bit window needs one extra all-carry window (a full top byte —
-	// and n's top byte is 0xff — overflows it), and that extra window's
-	// digit is at most 1, which can never borrow again.
-	numWin := (256+int(c)-1)/int(c) + 1
-	digits := make([]int32, n*numWin)
+	// reach[b] = live terms with a scalar of at least b bits.
+	var reach [258]int
+	maxBits := 0
 	for i := range scalars {
+		if points[i].inf {
+			continue
+		}
+		bl := scalars[i].BitLen()
+		reach[bl]++
+		if bl > maxBits {
+			maxBits = bl
+		}
+	}
+	for b := maxBits - 1; b >= 0; b-- {
+		reach[b] += reach[b+1]
+	}
+	var acc P256Point
+	if maxBits == 0 {
+		return acc
+	}
+	c := p256PippengerWindow(&reach, maxBits)
+	// Signed digits: window values > 2^(c-1) borrow from the next window,
+	// so digits lie in (-2^(c-1), 2^(c-1)]. maxBits/c + 1 windows always
+	// absorb the last borrow: the top one holds only maxBits mod c < c
+	// scalar bits, so its digit stays ≤ 2^(c-1) with the borrow added.
+	numWin := maxBits/int(c) + 1
+	digits := make([]int16, n*numWin)
+	for i := range scalars {
+		if points[i].inf {
+			continue
+		}
 		k := &scalars[i]
-		carry := int64(0)
+		carry := int32(0)
 		for w := 0; w < numWin; w++ {
 			bit := w * int(c)
 			limb := bit / 64
@@ -539,14 +570,14 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element) P256Point {
 					v |= k[limb+1] << (64 - off)
 				}
 			}
-			d := int64(v&((1<<c)-1)) + carry
+			d := int32(v&((1<<c)-1)) + carry
 			if d > 1<<(c-1) {
 				d -= 1 << c
 				carry = 1
 			} else {
 				carry = 0
 			}
-			digits[i*numWin+w] = int32(d)
+			digits[i*numWin+w] = int16(d)
 		}
 		if carry != 0 {
 			panic("ec: P256MultiExp scalar overflow")
@@ -581,6 +612,53 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element) P256Point {
 			sum.Add(&sum, &run)
 		}
 		acc.Add(&acc, &sum)
+	}
+	return acc
+}
+
+// p256StrausWNAF computes Σ kᵢ·Pᵢ for a handful of terms: every term gets
+// the odd-multiples table and width-5 wNAF digits of ScalarMult, and all of
+// them ride one doubling chain as long as the longest scalar — a folded
+// check of one Σ-OR proof pays 256 doublings, not 256 + 2·128.
+func p256StrausWNAF(points []P256Affine, scalars []fp256.Element) P256Point {
+	var (
+		tables [p256SmallMultiExp - 1][1 << (wnafWidth - 2)]P256Point
+		digits [p256SmallMultiExp - 1][258]int8
+		lens   [p256SmallMultiExp - 1]int
+	)
+	top := 0
+	for i := range points {
+		if points[i].inf {
+			continue
+		}
+		lens[i] = p256WNAF(digits[i][:], scalars[i], wnafWidth)
+		if lens[i] == 0 {
+			continue
+		}
+		var twoP P256Point
+		tables[i][0].SetAffine(&points[i])
+		twoP.Double(&tables[i][0])
+		for j := 1; j < len(tables[i]); j++ {
+			tables[i][j].Add(&tables[i][j-1], &twoP)
+		}
+		if lens[i] > top {
+			top = lens[i]
+		}
+	}
+	var acc, neg P256Point
+	for b := top - 1; b >= 0; b-- {
+		acc.Double(&acc)
+		for i := range points {
+			if b >= lens[i] {
+				continue
+			}
+			if d := digits[i][b]; d > 0 {
+				acc.Add(&acc, &tables[i][(d-1)/2])
+			} else if d < 0 {
+				neg.Neg(&tables[i][(-d-1)/2])
+				acc.Add(&acc, &neg)
+			}
+		}
 	}
 	return acc
 }

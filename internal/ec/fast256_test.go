@@ -326,32 +326,55 @@ func TestFastTable(t *testing.T) {
 	}
 }
 
-// TestFastMultiExpDifferential: Pippenger against the naive sum at sizes
-// spanning the window-selection table, with identity points and extreme
-// exponents (0, 1, n-1) mixed in.
+// TestFastMultiExpDifferential: P256MultiExp against Σ ScalarMult at sizes
+// on both sides of the small-product cut and across the window model's
+// range, with the scalar mix a folded Σ-OR check produces — half to two
+// thirds 128-bit batching coefficients, the rest full length — plus the
+// values that sit on a window or class edge (0, 1, 2¹²⁸−1, 2¹²⁸, n−1) and
+// points at infinity under short and long scalars alike.
 func TestFastMultiExpDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	nMinus1 := new(big.Int).Sub(StdP256().ScalarField().Modulus(), big.NewInt(1))
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 33, 100, 150} {
+	two128 := new(big.Int).Lsh(big.NewInt(1), 128)
+	short := func() *big.Int {
+		b := make([]byte, 16)
+		rng.Read(b)
+		return new(big.Int).SetBytes(b)
+	}
+	// A pool of distinct points, reused cyclically: repeats land in the
+	// same bucket and so also exercise the doubling branch of AddAffine.
+	pool := make([]P256Point, 61)
+	for i := range pool {
+		pool[i], _, _ = randFastPoint(t, rng)
+	}
+	for _, n := range []int{0, 1, 3, 7, 8, 9, 33, 150, 191, 192, 6144} {
+		if testing.Short() && n > 1000 {
+			continue
+		}
 		points := make([]P256Affine, n)
 		scalars := make([]fp256.Element, n)
 		var want P256Point
-		want.SetInfinity()
 		for i := 0; i < n; i++ {
 			var k *big.Int
-			switch i % 5 {
+			switch i % 12 {
 			case 0:
 				k = big.NewInt(0)
 			case 1:
-				k = new(big.Int).Set(nMinus1)
-			default:
+				k = nMinus1
+			case 2:
+				k = big.NewInt(1)
+			case 3:
+				k = new(big.Int).Sub(two128, big.NewInt(1))
+			case 4:
+				k = two128
+			case 5, 6, 7:
 				k = randScalarBig(rng)
+			default:
+				k = short()
 			}
-			var p P256Point
-			if i%7 == 3 {
+			p := pool[i%len(pool)]
+			if i%7 == 3 || i%13 == 9 { // under short (i = 3, 9, 10) and long (i = 17) scalars
 				p.SetInfinity()
-			} else {
-				p, _, _ = randFastPoint(t, rng)
 			}
 			points[i] = p.ToAffine()
 			scalars[i] = limbsFromBigTest(k)
@@ -362,8 +385,66 @@ func TestFastMultiExpDifferential(t *testing.T) {
 		}
 		got := P256MultiExp(points, scalars)
 		if !got.Equal(&want) {
-			t.Fatalf("n=%d: Pippenger disagrees with naive sum", n)
+			t.Fatalf("n=%d: P256MultiExp disagrees with the naive sum", n)
 		}
+	}
+}
+
+// TestFastMultiExpAllShort: a product whose longest scalar is far below
+// 256 bits counts its windows from that scalar, and one with nothing to
+// add is the identity.
+func TestFastMultiExpAllShort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, bits := range []int{0, 1, 5, 64, 129} {
+		const n = 20
+		points := make([]P256Affine, n)
+		scalars := make([]fp256.Element, n)
+		var want P256Point
+		for i := range points {
+			p, _, _ := randFastPoint(t, rng)
+			points[i] = p.ToAffine()
+			k := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+			if i == 0 && bits > 0 {
+				k.SetBit(k, bits-1, 1) // the longest scalar really is `bits` long
+			}
+			scalars[i] = limbsFromBigTest(k)
+			var term P256Point
+			term.ScalarMult(&p, scalars[i])
+			want.Add(&want, &term)
+		}
+		got := P256MultiExp(points, scalars)
+		if !got.Equal(&want) {
+			t.Fatalf("bits=%d: P256MultiExp disagrees with the naive sum", bits)
+		}
+	}
+}
+
+// TestPippengerWindowModel: the model's choices move the way the cost it
+// minimises says they must — wider with more terms, never wider for a
+// shorter scalar class — and stay inside the scratch bound.
+func TestPippengerWindowModel(t *testing.T) {
+	uniform := func(n, bits int) uint {
+		var reach [258]int
+		for b := 0; b <= bits; b++ {
+			reach[b] = n
+		}
+		return p256PippengerWindow(&reach, bits)
+	}
+	prev := uint(0)
+	for n := 8; n <= 1<<20; n *= 2 {
+		c := uniform(n, 256)
+		if c < prev || c < 2 || c > p256MaxWindow {
+			t.Fatalf("window for %d terms is %d after %d", n, c, prev)
+		}
+		prev = c
+	}
+	// Two sizes worked by hand in EXPERIMENTS.md: the collapse's 2^c
+	// general additions outweigh the fill well before c reaches log₂ n.
+	if c := uniform(256, 256); c != 6 {
+		t.Fatalf("256 full-length terms: window %d, want 6", c)
+	}
+	if c := uniform(8192, 256); c != 10 {
+		t.Fatalf("8192 full-length terms: window %d, want 10", c)
 	}
 }
 

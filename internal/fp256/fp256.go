@@ -44,6 +44,7 @@ type Modulus struct {
 	rr   Element // R² mod m (to enter Montgomery form)
 	one  Element // R mod m (Montgomery form of 1)
 
+	coord    bool                             // the coordinate prime: Mul/Sqr take the p-shaped kernel (p256field.go)
 	invChain func(md *Modulus, z, x *Element) // inversion addition chain
 	pm2      Element                          // m-2, generic inversion exponent fallback
 	hasSqrt  bool                             // m ≡ 3 (mod 4) and Sqrt enabled
@@ -56,8 +57,10 @@ var (
 )
 
 func init() {
-	// The coordinate field is hot on Decode (square root) and Encode
-	// (normalization); give it the dedicated addition chain.
+	// The coordinate field is under every curve operation, and hot on
+	// Decode (square root) and Encode (normalization) besides: give it the
+	// kernel shaped to its prime and the dedicated addition chain.
+	pMod.coord = true
 	pMod.invChain = p256CoordInvChain
 }
 
@@ -164,47 +167,41 @@ func (x *Element) PutBytes(b []byte) {
 
 // Add sets z = x + y mod m. Any of the pointers may alias.
 func (md *Modulus) Add(z, x, y *Element) {
-	var s Element
-	var c uint64
-	s[0], c = bits.Add64(x[0], y[0], 0)
-	s[1], c = bits.Add64(x[1], y[1], c)
-	s[2], c = bits.Add64(x[2], y[2], c)
-	s[3], c = bits.Add64(x[3], y[3], c)
-	md.reduceOnce(z, &s, c)
+	s0, c := bits.Add64(x[0], y[0], 0)
+	s1, c := bits.Add64(x[1], y[1], c)
+	s2, c := bits.Add64(x[2], y[2], c)
+	s3, c := bits.Add64(x[3], y[3], c)
+	md.reduceOnce(z, s0, s1, s2, s3, c)
 }
 
-// reduceOnce sets z = v - m if v+hi·2²⁵⁶ ≥ m, else z = v, for v < 2m.
-func (md *Modulus) reduceOnce(z, v *Element, hi uint64) {
-	var r Element
-	var b uint64
-	r[0], b = bits.Sub64(v[0], md.m[0], 0)
-	r[1], b = bits.Sub64(v[1], md.m[1], b)
-	r[2], b = bits.Sub64(v[2], md.m[2], b)
-	r[3], b = bits.Sub64(v[3], md.m[3], b)
-	_, b = bits.Sub64(hi, 0, b)
-	if b == 0 {
-		*z = r
-	} else {
-		*z = *v
+// reduceOnce sets z = v - m if v ≥ m, else z = v, for the 257-bit
+// v = hi·2²⁵⁶ + (v3, v2, v1, v0) < 2m. Which way it goes is a coin flip on
+// field data, so it is written for the compiler to select with conditional
+// moves: a mispredicted branch costs as much as the subtraction.
+func (md *Modulus) reduceOnce(z *Element, v0, v1, v2, v3, hi uint64) {
+	r0, b := bits.Sub64(v0, md.m[0], 0)
+	r1, b := bits.Sub64(v1, md.m[1], b)
+	r2, b := bits.Sub64(v2, md.m[2], b)
+	r3, b := bits.Sub64(v3, md.m[3], b)
+	if b <= hi { // no borrow out of the 257-bit subtraction
+		v0, v1, v2, v3 = r0, r1, r2, r3
 	}
+	*z = Element{v0, v1, v2, v3}
 }
 
-// Sub sets z = x - y mod m.
+// Sub sets z = x - y mod m: the borrow out of x − y masks the modulus that
+// is added back (see reduceOnce for why not a branch).
 func (md *Modulus) Sub(z, x, y *Element) {
-	var d Element
-	var b uint64
-	d[0], b = bits.Sub64(x[0], y[0], 0)
-	d[1], b = bits.Sub64(x[1], y[1], b)
-	d[2], b = bits.Sub64(x[2], y[2], b)
-	d[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		d[0], c = bits.Add64(d[0], md.m[0], 0)
-		d[1], c = bits.Add64(d[1], md.m[1], c)
-		d[2], c = bits.Add64(d[2], md.m[2], c)
-		d[3], _ = bits.Add64(d[3], md.m[3], c)
-	}
-	*z = d
+	d0, b := bits.Sub64(x[0], y[0], 0)
+	d1, b := bits.Sub64(x[1], y[1], b)
+	d2, b := bits.Sub64(x[2], y[2], b)
+	d3, b := bits.Sub64(x[3], y[3], b)
+	wrap := -b
+	var c uint64
+	z[0], c = bits.Add64(d0, md.m[0]&wrap, 0)
+	z[1], c = bits.Add64(d1, md.m[1]&wrap, c)
+	z[2], c = bits.Add64(d2, md.m[2]&wrap, c)
+	z[3], _ = bits.Add64(d3, md.m[3]&wrap, c)
 }
 
 // Neg sets z = -x mod m.
@@ -223,12 +220,24 @@ func (md *Modulus) Neg(z, x *Element) {
 // Double sets z = 2x mod m.
 func (md *Modulus) Double(z, x *Element) { md.Add(z, x, x) }
 
-// Mul sets z = x·y·R⁻¹ mod m (Montgomery product). This is the CIOS
-// method with the running state held in scalar locals so the compiler
-// keeps the whole 6-word accumulator in registers; with both inputs in
+// Mul sets z = x·y·R⁻¹ mod m (Montgomery product); with both inputs in
 // Montgomery form the result is the Montgomery form of the product.
-// Aliasing among z, x, y is allowed.
+// Aliasing among z, x, y is allowed. The coordinate prime takes the kernel
+// in p256field.go; the group order takes the generic CIOS loop, which the
+// tests also run on p as the differential oracle for that kernel.
 func (md *Modulus) Mul(z, x, y *Element) {
+	if md.coord {
+		p256Mul(z, x, y)
+		return
+	}
+	md.mulCIOS(z, x, y)
+}
+
+// mulCIOS is Mul for any odd 256-bit modulus: the CIOS method with the
+// running state held in scalar locals so the compiler keeps the whole
+// 6-word accumulator in registers. 16 word multiplies for the product and
+// 4·(1 + 4) for the reduction.
+func (md *Modulus) mulCIOS(z, x, y *Element) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	m0, m1, m2, m3 := md.m[0], md.m[1], md.m[2], md.m[3]
 	n0 := md.n0
@@ -281,14 +290,19 @@ func (md *Modulus) Mul(z, x, y *Element) {
 		t3, c = bits.Add64(t4, C, 0)
 		t4 = t5 + c
 	}
-	v := Element{t0, t1, t2, t3}
-	md.reduceOnce(z, &v, t4)
+	md.reduceOnce(z, t0, t1, t2, t3, t4)
 }
 
-// Sqr sets z = x² (Montgomery). Kept as a named entry point so profiles
-// attribute squaring separately; the generic multiply is already limb-width
-// specialized, and a dedicated squaring saves little at 4 limbs in Go.
-func (md *Modulus) Sqr(z, x *Element) { md.Mul(z, x, x) }
+// Sqr sets z = x² (Montgomery). On the coordinate prime, where the curve
+// formulas and the inversion and square-root chains spend most of their
+// time, it is a dedicated squaring (14 word multiplies against Mul's 20).
+func (md *Modulus) Sqr(z, x *Element) {
+	if md.coord {
+		p256Sqr(z, x)
+		return
+	}
+	md.mulCIOS(z, x, x)
+}
 
 // ToMont converts a plain integer (< m) to Montgomery form.
 func (md *Modulus) ToMont(z, x *Element) { md.Mul(z, x, &md.rr) }
@@ -389,9 +403,11 @@ func (md *Modulus) sqrN(x *Element, n int) {
 //
 //	p − 2 = 1³² ‖ 0³¹ 1 ‖ 0⁹⁶ ‖ 1⁹⁴ ‖ 0 ‖ 1   (binary, MSB first)
 //
-// The 1-runs are assembled from doubling blocks x2, x4, …, x32 (xk has a
-// k-ones exponent), then appended with shifts: 255 squarings and 13
-// multiplications total versus ~480 for the generic ladder.
+// The doubling blocks x2, x4, …, x32 (xk has a k-ones exponent) cost 31
+// squarings; the exponent is then appended left to right, the 94-ones run
+// as the blocks 32 + 32 + 16 + 8 + 4 + 2: 224 more squarings, one per
+// remaining bit — 255 squarings and 13 multiplications in all, versus ~380
+// for the generic ladder.
 func p256CoordInvChain(md *Modulus, z, x *Element) {
 	var x1, x2, x4, x8, x16, x32 Element
 	x1 = *x
@@ -411,29 +427,21 @@ func p256CoordInvChain(md *Modulus, z, x *Element) {
 	md.sqrN(&x32, 16)
 	md.Mul(&x32, &x32, &x16)
 
-	// x94: a 94-ones exponent = x64 shifted 30 + x30.
-	x64 := x32
-	md.sqrN(&x64, 32)
-	md.Mul(&x64, &x64, &x32)
-	x24 := x16
-	md.sqrN(&x24, 8)
-	md.Mul(&x24, &x24, &x8)
-	x28 := x24
-	md.sqrN(&x28, 4)
-	md.Mul(&x28, &x28, &x4)
-	x30 := x28
-	md.sqrN(&x30, 2)
-	md.Mul(&x30, &x30, &x2)
-	x94 := x64
-	md.sqrN(&x94, 30)
-	md.Mul(&x94, &x94, &x30)
-
 	acc := x32               // 1³²                   (bits 255..224)
 	md.sqrN(&acc, 32)        //
 	md.Mul(&acc, &acc, &x1)  // ‖ 0³¹ 1               (bits 223..192)
-	md.sqrN(&acc, 96)        // ‖ 0⁹⁶                 (bits 191..96)
-	md.sqrN(&acc, 94)        //
-	md.Mul(&acc, &acc, &x94) // ‖ 1⁹⁴                 (bits 95..2)
+	md.sqrN(&acc, 96+32)     // ‖ 0⁹⁶
+	md.Mul(&acc, &acc, &x32) // ‖ 1³²                 (bits 95..64)
+	md.sqrN(&acc, 32)        //
+	md.Mul(&acc, &acc, &x32) // ‖ 1³²                 (bits 63..32)
+	md.sqrN(&acc, 16)        //
+	md.Mul(&acc, &acc, &x16) // ‖ 1¹⁶                 (bits 31..16)
+	md.sqrN(&acc, 8)         //
+	md.Mul(&acc, &acc, &x8)  // ‖ 1⁸                  (bits 15..8)
+	md.sqrN(&acc, 4)         //
+	md.Mul(&acc, &acc, &x4)  // ‖ 1⁴                  (bits 7..4)
+	md.sqrN(&acc, 2)         //
+	md.Mul(&acc, &acc, &x2)  // ‖ 1²                  (bits 3..2)
 	md.sqrN(&acc, 2)         //
 	md.Mul(&acc, &acc, &x1)  // ‖ 01                  (bits 1..0)
 	*z = acc

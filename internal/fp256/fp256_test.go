@@ -285,12 +285,55 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkInv, like every benchmark here, feeds each result into the next
+// operand: on a fixed input the ~270 data-dependent choices of one chain
+// repeat exactly and a branch predictor learns them, which no real caller's
+// data allows.
 func BenchmarkInv(b *testing.B) {
 	md := P()
 	x := md.FromBig(big.NewInt(0).SetBytes([]byte("a benchmark operand a benchmark")))
-	var z Element
+	one := md.One()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		md.Inv(&z, &x)
+		md.Inv(&x, &x)
+		md.Add(&x, &x, &one)
+	}
+}
+
+func BenchmarkSqr(b *testing.B) {
+	md := P()
+	x := md.FromBig(big.NewInt(0).SetBytes([]byte("a benchmark operand a benchmark")))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		md.Sqr(&x, &x)
+	}
+}
+
+func BenchmarkSqrt(b *testing.B) {
+	md := P()
+	x := md.FromBig(big.NewInt(0).SetBytes([]byte("a benchmark operand a benchmark")))
+	one := md.One()
+	var sq Element
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		md.Sqr(&sq, &x) // a square, so the root exists
+		if !md.Sqrt(&x, &sq) {
+			b.Fatal("no root")
+		}
+		md.Add(&x, &x, &one)
+	}
+}
+
+// BenchmarkAddSub chains x ← x − y, y ← y + x so the operands (and with
+// them the wrap-around of each operation) change every iteration the way
+// they do inside the point formulas.
+func BenchmarkAddSub(b *testing.B) {
+	md := P()
+	x := md.FromBig(big.NewInt(0).SetBytes([]byte("a benchmark operand a benchmark")))
+	y := md.FromBig(big.NewInt(0).SetBytes([]byte("another operand another operand!")))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		md.Sub(&x, &x, &y)
+		md.Add(&y, &y, &x)
 	}
 }

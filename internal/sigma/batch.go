@@ -21,29 +21,35 @@ import (
 //	h^{z1ᵢ} = A1ᵢ ∘ X1ᵢ^{e1ᵢ}        X1ᵢ = cᵢ ⊘ g
 //
 // The verifier samples independent 128-bit coefficients ρᵢ, σᵢ and checks
+// the ρ, σ-weighted product of all of them. X1ᵢ is never formed: since
+// X1ᵢ^{e1ᵢσᵢ} = cᵢ^{e1ᵢσᵢ} ∘ g^{−e1ᵢσᵢ}, the two powers of cᵢ merge and the
+// powers of g move to the fixed-base side, leaving three variable bases per
+// proof and one two-generator commitment for the whole batch:
 //
-//	h^{Σᵢ(ρᵢ z0ᵢ + σᵢ z1ᵢ)} = Πᵢ A0ᵢ^{ρᵢ} X0ᵢ^{e0ᵢρᵢ} A1ᵢ^{σᵢ} X1ᵢ^{e1ᵢσᵢ}
+//	g^{Σᵢ e1ᵢσᵢ} ∘ h^{Σᵢ(ρᵢ z0ᵢ + σᵢ z1ᵢ)} = Πᵢ A0ᵢ^{ρᵢ} ∘ A1ᵢ^{σᵢ} ∘ cᵢ^{e0ᵢρᵢ + e1ᵢσᵢ}
 //
-// If any individual equation fails, the combined equation fails except with
-// probability 2⁻¹²⁸ over the coefficients. The right-hand side is one
-// Straus multi-exponentiation (group.MultiExpStraus, chunked across workers
-// by group.MultiExpParallel), sharing the squaring chain across all 4nb
-// terms. BenchmarkVerifyBitsAblation quantifies the speedup.
+// This is the same linear combination of the same 2nb equations, only
+// regrouped, so if any individual equation fails the combined one fails
+// except with probability 2⁻¹²⁸ over the coefficients. The left side is one
+// fused fixed-base evaluation (pedersen CommitWith); the right side is one
+// multi-exponentiation of 3nb terms, two thirds of them with 128-bit
+// exponents (group.MultiExpParallel — on the default P-256 group that is
+// the native Pippenger product on the calling goroutine, see Check).
+// BenchmarkVerifyBitsAblation quantifies the speedup.
 //
 // BitBatch generalises the technique into an accumulator: any mix of Σ-OR
 // bit proofs (from many provers, bins, or clients, each under its own
 // Fiat-Shamir context), one-hot proofs, and plain Pedersen opening claims
-// c = Com(x, r) — every one of which is an "h^z = X^e-shaped" equation —
-// folds into the same combined check. The ΠBin verifier uses this to verify
-// an entire client board, or all of a prover's noise coins across every bin,
-// with one multi-exponentiation.
+// c = Com(x, r) folds into the same combined check. The ΠBin verifier uses
+// this to verify an entire client board, or all of a prover's noise coins
+// across every bin, with one multi-exponentiation.
 
 // batchCoeffBytes is the byte width of the random batching coefficients:
 // 128 bits gives 2^-128 soundness slack, far below the discrete-log
 // advantage already conceded.
 const batchCoeffBytes = 16
 
-// BitBatch accumulates h-base verification equations for a single combined
+// BitBatch accumulates verification equations for a single combined
 // random-linear-combination check. Add* methods perform the cheap scalar
 // work (Fiat-Shamir challenge recomputation, structural checks) immediately
 // and defer all group exponentiations to Check. A BitBatch is single-use and
@@ -51,10 +57,11 @@ const batchCoeffBytes = 16
 type BitBatch struct {
 	pp    *pedersen.Params
 	rnd   io.Reader
-	zAgg  *field.Element
-	bases []group.Element
-	exps  []*field.Element
-	n     int // accumulated equations (for diagnostics)
+	bases []group.Element  // variable-base side: Π bases[i]^exps[i]
+	exps  []*field.Element //
+	gExps []*field.Element // fixed-base side: g^{Σ gExps} ∘ h^{Σ hExps},
+	hExps []*field.Element // summed once, in Check
+	n     int              // accumulated equations (for diagnostics)
 	coeff []byte
 }
 
@@ -69,7 +76,6 @@ func NewBitBatch(pp *pedersen.Params, rnd io.Reader) *BitBatch {
 	return &BitBatch{
 		pp:    pp,
 		rnd:   rnd,
-		zAgg:  pp.ScalarField().Zero(),
 		coeff: make([]byte, batchCoeffBytes),
 	}
 }
@@ -108,30 +114,28 @@ func (b *BitBatch) Add(c *pedersen.Commitment, p *BitProof, ctx []byte) error {
 	if err != nil {
 		return err
 	}
-	b.zAgg = b.zAgg.Add(rho.Mul(p.Z0)).Add(sigma.Mul(p.Z1))
-	x0, x1 := bitStatements(b.pp, c)
-	b.bases = append(b.bases, p.A0, x0, p.A1, x1)
-	b.exps = append(b.exps, rho, p.E0.Mul(rho), sigma, p.E1.Mul(sigma))
+	e1s := p.E1.Mul(sigma)
+	b.gExps = append(b.gExps, e1s)
+	b.hExps = append(b.hExps, rho.Mul(p.Z0), sigma.Mul(p.Z1))
+	b.bases = append(b.bases, p.A0, p.A1, c.Element())
+	b.exps = append(b.exps, rho, sigma, p.E0.Mul(rho).Add(e1s))
 	b.n++
 	return nil
 }
 
-// AddOpening folds the claim c = Com(x, r): equivalently c ⊘ g^x = h^r,
-// one more h-base equation. Used to batch the one-hot product openings and
-// any other commitment checks that travel with a batch of Σ-proofs. x must
-// be a small public value (the caller supplies it); for one-hot proofs it is
-// the constant 1.
+// AddOpening folds the claim c = Com(x, r), weighted by a fresh ρ:
+// c^ρ = g^{ρx} ∘ h^{ρr} — one variable base with a 128-bit exponent, and
+// ρx, ρr onto the fixed-base side. Used to batch the one-hot product
+// openings and any other commitment checks that travel with a batch of
+// Σ-proofs.
 func (b *BitBatch) AddOpening(c *pedersen.Commitment, x, r *field.Element) error {
 	rho, err := b.sample()
 	if err != nil {
 		return err
 	}
-	g := b.pp.Group()
-	// X = c ⊘ g^x, claimed to equal h^r.
-	gx := b.pp.ExpG(x)
-	statement := g.Op(c.Element(), g.Inv(gx))
-	b.zAgg = b.zAgg.Add(rho.Mul(r))
-	b.bases = append(b.bases, statement)
+	b.gExps = append(b.gExps, rho.Mul(x))
+	b.hExps = append(b.hExps, rho.Mul(r))
+	b.bases = append(b.bases, c.Element())
 	b.exps = append(b.exps, rho)
 	b.n++
 	return nil
@@ -150,10 +154,11 @@ func (b *BitBatch) AddOneHot(cs []*pedersen.Commitment, p *OneHotProof, ctx []by
 	if len(p.Bits) != len(cs) || len(cs) == 0 {
 		return fmt.Errorf("%w: one-hot proof covers %d of %d coordinates", ErrVerify, len(p.Bits), len(cs))
 	}
-	// Snapshot for rollback: zAgg is immutable, the slices only grow.
-	mark, zMark, nMark := len(b.bases), b.zAgg, b.n
+	// Snapshot for rollback: the batch is four slices that only grow.
+	mark, gMark, hMark, nMark := len(b.bases), len(b.gExps), len(b.hExps), b.n
 	rollback := func() {
-		b.bases, b.exps, b.zAgg, b.n = b.bases[:mark], b.exps[:mark], zMark, nMark
+		b.bases, b.exps, b.n = b.bases[:mark], b.exps[:mark], nMark
+		b.gExps, b.hExps = b.gExps[:gMark], b.hExps[:hMark]
 	}
 	for j := range cs {
 		if err := b.Add(cs[j], p.Bits[j], oneHotCoordCtx(ctx, j)); err != nil {
@@ -168,17 +173,21 @@ func (b *BitBatch) AddOneHot(cs []*pedersen.Commitment, p *OneHotProof, ctx []by
 	return nil
 }
 
-// Check evaluates the combined equation with a single multi-exponentiation,
-// chunked over up to `workers` goroutines (<= 0 means GOMAXPROCS). A nil
-// return means every folded equation holds (up to 2^-128 batching slack);
-// an ErrVerify return means at least one folded statement is false, with no
-// attribution — callers needing to name a culprit re-verify individually.
+// Check evaluates the combined equation: one fused fixed-base commitment
+// against one multi-exponentiation. workers is passed to
+// group.MultiExpParallel, which uses it only on groups without a native
+// multi-exponentiation (Schnorr2048: up to `workers` goroutines, <= 0
+// meaning GOMAXPROCS); on the default P-256 group the whole product runs
+// on the calling goroutine whatever workers says. A nil return means every
+// folded equation holds (up to 2^-128 batching slack); an ErrVerify return
+// means at least one folded statement is false, with no attribution —
+// callers needing to name a culprit re-verify individually.
 func (b *BitBatch) Check(workers int) error {
 	if b.n == 0 {
 		return nil
 	}
-	g := b.pp.Group()
-	lhs := b.pp.ExpH(b.zAgg)
+	g, f := b.pp.Group(), b.pp.ScalarField()
+	lhs := b.pp.CommitWith(f.Sum(b.gExps...), f.Sum(b.hExps...)).Element()
 	rhs := group.MultiExpParallel(g, b.bases, b.exps, workers)
 	if !g.Equal(lhs, rhs) {
 		return fmt.Errorf("%w: combined batch equation failed", ErrVerify)

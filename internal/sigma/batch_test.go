@@ -237,33 +237,232 @@ func TestBitBatchOneHot(t *testing.T) {
 	}
 }
 
-// TestBitBatchOneHotRollback: a structurally invalid one-hot proof leaves
-// the batch unchanged, so earlier and later honest folds still verify.
+// TestBitBatchOneHotRollback: a one-hot proof that fails a scalar check
+// part-way leaves the batch unchanged, so earlier and later honest folds
+// still verify. By the time AddOneHot gives up, the coordinates before the
+// bad one have been folded — bases, the h-side aggregate and their e1σ on
+// the g-side aggregate — and all of it must come back out.
 func TestBitBatchOneHotRollback(t *testing.T) {
-	pp := ppFF
-	css, proofs, ctxs := buildOneHots(t, pp, 3, 3)
-	b := NewBitBatch(pp, nil)
-	if err := b.AddOneHot(css[0], proofs[0], ctxs[0]); err != nil {
+	poisons := []struct {
+		name   string
+		pp     *pedersen.Params
+		poison func(f *field.Field, bits []*BitProof)
+	}{
+		{"incomplete-coordinate", ppFF, func(_ *field.Field, bits []*BitProof) {
+			bits[2] = &BitProof{}
+		}},
+		{"broken-challenge-split", ppEC, func(f *field.Field, bits []*BitProof) {
+			last := *bits[2]
+			last.E1 = last.E1.Add(f.One())
+			bits[2] = &last
+		}},
+	}
+	for _, tc := range poisons {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			pp := tc.pp
+			css, proofs, ctxs := buildOneHots(t, pp, 3, 3)
+			b := NewBitBatch(pp, nil)
+			if err := b.AddOneHot(css[0], proofs[0], ctxs[0]); err != nil {
+				t.Fatal(err)
+			}
+			before := b.Len()
+			// Client 1's last coordinate is bad: coordinates 0-1 are folded,
+			// then rolled back.
+			mangled := *proofs[1]
+			mangled.Bits = append([]*BitProof{}, mangled.Bits...)
+			tc.poison(pp.ScalarField(), mangled.Bits)
+			if err := b.AddOneHot(css[1], &mangled, ctxs[1]); err == nil {
+				t.Fatal("poisoned one-hot proof accepted")
+			}
+			if b.Len() != before {
+				t.Fatalf("failed AddOneHot left %d equations, want %d (rollback)", b.Len(), before)
+			}
+			if err := b.AddOneHot(css[2], proofs[2], ctxs[2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Check(1); err != nil {
+				t.Errorf("batch after rollback rejected honest members: %v", err)
+			}
+		})
+	}
+}
+
+// foldStatement is one entry of the adversarial tables below: something
+// to fold into a BitBatch, and the verdict the unfolded verifier gives it.
+type foldStatement struct {
+	name  string
+	fold  func(b *BitBatch) error
+	valid bool
+}
+
+// adversarialStatements builds, on pp, honest bit proofs and openings and
+// every single-field corruption of them the regrouped fold must still
+// catch. Each entry's verdict comes from VerifyBit / Params.Verify — the
+// per-proof check that forms X1 = c ⊘ g explicitly.
+func adversarialStatements(t *testing.T, pp *pedersen.Params) []foldStatement {
+	t.Helper()
+	f := pp.ScalarField()
+	one := f.One()
+	var out []foldStatement
+	bit := func(name string, c *pedersen.Commitment, p BitProof) {
+		out = append(out, foldStatement{
+			name:  name,
+			fold:  func(b *BitBatch) error { return b.Add(c, &p, ctxTx) },
+			valid: VerifyBit(pp, c, &p, ctxTx) == nil,
+		})
+	}
+	for v := int64(0); v < 2; v++ {
+		x, r := f.FromInt64(v), f.MustRand(nil)
+		c := pp.CommitWith(x, r)
+		p, err := ProveBit(pp, c, x, r, ctxTx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := "bit" + itoaTest(int(v)) + "/"
+		bit(tag+"honest", c, *p)
+		q := *p
+		q.Z0 = q.Z0.Add(one)
+		bit(tag+"bad-z0", c, q)
+		q = *p
+		q.Z1 = q.Z1.Add(one)
+		bit(tag+"bad-z1", c, q)
+		q = *p
+		q.E0 = q.E0.Add(one)
+		bit(tag+"split-sum-off-by-one", c, q)
+		q = *p
+		q.E0, q.E1 = q.E0.Add(one), q.E1.Sub(one) // still sums to e: only the group equation sees it
+		bit(tag+"split-shifted-by-one", c, q)
+		q = *p
+		q.A0, q.A1 = q.A1, q.A0
+		bit(tag+"announcements-swapped", c, q)
+		q = *p
+		q.A0, q.A1, q.E0, q.E1, q.Z0, q.Z1 = q.A1, q.A0, q.E1, q.E0, q.Z1, q.Z0
+		bit(tag+"branches-swapped", c, q)
+	}
+	// A commitment to 2 with the proof a prover lying about x produces: the
+	// challenge split is right, neither branch equation is.
+	x2, r2 := f.FromInt64(2), f.MustRand(nil)
+	c2 := pp.CommitWith(x2, r2)
+	lie, err := ProveBit(pp, c2, one, r2, ctxTx, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := b.Len()
-	// Client 1's proof is truncated mid-way: coordinate 2's bit proof is
-	// incomplete, so coordinates 0-1 are folded then rolled back.
-	mangled := *proofs[1]
-	mangledBits := append([]*BitProof{}, mangled.Bits...)
-	mangledBits[2] = &BitProof{}
-	mangled.Bits = mangledBits
-	if err := b.AddOneHot(css[1], &mangled, ctxs[1]); err == nil {
-		t.Fatal("incomplete one-hot proof accepted")
+	bit("commitment-to-2", c2, *lie)
+
+	opening := func(name string, c *pedersen.Commitment, x, r *field.Element) {
+		out = append(out, foldStatement{
+			name:  name,
+			fold:  func(b *BitBatch) error { return b.AddOpening(c, x, r) },
+			valid: pp.Verify(c, x, r),
+		})
 	}
-	if b.Len() != before {
-		t.Fatalf("failed AddOneHot left %d equations, want %d (rollback)", b.Len(), before)
+	x, r := f.MustRand(nil), f.MustRand(nil) // AddOpening takes any x, not only small ones
+	c := pp.CommitWith(x, r)
+	opening("opening/honest", c, x, r)
+	opening("opening/honest-one", pp.CommitWith(one, r), one, r)
+	opening("opening/wrong-x", c, x.Add(one), r)
+	opening("opening/wrong-r", c, x, r.Add(one))
+	return out
+}
+
+// foldVerdict folds the statements into a fresh batch and reports whether
+// the folded verifier accepts all of them.
+func foldVerdict(pp *pedersen.Params, stmts []foldStatement, rnd *rand.Rand) bool {
+	b := NewBitBatch(pp, rnd)
+	for _, s := range stmts {
+		if s.fold(b) != nil {
+			return false
+		}
 	}
-	if err := b.AddOneHot(css[2], proofs[2], ctxs[2]); err != nil {
-		t.Fatal(err)
+	return b.Check(1) == nil
+}
+
+// TestBitBatchAdversarial: every corruption alone, and among honest
+// neighbours, fails the folded check; every honest statement passes it; and
+// over 1 000 seeded random mixes the folded verdict is exactly the
+// conjunction of the per-proof verdicts.
+func TestBitBatchAdversarial(t *testing.T) {
+	for _, pp := range both {
+		pp := pp
+		t.Run(pp.Group().Name(), func(t *testing.T) {
+			stmts := adversarialStatements(t, pp)
+			rng := rand.New(rand.NewSource(77))
+			var honest []foldStatement
+			for _, s := range stmts {
+				if s.valid {
+					honest = append(honest, s)
+				}
+			}
+			if len(honest) != 4 || len(stmts) != 19 {
+				t.Fatalf("table has %d statements, %d of them valid; want 19 and 4", len(stmts), len(honest))
+			}
+			if !foldVerdict(pp, honest, rng) {
+				t.Fatal("the honest statements together are rejected")
+			}
+			for _, s := range stmts {
+				if got := foldVerdict(pp, []foldStatement{s}, rng); got != s.valid {
+					t.Errorf("%s alone: folded verdict %v, per-proof verdict %v", s.name, got, s.valid)
+				}
+				if s.valid {
+					continue
+				}
+				among := append(append([]foldStatement{}, honest[:2]...), s)
+				among = append(among, honest[2:]...)
+				if foldVerdict(pp, among, rng) {
+					t.Errorf("%s among honest statements: accepted", s.name)
+				}
+			}
+
+			mixes := 1000
+			if pp != ppEC || testing.Short() {
+				mixes = 50 // Schnorr2048 pays ~0.5 ms per exponentiation
+			}
+			for m := 0; m < mixes; m++ {
+				// Mostly honest draws, so that accepting mixes are common.
+				mix := make([]foldStatement, 1+rng.Intn(6))
+				want := true
+				for i := range mix {
+					if rng.Intn(8) == 0 {
+						mix[i] = stmts[rng.Intn(len(stmts))]
+					} else {
+						mix[i] = honest[rng.Intn(len(honest))]
+					}
+					want = want && mix[i].valid
+				}
+				if got := foldVerdict(pp, mix, rng); got != want {
+					names := make([]string, len(mix))
+					for i := range mix {
+						names[i] = mix[i].name
+					}
+					t.Fatalf("mix %d %v: folded verdict %v, per-proof verdict %v", m, names, got, want)
+				}
+			}
+		})
 	}
-	if err := b.Check(1); err != nil {
-		t.Errorf("batch after rollback rejected honest members: %v", err)
+}
+
+// BenchmarkFoldedCheck times BitBatch.Check alone — the fixed-base
+// commitment and the 3n-term multi-exponentiation — on the default group at
+// the batch size of one 64-submission frame; ns/op ÷ 64 is the per-proof
+// figure the benchmark reports as sigma.check_us_per_proof.
+func BenchmarkFoldedCheck(b *testing.B) {
+	pp := ppEC
+	const n = 64
+	cs, ps := buildBitBatch(b, pp, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := NewBitBatch(pp, nil)
+		for j := range cs {
+			if err := batch.Add(cs[j], ps[j], ctxTx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := batch.Check(1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

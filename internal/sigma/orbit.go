@@ -39,7 +39,9 @@ func bitTranscript(pp *pedersen.Params, c *pedersen.Commitment) *transcript.Tran
 }
 
 // bitStatements returns the two disjunct statements (X0, X1) for commitment
-// c: X0 = c and X1 = c ⊘ g, both claimed to be powers of h.
+// c: X0 = c and X1 = c ⊘ g, both claimed to be powers of h. Proving and
+// per-proof verification work on them; the folded verifier (BitBatch)
+// checks the same two equations without ever forming X1.
 func bitStatements(pp *pedersen.Params, c *pedersen.Commitment) (x0, x1 group.Element) {
 	g := pp.Group()
 	return c.Element(), g.Op(c.Element(), g.Inv(pp.G()))

@@ -8,7 +8,7 @@ import (
 // Benchmarks for the batched admission pipeline, in the harness form
 // scripts/check_allocs.sh consumes: the decode and batch-submit guards read
 // allocs/op off BenchmarkDecodeSubmissionBatch and BenchmarkSubmitBatch and
-// pin the per-batch counts under generous ceilings, so a refactor that
+// pin the per-batch counts within 10 % of what is reached, so a refactor that
 // quietly reintroduces a per-client allocation storm (one buffer per record,
 // one engine task per arrival) fails CI rather than landing silently.
 

@@ -1,39 +1,39 @@
 #!/bin/sh
 # check_allocs.sh — allocation regression guards for the hot paths.
 #
-# Each guard runs one Go benchmark and pins its allocs/op under a
-# deliberately generous ceiling, so a refactor that silently reintroduces
-# an allocation storm fails CI while harmless changes (a scalar copy here
-# or there) do not flap:
+# Each guard runs one Go benchmark and pins its allocs/op under a ceiling
+# set within 10 % of the count reached (the counts repeat to ±1 from run to
+# run), so a refactor that reintroduces an allocation per element fails CI;
+# a change that legitimately moves a count re-measures and moves the
+# ceiling with it:
 #
 #   commit        BenchmarkCommit/p256 (internal/pedersen). The fp256 fast
 #                 backend brought this from 4161 allocs/op (math/big) to 1;
 #                 the ceiling catches the big.Int path coming back.
 #   decode        BenchmarkDecodeSubmissionBatch (internal/vdp): one
 #                 64-submission batch frame through the wire decoder.
-#                 ~1990 allocs/op (≈31 per submission) when the guard
-#                 landed; the ceiling catches a per-byte or per-element
-#                 allocation pattern sneaking into the parse loop.
+#                 1985 allocs/op (≈31 per submission); the ceiling catches
+#                 a per-byte or per-element allocation pattern sneaking
+#                 into the parse loop.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
-#                 verification). ~4300 allocs/op (≈67 per client) when the
-#                 guard landed; the ceiling catches the batch path
-#                 degenerating into per-client engine tasks or per-client
-#                 encode buffers.
+#                 verification). 4008 allocs/op (≈63 per client); the
+#                 ceiling catches the batch path degenerating into
+#                 per-client engine tasks or per-client encode buffers.
 #   submit        BenchmarkSessionSubmit/eager (root package): 64 single
 #                 arrivals through Session.Submit, each a batch of one
-#                 through the same SubmitBatch. ~6300 allocs/op (≈98 per
+#                 through the same SubmitBatch. 6072 allocs/op (≈95 per
 #                 arrival, ≈7 of them the one-element slices and the sync
-#                 channel a batch of one still sets up) when the guard
-#                 landed; the ceiling catches the wrapper growing a
-#                 per-arrival allocation storm of its own.
+#                 channel a batch of one still sets up); the ceiling
+#                 catches the wrapper growing a per-arrival allocation
+#                 storm of its own.
 #
 # Usage: check_allocs.sh [commit-ceiling]   (default 16)
 set -eu
 commit_ceiling="${1:-16}"
-decode_ceiling=6000
-submit_ceiling=16000
-single_ceiling=9000
+decode_ceiling=2150
+submit_ceiling=4400
+single_ceiling=6650
 
 fail=0
 
