@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/fp256"
 )
@@ -507,6 +509,13 @@ func p256PippengerWindow(reach *[258]int, maxBits int) uint {
 // pay and P256MultiExp interleaves wNAF digits on one doubling chain.
 const p256SmallMultiExp = 8
 
+// p256ParallelMultiExp is the term count below which a product stays on the
+// calling goroutine whatever workers says. Products that small (a Coins-8
+// coin check is 24 terms, 0.6 ms) run inside a per-prover fan-out or on an
+// admission path whose cores are already taken, where a hand-off and a
+// second bucket array buy nothing.
+const p256ParallelMultiExp = 32
+
 // P256MultiExp computes Σ kᵢ·Pᵢ. From p256SmallMultiExp terms up it is
 // Pippenger's bucket method over signed windows: each c-bit window of
 // every scalar drops its point into one of 2^(c-1) shared buckets
@@ -516,9 +525,16 @@ const p256SmallMultiExp = 8
 // thousands-of-terms batched Σ-OR verification. The window comes from
 // p256PippengerWindow. Below that it is p256StrausWNAF.
 //
+// The windows are independent until their sums are combined, so from
+// p256ParallelMultiExp terms up they are shared among up to workers
+// goroutines, the caller's included (workers ≤ 1: the caller alone). Which
+// goroutine sums a window does not change the sum, and the combining chain
+// runs on the caller, so the result is the same limb for limb at every
+// worker count.
+//
 // points and scalars must have equal length; scalars are plain limb
 // integers (< 2²⁵⁶). Infinite points and zero scalars contribute nothing.
-func P256MultiExp(points []P256Affine, scalars []fp256.Element) P256Point {
+func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P256Point {
 	if len(points) != len(scalars) {
 		panic("ec: P256MultiExp length mismatch")
 	}
@@ -583,35 +599,65 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element) P256Point {
 			panic("ec: P256MultiExp scalar overflow")
 		}
 	}
-	buckets := make([]P256Point, 1<<(c-1))
-	var neg P256Affine
-	var run, sum P256Point
+	// sums[w] = Σᵢ digitᵢ(w)·Pᵢ. Windows are handed out lowest first: the
+	// low ones hold every term, the top ones only the long scalars, so the
+	// expensive windows start earliest.
+	sums := make([]P256Point, numWin)
+	var next atomic.Int32
+	sumWindows := func() {
+		buckets := make([]P256Point, 1<<(c-1))
+		var neg P256Affine
+		var run, sum P256Point
+		for {
+			w := int(next.Add(1)) - 1
+			if w >= numWin {
+				return
+			}
+			for b := range buckets {
+				buckets[b].SetInfinity()
+			}
+			for i := range points {
+				if points[i].inf {
+					continue
+				}
+				d := digits[i*numWin+w]
+				if d > 0 {
+					buckets[d-1].AddAffine(&buckets[d-1], &points[i])
+				} else if d < 0 {
+					neg.Neg(&points[i])
+					buckets[-d-1].AddAffine(&buckets[-d-1], &neg)
+				}
+			}
+			run.SetInfinity()
+			sum.SetInfinity()
+			for b := len(buckets) - 1; b >= 0; b-- {
+				run.Add(&run, &buckets[b])
+				sum.Add(&sum, &run)
+			}
+			sums[w] = sum
+		}
+	}
+	if workers > numWin {
+		workers = numWin
+	}
+	if n < p256ParallelMultiExp {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sumWindows()
+		}()
+	}
+	sumWindows()
+	wg.Wait()
 	for w := numWin - 1; w >= 0; w-- {
 		for s := uint(0); s < c; s++ {
 			acc.Double(&acc)
 		}
-		for b := range buckets {
-			buckets[b].SetInfinity()
-		}
-		for i := range points {
-			if points[i].inf {
-				continue
-			}
-			d := digits[i*numWin+w]
-			if d > 0 {
-				buckets[d-1].AddAffine(&buckets[d-1], &points[i])
-			} else if d < 0 {
-				neg.Neg(&points[i])
-				buckets[-d-1].AddAffine(&buckets[-d-1], &neg)
-			}
-		}
-		run.SetInfinity()
-		sum.SetInfinity()
-		for b := len(buckets) - 1; b >= 0; b-- {
-			run.Add(&run, &buckets[b])
-			sum.Add(&sum, &run)
-		}
-		acc.Add(&acc, &sum)
+		acc.Add(&acc, &sums[w])
 	}
 	return acc
 }

@@ -3,8 +3,10 @@ package ec
 import (
 	"bytes"
 	"crypto/elliptic"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fp256"
@@ -326,6 +328,21 @@ func TestFastTable(t *testing.T) {
 	}
 }
 
+// multiExpEveryWorkers computes one product at workers = 1 and requires
+// every other worker count — more workers than windows included — to return
+// the same Jacobian coordinates, not merely the same group element: which
+// goroutine sums a window must not show in the result.
+func multiExpEveryWorkers(t *testing.T, label string, points []P256Affine, scalars []fp256.Element) P256Point {
+	t.Helper()
+	ref := P256MultiExp(points, scalars, 1)
+	for _, workers := range []int{2, 3, 8, 64} {
+		if got := P256MultiExp(points, scalars, workers); got != ref {
+			t.Fatalf("%s: workers=%d result differs in coordinates from workers=1", label, workers)
+		}
+	}
+	return ref
+}
+
 // TestFastMultiExpDifferential: P256MultiExp against Σ ScalarMult at sizes
 // on both sides of the small-product cut and across the window model's
 // range, with the scalar mix a folded Σ-OR check produces — half to two
@@ -383,7 +400,7 @@ func TestFastMultiExpDifferential(t *testing.T) {
 			term.ScalarMult(&p, scalars[i])
 			want.Add(&want, &term)
 		}
-		got := P256MultiExp(points, scalars)
+		got := multiExpEveryWorkers(t, fmt.Sprintf("n=%d", n), points, scalars)
 		if !got.Equal(&want) {
 			t.Fatalf("n=%d: P256MultiExp disagrees with the naive sum", n)
 		}
@@ -396,7 +413,7 @@ func TestFastMultiExpDifferential(t *testing.T) {
 func TestFastMultiExpAllShort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, bits := range []int{0, 1, 5, 64, 129} {
-		const n = 20
+		const n = 40 // past p256ParallelMultiExp: a 1-bit product is one window for 64 workers
 		points := make([]P256Affine, n)
 		scalars := make([]fp256.Element, n)
 		var want P256Point
@@ -412,10 +429,36 @@ func TestFastMultiExpAllShort(t *testing.T) {
 			term.ScalarMult(&p, scalars[i])
 			want.Add(&want, &term)
 		}
-		got := P256MultiExp(points, scalars)
+		got := multiExpEveryWorkers(t, fmt.Sprintf("bits=%d", bits), points, scalars)
 		if !got.Equal(&want) {
 			t.Fatalf("bits=%d: P256MultiExp disagrees with the naive sum", bits)
 		}
+	}
+}
+
+// TestFastMultiExpSmallStaysOnCaller: below p256ParallelMultiExp terms a
+// product hands nothing to another goroutine whatever workers says — it
+// allocates exactly what the one-worker call does — while one term more
+// pays for the hand-off, which is what shows the probe can see one.
+func TestFastMultiExpSmallStaysOnCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	points := make([]P256Affine, p256ParallelMultiExp)
+	scalars := make([]fp256.Element, len(points))
+	for i := range points {
+		p, _, _ := randFastPoint(t, rng)
+		points[i] = p.ToAffine()
+		scalars[i] = limbsFromBigTest(randScalarBig(rng))
+	}
+	allocs := func(n, workers int) float64 {
+		return testing.AllocsPerRun(20, func() { P256MultiExp(points[:n], scalars[:n], workers) })
+	}
+	for _, n := range []int{p256SmallMultiExp - 1, p256SmallMultiExp, p256ParallelMultiExp - 1} {
+		if one, many := allocs(n, 1), allocs(n, 8); many != one {
+			t.Errorf("%d terms: %v allocations at workers=8, %v at workers=1", n, many, one)
+		}
+	}
+	if one, many := allocs(p256ParallelMultiExp, 1), allocs(p256ParallelMultiExp, 8); many <= one {
+		t.Errorf("%d terms: %v allocations at workers=8, %v at workers=1 — the probe sees no hand-off", p256ParallelMultiExp, many, one)
 	}
 }
 
@@ -466,7 +509,7 @@ func TestFastMultiExpTopWindowCarry(t *testing.T) {
 		term.ScalarMult(&g, scalars[i])
 		want.Add(&want, &term)
 	}
-	got := P256MultiExp(points, scalars)
+	got := P256MultiExp(points, scalars, 1)
 	if !got.Equal(&want) {
 		t.Fatal("top-window carry handled incorrectly")
 	}
@@ -614,6 +657,6 @@ func BenchmarkFastMultiExp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		P256MultiExp(points, scalars)
+		P256MultiExp(points, scalars, runtime.GOMAXPROCS(0))
 	}
 }

@@ -150,32 +150,32 @@ func MultiExpStraus(g Group, bases []Element, exps []*field.Element) Element {
 // products are faster on one core.
 const multiExpParallelMin = 64
 
-// MultiExpParallel computes Π bases[i]^{exps[i]}, choosing the fastest
+// MultiExpParallel computes Π bases[i]^{exps[i]} on up to `workers`
+// goroutines (workers <= 0 selects GOMAXPROCS), choosing the fastest
 // available strategy:
 //
 //  1. A backend-native multi-exponentiation (NativeMultiExp, e.g. the fast
-//     P-256 group's signed-digit Pippenger over raw points) wins outright;
-//     it is so much faster than interface-level chunking that the workers
-//     hint is ignored.
+//     P-256 group's signed-digit Pippenger over raw points) wins outright.
+//     It shares its bucket windows among the workers, which duplicates no
+//     work, and keeps products too small to repay a hand-off on the caller.
 //  2. Otherwise the terms split into up to `workers` contiguous chunks,
 //     each evaluated on its own goroutine with the best generic algorithm
 //     for its size — Pippenger buckets at ≥ pippengerMin terms, Straus
-//     below.
+//     below. Each chunk repeats the shared squaring chain (~256 ops), so
+//     this only pays for large products; small inputs fall through to the
+//     sequential path.
 //
-// Each chunk repeats the shared squaring chain (~256 ops), so parallelism
-// only pays for large products; small inputs fall through to the sequential
-// path. workers <= 0 selects GOMAXPROCS. The result is independent of the
-// chunking and strategy, so callers may treat this as a drop-in
-// MultiExpStraus.
+// The result is independent of the worker count and strategy, so callers
+// may treat this as a drop-in MultiExpStraus.
 func MultiExpParallel(g Group, bases []Element, exps []*field.Element, workers int) Element {
 	if len(bases) != len(exps) {
 		panic("group: MultiExpParallel length mismatch")
 	}
-	if me, ok := g.(NativeMultiExp); ok {
-		return me.MultiExpNative(bases, exps)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if me, ok := g.(NativeMultiExp); ok {
+		return me.MultiExpNative(bases, exps, workers)
 	}
 	if workers > len(bases)/multiExpParallelMin {
 		workers = len(bases) / multiExpParallelMin

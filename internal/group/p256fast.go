@@ -20,10 +20,12 @@ import (
 // record is unchanged by the backend swap — only the time and allocation
 // profile differs. See ARCHITECTURE.md "Arithmetic backends".
 //
-// Beyond the plain Group interface, fastP256 implements the two optional
-// acceleration interfaces consumed by pedersen and MultiExpParallel:
-// FixedBasePowers (fused table-based g^x·h^r) and NativeMultiExp
-// (Pippenger bucket multi-exponentiation on raw points).
+// Beyond the plain Group interface, fastP256 implements the optional
+// acceleration interfaces consumed by pedersen, MultiExpParallel and the
+// batch verifiers: FixedBasePowers (fused table-based g^x·h^r),
+// NativeMultiExp (Pippenger bucket multi-exponentiation on raw points) and
+// BatchNormalizer (one inversion for a batch of elements about to be
+// encoded).
 type fastP256 struct {
 	name    string
 	curve   *ec.Curve // reference curve: scalar field, hash-to-point, setup
@@ -45,7 +47,7 @@ type fastElem struct {
 	jac     ec.P256Point
 	once    sync.Once
 	aff     ec.P256Affine
-	affDone atomic.Bool // set inside once.Do, read by cachedAffine
+	affDone atomic.Bool // set inside once.Do, read by normalized
 }
 
 func (e *fastElem) GroupName() string { return e.g.name }
@@ -76,16 +78,10 @@ func (e *fastElem) setAffineCache(a ec.P256Affine) {
 	})
 }
 
-// cachedAffine returns the affine form only if it has already been
-// computed, without triggering the per-element inversion. The atomic
-// flag is stored inside the Once after aff is written, so a true load
+// normalized reports whether the affine form has been computed already.
+// The flag is stored inside the Once after aff is written, so a true load
 // guarantees aff is fully published.
-func (e *fastElem) cachedAffine() (*ec.P256Affine, bool) {
-	if e.affDone.Load() {
-		return &e.aff, true
-	}
-	return nil, false
-}
+func (e *fastElem) normalized() bool { return e.affDone.Load() }
 
 // newJac wraps a Jacobian point (affine form computed lazily).
 func (g *fastP256) newJac(p *ec.P256Point) *fastElem {
@@ -233,8 +229,26 @@ type FixedBasePowers interface {
 // multi-exponentiation; MultiExpParallel dispatches to it before any
 // generic strategy.
 type NativeMultiExp interface {
-	// MultiExpNative computes Π bases[i]^{exps[i]}.
-	MultiExpNative(bases []Element, exps []*field.Element) Element
+	// MultiExpNative computes Π bases[i]^{exps[i]} on up to workers
+	// goroutines (the caller's included; workers ≥ 1).
+	MultiExpNative(bases []Element, exps []*field.Element, workers int) Element
+}
+
+// BatchNormalizer is implemented by groups whose elements reach their
+// canonical form through a per-element inversion that a batch can share.
+type BatchNormalizer interface {
+	// NormalizeBatch gives every element its canonical form, so the
+	// Encode of each is free afterwards.
+	NormalizeBatch(elems []Element)
+}
+
+// NormalizeBatch prepares elems for encoding at the cost of one inversion
+// for all of them on groups that implement BatchNormalizer; elsewhere
+// (Schnorr2048 elements are always canonical) it does nothing.
+func NormalizeBatch(g Group, elems []Element) {
+	if bn, ok := g.(BatchNormalizer); ok {
+		bn.NormalizeBatch(elems)
+	}
 }
 
 func (g *fastP256) ExpGenerator(k *field.Element) Element {
@@ -257,36 +271,41 @@ func (g *fastP256) CommitGenerators(x, rx *field.Element) Element {
 	return r
 }
 
-func (g *fastP256) MultiExpNative(bases []Element, exps []*field.Element) Element {
+// NormalizeBatch implements BatchNormalizer: every element still held in
+// Jacobian form only gets its affine form with one shared inversion
+// (Montgomery's trick) instead of one per element, cached on the element
+// for every later Encode and multi-exponentiation.
+func (g *fastP256) NormalizeBatch(elems []Element) {
+	var pending []ec.P256Point
+	var owners []*fastElem
+	for _, b := range elems {
+		if e := g.elem(b); !e.normalized() {
+			pending = append(pending, e.jac)
+			owners = append(owners, e)
+		}
+	}
+	if len(pending) == 0 {
+		return
+	}
+	norm := make([]ec.P256Affine, len(pending))
+	ec.P256BatchAffine(norm, pending)
+	for j, e := range owners {
+		e.setAffineCache(norm[j])
+	}
+}
+
+func (g *fastP256) MultiExpNative(bases []Element, exps []*field.Element, workers int) Element {
 	if len(bases) != len(exps) {
 		panic("group: MultiExpNative length mismatch")
 	}
 	n := len(bases)
 	points := make([]ec.P256Affine, n)
 	scalars := make([]fp256.Element, n)
-	// Normalize all not-yet-affine bases with one shared inversion
-	// (Montgomery's trick) instead of one per element, then cache the
-	// affine forms on the elements for later Encode calls.
-	var pending []ec.P256Point
-	var pendingIdx []int
+	g.NormalizeBatch(bases)
 	for i, b := range bases {
-		e := g.elem(b)
-		if a, ok := e.cachedAffine(); ok {
-			points[i] = *a
-		} else {
-			pending = append(pending, e.jac)
-			pendingIdx = append(pendingIdx, i)
-		}
+		points[i] = *g.elem(b).affine()
 		scalars[i] = scalarLimbs(exps[i])
 	}
-	if len(pending) > 0 {
-		norm := make([]ec.P256Affine, len(pending))
-		ec.P256BatchAffine(norm, pending)
-		for j, i := range pendingIdx {
-			points[i] = norm[j]
-			g.elem(bases[i]).setAffineCache(norm[j])
-		}
-	}
-	res := ec.P256MultiExp(points, scalars)
+	res := ec.P256MultiExp(points, scalars, workers)
 	return g.newJac(&res)
 }

@@ -279,6 +279,54 @@ func TestNativeMultiExpDifferential(t *testing.T) {
 	}
 }
 
+// TestNormalizeBatch: the shared-inversion normalisation leaves every
+// element encoding to the bytes its own inversion would have produced —
+// Jacobian sums, decoded (already affine) elements, the identity reached as
+// a − a, and a batch of nothing but identities — and is a no-op on a group
+// whose elements are always canonical.
+func TestNormalizeBatch(t *testing.T) {
+	fast := P256()
+	rng := rand.New(rand.NewSource(27))
+	build := func() []Element {
+		rng := rand.New(rand.NewSource(28))
+		var out []Element
+		for i := 0; i < 9; i++ {
+			a := fast.Exp(fast.Generator(), randScalar(fast, rng))
+			switch i % 3 {
+			case 0:
+				out = append(out, fast.Op(a, fast.AltGenerator())) // Jacobian only
+			case 1:
+				dec, err := fast.Decode(fast.Encode(a))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, dec) // affine already cached
+			default:
+				out = append(out, fast.Op(a, fast.Inv(a))) // identity with Z = 0
+			}
+		}
+		return out
+	}
+	one, batched := build(), build()
+	NormalizeBatch(fast, batched)
+	for i := range one {
+		if !bytes.Equal(fast.Encode(batched[i]), fast.Encode(one[i])) {
+			t.Fatalf("element %d encodes differently after NormalizeBatch", i)
+		}
+	}
+	a := fast.Exp(fast.Generator(), randScalar(fast, rng))
+	ids := []Element{fast.Op(a, fast.Inv(a)), fast.Op(fast.Inv(a), a)}
+	NormalizeBatch(fast, ids)
+	for _, id := range ids {
+		if !bytes.Equal(fast.Encode(id), fast.Encode(fast.Identity())) {
+			t.Fatal("identity encodes differently after NormalizeBatch")
+		}
+	}
+	NormalizeBatch(fast, nil)
+	ff := Schnorr2048()
+	NormalizeBatch(ff, []Element{ff.Generator()})
+}
+
 // TestPippengerGenericDifferential: the generic bucket method equals
 // Straus and the naive product on both backends, across the window
 // selection table, including identity bases and extreme exponents.

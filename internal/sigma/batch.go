@@ -34,7 +34,7 @@ import (
 // fused fixed-base evaluation (pedersen CommitWith); the right side is one
 // multi-exponentiation of 3nb terms, two thirds of them with 128-bit
 // exponents (group.MultiExpParallel — on the default P-256 group that is
-// the native Pippenger product on the calling goroutine, see Check).
+// the native Pippenger product, its windows shared among Check's workers).
 // BenchmarkVerifyBitsAblation quantifies the speedup.
 //
 // BitBatch generalises the technique into an accumulator: any mix of Σ-OR
@@ -174,11 +174,10 @@ func (b *BitBatch) AddOneHot(cs []*pedersen.Commitment, p *OneHotProof, ctx []by
 }
 
 // Check evaluates the combined equation: one fused fixed-base commitment
-// against one multi-exponentiation. workers is passed to
-// group.MultiExpParallel, which uses it only on groups without a native
-// multi-exponentiation (Schnorr2048: up to `workers` goroutines, <= 0
-// meaning GOMAXPROCS); on the default P-256 group the whole product runs
-// on the calling goroutine whatever workers says. A nil return means every
+// against one multi-exponentiation, which group.MultiExpParallel spreads
+// over up to `workers` goroutines (<= 0 meaning GOMAXPROCS) on either
+// group; a product of a few dozen terms or fewer stays on the calling
+// goroutine. The verdict does not depend on workers. A nil return means every
 // folded equation holds (up to 2^-128 batching slack); an ErrVerify return
 // means at least one folded statement is false, with no attribution —
 // callers needing to name a culprit re-verify individually.

@@ -171,8 +171,10 @@ func TestServerCloseIdempotent(t *testing.T) {
 // room, and gives up with ctx.Err() — listener closed, connection still
 // pending — when the deadline is too tight.
 func TestServerShutdown(t *testing.T) {
+	entered := make(chan struct{})
 	block := make(chan struct{})
 	srv, err := Listen("127.0.0.1:0", func(f *Frame) ([]*Frame, error) {
+		close(entered)
 		<-block
 		return []*Frame{{Kind: "ack"}}, nil
 	})
@@ -188,6 +190,10 @@ func TestServerShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A dial returns once the kernel has queued the connection, which can be
+	// before Accept hands it over: a Shutdown that closed the listener in
+	// that gap would have nothing to wait for. Wait until the handler runs.
+	<-entered
 	// The handler is parked on block: a tight deadline must expire.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

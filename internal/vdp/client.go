@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/field"
+	"repro/internal/group"
 	"repro/internal/pedersen"
 	"repro/internal/share"
 	"repro/internal/sigma"
@@ -226,6 +227,18 @@ func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPubl
 	})
 	if ferr != nil {
 		return nil, nil, ferr
+	}
+	// The fold hashes every derived commitment's encoding into its
+	// Fiat-Shamir challenge: one shared inversion for the batch here, not
+	// one per commitment there. A lone commitment has nothing to share.
+	if n := len(pubs) * p.cfg.Bins; n > 1 {
+		elems := make([]group.Element, 0, n)
+		for _, d := range derived {
+			for _, c := range d {
+				elems = append(elems, c.Element())
+			}
+		}
+		group.NormalizeBatch(p.pp.Group(), elems)
 	}
 
 	// Pass 2 (sequential, scalar-only): fold every remaining proof into the

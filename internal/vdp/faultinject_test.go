@@ -141,6 +141,7 @@ func recoverRun(t *testing.T, pub *Public, subs []*ClientSubmission, shape frame
 		t.Fatalf("recovery reopen: %v", err)
 	}
 	defer log.Close()
+	sweepLog(t, pub, log)
 	sess, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(70), Store: log, Parallelism: 2})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -269,6 +270,7 @@ func TestFaultInjectionMirrorBlip(t *testing.T) {
 				}
 
 				// The primary restarts on its local log as it stands right now.
+				sweepLog(t, pub, local)
 				opts.Store = copyOf(local)
 				resumed, err := ResumeSession(ctx, pub, opts)
 				if err != nil {
@@ -401,6 +403,18 @@ func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, shape
 		t.Fatalf("recovery reopen: %v", err)
 	}
 	defer seg.Close()
+	// Cells run in parallel and the sweep moves decodeAhead: every reader of
+	// a cell runs under the sweep's lock.
+	readerSweepMu.Lock()
+	defer readerSweepMu.Unlock()
+	for i := 0; i < segs; i++ {
+		recs, err := seg.Segment(i).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, shards := k.kind.pin(i, segs)
+		sweepReaders(t, sweptLog{pub: pub, recs: recs, shard: shard, shards: shards})
+	}
 	b, err := k.open(pub, SessionOptions{Rand: testSeed(70), Segmented: seg, Parallelism: 2}, segs, true)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -568,6 +582,7 @@ func TestFaultInjectionCompactBoundary(t *testing.T) {
 				t.Fatalf("recovery reopen: %v", err)
 			}
 			defer log.Close()
+			sweepLog(t, pub, log)
 			sess2, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(70), Store: log, Parallelism: 2})
 			if err != nil {
 				t.Fatalf("resume after crashed Compact: %v", err)
@@ -623,6 +638,7 @@ func TestFaultInjectionTornChunkedSeal(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer log.Close()
+			sweepLog(t, pub, log)
 			opts := SessionOptions{Rand: testSeed(70), Store: log, Parallelism: 2}
 			sess, err := ResumeSession(ctx, pub, opts)
 			if err != nil {
@@ -642,6 +658,7 @@ func TestFaultInjectionTornChunkedSeal(t *testing.T) {
 				t.Fatal("recovered digest differs from the uninterrupted run")
 			}
 
+			sweepLog(t, pub, log)
 			if err := AuditLog(ctx, pub, log, 0, 2); err != nil {
 				t.Fatalf("offline audit of the honest log: %v", err)
 			}

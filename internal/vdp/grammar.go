@@ -2,6 +2,7 @@ package vdp
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 
@@ -142,10 +143,30 @@ func newBoardGrammar(pub *Public, budget *BudgetConfig, audit bool) *boardGramma
 	}
 }
 
+// submissionDecode is what DecodeClientSubmission made of one submission
+// record's payload. Decoding is the expensive, order-free part of reading a
+// record in full, so a reader may have done it ahead of the grammar, on
+// another goroutine; what the result means stays with step.
+type submissionDecode struct {
+	sub *ClientSubmission
+	err error
+}
+
+// decodeSubmission decodes rec's payload if rec is a submission record.
+func (p *Public) decodeSubmission(rec *store.Record) (d submissionDecode) {
+	if rec.Kind == RecordSubmission {
+		d.sub, d.err = p.DecodeClientSubmission(rec.Payload)
+	}
+	return d
+}
+
 // Feed consumes one record in full: submissions are decoded, the seal is
 // checked against the roster, a snapshot against the seal it pins.
 func (g *boardGrammar) Feed(rec *store.Record, index int, offset int64) (boardEvent, error) {
-	return g.feed(rec, index, offset, true)
+	if g.err != nil {
+		return boardEvent{}, g.err // a machine that refused its log decodes nothing more
+	}
+	return g.feed(rec, index, offset, true, g.pub.decodeSubmission(rec))
 }
 
 // Skim consumes one record enforcing the same grammar but none of the
@@ -155,7 +176,7 @@ func (g *boardGrammar) Feed(rec *store.Record, index int, offset int64) (boardEv
 // are not asked about — AuditLog for every epoch but the audited one,
 // ResumeSession for everything a snapshot vouches for.
 func (g *boardGrammar) Skim(rec *store.Record, index int, offset int64) error {
-	_, err := g.feed(rec, index, offset, false)
+	_, err := g.feed(rec, index, offset, false, submissionDecode{})
 	return err
 }
 
@@ -186,12 +207,84 @@ func (g *boardGrammar) nextEpoch() {
 	g.chunks = sealAssembly{}
 }
 
-func (g *boardGrammar) feed(rec *store.Record, index int, offset int64, full bool) (boardEvent, error) {
+// decodeAhead is how many records of a stretch read in full replay buffers
+// before it decodes their submissions on the pool and feeds them on. A var
+// so tests can shrink it to put a window boundary anywhere on a small board.
+var decodeAhead = 256
+
+// replay reads a whole log through the machine: the records full selects
+// are fed in full, every other one skimmed, and on is handed the event of
+// each record fed in full. Decoding a submission is most of the cost of
+// reading it and needs no state, so the records fed in full are buffered a
+// window at a time, decoded on up to workers goroutines, and only then fed —
+// in log order, by this goroutine, so the first violation and its position
+// are what a record-by-record Feed would have reported.
+func (g *boardGrammar) replay(ctx context.Context, log store.BoardLog, workers int,
+	full func(i int, rec *store.Record) bool, on func(boardEvent) error) error {
+	var (
+		window []*store.Record
+		first  int // log index of window[0]
+	)
+	flush := func() error {
+		decs := make([]submissionDecode, len(window))
+		if err := forEach(ctx, workers, len(window), func(k int) error {
+			decs[k] = g.pub.decodeSubmission(window[k])
+			return nil
+		}); err != nil {
+			return err
+		}
+		for k, rec := range window {
+			ev, err := g.feed(rec, first+k, -1, true, decs[k])
+			if err == nil {
+				err = on(ev)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		window = window[:0]
+		return nil
+	}
+	i := -1
+	take := func(rec *store.Record) error {
+		i++
+		if !full(i, rec) {
+			if err := flush(); err != nil {
+				return err
+			}
+			return g.Skim(rec, i, -1)
+		}
+		if len(window) == 0 {
+			first = i
+		}
+		window = append(window, rec)
+		if len(window) >= decodeAhead {
+			return flush()
+		}
+		return nil
+	}
+	var stopped error
+	err := log.Replay(func(rec *store.Record) error {
+		stopped = take(rec)
+		return stopped
+	})
+	if stopped != nil {
+		return err
+	}
+	// The log ended, or the store failed under it: the records it did hand
+	// over are judged first, as they would have been one by one.
+	if ferr := flush(); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+func (g *boardGrammar) feed(rec *store.Record, index int, offset int64, full bool, dec submissionDecode) (boardEvent, error) {
 	if g.err != nil {
 		return boardEvent{}, g.err
 	}
 	g.index, g.offset = index, offset
-	ev, err := g.step(rec, full)
+	ev, err := g.step(rec, full, dec)
 	if err != nil {
 		g.err = err
 	}
@@ -199,8 +292,9 @@ func (g *boardGrammar) feed(rec *store.Record, index int, offset int64, full boo
 }
 
 // step is the grammar. Each rule names the Session behaviour that makes it
-// safe: a log that breaks one was not written by a Session.
-func (g *boardGrammar) step(rec *store.Record, full bool) (boardEvent, error) {
+// safe: a log that breaks one was not written by a Session. dec is the
+// decode of a submission record being read in full, unused otherwise.
+func (g *boardGrammar) step(rec *store.Record, full bool, dec submissionDecode) (boardEvent, error) {
 	none := boardEvent{}
 	if int(rec.Epoch) != g.epoch {
 		return none, g.errorf("kind %d belongs to epoch %d, current epoch is %d", rec.Kind, rec.Epoch, g.epoch)
@@ -236,7 +330,7 @@ func (g *boardGrammar) step(rec *store.Record, full bool) (boardEvent, error) {
 			err error
 		)
 		if full {
-			if sub, err = g.pub.DecodeClientSubmission(rec.Payload); err == nil {
+			if sub, err = dec.sub, dec.err; err == nil {
 				id, sum = sub.Public.ID, sha256.Sum256(raw)
 			}
 		} else {

@@ -93,6 +93,7 @@ func plainBoard(t *testing.T) *grammarBoard {
 	return &grammarBoard{
 		name: "plain", pub: pub, victim: recs, freshID: 9, digest1: TranscriptDigest(pub, res.Transcript),
 		read: func(t *testing.T, victim []*store.Record) (resume, audit, tail error) {
+			sweepReaders(t, sweptLog{pub: pub, recs: victim, opts: opts})
 			audit = AuditLog(ctx, pub, memLogOf(t, victim), 1, 2)
 			tail = feedAll(NewTailAuditor(pub, TailOptions{Workers: 2, Budget: conformanceBudget}), victim)
 			ro := opts
@@ -105,9 +106,11 @@ func plainBoard(t *testing.T) *grammarBoard {
 
 // segmentedReader rebuilds a segmented directory from per-segment records
 // (segment 0 replaced by the mutated victim) and reads it three ways.
-func segmentedReader(t *testing.T, segs [][]*store.Record, manifest []*store.Record,
+func segmentedReader(t *testing.T, pub *Public, kind segmentKind, segs [][]*store.Record, manifest []*store.Record,
 	read func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail)) func(*testing.T, []*store.Record) (error, error, error) {
 	return func(t *testing.T, victim []*store.Record) (resume, audit, tail error) {
+		shard, shards := kind.pin(0, len(segs))
+		sweepReaders(t, sweptLog{pub: pub, recs: victim, opts: SessionOptions{Budget: kind.budget(0, conformanceBudget)}, shard: shard, shards: shards})
 		seg, err := store.OpenSegmentedLog(t.TempDir(), len(segs), store.WithNoSync())
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +210,7 @@ func shardedBoard(t *testing.T) *grammarBoard {
 	return &grammarBoard{
 		name: "shards-2", pub: pub, victim: segs[0], freshID: home[0][5],
 		digest1: TranscriptDigest(pub, ss.Shard(0).SealedTranscript()),
-		read: segmentedReader(t, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
+		read: segmentedReader(t, pub, shardSegments, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
 			audit = AuditSegmentedLog(ctx, pub, seg, 1, 2)
 			tail, err := TailAuditMerged(pub, seg, TailOptions{Workers: 2, Budget: conformanceBudget})
 			if err != nil {
@@ -265,7 +268,7 @@ func sketchBoard(t *testing.T) *grammarBoard {
 	return &grammarBoard{
 		name: "sketch-rows", pub: pub, victim: segs[0], freshID: 9,
 		digest1: TranscriptDigest(pub, hs.Row(0).SealedTranscript()),
-		read: segmentedReader(t, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
+		read: segmentedReader(t, pub, rowSegments, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
 			audit = AuditSketchLog(ctx, pub, layout, seg, 1, 2)
 			tail, err := TailSketchLog(pub, layout, seg, TailOptions{Workers: 2, Budget: conformanceBudget})
 			if err != nil {
@@ -690,6 +693,7 @@ func mutateRecords(recs []*store.Record, ops []byte) []*store.Record {
 // that was not told either.
 func checkGrammarAgreement(t *testing.T, pub *Public, base *fuzzBase, recs []*store.Record, pristine bool) {
 	ctx := context.Background()
+	sweepReaders(t, sweptLog{pub: pub, recs: recs, opts: base.opts})
 	// sameRecord holds another reader to a tail's refusal: it sticks, and the
 	// other reader names the same record.
 	sameRecord := func(tail *TailAuditor, tailErr error, who string, otherErr error) *boardLogError {

@@ -14,8 +14,10 @@ import (
 type SessionOptions struct {
 	// Parallelism is the worker-pool width of the underlying execution
 	// engine: 0 selects runtime.GOMAXPROCS(0), 1 forces sequential
-	// execution. Submission-time verification and every Finalize stage run
-	// on this pool.
+	// execution. Submission-time verification (its batched check's
+	// multi-exponentiation included), every Finalize stage and, in
+	// ResumeSession, the decoding of the replayed submissions run on this
+	// pool.
 	Parallelism int
 	// Rand is the randomness source (nil = crypto/rand). When set, a single
 	// root seed is read once at NewSession and expanded into independent

@@ -352,27 +352,24 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	// session's.
 	g := newBoardGrammar(pub, opts.Budget, false)
 	g.shardIdx, g.shardCount = shard, shards
+	eng := NewEngine(pub, opts.Parallelism)
 	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
-	i := -1
-	err = opts.Store.Replay(func(rec *store.Record) error {
-		i++
-		if i <= snapAt {
-			return g.Skim(rec, i, -1)
-		}
-		ev, err := g.Feed(rec, i, -1)
-		switch ev.kind {
-		case evSubmission:
-			subs[ev.client.id] = ev.sub
-		case evBoundary:
-			subs = make(map[int]*ClientSubmission)
-		}
-		return err
-	})
+	err = g.replay(ctx, opts.Store, eng.workers,
+		func(i int, _ *store.Record) bool { return i > snapAt },
+		func(ev boardEvent) error {
+			switch ev.kind {
+			case evSubmission:
+				subs[ev.client.id] = ev.sub
+			case evBoundary:
+				subs = make(map[int]*ClientSubmission)
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	s := newSessionFromSource(NewEngine(pub, opts.Parallelism), opts, root)
+	s := newSessionFromSource(eng, opts, root)
 	s.resumed = true
 	s.epoch = g.epoch
 	s.rs = s.root.fork(g.epoch)
@@ -460,7 +457,10 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 // exactly Audit). A log whose per-arrival records disagree with the
 // transcript it sealed is rejected even if the transcript verifies in
 // isolation. epoch < 0 selects the latest sealed epoch. workers follows the
-// AuditParallel convention (0 = all cores).
+// AuditParallel convention (0 = all cores) and bounds every stage that is
+// not inherently serial: the submission decode, which runs a window of
+// records ahead of the grammar, and each batched check's multi-exponentiation
+// as well as the per-prover fan-out.
 func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) error {
 	if epoch < 0 {
 		// Resolve "latest sealed" with a cheap seal-only scan before the
@@ -480,28 +480,37 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 
 // auditLogEpoch is the per-epoch core of AuditLog, for a log that is shard
 // `shard` of `shards`. The audited epoch's records are fed in full and every
-// other epoch's skimmed, so only the audited submissions are ever decoded;
-// the one batched re-verification runs when the seal arrives. It returns the
-// verified transcript (so the segmented auditors can merge per-log verdicts).
+// other epoch's skimmed, so only the audited submissions are ever decoded —
+// once: by the time the seal event arrives the grammar has matched every
+// sealed client block, byte for byte, to the arrival record of the roster
+// client in its position, so the transcript takes those clients as already
+// decoded. The one batched re-verification runs when the seal arrives. It
+// returns the verified transcript (so the segmented auditors can merge
+// per-log verdicts).
 func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (*Transcript, error) {
 	g := newBoardGrammar(pub, nil, true)
 	g.shardIdx, g.shardCount = shard, shards
+	workers = NewEngine(pub, workers).Workers()
+	publics := make(map[int]*ClientPublic) // the audited epoch's arrivals, by client
 	var t *Transcript
-	i := -1
-	err := log.Replay(func(rec *store.Record) error {
-		i++
-		if int(rec.Epoch) != epoch {
-			return g.Skim(rec, i, -1)
-		}
-		ev, err := g.Feed(rec, i, -1)
-		if err != nil || ev.kind != evSeal {
-			return err
-		}
-		if t, err = pub.DecodeTranscript(ev.seal); err != nil {
-			return g.errorf("sealed transcript: %v", err)
-		}
-		return auditParallel(ctx, pub, t, workers)
-	})
+	err := g.replay(ctx, log, workers,
+		func(_ int, rec *store.Record) bool { return int(rec.Epoch) == epoch },
+		func(ev boardEvent) (err error) {
+			switch ev.kind {
+			case evSubmission:
+				publics[ev.client.id] = ev.sub.Public
+			case evSeal:
+				clients := make([]*ClientPublic, len(g.roster))
+				for i, cl := range g.roster {
+					clients[i] = publics[cl.id]
+				}
+				if t, err = pub.decodeTranscript(ev.seal, clients); err != nil {
+					return g.errorf("sealed transcript: %v", err)
+				}
+				return auditParallel(ctx, pub, t, workers)
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,10 @@ import (
 
 // TailOptions configures a live audit tail.
 type TailOptions struct {
-	// Workers is the verification pool width (0 = GOMAXPROCS).
+	// Workers is the verification pool width (0 = GOMAXPROCS): each
+	// window's batched Σ-OR check — the derived commitments and the
+	// multi-exponentiation — and the seal-time per-prover checks run on
+	// it. Records are decoded by the goroutine that feeds them.
 	Workers int
 	// Budget, when set, makes the tail enforce the session's charging policy
 	// in addition to replaying the charge chain: every admitted client must

@@ -310,6 +310,16 @@ func (p *Public) EncodeTranscript(t *Transcript) []byte {
 
 // DecodeTranscript parses and validates a sealed epoch transcript.
 func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
+	return p.decodeTranscript(b, nil)
+}
+
+// decodeTranscript is DecodeTranscript for a caller that may already hold
+// the client section decoded: a non-nil clients stands for it, block for
+// block, and is not decoded again. Only a reader that has compared every
+// client block of b with the bytes clients[i] was decoded from may pass it
+// (the board grammar's seal rule does exactly that); the count at least is
+// checked here.
+func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcript, error) {
 	r := wireReader{b: b}
 	r.version()
 	t := &Transcript{}
@@ -318,10 +328,17 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 	if r.err == nil && nClients > maxWireDim {
 		return nil, fmt.Errorf("vdp: transcript claims %d clients", nClients)
 	}
+	if clients != nil && r.err == nil && int(nClients) != len(clients) {
+		return nil, fmt.Errorf("vdp: transcript lists %d clients, %d were decoded", nClients, len(clients))
+	}
 	for i := uint32(0); i < nClients && r.err == nil; i++ {
 		raw := r.lpBytes()
 		if r.err != nil {
 			break
+		}
+		if clients != nil {
+			t.Clients = append(t.Clients, clients[i])
+			continue
 		}
 		cp, err := p.DecodeClientPublic(raw)
 		if err != nil {

@@ -17,12 +17,14 @@
 #                 into the parse loop.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
-#                 verification). 4008 allocs/op (≈63 per client); the
-#                 ceiling catches the batch path degenerating into
-#                 per-client engine tasks or per-client encode buffers.
+#                 verification). 3969 allocs/op at two cores (≈62 per
+#                 client; the frame's multi-exponentiation adds two per
+#                 extra worker); the ceiling catches the batch path
+#                 degenerating into per-client engine tasks or per-client
+#                 encode buffers.
 #   submit        BenchmarkSessionSubmit/eager (root package): 64 single
 #                 arrivals through Session.Submit, each a batch of one
-#                 through the same SubmitBatch. 6072 allocs/op (≈95 per
+#                 through the same SubmitBatch. 6071 allocs/op (≈95 per
 #                 arrival, ≈7 of them the one-element slices and the sync
 #                 channel a batch of one still sets up); the ceiling
 #                 catches the wrapper growing a per-arrival allocation
@@ -32,7 +34,7 @@
 set -eu
 commit_ceiling="${1:-16}"
 decode_ceiling=2150
-submit_ceiling=4400
+submit_ceiling=4350
 single_ceiling=6650
 
 fail=0
