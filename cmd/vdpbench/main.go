@@ -3,116 +3,100 @@
 //
 // Usage:
 //
-//	vdpbench [-scale quick|standard|paper] [-parallel 1,2,4,8] [-shards 1,2,4,8] [-nodes 1,2,3]
-//	         [-only table1,figure3,figure4,table2,micro,dperror,parallel,durability,sharding,flood,cluster,failover,hh]
-//	vdpbench -json   > BENCH_<pr>.json
+//	vdpbench [-scale quick|standard|paper] [-only table1,figure3,figure4,table2,micro,dperror]
 //
 // The default runs every experiment at quick scale (seconds). Standard
 // scale takes minutes; paper scale uses the paper's literal workload sizes
 // (n = 10^6 clients, nb = 262144 coins) and can take hours with math/big
-// arithmetic — see EXPERIMENTS.md for recorded results. The parallel
-// experiment sweeps the execution engine's worker-pool widths (-parallel
-// overrides the swept widths); the sharding experiment sweeps the sharded
-// session's shard counts (-shards overrides them), measuring front-door
-// lock contention and the merged finalize/audit path; the cluster
-// experiment boots real loopback TCP clusters (router + K nodes, -nodes
-// overrides the swept sizes) and measures the full wire path, the
-// finalize-merge handshake and the cross-node audit.
+// arithmetic — see EXPERIMENTS.md for recorded results. An unknown -only
+// name exits 2 without running anything; a failed experiment exits 1.
+//
+// The system around the protocol (admission, durability, cluster, tail,
+// heavy hitters) is measured by the repository benchmark in bench/, not
+// here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+type experiment struct {
+	name string
+	run  func(experiments.Scale) (interface{ Format() string }, error)
+}
+
+// all lists the paper's experiments in run order.
+var all = []experiment{
+	{"table1", func(s experiments.Scale) (interface{ Format() string }, error) { return experiments.Table1AtScale(s) }},
+	{"figure3", func(s experiments.Scale) (interface{ Format() string }, error) { return experiments.Figure3AtScale(s) }},
+	{"figure4", func(s experiments.Scale) (interface{ Format() string }, error) { return experiments.Figure4AtScale(s) }},
+	{"table2", func(experiments.Scale) (interface{ Format() string }, error) { return experiments.Table2() }},
+	{"micro", func(experiments.Scale) (interface{ Format() string }, error) { return experiments.Microbench() }},
+	{"dperror", func(s experiments.Scale) (interface{ Format() string }, error) { return experiments.DPErrorAtScale(s) }},
+}
+
+// names is the comma-separated list of every experiment name.
+func names() string {
+	s := make([]string, len(all))
+	for i, e := range all {
+		s[i] = e.name
+	}
+	return strings.Join(s, ",")
+}
+
+// selectExperiments returns the experiments named in the comma-separated
+// -only value, in run order; an empty value selects all of them. A name
+// that matches no experiment is an error, so a typo never runs nothing.
+func selectExperiments(only string) ([]experiment, error) {
+	if strings.TrimSpace(only) == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !slices.ContainsFunc(all, func(e experiment) bool { return e.name == name }) {
+			return nil, fmt.Errorf("unknown -only name %q (valid: %s)", name, names())
+		}
+		want[name] = true
+	}
+	var out []experiment
+	for _, e := range all {
+		if want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick|standard|paper")
-	onlyFlag := flag.String("only", "", "comma-separated subset: table1,figure3,figure4,table2,micro,dperror,parallel,durability,sharding,flood,cluster,failover,hh")
-	parallelFlag := flag.String("parallel", "", "comma-separated worker counts for the engine sweep (default 1,2,4,8)")
-	shardsFlag := flag.String("shards", "", "comma-separated shard counts for the sharding sweep (default 1,2,4,8)")
-	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the cluster sweep (default scale-dependent)")
-	jsonFlag := flag.Bool("json", false, "emit the machine-readable crypto hot-path snapshot (commit/verify/submit) as JSON on stdout and exit; see BENCH_5.json")
+	onlyFlag := flag.String("only", "", "comma-separated subset: "+names())
 	flag.Parse()
-
-	if *jsonFlag {
-		out, err := experiments.BenchJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-
-	workers, err := parseCounts(*parallelFlag, "-parallel")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	shardCounts, err := parseCounts(*shardsFlag, "-shards")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	nodeCounts, err := parseCounts(*nodesFlag, "-nodes")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	want := map[string]bool{}
-	if *onlyFlag != "" {
-		for _, name := range strings.Split(*onlyFlag, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
-
-	type experiment struct {
-		name string
-		run  func() (interface{ Format() string }, error)
-	}
-	exps := []experiment{
-		{"table1", func() (interface{ Format() string }, error) { return experiments.Table1AtScale(scale) }},
-		{"figure3", func() (interface{ Format() string }, error) { return experiments.Figure3AtScale(scale) }},
-		{"figure4", func() (interface{ Format() string }, error) { return experiments.Figure4AtScale(scale) }},
-		{"table2", func() (interface{ Format() string }, error) { return experiments.Table2() }},
-		{"micro", func() (interface{ Format() string }, error) { return experiments.Microbench() }},
-		{"dperror", func() (interface{ Format() string }, error) { return experiments.DPErrorAtScale(scale) }},
-		{"parallel", func() (interface{ Format() string }, error) { return experiments.ParallelSweepAtScale(scale, workers) }},
-		{"durability", func() (interface{ Format() string }, error) { return experiments.DurabilitySweepAtScale(scale) }},
-		{"sharding", func() (interface{ Format() string }, error) {
-			return experiments.ShardingSweepAtScale(scale, shardCounts)
-		}},
-		{"flood", func() (interface{ Format() string }, error) { return experiments.FloodAtScale(scale) }},
-		{"cluster", func() (interface{ Format() string }, error) {
-			return experiments.ClusterSweepAtScale(scale, nodeCounts)
-		}},
-		{"failover", func() (interface{ Format() string }, error) { return experiments.FailoverAtScale(scale) }},
-		{"hh", func() (interface{ Format() string }, error) { return experiments.HeavyHittersAtScale(scale) }},
+	exps, err := selectExperiments(*onlyFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("verifiable-dp benchmark suite (scale=%s)\n", scale)
 	fmt.Println(strings.Repeat("=", 72))
 	failed := false
 	for _, e := range exps {
-		if !selected(e.name) {
-			continue
-		}
 		start := time.Now()
-		res, err := e.run()
+		res, err := e.run(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "[%s] FAILED: %v\n", e.name, err)
 			failed = true
@@ -123,20 +107,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// parseCounts parses a comma-separated list of positive counts.
-func parseCounts(arg, flagName string) ([]int, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, s := range strings.Split(arg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid %s entry %q", flagName, s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -14,10 +14,11 @@
 //	            elliptic-curve groups
 //	§7 series — central vs local DP error as a function of population size
 //
-// Beyond the paper, the suite measures this repository's own additions: the
-// parallel execution engine's worker sweep (ParallelSweep) and the durable
-// bulletin board's replay throughput, submit overhead and recovery latency
-// (DurabilitySweep).
+// The package reproduces the paper and nothing else. The system built
+// around the protocol — durable board, batched admission, shards, cluster,
+// failover, live tail, heavy hitters — is measured by the repository
+// benchmark in bench/ and by the go test -bench benchmarks next to each
+// package; EXPERIMENTS.md § "System measurements" maps one to the other.
 //
 // Each experiment returns a structured result with a Format method that
 // renders the same rows/series the paper reports. Absolute timings depend

@@ -27,6 +27,35 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// TestSweepConfigScales pins the named workloads: every experiment's scale
+// presets must be populated and must not shrink when the scale grows.
+func TestSweepConfigScales(t *testing.T) {
+	// size reports how much of its workload an experiment runs at a scale.
+	sizes := []struct {
+		name string
+		size func(Scale) int
+	}{
+		{"table1", func(s Scale) int { return table1ConfigFor(s).N }},
+		{"figure3", func(s Scale) int { return len(figure3ConfigFor(s).Epsilons) }},
+		{"figure4", func(s Scale) int { return len(figure4ConfigFor(s).Dimensions) }},
+		{"dperror", func(s Scale) int { return len(dpErrorConfigFor(s).Populations) }},
+	}
+	scales := []Scale{Quick, Standard, Paper}
+	for _, tc := range sizes {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := tc.size(scales[0]); n < 1 {
+				t.Fatalf("%s workload is empty at %s scale", tc.name, scales[0])
+			}
+			for i := 1; i < len(scales); i++ {
+				lo, hi := scales[i-1], scales[i]
+				if a, b := tc.size(lo), tc.size(hi); b < a {
+					t.Fatalf("%s workload shrinks from %d at %s to %d at %s", tc.name, a, lo, b, hi)
+				}
+			}
+		})
+	}
+}
+
 func TestFmtDuration(t *testing.T) {
 	cases := map[time.Duration]string{
 		500 * time.Microsecond:  "500 µs",

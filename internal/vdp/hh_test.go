@@ -124,6 +124,77 @@ func TestSketchHeavyHittersEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSketchHeavyHittersUtility is the utility check on a skewed population
+// with several hitters and the budget ledger on: 60 % of the clients split
+// evenly across the head items, the tail walks the rest of the domain
+// round-robin, contributions arrive in batch frames. Every head item must
+// be in the top k, every head estimate within the advertised ErrorBound of
+// its true count, and the ledger must have charged every client.
+func TestSketchHeavyHittersUtility(t *testing.T) {
+	const clients, hot, k, frame = 80, 4, 8, 16
+	layout := sketch.Layout{Rows: 3, Width: 16, Domain: 32}
+	pub := testPublic(t, 1, layout.Width, 4)
+	budget := &BudgetConfig{EpochCost: 1_000_000, Total: 10_000_000}
+	hs, err := NewSketchSession(pub, layout, SessionOptions{Rand: testSeed(24), Parallelism: 2, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	head := clients * 6 / 10
+	trueCounts := make([]int, layout.Domain)
+	var contribs []*SketchContribution
+	for id := 0; id < clients; id++ {
+		item := id % hot
+		if id >= head {
+			item = hot + (id-head)%(layout.Domain-hot)
+		}
+		trueCounts[item]++
+		c, err := hs.NewContribution(id, item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contribs = append(contribs, c)
+	}
+	for at := 0; at < clients; at += frame {
+		verdicts, err := hs.SubmitBatch(ctx, contribs[at:at+frame])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range verdicts {
+			if v != nil {
+				t.Fatalf("client %d refused: %v", at+i, v)
+			}
+		}
+	}
+	for id := 0; id < clients; id++ {
+		if hs.BudgetSpent(id) == 0 {
+			t.Errorf("ledger did not charge client %d", id)
+		}
+	}
+	res, err := hs.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := res.Sketch
+	inTop := map[int]bool{}
+	for _, it := range ns.HeavyHitters(k) {
+		inTop[it.Item] = true
+	}
+	bound := ns.ErrorBound()
+	for item := 0; item < hot; item++ {
+		if !inTop[item] {
+			t.Errorf("head item %d (true count %d) missing from the top %d", item, trueCounts[item], k)
+		}
+		est, _, err := ns.PointQuery(item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(est-float64(trueCounts[item])) > bound {
+			t.Errorf("head item %d: estimate %.1f, true %d, outside the bound ±%.1f", item, est, trueCounts[item], bound)
+		}
+	}
+}
+
 // TestSketchBudgetGateEndToEnd is the durable acceptance flow: a sketch
 // session with a one-epoch budget admits a client once (one charge, on row
 // 0, covering all rows), refuses its next-epoch batch resubmission with an

@@ -480,8 +480,8 @@ func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
 // ReverifySeal re-runs the seal-time verification walk against the state
 // the tail has accumulated for the live epoch, without consuming a record
 // or moving the grammar position. Feed/Poll callers never need it: it
-// exists so the perf harness can time the constant-cost seal step in
-// isolation from the per-arrival work it rides on.
+// exists so BenchmarkTailSealVerify can time the constant-cost seal step
+// in isolation from the per-arrival work it rides on.
 func (a *TailAuditor) ReverifySeal(sealBytes []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
