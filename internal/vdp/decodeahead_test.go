@@ -14,10 +14,11 @@ import (
 
 // The Replay-driven readers (every audit and every resume funnels into
 // auditLogEpoch and resumeSessionFromSource) decode a window of records
-// ahead of the grammar, on several goroutines. Nothing a reader returns may
-// depend on where the windows fall or how many goroutines decode them: the
-// reference is the window of one record on one worker, which is the
-// record-by-record reader.
+// ahead of the grammar, on several goroutines, and the audit's epoch
+// verifier decides board proofs a window of submissions at a time. Nothing a
+// reader returns may depend on where the windows fall or how many goroutines
+// decode them: the reference is the window of one record on one worker,
+// which is the record-by-record reader.
 
 // sweptLog is one board log and what its readers are told about it.
 type sweptLog struct {
@@ -28,7 +29,7 @@ type sweptLog struct {
 }
 
 // readerSweepMu serialises readers that run in parallel subtests with the
-// sweeps that move decodeAhead under them.
+// sweeps that move decodeAhead and auditWindow under them.
 var readerSweepMu sync.Mutex
 
 // readOutcome is everything one reader returned that a caller can see.
@@ -56,12 +57,14 @@ func (o readOutcome) String() string {
 }
 
 // sweepReaders reads l with both readers at decode-ahead windows 1, 2, 7
-// and 256 and at 1 and 4 workers, and fails the test unless every
-// combination returns what (1, 1) returns: the same verdict, the same
-// boardLogError{Index, Offset, Epoch, Reason}, and on success the same
-// transcript or the same resumed session and appended records. The caller
-// must not be running other readers concurrently unless they hold
-// readerSweepMu.
+// and 256 and at 1 and 4 workers — the audit also at epoch-verifier flush
+// windows (auditWindow) 1, 2, 7 and 4096, paired with the decode windows in
+// order and crossed at the extremes — and fails the test unless every
+// combination returns what the record-by-record reader (all three at 1)
+// returns: the same verdict, the same boardLogError{Index, Offset, Epoch,
+// Reason}, and on success the same verified digest and sealed roster or the
+// same resumed session and appended records. The caller must not be running
+// other readers concurrently unless they hold readerSweepMu.
 func sweepReaders(t testing.TB, l sweptLog) {
 	t.Helper()
 	ctx := context.Background()
@@ -94,28 +97,37 @@ func sweepReaders(t testing.TB, l sweptLog) {
 			return readOutcome{summary: sum}
 		},
 	}
+	audits := map[string]bool{}
 	for epoch := 0; epoch < epochs; epoch++ {
-		readers[fmt.Sprintf("audit of epoch %d", epoch)] = func(workers int) readOutcome {
-			tr, err := auditLogEpoch(ctx, l.pub, memLogOf(t, l.recs), epoch, workers, l.shard, l.shards)
+		who := fmt.Sprintf("audit of epoch %d", epoch)
+		audits[who] = true
+		readers[who] = func(workers int) readOutcome {
+			digest, roster, err := auditLogEpoch(ctx, l.pub, memLogOf(t, l.recs), epoch, workers, l.shard, l.shards)
 			if err != nil {
 				return readOutcome{err: err}
 			}
-			return readOutcome{summary: fmt.Sprintf("%x", TranscriptDigest(l.pub, tr))}
+			return readOutcome{summary: fmt.Sprintf("%x %v", digest, roster)}
 		}
 	}
-	old := decodeAhead
-	defer func() { decodeAhead = old }()
+	oldAhead, oldAudit := decodeAhead, auditWindow
+	defer func() { decodeAhead, auditWindow = oldAhead, oldAudit }()
+	// (decode window, audit window): each of both, paired in order, then the
+	// extremes crossed, which only the audit reads differently.
+	windows := [][2]int{{1, 1}, {2, 2}, {7, 7}, {256, 4096}, {1, 4096}, {256, 1}}
 	for who, read := range readers {
-		decodeAhead = 1
+		decodeAhead, auditWindow = 1, 1
 		want := read(1)
-		for _, window := range []int{1, 2, 7, 256} {
+		for i, w := range windows {
+			if i >= 4 && !audits[who] {
+				continue
+			}
 			for _, workers := range []int{1, 4} {
-				if window == 1 && workers == 1 {
+				if w == windows[0] && workers == 1 {
 					continue // the reference itself
 				}
-				decodeAhead = window
+				decodeAhead, auditWindow = w[0], w[1]
 				if got := read(workers); !got.same(want) {
-					t.Fatalf("%s, window %d, %d workers: %v\nrecord by record: %v", who, window, workers, got, want)
+					t.Fatalf("%s, window %d, audit window %d, %d workers: %v\nrecord by record: %v", who, w[0], w[1], workers, got, want)
 				}
 			}
 		}
@@ -172,7 +184,10 @@ func decodeAheadBoard(t *testing.T, n int) (pub *Public, recs []*store.Record, s
 // undecodable submission and, after it, a record that breaks the grammar —
 // or the other way round. The readers must blame whichever comes first in
 // the log, at every window size, exactly as a reader that stops at the
-// first bad record would.
+// first bad record would. A verdict that contradicts its submission's board
+// proof breaks no grammar rule: only the audit's verifier sees it, and its
+// check waits for the verifier's next flush, so a grammar violation later in
+// the same window must not take the blame from it either.
 func TestDecodeAheadBlamesTheFirstRecord(t *testing.T) {
 	ctx := context.Background()
 	pub, honest, subAt := decodeAheadBoard(t, 5)
@@ -186,18 +201,31 @@ func TestDecodeAheadBlamesTheFirstRecord(t *testing.T) {
 		name   string
 		frag   string
 		inject func(recs []*store.Record, at int) []*store.Record
+		// verdict: the violation is the verdict after the submission at `at`,
+		// which recovery, trusting logged verdicts, does not check.
+		verdict bool
 	}{
 		{"unknown-kind", "unknown kind 99", func(recs []*store.Record, at int) []*store.Record {
 			return insertAt(recs, at, &store.Record{Kind: 99})
-		}},
+		}, false},
 		{"stale-epoch", "belongs to epoch 3", func(recs []*store.Record, at int) []*store.Record {
 			cp := *recs[at]
 			cp.Epoch = 3
 			return insertAt(recs, at, &cp)
-		}},
+		}, false},
 		{"verdict-for-unknown-client", "verdict for unknown client 77", func(recs []*store.Record, at int) []*store.Record {
 			return insertAt(recs, at, &store.Record{Kind: RecordVerdict, Payload: encodeVerdict(77, nil, true)})
-		}},
+		}, false},
+		{"verdict-contradicts-proof", "rejected on the board, but its board proof verifies", func(recs []*store.Record, at int) []*store.Record {
+			// The verdict right after the submission at `at` flips to an
+			// on-board rejection of a valid proof.
+			id, _, _, err := decodeVerdict(recs[at+1].Payload)
+			if err != nil || recs[at+1].Kind != RecordVerdict {
+				t.Fatalf("record %d is not the verdict of the submission before it: %v", at+1, err)
+			}
+			recs[at+1] = &store.Record{Kind: RecordVerdict, Payload: encodeVerdict(id, ErrClientReject, true)}
+			return recs
+		}, true},
 	}
 	readers := map[string]func(recs []*store.Record, workers int) error{
 		"audit": func(recs []*store.Record, workers int) error {
@@ -208,35 +236,44 @@ func TestDecodeAheadBlamesTheFirstRecord(t *testing.T) {
 			return err
 		},
 	}
-	old := decodeAhead
-	defer func() { decodeAhead = old }()
+	oldAhead, oldAudit := decodeAhead, auditWindow
+	defer func() { decodeAhead, auditWindow = oldAhead, oldAudit }()
 	for _, v := range violations {
 		for _, order := range []string{"undecodable-first", "violation-first"} {
 			t.Run(v.name+"/"+order, func(t *testing.T) {
 				recs := copyRecords(honest)
 				// Both land between the second and the fourth submission: one
 				// window at 7 and at 256, two or more at 1 and 2.
-				wantAt, wantFrag := subAt[1], "submission:"
+				type blame struct {
+					at   int
+					frag string
+				}
+				want := map[string]blame{"audit": {subAt[1], "submission:"}, "resume": {subAt[1], "submission:"}}
 				if order == "undecodable-first" {
 					undecodable(recs, subAt[1])
 					recs = v.inject(recs, subAt[3])
 				} else {
 					undecodable(recs, subAt[3])
 					recs = v.inject(recs, subAt[1])
-					wantFrag = v.frag
+					want["audit"], want["resume"] = blame{subAt[1], v.frag}, blame{subAt[1], v.frag}
+					if v.verdict {
+						want["audit"], want["resume"] = blame{subAt[1] + 1, v.frag}, blame{subAt[3], "submission:"}
+					}
 				}
 				for who, read := range readers {
 					for _, window := range []int{1, 2, 7, 256} {
 						for _, workers := range []int{1, 4} {
-							decodeAhead = window
-							err := read(recs, workers)
-							var pos *boardLogError
-							if !errors.As(err, &pos) {
-								t.Fatalf("%s, window %d, %d workers: no positional error: %v", who, window, workers, err)
-							}
-							if pos.Index != wantAt || !strings.Contains(pos.Reason, wantFrag) {
-								t.Fatalf("%s, window %d, %d workers: blamed record %d (%s), want record %d (%s)",
-									who, window, workers, pos.Index, pos.Reason, wantAt, wantFrag)
+							for _, flush := range []int{1, 2, 7, 4096} {
+								decodeAhead, auditWindow = window, flush
+								err := read(recs, workers)
+								var pos *boardLogError
+								if !errors.As(err, &pos) {
+									t.Fatalf("%s, window %d, %d workers, audit window %d: no positional error: %v", who, window, workers, flush, err)
+								}
+								if w := want[who]; pos.Index != w.at || !strings.Contains(pos.Reason, w.frag) {
+									t.Fatalf("%s, window %d, %d workers, audit window %d: blamed record %d (%s), want record %d (%s)",
+										who, window, workers, flush, pos.Index, pos.Reason, w.at, w.frag)
+								}
 							}
 						}
 					}
@@ -247,13 +284,14 @@ func TestDecodeAheadBlamesTheFirstRecord(t *testing.T) {
 	}
 }
 
-// TestAuditDecodesClientsOnce: the audit hands the seal's decoder the
-// clients it decoded from the arrival records, which is sound only because
-// the grammar has already matched every sealed client block to its arrival
-// record byte for byte. A seal whose block differs — by one byte, or by being
-// another perfectly valid submission of the same client — is refused by that
-// comparison, before the transcript is decoded at all; and DecodeTranscript,
-// which every other caller uses, decodes the client section itself.
+// TestAuditDecodesClientsOnce: the audit decodes every client once, from its
+// arrival record, and never the seal's client section — the seal is parsed
+// by decodeProverSection, which leaves the client blocks raw, and is digested
+// from those bytes. That is sound only because the grammar has matched every
+// sealed client block to its arrival record byte for byte: a seal whose block
+// differs — by one byte, by being another perfectly valid submission of the
+// same client, or by not decoding at all — is refused at the seal record by
+// that comparison.
 func TestAuditDecodesClientsOnce(t *testing.T) {
 	ctx := context.Background()
 	pub, honest, subAt := decodeAheadBoard(t, 3)
@@ -308,40 +346,43 @@ func TestAuditDecodesClientsOnce(t *testing.T) {
 		refused(t, recs, 1)
 	})
 
-	t.Run("DecodeTranscript-reuses-nothing", func(t *testing.T) {
-		seal := honest[sealAt].Payload
-		a, err := pub.DecodeTranscript(seal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pub.DecodeTranscript(seal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Clients {
-			if a.Clients[i] == b.Clients[i] {
-				t.Fatalf("two decodes share client %d", i)
-			}
-		}
-		// An undecodable client block (its last point's X is not on the
-		// curve or not canonical) fails the public decoder; the audit's
-		// decoder, handed the clients, never reads the block — which is why
-		// only the reader that compared the bytes may hand them in.
-		bad := append([]byte(nil), seal...)
-		block := blockOf(honest[subAt[0]])
-		at := bytes.Index(bad, block)
+	t.Run("undecodable", func(t *testing.T) {
+		// The block's last point is no longer on the curve (or not
+		// canonical): DecodeTranscript refuses the seal, the prover-section
+		// parse the audit runs does not look, and the byte-compare refuses it.
+		recs := copyRecords(honest)
+		seal := recs[sealAt].Payload
+		block := blockOf(recs[subAt[0]])
+		at := bytes.Index(seal, block)
 		for i := at + len(block) - 40; i < at+len(block)-8; i++ {
-			bad[i] = 0xff
+			seal[i] = 0xff
 		}
-		if _, err := pub.DecodeTranscript(bad); err == nil {
+		if _, err := pub.DecodeTranscript(seal); err == nil {
 			t.Fatal("DecodeTranscript accepted a transcript with an undecodable client block")
 		}
-		tr, err := pub.decodeTranscript(bad, a.Clients)
-		if err != nil || tr.Clients[0] != a.Clients[0] {
-			t.Fatalf("decodeTranscript with the clients handed in: %v", err)
+		if _, _, err := pub.decodeProverSection(seal); err != nil {
+			t.Fatalf("the prover-section parse decoded a client block: %v", err)
 		}
-		if _, err := pub.decodeTranscript(seal, a.Clients[:2]); err == nil {
-			t.Fatal("decodeTranscript accepted 2 decoded clients for a 3-client transcript")
+		refused(t, recs, 0)
+	})
+
+	t.Run("digested-raw", func(t *testing.T) {
+		seal := honest[sealAt].Payload
+		clients, tr, err := pub.decodeProverSection(seal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range clients {
+			if !bytes.Equal(raw, blockOf(honest[subAt[i]])) {
+				t.Fatalf("sealed client block %d is not its arrival record's bytes", i)
+			}
+		}
+		full, err := pub.DecodeTranscript(seal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealDigest(pub, clients, tr), TranscriptDigest(pub, full)) {
+			t.Fatal("the digest of the raw client section differs from TranscriptDigest of the decoded seal")
 		}
 	})
 }

@@ -22,6 +22,35 @@ func TranscriptDigest(pub *Public, t *Transcript) []byte {
 	for _, cp := range t.Clients {
 		chunk(h, pub.EncodeClientPublic(cp))
 	}
+	return digestProverSection(h, pub, t)
+}
+
+// sealDigest is TranscriptDigest over decodeProverSection's output: the
+// client section is hashed from its raw blocks, each exactly what
+// EncodeClientPublic writes for its decode (the encodings are canonical).
+func sealDigest(pub *Public, clients [][]byte, t *Transcript) []byte {
+	h := sha256.New()
+	writeU32(h, uint32(len(clients)))
+	for _, raw := range clients {
+		chunk(h, raw)
+	}
+	return digestProverSection(h, pub, t)
+}
+
+// transcriptDigestFromBytes is TranscriptDigest of an encoded transcript,
+// decoding no client. Snapshot validation uses it so pinning an epoch's
+// digest never costs a client decode.
+func transcriptDigestFromBytes(pub *Public, seal []byte) ([]byte, error) {
+	clients, t, err := pub.decodeProverSection(seal)
+	if err != nil {
+		return nil, err
+	}
+	return sealDigest(pub, clients, t), nil
+}
+
+// digestProverSection finishes a transcript digest whose client section h
+// has already taken.
+func digestProverSection(h hash.Hash, pub *Public, t *Transcript) []byte {
 	writeU32(h, uint32(len(t.CoinMsgs)))
 	for _, msg := range t.CoinMsgs {
 		digestCoinMsg(h, pub, msg)

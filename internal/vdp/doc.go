@@ -104,7 +104,11 @@
 // per submission, withdraw-only-undecided, the budget-charge chain, seal
 // assembly and the positional seal-vs-roster check, snapshot pinning) and
 // reports violations as one positional error type; the readers only consume
-// its events. grammar.go is the single place to change a rule.
+// its events. grammar.go is the single place to change a rule. The two
+// auditors hand the events to one epochVerifier (epochverifier.go), which
+// holds every verdict to its submission's board proof, folds the Line-13
+// client product and checks the seal: AuditLog is the live tail run to the
+// seal.
 //
 // Wire encodings for every message that crosses a process boundary — or
 // lands in the board log — live in wire.go and wirelog.go. All encodings

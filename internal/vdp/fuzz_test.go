@@ -2,9 +2,11 @@ package vdp
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/store"
 )
 
 // Hostile-bytes robustness for the wire decoders: any input either fails to
@@ -167,6 +169,104 @@ func FuzzDecodeProverOutput(f *testing.F) {
 		enc := pub.EncodeProverOutput(out)
 		if !bytes.Equal(enc, b) {
 			t.Fatalf("accepted output is not canonical: %x decodes but re-encodes to %x", b, enc)
+		}
+	})
+}
+
+// sealedTranscript runs a two-client durable session and returns its seal
+// as the board log carries it — assembled from its chunk records when
+// chunked.
+func sealedTranscript(f *testing.F, pub *Public, chunked bool) []byte {
+	f.Helper()
+	ctx := context.Background()
+	old := sealChunkSize
+	defer func() { sealChunkSize = old }()
+	if chunked {
+		sealChunkSize = 512
+	}
+	log := store.NewMemLog()
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(97), Store: log, Parallelism: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for id := 0; id < 2; id++ {
+		sub, err := pub.NewClientSubmission(id, id, testSeed(byte(150+id)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := sess.Submit(ctx, sub); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := sess.Finalize(ctx); err != nil {
+		f.Fatal(err)
+	}
+	recs, _ := log.Snapshot()
+	if last := recs[len(recs)-1].Kind; (last == RecordSealChunk) != chunked {
+		f.Fatalf("the seal ends in a kind-%d record, chunked = %v", last, chunked)
+	}
+	var seal []byte
+	if err := scanSeals(log, func(_ int, b []byte) { seal = b }); err != nil {
+		f.Fatal(err)
+	}
+	return seal
+}
+
+// FuzzDecodeTranscript holds the one transcript parser to its two readers:
+// the full decode (DecodeTranscript) is the prover-section parse the
+// board-log readers run plus a decode of every client block, so the two
+// refuse exactly the same inputs except one whose client block alone does
+// not decode; and an accepted transcript digests the same from its raw
+// client section as decoded, and re-encodes byte for byte.
+func FuzzDecodeTranscript(f *testing.F) {
+	// Bins 1 (a count: bit proofs) and Bins 16 (one-hot proofs); one coin a
+	// bin keeps the wide seals small enough to mutate quickly.
+	var pubs [2]*Public
+	for i, bins := range []int{1, 16} {
+		pub, err := Setup(Config{Provers: 2, Bins: bins, Coins: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		pubs[i] = pub
+		for _, chunked := range []bool{false, true} {
+			seal := sealedTranscript(f, pub, chunked)
+			f.Add(i == 1, seal)
+			if !chunked {
+				f.Add(i == 1, seal[:len(seal)/2])
+				// The release (flag 1, bin count, a u64 per bin) flagged 2 instead.
+				cut := len(seal) - 8 - 8*bins
+				f.Add(i == 1, append(seal[:cut:cut], 0, 0, 0, 2))
+			}
+		}
+	}
+	f.Add(false, []byte{})
+	f.Fuzz(func(t *testing.T, wide bool, b []byte) {
+		pub := pubs[0]
+		if wide {
+			pub = pubs[1]
+		}
+		full, fullErr := pub.DecodeTranscript(b)
+		clients, _, sectionErr := pub.decodeProverSection(b)
+		if sectionErr != nil {
+			if fullErr == nil {
+				t.Fatalf("the full decode accepted what the prover-section parse refused: %v", sectionErr)
+			}
+			return
+		}
+		if fullErr != nil {
+			for _, raw := range clients {
+				if _, err := pub.DecodeClientPublic(raw); err != nil {
+					return
+				}
+			}
+			t.Fatalf("the full decode refused a transcript whose every section parses: %v", fullErr)
+		}
+		d, err := transcriptDigestFromBytes(pub, b)
+		if err != nil || !bytes.Equal(d, TranscriptDigest(pub, full)) {
+			t.Fatalf("the digest from the raw client section (%x, %v) differs from TranscriptDigest", d, err)
+		}
+		if enc := pub.EncodeTranscript(full); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted transcript is not canonical: %x re-encodes to %x", b, enc)
 		}
 	})
 }

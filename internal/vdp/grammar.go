@@ -14,10 +14,11 @@ import (
 // Every party that reads a board log — the restarting server
 // (ResumeSession), the offline auditor (AuditLog) and the live tail
 // (TailAuditor) — feeds its records through a boardGrammar and acts on the
-// events it emits. Every accept/reject rule of the record grammar lives in
-// feed below and nowhere else, so the three readers cannot disagree about
-// which logs a Session can have written: a log one of them refuses, all of
-// them refuse, at the same record. To change a rule, change it here.
+// events it emits; the two auditors hand them on to one epochVerifier. Every
+// accept/reject rule of the record grammar lives in feed below and nowhere
+// else, so the three readers cannot disagree about which logs a Session can
+// have written: a log one of them refuses, all of them refuse, at the same
+// record. To change a rule, change it here.
 //
 // The machine keeps only what the rules need: the current epoch, per-client
 // verdict state and board order, the budget-charge chain, and the seal being
@@ -182,7 +183,19 @@ func (g *boardGrammar) Skim(rec *store.Record, index int, offset int64) error {
 
 // errorf stamps a failure with the position of the record in flight.
 func (g *boardGrammar) errorf(format string, args ...any) error {
-	return &boardLogError{Index: g.index, Offset: g.offset, Epoch: g.epoch, Reason: fmt.Sprintf(format, args...), audit: g.audit}
+	return g.position().because(format, args...)
+}
+
+// position is where the record in flight sits, kept by a reader that judges
+// the record later.
+func (g *boardGrammar) position() boardLogError {
+	return boardLogError{Index: g.index, Offset: g.offset, Epoch: g.epoch, audit: g.audit}
+}
+
+// because is the failure at this position.
+func (e boardLogError) because(format string, args ...any) error {
+	e.Reason = fmt.Sprintf(format, args...)
+	return &e
 }
 
 // drop splices a client out of the board order; its ID stays reserved
@@ -529,7 +542,8 @@ func (g *boardGrammar) sealEpoch(seal []byte, full bool) (boardEvent, error) {
 
 // readSealedClients consumes an encoded transcript's version byte and client
 // section, returning the per-client encodings without decoding a group
-// element.
+// element. It is the client half of the one transcript parser
+// (decodeProverSection).
 func readSealedClients(r *wireReader) [][]byte {
 	r.version()
 	n := r.u32()

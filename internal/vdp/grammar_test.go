@@ -45,6 +45,31 @@ func memLogOf(t testing.TB, recs []*store.Record) *store.MemLog {
 	return log
 }
 
+// segmentedLogOf writes a segmented directory holding segs and the protocol
+// records of manifest (the store writes its own bookkeeping).
+func segmentedLogOf(t testing.TB, segs [][]*store.Record, manifest []*store.Record) *store.SegmentedLog {
+	t.Helper()
+	seg, err := store.OpenSegmentedLog(t.TempDir(), len(segs), store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, recs := range segs {
+		for _, rec := range recs {
+			if err := seg.Segment(i).Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, rec := range manifest {
+		if rec.Kind < store.KindSegmentedInit {
+			if err := seg.Manifest().Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return seg
+}
+
 // feedAll drives a fresh single-log tail over recs, offsets = indices.
 func feedAll(a *TailAuditor, recs []*store.Record) error {
 	for i, rec := range recs {
@@ -111,28 +136,8 @@ func segmentedReader(t *testing.T, pub *Public, kind segmentKind, segs [][]*stor
 	return func(t *testing.T, victim []*store.Record) (resume, audit, tail error) {
 		shard, shards := kind.pin(0, len(segs))
 		sweepReaders(t, sweptLog{pub: pub, recs: victim, opts: SessionOptions{Budget: kind.budget(0, conformanceBudget)}, shard: shard, shards: shards})
-		seg, err := store.OpenSegmentedLog(t.TempDir(), len(segs), store.WithNoSync())
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg := segmentedLogOf(t, append([][]*store.Record{victim}, segs[1:]...), manifest)
 		defer seg.Close()
-		for i, recs := range segs {
-			if i == 0 {
-				recs = victim
-			}
-			for _, rec := range recs {
-				if err := seg.Segment(i).Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, rec := range manifest {
-			if rec.Kind < store.KindSegmentedInit {
-				if err := seg.Manifest().Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
 		resume, audit, st := read(t, seg)
 		defer st.Close()
 		for n := 1; n > 0 && tail == nil; {

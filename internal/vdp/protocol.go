@@ -160,69 +160,73 @@ func auditParallel(ctx context.Context, pub *Public, t *Transcript, workers int)
 	if t == nil || t.Release == nil {
 		return fmt.Errorf("%w: empty transcript", ErrAuditFail)
 	}
-	k := pub.cfg.Provers
-	if len(t.CoinMsgs) != k || len(t.Morra) != k || len(t.Outputs) != k {
-		return fmt.Errorf("%w: transcript covers %d/%d/%d prover records, want %d",
-			ErrAuditFail, len(t.CoinMsgs), len(t.Morra), len(t.Outputs), k)
-	}
-
 	workers = NewEngine(pub, workers).Workers()
-	verifier := NewVerifierParallel(pub, workers)
-	if _, _, err := verifier.verifyClients(ctx, t.Clients); err != nil {
+	valid, _, err := pub.filterValidClientsBatch(ctx, t.Clients, workers)
+	if err != nil {
 		return err
 	}
+	prod := pub.newClientProduct()
+	for _, cp := range valid {
+		prod.add(cp)
+	}
+	if err = pub.checkSeal(ctx, t, prod, workers); err == nil || err == ctxErr(ctx) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrAuditFail, err)
+}
 
-	// The per-prover records are audited concurrently, so divide the
+// checkSeal is the one seal check: everything a transcript holds beyond its
+// client section, given Line 13's client factor prod. Each prover's coin
+// proofs, its Morra record and the coins it yields, and Line 13 for every
+// bin are checked concurrently on workers, then the release is recomputed
+// by Aggregate. auditParallel calls it with the product of the clients it
+// verified, the epoch verifier with the product it folded as verdicts
+// landed. A cancelled ctx returns ctx.Err().
+func (p *Public) checkSeal(ctx context.Context, t *Transcript, prod clientProduct, workers int) error {
+	k, m, nb := p.cfg.Provers, p.cfg.Bins, p.nb
+	if len(t.CoinMsgs) != k || len(t.Morra) != k || len(t.Outputs) != k {
+		return fmt.Errorf("transcript covers %d/%d/%d prover records, want %d", len(t.CoinMsgs), len(t.Morra), len(t.Outputs), k)
+	}
+	if t.Release == nil {
+		return fmt.Errorf("transcript carries no release")
+	}
+	// The per-prover records are checked concurrently, so divide the
 	// multiexp-chunking width among the outer tasks: nesting W-wide chunking
 	// inside a W-wide fan-out would repeat the shared squaring chain W times
 	// over with no latency gain.
-	inner := workers / k
-	if inner < 1 {
-		inner = 1
-	}
-	proverVerifier := NewVerifierParallel(pub, inner)
-	proverVerifier.valid = verifier.valid
-
+	pv := NewVerifierParallel(p, max(workers/k, 1))
 	err := forEach(ctx, workers, k, func(pk int) error {
-		msg := t.CoinMsgs[pk]
-		if msg.Prover != pk {
-			return fmt.Errorf("%w: coin message %d claims prover %d", ErrAuditFail, pk, msg.Prover)
+		msg, out := t.CoinMsgs[pk], t.Outputs[pk]
+		if msg.Prover != pk || out.Prover != pk {
+			return fmt.Errorf("coin message and output %d claim provers %d and %d", pk, msg.Prover, out.Prover)
 		}
-		if err := proverVerifier.VerifyCoinCommitments(msg); err != nil {
-			return fmt.Errorf("%w: %v", ErrAuditFail, err)
+		if err := pv.VerifyCoinCommitments(msg); err != nil {
+			return err
 		}
 		rec := t.Morra[pk]
-		xs, err := morra.Combine(pub.pp, rec.Commits, rec.Reveals)
+		xs, err := morra.Combine(p.pp, rec.Commits, rec.Reveals)
 		if err != nil {
-			return fmt.Errorf("%w: morra record for prover %d: %v", ErrAuditFail, pk, err)
+			return fmt.Errorf("morra record for prover %d: %v", pk, err)
 		}
 		bits := morra.Bits(xs)
-		if len(bits) != pub.cfg.Bins*pub.nb {
-			return fmt.Errorf("%w: morra record for prover %d has %d coins, want %d",
-				ErrAuditFail, pk, len(bits), pub.cfg.Bins*pub.nb)
+		if len(bits) != m*nb {
+			return fmt.Errorf("morra record for prover %d has %d coins, want %d", pk, len(bits), m*nb)
 		}
-		publicBits := reshapeBits(bits, pub.cfg.Bins, pub.nb)
-		if err := proverVerifier.CheckProverOutput(msg, publicBits, t.Outputs[pk]); err != nil {
-			return fmt.Errorf("%w: %v", ErrAuditFail, err)
-		}
-		return nil
+		return pv.checkLine13(msg, reshapeBits(bits, m, nb), out, prod[pk])
 	})
 	if err != nil {
 		return err
 	}
-
-	release, err := verifier.Aggregate(t.Outputs)
+	release, err := NewVerifierParallel(p, workers).Aggregate(t.Outputs)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrAuditFail, err)
+		return err
 	}
 	if len(release.Raw) != len(t.Release.Raw) {
-		return fmt.Errorf("%w: release has %d bins, transcript claims %d",
-			ErrAuditFail, len(release.Raw), len(t.Release.Raw))
+		return fmt.Errorf("release has %d bins, aggregation produces %d", len(t.Release.Raw), len(release.Raw))
 	}
 	for j := range release.Raw {
 		if release.Raw[j] != t.Release.Raw[j] {
-			return fmt.Errorf("%w: recomputed bin %d = %d, transcript claims %d",
-				ErrAuditFail, j, release.Raw[j], t.Release.Raw[j])
+			return fmt.Errorf("release bin %d = %d, aggregation produces %d", j, t.Release.Raw[j], release.Raw[j])
 		}
 	}
 	return nil

@@ -60,33 +60,43 @@ func appendMergedSeal(seg *store.SegmentedLog, epoch, shards int, digest []byte)
 	return nil
 }
 
-// readMergedSeals replays the manifest into epoch -> merged digest,
-// enforcing the manifest grammar: the store's own records are skipped, every
-// merged seal must carry the directory's shard count, no epoch may be sealed
-// twice, and a kind no ShardedSession writes is rejected outright.
+// mergedSealRule is the manifest grammar, one rule set for recovery and the
+// live tail: store bookkeeping is skipped, a kind no segmented session writes
+// is refused, every merged seal must carry the board's shard count, and no
+// epoch is sealed twice. A legal merged seal is recorded in seals; a refusal
+// says why, and each caller prefixes the record's position its own way.
+func mergedSealRule(rec *store.Record, shards int, seals map[int][]byte) error {
+	if rec.Kind >= store.KindSegmentedInit {
+		return nil // store-reserved bookkeeping
+	}
+	if rec.Kind != RecordMergedSeal {
+		return fmt.Errorf("unknown kind %d", rec.Kind)
+	}
+	n, digest, err := decodeMergedSeal(rec.Payload)
+	if err != nil {
+		return err
+	}
+	if n != shards {
+		return fmt.Errorf("claims %d shards, the board has %d", n, shards)
+	}
+	epoch := int(rec.Epoch)
+	if _, dup := seals[epoch]; dup {
+		return fmt.Errorf("seals epoch %d twice", epoch)
+	}
+	seals[epoch] = digest
+	return nil
+}
+
+// readMergedSeals replays the manifest into epoch -> merged digest under
+// mergedSealRule.
 func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 	out := make(map[int][]byte)
 	i := -1
 	err := seg.Manifest().Replay(func(rec *store.Record) error {
 		i++
-		if rec.Kind >= store.KindSegmentedInit {
-			return nil // store-reserved bookkeeping
-		}
-		if rec.Kind != RecordMergedSeal {
-			return fmt.Errorf("vdp: manifest record %d has unknown kind %d", i, rec.Kind)
-		}
-		shards, digest, err := decodeMergedSeal(rec.Payload)
-		if err != nil {
+		if err := mergedSealRule(rec, seg.Shards(), out); err != nil {
 			return fmt.Errorf("vdp: manifest record %d: %w", i, err)
 		}
-		if shards != seg.Shards() {
-			return fmt.Errorf("vdp: manifest record %d claims %d shards, directory holds %d", i, shards, seg.Shards())
-		}
-		epoch := int(rec.Epoch)
-		if _, dup := out[epoch]; dup {
-			return fmt.Errorf("vdp: manifest seals epoch %d twice", epoch)
-		}
-		out[epoch] = digest
 		return nil
 	})
 	if err != nil {
@@ -98,40 +108,36 @@ func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 // auditSegments audits one epoch across the per-segment board logs of a
 // segmented or multi-node board, in segment order: each log is audited
 // exactly as AuditLog audits a single board log — grammar over the whole
-// log, seal cross-checked against the log's own arrival records, sealed
-// transcript fully re-verified — under the roster rule of its kind, and the
-// merged digest over the recovered transcripts is returned. Shards pin every
-// log's grammar to its ShardOf slice (a client on a foreign shard fails at
-// its submission record; on two shards it cannot be). Sketch rows check the
-// admission gate instead: row 0 admits first, so a client a later row seats
-// that row 0 does not is a forged roster.
+// log, seal cross-checked against the log's own arrival records, every
+// verdict and the seal verified — under the roster rule of its kind, and
+// the merged digest over the verified per-log digests is returned. Shards
+// pin every log's grammar to its ShardOf slice (a client on a foreign shard
+// fails at its submission record; on two shards it cannot be). Sketch rows
+// check the admission gate on the sealed rosters instead: row 0 admits
+// first, so a client a later row seats that row 0 does not is a forged
+// roster.
 func auditSegments(ctx context.Context, pub *Public, logs []store.BoardLog, epoch, workers int, kind segmentKind) ([]byte, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("%w: no board logs to audit", ErrAuditFail)
 	}
-	ts := make([]*Transcript, len(logs))
+	digests := make([][]byte, len(logs))
+	admitted := make(map[int]bool) // row 0's sealed roster
 	for i, lg := range logs {
 		shard, shards := kind.pin(i, len(logs))
-		t, err := auditLogEpoch(ctx, pub, lg, epoch, workers, shard, shards)
+		digest, roster, err := auditLogEpoch(ctx, pub, lg, epoch, workers, shard, shards)
 		if err != nil {
 			return nil, fmt.Errorf("%s %d: %w", kind.unit, i, err)
 		}
-		ts[i] = t
-	}
-	if !kind.pinned {
-		first := make(map[int]bool, len(ts[0].Clients))
-		for _, cp := range ts[0].Clients {
-			first[cp.ID] = true
-		}
-		for i := 1; i < len(ts); i++ {
-			for _, cp := range ts[i].Clients {
-				if !first[cp.ID] {
-					return nil, fmt.Errorf("%w: %s %d seats client %d, which %s 0 never admitted", ErrAuditFail, kind.unit, i, cp.ID, kind.unit)
-				}
+		digests[i] = digest
+		for _, id := range roster {
+			if i == 0 {
+				admitted[id] = true
+			} else if !kind.pinned && !admitted[id] {
+				return nil, fmt.Errorf("%w: %s %d seats client %d, which %s 0 never admitted", ErrAuditFail, kind.unit, i, id, kind.unit)
 			}
 		}
 	}
-	return MergedTranscriptDigest(pub, ts), nil
+	return mergedDigestFromShards(digests), nil
 }
 
 // auditSegmented is auditSegments over one directory: the epoch (< 0 = the

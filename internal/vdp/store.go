@@ -450,17 +450,19 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 }
 
 // AuditLog audits a sealed epoch offline, from the board log alone: the whole
-// log must obey the record grammar, the epoch's seal must list exactly the
-// clients the log's own arrival records admitted — same order, same bytes —
-// and the sealed transcript is decoded and fully re-verified (every client
-// proof, coin proof, Morra record, Line-13 product and the aggregation —
-// exactly Audit). A log whose per-arrival records disagree with the
-// transcript it sealed is rejected even if the transcript verifies in
-// isolation. epoch < 0 selects the latest sealed epoch. workers follows the
-// AuditParallel convention (0 = all cores) and bounds every stage that is
-// not inherently serial: the submission decode, which runs a window of
-// records ahead of the grammar, and each batched check's multi-exponentiation
-// as well as the per-prover fan-out.
+// log must obey the record grammar, and the audited epoch is read through the
+// same epoch verifier a live TailAuditor runs — every logged verdict held to
+// the submission's board proof, the seal's client section equal to the
+// clients the log's own arrival records admitted (same order, same bytes),
+// and the seal's coin proofs, Morra records, Line-13 products and
+// aggregation verified against the product of the accepted clients. A log
+// whose per-arrival records disagree with the transcript it sealed is
+// rejected even if the transcript verifies in isolation, and every refusal
+// names the first divergent record. epoch < 0 selects the latest sealed
+// epoch. workers follows the AuditParallel convention (0 = all cores) and
+// bounds every stage that is not inherently serial: the submission decode,
+// which runs a window of records ahead of the grammar, each batched check's
+// multi-exponentiation and the per-prover fan-out at the seal.
 func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) error {
 	if epoch < 0 {
 		// Resolve "latest sealed" with a cheap seal-only scan before the
@@ -474,50 +476,46 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 		}
 		epoch = sealed[len(sealed)-1]
 	}
-	_, err := auditLogEpoch(ctx, pub, log, epoch, workers, 0, 1)
+	_, _, err := auditLogEpoch(ctx, pub, log, epoch, workers, 0, 1)
 	return err
 }
 
 // auditLogEpoch is the per-epoch core of AuditLog, for a log that is shard
-// `shard` of `shards`. The audited epoch's records are fed in full and every
-// other epoch's skimmed, so only the audited submissions are ever decoded —
-// once: by the time the seal event arrives the grammar has matched every
-// sealed client block, byte for byte, to the arrival record of the roster
-// client in its position, so the transcript takes those clients as already
-// decoded. The one batched re-verification runs when the seal arrives. It
-// returns the verified transcript (so the segmented auditors can merge
-// per-log verdicts).
-func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (*Transcript, error) {
+// `shard` of `shards`: the live tail's reader run over boardGrammar.replay,
+// with the audited epoch's records fed in full to an epochVerifier that
+// flushes every auditWindow submissions, and every other epoch skimmed. It
+// returns the verified digest and the sealed roster's client IDs (so the
+// segmented auditors can merge and cross-check per-log verdicts).
+func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
 	g := newBoardGrammar(pub, nil, true)
 	g.shardIdx, g.shardCount = shard, shards
-	workers = NewEngine(pub, workers).Workers()
-	publics := make(map[int]*ClientPublic) // the audited epoch's arrivals, by client
-	var t *Transcript
-	err := g.replay(ctx, log, workers,
+	v := newEpochVerifier(pub, g, NewEngine(pub, workers).Workers(), auditWindow)
+	var verr error
+	err = g.replay(ctx, log, v.workers,
 		func(_ int, rec *store.Record) bool { return int(rec.Epoch) == epoch },
-		func(ev boardEvent) (err error) {
-			switch ev.kind {
-			case evSubmission:
-				publics[ev.client.id] = ev.sub.Public
-			case evSeal:
-				clients := make([]*ClientPublic, len(g.roster))
-				for i, cl := range g.roster {
-					clients[i] = publics[cl.id]
+		func(ev boardEvent) error {
+			if verr = v.apply(ctx, ev); verr == nil && ev.kind == evSeal {
+				digest = v.digest
+				for _, cl := range g.roster {
+					roster = append(roster, cl.id)
 				}
-				if t, err = pub.decodeTranscript(ev.seal, clients); err != nil {
-					return g.errorf("sealed transcript: %v", err)
-				}
-				return auditParallel(ctx, pub, t, workers)
 			}
-			return nil
+			return verr
 		})
+	if verr == nil {
+		// Whatever stopped the replay — a grammar or store error, or the end
+		// of the log — comes after every verdict still waiting for its check.
+		if serr := v.settle(ctx); serr != nil {
+			err = serr
+		}
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if t == nil {
-		return nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
+	if digest == nil {
+		return nil, nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
 	}
-	return t, nil
+	return digest, roster, nil
 }
 
 // scanSeals streams every completed seal of a board log — a seal record, or

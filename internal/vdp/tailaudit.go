@@ -3,33 +3,25 @@ package vdp
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
-	"repro/internal/morra"
-	"repro/internal/pedersen"
 	"repro/internal/store"
 )
 
 // Live audit tail: the analytical half of the board split. AuditLog
-// re-verifies a sealed epoch from scratch — O(epoch) work after the fact —
-// while a TailAuditor follows the board log as it is written, spending the
-// per-client verification work at arrival time. The record grammar, the
-// roster and the seal-vs-roster cross-check are the boardGrammar's (the same
-// machine ResumeSession and AuditLog read through, see grammar.go); the tail
-// adds the cryptography: every arrival's Σ-OR proof decided in windows,
-// every logged verdict cross-checked against it, and the running Line-13
-// client product (the Σ-OR-vetted share commitments of every roster client,
-// folded per bin and prover as verdicts land). At seal time the remaining
-// work is O(M·nb·K) — fold the accumulator into the adjusted coin
-// commitments, re-derive the release — independent of how many clients the
-// epoch admitted. Any third party holding the log can follow the bulletin
-// board live, which is the paper's public-verifiability story made
-// continuous.
+// verifies a sealed epoch after the fact, while a TailAuditor follows the
+// board log as it is written, spending the per-client verification work at
+// arrival time. Both are the same reader: the boardGrammar (grammar.go) for
+// the record grammar, the roster and the seal-vs-roster cross-check, and the
+// epochVerifier (epochverifier.go) for the cryptography — every arrival's
+// Σ-OR proof decided in windows, every logged verdict cross-checked against
+// it, and the running Line-13 client product, so that at seal time the
+// remaining work is O(M·nb·K), independent of how many clients the epoch
+// admitted. The tail only decides sooner: a verdict is judged at its own
+// record. Any third party holding the log can follow the bulletin board
+// live, which is the paper's public-verifiability story made continuous.
 
 // TailOptions configures a live audit tail.
 type TailOptions struct {
@@ -48,22 +40,6 @@ type TailOptions struct {
 	Budget *BudgetConfig
 }
 
-// tailWindow is how many unverified submissions accumulate before they are
-// folded through one batched Σ-OR check. A bigger window amortizes the
-// random-linear-combination batching better; any pending remainder is
-// flushed when a verdict needs it or at seal time. A var so tests can shrink
-// it to exercise window boundaries on small boards.
-var tailWindow = 64
-
-// tailClient is the tail's own state for one live client: what its Σ-OR
-// check concluded about the submission the grammar admitted.
-type tailClient struct {
-	pub     *ClientPublic
-	checked bool // board proof decided by the batched Σ-OR check
-	valid   bool // board proof verdict
-	folded  bool // share commitments folded into the running product
-}
-
 // TailAuditor incrementally audits one board log (or one shard segment).
 // Records are consumed in append order — via Feed, or by Poll draining an
 // attached store.Tailer — and every grammar violation, forged verdict, or
@@ -75,37 +51,23 @@ type tailClient struct {
 // A TailAuditor is safe for concurrent use, though records must arrive in
 // log order (one goroutine per log is the natural shape).
 type TailAuditor struct {
-	pub     *Public
-	workers int
-
 	mu     sync.Mutex
 	tailer store.Tailer
 	err    error
 
 	g       *boardGrammar
-	recIdx  int // records consumed, all epochs
-	byID    map[int]*tailClient
-	pending []*tailClient
-	// prod[j][pk] is the running product of the roster clients' share
-	// commitments for bin j, prover pk — Line 13's client factor, built as
-	// verdicts land so the seal-time check never walks the roster again.
-	prod    [][]*pedersen.Commitment
-	digest  []byte         // the live epoch's verified digest, once sealed
+	v       *epochVerifier
+	recIdx  int            // records consumed, all epochs
 	history map[int][]byte // sealed epoch -> verified digest
 }
 
 // NewTailAuditor creates a live auditor for a single board log. Feed it
 // records directly, or AttachTailer + Poll to drain a store tail.
 func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	g := newBoardGrammar(pub, opts.Budget, true)
 	return &TailAuditor{
-		pub:     pub,
-		workers: workers,
-		g:       newBoardGrammar(pub, opts.Budget, true),
-		byID:    make(map[int]*tailClient),
+		g:       g,
+		v:       newEpochVerifier(pub, g, NewEngine(pub, opts.Workers).Workers(), tailWindow),
 		history: make(map[int][]byte),
 	}
 }
@@ -189,236 +151,21 @@ func (a *TailAuditor) feedLocked(rec *store.Record, off int64) error {
 	return nil
 }
 
-// consume runs one record through the grammar and applies its event to the
-// tail's cryptographic state.
+// consume runs one record through the grammar and hands its event to the
+// verifier, settling a verdict at once: the Feed of a divergent record
+// returns its error.
 func (a *TailAuditor) consume(rec *store.Record, off int64) error {
 	ev, err := a.g.Feed(rec, a.recIdx, off)
-	if err != nil {
-		return err
+	if err == nil {
+		err = a.v.apply(context.Background(), ev)
 	}
-	switch ev.kind {
-	case evSubmission:
-		if prev := a.byID[ev.client.id]; prev != nil {
-			a.unpend(prev) // superseded by this retry
-		}
-		tc := &tailClient{pub: ev.sub.Public}
-		a.byID[ev.client.id] = tc
-		a.pending = append(a.pending, tc)
-		if len(a.pending) >= tailWindow {
-			return a.flushPending()
-		}
-	case evVerdict:
-		return a.checkVerdict(ev.client)
-	case evWithdraw:
-		a.unpend(a.byID[ev.client.id])
-		delete(a.byID, ev.client.id)
-	case evSeal:
-		return a.verifySeal(ev.seal)
-	case evBoundary:
-		a.byID = make(map[int]*tailClient)
-		a.pending = nil
-		a.prod = nil
-		a.digest = nil
+	if err == nil {
+		err = a.v.settle(context.Background())
 	}
-	return nil
-}
-
-// checkVerdict cross-checks a logged verdict against this tail's own
-// verification: the log's claim and the cryptography must agree, record by
-// record.
-func (a *TailAuditor) checkVerdict(cl *boardClient) error {
-	tc := a.byID[cl.id]
-	if cl.refused {
-		// A budget refusal is decided before any verification runs (the
-		// grammar has checked it against the replayed ledger), so there is no
-		// proof verdict to compare; the client never joins the Σ-OR window.
-		a.unpend(tc)
-		return nil
+	if err == nil && ev.kind == evSeal {
+		a.history[a.g.epoch] = a.v.digest
 	}
-	if !tc.checked {
-		if err := a.flushPending(); err != nil {
-			return err
-		}
-	}
-	switch {
-	case cl.reject == nil && !tc.valid:
-		return a.g.errorf("client %d accepted, but its board proof fails (submission at record %d)", cl.id, cl.index)
-	case cl.reject != nil && cl.onBoard && tc.valid:
-		return a.g.errorf("client %d rejected on the board, but its board proof verifies (submission at record %d)", cl.id, cl.index)
-	case cl.reject != nil && !cl.onBoard && !tc.valid:
-		// A payload (private-channel) rejection implies the board proof
-		// passed — Session.verify decides the board first and attributes
-		// board failures as on-board verdicts.
-		return a.g.errorf("client %d refused off-board as a payload dispute, but its board proof fails (submission at record %d)", cl.id, cl.index)
-	}
-	if cl.reject == nil {
-		a.fold(tc)
-	}
-	return nil
-}
-
-// flushPending decides every pending submission's board proof with one
-// batched Σ-OR check — the same filterValidClientsBatch the session and the
-// offline auditor use, so all three always reach identical verdicts.
-func (a *TailAuditor) flushPending() error {
-	if len(a.pending) == 0 {
-		return nil
-	}
-	pubs := make([]*ClientPublic, len(a.pending))
-	for i, tc := range a.pending {
-		pubs[i] = tc.pub
-	}
-	_, rejected, err := a.pub.filterValidClientsBatch(context.Background(), pubs, a.workers)
-	if err != nil {
-		return err
-	}
-	for _, tc := range a.pending {
-		tc.checked = true
-		_, bad := rejected[tc.pub.ID]
-		tc.valid = !bad
-	}
-	a.pending = a.pending[:0]
-	return nil
-}
-
-// fold accumulates one roster client's share commitments into the running
-// Line-13 product. Commitment Add is immutable, so seal-time reads copy
-// freely.
-func (a *TailAuditor) fold(tc *tailClient) {
-	if tc.folded || !tc.valid {
-		return
-	}
-	m := a.pub.cfg.Bins
-	k := a.pub.cfg.Provers
-	if a.prod == nil {
-		a.prod = make([][]*pedersen.Commitment, m)
-		for j := 0; j < m; j++ {
-			a.prod[j] = make([]*pedersen.Commitment, k)
-			for pk := 0; pk < k; pk++ {
-				a.prod[j][pk] = a.pub.pp.Zero()
-			}
-		}
-	}
-	for j := 0; j < m; j++ {
-		for pk := 0; pk < k; pk++ {
-			a.prod[j][pk] = a.prod[j][pk].Add(tc.pub.ShareCommitments[j][pk])
-		}
-	}
-	tc.folded = true
-}
-
-// unpend removes a client that left the roster from the unchecked window.
-func (a *TailAuditor) unpend(tc *tailClient) {
-	for i, c := range a.pending {
-		if c == tc {
-			a.pending = append(a.pending[:i], a.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// verifySeal is the O(1) seal-time check (constant in the epoch's client
-// count). The grammar has already byte-compared the sealed client section
-// against the roster; what remains is to flush the last unchecked window,
-// then verify only the O(M·nb·K) tail — coin proofs, Morra coins, the
-// Line-13 equation with the pre-folded client product, and the aggregation —
-// and derive the transcript digest without ever re-decoding a client.
-func (a *TailAuditor) verifySeal(sealBytes []byte) error {
-	if err := a.flushPending(); err != nil {
-		return err
-	}
-	// Clients still undecided at seal time (a DeferVerification session
-	// writes no per-arrival verdicts) join the product by their Σ-OR
-	// verdict, exactly as Finalize's batch check decides them.
-	for _, cl := range a.g.roster {
-		if !cl.decided {
-			a.fold(a.byID[cl.id])
-		}
-	}
-	sp, err := a.pub.splitSealedTranscript(sealBytes)
-	if err != nil {
-		return a.g.errorf("seal: %v", err)
-	}
-
-	k := a.pub.cfg.Provers
-	m := a.pub.cfg.Bins
-	if len(sp.coinMsgs) != k || len(sp.morra) != k || len(sp.outputs) != k {
-		return a.g.errorf("seal covers %d/%d/%d prover records, want %d",
-			len(sp.coinMsgs), len(sp.morra), len(sp.outputs), k)
-	}
-	if sp.release == nil {
-		return a.g.errorf("seal carries no release")
-	}
-
-	// Per-prover checks, concurrently, mirroring auditParallel — but Line
-	// 13's client factor is the rolling product, not a roster walk.
-	inner := a.workers / k
-	if inner < 1 {
-		inner = 1
-	}
-	pv := NewVerifierParallel(a.pub, inner)
-	err = forEach(context.Background(), a.workers, k, func(pk int) error {
-		msg := sp.coinMsgs[pk]
-		if msg.Prover != pk {
-			return fmt.Errorf("coin message %d claims prover %d", pk, msg.Prover)
-		}
-		if err := pv.VerifyCoinCommitments(msg); err != nil {
-			return err
-		}
-		rec := sp.morra[pk]
-		xs, err := morra.Combine(a.pub.pp, rec.Commits, rec.Reveals)
-		if err != nil {
-			return fmt.Errorf("morra record for prover %d: %v", pk, err)
-		}
-		bits := morra.Bits(xs)
-		if len(bits) != m*a.pub.nb {
-			return fmt.Errorf("morra record for prover %d has %d coins, want %d", pk, len(bits), m*a.pub.nb)
-		}
-		adjusted, err := pv.AdjustedCoinCommitments(msg, reshapeBits(bits, m, a.pub.nb))
-		if err != nil {
-			return err
-		}
-		out := sp.outputs[pk]
-		if out.Prover != pk {
-			return fmt.Errorf("output %d claims prover %d", pk, out.Prover)
-		}
-		if len(out.Y) != m || len(out.Z) != m {
-			return fmt.Errorf("prover %d output covers %d/%d bins, want %d", pk, len(out.Y), len(out.Z), m)
-		}
-		for j := 0; j < m; j++ {
-			e := a.pub.pp.Zero()
-			if a.prod != nil {
-				e = a.prod[j][pk]
-			}
-			for _, c := range adjusted[j] {
-				e = e.Add(c)
-			}
-			if !a.pub.pp.Verify(e, out.Y[j], out.Z[j]) {
-				return fmt.Errorf("prover %d bin %d: commitment product does not open to reported (y, z)", pk, j)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return a.g.errorf("seal: %v", err)
-	}
-
-	release, err := NewVerifierParallel(a.pub, a.workers).Aggregate(sp.outputs)
-	if err != nil {
-		return a.g.errorf("seal: %v", err)
-	}
-	if len(release.Raw) != len(sp.release.Raw) {
-		return a.g.errorf("seal release has %d bins, aggregation produces %d", len(sp.release.Raw), len(release.Raw))
-	}
-	for j := range release.Raw {
-		if release.Raw[j] != sp.release.Raw[j] {
-			return a.g.errorf("seal bin %d = %d, aggregation produces %d", j, sp.release.Raw[j], release.Raw[j])
-		}
-	}
-
-	a.digest = sp.digest(a.pub)
-	a.history[a.g.epoch] = a.digest
-	return nil
+	return err
 }
 
 // Epoch returns the epoch the tail is currently following.
@@ -446,7 +193,7 @@ func (a *TailAuditor) Clients() int {
 func (a *TailAuditor) Sealed() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.digest != nil
+	return a.v.digest != nil
 }
 
 // Digest returns the current epoch's verified transcript digest (nil until
@@ -455,7 +202,7 @@ func (a *TailAuditor) Sealed() bool {
 func (a *TailAuditor) Digest() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.digest
+	return a.v.digest
 }
 
 // LedgerDigest returns the tail's replayed budget-ledger chain head — the
@@ -477,15 +224,16 @@ func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
 	return d, ok
 }
 
-// ReverifySeal re-runs the seal-time verification walk against the state
-// the tail has accumulated for the live epoch, without consuming a record
-// or moving the grammar position. Feed/Poll callers never need it: it
-// exists so BenchmarkTailSealVerify can time the constant-cost seal step
-// in isolation from the per-arrival work it rides on.
+// ReverifySeal re-runs the epoch verifier's seal step — the one seal check
+// every reader of a board log runs, against the client product folded so
+// far — for the live epoch, without consuming a record or moving the
+// grammar position. Feed/Poll callers never need it: it exists so
+// BenchmarkTailSealVerify can time the seal step in isolation from the
+// per-arrival work it rides on.
 func (a *TailAuditor) ReverifySeal(sealBytes []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.verifySeal(sealBytes)
+	return a.v.seal(context.Background(), sealBytes)
 }
 
 // Err returns the sticky audit failure, if any.
@@ -547,34 +295,16 @@ func (m *MergedTailAuditor) Shards() int { return len(m.shards) }
 // Shard returns shard i's TailAuditor; feed it that shard's records.
 func (m *MergedTailAuditor) Shard(i int) *TailAuditor { return m.shards[i] }
 
-// FeedManifest consumes one manifest record, enforcing the same grammar
-// readMergedSeals does: store bookkeeping is skipped, every merged seal
-// must carry the right shard count, no epoch seals twice, and a kind no
-// ShardedSession writes is flagged.
+// FeedManifest consumes one manifest record under the manifest grammar
+// recovery enforces (mergedSealRule).
 func (m *MergedTailAuditor) FeedManifest(rec *store.Record, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := m.manIdx
 	m.manIdx++
-	if rec.Kind >= store.KindSegmentedInit {
-		return nil // store-reserved bookkeeping
-	}
-	if rec.Kind != RecordMergedSeal {
-		return fmt.Errorf("%w: manifest record %d (offset %d) has unknown kind %d", ErrAuditFail, i, off, rec.Kind)
-	}
-	shards, digest, err := decodeMergedSeal(rec.Payload)
-	if err != nil {
+	if err := mergedSealRule(rec, len(m.shards), m.seals); err != nil {
 		return fmt.Errorf("%w: manifest record %d (offset %d): %v", ErrAuditFail, i, off, err)
 	}
-	if shards != len(m.shards) {
-		return fmt.Errorf("%w: manifest record %d (offset %d) claims %d shards, tail follows %d",
-			ErrAuditFail, i, off, shards, len(m.shards))
-	}
-	epoch := int(rec.Epoch)
-	if _, dup := m.seals[epoch]; dup {
-		return fmt.Errorf("%w: manifest record %d (offset %d) seals epoch %d twice", ErrAuditFail, i, off, epoch)
-	}
-	m.seals[epoch] = digest
 	return nil
 }
 
@@ -718,140 +448,4 @@ func (m *MergedTailAuditor) Close() error {
 		}
 	}
 	return first
-}
-
-// splitSeal is a sealed transcript shallow-parsed for the tail's seal walk:
-// the client section stays raw (per-client byte slices, no elliptic-curve
-// decode — that is the O(n) cost the tail already paid at arrival time),
-// while the O(M·nb·K) prover tail is fully decoded for verification.
-type splitSeal struct {
-	clientRaw [][]byte
-	coinMsgs  []*CoinCommitMsg
-	morra     []*MorraRecord
-	outputs   []*ProverOutput
-	release   *Release
-}
-
-// splitSealedTranscript shallow-parses an encoded transcript; the layout is
-// exactly DecodeTranscript's, with the client section left undecoded.
-func (p *Public) splitSealedTranscript(b []byte) (*splitSeal, error) {
-	r := wireReader{b: b}
-	sp := &splitSeal{clientRaw: readSealedClients(&r)}
-
-	nCoin := r.u32()
-	if r.err == nil && nCoin > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d coin messages", nCoin)
-	}
-	for i := uint32(0); i < nCoin && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		msg, err := p.DecodeCoinCommitMsg(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.coinMsgs = append(sp.coinMsgs, msg)
-	}
-
-	nMorra := r.u32()
-	if r.err == nil && nMorra > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d morra records", nMorra)
-	}
-	for i := uint32(0); i < nMorra && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		rec, err := p.DecodeMorraRecord(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.morra = append(sp.morra, rec)
-	}
-
-	nOut := r.u32()
-	if r.err == nil && nOut > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d prover outputs", nOut)
-	}
-	for i := uint32(0); i < nOut && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		out, err := p.DecodeProverOutput(raw)
-		if err != nil {
-			return nil, err
-		}
-		sp.outputs = append(sp.outputs, out)
-	}
-
-	if r.u32() == 1 && r.err == nil {
-		m := r.u32()
-		if r.err == nil && m > maxWireDim {
-			return nil, fmt.Errorf("vdp: release claims %d bins", m)
-		}
-		rel := &Release{Stddev: stddev(p.cfg.Provers, p.nb)}
-		mean := p.NoiseMean()
-		for j := uint32(0); j < m && r.err == nil; j++ {
-			hi := r.u32()
-			lo := r.u32()
-			if r.err != nil {
-				break
-			}
-			raw := int64(uint64(hi)<<32 | uint64(lo))
-			rel.Raw = append(rel.Raw, raw)
-			rel.Estimate = append(rel.Estimate, float64(raw)-mean)
-		}
-		sp.release = rel
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-// digest reproduces TranscriptDigest from the shallow parse: the client
-// section is hashed from its raw slices (each equals EncodeClientPublic of
-// the decoded client — the encodings are canonical), the rest from the
-// decoded components.
-func (sp *splitSeal) digest(pub *Public) []byte {
-	h := sha256.New()
-	writeU32(h, uint32(len(sp.clientRaw)))
-	for _, raw := range sp.clientRaw {
-		chunk(h, raw)
-	}
-	writeU32(h, uint32(len(sp.coinMsgs)))
-	for _, msg := range sp.coinMsgs {
-		digestCoinMsg(h, pub, msg)
-	}
-	writeU32(h, uint32(len(sp.morra)))
-	for _, rec := range sp.morra {
-		digestMorra(h, pub, rec)
-	}
-	writeU32(h, uint32(len(sp.outputs)))
-	for _, out := range sp.outputs {
-		chunk(h, pub.EncodeProverOutput(out))
-	}
-	if sp.release != nil {
-		writeU32(h, uint32(len(sp.release.Raw)))
-		for _, raw := range sp.release.Raw {
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], uint64(raw))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum(nil)
-}
-
-// transcriptDigestFromBytes computes TranscriptDigest directly from a
-// sealed transcript's encoding, decoding only the O(M·nb·K) prover tail.
-// Snapshot validation and replay use it so pinning an epoch's digest never
-// costs a full client decode.
-func transcriptDigestFromBytes(pub *Public, sealBytes []byte) ([]byte, error) {
-	sp, err := pub.splitSealedTranscript(sealBytes)
-	if err != nil {
-		return nil, err
-	}
-	return sp.digest(pub), nil
 }

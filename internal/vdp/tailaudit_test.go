@@ -373,14 +373,189 @@ func TestTailParityWithAdversaries(t *testing.T) {
 	}
 }
 
+// TestManifestGrammar feeds the same bad manifests to the offline segmented
+// audit and the live segmented tail, which read the manifest by one rule set
+// (mergedSealRule): both must refuse every one.
+func TestManifestGrammar(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	seg, err := store.OpenSegmentedLog(t.TempDir(), 2, store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(95), Shards: 2, Segmented: seg, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range buildSubs(t, pub, []int{1, 0, 1, 1}) {
+		if err := ss.Submit(ctx, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ss.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	segs, manifest := segmentRecords(t, seg)
+	sealRec := manifest[len(manifest)-1]
+	_, digest, err := decodeMergedSeal(sealRec.Payload)
+	if err != nil || sealRec.Kind != RecordMergedSeal {
+		t.Fatalf("the manifest does not end in epoch 0's merged seal: %v", err)
+	}
+	read := func(t *testing.T, extra *store.Record) (audit, tail error) {
+		man := manifest[:len(manifest):len(manifest)]
+		if extra != nil {
+			man = append(man, extra)
+		}
+		lg := segmentedLogOf(t, segs, man)
+		defer lg.Close()
+		st, err := TailAuditMerged(pub, lg, TailOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_, tail = st.Poll()
+		return AuditSegmentedLog(ctx, pub, lg, 0, 2), tail
+	}
+	if audit, tail := read(t, nil); audit != nil || tail != nil {
+		t.Fatalf("honest manifest refused: audit %v, tail %v", audit, tail)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  *store.Record
+	}{
+		{"unknown-kind", &store.Record{Kind: 9}},
+		{"wrong-shard-count", &store.Record{Kind: RecordMergedSeal, Epoch: 1, Payload: encodeMergedSeal(3, digest)}},
+		{"duplicate-epoch", sealRec},
+		{"truncated-payload", &store.Record{Kind: RecordMergedSeal, Epoch: 1, Payload: sealRec.Payload[:len(sealRec.Payload)-1]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			audit, tail := read(t, tc.rec)
+			if audit == nil || !strings.HasPrefix(audit.Error(), "vdp: manifest record") {
+				t.Errorf("segmented audit: %v", audit)
+			}
+			if !errors.Is(tail, ErrAuditFail) || !strings.Contains(tail.Error(), "manifest record") {
+				t.Errorf("segmented tail: %v", tail)
+			}
+		})
+	}
+}
+
+// TestOffBoardVerdictOnFailingProof: an off-board rejection that is not a
+// budget refusal is a payload dispute, which says the client's board proof
+// passed — a session decides the board first and posts board failures. Such
+// a verdict for a spliced-in client whose proof fails leaves the sealed
+// roster unchanged, so only the verdict check can see it: the offline audits
+// and the live tail must all refuse the log at that verdict record.
+func TestOffBoardVerdictOnFailingProof(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	const fresh = 9 // never submitted; ShardOf(9, 2) is shard 0
+	if ShardOf(fresh, 2) != 0 {
+		t.Fatal("the fresh client does not live on shard 0")
+	}
+	// splice inserts, before recs' seal, the fresh client's submission
+	// corrupted by tc and a payload-dispute verdict for it, returning the
+	// log and the verdict's record index.
+	splice := func(t *testing.T, recs []*store.Record, tc adversaryCorruption) ([]*store.Record, int) {
+		sub, err := pub.NewClientSubmission(fresh, 1, testSeed(91))
+		if err != nil {
+			t.Fatal(err)
+		}
+		donor, err := pub.NewClientSubmission(100+fresh, 1, testSeed(92))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(pub, sub, donor)
+		if pub.VerifyClient(sub.Public) == nil {
+			t.Fatalf("%s: the corrupted board proof verifies", tc.name)
+		}
+		at := len(recs) - 1
+		for recs[at-1].Kind == RecordSealChunk {
+			at--
+		}
+		epoch := recs[at].Epoch
+		dispute := fmt.Errorf("%w: client %d: payload dispute", ErrClientReject, fresh)
+		recs = insertAt(recs, at, &store.Record{Kind: RecordVerdict, Epoch: epoch, Payload: encodeVerdict(fresh, dispute, false)})
+		recs = insertAt(recs, at, &store.Record{Kind: RecordSubmission, Epoch: epoch, Payload: pub.EncodeClientSubmission(sub)})
+		return recs, at + 1
+	}
+	refusedAt := func(t *testing.T, who string, err error, want int) {
+		t.Helper()
+		var pos *boardLogError
+		if !errors.As(err, &pos) || pos.Index != want || !errors.Is(err, ErrAuditFail) ||
+			!strings.Contains(pos.Reason, "payload dispute, but its board proof fails") {
+			t.Fatalf("%s: want the verdict at record %d refused, got: %v", who, want, err)
+		}
+	}
+	honest := func(t *testing.T, door interface {
+		Submit(context.Context, *ClientSubmission) error
+	}) {
+		for _, sub := range buildSubs(t, pub, []int{1, 0, 1, 1}) {
+			if err := door.Submit(ctx, sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, tc := range adversaryCorruptions {
+		if !tc.wantOnBoard {
+			continue // a payload corruption leaves the board proof valid
+		}
+		t.Run("session/"+tc.name, func(t *testing.T) {
+			log := store.NewMemLog()
+			sess, err := NewSession(pub, SessionOptions{Rand: testSeed(93), Store: log, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest(t, sess)
+			if _, err := sess.Finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			recs, _ := log.Snapshot()
+			recs, at := splice(t, recs, tc)
+			refusedAt(t, "audit", AuditLog(ctx, pub, memLogOf(t, recs), 0, 2), at)
+			refusedAt(t, "tail", feedAll(NewTailAuditor(pub, TailOptions{Workers: 2}), recs), at)
+			sweepReaders(t, sweptLog{pub: pub, recs: recs})
+		})
+		t.Run("sharded/"+tc.name, func(t *testing.T) {
+			seg, err := store.OpenSegmentedLog(t.TempDir(), 2, store.WithNoSync())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(94), Shards: 2, Segmented: seg, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest(t, ss)
+			if _, err := ss.Finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			segs, manifest := segmentRecords(t, seg)
+			var at int
+			segs[0], at = splice(t, segs[0], tc)
+			spliced := segmentedLogOf(t, segs, manifest)
+			defer spliced.Close()
+			refusedAt(t, "segmented audit", AuditSegmentedLog(ctx, pub, spliced, 0, 2), at)
+			st, err := TailAuditMerged(pub, spliced, TailOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			_, err = st.Poll()
+			refusedAt(t, "segmented tail", err, at)
+		})
+	}
+}
+
 // BenchmarkTailSealVerify times the live tail's seal step on its own: the
 // tail verified every submission on arrival, so sealing costs one byte-walk
 // of the seal's client section plus the K Line-13 checks against the
 // rolling commitment product, whose crypto is independent of the epoch
 // size. The 1000/10000 pair is the point: ns/op must grow far slower than
-// the 10× larger epoch, which AuditLog's cost follows. Each size's epoch is
-// built and drained once, outside the timer, and reused across the
-// harness's calls.
+// the 10× larger epoch. Each size's epoch is built and drained once,
+// outside the timer, and reused across the harness's calls.
 func BenchmarkTailSealVerify(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
 	if err != nil {
@@ -407,9 +582,38 @@ func BenchmarkTailSealVerify(b *testing.B) {
 	}
 }
 
-// drainedTail finalizes an n-client epoch on a MemLog and returns a tail
-// that has consumed the whole log, seal included, with the seal's bytes.
-func drainedTail(b *testing.B, pub *Public, n int) (*TailAuditor, []byte) {
+// BenchmarkAuditLog times the offline audit of a whole sealed epoch, on the
+// boards BenchmarkTailSealVerify drains. Its cost is the epoch's: every
+// submission decoded and its board proof decided, and every accepted client
+// folded into the Line-13 product. At 1000 submissions the epoch verifier
+// decides them with one batched check at the seal; 10000 crosses auditWindow,
+// so the same work is split over three products.
+func BenchmarkAuditLog(b *testing.B) {
+	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, n := range []int{1000, 10000} {
+		var log *store.MemLog
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			if log == nil {
+				log, _ = sealedBoard(b, pub, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := AuditLog(ctx, pub, log, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// sealedBoard finalizes an n-client epoch, admitted in frames of 256, on a
+// MemLog and returns the log with the sealed transcript.
+func sealedBoard(b *testing.B, pub *Public, n int) (*store.MemLog, *Transcript) {
 	b.Helper()
 	ctx := context.Background()
 	log := store.NewMemLog()
@@ -441,10 +645,18 @@ func drainedTail(b *testing.B, pub *Public, n int) (*TailAuditor, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return log, res.Transcript
+}
+
+// drainedTail returns a tail that has consumed the whole of sealedBoard's
+// log, seal included, with the seal's bytes.
+func drainedTail(b *testing.B, pub *Public, n int) (*TailAuditor, []byte) {
+	b.Helper()
+	log, tr := sealedBoard(b, pub, n)
 	tail, err := TailAuditLog(pub, log, TailOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	pollUntilSealed(b, tail)
-	return tail, pub.EncodeTranscript(res.Transcript)
+	return tail, pub.EncodeTranscript(tr)
 }

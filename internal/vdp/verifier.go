@@ -158,6 +158,22 @@ func (v *Verifier) CheckProverOutput(msg *CoinCommitMsg, publicBits [][]byte, ou
 	if out.Prover != msg.Prover {
 		return fmt.Errorf("%w: output from prover %d but coins from prover %d", ErrProverCheat, out.Prover, msg.Prover)
 	}
+	clients := make([]*pedersen.Commitment, v.pub.cfg.Bins)
+	for j := range clients {
+		clients[j] = v.pub.pp.Zero()
+		for _, cl := range v.valid {
+			clients[j] = clients[j].Add(cl.ShareCommitments[j][out.Prover])
+		}
+	}
+	return v.checkLine13(msg, publicBits, out, clients)
+}
+
+// checkLine13 is Line 13 for one prover given its client factor: clients[j]
+// is the product of the valid clients' share commitments for bin j in this
+// prover's column, which with the adjusted coin commitments must open to
+// (y_j, z_j). The seal check passes a product folded as clients were
+// decided; CheckProverOutput walks its roster.
+func (v *Verifier) checkLine13(msg *CoinCommitMsg, publicBits [][]byte, out *ProverOutput, clients []*pedersen.Commitment) error {
 	m := v.pub.cfg.Bins
 	if len(out.Y) != m || len(out.Z) != m {
 		return fmt.Errorf("%w: prover %d output covers %d/%d bins, want %d",
@@ -168,10 +184,7 @@ func (v *Verifier) CheckProverOutput(msg *CoinCommitMsg, publicBits [][]byte, ou
 		return err
 	}
 	for j := 0; j < m; j++ {
-		expected := v.pub.pp.Zero()
-		for _, cl := range v.valid {
-			expected = expected.Add(cl.ShareCommitments[j][out.Prover])
-		}
+		expected := clients[j]
 		for _, c := range adjusted[j] {
 			expected = expected.Add(c)
 		}
@@ -181,6 +194,32 @@ func (v *Verifier) CheckProverOutput(msg *CoinCommitMsg, publicBits [][]byte, ou
 		}
 	}
 	return nil
+}
+
+// clientProduct is Line 13's client factor for every prover: [pk][j] is the
+// product of the valid roster clients' share commitments for prover pk, bin
+// j. Commitment Add is immutable, so a product is shared freely.
+type clientProduct [][]*pedersen.Commitment
+
+// newClientProduct is the empty product.
+func (p *Public) newClientProduct() clientProduct {
+	prod := make(clientProduct, p.cfg.Provers)
+	for pk := range prod {
+		prod[pk] = make([]*pedersen.Commitment, p.cfg.Bins)
+		for j := range prod[pk] {
+			prod[pk][j] = p.pp.Zero()
+		}
+	}
+	return prod
+}
+
+// add folds one valid client in.
+func (prod clientProduct) add(cp *ClientPublic) {
+	for pk := range prod {
+		for j := range prod[pk] {
+			prod[pk][j] = prod[pk][j].Add(cp.ShareCommitments[j][pk])
+		}
+	}
 }
 
 // Release is the verified protocol output: per-bin raw noisy counts

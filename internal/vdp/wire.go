@@ -166,7 +166,7 @@ func (p *Public) DecodeClientPublic(b []byte) (*ClientPublic, error) {
 		if r.err == nil && cols > maxWireDim {
 			return nil, fmt.Errorf("vdp: submission claims %d provers", cols)
 		}
-		row := make([]*pedersen.Commitment, 0, cols)
+		row := make([]*pedersen.Commitment, 0, min(int(cols), len(r.b)/elemLen)) // cols is hostile input
 		for k := uint32(0); k < cols && r.err == nil; k++ {
 			raw := r.take(elemLen)
 			if r.err != nil {

@@ -148,8 +148,10 @@ func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
 		if r.err == nil && nb > maxWireDim {
 			return nil, fmt.Errorf("vdp: coin message claims %d coins", nb)
 		}
-		comms := make([]*pedersen.Commitment, 0, nb)
-		proofs := make([]*sigma.BitProof, 0, nb)
+		// The claimed count is hostile input: size by the bytes present.
+		n := min(int(nb), len(r.b)/(elemLen+proofLen))
+		comms := make([]*pedersen.Commitment, 0, n)
+		proofs := make([]*sigma.BitProof, 0, n)
 		for l := uint32(0); l < nb && r.err == nil; l++ {
 			cRaw := r.take(elemLen)
 			pRaw := r.take(proofLen)
@@ -308,48 +310,38 @@ func (p *Public) EncodeTranscript(t *Transcript) []byte {
 	return w.b
 }
 
-// DecodeTranscript parses and validates a sealed epoch transcript.
+// DecodeTranscript parses and validates a sealed epoch transcript: the
+// prover section, then every client block.
 func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
-	return p.decodeTranscript(b, nil)
-}
-
-// decodeTranscript is DecodeTranscript for a caller that may already hold
-// the client section decoded: a non-nil clients stands for it, block for
-// block, and is not decoded again. Only a reader that has compared every
-// client block of b with the bytes clients[i] was decoded from may pass it
-// (the board grammar's seal rule does exactly that); the count at least is
-// checked here.
-func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcript, error) {
-	r := wireReader{b: b}
-	r.version()
-	t := &Transcript{}
-
-	nClients := r.u32()
-	if r.err == nil && nClients > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d clients", nClients)
+	clients, t, err := p.decodeProverSection(b)
+	if err != nil {
+		return nil, err
 	}
-	if clients != nil && r.err == nil && int(nClients) != len(clients) {
-		return nil, fmt.Errorf("vdp: transcript lists %d clients, %d were decoded", nClients, len(clients))
-	}
-	for i := uint32(0); i < nClients && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		if clients != nil {
-			t.Clients = append(t.Clients, clients[i])
-			continue
-		}
+	for _, raw := range clients {
 		cp, err := p.DecodeClientPublic(raw)
 		if err != nil {
 			return nil, err
 		}
 		t.Clients = append(t.Clients, cp)
 	}
+	return t, nil
+}
+
+// decodeProverSection is the one transcript parser. The client section comes
+// back as the raw blocks the encoding carries, with no group element decoded;
+// everything after it — coin messages, Morra records, prover outputs and the
+// release — is decoded and validated into a Transcript without Clients. The
+// board-log readers stop here: the grammar has compared every sealed client
+// block with its logged arrival record byte for byte, so the seal is checked
+// and digested without decoding a client twice.
+func (p *Public) decodeProverSection(b []byte) (clients [][]byte, t *Transcript, err error) {
+	r := wireReader{b: b}
+	clients = readSealedClients(&r)
+	t = &Transcript{}
 
 	nCoin := r.u32()
 	if r.err == nil && nCoin > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d coin messages", nCoin)
+		return nil, nil, fmt.Errorf("vdp: transcript claims %d coin messages", nCoin)
 	}
 	for i := uint32(0); i < nCoin && r.err == nil; i++ {
 		raw := r.lpBytes()
@@ -358,14 +350,14 @@ func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcrip
 		}
 		msg, err := p.DecodeCoinCommitMsg(raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t.CoinMsgs = append(t.CoinMsgs, msg)
 	}
 
 	nMorra := r.u32()
 	if r.err == nil && nMorra > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d morra records", nMorra)
+		return nil, nil, fmt.Errorf("vdp: transcript claims %d morra records", nMorra)
 	}
 	for i := uint32(0); i < nMorra && r.err == nil; i++ {
 		raw := r.lpBytes()
@@ -374,14 +366,14 @@ func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcrip
 		}
 		rec, err := p.DecodeMorraRecord(raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t.Morra = append(t.Morra, rec)
 	}
 
 	nOut := r.u32()
 	if r.err == nil && nOut > maxWireDim {
-		return nil, fmt.Errorf("vdp: transcript claims %d prover outputs", nOut)
+		return nil, nil, fmt.Errorf("vdp: transcript claims %d prover outputs", nOut)
 	}
 	for i := uint32(0); i < nOut && r.err == nil; i++ {
 		raw := r.lpBytes()
@@ -390,15 +382,19 @@ func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcrip
 		}
 		out, err := p.DecodeProverOutput(raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t.Outputs = append(t.Outputs, out)
 	}
 
-	if r.u32() == 1 && r.err == nil {
+	hasRelease := r.u32()
+	if hasRelease > 1 {
+		return nil, nil, fmt.Errorf("vdp: transcript release flag is %d", hasRelease)
+	}
+	if hasRelease == 1 {
 		m := r.u32()
 		if r.err == nil && m > maxWireDim {
-			return nil, fmt.Errorf("vdp: release claims %d bins", m)
+			return nil, nil, fmt.Errorf("vdp: release claims %d bins", m)
 		}
 		rel := &Release{Stddev: stddev(p.cfg.Provers, p.nb)}
 		mean := p.NoiseMean()
@@ -415,7 +411,7 @@ func (p *Public) decodeTranscript(b []byte, clients []*ClientPublic) (*Transcrip
 		t.Release = rel
 	}
 	if err := r.finish(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return t, nil
+	return clients, t, nil
 }
