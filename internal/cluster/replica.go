@@ -212,7 +212,7 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 		return errFrame("cluster: unknown replicate log id %d", logID)
 	}
 	if start > *have {
-		return &transport.Frame{Kind: KindReplicateGap, Payload: encodeReplicateGap(logID, *have)}
+		return &transport.Frame{Kind: KindReplicateGap, Payload: encodeReplicateOK(logID, *have)}
 	}
 	skip := *have - start
 	if skip < len(recs) {
@@ -442,7 +442,7 @@ func (r *Replicator) send(logID uint8, start int, recs []*store.Record) (int, er
 			}
 			have = newLen
 		case KindReplicateGap:
-			_, standbyLen, derr := decodeReplicateGap(reply.Payload)
+			_, standbyLen, derr := decodeReplicateOK(reply.Payload)
 			if derr != nil {
 				return 0, fmt.Errorf("cluster: malformed replicate gap: %v", derr)
 			}

@@ -269,6 +269,40 @@ func TestStandbyPromotionFence(t *testing.T) {
 	}
 }
 
+// TestStandbyRefusesHostileRecordCount: an 18-byte replicate-append whose
+// record count claims 2³²−1 records is answered with node-error. The count is
+// hostile input: it is checked against the bytes present and sizes no
+// allocation, so the standby neither dies nor mirrors anything.
+func TestStandbyRefusesHostileRecordCount(t *testing.T) {
+	sb, err := NewStandby(context.Background(), testPub(t), StandbyConfig{
+		Shards: 1, Board: store.NewMemLog(), Seal: store.NewMemLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{rpcVersion, 0, 0, 0, 0, 0, 0, 0, 1, ReplLogBoard, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	replies := sb.Handle(&transport.Frame{Kind: KindReplicate, Payload: payload})
+	if len(replies) != 1 || replies[0].Kind != KindError {
+		t.Fatalf("hostile record count answered %+v, want one %s reply", replies, KindError)
+	}
+	if n := sb.MirroredRecords(); n != 0 {
+		t.Fatalf("the standby mirrored %d records from a frame that carries none", n)
+	}
+}
+
+// TestDecodeStatusRefusesUnknownFlags: a status flag byte with a bit outside
+// the four defined flags is refused, not read as false.
+func TestDecodeStatusRefusesUnknownFlags(t *testing.T) {
+	enc := encodeStatus(&NodeStatus{Shards: 1, Durable: true})
+	for _, bit := range []byte{1 << 4, 1 << 7} {
+		bad := append([]byte(nil), enc...)
+		bad[len(bad)-1] |= bit
+		if st, err := decodeStatus(bad); err == nil {
+			t.Errorf("flag bit %#x accepted as %+v", bit, st)
+		}
+	}
+}
+
 // TestReplicateGapRewind drives the standby-behind path over the wire: the
 // primary believes records are mirrored, the standby restarts empty, and the
 // next flush rewinds and re-ships everything.

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // The cluster RPC: a small versioned request/reply vocabulary carried over
@@ -107,101 +106,18 @@ func replyErr(reply *transport.Frame, wantReq string) error {
 	}
 }
 
-// rpcWriter/rpcReader are the minimal codec primitives for RPC payloads.
-type rpcWriter struct{ b []byte }
-
-func (w *rpcWriter) version() { w.b = append(w.b, rpcVersion) }
-
-func (w *rpcWriter) u8(v byte) { w.b = append(w.b, v) }
-
-func (w *rpcWriter) u32(v uint32) {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
+// rpcOut opens a writer past the rpcVersion byte.
+func rpcOut() wire.Writer {
+	var w wire.Writer
+	w.U8(rpcVersion)
+	return w
 }
 
-func (w *rpcWriter) lp(b []byte) {
-	w.u32(uint32(len(b)))
-	w.b = append(w.b, b...)
-}
-
-type rpcReader struct {
-	b   []byte
-	err error
-}
-
-func (r *rpcReader) version() {
-	if r.err != nil {
-		return
-	}
-	if len(r.b) < 1 {
-		r.err = errors.New("cluster: truncated rpc payload")
-		return
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	if v != rpcVersion {
-		r.err = fmt.Errorf("cluster: unsupported rpc version %d (this build speaks %d)", v, rpcVersion)
-	}
-}
-
-func (r *rpcReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.err = errors.New("cluster: truncated rpc payload")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rpcReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.err = errors.New("cluster: truncated rpc payload")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[:4])
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rpcReader) lp() []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b) < n {
-		r.err = errors.New("cluster: truncated rpc payload")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *rpcReader) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	out := r.b
-	r.b = nil
-	return out
-}
-
-func (r *rpcReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("cluster: %d trailing bytes in rpc payload", len(r.b))
-	}
-	return nil
+// rpcIn opens a read cursor on b past its rpcVersion byte.
+func rpcIn(b []byte) wire.Reader {
+	r := wire.NewReader("cluster", b)
+	r.Version(rpcVersion)
+	return r
 }
 
 // NodeStatus is a node's reply to KindStatus.
@@ -233,17 +149,17 @@ const (
 	statusFlagMergedSealed
 	statusFlagDurable
 	statusFlagStandby
+	statusFlagsKnown = 1<<iota - 1
 )
 
 func encodeStatus(st *NodeStatus) []byte {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(st.Shard))
-	w.u32(uint32(st.Shards))
-	w.u32(uint32(st.Epoch))
-	w.u32(uint32(st.Submitted))
-	w.u32(uint32(st.Accepted))
-	w.u32(uint32(st.LogLen))
+	w := rpcOut()
+	w.U32(uint32(st.Shard))
+	w.U32(uint32(st.Shards))
+	w.U32(uint32(st.Epoch))
+	w.U32(uint32(st.Submitted))
+	w.U32(uint32(st.Accepted))
+	w.U32(uint32(st.LogLen))
 	var flags byte
 	if st.Finalized {
 		flags |= statusFlagFinalized
@@ -257,24 +173,28 @@ func encodeStatus(st *NodeStatus) []byte {
 	if st.Standby {
 		flags |= statusFlagStandby
 	}
-	w.u8(flags)
-	return w.b
+	w.U8(flags)
+	return w.Bytes()
 }
 
 func decodeStatus(b []byte) (*NodeStatus, error) {
-	r := rpcReader{b: b}
-	r.version()
+	r := rpcIn(b)
 	st := &NodeStatus{
-		Shard:     int(r.u32()),
-		Shards:    int(r.u32()),
-		Epoch:     int(r.u32()),
-		Submitted: int(r.u32()),
-		Accepted:  int(r.u32()),
-		LogLen:    int(r.u32()),
+		Shard:     int(r.U32()),
+		Shards:    int(r.U32()),
+		Epoch:     int(r.U32()),
+		Submitted: int(r.U32()),
+		Accepted:  int(r.U32()),
+		LogLen:    int(r.U32()),
 	}
-	flags := r.u8()
-	if err := r.finish(); err != nil {
+	flags := r.U8()
+	if err := r.Finish(); err != nil {
 		return nil, err
+	}
+	// Each flag bit follows the one bool rule: an unknown bit is refused,
+	// not read as false.
+	if flags&^statusFlagsKnown != 0 {
+		return nil, fmt.Errorf("cluster: status flags %#x carry unknown bits", flags)
 	}
 	st.Finalized = flags&statusFlagFinalized != 0
 	st.MergedSealed = flags&statusFlagMergedSealed != 0
@@ -286,41 +206,31 @@ func decodeStatus(b []byte) (*NodeStatus, error) {
 // encodeEpochReq serializes the one-field request body shared by KindSeal,
 // KindTranscript and KindReset: the epoch the caller believes is current.
 func encodeEpochReq(epoch int) []byte {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(epoch))
-	return w.b
+	w := rpcOut()
+	w.U32(uint32(epoch))
+	return w.Bytes()
 }
 
 func decodeEpochReq(b []byte) (int, error) {
-	r := rpcReader{b: b}
-	r.version()
-	epoch := int(r.u32())
-	if err := r.finish(); err != nil {
-		return 0, err
-	}
-	return epoch, nil
+	r := rpcIn(b)
+	epoch := int(r.U32())
+	return epoch, r.Finish()
 }
 
 // encodeTranscriptReply serializes a seal/transcript success reply: the
 // epoch plus the transcript's vdp wire encoding.
 func encodeTranscriptReply(epoch int, transcript []byte) []byte {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(epoch))
-	w.b = append(w.b, transcript...)
-	return w.b
+	w := rpcOut()
+	w.U32(uint32(epoch))
+	w.Raw(transcript)
+	return w.Bytes()
 }
 
 func decodeTranscriptReply(b []byte) (epoch int, transcript []byte, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	epoch = int(r.u32())
-	transcript = r.rest()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	return epoch, transcript, nil
+	r := rpcIn(b)
+	epoch = int(r.U32())
+	transcript = r.Rest()
+	return epoch, transcript, r.Err()
 }
 
 // mergedGetLatest is the KindMergedGet epoch sentinel for "latest recorded".
@@ -329,44 +239,37 @@ const mergedGetLatest = ^uint32(0)
 // encodeMergedSeal serializes the KindMergedSeal request and the
 // KindMergedGet success reply: epoch, shard count, merged digest.
 func encodeMergedSeal(epoch, shards int, digest []byte) []byte {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(epoch))
-	w.u32(uint32(shards))
-	w.lp(digest)
-	return w.b
+	w := rpcOut()
+	w.U32(uint32(epoch))
+	w.U32(uint32(shards))
+	w.Blob(digest)
+	return w.Bytes()
 }
 
 func decodeMergedSeal(b []byte) (epoch, shards int, digest []byte, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	epoch = int(r.u32())
-	shards = int(r.u32())
-	digest = r.lp()
-	if err := r.finish(); err != nil {
-		return 0, 0, nil, err
-	}
-	return epoch, shards, digest, nil
+	r := rpcIn(b)
+	epoch = int(r.U32())
+	shards = int(r.U32())
+	digest = r.Blob()
+	return epoch, shards, digest, r.Finish()
 }
 
 // encodeMergedGetReq serializes a KindMergedGet request; epoch < 0 asks for
 // the latest recorded merged seal.
 func encodeMergedGetReq(epoch int) []byte {
-	var w rpcWriter
-	w.version()
+	w := rpcOut()
 	if epoch < 0 {
-		w.u32(mergedGetLatest)
+		w.U32(mergedGetLatest)
 	} else {
-		w.u32(uint32(epoch))
+		w.U32(uint32(epoch))
 	}
-	return w.b
+	return w.Bytes()
 }
 
 func decodeMergedGetReq(b []byte) (epoch int, latest bool, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	raw := r.u32()
-	if err := r.finish(); err != nil {
+	r := rpcIn(b)
+	raw := r.U32()
+	if err := r.Finish(); err != nil {
 		return 0, false, err
 	}
 	if raw == mergedGetLatest {
@@ -375,21 +278,50 @@ func decodeMergedGetReq(b []byte) (epoch int, latest bool, err error) {
 	return int(raw), false, nil
 }
 
-// encodeLogReply serializes a KindLog success reply: the record count
-// followed by each record in store.EncodeRecord framing (self-delimiting,
-// CRC-checked), in append order.
-func encodeLogReply(recs []*store.Record) ([]byte, error) {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(len(recs)))
+// encodeRecords appends a record count and the records in store.EncodeRecord
+// framing (self-delimiting, CRC-checked), in append order, refusing an
+// encoding the transport cannot carry in one frame.
+func encodeRecords(w *wire.Writer, recs []*store.Record) ([]byte, error) {
+	w.U32(uint32(len(recs)))
 	for _, rec := range recs {
-		w.b = append(w.b, store.EncodeRecord(rec)...)
+		w.Raw(store.EncodeRecord(rec))
 	}
-	if len(w.b) > transport.MaxFrameSize {
-		return nil, fmt.Errorf("cluster: board log encoding is %d bytes, exceeding the %d-byte frame limit",
-			len(w.b), transport.MaxFrameSize)
+	if n := len(w.Bytes()); n > transport.MaxFrameSize {
+		return nil, fmt.Errorf("cluster: %d records encode to %d bytes, exceeding the %d-byte frame limit",
+			len(recs), n, transport.MaxFrameSize)
 	}
-	return w.b, nil
+	return w.Bytes(), nil
+}
+
+// decodeRecords reads what encodeRecords wrote, up to the end of the
+// encoding. The count is hostile input: it is checked against the bytes
+// present and sizes nothing.
+func decodeRecords(r *wire.Reader) ([]*store.Record, error) {
+	n := r.Count(transport.MaxFrameSize, 1)
+	rest := r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	var recs []*store.Record
+	for i := 0; i < n; i++ {
+		rec, used, err := store.DecodeRecord(rest)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: record %d: %w", i, err)
+		}
+		recs = append(recs, rec)
+		rest = rest[used:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("cluster: %d trailing bytes after %d records", len(rest), n)
+	}
+	return recs, nil
+}
+
+// encodeLogReply serializes a KindLog success reply: the node's board log,
+// record by record.
+func encodeLogReply(recs []*store.Record) ([]byte, error) {
+	w := rpcOut()
+	return encodeRecords(&w, recs)
 }
 
 // Replication log IDs: one replicate-append stream carries both of a node's
@@ -403,82 +335,46 @@ const (
 
 // encodeReplicate serializes a KindReplicate request: the sender's shard
 // coordinates (so a standby refuses a misdirected stream), the log being
-// mirrored, the 0-based index of the first record, and the records in
-// store.EncodeRecord framing.
+// mirrored, the 0-based index of the first record, and the records.
 func encodeReplicate(shard, shards int, logID uint8, start int, recs []*store.Record) ([]byte, error) {
-	var w rpcWriter
-	w.version()
-	w.u32(uint32(shard))
-	w.u32(uint32(shards))
-	w.u8(logID)
-	w.u32(uint32(start))
-	w.u32(uint32(len(recs)))
-	for _, rec := range recs {
-		w.b = append(w.b, store.EncodeRecord(rec)...)
-	}
-	if len(w.b) > transport.MaxFrameSize {
-		return nil, fmt.Errorf("cluster: replicate batch of %d records is %d bytes, exceeding the %d-byte frame limit",
-			len(recs), len(w.b), transport.MaxFrameSize)
-	}
-	return w.b, nil
+	w := rpcOut()
+	w.U32(uint32(shard))
+	w.U32(uint32(shards))
+	w.U8(logID)
+	w.U32(uint32(start))
+	return encodeRecords(&w, recs)
 }
 
 func decodeReplicate(b []byte) (shard, shards int, logID uint8, start int, recs []*store.Record, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	shard = int(r.u32())
-	shards = int(r.u32())
-	logID = r.u8()
-	start = int(r.u32())
-	n := int(r.u32())
-	if r.err != nil {
-		return 0, 0, 0, 0, nil, r.err
-	}
-	rest := r.rest()
-	recs = make([]*store.Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec, used, derr := store.DecodeRecord(rest)
-		if derr != nil {
-			return 0, 0, 0, 0, nil, fmt.Errorf("cluster: replicate record %d: %w", i, derr)
-		}
-		recs = append(recs, rec)
-		rest = rest[used:]
-	}
-	if len(rest) != 0 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("cluster: %d trailing bytes after %d replicate records", len(rest), n)
+	r := rpcIn(b)
+	shard = int(r.U32())
+	shards = int(r.U32())
+	logID = r.U8()
+	start = int(r.U32())
+	if recs, err = decodeRecords(&r); err != nil {
+		return 0, 0, 0, 0, nil, err
 	}
 	return shard, shards, logID, start, recs, nil
 }
 
-// encodeReplicateOK serializes the standby's success reply: the mirrored
-// log's new record count.
+// encodeReplicateOK serializes the standby's reply to KindReplicate, for
+// success and KindReplicateGap alike: the mirrored log's record count — on a
+// gap, the count the primary rewinds its mirror point to.
 func encodeReplicateOK(logID uint8, newLen int) []byte {
-	var w rpcWriter
-	w.version()
-	w.u8(logID)
-	w.u32(uint32(newLen))
-	return w.b
+	w := rpcOut()
+	w.U8(logID)
+	w.U32(uint32(newLen))
+	return w.Bytes()
 }
 
 func decodeReplicateOK(b []byte) (logID uint8, newLen int, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	logID = r.u8()
-	newLen = int(r.u32())
-	if err := r.finish(); err != nil {
+	r := rpcIn(b)
+	logID = r.U8()
+	newLen = int(r.U32())
+	if err := r.Finish(); err != nil {
 		return 0, 0, err
 	}
 	return logID, newLen, nil
-}
-
-// encodeReplicateGap serializes the standby's "behind start" reply: its
-// actual record count, so the primary rewinds its mirror point.
-func encodeReplicateGap(logID uint8, have int) []byte {
-	return encodeReplicateOK(logID, have)
-}
-
-func decodeReplicateGap(b []byte) (logID uint8, have int, err error) {
-	return decodeReplicateOK(b)
 }
 
 // promoteAnyEpoch is the KindPromote epoch sentinel for "no expectation".
@@ -489,23 +385,21 @@ const promoteAnyEpoch = ^uint32(0)
 // record count the promoted standby must hold — the last-offset fence that
 // keeps a lagging mirror from rewriting acknowledged history.
 func encodePromoteReq(expectedEpoch, minLogLen int) []byte {
-	var w rpcWriter
-	w.version()
+	w := rpcOut()
 	if expectedEpoch < 0 {
-		w.u32(promoteAnyEpoch)
+		w.U32(promoteAnyEpoch)
 	} else {
-		w.u32(uint32(expectedEpoch))
+		w.U32(uint32(expectedEpoch))
 	}
-	w.u32(uint32(minLogLen))
-	return w.b
+	w.U32(uint32(minLogLen))
+	return w.Bytes()
 }
 
 func decodePromoteReq(b []byte) (expectedEpoch, minLogLen int, err error) {
-	r := rpcReader{b: b}
-	r.version()
-	raw := r.u32()
-	minLogLen = int(r.u32())
-	if err := r.finish(); err != nil {
+	r := rpcIn(b)
+	raw := r.U32()
+	minLogLen = int(r.U32())
+	if err := r.Finish(); err != nil {
 		return 0, 0, err
 	}
 	if raw == promoteAnyEpoch {
@@ -517,26 +411,16 @@ func decodePromoteReq(b []byte) (expectedEpoch, minLogLen int, err error) {
 // decodeLogReply rebuilds a fetched board log as an in-memory BoardLog,
 // ready for vdp.AuditMergedLogs.
 func decodeLogReply(b []byte) (*store.MemLog, error) {
-	r := rpcReader{b: b}
-	r.version()
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	r := rpcIn(b)
+	recs, err := decodeRecords(&r)
+	if err != nil {
+		return nil, err
 	}
-	rest := r.rest()
 	log := store.NewMemLog()
-	for i := 0; i < n; i++ {
-		rec, used, err := store.DecodeRecord(rest)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: log record %d: %w", i, err)
-		}
+	for _, rec := range recs {
 		if err := log.Append(rec); err != nil {
 			return nil, err
 		}
-		rest = rest[used:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after %d log records", len(rest), n)
 	}
 	return log, nil
 }

@@ -1,13 +1,12 @@
 package sigma
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/field"
 	"repro/internal/group"
 	"repro/internal/pedersen"
+	"repro/internal/wire"
 )
 
 // Wire encodings: proofs are fixed-width concatenations of canonical group
@@ -16,91 +15,27 @@ import (
 // membership of every element (a malformed proof must fail to parse, not
 // crash the verifier).
 
-// marshalBuf incrementally builds a wire encoding.
-type marshalBuf struct{ b []byte }
-
-func (m *marshalBuf) elem(g group.Group, e group.Element) { m.b = append(m.b, g.Encode(e)...) }
-func (m *marshalBuf) scalar(x *field.Element)             { m.b = append(m.b, x.Bytes()...) }
-func (m *marshalBuf) u32(v uint32) {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	m.b = append(m.b, tmp[:]...)
+// elem reads one group element.
+func elem(r *wire.Reader, g group.Group) group.Element {
+	return wire.Parse(r, r.Take(g.ElementLen()), g.Decode)
 }
 
-// unmarshalBuf incrementally parses a wire encoding.
-type unmarshalBuf struct {
-	b   []byte
-	err error
-}
-
-func (u *unmarshalBuf) take(n int) []byte {
-	if u.err != nil {
-		return nil
-	}
-	if len(u.b) < n {
-		u.err = errors.New("sigma: truncated encoding")
-		return nil
-	}
-	out := u.b[:n]
-	u.b = u.b[n:]
-	return out
-}
-
-func (u *unmarshalBuf) elem(g group.Group) group.Element {
-	raw := u.take(g.ElementLen())
-	if u.err != nil {
-		return nil
-	}
-	e, err := g.Decode(raw)
-	if err != nil {
-		u.err = err
-		return nil
-	}
-	return e
-}
-
-func (u *unmarshalBuf) scalar(f *field.Field) *field.Element {
-	raw := u.take(f.ByteLen())
-	if u.err != nil {
-		return nil
-	}
-	x, err := f.FromBytes(raw)
-	if err != nil {
-		u.err = err
-		return nil
-	}
-	return x
-}
-
-func (u *unmarshalBuf) u32() uint32 {
-	raw := u.take(4)
-	if u.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(raw)
-}
-
-func (u *unmarshalBuf) finish() error {
-	if u.err != nil {
-		return u.err
-	}
-	if len(u.b) != 0 {
-		return fmt.Errorf("sigma: %d trailing bytes in encoding", len(u.b))
-	}
-	return nil
+// scalar reads one canonical scalar.
+func scalar(r *wire.Reader, f *field.Field) *field.Element {
+	return wire.Parse(r, r.Take(f.ByteLen()), f.FromBytes)
 }
 
 // Encode serializes a bit proof.
 func (p *BitProof) Encode(pp *pedersen.Params) []byte {
 	g := pp.Group()
-	var m marshalBuf
-	m.elem(g, p.A0)
-	m.elem(g, p.A1)
-	m.scalar(p.E0)
-	m.scalar(p.E1)
-	m.scalar(p.Z0)
-	m.scalar(p.Z1)
-	return m.b
+	w := wire.NewWriter(make([]byte, 0, BitProofLen(pp)))
+	w.Raw(g.Encode(p.A0))
+	w.Raw(g.Encode(p.A1))
+	w.Raw(p.E0.Bytes())
+	w.Raw(p.E1.Bytes())
+	w.Raw(p.Z0.Bytes())
+	w.Raw(p.Z1.Bytes())
+	return w.Bytes()
 }
 
 // BitProofLen returns the wire size of a bit proof under pp.
@@ -112,13 +47,13 @@ func BitProofLen(pp *pedersen.Params) int {
 func DecodeBitProof(pp *pedersen.Params, b []byte) (*BitProof, error) {
 	g := pp.Group()
 	f := pp.ScalarField()
-	u := unmarshalBuf{b: b}
+	r := wire.NewReader("sigma", b)
 	p := &BitProof{
-		A0: u.elem(g), A1: u.elem(g),
-		E0: u.scalar(f), E1: u.scalar(f),
-		Z0: u.scalar(f), Z1: u.scalar(f),
+		A0: elem(&r, g), A1: elem(&r, g),
+		E0: scalar(&r, f), E1: scalar(&r, f),
+		Z0: scalar(&r, f), Z1: scalar(&r, f),
 	}
-	if err := u.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sigma: decoding bit proof: %w", err)
 	}
 	return p, nil
@@ -126,84 +61,33 @@ func DecodeBitProof(pp *pedersen.Params, b []byte) (*BitProof, error) {
 
 // Encode serializes a one-hot proof.
 func (p *OneHotProof) Encode(pp *pedersen.Params) []byte {
-	var m marshalBuf
-	m.u32(uint32(len(p.Bits)))
+	var w wire.Writer
+	w.U32(uint32(len(p.Bits)))
 	for _, bp := range p.Bits {
-		m.b = append(m.b, bp.Encode(pp)...)
+		w.Raw(bp.Encode(pp))
 	}
-	m.scalar(p.R)
-	return m.b
+	w.Raw(p.R.Bytes())
+	return w.Bytes()
 }
+
+// maxOneHotCoords bounds a one-hot proof's coordinate count.
+const maxOneHotCoords = 1 << 20
 
 // DecodeOneHotProof parses a one-hot proof.
 func DecodeOneHotProof(pp *pedersen.Params, b []byte) (*OneHotProof, error) {
-	u := unmarshalBuf{b: b}
-	n := u.u32()
-	if u.err != nil {
-		return nil, fmt.Errorf("sigma: decoding one-hot proof: %w", u.err)
-	}
-	const maxCoords = 1 << 20
-	if n == 0 || n > maxCoords {
-		return nil, fmt.Errorf("sigma: one-hot proof coordinate count %d out of range", n)
-	}
 	bpLen := BitProofLen(pp)
-	p := &OneHotProof{Bits: make([]*BitProof, n)}
+	r := wire.NewReader("sigma", b)
+	p := &OneHotProof{Bits: make([]*BitProof, r.Count(maxOneHotCoords, bpLen))}
+	if r.Err() == nil && len(p.Bits) == 0 {
+		return nil, fmt.Errorf("sigma: one-hot proof has no coordinates")
+	}
+	bit := func(b []byte) (*BitProof, error) { return DecodeBitProof(pp, b) }
 	for i := range p.Bits {
-		raw := u.take(bpLen)
-		if u.err != nil {
-			return nil, fmt.Errorf("sigma: decoding one-hot proof: %w", u.err)
-		}
-		bp, err := DecodeBitProof(pp, raw)
-		if err != nil {
-			return nil, err
-		}
-		p.Bits[i] = bp
+		p.Bits[i] = wire.Parse(&r, r.Take(bpLen), bit)
 	}
-	p.R = u.scalar(pp.ScalarField())
-	if err := u.finish(); err != nil {
+	p.R = scalar(&r, pp.ScalarField())
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sigma: decoding one-hot proof: %w", err)
-	}
-	return p, nil
-}
-
-// Encode serializes a dlog proof.
-func (p *DLogProof) Encode(g group.Group) []byte {
-	var m marshalBuf
-	m.elem(g, p.A)
-	m.scalar(p.E)
-	m.scalar(p.Z)
-	return m.b
-}
-
-// DecodeDLogProof parses a dlog proof.
-func DecodeDLogProof(g group.Group, b []byte) (*DLogProof, error) {
-	f := g.ScalarField()
-	u := unmarshalBuf{b: b}
-	p := &DLogProof{A: u.elem(g), E: u.scalar(f), Z: u.scalar(f)}
-	if err := u.finish(); err != nil {
-		return nil, fmt.Errorf("sigma: decoding dlog proof: %w", err)
-	}
-	return p, nil
-}
-
-// Encode serializes a representation proof.
-func (p *RepProof) Encode(pp *pedersen.Params) []byte {
-	var m marshalBuf
-	m.elem(pp.Group(), p.A)
-	m.scalar(p.E)
-	m.scalar(p.Zx)
-	m.scalar(p.Zr)
-	return m.b
-}
-
-// DecodeRepProof parses a representation proof.
-func DecodeRepProof(pp *pedersen.Params, b []byte) (*RepProof, error) {
-	g := pp.Group()
-	f := pp.ScalarField()
-	u := unmarshalBuf{b: b}
-	p := &RepProof{A: u.elem(g), E: u.scalar(f), Zx: u.scalar(f), Zr: u.scalar(f)}
-	if err := u.finish(); err != nil {
-		return nil, fmt.Errorf("sigma: decoding rep proof: %w", err)
 	}
 	return p, nil
 }

@@ -1,11 +1,12 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wire"
 )
 
 // Segmented board-log layout: one directory holding a manifest log plus one
@@ -73,9 +74,9 @@ func OpenSegmentedLog(dir string, shards int, opts ...Option) (*SegmentedLog, er
 			manifest.Close()
 			return nil, fmt.Errorf("store: segmented log needs 1..%d shards, got %d", maxSegments, shards)
 		}
-		var payload [4]byte
-		binary.BigEndian.PutUint32(payload[:], uint32(shards))
-		if err := manifest.Append(&Record{Kind: KindSegmentedInit, Payload: payload[:]}); err != nil {
+		var w wire.Writer
+		w.U32(uint32(shards))
+		if err := manifest.Append(&Record{Kind: KindSegmentedInit, Payload: w.Bytes()}); err != nil {
 			manifest.Close()
 			return nil, err
 		}
@@ -148,10 +149,11 @@ func readShardCount(manifest *FileLog) (int, error) {
 			return errStopReplay
 		}
 		first = false
-		if rec.Kind != KindSegmentedInit || len(rec.Payload) != 4 {
+		r := wire.NewReader("store", rec.Payload)
+		shards = int(r.U32())
+		if rec.Kind != KindSegmentedInit || r.Finish() != nil {
 			return fmt.Errorf("store: %s does not start with a shard-count record", manifestName)
 		}
-		shards = int(binary.BigEndian.Uint32(rec.Payload))
 		return nil
 	})
 	if err != nil && !errors.Is(err, errStopReplay) {

@@ -3,6 +3,8 @@ package vdp
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Admission: the one path from an arrival to the board.
@@ -37,7 +39,7 @@ import (
 const MaxBatchClients = 4096
 
 // EncodeSubmissionBatch serializes a batch of full client submissions as
-// one wire body: version | u32 count | count × lpBytes(submission record).
+// one wire body: version | u32 count | count × blob(submission record).
 // Each inner record is exactly EncodeClientSubmission's encoding.
 func (p *Public) EncodeSubmissionBatch(subs []*ClientSubmission) []byte {
 	return p.AppendSubmissionBatch(nil, subs)
@@ -47,15 +49,15 @@ func (p *Public) EncodeSubmissionBatch(subs []*ClientSubmission) []byte {
 // needed), so a flooding sender reuses one buffer across frames instead of
 // allocating a fresh multi-megabyte encoding per batch.
 func (p *Public) AppendSubmissionBatch(dst []byte, subs []*ClientSubmission) []byte {
-	w := wireWriter{b: dst[:0]}
-	w.version()
-	w.u32(uint32(len(subs)))
+	w := wire.NewWriter(dst[:0])
+	w.U8(WireVersion)
+	w.U32(uint32(len(subs)))
 	for _, sub := range subs {
-		mark := w.lpMark()
-		p.encodeClientSubmissionInto(&w, sub)
-		w.lpPatch(mark)
+		mark := w.Mark()
+		p.putClientSubmission(&w, sub)
+		w.Patch(mark)
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // DecodeSubmissionBatch parses and validates a batch frame body. Every
@@ -65,25 +67,9 @@ func (p *Public) AppendSubmissionBatch(dst []byte, subs []*ClientSubmission) []b
 // is different from a well-formed member whose *proof* is wrong (that one
 // decodes fine and earns its rejection verdict from SubmitBatch).
 func (p *Public) DecodeSubmissionBatch(b []byte) ([]*ClientSubmission, error) {
-	r := wireReader{b: b}
-	r.version()
-	n := r.u32()
-	if r.err == nil && n > MaxBatchClients {
-		return nil, fmt.Errorf("vdp: batch claims %d submissions (limit %d)", n, MaxBatchClients)
-	}
-	subs := make([]*ClientSubmission, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		sub, err := p.DecodeClientSubmission(raw)
-		if err != nil {
-			return nil, fmt.Errorf("vdp: batch submission %d: %w", i, err)
-		}
-		subs = append(subs, sub)
-	}
-	if err := r.finish(); err != nil {
+	r := versioned(b)
+	subs := blobs(&r, MaxBatchClients, p.DecodeClientSubmission)
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return subs, nil
@@ -116,42 +102,27 @@ func VerdictsFor(subs []*ClientSubmission, errs []error) []BatchVerdict {
 }
 
 // EncodeBatchVerdicts serializes per-client verdicts for the reply frame:
-// version | u32 count | count × (u32 id | u8 accepted | lpBytes reason).
+// version | u32 count | count × (u32 id | bool accepted | blob reason).
 func EncodeBatchVerdicts(vs []BatchVerdict) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(len(vs)))
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(len(vs)))
 	for _, v := range vs {
-		w.u32(uint32(v.ID))
-		acc := byte(0)
-		if v.Accepted {
-			acc = 1
-		}
-		w.bytes([]byte{acc})
-		w.lpBytes([]byte(v.Reason))
+		w.U32(uint32(v.ID))
+		w.Bool(v.Accepted)
+		w.Blob([]byte(v.Reason))
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // DecodeBatchVerdicts parses a verdict reply body.
 func DecodeBatchVerdicts(b []byte) ([]BatchVerdict, error) {
-	r := wireReader{b: b}
-	r.version()
-	n := r.u32()
-	if r.err == nil && n > MaxBatchClients {
-		return nil, fmt.Errorf("vdp: verdict reply claims %d entries (limit %d)", n, MaxBatchClients)
+	r := versioned(b)
+	out := make([]BatchVerdict, r.Count(MaxBatchClients, 4+1+4))
+	for i := range out {
+		out[i] = BatchVerdict{ID: int(int32(r.U32())), Accepted: r.Bool(), Reason: string(r.Blob())}
 	}
-	out := make([]BatchVerdict, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		id := int(int32(r.u32()))
-		flag := r.take(1)
-		reason := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		out = append(out, BatchVerdict{ID: id, Accepted: flag[0] == 1, Reason: string(reason)})
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -208,10 +179,10 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 				continue
 			}
 			buf := getWireBuf()
-			w := wireWriter{b: (*buf)[:0]}
-			s.pub.encodeClientSubmissionInto(&w, sub)
-			*buf = w.b
-			recs[i] = w.b
+			w := wire.NewWriter((*buf)[:0])
+			s.pub.putClientSubmission(&w, sub)
+			*buf = w.Bytes()
+			recs[i] = *buf
 			bufs = append(bufs, buf)
 		}
 		defer func() {

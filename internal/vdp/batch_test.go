@@ -58,6 +58,14 @@ func TestSubmissionBatchRoundTrip(t *testing.T) {
 	if _, err := pub.DecodeSubmissionBatch(over); err == nil {
 		t.Fatal("oversized batch count accepted")
 	}
+	// A well-formed frame one member over the limit.
+	full := make([]*ClientSubmission, MaxBatchClients+1)
+	for i := range full {
+		full[i] = subs[0]
+	}
+	if _, err := pub.DecodeSubmissionBatch(pub.EncodeSubmissionBatch(full)); err == nil {
+		t.Fatalf("a %d-member batch accepted", len(full))
+	}
 	// Truncated inner submission.
 	if _, err := pub.DecodeSubmissionBatch(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated batch accepted")

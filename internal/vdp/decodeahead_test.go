@@ -297,11 +297,10 @@ func TestAuditDecodesClientsOnce(t *testing.T) {
 	pub, honest, subAt := decodeAheadBoard(t, 3)
 	sealAt := len(honest) - 1
 	blockOf := func(rec *store.Record) []byte {
-		r := wireReader{b: rec.Payload}
-		r.version()
-		raw := r.lpBytes()
-		if r.err != nil {
-			t.Fatal(r.err)
+		r := versioned(rec.Payload)
+		raw := r.Blob()
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
 		}
 		return raw
 	}

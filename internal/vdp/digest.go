@@ -2,8 +2,9 @@ package vdp
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"hash"
+
+	"repro/internal/wire"
 )
 
 // TranscriptDigest returns a SHA-256 digest of the complete public
@@ -49,62 +50,34 @@ func transcriptDigestFromBytes(pub *Public, seal []byte) ([]byte, error) {
 }
 
 // digestProverSection finishes a transcript digest whose client section h
-// has already taken.
+// has already taken. Coin messages and Morra records are hashed as their
+// codec writes them, minus the version byte; prover outputs whole and
+// length-prefixed; the release as the transcript encoding carries it, when
+// there is one.
 func digestProverSection(h hash.Hash, pub *Public, t *Transcript) []byte {
+	var w wire.Writer // one scratch buffer for every message's encoding
 	writeU32(h, uint32(len(t.CoinMsgs)))
 	for _, msg := range t.CoinMsgs {
-		digestCoinMsg(h, pub, msg)
+		w = wire.NewWriter(w.Bytes()[:0])
+		pub.putCoinCommitMsg(&w, msg)
+		h.Write(w.Bytes()[1:])
 	}
 	writeU32(h, uint32(len(t.Morra)))
 	for _, rec := range t.Morra {
-		digestMorra(h, pub, rec)
+		w = wire.NewWriter(w.Bytes()[:0])
+		pub.putMorraRecord(&w, rec)
+		h.Write(w.Bytes()[1:])
 	}
 	writeU32(h, uint32(len(t.Outputs)))
 	for _, out := range t.Outputs {
 		chunk(h, pub.EncodeProverOutput(out))
 	}
 	if t.Release != nil {
-		writeU32(h, uint32(len(t.Release.Raw)))
-		for _, raw := range t.Release.Raw {
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], uint64(raw))
-			h.Write(b[:])
-		}
+		w = wire.NewWriter(w.Bytes()[:0])
+		putRelease(&w, t.Release)
+		h.Write(w.Bytes())
 	}
 	return h.Sum(nil)
-}
-
-func digestCoinMsg(h hash.Hash, pub *Public, msg *CoinCommitMsg) {
-	writeU32(h, uint32(msg.Prover))
-	writeU32(h, uint32(len(msg.Commitments)))
-	for j := range msg.Commitments {
-		writeU32(h, uint32(len(msg.Commitments[j])))
-		for l := range msg.Commitments[j] {
-			h.Write(msg.Commitments[j][l].Bytes())
-			h.Write(msg.Proofs[j][l].Encode(pub.pp))
-		}
-	}
-}
-
-func digestMorra(h hash.Hash, pub *Public, rec *MorraRecord) {
-	writeU32(h, uint32(rec.Prover))
-	writeU32(h, uint32(len(rec.Commits)))
-	for _, cm := range rec.Commits {
-		writeU32(h, uint32(cm.Party))
-		writeU32(h, uint32(len(cm.Commitments)))
-		for _, c := range cm.Commitments {
-			h.Write(c.Bytes())
-		}
-	}
-	writeU32(h, uint32(len(rec.Reveals)))
-	for _, rv := range rec.Reveals {
-		writeU32(h, uint32(rv.Party))
-		writeU32(h, uint32(len(rv.Openings)))
-		for _, o := range rv.Openings {
-			h.Write(o.X.Bytes())
-			h.Write(o.R.Bytes())
-		}
-	}
 }
 
 // chunk writes a length-prefixed byte string, keeping the digest injective
@@ -115,7 +88,7 @@ func chunk(h hash.Hash, b []byte) {
 }
 
 func writeU32(h hash.Hash, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	h.Write(b[:])
+	var w wire.Writer
+	w.U32(v)
+	h.Write(w.Bytes())
 }

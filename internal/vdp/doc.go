@@ -111,9 +111,10 @@
 // seal.
 //
 // Wire encodings for every message that crosses a process boundary — or
-// lands in the board log — live in wire.go and wirelog.go. All encodings
-// lead with a format-version byte (WireVersion) and validate every
-// component on decode, so hostile bytes fail to parse instead of
-// corrupting a verifier or a recovered session; the decoders are fuzzed in
-// CI.
+// lands in the board log — are written on internal/wire, the module's one
+// codec, whose read cursor holds the version, count, flag and length rules.
+// All encodings lead with a format-version byte (WireVersion) and validate
+// every component on decode, so hostile bytes fail to parse instead of
+// corrupting a verifier or a recovered session; every accepted input
+// re-encodes to itself, which FuzzWire checks in CI.
 package vdp

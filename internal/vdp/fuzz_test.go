@@ -3,172 +3,192 @@ package vdp
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
-	"repro/internal/field"
 	"repro/internal/store"
 )
 
 // Hostile-bytes robustness for the wire decoders: any input either fails to
-// parse or round-trips through the canonical encoder. Decoders must never
-// panic, hang, or allocate unboundedly — a submission frame arrives straight
-// off a socket in cmd/vdpserver, so these are the attack surface of the
-// session protocol. CI runs each target as a short -fuzztime smoke pass on
-// top of the checked-in seed corpus (which `go test` always executes).
+// parse or round-trips byte for byte through the canonical encoder. Decoders
+// must never panic, hang, or allocate unboundedly — a submission frame
+// arrives straight off a socket in cmd/vdpserver, so these are the attack
+// surface of the session protocol. CI runs each target as a short -fuzztime
+// smoke pass on top of the seed corpus (which `go test` always executes).
 
-// fuzzPublic is the deployment every fuzz target decodes against: MPC with
-// histogram bins so both the bit-proof and one-hot layouts are reachable.
-func fuzzPublic(f *testing.F) *Public {
-	f.Helper()
+// wireCodec is one message codec as the fuzzer drives it: seed encodings,
+// and a round trip that decodes an input and re-encodes what it accepted,
+// failing t if the accepted value breaks a bound the decoder enforces beyond
+// the layout.
+type wireCodec struct {
+	name      string
+	seeds     [][]byte
+	roundTrip func(t testing.TB, b []byte) ([]byte, error)
+}
+
+// roundTrip pairs a decoder with the encoder of what it returns.
+func roundTrip[T any](decode func([]byte) (T, error), encode func(T) []byte) func(testing.TB, []byte) ([]byte, error) {
+	return func(_ testing.TB, b []byte) ([]byte, error) {
+		v, err := decode(b)
+		if err != nil {
+			return nil, err
+		}
+		return encode(v), nil
+	}
+}
+
+// digestSized fails t when a record the decoder accepted carries a digest
+// that is not SHA-256 sized.
+func digestSized(t testing.TB, d []byte, err error) {
+	if err == nil && len(d) != sha256.Size {
+		t.Fatalf("accepted a %d-byte digest", len(d))
+	}
+}
+
+// wireCodecs lists every vdp message and record codec except the sealed
+// transcript, which FuzzDecodeTranscript drives through its two parsers. pub
+// is MPC with histogram bins, so both the bit-proof and one-hot layouts of a
+// client are reachable.
+func wireCodecs(t testing.TB, pub *Public) []wireCodec {
+	t.Helper()
+	subs := make([]*ClientSubmission, 3)
+	for id := range subs {
+		sub, err := pub.NewClientSubmission(id, id%2, testSeed(byte(60+id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[id] = sub
+	}
+	res, err := Run(pub, []int{0, 1}, &RunOptions{Rand: testSeed(61), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Transcript
+	submit, err := pub.EncodeSubmitPayload(subs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := bytes.Repeat([]byte{0xab}, 32)
+	return []wireCodec{
+		{"client-public", [][]byte{
+			pub.EncodeClientPublic(subs[0].Public), pub.EncodeClientPublic(subs[1].Public),
+			{WireVersion, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
+		}, roundTrip(pub.DecodeClientPublic, pub.EncodeClientPublic)},
+		{"client-payload", [][]byte{
+			pub.EncodeClientPayload(subs[1].Payloads[1]),
+			{WireVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
+		}, roundTrip(pub.DecodeClientPayload, pub.EncodeClientPayload)},
+		{"prover-output", [][]byte{pub.EncodeProverOutput(tr.Outputs[0])},
+			roundTrip(pub.DecodeProverOutput, pub.EncodeProverOutput)},
+		{"client-submission", [][]byte{pub.EncodeClientSubmission(subs[2])},
+			roundTrip(pub.DecodeClientSubmission, pub.EncodeClientSubmission)},
+		// Hostile counts (huge, just over MaxBatchClients), an empty batch and
+		// a foreign version byte beside the valid frame.
+		{"submission-batch", [][]byte{
+			pub.EncodeSubmissionBatch(subs), pub.EncodeSubmissionBatch(nil),
+			{WireVersion, 0xff, 0xff, 0xff, 0xff}, {WireVersion, 0, 0, 0x10, 0x01},
+			append([]byte{WireVersion + 1}, pub.EncodeSubmissionBatch(subs[:1])[1:]...),
+		}, func(t testing.TB, b []byte) ([]byte, error) {
+			subs, err := pub.DecodeSubmissionBatch(b)
+			if len(subs) > MaxBatchClients {
+				t.Fatalf("accepted %d submissions, above the %d limit", len(subs), MaxBatchClients)
+			}
+			return pub.EncodeSubmissionBatch(subs), err
+		}},
+		{"submit-payload", [][]byte{submit}, func(_ testing.TB, b []byte) ([]byte, error) {
+			sub, err := pub.DecodeSubmitPayload(b)
+			if err != nil {
+				return nil, err
+			}
+			return pub.EncodeSubmitPayload(sub)
+		}},
+		{"coin-commit-msg", [][]byte{pub.EncodeCoinCommitMsg(tr.CoinMsgs[1])},
+			roundTrip(pub.DecodeCoinCommitMsg, pub.EncodeCoinCommitMsg)},
+		{"morra-record", [][]byte{pub.EncodeMorraRecord(tr.Morra[0])},
+			roundTrip(pub.DecodeMorraRecord, pub.EncodeMorraRecord)},
+		{"batch-verdicts", [][]byte{
+			EncodeBatchVerdicts([]BatchVerdict{{ID: 3, Accepted: true}, {ID: -1, Reason: "duplicate"}}),
+		}, roundTrip(DecodeBatchVerdicts, EncodeBatchVerdicts)},
+		{"verdict", [][]byte{
+			encodeVerdict(4, nil, true), encodeVerdict(5, fmt.Errorf("%w: bad proof", ErrClientReject), false),
+			encodeVerdict(6, ErrClientReject, true),
+		}, func(_ testing.TB, b []byte) ([]byte, error) {
+			id, reject, onBoard, err := decodeVerdict(b)
+			return encodeVerdict(id, reject, onBoard), err
+		}},
+		{"withdraw", [][]byte{encodeWithdraw(77)}, func(_ testing.TB, b []byte) ([]byte, error) {
+			id, err := decodeWithdraw(b)
+			return encodeWithdraw(id), err
+		}},
+		{"seal-chunk", [][]byte{encodeSealChunk(1, 3, []byte("piece"))}, func(_ testing.TB, b []byte) ([]byte, error) {
+			index, total, piece, err := decodeSealChunk(b)
+			return encodeSealChunk(index, total, piece), err
+		}},
+		// Each digest-carrying record is also seeded with a 31-byte digest.
+		{"snapshot", [][]byte{
+			encodeSnapshot(0, digest), encodeSnapshot(1<<20, digest), encodeSnapshot(3, digest)[:7],
+			encodeSnapshot(2, digest[:31]),
+		}, func(t testing.TB, b []byte) ([]byte, error) {
+			epoch, d, err := decodeSnapshot(b)
+			digestSized(t, d, err)
+			return encodeSnapshot(epoch, d), err
+		}},
+		{"merged-seal", [][]byte{
+			encodeMergedSeal(4, digest), encodeMergedSeal(4, digest[:31]),
+		}, func(t testing.TB, b []byte) ([]byte, error) {
+			shards, d, err := decodeMergedSeal(b)
+			digestSized(t, d, err)
+			return encodeMergedSeal(shards, d), err
+		}},
+		{"budget-charge", [][]byte{
+			encodeBudgetCharge(7, 2, 1_000_000, 3_000_000, ledgerGenesis()),
+			encodeBudgetCharge(1, 1, 2, 2, ledgerGenesis())[:11],
+			encodeBudgetCharge(1, 1, 2, 2, digest[:31]),
+		}, func(t testing.TB, b []byte) ([]byte, error) {
+			id, epoch, amount, cum, prev, err := decodeBudgetCharge(b)
+			digestSized(t, prev, err)
+			return encodeBudgetCharge(id, epoch, amount, cum, prev), err
+		}},
+		{"sketch-query", [][]byte{
+			EncodeSketchQuery(&SketchQuery{Kind: SketchQueryPoint, Arg: 7}),
+			EncodeSketchQuery(&SketchQuery{Kind: SketchQueryTopK, Arg: 0}),
+		}, roundTrip(DecodeSketchQuery, EncodeSketchQuery)},
+		// NaN estimates re-encode bit-exactly: the round trip compares bytes.
+		{"item-estimates", [][]byte{
+			EncodeItemEstimates([]ItemEstimate{{Item: 5, Estimate: 12.5, Bound: 3.25}}),
+			{WireVersion, 0, 0, 0, 2, 0, 0, 0, 1},
+		}, roundTrip(DecodeItemEstimates, EncodeItemEstimates)},
+	}
+}
+
+// FuzzWire drives every message codec from one target: the first byte picks
+// the codec, the rest is its input. Whatever a decoder accepts must re-encode
+// to exactly the input bytes — the encodings are canonical, so an accepted
+// non-canonical input (a flag byte of 2, a stray bit, a reason on an
+// acceptance) is a decoder bug — and keep the decoder's bounds: SHA-256 sized
+// digests, at most MaxBatchClients submissions a batch.
+func FuzzWire(f *testing.F) {
 	pub, err := Setup(Config{Provers: 2, Bins: 2, Coins: 4})
 	if err != nil {
 		f.Fatal(err)
 	}
-	return pub
-}
-
-func FuzzDecodeClientPublic(f *testing.F) {
-	pub := fuzzPublic(f)
-	sub, err := pub.NewClientSubmission(7, 1, nil)
-	if err != nil {
-		f.Fatal(err)
+	codecs := wireCodecs(f, pub)
+	for i, c := range codecs {
+		for _, seed := range c.seeds {
+			f.Add(append([]byte{byte(i)}, seed...))
+			f.Add(append([]byte{byte(i)}, seed[:len(seed)/2]...))
+		}
+		f.Add([]byte{byte(i)})
 	}
-	valid := pub.EncodeClientPublic(sub.Public)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{WireVersion, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		cp, err := pub.DecodeClientPublic(b)
-		if err != nil {
+		if len(b) == 0 {
 			return
 		}
-		enc := pub.EncodeClientPublic(cp)
-		back, err := pub.DecodeClientPublic(enc)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted input fails to decode: %v", err)
-		}
-		if back.ID != cp.ID || len(back.ShareCommitments) != len(cp.ShareCommitments) {
-			t.Fatalf("round trip changed structure: %d/%d vs %d/%d",
-				back.ID, len(back.ShareCommitments), cp.ID, len(cp.ShareCommitments))
-		}
-	})
-}
-
-func FuzzDecodeClientPayload(f *testing.F) {
-	pub := fuzzPublic(f)
-	sub, err := pub.NewClientSubmission(7, 1, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid := pub.EncodeClientPayload(sub.Payloads[1])
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])
-	f.Add([]byte{WireVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		pl, err := pub.DecodeClientPayload(b)
-		if err != nil {
-			return
-		}
-		enc := pub.EncodeClientPayload(pl)
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("accepted payload is not canonical: %x decodes but re-encodes to %x", b, enc)
-		}
-	})
-}
-
-// FuzzDecodeClientSubmission covers the durable-board record body: the
-// combined public + per-prover-payload encoding that ResumeSession replays
-// straight out of the log file.
-func FuzzDecodeClientSubmission(f *testing.F) {
-	pub := fuzzPublic(f)
-	sub, err := pub.NewClientSubmission(3, 0, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid := pub.EncodeClientSubmission(sub)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/3])
-	f.Add([]byte{WireVersion, 0, 0, 0, 4, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		sub, err := pub.DecodeClientSubmission(b)
-		if err != nil {
-			return
-		}
-		enc := pub.EncodeClientSubmission(sub)
-		if _, err := pub.DecodeClientSubmission(enc); err != nil {
-			t.Fatalf("re-encoding of accepted submission fails to decode: %v", err)
-		}
-	})
-}
-
-// FuzzDecodeSubmissionBatch covers the batch frame body — the submit-batch
-// transport payload: a count prefix over length-prefixed full submissions.
-// Hostile counts (huge, zero, mismatched with the actual payload), truncated
-// inner submissions and bad version bytes must all fail cleanly; anything
-// accepted must round-trip through the canonical encoder.
-func FuzzDecodeSubmissionBatch(f *testing.F) {
-	pub := fuzzPublic(f)
-	var subs []*ClientSubmission
-	for id := 0; id < 3; id++ {
-		sub, err := pub.NewClientSubmission(id, id%2, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		subs = append(subs, sub)
-	}
-	valid := pub.EncodeSubmissionBatch(subs)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(valid)-1])
-	f.Add(pub.EncodeSubmissionBatch(nil))
-	// Count far beyond the payload, count just over MaxBatchClients, and a
-	// foreign version byte.
-	f.Add([]byte{WireVersion, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{WireVersion, 0, 0, 0x10, 0x01})
-	f.Add(append([]byte{WireVersion + 1}, valid[1:]...))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		subs, err := pub.DecodeSubmissionBatch(b)
-		if err != nil {
-			return
-		}
-		if len(subs) > MaxBatchClients {
-			t.Fatalf("decoder accepted %d submissions, above the %d limit", len(subs), MaxBatchClients)
-		}
-		enc := pub.EncodeSubmissionBatch(subs)
-		back, err := pub.DecodeSubmissionBatch(enc)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted batch fails to decode: %v", err)
-		}
-		if len(back) != len(subs) {
-			t.Fatalf("round trip changed batch size: %d vs %d", len(back), len(subs))
-		}
-	})
-}
-
-func FuzzDecodeProverOutput(f *testing.F) {
-	pub := fuzzPublic(f)
-	fld := pub.Field()
-	valid := pub.EncodeProverOutput(&ProverOutput{
-		Prover: 1,
-		Y:      []*field.Element{fld.FromInt64(3), fld.FromInt64(9)},
-		Z:      []*field.Element{fld.FromInt64(11), fld.FromInt64(2)},
-	})
-	f.Add(valid)
-	f.Add(valid[:5])
-	f.Add([]byte{WireVersion, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		out, err := pub.DecodeProverOutput(b)
-		if err != nil {
-			return
-		}
-		enc := pub.EncodeProverOutput(out)
-		if !bytes.Equal(enc, b) {
-			t.Fatalf("accepted output is not canonical: %x decodes but re-encodes to %x", b, enc)
+		c := codecs[int(b[0])%len(codecs)]
+		again, err := c.roundTrip(t, b[1:])
+		if err == nil && !bytes.Equal(again, b[1:]) {
+			t.Fatalf("%s: accepted input is not canonical: %x re-encodes to %x", c.name, b[1:], again)
 		}
 	})
 }
@@ -267,95 +287,6 @@ func FuzzDecodeTranscript(f *testing.F) {
 		}
 		if enc := pub.EncodeTranscript(full); !bytes.Equal(enc, b) {
 			t.Fatalf("accepted transcript is not canonical: %x re-encodes to %x", b, enc)
-		}
-	})
-}
-
-// FuzzDecodeSnapshotRecord: the compaction snapshot is the one record a
-// fast boot trusts instead of replayed evidence, so its decoder gets the
-// same hostile-bytes treatment as the wire surface — any accepted input
-// must be exactly what the canonical encoder emits.
-func FuzzDecodeSnapshotRecord(f *testing.F) {
-	digest := bytes.Repeat([]byte{0xab}, 32)
-	f.Add(encodeSnapshot(0, digest))
-	f.Add(encodeSnapshot(1<<20, digest))
-	f.Add(encodeSnapshot(3, digest)[:7]) // torn tail
-	f.Add([]byte{WireVersion, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		epoch, d, err := decodeSnapshot(b)
-		if err != nil {
-			return
-		}
-		if len(d) != 32 {
-			t.Fatalf("accepted snapshot with a %d-byte digest", len(d))
-		}
-		if enc := encodeSnapshot(epoch, d); !bytes.Equal(enc, b) {
-			t.Fatalf("accepted snapshot is not canonical: %x re-encodes to %x", b, enc)
-		}
-	})
-}
-
-// FuzzDecodeBudgetCharge: a charge record is chain evidence — the resumed
-// session, the offline audit, and the live tail all hash the raw payload
-// into the ledger head, so the decoder must accept exactly the canonical
-// encoding and nothing else.
-func FuzzDecodeBudgetCharge(f *testing.F) {
-	f.Add(encodeBudgetCharge(7, 2, 1_000_000, 3_000_000, ledgerGenesis()))
-	f.Add(encodeBudgetCharge(0, 0, 1, 1, bytes.Repeat([]byte{0xcd}, 32)))
-	f.Add(encodeBudgetCharge(1, 1, 2, 2, ledgerGenesis())[:11]) // torn tail
-	f.Add([]byte{WireVersion, 0, 0, 0, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		id, epoch, amount, cum, prev, err := decodeBudgetCharge(b)
-		if err != nil {
-			return
-		}
-		if len(prev) != 32 {
-			t.Fatalf("accepted charge with a %d-byte chain digest", len(prev))
-		}
-		if enc := encodeBudgetCharge(id, epoch, amount, cum, prev); !bytes.Equal(enc, b) {
-			t.Fatalf("accepted charge is not canonical: %x re-encodes to %x", b, enc)
-		}
-	})
-}
-
-// FuzzDecodeSketchQuery: the query frame arrives straight off a socket in
-// the vdpserver query endpoint.
-func FuzzDecodeSketchQuery(f *testing.F) {
-	f.Add(EncodeSketchQuery(&SketchQuery{Kind: SketchQueryPoint, Arg: 7}))
-	f.Add(EncodeSketchQuery(&SketchQuery{Kind: SketchQueryTopK, Arg: 0}))
-	f.Add([]byte{WireVersion, 0, 0, 0, 5})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		q, err := DecodeSketchQuery(b)
-		if err != nil {
-			return
-		}
-		if enc := EncodeSketchQuery(q); !bytes.Equal(enc, b) {
-			t.Fatalf("accepted query is not canonical: %x re-encodes to %x", b, enc)
-		}
-	})
-}
-
-// FuzzDecodeItemEstimates: the query reply is parsed by vdpclient from
-// whatever the far end sent.
-func FuzzDecodeItemEstimates(f *testing.F) {
-	f.Add(EncodeItemEstimates([]ItemEstimate{{Item: 5, Estimate: 12.5, Bound: 3.25}}))
-	f.Add(EncodeItemEstimates(nil))
-	f.Add([]byte{WireVersion, 0, 0, 0, 2, 0, 0, 0, 1})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		items, err := DecodeItemEstimates(b)
-		if err != nil {
-			return
-		}
-		for _, it := range items {
-			// NaN re-encodes bit-exactly (we compare bytes, not values).
-			_ = it
-		}
-		if enc := EncodeItemEstimates(items); !bytes.Equal(enc, b) {
-			t.Fatalf("accepted reply is not canonical: %x re-encodes to %x", b, enc)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Board-log grammar: the one interpreter of the session record stream.
@@ -330,11 +331,10 @@ func (g *boardGrammar) step(rec *store.Record, full bool, dec submissionDecode) 
 
 	switch rec.Kind {
 	case RecordSubmission:
-		r := wireReader{b: rec.Payload}
-		r.version()
-		raw := r.lpBytes()
-		if r.err != nil {
-			return none, g.errorf("submission: %v", r.err)
+		r := versioned(rec.Payload)
+		raw := r.Blob()
+		if err := r.Err(); err != nil {
+			return none, g.errorf("submission: %v", err)
 		}
 		var (
 			sub *ClientSubmission
@@ -522,10 +522,10 @@ func (g *boardGrammar) sealEpoch(seal []byte, full bool) (boardEvent, error) {
 	if !full {
 		return none, nil
 	}
-	r := wireReader{b: seal}
+	r := versioned(seal)
 	sealed := readSealedClients(&r)
-	if r.err != nil {
-		return none, g.errorf("seal: %v", r.err)
+	if err := r.Err(); err != nil {
+		return none, g.errorf("seal: %v", err)
 	}
 	if len(sealed) != len(g.roster) {
 		return none, g.errorf("seal lists %d clients, the log admitted %d", len(sealed), len(g.roster))
@@ -540,19 +540,14 @@ func (g *boardGrammar) sealEpoch(seal []byte, full bool) (boardEvent, error) {
 	return boardEvent{kind: evSeal, seal: seal}, nil
 }
 
-// readSealedClients consumes an encoded transcript's version byte and client
-// section, returning the per-client encodings without decoding a group
-// element. It is the client half of the one transcript parser
+// readSealedClients consumes an encoded transcript's client section, which
+// follows the version byte, returning the per-client encodings without
+// decoding a group element. It is the client half of the one transcript parser
 // (decodeProverSection).
-func readSealedClients(r *wireReader) [][]byte {
-	r.version()
-	n := r.u32()
-	if r.err == nil && n > maxWireDim {
-		r.err = fmt.Errorf("vdp: transcript claims %d clients", n)
-	}
-	var out [][]byte
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		out = append(out, r.lpBytes())
+func readSealedClients(r *wire.Reader) [][]byte {
+	out := make([][]byte, r.Count(maxWireDim, 4))
+	for i := range out {
+		out[i] = r.Blob()
 	}
 	return out
 }

@@ -3,15 +3,16 @@ package vdp
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Sketch query framing: the vdpclient -query / vdpserver query-serving wire
-// format. Queries and replies ride the same versioned little-frame
-// discipline as every other vdp codec — one leading version byte, u32
-// fields, length checks on decode — so the fuzz harness covers them like
-// the rest of the surface. Floats cross the wire as IEEE-754 bit patterns
-// (math.Float64bits) split into two u32s, matching the u64 convention the
-// budget ledger uses.
+// format. Queries and replies ride the same versioned codec as every other
+// vdp message — one leading version byte, u32 fields, length checks on
+// decode — so the fuzz harness covers them like the rest of the surface.
+// Floats cross the wire as IEEE-754 bit patterns (math.Float64bits) in a
+// big-endian u64, the convention the budget ledger uses.
 
 // Query kinds.
 const (
@@ -30,20 +31,19 @@ type SketchQuery struct {
 
 // EncodeSketchQuery serializes a query frame.
 func EncodeSketchQuery(q *SketchQuery) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(q.Kind)
-	w.u32(uint32(q.Arg))
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(q.Kind)
+	w.U32(uint32(q.Arg))
+	return w.Bytes()
 }
 
 // DecodeSketchQuery parses a query frame.
 func DecodeSketchQuery(b []byte) (*SketchQuery, error) {
-	r := wireReader{b: b}
-	r.version()
-	kind := r.u32()
-	arg := r.u32()
-	if err := r.finish(); err != nil {
+	r := versioned(b)
+	kind := r.U32()
+	arg := r.U32()
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	if kind != SketchQueryPoint && kind != SketchQueryTopK {
@@ -55,56 +55,32 @@ func DecodeSketchQuery(b []byte) (*SketchQuery, error) {
 	return &SketchQuery{Kind: kind, Arg: int(arg)}, nil
 }
 
-// writeU64 appends v as two u32s, high word first.
-func (w *wireWriter) writeU64(v uint64) {
-	w.u32(uint32(v >> 32))
-	w.u32(uint32(v))
-}
-
-// readU64 consumes two u32s, high word first.
-func (r *wireReader) readU64() uint64 {
-	hi := r.u32()
-	lo := r.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-
 // EncodeItemEstimates serializes a query reply: the ranked item estimates
 // with their shared error bound.
 func EncodeItemEstimates(items []ItemEstimate) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(len(items)))
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(len(items)))
 	for _, it := range items {
-		w.u32(uint32(it.Item))
-		w.writeU64(math.Float64bits(it.Estimate))
-		w.writeU64(math.Float64bits(it.Bound))
+		w.U32(uint32(it.Item))
+		w.U64(math.Float64bits(it.Estimate))
+		w.U64(math.Float64bits(it.Bound))
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // DecodeItemEstimates parses a query reply.
 func DecodeItemEstimates(b []byte) ([]ItemEstimate, error) {
-	r := wireReader{b: b}
-	r.version()
-	n := r.u32()
-	if n > maxWireDim {
-		return nil, fmt.Errorf("vdp: sketch reply claims %d items, cap is %d", n, maxWireDim)
-	}
-	// 20 bytes per item: reject the claim before allocating for it.
-	if uint64(len(b)) < 5+20*uint64(n) {
-		return nil, fmt.Errorf("vdp: sketch reply claims %d items but is %d bytes", n, len(b))
-	}
-	items := make([]ItemEstimate, 0, n)
-	for i := uint32(0); i < n; i++ {
-		item := r.u32()
-		est := math.Float64frombits(r.readU64())
-		bound := math.Float64frombits(r.readU64())
-		if r.err != nil {
-			break
+	r := versioned(b)
+	items := make([]ItemEstimate, r.Count(maxWireDim, 4+8+8))
+	for i := range items {
+		items[i] = ItemEstimate{
+			Item:     int(r.U32()),
+			Estimate: math.Float64frombits(r.U64()),
+			Bound:    math.Float64frombits(r.U64()),
 		}
-		items = append(items, ItemEstimate{Item: int(item), Estimate: est, Bound: bound})
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return items, nil

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Per-client privacy-budget ledger.
@@ -111,30 +113,27 @@ func ledgerGenesis() []byte {
 }
 
 // encodeBudgetCharge serializes a charge record body: version | u32 client |
-// u32 epoch | u64 amount | u64 cumulative | lpBytes(previous chain digest).
+// u32 epoch | u64 amount | u64 cumulative | blob(previous chain digest).
 func encodeBudgetCharge(id, epoch int, amount, cum uint64, prev []byte) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(id))
-	w.u32(uint32(epoch))
-	w.u32(uint32(amount >> 32))
-	w.u32(uint32(amount))
-	w.u32(uint32(cum >> 32))
-	w.u32(uint32(cum))
-	w.lpBytes(prev)
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(id))
+	w.U32(uint32(epoch))
+	w.U64(amount)
+	w.U64(cum)
+	w.Blob(prev)
+	return w.Bytes()
 }
 
 // decodeBudgetCharge parses a charge record body.
 func decodeBudgetCharge(b []byte) (id, epoch int, amount, cum uint64, prev []byte, err error) {
-	r := wireReader{b: b}
-	r.version()
-	id = int(r.u32())
-	epoch = int(r.u32())
-	amount = uint64(r.u32())<<32 | uint64(r.u32())
-	cum = uint64(r.u32())<<32 | uint64(r.u32())
-	prev = r.lpBytes()
-	if ferr := r.finish(); ferr != nil {
+	r := versioned(b)
+	id = int(r.U32())
+	epoch = int(r.U32())
+	amount = r.U64()
+	cum = r.U64()
+	prev = r.Blob()
+	if ferr := r.Finish(); ferr != nil {
 		return 0, 0, 0, 0, nil, ferr
 	}
 	if len(prev) != sha256.Size {

@@ -2,10 +2,10 @@ package vdp
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Remote sharding: the entry points a multi-node deployment needs.
@@ -137,20 +137,20 @@ func AuditMergedLogs(ctx context.Context, pub *Public, logs []store.BoardLog, ep
 
 // EncodeSubmitPayload serializes the body of a one-per-frame "submit"
 // transport frame: u32 publicLen | EncodeClientPublic | EncodeClientPayload
-// (the prover-0 payload). This is the single-submission client wire layout
-// vdpclient sends and vdpserver decodes; it lives here so every binary —
-// client, server, router — speaks one definition.
+// (the prover-0 payload), with no version byte of its own. This is the
+// single-submission client wire layout vdpclient sends and vdpserver
+// decodes; it lives here so every binary — client, server, router — speaks
+// one definition.
 func (p *Public) EncodeSubmitPayload(sub *ClientSubmission) ([]byte, error) {
 	if sub == nil || sub.Public == nil || len(sub.Payloads) < 1 {
 		return nil, fmt.Errorf("%w: submit payload needs a public part and a prover-0 payload", ErrBadConfig)
 	}
-	pubEnc := p.EncodeClientPublic(sub.Public)
-	plEnc := p.EncodeClientPayload(sub.Payloads[0])
-	out := make([]byte, 4, 4+len(pubEnc)+len(plEnc))
-	binary.BigEndian.PutUint32(out, uint32(len(pubEnc)))
-	out = append(out, pubEnc...)
-	out = append(out, plEnc...)
-	return out, nil
+	var w wire.Writer
+	mark := w.Mark()
+	p.putClientPublic(&w, sub.Public)
+	w.Patch(mark)
+	p.putClientPayload(&w, sub.Payloads[0])
+	return w.Bytes(), nil
 }
 
 // DecodeSubmitPayload parses and fully validates a "submit" frame body,
@@ -181,30 +181,35 @@ func splitSubmitPayload(b []byte) (pubRaw, plRaw []byte, err error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("vdp: short submit payload")
 	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if int64(n) > int64(len(b)-4) {
+	r := wire.NewReader("vdp", b)
+	pubRaw = r.Blob()
+	plRaw = r.Rest()
+	if r.Err() != nil {
 		return nil, nil, fmt.Errorf("vdp: submit payload length field out of range")
 	}
-	return b[4 : 4+n], b[4+n:], nil
+	return pubRaw, plRaw, nil
 }
 
 // peekClientPublicID reads the client ID off a raw EncodeClientPublic
 // encoding without validating anything beyond the version byte — the
-// routing peek. The ID sits at a fixed offset: version byte, then u32 ID.
+// routing peek.
 func peekClientPublicID(pubRaw []byte) (int, error) {
-	if len(pubRaw) < 5 {
-		return 0, fmt.Errorf("vdp: truncated encoding")
-	}
-	if pubRaw[0] != WireVersion {
-		return 0, fmt.Errorf("vdp: unsupported wire format version %d (this build speaks %d)", pubRaw[0], WireVersion)
-	}
-	return int(binary.BigEndian.Uint32(pubRaw[1:5])), nil
+	r := versioned(pubRaw)
+	id := int(r.U32())
+	return id, r.Err()
+}
+
+// peekSubmissionID is peekClientPublicID for the public block of a raw
+// EncodeClientSubmission record.
+func peekSubmissionID(rec []byte) (int, error) {
+	r := versioned(rec)
+	return wire.Parse(&r, r.Blob(), peekClientPublicID), r.Err()
 }
 
 // RepackSubmitPayload converts a "submit" frame body into the equivalent
 // single batch submission record (EncodeClientSubmission layout: version |
-// lp(public) | u32 1 | lp(payload)) and returns the peeked client ID, all by
-// byte shuffling — no decoding, no validation beyond framing. The router
+// blob(public) | u32 1 | blob(payload)) and returns the peeked client ID, all
+// by byte shuffling — no decoding, no validation beyond framing. The router
 // uses it to forward one-per-frame submits to a backend as a batch of one,
 // so a rejected submission earns a verdict reply instead of erroring (and
 // dropping) the router's persistent backend connection.
@@ -217,50 +222,29 @@ func RepackSubmitPayload(b []byte) (rec []byte, id int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var w wireWriter
-	w.version()
-	w.lpBytes(pubRaw)
-	w.u32(1)
-	w.lpBytes(plRaw)
-	return w.b, id, nil
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.Blob(pubRaw)
+	w.U32(1)
+	w.Blob(plRaw)
+	return w.Bytes(), id, nil
 }
 
 // SplitSubmissionBatch cuts an encoded "submit-batch" frame body into its
 // raw per-submission records and peeks each record's client ID, without any
 // cryptographic validation — the router's partitioning scan. Each returned
-// record is the exact EncodeClientSubmission encoding (version | lp(public)
+// record is the exact EncodeClientSubmission encoding (version | blob(public)
 // | payload count | payloads), so EncodeRawSubmissionBatch can reassemble
 // per-shard sub-batches byte-identically.
 func SplitSubmissionBatch(b []byte) (recs [][]byte, ids []int, err error) {
-	r := wireReader{b: b}
-	r.version()
-	n := r.u32()
-	if r.err == nil && n > MaxBatchClients {
-		return nil, nil, fmt.Errorf("vdp: batch claims %d submissions (limit %d)", n, MaxBatchClients)
+	r := versioned(b)
+	recs = make([][]byte, r.Count(MaxBatchClients, 4))
+	ids = make([]int, len(recs))
+	for i := range recs {
+		recs[i] = r.Blob()
+		ids[i] = wire.Parse(&r, recs[i], peekSubmissionID)
 	}
-	recs = make([][]byte, 0, n)
-	ids = make([]int, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		// Record layout: version | u32 publicLen | public | ... — the public
-		// encoding (and its leading version + u32 ID) sits at offset 5.
-		rr := wireReader{b: raw}
-		rr.version()
-		pubRaw := rr.lpBytes()
-		if rr.err != nil {
-			return nil, nil, fmt.Errorf("vdp: batch submission %d: %w", i, rr.err)
-		}
-		id, err := peekClientPublicID(pubRaw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("vdp: batch submission %d: %w", i, err)
-		}
-		recs = append(recs, raw)
-		ids = append(ids, id)
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, nil, err
 	}
 	return recs, ids, nil
@@ -271,11 +255,11 @@ func SplitSubmissionBatch(b []byte) (recs [][]byte, ids []int, err error) {
 // record is carried verbatim, a backend decoding the sub-batch sees bytes
 // identical to what the client sent.
 func EncodeRawSubmissionBatch(recs [][]byte) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(len(recs)))
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(len(recs)))
 	for _, rec := range recs {
-		w.lpBytes(rec)
+		w.Blob(rec)
 	}
-	return w.b
+	return w.Bytes()
 }

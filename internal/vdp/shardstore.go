@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Durable sharded bulletin board: the ShardedSession's integration with
@@ -29,20 +30,19 @@ const RecordMergedSeal uint8 = 7
 
 // encodeMergedSeal serializes a merged-seal manifest record body.
 func encodeMergedSeal(shards int, digest []byte) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(shards))
-	w.lpBytes(digest)
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(shards))
+	w.Blob(digest)
+	return w.Bytes()
 }
 
 // decodeMergedSeal parses a merged-seal manifest record body.
 func decodeMergedSeal(b []byte) (shards int, digest []byte, err error) {
-	r := wireReader{b: b}
-	r.version()
-	shards = int(r.u32())
-	digest = r.lpBytes()
-	if err := r.finish(); err != nil {
+	r := versioned(b)
+	shards = int(r.U32())
+	digest = r.Blob()
+	if err := r.Finish(); err != nil {
 		return 0, nil, err
 	}
 	if len(digest) != sha256.Size {

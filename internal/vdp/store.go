@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Durable bulletin board: the session's integration with internal/store.
@@ -62,20 +63,19 @@ const (
 
 // encodeSnapshot serializes a snapshot record body.
 func encodeSnapshot(epoch int, digest []byte) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(epoch))
-	w.lpBytes(digest)
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(epoch))
+	w.Blob(digest)
+	return w.Bytes()
 }
 
 // decodeSnapshot parses a snapshot record body.
 func decodeSnapshot(b []byte) (epoch int, digest []byte, err error) {
-	r := wireReader{b: b}
-	r.version()
-	epoch = int(r.u32())
-	digest = r.lpBytes()
-	if err := r.finish(); err != nil {
+	r := versioned(b)
+	epoch = int(r.U32())
+	digest = r.Blob()
+	if err := r.Finish(); err != nil {
 		return 0, nil, err
 	}
 	if len(digest) != sha256.Size {
@@ -106,23 +106,22 @@ var sealChunkSize = 16 << 20
 
 // encodeSealChunk serializes one piece of an oversized seal.
 func encodeSealChunk(index, total int, piece []byte) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(index))
-	w.u32(uint32(total))
-	w.bytes(piece)
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(index))
+	w.U32(uint32(total))
+	w.Raw(piece)
+	return w.Bytes()
 }
 
 // decodeSealChunk parses a seal-chunk record body.
 func decodeSealChunk(b []byte) (index, total int, piece []byte, err error) {
-	r := wireReader{b: b}
-	r.version()
-	index = int(r.u32())
-	total = int(r.u32())
-	piece = r.b
-	if r.err != nil {
-		return 0, 0, nil, r.err
+	r := versioned(b)
+	index = int(r.U32())
+	total = int(r.U32())
+	piece = r.Rest()
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, err
 	}
 	if total < 1 || index < 0 || index >= total {
 		return 0, 0, nil, fmt.Errorf("vdp: seal chunk %d of %d out of range", index, total)
@@ -190,58 +189,60 @@ func (s *Session) appendSeal(epoch int, payload []byte) error {
 
 // encodeVerdict serializes a per-client verdict record body.
 func encodeVerdict(id int, reject error, onBoard bool) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(id))
-	accepted := byte(1)
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(id))
 	reason := ""
 	if reject != nil {
-		accepted = 0
 		reason = reject.Error()
 	}
-	board := byte(0)
-	if onBoard {
-		board = 1
-	}
-	w.bytes([]byte{accepted, board})
-	w.lpBytes([]byte(reason))
-	return w.b
+	w.Bool(reject == nil)
+	w.Bool(onBoard)
+	w.Blob([]byte(reason))
+	return w.Bytes()
 }
 
 // decodeVerdict parses a verdict record body. A recorded rejection is
 // rehydrated as an ErrClientReject-wrapped error with the original reason,
-// so errors.Is checks behave identically before and after a restart.
+// so errors.Is checks behave identically before and after a restart. Only
+// what encodeVerdict writes is accepted: an acceptance carries no reason, and
+// a rejection's reason is ErrClientReject's text, alone or wrapping a detail.
 func decodeVerdict(b []byte) (id int, reject error, onBoard bool, err error) {
-	r := wireReader{b: b}
-	r.version()
-	id = int(r.u32())
-	flags := r.take(2)
-	reason := r.lpBytes()
-	if ferr := r.finish(); ferr != nil {
+	r := versioned(b)
+	id = int(r.U32())
+	accepted, onBoard := r.Bool(), r.Bool()
+	reason := string(r.Blob())
+	if ferr := r.Finish(); ferr != nil {
 		return 0, nil, false, ferr
 	}
-	onBoard = flags[1] == 1
-	if flags[0] == 0 {
-		s := strings.TrimPrefix(string(reason), ErrClientReject.Error()+": ")
-		reject = fmt.Errorf("%w: %s", ErrClientReject, s)
+	detail, wrapped := strings.CutPrefix(reason, ErrClientReject.Error()+": ")
+	switch {
+	case accepted && reason != "":
+		return 0, nil, false, fmt.Errorf("vdp: accepted verdict carries the reason %q", reason)
+	case accepted:
+	case reason == ErrClientReject.Error():
+		reject = ErrClientReject
+	case wrapped:
+		reject = fmt.Errorf("%w: %s", ErrClientReject, detail)
+	default:
+		return 0, nil, false, fmt.Errorf("vdp: verdict reason %q is not a client rejection", reason)
 	}
 	return id, reject, onBoard, nil
 }
 
 // encodeWithdraw serializes a withdraw record body.
 func encodeWithdraw(id int) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(id))
-	return w.b
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(id))
+	return w.Bytes()
 }
 
 // decodeWithdraw parses a withdraw record body.
 func decodeWithdraw(b []byte) (int, error) {
-	r := wireReader{b: b}
-	r.version()
-	id := int(r.u32())
-	if err := r.finish(); err != nil {
+	r := versioned(b)
+	id := int(r.U32())
+	if err := r.Finish(); err != nil {
 		return 0, err
 	}
 	return id, nil

@@ -1,13 +1,12 @@
 package vdp
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/field"
 	"repro/internal/pedersen"
 	"repro/internal/sigma"
+	"repro/internal/wire"
 )
 
 // Wire encodings for the client-facing messages, so submissions can cross a
@@ -16,6 +15,8 @@ import (
 // group-element and scalar encodings with explicit counts; decoding
 // validates every component (group membership, canonical scalars), so a
 // malformed submission fails to parse rather than corrupting the verifier.
+// Every codec in this package is written on internal/wire, whose Reader
+// states the version, count, flag and length rules once.
 //
 // Every encoding starts with a one-byte format version. Decoders reject
 // unknown versions outright, so the session protocol can evolve its message
@@ -25,186 +26,114 @@ import (
 // encoding produced by this package.
 const WireVersion = 1
 
-type wireWriter struct{ b []byte }
-
-// version emits the leading format-version byte.
-func (w *wireWriter) version() { w.b = append(w.b, WireVersion) }
-
-func (w *wireWriter) u32(v uint32) {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
-}
-
-func (w *wireWriter) bytes(b []byte) { w.b = append(w.b, b...) }
-
-// lpMark reserves a u32 length prefix and returns a patch mark; lpPatch
-// backfills it with the number of bytes written since. Together they let a
-// composite encoder emit a length-prefixed sub-encoding directly into the
-// enclosing buffer instead of building it separately and copying — the
-// allocation the batch submission path (SubmitBatch, EncodeSubmissionBatch)
-// cannot afford once per client per frame.
-func (w *wireWriter) lpMark() int {
-	w.u32(0)
-	return len(w.b)
-}
-
-func (w *wireWriter) lpPatch(mark int) {
-	binary.BigEndian.PutUint32(w.b[mark-4:mark], uint32(len(w.b)-mark))
-}
-
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-// version consumes and checks the leading format-version byte.
-func (r *wireReader) version() {
-	if r.err != nil {
-		return
-	}
-	if len(r.b) < 1 {
-		r.err = errors.New("vdp: truncated encoding")
-		return
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	if v != WireVersion {
-		r.err = fmt.Errorf("vdp: unsupported wire format version %d (this build speaks %d)", v, WireVersion)
-	}
-}
-
-func (r *wireReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.err = errors.New("vdp: truncated encoding")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[:4])
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	// n < 0 guards 32-bit builds, where a hostile uint32 length prefix
-	// converted to int can go negative and would otherwise panic the slice.
-	if n < 0 || len(r.b) < n {
-		r.err = errors.New("vdp: truncated encoding")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *wireReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("vdp: %d trailing bytes in encoding", len(r.b))
-	}
-	return nil
-}
-
 // maxWireDim bounds decoded counts to keep a hostile encoding from
 // allocating unbounded memory.
 const maxWireDim = 1 << 20
 
-// EncodeClientPublic serializes a bulletin-board submission.
-func (p *Public) EncodeClientPublic(cp *ClientPublic) []byte {
-	var w wireWriter
-	p.encodeClientPublicInto(&w, cp)
-	return w.b
+// versioned opens a read cursor on b past its WireVersion byte.
+func versioned(b []byte) wire.Reader {
+	r := wire.NewReader("vdp", b)
+	r.Version(WireVersion)
+	return r
 }
 
-// encodeClientPublicInto writes the EncodeClientPublic encoding to an
-// existing writer, so composite encoders (submission records, batch frames)
-// emit it in place instead of allocating one intermediate buffer per client.
-func (p *Public) encodeClientPublicInto(w *wireWriter, cp *ClientPublic) {
-	w.version()
-	w.u32(uint32(cp.ID))
-	w.u32(uint32(len(cp.ShareCommitments)))
+// commitment reads one group element as a Pedersen commitment.
+func (p *Public) commitment(r *wire.Reader) *pedersen.Commitment {
+	return wire.Parse(r, r.Take(p.pp.Group().ElementLen()), p.pp.DecodeCommitment)
+}
+
+// scalar reads one canonical scalar.
+func (p *Public) scalar(r *wire.Reader) *field.Element {
+	f := p.Field()
+	return wire.Parse(r, r.Take(f.ByteLen()), f.FromBytes)
+}
+
+// opening reads an (x, r) scalar pair.
+func (p *Public) opening(r *wire.Reader) *pedersen.Opening {
+	return &pedersen.Opening{X: p.scalar(r), R: p.scalar(r)}
+}
+
+// bitProof reads one fixed-width Σ-OR bit proof.
+func (p *Public) bitProof(r *wire.Reader) *sigma.BitProof {
+	return wire.Parse(r, r.Take(sigma.BitProofLen(p.pp)), func(b []byte) (*sigma.BitProof, error) {
+		return sigma.DecodeBitProof(p.pp, b)
+	})
+}
+
+// blobs reads a counted list of length-prefixed encodings, each parsed by
+// parse.
+func blobs[T any](r *wire.Reader, max int, parse func([]byte) (T, error)) []T {
+	out := make([]T, r.Count(max, 4))
+	for i := range out {
+		out[i] = wire.Parse(r, r.Blob(), parse)
+	}
+	return out
+}
+
+// putOpening writes the pair opening reads.
+func putOpening(w *wire.Writer, o *pedersen.Opening) {
+	w.Raw(o.X.Bytes())
+	w.Raw(o.R.Bytes())
+}
+
+// EncodeClientPublic serializes a bulletin-board submission.
+func (p *Public) EncodeClientPublic(cp *ClientPublic) []byte {
+	var w wire.Writer
+	p.putClientPublic(&w, cp)
+	return w.Bytes()
+}
+
+// putClientPublic writes the EncodeClientPublic encoding to an existing
+// writer, so composite encoders (submission records, batch frames) emit it
+// in place instead of allocating one intermediate buffer per client.
+func (p *Public) putClientPublic(w *wire.Writer, cp *ClientPublic) {
+	w.U8(WireVersion)
+	w.U32(uint32(cp.ID))
+	w.U32(uint32(len(cp.ShareCommitments)))
 	for _, row := range cp.ShareCommitments {
-		w.u32(uint32(len(row)))
+		w.U32(uint32(len(row)))
 		for _, c := range row {
-			w.bytes(c.Bytes())
+			w.Raw(c.Bytes())
 		}
 	}
+	// The bit proof is an optional section: a u32 count of zero or one.
 	if cp.BitProof != nil {
-		w.u32(1)
-		w.bytes(cp.BitProof.Encode(p.pp))
+		w.U32(1)
+		w.Raw(cp.BitProof.Encode(p.pp))
 	} else {
-		w.u32(0)
+		w.U32(0)
 	}
+	var oneHot []byte // an empty blob is "no one-hot proof"
 	if cp.OneHotProof != nil {
-		enc := cp.OneHotProof.Encode(p.pp)
-		w.u32(uint32(len(enc)))
-		w.bytes(enc)
-	} else {
-		w.u32(0)
+		oneHot = cp.OneHotProof.Encode(p.pp)
 	}
+	w.Blob(oneHot)
 }
 
 // DecodeClientPublic parses and validates a bulletin-board submission.
 func (p *Public) DecodeClientPublic(b []byte) (*ClientPublic, error) {
-	r := wireReader{b: b}
-	r.version()
-	cp := &ClientPublic{ID: int(r.u32())}
-	rows := r.u32()
-	if r.err == nil && rows > maxWireDim {
-		return nil, fmt.Errorf("vdp: submission claims %d bins", rows)
+	r := versioned(b)
+	cp := &ClientPublic{ID: int(r.U32())}
+	cp.ShareCommitments = make([][]*pedersen.Commitment, r.Count(maxWireDim, 4))
+	for j := range cp.ShareCommitments {
+		row := make([]*pedersen.Commitment, r.Count(maxWireDim, p.pp.Group().ElementLen()))
+		for k := range row {
+			row[k] = p.commitment(&r)
+		}
+		cp.ShareCommitments[j] = row
 	}
-	elemLen := p.pp.Group().ElementLen()
-	for j := uint32(0); j < rows && r.err == nil; j++ {
-		cols := r.u32()
-		if r.err == nil && cols > maxWireDim {
-			return nil, fmt.Errorf("vdp: submission claims %d provers", cols)
-		}
-		row := make([]*pedersen.Commitment, 0, min(int(cols), len(r.b)/elemLen)) // cols is hostile input
-		for k := uint32(0); k < cols && r.err == nil; k++ {
-			raw := r.take(elemLen)
-			if r.err != nil {
-				break
-			}
-			c, err := p.pp.DecodeCommitment(raw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: client %d commitment: %w", cp.ID, err)
-			}
-			row = append(row, c)
-		}
-		cp.ShareCommitments = append(cp.ShareCommitments, row)
+	if r.Count(1, sigma.BitProofLen(p.pp)) == 1 {
+		cp.BitProof = p.bitProof(&r)
 	}
-	if r.u32() == 1 && r.err == nil {
-		raw := r.take(sigma.BitProofLen(p.pp))
-		if r.err == nil {
-			bp, err := sigma.DecodeBitProof(p.pp, raw)
-			if err != nil {
-				return nil, err
-			}
-			cp.BitProof = bp
+	if oneHot := r.Blob(); len(oneHot) > 0 {
+		if len(oneHot) > maxWireDim*8 {
+			return nil, fmt.Errorf("vdp: one-hot proof claims %d bytes", len(oneHot))
 		}
+		cp.OneHotProof = wire.Parse(&r, oneHot, func(b []byte) (*sigma.OneHotProof, error) {
+			return sigma.DecodeOneHotProof(p.pp, b)
+		})
 	}
-	ohLen := r.u32()
-	if ohLen > 0 && r.err == nil {
-		if ohLen > maxWireDim*8 {
-			return nil, fmt.Errorf("vdp: one-hot proof claims %d bytes", ohLen)
-		}
-		raw := r.take(int(ohLen))
-		if r.err == nil {
-			ohp, err := sigma.DecodeOneHotProof(p.pp, raw)
-			if err != nil {
-				return nil, err
-			}
-			cp.OneHotProof = ohp
-		}
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return cp, nil
@@ -212,52 +141,32 @@ func (p *Public) DecodeClientPublic(b []byte) (*ClientPublic, error) {
 
 // EncodeClientPayload serializes a private per-prover payload.
 func (p *Public) EncodeClientPayload(pl *ClientPayload) []byte {
-	var w wireWriter
-	p.encodeClientPayloadInto(&w, pl)
-	return w.b
+	var w wire.Writer
+	p.putClientPayload(&w, pl)
+	return w.Bytes()
 }
 
-// encodeClientPayloadInto is EncodeClientPayload writing to an existing
-// writer; see encodeClientPublicInto.
-func (p *Public) encodeClientPayloadInto(w *wireWriter, pl *ClientPayload) {
-	w.version()
-	w.u32(uint32(pl.ClientID))
-	w.u32(uint32(pl.Prover))
-	w.u32(uint32(len(pl.Openings)))
+// putClientPayload is EncodeClientPayload writing to an existing writer;
+// see putClientPublic.
+func (p *Public) putClientPayload(w *wire.Writer, pl *ClientPayload) {
+	w.U8(WireVersion)
+	w.U32(uint32(pl.ClientID))
+	w.U32(uint32(pl.Prover))
+	w.U32(uint32(len(pl.Openings)))
 	for _, o := range pl.Openings {
-		w.bytes(o.X.Bytes())
-		w.bytes(o.R.Bytes())
+		putOpening(w, o)
 	}
 }
 
 // DecodeClientPayload parses a private payload.
 func (p *Public) DecodeClientPayload(b []byte) (*ClientPayload, error) {
-	r := wireReader{b: b}
-	r.version()
-	pl := &ClientPayload{ClientID: int(r.u32()), Prover: int(r.u32())}
-	n := r.u32()
-	if r.err == nil && n > maxWireDim {
-		return nil, fmt.Errorf("vdp: payload claims %d openings", n)
+	r := versioned(b)
+	pl := &ClientPayload{ClientID: int(r.U32()), Prover: int(r.U32())}
+	pl.Openings = make([]*pedersen.Opening, r.Count(maxWireDim, 2*p.Field().ByteLen()))
+	for i := range pl.Openings {
+		pl.Openings[i] = p.opening(&r)
 	}
-	f := p.Field()
-	w := f.ByteLen()
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		xRaw := r.take(w)
-		rRaw := r.take(w)
-		if r.err != nil {
-			break
-		}
-		x, err := f.FromBytes(xRaw)
-		if err != nil {
-			return nil, fmt.Errorf("vdp: payload opening %d: %w", i, err)
-		}
-		rr, err := f.FromBytes(rRaw)
-		if err != nil {
-			return nil, fmt.Errorf("vdp: payload opening %d: %w", i, err)
-		}
-		pl.Openings = append(pl.Openings, &pedersen.Opening{X: x, R: rr})
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return pl, nil
@@ -265,46 +174,28 @@ func (p *Public) DecodeClientPayload(b []byte) (*ClientPayload, error) {
 
 // EncodeProverOutput serializes a prover's (y, z) message.
 func (p *Public) EncodeProverOutput(out *ProverOutput) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(out.Prover))
-	w.u32(uint32(len(out.Y)))
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(out.Prover))
+	w.U32(uint32(len(out.Y)))
 	for j := range out.Y {
-		w.bytes(out.Y[j].Bytes())
-		w.bytes(out.Z[j].Bytes())
+		w.Raw(out.Y[j].Bytes())
+		w.Raw(out.Z[j].Bytes())
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // DecodeProverOutput parses a prover output message.
 func (p *Public) DecodeProverOutput(b []byte) (*ProverOutput, error) {
-	r := wireReader{b: b}
-	r.version()
-	out := &ProverOutput{Prover: int(r.u32())}
-	n := r.u32()
-	if r.err == nil && n > maxWireDim {
-		return nil, fmt.Errorf("vdp: output claims %d bins", n)
+	r := versioned(b)
+	out := &ProverOutput{Prover: int(r.U32())}
+	n := r.Count(maxWireDim, 2*p.Field().ByteLen())
+	out.Y, out.Z = make([]*field.Element, n), make([]*field.Element, n)
+	for j := range out.Y {
+		out.Y[j], out.Z[j] = p.scalar(&r), p.scalar(&r)
 	}
-	f := p.Field()
-	w := f.ByteLen()
-	var yz []*field.Element
-	for i := uint32(0); i < 2*n && r.err == nil; i++ {
-		raw := r.take(w)
-		if r.err != nil {
-			break
-		}
-		e, err := f.FromBytes(raw)
-		if err != nil {
-			return nil, fmt.Errorf("vdp: output element %d: %w", i, err)
-		}
-		yz = append(yz, e)
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
-	}
-	for i := 0; i < int(n); i++ {
-		out.Y = append(out.Y, yz[2*i])
-		out.Z = append(out.Z, yz[2*i+1])
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package vdp
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -107,6 +108,68 @@ func TestWireVersionNegotiation(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseNonCanonicalFlags: every flag on the wire is 0 or 1 and
+// nothing else, and agrees with the field it governs. Each row rewrites one
+// byte of a valid encoding so that a lax decoder would still read it — so the
+// input would decode yet not re-encode to itself — and the decoder must
+// refuse it.
+func TestDecodersRefuseNonCanonicalFlags(t *testing.T) {
+	pub := wireTestPublic(t, 2, 3) // one-hot: the bit-proof section is absent
+	sub, err := pub.NewClientSubmission(5, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	public := pub.EncodeClientPublic(sub.Public)
+	// ... | u32 bit-proof count | u32 one-hot length | one-hot proof
+	bitProofFlag := len(public) - len(sub.Public.OneHotProof.Encode(pub.pp)) - 5
+	// version | u32 id | accepted | on-board | u32 reason length | reason
+	verdict := encodeVerdict(4, nil, true)
+	rejectErr := fmt.Errorf("%w: bad proof", ErrClientReject)
+	rejection := encodeVerdict(4, rejectErr, false)
+	reason := len(rejection) - len(rejectErr.Error())
+	verdicts := EncodeBatchVerdicts([]BatchVerdict{{ID: 3, Accepted: true}})
+	decodeVerdictErr := func(b []byte) error {
+		_, _, _, err := decodeVerdict(b)
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		enc    []byte
+		at     int
+		to     byte
+		decode func([]byte) error
+	}{
+		{"client public: bit-proof flag 2", public, bitProofFlag, 2, func(b []byte) error {
+			_, err := pub.DecodeClientPublic(b)
+			return err
+		}},
+		{"batch verdict: accepted 2", verdicts, 9, 2, func(b []byte) error {
+			_, err := DecodeBatchVerdicts(b)
+			return err
+		}},
+		{"verdict record: accepted 7", verdict, 5, 7, decodeVerdictErr},
+		{"verdict record: on-board 9", verdict, 6, 9, decodeVerdictErr},
+		// A rejection encodeVerdict writes always carries a reason ...
+		{"verdict record: rejection with no reason", verdict, 5, 0, decodeVerdictErr},
+		// ... an acceptance never does ...
+		{"verdict record: acceptance with a reason", rejection, 5, 1, decodeVerdictErr},
+		// ... and the reason is ErrClientReject's text ("vdp: ...").
+		{"verdict record: reason without the rejection prefix", rejection, reason, 'V', decodeVerdictErr},
+	} {
+		if err := tc.decode(tc.enc); err != nil {
+			t.Fatalf("%s: the valid encoding fails: %v", tc.name, err)
+		}
+		bad := append([]byte(nil), tc.enc...)
+		if bad[tc.at] == tc.to {
+			t.Fatalf("%s: byte %d is already %d", tc.name, tc.at, tc.to)
+		}
+		bad[tc.at] = tc.to
+		if err := tc.decode(bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestClientPayloadWireRoundTrip(t *testing.T) {
 	pub := wireTestPublic(t, 2, 3)
 	sub, err := pub.NewClientSubmission(4, 1, nil)
@@ -176,32 +239,5 @@ func TestProverOutputWireRoundTrip(t *testing.T) {
 	}
 	if _, err := pub.DecodeProverOutput(enc[:5]); err == nil {
 		t.Error("truncated output accepted")
-	}
-}
-
-// TestLpBytesLargeAndHostile: a length-prefixed segment bigger than the old
-// 8 MiB heuristic cap (a seal for a high-nb deployment produces these
-// legitimately) must round-trip, while a hostile length prefix with no
-// bytes behind it must fail as truncation without allocating.
-func TestLpBytesLargeAndHostile(t *testing.T) {
-	big := make([]byte, 9<<20)
-	big[0], big[len(big)-1] = 1, 2
-	var w wireWriter
-	w.lpBytes(big)
-	r := wireReader{b: w.b}
-	got := r.lpBytes()
-	if err := r.finish(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(big) || got[0] != 1 || got[len(got)-1] != 2 {
-		t.Fatal("large length-prefixed segment did not round-trip")
-	}
-
-	hostile := wireReader{b: []byte{0xff, 0xff, 0xff, 0xff}}
-	if out := hostile.lpBytes(); out != nil {
-		t.Fatal("hostile length prefix returned data")
-	}
-	if hostile.finish() == nil {
-		t.Fatal("hostile length prefix accepted")
 	}
 }

@@ -1,37 +1,21 @@
 package vdp
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/morra"
 	"repro/internal/pedersen"
 	"repro/internal/sigma"
+	"repro/internal/wire"
 )
 
 // Wire encodings for the durable bulletin board (internal/store): whole
 // client submissions and whole epoch transcripts, built from the same
-// versioned primitives as the per-message encodings in wire.go. These are
-// what the board log persists at Submit time and seals at Finalize time, and
-// what ResumeSession and AuditLog decode back; like every encoding in this
+// versioned codec as the per-message encodings in wire.go. These are what
+// the board log persists at Submit time and seals at Finalize time, and what
+// ResumeSession and AuditLog decode back; like every encoding in this
 // package they validate all components on decode, so a corrupted or hostile
 // log fails to parse instead of corrupting a recovered session.
-
-// lpBytes writes a length-prefixed byte string.
-func (w *wireWriter) lpBytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.bytes(b)
-}
-
-// lpBytes reads a length-prefixed byte string. take bounds the read by the
-// bytes actually present (and subslices rather than allocating), so a
-// hostile length prefix yields a truncation error, never an allocation —
-// and a legitimately large segment (a seal for a high-nb deployment) is not
-// rejected by an artificial cap the encoder never enforced.
-func (r *wireReader) lpBytes() []byte {
-	n := r.u32()
-	return r.take(int(n))
-}
 
 // wireBufPool recycles encode scratch buffers on the batch admission path,
 // where one frame carries hundreds of submissions and a fresh buffer per
@@ -59,57 +43,35 @@ func putWireBuf(p *[]byte) {
 // EncodeClientSubmission serializes a full submission — the bulletin-board
 // public part plus all K private per-prover payloads — as one record.
 func (p *Public) EncodeClientSubmission(sub *ClientSubmission) []byte {
-	var w wireWriter
-	p.encodeClientSubmissionInto(&w, sub)
-	return w.b
+	var w wire.Writer
+	p.putClientSubmission(&w, sub)
+	return w.Bytes()
 }
 
-// encodeClientSubmissionInto writes the submission record encoding to an
-// existing writer. The sub-encodings are emitted in place (lpMark/lpPatch
-// backfill their length prefixes), so a batch of N submissions costs one
-// buffer, not 3N.
-func (p *Public) encodeClientSubmissionInto(w *wireWriter, sub *ClientSubmission) {
-	w.version()
-	mark := w.lpMark()
-	p.encodeClientPublicInto(w, sub.Public)
-	w.lpPatch(mark)
-	w.u32(uint32(len(sub.Payloads)))
+// putClientSubmission writes the submission record encoding to an existing
+// writer. The sub-encodings are emitted in place (Mark/Patch backfill their
+// length prefixes), so a batch of N submissions costs one buffer, not 3N.
+func (p *Public) putClientSubmission(w *wire.Writer, sub *ClientSubmission) {
+	w.U8(WireVersion)
+	mark := w.Mark()
+	p.putClientPublic(w, sub.Public)
+	w.Patch(mark)
+	w.U32(uint32(len(sub.Payloads)))
 	for _, pl := range sub.Payloads {
-		mark := w.lpMark()
-		p.encodeClientPayloadInto(w, pl)
-		w.lpPatch(mark)
+		mark := w.Mark()
+		p.putClientPayload(w, pl)
+		w.Patch(mark)
 	}
 }
 
 // DecodeClientSubmission parses and validates a full submission record.
 func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
-	r := wireReader{b: b}
-	r.version()
-	pubRaw := r.lpBytes()
-	if r.err != nil {
-		return nil, r.err
+	r := versioned(b)
+	sub := &ClientSubmission{
+		Public:   wire.Parse(&r, r.Blob(), p.DecodeClientPublic),
+		Payloads: blobs(&r, maxWireDim, p.DecodeClientPayload),
 	}
-	cp, err := p.DecodeClientPublic(pubRaw)
-	if err != nil {
-		return nil, err
-	}
-	n := r.u32()
-	if r.err == nil && n > maxWireDim {
-		return nil, fmt.Errorf("vdp: submission claims %d payloads", n)
-	}
-	sub := &ClientSubmission{Public: cp}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		plRaw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		pl, err := p.DecodeClientPayload(plRaw)
-		if err != nil {
-			return nil, err
-		}
-		sub.Payloads = append(sub.Payloads, pl)
-	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return sub, nil
@@ -118,61 +80,42 @@ func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
 // EncodeCoinCommitMsg serializes one prover's Lines 4-6 message: the noise
 // coin commitments with their Σ-OR proofs.
 func (p *Public) EncodeCoinCommitMsg(msg *CoinCommitMsg) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(msg.Prover))
-	w.u32(uint32(len(msg.Commitments)))
+	var w wire.Writer
+	p.putCoinCommitMsg(&w, msg)
+	return w.Bytes()
+}
+
+// putCoinCommitMsg is EncodeCoinCommitMsg writing to an existing writer.
+func (p *Public) putCoinCommitMsg(w *wire.Writer, msg *CoinCommitMsg) {
+	w.U8(WireVersion)
+	w.U32(uint32(msg.Prover))
+	w.U32(uint32(len(msg.Commitments)))
 	for j := range msg.Commitments {
-		w.u32(uint32(len(msg.Commitments[j])))
+		w.U32(uint32(len(msg.Commitments[j])))
 		for l := range msg.Commitments[j] {
-			w.bytes(msg.Commitments[j][l].Bytes())
-			w.bytes(msg.Proofs[j][l].Encode(p.pp))
+			w.Raw(msg.Commitments[j][l].Bytes())
+			w.Raw(msg.Proofs[j][l].Encode(p.pp))
 		}
 	}
-	return w.b
 }
 
 // DecodeCoinCommitMsg parses and validates a coin-commitment message.
 func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
-	r := wireReader{b: b}
-	r.version()
-	msg := &CoinCommitMsg{Prover: int(r.u32())}
-	bins := r.u32()
-	if r.err == nil && bins > maxWireDim {
-		return nil, fmt.Errorf("vdp: coin message claims %d bins", bins)
-	}
-	elemLen := p.pp.Group().ElementLen()
-	proofLen := sigma.BitProofLen(p.pp)
-	for j := uint32(0); j < bins && r.err == nil; j++ {
-		nb := r.u32()
-		if r.err == nil && nb > maxWireDim {
-			return nil, fmt.Errorf("vdp: coin message claims %d coins", nb)
+	r := versioned(b)
+	msg := &CoinCommitMsg{Prover: int(r.U32())}
+	bins := r.Count(maxWireDim, 4)
+	msg.Commitments = make([][]*pedersen.Commitment, bins)
+	msg.Proofs = make([][]*sigma.BitProof, bins)
+	coinLen := p.pp.Group().ElementLen() + sigma.BitProofLen(p.pp)
+	for j := range msg.Commitments {
+		nb := r.Count(maxWireDim, coinLen)
+		comms, proofs := make([]*pedersen.Commitment, nb), make([]*sigma.BitProof, nb)
+		for l := range comms {
+			comms[l], proofs[l] = p.commitment(&r), p.bitProof(&r)
 		}
-		// The claimed count is hostile input: size by the bytes present.
-		n := min(int(nb), len(r.b)/(elemLen+proofLen))
-		comms := make([]*pedersen.Commitment, 0, n)
-		proofs := make([]*sigma.BitProof, 0, n)
-		for l := uint32(0); l < nb && r.err == nil; l++ {
-			cRaw := r.take(elemLen)
-			pRaw := r.take(proofLen)
-			if r.err != nil {
-				break
-			}
-			c, err := p.pp.DecodeCommitment(cRaw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: coin commitment (%d,%d): %w", j, l, err)
-			}
-			bp, err := sigma.DecodeBitProof(p.pp, pRaw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: coin proof (%d,%d): %w", j, l, err)
-			}
-			comms = append(comms, c)
-			proofs = append(proofs, bp)
-		}
-		msg.Commitments = append(msg.Commitments, comms)
-		msg.Proofs = append(msg.Proofs, proofs)
+		msg.Commitments[j], msg.Proofs[j] = comms, proofs
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return msg, nil
@@ -181,91 +124,58 @@ func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
 // EncodeMorraRecord serializes the public commit/reveal record of one
 // prover's Πmorra instance.
 func (p *Public) EncodeMorraRecord(rec *MorraRecord) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(rec.Prover))
-	w.u32(uint32(len(rec.Commits)))
+	var w wire.Writer
+	p.putMorraRecord(&w, rec)
+	return w.Bytes()
+}
+
+// putMorraRecord is EncodeMorraRecord writing to an existing writer.
+func (p *Public) putMorraRecord(w *wire.Writer, rec *MorraRecord) {
+	w.U8(WireVersion)
+	w.U32(uint32(rec.Prover))
+	w.U32(uint32(len(rec.Commits)))
 	for _, cm := range rec.Commits {
-		w.u32(uint32(cm.Party))
-		w.u32(uint32(len(cm.Commitments)))
+		w.U32(uint32(cm.Party))
+		w.U32(uint32(len(cm.Commitments)))
 		for _, c := range cm.Commitments {
-			w.bytes(c.Bytes())
+			w.Raw(c.Bytes())
 		}
 	}
-	w.u32(uint32(len(rec.Reveals)))
+	w.U32(uint32(len(rec.Reveals)))
 	for _, rv := range rec.Reveals {
-		w.u32(uint32(rv.Party))
-		w.u32(uint32(len(rv.Openings)))
+		w.U32(uint32(rv.Party))
+		w.U32(uint32(len(rv.Openings)))
 		for _, o := range rv.Openings {
-			w.bytes(o.X.Bytes())
-			w.bytes(o.R.Bytes())
+			putOpening(w, o)
 		}
 	}
-	return w.b
 }
 
 // DecodeMorraRecord parses and validates a Morra record.
 func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
-	r := wireReader{b: b}
-	r.version()
-	rec := &MorraRecord{Prover: int(r.u32())}
-	elemLen := p.pp.Group().ElementLen()
-	f := p.Field()
-	fw := f.ByteLen()
-
-	nCommits := r.u32()
-	if r.err == nil && nCommits > maxWireDim {
-		return nil, fmt.Errorf("vdp: morra record claims %d commit messages", nCommits)
-	}
-	for i := uint32(0); i < nCommits && r.err == nil; i++ {
-		cm := &morra.CommitMsg{Party: int(r.u32())}
-		n := r.u32()
-		if r.err == nil && n > maxWireDim {
-			return nil, fmt.Errorf("vdp: morra commit claims %d commitments", n)
+	r := versioned(b)
+	rec := &MorraRecord{Prover: int(r.U32())}
+	// Each entry is a u32 party and a u32 count; the loops stop at the first
+	// error, so a claimed entry the input does not carry allocates nothing.
+	rec.Commits = make([]*morra.CommitMsg, r.Count(maxWireDim, 8))
+	for i := 0; i < len(rec.Commits) && r.Err() == nil; i++ {
+		cm := &morra.CommitMsg{Party: int(r.U32())}
+		cm.Commitments = make([]*pedersen.Commitment, r.Count(maxWireDim, p.pp.Group().ElementLen()))
+		for l := range cm.Commitments {
+			cm.Commitments[l] = p.commitment(&r)
 		}
-		for l := uint32(0); l < n && r.err == nil; l++ {
-			raw := r.take(elemLen)
-			if r.err != nil {
-				break
-			}
-			c, err := p.pp.DecodeCommitment(raw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: morra commitment: %w", err)
-			}
-			cm.Commitments = append(cm.Commitments, c)
-		}
-		rec.Commits = append(rec.Commits, cm)
+		rec.Commits[i] = cm
 	}
-
-	nReveals := r.u32()
-	if r.err == nil && nReveals > maxWireDim {
-		return nil, fmt.Errorf("vdp: morra record claims %d reveal messages", nReveals)
-	}
-	for i := uint32(0); i < nReveals && r.err == nil; i++ {
-		rv := &morra.RevealMsg{Party: int(r.u32())}
-		n := r.u32()
-		if r.err == nil && n > maxWireDim {
-			return nil, fmt.Errorf("vdp: morra reveal claims %d openings", n)
+	rec.Reveals = make([]*morra.RevealMsg, r.Count(maxWireDim, 8))
+	for i := 0; i < len(rec.Reveals) && r.Err() == nil; i++ {
+		rv := &morra.RevealMsg{Party: int(r.U32())}
+		rv.Openings = make([]*pedersen.Opening, r.Count(maxWireDim, 2*p.Field().ByteLen()))
+		for l := range rv.Openings {
+			rv.Openings[l] = p.opening(&r)
 		}
-		for l := uint32(0); l < n && r.err == nil; l++ {
-			xRaw := r.take(fw)
-			rRaw := r.take(fw)
-			if r.err != nil {
-				break
-			}
-			x, err := f.FromBytes(xRaw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: morra opening: %w", err)
-			}
-			rr, err := f.FromBytes(rRaw)
-			if err != nil {
-				return nil, fmt.Errorf("vdp: morra opening: %w", err)
-			}
-			rv.Openings = append(rv.Openings, &pedersen.Opening{X: x, R: rr})
-		}
-		rec.Reveals = append(rec.Reveals, rv)
+		rec.Reveals[i] = rv
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -279,35 +189,47 @@ func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
 // verifier verdict (the debiased Estimate/Stddev fields are recomputed from
 // Raw, so the encoding stays canonical).
 func (p *Public) EncodeTranscript(t *Transcript) []byte {
-	var w wireWriter
-	w.version()
-	w.u32(uint32(len(t.Clients)))
+	var w wire.Writer
+	w.U8(WireVersion)
+	w.U32(uint32(len(t.Clients)))
 	for _, cp := range t.Clients {
-		w.lpBytes(p.EncodeClientPublic(cp))
+		mark := w.Mark()
+		p.putClientPublic(&w, cp)
+		w.Patch(mark)
 	}
-	w.u32(uint32(len(t.CoinMsgs)))
+	w.U32(uint32(len(t.CoinMsgs)))
 	for _, msg := range t.CoinMsgs {
-		w.lpBytes(p.EncodeCoinCommitMsg(msg))
+		mark := w.Mark()
+		p.putCoinCommitMsg(&w, msg)
+		w.Patch(mark)
 	}
-	w.u32(uint32(len(t.Morra)))
+	w.U32(uint32(len(t.Morra)))
 	for _, rec := range t.Morra {
-		w.lpBytes(p.EncodeMorraRecord(rec))
+		mark := w.Mark()
+		p.putMorraRecord(&w, rec)
+		w.Patch(mark)
 	}
-	w.u32(uint32(len(t.Outputs)))
+	w.U32(uint32(len(t.Outputs)))
 	for _, out := range t.Outputs {
-		w.lpBytes(p.EncodeProverOutput(out))
+		w.Blob(p.EncodeProverOutput(out))
 	}
+	// The release is an optional section: a u32 count of zero or one.
 	if t.Release == nil {
-		w.u32(0)
-		return w.b
+		w.U32(0)
+	} else {
+		w.U32(1)
+		putRelease(&w, t.Release)
 	}
-	w.u32(1)
-	w.u32(uint32(len(t.Release.Raw)))
-	for _, raw := range t.Release.Raw {
-		w.u32(uint32(uint64(raw) >> 32))
-		w.u32(uint32(uint64(raw)))
+	return w.Bytes()
+}
+
+// putRelease writes a release's bin count and raw counts, the part of the
+// transcript encoding TranscriptDigest also hashes.
+func putRelease(w *wire.Writer, rel *Release) {
+	w.U32(uint32(len(rel.Raw)))
+	for _, raw := range rel.Raw {
+		w.U64(uint64(raw))
 	}
-	return w.b
 }
 
 // DecodeTranscript parses and validates a sealed epoch transcript: the
@@ -317,12 +239,11 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, raw := range clients {
-		cp, err := p.DecodeClientPublic(raw)
-		if err != nil {
+	t.Clients = make([]*ClientPublic, len(clients))
+	for i, raw := range clients {
+		if t.Clients[i], err = p.DecodeClientPublic(raw); err != nil {
 			return nil, err
 		}
-		t.Clients = append(t.Clients, cp)
 	}
 	return t, nil
 }
@@ -335,82 +256,23 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 // block with its logged arrival record byte for byte, so the seal is checked
 // and digested without decoding a client twice.
 func (p *Public) decodeProverSection(b []byte) (clients [][]byte, t *Transcript, err error) {
-	r := wireReader{b: b}
+	r := versioned(b)
 	clients = readSealedClients(&r)
-	t = &Transcript{}
-
-	nCoin := r.u32()
-	if r.err == nil && nCoin > maxWireDim {
-		return nil, nil, fmt.Errorf("vdp: transcript claims %d coin messages", nCoin)
+	t = &Transcript{
+		CoinMsgs: blobs(&r, maxWireDim, p.DecodeCoinCommitMsg),
+		Morra:    blobs(&r, maxWireDim, p.DecodeMorraRecord),
+		Outputs:  blobs(&r, maxWireDim, p.DecodeProverOutput),
 	}
-	for i := uint32(0); i < nCoin && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		msg, err := p.DecodeCoinCommitMsg(raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.CoinMsgs = append(t.CoinMsgs, msg)
-	}
-
-	nMorra := r.u32()
-	if r.err == nil && nMorra > maxWireDim {
-		return nil, nil, fmt.Errorf("vdp: transcript claims %d morra records", nMorra)
-	}
-	for i := uint32(0); i < nMorra && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		rec, err := p.DecodeMorraRecord(raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.Morra = append(t.Morra, rec)
-	}
-
-	nOut := r.u32()
-	if r.err == nil && nOut > maxWireDim {
-		return nil, nil, fmt.Errorf("vdp: transcript claims %d prover outputs", nOut)
-	}
-	for i := uint32(0); i < nOut && r.err == nil; i++ {
-		raw := r.lpBytes()
-		if r.err != nil {
-			break
-		}
-		out, err := p.DecodeProverOutput(raw)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.Outputs = append(t.Outputs, out)
-	}
-
-	hasRelease := r.u32()
-	if hasRelease > 1 {
-		return nil, nil, fmt.Errorf("vdp: transcript release flag is %d", hasRelease)
-	}
-	if hasRelease == 1 {
-		m := r.u32()
-		if r.err == nil && m > maxWireDim {
-			return nil, nil, fmt.Errorf("vdp: release claims %d bins", m)
-		}
-		rel := &Release{Stddev: stddev(p.cfg.Provers, p.nb)}
-		mean := p.NoiseMean()
-		for j := uint32(0); j < m && r.err == nil; j++ {
-			hi := r.u32()
-			lo := r.u32()
-			if r.err != nil {
-				break
-			}
-			raw := int64(uint64(hi)<<32 | uint64(lo))
-			rel.Raw = append(rel.Raw, raw)
-			rel.Estimate = append(rel.Estimate, float64(raw)-mean)
+	if r.Count(1, 4) == 1 {
+		rel := &Release{Raw: make([]int64, r.Count(maxWireDim, 8)), Stddev: stddev(p.cfg.Provers, p.nb)}
+		rel.Estimate = make([]float64, len(rel.Raw))
+		for j := range rel.Raw {
+			rel.Raw[j] = int64(r.U64())
+			rel.Estimate[j] = float64(rel.Raw[j]) - p.NoiseMean()
 		}
 		t.Release = rel
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, nil, err
 	}
 	return clients, t, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -228,6 +229,47 @@ func TestWireVersionRejectionMessages(t *testing.T) {
 		}
 		if err.Error() != want {
 			t.Errorf("%s: version rejection message drifted:\n  got:  %q\n  want: %q", d.name, err, want)
+		}
+	}
+}
+
+// TestHostileCountsAllocateWithTheInput: a count the bytes behind it cannot
+// carry, at the encoded width of each element it counts, is refused before it
+// sizes a slice, and a Morra decode stops at its first bad entry. Each input
+// is 64 KiB of 0xff behind a count claiming one element per byte (or, for the
+// Morra rows, one entry per 8 bytes, which fits but fails at the first
+// entry); at one byte an element these cost 0.5 to 3 MiB.
+func TestHostileCountsAllocateWithTheInput(t *testing.T) {
+	pub := testPublic(t, 2, 2, 4)
+	const n = 1 << 16
+	hostile := func(counts ...uint32) []byte {
+		b := []byte{WireVersion, 0, 0, 0, 0} // version | u32 prover
+		for _, c := range counts {
+			b = append(b, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+		}
+		return append(b, bytes.Repeat([]byte{0xff}, n)...)
+	}
+	coin := func(b []byte) error { _, err := pub.DecodeCoinCommitMsg(b); return err }
+	morra := func(b []byte) error { _, err := pub.DecodeMorraRecord(b); return err }
+	for _, tc := range []struct {
+		name   string
+		in     []byte
+		decode func([]byte) error
+	}{
+		{"coin bins", hostile(n), coin},
+		{"coins in a bin", hostile(1, n), coin},
+		{"morra commits", hostile(n / 8), morra},
+		{"morra reveals", hostile(0, n/8), morra},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.in)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if a := after.TotalAlloc - before.TotalAlloc; a > 2*uint64(len(tc.in)) {
+			t.Errorf("%s: a %d-byte input allocated %d bytes", tc.name, len(tc.in), a)
 		}
 	}
 }
