@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -138,11 +137,11 @@ func BenchmarkEndToEndMPCHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWorkers sweeps the execution engine's worker-pool width on
+// BenchmarkEngineWorkers sweeps Run's worker-pool width on
 // a fixed n=256-client verifiable count over P-256 (the workload of the
 // parallel-speedup acceptance test; see EXPERIMENTS.md for recorded
 // speedups). Each iteration is a complete end-to-end run: client submission
-// generation, roster fixing, prover stages, and every verifier check.
+// generation, admission, prover stages, and every verifier check.
 func BenchmarkEngineWorkers(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 32})
 	if err != nil {
@@ -169,58 +168,16 @@ func BenchmarkEngineWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVerifyClients compares sequential per-client legality
-// verification against the multi-client random-linear-combination batch
-// (one multi-exponentiation for the whole board), at 1 and GOMAXPROCS
-// workers, over a 256-client board.
-func BenchmarkBatchVerifyClients(b *testing.B) {
-	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 256
-	publics := make([]*ClientPublic, n)
-	for i := 0; i < n; i++ {
-		sub, err := pub.NewClientSubmission(i, i%2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		publics[i] = sub.Public
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			valid, _ := pub.FilterValidClients(publics)
-			if len(valid) != n {
-				b.Fatal("honest client rejected")
-			}
-		}
-	})
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v := vdp.NewVerifierParallel(pub, workers)
-				accepted, _ := v.VerifyClients(publics)
-				if accepted != n {
-					b.Fatal("honest client rejected")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSessionSubmit measures the amortized cost of admitting one
-// client over a 64-submission board. "eager" is the streaming Session path:
-// every submission is verified the moment it arrives (verdict returned to
-// the client, nothing left for Finalize to re-check). "batch-at-finalize"
-// is the legacy roster fixing: submissions pile up unverified and one
-// random-linear-combination Σ-OR batch decides the whole board at the end.
-// The batch's ns/op is lower — that is exactly the latency-vs-throughput
-// trade the Session API makes explicit — and the gap is the price of
-// per-submission verdicts. Divide ns/op by 64 for per-submission cost.
-// Note the arms are not perfectly symmetric: eager Submit also validates
-// the K per-prover payload openings (which the batch path defers to the
-// ingest stage at Finalize), so the measured gap slightly overstates the
-// board-verification difference alone.
+// client over a 64-submission board. "eager" submits one client at a time:
+// every submission is verified the moment it arrives, its verdict returned
+// to the client. "batch-at-finalize" admits the same 64 clients as one
+// SubmitBatch — one random-linear-combination Σ-OR check over the whole
+// board, the share openings fanned out — which is how Run admits its
+// clients. The batch's ns/op is lower — that is exactly the
+// latency-vs-throughput trade the Session API makes explicit — and the gap
+// is the price of per-submission verdicts. Divide ns/op by 64 for
+// per-submission cost.
 func BenchmarkSessionSubmit(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
 	if err != nil {
@@ -228,14 +185,12 @@ func BenchmarkSessionSubmit(b *testing.B) {
 	}
 	const n = 64
 	subs := make([]*ClientSubmission, n)
-	publics := make([]*ClientPublic, n)
 	for i := 0; i < n; i++ {
 		sub, err := pub.NewClientSubmission(i, i%2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		subs[i] = sub
-		publics[i] = sub.Public
 	}
 	ctx := context.Background()
 	b.Run("eager", func(b *testing.B) {
@@ -253,10 +208,18 @@ func BenchmarkSessionSubmit(b *testing.B) {
 	})
 	b.Run("batch-at-finalize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v := vdp.NewVerifierParallel(pub, 0)
-			accepted, _ := v.VerifyClients(publics)
-			if accepted != n {
-				b.Fatal("honest client rejected")
+			sess, err := NewSession(pub, SessionOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			verdicts, err := sess.SubmitBatch(ctx, subs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range verdicts {
+				if v != nil {
+					b.Fatal(v)
+				}
 			}
 		}
 	})

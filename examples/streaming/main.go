@@ -5,7 +5,7 @@
 // A Session admits each submission as it arrives, verifies its proofs
 // eagerly on the worker pool (the client learns accept/reject immediately),
 // and produces a verifiable release per epoch: Finalize closes the window,
-// Reset opens the next one, and the same engine keeps serving.
+// Reset opens the next one, and the same session keeps serving.
 //
 // The example streams three epochs of a yes/no health metric, slips one
 // forged submission into the second epoch (rejected at the door, with a

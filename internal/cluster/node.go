@@ -68,18 +68,11 @@ func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeCo
 	}
 	if cfg.SealLog != nil {
 		err := cfg.SealLog.Replay(func(rec *store.Record) error {
-			if rec.Kind != vdp.RecordMergedSeal {
-				return fmt.Errorf("cluster: unexpected record kind %d in merged-seal sidecar", rec.Kind)
-			}
-			shards, digest, err := vdp.DecodeMergedSealRecord(rec.Payload)
+			epoch, digest, err := mergedSealOf(rec, cfg.Shards, "node")
 			if err != nil {
 				return err
 			}
-			if shards != cfg.Shards {
-				return fmt.Errorf("cluster: merged-seal sidecar records %d shards, node configured for %d",
-					shards, cfg.Shards)
-			}
-			n.seals[int(rec.Epoch)] = digest
+			n.seals[epoch] = digest
 			return nil
 		})
 		if err != nil {
@@ -87,6 +80,24 @@ func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeCo
 		}
 	}
 	return n, nil
+}
+
+// mergedSealOf is the one check on a merged-seal sidecar record, shared by
+// NewNode's and NewStandby's replays and Standby.replicate: it must be a
+// RecordMergedSeal that decodes and names the cluster's shard count. who
+// names the reader in the refusal.
+func mergedSealOf(rec *store.Record, shards int, who string) (epoch int, digest []byte, err error) {
+	if rec.Kind != vdp.RecordMergedSeal {
+		return 0, nil, fmt.Errorf("cluster: unexpected record kind %d in merged-seal sidecar", rec.Kind)
+	}
+	got, digest, err := vdp.DecodeMergedSealRecord(rec.Payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if got != shards {
+		return 0, nil, fmt.Errorf("cluster: merged-seal sidecar records %d shards, %s configured for %d", got, who, shards)
+	}
+	return int(rec.Epoch), digest, nil
 }
 
 // Session exposes the wrapped shard session.
@@ -220,7 +231,9 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 		if err != nil {
 			return errFrame("%v", err)
 		}
-		return n.mergedGet(epoch, latest)
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return mergedGet(n.seals, epoch, latest, n.shards, fmt.Sprintf("shard %d", n.shard))
 
 	case KindReset:
 		epoch, err := decodeEpochReq(f.Payload)
@@ -335,27 +348,29 @@ func (n *Node) recordMergedSeal(epoch, shards int, digest []byte) *transport.Fra
 	return &transport.Frame{Kind: okKind(KindMergedSeal)}
 }
 
-func (n *Node) mergedGet(epoch int, latest bool) *transport.Frame {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// mergedGet answers KindMergedGet from a seal map (epoch → merged digest): a
+// node's recorded seals or a standby's mirrored ones. latest selects the
+// newest epoch; who names the server in a refusal. Callers hold the lock
+// that guards seals.
+func mergedGet(seals map[int][]byte, epoch int, latest bool, shards int, who string) *transport.Frame {
 	if latest {
 		found := false
-		for e := range n.seals {
+		for e := range seals {
 			if !found || e > epoch {
 				epoch, found = e, true
 			}
 		}
 		if !found {
-			return errFrame("cluster: shard %d has no merged seal recorded", n.shard)
+			return errFrame("cluster: %s has no merged seal yet", who)
 		}
 	}
-	digest, ok := n.seals[epoch]
+	digest, ok := seals[epoch]
 	if !ok {
-		return errFrame("cluster: shard %d has no merged seal for epoch %d", n.shard, epoch)
+		return errFrame("cluster: %s has no merged seal for epoch %d", who, epoch)
 	}
 	return &transport.Frame{
 		Kind:    okKind(KindMergedGet),
-		Payload: encodeMergedSeal(epoch, n.shards, digest),
+		Payload: encodeMergedSeal(epoch, shards, digest),
 	}
 }
 

@@ -85,18 +85,12 @@ func NewStandby(ctx context.Context, pub *vdp.Public, cfg StandbyConfig) (*Stand
 		return nil, err
 	}
 	err = cfg.Seal.Replay(func(rec *store.Record) error {
-		if rec.Kind != vdp.RecordMergedSeal {
-			return fmt.Errorf("cluster: unexpected record kind %d in standby seal mirror", rec.Kind)
-		}
-		shards, digest, derr := vdp.DecodeMergedSealRecord(rec.Payload)
-		if derr != nil {
-			return derr
-		}
-		if shards != cfg.Shards {
-			return fmt.Errorf("cluster: seal mirror records %d shards, standby configured for %d", shards, cfg.Shards)
+		epoch, digest, err := mergedSealOf(rec, cfg.Shards, "standby")
+		if err != nil {
+			return err
 		}
 		s.sealLen++
-		s.seals[int(rec.Epoch)] = digest
+		s.seals[epoch] = digest
 		return nil
 	})
 	if err != nil {
@@ -162,7 +156,9 @@ func (s *Standby) handle(f *transport.Frame) *transport.Frame {
 		if err != nil {
 			return errFrame("%v", err)
 		}
-		return s.mergedGet(epoch, latest)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return mergedGet(s.seals, epoch, latest, s.cfg.Shards, fmt.Sprintf("shard %d standby", s.cfg.Shard))
 	default:
 		return errFrame("cluster: shard %d standby does not serve %q until promoted", s.cfg.Shard, f.Kind)
 	}
@@ -217,11 +213,24 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 	skip := *have - start
 	if skip < len(recs) {
 		fresh := recs[skip:]
+		// A seal record the standby would refuse at restart is refused now,
+		// with the whole frame, before anything is appended.
+		var epochs []int
+		var digests [][]byte
+		if logID == ReplLogSeal {
+			for _, rec := range fresh {
+				epoch, digest, err := mergedSealOf(rec, s.cfg.Shards, "standby")
+				if err != nil {
+					return errFrame("cluster: standby seal mirror: %v", err)
+				}
+				epochs, digests = append(epochs, epoch), append(digests, digest)
+			}
+		}
 		gc, grouped := log.(interface {
 			AppendNoSync(*store.Record) error
 			Sync() error
 		})
-		for _, rec := range fresh {
+		for i, rec := range fresh {
 			var aerr error
 			if grouped {
 				aerr = gc.AppendNoSync(rec)
@@ -232,15 +241,10 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 				return errFrame("cluster: standby mirror append: %v", aerr)
 			}
 			*have++
-			if logID == ReplLogBoard {
-				if int(rec.Epoch) > s.epoch {
-					s.epoch = int(rec.Epoch)
-				}
-			} else {
-				shards, digest, derr := vdp.DecodeMergedSealRecord(rec.Payload)
-				if derr == nil && shards == s.cfg.Shards {
-					s.seals[int(rec.Epoch)] = digest
-				}
+			if logID == ReplLogSeal {
+				s.seals[epochs[i]] = digests[i]
+			} else if int(rec.Epoch) > s.epoch {
+				s.epoch = int(rec.Epoch)
 			}
 		}
 		if grouped {
@@ -250,30 +254,6 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 		}
 	}
 	return &transport.Frame{Kind: okKind(KindReplicate), Payload: encodeReplicateOK(logID, *have)}
-}
-
-func (s *Standby) mergedGet(epoch int, latest bool) *transport.Frame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if latest {
-		found := false
-		for e := range s.seals {
-			if !found || e > epoch {
-				epoch, found = e, true
-			}
-		}
-		if !found {
-			return errFrame("cluster: shard %d standby has no merged seal mirrored", s.cfg.Shard)
-		}
-	}
-	digest, ok := s.seals[epoch]
-	if !ok {
-		return errFrame("cluster: shard %d standby has no merged seal for epoch %d", s.cfg.Shard, epoch)
-	}
-	return &transport.Frame{
-		Kind:    okKind(KindMergedGet),
-		Payload: encodeMergedSeal(epoch, s.cfg.Shards, digest),
-	}
 }
 
 // promote executes the fenced takeover. The handshake order is what prevents

@@ -104,8 +104,57 @@ func TestStandbyRejectsBadMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply := sb.Handle(&transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(-1)})[0]
-	if reply.Kind != KindError || !strings.Contains(string(reply.Payload), "no merged seal mirrored") {
+	if reply.Kind != KindError || !strings.Contains(string(reply.Payload), "no merged seal yet") {
 		t.Fatalf("empty-mirror merged-get reply %q: %s", reply.Kind, reply.Payload)
+	}
+}
+
+// TestStandbyRefusesBadSealFrame: a replicate frame carrying a merged-seal
+// record the standby would refuse at restart — another cluster width, or
+// another record kind — is refused whole with node-error before anything is
+// mirrored, so the standby still reopens over its own logs. A good seal
+// record still lands.
+func TestStandbyRefusesBadSealFrame(t *testing.T) {
+	ctx := context.Background()
+	pub := testPub(t)
+	seal := store.NewMemLog()
+	cfg := StandbyConfig{Shard: 0, Shards: 2, Board: store.NewMemLog(), Seal: seal}
+	sb, err := NewStandby(ctx, pub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := bytes.Repeat([]byte{5}, 32)
+	good := &store.Record{Kind: vdp.RecordMergedSeal, Epoch: 0, Payload: vdp.EncodeMergedSealRecord(2, digest)}
+	send := func(recs ...*store.Record) *transport.Frame {
+		payload, err := encodeReplicate(0, 2, ReplLogSeal, 0, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sb.Handle(&transport.Frame{Kind: KindReplicate, Payload: payload})[0]
+	}
+	for name, bad := range map[string]*store.Record{
+		"other width": {Kind: vdp.RecordMergedSeal, Epoch: 1, Payload: vdp.EncodeMergedSealRecord(3, digest)},
+		"other kind":  {Kind: vdp.RecordSubmission, Epoch: 1, Payload: []byte("junk")},
+	} {
+		if reply := send(good, bad); reply.Kind != KindError {
+			t.Fatalf("%s: replicate answered %q: %s", name, reply.Kind, reply.Payload)
+		}
+		if n := seal.Len(); n != 0 {
+			t.Fatalf("%s: the refused frame left %d records in the seal mirror", name, n)
+		}
+		if _, err := NewStandby(ctx, pub, cfg); err != nil {
+			t.Fatalf("%s: the standby no longer reopens: %v", name, err)
+		}
+	}
+	if reply := send(good); reply.Kind != okKind(KindReplicate) || seal.Len() != 1 {
+		t.Fatalf("good seal answered %q: %s (mirror holds %d)", reply.Kind, reply.Payload, seal.Len())
+	}
+	reply := sb.Handle(&transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(0)})[0]
+	if reply.Kind != okKind(KindMergedGet) {
+		t.Fatalf("merged-get after the good seal answered %q: %s", reply.Kind, reply.Payload)
+	}
+	if _, err := NewStandby(ctx, pub, cfg); err != nil {
+		t.Fatalf("the standby does not reopen over its good seal: %v", err)
 	}
 }
 

@@ -39,7 +39,7 @@ type fastP256 struct {
 // fastElem is an element of fastP256: a Jacobian point plus a lazily
 // normalized affine form. Elements are immutable after construction
 // (the affine cache is filled at most once, under sync.Once, so sharing
-// across the engine's workers is race-free). Construction sites that
+// across a worker pool's goroutines is race-free). Construction sites that
 // already know the affine form fire the Once immediately, making Encode
 // free for decoded wire elements.
 type fastElem struct {

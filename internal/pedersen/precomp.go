@@ -15,8 +15,8 @@ import (
 // same group — generators are deterministic per group, so the cache key is
 // the group itself.
 //
-// Concurrency: the tables are immutable after construction, and the parallel
-// execution engine (internal/vdp) hammers ExpG/ExpH from every worker, so
+// Concurrency: the tables are immutable after construction, and a session's
+// worker pool (internal/vdp) hammers ExpG/ExpH from every worker, so
 // the lookup must not serialize goroutines. Each Params caches the resolved
 // table pointer in an atomic (one load on the hot path, no lock); the global
 // per-group cache behind it is guarded by an RWMutex and only consulted on

@@ -141,10 +141,9 @@ func DecodeBatchVerdicts(b []byte) ([]BatchVerdict, error) {
 // private-channel dispute) is refused outright and never posted, keeping the
 // transcript publicly auditable; a client the budget ledger cannot charge is
 // refused the same way, uncharged. Duplicates — against the roster or earlier
-// in the same batch — and nil members fail without being recorded. With
-// DeferVerification every recorded member's slot is nil and the verdicts
-// come at Finalize. Concurrent calls are safe and verdict-equivalent to any
-// serial order of the same arrivals.
+// in the same batch — and nil members fail without being recorded.
+// Concurrent calls are safe and verdict-equivalent to any serial order of the
+// same arrivals.
 //
 // A non-nil error reports a batch-level failure, and outranks every verdict:
 // no member may be acknowledged. When verdicts is nil the batch was not
@@ -291,7 +290,7 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 	var bv []error
 	var onBoard []bool
 	var verr error
-	if !s.opts.DeferVerification && len(admitted) > 0 {
+	if len(admitted) > 0 {
 		batchSubs := make([]*ClientSubmission, len(admitted))
 		for k, i := range admittedIdx {
 			batchSubs[k] = subs[i]
@@ -312,7 +311,7 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 		s.mu.Unlock()
 		return nil, verr
 	}
-	if s.opts.DeferVerification || len(admitted) == 0 {
+	if len(admitted) == 0 {
 		return verdicts, nil
 	}
 
@@ -389,9 +388,9 @@ func (s *Session) withdrawBatchLocked(admitted []*sessionClient, epoch int) {
 // over every member's board proof (sigma.BitBatch folding the entire
 // arrival batch, decided by a single multi-exponentiation on the native
 // Pippenger backend) and the members' K·N per-prover share-opening checks
-// fanned out over the engine pool. Each member's verdict — sentinel, reason
-// and the onBoard split — is what the batch-at-finalize path would produce
-// for it, whatever else shares the batch: board-level failures are publicly
+// fanned out over the session pool. Each member's verdict — sentinel, reason
+// and the onBoard split — depends on its own submission alone, whatever else
+// shares the batch: board-level failures are publicly
 // attributable and stay on the board, private-channel payload failures mean
 // the submission is refused outright. A non-nil err means cancellation, not
 // a verdict.
@@ -403,7 +402,7 @@ func (s *Session) verifyBatch(ctx context.Context, subs []*ClientSubmission) (ve
 	for i, sub := range subs {
 		publics[i] = sub.Public
 	}
-	_, rej, ferr := s.pub.filterValidClientsBatch(ctx, publics, s.eng.workers)
+	_, rej, ferr := s.pub.filterValidClientsBatch(ctx, publics, s.workers)
 	if ferr != nil {
 		return nil, nil, ferr
 	}
@@ -425,7 +424,7 @@ func (s *Session) verifyBatch(ctx context.Context, subs []*ClientSubmission) (ve
 		pending = append(pending, i)
 	}
 	rejects := make([]error, len(pending)*k)
-	ferr = forEach(ctx, s.eng.workers, len(pending)*k, func(t int) error {
+	ferr = forEach(ctx, s.workers, len(pending)*k, func(t int) error {
 		i := pending[t/k]
 		rejects[t] = s.pub.checkPayloadOpenings(subs[i].Public, subs[i].Payloads[t%k], t%k)
 		return nil

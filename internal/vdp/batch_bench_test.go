@@ -2,6 +2,8 @@ package vdp
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -10,7 +12,7 @@ import (
 // allocs/op off BenchmarkDecodeSubmissionBatch and BenchmarkSubmitBatch and
 // pin the per-batch counts within 10 % of what is reached, so a refactor that
 // quietly reintroduces a per-client allocation storm (one buffer per record,
-// one engine task per arrival) fails CI rather than landing silently.
+// one pool task per arrival) fails CI rather than landing silently.
 
 // benchBatchClients is the frame size the alloc guard pins; keep in sync
 // with the ceilings in scripts/check_allocs.sh.
@@ -74,5 +76,43 @@ func BenchmarkSubmitBatch(b *testing.B) {
 				b.Fatalf("honest client rejected: %v", v)
 			}
 		}
+	}
+}
+
+// BenchmarkBatchVerifyClients compares sequential per-client legality
+// verification against the multi-client random-linear-combination batch
+// (one multi-exponentiation for the whole board) that admission runs, at 1
+// and GOMAXPROCS workers, over a 256-client board.
+func BenchmarkBatchVerifyClients(b *testing.B) {
+	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 256
+	publics := make([]*ClientPublic, n)
+	for i := 0; i < n; i++ {
+		sub, err := pub.NewClientSubmission(i, i%2, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		publics[i] = sub.Public
+	}
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			valid, _ := pub.FilterValidClients(publics)
+			if len(valid) != n {
+				b.Fatal("honest client rejected")
+			}
+		}
+	})
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				valid, _, err := pub.filterValidClientsBatch(context.Background(), publics, workers)
+				if err != nil || len(valid) != n {
+					b.Fatal("honest client rejected")
+				}
+			}
+		})
 	}
 }

@@ -369,13 +369,13 @@ func TestSubmitBatchDuplicates(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchLifecycle: empty batches, deferred verification, and the
-// sealed-epoch guard.
+// TestSubmitBatchLifecycle: empty batches, a whole board admitted as one
+// batch, and the sealed-epoch guard.
 func TestSubmitBatchLifecycle(t *testing.T) {
 	pub := testPublic(t, 1, 1, 4)
 	ctx := context.Background()
 
-	sess, err := NewSession(pub, SessionOptions{DeferVerification: true})
+	sess, err := NewSession(pub, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestSubmitBatchLifecycle(t *testing.T) {
 	}
 	for i, v := range verdicts {
 		if v != nil {
-			t.Fatalf("deferred batch verdict %d = %v, want nil (no verdicts until Finalize)", i, v)
+			t.Fatalf("honest batch verdict %d = %v, want nil", i, v)
 		}
 	}
 	if _, err := sess.Finalize(ctx); err != nil {
-		t.Fatalf("deferred finalize: %v", err)
+		t.Fatalf("finalize: %v", err)
 	}
 	// Sealed epoch: the whole batch bounces with the lifecycle sentinel.
 	late, err := pub.NewClientSubmission(99, 1, nil)

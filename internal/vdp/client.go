@@ -170,8 +170,8 @@ func (p *Public) VerifyClient(pub *ClientPublic) error {
 // public roster of inputs the protocol will aggregate; from Line 3 on, "the
 // protocol only uses inputs from validated clients".
 //
-// This is the sequential reference path; the execution engine and the
-// parallel verifier use filterValidClientsBatch, which reaches the same
+// This is the sequential reference path; admission and the auditors use
+// filterValidClientsBatch, which reaches the same
 // verdicts with one random-linear-combination check over the whole board.
 func (p *Public) FilterValidClients(pubs []*ClientPublic) (valid []*ClientPublic, rejected map[int]error) {
 	rejected = make(map[int]error)
@@ -298,9 +298,9 @@ func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPubl
 
 // checkPayloadOpenings validates one client's private payload for prover
 // column `prover` against the public commitment matrix: identity fields,
-// bin count, and every share opening. It is the pure core of
-// Prover.checkPayload, stateless so a Session can run it eagerly — before
-// any Prover exists — and fan the K columns out across a worker pool.
+// bin count, and every share opening. It is stateless, so a Session runs it
+// at admission — before any Prover exists — and fans the K columns out
+// across a worker pool; Prover.AcceptClient runs it too.
 func (p *Public) checkPayloadOpenings(pub *ClientPublic, payload *ClientPayload, prover int) error {
 	if payload == nil || payload.ClientID != pub.ID {
 		return fmt.Errorf("%w: payload/public ID mismatch for client %d", ErrClientReject, pub.ID)

@@ -24,7 +24,7 @@ import (
 type sweptLog struct {
 	pub           *Public
 	recs          []*store.Record
-	opts          SessionOptions // Budget, DeferVerification; Store, Rand and Parallelism are the sweep's
+	opts          SessionOptions // Budget; Store, Rand and Parallelism are the sweep's
 	shard, shards int            // the grammar pin (0 of 1: none)
 }
 

@@ -12,7 +12,7 @@ import (
 // messages with their Σ-OR proofs, Morra commit/reveal records, prover
 // outputs, and the release. Two transcripts digest equal iff every
 // bulletin-board byte matches, which is how the determinism guarantee of
-// the execution engine — same seed ⇒ identical transcript at any worker
+// the worker pool — same seed ⇒ identical transcript at any worker
 // count — is stated and tested.
 func TranscriptDigest(pub *Public, t *Transcript) []byte {
 	h := sha256.New()

@@ -35,21 +35,21 @@
 //
 // # Execution surfaces
 //
-// The protocol runs on a staged worker-pool pipeline (Engine) whose
-// randomness is derived per logical task, never per schedule, so a fixed
-// seed yields a byte-identical transcript at every parallelism
-// (TranscriptDigest states the property; rand.go implements it). Three
-// entry points drive the pipeline:
-//
-//   - Run / RunWithSubmissions / Audit: batch execution over a complete
-//     board, with one random-linear-combination Σ-OR check deciding client
-//     legality for the whole board at once.
+// The protocol runs as a Session on a worker pool whose randomness is
+// derived per logical task, never per schedule, so a fixed seed yields a
+// byte-identical transcript at every parallelism (TranscriptDigest states
+// the property; rand.go implements it). The entry points:
 //
 //   - Session: the streaming surface. SubmitBatch admits an arrival frame
 //     (verified eagerly on the pool, one verdict per member returned to the
-//     caller) and Submit is a frame of one, Finalize closes the epoch over
-//     the already-verified roster, Reset reopens the session for the next
-//     epoch.
+//     caller) and Submit is a frame of one, Finalize runs the staged prover
+//     pipeline (prove.go) over the already-verified roster, Reset reopens
+//     the session for the next epoch.
+//
+//   - Run / RunWithSubmissions: a one-epoch Session that admits the whole
+//     board as one SubmitBatch — one random-linear-combination Σ-OR check
+//     deciding client legality for the whole board at once — and finalizes.
+//     Audit re-verifies a transcript.
 //
 //   - ResumeSession: crash recovery. A Session given SessionOptions.Store
 //     appends every submission, verdict, epoch seal and reset to an
@@ -61,7 +61,7 @@
 //
 //   - ShardedSession: the scale-out front door. Client IDs are
 //     consistent-hashed (ShardOf) across independent sub-sessions — one
-//     roster lock, engine slice, substream fork and board-log segment each
+//     roster lock, worker-pool slice, substream fork and board-log segment each
 //     (store.SegmentedLog) — so Submits on different shards never contend;
 //     Finalize closes the shards in parallel and merges their transcripts
 //     into one epoch pinned by MergedTranscriptDigest.
@@ -90,8 +90,9 @@
 // appends inside the roster lock, the group-commit window overlapped with
 // one folded Σ-OR check, verdict install, and every rollback. Submit — on
 // Session, ShardedSession and SketchSession — is a batch of one through it,
-// with no rule of its own, so a verdict, a log record or a crash-recovery
-// outcome cannot depend on how arrivals were framed. batch.go is the single
+// with no rule of its own, and so is Run, whose whole board is one batch: a
+// verdict, a log record or a crash-recovery outcome cannot depend on how
+// arrivals were framed. batch.go is the single
 // place to change an admission rule; grammar.go (below) is its read-side
 // twin.
 //

@@ -67,18 +67,16 @@ func TestTranscriptWireRoundTrip(t *testing.T) {
 // TestCrashRecoveryDigest is the durability acceptance criterion: a session
 // killed mid-epoch after N submits and resumed from its file-backed board
 // log finishes the epoch with a TranscriptDigest byte-identical to an
-// uninterrupted run — for the curator count and the MPC histogram, with both
-// eager and deferred verification.
+// uninterrupted run — for the curator count and the MPC histogram.
+// (TestResumeReverifiesMissingVerdicts covers a log missing verdicts.)
 func TestCrashRecoveryDigest(t *testing.T) {
 	cases := []struct {
 		name    string
 		k, m    int
-		defer_  bool
 		choices []int
 	}{
-		{"curator-count-eager", 1, 1, false, []int{1, 0, 1, 1, 0, 1}},
-		{"curator-count-deferred", 1, 1, true, []int{1, 0, 1, 1, 0, 1}},
-		{"mpc-histogram-eager", 2, 3, false, []int{0, 1, 2, 2, 1, 0}},
+		{"curator-count-eager", 1, 1, []int{1, 0, 1, 1, 0, 1}},
+		{"mpc-histogram-eager", 2, 3, []int{0, 1, 2, 2, 1, 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,7 +85,7 @@ func TestCrashRecoveryDigest(t *testing.T) {
 			ctx := context.Background()
 
 			// Reference: the uninterrupted run over the same submissions.
-			ref, err := NewSession(pub, SessionOptions{Rand: testSeed(3), DeferVerification: tc.defer_})
+			ref, err := NewSession(pub, SessionOptions{Rand: testSeed(3)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +107,7 @@ func TestCrashRecoveryDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(pub, SessionOptions{Rand: testSeed(3), DeferVerification: tc.defer_, Store: log})
+			sess, err := NewSession(pub, SessionOptions{Rand: testSeed(3), Store: log})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +126,7 @@ func TestCrashRecoveryDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(3), DeferVerification: tc.defer_, Store: log})
+			resumed, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(3), Store: log})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +174,7 @@ func TestCrashRecoveryDigest(t *testing.T) {
 }
 
 // TestResumeReverifiesMissingVerdicts: submissions persisted without verdict
-// records (a crash between the two appends, or a deferred-mode log) are
+// records (a crash between the two appends) are
 // re-verified at resume with the same verdicts Submit would have produced —
 // including the rejection of a tampered client — and the recovered verdicts
 // are appended so the log converges.

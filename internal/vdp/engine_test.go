@@ -2,6 +2,7 @@ package vdp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -193,6 +194,72 @@ func TestEngineClientRejectionParallel(t *testing.T) {
 	}
 	if err := AuditParallel(pub, res.Transcript, 4); err != nil {
 		t.Errorf("audit failed: %v", err)
+	}
+}
+
+// TestRunPayloadDisputeVerdict: Run admits its clients with Session's one
+// admission rule. A client whose prover-1 share opening does not match its
+// commitment is refused off the board — the run completes, reports exactly
+// that client with SubmitBatch's reason, and seals the transcript an eager
+// Session seals for the same material and seed — while a nil or duplicate
+// member still fails the run.
+func TestRunPayloadDisputeVerdict(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	subs := buildSubs(t, pub, []int{1, 0, 1, 1})
+	subs[1].Payloads[1] = &ClientPayload{ClientID: 1, Prover: 1, Openings: subs[3].Payloads[1].Openings}
+	publics := make([]*ClientPublic, len(subs))
+	payloads := make(map[int][]*ClientPayload, len(subs))
+	for i, sub := range subs {
+		publics[i], payloads[sub.Public.ID] = sub.Public, sub.Payloads
+	}
+
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(5), Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verdict error
+	for _, sub := range subs {
+		if err := sess.Submit(ctx, sub); sub.Public.ID == 1 {
+			verdict = err
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !errors.Is(verdict, ErrClientReject) {
+		t.Fatalf("eager verdict for the tampered opening = %v, want ErrClientReject", verdict)
+	}
+	want, err := sess.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := RunWithSubmissions(pub, publics, payloads, &RunOptions{Rand: testSeed(5), Parallelism: 2})
+	if err != nil {
+		t.Fatalf("a payload dispute failed the run: %v", err)
+	}
+	if len(res.RejectedClients) != 1 || res.RejectedClients[1] == nil || res.RejectedClients[1].Error() != verdict.Error() {
+		t.Fatalf("rejections %v, want exactly client 1: %v", res.RejectedClients, verdict)
+	}
+	for _, cp := range res.Transcript.Clients {
+		if cp.ID == 1 {
+			t.Fatal("the refused client reached the board")
+		}
+	}
+	if err := Audit(pub, res.Transcript); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if !bytes.Equal(TranscriptDigest(pub, res.Transcript), TranscriptDigest(pub, want.Transcript)) {
+		t.Fatal("Run and the eager Session sealed different transcripts")
+	}
+
+	for name, board := range map[string][]*ClientPublic{
+		"duplicate": append(append([]*ClientPublic(nil), publics...), publics[2]),
+		"nil":       append([]*ClientPublic{nil}, publics...),
+	} {
+		if _, err := RunWithSubmissions(pub, board, payloads, &RunOptions{Rand: testSeed(5)}); !errors.Is(err, ErrClientReject) {
+			t.Errorf("%s member: err = %v, want the run to fail with ErrClientReject", name, err)
+		}
 	}
 }
 

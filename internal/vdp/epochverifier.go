@@ -11,8 +11,8 @@ import "context"
 //     the session itself runs, so both reach identical verdicts;
 //   - every logged verdict, held to that decision at the verdict's record;
 //   - Line 13's client factor, folded as accepted verdicts land (a client
-//     still undecided at the seal joins by its board proof, as a
-//     DeferVerification Finalize decides it);
+//     with no verdict record at the seal joins by its board proof, the
+//     verdict admission's board check gives it);
 //   - the seal, by checkSeal against that product: work independent of how
 //     many clients the epoch admitted.
 //

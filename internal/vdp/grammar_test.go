@@ -45,6 +45,19 @@ func memLogOf(t testing.TB, recs []*store.Record) *store.MemLog {
 	return log
 }
 
+// withoutVerdicts copies an eagerly written log without its RecordVerdict
+// records: a sealed board whose roster carries no verdicts, which every
+// reader must still accept (the seal's client section decides the roster).
+func withoutVerdicts(recs []*store.Record) []*store.Record {
+	var out []*store.Record
+	for _, rec := range recs {
+		if rec.Kind != RecordVerdict {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // segmentedLogOf writes a segmented directory holding segs and the protocol
 // records of manifest (the store writes its own bookkeeping).
 func segmentedLogOf(t testing.TB, segs [][]*store.Record, manifest []*store.Record) *store.SegmentedLog {
@@ -598,8 +611,9 @@ var (
 )
 
 // grammarFuzzBases builds the honest logs once per process: an eager
-// two-epoch board with chunked seals, a deferred one-epoch board, and a
-// budgeted two-epoch board whose second epoch refuses an exhausted client.
+// two-epoch board with chunked seals, a one-epoch board without its verdict
+// records, and a budgeted two-epoch board whose second epoch refuses an
+// exhausted client.
 func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 	fuzzBasesOnce.Do(func() {
 		ctx := context.Background()
@@ -612,7 +626,7 @@ func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 		defer func() { sealChunkSize = old }()
 		for i, opts := range []SessionOptions{
 			{Rand: testSeed(61)},
-			{Rand: testSeed(62), DeferVerification: true},
+			{Rand: testSeed(62)},
 			{Rand: testSeed(63), Budget: &BudgetConfig{EpochCost: 1, Total: 1}},
 		} {
 			sealChunkSize = old
@@ -629,7 +643,7 @@ func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 			var res *RunResult
 			for epoch, ids := range [][]int{{0, 1, 2}, {0, 3}} {
 				if epoch == 1 {
-					if opts.DeferVerification {
+					if i == 1 {
 						break
 					}
 					if err := sess.Reset(); err != nil {
@@ -650,6 +664,9 @@ func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 				}
 			}
 			recs, _ := log.Snapshot()
+			if i == 1 {
+				recs = withoutVerdicts(recs)
+			}
 			fuzzBases = append(fuzzBases, &fuzzBase{opts: opts, recs: recs, digest: TranscriptDigest(pub, res.Transcript)})
 		}
 	})

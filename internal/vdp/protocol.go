@@ -39,7 +39,7 @@ type RunOptions struct {
 	// per-task substreams (see rand.go), so the same seed produces a
 	// byte-identical transcript at every Parallelism setting.
 	Rand io.Reader
-	// Parallelism is the worker-pool width of the execution engine:
+	// Parallelism is the worker-pool width of the run's session:
 	// 0 selects runtime.GOMAXPROCS(0), 1 forces sequential execution.
 	Parallelism int
 }
@@ -58,37 +58,89 @@ type RunResult struct {
 // must never produce a silent wrong answer). Rejected clients do not abort
 // the run; they are excluded from the public roster and reported.
 //
-// Run is a compatibility wrapper over a one-epoch Session with deferred
-// (batched) verification; callers that receive submissions incrementally
-// should hold a Session instead. Execution is delegated to the staged
-// pipeline engine (see Engine), fanned out over RunOptions.Parallelism
-// workers; the default uses every core.
+// Run is a one-epoch Session: the clients' submissions are built on its
+// worker pool, admitted as one SubmitBatch — one folded board check, the
+// share openings fanned out — and finalized. Callers that receive
+// submissions incrementally should hold a Session instead.
+// RunOptions.Parallelism sets the pool width; the default uses every core.
 func Run(pub *Public, choices []int, opts *RunOptions) (*RunResult, error) {
 	return RunContext(context.Background(), pub, choices, opts)
 }
 
-// RunContext is Run with cancellation: the pipeline checks ctx between (and
-// inside) stages and returns ctx.Err() promptly once it is cancelled.
+// RunContext is Run with cancellation: every stage checks ctx and returns
+// ctx.Err() promptly once it is cancelled.
 func RunContext(ctx context.Context, pub *Public, choices []int, opts *RunOptions) (*RunResult, error) {
-	if opts == nil {
-		opts = &RunOptions{}
+	sess, err := runSession(pub, opts)
+	if err != nil {
+		return nil, err
 	}
-	return NewEngine(pub, opts.Parallelism).RunContext(ctx, choices, opts)
+	// Each client's commitments and Σ-proofs are independent; substream i
+	// makes client i's material a pure function of (seed, i).
+	subs := make([]*ClientSubmission, len(choices))
+	err = forEach(ctx, sess.workers, len(choices), func(i int) error {
+		sub, err := sess.NewClientSubmission(i, choices[i])
+		if err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		subs[i] = sub
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sess.runBatch(ctx, subs)
 }
 
 // RunWithSubmissions executes the protocol over pre-built client material,
 // allowing tests to inject malformed or adversarial client submissions.
-// payloads maps client ID to its K per-prover payloads.
+// payloads maps client ID to its K per-prover payloads. Each client gets the
+// verdict SubmitBatch gives it: a failed board proof keeps the client on the
+// board, rejected; a payload dispute refuses it off the board; both are
+// reported in RejectedClients. A nil or duplicate member fails the run.
 func RunWithSubmissions(pub *Public, publics []*ClientPublic, payloads map[int][]*ClientPayload, opts *RunOptions) (*RunResult, error) {
 	return RunWithSubmissionsContext(context.Background(), pub, publics, payloads, opts)
 }
 
 // RunWithSubmissionsContext is RunWithSubmissions with cancellation.
 func RunWithSubmissionsContext(ctx context.Context, pub *Public, publics []*ClientPublic, payloads map[int][]*ClientPayload, opts *RunOptions) (*RunResult, error) {
+	sess, err := runSession(pub, opts)
+	if err != nil {
+		return nil, err
+	}
+	subs := make([]*ClientSubmission, len(publics))
+	for i, cp := range publics {
+		subs[i] = &ClientSubmission{Public: cp}
+		if cp != nil {
+			subs[i].Payloads = payloads[cp.ID]
+		}
+	}
+	return sess.runBatch(ctx, subs)
+}
+
+// runSession opens the one-epoch session behind Run and RunWithSubmissions.
+func runSession(pub *Public, opts *RunOptions) (*Session, error) {
 	if opts == nil {
 		opts = &RunOptions{}
 	}
-	return NewEngine(pub, opts.Parallelism).RunWithSubmissionsContext(ctx, publics, payloads, opts)
+	return NewSession(pub, SessionOptions{Parallelism: opts.Parallelism, Rand: opts.Rand, Malice: opts.Malice})
+}
+
+// runBatch admits subs as one batch and finalizes the epoch. Every verdict
+// the session records is the release's to report; a verdict it did not
+// record refused the member itself — a nil or duplicate submission — and
+// fails the run.
+func (s *Session) runBatch(ctx context.Context, subs []*ClientSubmission) (*RunResult, error) {
+	verdicts, err := s.SubmitBatch(ctx, subs)
+	if err != nil {
+		return nil, err
+	}
+	recorded := s.Rejected()
+	for i, v := range verdicts {
+		if v != nil && (subs[i].Public == nil || recorded[subs[i].Public.ID] != v) {
+			return nil, v
+		}
+	}
+	return s.Finalize(ctx)
 }
 
 // runMorra executes the 2-party Πmorra between prover pk and the verifier,
@@ -160,7 +212,7 @@ func auditParallel(ctx context.Context, pub *Public, t *Transcript, workers int)
 	if t == nil || t.Release == nil {
 		return fmt.Errorf("%w: empty transcript", ErrAuditFail)
 	}
-	workers = NewEngine(pub, workers).Workers()
+	workers = poolWidth(workers)
 	valid, _, err := pub.filterValidClientsBatch(ctx, t.Clients, workers)
 	if err != nil {
 		return err

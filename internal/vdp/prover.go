@@ -114,28 +114,16 @@ func (pr *Prover) AcceptClient(pub *ClientPublic, payload *ClientPayload) error 
 	if err := pr.pub.VerifyClient(pub); err != nil {
 		return err
 	}
-	if err := pr.checkPayload(pub, payload); err != nil {
+	if err := pr.pub.checkPayloadOpenings(pub, payload, pr.index); err != nil {
 		return err
 	}
 	return pr.acceptChecked(pub, payload)
 }
 
-// checkPayload validates a client's private payload against the public
-// commitment matrix without mutating prover state. It is read-only and safe
-// to call concurrently for different clients, which is how the execution
-// engine fans the opening checks out across its worker pool. It does NOT
-// re-verify the public legality proof — callers that have not already
-// checked the board use AcceptClient. The pure logic lives in
-// Public.checkPayloadOpenings so sessions can run the same check eagerly at
-// Submit time.
-func (pr *Prover) checkPayload(pub *ClientPublic, payload *ClientPayload) error {
-	return pr.pub.checkPayloadOpenings(pub, payload, pr.index)
-}
-
 // acceptChecked installs a client whose board submission and payload the
-// caller has already validated (checkPayload plus a board-level legality
-// check). Only the duplicate-submission guard remains here. Not safe for
-// concurrent use on the same prover.
+// caller has already validated (admission's board check and
+// Public.checkPayloadOpenings). Only the duplicate-submission guard remains
+// here. Not safe for concurrent use on the same prover.
 func (pr *Prover) acceptChecked(pub *ClientPublic, payload *ClientPayload) error {
 	if _, dup := pr.payloads[pub.ID]; dup {
 		return fmt.Errorf("%w: duplicate submission from client %d", ErrClientReject, pub.ID)
@@ -172,7 +160,7 @@ func (pr *Prover) CommitCoins(rnd io.Reader) (*CoinCommitMsg, error) {
 
 // commitCoin builds one noise coin: sample the private bit, commit, and
 // prove the commitment opens to a bit. It does not touch prover state, so
-// the execution engine can evaluate every (bin, coin) pair of every prover
+// the prover stage can evaluate every (bin, coin) pair of every prover
 // concurrently, each drawing from its own randomness substream.
 func (pr *Prover) commitCoin(j, l int, rnd io.Reader) (*coin, *sigma.BitProof, error) {
 	f := pr.pub.Field()
@@ -206,7 +194,7 @@ func (pr *Prover) commitCoin(j, l int, rnd io.Reader) (*coin, *sigma.BitProof, e
 }
 
 // installCoins records a full [M][nb] coin matrix (built by CommitCoins or
-// by the engine's per-coin fan-out) and assembles the Line 4 broadcast. It
+// by the prover stage's per-coin fan-out) and assembles the Line 4 broadcast. It
 // enforces the once-only state transition that CommitCoins promises.
 func (pr *Prover) installCoins(coins [][]*coin, proofs [][]*sigma.BitProof) (*CoinCommitMsg, error) {
 	if pr.coins != nil {

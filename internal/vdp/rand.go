@@ -7,11 +7,11 @@ import (
 	"io"
 )
 
-// Deterministic randomness substreams for the parallel execution engine.
+// Deterministic randomness substreams for a session's worker pool.
 //
 // The sequential protocol threaded one io.Reader through every sampling
 // site, which makes the transcript a function of the *schedule*: two
-// interleavings of the same reader draw different values. The engine instead
+// interleavings of the same reader draw different values. A session instead
 // derives an independent deterministic substream per logical task — client i,
 // prover k's coin (j, l), Morra party p of prover k — keyed by the task's
 // index, never by execution order. The same root seed therefore yields a
@@ -98,7 +98,7 @@ func (s *hashStream) Read(p []byte) (int, error) {
 }
 
 // fork derives the randSource for a later session epoch: epoch 0 is the
-// root itself (so a one-epoch session reproduces the legacy Run transcript
+// root itself (so a session's first epoch reproduces the Run transcript
 // bit for bit), while each later epoch reads an independent child seed from
 // the root's epoch substream. Distinct epochs therefore never share noise
 // substreams, yet the whole multi-epoch schedule remains a pure function of

@@ -46,7 +46,7 @@ func NewShardSession(pub *Public, opts SessionOptions, shard, shards int) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	return newSessionFromSource(NewEngine(pub, opts.Parallelism), opts, root.forkShard(shard, shards)), nil
+	return newSessionFromSource(pub, opts, root.forkShard(shard, shards)), nil
 }
 
 // ResumeShardSession recovers one cluster node's Session from its board log

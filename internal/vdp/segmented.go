@@ -110,7 +110,7 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 				return nil, fmt.Errorf("vdp: resuming %s %d: %w", kind.unit, i, err)
 			}
 		} else {
-			s = newSessionFromSource(NewEngine(pub, per), so, root.forkShard(i, n))
+			s = newSessionFromSource(pub, so, root.forkShard(i, n))
 		}
 		g.segs = append(g.segs, s)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 
 	"repro/internal/store"
@@ -12,31 +13,22 @@ import (
 
 // SessionOptions configures a streaming aggregation session.
 type SessionOptions struct {
-	// Parallelism is the worker-pool width of the underlying execution
-	// engine: 0 selects runtime.GOMAXPROCS(0), 1 forces sequential
-	// execution. Submission-time verification (its batched check's
-	// multi-exponentiation included), every Finalize stage and, in
-	// ResumeSession, the decoding of the replayed submissions run on this
-	// pool.
+	// Parallelism is the session's worker-pool width: 0 selects
+	// runtime.GOMAXPROCS(0), 1 forces sequential execution. Submission-time
+	// verification (its batched check's multi-exponentiation included),
+	// every Finalize stage and, in ResumeSession, the decoding of the
+	// replayed submissions run on this pool.
 	Parallelism int
 	// Rand is the randomness source (nil = crypto/rand). When set, a single
 	// root seed is read once at NewSession and expanded into independent
 	// per-task substreams, so the same seed produces a byte-identical
-	// transcript at every Parallelism — identical to what the legacy Run
-	// produces for the same seed. Later epochs (after Reset) fork
+	// transcript at every Parallelism — identical to what Run produces for
+	// the same seed and submissions. Later epochs (after Reset) fork
 	// independent child seeds, so no epoch ever repeats another's noise.
 	Rand io.Reader
 	// Malice assigns deviations to prover indices for adversarial testing;
 	// absent provers are honest.
 	Malice map[int]Malice
-	// DeferVerification postpones client board verification from Submit to
-	// Finalize, where the whole board is decided by one batched Σ-OR check.
-	// Submit then never rejects (except duplicates) and is nearly free; the
-	// batch check is cheaper in total but gives no per-client verdict until
-	// the end. This is the mode the legacy Run compatibility wrappers use.
-	// The default (eager) mode verifies each submission as it arrives and
-	// returns its accept/reject verdict from Submit directly.
-	DeferVerification bool
 	// Store, when non-nil, makes the bulletin board durable: every admitted
 	// submission and verdict is appended to the log before Submit returns,
 	// Finalize seals the epoch's full transcript, and Reset marks the epoch
@@ -93,27 +85,27 @@ func (s sessionState) String() string {
 type sessionClient struct {
 	public   *ClientPublic
 	payloads []*ClientPayload
-	decided  bool  // verdict reached at Submit time (eager mode)
+	decided  bool  // verdict reached (false only while its batch verifies)
 	reject   error // non-nil = publicly attributable rejection reason
 }
 
 // Session is the streaming protocol surface: a stateful aggregation window
 // over one deployment. Clients are admitted incrementally with SubmitBatch
-// (Submit for a lone arrival) — verified eagerly, on the engine's worker
+// (Submit for a lone arrival) — verified eagerly, on the session's worker
 // pool, as they arrive — and the release is produced by Finalize, which
-// reuses the already-verified client set instead of re-deciding the board.
-// Reset reopens the session for the next epoch, so one engine serves many
-// releases.
+// runs the prover stage over the already-verified client set instead of
+// re-deciding the board. Reset reopens the session for the next epoch, so
+// one session serves many releases.
 //
 // Submit and SubmitBatch are safe for concurrent use from many goroutines;
-// Finalize and Reset serialize against in-flight admissions. The legacy
-// batch entry points (Run, RunWithSubmissions, Count, Histogram) are thin
-// wrappers over a one-epoch session with DeferVerification set.
+// Finalize and Reset serialize against in-flight admissions. The batch entry
+// points (Run, RunWithSubmissions, Count, Histogram) are one-epoch sessions
+// that admit their clients as one SubmitBatch.
 type Session struct {
-	pub  *Public
-	eng  *Engine
-	opts SessionOptions
-	root *randSource
+	pub     *Public
+	workers int // the worker-pool width, resolved from opts.Parallelism
+	opts    SessionOptions
+	root    *randSource
 
 	// flight lets Submits proceed concurrently (read side) while Finalize
 	// and Reset wait for them to drain (write side). Lock order: flight
@@ -150,7 +142,11 @@ func NewSession(pub *Public, opts SessionOptions) (*Session, error) {
 	if err := ensureEmptyLog(opts.Store); err != nil {
 		return nil, err
 	}
-	return newSessionWithEngine(NewEngine(pub, opts.Parallelism), opts)
+	root, err := newRandSource(opts.Rand)
+	if err != nil {
+		return nil, err
+	}
+	return newSessionFromSource(pub, opts, root), nil
 }
 
 // ensureEmptyLog verifies that a board log holds no records yet; a log with
@@ -167,24 +163,14 @@ func ensureEmptyLog(log store.BoardLog) error {
 	return err
 }
 
-// newSessionWithEngine builds a session on an existing engine, used by the
-// engine's own Run wrappers so they honour their configured pool width.
-func newSessionWithEngine(e *Engine, opts SessionOptions) (*Session, error) {
-	root, err := newRandSource(opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	return newSessionFromSource(e, opts, root), nil
-}
-
 // newSessionFromSource builds a session whose deterministic substreams hang
 // off an already-derived root source, used by the sharded front door to give
 // every shard an independent fork of one root seed without re-reading
 // SessionOptions.Rand per shard.
-func newSessionFromSource(e *Engine, opts SessionOptions, root *randSource) *Session {
+func newSessionFromSource(pub *Public, opts SessionOptions, root *randSource) *Session {
 	s := &Session{
-		pub:      e.pub,
-		eng:      e,
+		pub:      pub,
+		workers:  poolWidth(opts.Parallelism),
 		opts:     opts,
 		root:     root,
 		rs:       root,
@@ -227,8 +213,7 @@ func (s *Session) Submitted() int {
 }
 
 // Accepted returns how many of the current epoch's submissions hold a clean
-// (accepting) verdict so far. Deferred-verification sessions report 0 until
-// Finalize decides the board.
+// (accepting) verdict so far.
 func (s *Session) Accepted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,9 +240,9 @@ func (s *Session) Rejected() map[int]error {
 
 // NewClientSubmission builds client material for the current epoch from the
 // session's deterministic substream for clientID (or crypto/rand when the
-// session is unseeded). It is how the Run compatibility wrappers — and
-// reproducibility tests — generate the same per-client material the legacy
-// batch path did; real deployments receive submissions built remotely by
+// session is unseeded). It is how Run — and reproducibility tests — generate
+// per-client material that is a pure function of (seed, clientID); real
+// deployments receive submissions built remotely by
 // Public.NewClientSubmission instead.
 func (s *Session) NewClientSubmission(clientID, choice int) (*ClientSubmission, error) {
 	s.mu.Lock()
@@ -314,54 +299,31 @@ func (s *Session) Finalize(ctx context.Context) (*RunResult, error) {
 		return nil, fmt.Errorf("%w: session is %s", ErrBadConfig, st)
 	}
 	s.state = sessionFinalizing
-	order := make([]*sessionClient, len(s.order))
-	copy(order, s.order)
-	rejected := make(map[int]error, len(s.rejected))
-	for id, rerr := range s.rejected {
-		rejected[id] = rerr
+	// The board is every member in order; the roster, the ones whose
+	// verdicts accepted them. Every recorded verdict goes in the result:
+	// payload-refused clients never reached the board, but their reasons
+	// still belong there.
+	board := make([]*ClientPublic, len(s.order))
+	var valid []*sessionClient
+	for i, cl := range s.order {
+		board[i] = cl.public
+		if cl.reject == nil {
+			valid = append(valid, cl)
+		}
 	}
+	rejected := maps.Clone(s.rejected)
 	rs := s.rs
 	epoch := s.epoch
 	s.mu.Unlock()
 	s.flight.Unlock()
 
-	publics := make([]*ClientPublic, len(order))
-	payloads := make(map[int][]*ClientPayload, len(order))
-	var pre *fixedRoster
-	if !s.opts.DeferVerification {
-		// Seed with every recorded verdict: payload-rejected clients are
-		// not in order (they never reached the board) but their reasons
-		// still belong in the result.
-		pre = &fixedRoster{rejected: rejected, payloadsChecked: true}
-	}
-	for i, cl := range order {
-		publics[i] = cl.public
-		if cl.payloads != nil {
-			payloads[cl.public.ID] = cl.payloads
-		}
-		if pre != nil {
-			switch {
-			case cl.reject != nil:
-				pre.rejected[cl.public.ID] = cl.reject
-			case cl.decided:
-				pre.valid = append(pre.valid, cl.public)
-			default:
-				// Unreachable in eager mode: every recorded client is
-				// decided. Guard anyway so a future bug fails loudly.
-				pre.rejected[cl.public.ID] = fmt.Errorf("%w: client %d was never verified",
-					ErrClientReject, cl.public.ID)
-			}
-		}
-	}
-
-	res, err := s.eng.run(ctx, publics, payloads, &RunOptions{Malice: s.opts.Malice}, rs, pre)
-
+	tr, err := s.prove(ctx, board, valid, rs)
 	if err == nil {
 		// Seal the epoch: the full public transcript becomes one durable
 		// record, sufficient for ResumeSession (skip the epoch) and for
 		// AuditLog (re-verify it offline). An unsealable epoch stays open so
 		// the deterministic Finalize can be retried once the store recovers.
-		if serr := s.appendSeal(epoch, s.pub.EncodeTranscript(res.Transcript)); serr != nil {
+		if serr := s.appendSeal(epoch, s.pub.EncodeTranscript(tr)); serr != nil {
 			s.mu.Lock()
 			s.state = sessionOpen
 			s.mu.Unlock()
@@ -374,12 +336,13 @@ func (s *Session) Finalize(ctx context.Context) (*RunResult, error) {
 		s.state = sessionOpen // cancelled, not consumed: allow retry
 	} else {
 		s.state = sessionFinalized
-		if err == nil {
-			s.sealedT = res.Transcript
-		}
+		s.sealedT = tr
 	}
 	s.mu.Unlock()
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{Release: tr.Release, Transcript: tr, RejectedClients: rejected}, nil
 }
 
 // SealedTranscript returns the current epoch's sealed transcript: non-nil

@@ -345,8 +345,8 @@ func TestSessionCancellation(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation: the legacy batch entry points surface
-// cancellation too, at every depth of the pipeline.
+// TestRunContextCancellation: the batch entry points surface cancellation
+// too, at every depth of the pipeline.
 func TestRunContextCancellation(t *testing.T) {
 	pub := testPublic(t, 2, 1, 8)
 	choices := []int{1, 0, 1, 1}

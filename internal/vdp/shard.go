@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 )
 
 // Sharded streaming aggregation: one logical session spread over K
@@ -15,7 +14,7 @@ import (
 //
 // The front door (ShardedSession) consistent-hashes every client ID to one
 // shard with ShardOf and routes the whole Submit there; each shard is a
-// complete Session with its own engine worker slice, its own deterministic
+// complete Session with its own worker-pool slice, its own deterministic
 // substream fork of the root seed, and — when durable — its own board-log
 // segment. Finalize fans the per-shard finalizations out in parallel and
 // merges the K sealed transcripts, in shard order, into one combined epoch
@@ -57,7 +56,7 @@ type ShardedSession struct {
 
 // NewShardedSession opens a sharded session over pub. opts.Shards fixes the
 // shard count (0 and 1 both mean one shard); opts.Parallelism is the total
-// engine width, divided evenly across the shards (each shard gets at least
+// pool width, divided evenly across the shards (each shard gets at least
 // one worker). A durable sharded session sets opts.Segmented — one board-log
 // segment per shard plus a manifest — instead of opts.Store, and every
 // segment must be empty: a segmented log with history belongs to an earlier
@@ -117,18 +116,10 @@ func resolveShardCount(opts SessionOptions) (int, error) {
 	return shards, nil
 }
 
-// perShardWorkers divides the total engine width across shards, at least one
+// perShardWorkers divides the total pool width across shards, at least one
 // worker each.
 func perShardWorkers(parallelism, shards int) int {
-	total := parallelism
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	per := total / shards
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return max(poolWidth(parallelism)/shards, 1)
 }
 
 // subSessionOptions strips the shard-routing fields off the caller's options

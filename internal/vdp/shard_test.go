@@ -933,9 +933,11 @@ func TestShardedFinalizeCancellation(t *testing.T) {
 }
 
 // BenchmarkShardedSubmit measures front-door contention: many goroutines
-// hammering Submit with deferred verification, so admission — not proof
-// crypto — dominates. The mem variant exercises the per-shard roster locks
-// alone (its spread shows up on multi-core hosts); the durable variant is
+// hammering Submit with proof-less submissions, which the board check
+// rejects structurally, so admission — not proof crypto — dominates (every
+// verdict is an ErrClientReject, as expected). The mem variant exercises
+// the per-shard roster locks alone (its spread shows up on multi-core
+// hosts); the durable variant is
 // the production bottleneck made visible on any host: a single session
 // forces every submission through ONE board log's ordered append +
 // group-commit fsync stream, while Shards ≥ 4 overlap that many independent
@@ -958,7 +960,7 @@ func BenchmarkShardedSubmit(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				i := int(next.Add(1)) - 1
-				if err := ss.Submit(context.Background(), subs[i]); err != nil {
+				if err := ss.Submit(context.Background(), subs[i]); err != nil && !errors.Is(err, ErrClientReject) {
 					b.Error(err)
 					return
 				}
@@ -967,7 +969,7 @@ func BenchmarkShardedSubmit(b *testing.B) {
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("mem/shards=%d", shards), func(b *testing.B) {
-			ss, err := NewShardedSession(pub, SessionOptions{Shards: shards, DeferVerification: true})
+			ss, err := NewShardedSession(pub, SessionOptions{Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -981,7 +983,7 @@ func BenchmarkShardedSubmit(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer seg.Close()
-			ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg, DeferVerification: true})
+			ss, err := NewShardedSession(pub, SessionOptions{Segmented: seg})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -306,12 +306,12 @@ func (s *Session) syncStore() error {
 // are skipped over, and the final epoch's submissions are re-admitted in
 // their original board order. Submissions whose verdicts were persisted are
 // installed verbatim; submissions that never got one (the process died
-// between the submission append and the verdict append, or the session ran
-// with DeferVerification) are re-verified now — on the engine pool, with the
-// same checks Submit would have run — and their recovered verdicts are
-// appended to the log. The resumed session therefore finalizes to the exact
-// TranscriptDigest an uninterrupted run would have produced (byte-identical
-// when opts.Rand carries the original seed).
+// between the submission append and the verdict append) are re-verified now
+// — on the session pool, with the same checks Submit would have run — and
+// their recovered verdicts are appended to the log. The resumed session
+// therefore finalizes to the exact TranscriptDigest an uninterrupted run
+// would have produced (byte-identical when opts.Rand carries the original
+// seed).
 //
 // If the last epoch in the log is already sealed, the session resumes in the
 // finalized state: call Reset to open the next epoch. opts.Store must be the
@@ -353,9 +353,8 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	// session's.
 	g := newBoardGrammar(pub, opts.Budget, false)
 	g.shardIdx, g.shardCount = shard, shards
-	eng := NewEngine(pub, opts.Parallelism)
 	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
-	err = g.replay(ctx, opts.Store, eng.workers,
+	err = g.replay(ctx, opts.Store, poolWidth(opts.Parallelism),
 		func(i int, _ *store.Record) bool { return i > snapAt },
 		func(ev boardEvent) error {
 			switch ev.kind {
@@ -370,7 +369,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 		return nil, err
 	}
 
-	s := newSessionFromSource(eng, opts, root)
+	s := newSessionFromSource(pub, opts, root)
 	s.resumed = true
 	s.epoch = g.epoch
 	s.rs = s.root.fork(g.epoch)
@@ -431,18 +430,16 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 					commit()
 				}
 			}
-			if !opts.DeferVerification {
-				// The crash hit between the submission and verdict appends (or
-				// the original session deferred). Re-verify with admission's own
-				// checks and persist the recovered verdict so the log converges.
-				bv, on, err := s.verifyBatch(ctx, []*ClientSubmission{subs[id]})
-				if err != nil {
-					return nil, fmt.Errorf("vdp: re-verifying client %d during resume: %w", id, err)
-				}
-				decided, reject, onBoard = true, bv[0], on[0]
-				if err := s.appendRecord(RecordVerdict, g.epoch, encodeVerdict(id, reject, onBoard)); err != nil {
-					return nil, err
-				}
+			// The crash hit between the submission and verdict appends.
+			// Re-verify with admission's own checks and persist the
+			// recovered verdict so the log converges.
+			bv, on, err := s.verifyBatch(ctx, []*ClientSubmission{subs[id]})
+			if err != nil {
+				return nil, fmt.Errorf("vdp: re-verifying client %d during resume: %w", id, err)
+			}
+			decided, reject, onBoard = true, bv[0], on[0]
+			if err := s.appendRecord(RecordVerdict, g.epoch, encodeVerdict(id, reject, onBoard)); err != nil {
+				return nil, err
 			}
 		}
 		install(id, decided, reject, onBoard)
@@ -490,7 +487,7 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
 	g := newBoardGrammar(pub, nil, true)
 	g.shardIdx, g.shardCount = shard, shards
-	v := newEpochVerifier(pub, g, NewEngine(pub, workers).Workers(), auditWindow)
+	v := newEpochVerifier(pub, g, poolWidth(workers), auditWindow)
 	var verr error
 	err = g.replay(ctx, log, v.workers,
 		func(_ int, rec *store.Record) bool { return int(rec.Epoch) == epoch },

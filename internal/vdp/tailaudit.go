@@ -67,7 +67,7 @@ func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
 	g := newBoardGrammar(pub, opts.Budget, true)
 	return &TailAuditor{
 		g:       g,
-		v:       newEpochVerifier(pub, g, NewEngine(pub, opts.Workers).Workers(), tailWindow),
+		v:       newEpochVerifier(pub, g, poolWidth(opts.Workers), tailWindow),
 		history: make(map[int][]byte),
 	}
 }

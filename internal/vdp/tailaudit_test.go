@@ -129,17 +129,16 @@ func TestTailAuditorLiveFileLog(t *testing.T) {
 	}
 }
 
-// TestTailAuditorDeferredMemLog: a DeferVerification session writes no
-// per-arrival verdicts; the tail decides the whole board by its own batch
-// check at seal time and still lands on the identical digest.
+// TestTailAuditorDeferredMemLog: a sealed board whose roster has no verdict
+// records (an eager log with them stripped out); the tail decides the whole
+// board by its own batch check at seal time and still lands on the identical
+// digest.
 func TestTailAuditorDeferredMemLog(t *testing.T) {
 	shrinkTailWindow(t)
 	ctx := context.Background()
 	pub := testPublic(t, 2, 1, 4)
 	log := store.NewMemLog()
-	sess, err := NewSession(pub, SessionOptions{
-		Rand: testSeed(78), Store: log, Parallelism: 2, DeferVerification: true,
-	})
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(78), Store: log, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +151,18 @@ func TestTailAuditorDeferredMemLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := TailAuditLog(pub, log, TailOptions{Workers: 2})
+	recs, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := TailAuditLog(pub, memLogOf(t, withoutVerdicts(recs)), TailOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	pollUntilSealed(t, a)
 	if !bytes.Equal(a.Digest(), TranscriptDigest(pub, res.Transcript)) {
-		t.Fatal("deferred-mode tail digest differs from the sealed transcript's")
+		t.Fatal("verdict-less tail digest differs from the sealed transcript's")
 	}
 }
 

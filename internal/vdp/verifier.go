@@ -1,10 +1,8 @@
 package vdp
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/field"
 	"repro/internal/pedersen"
@@ -17,8 +15,7 @@ import (
 // practice.
 type Verifier struct {
 	pub     *Public
-	workers int             // worker-pool width for batch checks (>= 1)
-	valid   []*ClientPublic // accepted roster, fixed by VerifyClients
+	workers int // worker-pool width for batch checks (>= 1)
 }
 
 // NewVerifier creates a verifier for a deployment. Verification uses
@@ -28,46 +25,13 @@ func NewVerifier(pub *Public) *Verifier {
 	return NewVerifierParallel(pub, 1)
 }
 
-// NewVerifierParallel creates a verifier whose batch checks (client board,
-// coin commitments) chunk their multi-exponentiations across up to `workers`
+// NewVerifierParallel creates a verifier whose batch checks (coin
+// commitments) chunk their multi-exponentiations across up to `workers`
 // goroutines. workers <= 0 selects GOMAXPROCS. Verdicts are identical at
 // every width; only wall-clock time changes.
 func NewVerifierParallel(pub *Public, workers int) *Verifier {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Verifier{pub: pub, workers: workers}
+	return &Verifier{pub: pub, workers: poolWidth(workers)}
 }
-
-// VerifyClients runs Line 3 over the full client board, fixing the public
-// roster of valid inputs. It returns the rejection reasons for the others.
-// The whole board is decided by one batched Σ-OR check (falling back to
-// per-client verification only to attribute a failure).
-func (v *Verifier) VerifyClients(pubs []*ClientPublic) (accepted int, rejected map[int]error) {
-	accepted, rejected, _ = v.verifyClients(context.Background(), pubs)
-	return accepted, rejected
-}
-
-// verifyClients is VerifyClients with cancellation: a cancelled ctx returns
-// ctx.Err() without fixing any roster.
-func (v *Verifier) verifyClients(ctx context.Context, pubs []*ClientPublic) (accepted int, rejected map[int]error, err error) {
-	valid, rejected, err := v.pub.filterValidClientsBatch(ctx, pubs, v.workers)
-	if err != nil {
-		return 0, nil, err
-	}
-	v.valid = valid
-	return len(v.valid), rejected, nil
-}
-
-// adoptRoster installs a roster whose verdicts were already decided — by a
-// Session verifying submissions eagerly as they arrived — so the pipeline
-// does not re-verify the board. The session's per-client verdicts are
-// identical to the batch check's, which is what keeps eager and batch
-// transcripts interchangeable.
-func (v *Verifier) adoptRoster(valid []*ClientPublic) { v.valid = valid }
-
-// ValidClients returns the roster fixed by VerifyClients.
-func (v *Verifier) ValidClients() []*ClientPublic { return v.valid }
 
 // VerifyCoinCommitments runs Lines 5-6 for one prover: every noise-coin
 // commitment must carry a valid Σ-OR proof. On failure the prover is
@@ -145,34 +109,14 @@ func (v *Verifier) AdjustedCoinCommitments(msg *CoinCommitMsg, publicBits [][]by
 	return out, nil
 }
 
-// CheckProverOutput runs Line 13 for one prover: the product of the valid
-// clients' share commitments (this prover's column) and the adjusted coin
-// commitments must equal Com(y_j, z_j) for every bin. Any tampering with
-// the aggregate — biased output, perturbed randomness, dropped or phantom
-// clients, skipped noise — breaks the equation unless the prover can break
-// binding (Theorem 4.1, computational soundness).
-func (v *Verifier) CheckProverOutput(msg *CoinCommitMsg, publicBits [][]byte, out *ProverOutput) error {
-	if out == nil || msg == nil {
-		return fmt.Errorf("%w: missing prover output", ErrProverCheat)
-	}
-	if out.Prover != msg.Prover {
-		return fmt.Errorf("%w: output from prover %d but coins from prover %d", ErrProverCheat, out.Prover, msg.Prover)
-	}
-	clients := make([]*pedersen.Commitment, v.pub.cfg.Bins)
-	for j := range clients {
-		clients[j] = v.pub.pp.Zero()
-		for _, cl := range v.valid {
-			clients[j] = clients[j].Add(cl.ShareCommitments[j][out.Prover])
-		}
-	}
-	return v.checkLine13(msg, publicBits, out, clients)
-}
-
 // checkLine13 is Line 13 for one prover given its client factor: clients[j]
 // is the product of the valid clients' share commitments for bin j in this
 // prover's column, which with the adjusted coin commitments must open to
-// (y_j, z_j). The seal check passes a product folded as clients were
-// decided; CheckProverOutput walks its roster.
+// Com(y_j, z_j) for every bin. Any tampering with the aggregate — biased
+// output, perturbed randomness, dropped or phantom clients, skipped noise —
+// breaks the equation unless the prover can break binding (Theorem 4.1,
+// computational soundness). The prover stage and the seal check both pass
+// a clientProduct's column.
 func (v *Verifier) checkLine13(msg *CoinCommitMsg, publicBits [][]byte, out *ProverOutput, clients []*pedersen.Commitment) error {
 	m := v.pub.cfg.Bins
 	if len(out.Y) != m || len(out.Z) != m {

@@ -26,10 +26,10 @@
 // the Setup/Run layer re-exported from internal/vdp. Services that receive
 // submissions over time should use the streaming Session API (NewSession /
 // Submit / Finalize / Reset), which verifies each client eagerly on arrival
-// and turns one engine into many releases; Count, Histogram and Run are
-// batch conveniences over a one-epoch session. The examples/ directory
-// contains runnable end-to-end scenarios including streaming aggregation,
-// attack detection and third-party auditing.
+// and turns one session into many releases; Count, Histogram and Run are
+// one-epoch sessions that admit their clients as one batch. The examples/
+// directory contains runnable end-to-end scenarios including streaming
+// aggregation, attack detection and third-party auditing.
 package verifiabledp
 
 import (
@@ -69,14 +69,12 @@ type (
 	Prover = vdp.Prover
 	// Verifier is the public verifying algorithm.
 	Verifier = vdp.Verifier
-	// Engine is the staged worker-pool execution engine behind Run.
-	Engine = vdp.Engine
 	// Session is the streaming aggregation surface: Submit clients
 	// incrementally (verified eagerly as they arrive), Finalize the epoch's
 	// release, Reset for the next epoch.
 	Session = vdp.Session
 	// SessionOptions configures a Session (parallelism, determinism seed,
-	// verification timing, durable store, shard count).
+	// durable store, shard count, budget ledger).
 	SessionOptions = vdp.SessionOptions
 	// ShardedSession is the scale-out front door: client IDs are
 	// consistent-hashed across independent sub-sessions so Submits on
@@ -154,7 +152,7 @@ func OpenFileLogReadOnly(path string) (*FileLog, error) {
 func NewMemLog() *MemLog { return store.NewMemLog() }
 
 // NewShardedSession opens a sharded streaming session: SessionOptions.Shards
-// sub-sessions, each with its own engine worker slice, deterministic
+// sub-sessions, each with its own worker-pool slice, deterministic
 // substream fork, and (with SessionOptions.Segmented) board-log segment.
 // Submit routes each client to ShardOf(id, shards) without any shared lock;
 // Finalize closes every shard in parallel and merges the transcripts. With
@@ -241,15 +239,14 @@ func SealedEpochs(log BoardLog) ([]int, error) { return vdp.SealedEpochs(log) }
 
 // Run executes a complete protocol instance locally (clients, K provers,
 // public verifier, Morra coin sampling) and returns the verified release
-// with its audit transcript. It is a compatibility wrapper over a one-epoch
-// Session with batched verification.
+// with its audit transcript. It is a one-epoch Session that admits every
+// client with one SubmitBatch and finalizes.
 func Run(pub *Public, choices []int, opts *RunOptions) (*RunResult, error) {
 	return vdp.Run(pub, choices, opts)
 }
 
-// RunContext is Run with cancellation: the staged pipeline checks ctx
-// between (and inside) stages and returns ctx.Err() promptly once it is
-// cancelled.
+// RunContext is Run with cancellation: every stage checks ctx and returns
+// ctx.Err() promptly once it is cancelled.
 func RunContext(ctx context.Context, pub *Public, choices []int, opts *RunOptions) (*RunResult, error) {
 	return vdp.RunContext(ctx, pub, choices, opts)
 }
@@ -270,11 +267,6 @@ func AuditParallel(pub *Public, t *Transcript, workers int) error {
 	return vdp.AuditParallel(pub, t, workers)
 }
 
-// NewEngine builds a reusable execution engine over pub with the given
-// worker-pool width (0 = all cores). Run/Count/Histogram construct one per
-// call; callers running many protocol instances can hold one instead.
-func NewEngine(pub *Public, workers int) *Engine { return vdp.NewEngine(pub, workers) }
-
 // Options configures the high-level Count and Histogram helpers.
 type Options struct {
 	// Epsilon and Delta are the DP parameters (per prover). Required
@@ -292,7 +284,7 @@ type Options struct {
 	// one root seed is read and expanded into per-task substreams, so the
 	// same seed yields an identical transcript at every Parallelism.
 	Rand io.Reader
-	// Parallelism is the execution engine's worker-pool width; 0 selects
+	// Parallelism is the run's worker-pool width; 0 selects
 	// runtime.GOMAXPROCS(0) (every core), 1 forces sequential execution.
 	Parallelism int
 }
