@@ -18,11 +18,12 @@
 // the whole input.
 //
 // With -follow it plays the auditor live: given the cluster's node
-// addresses in shard order, it tails every node's bulletin board over the
-// node-log RPC while the epoch is still open, verifies each submission as
-// it arrives, and certifies each merged epoch the instant its seals land —
-// the paper's public verifiability made continuous, with no trust in the
-// router or any single node.
+// addresses in shard order, it tails every node's bulletin board while the
+// epoch is still open — each poll reads, over ranged node-log RPCs, only the
+// records past its cursor — verifies each submission as it arrives, and
+// certifies each merged epoch the instant its seals land: the paper's
+// public verifiability made continuous, with no trust in the router or any
+// single node.
 //
 // With -sketch RxWxD it speaks to a heavy-hitters server: -item sends a
 // whole sketch contribution (one committed one-hot vector per count-min

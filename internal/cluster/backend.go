@@ -81,6 +81,24 @@ func (b *Backend) LastErr() error {
 	return b.lastErr
 }
 
+// status runs one status round trip against the active replica (the
+// health probe), recording the decoded status as fencing context.
+func (b *Backend) status() (*NodeStatus, error) {
+	reply, err := b.Call(&transport.Frame{Kind: KindStatus})
+	if err == nil {
+		err = replyErr(reply, KindStatus)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st, err := decodeStatus(reply.Payload)
+	if err != nil {
+		return nil, err
+	}
+	b.noteStatus(st)
+	return st, nil
+}
+
 // noteStatus records fencing context from a decoded status reply.
 func (b *Backend) noteStatus(st *NodeStatus) {
 	b.mu.Lock()
@@ -215,49 +233,54 @@ func (b *Backend) Failover(shards int) error {
 	return fmt.Errorf("cluster: shard %d failover found no promotable replica: %w", b.Shard, lastErr)
 }
 
-// promoteCandidateLocked probes one replica address and, if it is an
-// unpromoted standby, runs the promote handshake. Returns the replica's
-// post-promotion status and an open connection to it.
-func (b *Backend) promoteCandidateLocked(addr string, shards int) (*NodeStatus, *transport.Client, error) {
+// dialReplica opens a connection to one replica address and probes its
+// status, refusing a replica that serves another shard. On success the
+// connection is left open for the caller.
+func (b *Backend) dialReplica(addr string, shards int) (*NodeStatus, *transport.Client, error) {
 	cli, err := transport.DialClient(addr, b.opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dialing %s: %w", addr, err)
-	}
-	fail := func(err error) (*NodeStatus, *transport.Client, error) {
-		cli.Close()
-		return nil, nil, err
 	}
 	reply, err := cli.RoundTrip(&transport.Frame{Kind: KindStatus})
 	if err == nil {
 		err = replyErr(reply, KindStatus)
 	}
+	var st *NodeStatus
+	if err == nil {
+		st, err = decodeStatus(reply.Payload)
+	}
+	if err == nil && (st.Shard != b.Shard || st.Shards != shards) {
+		err = fmt.Errorf("replica %s serves shard %d/%d, want %d/%d", addr, st.Shard, st.Shards, b.Shard, shards)
+	}
 	if err != nil {
-		return fail(fmt.Errorf("probing %s: %w", addr, err))
+		cli.Close()
+		return nil, nil, fmt.Errorf("probing %s: %w", addr, err)
 	}
-	st, err := decodeStatus(reply.Payload)
-	if err != nil {
-		return fail(fmt.Errorf("probing %s: %w", addr, err))
+	return st, cli, nil
+}
+
+// promoteCandidateLocked probes one replica address and, if it is an
+// unpromoted standby, runs the promote handshake. Returns the replica's
+// post-promotion status and an open connection to it.
+func (b *Backend) promoteCandidateLocked(addr string, shards int) (*NodeStatus, *transport.Client, error) {
+	st, cli, err := b.dialReplica(addr, shards)
+	if err != nil || !st.Standby {
+		// A replica already serving as a full node for this shard is adopted.
+		return st, cli, err
 	}
-	if st.Shard != b.Shard || st.Shards != shards {
-		return fail(fmt.Errorf("replica %s serves shard %d/%d, want %d/%d", addr, st.Shard, st.Shards, b.Shard, shards))
-	}
-	if !st.Standby {
-		// Already a full node for this shard: adopt it.
-		return st, cli, nil
-	}
-	reply, err = cli.RoundTrip(&transport.Frame{
+	reply, err := cli.RoundTrip(&transport.Frame{
 		Kind:    KindPromote,
 		Payload: encodePromoteReq(b.lastEpoch, b.lastLogLen),
 	})
 	if err == nil {
 		err = replyErr(reply, KindPromote)
 	}
-	if err != nil {
-		return fail(fmt.Errorf("promoting %s: %w", addr, err))
+	if err == nil {
+		st, err = decodeStatus(reply.Payload)
 	}
-	st, err = decodeStatus(reply.Payload)
 	if err != nil {
-		return fail(fmt.Errorf("promoting %s: %w", addr, err))
+		cli.Close()
+		return nil, nil, fmt.Errorf("promoting %s: %w", addr, err)
 	}
 	return st, cli, nil
 }
@@ -265,7 +288,7 @@ func (b *Backend) promoteCandidateLocked(addr string, shards int) (*NodeStatus, 
 // SwitchReplica moves the backend to any replica that answers a status probe
 // for the right shard — standby or promoted node alike — WITHOUT promoting
 // anything. Read-only consumers (the live-audit follower) use it to keep
-// fetching logs through a failover while the router decides who takes over.
+// reading logs through a failover while the router decides who takes over.
 func (b *Backend) SwitchReplica(shards int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -275,25 +298,8 @@ func (b *Backend) SwitchReplica(shards int) error {
 	var lastErr error
 	for off := 1; off < len(b.addrs); off++ {
 		idx := (b.active + off) % len(b.addrs)
-		addr := b.addrs[idx]
-		cli, err := transport.DialClient(addr, b.opts)
+		_, cli, err := b.dialReplica(b.addrs[idx], shards)
 		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, err := cli.RoundTrip(&transport.Frame{Kind: KindStatus})
-		if err == nil {
-			err = replyErr(reply, KindStatus)
-		}
-		var st *NodeStatus
-		if err == nil {
-			st, err = decodeStatus(reply.Payload)
-		}
-		if err == nil && (st.Shard != b.Shard || st.Shards != shards) {
-			err = fmt.Errorf("replica %s serves shard %d/%d, want %d/%d", addr, st.Shard, st.Shards, b.Shard, shards)
-		}
-		if err != nil {
-			cli.Close()
 			lastErr = err
 			continue
 		}

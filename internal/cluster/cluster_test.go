@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,6 +267,70 @@ func TestClusterDigestParity(t *testing.T) {
 	}
 }
 
+// unreadableLog is a board log whose reads can be made to fail after the
+// fact — a disk lost under a running node.
+type unreadableLog struct {
+	store.BoardLog
+	broken atomic.Bool
+}
+
+func (l *unreadableLog) Snapshot() ([]*store.Record, error) {
+	if l.broken.Load() {
+		return nil, errors.New("board log unreadable")
+	}
+	return l.BoardLog.Snapshot()
+}
+
+// TestAuditClusterFailsOnUnreadableLog pins the evidence grade to the
+// nodes' status: every node keeps a board log, so the cross-node audit is
+// log-grade, and when one node's log stops reading after the seal the audit
+// fails rather than settling for the sealed transcripts.
+func TestAuditClusterFailsOnUnreadableLog(t *testing.T) {
+	const k, n = 2, 6
+	pub := testPub(t)
+	ctx := context.Background()
+
+	board := &unreadableLog{BoardLog: store.NewMemLog()}
+	sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Rand: bytes.NewReader(rootSeed()), Store: board, Parallelism: 2}, 0, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(ctx, pub, sess, NodeConfig{Shard: 0, Shards: k, BoardLog: board, SealLog: store.NewMemLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := transport.Listen("127.0.0.1:0", replicaHandler(ctx, pub, node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	other := startNode(t, ctx, pub, 1, k, "", "")
+	defer other.stop()
+
+	router, err := New(Config{Pub: pub, Backends: []string{srv.Addr(), other.addr}, Timeout: 10 * time.Second, Retry: testRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	floodVia(t, pub, router.Handler(), buildSubs(t, pub, 0, n))
+	res, err := router.FinalizeMerge(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, err := router.AuditCluster(ctx, -1, 2); err != nil || report.Source != "logs" || !bytes.Equal(report.Digest, res.Digest) {
+		t.Fatalf("audit before the fault: %+v, %v", report, err)
+	}
+
+	board.broken.Store(true)
+	report, err := router.AuditCluster(ctx, -1, 2)
+	if err == nil {
+		t.Fatalf("audit passed %s-grade with shard 0's board log unreadable", report.Source)
+	}
+	if !strings.Contains(err.Error(), "board log unreadable") {
+		t.Fatalf("audit failed for the wrong reason: %v", err)
+	}
+}
+
 // TestClusterFailurePaths exercises the degraded modes: a backend killed
 // mid-epoch costs exactly its shard's clients an unavailable verdict (no
 // dropped client connections, other shards keep admitting), the node
@@ -495,7 +561,7 @@ func TestRPCCodecs(t *testing.T) {
 		t.Fatal("wrong rpc version accepted")
 	}
 
-	if e, err := decodeEpochReq(encodeEpochReq(7)); err != nil || e != 7 {
+	if e, err := decodeIndexReq(encodeIndexReq(7)); err != nil || e != 7 {
 		t.Fatalf("epoch req roundtrip: %d, %v", e, err)
 	}
 
@@ -512,26 +578,38 @@ func TestRPCCodecs(t *testing.T) {
 		t.Fatalf("explicit epoch lost: %d %v %v", e, latest, err)
 	}
 
+	if from, err := decodeIndexReq(encodeIndexReq(5)); err != nil || from != 5 {
+		t.Fatalf("node-log request roundtrip: %d, %v", from, err)
+	}
 	recs := []*store.Record{
 		{Kind: 1, Epoch: 0, Payload: []byte("alpha")},
 		{Kind: 3, Epoch: 0, Payload: []byte("beta")},
 	}
-	payload, err := encodeLogReply(recs)
+	payload, err := encodeLogRange(7, 5, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := decodeLogReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := log.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	committed, from, got2, err := decodeLogRange(payload)
+	if err != nil || committed != 7 || from != 5 {
+		t.Fatalf("log range roundtrip: committed %d from %d, %v", committed, from, err)
 	}
 	if len(got2) != 2 || got2[0].Kind != 1 || string(got2[1].Payload) != "beta" {
-		t.Fatalf("log roundtrip mangled records: %+v", got2)
+		t.Fatalf("log range roundtrip mangled records: %+v", got2)
 	}
-	if _, err := decodeLogReply(payload[:len(payload)-3]); err == nil {
-		t.Fatal("truncated log reply accepted")
+	if _, _, _, err := decodeLogRange(payload[:len(payload)-3]); err == nil {
+		t.Fatal("truncated log range accepted")
+	}
+
+	// A version-2 node-log frame — from the whole-log era — is refused by
+	// name, at the node and at the reader alike.
+	const v2 = "cluster: unsupported wire format version 2 (this build speaks 3)"
+	req := encodeIndexReq(0)
+	req[0] = 2
+	if reply := shipLog(0, store.NewMemLog(), req); reply.Kind != KindError || string(reply.Payload) != v2 {
+		t.Fatalf("version-2 node-log request: %s %q, want %s %q", reply.Kind, reply.Payload, KindError, v2)
+	}
+	payload[0] = 2
+	if _, _, _, err := decodeLogRange(payload); err == nil || err.Error() != v2 {
+		t.Fatalf("version-2 node-log reply: %v, want %q", err, v2)
 	}
 }

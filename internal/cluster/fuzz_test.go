@@ -32,9 +32,9 @@ func FuzzRPC(f *testing.F) {
 				}
 				return encodeStatus(st), nil
 			}},
-		{[][]byte{encodeEpochReq(7)}, func(b []byte) ([]byte, error) {
-			epoch, err := decodeEpochReq(b)
-			return encodeEpochReq(epoch), err
+		{[][]byte{encodeIndexReq(7), encodeIndexReq(1 << 20)}, func(b []byte) ([]byte, error) {
+			index, err := decodeIndexReq(b)
+			return encodeIndexReq(index), err
 		}},
 		{[][]byte{encodeTranscriptReply(3, []byte("transcript"))}, func(b []byte) ([]byte, error) {
 			epoch, tr, err := decodeTranscriptReply(b)
@@ -51,16 +51,16 @@ func FuzzRPC(f *testing.F) {
 			}
 			return encodeMergedGetReq(epoch), err
 		}},
-		{[][]byte{must(encodeLogReply(recs)), {rpcVersion, 0xff, 0xff, 0xff, 0xff}}, func(b []byte) ([]byte, error) {
-			log, err := decodeLogReply(b)
+		{[][]byte{
+			must(encodeLogRange(9, 7, recs)),
+			must(encodeLogRange(2, 5, nil)),                              // committed < from: the reader's to judge
+			{rpcVersion, 0, 0, 0, 9, 0, 0, 0, 7, 0xff, 0xff, 0xff, 0xff}, // hostile record count
+		}, func(b []byte) ([]byte, error) {
+			committed, from, got, err := decodeLogRange(b)
 			if err != nil {
 				return nil, err
 			}
-			got, err := log.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return encodeLogReply(got)
+			return encodeLogRange(committed, from, got)
 		}},
 		{[][]byte{must(encodeReplicate(1, 2, ReplLogSeal, 5, recs)), must(encodeReplicate(0, 1, ReplLogBoard, 0, nil))},
 			func(b []byte) ([]byte, error) {

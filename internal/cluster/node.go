@@ -25,7 +25,7 @@ type Node struct {
 	ctx    context.Context
 
 	// boardLog is the session's own durable log when the node persists one
-	// (nil for a memory-only node); served verbatim over KindLog.
+	// (nil for a memory-only node); served in ranges over KindLog.
 	boardLog store.BoardLog
 	// sealLog is the merged-seal sidecar: RecordMergedSeal records replicated
 	// from the router, one per merged epoch, so the cluster-level seal
@@ -203,21 +203,21 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 		return &transport.Frame{Kind: okKind(KindStatus), Payload: encodeStatus(n.Status())}
 
 	case KindSeal:
-		epoch, err := decodeEpochReq(f.Payload)
+		epoch, err := decodeIndexReq(f.Payload)
 		if err != nil {
 			return errFrame("%v", err)
 		}
 		return n.seal(epoch)
 
 	case KindTranscript:
-		epoch, err := decodeEpochReq(f.Payload)
+		epoch, err := decodeIndexReq(f.Payload)
 		if err != nil {
 			return errFrame("%v", err)
 		}
 		return n.transcript(epoch)
 
 	case KindLog:
-		return n.shipLog()
+		return shipLog(n.shard, n.boardLog, f.Payload)
 
 	case KindMergedSeal:
 		epoch, shards, digest, err := decodeMergedSeal(f.Payload)
@@ -236,7 +236,7 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 		return mergedGet(n.seals, epoch, latest, n.shards, fmt.Sprintf("shard %d", n.shard))
 
 	case KindReset:
-		epoch, err := decodeEpochReq(f.Payload)
+		epoch, err := decodeIndexReq(f.Payload)
 		if err != nil {
 			return errFrame("%v", err)
 		}
@@ -295,13 +295,16 @@ func (n *Node) transcript(epoch int) *transport.Frame {
 	}
 }
 
-func (n *Node) shipLog() *transport.Frame {
-	return shipLogFrame(n.shard, n.boardLog)
-}
-
-// shipLogFrame builds a KindLog reply from a board log; shared by nodes and
-// unpromoted standbys (which serve their mirrored log to followers).
-func shipLogFrame(shard int, log store.BoardLog) *transport.Frame {
+// shipLog answers a KindLog request from a board log: the committed record
+// count — what Snapshot returns, so only the mirrored prefix of a replicated
+// log — and one chunk of the records from the requested index on, none when
+// the index is at or past the end. Shared by nodes and unpromoted standbys
+// (which serve their mirrored log to followers).
+func shipLog(shard int, log store.BoardLog, req []byte) *transport.Frame {
+	from, err := decodeIndexReq(req)
+	if err != nil {
+		return errFrame("%v", err)
+	}
 	if log == nil {
 		return errFrame("cluster: shard %d keeps no board log", shard)
 	}
@@ -309,7 +312,12 @@ func shipLogFrame(shard int, log store.BoardLog) *transport.Frame {
 	if err != nil {
 		return errFrame("cluster: shard %d board log: %v", shard, err)
 	}
-	payload, err := encodeLogReply(recs)
+	var chunk []*store.Record
+	if from < len(recs) {
+		chunk = recs[from:]
+		chunk = chunk[:chunkLen(chunk)]
+	}
+	payload, err := encodeLogRange(len(recs), from, chunk)
 	if err != nil {
 		return errFrame("%v", err)
 	}

@@ -150,7 +150,7 @@ func (s *Standby) handle(f *transport.Frame) *transport.Frame {
 	case KindStatus:
 		return &transport.Frame{Kind: okKind(KindStatus), Payload: encodeStatus(s.status())}
 	case KindLog:
-		return shipLogFrame(s.cfg.Shard, s.cfg.Board)
+		return shipLog(s.cfg.Shard, s.cfg.Board, f.Payload)
 	case KindMergedGet:
 		epoch, latest, err := decodeMergedGetReq(f.Payload)
 		if err != nil {
@@ -383,10 +383,6 @@ func (r *Replicator) Mirror(logID uint8) store.MirrorFunc {
 	}
 }
 
-// replChunkBytes bounds one replicate frame's payload, well under the
-// transport's hard frame limit so a large catch-up splits cleanly.
-const replChunkBytes = 4 << 20
-
 func (r *Replicator) send(logID uint8, start int, recs []*store.Record) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -395,11 +391,7 @@ func (r *Replicator) send(logID uint8, start int, recs []*store.Record) (int, er
 	}
 	have := start
 	for len(recs) > 0 {
-		n, size := 0, 0
-		for n < len(recs) && (n == 0 || size < replChunkBytes) {
-			size += len(recs[n].Payload) + 32
-			n++
-		}
+		n := chunkLen(recs)
 		payload, err := encodeReplicate(r.shard, r.shards, logID, have, recs[:n])
 		if err != nil {
 			return 0, err

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
@@ -155,7 +154,7 @@ func (r *Router) StartProbes(ctx context.Context, interval time.Duration) {
 					if b.Healthy() {
 						continue
 					}
-					if _, err := r.probe(b); err == nil {
+					if _, err := b.status(); err == nil {
 						continue
 					}
 					if b.HasStandby() {
@@ -165,24 +164,6 @@ func (r *Router) StartProbes(ctx context.Context, interval time.Duration) {
 			}
 		}
 	}()
-}
-
-// probe runs one status round trip against a backend's active replica,
-// recording the decoded status as fencing context.
-func (r *Router) probe(b *Backend) (*NodeStatus, error) {
-	reply, err := b.Call(&transport.Frame{Kind: KindStatus})
-	if err == nil {
-		err = replyErr(reply, KindStatus)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodeStatus(reply.Payload)
-	if err != nil {
-		return nil, err
-	}
-	b.noteStatus(st)
-	return st, nil
 }
 
 // submitShard performs one non-idempotent submit round trip with failover:
@@ -199,7 +180,7 @@ func (r *Router) submitShard(sh int, f *transport.Frame) (*transport.Frame, erro
 	if err == nil {
 		return reply, nil
 	}
-	if _, perr := r.probe(b); perr == nil {
+	if _, perr := b.status(); perr == nil {
 		return nil, err // replica alive: surface the failure, client retries
 	}
 	if !b.HasStandby() {
@@ -354,10 +335,10 @@ func (r *Router) Statuses() ([]*NodeStatus, error) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			st, err := r.probe(b)
+			st, err := b.status()
 			if err != nil && b.HasStandby() {
 				if ferr := b.Failover(len(r.backends)); ferr == nil {
-					st, err = r.probe(b)
+					st, err = b.status()
 				}
 			}
 			if err != nil {
@@ -409,7 +390,7 @@ func (r *Router) CheckTopology() ([]*NodeStatus, error) {
 				return nil, fmt.Errorf("cluster: epoch skew: shard %d at epoch %d (finalized=%v merged=%v), cluster at epoch %d",
 					i, st.Epoch, st.Finalized, st.MergedSealed, maxEpoch)
 			}
-			reply, err := r.backends[i].Call(&transport.Frame{Kind: KindReset, Payload: encodeEpochReq(st.Epoch)})
+			reply, err := r.backends[i].Call(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(st.Epoch)})
 			if err == nil {
 				err = replyErr(reply, KindReset)
 			}
@@ -460,7 +441,7 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			reply, err := b.Call(&transport.Frame{Kind: KindSeal, Payload: encodeEpochReq(epoch)})
+			reply, err := b.Call(&transport.Frame{Kind: KindSeal, Payload: encodeIndexReq(epoch)})
 			if err == nil {
 				err = replyErr(reply, KindSeal)
 			}
@@ -512,7 +493,7 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 // ResetAll opens the next epoch on every node after a completed merge.
 func (r *Router) ResetAll(epoch int) error {
 	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindReset, Payload: encodeEpochReq(epoch)})
+		reply, err := b.Call(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(epoch)})
 		if err == nil {
 			err = replyErr(reply, KindReset)
 		}
@@ -530,19 +511,20 @@ type ClusterAudit struct {
 	// Digest is the merged digest recomputed from fetched evidence; it
 	// matched the merged seal recorded on every node.
 	Digest []byte
-	// Source records the evidence grade: "logs" when every node shipped its
-	// board log (per-arrival records cross-checked against the seal), or
-	// "transcripts" when at least one memory-only node could provide only
-	// its sealed transcript.
+	// Source records the evidence grade: "logs" when every node keeps a
+	// board log and each was read and cross-checked against its seal record
+	// by record, or "transcripts" when at least one memory-only node could
+	// provide only its sealed transcript.
 	Source string
 }
 
 // AuditCluster re-verifies a merged epoch from evidence fetched over the
 // wire: the merged seal recorded on every node (all K must agree), plus
-// either every node's board log (log-grade audit via AuditMergedLogs) or,
-// when a node keeps no log, the sealed transcripts (transcript-grade audit
-// via AuditMerged). epoch < 0 audits the latest merged epoch. The recomputed
-// digest must equal the recorded seal byte-for-byte.
+// either every node's board log, streamed in node-log ranges (log-grade
+// audit via AuditMergedLogs) or, when a node's status says it keeps no log,
+// the sealed transcripts (transcript-grade audit via AuditMerged). epoch < 0
+// audits the latest merged epoch. The recomputed digest must equal the
+// recorded seal byte-for-byte.
 func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*ClusterAudit, error) {
 	k := len(r.backends)
 
@@ -575,23 +557,19 @@ func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*Cluster
 		}
 	}
 
-	// Prefer the log-grade audit; fall back to transcripts when any node
-	// keeps no board log.
-	logs := make([]store.BoardLog, k)
+	// The evidence grade follows the nodes' own status: the audit reads
+	// every board log, in ranges, unless some node keeps none — so a
+	// durable node whose log cannot be read fails the audit instead of
+	// downgrading it.
+	logs := make([]vdp.Replayer, k)
 	logGrade := true
 	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindLog})
+		st, err := b.status()
 		if err != nil {
-			return nil, fmt.Errorf("fetching board log from shard %d: %w", i, err)
+			return nil, fmt.Errorf("probing shard %d: %w", i, err)
 		}
-		if rerr := replyErr(reply, KindLog); rerr != nil {
-			logGrade = false
-			break
-		}
-		logs[i], err = decodeLogReply(reply.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d board log: %w", i, err)
-		}
+		logGrade = logGrade && st.Durable
+		logs[i] = logStream{b: b}
 	}
 
 	if logGrade {
@@ -608,7 +586,7 @@ func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*Cluster
 
 	ts := make([]*vdp.Transcript, k)
 	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindTranscript, Payload: encodeEpochReq(sealEpoch)})
+		reply, err := b.Call(&transport.Frame{Kind: KindTranscript, Payload: encodeIndexReq(sealEpoch)})
 		if err == nil {
 			err = replyErr(reply, KindTranscript)
 		}

@@ -20,8 +20,8 @@ import (
 // rpcVersion is the cluster RPC format version, the leading byte of every
 // RPC payload this package encodes. Version 2 added the replication RPCs
 // (replicate-append, node-promote) and the status reply's standby flag and
-// log length.
-const rpcVersion = 2
+// log length; version 3 made node-log a ranged read.
+const rpcVersion = 3
 
 // Frame kinds of the cluster RPC. Requests flow router → node; each reply
 // reuses the request kind with an "-ok" suffix, or KindError on failure.
@@ -36,8 +36,11 @@ const (
 	// KindTranscript fetches a sealed epoch's transcript without sealing
 	// anything.
 	KindTranscript = "node-transcript"
-	// KindLog fetches the node's entire board log, record by record, for a
-	// cross-node log-grade audit.
+	// KindLog reads a range of the node's board log: the request names the
+	// index of the first record wanted, and the reply carries the node's
+	// committed record count and at most one chunk of the records from that
+	// index on. The live follower and the cross-node audit read every remote
+	// board this way.
 	KindLog = "node-log"
 	// KindMergedSeal records the router's merged seal (epoch, shard count,
 	// merged digest) durably on the node. Replicated to every node, so the
@@ -133,8 +136,9 @@ type NodeStatus struct {
 	// MergedSealed reports whether the current epoch's merged seal has been
 	// recorded on this node.
 	MergedSealed bool
-	// Durable reports whether the node persists a board log (and can
-	// therefore serve KindLog for a log-grade cross-node audit).
+	// Durable reports whether the node keeps a board log. A durable node
+	// serves KindLog, and a cross-node audit must read its log: the audit
+	// is log-grade unless some node keeps none.
 	Durable bool
 	// Standby reports an unpromoted standby replica: it mirrors its
 	// primary's log but serves no admissions until promoted.
@@ -203,18 +207,19 @@ func decodeStatus(b []byte) (*NodeStatus, error) {
 	return st, nil
 }
 
-// encodeEpochReq serializes the one-field request body shared by KindSeal,
-// KindTranscript and KindReset: the epoch the caller believes is current.
-func encodeEpochReq(epoch int) []byte {
+// encodeIndexReq serializes the one-field request body shared by KindSeal,
+// KindTranscript and KindReset — the epoch the caller believes is current —
+// and KindLog — the index of the first record wanted.
+func encodeIndexReq(index int) []byte {
 	w := rpcOut()
-	w.U32(uint32(epoch))
+	w.U32(uint32(index))
 	return w.Bytes()
 }
 
-func decodeEpochReq(b []byte) (int, error) {
+func decodeIndexReq(b []byte) (int, error) {
 	r := rpcIn(b)
-	epoch := int(r.U32())
-	return epoch, r.Finish()
+	index := int(r.U32())
+	return index, r.Finish()
 }
 
 // encodeTranscriptReply serializes a seal/transcript success reply: the
@@ -278,6 +283,22 @@ func decodeMergedGetReq(b []byte) (epoch int, latest bool, err error) {
 	return int(raw), false, nil
 }
 
+// chunkBytes bounds the record bytes one replicate-append or node-log frame
+// carries, well under the transport's hard frame limit, so a long mirror
+// catch-up or log read splits cleanly.
+const chunkBytes = 4 << 20
+
+// chunkLen returns how many records from the front of recs make the next
+// frame: at least one, then more until chunkBytes is reached.
+func chunkLen(recs []*store.Record) int {
+	n, size := 0, 0
+	for n < len(recs) && (n == 0 || size < chunkBytes) {
+		size += len(recs[n].Payload) + 32
+		n++
+	}
+	return n
+}
+
 // encodeRecords appends a record count and the records in store.EncodeRecord
 // framing (self-delimiting, CRC-checked), in append order, refusing an
 // encoding the transport cannot carry in one frame.
@@ -317,11 +338,22 @@ func decodeRecords(r *wire.Reader) ([]*store.Record, error) {
 	return recs, nil
 }
 
-// encodeLogReply serializes a KindLog success reply: the node's board log,
-// record by record.
-func encodeLogReply(recs []*store.Record) ([]byte, error) {
+// encodeLogRange serializes a KindLog success reply: the node's committed
+// record count, the index of the first record shipped (the request's, so a
+// stale reply cannot pass for a fresh one) and the records.
+func encodeLogRange(committed, from int, recs []*store.Record) ([]byte, error) {
 	w := rpcOut()
+	w.U32(uint32(committed))
+	w.U32(uint32(from))
 	return encodeRecords(&w, recs)
+}
+
+func decodeLogRange(b []byte) (committed, from int, recs []*store.Record, err error) {
+	r := rpcIn(b)
+	committed = int(r.U32())
+	from = int(r.U32())
+	recs, err = decodeRecords(&r)
+	return committed, from, recs, err
 }
 
 // Replication log IDs: one replicate-append stream carries both of a node's
@@ -406,21 +438,4 @@ func decodePromoteReq(b []byte) (expectedEpoch, minLogLen int, err error) {
 		return -1, minLogLen, nil
 	}
 	return int(raw), minLogLen, nil
-}
-
-// decodeLogReply rebuilds a fetched board log as an in-memory BoardLog,
-// ready for vdp.AuditMergedLogs.
-func decodeLogReply(b []byte) (*store.MemLog, error) {
-	r := rpcIn(b)
-	recs, err := decodeRecords(&r)
-	if err != nil {
-		return nil, err
-	}
-	log := store.NewMemLog()
-	for _, rec := range recs {
-		if err := log.Append(rec); err != nil {
-			return nil, err
-		}
-	}
-	return log, nil
 }

@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
 // TailFollower is the cluster-wide live audit tail: a third party pointed at
-// the K node addresses follows every shard's bulletin board over the
-// existing node-log RPC, feeds the records through per-shard TailAuditors
-// (the same incremental verification a local tail runs), and certifies each
-// merged epoch the moment every shard's seal verifies — cross-checking the
+// the K node addresses follows every shard's bulletin board over ranged
+// node-log reads, feeds the records through per-shard TailAuditors (the same
+// incremental verification a local tail runs), and certifies each merged
+// epoch the moment every shard's seal verifies — cross-checking the
 // merged-seal record replicated on every node. It holds no trust in the
 // router: everything it certifies it verified itself from node evidence.
 type TailFollower struct {
@@ -32,14 +33,7 @@ func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions)
 		return nil, fmt.Errorf("cluster: tail needs at least one backend")
 	}
 	for i, b := range backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindStatus})
-		if err == nil {
-			err = replyErr(reply, KindStatus)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: probing shard %d: %w", i, err)
-		}
-		st, err := decodeStatus(reply.Payload)
+		st, err := b.status()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: probing shard %d: %w", i, err)
 		}
@@ -58,75 +52,109 @@ func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions)
 	}, nil
 }
 
-// Merged returns the underlying merged auditor (per-shard state, digests).
-func (f *TailFollower) Merged() *vdp.MergedTailAuditor { return f.merged }
-
-// Poll fetches every node's board log and feeds the records appended since
-// the last poll into that shard's auditor, returning how many new records
-// were consumed. The log is append-only, so the per-node cursor only moves
-// forward; a node whose log shrank rewrote history and fails the tail with
-// an error wrapping vdp.ErrAuditFail — as do bad records, so callers can
-// tell evidence failures (fatal) from a node being down (retryable: errors
-// NOT wrapping vdp.ErrAuditFail may be retried on the next poll). When a
-// shard's active replica stops answering and the backend knows another, the
-// follower switches to it without promoting anything; the cursor carries
-// over safely because nodes ship only the mirrored (standby-acknowledged)
-// prefix of a replicated log, which every surviving replica has.
+// Poll reads every node's board log from the follower's cursor up to the
+// node's committed count and feeds each record straight into that shard's
+// auditor, returning how many new records were consumed. Evidence failures
+// — a log that shrank below the cursor (rewritten history) or a bad record —
+// wrap vdp.ErrAuditFail and are fatal; any other error (a node down, a reply
+// that breaks the range protocol) leaves the cursor at the last record fed,
+// and the next Poll resumes from there. When a shard's active replica stops
+// answering and the backend knows another, the follower switches to it
+// without promoting anything; the cursor carries over safely because nodes
+// ship only the mirrored (standby-acknowledged) prefix of a replicated log,
+// which every surviving replica has.
 func (f *TailFollower) Poll() (int, error) {
 	n := 0
 	for i, b := range f.backends {
-		reply, err := f.fetchLog(b)
-		if err != nil {
-			return n, fmt.Errorf("cluster: fetching board log from shard %d: %w", i, err)
-		}
-		log, err := decodeLogReply(reply.Payload)
-		if err != nil {
-			return n, fmt.Errorf("cluster: shard %d board log: %w", i, err)
-		}
-		recs, err := log.Snapshot()
-		if err != nil {
-			return n, err
-		}
-		if len(recs) < f.cursor[i] {
-			return n, fmt.Errorf("%w: shard %d board log shrank from %d to %d records — history was rewritten",
-				vdp.ErrAuditFail, i, f.cursor[i], len(recs))
-		}
 		a := f.merged.Shard(i)
-		for idx := f.cursor[i]; idx < len(recs); idx++ {
-			if err := a.Feed(recs[idx], int64(idx)); err != nil {
-				return n, fmt.Errorf("cluster: shard %d: %w", i, err)
+		err := logStream{b, len(f.backends)}.read(f.cursor[i], func(idx int, rec *store.Record) error {
+			if err := a.Feed(rec, int64(idx)); err != nil {
+				return err
 			}
 			f.cursor[i] = idx + 1
 			n++
+			return nil
+		})
+		if err != nil {
+			return n, fmt.Errorf("cluster: shard %d board log: %w", i, err)
 		}
 	}
 	return n, nil
 }
 
-// fetchLog runs one node-log round trip against a shard, switching to
-// another replica and retrying once when the active one stops answering.
-func (f *TailFollower) fetchLog(b *Backend) (*transport.Frame, error) {
-	reply, err := b.Call(&transport.Frame{Kind: KindLog})
-	if err == nil {
-		err = replyErr(reply, KindLog)
+// logStream reads one shard's board log over ranged node-log round trips.
+// shards, when set, lets a failed round trip switch to another replica of
+// the shard (see callShard) — a reader's right; a router must fail over
+// instead, so its streams leave it zero.
+type logStream struct {
+	b      *Backend
+	shards int
+}
+
+// Replay streams the log from its first record up to the committed count
+// of the first reply, so a cross-node audit holds no copy of any node's log.
+func (s logStream) Replay(fn func(*store.Record) error) error {
+	return s.read(0, func(_ int, rec *store.Record) error { return fn(rec) })
+}
+
+// read streams the records [from, committed) to fn with their indices, one
+// chunk per round trip, committed being the count the first reply names. A
+// reply committing fewer records than the reader has already been promised
+// means the log shrank — history was rewritten — and wraps vdp.ErrAuditFail.
+// A reply for another range, with no records while some are due, or with
+// more than the range holds breaks the protocol; the connection is dropped
+// so the next read redials in sync.
+func (s logStream) read(from int, fn func(int, *store.Record) error) error {
+	end := -1
+	for end < 0 || from < end {
+		reply, err := callShard(s.b, s.shards, &transport.Frame{Kind: KindLog, Payload: encodeIndexReq(from)})
+		if err == nil {
+			err = replyErr(reply, KindLog)
+		}
+		if err != nil {
+			return err
+		}
+		committed, start, recs, err := decodeLogRange(reply.Payload)
+		switch {
+		case err != nil:
+		case committed < max(from, end):
+			return fmt.Errorf("%w: board log shrank from %d to %d records — history was rewritten",
+				vdp.ErrAuditFail, max(from, end), committed)
+		case start != from:
+			err = fmt.Errorf("cluster: node-log reply starts at record %d, asked for %d", start, from)
+		case len(recs) > committed-from:
+			err = fmt.Errorf("cluster: node-log reply ships %d records, the range [%d, %d) holds %d",
+				len(recs), from, committed, committed-from)
+		case len(recs) == 0 && committed > from:
+			err = fmt.Errorf("cluster: node-log reply ships no records, %d are due from %d", committed-from, from)
+		}
+		if err != nil {
+			s.b.Close()
+			return err
+		}
+		if end < 0 {
+			end = committed
+		}
+		for _, rec := range recs[:min(len(recs), end-from)] {
+			if err := fn(from, rec); err != nil {
+				return err
+			}
+			from++
+		}
 	}
-	if err == nil {
-		return reply, nil
+	return nil
+}
+
+// callShard runs one idempotent round trip on a shard's backend. With
+// shards set, a round trip the active replica does not answer switches the
+// backend to another replica — without promoting anything — and is retried
+// once there.
+func callShard(b *Backend, shards int, f *transport.Frame) (*transport.Frame, error) {
+	reply, err := b.Call(f)
+	if err != nil && shards > 0 && b.HasStandby() && b.SwitchReplica(shards) == nil {
+		reply, err = b.Call(f)
 	}
-	if !b.HasStandby() {
-		return nil, err
-	}
-	if serr := b.SwitchReplica(len(f.backends)); serr != nil {
-		return nil, err
-	}
-	reply, rerr := b.Call(&transport.Frame{Kind: KindLog})
-	if rerr == nil {
-		rerr = replyErr(reply, KindLog)
-	}
-	if rerr != nil {
-		return nil, rerr
-	}
-	return reply, nil
+	return reply, err
 }
 
 // VerifyNext tries to certify the next merged epoch. ready is false while
@@ -146,10 +174,7 @@ func (f *TailFollower) VerifyNext() (epoch int, digest []byte, ready bool, err e
 	// seal) just means "not ready"; a node holding a different one is a
 	// forked merge.
 	for i, b := range f.backends {
-		reply, cerr := b.Call(&transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
-		if cerr != nil && b.HasStandby() && b.SwitchReplica(len(f.backends)) == nil {
-			reply, cerr = b.Call(&transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
-		}
+		reply, cerr := callShard(b, len(f.backends), &transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
 		if cerr != nil {
 			return epoch, nil, false, fmt.Errorf("cluster: fetching merged seal from shard %d: %w", i, cerr)
 		}
@@ -174,26 +199,6 @@ func (f *TailFollower) VerifyNext() (epoch int, digest []byte, ready bool, err e
 	}
 	f.next++
 	return epoch, digest, true, nil
-}
-
-// Statuses reports every node's status, for follower progress displays.
-func (f *TailFollower) Statuses() ([]*NodeStatus, error) {
-	out := make([]*NodeStatus, len(f.backends))
-	for i, b := range f.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindStatus})
-		if err == nil {
-			err = replyErr(reply, KindStatus)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: probing shard %d: %w", i, err)
-		}
-		st, err := decodeStatus(reply.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: probing shard %d: %w", i, err)
-		}
-		out[i] = st
-	}
-	return out, nil
 }
 
 // Records returns how many records the follower has consumed per shard.

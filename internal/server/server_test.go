@@ -184,8 +184,8 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := server.New(ctx, pub, server.Of(sb), server.Options{Extra: cluster.Demux(sb.Handle)}).Handle
-			// node-promote, rpc version 2: any epoch, no log-length fence.
-			promote := &transport.Frame{Kind: cluster.KindPromote, Payload: []byte{2, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
+			// node-promote, rpc version 3: any epoch, no log-length fence.
+			promote := &transport.Frame{Kind: cluster.KindPromote, Payload: []byte{3, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
 			run(t, h, []step{
 				{name: "submit before promotion", frame: submitFrame(t, pub, submission(t, pub, idOn(0, 0))), errHas: "until promoted"},
 				{name: "batch before promotion", frame: batchFrame(pub, submission(t, pub, idOn(0, 1))), errHas: "until promoted"},

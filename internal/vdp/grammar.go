@@ -233,7 +233,7 @@ var decodeAhead = 256
 // window at a time, decoded on up to workers goroutines, and only then fed —
 // in log order, by this goroutine, so the first violation and its position
 // are what a record-by-record Feed would have reported.
-func (g *boardGrammar) replay(ctx context.Context, log store.BoardLog, workers int,
+func (g *boardGrammar) replay(ctx context.Context, log Replayer, workers int,
 	full func(i int, rec *store.Record) bool, on func(boardEvent) error) error {
 	var (
 		window []*store.Record

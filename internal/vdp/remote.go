@@ -122,6 +122,15 @@ func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript,
 	return pub.DecodeTranscript(sealBytes)
 }
 
+// Replayer is the one method the replay-driven readers need of a board log
+// (store.BoardLog has it), so a log read over the network can stand in for
+// a local one.
+type Replayer interface {
+	// Replay streams every record in append order to fn, stopping at the
+	// first error fn returns (which Replay then propagates).
+	Replay(fn func(*store.Record) error) error
+}
+
 // AuditMergedLogs audits one merged epoch across the per-node board logs of
 // a cluster, in shard order: each log is audited exactly as AuditLog audits
 // a single session's log (sealed transcript fully re-verified AND
@@ -131,7 +140,7 @@ func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript,
 // is returned for comparison against the recorded merged seal. It is
 // AuditSegmentedLog with the segments fetched from K machines instead of one
 // directory. workers follows the AuditParallel convention (0 = all cores).
-func AuditMergedLogs(ctx context.Context, pub *Public, logs []store.BoardLog, epoch, workers int) ([]byte, error) {
+func AuditMergedLogs(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int) ([]byte, error) {
 	return auditSegments(ctx, pub, logs, epoch, workers, shardSegments)
 }
 

@@ -143,7 +143,7 @@ func TestShardSessionMergeAudit(t *testing.T) {
 	if _, err := AuditMergedLogs(ctx, pub, nil, 0, 0); !errors.Is(err, ErrAuditFail) {
 		t.Fatal("audited an empty node set")
 	}
-	digest, err := AuditMergedLogs(ctx, pub, []store.BoardLog{log}, 0, 0)
+	digest, err := AuditMergedLogs(ctx, pub, []Replayer{log}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

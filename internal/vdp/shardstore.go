@@ -116,7 +116,7 @@ func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
 // check the admission gate on the sealed rosters instead: row 0 admits
 // first, so a client a later row seats that row 0 does not is a forged
 // roster.
-func auditSegments(ctx context.Context, pub *Public, logs []store.BoardLog, epoch, workers int, kind segmentKind) ([]byte, error) {
+func auditSegments(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, kind segmentKind) ([]byte, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("%w: no board logs to audit", ErrAuditFail)
 	}
@@ -159,7 +159,7 @@ func auditSegmented(ctx context.Context, pub *Public, seg *store.SegmentedLog, e
 	if !ok {
 		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
 	}
-	logs := make([]store.BoardLog, seg.Shards())
+	logs := make([]Replayer, seg.Shards())
 	for i := range logs {
 		logs[i] = seg.Segment(i)
 	}

@@ -484,7 +484,7 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 // flushes every auditWindow submissions, and every other epoch skimmed. It
 // returns the verified digest and the sealed roster's client IDs (so the
 // segmented auditors can merge and cross-check per-log verdicts).
-func auditLogEpoch(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
+func auditLogEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
 	g := newBoardGrammar(pub, nil, true)
 	g.shardIdx, g.shardCount = shard, shards
 	v := newEpochVerifier(pub, g, poolWidth(workers), auditWindow)
