@@ -160,10 +160,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("building submission: %v", err)
 	}
-	payload, err := pub.EncodeSubmitPayload(sub)
-	if err != nil {
-		log.Fatalf("encoding submission: %v", err)
-	}
 
 	// Dial retries ride the shared backoff policy; once connected, the
 	// server verifies eagerly and answers on this connection, so each frame
@@ -173,7 +169,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit", Sender: *id, Payload: payload})
+	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit", Sender: *id, Payload: pub.EncodeClientSubmission(sub)})
 	if err != nil {
 		log.Fatalf("submitting: %v", err)
 	}
@@ -203,41 +199,11 @@ func submitBatch(pub *vdp.Public, addr string, firstID, choice, n int, opts tran
 		}
 		subs[i] = sub
 	}
-	c, err := transport.DialClient(addr, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	frame := &transport.Frame{Kind: "submit-batch", Sender: firstID, Payload: pub.EncodeSubmissionBatch(subs)}
-	reply, err := c.RoundTrip(frame)
-	if err != nil {
-		log.Fatalf("submitting batch: %v", err)
-	}
-	switch reply.Kind {
-	case "batch-verdicts":
-		verdicts, err := vdp.DecodeBatchVerdicts(reply.Payload)
-		if err != nil {
-			log.Fatalf("decoding verdicts: %v", err)
-		}
-		elapsed := time.Since(start)
-		ok := 0
-		for _, v := range verdicts {
-			if v.Accepted {
-				ok++
-			} else {
-				fmt.Printf("client %d: REJECTED: %s\n", v.ID, v.Reason)
-			}
-		}
-		fmt.Printf("batch of %d: %d accepted, %d rejected in %v (%.0f submissions/sec)\n",
-			n, ok, n-ok, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
-		if ok < n {
-			os.Exit(1)
-		}
-	case "error":
-		log.Fatalf("server rejected batch: %s", reply.Payload)
-	default:
-		log.Fatalf("unexpected reply %q", reply.Kind)
+	ok, _, elapsed := sendBatch(pub, addr, firstID, subs, opts, "batch", "REJECTED")
+	fmt.Printf("batch of %d: %d accepted, %d rejected in %v (%.0f submissions/sec)\n",
+		n, ok, n-ok, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
+	if ok < n {
+		os.Exit(1)
 	}
 }
 
@@ -258,38 +224,48 @@ func submitSketch(pub *vdp.Public, layout sketch.Layout, addr string, firstID, i
 		}
 		subs = append(subs, c.Rows...)
 	}
+	ok, n, _ := sendBatch(pub, addr, firstID, subs, opts, "contribution(s)", "REFUSED")
+	fmt.Printf("%d of %d contribution(s) for item %d accepted (%d rows each)\n", ok, n, item, layout.Rows)
+	if ok < n {
+		os.Exit(1)
+	}
+}
+
+// sendBatch sends subs in one "submit-batch" frame and prints a line per
+// refused client, labelled refused; what names the frame in a fatal line. It
+// returns how many verdicts came back, how many of them accept, and the time
+// from encoding the frame to decoding the verdicts.
+func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmission, opts transport.ClientOptions, what, refused string) (ok, n int, elapsed time.Duration) {
 	c, err := transport.DialClient(addr, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit-batch", Sender: firstID, Payload: pub.EncodeSubmissionBatch(subs)})
+	start := time.Now()
+	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit-batch", Sender: sender, Payload: pub.EncodeSubmissionBatch(subs)})
 	if err != nil {
-		log.Fatalf("submitting contribution(s): %v", err)
+		log.Fatalf("submitting %s: %v", what, err)
 	}
 	switch reply.Kind {
 	case "batch-verdicts":
-		verdicts, err := vdp.DecodeBatchVerdicts(reply.Payload)
-		if err != nil {
-			log.Fatalf("decoding verdicts: %v", err)
-		}
-		ok := 0
-		for _, v := range verdicts {
-			if v.Accepted {
-				ok++
-			} else {
-				fmt.Printf("client %d: REFUSED: %s\n", v.ID, v.Reason)
-			}
-		}
-		fmt.Printf("%d of %d contribution(s) for item %d accepted (%d rows each)\n", ok, len(verdicts), item, layout.Rows)
-		if ok < len(verdicts) {
-			os.Exit(1)
-		}
 	case "error":
-		log.Fatalf("server rejected contribution(s): %s", reply.Payload)
+		log.Fatalf("server rejected %s: %s", what, reply.Payload)
 	default:
 		log.Fatalf("unexpected reply %q", reply.Kind)
 	}
+	verdicts, err := vdp.DecodeBatchVerdicts(reply.Payload)
+	if err != nil {
+		log.Fatalf("decoding verdicts: %v", err)
+	}
+	elapsed = time.Since(start)
+	for _, v := range verdicts {
+		if v.Accepted {
+			ok++
+		} else {
+			fmt.Printf("client %d: %s: %s\n", v.ID, refused, v.Reason)
+		}
+	}
+	return ok, len(verdicts), elapsed
 }
 
 // querySketch sends one "top:K" or "point:ITEM" query to a sketch-mode

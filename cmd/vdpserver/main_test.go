@@ -24,11 +24,7 @@ func TestRunStandaloneRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := pub.EncodeSubmitPayload(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply := roundTrip(t, addr, &transport.Frame{Kind: "submit", Payload: payload}); reply.Kind != "ack" {
+		if reply := roundTrip(t, addr, &transport.Frame{Kind: "submit", Payload: pub.EncodeClientSubmission(sub)}); reply.Kind != "ack" {
 			t.Fatalf("client %d got %q %q, want an ack", id, reply.Kind, reply.Payload)
 		}
 	}

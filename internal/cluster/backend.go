@@ -188,8 +188,6 @@ func expectedReply(req, reply string) bool {
 			(req == KindReplicate && reply == KindReplicateGap)
 	case req == "submit-batch":
 		return reply == "batch-verdicts" || reply == "error"
-	case req == "submit":
-		return reply == "ack" || reply == "error"
 	default:
 		return true
 	}

@@ -36,10 +36,7 @@ func chaosClientOptions(dial func(string, time.Duration) (net.Conn, error)) tran
 // standard at-least-once submission contract.
 func chaosSubmit(t *testing.T, pub *vdp.Public, addr string, copts transport.ClientOptions, sub *vdp.ClientSubmission) {
 	t.Helper()
-	payload, err := pub.EncodeSubmitPayload(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := pub.EncodeClientSubmission(sub)
 	for attempt := 0; attempt < 12; attempt++ {
 		if attempt > 0 {
 			time.Sleep(50 * time.Millisecond)

@@ -133,11 +133,7 @@ func buildSubs(t *testing.T, pub *vdp.Public, first, n int) []*vdp.ClientSubmiss
 // and returns the reply frame.
 func submitSingle(t *testing.T, pub *vdp.Public, handler transport.Handler, sub *vdp.ClientSubmission) *transport.Frame {
 	t.Helper()
-	payload, err := pub.EncodeSubmitPayload(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replies, err := handler(&transport.Frame{Kind: "submit", Sender: sub.Public.ID, Payload: payload})
+	replies, err := handler(&transport.Frame{Kind: "submit", Sender: sub.Public.ID, Payload: pub.EncodeClientSubmission(sub)})
 	if err != nil {
 		t.Fatalf("submit handler errored (connection would drop): %v", err)
 	}
@@ -194,7 +190,7 @@ func TestClusterDigestParity(t *testing.T) {
 			t.Fatalf("client %d rejected: %s", v.ID, v.Reason)
 		}
 	}
-	// Second half as single submissions, exercising the batch-of-1 repack.
+	// Second half as single submissions, each routed as a batch of one.
 	for _, sub := range subs[half:] {
 		if reply := submitSingle(t, pub, handler, sub); reply.Kind != "ack" {
 			t.Fatalf("client %d: got %q (%s), want ack", sub.Public.ID, reply.Kind, reply.Payload)

@@ -193,14 +193,32 @@ func (r *Router) submitShard(sh int, f *transport.Frame) (*transport.Frame, erro
 }
 
 // Handler returns the client-facing frame handler: the same protocol a
-// single vdpserver speaks, with admission fanned out to the owning shards.
+// single vdpserver speaks, with admission fanned out to the owning shards. A
+// "submit" body is one submission record, so it is routed as a batch of one
+// and its verdict mapped back to the single-submit reply shape: "ack", or an
+// "error" frame the router writes itself rather than failing the handler,
+// so the client's connection is never dropped because a shard is. A frame
+// whose framing does not parse is a protocol violation, the same terminal
+// error a node would produce.
 func (r *Router) Handler() transport.Handler {
 	return func(f *transport.Frame) ([]*transport.Frame, error) {
 		switch f.Kind {
 		case "submit":
-			return r.routeSubmit(f)
+			id, err := vdp.PeekSubmissionID(f.Payload)
+			if err != nil {
+				return nil, err
+			}
+			v := r.route(f.Sender, [][]byte{f.Payload}, []int{id})[0]
+			if !v.Accepted {
+				return []*transport.Frame{{Kind: "error", Payload: []byte(v.Reason)}}, nil
+			}
+			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
 		case "submit-batch":
-			return r.routeBatch(f)
+			recs, ids, err := vdp.SplitSubmissionBatch(f.Payload)
+			if err != nil {
+				return nil, err
+			}
+			return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(r.route(f.Sender, recs, ids))}}, nil
 		default:
 			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
 		}
@@ -244,40 +262,12 @@ func (r *Router) shardLeg(sh, sender int, recs [][]byte, ids []int) ([]vdp.Batch
 	return vs, nil
 }
 
-// routeSubmit forwards one single-submission frame to its shard as a batch
-// of one and unpacks the verdict back into the single-submit reply shape
-// ("ack" or an "error" frame) for the client; error frames are produced by
-// the router itself rather than by failing the handler, so the client's
-// connection is never dropped because a shard is.
-func (r *Router) routeSubmit(f *transport.Frame) ([]*transport.Frame, error) {
-	rec, id, err := vdp.RepackSubmitPayload(f.Payload)
-	if err != nil {
-		// Malformed frame: a protocol violation, same terminal error a
-		// backend would produce.
-		return nil, err
-	}
-	vs, err := r.shardLeg(vdp.ShardOf(id, len(r.backends)), f.Sender, [][]byte{rec}, []int{id})
-	if err != nil {
-		return errorReply("%v", err), nil
-	}
-	if !vs[0].Accepted {
-		return errorReply("%s", vs[0].Reason), nil
-	}
-	r.countAccepted(1)
-	return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-}
-
-// routeBatch splits a submit-batch frame into per-shard sub-batches (by
-// peeking client IDs at fixed offsets — the router never decodes, let alone
-// verifies, a proof), forwards them concurrently, and reassembles the
-// verdicts in the caller's original submission order. Members of an
-// unavailable shard get individual unavailable verdicts; the rest of the
-// batch proceeds normally.
-func (r *Router) routeBatch(f *transport.Frame) ([]*transport.Frame, error) {
-	recs, ids, err := vdp.SplitSubmissionBatch(f.Payload)
-	if err != nil {
-		return nil, err
-	}
+// route admits raw submission records, with the client IDs peeked from
+// them (the router never decodes, let alone verifies, a proof): it groups
+// them by ShardOf, forwards the groups concurrently, and returns the
+// verdicts in the records' order. Members of an unavailable shard get
+// individual unavailable verdicts; the rest proceed normally.
+func (r *Router) route(sender int, recs [][]byte, ids []int) []vdp.BatchVerdict {
 	k := len(r.backends)
 	groups := make([][][]byte, k)
 	groupIDs := make([][]int, k)
@@ -298,7 +288,7 @@ func (r *Router) routeBatch(f *transport.Frame) ([]*transport.Frame, error) {
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			vs, err := r.shardLeg(sh, f.Sender, groups[sh], groupIDs[sh])
+			vs, err := r.shardLeg(sh, sender, groups[sh], groupIDs[sh])
 			for j, i := range indices[sh] {
 				if err != nil {
 					out[i] = vdp.BatchVerdict{ID: ids[i], Reason: err.Error()}
@@ -317,11 +307,7 @@ func (r *Router) routeBatch(f *transport.Frame) ([]*transport.Frame, error) {
 		}
 	}
 	r.countAccepted(ok)
-	return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(out)}}, nil
-}
-
-func errorReply(format string, args ...any) []*transport.Frame {
-	return []*transport.Frame{{Kind: "error", Payload: []byte(fmt.Sprintf(format, args...))}}
+	return out
 }
 
 // Statuses queries every backend's status, in shard order. All backends

@@ -4,9 +4,10 @@
 // The paper's guarantee is a property of one public bulletin board, so the
 // write side of that board is spelled out once. A client frame is decoded,
 // handed to an Admitter, counted, and answered — "submit-batch" with one
-// "batch-verdicts" frame carrying a verdict per client, "submit" (admitted as
-// a batch of one, right here in Dispatch.Handle) with an "ack" or its verdict
-// as the error — by the same code whether the board behind it is a plain
+// "batch-verdicts" frame carrying a verdict per client, "submit" (one
+// submission record, the same bytes as a batch member, admitted as a batch of
+// one right here in Dispatch.Handle) with an "ack" or its verdict as the
+// error — by the same code whether the board behind it is a plain
 // vdp.Session, a vdp.ShardedSession, a cluster.Node, a cluster.Standby that
 // admits once promoted, or a vdp.SketchSession behind its contribution
 // grouping (Sketch). What a mode adds on top — the cluster RPC, sketch
@@ -138,9 +139,10 @@ func (d *Dispatch) logf(format string, args ...any) {
 // Handle decodes, admits, counts and encodes one client frame. Verification
 // is eager: the verdict goes straight back on the client's connection, and
 // with a durable board the submission and verdict are on disk before the
-// reply is written. A "submit" frame is a batch of one whose single verdict
-// is mapped back to the reply shape it always had: an "ack", or the rejection
-// as the handler's error (the connection drops).
+// reply is written. A "submit" frame carries one submission record and is a
+// batch of one whose single verdict is mapped back to the reply shape it
+// always had: an "ack", or the rejection as the handler's error (the
+// connection drops).
 func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 	if d.opts.Extra != nil {
 		if replies, err := d.opts.Extra(f); replies != nil || err != nil {
@@ -149,7 +151,7 @@ func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 	}
 	switch f.Kind {
 	case "submit":
-		sub, err := d.pub.DecodeSubmitPayload(f.Payload)
+		sub, err := d.pub.DecodeClientSubmission(f.Payload)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/server"
@@ -66,13 +68,19 @@ func equivocating(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
 	return sub
 }
 
-func submitFrame(t *testing.T, pub *vdp.Public, sub *vdp.ClientSubmission) *transport.Frame {
+// mismatched returns a submission whose prover-0 payload names another
+// client: a payload refusal, decided off the board.
+func mismatched(t *testing.T, pub *vdp.Public, id int) *vdp.ClientSubmission {
 	t.Helper()
-	payload, err := pub.EncodeSubmitPayload(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &transport.Frame{Kind: "submit", Payload: payload}
+	sub := submission(t, pub, id)
+	sub.Payloads[0].ClientID = id + 1000
+	return sub
+}
+
+// submitFrame is a "submit" frame: its body is the submission record, the
+// same bytes as one member of a "submit-batch".
+func submitFrame(pub *vdp.Public, sub *vdp.ClientSubmission) *transport.Frame {
+	return &transport.Frame{Kind: "submit", Payload: pub.EncodeClientSubmission(sub)}
 }
 
 func batchFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame {
@@ -128,6 +136,9 @@ const (
 	misroutedReason = "vdp: client input rejected: client %d belongs to shard 1, this node serves shard 0"
 	unpromotedText  = "cluster: shard 0 standby does not take submissions until promoted"
 	payloadReason   = "vdp: client input rejected: client %d share opening for bin 0 does not match its public commitment"
+	mismatchReason  = "vdp: client input rejected: payload/public ID mismatch for client %d"
+	versionZero     = "vdp: unsupported wire format version 0 (this build speaks 1)"
+	truncated       = "vdp: truncated encoding"
 	budgetReason    = "vdp: client input rejected: client %d privacy budget exhausted: 5 of 5 µε spent, next epoch costs 5 µε"
 	forgedReason    = "vdp: client input rejected: client %d: sigma: proof verification failed: challenge split does not sum to e"
 	forgedRowReason = "vdp: sketch row 1: vdp: client input rejected: client %d: coordinate 0: sigma: proof verification failed: challenge split does not sum to e"
@@ -187,7 +198,7 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			// node-promote, rpc version 3: any epoch, no log-length fence.
 			promote := &transport.Frame{Kind: cluster.KindPromote, Payload: []byte{3, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
 			run(t, h, []step{
-				{name: "submit before promotion", frame: submitFrame(t, pub, submission(t, pub, idOn(0, 0))), errHas: "until promoted"},
+				{name: "submit before promotion", frame: submitFrame(pub, submission(t, pub, idOn(0, 0))), errHas: "until promoted"},
 				{name: "batch before promotion", frame: batchFrame(pub, submission(t, pub, idOn(0, 1))), errHas: "until promoted"},
 			})
 			if replies, err := h(promote); err != nil || len(replies) != 1 || replies[0].Kind != cluster.KindPromote+"-ok" {
@@ -213,29 +224,34 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			if m.misroute {
 				want[2] = vdp.BatchVerdict{ID: d, Reason: fmt.Sprintf(misroutedReason, d)}
 			}
-			overlong := submitFrame(t, pub, submission(t, pub, a))
-			binary.BigEndian.PutUint32(overlong.Payload, uint32(len(overlong.Payload))) // > len-4
-			huge := submitFrame(t, pub, submission(t, pub, a))
-			binary.BigEndian.PutUint32(huge.Payload, 0xffffffff) // wraps a 32-bit int
-			first := submitFrame(t, pub, submission(t, pub, a))
+			overlong := submitFrame(pub, submission(t, pub, a))
+			binary.BigEndian.PutUint32(overlong.Payload[1:], uint32(len(overlong.Payload))) // public block past the end
+			huge := submitFrame(pub, submission(t, pub, a))
+			binary.BigEndian.PutUint32(huge.Payload[1:], 0xffffffff) // wraps a 32-bit int
+			first := submitFrame(pub, submission(t, pub, a))
 			// The single-"submit" reply surface, text for text: an "ack", or the
 			// verdict as the handler's error.
-			bad, eq := idOn(0, 3), idOn(0, 4)
+			bad, eq, mis, misB := idOn(0, 3), idOn(0, 4), idOn(0, 5), idOn(0, 6)
 			steps := []step{
 				{name: "submit", frame: first, kind: "ack", payload: []byte("accepted")},
 				{name: "duplicate submit", frame: first, errIs: fmt.Sprintf(duplicateReason, a)},
-				{name: "forged submit", frame: submitFrame(t, pub, forged(t, pub, bad)), errIs: fmt.Sprintf(forgedReason, bad)},
-				{name: "forged resubmit", frame: submitFrame(t, pub, submission(t, pub, bad)), errIs: fmt.Sprintf(duplicateReason, bad)},
-				{name: "equivocating payload", frame: submitFrame(t, pub, equivocating(t, pub, eq)), errIs: fmt.Sprintf(payloadReason, eq)},
-				{name: "short submit", frame: &transport.Frame{Kind: "submit", Payload: []byte{0, 0}}, errHas: "short submit payload"},
-				{name: "length field past the end", frame: overlong, errHas: "length field out of range"},
-				{name: "length field 2^32-1", frame: huge, errHas: "length field out of range"},
+				{name: "forged submit", frame: submitFrame(pub, forged(t, pub, bad)), errIs: fmt.Sprintf(forgedReason, bad)},
+				{name: "forged resubmit", frame: submitFrame(pub, submission(t, pub, bad)), errIs: fmt.Sprintf(duplicateReason, bad)},
+				{name: "equivocating payload", frame: submitFrame(pub, equivocating(t, pub, eq)), errIs: fmt.Sprintf(payloadReason, eq)},
+				// One identity rule: the verdict a payload naming another client
+				// earns is the same in a "submit" as in a "submit-batch".
+				{name: "payload naming another client", frame: submitFrame(pub, mismatched(t, pub, mis)), errIs: fmt.Sprintf(mismatchReason, mis)},
+				{name: "same, as a batch member", frame: batchFrame(pub, mismatched(t, pub, misB)), kind: "batch-verdicts",
+					payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{{ID: misB, Reason: fmt.Sprintf(mismatchReason, misB)}})},
+				{name: "short submit", frame: &transport.Frame{Kind: "submit", Payload: []byte{0, 0}}, errIs: versionZero},
+				{name: "length field past the end", frame: overlong, errIs: truncated},
+				{name: "length field 2^32-1", frame: huge, errIs: truncated},
 				{name: "garbage batch", frame: &transport.Frame{Kind: "submit-batch", Payload: []byte{9}}, errHas: "version"},
 				{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
 			}
 			if m.misroute {
 				e := idOn(1, 1)
-				steps = append(steps, step{name: "misrouted submit", frame: submitFrame(t, pub, submission(t, pub, e)), errIs: fmt.Sprintf(misroutedReason, e)})
+				steps = append(steps, step{name: "misrouted submit", frame: submitFrame(pub, submission(t, pub, e)), errIs: fmt.Sprintf(misroutedReason, e)})
 			}
 			run(t, disp.Handle, steps)
 			if n := disp.Accepted(); n != 2 {
@@ -267,6 +283,7 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			}
 			wantLog := []string{
 				fmt.Sprintf("%s: accepted client %d (2/4)", m.name, a),
+				fmt.Sprintf("%s: accepted batch of 1: 0 admitted, 1 rejected (2/4)", m.name),
 				fmt.Sprintf("%s: accepted batch of 3: %d admitted, %d rejected (%d/4)", m.name, wantN-2, 5-wantN, wantN),
 			}
 			if strings.Join(logged, "\n") != strings.Join(wantLog, "\n") {
@@ -296,7 +313,7 @@ func submitBudgetRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	disp := server.New(ctx, pub, server.Of(s), server.Options{})
-	run(t, disp.Handle, []step{{name: "epoch 0", frame: submitFrame(t, pub, submission(t, pub, 1)), kind: "ack", payload: []byte("accepted")}})
+	run(t, disp.Handle, []step{{name: "epoch 0", frame: submitFrame(pub, submission(t, pub, 1)), kind: "ack", payload: []byte("accepted")}})
 	if _, err := s.Finalize(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +321,175 @@ func submitBudgetRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, disp.Handle, []step{
-		{name: "epoch 1, budget spent", frame: submitFrame(t, pub, submission(t, pub, 1)), errIs: fmt.Sprintf(budgetReason, 1)},
-		{name: "refused client again", frame: submitFrame(t, pub, submission(t, pub, 1)), errIs: fmt.Sprintf(duplicateReason, 1)},
-		{name: "fresh client", frame: submitFrame(t, pub, submission(t, pub, 2)), kind: "ack", payload: []byte("accepted")},
+		{name: "epoch 1, budget spent", frame: submitFrame(pub, submission(t, pub, 1)), errIs: fmt.Sprintf(budgetReason, 1)},
+		{name: "refused client again", frame: submitFrame(pub, submission(t, pub, 1)), errIs: fmt.Sprintf(duplicateReason, 1)},
+		{name: "fresh client", frame: submitFrame(pub, submission(t, pub, 2)), kind: "ack", payload: []byte("accepted")},
 	})
 	if n := disp.Accepted(); n != 2 {
 		t.Fatalf("accepted = %d, want 2 (a refusal is not an admission)", n)
+	}
+}
+
+// oldSubmitBody builds the retired "submit" body — u32 publicLen | public |
+// prover-0 payload, no version byte — that every front door refuses.
+func oldSubmitBody(pub *vdp.Public, sub *vdp.ClientSubmission) []byte {
+	pubEnc := pub.EncodeClientPublic(sub.Public)
+	body := binary.BigEndian.AppendUint32(nil, uint32(len(pubEnc)))
+	return append(append(body, pubEnc...), pub.EncodeClientPayload(sub.Payloads[0])...)
+}
+
+// twoNodes serves shard 0 and shard 1 of a two-node cluster over TCP, each
+// node through the dispatch, and opens a Router over them. It returns each
+// node's dispatch handler and, per node, the body of the last "submit-batch"
+// frame the node was handed.
+func twoNodes(t *testing.T, pub *vdp.Public) (nodes [2]transport.Handler, last func(shard int) []byte, r *cluster.Router) {
+	t.Helper()
+	ctx := context.Background()
+	var mu sync.Mutex
+	var seen [2][]byte
+	addrs := make([]string, 2)
+	for sh := range nodes {
+		board := store.NewMemLog()
+		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Store: board}, sh, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := cluster.NewNode(ctx, pub, sess, cluster.NodeConfig{Shard: sh, Shards: 2, BoardLog: board, SealLog: store.NewMemLog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[sh] = server.New(ctx, pub, server.Of(n), server.Options{Extra: cluster.Demux(n.Handle)}).Handle
+		srv, err := transport.Listen("127.0.0.1:0", func(f *transport.Frame) ([]*transport.Frame, error) {
+			if f.Kind == "submit-batch" {
+				mu.Lock()
+				seen[sh] = f.Payload
+				mu.Unlock()
+			}
+			return nodes[sh](f)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[sh] = srv.Addr()
+	}
+	r, err := cluster.New(cluster.Config{Pub: pub, Backends: addrs, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	last = func(shard int) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[shard]
+	}
+	return nodes, last, r
+}
+
+// TestTwoProversThroughEveryFrontDoor sends K = 2 clients, each carrying a
+// payload for both provers, as "submit" and as "submit-batch" frames through
+// every front door: the dispatch over a Session, a ShardedSession and a
+// cluster node, and a Router over two nodes. Every client is admitted, the
+// boards audit, the router hands a node the client's submit body byte for
+// byte, and the retired prover-0-only body is refused at every door with the
+// decoder's version text.
+func TestTwoProversThroughEveryFrontDoor(t *testing.T) {
+	pub, err := vdp.Setup(vdp.Config{Provers: 2, Bins: 1, Coins: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// A door is where client id's frames go and, once they are in, the audit
+	// of the boards behind it.
+	type door struct {
+		to    func(id int) transport.Handler
+		audit func(t *testing.T)
+	}
+	auditCluster := func(t *testing.T, r *cluster.Router) {
+		if _, err := r.FinalizeMerge(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := r.AuditCluster(ctx, -1, 0); err != nil || rep.Source != "logs" {
+			t.Fatalf("cluster audit: %+v, %v", rep, err)
+		}
+	}
+	doors := []struct {
+		name string
+		open func(t *testing.T) door
+	}{
+		{"session", func(t *testing.T) door {
+			board := store.NewMemLog()
+			s, err := vdp.NewSession(pub, vdp.SessionOptions{Store: board})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := server.New(ctx, pub, server.Of(s), server.Options{}).Handle
+			return door{func(int) transport.Handler { return h }, func(t *testing.T) {
+				if _, err := s.Finalize(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := vdp.AuditLog(ctx, pub, board, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}}
+		}},
+		{"shards-2", func(t *testing.T) door {
+			seg, err := store.OpenSegmentedLog(t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { seg.Close() })
+			s, err := vdp.NewShardedSession(pub, vdp.SessionOptions{Shards: 2, Segmented: seg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := server.New(ctx, pub, server.Of(s), server.Options{}).Handle
+			return door{func(int) transport.Handler { return h }, func(t *testing.T) {
+				if _, err := s.Finalize(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := vdp.AuditSegmentedLog(ctx, pub, seg, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}}
+		}},
+		{"node", func(t *testing.T) door {
+			nodes, _, r := twoNodes(t, pub)
+			return door{func(id int) transport.Handler { return nodes[vdp.ShardOf(id, 2)] }, func(t *testing.T) { auditCluster(t, r) }}
+		}},
+		{"router", func(t *testing.T) door {
+			_, last, r := twoNodes(t, pub)
+			h := r.Handler()
+			return door{func(id int) transport.Handler {
+				return func(f *transport.Frame) ([]*transport.Frame, error) {
+					replies, err := h(f)
+					if f.Kind == "submit" && err == nil {
+						recs, _, serr := vdp.SplitSubmissionBatch(last(vdp.ShardOf(id, 2)))
+						if serr != nil || len(recs) != 1 || !bytes.Equal(recs[0], f.Payload) {
+							t.Errorf("client %d: the node was not handed the submit body byte for byte", id)
+						}
+					}
+					return replies, err
+				}
+			}, func(t *testing.T) { auditCluster(t, r) }}
+		}},
+	}
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			door := d.open(t)
+			for _, sh := range []int{0, 1} {
+				one, batched := idOn(sh, 0), idOn(sh, 1)
+				run(t, door.to(one), []step{{name: fmt.Sprintf("submit %d", one), frame: submitFrame(pub, submission(t, pub, one)), kind: "ack", payload: []byte("accepted")}})
+				run(t, door.to(batched), []step{{name: fmt.Sprintf("batch of %d", batched), frame: batchFrame(pub, submission(t, pub, batched)),
+					kind: "batch-verdicts", payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{{ID: batched, Accepted: true}})}})
+			}
+			old := idOn(0, 2)
+			run(t, door.to(old), []step{{name: "old layout", frame: &transport.Frame{Kind: "submit", Payload: oldSubmitBody(pub, submission(t, pub, old))}, errIs: versionZero}})
+			if t.Failed() {
+				return
+			}
+			door.audit(t)
+		})
 	}
 }
 

@@ -3,10 +3,10 @@ package transport_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
@@ -60,33 +60,14 @@ func TestServerRestartRecoversEpoch(t *testing.T) {
 	// serve starts one server "incarnation" over sess and returns its
 	// address; submitTo drives the vdpclient wire path against it.
 	serve := func(sess *vdp.Session) *transport.Server {
-		handler := func(f *transport.Frame) ([]*transport.Frame, error) {
-			cp, err := pub.DecodeClientPublic(f.Payload[4 : 4+binary.BigEndian.Uint32(f.Payload[:4])])
-			if err != nil {
-				return nil, err
-			}
-			pl, err := pub.DecodeClientPayload(f.Payload[4+binary.BigEndian.Uint32(f.Payload[:4]):])
-			if err != nil {
-				return nil, err
-			}
-			if err := sess.Submit(ctx, &vdp.ClientSubmission{Public: cp, Payloads: []*vdp.ClientPayload{pl}}); err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{Kind: "ack"}}, nil
-		}
-		srv, err := transport.Listen("127.0.0.1:0", handler)
+		srv, err := transport.Listen("127.0.0.1:0", server.New(ctx, pub, server.Of(sess), server.Options{}).Handle)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
 	submitTo := func(addr string, sub *vdp.ClientSubmission) {
-		pubEnc := pub.EncodeClientPublic(sub.Public)
-		plEnc := pub.EncodeClientPayload(sub.Payloads[0])
-		payload := make([]byte, 4, 4+len(pubEnc)+len(plEnc))
-		binary.BigEndian.PutUint32(payload, uint32(len(pubEnc)))
-		payload = append(payload, pubEnc...)
-		payload = append(payload, plEnc...)
+		payload := pub.EncodeClientSubmission(sub)
 		conn, err := transport.Dial(addr)
 		if err != nil {
 			t.Fatal(err)

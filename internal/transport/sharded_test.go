@@ -2,17 +2,18 @@ package transport_test
 
 import (
 	"context"
-	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
 // shardedFixture builds a small curator deployment, a sharded session over
-// it, and the vdpserver-shaped TCP plumbing around them.
+// it, and the TCP plumbing vdpserver puts around them: the one frame
+// dispatch.
 type shardedFixture struct {
 	t    *testing.T
 	pub  *vdp.Public
@@ -31,22 +32,7 @@ func newShardedFixture(t *testing.T, shards int) *shardedFixture {
 		t.Fatal(err)
 	}
 	f := &shardedFixture{t: t, pub: pub, sess: sess}
-	handler := func(fr *transport.Frame) ([]*transport.Frame, error) {
-		n := binary.BigEndian.Uint32(fr.Payload[:4])
-		cp, err := pub.DecodeClientPublic(fr.Payload[4 : 4+n])
-		if err != nil {
-			return nil, err
-		}
-		pl, err := pub.DecodeClientPayload(fr.Payload[4+n:])
-		if err != nil {
-			return nil, err
-		}
-		if err := sess.Submit(context.Background(), &vdp.ClientSubmission{Public: cp, Payloads: []*vdp.ClientPayload{pl}}); err != nil {
-			return nil, err
-		}
-		return []*transport.Frame{{Kind: "ack"}}, nil
-	}
-	f.srv, err = transport.Listen("127.0.0.1:0", handler)
+	f.srv, err = transport.Listen("127.0.0.1:0", server.New(context.Background(), pub, server.Of(sess), server.Options{}).Handle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +57,7 @@ func (f *shardedFixture) buildSubs(base, n int) []*vdp.ClientSubmission {
 // submit drives one submission over its own TCP connection, returning the
 // server's reply: "" for an ack, the error text otherwise.
 func (f *shardedFixture) submit(sub *vdp.ClientSubmission) string {
-	pubEnc := f.pub.EncodeClientPublic(sub.Public)
-	plEnc := f.pub.EncodeClientPayload(sub.Payloads[0])
-	payload := make([]byte, 4, 4+len(pubEnc)+len(plEnc))
-	binary.BigEndian.PutUint32(payload, uint32(len(pubEnc)))
-	payload = append(payload, pubEnc...)
-	payload = append(payload, plEnc...)
+	payload := f.pub.EncodeClientSubmission(sub)
 	conn, err := transport.Dial(f.srv.Addr())
 	if err != nil {
 		f.t.Error(err)

@@ -18,8 +18,8 @@ import (
 //
 //   - EncodeSubmissionBatch / DecodeSubmissionBatch: a versioned wire body
 //     holding N full client submissions, the payload of one "submit-batch"
-//     transport frame. The one-per-frame "submit" kind is untouched on the
-//     wire; old clients interoperate unchanged.
+//     transport frame. A one-per-frame "submit" body is a single such
+//     record, so both kinds carry every prover's payload.
 //   - Session.SubmitBatch: admits the whole batch under ONE roster-lock
 //     acquisition, persists it inside ONE group-commit fsync window, and
 //     verifies every board proof with ONE combined Σ-OR batch check — with

@@ -65,10 +65,6 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 		t.Fatal(err)
 	}
 	tr := res.Transcript
-	submit, err := pub.EncodeSubmitPayload(subs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
 	digest := bytes.Repeat([]byte{0xab}, 32)
 	return []wireCodec{
 		{"client-public", [][]byte{
@@ -81,8 +77,11 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 		}, roundTrip(pub.DecodeClientPayload, pub.EncodeClientPayload)},
 		{"prover-output", [][]byte{pub.EncodeProverOutput(tr.Outputs[0])},
 			roundTrip(pub.DecodeProverOutput, pub.EncodeProverOutput)},
-		{"client-submission", [][]byte{pub.EncodeClientSubmission(subs[2])},
-			roundTrip(pub.DecodeClientSubmission, pub.EncodeClientSubmission)},
+		// A record is also a "submit" frame body: seeded beside it are the
+		// retired prover-0-only body and a short one.
+		{"client-submission", [][]byte{
+			pub.EncodeClientSubmission(subs[2]), oldSubmitBody(pub, subs[1]), {0, 0},
+		}, roundTrip(pub.DecodeClientSubmission, pub.EncodeClientSubmission)},
 		// Hostile counts (huge, just over MaxBatchClients), an empty batch and
 		// a foreign version byte beside the valid frame.
 		{"submission-batch", [][]byte{
@@ -95,13 +94,6 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 				t.Fatalf("accepted %d submissions, above the %d limit", len(subs), MaxBatchClients)
 			}
 			return pub.EncodeSubmissionBatch(subs), err
-		}},
-		{"submit-payload", [][]byte{submit}, func(_ testing.TB, b []byte) ([]byte, error) {
-			sub, err := pub.DecodeSubmitPayload(b)
-			if err != nil {
-				return nil, err
-			}
-			return pub.EncodeSubmitPayload(sub)
 		}},
 		{"coin-commit-msg", [][]byte{pub.EncodeCoinCommitMsg(tr.CoinMsgs[1])},
 			roundTrip(pub.DecodeCoinCommitMsg, pub.EncodeCoinCommitMsg)},

@@ -21,7 +21,9 @@ import (
 // single-session record grammar, so ResumeSession-style recovery and AuditLog
 // work per node unchanged; the helpers here add the cross-node merge and
 // audit on top, plus the zero-crypto byte-level peeks the router uses to
-// route raw frames without decoding a single group element.
+// route raw frames without decoding a single group element. Both client
+// frame kinds carry EncodeClientSubmission records — a "submit" body is one
+// record, a "submit-batch" body a count of them — so one peek serves both.
 
 // NewShardSession opens the Session for one node of a K-node cluster: shard
 // `shard` of `shards`. opts.Rand is read once for the root seed (every node
@@ -144,61 +146,6 @@ func AuditMergedLogs(ctx context.Context, pub *Public, logs []Replayer, epoch, w
 	return auditSegments(ctx, pub, logs, epoch, workers, shardSegments)
 }
 
-// EncodeSubmitPayload serializes the body of a one-per-frame "submit"
-// transport frame: u32 publicLen | EncodeClientPublic | EncodeClientPayload
-// (the prover-0 payload), with no version byte of its own. This is the
-// single-submission client wire layout vdpclient sends and vdpserver
-// decodes; it lives here so every binary — client, server, router — speaks
-// one definition.
-func (p *Public) EncodeSubmitPayload(sub *ClientSubmission) ([]byte, error) {
-	if sub == nil || sub.Public == nil || len(sub.Payloads) < 1 {
-		return nil, fmt.Errorf("%w: submit payload needs a public part and a prover-0 payload", ErrBadConfig)
-	}
-	var w wire.Writer
-	mark := w.Mark()
-	p.putClientPublic(&w, sub.Public)
-	w.Patch(mark)
-	p.putClientPayload(&w, sub.Payloads[0])
-	return w.Bytes(), nil
-}
-
-// DecodeSubmitPayload parses and fully validates a "submit" frame body,
-// checking that the public part and the payload agree on the client's
-// identity.
-func (p *Public) DecodeSubmitPayload(b []byte) (*ClientSubmission, error) {
-	pubRaw, plRaw, err := splitSubmitPayload(b)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := p.DecodeClientPublic(pubRaw)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := p.DecodeClientPayload(plRaw)
-	if err != nil {
-		return nil, err
-	}
-	if pl.ClientID != cp.ID || pl.Prover != 0 {
-		return nil, fmt.Errorf("vdp: submission parts disagree on identity")
-	}
-	return &ClientSubmission{Public: cp, Payloads: []*ClientPayload{pl}}, nil
-}
-
-// splitSubmitPayload cuts a submit-frame body into its raw public and
-// payload encodings without decoding either.
-func splitSubmitPayload(b []byte) (pubRaw, plRaw []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("vdp: short submit payload")
-	}
-	r := wire.NewReader("vdp", b)
-	pubRaw = r.Blob()
-	plRaw = r.Rest()
-	if r.Err() != nil {
-		return nil, nil, fmt.Errorf("vdp: submit payload length field out of range")
-	}
-	return pubRaw, plRaw, nil
-}
-
 // peekClientPublicID reads the client ID off a raw EncodeClientPublic
 // encoding without validating anything beyond the version byte — the
 // routing peek.
@@ -208,35 +155,12 @@ func peekClientPublicID(pubRaw []byte) (int, error) {
 	return id, r.Err()
 }
 
-// peekSubmissionID is peekClientPublicID for the public block of a raw
-// EncodeClientSubmission record.
-func peekSubmissionID(rec []byte) (int, error) {
+// PeekSubmissionID reads the client ID off a raw EncodeClientSubmission
+// record — a "submit" frame body, or one member of a "submit-batch" — by its
+// framing alone, decoding no group element: the router's routing peek.
+func PeekSubmissionID(rec []byte) (int, error) {
 	r := versioned(rec)
 	return wire.Parse(&r, r.Blob(), peekClientPublicID), r.Err()
-}
-
-// RepackSubmitPayload converts a "submit" frame body into the equivalent
-// single batch submission record (EncodeClientSubmission layout: version |
-// blob(public) | u32 1 | blob(payload)) and returns the peeked client ID, all
-// by byte shuffling — no decoding, no validation beyond framing. The router
-// uses it to forward one-per-frame submits to a backend as a batch of one,
-// so a rejected submission earns a verdict reply instead of erroring (and
-// dropping) the router's persistent backend connection.
-func RepackSubmitPayload(b []byte) (rec []byte, id int, err error) {
-	pubRaw, plRaw, err := splitSubmitPayload(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	id, err = peekClientPublicID(pubRaw)
-	if err != nil {
-		return nil, 0, err
-	}
-	var w wire.Writer
-	w.U8(WireVersion)
-	w.Blob(pubRaw)
-	w.U32(1)
-	w.Blob(plRaw)
-	return w.Bytes(), id, nil
 }
 
 // SplitSubmissionBatch cuts an encoded "submit-batch" frame body into its
@@ -251,7 +175,7 @@ func SplitSubmissionBatch(b []byte) (recs [][]byte, ids []int, err error) {
 	ids = make([]int, len(recs))
 	for i := range recs {
 		recs[i] = r.Blob()
-		ids[i] = wire.Parse(&r, recs[i], peekSubmissionID)
+		ids[i] = wire.Parse(&r, recs[i], PeekSubmissionID)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, nil, err

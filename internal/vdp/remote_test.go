@@ -3,6 +3,7 @@ package vdp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -10,54 +11,53 @@ import (
 	"repro/internal/store"
 )
 
-// TestSubmitPayloadWire pins the single-submission client wire layout and
-// the router's zero-crypto byte shuffles over it: peek, repack-as-batch-of-
-// one, batch split and byte-identical reassembly.
+// versionZero is the decoder's refusal of a body whose first byte is 0, as
+// every retired prover-0-only "submit" body's is.
+const versionZero = "vdp: unsupported wire format version 0 (this build speaks 1)"
+
+// oldSubmitBody builds the retired "submit" body — u32 publicLen | public |
+// prover-0 payload, no version byte — that the decoders must refuse.
+func oldSubmitBody(pub *Public, sub *ClientSubmission) []byte {
+	pubEnc := pub.EncodeClientPublic(sub.Public)
+	body := binary.BigEndian.AppendUint32(nil, uint32(len(pubEnc)))
+	return append(append(body, pubEnc...), pub.EncodeClientPayload(sub.Payloads[0])...)
+}
+
+// TestSubmitPayloadWire pins a submission's one wire encoding and the
+// router's zero-crypto byte work over it: every "submit-batch" member is
+// EncodeClientSubmission's record byte for byte (a "submit" body is one such
+// record), a K = 2 record keeps both provers' payloads, the retired
+// prover-0-only body is refused with the version text, and peek, batch split
+// and byte-identical reassembly survive hostile framing.
 func TestSubmitPayloadWire(t *testing.T) {
-	pub := testPublic(t, 1, 2, 4)
-	sub, err := pub.NewClientSubmission(7, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := pub.EncodeSubmitPayload(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pub.EncodeSubmitPayload(nil); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("encoded a nil submission")
-	}
-
-	got, err := pub.DecodeSubmitPayload(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Public.ID != 7 || len(got.Payloads) != 1 || got.Payloads[0].ClientID != 7 {
-		t.Fatalf("decoded submission for client %d", got.Public.ID)
-	}
-
-	// The router's forward path: a one-per-frame submit becomes a batch of
-	// one whose decode sees the client's exact bytes.
-	rec, id, err := RepackSubmitPayload(body)
-	if err != nil || id != 7 {
-		t.Fatalf("repack id %d err %v", id, err)
-	}
-	batch := EncodeRawSubmissionBatch([][]byte{rec})
-	subs, err := pub.DecodeSubmissionBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 1 || subs[0].Public.ID != 7 {
-		t.Fatalf("repacked batch decoded to %d submissions", len(subs))
-	}
-
-	// Partition scan + reassembly round trip: splitting a 3-client batch
-	// and re-encoding the records reproduces the frame byte-for-byte.
+	pub := testPublic(t, 2, 2, 4)
 	all := make([]*ClientSubmission, 3)
 	for i := range all {
-		if all[i], err = pub.NewClientSubmission(i, i%2, nil); err != nil {
+		var err error
+		if all[i], err = pub.NewClientSubmission(i+7, i%2, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
+	body := pub.EncodeClientSubmission(all[0])
+	got, err := pub.DecodeClientSubmission(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Public.ID != 7 || len(got.Payloads) != 2 {
+		t.Fatalf("K = 2 round trip: client %d with %d payloads", got.Public.ID, len(got.Payloads))
+	}
+	for k, pl := range got.Payloads {
+		if pl.ClientID != 7 || pl.Prover != k || !bytes.Equal(pub.EncodeClientPayload(pl), pub.EncodeClientPayload(all[0].Payloads[k])) {
+			t.Fatalf("K = 2 round trip changed prover %d's payload", k)
+		}
+	}
+	if id, err := PeekSubmissionID(body); err != nil || id != 7 {
+		t.Fatalf("peek: id %d err %v", id, err)
+	}
+
+	// Partition scan + reassembly round trip: each member of a 3-client
+	// batch is the record a "submit" frame carries, and re-encoding the
+	// records reproduces the frame byte for byte.
 	frame := pub.EncodeSubmissionBatch(all)
 	recs, ids, err := SplitSubmissionBatch(frame)
 	if err != nil {
@@ -66,20 +66,30 @@ func TestSubmitPayloadWire(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("split yielded %d records", len(recs))
 	}
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("record %d peeked id %d", i, id)
+	for i, rec := range recs {
+		if ids[i] != i+7 || !bytes.Equal(rec, pub.EncodeClientSubmission(all[i])) {
+			t.Fatalf("record %d (peeked id %d) is not client %d's submit body", i, ids[i], i+7)
 		}
 	}
 	if !bytes.Equal(EncodeRawSubmissionBatch(recs), frame) {
 		t.Fatal("reassembled batch is not byte-identical to the original frame")
 	}
 
+	// The retired body starts with a length below 16 MiB, so its first byte
+	// is 0: both the decoder and the router's peek refuse it by version.
+	old := oldSubmitBody(pub, all[0])
+	if _, err := pub.DecodeClientSubmission(old); err == nil || err.Error() != versionZero {
+		t.Fatalf("decoding the old layout: %v, want %q", err, versionZero)
+	}
+	if _, err := PeekSubmissionID(old); err == nil || err.Error() != versionZero {
+		t.Fatalf("peeking the old layout: %v, want %q", err, versionZero)
+	}
+
 	// Hostile framing fails without panicking: no body, a short length field,
 	// a length field past the end, a 2^32-scale length field.
-	for _, bad := range [][]byte{nil, {0, 0}, {0, 0, 0, 200, 1}, {255, 0, 0, 0, 1}} {
-		if _, _, err := RepackSubmitPayload(bad); err == nil {
-			t.Fatalf("repack accepted %v", bad)
+	for _, bad := range [][]byte{nil, {WireVersion, 0}, {WireVersion, 0, 0, 200, 1}, {WireVersion, 255, 0, 0, 0, 1}} {
+		if _, err := PeekSubmissionID(bad); err == nil {
+			t.Fatalf("peek accepted %v", bad)
 		}
 	}
 	if _, _, err := SplitSubmissionBatch([]byte{WireVersion, 255, 255, 255, 255}); err == nil {

@@ -41,7 +41,9 @@ func putWireBuf(p *[]byte) {
 }
 
 // EncodeClientSubmission serializes a full submission — the bulletin-board
-// public part plus all K private per-prover payloads — as one record.
+// public part plus all K private per-prover payloads — as one record. It is
+// the one byte string a submission has: a board-log record, a "submit"
+// frame body, and each member of a "submit-batch" frame.
 func (p *Public) EncodeClientSubmission(sub *ClientSubmission) []byte {
 	var w wire.Writer
 	p.putClientSubmission(&w, sub)
@@ -75,6 +77,16 @@ func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
 		return nil, err
 	}
 	return sub, nil
+}
+
+// EncodeSubmitPayload is EncodeClientSubmission, kept for bench/.
+func (p *Public) EncodeSubmitPayload(sub *ClientSubmission) ([]byte, error) {
+	return p.EncodeClientSubmission(sub), nil
+}
+
+// DecodeSubmitPayload is DecodeClientSubmission, kept for bench/.
+func (p *Public) DecodeSubmitPayload(b []byte) (*ClientSubmission, error) {
+	return p.DecodeClientSubmission(b)
 }
 
 // EncodeCoinCommitMsg serializes one prover's Lines 4-6 message: the noise
