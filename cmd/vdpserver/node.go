@@ -32,7 +32,7 @@ func mirrorOptions(grace time.Duration) transport.ClientOptions {
 // board and merged-seal sidecar — under storeDir, falling back to in-memory
 // logs when storeDir is empty. The layout is identical for primaries and
 // standbys, so a promoted standby's directory is a valid node directory.
-func openNodeLogs(storeDir string) (board, seal store.BoardLog, closeAll func()) {
+func openNodeLogs(storeDir string) (board, seal store.Log, closeAll func()) {
 	if storeDir == "" {
 		return store.NewMemLog(), store.NewMemLog(), func() {}
 	}
@@ -68,23 +68,24 @@ func openNodeLogs(storeDir string) (board, seal store.BoardLog, closeAll func())
 func runNode(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget *vdp.BudgetConfig, shardIndex, shardCount int, standbyAddr string, grace time.Duration) {
 	blog, slog, closeLogs := openNodeLogs(storeDir)
 	defer closeLogs()
+	// Counted before mirroring wraps the board: a replicated log's Len is
+	// only what the standby has confirmed, and records held locally must
+	// be resumed, not written over.
+	empty := blog.Len() == 0
 
 	mirror := "none"
 	if standbyAddr != "" {
 		mirror = standbyAddr
 		repl := cluster.NewReplicator(standbyAddr, shardIndex, shardCount, mirrorOptions(grace))
 		defer repl.Close()
-		var err error
-		if blog, err = store.NewReplicatedLog(blog, repl.Mirror(cluster.ReplLogBoard)); err != nil {
-			log.Fatal(err)
-		}
-		if slog, err = store.NewReplicatedLog(slog, repl.Mirror(cluster.ReplLogSeal)); err != nil {
-			log.Fatal(err)
-		}
+		// NewReplicatedLog cannot fail: its error is always nil.
+		rblog, _ := store.NewReplicatedLog(blog, repl.Mirror(cluster.ReplLogBoard))
+		rslog, _ := store.NewReplicatedLog(slog, repl.Mirror(cluster.ReplLogSeal))
+		blog, slog = rblog, rslog
 		// Best-effort catch-up of pre-existing records; a standby that is not
 		// up yet just means the first acknowledged admission pays for it.
-		for _, l := range []store.BoardLog{blog, slog} {
-			if err := l.(interface{ Flush() error }).Flush(); err != nil {
+		for _, l := range []*store.ReplicatedLog{rblog, rslog} {
+			if err := l.Flush(); err != nil {
 				log.Printf("standby %s not caught up yet: %v", standbyAddr, err)
 				break
 			}
@@ -95,10 +96,8 @@ func runNode(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget
 	// from, nothing to serve over node-log.
 	opts := vdp.SessionOptions{Budget: budget}
 	cfg := cluster.NodeConfig{Shard: shardIndex, Shards: shardCount}
-	empty := true
 	if storeDir != "" || standbyAddr != "" {
 		opts.Store, cfg.BoardLog, cfg.SealLog = blog, blog, slog
-		empty = blog.(interface{ Len() int }).Len() == 0
 	}
 	var (
 		sess *vdp.Session

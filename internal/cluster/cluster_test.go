@@ -56,7 +56,7 @@ type testNode struct {
 func startNode(t *testing.T, ctx context.Context, pub *vdp.Public, shard, shards int, dir, addr string) *testNode {
 	t.Helper()
 	n := &testNode{}
-	var boardLog, sealLog store.BoardLog
+	var boardLog, sealLog store.Log
 	if dir == "" {
 		boardLog, sealLog = store.NewMemLog(), store.NewMemLog()
 	} else {
@@ -266,15 +266,15 @@ func TestClusterDigestParity(t *testing.T) {
 // unreadableLog is a board log whose reads can be made to fail after the
 // fact — a disk lost under a running node.
 type unreadableLog struct {
-	store.BoardLog
+	store.Log
 	broken atomic.Bool
 }
 
-func (l *unreadableLog) Snapshot() ([]*store.Record, error) {
+func (l *unreadableLog) ReadFrom(index int) (store.Tailer, error) {
 	if l.broken.Load() {
 		return nil, errors.New("board log unreadable")
 	}
-	return l.BoardLog.Snapshot()
+	return l.Log.ReadFrom(index)
 }
 
 // TestAuditClusterFailsOnUnreadableLog pins the evidence grade to the
@@ -286,7 +286,7 @@ func TestAuditClusterFailsOnUnreadableLog(t *testing.T) {
 	pub := testPub(t)
 	ctx := context.Background()
 
-	board := &unreadableLog{BoardLog: store.NewMemLog()}
+	board := &unreadableLog{Log: store.NewMemLog()}
 	sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Rand: bytes.NewReader(rootSeed()), Store: board, Parallelism: 2}, 0, k)
 	if err != nil {
 		t.Fatal(err)

@@ -26,12 +26,12 @@ type Node struct {
 
 	// boardLog is the session's own durable log when the node persists one
 	// (nil for a memory-only node); served in ranges over KindLog.
-	boardLog store.BoardLog
+	boardLog store.Log
 	// sealLog is the merged-seal sidecar: RecordMergedSeal records replicated
 	// from the router, one per merged epoch, so the cluster-level seal
 	// survives on every node even though the router keeps no state. nil keeps
 	// seals in memory only.
-	sealLog store.BoardLog
+	sealLog store.Log
 
 	mu    sync.Mutex
 	seals map[int][]byte // epoch → merged transcript digest
@@ -44,10 +44,10 @@ type NodeConfig struct {
 	// coordinates or merged digests will not reproduce.
 	Shard, Shards int
 	// BoardLog is the session's durable log, if any (enables KindLog).
-	BoardLog store.BoardLog
+	BoardLog store.Log
 	// SealLog is the merged-seal sidecar log, if any. Existing records are
 	// replayed so a restarted node still knows its merged epochs.
-	SealLog store.BoardLog
+	SealLog store.Log
 }
 
 // NewNode wraps a shard session for cluster serving, replaying any existing
@@ -157,7 +157,7 @@ func (n *Node) Status() *NodeStatus {
 	n.mu.Lock()
 	_, merged := n.seals[n.sess.Epoch()]
 	n.mu.Unlock()
-	return &NodeStatus{
+	st := &NodeStatus{
 		Shard:        n.shard,
 		Shards:       n.shards,
 		Epoch:        n.sess.Epoch(),
@@ -166,27 +166,15 @@ func (n *Node) Status() *NodeStatus {
 		Finalized:    n.sess.Finalized(),
 		MergedSealed: merged,
 		Durable:      n.boardLog != nil,
-		LogLen:       boardLen(n.boardLog),
 	}
-}
-
-// boardLen reports a log's record count when it can (FileLog, MemLog and
-// ReplicatedLog all count; an exotic BoardLog without Len reports 0, which
-// only weakens the promotion fence, never blocks it). A ReplicatedLog
-// reports its acked (mirrored) prefix, not its total: records the standby
-// never confirmed must not raise the fence, or a primary dying mid-sync
-// would wedge promotion on history nobody acknowledged.
-func boardLen(log store.BoardLog) int {
-	if log == nil {
-		return 0
+	if n.boardLog != nil {
+		// A ReplicatedLog counts its mirrored prefix, not its local total:
+		// records the standby never confirmed must not raise the promotion
+		// fence, or a primary dying mid-sync would wedge promotion on
+		// history nobody acknowledged.
+		st.LogLen = n.boardLog.Len()
 	}
-	if c, ok := log.(interface{ Acked() int }); ok {
-		return c.Acked()
-	}
-	if c, ok := log.(interface{ Len() int }); ok {
-		return c.Len()
-	}
-	return 0
+	return st
 }
 
 // Handle serves one cluster RPC frame and always produces exactly one reply
@@ -295,12 +283,12 @@ func (n *Node) transcript(epoch int) *transport.Frame {
 	}
 }
 
-// shipLog answers a KindLog request from a board log: the committed record
-// count — what Snapshot returns, so only the mirrored prefix of a replicated
-// log — and one chunk of the records from the requested index on, none when
-// the index is at or past the end. Shared by nodes and unpromoted standbys
-// (which serve their mirrored log to followers).
-func shipLog(shard int, log store.BoardLog, req []byte) *transport.Frame {
+// shipLog answers a KindLog request from a board log: the log's Len — for a
+// replicated log only the mirrored prefix — and one chunk of the records
+// from the requested index on, none when the index is at or past the end.
+// Only the shipped records are read. Shared by nodes and unpromoted
+// standbys (which serve their mirrored log to followers).
+func shipLog(shard int, log store.Log, req []byte) *transport.Frame {
 	from, err := decodeIndexReq(req)
 	if err != nil {
 		return errFrame("%v", err)
@@ -308,16 +296,24 @@ func shipLog(shard int, log store.BoardLog, req []byte) *transport.Frame {
 	if log == nil {
 		return errFrame("cluster: shard %d keeps no board log", shard)
 	}
-	recs, err := log.Snapshot()
-	if err != nil {
-		return errFrame("cluster: shard %d board log: %v", shard, err)
-	}
+	committed := log.Len()
 	var chunk []*store.Record
-	if from < len(recs) {
-		chunk = recs[from:]
-		chunk = chunk[:chunkLen(chunk)]
+	if from < committed {
+		t, err := log.ReadFrom(from)
+		if err != nil {
+			return errFrame("cluster: shard %d board log: %v", shard, err)
+		}
+		defer t.Close()
+		for size := 0; from+len(chunk) < committed && chunkHasRoom(len(chunk), size); {
+			rec, _, err := t.Next()
+			if err != nil {
+				return errFrame("cluster: shard %d board log: %v", shard, err)
+			}
+			chunk = append(chunk, rec)
+			size += recordCost(rec)
+		}
 	}
-	payload, err := encodeLogRange(len(recs), from, chunk)
+	payload, err := encodeLogRange(committed, from, chunk)
 	if err != nil {
 		return errFrame("%v", err)
 	}

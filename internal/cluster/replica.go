@@ -38,9 +38,9 @@ type StandbyConfig struct {
 	// Shard and Shards are the replica set's position in the cluster.
 	Shard, Shards int
 	// Board receives the mirrored board log (required).
-	Board store.BoardLog
+	Board store.Log
 	// Seal receives the mirrored merged-seal sidecar (required).
-	Seal store.BoardLog
+	Seal store.Log
 	// SessionOpts templates the session a promotion resumes: Budget,
 	// Parallelism and Rand are honored; Store and Shards are overridden with
 	// the mirrored board log and single-shard mode. For digest parity with
@@ -58,13 +58,11 @@ type Standby struct {
 	ctx context.Context
 	cfg StandbyConfig
 
-	mu       sync.Mutex
-	boardLen int
-	sealLen  int
-	epoch    int            // max epoch seen in mirrored board records
-	seals    map[int][]byte // mirrored merged seals, epoch → digest
-	fenced   bool           // promotion begun: replication refused from here on
-	node     *Node          // non-nil once promoted
+	mu     sync.Mutex
+	epoch  int            // max epoch seen in mirrored board records
+	seals  map[int][]byte // mirrored merged seals, epoch → digest
+	fenced bool           // promotion begun: replication refused from here on
+	node   *Node          // non-nil once promoted
 }
 
 // NewStandby opens a standby over its (possibly non-empty — a restarted
@@ -75,7 +73,6 @@ func NewStandby(ctx context.Context, pub *vdp.Public, cfg StandbyConfig) (*Stand
 	}
 	s := &Standby{pub: pub, ctx: ctx, cfg: cfg, seals: make(map[int][]byte)}
 	err := cfg.Board.Replay(func(rec *store.Record) error {
-		s.boardLen++
 		if int(rec.Epoch) > s.epoch {
 			s.epoch = int(rec.Epoch)
 		}
@@ -89,7 +86,6 @@ func NewStandby(ctx context.Context, pub *vdp.Public, cfg StandbyConfig) (*Stand
 		if err != nil {
 			return err
 		}
-		s.sealLen++
 		s.seals[epoch] = digest
 		return nil
 	})
@@ -120,11 +116,7 @@ func (s *Standby) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission)
 }
 
 // MirroredRecords reports how many board records the mirror holds.
-func (s *Standby) MirroredRecords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.boardLen
-}
+func (s *Standby) MirroredRecords() int { return s.cfg.Board.Len() }
 
 // Handle serves one frame, always producing exactly one reply (KindError on
 // failure) like Node.Handle. After promotion, non-replication RPCs are served
@@ -175,7 +167,7 @@ func (s *Standby) status() *NodeStatus {
 		MergedSealed: merged,
 		Durable:      true,
 		Standby:      true,
-		LogLen:       s.boardLen,
+		LogLen:       s.cfg.Board.Len(),
 	}
 }
 
@@ -197,21 +189,20 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 	if s.fenced {
 		return errFrame("cluster: %s: shard %d standby has been promoted", fencedMsg, s.cfg.Shard)
 	}
-	var log store.BoardLog
-	var have *int
+	var log store.Log
 	switch logID {
 	case ReplLogBoard:
-		log, have = s.cfg.Board, &s.boardLen
+		log = s.cfg.Board
 	case ReplLogSeal:
-		log, have = s.cfg.Seal, &s.sealLen
+		log = s.cfg.Seal
 	default:
 		return errFrame("cluster: unknown replicate log id %d", logID)
 	}
-	if start > *have {
-		return &transport.Frame{Kind: KindReplicateGap, Payload: encodeReplicateOK(logID, *have)}
+	have := log.Len()
+	if start > have {
+		return &transport.Frame{Kind: KindReplicateGap, Payload: encodeReplicateOK(logID, have)}
 	}
-	skip := *have - start
-	if skip < len(recs) {
+	if skip := have - start; skip < len(recs) {
 		fresh := recs[skip:]
 		// A seal record the standby would refuse at restart is refused now,
 		// with the whole frame, before anything is appended.
@@ -226,34 +217,22 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 				epochs, digests = append(epochs, epoch), append(digests, digest)
 			}
 		}
-		gc, grouped := log.(interface {
-			AppendNoSync(*store.Record) error
-			Sync() error
-		})
 		for i, rec := range fresh {
-			var aerr error
-			if grouped {
-				aerr = gc.AppendNoSync(rec)
-			} else {
-				aerr = log.Append(rec)
+			if err := log.AppendNoSync(rec); err != nil {
+				return errFrame("cluster: standby mirror append: %v", err)
 			}
-			if aerr != nil {
-				return errFrame("cluster: standby mirror append: %v", aerr)
-			}
-			*have++
+			have++
 			if logID == ReplLogSeal {
 				s.seals[epochs[i]] = digests[i]
 			} else if int(rec.Epoch) > s.epoch {
 				s.epoch = int(rec.Epoch)
 			}
 		}
-		if grouped {
-			if err := gc.Sync(); err != nil {
-				return errFrame("cluster: standby mirror sync: %v", err)
-			}
+		if err := log.Sync(); err != nil {
+			return errFrame("cluster: standby mirror sync: %v", err)
 		}
 	}
-	return &transport.Frame{Kind: okKind(KindReplicate), Payload: encodeReplicateOK(logID, *have)}
+	return &transport.Frame{Kind: okKind(KindReplicate), Payload: encodeReplicateOK(logID, have)}
 }
 
 // promote executes the fenced takeover. The handshake order is what prevents
@@ -275,8 +254,7 @@ func (s *Standby) promote(payload []byte) *transport.Frame {
 		s.mu.Unlock()
 		return &transport.Frame{Kind: okKind(KindPromote), Payload: encodeStatus(st)}
 	}
-	if s.boardLen < minLogLen {
-		n := s.boardLen
+	if n := s.cfg.Board.Len(); n < minLogLen {
 		s.mu.Unlock()
 		return errFrame("cluster: shard %d standby mirror holds %d records, promotion requires %d — refusing to rewrite acknowledged history",
 			s.cfg.Shard, n, minLogLen)
@@ -294,7 +272,7 @@ func (s *Standby) promote(payload []byte) *transport.Frame {
 		return errFrame("cluster: shard %d standby promotion already in progress", s.cfg.Shard)
 	}
 	s.fenced = true
-	empty := s.boardLen == 0
+	empty := s.cfg.Board.Len() == 0
 	s.mu.Unlock()
 
 	opts := s.cfg.SessionOpts
@@ -322,9 +300,6 @@ func (s *Standby) promote(payload []byte) *transport.Frame {
 	}
 	s.mu.Lock()
 	s.node = node
-	// Resuming may have appended records (re-verified verdicts); recount so
-	// status stays truthful.
-	s.boardLen = boardLen(s.cfg.Board)
 	s.mu.Unlock()
 	return &transport.Frame{Kind: okKind(KindPromote), Payload: encodeStatus(node.Status())}
 }

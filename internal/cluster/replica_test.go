@@ -19,8 +19,8 @@ type testStandby struct {
 	addr  string
 	srv   *transport.Server
 	sb    *Standby
-	board store.BoardLog
-	seal  store.BoardLog
+	board store.Log
+	seal  store.Log
 }
 
 // startStandby boots a standby for one shard over in-memory mirror logs,
@@ -129,19 +129,19 @@ func TestReplicaMirrorAndFencedPromotion(t *testing.T) {
 		landed++
 		// Synchronous mirroring: the ack implies the standby holds every
 		// record the primary's published prefix holds.
-		if got, want := sb.sb.MirroredRecords(), pr.board.Acked(); got != want {
+		if got, want := sb.sb.MirroredRecords(), pr.board.Len(); got != want {
 			t.Fatalf("after client %d: standby mirrors %d records, primary acked %d", id, got, want)
 		}
 	}
-	if pr.board.Acked() == 0 {
+	if pr.board.Len() == 0 {
 		t.Fatal("nothing mirrored")
 	}
 
 	// The primary's status advertises the acked prefix, which is the fencing
 	// floor the router carries into promotion.
 	st := pr.node.Status()
-	if !st.Durable || st.LogLen != pr.board.Acked() {
-		t.Fatalf("primary status LogLen=%d durable=%v, want acked=%d durable", st.LogLen, st.Durable, pr.board.Acked())
+	if !st.Durable || st.LogLen != pr.board.Len() {
+		t.Fatalf("primary status LogLen=%d durable=%v, want acked=%d durable", st.LogLen, st.Durable, pr.board.Len())
 	}
 
 	// Promote through the Backend handshake, exactly as the router would:
@@ -363,7 +363,7 @@ func TestReplicateGapRewind(t *testing.T) {
 		}
 		landed++
 	}
-	if got := sb2.sb.MirroredRecords(); got != pr.board.Acked() {
-		t.Fatalf("replacement standby mirrors %d records, primary acked %d — rewind did not re-ship", got, pr.board.Acked())
+	if got := sb2.sb.MirroredRecords(); got != pr.board.Len() {
+		t.Fatalf("replacement standby mirrors %d records, primary acked %d — rewind did not re-ship", got, pr.board.Len())
 	}
 }

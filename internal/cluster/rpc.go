@@ -292,12 +292,19 @@ const chunkBytes = 4 << 20
 // frame: at least one, then more until chunkBytes is reached.
 func chunkLen(recs []*store.Record) int {
 	n, size := 0, 0
-	for n < len(recs) && (n == 0 || size < chunkBytes) {
-		size += len(recs[n].Payload) + 32
+	for n < len(recs) && chunkHasRoom(n, size) {
+		size += recordCost(recs[n])
 		n++
 	}
 	return n
 }
+
+// chunkHasRoom reports whether a chunk of n records and size bytes takes
+// one more record: the first always fits, the rest until chunkBytes.
+func chunkHasRoom(n, size int) bool { return n == 0 || size < chunkBytes }
+
+// recordCost is a record's charge against chunkBytes.
+func recordCost(rec *store.Record) int { return len(rec.Payload) + 32 }
 
 // encodeRecords appends a record count and the records in store.EncodeRecord
 // framing (self-delimiting, CRC-checked), in append order, refusing an

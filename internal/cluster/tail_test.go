@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -518,5 +520,79 @@ func TestRemoteReadsPastFrameLimit(t *testing.T) {
 	if report.Source != "logs" || report.Epoch != len(digests)-1 || !bytes.Equal(report.Digest, digests[len(digests)-1]) {
 		t.Fatalf("audit: %s-grade epoch %d digest %x, want log-grade epoch %d digest %x",
 			report.Source, report.Epoch, report.Digest, len(digests)-1, digests[len(digests)-1])
+	}
+}
+
+// TestNodeLogReadsOnlyShippedRecords: a node-log request reads only the
+// records it ships. With a byte of record 0 flipped on a file-backed node's
+// board, a request from n−64 still ships the last 64 records, while a
+// request from 0 reports the checksum mismatch — so the reply for n−64 cannot
+// have re-read the log from its first record.
+func TestNodeLogReadsOnlyShippedRecords(t *testing.T) {
+	const last = 64
+	const rec0Body = 7 + 4 // the log's magic header, then record 0's length prefix
+	pub := testPub(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	nd := startNode(t, ctx, pub, 0, 1, dir, "")
+	defer nd.stop()
+	verdicts, err := nd.node.SubmitBatch(ctx, buildSubs(t, pub, 0, last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range verdicts {
+		if v != nil {
+			t.Fatal(v)
+		}
+	}
+	n := nd.board.Len()
+	if n < 2*last {
+		t.Fatalf("board holds %d records, want at least %d", n, 2*last)
+	}
+	tl, err := nd.board.ReadFrom(n - last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*store.Record
+	for len(want) < last {
+		rec, _, err := tl.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	tl.Close()
+
+	f, err := os.OpenFile(filepath.Join(dir, "board.log"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, rec0Body+2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	nodeLog := func(from int) *transport.Frame {
+		return nd.node.Handle(&transport.Frame{Kind: KindLog, Payload: encodeIndexReq(from)})[0]
+	}
+	reply := nodeLog(n - last)
+	if reply.Kind != okKind(KindLog) {
+		t.Fatalf("node-log from %d: %s %s", n-last, reply.Kind, reply.Payload)
+	}
+	committed, from, recs, err := decodeLogRange(reply.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed != n || from != n-last || len(recs) != last {
+		t.Fatalf("node-log from %d shipped %d records from %d of %d, want %d from %d of %d",
+			n-last, len(recs), from, committed, last, n-last, n)
+	}
+	for i, rec := range recs {
+		if !bytes.Equal(store.EncodeRecord(rec), store.EncodeRecord(want[i])) {
+			t.Fatalf("shipped record %d differs from the board's", n-last+i)
+		}
+	}
+	if reply := nodeLog(0); reply.Kind != KindError || !strings.Contains(string(reply.Payload), "record checksum mismatch") {
+		t.Fatalf("node-log from 0 over a corrupted record 0: %s %s", reply.Kind, reply.Payload)
 	}
 }

@@ -11,7 +11,11 @@
 // hostile or corrupted log can only deliver bytes that the vdp decoders
 // fully validate on replay.
 //
-// Two BoardLog implementations ship:
+// A log has two surfaces. BoardLog is the writer's: Append, the group-commit
+// pair AppendNoSync/Sync, and the whole-log reads Replay and Snapshot. Log
+// adds the reader's: Len and ReadFrom(index), a Tailer from record index on,
+// so a follower that has seen i records reads only what came after them.
+// Four Log implementations ship:
 //
 //   - MemLog keeps records in memory. It is the default when no durability
 //     is requested and preserves the pre-durability behavior exactly: a
@@ -22,7 +26,14 @@
 //     Opening an existing file replays it to the last intact record and
 //     truncates a torn tail (the partial record a crash mid-append leaves
 //     behind), which is what makes restart-without-data-loss work: the
-//     bytes that were acknowledged are the bytes that are replayed.
+//     bytes that were acknowledged are the bytes that are replayed. The
+//     same scan builds the record-index-to-offset table ReadFrom seeks by.
+//
+//   - ReplicatedLog mirrors an inner Log to a standby before acknowledging;
+//     its Len and ReadFrom cover only the mirrored prefix.
+//
+//   - FaultLog fails a FileLog's Nth append on purpose, so crash-recovery
+//     tests drive the same group-commit path production stores run.
 //
 // SegmentedLog composes FileLogs into the sharded layout: one directory
 // holding a manifest log (whose first record fixes the shard count) plus

@@ -40,16 +40,16 @@ func (k FaultKind) String() string {
 // ErrInjected marks an error produced by a FaultLog rather than the disk.
 var ErrInjected = errors.New("store: injected fault")
 
-// FaultLog wraps a FileLog and deterministically fails the Nth append with
-// the configured fault, modeling the process dying at that instant: after
-// the trip every further operation fails too (a dead process issues no more
-// writes). Recovery is then exercised the honest way — reopen the file with
-// OpenFileLog and resume. FaultLog deliberately implements only the plain
-// BoardLog surface, so sessions drive it through the single-append path
-// the fault semantics are defined for.
+// FaultLog is a FileLog that deterministically fails its Nth append —
+// Append and AppendNoSync count alike — with the configured fault, modeling
+// the process dying at that instant: after the trip every further write,
+// Sync included, fails too (a dead process issues no more writes). Reads and
+// Close pass through to the file untouched, so a test can release the
+// handle and exercise recovery the honest way — reopen the file with
+// OpenFileLog and resume.
 type FaultLog struct {
+	*FileLog
 	mu      sync.Mutex
-	inner   *FileLog
 	kind    FaultKind
 	trip    int // 0-based append index that faults
 	seen    int
@@ -59,7 +59,7 @@ type FaultLog struct {
 // NewFaultLog wraps inner so that the trip-th Append (0-based) fails with
 // the given fault kind.
 func NewFaultLog(inner *FileLog, kind FaultKind, trip int) *FaultLog {
-	return &FaultLog{inner: inner, kind: kind, trip: trip}
+	return &FaultLog{FileLog: inner, kind: kind, trip: trip}
 }
 
 // FaultFromSeed derives a deterministic (kind, trip) plan from a seed, so a
@@ -85,7 +85,12 @@ func (l *FaultLog) Tripped() bool {
 }
 
 // Append implements BoardLog, faulting at the configured trip point.
-func (l *FaultLog) Append(rec *Record) error {
+func (l *FaultLog) Append(rec *Record) error { return l.append(rec, l.FileLog.Append) }
+
+// AppendNoSync implements BoardLog, faulting on the same counter as Append.
+func (l *FaultLog) AppendNoSync(rec *Record) error { return l.append(rec, l.FileLog.AppendNoSync) }
+
+func (l *FaultLog) append(rec *Record, write func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.tripped {
@@ -96,32 +101,33 @@ func (l *FaultLog) Append(rec *Record) error {
 		switch l.kind {
 		case FaultShortWrite:
 			enc := EncodeRecord(rec)
-			if err := l.inner.writeRaw(enc[:len(enc)/2]); err != nil {
+			if err := l.FileLog.writeRaw(enc[:len(enc)/2]); err != nil {
 				return err
 			}
 		case FaultTornAppend:
-			if err := l.inner.Append(rec); err != nil {
+			if err := l.FileLog.Append(rec); err != nil {
 				return err
 			}
 		}
 		return fmt.Errorf("store: append %d: %s: %w", l.trip, l.kind, ErrInjected)
 	}
 	l.seen++
-	return l.inner.Append(rec)
+	return write(rec)
 }
 
-// Snapshot implements BoardLog (reads are unaffected by the fault).
-func (l *FaultLog) Snapshot() ([]*Record, error) { return l.inner.Snapshot() }
-
-// Replay implements BoardLog.
-func (l *FaultLog) Replay(fn func(*Record) error) error { return l.inner.Replay(fn) }
-
-// Close implements BoardLog; closing remains possible after the trip so a
-// test can release the file handle before reopening for recovery.
-func (l *FaultLog) Close() error { return l.inner.Close() }
+// Sync implements BoardLog: it flushes the inner log until the trip and
+// fails after it.
+func (l *FaultLog) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.tripped {
+		return fmt.Errorf("store: log is dead after an %s fault: %w", l.kind, ErrInjected)
+	}
+	return l.FileLog.Sync()
+}
 
 // writeRaw appends bytes to the file without committing them: the log's
-// size and count are left alone, so the fragment sits past the committed
+// size and record index are left alone, so the fragment sits past the committed
 // offset exactly like a torn tail. The write is synced so the fragment is
 // really on disk when recovery scans the file.
 func (l *FileLog) writeRaw(b []byte) error {

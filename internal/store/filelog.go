@@ -22,8 +22,8 @@ type FileLog struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
-	size     int64 // valid bytes (append offset)
-	count    int   // records currently in the log
+	size     int64   // valid bytes (append offset)
+	offs     []int64 // byte offset of every record, by index
 	sync     bool
 	closed   bool
 	broken   bool // a failed append could not be rolled back
@@ -144,7 +144,6 @@ func (l *FileLog) recover() error {
 	}
 
 	offset := int64(len(fileMagic))
-	count := 0
 	r := bufio.NewReader(l.f)
 	for {
 		n, err := scanRecord(r)
@@ -176,16 +175,15 @@ func (l *FileLog) recover() error {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("store: %s: record %d (offset %d): %w", l.path, count, offset, err)
+			return fmt.Errorf("store: %s: record %d (offset %d): %w", l.path, len(l.offs), offset, err)
 		}
+		l.offs = append(l.offs, offset)
 		offset += int64(n)
-		count++
 	}
 	if _, err := l.f.Seek(offset, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	l.size = offset
-	l.count = count
 	return nil
 }
 
@@ -263,11 +261,11 @@ func readRecord(r io.Reader) (*Record, int, error) {
 	return rec, 4 + len(rest), nil
 }
 
-// Len returns how many intact records the log holds.
+// Len implements Log: how many intact records the log holds.
 func (l *FileLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.count
+	return len(l.offs)
 }
 
 // Truncated reports how many torn-tail bytes were discarded when the log
@@ -288,18 +286,15 @@ func (l *FileLog) Append(rec *Record) error {
 	return l.append(rec, l.sync)
 }
 
-// AppendNoSync writes a record in order without waiting for stable storage.
-// Pair it with Sync before acknowledging the record to anyone: several
-// writers can AppendNoSync under their own ordering locks and share one
-// group-commit flush, instead of serializing a disk flush each.
+// AppendNoSync implements BoardLog: the record is written in order, and the
+// fsync is left to the Sync that ends the commit window.
 func (l *FileLog) AppendNoSync(rec *Record) error {
 	return l.append(rec, false)
 }
 
-// Sync flushes every previously appended record to stable storage. One
-// fsync covers all writes before it, which is what makes group commit work.
-// A log opened WithNoSync stays unsynced (benchmarks opt out of durability
-// entirely).
+// Sync implements BoardLog: one fsync covers every write before it, which
+// is what makes group commit work. A log opened WithNoSync stays unsynced
+// (benchmarks opt out of durability entirely).
 func (l *FileLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -342,8 +337,8 @@ func (l *FileLog) append(rec *Record, doSync bool) error {
 			return fmt.Errorf("store: append sync: %w", err)
 		}
 	}
+	l.offs = append(l.offs, l.size)
 	l.size += int64(len(enc))
-	l.count++
 	return nil
 }
 

@@ -44,7 +44,10 @@ func FuzzDecodeRecord(f *testing.F) {
 // — the tailer yields precisely the records recovery committed, in order,
 // then reports ErrNoRecord, and never surfaces corruption from inside the
 // region recovery vouched for. This pins the committed-offset gating that
-// keeps a live audit from reading torn or in-flight bytes.
+// keeps a live audit from reading torn or in-flight bytes. The offset index
+// recovery builds must agree too: ReadFrom(i), for every i in [0, Len()],
+// yields the recovered records from i on at the offsets a ReadFrom(0) walk
+// reports, and an index outside that range is an error, never a panic.
 func FuzzTailerResync(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRecord(&Record{Kind: 1, Epoch: 0, Payload: []byte("whole")}))
@@ -66,22 +69,39 @@ func FuzzTailerResync(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recovered log refuses Snapshot: %v", err)
 		}
-		tl, err := l.Tail()
-		if err != nil {
-			t.Fatalf("recovered log refuses Tail: %v", err)
+		if l.Len() != len(recs) {
+			t.Fatalf("Len = %d, recovery committed %d records", l.Len(), len(recs))
 		}
-		defer tl.Close()
-		for i, want := range recs {
-			rec, _, err := tl.Next()
+		var offs []int64
+		for i := 0; i <= len(recs); i++ {
+			tl, err := l.ReadFrom(i)
 			if err != nil {
-				t.Fatalf("record %d: recovery committed it but the tailer returned %v", i, err)
+				t.Fatalf("recovered log refuses ReadFrom(%d): %v", i, err)
 			}
-			if rec.Kind != want.Kind || rec.Epoch != want.Epoch || !bytes.Equal(rec.Payload, want.Payload) {
-				t.Fatalf("record %d: tailer disagrees with recovery", i)
+			for j := i; j < len(recs); j++ {
+				rec, off, err := tl.Next()
+				if err != nil {
+					t.Fatalf("ReadFrom(%d), record %d: recovery committed it but the tailer returned %v", i, j, err)
+				}
+				want := recs[j]
+				if rec.Kind != want.Kind || rec.Epoch != want.Epoch || !bytes.Equal(rec.Payload, want.Payload) {
+					t.Fatalf("ReadFrom(%d), record %d: tailer disagrees with recovery", i, j)
+				}
+				if i == 0 {
+					offs = append(offs, off)
+				} else if off != offs[j] {
+					t.Fatalf("ReadFrom(%d), record %d at offset %d, the walk from 0 found it at %d", i, j, off, offs[j])
+				}
 			}
+			if _, _, err := tl.Next(); err != ErrNoRecord {
+				t.Fatalf("ReadFrom(%d): past the committed region the tailer returned %v, want ErrNoRecord", i, err)
+			}
+			tl.Close()
 		}
-		if _, _, err := tl.Next(); err != ErrNoRecord {
-			t.Fatalf("past the committed region the tailer returned %v, want ErrNoRecord", err)
+		for _, bad := range []int{-1, len(recs) + 1} {
+			if _, err := l.ReadFrom(bad); err == nil {
+				t.Fatalf("ReadFrom(%d) of a %d-record log succeeded", bad, len(recs))
+			}
 		}
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// ReplicatedLog mirrors an inner BoardLog to a standby before records are
+// ReplicatedLog mirrors an inner Log to a standby before records are
 // acknowledged: every Append (and every Sync after AppendNoSync group
 // commits) first lands in the inner log and then ships the not-yet-mirrored
 // suffix through a MirrorFunc. Only when the standby has confirmed the
@@ -13,19 +13,18 @@ import (
 // reconstructible from the standby, which is exactly the fencing invariant a
 // failover promotion relies on.
 //
-// Snapshot deliberately exposes only the mirrored (acked) prefix: external
-// readers — audit fetches, tail followers — must never observe a record the
-// standby could be missing, or a failover would look like rewritten history.
-// Replay exposes the full local log (it is the session's own recovery
-// surface; records a restarted primary holds beyond the mirror are pushed to
-// the standby by the next flush).
+// Len, ReadFrom and Snapshot deliberately expose only the mirrored (acked)
+// prefix: external readers — audit fetches, tail followers, the promotion
+// fence — must never observe a record the standby could be missing, or a
+// failover would look like rewritten history. Replay exposes the full local
+// log (it is the session's own recovery surface; records a restarted
+// primary holds beyond the mirror are pushed to the standby by the next
+// flush).
 type ReplicatedLog struct {
-	mu      sync.Mutex
-	inner   BoardLog
-	mirror  MirrorFunc
-	total   int       // records in the inner log
-	acked   int       // standby-confirmed prefix
-	pending []*Record // inner records [acked, total), nil when unknown
+	mu     sync.Mutex
+	inner  Log
+	mirror MirrorFunc
+	acked  int // standby-confirmed prefix
 }
 
 // MirrorFunc ships records [start, start+len(recs)) to the standby and
@@ -44,13 +43,10 @@ func (e *MirrorGapError) Error() string {
 
 // NewReplicatedLog wraps inner. Existing records count as unmirrored until
 // the first flush confirms them — a restarted primary re-ships (the standby
-// skips what it already holds, so the catch-up is idempotent).
-func NewReplicatedLog(inner BoardLog, mirror MirrorFunc) (*ReplicatedLog, error) {
-	n := 0
-	if err := inner.Replay(func(*Record) error { n++; return nil }); err != nil {
-		return nil, err
-	}
-	return &ReplicatedLog{inner: inner, mirror: mirror, total: n}, nil
+// skips what it already holds, so the catch-up is idempotent). The error
+// is always nil.
+func NewReplicatedLog(inner Log, mirror MirrorFunc) (*ReplicatedLog, error) {
+	return &ReplicatedLog{inner: inner, mirror: mirror}, nil
 }
 
 // Flush mirrors every record the standby has not confirmed yet. Called at
@@ -70,40 +66,60 @@ func (l *ReplicatedLog) SetMirror(m MirrorFunc) {
 	l.mirror = m
 }
 
-// Acked returns the standby-confirmed record count (the published prefix).
-func (l *ReplicatedLog) Acked() int {
+// Len implements Log: the standby-confirmed record count (the published
+// prefix).
+func (l *ReplicatedLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.acked
 }
 
-// Len returns the inner log's record count.
-func (l *ReplicatedLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
+// ReadFrom implements Log over the mirrored prefix: the tailer reports
+// ErrNoRecord at the prefix's end, however far the local log runs past it.
+func (l *ReplicatedLog) ReadFrom(index int) (Tailer, error) {
+	if err := checkIndex(index, l.Len()); err != nil {
+		return nil, err
+	}
+	t, err := l.inner.ReadFrom(index)
+	if err != nil {
+		return nil, err
+	}
+	return &prefixTailer{Tailer: t, log: l, idx: index}, nil
 }
 
+// prefixTailer stops a tail of the inner log at the mirrored prefix.
+type prefixTailer struct {
+	Tailer
+	log *ReplicatedLog
+	idx int
+}
+
+func (t *prefixTailer) Next() (*Record, int64, error) {
+	if t.idx >= t.log.Len() {
+		return nil, 0, ErrNoRecord
+	}
+	rec, off, err := t.Tailer.Next()
+	if err == nil {
+		t.idx++
+	}
+	return rec, off, err
+}
+
+// flushLocked ships records [acked, inner.Len()) to the standby, read back
+// from the inner log.
 func (l *ReplicatedLog) flushLocked() error {
 	rewound := false
-	for l.acked < l.total {
-		if l.pending == nil {
-			snap, err := l.inner.Snapshot()
-			if err != nil {
-				return err
-			}
-			if len(snap) != l.total {
-				return fmt.Errorf("store: replicated log counted %d records, snapshot holds %d", l.total, len(snap))
-			}
-			l.pending = snap[l.acked:]
+	for total := l.inner.Len(); l.acked < total; {
+		recs, err := readRange(l.inner, l.acked, total)
+		if err != nil {
+			return err
 		}
-		n, err := l.mirror(l.acked, l.pending)
+		n, err := l.mirror(l.acked, recs)
 		if err == nil {
-			if n < l.acked+len(l.pending) {
-				return fmt.Errorf("store: standby confirmed %d records, %d were mirrored", n, l.acked+len(l.pending))
+			if n < total {
+				return fmt.Errorf("store: standby confirmed %d records, %d were mirrored", n, total)
 			}
-			l.acked += len(l.pending)
-			l.pending = nil
+			l.acked = total
 			return nil
 		}
 		if gap, ok := err.(*MirrorGapError); ok && !rewound && gap.StandbyLen < l.acked && gap.StandbyLen >= 0 {
@@ -111,12 +127,29 @@ func (l *ReplicatedLog) flushLocked() error {
 			// tail, say): rewind once and re-ship from where it really is.
 			rewound = true
 			l.acked = gap.StandbyLen
-			l.pending = nil
 			continue
 		}
 		return err
 	}
 	return nil
+}
+
+// readRange reads records [from, to) of l.
+func readRange(l Log, from, to int) ([]*Record, error) {
+	t, err := l.ReadFrom(from)
+	if err != nil {
+		return nil, err
+	}
+	defer t.Close()
+	recs := make([]*Record, 0, to-from)
+	for len(recs) < to-from {
+		rec, _, err := t.Next()
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // Append implements BoardLog: the record lands in the inner log, then the
@@ -127,69 +160,33 @@ func (l *ReplicatedLog) Append(rec *Record) error {
 	if err := l.inner.Append(rec); err != nil {
 		return err
 	}
-	l.noteAppendLocked(rec)
 	return l.flushLocked()
 }
 
-// AppendNoSync implements the group-commit surface: the record is written
-// (unsynced when the inner log supports it) but not mirrored yet; the Sync
-// that ends the commit window ships the whole batch in one mirror call.
+// AppendNoSync implements BoardLog: the record is written unsynced and not
+// mirrored yet; the Sync that ends the commit window ships the whole batch
+// in one mirror call.
 func (l *ReplicatedLog) AppendNoSync(rec *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
-	if gc, ok := l.inner.(interface{ AppendNoSync(*Record) error }); ok {
-		err = gc.AppendNoSync(rec)
-	} else {
-		err = l.inner.Append(rec)
-	}
-	if err != nil {
-		return err
-	}
-	l.noteAppendLocked(rec)
-	return nil
+	return l.inner.AppendNoSync(rec)
 }
 
-// Sync implements the group-commit surface: the inner log is made durable
-// first, then the batch is mirrored. Records are never acknowledged to the
-// standby before they are stable locally.
+// Sync implements BoardLog: the inner log is made durable first, then the
+// batch is mirrored. Records are never acknowledged to the standby before
+// they are stable locally.
 func (l *ReplicatedLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if gc, ok := l.inner.(interface{ Sync() error }); ok {
-		if err := gc.Sync(); err != nil {
-			return err
-		}
+	if err := l.inner.Sync(); err != nil {
+		return err
 	}
 	return l.flushLocked()
-}
-
-func (l *ReplicatedLog) noteAppendLocked(rec *Record) {
-	l.total++
-	if l.pending != nil {
-		cp := &Record{Kind: rec.Kind, Epoch: rec.Epoch, Payload: append([]byte(nil), rec.Payload...)}
-		l.pending = append(l.pending, cp)
-	} else if l.acked == l.total-1 {
-		cp := &Record{Kind: rec.Kind, Epoch: rec.Epoch, Payload: append([]byte(nil), rec.Payload...)}
-		l.pending = []*Record{cp}
-	}
 }
 
 // Snapshot implements BoardLog, returning only the mirrored prefix (see the
 // type comment).
-func (l *ReplicatedLog) Snapshot() ([]*Record, error) {
-	l.mu.Lock()
-	acked := l.acked
-	l.mu.Unlock()
-	snap, err := l.inner.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if acked < len(snap) {
-		snap = snap[:acked]
-	}
-	return snap, nil
-}
+func (l *ReplicatedLog) Snapshot() ([]*Record, error) { return readRange(l.inner, 0, l.Len()) }
 
 // Replay implements BoardLog over the full local log.
 func (l *ReplicatedLog) Replay(fn func(*Record) error) error { return l.inner.Replay(fn) }

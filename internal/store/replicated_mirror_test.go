@@ -24,8 +24,8 @@ func TestReplicatedLogSetMirrorRewinds(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if l.Acked() != 3 {
-		t.Fatalf("acked = %d, want 3", l.Acked())
+	if l.Len() != 3 {
+		t.Fatalf("acked = %d, want 3", l.Len())
 	}
 
 	// The replacement standby restarted behind: it holds only record 0.
@@ -37,8 +37,8 @@ func TestReplicatedLogSetMirrorRewinds(t *testing.T) {
 	if len(repl.recs) != 4 {
 		t.Fatalf("replacement mirror holds %d records, want 4", len(repl.recs))
 	}
-	if l.Acked() != 4 {
-		t.Fatalf("acked after rewind = %d, want 4", l.Acked())
+	if l.Len() != 4 {
+		t.Fatalf("acked after rewind = %d, want 4", l.Len())
 	}
 
 	// Replay spans the full local log, not just the acked prefix.

@@ -47,7 +47,7 @@ func TestReplicatedLogAppendMirrorsBeforeAck(t *testing.T) {
 		if err := l.Append(rec(i)); err != nil {
 			t.Fatal(err)
 		}
-		if got := l.Acked(); got != i+1 {
+		if got := l.Len(); got != i+1 {
 			t.Fatalf("after append %d: acked %d, want %d", i, got, i+1)
 		}
 	}
@@ -58,7 +58,8 @@ func TestReplicatedLogAppendMirrorsBeforeAck(t *testing.T) {
 
 func TestReplicatedLogMirrorFailureBlocksAck(t *testing.T) {
 	sink := &mirrorSink{}
-	l, err := NewReplicatedLog(NewMemLog(), sink.fn)
+	inner := NewMemLog()
+	l, err := NewReplicatedLog(inner, sink.fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,10 @@ func TestReplicatedLogMirrorFailureBlocksAck(t *testing.T) {
 	if err := l.Append(rec(0)); !errors.Is(err, boom) {
 		t.Fatalf("append with a dead mirror returned %v, want the mirror error", err)
 	}
-	if l.Acked() != 0 {
+	if l.Len() != 0 {
 		t.Fatal("a failed mirror must not advance the acked prefix")
 	}
-	if l.Len() != 1 {
+	if inner.Len() != 1 {
 		t.Fatal("the record should still be in the local log")
 	}
 	// Snapshot exposes only the mirrored prefix: nothing yet.
@@ -85,8 +86,8 @@ func TestReplicatedLogMirrorFailureBlocksAck(t *testing.T) {
 	if err := l.Append(rec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if l.Acked() != 2 || len(sink.recs) != 2 {
-		t.Fatalf("acked=%d standby=%d after recovery, want 2/2", l.Acked(), len(sink.recs))
+	if l.Len() != 2 || len(sink.recs) != 2 {
+		t.Fatalf("acked=%d standby=%d after recovery, want 2/2", l.Len(), len(sink.recs))
 	}
 }
 
@@ -110,8 +111,8 @@ func TestReplicatedLogGroupCommit(t *testing.T) {
 	if sink.calls != 1 {
 		t.Fatalf("Sync made %d mirror calls, want the whole batch in 1", sink.calls)
 	}
-	if l.Acked() != 4 || len(sink.recs) != 4 {
-		t.Fatalf("acked=%d standby=%d, want 4/4", l.Acked(), len(sink.recs))
+	if l.Len() != 4 || len(sink.recs) != 4 {
+		t.Fatalf("acked=%d standby=%d, want 4/4", l.Len(), len(sink.recs))
 	}
 }
 
@@ -130,14 +131,14 @@ func TestReplicatedLogBootCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Acked() != 0 || l.Len() != 3 {
-		t.Fatalf("boot state acked=%d len=%d, want 0/3", l.Acked(), l.Len())
+	if l.Len() != 0 || inner.Len() != 3 {
+		t.Fatalf("boot state acked=%d len=%d, want 0/3", l.Len(), inner.Len())
 	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Acked() != 3 || len(sink.recs) != 3 {
-		t.Fatalf("after catch-up acked=%d standby=%d, want 3/3", l.Acked(), len(sink.recs))
+	if l.Len() != 3 || len(sink.recs) != 3 {
+		t.Fatalf("after catch-up acked=%d standby=%d, want 3/3", l.Len(), len(sink.recs))
 	}
 }
 
@@ -159,8 +160,8 @@ func TestReplicatedLogGapRewind(t *testing.T) {
 	if err := l.Append(rec(3)); err != nil {
 		t.Fatalf("gap rewind should recover transparently, got %v", err)
 	}
-	if l.Acked() != 4 || len(sink.recs) != 4 {
-		t.Fatalf("after rewind acked=%d standby=%d, want 4/4", l.Acked(), len(sink.recs))
+	if l.Len() != 4 || len(sink.recs) != 4 {
+		t.Fatalf("after rewind acked=%d standby=%d, want 4/4", l.Len(), len(sink.recs))
 	}
 	for i, r := range sink.recs {
 		if string(r.Payload) != fmt.Sprintf("r%d", i) {
@@ -182,7 +183,59 @@ func TestReplicatedLogShortAckFails(t *testing.T) {
 	if err := l.Append(rec(0)); err == nil {
 		t.Fatal("short mirror ack should fail the append")
 	}
-	if l.Acked() != 0 {
+	if l.Len() != 0 {
 		t.Fatal("short ack must not advance the acked prefix")
+	}
+}
+
+// TestReplicatedLogReadFromStopsAtMirroredPrefix: a reader of a replicated
+// log sees only what the standby confirmed — ReadFrom stops at the mirrored
+// prefix, before and after the reader attached — while Replay, the
+// session's recovery read, sees the full local log.
+func TestReplicatedLogReadFromStopsAtMirroredPrefix(t *testing.T) {
+	sink := &mirrorSink{}
+	l, err := NewReplicatedLog(NewMemLog(), sink.fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink.failNext = errors.New("standby down")
+	if err := l.Append(rec(3)); err == nil {
+		t.Fatal("append with a dead mirror succeeded")
+	}
+	if l.Len() != 3 {
+		t.Fatalf("mirrored prefix holds %d records, want 3", l.Len())
+	}
+	tl, err := l.ReadFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	for i := 1; i < 3; i++ {
+		got, _, err := tl.Next()
+		if err != nil || string(got.Payload) != fmt.Sprintf("r%d", i) {
+			t.Fatalf("record %d: %v, %v", i, got, err)
+		}
+	}
+	if _, _, err := tl.Next(); !errors.Is(err, ErrNoRecord) {
+		t.Fatalf("read past the mirrored prefix: %v, want ErrNoRecord", err)
+	}
+	if _, err := l.ReadFrom(4); err == nil {
+		t.Fatal("ReadFrom past the mirrored prefix succeeded")
+	}
+	n := 0
+	if err := l.Replay(func(*Record) error { n++; return nil }); err != nil || n != 4 {
+		t.Fatalf("replay saw %d records (err %v), want the 4 local ones", n, err)
+	}
+	// The standby returns: the next flush publishes record 3 to the reader.
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := tl.Next(); err != nil || string(got.Payload) != "r3" {
+		t.Fatalf("record 3 after the flush: %v, %v", got, err)
 	}
 }

@@ -18,13 +18,22 @@ type Record struct {
 	Payload []byte
 }
 
-// BoardLog is an append-only, replayable bulletin-board transcript. Append
-// must be durable on return for implementations that claim durability;
-// Replay and Snapshot observe every record appended so far, in append order.
+// BoardLog is the writer's surface of an append-only, replayable
+// bulletin-board transcript. Append must be durable on return for
+// implementations that claim durability; AppendNoSync and Sync split that
+// into an ordered write and a later flush (group commit). Replay and
+// Snapshot observe every record appended so far, in append order.
 // Implementations must be safe for concurrent use.
 type BoardLog interface {
 	// Append adds one record to the end of the log.
 	Append(rec *Record) error
+	// AppendNoSync adds one record in order without waiting for stable
+	// storage. Pair it with Sync before acknowledging the record to anyone:
+	// several writers can AppendNoSync under their own ordering locks and
+	// share one flush, instead of serializing a flush each.
+	AppendNoSync(rec *Record) error
+	// Sync makes every record appended so far durable.
+	Sync() error
 	// Snapshot returns a copy of every record in append order.
 	Snapshot() ([]*Record, error)
 	// Replay streams every record in append order to fn, stopping at the
@@ -32,6 +41,20 @@ type BoardLog interface {
 	Replay(fn func(*Record) error) error
 	// Close releases the log's resources. A closed log rejects Append.
 	Close() error
+}
+
+// Log is a BoardLog that readers can follow by record index: every log this
+// package makes implements it. Len and ReadFrom cover the log's published
+// records — for a ReplicatedLog the mirrored prefix, for the others every
+// record.
+type Log interface {
+	BoardLog
+	// Len returns how many published records the log holds.
+	Len() int
+	// ReadFrom opens a Tailer whose first Next returns record index (a
+	// Tailer at Len is caught up). An index below 0 or above Len is an
+	// error.
+	ReadFrom(index int) (Tailer, error)
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -116,6 +139,12 @@ func (l *MemLog) Append(rec *Record) error {
 	return nil
 }
 
+// AppendNoSync implements BoardLog; a memory log has nothing to flush.
+func (l *MemLog) AppendNoSync(rec *Record) error { return l.Append(rec) }
+
+// Sync implements BoardLog and does nothing.
+func (l *MemLog) Sync() error { return nil }
+
 // Snapshot implements BoardLog.
 func (l *MemLog) Snapshot() ([]*Record, error) {
 	l.mu.Lock()
@@ -136,11 +165,19 @@ func (l *MemLog) Replay(fn func(*Record) error) error {
 	return nil
 }
 
-// Len returns how many records the log holds.
+// Len implements Log.
 func (l *MemLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.recs)
+}
+
+// ReadFrom implements Log; the tailer's offsets are record indices.
+func (l *MemLog) ReadFrom(index int) (Tailer, error) {
+	if err := checkIndex(index, l.Len()); err != nil {
+		return nil, err
+	}
+	return &memTailer{log: l, idx: index}, nil
 }
 
 // Close implements BoardLog.

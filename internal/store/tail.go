@@ -28,67 +28,61 @@ type Tailer interface {
 	Close() error
 }
 
-// TailableLog is a BoardLog that supports live tailing.
-type TailableLog interface {
-	BoardLog
-	Tail() (Tailer, error)
+// checkIndex refuses a ReadFrom index outside [0, n].
+func checkIndex(index, n int) error {
+	if index < 0 || index > n {
+		return fmt.Errorf("store: read from record %d of a %d-record log", index, n)
+	}
+	return nil
 }
 
-// FileTailer tails a FileLog through its own read handle. Reads are gated
+// fileTailer tails a FileLog through its own read handle. Reads are gated
 // on the log's committed size — the append offset advanced only after a
 // full frame is on disk — so a tailer never parses the bytes of an append
 // still in flight or of a torn fragment a crash left behind.
-type FileTailer struct {
+type fileTailer struct {
 	log *FileLog
 	f   *os.File
 	off int64
 	idx int
 }
 
-// Tail opens a live follower on the log. It reads through a separate
-// read-only handle, so tailing never disturbs appends and is safe to run
-// concurrently with them.
-func (l *FileLog) Tail() (Tailer, error) {
+// ReadFrom implements Log: the tailer starts at record index's byte offset,
+// looked up in the index the recovery scan built, so a reader pays only for
+// the records it reads. It reads through a separate read-only handle, so
+// tailing never disturbs appends and is safe to run concurrently with them.
+func (l *FileLog) ReadFrom(index int) (Tailer, error) {
 	l.mu.Lock()
-	path := l.path
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
+	defer l.mu.Unlock()
+	if l.closed {
 		return nil, ErrClosed
 	}
-	f, err := os.Open(path)
+	if err := checkIndex(index, len(l.offs)); err != nil {
+		return nil, err
+	}
+	off := l.size
+	if index < len(l.offs) {
+		off = l.offs[index]
+	}
+	f, err := os.Open(l.path)
 	if err != nil {
 		return nil, fmt.Errorf("store: tail: %w", err)
 	}
-	hdr := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: tail: %s is not a board log: %w", path, err)
-	}
-	if string(hdr) != string(fileMagic) {
-		f.Close()
-		return nil, fmt.Errorf("store: tail: %s is not a board log", path)
-	}
-	return &FileTailer{log: l, f: f, off: int64(len(fileMagic))}, nil
+	return &fileTailer{log: l, f: f, off: off, idx: index}, nil
 }
 
-// committedSize returns the log's append offset: every byte below it is a
-// whole, CRC'd record.
-func (l *FileLog) committedSize() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
-// Offset returns the byte offset the next record will be read from.
-func (t *FileTailer) Offset() int64 { return t.off }
+// Tail is ReadFrom(0), a live follower from the first record. It is kept
+// only for bench/sut.go (nodeBoard.TailCatchUp); new code calls ReadFrom.
+func (l *FileLog) Tail() (Tailer, error) { return l.ReadFrom(0) }
 
 // Next implements Tailer. A record whose bytes fail framing or CRC checks
 // inside the committed region is corruption (the log itself vouches a whole
 // record lives there), reported with its record index and byte offset; the
 // cursor does not advance past it.
-func (t *FileTailer) Next() (*Record, int64, error) {
-	limit := t.log.committedSize()
+func (t *fileTailer) Next() (*Record, int64, error) {
+	t.log.mu.Lock()
+	limit := t.log.size // every byte below it is a whole, CRC'd record
+	t.log.mu.Unlock()
 	if t.off >= limit {
 		return nil, t.off, ErrNoRecord
 	}
@@ -112,21 +106,16 @@ func (t *FileTailer) Next() (*Record, int64, error) {
 }
 
 // Close implements Tailer.
-func (t *FileTailer) Close() error { return t.f.Close() }
+func (t *fileTailer) Close() error { return t.f.Close() }
 
-// MemTailer tails a MemLog; offsets are record indices.
-type MemTailer struct {
+// memTailer tails a MemLog; offsets are record indices.
+type memTailer struct {
 	log *MemLog
 	idx int
 }
 
-// Tail opens a live follower on the in-memory log.
-func (l *MemLog) Tail() (Tailer, error) {
-	return &MemTailer{log: l}, nil
-}
-
 // Next implements Tailer.
-func (t *MemTailer) Next() (*Record, int64, error) {
+func (t *memTailer) Next() (*Record, int64, error) {
 	t.log.mu.Lock()
 	defer t.log.mu.Unlock()
 	if t.idx >= len(t.log.recs) {
@@ -139,4 +128,4 @@ func (t *MemTailer) Next() (*Record, int64, error) {
 }
 
 // Close implements Tailer.
-func (t *MemTailer) Close() error { return nil }
+func (t *memTailer) Close() error { return nil }

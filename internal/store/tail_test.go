@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,7 +54,7 @@ func TestFileTailerFollowsAppends(t *testing.T) {
 	first := []*Record{tailRec(1, 0, "alpha"), tailRec(2, 0, "beta"), tailRec(3, 0, "")}
 	mustAppend(t, l, first...)
 
-	tl, err := l.Tail()
+	tl, err := l.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestFileTailerIgnoresUncommittedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tl, err := l.Tail()
+	tl, err := l.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestFileTailerDetectsCorruption(t *testing.T) {
 	rec0, rec1 := tailRec(1, 0, "intact record"), tailRec(2, 0, "doomed record")
 	mustAppend(t, l, rec0, rec1)
 
-	tl, err := l.Tail()
+	tl, err := l.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestFileTailerLengthTamper(t *testing.T) {
 	defer l.Close()
 	mustAppend(t, l, tailRec(1, 0, "short"))
 
-	tl, err := l.Tail()
+	tl, err := l.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestFileTailerLengthTamper(t *testing.T) {
 func TestMemTailer(t *testing.T) {
 	l := NewMemLog()
 	mustAppend(t, l, tailRec(1, 0, "a"), tailRec(2, 0, "b"))
-	tl, err := l.Tail()
+	tl, err := l.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +308,202 @@ func TestFaultFromSeed(t *testing.T) {
 	}
 	if len(seenKind) != 3 {
 		t.Fatalf("64 seeds exercised only %d fault kinds", len(seenKind))
+	}
+}
+
+// TestReadFromReadsOnlyWhatItShips: ReadFrom seeks straight to its record
+// through the offset index, so a byte flipped inside record 0 does not stop a
+// reader of the last 64 records — while a reader from record 0 still reports
+// the checksum mismatch at record 0. A follower's poll costs only the
+// records it ships.
+func TestReadFromReadsOnlyWhatItShips(t *testing.T) {
+	const n, last = 200, 64
+	path := filepath.Join(t.TempDir(), "board.log")
+	l, err := OpenFileLog(path, WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < n; i++ {
+		mustAppend(t, l, tailRec(1, 0, fmt.Sprintf("record %03d", i)))
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, int64(len(fileMagic))+6); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	tl, err := l.ReadFrom(n - last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	recs, _ := drain(t, tl)
+	if len(recs) != last {
+		t.Fatalf("ReadFrom(%d) returned %d records, want %d", n-last, len(recs), last)
+	}
+	for i, rec := range recs {
+		if want := fmt.Sprintf("record %03d", n-last+i); string(rec.Payload) != want {
+			t.Fatalf("record %d is %q, want %q", n-last+i, rec.Payload, want)
+		}
+	}
+
+	head, err := l.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+	_, off, err := head.Next()
+	if err == nil || !strings.Contains(err.Error(), "record 0 (offset 7)") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("ReadFrom(0) returned %v, want the checksum mismatch at record 0", err)
+	}
+	if off != int64(len(fileMagic)) {
+		t.Fatalf("corruption reported at offset %d, want %d", off, len(fileMagic))
+	}
+}
+
+// TestReadFromBounds: every log answers ReadFrom(Len()) with a caught-up
+// tailer and refuses an index below 0 or past Len.
+func TestReadFromBounds(t *testing.T) {
+	fl, err := OpenFileLog(filepath.Join(t.TempDir(), "board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	rl, err := NewReplicatedLog(NewMemLog(), (&mirrorSink{}).fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]Log{"mem": NewMemLog(), "file": fl, "replicated": rl} {
+		mustAppend(t, l, tailRec(1, 0, "a"), tailRec(2, 0, "b"))
+		tl, err := l.ReadFrom(l.Len())
+		if err != nil {
+			t.Fatalf("%s: ReadFrom(Len()): %v", name, err)
+		}
+		if _, _, err := tl.Next(); !errors.Is(err, ErrNoRecord) {
+			t.Fatalf("%s: ReadFrom(Len()) is not caught up: %v", name, err)
+		}
+		tl.Close()
+		for _, bad := range []int{-1, l.Len() + 1} {
+			if _, err := l.ReadFrom(bad); err == nil {
+				t.Fatalf("%s: ReadFrom(%d) of a %d-record log succeeded", name, bad, l.Len())
+			}
+		}
+	}
+}
+
+// TestReadFromAfterTornTailRecovery: the offset index is rebuilt by the
+// recovery scan, so after a torn tail is dropped (writable open) or skipped
+// (read-only open), ReadFrom(Len()-1) returns the last intact record — and
+// after one more Append on the writable log, the appended one.
+func TestReadFromAfterTornTailRecovery(t *testing.T) {
+	half := func(enc []byte) []byte { return enc[:len(enc)/2] }
+	garbageBody := func(enc []byte) []byte {
+		for i := 4; i < len(enc); i++ {
+			enc[i] = 0
+		}
+		return enc
+	}
+	for _, tc := range []struct {
+		name     string
+		tear     func([]byte) []byte
+		readOnly bool
+	}{
+		{"half-record", half, false},
+		{"garbage-body", garbageBody, false},
+		{"half-record-read-only", half, true},
+		{"garbage-body-read-only", garbageBody, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "board.log")
+			l, err := OpenFileLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, l, tailRec(1, 0, "first"), tailRec(2, 0, "second"), tailRec(3, 0, "last intact"))
+			l.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tear(EncodeRecord(tailRec(9, 0, "torn away")))); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			if tc.readOnly {
+				l, err = OpenFileLogReadOnly(path)
+			} else {
+				l, err = OpenFileLog(path)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if l.Truncated() == 0 || l.Len() != 3 {
+				t.Fatalf("recovery kept %d records (truncated %d bytes), want 3 and a torn tail", l.Len(), l.Truncated())
+			}
+			readLast := func(want string) {
+				t.Helper()
+				tl, err := l.ReadFrom(l.Len() - 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tl.Close()
+				recs, _ := drain(t, tl)
+				if len(recs) != 1 || string(recs[0].Payload) != want {
+					t.Fatalf("ReadFrom(Len()-1) returned %d records, want only %q", len(recs), want)
+				}
+			}
+			readLast("last intact")
+			if tc.readOnly {
+				return
+			}
+			mustAppend(t, l, tailRec(4, 0, "after recovery"))
+			readLast("after recovery")
+		})
+	}
+}
+
+// TestFaultLogGroupCommit: AppendNoSync trips on the same counter as Append,
+// and Sync forwards to the file until the trip and fails after it.
+func TestFaultLogGroupCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "board.log")
+	inner, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := NewFaultLog(inner, FaultFail, 2)
+	if err := fl.Append(tailRec(1, 0, "synced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.AppendNoSync(tailRec(2, 0, "grouped")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Sync(); err != nil {
+		t.Fatalf("pre-trip Sync: %v", err)
+	}
+	if err := fl.AppendNoSync(tailRec(3, 0, "at the trip")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("trip AppendNoSync returned %v, want ErrInjected", err)
+	}
+	if err := fl.Sync(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("post-trip Sync returned %v, want ErrInjected", err)
+	}
+	if fl.Len() != 2 {
+		t.Fatalf("Len = %d after the trip, want 2", fl.Len())
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 2 {
+		t.Fatalf("recovered %d records, want 2", re.Len())
 	}
 }

@@ -240,7 +240,7 @@ func TestBudgetTailParity(t *testing.T) {
 		"chain-only": {},
 	} {
 		a := NewTailAuditor(pub, opts)
-		tail, err := log.Tail()
+		tail, err := log.ReadFrom(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestBudgetTailParity(t *testing.T) {
 	// An injected charge that extends nothing breaks the tail at that
 	// record.
 	bad := NewTailAuditor(pub, TailOptions{Budget: cfg})
-	tail, err := log.Tail()
+	tail, err := log.ReadFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,42 +260,28 @@ func (s *Session) appendRecord(kind uint8, epoch int, payload []byte) error {
 	return nil
 }
 
-// groupCommitLog is the optional store fast path for records appended under
-// the roster lock: the ordered write happens inside the lock (log order
-// must equal board order), while the expensive durability flush is deferred
-// to a Sync outside it, so concurrent Submits share one group-commit fsync
-// instead of serializing a flush each. FileLog implements it.
-type groupCommitLog interface {
-	AppendNoSync(*store.Record) error
-	Sync() error
-}
-
 // appendRecordOrdered writes one record in log order without forcing it to
-// stable storage when the store supports deferred syncing; the caller must
-// follow up with syncStore before acknowledging the record. Stores without
-// the fast path get a plain (synchronous) Append.
+// stable storage: the ordered write happens inside the roster lock (log
+// order must equal board order), while the expensive durability flush is
+// deferred to a syncStore outside it, so concurrent Submits share one
+// group-commit flush instead of serializing a flush each. The caller must
+// follow up with syncStore before acknowledging the record.
 func (s *Session) appendRecordOrdered(kind uint8, epoch int, payload []byte) error {
 	if s.opts.Store == nil {
 		return nil
 	}
-	gc, ok := s.opts.Store.(groupCommitLog)
-	if !ok {
-		return s.appendRecord(kind, epoch, payload)
-	}
-	if err := gc.AppendNoSync(&store.Record{Kind: kind, Epoch: uint32(epoch), Payload: payload}); err != nil {
+	if err := s.opts.Store.AppendNoSync(&store.Record{Kind: kind, Epoch: uint32(epoch), Payload: payload}); err != nil {
 		return fmt.Errorf("vdp: board log append: %w", err)
 	}
 	return nil
 }
 
-// syncStore makes every record appended so far durable. A no-op for stores
-// without deferred syncing (their Appends were already synchronous).
+// syncStore makes every record appended so far durable.
 func (s *Session) syncStore() error {
-	gc, ok := s.opts.Store.(groupCommitLog)
-	if !ok {
+	if s.opts.Store == nil {
 		return nil
 	}
-	if err := gc.Sync(); err != nil {
+	if err := s.opts.Store.Sync(); err != nil {
 		return fmt.Errorf("vdp: board log sync: %w", err)
 	}
 	return nil

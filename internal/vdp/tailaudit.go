@@ -72,10 +72,10 @@ func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
 	}
 }
 
-// TailAuditLog opens a live tail on a tailable board log: the returned
-// auditor drains new records on every Poll.
-func TailAuditLog(pub *Public, log store.TailableLog, opts TailOptions) (*TailAuditor, error) {
-	t, err := log.Tail()
+// TailAuditLog opens a live tail on a board log from its first record: the
+// returned auditor drains new records on every Poll.
+func TailAuditLog(pub *Public, log store.Log, opts TailOptions) (*TailAuditor, error) {
+	t, err := log.ReadFrom(0)
 	if err != nil {
 		return nil, err
 	}
@@ -377,14 +377,14 @@ func TailAuditMerged(pub *Public, seg *store.SegmentedLog, opts TailOptions) (*S
 func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
 	m := newMergedTail(pub, seg.Shards(), opts, kind)
 	for i := 0; i < seg.Shards(); i++ {
-		t, err := seg.Segment(i).Tail()
+		t, err := seg.Segment(i).ReadFrom(0)
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
 		m.Shard(i).AttachTailer(t)
 	}
-	manTail, err := seg.Manifest().Tail()
+	manTail, err := seg.Manifest().ReadFrom(0)
 	if err != nil {
 		m.Close()
 		return nil, err
