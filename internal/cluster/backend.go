@@ -84,10 +84,7 @@ func (b *Backend) LastErr() error {
 // status runs one status round trip against the active replica (the
 // health probe), recording the decoded status as fencing context.
 func (b *Backend) status() (*NodeStatus, error) {
-	reply, err := b.Call(&transport.Frame{Kind: KindStatus})
-	if err == nil {
-		err = replyErr(reply, KindStatus)
-	}
+	reply, err := b.rpc(&transport.Frame{Kind: KindStatus})
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +126,15 @@ func (b *Backend) Call(f *transport.Frame) (*transport.Frame, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.roundTripLocked(f, true)
+}
+
+// rpc is Call with a refusal reply turned into an error.
+func (b *Backend) rpc(f *transport.Frame) (*transport.Frame, error) {
+	reply, err := b.Call(f)
+	if err != nil {
+		return nil, err
+	}
+	return reply, replyErr(reply, f.Kind)
 }
 
 func (b *Backend) roundTripLocked(f *transport.Frame, idempotent bool) (*transport.Frame, error) {

@@ -567,11 +567,11 @@ func TestRPCCodecs(t *testing.T) {
 		t.Fatalf("merged-seal roundtrip: %d %d %x %v", ep, sh, d, err)
 	}
 
-	if _, latest, err := decodeMergedGetReq(encodeMergedGetReq(-1)); err != nil || !latest {
-		t.Fatalf("latest sentinel lost: %v", err)
+	if e, err := decodeMergedGetReq(encodeMergedGetReq(-1)); err != nil || e != -1 {
+		t.Fatalf("latest sentinel lost: %d %v", e, err)
 	}
-	if e, latest, err := decodeMergedGetReq(encodeMergedGetReq(9)); err != nil || latest || e != 9 {
-		t.Fatalf("explicit epoch lost: %d %v %v", e, latest, err)
+	if e, err := decodeMergedGetReq(encodeMergedGetReq(9)); err != nil || e != 9 {
+		t.Fatalf("explicit epoch lost: %d %v", e, err)
 	}
 
 	if from, err := decodeIndexReq(encodeIndexReq(5)); err != nil || from != 5 {

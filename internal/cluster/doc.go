@@ -17,6 +17,7 @@
 // owning node as a batch frame, and relays the verdicts. A down shard costs
 // its clients an unavailable verdict, not a dropped connection. Each node
 // persists its own board log and recovers independently with
-// ResumeShardSession; the merged seal is replicated to every node's sidecar
-// log, so the router holds no state worth recovering.
+// ResumeShardSession; the merged seal is recorded in every node's merged-seal
+// book (vdp.MergedSeals over a sidecar log, mirrored to the node's standby),
+// so the router holds no state worth recovering.
 package cluster

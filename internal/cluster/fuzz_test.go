@@ -45,10 +45,7 @@ func FuzzRPC(f *testing.F) {
 			return encodeMergedSeal(epoch, shards, digest), err
 		}},
 		{[][]byte{encodeMergedGetReq(-1), encodeMergedGetReq(9)}, func(b []byte) ([]byte, error) {
-			epoch, latest, err := decodeMergedGetReq(b)
-			if latest {
-				epoch = -1
-			}
+			epoch, err := decodeMergedGetReq(b)
 			return encodeMergedGetReq(epoch), err
 		}},
 		{[][]byte{

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -27,14 +26,13 @@ type Node struct {
 	// boardLog is the session's own durable log when the node persists one
 	// (nil for a memory-only node); served in ranges over KindLog.
 	boardLog store.Log
-	// sealLog is the merged-seal sidecar: RecordMergedSeal records replicated
-	// from the router, one per merged epoch, so the cluster-level seal
-	// survives on every node even though the router keeps no state. nil keeps
-	// seals in memory only.
-	sealLog store.Log
+	// seals is the merged-seal book over the sidecar log: RecordMergedSeal
+	// records replicated from the router, one per merged epoch, so the
+	// cluster-level seal survives on every node even though the router keeps
+	// no state. Without a sidecar the book is memory-only.
+	seals *vdp.MergedSeals
 
-	mu    sync.Mutex
-	seals map[int][]byte // epoch → merged transcript digest
+	mu sync.Mutex // serializes the session's epoch turns
 }
 
 // NodeConfig configures NewNode.
@@ -46,7 +44,8 @@ type NodeConfig struct {
 	// BoardLog is the session's durable log, if any (enables KindLog).
 	BoardLog store.Log
 	// SealLog is the merged-seal sidecar log, if any. Existing records are
-	// replayed so a restarted node still knows its merged epochs.
+	// replayed into the node's merged-seal book, so a restarted node still
+	// knows its merged epochs.
 	SealLog store.Log
 }
 
@@ -56,48 +55,19 @@ func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeCo
 	if sess == nil {
 		return nil, fmt.Errorf("cluster: nil session")
 	}
-	n := &Node{
+	seals, err := vdp.OpenMergedSeals(cfg.SealLog, cfg.Shards)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %d: %w", cfg.Shard, err)
+	}
+	return &Node{
 		pub:      pub,
 		sess:     sess,
 		shard:    cfg.Shard,
 		shards:   cfg.Shards,
 		ctx:      ctx,
 		boardLog: cfg.BoardLog,
-		sealLog:  cfg.SealLog,
-		seals:    make(map[int][]byte),
-	}
-	if cfg.SealLog != nil {
-		err := cfg.SealLog.Replay(func(rec *store.Record) error {
-			epoch, digest, err := mergedSealOf(rec, cfg.Shards, "node")
-			if err != nil {
-				return err
-			}
-			n.seals[epoch] = digest
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-// mergedSealOf is the one check on a merged-seal sidecar record, shared by
-// NewNode's and NewStandby's replays and Standby.replicate: it must be a
-// RecordMergedSeal that decodes and names the cluster's shard count. who
-// names the reader in the refusal.
-func mergedSealOf(rec *store.Record, shards int, who string) (epoch int, digest []byte, err error) {
-	if rec.Kind != vdp.RecordMergedSeal {
-		return 0, nil, fmt.Errorf("cluster: unexpected record kind %d in merged-seal sidecar", rec.Kind)
-	}
-	got, digest, err := vdp.DecodeMergedSealRecord(rec.Payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if got != shards {
-		return 0, nil, fmt.Errorf("cluster: merged-seal sidecar records %d shards, %s configured for %d", got, who, shards)
-	}
-	return int(rec.Epoch), digest, nil
+		seals:    seals,
+	}, nil
 }
 
 // Session exposes the wrapped shard session.
@@ -154,9 +124,7 @@ func (n *Node) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([
 
 // Status snapshots the node for KindStatus replies.
 func (n *Node) Status() *NodeStatus {
-	n.mu.Lock()
-	_, merged := n.seals[n.sess.Epoch()]
-	n.mu.Unlock()
+	_, _, merged := n.seals.Get(n.sess.Epoch())
 	st := &NodeStatus{
 		Shard:        n.shard,
 		Shards:       n.shards,
@@ -215,13 +183,11 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 		return n.recordMergedSeal(epoch, shards, digest)
 
 	case KindMergedGet:
-		epoch, latest, err := decodeMergedGetReq(f.Payload)
+		epoch, err := decodeMergedGetReq(f.Payload)
 		if err != nil {
 			return errFrame("%v", err)
 		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return mergedGet(n.seals, epoch, latest, n.shards, fmt.Sprintf("shard %d", n.shard))
+		return mergedGet(n.seals, epoch, n.shards, fmt.Sprintf("shard %d", n.shard))
 
 	case KindReset:
 		epoch, err := decodeIndexReq(f.Payload)
@@ -320,10 +286,10 @@ func shipLog(shard int, log store.Log, req []byte) *transport.Frame {
 	return &transport.Frame{Kind: okKind(KindLog), Payload: payload}
 }
 
+// recordMergedSeal records the router's merged seal for a locally sealed
+// epoch in the node's book — persisted to the sidecar before it is
+// acknowledged.
 func (n *Node) recordMergedSeal(epoch, shards int, digest []byte) *transport.Frame {
-	if shards != n.shards {
-		return errFrame("cluster: merged seal names %d shards, node configured for %d", shards, n.shards)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if epoch > n.sess.Epoch() {
@@ -332,49 +298,26 @@ func (n *Node) recordMergedSeal(epoch, shards int, digest []byte) *transport.Fra
 	if epoch == n.sess.Epoch() && !n.sess.Finalized() {
 		return errFrame("cluster: merged seal for epoch %d, but the local epoch is not sealed", epoch)
 	}
-	if have, ok := n.seals[epoch]; ok {
-		if bytes.Equal(have, digest) {
-			return &transport.Frame{Kind: okKind(KindMergedSeal)}
-		}
-		return errFrame("cluster: epoch %d already merged-sealed with a different digest", epoch)
+	if err := n.seals.Record(epoch, shards, digest); err != nil {
+		return errFrame("cluster: shard %d: %v", n.shard, err)
 	}
-	if n.sealLog != nil {
-		rec := &store.Record{
-			Kind:    vdp.RecordMergedSeal,
-			Epoch:   uint32(epoch),
-			Payload: vdp.EncodeMergedSealRecord(shards, digest),
-		}
-		if err := n.sealLog.Append(rec); err != nil {
-			return errFrame("cluster: persisting merged seal: %v", err)
-		}
-	}
-	n.seals[epoch] = append([]byte(nil), digest...)
 	return &transport.Frame{Kind: okKind(KindMergedSeal)}
 }
 
-// mergedGet answers KindMergedGet from a seal map (epoch → merged digest): a
-// node's recorded seals or a standby's mirrored ones. latest selects the
-// newest epoch; who names the server in a refusal. Callers hold the lock
-// that guards seals.
-func mergedGet(seals map[int][]byte, epoch int, latest bool, shards int, who string) *transport.Frame {
-	if latest {
-		found := false
-		for e := range seals {
-			if !found || e > epoch {
-				epoch, found = e, true
-			}
-		}
-		if !found {
-			return errFrame("cluster: %s has no merged seal yet", who)
-		}
-	}
-	digest, ok := seals[epoch]
-	if !ok {
+// mergedGet answers KindMergedGet from a merged-seal book — a node's
+// recorded seals or a standby's mirrored ones. epoch < 0 selects the newest;
+// who names the server in a refusal.
+func mergedGet(seals *vdp.MergedSeals, epoch, shards int, who string) *transport.Frame {
+	sealed, digest, ok := seals.Get(epoch)
+	switch {
+	case !ok && epoch < 0:
+		return errFrame("cluster: %s has no merged seal yet", who)
+	case !ok:
 		return errFrame("cluster: %s has no merged seal for epoch %d", who, epoch)
 	}
 	return &transport.Frame{
 		Kind:    okKind(KindMergedGet),
-		Payload: encodeMergedSeal(epoch, shards, digest),
+		Payload: encodeMergedSeal(sealed, shards, digest),
 	}
 }
 
@@ -391,7 +334,7 @@ func (n *Node) reset(epoch int) *transport.Frame {
 	if !n.sess.Finalized() {
 		return errFrame("cluster: refusing to reset open epoch %d", epoch)
 	}
-	if _, ok := n.seals[epoch]; !ok {
+	if _, _, ok := n.seals.Get(epoch); !ok {
 		return errFrame("cluster: refusing to reset epoch %d before its merged seal is recorded", epoch)
 	}
 	if err := n.sess.Reset(); err != nil {

@@ -58,11 +58,12 @@ type Standby struct {
 	ctx context.Context
 	cfg StandbyConfig
 
+	seals *vdp.MergedSeals // the merged-seal book over the Seal mirror
+
 	mu     sync.Mutex
-	epoch  int            // max epoch seen in mirrored board records
-	seals  map[int][]byte // mirrored merged seals, epoch → digest
-	fenced bool           // promotion begun: replication refused from here on
-	node   *Node          // non-nil once promoted
+	epoch  int   // max epoch seen in mirrored board records
+	fenced bool  // promotion begun: replication refused from here on
+	node   *Node // non-nil once promoted
 }
 
 // NewStandby opens a standby over its (possibly non-empty — a restarted
@@ -71,22 +72,13 @@ func NewStandby(ctx context.Context, pub *vdp.Public, cfg StandbyConfig) (*Stand
 	if cfg.Board == nil || cfg.Seal == nil {
 		return nil, fmt.Errorf("cluster: a standby needs board and seal logs")
 	}
-	s := &Standby{pub: pub, ctx: ctx, cfg: cfg, seals: make(map[int][]byte)}
-	err := cfg.Board.Replay(func(rec *store.Record) error {
-		if int(rec.Epoch) > s.epoch {
-			s.epoch = int(rec.Epoch)
-		}
-		return nil
-	})
+	seals, err := vdp.OpenMergedSeals(cfg.Seal, cfg.Shards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: shard %d standby: %w", cfg.Shard, err)
 	}
-	err = cfg.Seal.Replay(func(rec *store.Record) error {
-		epoch, digest, err := mergedSealOf(rec, cfg.Shards, "standby")
-		if err != nil {
-			return err
-		}
-		s.seals[epoch] = digest
+	s := &Standby{pub: pub, ctx: ctx, cfg: cfg, seals: seals}
+	err = cfg.Board.Replay(func(rec *store.Record) error {
+		s.epoch = max(s.epoch, int(rec.Epoch))
 		return nil
 	})
 	if err != nil {
@@ -144,13 +136,11 @@ func (s *Standby) handle(f *transport.Frame) *transport.Frame {
 	case KindLog:
 		return shipLog(s.cfg.Shard, s.cfg.Board, f.Payload)
 	case KindMergedGet:
-		epoch, latest, err := decodeMergedGetReq(f.Payload)
+		epoch, err := decodeMergedGetReq(f.Payload)
 		if err != nil {
 			return errFrame("%v", err)
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return mergedGet(s.seals, epoch, latest, s.cfg.Shards, fmt.Sprintf("shard %d standby", s.cfg.Shard))
+		return mergedGet(s.seals, epoch, s.cfg.Shards, fmt.Sprintf("shard %d standby", s.cfg.Shard))
 	default:
 		return errFrame("cluster: shard %d standby does not serve %q until promoted", s.cfg.Shard, f.Kind)
 	}
@@ -159,7 +149,7 @@ func (s *Standby) handle(f *transport.Frame) *transport.Frame {
 func (s *Standby) status() *NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, merged := s.seals[s.epoch]
+	_, _, merged := s.seals.Get(s.epoch)
 	return &NodeStatus{
 		Shard:        s.cfg.Shard,
 		Shards:       s.cfg.Shards,
@@ -204,33 +194,24 @@ func (s *Standby) replicate(payload []byte) *transport.Frame {
 	}
 	if skip := have - start; skip < len(recs) {
 		fresh := recs[skip:]
-		// A seal record the standby would refuse at restart is refused now,
-		// with the whole frame, before anything is appended.
-		var epochs []int
-		var digests [][]byte
 		if logID == ReplLogSeal {
+			// The book refuses a frame holding a seal record it would refuse
+			// at restart whole, before anything is appended.
+			if err := s.seals.Mirror(fresh); err != nil {
+				return errFrame("cluster: standby seal mirror: %v", err)
+			}
+		} else {
 			for _, rec := range fresh {
-				epoch, digest, err := mergedSealOf(rec, s.cfg.Shards, "standby")
-				if err != nil {
-					return errFrame("cluster: standby seal mirror: %v", err)
+				if err := log.AppendNoSync(rec); err != nil {
+					return errFrame("cluster: standby mirror append: %v", err)
 				}
-				epochs, digests = append(epochs, epoch), append(digests, digest)
+				s.epoch = max(s.epoch, int(rec.Epoch))
+			}
+			if err := log.Sync(); err != nil {
+				return errFrame("cluster: standby mirror sync: %v", err)
 			}
 		}
-		for i, rec := range fresh {
-			if err := log.AppendNoSync(rec); err != nil {
-				return errFrame("cluster: standby mirror append: %v", err)
-			}
-			have++
-			if logID == ReplLogSeal {
-				s.seals[epochs[i]] = digests[i]
-			} else if int(rec.Epoch) > s.epoch {
-				s.epoch = int(rec.Epoch)
-			}
-		}
-		if err := log.Sync(); err != nil {
-			return errFrame("cluster: standby mirror sync: %v", err)
-		}
+		have += len(fresh)
 	}
 	return &transport.Frame{Kind: okKind(KindReplicate), Payload: encodeReplicateOK(logID, have)}
 }

@@ -27,12 +27,7 @@ func TestStandbyMirrorResume(t *testing.T) {
 		}
 	}
 	digest := bytes.Repeat([]byte{7}, 32)
-	err := seal.Append(&store.Record{
-		Kind:    vdp.RecordMergedSeal,
-		Epoch:   0,
-		Payload: vdp.EncodeMergedSealRecord(2, digest),
-	})
-	if err != nil {
+	if err := seal.Append(sealRecord(t, 0, 2, digest)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,19 +77,16 @@ func TestStandbyRejectsBadMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := NewStandby(ctx, pub, StandbyConfig{Shard: 0, Shards: 2, Board: store.NewMemLog(), Seal: seal})
-	if err == nil || !strings.Contains(err.Error(), "unexpected record kind") {
+	if err == nil || !strings.Contains(err.Error(), "unknown kind 1") {
 		t.Fatalf("foreign seal kind err = %v", err)
 	}
 
 	seal = store.NewMemLog()
-	if err := seal.Append(&store.Record{
-		Kind:    vdp.RecordMergedSeal,
-		Payload: vdp.EncodeMergedSealRecord(3, digest),
-	}); err != nil {
+	if err := seal.Append(sealRecord(t, 0, 3, digest)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = NewStandby(ctx, pub, StandbyConfig{Shard: 0, Shards: 2, Board: store.NewMemLog(), Seal: seal})
-	if err == nil || !strings.Contains(err.Error(), "standby configured for 2") {
+	if err == nil || !strings.Contains(err.Error(), "claims 3 shards, the board has 2") {
 		t.Fatalf("shard-width mismatch err = %v", err)
 	}
 
@@ -124,7 +116,7 @@ func TestStandbyRefusesBadSealFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := bytes.Repeat([]byte{5}, 32)
-	good := &store.Record{Kind: vdp.RecordMergedSeal, Epoch: 0, Payload: vdp.EncodeMergedSealRecord(2, digest)}
+	good := sealRecord(t, 0, 2, digest)
 	send := func(recs ...*store.Record) *transport.Frame {
 		payload, err := encodeReplicate(0, 2, ReplLogSeal, 0, recs)
 		if err != nil {
@@ -133,7 +125,7 @@ func TestStandbyRefusesBadSealFrame(t *testing.T) {
 		return sb.Handle(&transport.Frame{Kind: KindReplicate, Payload: payload})[0]
 	}
 	for name, bad := range map[string]*store.Record{
-		"other width": {Kind: vdp.RecordMergedSeal, Epoch: 1, Payload: vdp.EncodeMergedSealRecord(3, digest)},
+		"other width": sealRecord(t, 1, 3, digest),
 		"other kind":  {Kind: vdp.RecordSubmission, Epoch: 1, Payload: []byte("junk")},
 	} {
 		if reply := send(good, bad); reply.Kind != KindError {

@@ -376,11 +376,7 @@ func (r *Router) CheckTopology() ([]*NodeStatus, error) {
 				return nil, fmt.Errorf("cluster: epoch skew: shard %d at epoch %d (finalized=%v merged=%v), cluster at epoch %d",
 					i, st.Epoch, st.Finalized, st.MergedSealed, maxEpoch)
 			}
-			reply, err := r.backends[i].Call(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(st.Epoch)})
-			if err == nil {
-				err = replyErr(reply, KindReset)
-			}
-			if err != nil {
+			if _, err := r.backends[i].rpc(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(st.Epoch)}); err != nil {
 				return nil, fmt.Errorf("cluster: rolling shard %d forward to epoch %d: %w", i, maxEpoch, err)
 			}
 			healed = true
@@ -423,29 +419,12 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 	ts := make([]*vdp.Transcript, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for i, b := range r.backends {
+	for i := range ts {
 		wg.Add(1)
-		go func(i int, b *Backend) {
+		go func(i int) {
 			defer wg.Done()
-			reply, err := b.Call(&transport.Frame{Kind: KindSeal, Payload: encodeIndexReq(epoch)})
-			if err == nil {
-				err = replyErr(reply, KindSeal)
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("sealing shard %d: %w", i, err)
-				return
-			}
-			gotEpoch, raw, err := decodeTranscriptReply(reply.Payload)
-			if err == nil && gotEpoch != epoch {
-				err = fmt.Errorf("sealed epoch %d, want %d", gotEpoch, epoch)
-			}
-			if err == nil {
-				ts[i], err = r.pub.DecodeTranscript(raw)
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d seal reply: %w", i, err)
-			}
-		}(i, b)
+			ts[i], errs[i] = r.transcript(i, KindSeal, epoch)
+		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -463,31 +442,47 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 		return nil, err
 	}
 
-	sealReq := encodeMergedSeal(epoch, k, digest)
-	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindMergedSeal, Payload: sealReq})
-		if err == nil {
-			err = replyErr(reply, KindMergedSeal)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("replicating merged seal to shard %d: %w", i, err)
-		}
+	if err := r.callAll(&transport.Frame{Kind: KindMergedSeal, Payload: encodeMergedSeal(epoch, k, digest)}, "replicating merged seal to"); err != nil {
+		return nil, err
 	}
 	return &MergeResult{Epoch: epoch, Transcripts: ts, Release: release, Digest: digest}, nil
 }
 
 // ResetAll opens the next epoch on every node after a completed merge.
 func (r *Router) ResetAll(epoch int) error {
+	return r.callAll(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(epoch)}, "resetting")
+}
+
+// callAll sends one frame to every node in shard order, stopping at the
+// first that fails; what, followed by the shard, names the step in the error.
+func (r *Router) callAll(f *transport.Frame, what string) error {
 	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(epoch)})
-		if err == nil {
-			err = replyErr(reply, KindReset)
-		}
-		if err != nil {
-			return fmt.Errorf("resetting shard %d: %w", i, err)
+		if _, err := b.rpc(f); err != nil {
+			return fmt.Errorf("%s shard %d: %w", what, i, err)
 		}
 	}
 	return nil
+}
+
+// transcript fetches node i's transcript of epoch: kind KindSeal seals the
+// epoch first (idempotently), KindTranscript only reads it.
+func (r *Router) transcript(i int, kind string, epoch int) (*vdp.Transcript, error) {
+	reply, err := r.backends[i].rpc(&transport.Frame{Kind: kind, Payload: encodeIndexReq(epoch)})
+	if err != nil {
+		return nil, fmt.Errorf("%s on shard %d: %w", kind, i, err)
+	}
+	got, raw, err := decodeTranscriptReply(reply.Payload)
+	if err == nil && got != epoch {
+		err = fmt.Errorf("transcript for epoch %d, want %d", got, epoch)
+	}
+	var t *vdp.Transcript
+	if err == nil {
+		t, err = r.pub.DecodeTranscript(raw)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard %d %s reply: %w", i, kind, err)
+	}
+	return t, nil
 }
 
 // ClusterAudit is the outcome of a cross-node audit.
@@ -516,31 +511,9 @@ func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*Cluster
 
 	// Every node must hold the same merged seal; a single disagreeing node
 	// is evidence of a forked merge and fails the audit outright.
-	var sealEpoch int
-	var sealDigest []byte
-	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
-		if err == nil {
-			err = replyErr(reply, KindMergedGet)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fetching merged seal from shard %d: %w", i, err)
-		}
-		gotEpoch, gotShards, digest, err := decodeMergedSeal(reply.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d merged-seal reply: %w", i, err)
-		}
-		if gotShards != k {
-			return nil, fmt.Errorf("shard %d records a merged seal over %d shards, cluster has %d", i, gotShards, k)
-		}
-		if i == 0 {
-			sealEpoch, sealDigest = gotEpoch, append([]byte(nil), digest...)
-			continue
-		}
-		if gotEpoch != sealEpoch || !bytes.Equal(digest, sealDigest) {
-			return nil, fmt.Errorf("merged seal disagreement: shard %d records epoch %d digest %x, shard 0 records epoch %d digest %x",
-				i, gotEpoch, digest, sealEpoch, sealDigest)
-		}
+	sealEpoch, sealDigest, err := clusterSeal(r.backends, epoch, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// The evidence grade follows the nodes' own status: the audit reads
@@ -571,23 +544,9 @@ func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*Cluster
 	}
 
 	ts := make([]*vdp.Transcript, k)
-	for i, b := range r.backends {
-		reply, err := b.Call(&transport.Frame{Kind: KindTranscript, Payload: encodeIndexReq(sealEpoch)})
-		if err == nil {
-			err = replyErr(reply, KindTranscript)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fetching transcript from shard %d: %w", i, err)
-		}
-		gotEpoch, raw, err := decodeTranscriptReply(reply.Payload)
-		if err == nil && gotEpoch != sealEpoch {
-			err = fmt.Errorf("transcript for epoch %d, want %d", gotEpoch, sealEpoch)
-		}
-		if err == nil {
-			ts[i], err = r.pub.DecodeTranscript(raw)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d transcript reply: %w", i, err)
+	for i := range ts {
+		if ts[i], err = r.transcript(i, KindTranscript, sealEpoch); err != nil {
+			return nil, err
 		}
 	}
 	if err := vdp.AuditMerged(ctx, r.pub, ts, nil, workers); err != nil {

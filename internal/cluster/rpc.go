@@ -271,16 +271,17 @@ func encodeMergedGetReq(epoch int) []byte {
 	return w.Bytes()
 }
 
-func decodeMergedGetReq(b []byte) (epoch int, latest bool, err error) {
+// decodeMergedGetReq parses a KindMergedGet request; -1 asks for the latest.
+func decodeMergedGetReq(b []byte) (epoch int, err error) {
 	r := rpcIn(b)
 	raw := r.U32()
 	if err := r.Finish(); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if raw == mergedGetLatest {
-		return 0, true, nil
+		return -1, nil
 	}
-	return int(raw), false, nil
+	return int(raw), nil
 }
 
 // chunkBytes bounds the record bytes one replicate-append or node-log frame

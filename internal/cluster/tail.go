@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/store"
@@ -157,6 +158,66 @@ func callShard(b *Backend, shards int, f *transport.Frame) (*transport.Frame, er
 	return reply, err
 }
 
+// errNoMergedSeal marks a node that holds no merged seal for the epoch
+// asked — yet: the router replicates a seal after the shards seal it.
+var errNoMergedSeal = errors.New("no merged seal recorded")
+
+// clusterSeal fetches a merged seal from every node and requires one claim:
+// all K nodes must hold the seal for the same epoch, over K shards, with the
+// same digest — a node holding a different one is a forked merge, an audit
+// failure. epoch < 0 asks for the newest epoch every node holds a seal for,
+// so a seal the router has not finished broadcasting is not "latest" yet. A
+// node without the seal fails with errNoMergedSeal. shards, as for
+// logStream, lets a round trip switch to another replica — a reader's right.
+func clusterSeal(backends []*Backend, epoch, shards int) (int, []byte, error) {
+	if epoch < 0 {
+		for i, b := range backends {
+			latest, _, err := nodeSeal(b, i, len(backends), -1, shards)
+			if err != nil {
+				return 0, nil, err
+			}
+			if i == 0 || latest < epoch {
+				epoch = latest
+			}
+		}
+	}
+	var digest []byte
+	for i, b := range backends {
+		_, got, err := nodeSeal(b, i, len(backends), epoch, shards)
+		if err != nil {
+			return epoch, nil, err
+		}
+		if i == 0 {
+			digest = got
+		} else if !bytes.Equal(got, digest) {
+			return epoch, nil, fmt.Errorf("%w: merged seal disagreement: shard %d records epoch %d digest %x, shard 0 records %x",
+				vdp.ErrAuditFail, i, epoch, got, digest)
+		}
+	}
+	return epoch, digest, nil
+}
+
+// nodeSeal fetches node i's merged seal for epoch (< 0: its newest) and
+// checks the reply names that epoch and the cluster's width k.
+func nodeSeal(b *Backend, i, k, epoch, shards int) (int, []byte, error) {
+	reply, err := callShard(b, shards, &transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: fetching merged seal from shard %d: %w", i, err)
+	}
+	if err := replyErr(reply, KindMergedGet); err != nil {
+		return 0, nil, fmt.Errorf("cluster: shard %d: %w: %w", i, errNoMergedSeal, err)
+	}
+	got, gotShards, digest, err := decodeMergedSeal(reply.Payload)
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: shard %d merged-seal reply: %w", i, err)
+	}
+	if (epoch >= 0 && got != epoch) || gotShards != k {
+		return 0, nil, fmt.Errorf("%w: shard %d returned a merged seal for epoch %d over %d shards, want epoch %d over %d",
+			vdp.ErrAuditFail, i, got, gotShards, epoch, k)
+	}
+	return got, digest, nil
+}
+
 // VerifyNext tries to certify the next merged epoch. ready is false while
 // some shard has not sealed it yet, or while the merged seal has not been
 // replicated to every node. Once every shard's seal has verified, the
@@ -169,33 +230,15 @@ func (f *TailFollower) VerifyNext() (epoch int, digest []byte, ready bool, err e
 	if err != nil || !ready {
 		return epoch, nil, false, err
 	}
-	// Every node must hold the same merged seal for this epoch. A node that
-	// does not have it yet (the router replicates seals after the shards
-	// seal) just means "not ready"; a node holding a different one is a
-	// forked merge.
-	for i, b := range f.backends {
-		reply, cerr := callShard(b, len(f.backends), &transport.Frame{Kind: KindMergedGet, Payload: encodeMergedGetReq(epoch)})
-		if cerr != nil {
-			return epoch, nil, false, fmt.Errorf("cluster: fetching merged seal from shard %d: %w", i, cerr)
-		}
-		if replyErr(reply, KindMergedGet) != nil {
-			return epoch, nil, false, nil // seal not replicated here yet
-		}
-		gotEpoch, gotShards, got, derr := decodeMergedSeal(reply.Payload)
-		if derr != nil {
-			return epoch, nil, false, fmt.Errorf("cluster: shard %d merged seal: %w", i, derr)
-		}
-		if gotEpoch != epoch || gotShards != len(f.backends) {
-			return epoch, nil, false, fmt.Errorf("%w: shard %d returned a merged seal for epoch %d/%d shards, want %d/%d",
-				vdp.ErrAuditFail, i, gotEpoch, gotShards, epoch, len(f.backends))
-		}
-		if !bytes.Equal(got, digest) {
-			return epoch, nil, false, fmt.Errorf("%w: shard %d's merged seal for epoch %d disagrees with the live audit",
-				vdp.ErrAuditFail, i, epoch)
-		}
-		if err := f.merged.SetMergedSeal(gotEpoch, gotShards, got); err != nil {
-			return epoch, nil, false, err
-		}
+	_, sealed, err := clusterSeal(f.backends, epoch, len(f.backends))
+	switch {
+	case errors.Is(err, errNoMergedSeal):
+		return epoch, nil, false, nil
+	case err != nil:
+		return epoch, nil, false, err
+	case !bytes.Equal(sealed, digest):
+		return epoch, nil, false, fmt.Errorf("%w: the nodes' merged seal for epoch %d disagrees with the live audit",
+			vdp.ErrAuditFail, epoch)
 	}
 	f.next++
 	return epoch, digest, true, nil

@@ -76,7 +76,9 @@
 // sub-Sessions and the manifest — construction of fresh and resumed boards,
 // Epoch/Finalized/Resumed, the parallel finalize fan-out with its
 // sealed-segment reuse and retry/consumed rules, Reset, Compact, and healing
-// a missing merged seal — parameterised by the segmentKind (shardSegments,
+// a missing merged seal in the manifest's MergedSeals book (shardstore.go:
+// the one merged-seal rule, shared with cluster nodes, their standbys and the
+// live tails) — parameterised by the segmentKind (shardSegments,
 // rowSegments) that also parameterises the segmented readers. The two
 // exported types keep only what differs: ShardOf routing and mergeReleases;
 // the row-0 admission gate and assembleSketch. segmented.go is the single

@@ -90,20 +90,6 @@ func MergeReleases(pub *Public, shards []*Transcript) (*Release, error) {
 	return mergeReleases(pub, shards)
 }
 
-// EncodeMergedSealRecord serializes a merged-seal record body (shard count +
-// merged digest), the RecordMergedSeal payload a ShardedSession appends to
-// its manifest. Cluster nodes persist the router's merged-seal broadcast
-// with the same encoding, so the evidence format is identical in-process and
-// cross-node.
-func EncodeMergedSealRecord(shards int, digest []byte) []byte {
-	return encodeMergedSeal(shards, digest)
-}
-
-// DecodeMergedSealRecord parses a merged-seal record body.
-func DecodeMergedSealRecord(b []byte) (shards int, digest []byte, err error) {
-	return decodeMergedSeal(b)
-}
-
 // TranscriptFromLog extracts and decodes the sealed transcript of one epoch
 // from a board log, assembling chunked seals. It does not audit anything —
 // it is the fetch half of a cross-node audit, which feeds the result to

@@ -171,12 +171,26 @@ func TestShardSessionMergeAudit(t *testing.T) {
 		}
 	}
 
-	enc := EncodeMergedSealRecord(1, digest)
-	shards, got, err := DecodeMergedSealRecord(enc)
-	if err != nil || shards != 1 || !bytes.Equal(got, digest) {
-		t.Fatalf("merged-seal record round trip: shards=%d err=%v", shards, err)
+	sidecar := store.NewMemLog()
+	book, err := OpenMergedSeals(sidecar, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := DecodeMergedSealRecord(enc[:3]); err == nil {
-		t.Fatal("decoded a truncated merged-seal record")
+	if err := book.Record(0, 1, digest); err != nil {
+		t.Fatal(err)
+	}
+	if book, err = OpenMergedSeals(sidecar, 1); err != nil {
+		t.Fatalf("reopening the merged-seal log: %v", err)
+	}
+	if epoch, got, ok := book.Get(-1); !ok || epoch != 0 || !bytes.Equal(got, digest) {
+		t.Fatalf("merged-seal record round trip: epoch %d, ok %v", epoch, ok)
+	}
+	recs, _ := sidecar.Snapshot()
+	torn := store.NewMemLog()
+	if err := torn.Append(&store.Record{Kind: recs[0].Kind, Payload: recs[0].Payload[:3]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMergedSeals(torn, 1); err == nil {
+		t.Fatal("opened a merged-seal log holding a truncated record")
 	}
 }

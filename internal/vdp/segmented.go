@@ -1,7 +1,6 @@
 package vdp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,10 +61,11 @@ func (k segmentKind) budget(i int, b *BudgetConfig) *BudgetConfig {
 // (ShardOf) or fanning a contribution over all of them (row 0 first) is the
 // part that differs, and goes straight to the sub-sessions.
 type segmentedSession struct {
-	pub  *Public
-	kind segmentKind
-	seg  *store.SegmentedLog // nil keeps the board in memory
-	segs []*Session
+	pub   *Public
+	kind  segmentKind
+	seg   *store.SegmentedLog // nil keeps the board in memory
+	segs  []*Session
+	seals *MergedSeals // the manifest's merged seals
 
 	mu      sync.Mutex
 	state   sessionState
@@ -114,7 +114,11 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 		}
 		g.segs = append(g.segs, s)
 	}
-	if resume {
+	var manifest store.Log
+	if g.seg != nil {
+		manifest = g.seg.Manifest()
+	}
+	if g.seals, err = openMergedSeals(manifest, n, true); err == nil && resume {
 		err = g.reconcile()
 	}
 	return g, err
@@ -133,7 +137,7 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 //     merged-seal record landed is healed here: the digest is recomputed
 //     from the segment seals and the missing record is appended. A manifest
 //     record that *disagrees* with the recomputed digest is tampering and
-//     refuses to resume.
+//     refuses to resume (the merged-seal book refuses the second digest).
 func (g *segmentedSession) reconcile() error {
 	for _, s := range g.segs {
 		g.epoch = max(g.epoch, s.Epoch())
@@ -145,16 +149,10 @@ func (g *segmentedSession) reconcile() error {
 			}
 		}
 	}
-	seals, err := readMergedSeals(g.seg)
-	if err != nil {
-		return err
+	if e, _, ok := g.seals.Get(-1); ok && e > g.epoch {
+		return fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", e, g.epoch)
 	}
-	for e := range seals {
-		if e > g.epoch {
-			return fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", e, g.epoch)
-		}
-	}
-	want, merged := seals[g.epoch]
+	_, _, merged := g.seals.Get(g.epoch)
 	ts := g.sealedTranscripts()
 	switch {
 	case ts == nil && merged:
@@ -166,12 +164,11 @@ func (g *segmentedSession) reconcile() error {
 		return nil
 	}
 	g.state = sessionFinalized
-	if digest := MergedTranscriptDigest(g.pub, ts); !merged {
-		return appendMergedSeal(g.seg, g.epoch, len(g.segs), digest)
-	} else if !bytes.Equal(want, digest) {
-		return fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals", g.epoch)
+	err := g.seals.Record(g.epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
+	if err != nil && merged {
+		return fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals: %w", g.epoch, err)
 	}
-	return nil
+	return err
 }
 
 // sealedTranscripts returns the current epoch's kept transcripts, in segment
@@ -319,11 +316,9 @@ func (g *segmentedSession) finalize(ctx context.Context, assemble func([]*Transc
 		}
 	}
 	digest = MergedTranscriptDigest(g.pub, ts)
-	if g.seg != nil {
-		if err := appendMergedSeal(g.seg, epoch, len(g.segs), digest); err != nil {
-			g.setState(sessionOpen)
-			return nil, nil, nil, err
-		}
+	if err := g.seals.Record(epoch, len(g.segs), digest); err != nil {
+		g.setState(sessionOpen)
+		return nil, nil, nil, err
 	}
 	g.setState(sessionFinalized)
 	return results, rejected, digest, nil
@@ -378,26 +373,18 @@ func (g *segmentedSession) advance(verb string, step func(*Session) error, seale
 	return nil
 }
 
-// healMergedSeal appends the current epoch's missing merged-seal manifest
-// record when every segment is sealed with its transcript kept — the state a
-// failed appendMergedSeal leaves behind. A no-op on a memory board, when the
-// epoch is not fully sealed (nothing to bind), was consumed by a protocol
-// error (no transcripts to bind), or is already sealed in the manifest.
-// Callers hold g.mu.
+// healMergedSeal records the current epoch's missing merged seal when every
+// segment is sealed with its transcript kept — the state a failed manifest
+// append leaves behind. A no-op when the epoch is not fully sealed (nothing
+// to bind), was consumed by a protocol error (no transcripts to bind), or is
+// already merged-sealed. Callers hold g.mu.
 func (g *segmentedSession) healMergedSeal() error {
-	if g.seg == nil {
-		return nil
-	}
 	ts := g.sealedTranscripts()
 	if ts == nil {
 		return nil
 	}
-	seals, err := readMergedSeals(g.seg)
-	if err != nil {
-		return err
-	}
-	if _, ok := seals[g.epoch]; ok {
+	if _, _, ok := g.seals.Get(g.epoch); ok {
 		return nil
 	}
-	return appendMergedSeal(g.seg, g.epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
+	return g.seals.Record(g.epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -522,6 +523,16 @@ func TestShardedManifestHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg2.Close()
+	// A manifest that seals the epoch with a digest the segments do not
+	// produce is tampering, not a crash to heal.
+	segs, manifest := segmentRecords(t, seg2)
+	forged := &store.Record{Kind: RecordMergedSeal, Payload: encodeMergedSeal(shards, bytes.Repeat([]byte{0x5a}, 32))}
+	doctored := segmentedLogOf(t, segs, append(manifest, forged))
+	defer doctored.Close()
+	if _, err := ResumeShardedSession(context.Background(), pub, SessionOptions{Rand: testSeed(33), Segmented: doctored}); err == nil ||
+		!strings.Contains(err.Error(), "disagrees with the segment seals") {
+		t.Fatalf("resume over a forged merged seal: %v", err)
+	}
 	resumed, err := ResumeShardedSession(context.Background(), pub, SessionOptions{Rand: testSeed(33), Segmented: seg2})
 	if err != nil {
 		t.Fatal(err)
@@ -739,7 +750,7 @@ func TestShardedResetHealsMergedSeal(t *testing.T) {
 			b.admit(t, i, 1)
 		}
 		// Seal every segment without the front door: the manifest record is
-		// missing, exactly as after a failed appendMergedSeal.
+		// missing, exactly as after a failed manifest append.
 		for _, s := range b.segs {
 			if _, err := s.Finalize(ctx); err != nil {
 				t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"sync"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -51,58 +53,158 @@ func decodeMergedSeal(b []byte) (shards int, digest []byte, err error) {
 	return shards, digest, nil
 }
 
-// appendMergedSeal records a finalized merged epoch in the manifest.
-func appendMergedSeal(seg *store.SegmentedLog, epoch, shards int, digest []byte) error {
-	err := seg.Manifest().Append(&store.Record{Kind: RecordMergedSeal, Epoch: uint32(epoch), Payload: encodeMergedSeal(shards, digest)})
-	if err != nil {
-		return fmt.Errorf("vdp: manifest append: %w", err)
-	}
-	return nil
+// MergedSeals is the one merged-seal book: epoch → merged digest for a
+// board of K shards, optionally backed by the log it appends to. Every
+// holder of merged seals keeps them here — a segmented board's manifest, a
+// cluster node's sidecar, a standby's mirror of that sidecar, the live
+// tails — under one rule: a record must be a RecordMergedSeal whose body
+// decodes with a 32-byte digest and names the board's shard count. A second
+// seal for an epoch with the same digest is a no-op — an honest retry of an
+// append that reported failure after it landed leaves exactly that — and
+// one with a different digest is refused: two merged digests for one epoch
+// is a forked merge.
+type MergedSeals struct {
+	shards int
+	log    store.Log // nil keeps the book in memory
+
+	mu    sync.Mutex
+	seals map[int][]byte
 }
 
-// mergedSealRule is the manifest grammar, one rule set for recovery and the
-// live tail: store bookkeeping is skipped, a kind no segmented session writes
-// is refused, every merged seal must carry the board's shard count, and no
-// epoch is sealed twice. A legal merged seal is recorded in seals; a refusal
-// says why, and each caller prefixes the record's position its own way.
-func mergedSealRule(rec *store.Record, shards int, seals map[int][]byte) error {
-	if rec.Kind >= store.KindSegmentedInit {
-		return nil // store-reserved bookkeeping
-	}
-	if rec.Kind != RecordMergedSeal {
-		return fmt.Errorf("unknown kind %d", rec.Kind)
-	}
-	n, digest, err := decodeMergedSeal(rec.Payload)
-	if err != nil {
-		return err
-	}
-	if n != shards {
-		return fmt.Errorf("claims %d shards, the board has %d", n, shards)
-	}
-	epoch := int(rec.Epoch)
-	if _, dup := seals[epoch]; dup {
-		return fmt.Errorf("seals epoch %d twice", epoch)
-	}
-	seals[epoch] = digest
-	return nil
+// OpenMergedSeals opens the book of a shards-wide board over log, replaying
+// every record under the rule; a nil log keeps the book in memory.
+func OpenMergedSeals(log store.Log, shards int) (*MergedSeals, error) {
+	return openMergedSeals(log, shards, false)
 }
 
-// readMergedSeals replays the manifest into epoch -> merged digest under
-// mergedSealRule.
-func readMergedSeals(seg *store.SegmentedLog) (map[int][]byte, error) {
-	out := make(map[int][]byte)
-	i := -1
-	err := seg.Manifest().Replay(func(rec *store.Record) error {
-		i++
-		if err := mergedSealRule(rec, seg.Shards(), out); err != nil {
-			return fmt.Errorf("vdp: manifest record %d: %w", i, err)
-		}
-		return nil
-	})
-	if err != nil {
+// openMergedSeals replays log into a fresh book. A manifest's
+// store-reserved bookkeeping is skipped.
+func openMergedSeals(log store.Log, shards int, manifest bool) (*MergedSeals, error) {
+	b := &MergedSeals{shards: shards, log: log, seals: make(map[int][]byte)}
+	if log == nil {
+		return b, nil
+	}
+	var recs []*store.Record
+	if err := log.Replay(func(rec *store.Record) error { recs = append(recs, rec); return nil }); err != nil {
 		return nil, err
 	}
-	return out, nil
+	fresh, at, err := b.admit(recs, manifest)
+	if err != nil {
+		what := "merged-seal log"
+		if manifest {
+			what = "manifest"
+		}
+		return nil, fmt.Errorf("vdp: %s record %d: %w", what, at, err)
+	}
+	b.seals = fresh
+	return b, nil
+}
+
+// admit is the rule: every record of recs, in order, must be a legal merged
+// seal that agrees with what the book and the records before it hold for
+// its epoch. It returns the seals recs add to the book — a same-digest
+// repeat adds none — and applies nothing, or the index of the first record
+// refused and why; a manifest's store-reserved bookkeeping is skipped.
+// Callers hold b.mu, or own b.
+func (b *MergedSeals) admit(recs []*store.Record, manifest bool) (fresh map[int][]byte, at int, err error) {
+	fresh = make(map[int][]byte)
+	for i, rec := range recs {
+		if manifest && rec.Kind >= store.KindSegmentedInit {
+			continue
+		}
+		if rec.Kind != RecordMergedSeal {
+			return nil, i, fmt.Errorf("unknown kind %d", rec.Kind)
+		}
+		n, digest, err := decodeMergedSeal(rec.Payload)
+		if err != nil {
+			return nil, i, err
+		}
+		if n != b.shards {
+			return nil, i, fmt.Errorf("claims %d shards, the board has %d", n, b.shards)
+		}
+		epoch := int(rec.Epoch)
+		prev, held := b.seals[epoch]
+		if !held {
+			prev, held = fresh[epoch]
+		}
+		if held && !bytes.Equal(prev, digest) {
+			return nil, i, fmt.Errorf("seals epoch %d twice with different digests", epoch)
+		}
+		if !held {
+			fresh[epoch] = digest
+		}
+	}
+	return fresh, 0, nil
+}
+
+// feed applies one manifest record read by a live tail.
+func (b *MergedSeals) feed(rec *store.Record) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fresh, _, err := b.admit([]*store.Record{rec}, true)
+	maps.Copy(b.seals, fresh)
+	return err
+}
+
+// Record seals epoch with a merged digest over shards shards, appending the
+// record to the book's log unless the book already holds that very seal. A
+// failed append records nothing, so a retry appends again.
+func (b *MergedSeals) Record(epoch, shards int, digest []byte) error {
+	rec := &store.Record{Kind: RecordMergedSeal, Epoch: uint32(epoch), Payload: encodeMergedSeal(shards, digest)}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fresh, _, err := b.admit([]*store.Record{rec}, false)
+	if err != nil {
+		return fmt.Errorf("vdp: merged seal for epoch %d: %w", epoch, err)
+	}
+	if len(fresh) == 0 {
+		return nil // already held
+	}
+	return b.write([]*store.Record{rec}, fresh)
+}
+
+// Mirror appends recs verbatim — a standby's copy of its primary's log,
+// repeats included — once all of them have passed the rule, so a batch
+// holding one bad record is refused whole before anything is appended.
+func (b *MergedSeals) Mirror(recs []*store.Record) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fresh, at, err := b.admit(recs, false)
+	if err != nil {
+		return fmt.Errorf("vdp: mirrored merged-seal record %d: %w", at, err)
+	}
+	return b.write(recs, fresh)
+}
+
+// write appends admitted records to the log in one sync, then books fresh.
+// Callers hold b.mu.
+func (b *MergedSeals) write(recs []*store.Record, fresh map[int][]byte) error {
+	if b.log != nil {
+		for _, rec := range recs {
+			if err := b.log.AppendNoSync(rec); err != nil {
+				return fmt.Errorf("vdp: merged-seal append: %w", err)
+			}
+		}
+		if err := b.log.Sync(); err != nil {
+			return fmt.Errorf("vdp: merged-seal sync: %w", err)
+		}
+	}
+	maps.Copy(b.seals, fresh)
+	return nil
+}
+
+// Get returns the merged digest the book holds for epoch; epoch < 0 asks for
+// the latest sealed epoch. ok is false when there is none.
+func (b *MergedSeals) Get(epoch int) (sealed int, digest []byte, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if epoch < 0 {
+		for e := range b.seals {
+			epoch = max(epoch, e)
+		}
+	}
+	digest, ok = b.seals[epoch]
+	return epoch, digest, ok
 }
 
 // auditSegments audits one epoch across the per-segment board logs of a
@@ -143,20 +245,15 @@ func auditSegments(ctx context.Context, pub *Public, logs []Replayer, epoch, wor
 // auditSegmented is auditSegments over one directory: the epoch (< 0 = the
 // latest merged-sealed one) and the digest to match come from the manifest.
 func auditSegmented(ctx context.Context, pub *Public, seg *store.SegmentedLog, epoch, workers int, kind segmentKind) error {
-	seals, err := readMergedSeals(seg)
+	seals, err := openMergedSeals(seg.Manifest(), seg.Shards(), true)
 	if err != nil {
 		return err
 	}
-	if epoch < 0 {
-		for e := range seals {
-			epoch = max(epoch, e)
-		}
-		if epoch < 0 {
-			return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
-		}
-	}
-	want, ok := seals[epoch]
-	if !ok {
+	epoch, want, ok := seals.Get(epoch)
+	switch {
+	case !ok && epoch < 0:
+		return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
+	case !ok:
 		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
 	}
 	logs := make([]Replayer, seg.Shards())

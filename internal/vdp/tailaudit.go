@@ -262,12 +262,8 @@ func (a *TailAuditor) Close() error {
 // MergedTranscriptDigest from the per-shard verified digests and
 // cross-checks the manifest's claim.
 type MergedTailAuditor struct {
-	pub    *Public
 	shards []*TailAuditor
-
-	mu     sync.Mutex
-	seals  map[int][]byte
-	manIdx int
+	book   *MergedSeals // the manifest's merged seals fed so far
 }
 
 // NewMergedTailAuditor creates a live auditor for a K-shard deployment.
@@ -278,7 +274,7 @@ func NewMergedTailAuditor(pub *Public, shards int, opts TailOptions) *MergedTail
 // newMergedTail builds one TailAuditor per segment, each reading under its
 // kind's roster rule and charging policy.
 func newMergedTail(pub *Public, n int, opts TailOptions, kind segmentKind) *MergedTailAuditor {
-	m := &MergedTailAuditor{pub: pub, seals: make(map[int][]byte)}
+	m := &MergedTailAuditor{book: &MergedSeals{shards: n, seals: make(map[int][]byte)}}
 	for i := 0; i < n; i++ {
 		so := opts
 		so.Budget = kind.budget(i, opts.Budget)
@@ -295,38 +291,12 @@ func (m *MergedTailAuditor) Shards() int { return len(m.shards) }
 // Shard returns shard i's TailAuditor; feed it that shard's records.
 func (m *MergedTailAuditor) Shard(i int) *TailAuditor { return m.shards[i] }
 
-// FeedManifest consumes one manifest record under the manifest grammar
-// recovery enforces (mergedSealRule).
+// FeedManifest consumes one manifest record into the merged-seal book, the
+// rule recovery reads the manifest by.
 func (m *MergedTailAuditor) FeedManifest(rec *store.Record, off int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := m.manIdx
-	m.manIdx++
-	if err := mergedSealRule(rec, len(m.shards), m.seals); err != nil {
-		return fmt.Errorf("%w: manifest record %d (offset %d): %v", ErrAuditFail, i, off, err)
+	if err := m.book.feed(rec); err != nil {
+		return fmt.Errorf("%w: manifest record at offset %d: %v", ErrAuditFail, off, err)
 	}
-	return nil
-}
-
-// SetMergedSeal registers an externally-fetched merged-seal claim — the
-// RPC-tail counterpart of FeedManifest, for followers that learn the seal
-// from a cluster node instead of a manifest log. Re-registering the same
-// claim is a no-op; a conflicting claim for an epoch already registered is
-// an audit failure (two merged seals for one epoch means a forked merge).
-func (m *MergedTailAuditor) SetMergedSeal(epoch, shards int, digest []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if shards != len(m.shards) {
-		return fmt.Errorf("%w: merged seal for epoch %d claims %d shards, tail follows %d",
-			ErrAuditFail, epoch, shards, len(m.shards))
-	}
-	if prev, ok := m.seals[epoch]; ok {
-		if !bytes.Equal(prev, digest) {
-			return fmt.Errorf("%w: conflicting merged seals for epoch %d", ErrAuditFail, epoch)
-		}
-		return nil
-	}
-	m.seals[epoch] = append([]byte(nil), digest...)
 	return nil
 }
 
@@ -349,10 +319,7 @@ func (m *MergedTailAuditor) VerifyMerged(epoch int) (digest []byte, ready bool, 
 		ds[i] = d
 	}
 	digest = mergedDigestFromShards(ds)
-	m.mu.Lock()
-	want, ok := m.seals[epoch]
-	m.mu.Unlock()
-	if ok && !bytes.Equal(want, digest) {
+	if _, want, ok := m.book.Get(epoch); ok && !bytes.Equal(want, digest) {
 		return nil, true, fmt.Errorf("%w: manifest merged seal for epoch %d disagrees with the live per-shard audits",
 			ErrAuditFail, epoch)
 	}

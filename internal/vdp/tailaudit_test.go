@@ -376,74 +376,6 @@ func TestTailParityWithAdversaries(t *testing.T) {
 	}
 }
 
-// TestManifestGrammar feeds the same bad manifests to the offline segmented
-// audit and the live segmented tail, which read the manifest by one rule set
-// (mergedSealRule): both must refuse every one.
-func TestManifestGrammar(t *testing.T) {
-	ctx := context.Background()
-	pub := testPublic(t, 2, 1, 4)
-	seg, err := store.OpenSegmentedLog(t.TempDir(), 2, store.WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(95), Shards: 2, Segmented: seg, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range buildSubs(t, pub, []int{1, 0, 1, 1}) {
-		if err := ss.Submit(ctx, sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ss.Finalize(ctx); err != nil {
-		t.Fatal(err)
-	}
-	segs, manifest := segmentRecords(t, seg)
-	sealRec := manifest[len(manifest)-1]
-	_, digest, err := decodeMergedSeal(sealRec.Payload)
-	if err != nil || sealRec.Kind != RecordMergedSeal {
-		t.Fatalf("the manifest does not end in epoch 0's merged seal: %v", err)
-	}
-	read := func(t *testing.T, extra *store.Record) (audit, tail error) {
-		man := manifest[:len(manifest):len(manifest)]
-		if extra != nil {
-			man = append(man, extra)
-		}
-		lg := segmentedLogOf(t, segs, man)
-		defer lg.Close()
-		st, err := TailAuditMerged(pub, lg, TailOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		_, tail = st.Poll()
-		return AuditSegmentedLog(ctx, pub, lg, 0, 2), tail
-	}
-	if audit, tail := read(t, nil); audit != nil || tail != nil {
-		t.Fatalf("honest manifest refused: audit %v, tail %v", audit, tail)
-	}
-	for _, tc := range []struct {
-		name string
-		rec  *store.Record
-	}{
-		{"unknown-kind", &store.Record{Kind: 9}},
-		{"wrong-shard-count", &store.Record{Kind: RecordMergedSeal, Epoch: 1, Payload: encodeMergedSeal(3, digest)}},
-		{"duplicate-epoch", sealRec},
-		{"truncated-payload", &store.Record{Kind: RecordMergedSeal, Epoch: 1, Payload: sealRec.Payload[:len(sealRec.Payload)-1]}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			audit, tail := read(t, tc.rec)
-			if audit == nil || !strings.HasPrefix(audit.Error(), "vdp: manifest record") {
-				t.Errorf("segmented audit: %v", audit)
-			}
-			if !errors.Is(tail, ErrAuditFail) || !strings.Contains(tail.Error(), "manifest record") {
-				t.Errorf("segmented tail: %v", tail)
-			}
-		})
-	}
-}
-
 // TestOffBoardVerdictOnFailingProof: an off-board rejection that is not a
 // budget refusal is a payload dispute, which says the client's board proof
 // passed — a session decides the board first and posts board failures. Such

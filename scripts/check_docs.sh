@@ -4,10 +4,12 @@
 # exist anywhere in the Go sources. Keeps the docs from silently rotting
 # as the code is refactored.
 #
-# Heuristic: every backtick-delimited token that looks like an exported Go
-# identifier (optionally qualified: `pkg.Ident`, `Ident.Method`) must appear
-# as a word somewhere in a .go file. Flags, paths, shell commands, etc. do
-# not match the pattern and are skipped.
+# Heuristic: every backtick-delimited token that looks like a Go identifier
+# (optionally qualified: `pkg.Ident`, `Ident.Method`) must appear as a word
+# somewhere in a .go file — an exported one (`Ident`) or an unexported
+# camelCase one (`lowerCamel`, which holds an uppercase letter). Flags,
+# paths, shell commands, single lowercase words, etc. do not match the
+# pattern and are skipped.
 set -u
 fail=0
 for doc in README.md ARCHITECTURE.md; do
@@ -15,10 +17,11 @@ for doc in README.md ARCHITECTURE.md; do
     idents=$(grep -o '`[A-Za-z][A-Za-z0-9_.]*`' "$doc" | tr -d '`' | sort -u)
     for id in $idents; do
         # Check each dot-separated component that starts with an uppercase
-        # letter (exported Go identifiers); skip everything else.
+        # letter (exported) or is lowerCamel (unexported); skip the rest.
         for part in $(printf '%s' "$id" | tr '.' ' '); do
             case $part in
                 [A-Z]*) ;;
+                [a-z]*[A-Z]*) ;;
                 *) continue ;;
             esac
             if ! grep -rqw --include='*.go' "$part" .; then
