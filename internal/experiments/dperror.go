@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -19,6 +20,8 @@ type DPErrorConfig struct {
 	Delta       float64
 	Populations []int
 	Trials      int
+	// Rand is the noise and randomized-response source (nil = crypto/rand).
+	Rand io.Reader
 }
 
 func dpErrorConfigFor(s Scale) DPErrorConfig {
@@ -69,7 +72,7 @@ func DPError(cfg DPErrorConfig) (*DPErrorResult, error) {
 		truth := int64(n / 3)
 		var central, local float64
 		for t := 0; t < cfg.Trials; t++ {
-			rel, err := mech.Release(truth, nil)
+			rel, err := mech.Release(truth, cfg.Rand)
 			if err != nil {
 				return nil, err
 			}
@@ -77,7 +80,7 @@ func DPError(cfg DPErrorConfig) (*DPErrorResult, error) {
 
 			var obs int64
 			for i := 0; i < n; i++ {
-				rep, err := rr.Randomize(i%3 == 0, nil)
+				rep, err := rr.Randomize(i%3 == 0, cfg.Rand)
 				if err != nil {
 					return nil, err
 				}

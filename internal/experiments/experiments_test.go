@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	mathrand "math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -200,9 +201,10 @@ func TestTable2Matrix(t *testing.T) {
 	}
 }
 
-// TestDPErrorShape: central error flat, local error growing.
+// TestDPErrorShape: central error flat, local error growing. The draws come
+// from a fixed stream, so the verdict does not depend on the run.
 func TestDPErrorShape(t *testing.T) {
-	res, err := DPError(DPErrorConfig{Epsilon: 1, Delta: 1e-6, Populations: []int{1000, 16000}, Trials: 10})
+	res, err := DPError(DPErrorConfig{Epsilon: 1, Delta: 1e-6, Populations: []int{1000, 16000}, Trials: 10, Rand: mathrand.New(mathrand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/pedersen"
+	"repro/internal/sigma"
 )
 
 // ErrCheat is wrapped by all failures attributable to a misbehaving party.
@@ -111,7 +112,15 @@ func (p *Party) Reveal() (*RevealMsg, error) {
 // produces the jointly sampled uniform field elements X_j = Σ_k m_{k,j}.
 // Any party whose opening fails verification is identified in the error
 // (step 3: "If this test fails for any k ... the protocol is aborted").
-func Combine(pp *pedersen.Params, commits []*CommitMsg, reveals []*RevealMsg) ([]*field.Element, error) {
+//
+// Structural faults — a duplicate party, a wrong count, a missing reveal, a
+// nil opening or one under other parameters — are refused before any group
+// work. Every opening is folded into one sigma.BitBatch, checked with one
+// multi-exponentiation over up to `workers` goroutines (<= 0 meaning
+// GOMAXPROCS). Only if that check fails are the openings verified one by
+// one, in party order, so the error names the first party and opening that
+// does not match.
+func Combine(pp *pedersen.Params, commits []*CommitMsg, reveals []*RevealMsg, workers int) ([]*field.Element, error) {
 	if len(commits) < 2 {
 		return nil, fmt.Errorf("morra: need commitments from at least 2 parties, got %d", len(commits))
 	}
@@ -131,6 +140,7 @@ func Combine(pp *pedersen.Params, commits []*CommitMsg, reveals []*RevealMsg) ([
 	for j := range sums {
 		sums[j] = f.Zero()
 	}
+	fold := sigma.NewBitBatch(pp, nil)
 	seen := make(map[int]bool, len(commits))
 	for _, cm := range commits {
 		if seen[cm.Party] {
@@ -147,14 +157,41 @@ func Combine(pp *pedersen.Params, commits []*CommitMsg, reveals []*RevealMsg) ([
 		if len(rv.Openings) != batch {
 			return nil, fmt.Errorf("%w: party %d revealed %d values, want %d", ErrCheat, cm.Party, len(rv.Openings), batch)
 		}
-		for j := 0; j < batch; j++ {
-			if !pp.Verify(cm.Commitments[j], rv.Openings[j].X, rv.Openings[j].R) {
-				return nil, fmt.Errorf("%w: party %d opening %d does not match its commitment", ErrCheat, cm.Party, j)
+		for j, o := range rv.Openings {
+			if !wellFormed(pp, cm.Commitments[j], o) {
+				return nil, mismatch(cm.Party, j)
 			}
-			sums[j] = sums[j].Add(rv.Openings[j].X)
+			if err := fold.AddOpening(cm.Commitments[j], o.X, o.R); err != nil {
+				return nil, fmt.Errorf("morra: %w", err)
+			}
+			sums[j] = sums[j].Add(o.X)
 		}
 	}
+	if fold.Check(workers) != nil {
+		for _, cm := range commits {
+			for j, o := range byParty[cm.Party].Openings {
+				if !pp.Verify(cm.Commitments[j], o.X, o.R) {
+					return nil, mismatch(cm.Party, j)
+				}
+			}
+		}
+		return nil, fmt.Errorf("%w: combined opening check failed but every opening matches (astronomically unlikely)", ErrCheat)
+	}
 	return sums, nil
+}
+
+// wellFormed reports whether an opening can be folded at all: both halves
+// present, the commitment under pp and the opening in pp's scalar field.
+func wellFormed(pp *pedersen.Params, c *pedersen.Commitment, o *pedersen.Opening) bool {
+	f := pp.ScalarField()
+	return c != nil && pp.Equal(c.Params()) && o != nil && o.X != nil && o.R != nil &&
+		f.Equal(o.X.Field()) && f.Equal(o.R.Field())
+}
+
+// mismatch is the refusal of one opening, with the same text whichever
+// check finds it.
+func mismatch(party, j int) error {
+	return fmt.Errorf("%w: party %d opening %d does not match its commitment", ErrCheat, party, j)
 }
 
 // Bits converts jointly sampled field elements into coins by the threshold
@@ -200,7 +237,7 @@ func Run(pp *pedersen.Params, nParties, batch int, rnd io.Reader) ([]*field.Elem
 		}
 		reveals[k] = rv
 	}
-	return Combine(pp, commits, reveals)
+	return Combine(pp, commits, reveals, 1)
 }
 
 // RunBits is Run followed by thresholding into coins.

@@ -2,7 +2,9 @@ package morra
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/group"
@@ -135,7 +137,7 @@ func cheatingRun(t *testing.T, tamper func(c []*CommitMsg, r []*RevealMsg)) erro
 		reveals[k] = rv
 	}
 	tamper(commits, reveals)
-	_, err := Combine(pp, commits, reveals)
+	_, err := Combine(pp, commits, reveals, 1)
 	return err
 }
 
@@ -186,12 +188,12 @@ func TestCheatDuplicateParty(t *testing.T) {
 }
 
 func TestCombineValidation(t *testing.T) {
-	if _, err := Combine(pp, nil, nil); err == nil {
+	if _, err := Combine(pp, nil, nil, 1); err == nil {
 		t.Error("accepted empty inputs")
 	}
 	p0, _ := NewParty(pp, 0, 2, 2)
 	c0, _ := p0.Commit(nil)
-	if _, err := Combine(pp, []*CommitMsg{c0, c0}, []*RevealMsg{}); err == nil {
+	if _, err := Combine(pp, []*CommitMsg{c0, c0}, []*RevealMsg{}, 1); err == nil {
 		t.Error("accepted commit/reveal count mismatch")
 	}
 }
@@ -228,7 +230,7 @@ func TestHonestMinorityStillUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xs, err := Combine(pp, []*CommitMsg{cm, badCommit}, []*RevealMsg{rv, badReveal})
+		xs, err := Combine(pp, []*CommitMsg{cm, badCommit}, []*RevealMsg{rv, badReveal}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,13 +241,113 @@ func TestHonestMinorityStillUniform(t *testing.T) {
 	}
 }
 
-func BenchmarkMorraPerCoin(b *testing.B) {
-	// Cost of jointly sampling one public coin between prover and verifier
-	// (the per-coin slice of Table 1's Morra column).
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunBits(pp, 2, 1, nil); err != nil {
-			b.Fatal(err)
+// honestBatch returns a 2-party commit/reveal exchange over batch coins.
+func honestBatch(t testing.TB, batch int) ([]*CommitMsg, []*RevealMsg) {
+	t.Helper()
+	commits := make([]*CommitMsg, 2)
+	reveals := make([]*RevealMsg, 2)
+	for k := range commits {
+		p, err := NewParty(pp, k, 2, batch)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if commits[k], err = p.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+		if reveals[k], err = p.Reveal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return commits, reveals
+}
+
+// tamperOpening replaces party k's opening j with o, leaving the party's
+// other openings (and every other party's) shared with the original.
+func tamperOpening(reveals []*RevealMsg, k, j int, o *pedersen.Opening) []*RevealMsg {
+	out := append([]*RevealMsg{}, reveals...)
+	rv := *reveals[k]
+	rv.Openings = append([]*pedersen.Opening{}, rv.Openings...)
+	rv.Openings[j] = o
+	out[k] = &rv
+	return out
+}
+
+// TestCombineBlamesOneBadOpening: one tampered opening among 2¹⁰ fails the
+// batched check, and the one-by-one fallback names its party and coin with
+// the per-opening text, at every width. With two bad openings the first in
+// party order is named.
+func TestCombineBlamesOneBadOpening(t *testing.T) {
+	const batch = 512 // 2 parties × 512 = 2¹⁰ openings
+	commits, reveals := honestBatch(t, batch)
+	f := pp.ScalarField()
+	for _, bad := range []struct{ party, coin int }{{0, 0}, {1, 377}, {0, batch - 1}} {
+		o := reveals[bad.party].Openings[bad.coin]
+		tampered := tamperOpening(reveals, bad.party, bad.coin, &pedersen.Opening{X: o.X, R: o.R.Add(f.One())})
+		for _, workers := range []int{1, 2} {
+			_, err := Combine(pp, commits, tampered, workers)
+			want := fmt.Sprintf("morra: party misbehaved: party %d opening %d does not match its commitment", bad.party, bad.coin)
+			if !errors.Is(err, ErrCheat) || err.Error() != want {
+				t.Errorf("bad opening (%d, %d), %d workers: got %v, want %q", bad.party, bad.coin, workers, err, want)
+			}
+		}
+	}
+	o := reveals[0].Openings[9]
+	twice := tamperOpening(reveals, 1, 2, &pedersen.Opening{X: f.One(), R: f.One()})
+	twice = tamperOpening(twice, 0, 9, &pedersen.Opening{X: o.X.Add(f.One()), R: o.R})
+	if _, err := Combine(pp, commits, twice, 2); err == nil || !strings.Contains(err.Error(), "party 0 opening 9 does") {
+		t.Errorf("two bad openings: got %v, want party 0 opening 9 named", err)
+	}
+	if _, err := Combine(pp, commits, reveals, 2); err != nil {
+		t.Errorf("honest exchange refused: %v", err)
+	}
+}
+
+// TestCombineRefusesMalformedOpenings: an opening that cannot be folded —
+// nil, half nil, or under other parameters — is refused by name before
+// any group work, and never panics.
+func TestCombineRefusesMalformedOpenings(t *testing.T) {
+	commits, reveals := honestBatch(t, 4)
+	ff := pedersen.Setup(group.Schnorr2048())
+	fx, fr := ff.ScalarField().FromInt64(1), ff.ScalarField().FromInt64(2)
+	o := reveals[1].Openings[2]
+	foreignCommits := append([]*CommitMsg{}, commits...)
+	fc := *commits[1]
+	fc.Commitments = append([]*pedersen.Commitment{}, fc.Commitments...)
+	fc.Commitments[2] = ff.CommitWithSlow(fx, fr)
+	foreignCommits[1] = &fc
+	for _, tc := range []struct {
+		name    string
+		commits []*CommitMsg
+		reveals []*RevealMsg
+	}{
+		{"nil opening", commits, tamperOpening(reveals, 1, 2, nil)},
+		{"nil X", commits, tamperOpening(reveals, 1, 2, &pedersen.Opening{R: o.R})},
+		{"nil R", commits, tamperOpening(reveals, 1, 2, &pedersen.Opening{X: o.X})},
+		{"foreign opening", commits, tamperOpening(reveals, 1, 2, &pedersen.Opening{X: fx, R: fr})},
+		{"foreign commitment", foreignCommits, tamperOpening(reveals, 1, 2, &pedersen.Opening{X: fx, R: fr})},
+		{"foreign commitment, local opening", foreignCommits, reveals},
+	} {
+		_, err := Combine(pp, tc.commits, tc.reveals, 2)
+		if !errors.Is(err, ErrCheat) || !strings.Contains(err.Error(), "party 1 opening 2 does not match its commitment") {
+			t.Errorf("%s: got %v", tc.name, err)
+		}
+	}
+}
+
+// BenchmarkMorraPerCoin is the cost of jointly sampling one public coin
+// between prover and verifier (the per-coin slice of Table 1's Morra
+// column), alone and in a batch of 256, where the batched opening check
+// amortises its one multi-exponentiation.
+func BenchmarkMorraPerCoin(b *testing.B) {
+	for _, batch := range []int{1, 256} {
+		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunBits(pp, 2, batch, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/coin")
+		})
 	}
 }

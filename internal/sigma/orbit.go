@@ -51,6 +51,12 @@ func bitStatements(pp *pedersen.Params, c *pedersen.Commitment) (x0, x1 group.El
 // x ∈ {0,1}. It returns an error for x outside {0,1}: an honest caller never
 // does this, and refusing early avoids emitting a proof that cannot verify.
 // ctx binds the proof to an enclosing session.
+//
+// The prover knows c's opening, so it simulates the false branch without a
+// variable-base exponentiation: X_false = g^(2x−1)·h^r, hence
+// aFalse = h^zFalse ∘ X_false^(−eFalse) = g^((1−2x)·eFalse) ∘ h^(zFalse − r·eFalse),
+// one fused fixed-base commitment. The element and the draws are those of
+// the generic simulation, so the proof's bytes are too.
 func ProveBit(pp *pedersen.Params, c *pedersen.Commitment, x, r *field.Element, ctx []byte, rnd io.Reader) (*BitProof, error) {
 	f := pp.ScalarField()
 	var bit int
@@ -63,8 +69,6 @@ func ProveBit(pp *pedersen.Params, c *pedersen.Commitment, x, r *field.Element, 
 		return nil, fmt.Errorf("sigma: ProveBit called with non-bit value %v", x)
 	}
 	g := pp.Group()
-	x0, x1 := bitStatements(pp, c)
-	stmts := [2]group.Element{x0, x1}
 
 	// Simulate the false branch: pick (eFalse, zFalse) at random and solve
 	// for the announcement aFalse = h^zFalse ∘ XFalse^{-eFalse}.
@@ -82,8 +86,11 @@ func ProveBit(pp *pedersen.Params, c *pedersen.Commitment, x, r *field.Element, 
 		return nil, fmt.Errorf("sigma: %w", err)
 	}
 
-	falseBranch := 1 - bit
-	aFalse := g.Op(pp.ExpH(zFalse), g.Inv(g.Exp(stmts[falseBranch], eFalse)))
+	gExp := eFalse // (1−2x)·eFalse
+	if bit == 1 {
+		gExp = eFalse.Neg()
+	}
+	aFalse := pp.CommitWith(gExp, zFalse.Sub(r.Mul(eFalse))).Element()
 	aTrue := pp.ExpH(t)
 
 	var a0, a1 group.Element

@@ -145,22 +145,27 @@ func (s *Session) runBatch(ctx context.Context, subs []*ClientSubmission) (*RunR
 
 // runMorra executes the 2-party Πmorra between prover pk and the verifier,
 // returning the flat bit string and the public record. Each party draws
-// from its own substream (labelMorra, 2·pk + party), so concurrent Morra
-// instances stay deterministic under a fixed seed.
-func runMorra(pub *Public, pk, batch int, rs *randSource) ([]byte, *MorraRecord, error) {
+// from its own substream (labelMorra, 2·pk + party), so the two parties
+// commit concurrently and concurrent Morra instances stay deterministic
+// under a fixed seed. workers is the width of both the commit fan-out and
+// the batched opening check.
+func runMorra(ctx context.Context, pub *Public, pk, batch int, rs *randSource, workers int) ([]byte, *MorraRecord, error) {
 	parties := make([]*morra.Party, 2)
 	commits := make([]*morra.CommitMsg, 2)
-	for i := range parties {
+	err := forEach(ctx, workers, len(parties), func(i int) error {
 		p, err := morra.NewParty(pub.pp, i, 2, batch)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		parties[i] = p
 		cm, err := p.Commit(rs.stream(labelMorra, 2*pk+i))
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		commits[i] = cm
+		parties[i], commits[i] = p, cm
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	reveals := make([]*morra.RevealMsg, 2)
 	for i := 1; i >= 0; i-- { // reverse reveal order per Algorithm 1
@@ -170,7 +175,7 @@ func runMorra(pub *Public, pk, batch int, rs *randSource) ([]byte, *MorraRecord,
 		}
 		reveals[i] = rv
 	}
-	xs, err := morra.Combine(pub.pp, commits, reveals)
+	xs, err := morra.Combine(pub.pp, commits, reveals, workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: morra with prover %d: %v", ErrProverCheat, pk, err)
 	}
@@ -246,7 +251,8 @@ func (p *Public) checkSeal(ctx context.Context, t *Transcript, prod clientProduc
 	// multiexp-chunking width among the outer tasks: nesting W-wide chunking
 	// inside a W-wide fan-out would repeat the shared squaring chain W times
 	// over with no latency gain.
-	pv := NewVerifierParallel(p, max(workers/k, 1))
+	width := max(workers/k, 1)
+	pv := NewVerifierParallel(p, width)
 	err := forEach(ctx, workers, k, func(pk int) error {
 		msg, out := t.CoinMsgs[pk], t.Outputs[pk]
 		if msg.Prover != pk || out.Prover != pk {
@@ -256,7 +262,7 @@ func (p *Public) checkSeal(ctx context.Context, t *Transcript, prod clientProduc
 			return err
 		}
 		rec := t.Morra[pk]
-		xs, err := morra.Combine(p.pp, rec.Commits, rec.Reveals)
+		xs, err := morra.Combine(p.pp, rec.Commits, rec.Reveals, width)
 		if err != nil {
 			return fmt.Errorf("morra record for prover %d: %v", pk, err)
 		}

@@ -199,11 +199,12 @@ func (s *Session) prove(ctx context.Context, board []*ClientPublic, valid []*ses
 	}
 
 	// Lines 7-8: per-prover Morra with the verifier for M·nb public bits.
-	// The K instances are independent 2-party protocols.
+	// The K instances are independent 2-party protocols; each gets its
+	// share of the pool, as in checkSeal.
 	publicBits := make([][][]byte, k)
 	morraRecs := make([]*MorraRecord, k)
 	err = forEach(ctx, s.workers, k, func(pk int) error {
-		bits, record, err := runMorra(pub, pk, m*nb, rs)
+		bits, record, err := runMorra(ctx, pub, pk, m*nb, rs, max(s.workers/k, 1))
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,16 @@
 package vdp
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/morra"
 	"repro/internal/pedersen"
+	"repro/internal/store"
 )
 
 // TestProverStateMachineDiscipline: the Prover enforces its call order and
@@ -188,6 +192,61 @@ func TestAuditRejectsMorraEquivocation(t *testing.T) {
 	if err := Audit(pub, &cp); !errors.Is(err, ErrAuditFail) {
 		t.Errorf("morra equivocation passed audit: %v", err)
 	}
+}
+
+// TestMorraBlameAmongBatchedOpenings: one bad opening among the 2¹⁰ of a
+// Morra record fails the batched opening check, and the audit at widths 1
+// and 2, the offline log audit and the live tail all refuse the seal with
+// ErrAuditFail naming prover 0's Morra record, the party and the coin.
+func TestMorraBlameAmongBatchedOpenings(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 1, 1, 512) // 2 parties × 512 coins = 2¹⁰ openings
+	log := store.NewMemLog()
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(95), Store: log, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range buildSubs(t, pub, []int{1, 0, 1}) {
+		if err := sess.Submit(ctx, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sess.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs[len(recs)-1].Kind != RecordSeal {
+		t.Fatal("the epoch's seal is not one record")
+	}
+	const party, coin = 1, 377
+	cp := *res.Transcript
+	rec := *cp.Morra[0]
+	rec.Reveals = append([]*morra.RevealMsg{}, rec.Reveals...)
+	tampered := *rec.Reveals[party]
+	tampered.Openings = append([]*pedersen.Opening{}, tampered.Openings...)
+	o := tampered.Openings[coin]
+	tampered.Openings[coin] = &pedersen.Opening{X: o.X, R: o.R.Add(pub.Field().One())}
+	rec.Reveals[party] = &tampered
+	cp.Morra = []*MorraRecord{&rec}
+	recs = copyRecords(recs)
+	recs[len(recs)-1].Payload = pub.EncodeTranscript(&cp)
+
+	want := fmt.Sprintf("morra record for prover 0: morra: party misbehaved: party %d opening %d does not match its commitment", party, coin)
+	blamed := func(who string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrAuditFail) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want ErrAuditFail naming %q", who, err, want)
+		}
+	}
+	for _, w := range []int{1, 2} {
+		blamed(fmt.Sprintf("AuditParallel width %d", w), AuditParallel(pub, &cp, w))
+	}
+	blamed("AuditLog", AuditLog(ctx, pub, memLogOf(t, recs), 0, 2))
+	blamed("tail", feedAll(NewTailAuditor(pub, TailOptions{Workers: 2}), recs))
 }
 
 // TestSessionContextSeparation: a client submission built for one

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -542,6 +543,56 @@ func BenchmarkAuditLog(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkFinalizeCoins times the coin half of an epoch per noise coin: a
+// 64-client, one-prover, one-bin epoch on one worker, whose Finalize cost
+// (coin commitments and their Σ-OR proofs, Morra, Line 13) and audit cost
+// (the same proofs and Morra openings checked again) grow with nb while the
+// client work stays fixed. Admission is outside the timer.
+func BenchmarkFinalizeCoins(b *testing.B) {
+	ctx := context.Background()
+	for _, nb := range []int{256, 4096} {
+		b.Run(strconv.Itoa(nb), func(b *testing.B) {
+			pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: nb})
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs := make([]*ClientSubmission, 64)
+			for i := range subs {
+				if subs[i], err = pub.NewClientSubmission(i, i%2, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var finalize, audit time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess, err := NewSession(pub, SessionOptions{Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sess.SubmitBatch(ctx, subs); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				start := time.Now()
+				res, err := sess.Finalize(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				finalize += time.Since(start)
+				start = time.Now()
+				if err := AuditParallel(pub, res.Transcript, 1); err != nil {
+					b.Fatal(err)
+				}
+				audit += time.Since(start)
+			}
+			coins := float64(b.N * nb)
+			b.ReportMetric(float64(finalize.Microseconds())/coins, "finalize-us/coin")
+			b.ReportMetric(float64(audit.Microseconds())/coins, "audit-us/coin")
 		})
 	}
 }
