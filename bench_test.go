@@ -303,6 +303,61 @@ func BenchmarkSessionRecovery(b *testing.B) {
 	logFile.Close()
 }
 
+// BenchmarkSessionRecoverySealed is BenchmarkSessionRecovery for a sealed
+// epoch at the bench/ node-batch64 shape: 1024 submissions admitted in
+// frames of 64 under 256 coins, then finalized, on a file-backed board
+// without fsync. Recovery decodes every arrival record and the seal's prover
+// section; the sealed transcript reuses the arrivals' decoded clients.
+func BenchmarkSessionRecoverySealed(b *testing.B) {
+	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n, frame = 1024, 64
+	path := filepath.Join(b.TempDir(), "board.log")
+	logFile, err := store.OpenFileLog(path, store.WithNoSync())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	sess, err := NewSession(pub, SessionOptions{Store: logFile})
+	if err != nil {
+		b.Fatal(err)
+	}
+	subs := make([]*ClientSubmission, n)
+	for i := range subs {
+		if subs[i], err = pub.NewClientSubmission(i, i%2, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for off := 0; off < n; off += frame {
+		verdicts, err := sess.SubmitBatch(ctx, subs[off:off+frame])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range verdicts {
+			if v != nil {
+				b.Fatal(v)
+			}
+		}
+	}
+	if _, err := sess.Finalize(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resumed, err := vdp.ResumeSession(ctx, pub, SessionOptions{Store: logFile})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resumed.Finalized() || len(resumed.SealedTranscript().Clients) != n {
+			b.Fatalf("resumed finalized = %v, want a sealed epoch of %d clients", resumed.Finalized(), n)
+		}
+	}
+	b.StopTimer()
+	logFile.Close()
+}
+
 // BenchmarkCheatDetection measures how quickly the verifier catches a
 // biased-output prover — the cost of the security guarantee.
 func BenchmarkCheatDetection(b *testing.B) {

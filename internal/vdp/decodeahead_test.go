@@ -284,6 +284,89 @@ func TestDecodeAheadBlamesTheFirstRecord(t *testing.T) {
 	}
 }
 
+// clientBlock is the ClientPublic encoding a submission record carries.
+func clientBlock(t testing.TB, rec *store.Record) []byte {
+	t.Helper()
+	r := versioned(rec.Payload)
+	raw := r.Blob()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// sealTamper is a board whose seal lists, at position, a client block that
+// is not its logged arrival's.
+type sealTamper struct {
+	name     string
+	recs     []*store.Record
+	position int
+}
+
+// sealTampers rewrites one client block of decodeAheadBoard's seal by one
+// byte, into another perfectly valid submission of the same client, and
+// into bytes that do not decode. The readers decode the seal's prover
+// section only, so each must be refused at the seal record by the grammar's
+// byte comparison with the arrival record.
+func sealTampers(t *testing.T, pub *Public, honest []*store.Record, subAt []int) []sealTamper {
+	t.Helper()
+	sealAt := len(honest) - 1
+
+	oneByte := copyRecords(honest)
+	block := clientBlock(t, oneByte[subAt[1]])
+	at := bytes.Index(oneByte[sealAt].Payload, block)
+	if at < 0 {
+		t.Fatal("the seal does not carry client 1's arrival bytes")
+	}
+	oneByte[sealAt].Payload[at+len(block)-1] ^= 1
+
+	// Client 1 again, under fresh randomness: decodes, verifies, same
+	// length — and is not what the log admitted.
+	swapped := copyRecords(honest)
+	other, err := pub.NewClientSubmission(1, 1, testSeed(199))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := pub.EncodeClientPublic(other.Public)
+	if len(enc) != len(block) || bytes.Equal(enc, block) || pub.VerifyClient(other.Public) != nil {
+		t.Fatal("the replacement is not a distinct valid submission of the same size")
+	}
+	copy(swapped[sealAt].Payload[at:], enc)
+
+	// Client 0's last point is no longer on the curve (or not canonical):
+	// DecodeTranscript refuses the seal, the prover-section parse the
+	// readers run does not look.
+	undecodable := copyRecords(honest)
+	seal := undecodable[sealAt].Payload
+	block = clientBlock(t, undecodable[subAt[0]])
+	at = bytes.Index(seal, block)
+	for i := at + len(block) - 40; i < at+len(block)-8; i++ {
+		seal[i] = 0xff
+	}
+	if _, err := pub.DecodeTranscript(seal); err == nil {
+		t.Fatal("DecodeTranscript accepted a transcript with an undecodable client block")
+	}
+	if _, _, err := pub.decodeProverSection(seal, 1); err != nil {
+		t.Fatalf("the prover-section parse decoded a client block: %v", err)
+	}
+	return []sealTamper{
+		{"one-byte", oneByte, 1},
+		{"another-valid-submission", swapped, 1},
+		{"undecodable", undecodable, 0},
+	}
+}
+
+// refusedAtSeal fails t unless err is a board-log error at the seal record
+// (recs' last) naming the seal position that disagrees with its arrival.
+func refusedAtSeal(t *testing.T, err error, c sealTamper) {
+	t.Helper()
+	var pos *boardLogError
+	if !errors.As(err, &pos) || pos.Index != len(c.recs)-1 ||
+		!strings.Contains(pos.Reason, fmt.Sprintf("seal position %d disagrees with the logged submission", c.position)) {
+		t.Fatalf("want the seal refused at position %d by the roster cross-check, got: %v", c.position, err)
+	}
+}
+
 // TestAuditDecodesClientsOnce: the audit decodes every client once, from its
 // arrival record, and never the seal's client section — the seal is parsed
 // by decodeProverSection, which leaves the client blocks raw, and is digested
@@ -296,83 +379,22 @@ func TestAuditDecodesClientsOnce(t *testing.T) {
 	ctx := context.Background()
 	pub, honest, subAt := decodeAheadBoard(t, 3)
 	sealAt := len(honest) - 1
-	blockOf := func(rec *store.Record) []byte {
-		r := versioned(rec.Payload)
-		raw := r.Blob()
-		if err := r.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	refused := func(t *testing.T, recs []*store.Record, position int) {
-		t.Helper()
-		for _, workers := range []int{1, 4} {
-			err := AuditLog(ctx, pub, memLogOf(t, recs), 0, workers)
-			var pos *boardLogError
-			if !errors.As(err, &pos) || pos.Index != sealAt ||
-				!strings.Contains(pos.Reason, fmt.Sprintf("seal position %d disagrees with the logged submission", position)) {
-				t.Fatalf("%d workers: want the seal refused at position %d by the roster cross-check, got: %v", workers, position, err)
+	for _, c := range sealTampers(t, pub, honest, subAt) {
+		t.Run(c.name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				refusedAtSeal(t, AuditLog(ctx, pub, memLogOf(t, c.recs), 0, workers), c)
 			}
-		}
+		})
 	}
-
-	t.Run("one-byte", func(t *testing.T) {
-		recs := copyRecords(honest)
-		block := blockOf(recs[subAt[1]])
-		at := bytes.Index(recs[sealAt].Payload, block)
-		if at < 0 {
-			t.Fatal("the seal does not carry client 1's arrival bytes")
-		}
-		recs[sealAt].Payload[at+len(block)-1] ^= 1
-		refused(t, recs, 1)
-	})
-
-	t.Run("another-valid-submission", func(t *testing.T) {
-		// Client 1 again, under fresh randomness: decodes, verifies, same
-		// length — and is not what the log admitted.
-		recs := copyRecords(honest)
-		block := blockOf(recs[subAt[1]])
-		other, err := pub.NewClientSubmission(1, 1, testSeed(199))
-		if err != nil {
-			t.Fatal(err)
-		}
-		swapped := pub.EncodeClientPublic(other.Public)
-		if len(swapped) != len(block) || bytes.Equal(swapped, block) || pub.VerifyClient(other.Public) != nil {
-			t.Fatal("the replacement is not a distinct valid submission of the same size")
-		}
-		at := bytes.Index(recs[sealAt].Payload, block)
-		copy(recs[sealAt].Payload[at:], swapped)
-		refused(t, recs, 1)
-	})
-
-	t.Run("undecodable", func(t *testing.T) {
-		// The block's last point is no longer on the curve (or not
-		// canonical): DecodeTranscript refuses the seal, the prover-section
-		// parse the audit runs does not look, and the byte-compare refuses it.
-		recs := copyRecords(honest)
-		seal := recs[sealAt].Payload
-		block := blockOf(recs[subAt[0]])
-		at := bytes.Index(seal, block)
-		for i := at + len(block) - 40; i < at+len(block)-8; i++ {
-			seal[i] = 0xff
-		}
-		if _, err := pub.DecodeTranscript(seal); err == nil {
-			t.Fatal("DecodeTranscript accepted a transcript with an undecodable client block")
-		}
-		if _, _, err := pub.decodeProverSection(seal); err != nil {
-			t.Fatalf("the prover-section parse decoded a client block: %v", err)
-		}
-		refused(t, recs, 0)
-	})
 
 	t.Run("digested-raw", func(t *testing.T) {
 		seal := honest[sealAt].Payload
-		clients, tr, err := pub.decodeProverSection(seal)
+		clients, tr, err := pub.decodeProverSection(seal, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, raw := range clients {
-			if !bytes.Equal(raw, blockOf(honest[subAt[i]])) {
+			if !bytes.Equal(raw, clientBlock(t, honest[subAt[i]])) {
 				t.Fatalf("sealed client block %d is not its arrival record's bytes", i)
 			}
 		}

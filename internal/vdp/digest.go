@@ -42,7 +42,7 @@ func sealDigest(pub *Public, clients [][]byte, t *Transcript) []byte {
 // decoding no client. Snapshot validation uses it so pinning an epoch's
 // digest never costs a client decode.
 func transcriptDigestFromBytes(pub *Public, seal []byte) ([]byte, error) {
-	clients, t, err := pub.decodeProverSection(seal)
+	clients, t, err := pub.decodeProverSection(seal, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -211,7 +211,7 @@ func (v *epochVerifier) seal(ctx context.Context, seal []byte) error {
 			v.fold(v.clients[cl.id])
 		}
 	}
-	clients, t, err := v.pub.decodeProverSection(seal)
+	clients, t, err := v.pub.decodeProverSection(seal, v.workers)
 	if err == nil {
 		err = v.pub.checkSeal(ctx, t, v.prod, v.workers)
 	}

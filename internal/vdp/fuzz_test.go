@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
+	"repro/internal/sigma"
 	"repro/internal/store"
 )
 
@@ -188,7 +190,7 @@ func FuzzWire(f *testing.F) {
 // sealedTranscript runs a two-client durable session and returns its seal
 // as the board log carries it — assembled from its chunk records when
 // chunked.
-func sealedTranscript(f *testing.F, pub *Public, chunked bool) []byte {
+func sealedTranscript(f testing.TB, pub *Public, chunked bool) []byte {
 	f.Helper()
 	ctx := context.Background()
 	old := sealChunkSize
@@ -224,12 +226,95 @@ func sealedTranscript(f *testing.F, pub *Public, chunked bool) []byte {
 	return seal
 }
 
-// FuzzDecodeTranscript holds the one transcript parser to its two readers:
-// the full decode (DecodeTranscript) is the prover-section parse the
-// board-log readers run plus a decode of every client block, so the two
-// refuse exactly the same inputs except one whose client block alone does
-// not decode; and an accepted transcript digests the same from its raw
-// client section as decoded, and re-encodes byte for byte.
+// sectionTamper is a seal whose prover section holds an undecodable group
+// element, with the error every parse of it must return.
+type sectionTamper struct {
+	name string
+	seal []byte
+	want string
+}
+
+// proverSectionTampers derives from an honest seal: an off-curve commitment
+// in the last coin of bin 0; an off-curve Morra commitment; and, with more
+// than one bin, the first again with the last bin's count claiming a coin
+// more than the message carries — a structural error later in the stream,
+// which must not win over the earlier point. Each must fail with the point's
+// own decode error.
+func proverSectionTampers(t testing.TB, pub *Public, seal []byte) []sectionTamper {
+	t.Helper()
+	tr, err := pub.DecodeTranscript(seal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elemLen := pub.pp.Group().ElementLen()
+	var offCurve []byte // the smallest x with no point on the curve
+	var pointErr error
+	for x := byte(1); pointErr == nil; x++ {
+		offCurve = make([]byte, elemLen)
+		offCurve[0], offCurve[elemLen-1] = 2, x
+		_, pointErr = pub.pp.DecodeCommitment(offCurve)
+	}
+	patched := func(at int, b []byte) []byte {
+		out := bytes.Clone(seal)
+		copy(out[at:], b)
+		return out
+	}
+	// A coin message is a version byte, a u32 prover and a u32 bin count,
+	// then per bin a u32 coin count and the coins; a Morra record a version
+	// byte, a u32 prover, a u32 commit count, then per commit a u32 party, a
+	// u32 count and the commitments.
+	msg := tr.CoinMsgs[0]
+	coins := bytes.Index(seal, pub.EncodeCoinCommitMsg(msg))
+	morraAt := bytes.Index(seal, pub.EncodeMorraRecord(tr.Morra[0]))
+	if coins < 0 || morraAt < 0 {
+		t.Fatal("the seal does not carry its first coin message and Morra record verbatim")
+	}
+	nb, bins := len(msg.Commitments[0]), len(msg.Commitments)
+	binLen := 4 + nb*(elemLen+sigma.BitProofLen(pub.pp))
+	lastCoin := coins + 9 + 4 + (nb-1)*(elemLen+sigma.BitProofLen(pub.pp))
+	out := []sectionTamper{
+		{"off-curve-coin", patched(lastCoin, offCurve), pointErr.Error()},
+		{"off-curve-morra", patched(morraAt+17, offCurve), pointErr.Error()},
+	}
+	if bins > 1 {
+		short := patched(lastCoin, offCurve)
+		binary.BigEndian.PutUint32(short[coins+9+(bins-1)*binLen:], uint32(nb+1))
+		out = append(out, sectionTamper{"off-curve-coin-then-short-bin", short, pointErr.Error()})
+	}
+	return out
+}
+
+// TestProverSectionErrorInStreamOrder: decoding the prover section's group
+// elements on a pool reports the first failure in stream order — the error
+// a one-pass decoder meets — at every width, even when a structural error
+// follows it.
+func TestProverSectionErrorInStreamOrder(t *testing.T) {
+	for _, bins := range []int{1, 16} {
+		pub, err := Setup(Config{Provers: 2, Bins: bins, Coins: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range proverSectionTampers(t, pub, sealedTranscript(t, pub, false)) {
+			for _, workers := range []int{1, 4} {
+				if _, _, err := pub.decodeProverSection(c.seal, workers); err == nil || err.Error() != c.want {
+					t.Errorf("bins %d, %s, %d workers: got %v, want %q", bins, c.name, workers, err, c.want)
+				}
+			}
+			if _, err := pub.DecodeTranscript(c.seal); err == nil || err.Error() != c.want {
+				t.Errorf("bins %d, %s: DecodeTranscript got %v, want %q", bins, c.name, err, c.want)
+			}
+		}
+	}
+}
+
+// FuzzDecodeTranscript holds the one transcript parser to its readers: the
+// full decode (DecodeTranscript) is the prover-section parse the board-log
+// readers run plus a decode of every client block, so the two refuse
+// exactly the same inputs except one whose client block alone does not
+// decode; the prover-section parse returns the same transcript, or the same
+// error, on one goroutine and on four; and an accepted transcript digests
+// the same from its raw client section as decoded, and re-encodes byte for
+// byte.
 func FuzzDecodeTranscript(f *testing.F) {
 	// Bins 1 (a count: bit proofs) and Bins 16 (one-hot proofs); one coin a
 	// bin keeps the wide seals small enough to mutate quickly.
@@ -248,6 +333,9 @@ func FuzzDecodeTranscript(f *testing.F) {
 				// The release (flag 1, bin count, a u64 per bin) flagged 2 instead.
 				cut := len(seal) - 8 - 8*bins
 				f.Add(i == 1, append(seal[:cut:cut], 0, 0, 0, 2))
+				for _, c := range proverSectionTampers(f, pub, seal) {
+					f.Add(i == 1, c.seal)
+				}
 			}
 		}
 	}
@@ -258,12 +346,19 @@ func FuzzDecodeTranscript(f *testing.F) {
 			pub = pubs[1]
 		}
 		full, fullErr := pub.DecodeTranscript(b)
-		clients, _, sectionErr := pub.decodeProverSection(b)
+		clients, section, sectionErr := pub.decodeProverSection(b, 1)
+		pooledClients, pooled, pooledErr := pub.decodeProverSection(b, 4)
+		if fmt.Sprint(sectionErr) != fmt.Sprint(pooledErr) {
+			t.Fatalf("the prover-section parse refuses differently on 1 goroutine (%v) and on 4 (%v)", sectionErr, pooledErr)
+		}
 		if sectionErr != nil {
 			if fullErr == nil {
 				t.Fatalf("the full decode accepted what the prover-section parse refused: %v", sectionErr)
 			}
 			return
+		}
+		if !bytes.Equal(sealDigest(pub, clients, section), sealDigest(pub, pooledClients, pooled)) {
+			t.Fatal("the prover-section parse decodes differently on 1 goroutine and on 4")
 		}
 		if fullErr != nil {
 			for _, raw := range clients {

@@ -95,24 +95,39 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 	if err != nil {
 		return nil, err
 	}
-	g := &segmentedSession{pub: pub, kind: kind, seg: opts.Segmented, resumed: resume}
+	g := &segmentedSession{pub: pub, kind: kind, seg: opts.Segmented, resumed: resume, segs: make([]*Session, n)}
 	per := perShardWorkers(opts.Parallelism, n)
-	for i := 0; i < n; i++ {
-		so := subSessionOptions(opts, per)
-		so.Budget = kind.budget(i, opts.Budget)
+	sos, srcs := make([]SessionOptions, n), make([]*randSource, n)
+	for i := range sos {
+		sos[i] = subSessionOptions(opts, per)
+		sos[i].Budget = kind.budget(i, opts.Budget)
 		if g.seg != nil {
-			so.Store = g.seg.Board(i)
+			sos[i].Store = g.seg.Board(i)
 		}
-		var s *Session
-		if resume {
+		srcs[i] = root.forkShard(i, n)
+	}
+	if !resume {
+		for i := range g.segs {
+			g.segs[i] = newSessionFromSource(pub, sos[i], srcs[i])
+		}
+	} else {
+		// The segments resume concurrently, each on its share of the pool,
+		// and the lowest-index failure is reported, as a one-by-one loop
+		// would. Unlike that loop, a refused resume may already have let
+		// another segment append the records a successful resume writes
+		// (recovered verdicts, completed charges); they are what that
+		// segment's next resume would append anyway.
+		errs := make([]error, n)
+		_ = forEach(nil, n, n, func(i int) error {
 			shard, shards := kind.pin(i, n)
-			if s, err = resumeSessionFromSource(ctx, pub, so, root.forkShard(i, n), shard, shards); err != nil {
+			g.segs[i], errs[i] = resumeSessionFromSource(ctx, pub, sos[i], srcs[i], shard, shards)
+			return nil
+		})
+		for i, err := range errs {
+			if err != nil {
 				return nil, fmt.Errorf("vdp: resuming %s %d: %w", kind.unit, i, err)
 			}
-		} else {
-			s = newSessionFromSource(pub, so, root.forkShard(i, n))
 		}
-		g.segs = append(g.segs, s)
 	}
 	var manifest store.Log
 	if g.seg != nil {

@@ -360,10 +360,18 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	s.epoch = g.epoch
 	s.rs = s.root.fork(g.epoch)
 	if g.sealed {
+		// The grammar has matched every sealed client block to its arrival
+		// record byte for byte, so the transcript takes the clients the
+		// replay decoded — as live Finalize takes its board — and only the
+		// prover section is decoded here.
 		s.state = sessionFinalized
-		t, err := pub.DecodeTranscript(g.seal)
+		_, t, err := pub.decodeProverSection(g.seal, poolWidth(opts.Parallelism))
 		if err != nil {
 			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", g.epoch, err)
+		}
+		t.Clients = make([]*ClientPublic, len(g.roster))
+		for i, cl := range g.roster {
+			t.Clients[i] = subs[cl.id].Public
 		}
 		s.sealedT = t
 	}

@@ -113,24 +113,39 @@ func (p *Public) putCoinCommitMsg(w *wire.Writer, msg *CoinCommitMsg) {
 
 // DecodeCoinCommitMsg parses and validates a coin-commitment message.
 func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
+	var q pointDecodes
+	msg, err := p.coinCommitMsg(b, &q)
+	if err = q.run(1, err); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// coinCommitMsg is DecodeCoinCommitMsg's structural pass: it queues each
+// coin's commitment and bit-proof decode on q.
+func (p *Public) coinCommitMsg(b []byte, q *pointDecodes) (*CoinCommitMsg, error) {
 	r := versioned(b)
 	msg := &CoinCommitMsg{Prover: int(r.U32())}
 	bins := r.Count(maxWireDim, 4)
 	msg.Commitments = make([][]*pedersen.Commitment, bins)
 	msg.Proofs = make([][]*sigma.BitProof, bins)
-	coinLen := p.pp.Group().ElementLen() + sigma.BitProofLen(p.pp)
+	elemLen, proofLen := p.pp.Group().ElementLen(), sigma.BitProofLen(p.pp)
 	for j := range msg.Commitments {
-		nb := r.Count(maxWireDim, coinLen)
+		// Count has checked that the bin's coins fit, so no Take below fails.
+		nb := r.Count(maxWireDim, elemLen+proofLen)
 		comms, proofs := make([]*pedersen.Commitment, nb), make([]*sigma.BitProof, nb)
 		for l := range comms {
-			comms[l], proofs[l] = p.commitment(&r), p.bitProof(&r)
+			c, proof := r.Take(elemLen), r.Take(proofLen)
+			*q = append(*q, func() (err error) {
+				if comms[l], err = p.pp.DecodeCommitment(c); err == nil {
+					proofs[l], err = sigma.DecodeBitProof(p.pp, proof)
+				}
+				return err
+			})
 		}
 		msg.Commitments[j], msg.Proofs[j] = comms, proofs
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return msg, r.Finish()
 }
 
 // EncodeMorraRecord serializes the public commit/reveal record of one
@@ -165,16 +180,33 @@ func (p *Public) putMorraRecord(w *wire.Writer, rec *MorraRecord) {
 
 // DecodeMorraRecord parses and validates a Morra record.
 func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
+	var q pointDecodes
+	rec, err := p.morraRecord(b, &q)
+	if err = q.run(1, err); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// morraRecord is DecodeMorraRecord's structural pass: it queues each
+// commitment's decode on q and reads the reveals' scalars in place.
+func (p *Public) morraRecord(b []byte, q *pointDecodes) (*MorraRecord, error) {
 	r := versioned(b)
 	rec := &MorraRecord{Prover: int(r.U32())}
+	elemLen := p.pp.Group().ElementLen()
 	// Each entry is a u32 party and a u32 count; the loops stop at the first
 	// error, so a claimed entry the input does not carry allocates nothing.
 	rec.Commits = make([]*morra.CommitMsg, r.Count(maxWireDim, 8))
 	for i := 0; i < len(rec.Commits) && r.Err() == nil; i++ {
 		cm := &morra.CommitMsg{Party: int(r.U32())}
-		cm.Commitments = make([]*pedersen.Commitment, r.Count(maxWireDim, p.pp.Group().ElementLen()))
+		// Count has checked that the commitments fit, so no Take below fails.
+		cm.Commitments = make([]*pedersen.Commitment, r.Count(maxWireDim, elemLen))
 		for l := range cm.Commitments {
-			cm.Commitments[l] = p.commitment(&r)
+			c := r.Take(elemLen)
+			*q = append(*q, func() (err error) {
+				cm.Commitments[l], err = p.pp.DecodeCommitment(c)
+				return err
+			})
 		}
 		rec.Commits[i] = cm
 	}
@@ -187,10 +219,34 @@ func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
 		}
 		rec.Reveals[i] = rv
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
+	return rec, r.Finish()
+}
+
+// pointDecodes is the deferred half of a coin-message or Morra-record
+// decode. The structural pass — counts, lengths, version bytes, scalars —
+// walks the stream and queues the decode of every group-element span, in
+// stream order, with the slot it fills; run then decodes the queue, on a
+// pool when there is one. The structural pass stops at its first error, so
+// every queued span precedes that error in the stream.
+type pointDecodes []func() error
+
+// run decodes the queued spans on up to workers goroutines and returns the
+// first failure in stream order, else structural (the error the structural
+// pass stopped at, or nil): exactly the error a one-pass decoder meets
+// first. A failure does not stop the pool, so no earlier span goes
+// undecoded.
+func (q pointDecodes) run(workers int, structural error) error {
+	errs := make([]error, len(q))
+	_ = forEach(nil, workers, len(q), func(i int) error {
+		errs[i] = q[i]()
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return rec, nil
+	return structural
 }
 
 // EncodeTranscript serializes the complete public transcript of one epoch —
@@ -247,7 +303,7 @@ func putRelease(w *wire.Writer, rel *Release) {
 // DecodeTranscript parses and validates a sealed epoch transcript: the
 // prover section, then every client block.
 func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
-	clients, t, err := p.decodeProverSection(b)
+	clients, t, err := p.decodeProverSection(b, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -264,15 +320,22 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 // back as the raw blocks the encoding carries, with no group element decoded;
 // everything after it — coin messages, Morra records, prover outputs and the
 // release — is decoded and validated into a Transcript without Clients. The
-// board-log readers stop here: the grammar has compared every sealed client
-// block with its logged arrival record byte for byte, so the seal is checked
-// and digested without decoding a client twice.
-func (p *Public) decodeProverSection(b []byte) (clients [][]byte, t *Transcript, err error) {
+// board-log readers (AuditLog, TailAuditor, ResumeSession) stop here: the
+// grammar has compared every sealed client block with its logged arrival
+// record byte for byte, so the seal is checked, digested and — on resume —
+// given the clients the replay decoded, without decoding a client twice.
+//
+// The coins' and Morra commitments' group elements, most of the section's
+// cost, are decoded on up to workers goroutines once the structure has been
+// read (pointDecodes); the error, when there is one, is the one a one-pass
+// decoder meets first, at every width.
+func (p *Public) decodeProverSection(b []byte, workers int) (clients [][]byte, t *Transcript, err error) {
+	var q pointDecodes
 	r := versioned(b)
 	clients = readSealedClients(&r)
 	t = &Transcript{
-		CoinMsgs: blobs(&r, maxWireDim, p.DecodeCoinCommitMsg),
-		Morra:    blobs(&r, maxWireDim, p.DecodeMorraRecord),
+		CoinMsgs: blobs(&r, maxWireDim, func(b []byte) (*CoinCommitMsg, error) { return p.coinCommitMsg(b, &q) }),
+		Morra:    blobs(&r, maxWireDim, func(b []byte) (*MorraRecord, error) { return p.morraRecord(b, &q) }),
 		Outputs:  blobs(&r, maxWireDim, p.DecodeProverOutput),
 	}
 	if r.Count(1, 4) == 1 {
@@ -284,7 +347,7 @@ func (p *Public) decodeProverSection(b []byte) (clients [][]byte, t *Transcript,
 		}
 		t.Release = rel
 	}
-	if err := r.Finish(); err != nil {
+	if err := q.run(workers, r.Finish()); err != nil {
 		return nil, nil, err
 	}
 	return clients, t, nil
