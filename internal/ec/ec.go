@@ -343,6 +343,47 @@ func (c *Curve) Decode(b []byte) (*Point, error) {
 	}
 }
 
+// AppendY appends p's y coordinate to dst at the coordinate field's width,
+// big-endian (zeros for the identity): the hint DecodeHinted checks.
+func (c *Curve) AppendY(dst []byte, p *Point) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, c.p.ByteLen())...)
+	if !p.inf {
+		p.y.PutBytes(dst[n:])
+	}
+	return dst
+}
+
+// DecodeHinted is Decode given the point's y coordinate as AppendY writes
+// it, checked instead of recovered: canonical, on the curve over x, with the
+// prefix's parity. It accepts exactly when Decode accepts b and recovers
+// y = hint (P256DecodeHinted is the fast backend's twin).
+func (c *Curve) DecodeHinted(b, hint []byte) (*Point, error) {
+	if len(hint) != c.p.ByteLen() {
+		return nil, fmt.Errorf("ec: hint has %d bytes, want %d", len(hint), c.p.ByteLen())
+	}
+	if len(b) == 1+c.p.ByteLen() && b[0] == 0x00 {
+		for _, v := range hint {
+			if v != 0 {
+				return nil, errWrongHint
+			}
+		}
+		return c.Decode(b)
+	}
+	if len(b) != 1+c.p.ByteLen() || (b[0] != 0x02 && b[0] != 0x03) {
+		return c.Decode(b) // its own refusal
+	}
+	x, err := c.p.FromBytes(b[1:])
+	if err != nil {
+		return nil, fmt.Errorf("ec: bad x coordinate: %w", err)
+	}
+	y, err := c.p.FromBytes(hint)
+	if err != nil || (y.Bit(0) == 1) != (b[0] == 0x03) || !c.isOnCurve(x, y) {
+		return nil, errWrongHint
+	}
+	return &Point{c: c, x: x, y: y}, nil
+}
+
 // recoverY solves y² = x³+ax+b for the root with the requested parity.
 func (c *Curve) recoverY(x *field.Element, odd bool) (*field.Element, error) {
 	rhs := x.Square().Mul(x).Add(c.a.Mul(x)).Add(c.b)

@@ -642,6 +642,28 @@ func BenchmarkFastTableMul(b *testing.B) {
 	}
 }
 
+// BenchmarkP256Decode decodes one compressed point: taking the square root
+// (P256DecodeAffine, what every reader of a v1 arrival record pays per
+// point) and checking a y hint instead (P256DecodeHinted, v2).
+func BenchmarkP256Decode(b *testing.B) {
+	seed := hintedSeeds()[0]
+	enc, hint := seed[0], seed[1]
+	b.Run("sqrt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := P256DecodeAffine(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hinted", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := P256DecodeHinted(enc, hint); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkFastMultiExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 1024
@@ -659,4 +681,65 @@ func BenchmarkFastMultiExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		P256MultiExp(points, scalars, runtime.GOMAXPROCS(0))
 	}
+}
+
+// hintedSeeds are (encoding, hint) pairs for the hinted decoders: for each
+// of a few points, its own y, the other root p − y (right x, wrong parity),
+// y + p where that fits in 32 bytes and p itself (non-canonical), a hint one
+// byte short; the identity with a zero and a non-zero hint; and an off-curve
+// x with a hint.
+func hintedSeeds() [][2][]byte {
+	rng := rand.New(rand.NewSource(23))
+	p := StdP256().CoordinateField().Modulus()
+	g := P256Generator()
+	var out [][2][]byte
+	for i := 0; i < 4; i++ {
+		var fast P256Point
+		fast.ScalarMult(&g, limbsFromBigTest(randScalarBig(rng)))
+		a := fast.ToAffine()
+		enc := make([]byte, 33)
+		a.Encode(enc)
+		y := a.AppendY(nil)
+		yi := new(big.Int).SetBytes(y)
+		other := new(big.Int).Sub(p, yi).FillBytes(make([]byte, 32))
+		out = append(out, [2][]byte{enc, y}, [2][]byte{enc, other}, [2][]byte{enc, p.FillBytes(make([]byte, 32))},
+			[2][]byte{enc, y[1:]})
+		if over := new(big.Int).Add(yi, p); over.BitLen() <= 256 {
+			out = append(out, [2][]byte{enc, over.FillBytes(make([]byte, 32))})
+		}
+	}
+	zero := make([]byte, 33)
+	one := make([]byte, 32)
+	one[31] = 1
+	offCurve := make([]byte, 33)
+	offCurve[0], offCurve[32] = 0x02, 0x01
+	return append(out, [2][]byte{zero, make([]byte, 32)}, [2][]byte{zero, one}, [2][]byte{offCurve, one})
+}
+
+// FuzzP256DecodeHinted holds the hinted decoders to the root-taking ones: a
+// hinted decode succeeds exactly when the hint is 32 bytes equal to the y
+// P256DecodeAffine computes, and then yields the same point; the reference
+// curve's DecodeHinted agrees on both counts.
+func FuzzP256DecodeHinted(f *testing.F) {
+	for _, s := range hintedSeeds() {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, enc, hint []byte) {
+		plain, plainErr := P256DecodeAffine(enc)
+		want := plainErr == nil && bytes.Equal(hint, plain.AppendY(nil))
+		got, err := P256DecodeHinted(enc, hint)
+		if (err == nil) != want {
+			t.Fatalf("hinted decode of %x with hint %x: err %v, plain decode err %v", enc, hint, err, plainErr)
+		}
+		if err == nil && got != plain {
+			t.Fatalf("hinted decode of %x yields a different point", enc)
+		}
+		ref, refErr := StdP256().DecodeHinted(enc, hint)
+		if (refErr == nil) != want {
+			t.Fatalf("reference hinted decode of %x with hint %x: err %v, want success %v", enc, hint, refErr, want)
+		}
+		if refErr == nil && !bytes.Equal(StdP256().AppendY(nil, ref), hint) {
+			t.Fatalf("reference hinted decode of %x yields a different y", enc)
+		}
+	})
 }

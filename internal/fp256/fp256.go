@@ -26,6 +26,7 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Element is a 256-bit value as four little-endian 64-bit limbs. When used
@@ -447,6 +448,15 @@ func p256CoordInvChain(md *Modulus, z, x *Element) {
 	*z = acc
 }
 
+// sqrtCalls counts Sqrt calls; see SqrtCalls.
+var sqrtCalls atomic.Uint64
+
+// SqrtCalls reports how many times Sqrt has run in this process. It is a
+// test counter: a reader of hinted board records must take no square roots,
+// and a test tells so by reading this before and after. Nothing else reads
+// it, and the one atomic add is noise beside the root itself.
+func SqrtCalls() uint64 { return sqrtCalls.Load() }
+
 // Sqrt sets z to a square root of x mod p when one exists, reporting
 // success. Only defined for the coordinate modulus (p ≡ 3 mod 4), where
 // the candidate root is x^((p+1)/4):
@@ -459,6 +469,7 @@ func (md *Modulus) Sqrt(z, x *Element) bool {
 	if !md.hasSqrt {
 		panic("fp256: Sqrt undefined for this modulus")
 	}
+	sqrtCalls.Add(1)
 	var x1, x2, x4, x8, x16, x32 Element
 	x1 = *x
 	x2 = x1

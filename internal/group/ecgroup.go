@@ -125,6 +125,20 @@ func (e *ecGroup) Decode(b []byte) (Element, error) {
 	return &ecElem{g: e, p: p}, nil
 }
 
+func (e *ecGroup) HintLen() int { return e.curve.CoordinateField().ByteLen() }
+
+func (e *ecGroup) AppendHint(dst []byte, a Element) []byte {
+	return e.curve.AppendY(dst, e.elem(a).p)
+}
+
+func (e *ecGroup) DecodeHinted(b, hint []byte) (Element, error) {
+	p, err := e.curve.DecodeHinted(b, hint)
+	if err != nil {
+		return nil, fmt.Errorf("group: %s: %w", e.name, err)
+	}
+	return &ecElem{g: e, p: p}, nil
+}
+
 func (e *ecGroup) HashToElement(domain string, msg []byte) Element {
 	return &ecElem{g: e, p: e.curve.HashToPoint(shaConcatFn, e.name+"/"+domain, msg)}
 }

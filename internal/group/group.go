@@ -63,11 +63,58 @@ type Group interface {
 	Decode(b []byte) (Element, error)
 	// ElementLen returns the fixed encoding width in bytes.
 	ElementLen() int
+	// HintLen returns the width of an element's decode hint: the part of
+	// the element its encoding leaves for Decode to recover (the y
+	// coordinate of a compressed P-256 point, 32 bytes; nothing, 0, for
+	// schnorr2048).
+	HintLen() int
+	// AppendHint appends a's decode hint to dst.
+	AppendHint(dst []byte, a Element) []byte
+	// DecodeHinted is Decode given the element's hint, which it checks
+	// instead of recovering what it carries: it accepts exactly when Decode
+	// accepts b and hint is that element's hint, and yields the same
+	// element.
+	DecodeHinted(b, hint []byte) (Element, error)
 	// HashToElement maps a domain-separated message to a group element with
 	// unknown discrete log relative to both generators.
 	HashToElement(domain string, msg []byte) Element
 	// RandomScalar samples a uniform exponent; nil reader means crypto/rand.
 	RandomScalar(r io.Reader) (*field.Element, error)
+}
+
+// Decoder reads group elements from their encodings: a Group itself, or a
+// Hinted run.
+type Decoder interface {
+	Decode(b []byte) (Element, error)
+}
+
+// Hinted decodes a run of elements whose hints are laid out apart from
+// them, HintLen bytes each in the order the elements are decoded: each
+// Decode takes the next hint and hands both to DecodeHinted.
+type Hinted struct {
+	G     Group
+	Hints []byte // the hints not yet taken
+	n     int    // elements decoded
+}
+
+// Decode decodes the next element of the run.
+func (h *Hinted) Decode(b []byte) (Element, error) {
+	w := h.G.HintLen()
+	if len(h.Hints) < w {
+		return nil, fmt.Errorf("group: %s: hint section ends at element %d", h.G.Name(), h.n)
+	}
+	hint := h.Hints[:w:w]
+	h.Hints = h.Hints[w:]
+	h.n++
+	return h.G.DecodeHinted(b, hint)
+}
+
+// Finish refuses hints left over after the run's last element.
+func (h *Hinted) Finish() error {
+	if len(h.Hints) != 0 {
+		return fmt.Errorf("group: %s: %d hint bytes left after %d elements", h.G.Name(), len(h.Hints), h.n)
+	}
+	return nil
 }
 
 // ErrUnknownGroup is returned by ByName for unregistered group names.

@@ -143,6 +143,66 @@ func TestEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestHintedDecode: on every backend an element's hint is HintLen bytes and
+// DecodeHinted returns the element Decode does; a Hinted run takes one hint
+// per element in order and refuses a section that ends early or runs over;
+// a changed hint is refused where hints carry anything.
+func TestHintedDecode(t *testing.T) {
+	for _, g := range append(allGroups(), P256Generic()) {
+		t.Run(g.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(12))
+			elems := []Element{g.Identity(), g.Generator(), g.AltGenerator()}
+			for i := 0; i < 4; i++ {
+				elems = append(elems, g.Exp(g.Generator(), randScalar(g, rng)))
+			}
+			var hints []byte
+			for _, e := range elems {
+				enc := g.Encode(e)
+				hint := g.AppendHint(nil, e)
+				if len(hint) != g.HintLen() {
+					t.Fatalf("hint width %d != HintLen %d", len(hint), g.HintLen())
+				}
+				back, err := g.DecodeHinted(enc, hint)
+				if err != nil || !g.Equal(back, e) {
+					t.Fatalf("hinted round trip: %v", err)
+				}
+				if g.HintLen() > 0 {
+					bad := bytes.Clone(hint)
+					bad[len(bad)-1] ^= 1
+					if _, err := g.DecodeHinted(enc, bad); err == nil {
+						t.Fatal("a changed hint was accepted")
+					}
+				}
+				hints = g.AppendHint(hints, e)
+			}
+			run := func(hints []byte) error {
+				h := &Hinted{G: g, Hints: hints}
+				for _, e := range elems {
+					back, err := h.Decode(g.Encode(e))
+					if err != nil {
+						return err
+					}
+					if !g.Equal(back, e) {
+						t.Fatal("a hinted run changed an element")
+					}
+				}
+				return h.Finish()
+			}
+			if err := run(hints); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(bytes.Clone(hints), 0)); err == nil {
+				t.Fatal("a trailing hint byte was accepted")
+			}
+			if g.HintLen() > 0 {
+				if err := run(hints[:len(hints)-1]); err == nil {
+					t.Fatal("a short hint section was accepted")
+				}
+			}
+		})
+	}
+}
+
 func TestDecodeRejectsNonMembers(t *testing.T) {
 	for _, g := range allGroups() {
 		if _, err := g.Decode(nil); err == nil {

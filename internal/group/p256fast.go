@@ -198,6 +198,20 @@ func (g *fastP256) Decode(b []byte) (Element, error) {
 	return g.newAffine(a), nil
 }
 
+func (g *fastP256) HintLen() int { return 32 }
+
+func (g *fastP256) AppendHint(dst []byte, a Element) []byte {
+	return g.elem(a).affine().AppendY(dst)
+}
+
+func (g *fastP256) DecodeHinted(b, hint []byte) (Element, error) {
+	a, err := ec.P256DecodeHinted(b, hint)
+	if err != nil {
+		return nil, fmt.Errorf("group: %s: %w", g.name, err)
+	}
+	return g.newAffine(a), nil
+}
+
 func (g *fastP256) HashToElement(domain string, msg []byte) Element {
 	p := g.curve.HashToPoint(shaConcatFn, g.name+"/"+domain, msg)
 	a, err := ec.P256AffineFromPoint(p)

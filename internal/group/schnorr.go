@@ -179,6 +179,22 @@ func (s *schnorrGroup) Decode(b []byte) (Element, error) {
 	return &schnorrElem{g: s, v: v}, nil
 }
 
+// HintLen is zero: an encoding is the whole element, so Decode recovers
+// nothing a hint could carry.
+func (s *schnorrGroup) HintLen() int { return 0 }
+
+func (s *schnorrGroup) AppendHint(dst []byte, a Element) []byte {
+	s.elem(a)
+	return dst
+}
+
+func (s *schnorrGroup) DecodeHinted(b, hint []byte) (Element, error) {
+	if len(hint) != 0 {
+		return nil, fmt.Errorf("group: schnorr hint has %d bytes, want 0", len(hint))
+	}
+	return s.Decode(b)
+}
+
 // hashToElement maps msg into the subgroup by hashing to Z*_p and raising to
 // the cofactor (p-1)/q, which projects any residue into G_q. Re-hashes until
 // the projection is not the identity.

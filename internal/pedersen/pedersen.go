@@ -170,7 +170,13 @@ func (c *Commitment) Bytes() []byte { return c.pp.grp.Encode(c.e) }
 
 // DecodeCommitment parses a canonical encoding, validating group membership.
 func (p *Params) DecodeCommitment(b []byte) (*Commitment, error) {
-	e, err := p.grp.Decode(b)
+	return p.DecodeCommitmentWith(p.grp, b)
+}
+
+// DecodeCommitmentWith is DecodeCommitment reading the element through d,
+// which must decode elements of p's group.
+func (p *Params) DecodeCommitmentWith(d group.Decoder, b []byte) (*Commitment, error) {
+	e, err := d.Decode(b)
 	if err != nil {
 		return nil, fmt.Errorf("pedersen: %w", err)
 	}

@@ -15,9 +15,9 @@ import (
 // membership of every element (a malformed proof must fail to parse, not
 // crash the verifier).
 
-// elem reads one group element.
-func elem(r *wire.Reader, g group.Group) group.Element {
-	return wire.Parse(r, r.Take(g.ElementLen()), g.Decode)
+// elem reads one group element of g through d.
+func elem(r *wire.Reader, g group.Group, d group.Decoder) group.Element {
+	return wire.Parse(r, r.Take(g.ElementLen()), d.Decode)
 }
 
 // scalar reads one canonical scalar.
@@ -45,11 +45,16 @@ func BitProofLen(pp *pedersen.Params) int {
 
 // DecodeBitProof parses a bit proof, validating all components.
 func DecodeBitProof(pp *pedersen.Params, b []byte) (*BitProof, error) {
+	return DecodeBitProofWith(pp, pp.Group(), b)
+}
+
+// DecodeBitProofWith is DecodeBitProof reading its group elements through d.
+func DecodeBitProofWith(pp *pedersen.Params, d group.Decoder, b []byte) (*BitProof, error) {
 	g := pp.Group()
 	f := pp.ScalarField()
 	r := wire.NewReader("sigma", b)
 	p := &BitProof{
-		A0: elem(&r, g), A1: elem(&r, g),
+		A0: elem(&r, g, d), A1: elem(&r, g, d),
 		E0: scalar(&r, f), E1: scalar(&r, f),
 		Z0: scalar(&r, f), Z1: scalar(&r, f),
 	}
@@ -75,13 +80,19 @@ const maxOneHotCoords = 1 << 20
 
 // DecodeOneHotProof parses a one-hot proof.
 func DecodeOneHotProof(pp *pedersen.Params, b []byte) (*OneHotProof, error) {
+	return DecodeOneHotProofWith(pp, pp.Group(), b)
+}
+
+// DecodeOneHotProofWith is DecodeOneHotProof reading its group elements
+// through d.
+func DecodeOneHotProofWith(pp *pedersen.Params, d group.Decoder, b []byte) (*OneHotProof, error) {
 	bpLen := BitProofLen(pp)
 	r := wire.NewReader("sigma", b)
 	p := &OneHotProof{Bits: make([]*BitProof, r.Count(maxOneHotCoords, bpLen))}
 	if r.Err() == nil && len(p.Bits) == 0 {
 		return nil, fmt.Errorf("sigma: one-hot proof has no coordinates")
 	}
-	bit := func(b []byte) (*BitProof, error) { return DecodeBitProof(pp, b) }
+	bit := func(b []byte) (*BitProof, error) { return DecodeBitProofWith(pp, d, b) }
 	for i := range p.Bits {
 		p.Bits[i] = wire.Parse(&r, r.Take(bpLen), bit)
 	}

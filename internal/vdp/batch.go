@@ -166,9 +166,10 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 	s.flight.RLock()
 	defer s.flight.RUnlock()
 
-	// Encode every durable submission record outside the roster lock, into
+	// Encode every durable arrival record outside the roster lock, into
 	// pooled buffers: both BoardLog implementations copy the payload inside
-	// Append, so the scratch recycles once the ordered writes are in.
+	// Append, so the scratch recycles once the ordered writes are in. Each
+	// carries its points' hints, read off the points admission decoded.
 	var recs [][]byte
 	var bufs []*[]byte
 	if s.opts.Store != nil {
@@ -178,9 +179,7 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 				continue
 			}
 			buf := getWireBuf()
-			w := wire.NewWriter((*buf)[:0])
-			s.pub.putClientSubmission(&w, sub)
-			*buf = w.Bytes()
+			*buf = s.pub.appendArrival((*buf)[:0], sub)
 			recs[i] = *buf
 			bufs = append(bufs, buf)
 		}

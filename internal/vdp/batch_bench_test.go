@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // Benchmarks for the batched admission pipeline, in the harness form
@@ -111,6 +113,38 @@ func BenchmarkBatchVerifyClients(b *testing.B) {
 				valid, _, err := pub.filterValidClientsBatch(context.Background(), publics, workers)
 				if err != nil || len(valid) != n {
 					b.Fatal("honest client rejected")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeArrivalRecords reads one frame's worth of bench-shape
+// arrival records (benchBatchClients of them, one coin commitment and one
+// bit proof each: three points) through decodeSubmission, the decode every
+// board-log reader runs per record: v2 as SubmitBatch writes them, checking
+// a hint per point, and v1, the client's bytes alone, taking a square root
+// per point. scripts/check_allocs.sh pins the v2 allocs/op.
+func BenchmarkDecodeArrivalRecords(b *testing.B) {
+	pub, subs := benchBatch(b)
+	for _, v := range []struct {
+		name   string
+		encode func(*ClientSubmission) []byte
+	}{
+		{"v2", func(sub *ClientSubmission) []byte { return pub.appendArrival(nil, sub) }},
+		{"v1", pub.EncodeClientSubmission},
+	} {
+		recs := make([]*store.Record, len(subs))
+		for i, sub := range subs {
+			recs[i] = &store.Record{Kind: RecordSubmission, Payload: v.encode(sub)}
+		}
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, rec := range recs {
+					if d := pub.decodeSubmission(rec); d.err != nil {
+						b.Fatal(d.err)
+					}
 				}
 			}
 		})

@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"testing"
 
+	"repro/internal/fp256"
 	"repro/internal/sigma"
 	"repro/internal/store"
 )
@@ -68,6 +70,15 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 	}
 	tr := res.Transcript
 	digest := bytes.Repeat([]byte{0xab}, 32)
+	var arrivals [][]byte
+	damaged := make(map[string]bool) // arrival rows with a broken hint section
+	for _, sub := range subs[:2] {
+		rows := arrivalSeeds(pub, sub)
+		arrivals = append(arrivals, rows...)
+		for _, row := range rows[2:] {
+			damaged[string(row)] = true
+		}
+	}
 	return []wireCodec{
 		{"client-public", [][]byte{
 			pub.EncodeClientPublic(subs[0].Public), pub.EncodeClientPublic(subs[1].Public),
@@ -153,6 +164,51 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 			EncodeItemEstimates([]ItemEstimate{{Item: 5, Estimate: 12.5, Bound: 3.25}}),
 			{WireVersion, 0, 0, 0, 2, 0, 0, 0, 1},
 		}, roundTrip(DecodeItemEstimates, EncodeItemEstimates)},
+		// An accepted record re-encodes in its own version: the client's
+		// bytes alone (v1), or with the hint section (v2). A damaged seed
+		// must be refused outright.
+		{"arrival-record", arrivals,
+			func(t testing.TB, b []byte) ([]byte, error) {
+				sub, err := pub.decodeArrival(b)
+				if err != nil {
+					return nil, err
+				}
+				if damaged[string(b)] {
+					t.Fatalf("arrival-record: damaged hint section accepted: %x", b)
+				}
+				if _, hints := splitArrival(b); len(hints) == 0 {
+					return pub.EncodeClientSubmission(sub), nil
+				}
+				return pub.appendArrival(nil, sub), nil
+			}},
+	}
+}
+
+// arrivalSeeds are sub's arrival records, v2 and v1, and the v2 record with
+// its hint section damaged: the first hint ≥ p (p itself and 2²⁵⁶ − 1), the
+// first hint the other root of its x (wrong parity), the section cut by a
+// byte and by a whole hint, a trailing byte and a trailing hint, and the
+// first two hints swapped.
+func arrivalSeeds(pub *Public, sub *ClientSubmission) [][]byte {
+	rec := pub.appendArrival(nil, sub)
+	client, hints := splitArrival(rec)
+	first := func(y *big.Int) []byte {
+		out := bytes.Clone(rec)
+		y.FillBytes(out[len(client) : len(client)+32])
+		return out
+	}
+	p := fp256.P().Big()
+	y := new(big.Int).SetBytes(hints[:32])
+	swapped := bytes.Clone(rec)
+	copy(swapped[len(client):], hints[32:64])
+	copy(swapped[len(client)+32:], hints[:32])
+	return [][]byte{
+		rec, client,
+		first(p), first(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))),
+		first(new(big.Int).Sub(p, y)),
+		rec[:len(rec)-1], rec[:len(rec)-32],
+		append(bytes.Clone(rec), 0), append(bytes.Clone(rec), hints[:32]...),
+		swapped,
 	}
 }
 

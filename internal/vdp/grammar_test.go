@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/big"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/fp256"
 	"repro/internal/store"
 )
 
@@ -91,6 +93,26 @@ func feedAll(a *TailAuditor, recs []*store.Record) error {
 		}
 	}
 	return nil
+}
+
+// v1Records copies a log with every arrival record cut to the client's
+// bytes: the version-1 log a build before point hints would have written.
+func v1Records(recs []*store.Record) []*store.Record {
+	out := copyRecords(recs)
+	for i, rec := range out {
+		if rec.Kind == RecordSubmission {
+			client, _ := splitArrival(rec.Payload)
+			out[i] = &store.Record{Kind: rec.Kind, Epoch: rec.Epoch, Payload: client}
+		}
+	}
+	return out
+}
+
+// plainV1Board is plainBoard as a version-1 log.
+func plainV1Board(t *testing.T) *grammarBoard {
+	b := plainBoard(t)
+	b.name, b.victim = "plain-v1", v1Records(b.victim)
+	return b
 }
 
 func plainBoard(t *testing.T) *grammarBoard {
@@ -478,6 +500,26 @@ func TestBoardGrammarConformance(t *testing.T) {
 			frag: "out of sequence",
 		},
 		{
+			// The first point of an arrival record hinted with the other root
+			// of its x: the y of the wrong parity (a version-1 record gains the
+			// hint section it lacked, hints otherwise right).
+			name: "wrong-hint",
+			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
+				rec := recs[sh.subs[0]]
+				sub, err := b.pub.decodeArrival(rec.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload := b.pub.appendArrival(nil, sub)
+				client, hints := splitArrival(payload)
+				y := new(big.Int).SetBytes(hints[:32])
+				new(big.Int).Sub(fp256.P().Big(), y).FillBytes(payload[len(client) : len(client)+32])
+				recs[sh.subs[0]] = &store.Record{Kind: rec.Kind, Epoch: rec.Epoch, Payload: payload}
+				return recs, sh.subs[0]
+			},
+			frag: "hint is not the y coordinate of the encoded point",
+		},
+		{
 			// A record of a closed epoch inside a later epoch's span.
 			name: "stale-epoch-record",
 			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
@@ -524,7 +566,7 @@ func TestBoardGrammarConformance(t *testing.T) {
 		},
 	}
 
-	for _, build := range []func(*testing.T) *grammarBoard{plainBoard, shardedBoard, sketchBoard} {
+	for _, build := range []func(*testing.T) *grammarBoard{plainBoard, plainV1Board, shardedBoard, sketchBoard} {
 		b := build(t)
 		sh := shapeOf(t, b.victim)
 		t.Run(b.name+"/honest", func(t *testing.T) {
@@ -537,6 +579,7 @@ func TestBoardGrammarConformance(t *testing.T) {
 			t.Run(b.name+"/"+tc.name, func(t *testing.T) {
 				recs, wantAt := tc.mutate(b, sh, copyRecords(b.victim))
 				resume, audit, tail := b.read(t, recs)
+				var reason string // the one every reader gives
 				for _, r := range []struct {
 					who string
 					err error
@@ -563,6 +606,10 @@ func TestBoardGrammarConformance(t *testing.T) {
 					if !strings.Contains(pos.Reason, tc.frag) {
 						t.Fatalf("%s reason %q does not mention %q", r.who, pos.Reason, tc.frag)
 					}
+					if reason != "" && pos.Reason != reason {
+						t.Fatalf("%s reason %q, another reader said %q", r.who, pos.Reason, reason)
+					}
+					reason = pos.Reason
 				}
 			})
 		}
@@ -613,7 +660,7 @@ var (
 // grammarFuzzBases builds the honest logs once per process: an eager
 // two-epoch board with chunked seals, a one-epoch board without its verdict
 // records, and a budgeted two-epoch board whose second epoch refuses an
-// exhausted client.
+// exhausted client — all three version-2 logs, as this build writes them.
 func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 	fuzzBasesOnce.Do(func() {
 		ctx := context.Background()
@@ -810,16 +857,23 @@ func checkGrammarAgreement(t *testing.T, pub *Public, base *fuzzBase, recs []*st
 
 // FuzzBoardGrammar mutates honest board logs record by record and holds the
 // three readers of the log to one verdict (see checkGrammarAgreement). The
-// seeds here are the three pristine logs; testdata/fuzz/FuzzBoardGrammar
-// holds one input per shape the pre-unification interpreters disagreed on.
+// low seven bits of which pick the base log; its top bit reads that log as
+// record version 1 (v1Records), so an input below 0x80 keeps the base it
+// had before hinted records. The seeds are the three pristine logs in each
+// version; testdata/fuzz/FuzzBoardGrammar holds one input per shape the
+// pre-unification interpreters disagreed on.
 func FuzzBoardGrammar(f *testing.F) {
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(1), []byte{})
-	f.Add(uint8(2), []byte{})
+	for _, which := range []uint8{0, 1, 2, 0x80, 0x81, 0x82} {
+		f.Add(which, []byte{})
+	}
 	f.Fuzz(func(t *testing.T, which uint8, ops []byte) {
 		pub, bases := grammarFuzzBases(t)
-		base := bases[int(which)%len(bases)]
-		recs := mutateRecords(copyRecords(base.recs), ops)
+		base := bases[int(which&0x7f)%len(bases)]
+		recs := copyRecords(base.recs)
+		if which&0x80 != 0 {
+			recs = v1Records(recs)
+		}
+		recs = mutateRecords(recs, ops)
 		if len(recs) == 0 {
 			return
 		}

@@ -1,0 +1,294 @@
+package vdp
+
+import (
+	"context"
+	"encoding/hex"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/fp256"
+	"repro/internal/store"
+)
+
+// The digests testdata/v1board.log's epochs verify to: epoch 0 as sealed in
+// the fixture, epoch 1 as ResumeSession finalizes it with testSeed(72).
+// Both were read off the fixture by the version-1 readers of the build that
+// wrote it.
+const (
+	v1BoardDigest0 = "a03a84fc1c2cab9abac5d7afb1e909b8633b7831832db34e8028cff5f7045cb8"
+	v1BoardDigest1 = "83555f4cceca627689405c72ea6117cfe2d0a1fb58b8572eafab85b22f4adf47"
+)
+
+// v1BoardRecords reads the version-1 board fixture (see TestWriteV1Board).
+func v1BoardRecords(t *testing.T) []*store.Record {
+	t.Helper()
+	log, err := store.OpenFileLogReadOnly(filepath.Join("testdata", "v1board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	recs, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// writableCopy copies the fixture into a fresh file log a resume may append
+// to.
+func writableCopy(t *testing.T) *store.FileLog {
+	t.Helper()
+	src, err := os.Open(filepath.Join("testdata", "v1board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	path := filepath.Join(t.TempDir(), "board.log")
+	dst, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := store.OpenFileLog(path, store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return log
+}
+
+func wantDigest(t *testing.T, who string, got []byte, want string) {
+	t.Helper()
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("%s verified digest %x, want the pinned %s", who, got, want)
+	}
+}
+
+// TestV1BoardStillReads: a board log written before arrival records carried
+// hints reads through the version-1 path — the offline audit, a live tail
+// and a resume each accept it and verify its pinned digests, and what the
+// resumed session appends (version-2 records) continues the same log.
+func TestV1BoardStillReads(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	recs := v1BoardRecords(t)
+	arrivals := 0
+	for i, rec := range recs {
+		if rec.Kind != RecordSubmission {
+			continue
+		}
+		arrivals++
+		if _, hints := splitArrival(rec.Payload); len(hints) != 0 {
+			t.Fatalf("fixture record %d carries %d hint bytes", i, len(hints))
+		}
+	}
+	if arrivals != 7 {
+		t.Fatalf("fixture holds %d arrival records, want 7", arrivals)
+	}
+	sweepReaders(t, sweptLog{pub: pub, recs: recs})
+
+	ro, err := store.OpenFileLogReadOnly(filepath.Join("testdata", "v1board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if err := AuditLog(ctx, pub, ro, 0, 2); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	digest, roster, err := auditLogEpoch(ctx, pub, ro, 0, 2, 0, 1)
+	if err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	wantDigest(t, "audit", digest, v1BoardDigest0)
+	if len(roster) != 3 {
+		t.Fatalf("audit roster %v, want three clients", roster)
+	}
+
+	tail := NewTailAuditor(pub, TailOptions{Workers: 2})
+	if err := feedAll(tail, recs); err != nil {
+		t.Fatalf("tail: %v", err)
+	}
+	d0, _ := tail.VerifiedDigest(0)
+	wantDigest(t, "tail", d0, v1BoardDigest0)
+
+	log := writableCopy(t)
+	sess, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(72), Store: log, Parallelism: 2})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	// Clients 3 and 4 were decided, 5 withdrawn, 6 arrived without a verdict.
+	if sess.Epoch() != 1 || sess.Submitted() != 3 || sess.Accepted() != 3 {
+		t.Fatalf("resumed epoch %d with %d submitted, %d accepted; want epoch 1, 3 and 3",
+			sess.Epoch(), sess.Submitted(), sess.Accepted())
+	}
+	res, err := sess.Finalize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDigest(t, "resume", TranscriptDigest(pub, res.Transcript), v1BoardDigest1)
+
+	after, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(recs); i < len(after); i++ {
+		if err := tail.Feed(after[i], int64(i)); err != nil {
+			t.Fatalf("tail of the resumed log: %v", err)
+		}
+	}
+	d1, _ := tail.VerifiedDigest(1)
+	wantDigest(t, "tail of the resumed log", d1, v1BoardDigest1)
+	if err := AuditLog(ctx, pub, log, 1, 2); err != nil {
+		t.Fatalf("audit of the resumed epoch: %v", err)
+	}
+}
+
+// roots counts the field square roots fn takes.
+func roots(fn func()) uint64 {
+	before := fp256.SqrtCalls()
+	fn()
+	return fp256.SqrtCalls() - before
+}
+
+// pointsOf counts the group elements of a client's public part.
+func pointsOf(cp *ClientPublic) uint64 {
+	var n uint64
+	for _, row := range cp.ShareCommitments {
+		n += uint64(len(row))
+	}
+	if cp.BitProof != nil {
+		n += 2
+	}
+	if cp.OneHotProof != nil {
+		n += 2 * uint64(len(cp.OneHotProof.Bits))
+	}
+	return n
+}
+
+// arrivalPoints counts the points of the arrival records of recs, of epoch
+// only when epoch ≥ 0.
+func arrivalPoints(t *testing.T, pub *Public, recs []*store.Record, epoch int) uint64 {
+	t.Helper()
+	var n uint64
+	for _, rec := range recs {
+		if rec.Kind != RecordSubmission || (epoch >= 0 && int(rec.Epoch) != epoch) {
+			continue
+		}
+		sub, err := pub.decodeArrival(rec.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += pointsOf(sub.Public)
+	}
+	return n
+}
+
+// TestReadersTakeNoSquareRoots: admission takes one square root per point,
+// decoding the client's frame, and none to write the arrival record; the
+// readers of the board — tail, audit, resume — take none for the points of
+// a version-2 arrival record, and one per point of a version-1 record (the
+// fixture). The seal's prover section still decompresses its own points, so
+// a reader that verifies a seal is allowed exactly what decoding that
+// section once takes.
+func TestReadersTakeNoSquareRoots(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+
+	// A v2 board shaped like the fixture: epoch 0 sealed, epoch 1 open.
+	log := store.NewMemLog()
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(74), Store: log, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch, ids := range [][]int{{0, 1, 2}, {3, 4}} {
+		if epoch == 1 {
+			if _, err := sess.Finalize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames := make([][]byte, len(ids))
+		var points uint64
+		for i, id := range ids {
+			sub, err := pub.NewClientSubmission(id, id%2, testSeed(byte(180+id)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[i], points = pub.EncodeClientSubmission(sub), points+pointsOf(sub.Public)
+		}
+		if n := roots(func() {
+			subs := make([]*ClientSubmission, len(frames))
+			for i, f := range frames {
+				if subs[i], err = pub.DecodeClientSubmission(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verdicts, err := sess.SubmitBatch(ctx, subs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range verdicts {
+				if v != nil {
+					t.Fatal(v)
+				}
+			}
+		}); n != points {
+			t.Fatalf("admitting epoch %d took %d square roots for %d points", epoch, n, points)
+		}
+	}
+	v2, _ := log.Snapshot()
+
+	for _, board := range []struct {
+		name string
+		recs []*store.Record
+		hint bool
+	}{{"v2", v2, true}, {"v1 fixture", v1BoardRecords(t), false}} {
+		recs := board.recs
+		var seal []byte
+		if err := scanSeals(memLogOf(t, recs), func(epoch int, b []byte) {
+			if epoch == 0 {
+				seal = b
+			}
+		}); err != nil || seal == nil {
+			t.Fatalf("%s: no epoch-0 seal: %v", board.name, err)
+		}
+		sealRoots := roots(func() {
+			if _, _, err := pub.decodeProverSection(seal, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		all, epoch0 := arrivalPoints(t, pub, recs, -1), arrivalPoints(t, pub, recs, 0)
+		if board.hint {
+			all, epoch0 = 0, 0
+		}
+		for _, r := range []struct {
+			who  string
+			want uint64
+			read func() error
+		}{
+			{"tail", sealRoots + all, func() error {
+				return feedAll(NewTailAuditor(pub, TailOptions{Workers: 2}), recs)
+			}},
+			{"audit", sealRoots + epoch0, func() error { return AuditLog(ctx, pub, memLogOf(t, recs), 0, 2) }},
+			{"resume", all, func() error {
+				_, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(75), Store: memLogOf(t, recs), Parallelism: 2})
+				return err
+			}},
+		} {
+			var err error
+			if n := roots(func() { err = r.read() }); err != nil || n != r.want {
+				t.Errorf("%s: %s took %d square roots (err %v), want %d (%d for the seal's prover section)",
+					board.name, r.who, n, err, r.want, sealRoots)
+			}
+		}
+	}
+}

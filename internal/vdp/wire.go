@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/field"
+	"repro/internal/group"
 	"repro/internal/pedersen"
 	"repro/internal/sigma"
 	"repro/internal/wire"
@@ -37,9 +38,11 @@ func versioned(b []byte) wire.Reader {
 	return r
 }
 
-// commitment reads one group element as a Pedersen commitment.
-func (p *Public) commitment(r *wire.Reader) *pedersen.Commitment {
-	return wire.Parse(r, r.Take(p.pp.Group().ElementLen()), p.pp.DecodeCommitment)
+// commitment reads one group element as a Pedersen commitment, through d.
+func (p *Public) commitment(r *wire.Reader, d group.Decoder) *pedersen.Commitment {
+	return wire.Parse(r, r.Take(p.pp.Group().ElementLen()), func(b []byte) (*pedersen.Commitment, error) {
+		return p.pp.DecodeCommitmentWith(d, b)
+	})
 }
 
 // scalar reads one canonical scalar.
@@ -53,10 +56,10 @@ func (p *Public) opening(r *wire.Reader) *pedersen.Opening {
 	return &pedersen.Opening{X: p.scalar(r), R: p.scalar(r)}
 }
 
-// bitProof reads one fixed-width Σ-OR bit proof.
-func (p *Public) bitProof(r *wire.Reader) *sigma.BitProof {
+// bitProof reads one fixed-width Σ-OR bit proof, its elements through d.
+func (p *Public) bitProof(r *wire.Reader, d group.Decoder) *sigma.BitProof {
 	return wire.Parse(r, r.Take(sigma.BitProofLen(p.pp)), func(b []byte) (*sigma.BitProof, error) {
-		return sigma.DecodeBitProof(p.pp, b)
+		return sigma.DecodeBitProofWith(p.pp, d, b)
 	})
 }
 
@@ -112,25 +115,31 @@ func (p *Public) putClientPublic(w *wire.Writer, cp *ClientPublic) {
 
 // DecodeClientPublic parses and validates a bulletin-board submission.
 func (p *Public) DecodeClientPublic(b []byte) (*ClientPublic, error) {
+	return p.decodeClientPublic(p.pp.Group(), b)
+}
+
+// decodeClientPublic is DecodeClientPublic reading every group element
+// through d, in encoding order.
+func (p *Public) decodeClientPublic(d group.Decoder, b []byte) (*ClientPublic, error) {
 	r := versioned(b)
 	cp := &ClientPublic{ID: int(r.U32())}
 	cp.ShareCommitments = make([][]*pedersen.Commitment, r.Count(maxWireDim, 4))
 	for j := range cp.ShareCommitments {
 		row := make([]*pedersen.Commitment, r.Count(maxWireDim, p.pp.Group().ElementLen()))
 		for k := range row {
-			row[k] = p.commitment(&r)
+			row[k] = p.commitment(&r, d)
 		}
 		cp.ShareCommitments[j] = row
 	}
 	if r.Count(1, sigma.BitProofLen(p.pp)) == 1 {
-		cp.BitProof = p.bitProof(&r)
+		cp.BitProof = p.bitProof(&r, d)
 	}
 	if oneHot := r.Blob(); len(oneHot) > 0 {
 		if len(oneHot) > maxWireDim*8 {
 			return nil, fmt.Errorf("vdp: one-hot proof claims %d bytes", len(oneHot))
 		}
 		cp.OneHotProof = wire.Parse(&r, oneHot, func(b []byte) (*sigma.OneHotProof, error) {
-			return sigma.DecodeOneHotProof(p.pp, b)
+			return sigma.DecodeOneHotProofWith(p.pp, d, b)
 		})
 	}
 	if err := r.Finish(); err != nil {

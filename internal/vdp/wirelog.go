@@ -3,6 +3,7 @@ package vdp
 import (
 	"sync"
 
+	"repro/internal/group"
 	"repro/internal/morra"
 	"repro/internal/pedersen"
 	"repro/internal/sigma"
@@ -68,15 +69,98 @@ func (p *Public) putClientSubmission(w *wire.Writer, sub *ClientSubmission) {
 
 // DecodeClientSubmission parses and validates a full submission record.
 func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
+	return p.decodeClientSubmission(p.pp.Group(), b)
+}
+
+// decodeClientSubmission is DecodeClientSubmission reading the public
+// part's group elements through d.
+func (p *Public) decodeClientSubmission(d group.Decoder, b []byte) (*ClientSubmission, error) {
 	r := versioned(b)
 	sub := &ClientSubmission{
-		Public:   wire.Parse(&r, r.Blob(), p.DecodeClientPublic),
+		Public: wire.Parse(&r, r.Blob(), func(b []byte) (*ClientPublic, error) {
+			return p.decodeClientPublic(d, b)
+		}),
 		Payloads: blobs(&r, maxWireDim, p.DecodeClientPayload),
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return sub, nil
+}
+
+// Arrival records. A board log's submission record (RecordSubmission) is the
+// client's submission bytes, EncodeClientSubmission's encoding unchanged,
+// followed from record version 2 on by a hint section: the decode hint
+// (Group.AppendHint — a P-256 point's y coordinate, 32 bytes; nothing on
+// schnorr2048) of every group element of the public part, in encoding order.
+// Admission decompressed every point already, so writing the hints takes no
+// square root, and a reader checks each with a few multiplications instead
+// of taking the root again; a wrong hint is refused at its record and can
+// never change a point. A record without a hint section is version 1, what
+// every log was written with before, and decodes as the client's bytes
+// alone. Only the decode reads hints: digests, the seal's client section and
+// its cross-check all cover the client's bytes.
+
+// appendArrival appends sub's arrival record to dst: the submission's bytes,
+// then its hint section.
+func (p *Public) appendArrival(dst []byte, sub *ClientSubmission) []byte {
+	w := wire.NewWriter(dst)
+	p.putClientSubmission(&w, sub)
+	return p.appendHints(w.Bytes(), sub.Public)
+}
+
+// appendHints appends the hint of every group element of cp in the order
+// putClientPublic encodes them.
+func (p *Public) appendHints(dst []byte, cp *ClientPublic) []byte {
+	g := p.pp.Group()
+	for _, row := range cp.ShareCommitments {
+		for _, c := range row {
+			dst = g.AppendHint(dst, c.Element())
+		}
+	}
+	if cp.BitProof != nil {
+		dst = g.AppendHint(g.AppendHint(dst, cp.BitProof.A0), cp.BitProof.A1)
+	}
+	if cp.OneHotProof != nil {
+		for _, bp := range cp.OneHotProof.Bits {
+			dst = g.AppendHint(g.AppendHint(dst, bp.A0), bp.A1)
+		}
+	}
+	return dst
+}
+
+// decodeArrival parses an arrival record of either version.
+func (p *Public) decodeArrival(b []byte) (*ClientSubmission, error) {
+	client, hints := splitArrival(b)
+	if len(hints) == 0 {
+		return p.DecodeClientSubmission(client)
+	}
+	h := &group.Hinted{G: p.pp.Group(), Hints: hints}
+	sub, err := p.decodeClientSubmission(h, client)
+	if err == nil {
+		err = h.Finish()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// splitArrival cuts an arrival record after the client's bytes, which are
+// self-delimiting; the rest is the hint section. A record whose client bytes
+// cannot be followed to their end is returned whole, for
+// DecodeClientSubmission to refuse.
+func splitArrival(b []byte) (client, hints []byte) {
+	r := versioned(b)
+	r.Blob()
+	for n := r.Count(maxWireDim, 4); n > 0; n-- {
+		r.Blob()
+	}
+	hints = r.Rest()
+	if r.Err() != nil {
+		return b, nil
+	}
+	return b[:len(b)-len(hints)], hints
 }
 
 // EncodeSubmitPayload is EncodeClientSubmission, kept for bench/.

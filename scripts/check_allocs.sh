@@ -15,6 +15,12 @@
 #                 1985 allocs/op (≈31 per submission); the ceiling catches
 #                 a per-byte or per-element allocation pattern sneaking
 #                 into the parse loop.
+#   record-decode BenchmarkDecodeArrivalRecords/v2 (internal/vdp): 64
+#                 bench-shape v2 arrival records (three points each)
+#                 through decodeSubmission, the decode every board-log
+#                 reader runs per record. 2048 allocs/op (32 per record,
+#                 one more than the v1 decode: the hint cursor); the
+#                 ceiling catches the hinted decode allocating per point.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
 #                 verification). 3969 allocs/op at two cores (≈62 per
@@ -34,6 +40,7 @@
 set -eu
 commit_ceiling="${1:-16}"
 decode_ceiling=2150
+record_ceiling=2250
 submit_ceiling=4350
 single_ceiling=6650
 
@@ -63,6 +70,8 @@ check "commit" ./internal/pedersen 'BenchmarkCommit/p256' 'BenchmarkCommit/p256'
     "$commit_ceiling" "the big.Int path is back on the P-256 commit hot path"
 check "decode" ./internal/vdp 'BenchmarkDecodeSubmissionBatch' 'BenchmarkDecodeSubmissionBatch' \
     "$decode_ceiling" "the batch-frame decoder is allocating per element again"
+check "record-decode" ./internal/vdp 'BenchmarkDecodeArrivalRecords/v2$' 'BenchmarkDecodeArrivalRecords/v2' \
+    "$record_ceiling" "the hinted arrival-record decode is allocating per point"
 check "submit-batch" ./internal/vdp 'BenchmarkSubmitBatch$' 'BenchmarkSubmitBatch' \
     "$submit_ceiling" "SubmitBatch is back to per-client tasks or per-client buffers"
 check "submit" . 'BenchmarkSessionSubmit/eager$' 'BenchmarkSessionSubmit/eager' \
