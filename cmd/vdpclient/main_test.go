@@ -49,7 +49,7 @@ func TestSketchClientRoundTrips(t *testing.T) {
 	opts := transport.ClientOptions{Timeout: 2 * time.Second}
 
 	submitSketch(pub, layout, addr, 10, 5, 2, opts)
-	if got := hs.Row(0).Accepted(); got != 2 {
+	if got := hs.Accepted(); got != 2 {
 		t.Fatalf("curator admitted %d contributions, want 2", got)
 	}
 	release()

@@ -59,9 +59,6 @@ func TestOpenSketchSessionLifecycle(t *testing.T) {
 	if closer != nil {
 		t.Error("memory mode returned a store closer")
 	}
-	if hs.Resumed() {
-		t.Error("fresh memory session claims recovery")
-	}
 
 	// Durable: fresh dir, one contribution, seal, close.
 	dir := t.TempDir()
@@ -88,8 +85,8 @@ func TestOpenSketchSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hs.Resumed() || hs.Epoch() != 1 {
-		t.Fatalf("reopen over sealed epoch: resumed=%v epoch=%d, want true/1", hs.Resumed(), hs.Epoch())
+	if hs.Epoch() != 1 {
+		t.Fatalf("reopen over sealed epoch: epoch=%d, want 1", hs.Epoch())
 	}
 	// Leave epoch 1 open with one contribution and crash.
 	c2, err := pub.NewSketchContribution(layout, 8, 4, nil)
@@ -108,8 +105,8 @@ func TestOpenSketchSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.Epoch() != 1 || hs.Row(0).Accepted() != 1 {
-		t.Fatalf("mid-epoch resume: epoch=%d accepted=%d, want 1/1", hs.Epoch(), hs.Row(0).Accepted())
+	if hs.Epoch() != 1 || hs.Accepted() != 1 {
+		t.Fatalf("mid-epoch resume: epoch=%d accepted=%d, want 1/1", hs.Epoch(), hs.Accepted())
 	}
 	if err := closer(); err != nil {
 		t.Fatal(err)

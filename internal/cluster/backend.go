@@ -74,13 +74,6 @@ func (b *Backend) Healthy() bool {
 	return b.healthy
 }
 
-// LastErr returns the error that marked the backend unhealthy, if any.
-func (b *Backend) LastErr() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
-}
-
 // status runs one status round trip against the active replica (the
 // health probe), recording the decoded status as fencing context.
 func (b *Backend) status() (*NodeStatus, error) {

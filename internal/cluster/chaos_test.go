@@ -250,7 +250,7 @@ func TestChaosPrimaryKillMidFlood(t *testing.T) {
 	if sbs[1].sb.Promoted() {
 		t.Fatal("the healthy shard's standby was promoted")
 	}
-	if got := router.Backends()[0].Addr(); got != sbs[0].addr {
+	if got := router.backends[0].Addr(); got != sbs[0].addr {
 		t.Fatalf("shard 0 backend active on %s, want the promoted standby %s", got, sbs[0].addr)
 	}
 
@@ -273,7 +273,7 @@ func TestChaosPrimaryKillMidFlood(t *testing.T) {
 		}
 		break
 	}
-	if !prs[0].repl.Fenced() {
+	if !fenced(prs[0].repl) {
 		t.Fatal("stale primary's replicator does not report fenced")
 	}
 

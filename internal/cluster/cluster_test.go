@@ -388,7 +388,7 @@ func TestClusterFailurePaths(t *testing.T) {
 		}
 		accepted = append(accepted, sub)
 	}
-	if router.Backends()[down].Healthy() {
+	if router.backends[down].Healthy() {
 		t.Fatal("dead backend still marked healthy")
 	}
 
@@ -432,7 +432,7 @@ func TestClusterFailurePaths(t *testing.T) {
 	if sts[down].Accepted != wantOnDown {
 		t.Fatalf("restarted node recovered %d submissions, want %d", sts[down].Accepted, wantOnDown)
 	}
-	if !router.Backends()[down].Healthy() {
+	if !router.backends[down].Healthy() {
 		t.Fatal("backend not revived after restart")
 	}
 

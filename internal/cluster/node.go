@@ -70,9 +70,6 @@ func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeCo
 	}, nil
 }
 
-// Session exposes the wrapped shard session.
-func (n *Node) Session() *vdp.Session { return n.sess }
-
 // Accepted reports the session's accepted-submission count; the serving loop
 // seeds the frame dispatch's counter with it after a recovery.
 func (n *Node) Accepted() int { return n.sess.Accepted() }

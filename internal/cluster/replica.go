@@ -307,16 +307,6 @@ func NewReplicator(addr string, shard, shards int, opts transport.ClientOptions)
 	return &Replicator{addr: addr, shard: shard, shards: shards, opts: opts}
 }
 
-// Addr returns the standby's address.
-func (r *Replicator) Addr() string { return r.addr }
-
-// Fenced reports whether the standby has refused this primary terminally.
-func (r *Replicator) Fenced() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fenced
-}
-
 // Close drops the mirror connection, if any.
 func (r *Replicator) Close() {
 	r.mu.Lock()

@@ -153,7 +153,7 @@ func TestStandbyRefusesBadSealFrame(t *testing.T) {
 func TestReplicatorAddr(t *testing.T) {
 	r := NewReplicator("127.0.0.1:9", 0, 1, transport.ClientOptions{})
 	defer r.Close()
-	if r.Addr() != "127.0.0.1:9" {
-		t.Fatalf("Addr() = %q", r.Addr())
+	if r.addr != "127.0.0.1:9" {
+		t.Fatalf("addr = %q", r.addr)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +56,9 @@ type replicaPrimary struct {
 	node  *Node
 	repl  *Replicator
 	board *store.ReplicatedLog
+	// boardMirror is the board's mirror target; a test that replaces the
+	// standby repoints it, keeping the board's acked count.
+	boardMirror atomic.Pointer[store.MirrorFunc]
 }
 
 // startPrimary boots a replica-set primary over in-memory logs mirrored to
@@ -68,7 +72,11 @@ func startPrimary(t *testing.T, ctx context.Context, pub *vdp.Public, shard, sha
 		Timeout: 2 * time.Second, Retry: testRetry(), Dial: mirrorDial,
 	})
 	var err error
-	p.board, err = store.NewReplicatedLog(store.NewMemLog(), p.repl.Mirror(ReplLogBoard))
+	mirror := p.repl.Mirror(ReplLogBoard)
+	p.boardMirror.Store(&mirror)
+	p.board, err = store.NewReplicatedLog(store.NewMemLog(), func(start int, recs []*store.Record) (int, error) {
+		return (*p.boardMirror.Load())(start, recs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestReplicaMirrorAndFencedPromotion(t *testing.T) {
 		}
 		break
 	}
-	if !pr.repl.Fenced() {
+	if !fenced(pr.repl) {
 		t.Fatal("replicator does not report fenced")
 	}
 	// Fenced is forever: even a bare flush of the now-pending record fails.
@@ -346,9 +354,10 @@ func TestReplicateGapRewind(t *testing.T) {
 	// Rewire the replicator target by building a new one on the same logs:
 	// the ReplicatedLog's acked count still claims `mirrored`, the new
 	// standby holds 0 — exactly the MirrorGapError path.
-	pr.board.SetMirror(NewReplicator(sb2.addr, 0, k, transport.ClientOptions{
+	mirror := NewReplicator(sb2.addr, 0, k, transport.ClientOptions{
 		Timeout: 2 * time.Second, Retry: testRetry(),
-	}).Mirror(ReplLogBoard))
+	}).Mirror(ReplLogBoard)
+	pr.boardMirror.Store(&mirror)
 
 	for id, landed := 100, 0; landed < 1; id++ {
 		if vdp.ShardOf(id, k) != 0 {
@@ -366,4 +375,11 @@ func TestReplicateGapRewind(t *testing.T) {
 	if got := sb2.sb.MirroredRecords(); got != pr.board.Len() {
 		t.Fatalf("replacement standby mirrors %d records, primary acked %d — rewind did not re-ship", got, pr.board.Len())
 	}
+}
+
+// fenced reports whether the standby has refused r's primary terminally.
+func fenced(r *Replicator) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fenced
 }

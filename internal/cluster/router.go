@@ -96,9 +96,6 @@ func SplitReplicaSpec(spec string) []string {
 // Shards returns the cluster's shard count.
 func (r *Router) Shards() int { return len(r.backends) }
 
-// Backends exposes the per-shard backends (for health reporting).
-func (r *Router) Backends() []*Backend { return r.backends }
-
 // Accepted returns the count of accepted submissions observed so far.
 func (r *Router) Accepted() int {
 	r.mu.Lock()
@@ -446,11 +443,6 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 		return nil, err
 	}
 	return &MergeResult{Epoch: epoch, Transcripts: ts, Release: release, Digest: digest}, nil
-}
-
-// ResetAll opens the next epoch on every node after a completed merge.
-func (r *Router) ResetAll(epoch int) error {
-	return r.callAll(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(epoch)}, "resetting")
 }
 
 // callAll sends one frame to every node in shard order, stopping at the

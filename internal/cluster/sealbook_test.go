@@ -152,13 +152,38 @@ func TestMergedSealEvidence(t *testing.T) {
 			return vdp.AuditSegmentedLog(ctx, pub, board(t, r.rec), 0, 2)
 		}},
 		{"manifest/tail", func(t *testing.T, r row) error {
-			st, err := vdp.TailAuditMerged(pub, board(t, r.rec), vdp.TailOptions{Workers: 2})
+			// The live merged tail over the segmented board: every segment
+			// drained into its shard's auditor, the manifest fed record by
+			// record into the merged-seal book.
+			seg := board(t, r.rec)
+			st := vdp.NewMergedTailAuditor(pub, k, vdp.TailOptions{Workers: 2})
+			defer st.Close()
+			for i := 0; i < k; i++ {
+				tl, err := seg.Segment(i).ReadFrom(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Shard(i).AttachTailer(tl)
+				if _, err := st.Shard(i).Poll(); err != nil {
+					return err
+				}
+			}
+			man, err := seg.Manifest().ReadFrom(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
-			if _, err := st.Poll(); err != nil {
-				return err
+			defer man.Close()
+			for {
+				rec, off, err := man.Next()
+				if errors.Is(err, store.ErrNoRecord) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.FeedManifest(rec, off); err != nil {
+					return err
+				}
 			}
 			if got, ready, err := st.VerifyMerged(0); err != nil || !ready || !bytes.Equal(got, digest) {
 				t.Fatalf("tail verifies epoch 0 as %x (ready %v): %v", got, ready, err)
@@ -363,7 +388,7 @@ func TestAuditClusterLatestIsFullyReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := router.ResetAll(0); err != nil {
+	if err := resetAll(router, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -150,7 +150,7 @@ func TestTailFollowerCertifiesMergedEpochs(t *testing.T) {
 
 	// A second epoch: reset every node, flood fresh clients, merge, and the
 	// follower advances and certifies epoch 1 as well.
-	if err := router.ResetAll(0); err != nil {
+	if err := resetAll(router, 0); err != nil {
 		t.Fatalf("reset-all: %v", err)
 	}
 	flood(100)
@@ -163,10 +163,13 @@ func TestTailFollowerCertifiesMergedEpochs(t *testing.T) {
 	}
 	certifyNext(t, fol, 1, res1.Digest)
 
-	// The backends stayed healthy throughout.
-	for i, b := range testBackends(addrs) {
-		if b.LastErr() != nil {
-			t.Fatalf("backend %d recorded error: %v", i, b.LastErr())
+	// The router's backends stayed healthy throughout.
+	for i, b := range router.backends {
+		b.mu.Lock()
+		err := b.lastErr
+		b.mu.Unlock()
+		if err != nil {
+			t.Fatalf("backend %d recorded error: %v", i, err)
 		}
 	}
 }
@@ -490,7 +493,7 @@ func TestRemoteReadsPastFrameLimit(t *testing.T) {
 	var digests [][]byte
 	for size := 0; size <= transport.MaxFrameSize; {
 		if epoch := len(digests); epoch > 0 {
-			if err := router.ResetAll(epoch - 1); err != nil {
+			if err := resetAll(router, epoch-1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -595,4 +598,9 @@ func TestNodeLogReadsOnlyShippedRecords(t *testing.T) {
 	if reply := nodeLog(0); reply.Kind != KindError || !strings.Contains(string(reply.Payload), "record checksum mismatch") {
 		t.Fatalf("node-log from 0 over a corrupted record 0: %s %s", reply.Kind, reply.Payload)
 	}
+}
+
+// resetAll opens the next epoch on every node after a completed merge.
+func resetAll(r *Router, epoch int) error {
+	return r.callAll(&transport.Frame{Kind: KindReset, Payload: encodeIndexReq(epoch)}, "resetting")
 }

@@ -1,8 +1,6 @@
 // Package dp implements the differential privacy machinery of the paper:
 // the Binomial mechanism (Lemma 2.1, Appendix B), its (ε, δ) calibration,
-// and the baseline mechanisms used for comparison in the evaluation
-// (discrete Laplace in the central model, randomized response in the local
-// model).
+// and randomized response, the local-model baseline of the evaluation.
 //
 // The Binomial mechanism adds Z ~ Binomial(nb, 1/2) to a counting query.
 // Lemma 2.1: for nb > 30 and 0 < δ ≤ o(1/nb), the mechanism is (ε, δ)-DP
@@ -61,40 +59,6 @@ func (p Params) Coins() (int, error) {
 	return int(nb), nil
 }
 
-// EpsilonForCoins inverts Coins: the ε guaranteed by nb coins at privacy
-// failure probability δ (Lemma 2.1).
-func EpsilonForCoins(nb int, delta float64) (float64, error) {
-	if nb < MinCoins {
-		return 0, fmt.Errorf("dp: need at least %d coins, got %d", MinCoins, nb)
-	}
-	if !(delta > 0 && delta < 1) {
-		return 0, fmt.Errorf("dp: delta must lie in (0,1), got %v", delta)
-	}
-	return 10 * math.Sqrt(math.Log(2/delta)/float64(nb)), nil
-}
-
-// SampleBits fills out with n uniformly random bits (as 0/1 bytes) from r
-// (nil means crypto/rand). It is the reference coin source for the
-// mechanism; the verifiable protocol replaces it with prover-private coins
-// XORed against Morra public coins.
-func SampleBits(n int, r io.Reader) ([]byte, error) {
-	if n < 0 {
-		return nil, errors.New("dp: negative bit count")
-	}
-	if r == nil {
-		r = rand.Reader
-	}
-	raw := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("dp: reading randomness: %w", err)
-	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = (raw[i/8] >> (i % 8)) & 1
-	}
-	return out, nil
-}
-
 // SampleBinomial draws Z ~ Binomial(nb, 1/2) by popcounting random bytes.
 func SampleBinomial(nb int, r io.Reader) (int64, error) {
 	if nb < 0 {
@@ -135,15 +99,6 @@ func NewBinomialMechanism(p Params) (*BinomialMechanism, error) {
 	return &BinomialMechanism{nb: nb}, nil
 }
 
-// NewBinomialMechanismWithCoins builds a mechanism with an explicit coin
-// count (used when reproducing paper configurations that fix nb directly).
-func NewBinomialMechanismWithCoins(nb int) (*BinomialMechanism, error) {
-	if nb < MinCoins {
-		return nil, fmt.Errorf("dp: need at least %d coins, got %d", MinCoins, nb)
-	}
-	return &BinomialMechanism{nb: nb}, nil
-}
-
 // Coins returns nb.
 func (m *BinomialMechanism) Coins() int { return m.nb }
 
@@ -162,12 +117,6 @@ func (m *BinomialMechanism) Debias(release int64, copies int) float64 {
 	return DebiasBinomial(release, m.nb, copies)
 }
 
-// Stddev returns the standard deviation of the noise with the given number
-// of independent copies: sqrt(copies·nb/4).
-func (m *BinomialMechanism) Stddev(copies int) float64 {
-	return BinomialStddev(m.nb, copies)
-}
-
 // DebiasBinomial is the one debias formula every release path shares:
 // copies independent Binomial(coins, ½) noises have mean copies·coins/2, so
 // the unbiased estimate of the true count is release − copies·coins/2. It
@@ -178,47 +127,16 @@ func DebiasBinomial(release int64, coins, copies int) float64 {
 	return float64(release) - float64(copies)*float64(coins)/2
 }
 
-// BinomialStddev is the matching noise scale: sqrt(copies·coins/4).
-func BinomialStddev(coins, copies int) float64 {
-	return math.Sqrt(float64(copies) * float64(coins) / 4)
-}
-
 // CountMinBound is the additive error envelope of a count-min point query
 // over a width-w sketch holding total items, with per-cell noise of the
 // given standard deviation: the classic e·total/w overcount term (Cormode &
-// Muthukrishnan's bound, holding per query with probability ≥
-// 1 − CountMinFailureProb(rows)) plus a 3σ envelope of the debiased
+// Muthukrishnan's bound, holding per query with probability ≥ 1 − e^-rows)
+// plus a 3σ envelope of the debiased
 // binomial noise. A point estimate is within ±bound of the true count with
 // high probability; heavy-hitter callers use it to separate real hitters
 // from hash-collision inflation.
 func CountMinBound(width int, total int64, noiseStddev float64) float64 {
 	return math.E*float64(total)/float64(width) + 3*noiseStddev
-}
-
-// CountMinFailureProb is the probability the count-min overcount term of
-// CountMinBound fails for one query: e^-rows, driven down by taking the
-// minimum over independent rows.
-func CountMinFailureProb(rows int) float64 {
-	return math.Exp(-float64(rows))
-}
-
-// GeometricMechanism is the discrete Laplace baseline: the classic central-
-// model additive mechanism ("Dwork et al. described the Laplace mechanism
-// for outputting histograms in the trusted curator model"). It adds
-// two-sided geometric noise with Pr[Z = z] ∝ α^|z| where α = e^-ε, which is
-// ε-DP for sensitivity-1 counting queries. It is NOT verifiable — sampling
-// proofs for it are an open problem per Section 8 — and serves as the
-// accuracy yardstick.
-type GeometricMechanism struct {
-	alpha float64
-}
-
-// NewGeometricMechanism builds an ε-DP discrete Laplace mechanism.
-func NewGeometricMechanism(epsilon float64) (*GeometricMechanism, error) {
-	if !(epsilon > 0) || math.IsInf(epsilon, 0) || math.IsNaN(epsilon) {
-		return nil, fmt.Errorf("dp: epsilon must be positive and finite, got %v", epsilon)
-	}
-	return &GeometricMechanism{alpha: math.Exp(-epsilon)}, nil
 }
 
 // uniformFloat draws a uniform float64 in [0, 1) from r.
@@ -233,48 +151,6 @@ func uniformFloat(r io.Reader) (float64, error) {
 	u := uint64(buf[0])<<56 | uint64(buf[1])<<48 | uint64(buf[2])<<40 | uint64(buf[3])<<32 |
 		uint64(buf[4])<<24 | uint64(buf[5])<<16 | uint64(buf[6])<<8 | uint64(buf[7])
 	return float64(u>>11) / (1 << 53), nil
-}
-
-// Sample draws from the two-sided geometric distribution by inverse
-// transform: magnitude |Z| ~ Geometric, sign uniform (with a correction so
-// that Pr[Z=0] has the right mass).
-func (m *GeometricMechanism) Sample(r io.Reader) (int64, error) {
-	// Pr[Z = 0] = (1-α)/(1+α); Pr[Z = ±z] = (1-α)α^z/(1+α) for z >= 1.
-	u, err := uniformFloat(r)
-	if err != nil {
-		return 0, err
-	}
-	p0 := (1 - m.alpha) / (1 + m.alpha)
-	if u < p0 {
-		return 0, nil
-	}
-	// Remaining mass splits evenly between signs; invert the geometric CDF.
-	u2, err := uniformFloat(r)
-	if err != nil {
-		return 0, err
-	}
-	mag := int64(math.Floor(math.Log(1-u2)/math.Log(m.alpha))) + 1
-	if mag < 1 {
-		mag = 1
-	}
-	sign := int64(1)
-	u3, err := uniformFloat(r)
-	if err != nil {
-		return 0, err
-	}
-	if u3 < 0.5 {
-		sign = -1
-	}
-	return sign * mag, nil
-}
-
-// Release returns trueCount + Z.
-func (m *GeometricMechanism) Release(trueCount int64, r io.Reader) (int64, error) {
-	z, err := m.Sample(r)
-	if err != nil {
-		return 0, err
-	}
-	return trueCount + z, nil
 }
 
 // RandomizedResponse is the local-DP baseline (Warner 1965): each client

@@ -13,8 +13,9 @@ import (
 //
 // Counting queries are 1-incremental (Definition 12), so k = 1 suffices and
 // smoothness of Binomial(nb, 1/2) implies the mechanism is (ε, δ)-DP
-// (Lemma B.1). The experiments use this to confirm the calibration is not
-// just asymptotically right but numerically sound at deployment sizes.
+// (Lemma B.1). TestSmoothness uses this to confirm that Params.Coins's
+// calibration is not just asymptotically right but numerically sound at
+// deployment sizes.
 
 // binomLogPMF returns ln Pr[Bin(n,1/2) = y] computed via log-gamma, stable
 // for n up to millions.

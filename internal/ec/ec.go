@@ -12,10 +12,8 @@
 package ec
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 
 	"repro/internal/field"
@@ -82,9 +80,6 @@ func MustNewCurve(name string, p, n *big.Int, a, b, gx, gy *big.Int) *Curve {
 	return c
 }
 
-// Name returns the curve name.
-func (c *Curve) Name() string { return c.name }
-
 // ScalarField returns GF(n) where n is the (prime) group order.
 func (c *Curve) ScalarField() *field.Field { return c.n }
 
@@ -126,25 +121,6 @@ func (p *Point) XY() (x, y *big.Int) {
 		panic("ec: XY of point at infinity")
 	}
 	return p.x.BigInt(), p.y.BigInt()
-}
-
-// Equal reports whether two points on the same curve are equal.
-func (p *Point) Equal(q *Point) bool {
-	if p.c != q.c {
-		return false
-	}
-	if p.inf || q.inf {
-		return p.inf == q.inf
-	}
-	return p.x.Equal(q.x) && p.y.Equal(q.y)
-}
-
-// Neg returns -p (reflection across the x axis).
-func (p *Point) Neg() *Point {
-	if p.inf {
-		return p
-	}
-	return &Point{c: p.c, x: p.x, y: p.y.Neg(), inf: false}
 }
 
 // String implements fmt.Stringer.
@@ -233,25 +209,8 @@ func (c *Curve) jacAdd(p, q jacobian) jacobian {
 	return jacobian{x3, y3, z3}
 }
 
-// Add returns p + q.
-func (c *Curve) Add(p, q *Point) *Point {
-	return c.fromJacobian(c.jacAdd(c.toJacobian(p), c.toJacobian(q)))
-}
-
-// Double returns 2p.
-func (c *Curve) Double(p *Point) *Point {
-	return c.fromJacobian(c.jacDouble(c.toJacobian(p)))
-}
-
 // scalarWindow is the window width (bits) for windowed scalar multiplication.
 const scalarWindow = 4
-
-// ScalarMult returns k·p for a non-negative integer k (reduced mod n first;
-// protocol code always passes canonical scalars). It uses a fixed 4-bit
-// window over precomputed odd multiples.
-func (c *Curve) ScalarMult(p *Point, k *big.Int) *Point {
-	return c.scalarMultRaw(p, new(big.Int).Mod(k, c.n.Modulus()))
-}
 
 // scalarMultRaw computes k·p for any non-negative k without reducing it
 // modulo the group order.
@@ -289,11 +248,6 @@ func (c *Curve) scalarMultRaw(p *Point, k *big.Int) *Point {
 	return c.fromJacobian(acc)
 }
 
-// ScalarBaseMult returns k·G.
-func (c *Curve) ScalarBaseMult(k *big.Int) *Point {
-	return c.ScalarMult(c.Generator(), k)
-}
-
 // Encode returns the canonical SEC1-style compressed encoding: a sign byte
 // (0x02/0x03 for even/odd Y) followed by the fixed-width X coordinate. The
 // identity encodes as a single 0x00 byte padded to the same width so all
@@ -311,77 +265,6 @@ func (c *Curve) Encode(p *Point) []byte {
 	}
 	copy(out[1:], p.x.Bytes())
 	return out
-}
-
-// Decode parses an encoding produced by Encode, rejecting any byte string
-// that is not the canonical encoding of a curve point.
-func (c *Curve) Decode(b []byte) (*Point, error) {
-	w := c.p.ByteLen()
-	if len(b) != 1+w {
-		return nil, fmt.Errorf("ec: encoding has %d bytes, want %d", len(b), 1+w)
-	}
-	switch b[0] {
-	case 0x00:
-		for _, v := range b[1:] {
-			if v != 0 {
-				return nil, errors.New("ec: malformed identity encoding")
-			}
-		}
-		return c.Infinity(), nil
-	case 0x02, 0x03:
-		x, err := c.p.FromBytes(b[1:])
-		if err != nil {
-			return nil, fmt.Errorf("ec: bad x coordinate: %w", err)
-		}
-		y, err := c.recoverY(x, b[0] == 0x03)
-		if err != nil {
-			return nil, err
-		}
-		return &Point{c: c, x: x, y: y, inf: false}, nil
-	default:
-		return nil, fmt.Errorf("ec: unknown point format byte %#x", b[0])
-	}
-}
-
-// AppendY appends p's y coordinate to dst at the coordinate field's width,
-// big-endian (zeros for the identity): the hint DecodeHinted checks.
-func (c *Curve) AppendY(dst []byte, p *Point) []byte {
-	n := len(dst)
-	dst = append(dst, make([]byte, c.p.ByteLen())...)
-	if !p.inf {
-		p.y.PutBytes(dst[n:])
-	}
-	return dst
-}
-
-// DecodeHinted is Decode given the point's y coordinate as AppendY writes
-// it, checked instead of recovered: canonical, on the curve over x, with the
-// prefix's parity. It accepts exactly when Decode accepts b and recovers
-// y = hint (P256DecodeHinted is the fast backend's twin).
-func (c *Curve) DecodeHinted(b, hint []byte) (*Point, error) {
-	if len(hint) != c.p.ByteLen() {
-		return nil, fmt.Errorf("ec: hint has %d bytes, want %d", len(hint), c.p.ByteLen())
-	}
-	if len(b) == 1+c.p.ByteLen() && b[0] == 0x00 {
-		for _, v := range hint {
-			if v != 0 {
-				return nil, errWrongHint
-			}
-		}
-		return c.Decode(b)
-	}
-	if len(b) != 1+c.p.ByteLen() || (b[0] != 0x02 && b[0] != 0x03) {
-		return c.Decode(b) // its own refusal
-	}
-	x, err := c.p.FromBytes(b[1:])
-	if err != nil {
-		return nil, fmt.Errorf("ec: bad x coordinate: %w", err)
-	}
-	y, err := c.p.FromBytes(hint)
-	if err != nil || (y.Bit(0) == 1) != (b[0] == 0x03) || !c.isOnCurve(x, y) {
-		return nil, errWrongHint
-	}
-	return &Point{c: c, x: x, y: y}, nil
 }
 
 // recoverY solves y² = x³+ax+b for the root with the requested parity.
@@ -418,14 +301,6 @@ func (c *Curve) HashToPoint(h func(data ...[]byte) []byte, domain string, msg []
 			return p
 		}
 	}
-}
-
-// RandomScalar samples a uniform scalar in [0, n).
-func (c *Curve) RandomScalar(r io.Reader) (*big.Int, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	return rand.Int(r, c.n.Modulus())
 }
 
 // P256 returns the NIST P-256 curve (secp256r1), constructed from its

@@ -3,6 +3,7 @@ package ec
 import (
 	"crypto/elliptic"
 	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -19,8 +20,8 @@ func sha256Concat(data ...[]byte) []byte {
 
 func TestP256Params(t *testing.T) {
 	c := StdP256()
-	if c.Name() != "P-256" {
-		t.Errorf("name = %q", c.Name())
+	if c.name != "P-256" {
+		t.Errorf("name = %q", c.name)
 	}
 	std := elliptic.P256().Params()
 	if c.ScalarField().Modulus().Cmp(std.N) != 0 {
@@ -252,6 +253,72 @@ func TestXYOfInfinityPanics(t *testing.T) {
 		}
 	}()
 	StdP256().Infinity().XY()
+}
+
+func TestPointStringAndCurve(t *testing.T) {
+	c := StdP256()
+	if s := c.Infinity().String(); s != "P-256(O)" {
+		t.Errorf("infinity prints as %q", s)
+	}
+	gx, gy := c.Generator().XY()
+	if s, want := c.Generator().String(), fmt.Sprintf("P-256(%s, %s)", c.CoordinateField().FromBig(gx), c.CoordinateField().FromBig(gy)); s != want {
+		t.Errorf("generator prints as %q, want %q", s, want)
+	}
+	for _, p := range []*Point{c.Generator(), c.Infinity(), c.ScalarBaseMult(big.NewInt(5))} {
+		if p.Curve() != c {
+			t.Errorf("%v does not report its curve", p)
+		}
+	}
+}
+
+// TestP256AffineFromPoint: the setup-time bridge into the fast backend
+// keeps the point (the generator, the identity, a random multiple) and
+// refuses a point of any curve but the shared P-256 instance, even one
+// built from the same parameters.
+func TestP256AffineFromPoint(t *testing.T) {
+	c := StdP256()
+	g := P256Generator()
+	ga, err := P256AffineFromPoint(c.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gj P256Point
+	gj.SetAffine(&ga)
+	if !gj.Equal(&g) {
+		t.Fatal("converted generator differs from P256Generator")
+	}
+
+	oa, err := P256AffineFromPoint(c.Infinity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oj P256Point
+	oj.Set(&g) // SetAffine must overwrite a non-identity point
+	oj.SetAffine(&oa)
+	if !oj.IsInfinity() {
+		t.Fatal("converted identity is not the identity")
+	}
+
+	k := big.NewInt(0x5eed)
+	pa, err := P256AffineFromPoint(c.ScalarBaseMult(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pj, want P256Point
+	pj.SetAffine(&pa)
+	want.ScalarMult(&g, limbsFromBigTest(k))
+	if !pj.Equal(&want) {
+		t.Fatal("converted k·G differs from the fast k·G")
+	}
+
+	std := elliptic.P256().Params()
+	twin, err := NewCurve("P-256 twin", std.P, std.N, new(big.Int).Sub(std.P, big.NewInt(3)), std.B, std.Gx, std.Gy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := P256AffineFromPoint(twin.Generator()); err == nil {
+		t.Fatal("a point of another curve instance was converted")
+	}
 }
 
 func BenchmarkScalarBaseMult(b *testing.B) {

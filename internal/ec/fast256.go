@@ -95,9 +95,6 @@ func (r *P256Affine) Neg(a *P256Affine) {
 	fp.Neg(&r.y, &a.y)
 }
 
-// IsInfinity reports whether a is the identity.
-func (a *P256Affine) IsInfinity() bool { return a.inf }
-
 // Double sets r = 2p using the a = -3 doubling formulas (dbl-2001-b:
 // 3M + 5S). r may alias p. Identity and 2-torsion collapse to Z = 0
 // naturally (Z₃ = 2YZ).
@@ -832,22 +829,4 @@ func P256AffineFromPoint(p *Point) (P256Affine, error) {
 	}
 	x, y := p.XY()
 	return P256Affine{x: fp.FromBig(x), y: fp.FromBig(y)}, nil
-}
-
-// IsOnCurve verifies y² = x³ - 3x + b for a finite affine point (the
-// identity passes vacuously). Decode enforces this by construction; the
-// check exists for tests and defensive assertions.
-func (a *P256Affine) IsOnCurve() bool {
-	if a.inf {
-		return true
-	}
-	var lhs, rhs, t fp256.Element
-	fp.Sqr(&lhs, &a.y)
-	fp.Sqr(&rhs, &a.x)
-	fp.Mul(&rhs, &rhs, &a.x)
-	fp.Double(&t, &a.x)
-	fp.Add(&t, &t, &a.x)
-	fp.Sub(&rhs, &rhs, &t)
-	fp.Add(&rhs, &rhs, &p256B)
-	return lhs.Equal(&rhs)
 }

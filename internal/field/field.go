@@ -30,14 +30,11 @@ var ErrMismatch = errors.New("field: elements belong to different fields")
 // Field represents the prime field Z_q for a prime modulus q. A Field value
 // is immutable after construction and safe for concurrent use.
 type Field struct {
-	q        *big.Int // modulus, prime
-	qMinus1  *big.Int // q-1, used for inversion exponent and Fermat checks
-	qMinus2  *big.Int // q-2, inversion exponent
-	byteLen  int      // fixed encoding width
-	bitLen   int
-	zero     *Element
-	one      *Element
-	minusOne *Element
+	q       *big.Int // modulus, prime
+	byteLen int      // fixed encoding width
+	bitLen  int
+	zero    *Element
+	one     *Element
 }
 
 // New constructs the field Z_q. The modulus must be an odd prime of at least
@@ -57,35 +54,12 @@ func New(q *big.Int) (*Field, error) {
 	}
 	f := &Field{
 		q:       new(big.Int).Set(q),
-		qMinus1: new(big.Int).Sub(q, big.NewInt(1)),
-		qMinus2: new(big.Int).Sub(q, big.NewInt(2)),
 		byteLen: (q.BitLen() + 7) / 8,
 		bitLen:  q.BitLen(),
 	}
 	f.zero = f.newElement(big.NewInt(0))
 	f.one = f.newElement(big.NewInt(1))
-	f.minusOne = f.newElement(new(big.Int).Set(f.qMinus1))
 	return f, nil
-}
-
-// MustNew is like New but panics on error. It is intended for hardcoded,
-// known-good moduli initialised at package init time.
-func MustNew(q *big.Int) *Field {
-	f, err := New(q)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// MustNewFromHex constructs a field from a hexadecimal modulus string,
-// panicking on malformed input or a composite modulus.
-func MustNewFromHex(hexQ string) *Field {
-	q, ok := new(big.Int).SetString(hexQ, 16)
-	if !ok {
-		panic("field: invalid hex modulus")
-	}
-	return MustNew(q)
 }
 
 // Modulus returns a copy of the field modulus q.
@@ -123,9 +97,6 @@ func (f *Field) Zero() *Element { return f.zero }
 
 // One returns the multiplicative identity.
 func (f *Field) One() *Element { return f.one }
-
-// MinusOne returns q-1, the additive inverse of one.
-func (f *Field) MinusOne() *Element { return f.minusOne }
 
 // FromInt64 reduces v into the field.
 func (f *Field) FromInt64(v int64) *Element {
@@ -187,19 +158,6 @@ func (f *Field) MustRand(r io.Reader) *Element {
 	return e
 }
 
-// RandNonZero returns a uniformly random element of Z_q \ {0}.
-func (f *Field) RandNonZero(r io.Reader) (*Element, error) {
-	for {
-		e, err := f.Rand(r)
-		if err != nil {
-			return nil, err
-		}
-		if !e.IsZero() {
-			return e, nil
-		}
-	}
-}
-
 // Sum returns the sum of all elements; Sum() of nothing is zero.
 func (f *Field) Sum(xs ...*Element) *Element {
 	acc := new(big.Int)
@@ -208,17 +166,6 @@ func (f *Field) Sum(xs ...*Element) *Element {
 		acc.Add(acc, x.n)
 	}
 	acc.Mod(acc, f.q)
-	return f.newElement(acc)
-}
-
-// Prod returns the product of all elements; Prod() of nothing is one.
-func (f *Field) Prod(xs ...*Element) *Element {
-	acc := big.NewInt(1)
-	for _, x := range xs {
-		f.check(x)
-		acc.Mul(acc, x.n)
-		acc.Mod(acc, f.q)
-	}
 	return f.newElement(acc)
 }
 
@@ -289,12 +236,6 @@ func (e *Element) Equal(o *Element) bool {
 	return e.fld.Equal(o.fld) && e.n.Cmp(o.n) == 0
 }
 
-// Cmp compares canonical representatives: -1, 0, +1.
-func (e *Element) Cmp(o *Element) int {
-	e.fld.check(o)
-	return e.n.Cmp(o.n)
-}
-
 // Add returns e + o mod q.
 func (e *Element) Add(o *Element) *Element {
 	e.fld.check(o)
@@ -338,7 +279,7 @@ func (e *Element) Square() *Element { return e.Mul(e) }
 func (e *Element) Double() *Element { return e.Add(e) }
 
 // Inv returns the multiplicative inverse of e. It panics on zero, which has
-// no inverse; callers sampling random blinding values use RandNonZero.
+// no inverse.
 func (e *Element) Inv() *Element {
 	if e.IsZero() {
 		panic("field: inverse of zero")
@@ -346,9 +287,6 @@ func (e *Element) Inv() *Element {
 	n := new(big.Int).ModInverse(e.n, e.fld.q)
 	return e.fld.newElement(n)
 }
-
-// Div returns e / o mod q, panicking when o is zero.
-func (e *Element) Div(o *Element) *Element { return e.Mul(o.Inv()) }
 
 // Exp returns e^k mod q for a non-negative big integer exponent. Negative
 // exponents are interpreted as (e^-1)^|k|.
@@ -369,34 +307,6 @@ func (e *Element) Bit(i int) uint { return e.n.Bit(i) }
 func (e *Element) IsHigh() bool {
 	half := new(big.Int).Rsh(e.fld.q, 1) // floor(q/2); q odd so ceil = floor+1
 	return e.n.Cmp(half) > 0
-}
-
-// BatchInv computes the multiplicative inverses of all elements using
-// Montgomery's trick: 3(n-1) multiplications and a single field inversion.
-// It panics if any element is zero.
-func BatchInv(xs []*Element) []*Element {
-	if len(xs) == 0 {
-		return nil
-	}
-	f := xs[0].fld
-	// prefix[i] = x_0 * ... * x_i
-	prefix := make([]*Element, len(xs))
-	acc := f.One()
-	for i, x := range xs {
-		if x.IsZero() {
-			panic("field: BatchInv of zero element")
-		}
-		acc = acc.Mul(x)
-		prefix[i] = acc
-	}
-	out := make([]*Element, len(xs))
-	inv := prefix[len(xs)-1].Inv()
-	for i := len(xs) - 1; i > 0; i-- {
-		out[i] = inv.Mul(prefix[i-1])
-		inv = inv.Mul(xs[i])
-	}
-	out[0] = inv
-	return out
 }
 
 // InnerProduct returns sum_i a_i*b_i. The slices must have equal length.

@@ -2,6 +2,8 @@ package field
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -12,10 +14,18 @@ import (
 // and f256 is a 256-bit field matching the protocol deployment sizes.
 var (
 	smallQ = big.NewInt(101)
-	fSmall = MustNew(smallQ)
+	fSmall = mustNew(smallQ)
 	// Order of the P-256 scalar field.
-	f256 = MustNewFromHex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+	f256 = mustNew(elliptic.P256().Params().N)
 )
+
+func mustNew(q *big.Int) *Field {
+	f, err := New(q)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
 
 func TestNewRejectsBadModuli(t *testing.T) {
 	cases := []*big.Int{
@@ -34,17 +44,8 @@ func TestNewRejectsBadModuli(t *testing.T) {
 	}
 }
 
-func TestMustNewFromHexPanicsOnGarbage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on invalid hex")
-		}
-	}()
-	MustNewFromHex("zz")
-}
-
 func TestFieldEqual(t *testing.T) {
-	f2 := MustNew(smallQ)
+	f2 := mustNew(smallQ)
 	if !fSmall.Equal(f2) {
 		t.Error("fields with equal moduli must be Equal")
 	}
@@ -63,7 +64,7 @@ func TestConstants(t *testing.T) {
 	if !fSmall.One().IsOne() {
 		t.Error("One is not one")
 	}
-	if got := fSmall.One().Add(fSmall.MinusOne()); !got.IsZero() {
+	if got := fSmall.One().Add(fSmall.One().Neg()); !got.IsZero() {
 		t.Errorf("1 + (-1) = %v, want 0", got)
 	}
 }
@@ -156,12 +157,6 @@ func TestFieldAxioms(t *testing.T) {
 					}
 					return a.Mul(a.Inv()).IsOne()
 				},
-				"div undoes mul": func(a, b, _ *Element) bool {
-					if b.IsZero() {
-						return true
-					}
-					return a.Mul(b).Div(b).Equal(a)
-				},
 			}
 			for name, prop := range checks {
 				fn := func(seed int64) bool {
@@ -230,19 +225,13 @@ func TestCrossFieldPanics(t *testing.T) {
 	fSmall.One().Add(f256.One())
 }
 
-func TestSumProd(t *testing.T) {
+func TestSum(t *testing.T) {
 	xs := []*Element{fSmall.FromInt64(2), fSmall.FromInt64(3), fSmall.FromInt64(4)}
 	if got, _ := fSmall.Sum(xs...).Int64(); got != 9 {
 		t.Errorf("Sum = %d, want 9", got)
 	}
-	if got, _ := fSmall.Prod(xs...).Int64(); got != 24 {
-		t.Errorf("Prod = %d, want 24", got)
-	}
 	if !fSmall.Sum().IsZero() {
 		t.Error("empty Sum should be zero")
-	}
-	if !fSmall.Prod().IsOne() {
-		t.Error("empty Prod should be one")
 	}
 }
 
@@ -261,49 +250,6 @@ func TestRandIsReducedAndVaried(t *testing.T) {
 	if len(seen) < 60 {
 		t.Errorf("Rand produced only %d distinct values out of 64", len(seen))
 	}
-}
-
-func TestRandNonZero(t *testing.T) {
-	for i := 0; i < 32; i++ {
-		e, err := fSmall.RandNonZero(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.IsZero() {
-			t.Fatal("RandNonZero returned zero")
-		}
-	}
-}
-
-func TestBatchInv(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]*Element, 33)
-	for i := range xs {
-		for {
-			xs[i] = randElem(f256, rng)
-			if !xs[i].IsZero() {
-				break
-			}
-		}
-	}
-	invs := BatchInv(xs)
-	for i := range xs {
-		if !xs[i].Mul(invs[i]).IsOne() {
-			t.Fatalf("BatchInv wrong at index %d", i)
-		}
-	}
-	if BatchInv(nil) != nil {
-		t.Error("BatchInv(nil) should be nil")
-	}
-}
-
-func TestBatchInvZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BatchInv([]*Element{f256.Zero()})
 }
 
 func TestInnerProduct(t *testing.T) {
@@ -344,9 +290,135 @@ func TestStringForms(t *testing.T) {
 	if s := fSmall.FromInt64(42).String(); s != "42" {
 		t.Errorf("small String = %q", s)
 	}
-	big := f256.MinusOne().String()
+	big := f256.One().Neg().String()
 	if len(big) == 0 {
 		t.Error("large String empty")
+	}
+}
+
+func TestBitLen(t *testing.T) {
+	if got := fSmall.BitLen(); got != 7 {
+		t.Errorf("BitLen of GF(101) = %d, want 7", got)
+	}
+	if got := f256.BitLen(); got != 256 {
+		t.Errorf("BitLen of the P-256 scalar field = %d, want 256", got)
+	}
+	for _, f := range []*Field{fSmall, f256} {
+		if f.ByteLen() != (f.BitLen()+7)/8 {
+			t.Errorf("ByteLen %d does not fit BitLen %d", f.ByteLen(), f.BitLen())
+		}
+	}
+}
+
+func TestFromBigReduction(t *testing.T) {
+	cases := []struct {
+		in   *big.Int
+		want int64
+	}{
+		{big.NewInt(0), 0},
+		{big.NewInt(100), 100},
+		{big.NewInt(101), 0},
+		{big.NewInt(-1), 100},
+		{new(big.Int).Add(new(big.Int).Lsh(big.NewInt(101), 300), big.NewInt(7)), 7},
+	}
+	for _, c := range cases {
+		got, ok := fSmall.FromBig(c.in).Int64()
+		if !ok || got != c.want {
+			t.Errorf("FromBig(%v) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestFromBigDoesNotRetain: the element keeps its own copy, so changing
+// the argument afterwards leaves the element as it was.
+func TestFromBigDoesNotRetain(t *testing.T) {
+	v := big.NewInt(42)
+	e := fSmall.FromBig(v)
+	v.SetInt64(7)
+	if got, _ := e.Int64(); got != 42 {
+		t.Errorf("element changed with its argument: %d, want 42", got)
+	}
+}
+
+func TestPutBytesMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range []*Field{fSmall, f256} {
+		for i := 0; i < 32; i++ {
+			e := randElem(f, rng)
+			dst := bytes.Repeat([]byte{0xaa}, f.ByteLen())
+			e.PutBytes(dst)
+			if !bytes.Equal(dst, e.Bytes()) {
+				t.Fatalf("PutBytes %x != Bytes %x", dst, e.Bytes())
+			}
+		}
+	}
+}
+
+func TestPutBytesWrongLengthPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a short PutBytes destination")
+		}
+	}()
+	f256.One().PutBytes(make([]byte, f256.ByteLen()-1))
+}
+
+func TestBitMatchesRepresentative(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 16; i++ {
+		e := randElem(f256, rng)
+		n := e.BigInt()
+		for b := 0; b < 260; b++ {
+			if e.Bit(b) != n.Bit(b) {
+				t.Fatalf("Bit(%d) of %v = %d, want %d", b, e, e.Bit(b), n.Bit(b))
+			}
+		}
+	}
+	// 101 = 0b1100101: the representative of -1 in GF(101) is 100 = 0b1100100.
+	m1 := fSmall.One().Neg()
+	for b, want := range []uint{0, 0, 1, 0, 0, 1, 1, 0} {
+		if m1.Bit(b) != want {
+			t.Errorf("Bit(%d) of -1 = %d, want %d", b, m1.Bit(b), want)
+		}
+	}
+}
+
+func TestElementField(t *testing.T) {
+	if !fSmall.FromInt64(3).Field().Equal(fSmall) {
+		t.Error("element does not report its own field")
+	}
+	if f256.One().Field() != f256 {
+		t.Error("One's field is not the field that made it")
+	}
+	if got := f256.FromInt64(3).Mul(f256.FromInt64(5)).Field(); got != f256 {
+		t.Error("a product's field is not its factors' field")
+	}
+}
+
+// failingReader stands in for a broken randomness source.
+type failingReader struct{}
+
+var errNoEntropy = errors.New("no entropy")
+
+func (failingReader) Read([]byte) (int, error) { return 0, errNoEntropy }
+
+func TestRandReaderFailure(t *testing.T) {
+	if _, err := f256.Rand(failingReader{}); !errors.Is(err, errNoEntropy) {
+		t.Fatalf("Rand over a failing reader: %v, want %v", err, errNoEntropy)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MustRand did not panic over a failing reader")
+		}
+	}()
+	f256.MustRand(failingReader{})
+}
+
+func TestMustRandIsReduced(t *testing.T) {
+	for i := 0; i < 16; i++ {
+		if e := fSmall.MustRand(nil); e.BigInt().Cmp(smallQ) >= 0 || e.BigInt().Sign() < 0 {
+			t.Fatalf("MustRand output %v out of range", e)
+		}
 	}
 }
 

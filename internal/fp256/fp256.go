@@ -1,5 +1,6 @@
-// Package fp256 implements fixed-width arithmetic modulo the two 256-bit
-// primes of NIST P-256: the coordinate prime p and the group order n.
+// Package fp256 implements fixed-width arithmetic modulo the coordinate
+// prime p of NIST P-256. The generic Montgomery code works for any 256-bit
+// odd prime; the tests run it modulo the group order n as well.
 //
 // This is the fast arithmetic substrate behind the default commitment group
 // (see internal/ec fast path and group.P256). Elements are 4×uint64 limb
@@ -36,8 +37,8 @@ import (
 type Element [4]uint64
 
 // Modulus bundles a 256-bit odd prime with its precomputed Montgomery
-// constants. The two instances, P() and N(), are created at init; Modulus
-// values are immutable and safe for concurrent use.
+// constants. P() is created at init (the tests add N(), the group order);
+// Modulus values are immutable and safe for concurrent use.
 type Modulus struct {
 	name string
 	m    Element // the prime, little-endian limbs
@@ -52,10 +53,7 @@ type Modulus struct {
 	bigM     *big.Int                         // test/interop convenience, never on hot paths
 }
 
-var (
-	pMod = newModulus("p256-p", "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", true)
-	nMod = newModulus("p256-n", "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", false)
-)
+var pMod = newModulus("p256-p", "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", true)
 
 func init() {
 	// The coordinate field is under every curve operation, and hot on
@@ -67,16 +65,6 @@ func init() {
 
 // P returns the coordinate field modulus p = 2²⁵⁶ − 2²²⁴ + 2¹⁹² + 2⁹⁶ − 1.
 func P() *Modulus { return pMod }
-
-// N returns the scalar field modulus, the P-256 group order.
-func N() *Modulus { return nMod }
-
-// Name identifies the modulus in diagnostics.
-func (md *Modulus) Name() string { return md.name }
-
-// Big returns a copy of the modulus as a big.Int (for tests and setup-time
-// interop with the math/big backend; not used on hot paths).
-func (md *Modulus) Big() *big.Int { return new(big.Int).Set(md.bigM) }
 
 func newModulus(name, hexM string, withSqrt bool) *Modulus {
 	m, ok := new(big.Int).SetString(hexM, 16)
@@ -354,13 +342,6 @@ func (md *Modulus) FromBig(v *big.Int) Element {
 	r := limbsFromBig(new(big.Int).Mod(v, md.bigM))
 	md.ToMont(&z, &r)
 	return z
-}
-
-// ToBig returns the plain value of a Montgomery-form element (tests only).
-func (md *Modulus) ToBig(x *Element) *big.Int {
-	var b [32]byte
-	md.Bytes(x, b[:])
-	return new(big.Int).SetBytes(b[:])
 }
 
 // Pow sets z = x^e mod m for a plain-integer exponent e (square-and-

@@ -275,6 +275,105 @@ func TestSqrtPanicsOnScalarModulus(t *testing.T) {
 	N().Sqrt(&z, &x)
 }
 
+// TestDoubleMatchesBig cross-checks Double against 2x mod m, aliased and
+// not.
+func TestDoubleMatchesBig(t *testing.T) {
+	for _, md := range moduli() {
+		md := md
+		t.Run(md.Name(), func(t *testing.T) {
+			m := md.Big()
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 500; i++ {
+				a := randBig(m, rng)
+				x := md.FromBig(a)
+				want := new(big.Int).Mod(new(big.Int).Lsh(a, 1), m)
+				var z Element
+				md.Double(&z, &x)
+				if md.ToBig(&z).Cmp(want) != 0 {
+					t.Fatalf("Double(%v) mismatch", a)
+				}
+				md.Double(&x, &x)
+				if !x.Equal(&z) {
+					t.Fatalf("aliased Double(%v) differs", a)
+				}
+			}
+		})
+	}
+}
+
+// TestOneIsIdentity: One is the Montgomery form of 1 — it decodes to 1,
+// encodes as 1, and leaves every factor unchanged.
+func TestOneIsIdentity(t *testing.T) {
+	for _, md := range moduli() {
+		md := md
+		t.Run(md.Name(), func(t *testing.T) {
+			one := md.One()
+			if md.ToBig(&one).Cmp(big.NewInt(1)) != 0 {
+				t.Fatalf("One decodes to %v", md.ToBig(&one))
+			}
+			if want := md.FromBig(big.NewInt(1)); !one.Equal(&want) {
+				t.Fatal("One differs from FromBig(1)")
+			}
+			var b [32]byte
+			md.Bytes(&one, b[:])
+			if b[31] != 1 || new(big.Int).SetBytes(b[:]).Cmp(big.NewInt(1)) != 0 {
+				t.Fatalf("One encodes as %x", b)
+			}
+			rng := rand.New(rand.NewSource(8))
+			for i := 0; i < 100; i++ {
+				x := md.FromBig(randBig(md.Big(), rng))
+				var z Element
+				md.Mul(&z, &x, &one)
+				if !z.Equal(&x) {
+					t.Fatal("x·One != x")
+				}
+			}
+		})
+	}
+}
+
+// TestIsOddPlainMatchesBig: the parity is the plain value's, not the
+// Montgomery limbs'.
+func TestIsOddPlainMatchesBig(t *testing.T) {
+	for _, md := range moduli() {
+		md := md
+		t.Run(md.Name(), func(t *testing.T) {
+			m := md.Big()
+			rng := rand.New(rand.NewSource(9))
+			vals := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(m, big.NewInt(1))}
+			for i := 0; i < 500; i++ {
+				vals = append(vals, randBig(m, rng))
+			}
+			for _, v := range vals {
+				x := md.FromBig(v)
+				if got, want := md.IsOddPlain(&x), v.Bit(0) == 1; got != want {
+					t.Fatalf("IsOddPlain(%v) = %v, want %v", v, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSqrtCallsCounts: every Sqrt call adds one to the counter, whether or
+// not a root exists.
+func TestSqrtCallsCounts(t *testing.T) {
+	md := P()
+	before := SqrtCalls()
+	four := md.FromBig(big.NewInt(4))
+	var z Element
+	if !md.Sqrt(&z, &four) {
+		t.Fatal("4 has no square root")
+	}
+	// -1 is a non-residue mod p because p ≡ 3 mod 4.
+	minusOne := md.FromBig(big.NewInt(-1))
+	if md.Sqrt(&z, &minusOne) {
+		t.Fatal("-1 has a square root mod p")
+	}
+	if got := SqrtCalls() - before; got != 2 {
+		t.Fatalf("SqrtCalls advanced by %d over two calls", got)
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
 	md := P()
 	x := md.FromBig(big.NewInt(0).SetBytes([]byte("a benchmark operand a benchmark")))

@@ -29,8 +29,6 @@ import (
 // for concurrent use. Elements from different groups must never be mixed;
 // implementations panic on mixing, as that is always a programming error.
 type Element interface {
-	// GroupName returns the name of the owning group, used in mix checks.
-	GroupName() string
 	// fmt.Stringer for diagnostics.
 	String() string
 }
@@ -134,15 +132,6 @@ func ByName(name string) (Group, error) {
 	}
 }
 
-// MustByName is ByName for known-good names.
-func MustByName(name string) Group {
-	g, err := ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // shaConcat hashes the concatenation of the given byte strings with SHA-256,
 // the hash used throughout for Fiat-Shamir and generator derivation.
 func shaConcat(data ...[]byte) []byte {
@@ -151,33 +140,4 @@ func shaConcat(data ...[]byte) []byte {
 		h.Write(d)
 	}
 	return h.Sum(nil)
-}
-
-// Exp2 computes a^k1 ∘ b^k2, the double exponentiation at the heart of
-// Pedersen commitment evaluation and Σ-protocol verification. Implementations
-// may override this with a fused algorithm; this generic version simply
-// composes Exp and Op.
-func Exp2(g Group, a Element, k1 *field.Element, b Element, k2 *field.Element) Element {
-	return g.Op(g.Exp(a, k1), g.Exp(b, k2))
-}
-
-// MultiExp computes the product of bases[i]^exps[i].
-func MultiExp(g Group, bases []Element, exps []*field.Element) Element {
-	if len(bases) != len(exps) {
-		panic("group: MultiExp length mismatch")
-	}
-	acc := g.Identity()
-	for i := range bases {
-		acc = g.Op(acc, g.Exp(bases[i], exps[i]))
-	}
-	return acc
-}
-
-// Prod returns the product of the given elements; Prod() is the identity.
-func Prod(g Group, xs ...Element) Element {
-	acc := g.Identity()
-	for _, x := range xs {
-		acc = g.Op(acc, x)
-	}
-	return acc
 }

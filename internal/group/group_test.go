@@ -3,6 +3,7 @@ package group
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,15 +34,6 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("ByName accepted unknown group")
 	}
-}
-
-func TestMustByNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustByName("bogus")
 }
 
 func TestGroupAxioms(t *testing.T) {
@@ -255,43 +247,6 @@ func TestHashToElementDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestExp2AndMultiExp(t *testing.T) {
-	for _, g := range allGroups() {
-		rng := rand.New(rand.NewSource(5))
-		k1, k2 := randScalar(g, rng), randScalar(g, rng)
-		want := g.Op(g.Exp(g.Generator(), k1), g.Exp(g.AltGenerator(), k2))
-		got := Exp2(g, g.Generator(), k1, g.AltGenerator(), k2)
-		if !g.Equal(got, want) {
-			t.Errorf("%s: Exp2 mismatch", g.Name())
-		}
-		got2 := MultiExp(g, []Element{g.Generator(), g.AltGenerator()}, []*field.Element{k1, k2})
-		if !g.Equal(got2, want) {
-			t.Errorf("%s: MultiExp mismatch", g.Name())
-		}
-	}
-}
-
-func TestMultiExpMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g := P256()
-	MultiExp(g, []Element{g.Generator()}, nil)
-}
-
-func TestProd(t *testing.T) {
-	g := P256()
-	if !g.Equal(Prod(g), g.Identity()) {
-		t.Error("empty Prod should be identity")
-	}
-	x := g.Generator()
-	if !g.Equal(Prod(g, x, x), g.Op(x, x)) {
-		t.Error("Prod of two")
-	}
-}
-
 func TestCrossGroupPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -309,6 +264,25 @@ func TestRandomScalarInRange(t *testing.T) {
 		}
 		if k.BigInt().Cmp(g.ScalarField().Modulus()) >= 0 {
 			t.Errorf("%s: scalar out of range", g.Name())
+		}
+	}
+}
+
+// TestElementString: an element prints as its group's name around a short
+// form of its value, so distinct elements print differently.
+func TestElementString(t *testing.T) {
+	for _, g := range allGroups() {
+		gs, hs := g.Generator().String(), g.AltGenerator().String()
+		for _, s := range []string{gs, hs} {
+			if !strings.HasPrefix(s, g.Name()+"(") || !strings.HasSuffix(s, ")") {
+				t.Errorf("%s: element prints as %q", g.Name(), s)
+			}
+		}
+		if gs == hs {
+			t.Errorf("%s: both generators print as %q", g.Name(), gs)
+		}
+		if again := g.Exp(g.Generator(), g.ScalarField().One()).String(); again != gs {
+			t.Errorf("%s: g^1 prints as %q, g as %q", g.Name(), again, gs)
 		}
 	}
 }

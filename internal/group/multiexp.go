@@ -81,7 +81,7 @@ func (p *Precomp) Exp(k *field.Element) Element {
 	return acc
 }
 
-// Exp2 returns a^k1 ∘ b^k2 from two precomputed tables — the accelerated
+// Exp2Precomp returns a^k1 ∘ b^k2 from two precomputed tables — the accelerated
 // form of a Pedersen commitment evaluation.
 func Exp2Precomp(a *Precomp, k1 *field.Element, b *Precomp, k2 *field.Element) Element {
 	return a.g.Op(a.Exp(k1), b.Exp(k2))

@@ -16,7 +16,7 @@ func TestPrecompMatchesExp(t *testing.T) {
 			specials := []*field.Element{
 				g.ScalarField().Zero(),
 				g.ScalarField().One(),
-				g.ScalarField().MinusOne(),
+				g.ScalarField().One().Neg(),
 			}
 			for _, k := range specials {
 				if !g.Equal(pc.Exp(k), g.Exp(g.Generator(), k)) {
@@ -39,7 +39,7 @@ func TestExp2Precomp(t *testing.T) {
 	ph := NewPrecomp(g, g.AltGenerator())
 	rng := rand.New(rand.NewSource(22))
 	k1, k2 := randScalar(g, rng), randScalar(g, rng)
-	want := Exp2(g, g.Generator(), k1, g.AltGenerator(), k2)
+	want := g.Op(g.Exp(g.Generator(), k1), g.Exp(g.AltGenerator(), k2))
 	got := Exp2Precomp(pg, k1, ph, k2)
 	if !g.Equal(got, want) {
 		t.Error("Exp2Precomp mismatch")
@@ -58,7 +58,7 @@ func TestMultiExpStrausMatchesNaive(t *testing.T) {
 					bases[i] = g.Exp(g.Generator(), randScalar(g, rng))
 					exps[i] = randScalar(g, rng)
 				}
-				want := MultiExp(g, bases, exps)
+				want := multiExpNaive(g, bases, exps)
 				got := MultiExpStraus(g, bases, exps)
 				if !g.Equal(got, want) {
 					t.Fatalf("n=%d: Straus mismatch", n)
@@ -93,6 +93,55 @@ func TestMultiExpStrausMismatchPanics(t *testing.T) {
 	}()
 	g := P256()
 	MultiExpStraus(g, []Element{g.Generator()}, nil)
+}
+
+// TestMultiExpParallelMatchesNaive: the product does not depend on the
+// worker count or the strategy — native Pippenger on the fast P-256 group,
+// chunked generic evaluation on the others — below and above the size at
+// which the generic path splits.
+func TestMultiExpParallelMatchesNaive(t *testing.T) {
+	cases := []struct {
+		name string
+		g    Group
+	}{{"schnorr2048", Schnorr2048()}, {"p256-generic", P256Generic()}, {"p256-native", P256()}}
+	for _, c := range cases {
+		g := c.g
+		t.Run(c.name, func(t *testing.T) {
+			f := g.ScalarField()
+			rng := rand.New(rand.NewSource(24))
+			for _, n := range []int{0, 5, 2*multiExpParallelMin + 3} {
+				bases := make([]Element, n)
+				exps := make([]*field.Element, n)
+				for i := range bases {
+					bases[i] = g.Exp(g.Generator(), randScalar(g, rng))
+					exps[i] = randScalar(g, rng)
+				}
+				if n > 0 {
+					exps[0] = f.Zero()
+					exps[n-1] = f.One().Neg()
+				}
+				want := multiExpNaive(g, bases, exps)
+				for _, workers := range []int{0, 1, 2, 3} {
+					if got := MultiExpParallel(g, bases, exps, workers); !g.Equal(got, want) {
+						t.Fatalf("n=%d workers=%d: MultiExpParallel != naive product", n, workers)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestMultiExpParallelMismatchPanics(t *testing.T) {
+	for _, g := range []Group{Schnorr2048(), P256()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", g.Name())
+				}
+			}()
+			MultiExpParallel(g, []Element{g.Generator()}, nil, 2)
+		}()
+	}
 }
 
 // BenchmarkPrecompExp quantifies the fixed-base ablation: Precomp.Exp vs
@@ -134,7 +183,7 @@ func BenchmarkMultiExp(b *testing.B) {
 		})
 		b.Run("naive/n="+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MultiExp(g, bases, exps)
+				multiExpNaive(g, bases, exps)
 			}
 		})
 	}
@@ -152,4 +201,14 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// multiExpNaive is the reference product Π bases[i]^exps[i], one Exp and
+// one Op per term.
+func multiExpNaive(g Group, bases []Element, exps []*field.Element) Element {
+	acc := g.Identity()
+	for i := range bases {
+		acc = g.Op(acc, g.Exp(bases[i], exps[i]))
+	}
+	return acc
 }

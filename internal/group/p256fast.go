@@ -11,9 +11,29 @@ import (
 	"repro/internal/fp256"
 )
 
+var (
+	p256Once sync.Once
+	p256Std  *fastP256
+)
+
+// P256 returns the shared NIST P-256 commitment group. It stands in for the
+// paper's Ristretto/Curve25519 deployment (see DESIGN.md Substitutions):
+// both are prime-order elliptic-curve groups with 256-bit scalars.
+//
+// The returned group runs on the fp256 fixed-width Montgomery backend. The
+// differential tests in p256fast_test.go hold it to byte-identical
+// encodings and transcripts with P256Generic, the reference implementation
+// of the same group (on crypto/elliptic's arithmetic) in ecgroup_test.go.
+func P256() Group {
+	p256Once.Do(func() {
+		p256Std = newFastP256()
+	})
+	return p256Std
+}
+
 // fastP256 is the accelerated P-256 commitment group: the same abstract
-// group as the math/big reference backend (same generators, same canonical
-// encodings, same scalar field), evaluated with the fixed-width Montgomery
+// group as the reference (same generators, same canonical encodings, same
+// scalar field), evaluated with the fixed-width Montgomery
 // arithmetic of internal/fp256 and the in-place Jacobian point type of
 // internal/ec. Because Encode/Decode and HashToElement are byte-identical
 // to the reference, every transcript, digest, and stored bulletin-board
@@ -49,8 +69,6 @@ type fastElem struct {
 	aff     ec.P256Affine
 	affDone atomic.Bool // set inside once.Do, read by normalized
 }
-
-func (e *fastElem) GroupName() string { return e.g.name }
 
 func (e *fastElem) String() string {
 	var b [33]byte
@@ -112,7 +130,7 @@ func newFastP256() *fastP256 {
 
 	gen := ec.P256Generator()
 	g.g = g.newAffine(gen.ToAffine())
-	hPoint := curve.HashToPoint(shaConcatFn, g.name+"/pedersen-h/v1", curve.Encode(curve.Generator()))
+	hPoint := curve.HashToPoint(shaConcat, g.name+"/pedersen-h/v1", curve.Encode(curve.Generator()))
 	hAff, err := ec.P256AffineFromPoint(hPoint)
 	if err != nil {
 		panic("group: deriving fast h: " + err.Error())
@@ -213,7 +231,7 @@ func (g *fastP256) DecodeHinted(b, hint []byte) (Element, error) {
 }
 
 func (g *fastP256) HashToElement(domain string, msg []byte) Element {
-	p := g.curve.HashToPoint(shaConcatFn, g.name+"/"+domain, msg)
+	p := g.curve.HashToPoint(shaConcat, g.name+"/"+domain, msg)
 	a, err := ec.P256AffineFromPoint(p)
 	if err != nil {
 		panic("group: hash-to-point off the shared curve: " + err.Error())
@@ -231,8 +249,6 @@ func (g *fastP256) RandomScalar(r io.Reader) (*field.Element, error) {
 // acceleration for their two Pedersen generators. pedersen.Params
 // delegates to it instead of building generic Precomp tables.
 type FixedBasePowers interface {
-	// ExpGenerator returns g^k.
-	ExpGenerator(k *field.Element) Element
 	// ExpAltGenerator returns h^k.
 	ExpAltGenerator(k *field.Element) Element
 	// CommitGenerators returns g^x · h^r as one fused evaluation.
@@ -263,12 +279,6 @@ func NormalizeBatch(g Group, elems []Element) {
 	if bn, ok := g.(BatchNormalizer); ok {
 		bn.NormalizeBatch(elems)
 	}
-}
-
-func (g *fastP256) ExpGenerator(k *field.Element) Element {
-	r := &fastElem{g: g}
-	g.gTbl.Mul(&r.jac, scalarLimbs(k))
-	return r
 }
 
 func (g *fastP256) ExpAltGenerator(k *field.Element) Element {

@@ -11,9 +11,9 @@ import (
 )
 
 // The differential suite for the arithmetic backend swap: the fast fp256
-// group behind P256() must be observationally identical to the math/big
-// reference (P256Generic) and to crypto/elliptic's P-256 — same
-// generators, same canonical encodings of every computed element, same
+// group behind P256() must be observationally identical to the reference
+// (P256Generic, on crypto/elliptic's arithmetic) and to crypto/elliptic's
+// P-256 — same generators, same canonical encodings of every computed element, same
 // rejections. Transcript byte-identity across the whole protocol stack
 // follows from encoding identity here (and is pinned end-to-end by
 // TestPinnedTranscriptDigests in internal/vdp).
@@ -117,7 +117,7 @@ func TestFastBackendOpsDifferential(t *testing.T) {
 
 	// Exponent edge cases: 0 and q-1 on both a generator and a composite.
 	zero := f.Zero()
-	qm1 := f.MinusOne()
+	qm1 := f.One().Neg()
 	base := fast.Op(fast.Generator(), fast.AltGenerator())
 	rbase := ref.Op(ref.Generator(), ref.AltGenerator())
 	if !fast.Equal(fast.Exp(base, zero), fast.Identity()) {
@@ -203,7 +203,7 @@ func TestFastBackendHashToElement(t *testing.T) {
 }
 
 // TestFixedBasePowers: the native fixed-base interface agrees with plain
-// Exp on both generators and composes into commitments correctly.
+// Exp on h and composes into commitments correctly.
 func TestFixedBasePowers(t *testing.T) {
 	fast := P256()
 	fb, ok := fast.(FixedBasePowers)
@@ -213,9 +213,6 @@ func TestFixedBasePowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 10; i++ {
 		x, r := randScalar(fast, rng), randScalar(fast, rng)
-		if !fast.Equal(fb.ExpGenerator(x), fast.Exp(fast.Generator(), x)) {
-			t.Fatal("ExpGenerator != Exp(g)")
-		}
 		if !fast.Equal(fb.ExpAltGenerator(r), fast.Exp(fast.AltGenerator(), r)) {
 			t.Fatal("ExpAltGenerator != Exp(h)")
 		}
@@ -262,12 +259,12 @@ func TestNativeMultiExpDifferential(t *testing.T) {
 			case 0:
 				exps[i] = f.Zero()
 			case 1:
-				exps[i] = f.MinusOne()
+				exps[i] = f.One().Neg()
 			default:
 				exps[i] = randScalar(fast, rng)
 			}
 		}
-		want := MultiExp(fast, bases, exps)
+		want := multiExpNaive(fast, bases, exps)
 		got := MultiExpParallel(fast, bases, exps, 4)
 		if !fast.Equal(got, want) {
 			t.Fatalf("n=%d: native multiexp != naive product", n)
@@ -349,7 +346,7 @@ func TestPippengerGenericDifferential(t *testing.T) {
 					case 0:
 						exps[i] = f.Zero()
 					case 1:
-						exps[i] = f.MinusOne()
+						exps[i] = f.One().Neg()
 					default:
 						exps[i] = randScalar(g, rng)
 					}

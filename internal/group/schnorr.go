@@ -30,8 +30,6 @@ type schnorrElem struct {
 	v *big.Int
 }
 
-func (e *schnorrElem) GroupName() string { return e.g.name }
-
 func (e *schnorrElem) String() string {
 	s := e.v.Text(16)
 	if len(s) > 16 {
@@ -123,9 +121,6 @@ func (s *schnorrGroup) Generator() Element        { return s.g }
 func (s *schnorrGroup) AltGenerator() Element     { return s.h }
 func (s *schnorrGroup) Identity() Element         { return s.one }
 func (s *schnorrGroup) ElementLen() int           { return s.byteLen }
-
-// Modulus returns a copy of p (exposed for tests and diagnostics).
-func (s *schnorrGroup) Modulus() *big.Int { return new(big.Int).Set(s.p) }
 
 func (s *schnorrGroup) elem(x Element) *schnorrElem {
 	e, ok := x.(*schnorrElem)

@@ -313,7 +313,7 @@ func TestCombineRefusesMalformedOpenings(t *testing.T) {
 	foreignCommits := append([]*CommitMsg{}, commits...)
 	fc := *commits[1]
 	fc.Commitments = append([]*pedersen.Commitment{}, fc.Commitments...)
-	fc.Commitments[2] = ff.CommitWithSlow(fx, fr)
+	fc.Commitments[2] = ff.CommitWith(fx, fr)
 	foreignCommits[1] = &fc
 	for _, tc := range []struct {
 		name    string

@@ -107,12 +107,6 @@ func (p *Params) CommitWith(x, rx *field.Element) *Commitment {
 	return &Commitment{pp: p, e: p.commitElement(x, rx)}
 }
 
-// CommitWithSlow is CommitWith without the fixed-base acceleration, kept
-// for cross-checking the precomputation in tests and ablation benchmarks.
-func (p *Params) CommitWithSlow(x, rx *field.Element) *Commitment {
-	return &Commitment{pp: p, e: group.Exp2(p.grp, p.g, x, p.h, rx)}
-}
-
 // Verify checks that c opens to (x, rx).
 func (p *Params) Verify(c *Commitment, x, rx *field.Element) bool {
 	if c == nil || !p.Equal(c.pp) {
@@ -145,24 +139,6 @@ func (c *Commitment) Add(o *Commitment) *Commitment {
 func (c *Commitment) Sub(o *Commitment) *Commitment {
 	c.mustMatch(o)
 	return &Commitment{pp: c.pp, e: c.pp.grp.Op(c.e, c.pp.grp.Inv(o.e))}
-}
-
-// Neg returns the inverse commitment Com(-x, -r).
-func (c *Commitment) Neg() *Commitment {
-	return &Commitment{pp: c.pp, e: c.pp.grp.Inv(c.e)}
-}
-
-// ScalarMul returns Com(k·x, k·r): the commitment raised to the k'th power.
-func (c *Commitment) ScalarMul(k *field.Element) *Commitment {
-	return &Commitment{pp: c.pp, e: c.pp.grp.Exp(c.e, k)}
-}
-
-// Equal reports whether two commitments are the same group element.
-func (c *Commitment) Equal(o *Commitment) bool {
-	if c == nil || o == nil {
-		return c == o
-	}
-	return c.pp.Equal(o.pp) && c.pp.grp.Equal(c.e, o.e)
 }
 
 // Bytes returns the canonical encoding of the commitment.

@@ -16,7 +16,7 @@ import (
 // the group itself.
 //
 // Concurrency: the tables are immutable after construction, and a session's
-// worker pool (internal/vdp) hammers ExpG/ExpH from every worker, so
+// worker pool (internal/vdp) hammers ExpH and CommitWith from every worker, so
 // the lookup must not serialize goroutines. Each Params caches the resolved
 // table pointer in an atomic (one load on the hot path, no lock); the global
 // per-group cache behind it is guarded by an RWMutex and only consulted on
@@ -68,24 +68,15 @@ func sharedTables(grp group.Group) *generatorTables {
 // commitElement evaluates Com(x, rx) = g^x·h^rx. Groups with a native
 // fixed-base backend (group.FixedBasePowers — the fast P-256 group) get a
 // fused two-table evaluation with no intermediate element; everything
-// else goes through the generic per-group Precomp tables. The slow path
-// remains exported as CommitWithSlow for cross-checking in tests.
+// else goes through the generic per-group Precomp tables. The tests
+// cross-check both against CommitWithSlow, the plain double
+// exponentiation.
 func (p *Params) commitElement(x, rx *field.Element) group.Element {
 	if fb, ok := p.grp.(group.FixedBasePowers); ok {
 		return fb.CommitGenerators(x, rx)
 	}
 	t := p.tables()
 	return group.Exp2Precomp(t.g, x, t.h, rx)
-}
-
-// ExpG returns g^k via the fixed-base machinery (native backend table or
-// generic Precomp). Σ-protocol code uses this for announcements and
-// verification equations over the message generator.
-func (p *Params) ExpG(k *field.Element) group.Element {
-	if fb, ok := p.grp.(group.FixedBasePowers); ok {
-		return fb.ExpGenerator(k)
-	}
-	return p.tables().g.Exp(k)
 }
 
 // ExpH returns h^k — the hottest operation in Σ-OR proving and

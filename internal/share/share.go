@@ -4,14 +4,12 @@
 // x_i into K additive shares ⟦x_i⟧_1, ..., ⟦x_i⟧_K with
 // Σ_k ⟦x_i⟧_k = x_i, one per prover. Footnote 4 notes that "any linear
 // secret sharing such as Shamir's secret sharing also applies to all our
-// results", so this package provides both schemes behind small value types.
+// results"; the protocol uses the additive scheme, and it is the one here.
 package share
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/field"
 )
@@ -36,102 +34,4 @@ func Additive(x *field.Element, n int, rnd io.Reader) ([]*field.Element, error) 
 	}
 	shares[n-1] = x.Sub(sum)
 	return shares, nil
-}
-
-// CombineAdditive reconstructs the secret from all n additive shares.
-func CombineAdditive(shares []*field.Element) (*field.Element, error) {
-	if len(shares) == 0 {
-		return nil, errors.New("share: no shares to combine")
-	}
-	return shares[0].Field().Sum(shares...), nil
-}
-
-// AddVec returns the coordinate-wise sum of two share vectors, the local
-// operation a prover performs to aggregate many clients' shares.
-func AddVec(a, b []*field.Element) ([]*field.Element, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("share: vector lengths %d and %d differ", len(a), len(b))
-	}
-	out := make([]*field.Element, len(a))
-	for i := range a {
-		out[i] = a[i].Add(b[i])
-	}
-	return out, nil
-}
-
-// ShamirShare is one evaluation point of the sharing polynomial: (index,
-// value) with index >= 1 (index 0 would reveal the secret directly).
-type ShamirShare struct {
-	Index int
-	Value *field.Element
-}
-
-// Shamir splits secret x into n shares with reconstruction threshold t:
-// any t shares determine x, any t-1 reveal nothing. It samples a random
-// degree t-1 polynomial p with p(0) = x and evaluates it at 1..n.
-func Shamir(x *field.Element, n, t int, rnd io.Reader) ([]*ShamirShare, error) {
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("share: invalid threshold %d for %d shares", t, n)
-	}
-	f := x.Field()
-	// The field must have at least n+1 distinct points.
-	if f.Modulus().Cmp(big.NewInt(int64(n+1))) <= 0 {
-		return nil, fmt.Errorf("share: field too small for %d shares", n)
-	}
-	coeffs := make([]*field.Element, t)
-	coeffs[0] = x
-	for i := 1; i < t; i++ {
-		c, err := f.Rand(rnd)
-		if err != nil {
-			return nil, fmt.Errorf("share: %w", err)
-		}
-		coeffs[i] = c
-	}
-	shares := make([]*ShamirShare, n)
-	for i := 1; i <= n; i++ {
-		xi := f.FromInt64(int64(i))
-		// Horner evaluation.
-		acc := coeffs[t-1]
-		for j := t - 2; j >= 0; j-- {
-			acc = acc.Mul(xi).Add(coeffs[j])
-		}
-		shares[i-1] = &ShamirShare{Index: i, Value: acc}
-	}
-	return shares, nil
-}
-
-// CombineShamir reconstructs the secret from at least t shares by Lagrange
-// interpolation at zero. Duplicate indices are rejected.
-func CombineShamir(shares []*ShamirShare, t int) (*field.Element, error) {
-	if len(shares) < t {
-		return nil, fmt.Errorf("share: have %d shares, threshold is %d", len(shares), t)
-	}
-	use := shares[:t]
-	f := use[0].Value.Field()
-	seen := make(map[int]bool, t)
-	for _, s := range use {
-		if s.Index < 1 {
-			return nil, fmt.Errorf("share: invalid share index %d", s.Index)
-		}
-		if seen[s.Index] {
-			return nil, fmt.Errorf("share: duplicate share index %d", s.Index)
-		}
-		seen[s.Index] = true
-	}
-	secret := f.Zero()
-	for i, si := range use {
-		xi := f.FromInt64(int64(si.Index))
-		num := f.One()
-		den := f.One()
-		for j, sj := range use {
-			if i == j {
-				continue
-			}
-			xj := f.FromInt64(int64(sj.Index))
-			num = num.Mul(xj.Neg())   // (0 - x_j)
-			den = den.Mul(xi.Sub(xj)) // (x_i - x_j)
-		}
-		secret = secret.Add(si.Value.Mul(num.Div(den)))
-	}
-	return secret, nil
 }

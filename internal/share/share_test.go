@@ -1,6 +1,7 @@
 package share
 
 import (
+	"crypto/elliptic"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -10,9 +11,18 @@ import (
 )
 
 var (
-	fSmall = field.MustNew(big.NewInt(101))
-	f256   = field.MustNewFromHex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+	fSmall = mustField(big.NewInt(101))
+	// f256 is the P-256 scalar field.
+	f256 = mustField(elliptic.P256().Params().N)
 )
+
+func mustField(q *big.Int) *field.Field {
+	f, err := field.New(q)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
 
 func randElem(f *field.Field, rng *rand.Rand) *field.Element {
 	buf := make([]byte, f.ByteLen()+8)
@@ -34,8 +44,7 @@ func TestAdditiveRoundTrip(t *testing.T) {
 			if len(shares) != n {
 				return false
 			}
-			back, err := CombineAdditive(shares)
-			return err == nil && back.Equal(x)
+			return f.Sum(shares...).Equal(x)
 		}
 		if err := quick.Check(fn, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", f, err)
@@ -57,12 +66,6 @@ func TestAdditiveSingleShareIsSecret(t *testing.T) {
 func TestAdditiveInvalidCount(t *testing.T) {
 	if _, err := Additive(f256.One(), 0, nil); err == nil {
 		t.Error("accepted n=0")
-	}
-}
-
-func TestCombineAdditiveEmpty(t *testing.T) {
-	if _, err := CombineAdditive(nil); err == nil {
-		t.Error("accepted empty share set")
 	}
 }
 
@@ -96,24 +99,6 @@ func TestAdditiveHidingSmoke(t *testing.T) {
 	}
 }
 
-func TestAddVec(t *testing.T) {
-	a := []*field.Element{f256.FromInt64(1), f256.FromInt64(2)}
-	b := []*field.Element{f256.FromInt64(10), f256.FromInt64(20)}
-	got, err := AddVec(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := got[0].Int64(); v != 11 {
-		t.Errorf("got[0] = %d", v)
-	}
-	if v, _ := got[1].Int64(); v != 22 {
-		t.Errorf("got[1] = %d", v)
-	}
-	if _, err := AddVec(a, b[:1]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 // TestAdditiveLinearity: sharing is linear — share-wise sums reconstruct to
 // the sum of secrets. This is the property ΠBin relies on ("By linearity of
 // secret-sharing, Σ_k y_k = M_Bin(X, Q)").
@@ -124,108 +109,14 @@ func TestAdditiveLinearity(t *testing.T) {
 		y := randElem(f256, rng)
 		sx, _ := Additive(x, 4, nil)
 		sy, _ := Additive(y, 4, nil)
-		sum, err := AddVec(sx, sy)
-		if err != nil {
-			return false
+		sum := make([]*field.Element, len(sx))
+		for k := range sx {
+			sum[k] = sx[k].Add(sy[k])
 		}
-		back, err := CombineAdditive(sum)
-		return err == nil && back.Equal(x.Add(y))
+		return f256.Sum(sum...).Equal(x.Add(y))
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestShamirRoundTrip(t *testing.T) {
-	fn := func(seed int64, nRaw, tRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%7) + 1
-		th := int(tRaw)%n + 1
-		x := randElem(f256, rng)
-		shares, err := Shamir(x, n, th, nil)
-		if err != nil || len(shares) != n {
-			return false
-		}
-		// Any t shares reconstruct: use a random subset.
-		rng.Shuffle(n, func(i, j int) { shares[i], shares[j] = shares[j], shares[i] })
-		back, err := CombineShamir(shares[:th], th)
-		return err == nil && back.Equal(x)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShamirBelowThresholdVaries(t *testing.T) {
-	// t-1 shares must not determine the secret: reconstructing with a wrong
-	// threshold from too few shares fails loudly.
-	x := f256.FromInt64(1234)
-	shares, err := Shamir(x, 5, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CombineShamir(shares[:2], 3); err == nil {
-		t.Error("reconstruction below threshold accepted")
-	}
-	// Interpolating 2 points as if threshold were 2 gives a value, but it
-	// should almost never be the secret (degree-2 polynomial).
-	got, err := CombineShamir(shares[:2], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Equal(x) {
-		t.Error("2 shares of a threshold-3 sharing reconstructed the secret (vanishing probability)")
-	}
-}
-
-func TestShamirParameterValidation(t *testing.T) {
-	x := f256.One()
-	if _, err := Shamir(x, 3, 0, nil); err == nil {
-		t.Error("accepted t=0")
-	}
-	if _, err := Shamir(x, 3, 4, nil); err == nil {
-		t.Error("accepted t>n")
-	}
-	// Tiny field cannot host 200 distinct evaluation points... 101 > 200 is
-	// false, so n=200 must be rejected.
-	if _, err := Shamir(fSmall.One(), 200, 2, nil); err == nil {
-		t.Error("accepted n larger than field")
-	}
-}
-
-func TestCombineShamirDuplicateIndex(t *testing.T) {
-	x := f256.FromInt64(5)
-	shares, _ := Shamir(x, 3, 2, nil)
-	dup := []*ShamirShare{shares[0], {Index: shares[0].Index, Value: shares[0].Value}}
-	if _, err := CombineShamir(dup, 2); err == nil {
-		t.Error("duplicate indices accepted")
-	}
-	bad := []*ShamirShare{{Index: 0, Value: f256.One()}, shares[1]}
-	if _, err := CombineShamir(bad, 2); err == nil {
-		t.Error("index 0 accepted")
-	}
-}
-
-// TestShamirLinearity mirrors the additive case: share-wise addition of two
-// sharings reconstructs the sum of the secrets.
-func TestShamirLinearity(t *testing.T) {
-	x := f256.FromInt64(100)
-	y := f256.FromInt64(23)
-	sx, _ := Shamir(x, 5, 3, nil)
-	sy, _ := Shamir(y, 5, 3, nil)
-	sum := make([]*ShamirShare, 5)
-	for i := range sum {
-		if sx[i].Index != sy[i].Index {
-			t.Fatal("share index misalignment")
-		}
-		sum[i] = &ShamirShare{Index: sx[i].Index, Value: sx[i].Value.Add(sy[i].Value)}
-	}
-	back, err := CombineShamir(sum[1:4], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(x.Add(y)) {
-		t.Errorf("got %v, want %v", back, x.Add(y))
 	}
 }
 

@@ -80,9 +80,6 @@ func NewBitBatch(pp *pedersen.Params, rnd io.Reader) *BitBatch {
 	}
 }
 
-// Len returns the number of equations folded so far.
-func (b *BitBatch) Len() int { return b.n }
-
 func (b *BitBatch) sample() (*field.Element, error) {
 	if _, err := io.ReadFull(b.rnd, b.coeff); err != nil {
 		return nil, fmt.Errorf("sigma: sampling batch coefficient: %w", err)
@@ -194,19 +191,14 @@ func (b *BitBatch) Check(workers int) error {
 	return nil
 }
 
-// VerifyBitsBatch verifies a batch of Σ-OR bit proofs with the random-
-// linear-combination technique. On success it is significantly faster than
-// VerifyBits; on failure it falls back to the sequential path so the error
-// identifies the first offending index (the verifier must publicly accuse a
-// specific cheater, Line 7 of the protocol description). rnd supplies the
-// batching coefficients (nil = crypto/rand).
-func VerifyBitsBatch(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*BitProof, ctx []byte, rnd io.Reader) error {
-	return VerifyBitsBatchCtx(pp, cs, ps, func(int) []byte { return ctx }, rnd)
-}
-
-// VerifyBitsBatchCtx is VerifyBitsBatch with a per-proof context function,
-// for callers (like the ΠBin verifier) whose proofs are bound to their
-// index in an enclosing structure.
+// VerifyBitsBatchCtx verifies a batch of Σ-OR bit proofs with the random-
+// linear-combination technique, proof i bound to context ctxFor(i) (the ΠBin
+// verifier binds each proof to its index in an enclosing structure). On
+// success it is significantly faster than VerifyBits; on failure it falls
+// back to the sequential path so the error identifies the first offending
+// index (the verifier must publicly accuse a specific cheater, Line 7 of
+// the protocol description). rnd supplies the batching coefficients (nil =
+// crypto/rand).
 func VerifyBitsBatchCtx(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*BitProof, ctxFor func(i int) []byte, rnd io.Reader) error {
 	if len(cs) != len(ps) {
 		return fmt.Errorf("%w: %d commitments but %d proofs", ErrVerify, len(cs), len(ps))

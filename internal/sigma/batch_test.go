@@ -2,6 +2,7 @@ package sigma
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestVerifyBitsBatchHonest(t *testing.T) {
 	for _, pp := range both {
 		for _, n := range []int{0, 1, 2, 17} {
 			cs, ps := buildBitBatch(t, pp, n)
-			if err := VerifyBitsBatch(pp, cs, ps, ctxTx, nil); err != nil {
+			if err := verifyBitsBatch(pp, cs, ps, ctxTx, nil); err != nil {
 				t.Errorf("%s n=%d: honest batch rejected: %v", pp.Group().Name(), n, err)
 			}
 		}
@@ -50,7 +51,7 @@ func TestVerifyBitsBatchDetectsAndNamesCulprit(t *testing.T) {
 	bad := *ps[4]
 	bad.Z0 = bad.Z0.Add(f.One())
 	ps[4] = &bad
-	err := VerifyBitsBatch(pp, cs, ps, ctxTx, nil)
+	err := verifyBitsBatch(pp, cs, ps, ctxTx, nil)
 	if err == nil {
 		t.Fatal("tampered batch accepted")
 	}
@@ -67,7 +68,7 @@ func TestVerifyBitsBatchDetectsNonBitCommitment(t *testing.T) {
 	// the transplant must fail (challenge binding catches it before the
 	// batch equation is even needed).
 	cs[2] = pp.CommitWith(f.FromInt64(2), f.MustRand(nil))
-	err := VerifyBitsBatch(pp, cs, ps, ctxTx, nil)
+	err := verifyBitsBatch(pp, cs, ps, ctxTx, nil)
 	if err == nil {
 		t.Fatal("non-bit commitment accepted")
 	}
@@ -79,7 +80,7 @@ func TestVerifyBitsBatchDetectsNonBitCommitment(t *testing.T) {
 func TestVerifyBitsBatchWrongContext(t *testing.T) {
 	pp := ppEC
 	cs, ps := buildBitBatch(t, pp, 3)
-	if err := VerifyBitsBatch(pp, cs, ps, []byte("other-session"), nil); err == nil {
+	if err := verifyBitsBatch(pp, cs, ps, []byte("other-session"), nil); err == nil {
 		t.Error("batch accepted under wrong context")
 	}
 }
@@ -87,10 +88,10 @@ func TestVerifyBitsBatchWrongContext(t *testing.T) {
 func TestVerifyBitsBatchLengthMismatch(t *testing.T) {
 	pp := ppEC
 	cs, ps := buildBitBatch(t, pp, 3)
-	if err := VerifyBitsBatch(pp, cs, ps[:2], ctxTx, nil); err == nil {
+	if err := verifyBitsBatch(pp, cs, ps[:2], ctxTx, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if err := VerifyBitsBatch(pp, cs, []*BitProof{ps[0], nil, ps[2]}, ctxTx, nil); err == nil {
+	if err := verifyBitsBatch(pp, cs, []*BitProof{ps[0], nil, ps[2]}, ctxTx, nil); err == nil {
 		t.Error("nil proof accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestVerifyBitsBatchAgreesWithSequential(t *testing.T) {
 			ps[trial] = &bad
 		}
 		seq := VerifyBits(pp, cs, ps, ctxTx)
-		bat := VerifyBitsBatch(pp, cs, ps, ctxTx, nil)
+		bat := verifyBitsBatch(pp, cs, ps, ctxTx, nil)
 		if (seq == nil) != (bat == nil) {
 			t.Errorf("trial %d: sequential=%v batch=%v", trial, seq, bat)
 		}
@@ -144,8 +145,8 @@ func TestBitBatchMixedStatements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Len() != 11 {
-		t.Fatalf("Len = %d, want 11", b.Len())
+	if b.n != 11 {
+		t.Fatalf("Len = %d, want 11", b.n)
 	}
 	for _, workers := range []int{1, 4} {
 		if err := b.Check(workers); err != nil {
@@ -269,7 +270,7 @@ func TestBitBatchOneHotRollback(t *testing.T) {
 			if err := b.AddOneHot(css[0], proofs[0], ctxs[0]); err != nil {
 				t.Fatal(err)
 			}
-			before := b.Len()
+			before := b.n
 			// Client 1's last coordinate is bad: coordinates 0-1 are folded,
 			// then rolled back.
 			mangled := *proofs[1]
@@ -278,8 +279,8 @@ func TestBitBatchOneHotRollback(t *testing.T) {
 			if err := b.AddOneHot(css[1], &mangled, ctxs[1]); err == nil {
 				t.Fatal("poisoned one-hot proof accepted")
 			}
-			if b.Len() != before {
-				t.Fatalf("failed AddOneHot left %d equations, want %d (rollback)", b.Len(), before)
+			if b.n != before {
+				t.Fatalf("failed AddOneHot left %d equations, want %d (rollback)", b.n, before)
 			}
 			if err := b.AddOneHot(css[2], proofs[2], ctxs[2]); err != nil {
 				t.Fatal(err)
@@ -492,7 +493,7 @@ func BenchmarkVerifyBitsAblation(b *testing.B) {
 		})
 		b.Run("batch/n="+itoaTest(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := VerifyBitsBatch(pp, cs, ps, ctxTx, nil); err != nil {
+				if err := verifyBitsBatch(pp, cs, ps, ctxTx, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -512,4 +513,9 @@ func itoaTest(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// verifyBitsBatch is VerifyBitsBatchCtx with one context for every proof.
+func verifyBitsBatch(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*BitProof, ctx []byte, rnd io.Reader) error {
+	return VerifyBitsBatchCtx(pp, cs, ps, func(int) []byte { return ctx }, rnd)
 }

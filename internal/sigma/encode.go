@@ -78,13 +78,8 @@ func (p *OneHotProof) Encode(pp *pedersen.Params) []byte {
 // maxOneHotCoords bounds a one-hot proof's coordinate count.
 const maxOneHotCoords = 1 << 20
 
-// DecodeOneHotProof parses a one-hot proof.
-func DecodeOneHotProof(pp *pedersen.Params, b []byte) (*OneHotProof, error) {
-	return DecodeOneHotProofWith(pp, pp.Group(), b)
-}
-
-// DecodeOneHotProofWith is DecodeOneHotProof reading its group elements
-// through d.
+// DecodeOneHotProofWith parses a one-hot proof, reading its group
+// elements through d.
 func DecodeOneHotProofWith(pp *pedersen.Params, d group.Decoder, b []byte) (*OneHotProof, error) {
 	bpLen := BitProofLen(pp)
 	r := wire.NewReader("sigma", b)

@@ -1,6 +1,16 @@
+// Package sigma implements the Σ-protocols used by the verifiable DP
+// protocol ΠBin: the Cramer-Damgård-Schoenmakers disjunctive OR proof that
+// a Pedersen commitment opens to a bit (the oracle O_OR for the language
+// L_Bit, equation (3) and Appendix C of the paper), and the one-hot vector
+// proof used to validate client inputs for M-bin histograms.
+//
+// Both are non-interactive via the Fiat-Shamir transform over the
+// transcript package ("In all implementations in this paper, we use the
+// Fiat-Shamir transform" — Appendix C).
 package sigma
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -9,6 +19,9 @@ import (
 	"repro/internal/pedersen"
 	"repro/internal/transcript"
 )
+
+// ErrVerify is the sentinel wrapped by all verification failures.
+var ErrVerify = errors.New("sigma: proof verification failed")
 
 // BitProof is the Cramer-Damgård-Schoenmakers Σ-OR proof (Appendix C,
 // Figures 5 and 6 of the paper) that a Pedersen commitment c lies in
@@ -160,52 +173,6 @@ func VerifyBits(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*BitProof, 
 		if err := VerifyBit(pp, cs[i], ps[i], ctx); err != nil {
 			return fmt.Errorf("index %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// SimulateBit produces, for ANY commitment c (even one not in L_Bit), a
-// proof-shaped transcript that verifies against a programmed challenge.
-// It is the zero-knowledge simulator of the OR proof, used by tests to
-// establish that transcripts reveal nothing about the witness. The returned
-// proof verifies iff the Fiat-Shamir challenge happens to equal e0+e1, so
-// callers must use SimulateBitWithChallenge for interactive-style checks.
-func SimulateBitWithChallenge(pp *pedersen.Params, c *pedersen.Commitment, e *field.Element, rnd io.Reader) (*BitProof, error) {
-	f := pp.ScalarField()
-	g := pp.Group()
-	e0, err := f.Rand(rnd)
-	if err != nil {
-		return nil, err
-	}
-	z0, err := f.Rand(rnd)
-	if err != nil {
-		return nil, err
-	}
-	z1, err := f.Rand(rnd)
-	if err != nil {
-		return nil, err
-	}
-	e1 := e.Sub(e0)
-	x0, x1 := bitStatements(pp, c)
-	a0 := g.Op(pp.ExpH(z0), g.Inv(g.Exp(x0, e0)))
-	a1 := g.Op(pp.ExpH(z1), g.Inv(g.Exp(x1, e1)))
-	return &BitProof{A0: a0, A1: a1, E0: e0, E1: e1, Z0: z0, Z1: z1}, nil
-}
-
-// CheckBitTranscript verifies the three-move algebra of a (possibly
-// simulated) transcript against an explicit challenge, bypassing Fiat-
-// Shamir. Used to compare real and simulated transcript distributions.
-func CheckBitTranscript(pp *pedersen.Params, c *pedersen.Commitment, p *BitProof, e *field.Element) error {
-	g := pp.Group()
-	if !p.E0.Add(p.E1).Equal(e) {
-		return fmt.Errorf("%w: challenge split", ErrVerify)
-	}
-	x0, x1 := bitStatements(pp, c)
-	if !g.Equal(pp.ExpH(p.Z0), g.Op(p.A0, g.Exp(x0, p.E0))) {
-		return fmt.Errorf("%w: branch-0 equation", ErrVerify)
-	}
-	if !g.Equal(pp.ExpH(p.Z1), g.Op(p.A1, g.Exp(x1, p.E1))) {
-		return fmt.Errorf("%w: branch-1 equation", ErrVerify)
 	}
 	return nil
 }

@@ -25,113 +25,6 @@ func randElem(f *field.Field, rng *rand.Rand) *field.Element {
 	return f.Reduce(buf)
 }
 
-// --- DLog proofs ---
-
-func TestDLogCompleteness(t *testing.T) {
-	for _, pp := range both {
-		g := pp.Group()
-		f := pp.ScalarField()
-		w := f.MustRand(nil)
-		x := g.Exp(pp.H(), w)
-		p, err := ProveDLog(g, pp.H(), x, w, ctxTx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyDLog(g, pp.H(), x, p, ctxTx); err != nil {
-			t.Errorf("%s: honest proof rejected: %v", g.Name(), err)
-		}
-	}
-}
-
-func TestDLogRejectsWrongStatement(t *testing.T) {
-	g := ppEC.Group()
-	f := ppEC.ScalarField()
-	w := f.MustRand(nil)
-	x := g.Exp(ppEC.H(), w)
-	p, _ := ProveDLog(g, ppEC.H(), x, w, ctxTx, nil)
-	// Different statement.
-	other := g.Exp(ppEC.H(), w.Add(f.One()))
-	if VerifyDLog(g, ppEC.H(), other, p, ctxTx) == nil {
-		t.Error("proof accepted for wrong statement")
-	}
-	// Different context.
-	if VerifyDLog(g, ppEC.H(), x, p, []byte("other-session")) == nil {
-		t.Error("proof accepted under wrong context")
-	}
-	// Tampered response.
-	bad := *p
-	bad.Z = p.Z.Add(f.One())
-	if VerifyDLog(g, ppEC.H(), x, &bad, ctxTx) == nil {
-		t.Error("tampered proof accepted")
-	}
-	if VerifyDLog(g, ppEC.H(), x, nil, ctxTx) == nil {
-		t.Error("nil proof accepted")
-	}
-}
-
-// TestDLogSpecialSoundness: two accepting transcripts sharing a first
-// message but with different challenges yield the witness. This is the
-// property that makes the proof a proof *of knowledge*.
-func TestDLogSpecialSoundness(t *testing.T) {
-	g := ppEC.Group()
-	f := ppEC.ScalarField()
-	w := f.MustRand(nil)
-	// Build two transcripts manually with the same announcement.
-	tr := f.MustRand(nil) // prover nonce
-	a := g.Exp(ppEC.H(), tr)
-	e1 := f.MustRand(nil)
-	e2 := f.MustRand(nil)
-	for e2.Equal(e1) {
-		e2 = f.MustRand(nil)
-	}
-	p1 := &DLogProof{A: a, E: e1, Z: tr.Add(e1.Mul(w))}
-	p2 := &DLogProof{A: a, E: e2, Z: tr.Add(e2.Mul(w))}
-	got, err := ExtractDLog(g, p1, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(w) {
-		t.Errorf("extracted %v, want %v", got, w)
-	}
-	if _, err := ExtractDLog(g, p1, p1); err == nil {
-		t.Error("extraction from equal challenges should fail")
-	}
-}
-
-// --- Representation proofs ---
-
-func TestRepCompleteness(t *testing.T) {
-	for _, pp := range both {
-		f := pp.ScalarField()
-		x, r := f.FromInt64(37), f.MustRand(nil)
-		c := pp.CommitWith(x, r)
-		p, err := ProveRep(pp, c, x, r, ctxTx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyRep(pp, c, p, ctxTx); err != nil {
-			t.Errorf("%s: honest rep proof rejected: %v", pp.Group().Name(), err)
-		}
-	}
-}
-
-func TestRepSoundnessShape(t *testing.T) {
-	pp := ppEC
-	f := pp.ScalarField()
-	x, r := f.FromInt64(37), f.MustRand(nil)
-	c := pp.CommitWith(x, r)
-	p, _ := ProveRep(pp, c, x, r, ctxTx, nil)
-	other := pp.CommitWith(x.Add(f.One()), r)
-	if VerifyRep(pp, other, p, ctxTx) == nil {
-		t.Error("rep proof accepted for different commitment")
-	}
-	bad := *p
-	bad.Zx = p.Zx.Add(f.One())
-	if VerifyRep(pp, c, &bad, ctxTx) == nil {
-		t.Error("tampered rep proof accepted")
-	}
-}
-
 // --- Bit (Σ-OR) proofs ---
 
 func TestBitCompletenessBothBranches(t *testing.T) {
@@ -239,19 +132,19 @@ func TestBitZeroKnowledgeSimulation(t *testing.T) {
 	e := f.MustRand(nil)
 	// Simulate for a commitment to 5 — not even in the language.
 	c := pp.CommitWith(f.FromInt64(5), f.MustRand(nil))
-	sim, err := SimulateBitWithChallenge(pp, c, e, nil)
+	sim, err := simulateBitWithChallenge(pp, c, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckBitTranscript(pp, c, sim, e); err != nil {
+	if err := checkBitTranscript(pp, c, sim, e); err != nil {
 		t.Errorf("simulated transcript fails algebra: %v", err)
 	}
-	// Real transcript also satisfies CheckBitTranscript with its own e.
+	// Real transcript also satisfies checkBitTranscript with its own e.
 	x, r := f.One(), f.MustRand(nil)
 	cReal := pp.CommitWith(x, r)
 	p, _ := ProveBit(pp, cReal, x, r, ctxTx, nil)
 	eReal := p.E0.Add(p.E1)
-	if err := CheckBitTranscript(pp, cReal, p, eReal); err != nil {
+	if err := checkBitTranscript(pp, cReal, p, eReal); err != nil {
 		t.Errorf("real transcript fails algebra: %v", err)
 	}
 }
@@ -328,7 +221,7 @@ func TestOneHotRejectsIllegalInputs(t *testing.T) {
 		"all-zero": {f.Zero(), f.Zero(), f.Zero()},
 		"two-hot":  {f.One(), f.One(), f.Zero()},
 		"non-bit":  {f.FromInt64(2), f.Zero(), f.Zero()},
-		"negative": {f.MinusOne(), f.One(), f.One()},
+		"negative": {f.One().Neg(), f.One(), f.One()},
 	}
 	for name, xs := range cases {
 		cs, os, err := pp.VectorCommit(xs, nil)
@@ -422,17 +315,17 @@ func TestOneHotProofEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := p.Encode(pp)
-	back, err := DecodeOneHotProof(pp, enc)
+	back, err := DecodeOneHotProofWith(pp, pp.Group(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyOneHot(pp, cs, back, ctxTx); err != nil {
 		t.Errorf("decoded one-hot proof does not verify: %v", err)
 	}
-	if _, err := DecodeOneHotProof(pp, enc[:10]); err == nil {
+	if _, err := DecodeOneHotProofWith(pp, pp.Group(), enc[:10]); err == nil {
 		t.Error("truncated one-hot encoding accepted")
 	}
-	if _, err := DecodeOneHotProof(pp, []byte{0, 0, 0, 0}); err == nil {
+	if _, err := DecodeOneHotProofWith(pp, pp.Group(), []byte{0, 0, 0, 0}); err == nil {
 		t.Error("zero-coordinate encoding accepted")
 	}
 
@@ -440,7 +333,7 @@ func TestOneHotProofEncodeDecode(t *testing.T) {
 	// anything: four bytes claiming 2²⁰ coordinates once cost 8 MiB.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = DecodeOneHotProof(pp, []byte{0, 0x10, 0, 0})
+	_, err = DecodeOneHotProofWith(pp, pp.Group(), []byte{0, 0x10, 0, 0})
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("a 2²⁰-coordinate claim in four bytes accepted")

@@ -90,12 +90,3 @@ func (l Layout) Cell(row, item int) int {
 	x ^= x >> 33
 	return int(x % uint64(l.Width))
 }
-
-// Cells returns the item's bucket in every row, in row order.
-func (l Layout) Cells(item int) []int {
-	out := make([]int, l.Rows)
-	for r := range out {
-		out[r] = l.Cell(r, item)
-	}
-	return out
-}

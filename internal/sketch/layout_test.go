@@ -47,11 +47,8 @@ func TestLayoutCellNoPowerOfTwoAliasing(t *testing.T) {
 func TestLayoutCellDeterministicAndBounded(t *testing.T) {
 	l := Layout{Rows: 3, Width: 8, Domain: 64}
 	for item := 0; item < l.Domain; item++ {
-		cells := l.Cells(item)
-		if len(cells) != l.Rows {
-			t.Fatalf("Cells(%d) returned %d rows, want %d", item, len(cells), l.Rows)
-		}
-		for r, c := range cells {
+		for r := 0; r < l.Rows; r++ {
+			c := l.Cell(r, item)
 			if c < 0 || c >= l.Width {
 				t.Fatalf("Cell(%d, %d) = %d out of [0, %d)", r, item, c, l.Width)
 			}

@@ -33,7 +33,10 @@ func TestComputeSketchEmptyVectors(t *testing.T) {
 // sketches from a different field verified silently.
 func TestVerifySketchesFieldMismatch(t *testing.T) {
 	f := pedersen.Setup(group.P256()).ScalarField()
-	other := field.MustNew(big.NewInt(101))
+	other, err := field.New(big.NewInt(101))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := Params{F: other, M: 3}
 	cs, err := ShareOneHot(p, 1, nil)
 	if err != nil {

@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/group"
 )
 
-var f = field.MustNewFromHex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+var f = group.P256().ScalarField()
 
 func params(m int) Params { return Params{F: f, M: m} }
 
@@ -55,7 +56,7 @@ func TestIllegalInputsRejected(t *testing.T) {
 		"all-zero": {f.Zero(), f.Zero(), f.Zero(), f.Zero()},
 		"value-2":  {f.FromInt64(2), f.Zero(), f.Zero(), f.Zero()},
 		"value-5":  {f.FromInt64(5), f.Zero(), f.Zero(), f.Zero()},
-		"negative": {f.MinusOne(), f.One(), f.One(), f.Zero()},
+		"negative": {f.One().Neg(), f.One(), f.One(), f.Zero()},
 	}
 	for name, vec := range cases {
 		cs, err := ShareVector(p, vec, nil)

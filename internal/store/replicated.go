@@ -57,15 +57,6 @@ func (l *ReplicatedLog) Flush() error {
 	return l.flushLocked()
 }
 
-// SetMirror repoints the log at a new mirror target (a replaced standby).
-// The acked count is deliberately kept: if the replacement is behind, the
-// next flush observes its MirrorGapError, rewinds once and re-ships.
-func (l *ReplicatedLog) SetMirror(m MirrorFunc) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mirror = m
-}
-
 // Len implements Log: the standby-confirmed record count (the published
 // prefix).
 func (l *ReplicatedLog) Len() int {

@@ -7,15 +7,17 @@ import (
 	"testing"
 )
 
-// TestReplicatedLogSetMirrorRewinds pins the standby-replacement contract:
-// repointing the log at a behind replacement keeps the acked count, so the
-// next flush observes the gap, rewinds once, and re-ships the replacement to
-// parity. Replay and Close pass through to the inner log untouched by the
-// acked prefix.
-func TestReplicatedLogSetMirrorRewinds(t *testing.T) {
+// TestReplicatedLogRewindsToBehindStandby pins the restarted-standby
+// contract: a standby that comes back behind the acked count makes the next
+// flush observe the gap, rewind once, and re-ship it to parity. Replay and
+// Close pass through to the inner log untouched by the acked prefix.
+func TestReplicatedLogRewindsToBehindStandby(t *testing.T) {
 	inner := NewMemLog()
 	old := &mirrorSink{}
-	l, err := NewReplicatedLog(inner, old.fn)
+	standby := old
+	l, err := NewReplicatedLog(inner, func(start int, recs []*Record) (int, error) {
+		return standby.fn(start, recs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +30,11 @@ func TestReplicatedLogSetMirrorRewinds(t *testing.T) {
 		t.Fatalf("acked = %d, want 3", l.Len())
 	}
 
-	// The replacement standby restarted behind: it holds only record 0.
+	// The standby restarted behind: it holds only record 0.
 	repl := &mirrorSink{recs: old.recs[:1]}
-	l.SetMirror(repl.fn)
+	standby = repl
 	if err := l.Append(rec(3)); err != nil {
-		t.Fatalf("append after SetMirror: %v", err)
+		t.Fatalf("append after the standby restarted: %v", err)
 	}
 	if len(repl.recs) != 4 {
 		t.Fatalf("replacement mirror holds %d records, want 4", len(repl.recs))

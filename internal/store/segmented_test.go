@@ -124,3 +124,68 @@ func TestSegmentedLogBadConfig(t *testing.T) {
 		t.Error("manifest without a shard-count record accepted")
 	}
 }
+
+func TestIsSegmented(t *testing.T) {
+	root := t.TempDir()
+	if IsSegmented(filepath.Join(root, "missing")) {
+		t.Error("a missing directory reads as segmented")
+	}
+	if IsSegmented(root) {
+		t.Error("an empty directory reads as segmented")
+	}
+	plain := filepath.Join(root, "plain")
+	if err := os.MkdirAll(plain, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFileLog(filepath.Join(plain, "board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if IsSegmented(plain) {
+		t.Error("a directory with a single-file log reads as segmented")
+	}
+	seg := filepath.Join(root, "seg")
+	s, err := OpenSegmentedLog(seg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if !IsSegmented(seg) {
+		t.Error("a segmented log's directory does not read as segmented")
+	}
+}
+
+// TestSegmentedBoardFront: Board(i) is the raw segment until SetBoard puts a
+// front before it, the front sees the shard's appends, the other shards
+// stay raw, and SetBoard(i, nil) restores the segment.
+func TestSegmentedBoardFront(t *testing.T) {
+	s, err := OpenSegmentedLog(filepath.Join(t.TempDir(), "seg"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if s.Board(i) != BoardLog(s.Segment(i)) {
+			t.Fatalf("Board(%d) is not the raw segment before any SetBoard", i)
+		}
+	}
+	front := NewMemLog()
+	s.SetBoard(1, front)
+	if s.Board(1) != BoardLog(front) {
+		t.Fatal("Board(1) is not the installed front")
+	}
+	if s.Board(0) != BoardLog(s.Segment(0)) || s.Board(2) != BoardLog(s.Segment(2)) {
+		t.Fatal("fronting shard 1 changed another shard's board")
+	}
+	if err := s.Board(1).Append(&Record{Kind: 1, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if front.Len() != 1 || s.Segment(1).Len() != 0 {
+		t.Fatalf("append through the front: front holds %d, segment %d", front.Len(), s.Segment(1).Len())
+	}
+	s.SetBoard(1, nil)
+	if s.Board(1) != BoardLog(s.Segment(1)) {
+		t.Fatal("SetBoard(1, nil) did not restore the raw segment")
+	}
+}

@@ -507,3 +507,39 @@ func TestFaultLogGroupCommit(t *testing.T) {
 		t.Fatalf("recovered %d records, want 2", re.Len())
 	}
 }
+
+// TestFileLogTailStartsAtFirstRecord: Tail follows from record 0, as
+// ReadFrom(0) does, including records appended after it opened.
+func TestFileLogTailStartsAtFirstRecord(t *testing.T) {
+	l, err := OpenFileLog(filepath.Join(t.TempDir(), "board.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mustAppend(t, l, tailRec(1, 0, "a"), tailRec(2, 0, "b"))
+	tl, err := l.Tail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	ref, err := l.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	mustAppend(t, l, tailRec(3, 1, "c"))
+	got, gotOffs := drain(t, tl)
+	want, wantOffs := drain(t, ref)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("Tail read %d records, ReadFrom(0) %d, want 3", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Kind != want[i].Kind || got[i].Epoch != want[i].Epoch ||
+			!bytes.Equal(got[i].Payload, want[i].Payload) || gotOffs[i] != wantOffs[i] {
+			t.Fatalf("record %d: Tail and ReadFrom(0) differ", i)
+		}
+	}
+	if got[0].Kind != 1 || string(got[2].Payload) != "c" {
+		t.Fatal("Tail did not start at the first record")
+	}
+}

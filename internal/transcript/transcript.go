@@ -51,11 +51,6 @@ func (t *Transcript) Append(label string, msg []byte) {
 	t.n++
 }
 
-// AppendScalar absorbs a field element under the given label.
-func (t *Transcript) AppendScalar(label string, x *field.Element) {
-	t.Append(label, x.Bytes())
-}
-
 // Challenge squeezes a challenge scalar in Z_q for the supplied field. The
 // squeeze also mutates the state, so successive challenges are independent.
 func (t *Transcript) Challenge(label string, f *field.Field) *field.Element {
@@ -73,27 +68,4 @@ func (t *Transcript) Challenge(label string, f *field.Field) *field.Element {
 		out = append(out, h.Sum(nil)...)
 	}
 	return f.Reduce(out[:need])
-}
-
-// ChallengeBytes squeezes n bytes of challenge material.
-func (t *Transcript) ChallengeBytes(label string, n int) []byte {
-	t.Append("challenge-bytes/"+label, nil)
-	var out []byte
-	var ctr [8]byte
-	for block := uint64(0); len(out) < n; block++ {
-		h := sha256.New()
-		h.Write(t.state[:])
-		binary.BigEndian.PutUint64(ctr[:], block)
-		h.Write(ctr[:])
-		out = append(out, h.Sum(nil)...)
-	}
-	return out[:n]
-}
-
-// Clone returns an independent copy of the transcript state. Provers clone
-// the transcript before speculative operations (e.g. batch verification
-// paths) so the canonical transcript is not perturbed.
-func (t *Transcript) Clone() *Transcript {
-	cp := *t
-	return &cp
 }

@@ -1,20 +1,29 @@
 package transcript
 
 import (
-	"bytes"
+	"crypto/elliptic"
 	"math/big"
 	"testing"
 
 	"repro/internal/field"
 )
 
-var f = field.MustNewFromHex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+// f is the P-256 scalar field.
+var f = mustField(elliptic.P256().Params().N)
+
+func mustField(q *big.Int) *field.Field {
+	f, err := field.New(q)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
 
 func TestDeterministic(t *testing.T) {
 	mk := func() *field.Element {
 		tr := New("test")
 		tr.Append("a", []byte("hello"))
-		tr.AppendScalar("b", f.FromInt64(7))
+		tr.Append("b", f.FromInt64(7).Bytes())
 		return tr.Challenge("c", f)
 	}
 	if !mk().Equal(mk()) {
@@ -79,52 +88,12 @@ func TestSuccessiveChallengesDiffer(t *testing.T) {
 }
 
 func TestChallengeInField(t *testing.T) {
-	small := field.MustNew(big.NewInt(101))
+	small := mustField(big.NewInt(101))
 	tr := New("p")
 	for i := 0; i < 50; i++ {
 		c := tr.Challenge("c", small)
 		if c.BigInt().Cmp(small.Modulus()) >= 0 {
 			t.Fatal("challenge out of field range")
 		}
-	}
-}
-
-func TestChallengeBytes(t *testing.T) {
-	tr := New("p")
-	b1 := tr.ChallengeBytes("x", 100)
-	if len(b1) != 100 {
-		t.Fatalf("got %d bytes", len(b1))
-	}
-	b2 := tr.ChallengeBytes("x", 100)
-	if bytes.Equal(b1, b2) {
-		t.Error("successive byte squeezes equal")
-	}
-	if bytes.Equal(b1[:32], b1[32:64]) {
-		t.Error("expansion blocks repeat")
-	}
-}
-
-func TestClone(t *testing.T) {
-	tr := New("p")
-	tr.Append("m", []byte("x"))
-	cp := tr.Clone()
-	// Diverge the copy; the original must be unaffected.
-	cp.Append("m", []byte("y"))
-	c1 := tr.Challenge("c", f)
-	tr2 := New("p")
-	tr2.Append("m", []byte("x"))
-	if !c1.Equal(tr2.Challenge("c", f)) {
-		t.Error("Clone mutated the original transcript")
-	}
-}
-
-func TestAppendScalarMatchesAppendBytes(t *testing.T) {
-	x := f.FromInt64(12345)
-	t1 := New("p")
-	t2 := New("p")
-	t1.AppendScalar("s", x)
-	t2.Append("s", x.Bytes())
-	if !t1.Challenge("c", f).Equal(t2.Challenge("c", f)) {
-		t.Error("AppendScalar is not Append of canonical bytes")
 	}
 }

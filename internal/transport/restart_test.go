@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"path/filepath"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestServerRestartRecoversEpoch(t *testing.T) {
 	}
 	submitTo := func(addr string, sub *vdp.ClientSubmission) {
 		payload := pub.EncodeClientSubmission(sub)
-		conn, err := transport.Dial(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}

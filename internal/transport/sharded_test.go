@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"context"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -58,7 +59,7 @@ func (f *shardedFixture) buildSubs(base, n int) []*vdp.ClientSubmission {
 // server's reply: "" for an ack, the error text otherwise.
 func (f *shardedFixture) submit(sub *vdp.ClientSubmission) string {
 	payload := f.pub.EncodeClientSubmission(sub)
-	conn, err := transport.Dial(f.srv.Addr())
+	conn, err := net.Dial("tcp", f.srv.Addr())
 	if err != nil {
 		f.t.Error(err)
 		return "dial failed"

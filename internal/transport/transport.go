@@ -267,31 +267,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Dial opens a client connection.
-func Dial(addr string) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	return conn, nil
-}
-
-// Pipe returns an in-memory connection pair carrying frames, for tests.
-func Pipe() (a, b io.ReadWriteCloser) {
-	ar, bw := io.Pipe()
-	br, aw := io.Pipe()
-	return &pipeConn{r: ar, w: aw}, &pipeConn{r: br, w: bw}
-}
-
-type pipeConn struct {
-	r *io.PipeReader
-	w *io.PipeWriter
-}
-
-func (p *pipeConn) Read(b []byte) (int, error)  { return p.r.Read(b) }
-func (p *pipeConn) Write(b []byte) (int, error) { return p.w.Write(b) }
-func (p *pipeConn) Close() error {
-	p.r.Close()
-	return p.w.Close()
-}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +85,7 @@ func TestServerEcho(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			conn, err := Dial(srv.Addr())
+			conn, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				t.Error(err)
 				return
@@ -181,7 +182,7 @@ func TestServerShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestServerShutdown(t *testing.T) {
 		t.Fatalf("Shutdown with parked handler: %v, want deadline exceeded", err)
 	}
 	// New connections are refused after the listener closed.
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := net.Dial("tcp", srv.Addr()); err == nil {
 		t.Error("dial succeeded after Shutdown closed the listener")
 	}
 
@@ -279,7 +280,7 @@ func TestServerMixedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestServerShutdownDuringBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,21 +362,5 @@ func TestServerShutdownDuringBatch(t *testing.T) {
 	conn.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("graceful Shutdown: %v", err)
-	}
-}
-
-func TestPipe(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		_ = WriteFrame(a, &Frame{Kind: "over-pipe", Payload: []byte("x")})
-	}()
-	f, err := ReadFrame(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Kind != "over-pipe" {
-		t.Errorf("got %+v", f)
 	}
 }

@@ -165,37 +165,21 @@ func (p *Public) VerifyClient(pub *ClientPublic) error {
 	return nil
 }
 
-// FilterValidClients applies VerifyClient to a batch and partitions it into
-// the accepted set and a map of rejection reasons. The accepted set is the
-// public roster of inputs the protocol will aggregate; from Line 3 on, "the
-// protocol only uses inputs from validated clients".
-//
-// This is the sequential reference path; admission and the auditors use
-// filterValidClientsBatch, which reaches the same
-// verdicts with one random-linear-combination check over the whole board.
-func (p *Public) FilterValidClients(pubs []*ClientPublic) (valid []*ClientPublic, rejected map[int]error) {
-	rejected = make(map[int]error)
-	for _, c := range pubs {
-		if err := p.VerifyClient(c); err != nil {
-			rejected[c.ID] = err
-			continue
-		}
-		valid = append(valid, c)
-	}
-	return valid, rejected
-}
-
-// filterValidClientsBatch is FilterValidClients with batched Σ-OR
-// verification: the derived-commitment recomputation fans out over the
-// worker pool, every structurally sound client's legality proof folds into
-// one BitBatch, and a single (parallel) multi-exponentiation decides the
-// honest case. Only when that combined check fails does it fall back to
-// per-client verification to attribute blame — so a single forged proof
-// hidden among many valid ones is still pinned on exactly its author, at
-// the price of one extra sequential pass. Verdicts and rejection reasons
-// are identical to FilterValidClients regardless of worker count. A
-// cancelled ctx aborts with ctx.Err() before any verdict is published, so
-// cancellation can never be mistaken for a rejection.
+// filterValidClientsBatch applies VerifyClient to a batch and partitions it
+// into the accepted set and a map of rejection reasons. The accepted set is
+// the public roster of inputs the protocol will aggregate; from Line 3 on,
+// "the protocol only uses inputs from validated clients". Σ-OR
+// verification is batched: the derived-commitment recomputation fans out
+// over the worker pool, every structurally sound client's legality proof
+// folds into one BitBatch, and a single (parallel) multi-exponentiation
+// decides the honest case. Only when that combined check fails does it fall
+// back to per-client verification to attribute blame — so a single forged
+// proof hidden among many valid ones is still pinned on exactly its author,
+// at the price of one extra sequential pass. Verdicts and rejection reasons
+// are identical to the sequential reference (FilterValidClients, in the
+// tests) regardless of worker count. A cancelled ctx aborts with ctx.Err()
+// before any verdict is published, so cancellation can never be mistaken
+// for a rejection.
 func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPublic, workers int) (valid []*ClientPublic, rejected map[int]error, err error) {
 	rejected = make(map[int]error)
 	if len(pubs) == 0 {
@@ -300,7 +284,7 @@ func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPubl
 // column `prover` against the public commitment matrix: identity fields,
 // bin count, and every share opening. It is stateless, so a Session runs it
 // at admission — before any Prover exists — and fans the K columns out
-// across a worker pool; Prover.AcceptClient runs it too.
+// across a worker pool.
 func (p *Public) checkPayloadOpenings(pub *ClientPublic, payload *ClientPayload, prover int) error {
 	if payload == nil || payload.ClientID != pub.ID {
 		return fmt.Errorf("%w: payload/public ID mismatch for client %d", ErrClientReject, pub.ID)

@@ -74,7 +74,7 @@
 // row) are the same thing with a different spread of clients over segments,
 // and share one lifecycle: segmentedSession in segmented.go. It owns the K
 // sub-Sessions and the manifest — construction of fresh and resumed boards,
-// Epoch/Finalized/Resumed, the parallel finalize fan-out with its
+// Epoch/Finalized, the parallel finalize fan-out with its
 // sealed-segment reuse and retry/consumed rules, Reset, Compact, and healing
 // a missing merged seal in the manifest's MergedSeals book (shardstore.go:
 // the one merged-seal rule, shared with cluster nodes, their standbys and the

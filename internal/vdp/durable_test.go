@@ -130,9 +130,6 @@ func TestCrashRecoveryDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !resumed.Resumed() {
-				t.Error("Resumed() = false on a resumed session")
-			}
 			if got := resumed.Submitted(); got != crashAt {
 				t.Fatalf("resumed session recovered %d submissions, want %d", got, crashAt)
 			}

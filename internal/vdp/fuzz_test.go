@@ -3,13 +3,13 @@ package vdp
 import (
 	"bytes"
 	"context"
+	"crypto/elliptic"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/big"
 	"testing"
 
-	"repro/internal/fp256"
 	"repro/internal/sigma"
 	"repro/internal/store"
 )
@@ -197,7 +197,7 @@ func arrivalSeeds(pub *Public, sub *ClientSubmission) [][]byte {
 		y.FillBytes(out[len(client) : len(client)+32])
 		return out
 	}
-	p := fp256.P().Big()
+	p := elliptic.P256().Params().P
 	y := new(big.Int).SetBytes(hints[:32])
 	swapped := bytes.Clone(rec)
 	copy(swapped[len(client):], hints[32:64])

@@ -3,13 +3,13 @@ package vdp
 import (
 	"bytes"
 	"context"
+	"crypto/elliptic"
 	"errors"
 	"math/big"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/fp256"
 	"repro/internal/store"
 )
 
@@ -252,7 +252,7 @@ func shardedBoard(t *testing.T) *grammarBoard {
 		digest1: TranscriptDigest(pub, ss.Shard(0).SealedTranscript()),
 		read: segmentedReader(t, pub, shardSegments, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
 			audit = AuditSegmentedLog(ctx, pub, seg, 1, 2)
-			tail, err := TailAuditMerged(pub, seg, TailOptions{Workers: 2, Budget: conformanceBudget})
+			tail, err := tailSegments(pub, seg, TailOptions{Workers: 2, Budget: conformanceBudget}, shardSegments)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +307,7 @@ func sketchBoard(t *testing.T) *grammarBoard {
 	segs, manifest := segmentRecords(t, seg)
 	return &grammarBoard{
 		name: "sketch-rows", pub: pub, victim: segs[0], freshID: 9,
-		digest1: TranscriptDigest(pub, hs.Row(0).SealedTranscript()),
+		digest1: TranscriptDigest(pub, hs.segs[0].SealedTranscript()),
 		read: segmentedReader(t, pub, rowSegments, segs, manifest, func(t *testing.T, seg *store.SegmentedLog) (resume, audit error, tail *SegmentedTail) {
 			audit = AuditSketchLog(ctx, pub, layout, seg, 1, 2)
 			tail, err := TailSketchLog(pub, layout, seg, TailOptions{Workers: 2, Budget: conformanceBudget})
@@ -513,7 +513,7 @@ func TestBoardGrammarConformance(t *testing.T) {
 				payload := b.pub.appendArrival(nil, sub)
 				client, hints := splitArrival(payload)
 				y := new(big.Int).SetBytes(hints[:32])
-				new(big.Int).Sub(fp256.P().Big(), y).FillBytes(payload[len(client) : len(client)+32])
+				new(big.Int).Sub(elliptic.P256().Params().P, y).FillBytes(payload[len(client) : len(client)+32])
 				recs[sh.subs[0]] = &store.Record{Kind: rec.Kind, Epoch: rec.Epoch, Payload: payload}
 				return recs, sh.subs[0]
 			},

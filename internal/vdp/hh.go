@@ -99,7 +99,7 @@ func GroupContributions(rows int, subs []*ClientSubmission) ([]*SketchContributi
 // the budget gate), Finalize seals every row and assembles the released
 // NoisySketch, and the epoch is pinned by one merged transcript digest.
 //
-// The lifecycle itself — Epoch, Finalized, Resumed, Reset, Compact and the
+// The lifecycle itself — Epoch, Finalized, Reset, Compact and the
 // finalize fan-out with its crash-retry rules — is the segmented-session
 // core (segmented.go), shared with ShardedSession: a row is a segment every
 // client appears on, where a shard is a segment a client is pinned to.
@@ -153,14 +153,8 @@ func openSketchSession(ctx context.Context, pub *Public, layout sketch.Layout, o
 	return &SketchSession{g, layout}, nil
 }
 
-// Layout returns the session's count-min layout.
-func (hs *SketchSession) Layout() sketch.Layout { return hs.layout }
-
 // Rows returns the row count.
 func (hs *SketchSession) Rows() int { return len(hs.segs) }
-
-// Row returns row r's underlying Session.
-func (hs *SketchSession) Row(r int) *Session { return hs.segs[r] }
 
 // Accepted returns how many whole contributions the current epoch holds:
 // clients with a clean verdict on every row — the same definition SubmitBatch
@@ -186,14 +180,6 @@ func (hs *SketchSession) Accepted() int {
 	}
 	return n
 }
-
-// LedgerDigest returns the budget ledger's chain head (the ledger lives on
-// row 0; nil when the session runs without a budget).
-func (hs *SketchSession) LedgerDigest() []byte { return hs.segs[0].LedgerDigest() }
-
-// BudgetSpent returns the client's lifetime spend in µε (0 without a
-// budget).
-func (hs *SketchSession) BudgetSpent(clientID int) uint64 { return hs.segs[0].BudgetSpent(clientID) }
 
 // NewContribution builds a contribution with the session's deterministic
 // client randomness — the local/testing counterpart of
@@ -365,8 +351,8 @@ type NoisySketch struct {
 
 // ErrorBound is the additive error ceiling every point query carries:
 // dp.CountMinBound's e·N/w overcount term plus three noise stddevs. Each
-// individual query holds with probability ≥ 1 - dp.CountMinFailureProb(d)
-// on the overcount term.
+// individual query holds with probability ≥ 1 - e^-d on the overcount term,
+// for d rows.
 func (ns *NoisySketch) ErrorBound() float64 {
 	return dp.CountMinBound(ns.Layout.Width, ns.Count, ns.Stddev)
 }

@@ -334,7 +334,7 @@ func TestSketchBudgetGateEndToEnd(t *testing.T) {
 			t.Errorf("epoch %d tail digest differs from Finalize's", epoch)
 		}
 	}
-	if !bytes.Equal(st.Merged().Shard(0).LedgerDigest(), liveLedger) {
+	if !bytes.Equal(st.merged.Shard(0).LedgerDigest(), liveLedger) {
 		t.Error("tail ledger head differs from the session's")
 	}
 }
@@ -462,19 +462,16 @@ func TestSketchAccessorsAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.Layout() != layout {
-		t.Fatalf("Layout() = %+v, want %+v", hs.Layout(), layout)
+	if hs.layout != layout {
+		t.Fatalf("layout = %+v, want %+v", hs.layout, layout)
 	}
 	if hs.Rows() != layout.Rows {
 		t.Fatalf("Rows() = %d, want %d", hs.Rows(), layout.Rows)
 	}
 	for r := 0; r < hs.Rows(); r++ {
-		if hs.Row(r) == nil {
-			t.Fatalf("Row(%d) is nil", r)
+		if hs.segs[r] == nil {
+			t.Fatalf("row %d is nil", r)
 		}
-	}
-	if hs.Resumed() {
-		t.Error("fresh session claims to be resumed")
 	}
 	if err := hs.Compact(); err == nil {
 		t.Error("Compact before finalize accepted")
@@ -514,9 +511,6 @@ func TestSketchAccessorsAndCompaction(t *testing.T) {
 	rs, err := ResumeSketchSession(ctx, pub, layout, SessionOptions{Rand: testSeed(77), Segmented: seg2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !rs.Resumed() {
-		t.Error("recovered session does not report Resumed")
 	}
 	if rs.Epoch() != 1 {
 		t.Fatalf("recovered epoch = %d, want 1 (boot from the snapshot)", rs.Epoch())

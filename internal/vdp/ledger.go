@@ -263,32 +263,3 @@ func (l *budgetLedger) apply(payload []byte) error {
 	l.count++
 	return nil
 }
-
-// digest returns a copy of the chain head.
-func (l *budgetLedger) digest() []byte {
-	return append([]byte(nil), l.head...)
-}
-
-// LedgerDigest returns the session's budget-ledger chain head: the genesis
-// digest before any charge, and nil when the session runs without a budget.
-// Two parties that replayed the same charge stream hold byte-identical
-// digests — the acceptance handshake for resume and tail replays.
-func (s *Session) LedgerDigest() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ledger == nil {
-		return nil
-	}
-	return s.ledger.digest()
-}
-
-// BudgetSpent returns a client's replayed lifetime spend in micro-ε (0 when
-// the session runs without a budget).
-func (s *Session) BudgetSpent(clientID int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ledger == nil {
-		return 0
-	}
-	return s.ledger.spent[clientID]
-}

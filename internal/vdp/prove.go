@@ -96,7 +96,7 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 //	provers ingest the valid clients' payloads
 //	         │
 //	         ▼
-//	CommitCoins (fan out per prover×bin×coin)  ─►  batched Σ-OR verify
+//	commit coins (fan out per prover×bin×coin)  ─►  batched Σ-OR verify
 //	         │
 //	         ▼
 //	Morra public coins (fan out per prover)

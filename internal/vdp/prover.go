@@ -71,8 +71,9 @@ type coin struct {
 	c *pedersen.Commitment
 }
 
-// Prover is prover Pv_k's state machine. Methods must be called in order:
-// AcceptClient* → CommitCoins → SetPublicCoins → Finalize.
+// Prover is prover Pv_k's state machine. Its stages run in order: clients
+// accepted (acceptChecked), coins committed (commitCoin per coin, then
+// installCoins), SetPublicCoins, Finalize.
 type Prover struct {
 	pub    *Public
 	index  int
@@ -102,24 +103,6 @@ func NewMaliciousProver(pub *Public, index int, m Malice) (*Prover, error) {
 	return p, nil
 }
 
-// Index returns the prover's index k.
-func (pr *Prover) Index() int { return pr.index }
-
-// AcceptClient validates a client's private payload against the public
-// commitment matrix and adds the client to this prover's roster. The
-// legality proof is checked too — provers independently re-verify the
-// public record ("the servers can independently validate the verifier's
-// claims").
-func (pr *Prover) AcceptClient(pub *ClientPublic, payload *ClientPayload) error {
-	if err := pr.pub.VerifyClient(pub); err != nil {
-		return err
-	}
-	if err := pr.pub.checkPayloadOpenings(pub, payload, pr.index); err != nil {
-		return err
-	}
-	return pr.acceptChecked(pub, payload)
-}
-
 // acceptChecked installs a client whose board submission and payload the
 // caller has already validated (admission's board check and
 // Public.checkPayloadOpenings). Only the duplicate-submission guard remains
@@ -131,31 +114,6 @@ func (pr *Prover) acceptChecked(pub *ClientPublic, payload *ClientPayload) error
 	pr.clients = append(pr.clients, pub)
 	pr.payloads[pub.ID] = payload
 	return nil
-}
-
-// CommitCoins runs Lines 4-5: sample nb private bits per bin, commit, and
-// prove each commitment opens to a bit.
-func (pr *Prover) CommitCoins(rnd io.Reader) (*CoinCommitMsg, error) {
-	if pr.coins != nil {
-		return nil, fmt.Errorf("%w: CommitCoins called twice", ErrBadConfig)
-	}
-	m := pr.pub.cfg.Bins
-	nb := pr.pub.nb
-	coins := make([][]*coin, m)
-	proofs := make([][]*sigma.BitProof, m)
-	for j := 0; j < m; j++ {
-		coins[j] = make([]*coin, nb)
-		proofs[j] = make([]*sigma.BitProof, nb)
-		for l := 0; l < nb; l++ {
-			cn, proof, err := pr.commitCoin(j, l, rnd)
-			if err != nil {
-				return nil, err
-			}
-			coins[j][l] = cn
-			proofs[j][l] = proof
-		}
-	}
-	return pr.installCoins(coins, proofs)
 }
 
 // commitCoin builds one noise coin: sample the private bit, commit, and
@@ -193,12 +151,12 @@ func (pr *Prover) commitCoin(j, l int, rnd io.Reader) (*coin, *sigma.BitProof, e
 	return &coin{v: v, s: s, c: c}, proof, nil
 }
 
-// installCoins records a full [M][nb] coin matrix (built by CommitCoins or
-// by the prover stage's per-coin fan-out) and assembles the Line 4 broadcast. It
-// enforces the once-only state transition that CommitCoins promises.
+// installCoins records a full [M][nb] coin matrix (built by the prover
+// stage's per-coin fan-out) and assembles the Line 4 broadcast. It enforces
+// the once-only coin commitment.
 func (pr *Prover) installCoins(coins [][]*coin, proofs [][]*sigma.BitProof) (*CoinCommitMsg, error) {
 	if pr.coins != nil {
-		return nil, fmt.Errorf("%w: CommitCoins called twice", ErrBadConfig)
+		return nil, fmt.Errorf("%w: coins committed twice", ErrBadConfig)
 	}
 	m := pr.pub.cfg.Bins
 	nb := pr.pub.nb
@@ -240,7 +198,7 @@ func (pr *Prover) sampleBit(f *field.Field, rnd io.Reader) (*field.Element, erro
 // must be [M][nb] with every entry 0 or 1.
 func (pr *Prover) SetPublicCoins(bits [][]byte) error {
 	if pr.coins == nil {
-		return fmt.Errorf("%w: SetPublicCoins before CommitCoins", ErrBadConfig)
+		return fmt.Errorf("%w: SetPublicCoins before the coins are committed", ErrBadConfig)
 	}
 	if pr.public != nil {
 		return fmt.Errorf("%w: SetPublicCoins called twice", ErrBadConfig)

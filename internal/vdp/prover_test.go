@@ -60,8 +60,8 @@ func TestNewProverIndexValidation(t *testing.T) {
 	if _, err := NewProver(pub, -1); !errors.Is(err, ErrBadConfig) {
 		t.Error("accepted negative prover index")
 	}
-	if pr, err := NewProver(pub, 1); err != nil || pr.Index() != 1 {
-		t.Errorf("NewProver(1): %v, index %d", err, pr.Index())
+	if pr, err := NewProver(pub, 1); err != nil || pr.index != 1 {
+		t.Errorf("NewProver(1): %v, index %d", err, pr.index)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestVerifyClientStructuralRejections(t *testing.T) {
 // TestAggregateValidation exercises the Aggregate error paths.
 func TestAggregateValidation(t *testing.T) {
 	pub := testPublic(t, 2, 1, 4)
-	v := NewVerifier(pub)
+	v := NewVerifierParallel(pub, 1)
 	f := pub.Field()
 	mk := func(idx int) *ProverOutput {
 		return &ProverOutput{Prover: idx, Y: []*field.Element{f.FromInt64(1)}, Z: []*field.Element{f.Zero()}}

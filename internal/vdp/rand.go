@@ -137,10 +137,9 @@ func (rs *randSource) forkShard(shard, shards int) *randSource {
 // Substream labels. Each logical sampling site in the protocol gets its own
 // namespace; indices flatten multi-dimensional task coordinates.
 const (
-	labelClient    = "client"     // index = client position in choices
-	labelCoin      = "coin"       // index = (prover·M + bin)·nb + coin
-	labelMorra     = "morra"      // index = prover·2 + party
-	labelEpoch     = "epoch"      // index = session epoch (child-seed fork)
-	labelShard     = "shard"      // index = shard (child-seed fork, ShardedSession)
-	labelSubmitter = "submission" // reserved for external submission tooling
+	labelClient = "client" // index = client position in choices
+	labelCoin   = "coin"   // index = (prover·M + bin)·nb + coin
+	labelMorra  = "morra"  // index = prover·2 + party
+	labelEpoch  = "epoch"  // index = session epoch (child-seed fork)
+	labelShard  = "shard"  // index = shard (child-seed fork, ShardedSession)
 )

@@ -23,6 +23,34 @@ func oldSubmitBody(pub *Public, sub *ClientSubmission) []byte {
 	return append(append(body, pubEnc...), pub.EncodeClientPayload(sub.Payloads[0])...)
 }
 
+// TestSubmitPayloadAliases: the submit-payload pair is the client
+// submission codec under another name — the same bytes out, the same
+// submission back, the same refusal of a bad body.
+func TestSubmitPayloadAliases(t *testing.T) {
+	pub := testPublic(t, 2, 2, 4)
+	sub, err := pub.NewClientSubmission(3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pub.EncodeSubmitPayload(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, pub.EncodeClientSubmission(sub)) {
+		t.Fatal("EncodeSubmitPayload differs from EncodeClientSubmission")
+	}
+	got, err := pub.DecodeSubmitPayload(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Public.ID != 3 || !bytes.Equal(pub.EncodeClientSubmission(got), b) {
+		t.Fatal("DecodeSubmitPayload did not give back the submission")
+	}
+	if _, err := pub.DecodeSubmitPayload(oldSubmitBody(pub, sub)); err == nil || err.Error() != versionZero {
+		t.Fatalf("decoding the old layout: %v, want %q", err, versionZero)
+	}
+}
+
 // TestSubmitPayloadWire pins a submission's one wire encoding and the
 // router's zero-crypto byte work over it: every "submit-batch" member is
 // EncodeClientSubmission's record byte for byte (a "submit" body is one such

@@ -67,10 +67,9 @@ type segmentedSession struct {
 	segs  []*Session
 	seals *MergedSeals // the manifest's merged seals
 
-	mu      sync.Mutex
-	state   sessionState
-	epoch   int
-	resumed bool
+	mu    sync.Mutex
+	state sessionState
+	epoch int
 }
 
 // openSegmented builds an n-segment board of the given kind. Fresh
@@ -95,7 +94,7 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 	if err != nil {
 		return nil, err
 	}
-	g := &segmentedSession{pub: pub, kind: kind, seg: opts.Segmented, resumed: resume, segs: make([]*Session, n)}
+	g := &segmentedSession{pub: pub, kind: kind, seg: opts.Segmented, segs: make([]*Session, n)}
 	per := perShardWorkers(opts.Parallelism, n)
 	sos, srcs := make([]SessionOptions, n), make([]*randSource, n)
 	for i := range sos {
@@ -208,10 +207,6 @@ func (g *segmentedSession) Epoch() int {
 	defer g.mu.Unlock()
 	return g.epoch
 }
-
-// Resumed reports whether the session was reconstructed from a segmented
-// board log rather than opened fresh.
-func (g *segmentedSession) Resumed() bool { return g.resumed }
 
 // Finalized reports whether the current epoch has been sealed by Finalize
 // (and not yet reopened by Reset or Compact).

@@ -115,7 +115,6 @@ type Session struct {
 	mu       sync.Mutex
 	state    sessionState
 	epoch    int
-	resumed  bool        // reconstructed from a board log by ResumeSession
 	rs       *randSource // current epoch's substream source
 	order    []*sessionClient
 	byID     map[int]*sessionClient
@@ -190,10 +189,6 @@ func (s *Session) Epoch() int {
 	defer s.mu.Unlock()
 	return s.epoch
 }
-
-// Resumed reports whether the session was reconstructed from a board log by
-// ResumeSession rather than opened fresh.
-func (s *Session) Resumed() bool { return s.resumed }
 
 // Finalized reports whether the current epoch has been sealed by Finalize
 // (and not yet reopened by Reset). A resumed session whose log ended in a

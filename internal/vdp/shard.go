@@ -46,7 +46,7 @@ func ShardOf(clientID, shards int) int {
 // admissions through one roster lock and one board log, which is the
 // bottleneck this type removes.
 //
-// The epoch lifecycle — Epoch, Finalized, Resumed, Reset, Compact and the
+// The epoch lifecycle — Epoch, Finalized, Reset, Compact and the
 // finalize fan-out with its crash-retry rules — is the segmented-session
 // core (segmented.go), shared with SketchSession; what is specific to a
 // sharded session is ShardOf routing and the merged histogram release.
@@ -179,13 +179,6 @@ func (ss *ShardedSession) Rejected() map[int]error {
 		}
 	}
 	return out
-}
-
-// NewClientSubmission builds client material for the current epoch from the
-// owning shard's deterministic substream (or crypto/rand when unseeded), the
-// sharded counterpart of Session.NewClientSubmission.
-func (ss *ShardedSession) NewClientSubmission(clientID, choice int) (*ClientSubmission, error) {
-	return ss.segs[ss.ShardFor(clientID)].NewClientSubmission(clientID, choice)
 }
 
 // Submit routes one client to its shard and admits it there, with exactly

@@ -336,8 +336,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	}
 	// The machine's ledger re-verifies every charge link against the
 	// configured policy across the whole log (charges are lifetime state);
-	// its head is what LedgerDigest exposes — byte-identical to the crashed
-	// session's.
+	// its head is byte-identical to the crashed session's.
 	g := newBoardGrammar(pub, opts.Budget, false)
 	g.shardIdx, g.shardCount = shard, shards
 	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
@@ -357,7 +356,6 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	}
 
 	s := newSessionFromSource(pub, opts, root)
-	s.resumed = true
 	s.epoch = g.epoch
 	s.rs = s.root.fork(g.epoch)
 	if g.sealed {

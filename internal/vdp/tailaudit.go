@@ -72,18 +72,6 @@ func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
 	}
 }
 
-// TailAuditLog opens a live tail on a board log from its first record: the
-// returned auditor drains new records on every Poll.
-func TailAuditLog(pub *Public, log store.Log, opts TailOptions) (*TailAuditor, error) {
-	t, err := log.ReadFrom(0)
-	if err != nil {
-		return nil, err
-	}
-	a := NewTailAuditor(pub, opts)
-	a.AttachTailer(t)
-	return a, nil
-}
-
 // SetShard pins the auditor to one shard of a sharded deployment: every
 // submission must belong to shard index under ShardOf(id, count), so a
 // curator cannot smuggle a client onto a shard of its choosing. Call before
@@ -168,53 +156,6 @@ func (a *TailAuditor) consume(rec *store.Record, off int64) error {
 	return err
 }
 
-// Epoch returns the epoch the tail is currently following.
-func (a *TailAuditor) Epoch() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.g.epoch
-}
-
-// Records returns how many records the tail has consumed.
-func (a *TailAuditor) Records() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.recIdx
-}
-
-// Clients returns the live roster-shadow size for the current epoch.
-func (a *TailAuditor) Clients() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.g.roster)
-}
-
-// Sealed reports whether the current epoch's seal has been verified.
-func (a *TailAuditor) Sealed() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v.digest != nil
-}
-
-// Digest returns the current epoch's verified transcript digest (nil until
-// the epoch seals cleanly). It equals TranscriptDigest over the sealed
-// transcript.
-func (a *TailAuditor) Digest() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v.digest
-}
-
-// LedgerDigest returns the tail's replayed budget-ledger chain head — the
-// genesis digest before any charge. When the followed session runs a
-// budget, this must equal Session.LedgerDigest byte for byte; a mismatch
-// means the two replayed different charge streams.
-func (a *TailAuditor) LedgerDigest() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.g.ledger.digest()
-}
-
 // VerifiedDigest returns the verified digest of a sealed epoch the tail has
 // followed, and whether that epoch has sealed yet.
 func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
@@ -222,18 +163,6 @@ func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
 	defer a.mu.Unlock()
 	d, ok := a.history[epoch]
 	return d, ok
-}
-
-// ReverifySeal re-runs the epoch verifier's seal step — the one seal check
-// every reader of a board log runs, against the client product folded so
-// far — for the live epoch, without consuming a record or moving the
-// grammar position. Feed/Poll callers never need it: it exists so
-// BenchmarkTailSealVerify can time the seal step in isolation from the
-// per-arrival work it rides on.
-func (a *TailAuditor) ReverifySeal(sealBytes []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v.seal(context.Background(), sealBytes)
 }
 
 // Err returns the sticky audit failure, if any.
@@ -285,9 +214,6 @@ func newMergedTail(pub *Public, n int, opts TailOptions, kind segmentKind) *Merg
 	return m
 }
 
-// Shards returns the shard count.
-func (m *MergedTailAuditor) Shards() int { return len(m.shards) }
-
 // Shard returns shard i's TailAuditor; feed it that shard's records.
 func (m *MergedTailAuditor) Shard(i int) *TailAuditor { return m.shards[i] }
 
@@ -334,11 +260,6 @@ type SegmentedTail struct {
 	manTail store.Tailer
 }
 
-// TailAuditMerged opens a live audit tail over a segmented board log.
-func TailAuditMerged(pub *Public, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
-	return tailSegments(pub, seg, opts, shardSegments)
-}
-
 // tailSegments wires a merged auditor to every segment's (and the
 // manifest's) store tail.
 func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
@@ -358,9 +279,6 @@ func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind s
 	}
 	return &SegmentedTail{merged: m, manTail: manTail}, nil
 }
-
-// Merged returns the underlying merged auditor.
-func (st *SegmentedTail) Merged() *MergedTailAuditor { return st.merged }
 
 // Poll drains every shard tail and the manifest tail, returning the total
 // records consumed. The first shard or manifest failure is returned (shard

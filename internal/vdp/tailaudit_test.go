@@ -349,7 +349,7 @@ func TestTailParityWithAdversaries(t *testing.T) {
 			if err := AuditSegmentedLog(ctx, pub, seg, 0, 2); err != nil {
 				t.Fatalf("offline segmented audit: %v", err)
 			}
-			st, err := TailAuditMerged(pub, seg, TailOptions{Workers: 2})
+			st, err := tailSegments(pub, seg, TailOptions{Workers: 2}, shardSegments)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +474,7 @@ func TestOffBoardVerdictOnFailingProof(t *testing.T) {
 			spliced := segmentedLogOf(t, segs, manifest)
 			defer spliced.Close()
 			refusedAt(t, "segmented audit", AuditSegmentedLog(ctx, pub, spliced, 0, 2), at)
-			st, err := TailAuditMerged(pub, spliced, TailOptions{Workers: 2})
+			st, err := tailSegments(pub, spliced, TailOptions{Workers: 2}, shardSegments)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,9 +80,6 @@ func (p *Public) Params() *pedersen.Params { return p.pp }
 // Field returns the scalar field Z_q.
 func (p *Public) Field() *field.Field { return p.pp.ScalarField() }
 
-// Provers returns K.
-func (p *Public) Provers() int { return p.cfg.Provers }
-
 // Bins returns M.
 func (p *Public) Bins() int { return p.cfg.Bins }
 

@@ -18,13 +18,6 @@ type Verifier struct {
 	workers int // worker-pool width for batch checks (>= 1)
 }
 
-// NewVerifier creates a verifier for a deployment. Verification uses
-// random-linear-combination batching but stays on one goroutine; use
-// NewVerifierParallel to spread the batch checks over a worker pool.
-func NewVerifier(pub *Public) *Verifier {
-	return NewVerifierParallel(pub, 1)
-}
-
 // NewVerifierParallel creates a verifier whose batch checks (coin
 // commitments) chunk their multi-exponentiations across up to `workers`
 // goroutines. workers <= 0 selects GOMAXPROCS. Verdicts are identical at

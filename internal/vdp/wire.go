@@ -148,15 +148,8 @@ func (p *Public) decodeClientPublic(d group.Decoder, b []byte) (*ClientPublic, e
 	return cp, nil
 }
 
-// EncodeClientPayload serializes a private per-prover payload.
-func (p *Public) EncodeClientPayload(pl *ClientPayload) []byte {
-	var w wire.Writer
-	p.putClientPayload(&w, pl)
-	return w.Bytes()
-}
-
-// putClientPayload is EncodeClientPayload writing to an existing writer;
-// see putClientPublic.
+// putClientPayload writes a private per-prover payload to an existing
+// writer; see putClientPublic.
 func (p *Public) putClientPayload(w *wire.Writer, pl *ClientPayload) {
 	w.U8(WireVersion)
 	w.U32(uint32(pl.ClientID))

@@ -173,15 +173,8 @@ func (p *Public) DecodeSubmitPayload(b []byte) (*ClientSubmission, error) {
 	return p.DecodeClientSubmission(b)
 }
 
-// EncodeCoinCommitMsg serializes one prover's Lines 4-6 message: the noise
-// coin commitments with their Σ-OR proofs.
-func (p *Public) EncodeCoinCommitMsg(msg *CoinCommitMsg) []byte {
-	var w wire.Writer
-	p.putCoinCommitMsg(&w, msg)
-	return w.Bytes()
-}
-
-// putCoinCommitMsg is EncodeCoinCommitMsg writing to an existing writer.
+// putCoinCommitMsg writes one prover's Lines 4-6 message: the noise coin
+// commitments with their Σ-OR proofs.
 func (p *Public) putCoinCommitMsg(w *wire.Writer, msg *CoinCommitMsg) {
 	w.U8(WireVersion)
 	w.U32(uint32(msg.Prover))
@@ -195,18 +188,8 @@ func (p *Public) putCoinCommitMsg(w *wire.Writer, msg *CoinCommitMsg) {
 	}
 }
 
-// DecodeCoinCommitMsg parses and validates a coin-commitment message.
-func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
-	var q pointDecodes
-	msg, err := p.coinCommitMsg(b, &q)
-	if err = q.run(1, err); err != nil {
-		return nil, err
-	}
-	return msg, nil
-}
-
-// coinCommitMsg is DecodeCoinCommitMsg's structural pass: it queues each
-// coin's commitment and bit-proof decode on q.
+// coinCommitMsg is a coin-commitment message's structural pass: it queues
+// each coin's commitment and bit-proof decode on q.
 func (p *Public) coinCommitMsg(b []byte, q *pointDecodes) (*CoinCommitMsg, error) {
 	r := versioned(b)
 	msg := &CoinCommitMsg{Prover: int(r.U32())}
@@ -232,15 +215,8 @@ func (p *Public) coinCommitMsg(b []byte, q *pointDecodes) (*CoinCommitMsg, error
 	return msg, r.Finish()
 }
 
-// EncodeMorraRecord serializes the public commit/reveal record of one
-// prover's Πmorra instance.
-func (p *Public) EncodeMorraRecord(rec *MorraRecord) []byte {
-	var w wire.Writer
-	p.putMorraRecord(&w, rec)
-	return w.Bytes()
-}
-
-// putMorraRecord is EncodeMorraRecord writing to an existing writer.
+// putMorraRecord writes the public commit/reveal record of one prover's
+// Πmorra instance.
 func (p *Public) putMorraRecord(w *wire.Writer, rec *MorraRecord) {
 	w.U8(WireVersion)
 	w.U32(uint32(rec.Prover))
@@ -262,17 +238,7 @@ func (p *Public) putMorraRecord(w *wire.Writer, rec *MorraRecord) {
 	}
 }
 
-// DecodeMorraRecord parses and validates a Morra record.
-func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
-	var q pointDecodes
-	rec, err := p.morraRecord(b, &q)
-	if err = q.run(1, err); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// morraRecord is DecodeMorraRecord's structural pass: it queues each
+// morraRecord is a Morra record's structural pass: it queues each
 // commitment's decode on q and reads the reveals' scalars in place.
 func (p *Public) morraRecord(b []byte, q *pointDecodes) (*MorraRecord, error) {
 	r := versioned(b)

@@ -1,8 +1,8 @@
 #!/bin/sh
-# check_docs.sh — fail if README.md or ARCHITECTURE.md reference Go
-# identifiers (in backticked code spans or code fences) that no longer
-# exist anywhere in the Go sources. Keeps the docs from silently rotting
-# as the code is refactored.
+# check_docs.sh — fail if README.md, ARCHITECTURE.md or EXPERIMENTS.md
+# reference Go identifiers (in backticked code spans or code fences) that
+# no longer exist anywhere in the Go sources. Keeps the docs from silently
+# rotting as the code is refactored.
 #
 # Heuristic: every backtick-delimited token that looks like a Go identifier
 # (optionally qualified: `pkg.Ident`, `Ident.Method`) must appear as a word
@@ -12,7 +12,7 @@
 # pattern and are skipped.
 set -u
 fail=0
-for doc in README.md ARCHITECTURE.md; do
+for doc in README.md ARCHITECTURE.md EXPERIMENTS.md; do
     [ -f "$doc" ] || { echo "missing $doc"; fail=1; continue; }
     idents=$(grep -o '`[A-Za-z][A-Za-z0-9_.]*`' "$doc" | tr -d '`' | sort -u)
     for id in $idents; do
