@@ -199,7 +199,7 @@ func submitBatch(pub *vdp.Public, addr string, firstID, choice, n int, opts tran
 		}
 		subs[i] = sub
 	}
-	ok, _, elapsed := sendBatch(pub, addr, firstID, subs, opts, "batch", "REJECTED")
+	ok, _, elapsed := sendBatch(pub, addr, firstID, subs, 1, opts, "batch", "REJECTED")
 	fmt.Printf("batch of %d: %d accepted, %d rejected in %v (%.0f submissions/sec)\n",
 		n, ok, n-ok, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
 	if ok < n {
@@ -224,25 +224,30 @@ func submitSketch(pub *vdp.Public, layout sketch.Layout, addr string, firstID, i
 		}
 		subs = append(subs, c.Rows...)
 	}
-	ok, n, _ := sendBatch(pub, addr, firstID, subs, opts, "contribution(s)", "REFUSED")
+	ok, n, _ := sendBatch(pub, addr, firstID, subs, layout.Rows, opts, "contribution(s)", "REFUSED")
 	fmt.Printf("%d of %d contribution(s) for item %d accepted (%d rows each)\n", ok, n, item, layout.Rows)
 	if ok < n {
 		os.Exit(1)
 	}
 }
 
-// sendBatch sends subs in one "submit-batch" frame and prints a line per
-// refused client, labelled refused; what names the frame in a fatal line. It
-// returns how many verdicts came back, how many of them accept, and the time
-// from encoding the frame to decoding the verdicts.
-func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmission, opts transport.ClientOptions, what, refused string) (ok, n int, elapsed time.Duration) {
+// sendBatch sends subs, perClient of them a client, in one "submit-batch"
+// frame and prints a line per refused client, labelled refused; what names
+// the frame in a fatal line. A frame over the transport's limit is refused
+// before dialing. It returns how many verdicts came back, how many of them
+// accept, and the time from sending the frame to decoding the verdicts.
+func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmission, perClient int, opts transport.ClientOptions, what, refused string) (ok, n int, elapsed time.Duration) {
+	body := pub.EncodeSubmissionBatch(subs)
+	if err := frameFits(pub, body, len(subs), perClient); err != nil {
+		log.Fatal(err)
+	}
 	c, err := transport.DialClient(addr, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c.Close()
 	start := time.Now()
-	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit-batch", Sender: sender, Payload: pub.EncodeSubmissionBatch(subs)})
+	reply, err := c.RoundTrip(&transport.Frame{Kind: "submit-batch", Sender: sender, Payload: body})
 	if err != nil {
 		log.Fatalf("submitting %s: %v", what, err)
 	}
@@ -266,6 +271,19 @@ func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmi
 		}
 	}
 	return ok, len(verdicts), elapsed
+}
+
+// frameFits refuses a "submit-batch" body of members submissions, perClient
+// of them a client, that is over transport.MaxFrameSize, naming the largest
+// -batch that fits: every member of a frame encodes to the same size.
+func frameFits(pub *vdp.Public, body []byte, members, perClient int) error {
+	if len(body) <= transport.MaxFrameSize {
+		return nil
+	}
+	head := len(pub.EncodeSubmissionBatch(nil))
+	member := (len(body) - head) / members
+	return fmt.Errorf("-batch %d encodes to a %d-byte frame, over the %d-byte frame limit; the largest -batch that fits is %d",
+		members/perClient, len(body), transport.MaxFrameSize, (transport.MaxFrameSize-head)/member/perClient)
 }
 
 // querySketch sends one "top:K" or "point:ITEM" query to a sketch-mode

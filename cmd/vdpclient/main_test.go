@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,4 +91,48 @@ func TestAuditSketchOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditSketch(pub, layout, dir, -1, 5*time.Second)
+}
+
+// TestFrameFits: a -batch whose frame is over the transport's limit — 4096
+// twelve-bin submissions, ~18.7 MiB with their point hints — is refused with
+// the largest -batch that fits, which does fit while one more does not, in
+// submissions and in whole sketch contributions.
+func TestFrameFits(t *testing.T) {
+	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: 12, Coins: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := pub.NewClientSubmission(0, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(n int) []byte {
+		subs := make([]*vdp.ClientSubmission, n)
+		for i := range subs {
+			subs[i] = sub
+		}
+		return pub.EncodeSubmissionBatch(subs)
+	}
+	for _, perClient := range []int{1, 3} {
+		n := vdp.MaxBatchClients / perClient * perClient
+		body := frame(n)
+		err := frameFits(pub, body, n, perClient)
+		if err == nil {
+			t.Fatalf("a %d-byte frame fits under the %d-byte limit", len(body), transport.MaxFrameSize)
+		}
+		var largest int
+		if _, scanErr := fmt.Sscanf(err.Error()[strings.LastIndex(err.Error(), " ")+1:], "%d", &largest); scanErr != nil {
+			t.Fatalf("%v names no largest -batch", err)
+		}
+		if !strings.HasPrefix(err.Error(), fmt.Sprintf("-batch %d encodes to", n/perClient)) {
+			t.Errorf("refusal %q does not name -batch %d", err, n/perClient)
+		}
+		fits := frame(largest * perClient)
+		if err := frameFits(pub, fits, largest*perClient, perClient); err != nil {
+			t.Errorf("the largest -batch is refused: %v", err)
+		}
+		if len(fits) > transport.MaxFrameSize || len(frame((largest+1)*perClient)) <= transport.MaxFrameSize {
+			t.Errorf("%d clients of %d submissions each is not the largest -batch that fits", largest, perClient)
+		}
+	}
 }

@@ -3,8 +3,10 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/elliptic"
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +303,52 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 	t.Run("budget-refusal", submitBudgetRefusal)
 }
 
+// TestBadHintRefusesFrame: a "submit-batch" frame one of whose members
+// carries a hostile hint section — a y ≥ p, the other root of the point's x,
+// a section cut short, surplus hint bytes — is malformed as a whole: the
+// dispatch refuses the frame before any board write, so the log gains no
+// arrival and no verdict, and the honest member beside it is admitted when
+// it comes again.
+func TestBadHintRefusesFrame(t *testing.T) {
+	pub := setup(t, 1)
+	ctx := context.Background()
+	log := store.NewMemLog()
+	s, err := vdp.NewSession(pub, vdp.SessionOptions{Store: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disp := server.New(ctx, pub, server.Of(s), server.Options{})
+	good := pub.EncodeClientSubmission(submission(t, pub, 1))
+	rec := pub.EncodeClientSubmission(submission(t, pub, 2))
+	// One bin: three points (the commitment and the bit proof's two), each
+	// hinted by its 32-byte y, end the record.
+	first := len(rec) - 3*32
+	hostile := func(edit func(y []byte)) []byte {
+		out := bytes.Clone(rec)
+		edit(out[first : first+32])
+		return out
+	}
+	p := elliptic.P256().Params().P
+	rows := []struct {
+		name   string
+		member []byte
+	}{
+		{"y >= p", hostile(func(y []byte) { p.FillBytes(y) })},
+		{"the other root", hostile(func(y []byte) { new(big.Int).Sub(p, new(big.Int).SetBytes(y)).FillBytes(y) })},
+		{"hints cut short", rec[:len(rec)-1]},
+		{"surplus hint bytes", append(bytes.Clone(rec), 0)},
+	}
+	for _, r := range rows {
+		frame := &transport.Frame{Kind: "submit-batch", Payload: vdp.EncodeRawSubmissionBatch([][]byte{good, r.member})}
+		run(t, disp.Handle, []step{{name: r.name, frame: frame, errHas: "hint"}})
+		if n := log.Len(); n != 0 {
+			t.Fatalf("%s: the refused frame left %d records on the board", r.name, n)
+		}
+	}
+	run(t, disp.Handle, []step{{name: "honest member again", frame: &transport.Frame{Kind: "submit-batch", Payload: vdp.EncodeRawSubmissionBatch([][]byte{good})},
+		kind: "batch-verdicts", payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{{ID: 1, Accepted: true}})}})
+}
+
 // submitBudgetRefusal pins the one single-"submit" reply the boards of
 // TestDispatchOverEveryAdmitter cannot earn in their first epoch: a client
 // whose budget is spent is refused with the ledger's verdict as the handler's
@@ -335,12 +383,13 @@ func submitBudgetRefusal(t *testing.T) {
 func oldSubmitBody(pub *vdp.Public, sub *vdp.ClientSubmission) []byte {
 	pubEnc := pub.EncodeClientPublic(sub.Public)
 	body := binary.BigEndian.AppendUint32(nil, uint32(len(pubEnc)))
-	// The prover-0 payload is the tail of a one-payload submission record:
-	// version byte, u32 length | public, u32 count, u32 length | payload.
-	one := *sub
-	one.Payloads = sub.Payloads[:1]
-	rec := pub.EncodeClientSubmission(&one)
-	return append(append(body, pubEnc...), rec[1+4+len(pubEnc)+4+4:]...)
+	// The prover-0 payload is the blob after the public part and the payload
+	// count of a submission record: version byte, u32 length | public, u32
+	// count, u32 length | payload, then the other payloads and the hints.
+	rec := pub.EncodeClientSubmission(sub)
+	at := 1 + 4 + len(pubEnc) + 4
+	n := int(binary.BigEndian.Uint32(rec[at:]))
+	return append(append(body, pubEnc...), rec[at+4:at+4+n]...)
 }
 
 // twoNodes serves shard 0 and shard 1 of a two-node cluster over TCP, each

@@ -40,7 +40,8 @@ const MaxBatchClients = 4096
 
 // EncodeSubmissionBatch serializes a batch of full client submissions as
 // one wire body: version | u32 count | count × blob(submission record).
-// Each inner record is exactly EncodeClientSubmission's encoding.
+// Each inner record is exactly EncodeClientSubmission's encoding, hints
+// included.
 func (p *Public) EncodeSubmissionBatch(subs []*ClientSubmission) []byte {
 	return p.AppendSubmissionBatch(nil, subs)
 }
@@ -54,18 +55,19 @@ func (p *Public) AppendSubmissionBatch(dst []byte, subs []*ClientSubmission) []b
 	w.U32(uint32(len(subs)))
 	for _, sub := range subs {
 		mark := w.Mark()
-		p.putClientSubmission(&w, sub)
+		w = wire.NewWriter(p.appendClientSubmission(w.Bytes(), sub))
 		w.Patch(mark)
 	}
 	return w.Bytes()
 }
 
 // DecodeSubmissionBatch parses and validates a batch frame body. Every
-// inner submission is fully validated (group membership, canonical scalars)
-// exactly as the single-submission decoder would; one malformed member
-// fails the whole decode — the sender is speaking the protocol wrong, which
-// is different from a well-formed member whose *proof* is wrong (that one
-// decodes fine and earns its rejection verdict from SubmitBatch).
+// inner submission is fully validated (group membership, canonical scalars,
+// every point hint) exactly as the single-submission decoder would; one
+// malformed member fails the whole decode — the sender is speaking the
+// protocol wrong, which is different from a well-formed member whose *proof*
+// is wrong (that one decodes fine and earns its rejection verdict from
+// SubmitBatch).
 func (p *Public) DecodeSubmissionBatch(b []byte) ([]*ClientSubmission, error) {
 	r := versioned(b)
 	subs := blobs(&r, MaxBatchClients, p.DecodeClientSubmission)
@@ -169,7 +171,7 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 	// Encode every durable arrival record outside the roster lock, into
 	// pooled buffers: both BoardLog implementations copy the payload inside
 	// Append, so the scratch recycles once the ordered writes are in. Each
-	// carries its points' hints, read off the points admission decoded.
+	// is the submission's one encoding, its points' hints included.
 	var recs [][]byte
 	var bufs []*[]byte
 	if s.opts.Store != nil {
@@ -179,7 +181,7 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 				continue
 			}
 			buf := getWireBuf()
-			*buf = s.pub.appendArrival((*buf)[:0], sub)
+			*buf = s.pub.appendClientSubmission((*buf)[:0], sub)
 			recs[i] = *buf
 			bufs = append(bufs, buf)
 		}

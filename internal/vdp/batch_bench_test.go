@@ -131,8 +131,8 @@ func BenchmarkDecodeArrivalRecords(b *testing.B) {
 		name   string
 		encode func(*ClientSubmission) []byte
 	}{
-		{"v2", func(sub *ClientSubmission) []byte { return pub.appendArrival(nil, sub) }},
-		{"v1", pub.EncodeClientSubmission},
+		{"v2", pub.EncodeClientSubmission},
+		{"v1", func(sub *ClientSubmission) []byte { return encodeV1(pub, sub) }},
 	} {
 		recs := make([]*store.Record, len(subs))
 		for i, sub := range subs {

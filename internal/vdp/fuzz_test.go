@@ -70,13 +70,15 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 	}
 	tr := res.Transcript
 	digest := bytes.Repeat([]byte{0xab}, 32)
-	var arrivals [][]byte
-	damaged := make(map[string]bool) // arrival rows with a broken hint section
+	var arrivals, badMembers [][]byte
+	damaged := make(map[string]bool) // records with a broken hint section
 	for _, sub := range subs[:2] {
 		rows := arrivalSeeds(pub, sub)
 		arrivals = append(arrivals, rows...)
 		for _, row := range rows[2:] {
 			damaged[string(row)] = true
+			// A frame whose second member is the damaged record.
+			badMembers = append(badMembers, EncodeRawSubmissionBatch([][]byte{rows[0], row}))
 		}
 	}
 	return []wireCodec{
@@ -90,23 +92,47 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 		}, roundTrip(pub.DecodeClientPayload, pub.EncodeClientPayload)},
 		{"prover-output", [][]byte{pub.EncodeProverOutput(tr.Outputs[0])},
 			roundTrip(pub.DecodeProverOutput, pub.EncodeProverOutput)},
-		// A record is also a "submit" frame body: seeded beside it are the
-		// retired prover-0-only body and a short one.
-		{"client-submission", [][]byte{
-			pub.EncodeClientSubmission(subs[2]), oldSubmitBody(pub, subs[1]), {0, 0},
-		}, roundTrip(pub.DecodeClientSubmission, pub.EncodeClientSubmission)},
-		// Hostile counts (huge, just over MaxBatchClients), an empty batch and
-		// a foreign version byte beside the valid frame.
-		{"submission-batch", [][]byte{
+		// A record is also a "submit" frame body and the board's arrival
+		// record: seeded are its hinted and v1 forms, the hinted form with a
+		// damaged hint section (which must be refused outright), the retired
+		// prover-0-only body and a short one.
+		{"client-submission", append(arrivals, oldSubmitBody(pub, subs[1]), []byte{0, 0}),
+			func(t testing.TB, b []byte) ([]byte, error) {
+				sub, err := pub.DecodeClientSubmission(b)
+				if err != nil {
+					return nil, err
+				}
+				if damaged[string(b)] {
+					t.Fatalf("client-submission: damaged hint section accepted: %x", b)
+				}
+				return sameVersion(pub, b, sub), nil
+			}},
+		// Hostile counts (huge, just over MaxBatchClients), an empty batch, a
+		// foreign version byte and members with a damaged hint section beside
+		// the valid frame.
+		{"submission-batch", append([][]byte{
 			pub.EncodeSubmissionBatch(subs), pub.EncodeSubmissionBatch(nil),
 			{WireVersion, 0xff, 0xff, 0xff, 0xff}, {WireVersion, 0, 0, 0x10, 0x01},
 			append([]byte{WireVersion + 1}, pub.EncodeSubmissionBatch(subs[:1])[1:]...),
-		}, func(t testing.TB, b []byte) ([]byte, error) {
+		}, badMembers...), func(t testing.TB, b []byte) ([]byte, error) {
 			subs, err := pub.DecodeSubmissionBatch(b)
 			if len(subs) > MaxBatchClients {
 				t.Fatalf("accepted %d submissions, above the %d limit", len(subs), MaxBatchClients)
 			}
-			return pub.EncodeSubmissionBatch(subs), err
+			if err != nil {
+				return nil, err
+			}
+			recs, _, err := SplitSubmissionBatch(b)
+			if err != nil {
+				t.Fatalf("submission-batch: accepted a frame the router cannot split: %v", err)
+			}
+			for i, rec := range recs {
+				if damaged[string(rec)] {
+					t.Fatalf("submission-batch: member %d's damaged hint section accepted: %x", i, rec)
+				}
+				recs[i] = sameVersion(pub, rec, subs[i])
+			}
+			return EncodeRawSubmissionBatch(recs), nil
 		}},
 		{"coin-commit-msg", [][]byte{pub.EncodeCoinCommitMsg(tr.CoinMsgs[1])},
 			roundTrip(pub.DecodeCoinCommitMsg, pub.EncodeCoinCommitMsg)},
@@ -164,24 +190,16 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 			EncodeItemEstimates([]ItemEstimate{{Item: 5, Estimate: 12.5, Bound: 3.25}}),
 			{WireVersion, 0, 0, 0, 2, 0, 0, 0, 1},
 		}, roundTrip(DecodeItemEstimates, EncodeItemEstimates)},
-		// An accepted record re-encodes in its own version: the client's
-		// bytes alone (v1), or with the hint section (v2). A damaged seed
-		// must be refused outright.
-		{"arrival-record", arrivals,
-			func(t testing.TB, b []byte) ([]byte, error) {
-				sub, err := pub.decodeArrival(b)
-				if err != nil {
-					return nil, err
-				}
-				if damaged[string(b)] {
-					t.Fatalf("arrival-record: damaged hint section accepted: %x", b)
-				}
-				if _, hints := splitArrival(b); len(hints) == 0 {
-					return pub.EncodeClientSubmission(sub), nil
-				}
-				return pub.appendArrival(nil, sub), nil
-			}},
 	}
+}
+
+// sameVersion re-encodes sub, decoded from b, in b's own version: the
+// client's bytes alone (v1), or with the hint section.
+func sameVersion(pub *Public, b []byte, sub *ClientSubmission) []byte {
+	if _, hints := splitArrival(b); len(hints) == 0 {
+		return encodeV1(pub, sub)
+	}
+	return pub.EncodeClientSubmission(sub)
 }
 
 // arrivalSeeds are sub's arrival records, v2 and v1, and the v2 record with
@@ -190,7 +208,7 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 // byte and by a whole hint, a trailing byte and a trailing hint, and the
 // first two hints swapped.
 func arrivalSeeds(pub *Public, sub *ClientSubmission) [][]byte {
-	rec := pub.appendArrival(nil, sub)
+	rec := pub.EncodeClientSubmission(sub)
 	client, hints := splitArrival(rec)
 	first := func(y *big.Int) []byte {
 		out := bytes.Clone(rec)

@@ -145,7 +145,7 @@ func newBoardGrammar(pub *Public, budget *BudgetConfig, audit bool) *boardGramma
 	}
 }
 
-// submissionDecode is what decodeArrival made of one submission record's
+// submissionDecode is what DecodeClientSubmission made of one submission record's
 // payload. Decoding is the expensive, order-free part of reading a
 // record in full, so a reader may have done it ahead of the grammar, on
 // another goroutine; what the result means stays with step.
@@ -157,7 +157,7 @@ type submissionDecode struct {
 // decodeSubmission decodes rec's payload if rec is a submission record.
 func (p *Public) decodeSubmission(rec *store.Record) (d submissionDecode) {
 	if rec.Kind == RecordSubmission {
-		d.sub, d.err = p.decodeArrival(rec.Payload)
+		d.sub, d.err = p.DecodeClientSubmission(rec.Payload)
 	}
 	return d
 }

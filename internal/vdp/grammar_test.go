@@ -506,11 +506,11 @@ func TestBoardGrammarConformance(t *testing.T) {
 			name: "wrong-hint",
 			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
 				rec := recs[sh.subs[0]]
-				sub, err := b.pub.decodeArrival(rec.Payload)
+				sub, err := b.pub.DecodeClientSubmission(rec.Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
-				payload := b.pub.appendArrival(nil, sub)
+				payload := b.pub.EncodeClientSubmission(sub)
 				client, hints := splitArrival(payload)
 				y := new(big.Int).SetBytes(hints[:32])
 				new(big.Int).Sub(elliptic.P256().Params().P, y).FillBytes(payload[len(client) : len(client)+32])

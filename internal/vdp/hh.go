@@ -76,7 +76,7 @@ func (p *Public) NewSketchContribution(layout sketch.Layout, clientID, item int,
 // GroupContributions cuts a decoded submit-batch frame into whole sketch
 // contributions: rows consecutive submissions per client, in row order — the
 // exact shape a sketch client sends (EncodeSubmissionBatch over each
-// contribution's row bundle). Each bundle is filed under its first row's
+// contribution's row bundle, every row hinted). Each bundle is filed under its first row's
 // client; SubmitBatch's shape check refuses one that is incomplete or mixes
 // clients.
 func GroupContributions(rows int, subs []*ClientSubmission) ([]*SketchContribution, error) {

@@ -1,6 +1,7 @@
 package vdp
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"io"
@@ -181,7 +182,7 @@ func arrivalPoints(t *testing.T, pub *Public, recs []*store.Record, epoch int) u
 		if rec.Kind != RecordSubmission || (epoch >= 0 && int(rec.Epoch) != epoch) {
 			continue
 		}
-		sub, err := pub.decodeArrival(rec.Payload)
+		sub, err := pub.DecodeClientSubmission(rec.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +191,22 @@ func arrivalPoints(t *testing.T, pub *Public, recs []*store.Record, epoch int) u
 	return n
 }
 
-// TestReadersTakeNoSquareRoots: admission takes one square root per point,
-// decoding the client's frame, and none to write the arrival record; the
-// readers of the board — tail, audit, resume — take none for the points of
-// a version-2 arrival record, and one per point of a version-1 record (the
-// fixture). The seal's prover section still decompresses its own points, so
-// a reader that verifies a seal is allowed exactly what decoding that
-// section once takes.
+// encodeV1 is sub's version-1 encoding, the client's bytes without the hint
+// section: what a client built before point hints sends.
+func encodeV1(pub *Public, sub *ClientSubmission) []byte {
+	client, _ := splitArrival(pub.EncodeClientSubmission(sub))
+	return client
+}
+
+// TestReadersTakeNoSquareRoots: admission takes no square root for a hinted
+// submission — a "submit" body or a 64-member "submit-batch" — and one per
+// point of a version-1 member, which it still admits and logs as the same
+// arrival record the hinted member would have made; the readers of the
+// board — tail, audit, resume — take none for the points of a version-2
+// arrival record, and one per point of a version-1 record (the fixture).
+// The seal's prover section still decompresses its own points, so a reader
+// that verifies a seal is allowed exactly what decoding that section once
+// takes.
 func TestReadersTakeNoSquareRoots(t *testing.T) {
 	ctx := context.Background()
 	pub := testPublic(t, 2, 1, 4)
@@ -207,8 +217,48 @@ func TestReadersTakeNoSquareRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for epoch, ids := range [][]int{{0, 1, 2}, {3, 4}} {
-		if epoch == 1 {
+	want := make(map[int][]byte) // each client's hinted encoding
+	client := func(id int) *ClientSubmission {
+		sub, err := pub.NewClientSubmission(id, id%2, testSeed(byte(180+id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = pub.EncodeClientSubmission(sub)
+		return sub
+	}
+	hinted := func(id int) []byte {
+		client(id)
+		return want[id]
+	}
+	submitBody := func(body []byte) func() ([]*ClientSubmission, error) {
+		return func() ([]*ClientSubmission, error) {
+			sub, err := pub.DecodeClientSubmission(body)
+			return []*ClientSubmission{sub}, err
+		}
+	}
+	batchBody := func(members ...[]byte) func() ([]*ClientSubmission, error) {
+		body := EncodeRawSubmissionBatch(members)
+		return func() ([]*ClientSubmission, error) { return pub.DecodeSubmissionBatch(body) }
+	}
+	var batch64 [][]byte
+	for id := 100; id < 164; id++ {
+		batch64 = append(batch64, hinted(id))
+	}
+	v1 := client(1)
+	frames := []struct {
+		name   string
+		epoch  int
+		decode func() ([]*ClientSubmission, error)
+		roots  uint64
+	}{
+		{"hinted submit", 0, submitBody(hinted(0)), 0},
+		{"hinted 64-member submit-batch", 0, batchBody(batch64...), 0},
+		{"submit-batch with a v1 member", 0, batchBody(encodeV1(pub, v1), hinted(2)), pointsOf(v1.Public)},
+		{"hinted submit, epoch 1", 1, submitBody(hinted(3)), 0},
+		{"hinted submit-batch, epoch 1", 1, batchBody(hinted(4)), 0},
+	}
+	for _, f := range frames {
+		if f.epoch == 1 && sess.Epoch() == 0 {
 			if _, err := sess.Finalize(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -216,21 +266,10 @@ func TestReadersTakeNoSquareRoots(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		frames := make([][]byte, len(ids))
-		var points uint64
-		for i, id := range ids {
-			sub, err := pub.NewClientSubmission(id, id%2, testSeed(byte(180+id)))
+		if n := roots(func() {
+			subs, err := f.decode()
 			if err != nil {
 				t.Fatal(err)
-			}
-			frames[i], points = pub.EncodeClientSubmission(sub), points+pointsOf(sub.Public)
-		}
-		if n := roots(func() {
-			subs := make([]*ClientSubmission, len(frames))
-			for i, f := range frames {
-				if subs[i], err = pub.DecodeClientSubmission(f); err != nil {
-					t.Fatal(err)
-				}
 			}
 			verdicts, err := sess.SubmitBatch(ctx, subs)
 			if err != nil {
@@ -238,14 +277,31 @@ func TestReadersTakeNoSquareRoots(t *testing.T) {
 			}
 			for _, v := range verdicts {
 				if v != nil {
-					t.Fatal(v)
+					t.Fatalf("%s: %v", f.name, v)
 				}
 			}
-		}); n != points {
-			t.Fatalf("admitting epoch %d took %d square roots for %d points", epoch, n, points)
+		}); n != f.roots {
+			t.Fatalf("admitting a %s took %d square roots, want %d", f.name, n, f.roots)
 		}
 	}
 	v2, _ := log.Snapshot()
+	logged := 0
+	for i, rec := range v2 {
+		if rec.Kind != RecordSubmission {
+			continue
+		}
+		logged++
+		sub, err := pub.DecodeClientSubmission(rec.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Payload, want[sub.Public.ID]) {
+			t.Fatalf("arrival record %d is not client %d's hinted encoding", i, sub.Public.ID)
+		}
+	}
+	if logged != len(want) {
+		t.Fatalf("the board logs %d arrival records for %d clients", logged, len(want))
+	}
 
 	for _, board := range []struct {
 		name string

@@ -22,8 +22,9 @@ import (
 // work per node unchanged; the helpers here add the cross-node merge and
 // audit on top, plus the zero-crypto byte-level peeks the router uses to
 // route raw frames without decoding a single group element. Both client
-// frame kinds carry EncodeClientSubmission records — a "submit" body is one
-// record, a "submit-batch" body a count of them — so one peek serves both.
+// frame kinds carry EncodeClientSubmission records, hint sections included —
+// a "submit" body is one record, a "submit-batch" body a count of them — so
+// one peek serves both, and the router forwards every record verbatim.
 
 // NewShardSession opens the Session for one node of a K-node cluster: shard
 // `shard` of `shards`. opts.Rand is read once for the root seed (every node
@@ -153,8 +154,8 @@ func PeekSubmissionID(rec []byte) (int, error) {
 // raw per-submission records and peeks each record's client ID, without any
 // cryptographic validation — the router's partitioning scan. Each returned
 // record is the exact EncodeClientSubmission encoding (version | blob(public)
-// | payload count | payloads), so EncodeRawSubmissionBatch can reassemble
-// per-shard sub-batches byte-identically.
+// | payload count | payloads | hints), so EncodeRawSubmissionBatch can
+// reassemble per-shard sub-batches byte-identically.
 func SplitSubmissionBatch(b []byte) (recs [][]byte, ids []int, err error) {
 	r := versioned(b)
 	recs = make([][]byte, r.Count(MaxBatchClients, 4))

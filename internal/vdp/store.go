@@ -24,8 +24,8 @@ import (
 //
 // Record layout (store.Record.Kind):
 //
-//	RecordSubmission  payload = EncodeClientSubmission (public + K payloads),
-//	                   then (v2) the public part's point hints (wirelog.go)
+//	RecordSubmission  payload = EncodeClientSubmission, the client's frame
+//	                   bytes: public + K payloads + (v2) point hints (wirelog.go)
 //	RecordVerdict     payload = client ID, accepted, on-board, reason
 //	RecordWithdraw    payload = client ID (cancelled mid-verification)
 //	RecordSeal        payload = EncodeTranscript (the epoch's full board)

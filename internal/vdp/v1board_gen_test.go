@@ -77,8 +77,8 @@ func TestWriteV1Board(t *testing.T) {
 		if rec.Kind != RecordSubmission {
 			continue
 		}
-		if _, err := pub.DecodeClientSubmission(rec.Payload); err != nil {
-			t.Fatalf("record %d is not a version-1 arrival record (this build writes hints): %v", i, err)
+		if _, hints := splitArrival(rec.Payload); len(hints) != 0 {
+			t.Fatalf("record %d is not a version-1 arrival record (this build writes hints)", i)
 		}
 	}
 }

@@ -42,70 +42,43 @@ func putWireBuf(p *[]byte) {
 }
 
 // EncodeClientSubmission serializes a full submission — the bulletin-board
-// public part plus all K private per-prover payloads — as one record. It is
-// the one byte string a submission has: a board-log record, a "submit"
-// frame body, and each member of a "submit-batch" frame.
+// public part plus all K private per-prover payloads, then the hint section
+// of its points — as one record. It is the one byte string a submission has:
+// a "submit" frame body, each member of a "submit-batch" frame, and the
+// board log's arrival record.
 func (p *Public) EncodeClientSubmission(sub *ClientSubmission) []byte {
-	var w wire.Writer
-	p.putClientSubmission(&w, sub)
-	return w.Bytes()
+	return p.appendClientSubmission(nil, sub)
 }
 
-// putClientSubmission writes the submission record encoding to an existing
-// writer. The sub-encodings are emitted in place (Mark/Patch backfill their
-// length prefixes), so a batch of N submissions costs one buffer, not 3N.
-func (p *Public) putClientSubmission(w *wire.Writer, sub *ClientSubmission) {
+// Arrival records. A submission's encoding is the client's bytes (version |
+// blob(public) | payload count | payloads) followed, from record version 2
+// on, by a hint section: the decode hint (Group.AppendHint — a P-256 point's
+// y coordinate, 32 bytes; nothing on schnorr2048) of every group element of
+// the public part, in encoding order. The client writes it off the points it
+// just computed, the server's admission decode and every reader of the board
+// check each hint with a few multiplications instead of taking a square
+// root, and a wrong hint is refused at its record and can never change a
+// point. A record without a hint section is version 1, what every client
+// sent and every log was written with before, and decodes by taking the
+// roots. Only the decode reads hints: digests, the seal's client section and
+// its cross-check all cover the client's bytes (splitArrival).
+
+// appendClientSubmission appends sub's encoding to dst: the client's bytes,
+// then the hint section. The sub-encodings are emitted in place (Mark/Patch
+// backfill their length prefixes), so a batch of N submissions costs one
+// buffer, not 3N.
+func (p *Public) appendClientSubmission(dst []byte, sub *ClientSubmission) []byte {
+	w := wire.NewWriter(dst)
 	w.U8(WireVersion)
 	mark := w.Mark()
-	p.putClientPublic(w, sub.Public)
+	p.putClientPublic(&w, sub.Public)
 	w.Patch(mark)
 	w.U32(uint32(len(sub.Payloads)))
 	for _, pl := range sub.Payloads {
 		mark := w.Mark()
-		p.putClientPayload(w, pl)
+		p.putClientPayload(&w, pl)
 		w.Patch(mark)
 	}
-}
-
-// DecodeClientSubmission parses and validates a full submission record.
-func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
-	return p.decodeClientSubmission(p.pp.Group(), b)
-}
-
-// decodeClientSubmission is DecodeClientSubmission reading the public
-// part's group elements through d.
-func (p *Public) decodeClientSubmission(d group.Decoder, b []byte) (*ClientSubmission, error) {
-	r := versioned(b)
-	sub := &ClientSubmission{
-		Public: wire.Parse(&r, r.Blob(), func(b []byte) (*ClientPublic, error) {
-			return p.decodeClientPublic(d, b)
-		}),
-		Payloads: blobs(&r, maxWireDim, p.DecodeClientPayload),
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
-// Arrival records. A board log's submission record (RecordSubmission) is the
-// client's submission bytes, EncodeClientSubmission's encoding unchanged,
-// followed from record version 2 on by a hint section: the decode hint
-// (Group.AppendHint — a P-256 point's y coordinate, 32 bytes; nothing on
-// schnorr2048) of every group element of the public part, in encoding order.
-// Admission decompressed every point already, so writing the hints takes no
-// square root, and a reader checks each with a few multiplications instead
-// of taking the root again; a wrong hint is refused at its record and can
-// never change a point. A record without a hint section is version 1, what
-// every log was written with before, and decodes as the client's bytes
-// alone. Only the decode reads hints: digests, the seal's client section and
-// its cross-check all cover the client's bytes.
-
-// appendArrival appends sub's arrival record to dst: the submission's bytes,
-// then its hint section.
-func (p *Public) appendArrival(dst []byte, sub *ClientSubmission) []byte {
-	w := wire.NewWriter(dst)
-	p.putClientSubmission(&w, sub)
 	return p.appendHints(w.Bytes(), sub.Public)
 }
 
@@ -129,26 +102,35 @@ func (p *Public) appendHints(dst []byte, cp *ClientPublic) []byte {
 	return dst
 }
 
-// decodeArrival parses an arrival record of either version.
-func (p *Public) decodeArrival(b []byte) (*ClientSubmission, error) {
+// DecodeClientSubmission parses and validates a submission of either
+// version: a hinted point is checked against its hint, a v1 one decoded by
+// its square root.
+func (p *Public) DecodeClientSubmission(b []byte) (*ClientSubmission, error) {
 	client, hints := splitArrival(b)
-	if len(hints) == 0 {
-		return p.DecodeClientSubmission(client)
-	}
+	var d group.Decoder = p.pp.Group()
 	h := &group.Hinted{G: p.pp.Group(), Hints: hints}
-	sub, err := p.decodeClientSubmission(h, client)
-	if err == nil {
-		err = h.Finish()
+	if len(hints) != 0 {
+		d = h
 	}
-	if err != nil {
+	r := versioned(client)
+	sub := &ClientSubmission{
+		Public: wire.Parse(&r, r.Blob(), func(b []byte) (*ClientPublic, error) {
+			return p.decodeClientPublic(d, b)
+		}),
+		Payloads: blobs(&r, maxWireDim, p.DecodeClientPayload),
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	if err := h.Finish(); err != nil {
 		return nil, err
 	}
 	return sub, nil
 }
 
-// splitArrival cuts an arrival record after the client's bytes, which are
-// self-delimiting; the rest is the hint section. A record whose client bytes
-// cannot be followed to their end is returned whole, for
+// splitArrival cuts an encoded submission after the client's bytes, which
+// are self-delimiting; the rest is the hint section. A record whose client
+// bytes cannot be followed to their end is returned whole, for
 // DecodeClientSubmission to refuse.
 func splitArrival(b []byte) (client, hints []byte) {
 	r := versioned(b)

@@ -11,10 +11,11 @@
 #                 backend brought this from 4161 allocs/op (math/big) to 1;
 #                 the ceiling catches the big.Int path coming back.
 #   decode        BenchmarkDecodeSubmissionBatch (internal/vdp): one
-#                 64-submission batch frame through the wire decoder.
-#                 1985 allocs/op (≈31 per submission); the ceiling catches
-#                 a per-byte or per-element allocation pattern sneaking
-#                 into the parse loop.
+#                 64-submission batch frame of hinted members through the
+#                 wire decoder. 2049 allocs/op (32 per submission, the
+#                 hint cursor one of them); the ceiling catches a per-byte
+#                 or per-element allocation pattern sneaking into the parse
+#                 loop.
 #   record-decode BenchmarkDecodeArrivalRecords/v2 (internal/vdp): 64
 #                 bench-shape v2 arrival records (three points each)
 #                 through decodeSubmission, the decode every board-log
