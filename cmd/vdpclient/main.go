@@ -191,15 +191,17 @@ func submitBatch(pub *vdp.Public, addr string, firstID, choice, n int, opts tran
 	if n > vdp.MaxBatchClients {
 		log.Fatalf("-batch %d exceeds the per-frame limit of %d", n, vdp.MaxBatchClients)
 	}
-	subs := make([]*vdp.ClientSubmission, n)
-	for i := range subs {
+	subs, err := buildFrame(pub, n, func(i int) ([]*vdp.ClientSubmission, error) {
 		sub, err := pub.NewClientSubmission(firstID+i, choice, nil)
 		if err != nil {
-			log.Fatalf("building submission %d: %v", firstID+i, err)
+			return nil, fmt.Errorf("building submission %d: %v", firstID+i, err)
 		}
-		subs[i] = sub
+		return []*vdp.ClientSubmission{sub}, nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	ok, _, elapsed := sendBatch(pub, addr, firstID, subs, 1, opts, "batch", "REJECTED")
+	ok, _, elapsed := sendBatch(pub, addr, firstID, subs, opts, "batch", "REJECTED")
 	fmt.Printf("batch of %d: %d accepted, %d rejected in %v (%.0f submissions/sec)\n",
 		n, ok, n-ok, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
 	if ok < n {
@@ -216,31 +218,51 @@ func submitSketch(pub *vdp.Public, layout sketch.Layout, addr string, firstID, i
 	if n*layout.Rows > vdp.MaxBatchClients {
 		log.Fatalf("-batch %d needs %d row submissions, exceeding the per-frame limit of %d", n, n*layout.Rows, vdp.MaxBatchClients)
 	}
-	subs := make([]*vdp.ClientSubmission, 0, n*layout.Rows)
-	for i := 0; i < n; i++ {
+	subs, err := buildFrame(pub, n, func(i int) ([]*vdp.ClientSubmission, error) {
 		c, err := pub.NewSketchContribution(layout, firstID+i, item, nil)
 		if err != nil {
-			log.Fatalf("building contribution %d: %v", firstID+i, err)
+			return nil, fmt.Errorf("building contribution %d: %v", firstID+i, err)
 		}
-		subs = append(subs, c.Rows...)
+		return c.Rows, nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	ok, n, _ := sendBatch(pub, addr, firstID, subs, layout.Rows, opts, "contribution(s)", "REFUSED")
+	ok, n, _ := sendBatch(pub, addr, firstID, subs, opts, "contribution(s)", "REFUSED")
 	fmt.Printf("%d of %d contribution(s) for item %d accepted (%d rows each)\n", ok, n, item, layout.Rows)
 	if ok < n {
 		os.Exit(1)
 	}
 }
 
-// sendBatch sends subs, perClient of them a client, in one "submit-batch"
-// frame and prints a line per refused client, labelled refused; what names
-// the frame in a fatal line. A frame over the transport's limit is refused
-// before dialing. It returns how many verdicts came back, how many of them
-// accept, and the time from sending the frame to decoding the verdicts.
-func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmission, perClient int, opts transport.ClientOptions, what, refused string) (ok, n int, elapsed time.Duration) {
-	body := pub.EncodeSubmissionBatch(subs)
-	if err := frameFits(pub, body, len(subs), perClient); err != nil {
-		log.Fatal(err)
+// buildFrame builds the submissions of n clients for one "submit-batch"
+// frame, client i's by build(i). Every client of a frame encodes to the same
+// size, so the first client's encoding sizes the whole frame: a -batch over
+// the transport's limit is refused before the other n-1 clients are proved.
+func buildFrame(pub *vdp.Public, n int, build func(i int) ([]*vdp.ClientSubmission, error)) ([]*vdp.ClientSubmission, error) {
+	var subs []*vdp.ClientSubmission
+	for i := range n {
+		one, err := build(i)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			if err := frameFits(pub, one, n); err != nil {
+				return nil, err
+			}
+			subs = make([]*vdp.ClientSubmission, 0, n*len(one))
+		}
+		subs = append(subs, one...)
 	}
+	return subs, nil
+}
+
+// sendBatch sends subs in one "submit-batch" frame and prints a line per
+// refused client, labelled refused; what names the frame in a fatal line. It
+// returns how many verdicts came back, how many of them accept, and the time
+// from sending the frame to decoding the verdicts.
+func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmission, opts transport.ClientOptions, what, refused string) (ok, n int, elapsed time.Duration) {
+	body := pub.EncodeSubmissionBatch(subs)
 	c, err := transport.DialClient(addr, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -273,17 +295,18 @@ func sendBatch(pub *vdp.Public, addr string, sender int, subs []*vdp.ClientSubmi
 	return ok, len(verdicts), elapsed
 }
 
-// frameFits refuses a "submit-batch" body of members submissions, perClient
-// of them a client, that is over transport.MaxFrameSize, naming the largest
-// -batch that fits: every member of a frame encodes to the same size.
-func frameFits(pub *vdp.Public, body []byte, members, perClient int) error {
-	if len(body) <= transport.MaxFrameSize {
-		return nil
-	}
+// frameFits refuses a -batch of clients whose "submit-batch" frame would be
+// over transport.MaxFrameSize, sizing the frame from one client's
+// submissions (one, or a sketch contribution's rows), and names the largest
+// -batch that fits.
+func frameFits(pub *vdp.Public, one []*vdp.ClientSubmission, clients int) error {
 	head := len(pub.EncodeSubmissionBatch(nil))
-	member := (len(body) - head) / members
-	return fmt.Errorf("-batch %d encodes to a %d-byte frame, over the %d-byte frame limit; the largest -batch that fits is %d",
-		members/perClient, len(body), transport.MaxFrameSize, (transport.MaxFrameSize-head)/member/perClient)
+	per := len(pub.EncodeSubmissionBatch(one)) - head
+	if size := head + clients*per; size > transport.MaxFrameSize {
+		return fmt.Errorf("-batch %d encodes to a %d-byte frame, over the %d-byte frame limit; the largest -batch that fits is %d",
+			clients, size, transport.MaxFrameSize, (transport.MaxFrameSize-head)/per)
+	}
+	return nil
 }
 
 // querySketch sends one "top:K" or "point:ITEM" query to a sketch-mode

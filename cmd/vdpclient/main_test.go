@@ -96,7 +96,8 @@ func TestAuditSketchOffline(t *testing.T) {
 // TestFrameFits: a -batch whose frame is over the transport's limit — 4096
 // twelve-bin submissions, ~18.7 MiB with their point hints — is refused with
 // the largest -batch that fits, which does fit while one more does not, in
-// submissions and in whole sketch contributions.
+// submissions and in whole sketch contributions. The refusal comes after the
+// first client is built, before any other is proved.
 func TestFrameFits(t *testing.T) {
 	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: 12, Coins: 4})
 	if err != nil {
@@ -106,32 +107,41 @@ func TestFrameFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := func(n int) []byte {
-		subs := make([]*vdp.ClientSubmission, n)
-		for i := range subs {
-			subs[i] = sub
-		}
-		return pub.EncodeSubmissionBatch(subs)
-	}
 	for _, perClient := range []int{1, 3} {
-		n := vdp.MaxBatchClients / perClient * perClient
-		body := frame(n)
-		err := frameFits(pub, body, n, perClient)
+		built := 0
+		build := func(int) ([]*vdp.ClientSubmission, error) {
+			built++
+			one := make([]*vdp.ClientSubmission, perClient)
+			for i := range one {
+				one[i] = sub
+			}
+			return one, nil
+		}
+		n := vdp.MaxBatchClients / perClient
+		_, err := buildFrame(pub, n, build)
 		if err == nil {
-			t.Fatalf("a %d-byte frame fits under the %d-byte limit", len(body), transport.MaxFrameSize)
+			t.Fatalf("%d clients of %d submissions each fit under the %d-byte limit", n, perClient, transport.MaxFrameSize)
+		}
+		if built != 1 {
+			t.Errorf("refusing -batch %d built %d clients, want 1", n, built)
 		}
 		var largest int
 		if _, scanErr := fmt.Sscanf(err.Error()[strings.LastIndex(err.Error(), " ")+1:], "%d", &largest); scanErr != nil {
 			t.Fatalf("%v names no largest -batch", err)
 		}
-		if !strings.HasPrefix(err.Error(), fmt.Sprintf("-batch %d encodes to", n/perClient)) {
-			t.Errorf("refusal %q does not name -batch %d", err, n/perClient)
+		if !strings.HasPrefix(err.Error(), fmt.Sprintf("-batch %d encodes to", n)) {
+			t.Errorf("refusal %q does not name -batch %d", err, n)
 		}
-		fits := frame(largest * perClient)
-		if err := frameFits(pub, fits, largest*perClient, perClient); err != nil {
-			t.Errorf("the largest -batch is refused: %v", err)
+		built = 0
+		subs, err := buildFrame(pub, largest, build)
+		if err != nil {
+			t.Fatalf("the largest -batch is refused: %v", err)
 		}
-		if len(fits) > transport.MaxFrameSize || len(frame((largest+1)*perClient)) <= transport.MaxFrameSize {
+		if built != largest || len(subs) != largest*perClient {
+			t.Fatalf("-batch %d built %d clients into %d submissions", largest, built, len(subs))
+		}
+		if len(pub.EncodeSubmissionBatch(subs)) > transport.MaxFrameSize ||
+			len(pub.EncodeSubmissionBatch(append(subs, subs[:perClient]...))) <= transport.MaxFrameSize {
 			t.Errorf("%d clients of %d submissions each is not the largest -batch that fits", largest, perClient)
 		}
 	}

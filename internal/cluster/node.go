@@ -84,39 +84,11 @@ func (n *Node) Submit(ctx context.Context, sub *vdp.ClientSubmission) error {
 	return verdicts[0]
 }
 
-// SubmitBatch admits a batch after checking each member is routed to the
-// right shard: a misrouted client is rejected with a public verdict rather
-// than silently admitted into the wrong sub-board, and the rest pass to the
-// session in arrival order.
+// SubmitBatch admits a batch through the shard's session, which refuses a
+// member ShardOf assigns to another shard with a public verdict rather than
+// admitting it into the wrong sub-board.
 func (n *Node) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]error, error) {
-	verdicts := make([]error, len(subs))
-	keep := make([]*vdp.ClientSubmission, 0, len(subs))
-	keepIdx := make([]int, 0, len(subs))
-	for i, sub := range subs {
-		if sub == nil || sub.Public == nil {
-			verdicts[i] = fmt.Errorf("%w: nil submission", vdp.ErrClientReject)
-			continue
-		}
-		if got := vdp.ShardOf(sub.Public.ID, n.shards); got != n.shard {
-			verdicts[i] = fmt.Errorf("%w: client %d belongs to shard %d, this node serves shard %d",
-				vdp.ErrClientReject, sub.Public.ID, got, n.shard)
-			continue
-		}
-		keep = append(keep, sub)
-		keepIdx = append(keepIdx, i)
-	}
-	if len(keep) == 0 {
-		return verdicts, nil
-	}
-	vs, err := n.sess.SubmitBatch(ctx, keep)
-	for j, i := range keepIdx {
-		if vs != nil {
-			verdicts[i] = vs[j]
-		} else if err != nil {
-			verdicts[i] = err
-		}
-	}
-	return verdicts, err
+	return n.sess.SubmitBatch(ctx, subs)
 }
 
 // Status snapshots the node for KindStatus replies.
@@ -198,9 +170,10 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 	}
 }
 
-// seal finalizes the local epoch (idempotently) and returns the sealed
-// transcript. The epoch argument guards against a router and node that have
-// drifted apart: sealing is only ever valid for the node's current epoch.
+// seal seals the local epoch (idempotently, Session.Seal) and returns the
+// sealed transcript. The epoch argument guards against a router and node
+// that have drifted apart: sealing is only ever valid for the node's current
+// epoch.
 func (n *Node) seal(epoch int) *transport.Frame {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -208,18 +181,13 @@ func (n *Node) seal(epoch int) *transport.Frame {
 		return errFrame("cluster: shard %d serves epoch %d, seal requested for epoch %d",
 			n.shard, n.sess.Epoch(), epoch)
 	}
-	if !n.sess.Finalized() {
-		if _, err := n.sess.Finalize(n.ctx); err != nil {
-			return errFrame("cluster: shard %d seal: %v", n.shard, err)
-		}
-	}
-	t := n.sess.SealedTranscript()
-	if t == nil {
-		return errFrame("cluster: shard %d epoch %d sealed but transcript unavailable", n.shard, epoch)
+	res, err := n.sess.Seal(n.ctx)
+	if err != nil {
+		return errFrame("cluster: shard %d seal: %v", n.shard, err)
 	}
 	return &transport.Frame{
 		Kind:    okKind(KindSeal),
-		Payload: encodeTranscriptReply(epoch, n.pub.EncodeTranscript(t)),
+		Payload: encodeTranscriptReply(epoch, n.pub.EncodeTranscript(res.Transcript)),
 	}
 }
 

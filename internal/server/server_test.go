@@ -147,10 +147,11 @@ const (
 )
 
 // TestDispatchOverEveryAdmitter drives the one handler over the boards
-// cmd/vdpserver wires it to — plain session, Shards:2 session, cluster node,
-// standby before and after promotion — with the same client frames, asserting
-// reply kinds and payload bytes. The boards differ in exactly one reply: a
-// cluster node answers a batch member that belongs to another shard with a
+// cmd/vdpserver wires it to — plain session, Shards:2 session, one shard's
+// session, cluster node, standby before and after promotion — with the same
+// client frames, asserting reply kinds and payload bytes. The boards differ
+// in exactly one reply: one shard's board — its session, bare or behind a
+// cluster node — answers a batch member that belongs to another shard with a
 // per-client verdict, where a whole board admits it.
 func TestDispatchOverEveryAdmitter(t *testing.T) {
 	pub := setup(t, 1)
@@ -185,6 +186,13 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			}
 			return s, nil
 		}, false},
+		{"shard-session", func(t *testing.T) (server.Board, transport.Handler) {
+			s, err := vdp.NewShardSession(pub, vdp.SessionOptions{}, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, nil
+		}, true},
 		{"node", func(t *testing.T) (server.Board, transport.Handler) {
 			n := node(t)
 			return n, cluster.Demux(n.Handle)

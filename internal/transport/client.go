@@ -104,7 +104,7 @@ func (p RetryPolicy) sleepFor(d time.Duration, z *uint64) time.Duration {
 }
 
 // splitmix64 advances a 64-bit state and returns the finalized output — the
-// same generator store.FaultFromSeed and the FaultConn planner use, so every
+// same generator store.FaultFromSeed and ConnFaultFromSeed use, so every
 // deterministic knob in the repo speaks one PRNG.
 func splitmix64(z *uint64) uint64 {
 	*z += 0x9e3779b97f4a7c15
@@ -124,7 +124,7 @@ type ClientOptions struct {
 	// decides whether the request is safe to repeat.
 	Retry RetryPolicy
 	// Dial overrides how the TCP connection is opened (nil = net.DialTimeout).
-	// The chaos harness hooks it to wrap connections in a FaultConn; it is
+	// The chaos harness hooks it to wrap connections with a FaultPlan; it is
 	// also the seam for tests that serve from in-memory listeners.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }

@@ -9,12 +9,13 @@ import (
 
 // Admission: the one path from an arrival to the board.
 //
-// Every accept/reject rule of the write side — duplicate screening, budget
-// refusal, the charge append, the group-commit window, verdict install and
-// every rollback — lives in Session.SubmitBatch and nowhere else. A single
-// arrival is a batch of one (Session.Submit wraps it); a frame of N pays the
-// same fixed costs once, which is where the RLC batch verification
-// (sigma.BitBatch + group.NativeMultiExp) earns its advantage:
+// Every accept/reject rule of the write side — the shard pin, duplicate
+// screening, budget refusal, the charge append, the group-commit window,
+// verdict install and every rollback — lives in Session.SubmitBatch and
+// nowhere else. A single arrival is a batch of one (Session.Submit wraps
+// it); a frame of N pays the same fixed costs once, which is where the RLC
+// batch verification (sigma.BitBatch + group.NativeMultiExp) earns its
+// advantage:
 //
 //   - EncodeSubmissionBatch / DecodeSubmissionBatch: a versioned wire body
 //     holding N full client submissions, the payload of one "submit-batch"
@@ -142,10 +143,10 @@ func DecodeBatchVerdicts(b []byte) ([]BatchVerdict, error) {
 // client whose *payload* fails (bad or missing share openings — a
 // private-channel dispute) is refused outright and never posted, keeping the
 // transcript publicly auditable; a client the budget ledger cannot charge is
-// refused the same way, uncharged. Duplicates — against the roster or earlier
-// in the same batch — and nil members fail without being recorded.
-// Concurrent calls are safe and verdict-equivalent to any serial order of the
-// same arrivals.
+// refused the same way, uncharged. Nil members, members ShardOf assigns to
+// another shard than the session's, and duplicates — against the roster or
+// earlier in the same batch — fail without being recorded. Concurrent calls
+// are safe and verdict-equivalent to any serial order of the same arrivals.
 //
 // A non-nil error reports a batch-level failure, and outranks every verdict:
 // no member may be acknowledged. When verdicts is nil the batch was not
@@ -210,6 +211,11 @@ func (s *Session) SubmitBatch(ctx context.Context, subs []*ClientSubmission) ([]
 	for i, sub := range subs {
 		if sub == nil || sub.Public == nil {
 			verdicts[i] = fmt.Errorf("%w: nil submission", ErrClientReject)
+			continue
+		}
+		if got := ShardOf(sub.Public.ID, s.shards); got != s.shard {
+			verdicts[i] = fmt.Errorf("%w: client %d belongs to shard %d, this node serves shard %d",
+				ErrClientReject, sub.Public.ID, got, s.shard)
 			continue
 		}
 		if _, dup := s.byID[sub.Public.ID]; dup {
@@ -460,22 +466,23 @@ func (ss *ShardedSession) SubmitBatch(ctx context.Context, subs []*ClientSubmiss
 	verdicts := make([]error, len(subs))
 	groups := make([][]*ClientSubmission, len(ss.segs))
 	idx := make([][]int, len(ss.segs))
+	var busy []int // the shards the batch reaches: only they get a worker
 	for i, sub := range subs {
 		if sub == nil || sub.Public == nil {
 			verdicts[i] = fmt.Errorf("%w: nil submission", ErrClientReject)
 			continue
 		}
 		sh := ss.ShardFor(sub.Public.ID)
+		if len(groups[sh]) == 0 {
+			busy = append(busy, sh)
+		}
 		groups[sh] = append(groups[sh], sub)
 		idx[sh] = append(idx[sh], i)
 	}
 	shardErrs := make([]error, len(ss.segs))
 	done := make([]bool, len(ss.segs))
-	_ = forEach(ctx, len(ss.segs), len(ss.segs), func(sh int) error {
-		if len(groups[sh]) == 0 {
-			done[sh] = true
-			return nil
-		}
+	_ = forEach(ctx, len(busy), len(busy), func(j int) error {
+		sh := busy[j]
 		vs, err := ss.segs[sh].SubmitBatch(ctx, groups[sh])
 		shardErrs[sh] = err
 		for k, i := range idx[sh] {

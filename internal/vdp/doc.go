@@ -80,7 +80,7 @@
 // the one merged-seal rule, shared with cluster nodes, their standbys and the
 // live tails) — parameterised by the segmentKind (shardSegments,
 // rowSegments) that also parameterises the segmented readers. The two
-// exported types keep only what differs: ShardOf routing and mergeReleases;
+// exported types keep only what differs: ShardOf routing and MergeReleases;
 // the row-0 admission gate and assembleSketch. segmented.go is the single
 // place to change a lifecycle rule; the frame dispatch that serves any of
 // these boards over TCP is internal/server.

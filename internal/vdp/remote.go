@@ -32,9 +32,11 @@ import (
 // forkShard(shard, shards) substream, which is exactly what a single-process
 // ShardedSession hands its sub-session `shard` — the seed arrangement that
 // makes the cluster's merged digest byte-identical to the single-process
-// one. opts.Store, when set, is the node's own board log (single-session
-// grammar); opts.Shards and opts.Segmented must be unset — the shard split
-// lives in the cluster topology, not inside the node's session.
+// one. The session admits only the clients ShardOf assigns to `shard`, as
+// its board log's readers accept only those. opts.Store, when set, is the
+// node's own board log (single-session grammar); opts.Shards and
+// opts.Segmented must be unset — the shard split lives in the cluster
+// topology, not inside the node's session.
 func NewShardSession(pub *Public, opts SessionOptions, shard, shards int) (*Session, error) {
 	if err := checkShardIndex(shard, shards); err != nil {
 		return nil, err
@@ -49,7 +51,7 @@ func NewShardSession(pub *Public, opts SessionOptions, shard, shards int) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	return newSessionFromSource(pub, opts, root.forkShard(shard, shards)), nil
+	return newSessionFromSource(pub, opts, root.forkShard(shard, shards), shard, shards), nil
 }
 
 // ResumeShardSession recovers one cluster node's Session from its board log
@@ -80,15 +82,6 @@ func checkShardIndex(shard, shards int) error {
 		return fmt.Errorf("%w: shard index %d out of range [0,%d)", ErrBadConfig, shard, shards)
 	}
 	return nil
-}
-
-// MergeReleases combines per-shard transcript releases into the epoch's
-// combined release, exactly as ShardedSession.Finalize merges them: raw
-// counts add, the debiasing mean and standard deviation scale with the shard
-// count. The cluster router uses it to produce the merged release from the K
-// node transcripts the seal handshake collects.
-func MergeReleases(pub *Public, shards []*Transcript) (*Release, error) {
-	return mergeReleases(pub, shards)
 }
 
 // TranscriptFromLog extracts and decodes the sealed transcript of one epoch

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -221,4 +222,115 @@ func TestShardSessionMergeAudit(t *testing.T) {
 	if _, err := OpenMergedSeals(torn, 1); err == nil {
 		t.Fatal("opened a merged-seal log holding a truncated record")
 	}
+}
+
+// TestShardPinAtAdmission: a shard's session admits only the clients ShardOf
+// assigns it, as its log's readers accept only those. A misrouted member —
+// sent to a fresh shard session, to a resumed one, or to a sharded session's
+// sub-session — earns the refusal verdict and leaves no record, so the log
+// still resumes and the epoch passes the merged audit.
+func TestShardPinAtAdmission(t *testing.T) {
+	pub := testPublic(t, 1, 2, 4)
+	ctx := context.Background()
+	const shards = 2
+	own, other := pickIDForShard(0, shards), pickIDForShard(1, shards)
+	submission := func(id int) *ClientSubmission {
+		sub, err := pub.NewClientSubmission(id, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	refusal := fmt.Sprintf("vdp: client input rejected: client %d belongs to shard 1, this node serves shard 0", other)
+	// refused sends the misrouted client alone and in a batch behind an
+	// already-admitted one, and checks the verdict and that no record lands.
+	refused := func(t *testing.T, s *Session, log store.Log) {
+		t.Helper()
+		before := log.Len()
+		if err := s.Submit(ctx, submission(other)); !errors.Is(err, ErrClientReject) || err.Error() != refusal {
+			t.Fatalf("misrouted submit: %v, want %q", err, refusal)
+		}
+		vs, err := s.SubmitBatch(ctx, []*ClientSubmission{submission(own), submission(other)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(vs[0], ErrClientReject) || vs[1] == nil || vs[1].Error() != refusal {
+			t.Fatalf("batch verdicts %v, want a duplicate and %q", vs, refusal)
+		}
+		if got := log.Len(); got != before {
+			t.Fatalf("log length %d after the refusals, want %d", got, before)
+		}
+	}
+
+	t.Run("fresh-and-resumed", func(t *testing.T) {
+		log := store.NewMemLog()
+		s, err := NewShardSession(pub, SessionOptions{Rand: testSeed(96), Store: log}, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Submit(ctx, submission(own)); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, s, log)
+		resumed, err := ResumeShardSession(ctx, pub, SessionOptions{Rand: testSeed(96), Store: log}, 0, shards)
+		if err != nil {
+			t.Fatalf("resuming past the refusals: %v", err)
+		}
+		refused(t, resumed, log)
+		res0, err := resumed.Finalize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, err := NewShardSession(pub, SessionOptions{Rand: testSeed(96)}, 1, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Submit(ctx, submission(other)); err != nil {
+			t.Fatalf("the client's own shard: %v", err)
+		}
+		res1, err := s1.Finalize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := []*Transcript{res0.Transcript, res1.Transcript}
+		rel, err := MergeReleases(pub, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AuditMerged(ctx, pub, ts, rel, 0); err != nil {
+			t.Fatalf("merged audit: %v", err)
+		}
+		if _, err := ResumeShardSession(ctx, pub, SessionOptions{Rand: testSeed(96), Store: log}, 0, shards); err != nil {
+			t.Fatalf("resuming the sealed log: %v", err)
+		}
+	})
+
+	t.Run("sharded-session-shard", func(t *testing.T) {
+		seg, err := store.OpenSegmentedLog(t.TempDir(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(97), Segmented: seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Submit(ctx, submission(own)); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, ss.Shard(0), seg.Segment(0))
+		if err := ss.Submit(ctx, submission(other)); err != nil {
+			t.Fatalf("routed to its own shard: %v", err)
+		}
+		res, err := ss.Finalize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AuditMerged(ctx, pub, res.Transcripts(), res.Release, 0); err != nil {
+			t.Fatalf("merged audit: %v", err)
+		}
+		if err := AuditSegmentedLog(ctx, pub, seg, 0, 0); err != nil {
+			t.Fatalf("segmented log audit: %v", err)
+		}
+	})
 }

@@ -40,7 +40,8 @@ var (
 	rowSegments   = segmentKind{unit: "sketch row", session: "SketchSession"}
 )
 
-// pin returns the shard coordinates segment i's grammar is pinned to.
+// pin returns the shard coordinates segment i's session and grammar are
+// pinned to.
 func (k segmentKind) pin(i, n int) (shard, shards int) {
 	if k.pinned {
 		return i, n
@@ -107,7 +108,8 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 	}
 	if !resume {
 		for i := range g.segs {
-			g.segs[i] = newSessionFromSource(pub, sos[i], srcs[i])
+			shard, shards := kind.pin(i, n)
+			g.segs[i] = newSessionFromSource(pub, sos[i], srcs[i], shard, shards)
 		}
 	} else {
 		// The segments resume concurrently, each on its share of the pool,
@@ -235,25 +237,6 @@ func (g *segmentedSession) setState(st sessionState) {
 	g.mu.Unlock()
 }
 
-// sealSegment is the one place a sub-session's epoch is closed: a segment
-// already sealed — by an earlier attempt, or before a crash — contributes
-// its kept transcript as-is instead of being finalized twice.
-func (g *segmentedSession) sealSegment(ctx context.Context, i int) (*RunResult, error) {
-	s := g.segs[i]
-	if !s.Finalized() {
-		res, err := s.Finalize(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("%s %d: %w", g.kind.unit, i, err)
-		}
-		return res, nil
-	}
-	t := s.SealedTranscript()
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s %d is finalized but its transcript is not recoverable", ErrBadConfig, g.kind.unit, i)
-	}
-	return &RunResult{Release: t.Release, Transcript: t, RejectedClients: s.Rejected()}, nil
-}
-
 // finalize closes the current epoch on every segment in parallel and binds
 // the K seals into one: results and transcripts come back in segment order —
 // the merge order, so the merged digest is reproducible by anyone holding
@@ -288,8 +271,12 @@ func (g *segmentedSession) finalize(ctx context.Context, assemble func([]*Transc
 
 	results = make([]*RunResult, len(g.segs))
 	err = forEach(ctx, len(g.segs), len(g.segs), func(i int) (err error) {
-		results[i], err = g.sealSegment(ctx, i)
-		return err
+		// Session.Seal: a segment already sealed — by an earlier attempt,
+		// or before a crash — contributes its kept transcript as-is.
+		if results[i], err = g.segs[i].Seal(ctx); err != nil {
+			return fmt.Errorf("%s %d: %w", g.kind.unit, i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		next := sessionFinalized

@@ -106,6 +106,10 @@ type Session struct {
 	workers int // the worker-pool width, resolved from opts.Parallelism
 	opts    SessionOptions
 	root    *randSource
+	// shard and shards pin the session to the clients ShardOf assigns it:
+	// admission refuses any other, as the board grammar's readers do. An
+	// unpinned session is shard 0 of 1.
+	shard, shards int
 
 	// flight lets Submits proceed concurrently (read side) while Finalize
 	// and Reset wait for them to drain (write side). Lock order: flight
@@ -145,7 +149,7 @@ func NewSession(pub *Public, opts SessionOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSessionFromSource(pub, opts, root), nil
+	return newSessionFromSource(pub, opts, root, 0, 1), nil
 }
 
 // ensureEmptyLog verifies that a board log holds no records yet; a log with
@@ -165,13 +169,16 @@ func ensureEmptyLog(log store.BoardLog) error {
 // newSessionFromSource builds a session whose deterministic substreams hang
 // off an already-derived root source, used by the sharded front door to give
 // every shard an independent fork of one root seed without re-reading
-// SessionOptions.Rand per shard.
-func newSessionFromSource(pub *Public, opts SessionOptions, root *randSource) *Session {
+// SessionOptions.Rand per shard. The session admits only the clients ShardOf
+// assigns to shard `shard` of `shards`.
+func newSessionFromSource(pub *Public, opts SessionOptions, root *randSource, shard, shards int) *Session {
 	s := &Session{
 		pub:      pub,
 		workers:  poolWidth(opts.Parallelism),
 		opts:     opts,
 		root:     root,
+		shard:    shard,
+		shards:   shards,
 		rs:       root,
 		byID:     make(map[int]*sessionClient),
 		rejected: make(map[int]error),
@@ -348,6 +355,25 @@ func (s *Session) SealedTranscript() *Transcript {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sealedT
+}
+
+// Seal is the one step that closes the current epoch, however often it is
+// asked: an open epoch is finalized, and an epoch already sealed — by an
+// earlier call, or before a crash — returns its kept transcript instead of
+// being finalized twice. An epoch finalized without a kept transcript
+// (consumed by a protocol error) cannot be sealed again.
+func (s *Session) Seal(ctx context.Context) (*RunResult, error) {
+	s.mu.Lock()
+	st, t, epoch := s.state, s.sealedT, s.epoch
+	rejected := maps.Clone(s.rejected)
+	s.mu.Unlock()
+	switch {
+	case st != sessionFinalized:
+		return s.Finalize(ctx)
+	case t == nil:
+		return nil, fmt.Errorf("%w: epoch %d is finalized but its transcript is not recoverable", ErrBadConfig, epoch)
+	}
+	return &RunResult{Release: t.Release, Transcript: t, RejectedClients: rejected}, nil
 }
 
 // Reset reopens a finalized session for the next epoch: the client roster

@@ -139,9 +139,8 @@ func subSessionOptions(opts SessionOptions, workers int) SessionOptions {
 func (ss *ShardedSession) Shards() int { return len(ss.segs) }
 
 // Shard returns the sub-session for shard i, for introspection (per-shard
-// counters) and tests. Submitting to it directly bypasses the router only in
-// the sense that the caller must pick the right shard; the duplicate and
-// verification semantics are unchanged.
+// counters) and tests. It is pinned to shard i like any shard's session: it
+// refuses a client ShardOf assigns elsewhere.
 func (ss *ShardedSession) Shard(i int) *Session { return ss.segs[i] }
 
 // ShardFor returns the shard that owns clientID under this session's shard
@@ -181,17 +180,19 @@ func (ss *ShardedSession) Rejected() map[int]error {
 	return out
 }
 
-// Submit routes one client to its shard and admits it there, with exactly
-// Session.Submit's verification, durability, and verdict semantics. The
-// routing is lock-free — a pure hash of the client ID — so Submits for
-// clients on different shards never serialize against each other; two
-// submissions of the same ID always meet in the same shard, which is what
-// keeps the duplicate guard airtight across the whole sharded board.
+// Submit routes one client to its shard and admits it there: a batch of one
+// through SubmitBatch, with exactly Session.Submit's verification,
+// durability, and verdict semantics. The routing is lock-free — a pure hash
+// of the client ID — so Submits for clients on different shards never
+// serialize against each other; two submissions of the same ID always meet
+// in the same shard, which is what keeps the duplicate guard airtight across
+// the whole sharded board.
 func (ss *ShardedSession) Submit(ctx context.Context, sub *ClientSubmission) error {
-	if sub == nil || sub.Public == nil {
-		return fmt.Errorf("%w: nil submission", ErrClientReject)
+	verdicts, err := ss.SubmitBatch(ctx, []*ClientSubmission{sub})
+	if err != nil {
+		return err
 	}
-	return ss.segs[ss.ShardFor(sub.Public.ID)].Submit(ctx, sub)
+	return verdicts[0]
 }
 
 // ShardedResult is the outcome of finalizing a sharded epoch: the per-shard
@@ -234,7 +235,7 @@ func (ss *ShardedSession) Finalize(ctx context.Context) (*ShardedResult, error) 
 	out := new(ShardedResult)
 	var err error
 	out.Shards, out.RejectedClients, out.Digest, err = ss.finalize(ctx, func(ts []*Transcript) (err error) {
-		out.Release, err = mergeReleases(ss.pub, ts)
+		out.Release, err = MergeReleases(ss.pub, ts)
 		return err
 	})
 	if err != nil {
@@ -298,11 +299,12 @@ func checkShardAssignment(shards []*Transcript) error {
 	return nil
 }
 
-// mergeReleases combines the per-shard releases into the epoch's release:
-// raw counts add, so the merged bin j carries Shards·K independent
+// MergeReleases combines the per-shard transcript releases into the epoch's
+// release, as ShardedSession.Finalize and the cluster router's merge both
+// do: raw counts add, so the merged bin j carries Shards·K independent
 // Binomial(nb, ½) noises; the debiasing mean and the standard deviation
 // scale accordingly.
-func mergeReleases(pub *Public, shards []*Transcript) (*Release, error) {
+func MergeReleases(pub *Public, shards []*Transcript) (*Release, error) {
 	m := pub.cfg.Bins
 	rel := &Release{
 		Raw:      make([]int64, m),
@@ -350,7 +352,7 @@ func AuditMerged(ctx context.Context, pub *Public, shards []*Transcript, release
 	if release == nil {
 		return nil
 	}
-	want, err := mergeReleases(pub, shards)
+	want, err := MergeReleases(pub, shards)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrAuditFail, err)
 	}

@@ -568,58 +568,60 @@ func TestShardedAuditTamper(t *testing.T) {
 	pub := testPublic(t, 1, 1, 4)
 	const shards = 2
 
-	t.Run("client-on-wrong-shard", func(t *testing.T) {
-		ss, err := NewShardedSession(pub, SessionOptions{Shards: shards})
+	// A shard's session refuses another shard's client, so a corrupt
+	// curator's boards are forged on unpinned sessions, one per shard.
+	forgedShard := func(t *testing.T, subs ...*ClientSubmission) *Transcript {
+		t.Helper()
+		s, err := NewSession(pub, SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, sub := range subs {
+			if err := s.Submit(context.Background(), sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Finalize(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Transcript
+	}
+	auditForged := func(t *testing.T, ts []*Transcript) error {
+		t.Helper()
+		rel, err := MergeReleases(pub, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AuditMerged(context.Background(), pub, ts, rel, 0)
+	}
+
+	t.Run("client-on-wrong-shard", func(t *testing.T) {
 		sub, err := pub.NewClientSubmission(3, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bypass the router: a corrupt front door posts the client on the
-		// other shard.
+		// The client is posted on the other shard's board.
+		ts := make([]*Transcript, shards)
 		wrong := 1 - ShardOf(3, shards)
-		if err := ss.Shard(wrong).Submit(context.Background(), sub); err != nil {
-			t.Fatal(err)
-		}
-		res, err := ss.Finalize(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AuditMerged(context.Background(), pub, res.Transcripts(), res.Release, 0); !errors.Is(err, ErrAuditFail) {
+		ts[wrong], ts[1-wrong] = forgedShard(t, sub), forgedShard(t)
+		if err := auditForged(t, ts); !errors.Is(err, ErrAuditFail) {
 			t.Errorf("wrong-shard client passed the merged audit: %v", err)
 		}
 	})
 
 	t.Run("client-on-two-shards", func(t *testing.T) {
-		ss, err := NewShardedSession(pub, SessionOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Find an ID for each shard, then post shard 1's client on both.
 		sub0, err := pub.NewClientSubmission(pickIDForShard(0, shards), 1, nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.Shard(0).Submit(context.Background(), sub0); err != nil {
 			t.Fatal(err)
 		}
 		dup, err := pub.NewClientSubmission(pickIDForShard(1, shards), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.Shard(1).Submit(context.Background(), dup); err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.Shard(0).Submit(context.Background(), dup); err != nil {
-			t.Fatal(err)
-		}
-		res, err := ss.Finalize(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AuditMerged(context.Background(), pub, res.Transcripts(), res.Release, 0); !errors.Is(err, ErrAuditFail) {
+		ts := []*Transcript{forgedShard(t, sub0, dup), forgedShard(t, dup)}
+		if err := auditForged(t, ts); !errors.Is(err, ErrAuditFail) {
 			t.Errorf("double-posted client passed the merged audit: %v", err)
 		}
 	})

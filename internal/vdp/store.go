@@ -355,7 +355,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 		return nil, err
 	}
 
-	s := newSessionFromSource(pub, opts, root)
+	s := newSessionFromSource(pub, opts, root, shard, shards)
 	s.epoch = g.epoch
 	s.rs = s.root.fork(g.epoch)
 	if g.sealed {
