@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/group"
 	"repro/internal/sketch"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -73,7 +72,6 @@ func main() {
 		coins      = flag.Int("coins", 64, "noise coins (must match server)")
 		eps        = flag.Float64("eps", 1.0, "epsilon (must match server when -coins 0)")
 		delta      = flag.Float64("delta", 1e-6, "delta (must match server when -coins 0)")
-		grp        = flag.String("group", "p256", "commitment group (must match server)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "submission round-trip deadline (0 = none)")
 		retries    = flag.Int("retries", 0, "redial attempts after a transient dial failure (0 = fail on first error)")
 		backoff    = flag.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, capped at 2s)")
@@ -99,11 +97,7 @@ func main() {
 		binsEff = layout.Width
 	}
 
-	g, err := group.ByName(*grp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pub, err := vdp.Setup(vdp.Config{Group: g, Provers: 1, Bins: binsEff, Coins: *coins, Epsilon: *eps, Delta: *delta})
+	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: binsEff, Coins: *coins, Epsilon: *eps, Delta: *delta})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,10 +30,10 @@
 // operator action, and the stale primary can never acknowledge again.
 //
 // With -audit the router instead plays the cross-node auditor: it fetches
-// the merged seal from every node (all must agree), pulls each node's
-// board log (or sealed transcript, for memory-only nodes), re-verifies
-// every shard and the shard map, and checks the recomputed merged digest
-// against the recorded seal.
+// the merged seal from every node (all must agree), reads each node's
+// board log — every node keeps one, in memory without -store-dir —
+// re-verifies every shard and the shard map, and checks the recomputed
+// merged digest against the recorded seal.
 //
 // Example (four shells):
 //
@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/group"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
@@ -76,7 +75,6 @@ func main() {
 		coins    = flag.Int("coins", 64, "noise coins nb (must match the nodes)")
 		eps      = flag.Float64("eps", 1.0, "epsilon (used when -coins 0)")
 		delta    = flag.Float64("delta", 1e-6, "delta (used when -coins 0)")
-		grp      = flag.String("group", "p256", "commitment group (must match the nodes)")
 		grace    = flag.Duration("grace", 30*time.Second, "shutdown grace period for draining and finalizing")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-leg backend round-trip deadline")
 		retries  = flag.Int("retries", 5, "redial/retry attempts for backend dials and idempotent RPCs")
@@ -92,11 +90,7 @@ func main() {
 		log.Fatal("-backends is required: comma-separated node addresses in shard order")
 	}
 
-	g, err := group.ByName(*grp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pub, err := vdp.Setup(vdp.Config{Group: g, Provers: 1, Bins: *bins, Coins: *coins, Epsilon: *eps, Delta: *delta})
+	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: *bins, Coins: *coins, Epsilon: *eps, Delta: *delta})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,8 +115,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("cross-node audit FAILED: %v", err)
 		}
-		fmt.Printf("cross-node audit: PASSED (epoch %d, %d shards, %s-grade evidence, digest %x...)\n",
-			report.Epoch, report.Shards, report.Source, report.Digest[:8])
+		fmt.Printf("cross-node audit: PASSED (epoch %d, %d shards, every board log, digest %x...)\n",
+			report.Epoch, report.Shards, report.Digest[:8])
 		return
 	}
 
@@ -144,8 +138,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("verifiable-dp router listening on %s (%d shards, epoch %d, %d/%d accepted, M=%d, nb=%d, group=%s)",
-		srv.Addr(), router.Shards(), sts[0].Epoch, recovered, *clients, pub.Bins(), pub.Coins(), *grp)
+	log.Printf("verifiable-dp router listening on %s (%d shards, epoch %d, %d/%d accepted, M=%d, nb=%d)",
+		srv.Addr(), router.Shards(), sts[0].Epoch, recovered, *clients, pub.Bins(), pub.Coins())
 
 	select {
 	case <-router.Done():

@@ -79,7 +79,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/group"
 	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/store"
@@ -100,7 +99,6 @@ func main() {
 		coins    = flag.Int("coins", 64, "noise coins nb (0 = calibrate from -eps/-delta)")
 		eps      = flag.Float64("eps", 1.0, "epsilon (used when -coins 0)")
 		delta    = flag.Float64("delta", 1e-6, "delta (used when -coins 0)")
-		grp      = flag.String("group", "p256", "commitment group: p256|schnorr2048")
 		grace    = flag.Duration("grace", 30*time.Second, "shutdown grace period for draining and finalizing")
 		storeDir = flag.String("store-dir", "", "directory for the durable board log (empty = in-memory board)")
 		shards   = flag.Int("shards", 1, "independent board shards (client IDs are consistent-hashed across them)")
@@ -135,11 +133,7 @@ func main() {
 		binsEff = layout.Width
 	}
 
-	g, err := group.ByName(*grp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pub, err := vdp.Setup(vdp.Config{Group: g, Provers: 1, Bins: binsEff, Coins: *coins, Epsilon: *eps, Delta: *delta})
+	pub, err := vdp.Setup(vdp.Config{Provers: 1, Bins: binsEff, Coins: *coins, Epsilon: *eps, Delta: *delta})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/vdp"
@@ -73,5 +76,84 @@ func TestRunStandaloneRestarts(t *testing.T) {
 			}
 		}
 		seg.Close()
+	}
+}
+
+// TestRunNodeInMemory runs cluster nodes with neither -store-dir nor
+// -standby behind a cluster.Router, in process. Such a node keeps its board
+// log in memory, so after the merge the cross-node audit reads every node's
+// log and a live tail certifies the merged epoch.
+func TestRunNodeInMemory(t *testing.T) {
+	const k, n = 2, 6
+	pub := sketchTestPublic(t, 1, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	addrs := make([]string, k)
+	var wg sync.WaitGroup
+	for i := range addrs {
+		addrs[i] = freeAddr(t)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runNode(ctx, pub, addrs[i], "", nil, i, k, "", 10*time.Second)
+		}(i)
+	}
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for _, addr := range addrs {
+		roundTrip(t, addr, &transport.Frame{Kind: cluster.KindStatus}) // waits for the listener
+	}
+
+	router, err := cluster.New(cluster.Config{Pub: pub, Backends: addrs, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	recs := make([][]byte, n)
+	for id := range recs {
+		sub, err := pub.NewClientSubmission(id, id%2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[id] = pub.EncodeClientSubmission(sub)
+	}
+	replies, err := router.Handler()(&transport.Frame{Kind: "submit-batch", Payload: vdp.EncodeRawSubmissionBatch(recs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, err := vdp.DecodeBatchVerdicts(replies[0].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range verdicts {
+		if !v.Accepted {
+			t.Fatalf("client %d refused: %s", v.ID, v.Reason)
+		}
+	}
+	res, err := router.FinalizeMerge(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	report, err := router.AuditCluster(ctx, -1, 0)
+	if err != nil || report.Source != "logs" || !bytes.Equal(report.Digest, res.Digest) {
+		t.Fatalf("cross-node audit of memory nodes: %+v, %v; want log evidence for digest %x", report, err, res.Digest)
+	}
+
+	backends := make([]*cluster.Backend, k)
+	for i, addr := range addrs {
+		backends[i] = cluster.NewBackend([]string{addr}, i, transport.ClientOptions{Timeout: 10 * time.Second})
+		defer backends[i].Close()
+	}
+	fol, err := cluster.NewTailFollower(pub, backends, vdp.TailOptions{})
+	if err != nil {
+		t.Fatalf("tailing memory nodes: %v", err)
+	}
+	if _, err := fol.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if epoch, digest, ready, err := fol.VerifyNext(); err != nil || !ready || epoch != 0 || !bytes.Equal(digest, res.Digest) {
+		t.Fatalf("tail certified epoch %d digest %x ready=%v err=%v, want epoch 0 digest %x", epoch, digest, ready, err, res.Digest)
 	}
 }

@@ -92,13 +92,10 @@ func runNode(ctx context.Context, pub *vdp.Public, addr, storeDir string, budget
 		}
 	}
 
-	// A memory-only, unmirrored node keeps no log at all: nothing to resume
-	// from, nothing to serve over node-log.
-	opts := vdp.SessionOptions{Budget: budget}
-	cfg := cluster.NodeConfig{Shard: shardIndex, Shards: shardCount}
-	if storeDir != "" || standbyAddr != "" {
-		opts.Store, cfg.BoardLog, cfg.SealLog = blog, blog, slog
-	}
+	// Every node keeps a board log — in memory without -store-dir — and
+	// serves it over node-log to the cross-node audit and the live tail.
+	opts := vdp.SessionOptions{Budget: budget, Store: blog}
+	cfg := cluster.NodeConfig{Shard: shardIndex, Shards: shardCount, BoardLog: blog, SealLog: slog}
 	var (
 		sess *vdp.Session
 		err  error

@@ -277,10 +277,10 @@ func (l *unreadableLog) ReadFrom(index int) (store.Tailer, error) {
 	return l.Log.ReadFrom(index)
 }
 
-// TestAuditClusterFailsOnUnreadableLog pins the evidence grade to the
-// nodes' status: every node keeps a board log, so the cross-node audit is
-// log-grade, and when one node's log stops reading after the seal the audit
-// fails rather than settling for the sealed transcripts.
+// TestAuditClusterFailsOnUnreadableLog pins the one evidence grade: a node
+// without a board log is refused at NewNode, so the cross-node audit always
+// reads every node's log, and when one node's log stops reading after the
+// seal the audit fails rather than settling for the sealed transcripts.
 func TestAuditClusterFailsOnUnreadableLog(t *testing.T) {
 	const k, n = 2, 6
 	pub := testPub(t)
@@ -290,6 +290,9 @@ func TestAuditClusterFailsOnUnreadableLog(t *testing.T) {
 	sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Rand: bytes.NewReader(rootSeed()), Store: board, Parallelism: 2}, 0, k)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := NewNode(ctx, pub, sess, NodeConfig{Shard: 0, Shards: k, SealLog: store.NewMemLog()}); err == nil || !strings.Contains(err.Error(), "needs a board log") {
+		t.Fatalf("NewNode without a board log: %v, want a refusal", err)
 	}
 	node, err := NewNode(ctx, pub, sess, NodeConfig{Shard: 0, Shards: k, BoardLog: board, SealLog: store.NewMemLog()})
 	if err != nil {
@@ -539,7 +542,7 @@ func TestNodeRejectsMisroutedClient(t *testing.T) {
 // framing violations.
 func TestRPCCodecs(t *testing.T) {
 	st := &NodeStatus{Shard: 2, Shards: 5, Epoch: 3, Submitted: 40, Accepted: 37,
-		Finalized: true, MergedSealed: false, Durable: true}
+		Finalized: true, MergedSealed: false, Standby: true, LogLen: 11}
 	got, err := decodeStatus(encodeStatus(st))
 	if err != nil {
 		t.Fatal(err)

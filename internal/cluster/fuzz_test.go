@@ -24,7 +24,7 @@ func FuzzRPC(f *testing.F) {
 		seeds     [][]byte
 		roundTrip func(b []byte) ([]byte, error)
 	}{
-		{[][]byte{encodeStatus(&NodeStatus{Shard: 2, Shards: 5, Epoch: 3, Submitted: 40, Accepted: 37, Durable: true, Standby: true, LogLen: 9})},
+		{[][]byte{encodeStatus(&NodeStatus{Shard: 2, Shards: 5, Epoch: 3, Submitted: 40, Accepted: 37, Standby: true, LogLen: 9})},
 			func(b []byte) ([]byte, error) {
 				st, err := decodeStatus(b)
 				if err != nil {

@@ -23,8 +23,8 @@ type Node struct {
 	shards int
 	ctx    context.Context
 
-	// boardLog is the session's own durable log when the node persists one
-	// (nil for a memory-only node); served in ranges over KindLog.
+	// boardLog is the session's own board log (a MemLog for a memory-only
+	// node), served in ranges over KindLog.
 	boardLog store.Log
 	// seals is the merged-seal book over the sidecar log: RecordMergedSeal
 	// records replicated from the router, one per merged epoch, so the
@@ -41,7 +41,8 @@ type NodeConfig struct {
 	// have been opened with NewShardSession/ResumeShardSession for the same
 	// coordinates or merged digests will not reproduce.
 	Shard, Shards int
-	// BoardLog is the session's durable log, if any (enables KindLog).
+	// BoardLog is the session's board log (required): a node serves it over
+	// KindLog to the cross-node audit and the live tail.
 	BoardLog store.Log
 	// SealLog is the merged-seal sidecar log, if any. Existing records are
 	// replayed into the node's merged-seal book, so a restarted node still
@@ -54,6 +55,9 @@ type NodeConfig struct {
 func NewNode(ctx context.Context, pub *vdp.Public, sess *vdp.Session, cfg NodeConfig) (*Node, error) {
 	if sess == nil {
 		return nil, fmt.Errorf("cluster: nil session")
+	}
+	if cfg.BoardLog == nil {
+		return nil, fmt.Errorf("cluster: shard %d needs a board log", cfg.Shard)
 	}
 	seals, err := vdp.OpenMergedSeals(cfg.SealLog, cfg.Shards)
 	if err != nil {
@@ -94,7 +98,7 @@ func (n *Node) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([
 // Status snapshots the node for KindStatus replies.
 func (n *Node) Status() *NodeStatus {
 	_, _, merged := n.seals.Get(n.sess.Epoch())
-	st := &NodeStatus{
+	return &NodeStatus{
 		Shard:        n.shard,
 		Shards:       n.shards,
 		Epoch:        n.sess.Epoch(),
@@ -102,16 +106,12 @@ func (n *Node) Status() *NodeStatus {
 		Accepted:     n.sess.Accepted(),
 		Finalized:    n.sess.Finalized(),
 		MergedSealed: merged,
-		Durable:      n.boardLog != nil,
-	}
-	if n.boardLog != nil {
 		// A ReplicatedLog counts its mirrored prefix, not its local total:
 		// records the standby never confirmed must not raise the promotion
 		// fence, or a primary dying mid-sync would wedge promotion on
 		// history nobody acknowledged.
-		st.LogLen = n.boardLog.Len()
+		LogLen: n.boardLog.Len(),
 	}
-	return st
 }
 
 // Handle serves one cluster RPC frame and always produces exactly one reply
@@ -133,13 +133,6 @@ func (n *Node) handle(f *transport.Frame) *transport.Frame {
 			return errFrame("%v", err)
 		}
 		return n.seal(epoch)
-
-	case KindTranscript:
-		epoch, err := decodeIndexReq(f.Payload)
-		if err != nil {
-			return errFrame("%v", err)
-		}
-		return n.transcript(epoch)
 
 	case KindLog:
 		return shipLog(n.shard, n.boardLog, f.Payload)
@@ -191,29 +184,6 @@ func (n *Node) seal(epoch int) *transport.Frame {
 	}
 }
 
-func (n *Node) transcript(epoch int) *transport.Frame {
-	if epoch == n.sess.Epoch() {
-		if t := n.sess.SealedTranscript(); t != nil {
-			return &transport.Frame{
-				Kind:    okKind(KindTranscript),
-				Payload: encodeTranscriptReply(epoch, n.pub.EncodeTranscript(t)),
-			}
-		}
-	}
-	if n.boardLog == nil {
-		return errFrame("cluster: shard %d holds no sealed transcript for epoch %d and has no board log",
-			n.shard, epoch)
-	}
-	t, err := vdp.TranscriptFromLog(n.pub, n.boardLog, epoch)
-	if err != nil {
-		return errFrame("cluster: shard %d epoch %d: %v", n.shard, epoch, err)
-	}
-	return &transport.Frame{
-		Kind:    okKind(KindTranscript),
-		Payload: encodeTranscriptReply(epoch, n.pub.EncodeTranscript(t)),
-	}
-}
-
 // shipLog answers a KindLog request from a board log: the log's Len — for a
 // replicated log only the mirrored prefix — and one chunk of the records
 // from the requested index on, none when the index is at or past the end.
@@ -223,9 +193,6 @@ func shipLog(shard int, log store.Log, req []byte) *transport.Frame {
 	from, err := decodeIndexReq(req)
 	if err != nil {
 		return errFrame("%v", err)
-	}
-	if log == nil {
-		return errFrame("cluster: shard %d keeps no board log", shard)
 	}
 	committed := log.Len()
 	var chunk []*store.Record

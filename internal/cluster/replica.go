@@ -155,7 +155,6 @@ func (s *Standby) status() *NodeStatus {
 		Shards:       s.cfg.Shards,
 		Epoch:        s.epoch,
 		MergedSealed: merged,
-		Durable:      true,
 		Standby:      true,
 		LogLen:       s.cfg.Board.Len(),
 	}

@@ -148,8 +148,8 @@ func TestReplicaMirrorAndFencedPromotion(t *testing.T) {
 	// The primary's status advertises the acked prefix, which is the fencing
 	// floor the router carries into promotion.
 	st := pr.node.Status()
-	if !st.Durable || st.LogLen != pr.board.Len() {
-		t.Fatalf("primary status LogLen=%d durable=%v, want acked=%d durable", st.LogLen, st.Durable, pr.board.Len())
+	if st.LogLen != pr.board.Len() {
+		t.Fatalf("primary status LogLen=%d, want acked=%d", st.LogLen, pr.board.Len())
 	}
 
 	// Promote through the Backend handshake, exactly as the router would:
@@ -299,10 +299,10 @@ func TestStandbyRefusesHostileRecordCount(t *testing.T) {
 }
 
 // TestDecodeStatusRefusesUnknownFlags: a status flag byte with a bit outside
-// the four defined flags is refused, not read as false.
+// the three defined flags is refused, not read as false.
 func TestDecodeStatusRefusesUnknownFlags(t *testing.T) {
-	enc := encodeStatus(&NodeStatus{Shards: 1, Durable: true})
-	for _, bit := range []byte{1 << 4, 1 << 7} {
+	enc := encodeStatus(&NodeStatus{Shards: 1, Standby: true})
+	for _, bit := range []byte{1 << 2, 1 << 4, 1 << 7} {
 		bad := append([]byte(nil), enc...)
 		bad[len(bad)-1] |= bit
 		if st, err := decodeStatus(bad); err == nil {

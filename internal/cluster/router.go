@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -341,11 +340,20 @@ func (r *Router) Statuses() ([]*NodeStatus, error) {
 }
 
 // CheckTopology verifies that backend i really serves shard i of K and
-// that all nodes sit on one epoch, rolling lagging nodes forward when it is
-// provably safe: a node exactly one epoch behind whose epoch is sealed and
-// merged-sealed was simply missed by a reset broadcast (router crash
-// between merge and reset), so it is reset and re-checked — the same
-// roll-forward rule ResumeShardedSession applies to segmented stores.
+// that all nodes sit on one epoch, rolling a lagging node forward only when
+// that is provably safe: it is exactly one epoch behind, and that epoch is
+// sealed locally and merged-sealed — a node a reset broadcast simply missed
+// (router crash between merge and reset) — so it is reset and re-checked.
+//
+// ResumeShardedSession's reconcile rolls a lagging segment forward from
+// any distance, open or sealed. Its rule differs because segments of one
+// store only ever advance together, by one Reset or Compact, so a segment
+// behind its siblings is one whose turnover a crash cut short, and
+// completing it is what the caller asked for — discarding an open epoch
+// included. Nodes advance only by node-reset, which refuses an open or not
+// merged-sealed epoch, so siblings ahead of a node that is open, or more
+// than one epoch behind, mean its log does not belong with theirs (a
+// restored older disk, say): that skew is reported, not healed.
 func (r *Router) CheckTopology() ([]*NodeStatus, error) {
 	const maxRollForward = 2 // one re-check after healing
 	for attempt := 0; ; attempt++ {
@@ -399,12 +407,13 @@ type MergeResult struct {
 	Digest []byte
 }
 
-// FinalizeMerge drives the cluster's finalize handshake: status/topology
-// check, parallel node-seal (idempotent — an already-sealed node returns
-// its kept transcript), shard-order merge, then merged-seal replication to
-// every node. Every step is retryable: if the handshake dies part-way (a
-// node down, the router killed), running FinalizeMerge again completes it
-// without double-sealing anything.
+// FinalizeMerge drives the cluster's finalize handshake: a status/topology
+// check, then vdp.SealMerged — the same merge step a ShardedSession takes —
+// with a parallel node-seal per shard (idempotent: an already-sealed node
+// returns its kept transcript), the shard-order merge, and the merged seal's
+// replication to every node as its record step. Every step is retryable: if
+// the handshake dies part-way (a node down, the router killed), running
+// FinalizeMerge again completes it without double-sealing anything.
 func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 	sts, err := r.CheckTopology()
 	if err != nil {
@@ -412,34 +421,16 @@ func (r *Router) FinalizeMerge(ctx context.Context) (*MergeResult, error) {
 	}
 	epoch := sts[0].Epoch
 	k := len(r.backends)
-
-	ts := make([]*vdp.Transcript, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := range ts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ts[i], errs[i] = r.transcript(i, KindSeal, epoch)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	digest := vdp.MergedTranscriptDigest(r.pub, ts)
-	release, err := vdp.MergeReleases(r.pub, ts)
+	ts, digest, err := vdp.SealMerged(ctx, r.pub, k, func(i int) (*vdp.Transcript, error) {
+		return r.seal(i, epoch)
+	}, func(digest []byte) error {
+		return r.callAll(&transport.Frame{Kind: KindMergedSeal, Payload: encodeMergedSeal(epoch, k, digest)}, "replicating merged seal to")
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	if err := r.callAll(&transport.Frame{Kind: KindMergedSeal, Payload: encodeMergedSeal(epoch, k, digest)}, "replicating merged seal to"); err != nil {
+	release, err := vdp.MergeReleases(r.pub, ts)
+	if err != nil {
 		return nil, err
 	}
 	return &MergeResult{Epoch: epoch, Transcripts: ts, Release: release, Digest: digest}, nil
@@ -456,12 +447,11 @@ func (r *Router) callAll(f *transport.Frame, what string) error {
 	return nil
 }
 
-// transcript fetches node i's transcript of epoch: kind KindSeal seals the
-// epoch first (idempotently), KindTranscript only reads it.
-func (r *Router) transcript(i int, kind string, epoch int) (*vdp.Transcript, error) {
-	reply, err := r.backends[i].rpc(&transport.Frame{Kind: kind, Payload: encodeIndexReq(epoch)})
+// seal has node i seal epoch (idempotently) and returns its transcript.
+func (r *Router) seal(i, epoch int) (*vdp.Transcript, error) {
+	reply, err := r.backends[i].rpc(&transport.Frame{Kind: KindSeal, Payload: encodeIndexReq(epoch)})
 	if err != nil {
-		return nil, fmt.Errorf("%s on shard %d: %w", kind, i, err)
+		return nil, fmt.Errorf("%s on shard %d: %w", KindSeal, i, err)
 	}
 	got, raw, err := decodeTranscriptReply(reply.Payload)
 	if err == nil && got != epoch {
@@ -472,7 +462,7 @@ func (r *Router) transcript(i int, kind string, epoch int) (*vdp.Transcript, err
 		t, err = r.pub.DecodeTranscript(raw)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("shard %d %s reply: %w", i, kind, err)
+		return nil, fmt.Errorf("shard %d %s reply: %w", i, KindSeal, err)
 	}
 	return t, nil
 }
@@ -481,73 +471,31 @@ func (r *Router) transcript(i int, kind string, epoch int) (*vdp.Transcript, err
 type ClusterAudit struct {
 	Epoch  int
 	Shards int
-	// Digest is the merged digest recomputed from fetched evidence; it
+	// Digest is the merged digest recomputed from the nodes' board logs; it
 	// matched the merged seal recorded on every node.
 	Digest []byte
-	// Source records the evidence grade: "logs" when every node keeps a
-	// board log and each was read and cross-checked against its seal record
-	// by record, or "transcripts" when at least one memory-only node could
-	// provide only its sealed transcript.
+	// Source names the evidence: always "logs", every node's board log.
 	Source string
 }
 
 // AuditCluster re-verifies a merged epoch from evidence fetched over the
-// wire: the merged seal recorded on every node (all K must agree), plus
-// either every node's board log, streamed in node-log ranges (log-grade
-// audit via AuditMergedLogs) or, when a node's status says it keeps no log,
-// the sealed transcripts (transcript-grade audit via AuditMerged). epoch < 0
-// audits the latest merged epoch. The recomputed digest must equal the
-// recorded seal byte-for-byte.
+// wire, by vdp.AuditMergedLogs — the same check AuditSegmentedLog runs over
+// one directory: the merged seal recorded on every node (all K must agree),
+// and every node's board log, streamed in node-log ranges and audited
+// record by record; the recomputed digest must equal the seal byte for
+// byte. epoch < 0 audits the newest epoch every node has merged-sealed.
 func (r *Router) AuditCluster(ctx context.Context, epoch, workers int) (*ClusterAudit, error) {
-	k := len(r.backends)
-
+	logs := make([]vdp.Replayer, len(r.backends))
+	for i, b := range r.backends {
+		logs[i] = logStream{b: b}
+	}
 	// Every node must hold the same merged seal; a single disagreeing node
 	// is evidence of a forked merge and fails the audit outright.
-	sealEpoch, sealDigest, err := clusterSeal(r.backends, epoch, 0)
+	epoch, digest, err := vdp.AuditMergedLogs(ctx, r.pub, logs, epoch, workers, func(epoch int) (int, []byte, error) {
+		return clusterSeal(r.backends, epoch, 0)
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	// The evidence grade follows the nodes' own status: the audit reads
-	// every board log, in ranges, unless some node keeps none — so a
-	// durable node whose log cannot be read fails the audit instead of
-	// downgrading it.
-	logs := make([]vdp.Replayer, k)
-	logGrade := true
-	for i, b := range r.backends {
-		st, err := b.status()
-		if err != nil {
-			return nil, fmt.Errorf("probing shard %d: %w", i, err)
-		}
-		logGrade = logGrade && st.Durable
-		logs[i] = logStream{b: b}
-	}
-
-	if logGrade {
-		digest, err := vdp.AuditMergedLogs(ctx, r.pub, logs, sealEpoch, workers)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(digest, sealDigest) {
-			return nil, fmt.Errorf("%w: merged digest from node logs is %x, recorded seal is %x",
-				vdp.ErrAuditFail, digest, sealDigest)
-		}
-		return &ClusterAudit{Epoch: sealEpoch, Shards: k, Digest: digest, Source: "logs"}, nil
-	}
-
-	ts := make([]*vdp.Transcript, k)
-	for i := range ts {
-		if ts[i], err = r.transcript(i, KindTranscript, sealEpoch); err != nil {
-			return nil, err
-		}
-	}
-	if err := vdp.AuditMerged(ctx, r.pub, ts, nil, workers); err != nil {
-		return nil, err
-	}
-	digest := vdp.MergedTranscriptDigest(r.pub, ts)
-	if !bytes.Equal(digest, sealDigest) {
-		return nil, fmt.Errorf("%w: merged digest from node transcripts is %x, recorded seal is %x",
-			vdp.ErrAuditFail, digest, sealDigest)
-	}
-	return &ClusterAudit{Epoch: sealEpoch, Shards: k, Digest: digest, Source: "transcripts"}, nil
+	return &ClusterAudit{Epoch: epoch, Shards: len(logs), Digest: digest, Source: "logs"}, nil
 }

@@ -33,9 +33,6 @@ const (
 	// its sealed transcript. Idempotent: an already-sealed epoch returns the
 	// kept transcript.
 	KindSeal = "node-seal"
-	// KindTranscript fetches a sealed epoch's transcript without sealing
-	// anything.
-	KindTranscript = "node-transcript"
 	// KindLog reads a range of the node's board log: the request names the
 	// index of the first record wanted, and the reply carries the node's
 	// committed record count and at most one chunk of the records from that
@@ -136,10 +133,6 @@ type NodeStatus struct {
 	// MergedSealed reports whether the current epoch's merged seal has been
 	// recorded on this node.
 	MergedSealed bool
-	// Durable reports whether the node keeps a board log. A durable node
-	// serves KindLog, and a cross-node audit must read its log: the audit
-	// is log-grade unless some node keeps none.
-	Durable bool
 	// Standby reports an unpromoted standby replica: it mirrors its
 	// primary's log but serves no admissions until promoted.
 	Standby bool
@@ -151,9 +144,9 @@ type NodeStatus struct {
 const (
 	statusFlagFinalized = 1 << iota
 	statusFlagMergedSealed
-	statusFlagDurable
+	_ // retired: the durable flag, from before every node kept a board log
 	statusFlagStandby
-	statusFlagsKnown = 1<<iota - 1
+	statusFlagsKnown = statusFlagFinalized | statusFlagMergedSealed | statusFlagStandby
 )
 
 func encodeStatus(st *NodeStatus) []byte {
@@ -170,9 +163,6 @@ func encodeStatus(st *NodeStatus) []byte {
 	}
 	if st.MergedSealed {
 		flags |= statusFlagMergedSealed
-	}
-	if st.Durable {
-		flags |= statusFlagDurable
 	}
 	if st.Standby {
 		flags |= statusFlagStandby
@@ -202,13 +192,12 @@ func decodeStatus(b []byte) (*NodeStatus, error) {
 	}
 	st.Finalized = flags&statusFlagFinalized != 0
 	st.MergedSealed = flags&statusFlagMergedSealed != 0
-	st.Durable = flags&statusFlagDurable != 0
 	st.Standby = flags&statusFlagStandby != 0
 	return st, nil
 }
 
-// encodeIndexReq serializes the one-field request body shared by KindSeal,
-// KindTranscript and KindReset — the epoch the caller believes is current —
+// encodeIndexReq serializes the one-field request body shared by KindSeal
+// and KindReset — the epoch the caller believes is current —
 // and KindLog — the index of the first record wanted.
 func encodeIndexReq(index int) []byte {
 	w := rpcOut()
@@ -222,7 +211,7 @@ func decodeIndexReq(b []byte) (int, error) {
 	return index, r.Finish()
 }
 
-// encodeTranscriptReply serializes a seal/transcript success reply: the
+// encodeTranscriptReply serializes a KindSeal success reply: the
 // epoch plus the transcript's vdp wire encoding.
 func encodeTranscriptReply(epoch int, transcript []byte) []byte {
 	w := rpcOut()

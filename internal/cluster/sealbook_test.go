@@ -118,7 +118,8 @@ func TestMergedSealEvidence(t *testing.T) {
 	}
 	// sealedNode boots a node whose epoch 0 is sealed locally, over sidecar.
 	sealedNode := func(t *testing.T, sidecar store.Log) (*Node, error) {
-		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Rand: bytes.NewReader(rootSeed()), Parallelism: 2}, 0, k)
+		board := store.NewMemLog()
+		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Rand: bytes.NewReader(rootSeed()), Store: board, Parallelism: 2}, 0, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestMergedSealEvidence(t *testing.T) {
 		if _, err := sess.Finalize(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return NewNode(ctx, pub, sess, NodeConfig{Shard: 0, Shards: k, SealLog: sidecar})
+		return NewNode(ctx, pub, sess, NodeConfig{Shard: 0, Shards: k, BoardLog: board, SealLog: sidecar})
 	}
 	standby := func(seal store.Log) (*Standby, error) {
 		return NewStandby(ctx, pub, StandbyConfig{Shard: 0, Shards: k, Board: store.NewMemLog(), Seal: seal})

@@ -26,8 +26,7 @@ type TailFollower struct {
 
 // NewTailFollower opens a live tail over a cluster's nodes, given in shard
 // order (the router's -backends order). Every node's topology is probed up
-// front: its shard coordinates must match its position and it must be
-// durable (a memory-only node has no log to tail).
+// front: its shard coordinates must match its position.
 func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions) (*TailFollower, error) {
 	k := len(backends)
 	if k < 1 {
@@ -41,9 +40,6 @@ func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions)
 		if st.Shard != i || st.Shards != k {
 			return nil, fmt.Errorf("cluster: backend %d serves shard %d/%d, want %d/%d",
 				i, st.Shard, st.Shards, i, k)
-		}
-		if !st.Durable {
-			return nil, fmt.Errorf("cluster: shard %d keeps no board log and cannot be tailed", i)
 		}
 	}
 	return &TailFollower{

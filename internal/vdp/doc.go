@@ -74,12 +74,16 @@
 // row) are the same thing with a different spread of clients over segments,
 // and share one lifecycle: segmentedSession in segmented.go. It owns the K
 // sub-Sessions and the manifest — construction of fresh and resumed boards,
-// Epoch/Finalized, the parallel finalize fan-out with its
-// sealed-segment reuse and retry/consumed rules, Reset, Compact, and healing
-// a missing merged seal in the manifest's MergedSeals book (shardstore.go:
-// the one merged-seal rule, shared with cluster nodes, their standbys and the
-// live tails) — parameterised by the segmentKind (shardSegments,
-// rowSegments) that also parameterises the segmented readers. The two
+// Epoch/Finalized (read off the segments and the merged-seal book, with no
+// lifecycle state of its own), finalize through SealMerged (the one merge
+// step, which the cluster router takes too) with its retry/consumed rules,
+// Reset, Compact, and healing a missing merged seal in the manifest's
+// MergedSeals book (shardstore.go: the one merged-seal rule, shared with
+// cluster nodes, their standbys and the live tails) — parameterised by the
+// segmentKind (shardSegments, rowSegments) that also parameterises the
+// segmented readers. The merged audit is one function too, auditMerged,
+// which AuditSegmentedLog runs over a directory and AuditMergedLogs over K
+// nodes' logs. The two
 // exported types keep only what differs: ShardOf routing and MergeReleases;
 // the row-0 admission gate and assembleSketch. segmented.go is the single
 // place to change a lifecycle rule; the frame dispatch that serves any of

@@ -429,7 +429,7 @@ func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, shape
 			t.Fatalf("post-recovery finalize: %v", err)
 		}
 	}
-	ts := b.sealedTranscripts()
+	ts := b.sealedTranscripts(b.Epoch())
 	if ts == nil {
 		t.Fatal("recovered board is finalized without every segment's transcript")
 	}

@@ -311,7 +311,7 @@ type SketchResult struct {
 func (hs *SketchSession) Finalize(ctx context.Context) (*SketchResult, error) {
 	out := new(SketchResult)
 	var err error
-	if out.Rows, out.RejectedClients, out.Digest, err = hs.finalize(ctx, nil); err != nil {
+	if out.Rows, out.RejectedClients, out.Digest, err = hs.finalize(ctx); err != nil {
 		return nil, err
 	}
 	out.Sketch = hs.assembleSketch(out.Rows)

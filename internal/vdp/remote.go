@@ -84,26 +84,6 @@ func checkShardIndex(shard, shards int) error {
 	return nil
 }
 
-// TranscriptFromLog extracts and decodes the sealed transcript of one epoch
-// from a board log, assembling chunked seals. It does not audit anything —
-// it is the fetch half of a cross-node audit, which feeds the result to
-// AuditMerged.
-func TranscriptFromLog(pub *Public, log store.BoardLog, epoch int) (*Transcript, error) {
-	var sealBytes []byte
-	err := scanSeals(log, func(e int, seal []byte) {
-		if e == epoch {
-			sealBytes = seal
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sealBytes == nil {
-		return nil, fmt.Errorf("vdp: epoch %d is not sealed in the board log", epoch)
-	}
-	return pub.DecodeTranscript(sealBytes)
-}
-
 // Replayer is the one method the replay-driven readers need of a board log
 // (store.BoardLog has it), so a log read over the network can stand in for
 // a local one.
@@ -114,16 +94,17 @@ type Replayer interface {
 }
 
 // AuditMergedLogs audits one merged epoch across the per-node board logs of
-// a cluster, in shard order: each log is audited exactly as AuditLog audits
+// a cluster, in shard order: seal looks the epoch's recorded merged seal up
+// (epoch < 0: the newest), each log is audited exactly as AuditLog audits
 // a single session's log (sealed transcript fully re-verified AND
 // cross-checked against the log's own per-arrival records) with its grammar
 // pinned to the shard map — every client on the shard ShardOf assigns it,
 // hence none on two — and the merged digest over the K recovered transcripts
-// is returned for comparison against the recorded merged seal. It is
+// must equal the seal. It returns the audited epoch and its digest. It is
 // AuditSegmentedLog with the segments fetched from K machines instead of one
 // directory. workers follows the AuditParallel convention (0 = all cores).
-func AuditMergedLogs(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int) ([]byte, error) {
-	return auditSegments(ctx, pub, logs, epoch, workers, shardSegments)
+func AuditMergedLogs(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, seal func(epoch int) (int, []byte, error)) (int, []byte, error) {
+	return auditMerged(ctx, pub, logs, epoch, workers, shardSegments, seal)
 }
 
 // peekClientPublicID reads the client ID off a raw EncodeClientPublic

@@ -127,8 +127,8 @@ func TestSubmitPayloadWire(t *testing.T) {
 }
 
 // TestShardSessionMergeAudit runs a one-node "cluster" through the remote
-// entry points: a shard session over its own board log, the transcript
-// fetch, the merged audit over node logs, the release merge, and the
+// entry points: a shard session over its own board log, the merged audit
+// over node logs against a merged seal, the release merge, and the
 // merged-seal record codec.
 func TestShardSessionMergeAudit(t *testing.T) {
 	pub := testPublic(t, 1, 2, 4)
@@ -167,27 +167,27 @@ func TestShardSessionMergeAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := TranscriptFromLog(pub, log, 1); err == nil || !strings.Contains(err.Error(), "not sealed") {
-		t.Fatalf("fetched a transcript for an unsealed epoch: %v", err)
+	tr := res.Transcript
+	sealed := MergedTranscriptDigest(pub, []*Transcript{tr})
+	seal := func(want []byte) func(int) (int, []byte, error) {
+		return func(epoch int) (int, []byte, error) { return max(epoch, 0), want, nil }
 	}
-	tr, err := TranscriptFromLog(pub, log, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed := TranscriptDigest(pub, res.Transcript)
-	if !bytes.Equal(TranscriptDigest(pub, tr), sealed) {
-		t.Fatal("fetched transcript digest disagrees with the sealed result")
-	}
-
-	if _, err := AuditMergedLogs(ctx, pub, nil, 0, 0); !errors.Is(err, ErrAuditFail) {
+	if _, _, err := AuditMergedLogs(ctx, pub, nil, 0, 0, seal(sealed)); !errors.Is(err, ErrAuditFail) {
 		t.Fatal("audited an empty node set")
 	}
-	digest, err := AuditMergedLogs(ctx, pub, []Replayer{log}, 0, 0)
+	noSeal := errors.New("no seal")
+	if _, _, err := AuditMergedLogs(ctx, pub, []Replayer{log}, 0, 0, func(int) (int, []byte, error) { return 0, nil, noSeal }); !errors.Is(err, noSeal) {
+		t.Fatalf("audit without a merged seal: %v", err)
+	}
+	if _, _, err := AuditMergedLogs(ctx, pub, []Replayer{log}, 0, 0, seal(make([]byte, len(sealed)))); !errors.Is(err, ErrAuditFail) || !strings.Contains(err.Error(), "disagrees") {
+		t.Fatalf("audit against another merged seal: %v", err)
+	}
+	epoch, digest, err := AuditMergedLogs(ctx, pub, []Replayer{log}, -1, 0, seal(sealed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(digest, MergedTranscriptDigest(pub, []*Transcript{tr})) {
-		t.Fatal("merged-log audit digest disagrees with the merged transcript digest")
+	if epoch != 0 || !bytes.Equal(digest, sealed) {
+		t.Fatalf("merged-log audit returned epoch %d digest %x, want epoch 0 digest %x", epoch, digest, sealed)
 	}
 
 	rel, err := MergeReleases(pub, []*Transcript{tr})

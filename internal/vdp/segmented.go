@@ -2,8 +2,8 @@ package vdp
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/store"
@@ -15,10 +15,11 @@ import (
 // segments (the segmentKind) and in what a finalized epoch assembles (a
 // merged histogram release, a count-min sketch). Everything an epoch's
 // lifecycle consists of lives here exactly once: construction of fresh and
-// resumed boards, the parallel finalize fan-out with its sealed-segment reuse
-// and retry/consumed rules, Reset, Compact, and healing a missing merged
-// seal. PR 12's readers (auditSegments, tailSegments) are the read-side
-// counterpart, parameterised by the same kinds.
+// resumed boards, finalize (SealMerged, the merge step the cluster router
+// takes too, over Session.Seal) with its retry/consumed rules, Reset,
+// Compact, and healing a missing merged seal. The readers (auditSegments,
+// tailSegments) are the read-side counterpart, parameterised by the same
+// kinds.
 
 // segmentKind is the one thing the two segmented boards disagree on: how a
 // client's records spread over the segments. Everything else — per-segment
@@ -60,7 +61,10 @@ func (k segmentKind) budget(i int, b *BudgetConfig) *BudgetConfig {
 // segmentedSession is the lifecycle core embedded by ShardedSession and
 // SketchSession. Admission is not here: routing a submission to its segment
 // (ShardOf) or fanning a contribution over all of them (row 0 first) is the
-// part that differs, and goes straight to the sub-sessions.
+// part that differs, and goes straight to the sub-sessions. It keeps no
+// lifecycle state of its own: like the cluster router over its nodes, it
+// reads the epoch off its segments and whether that epoch is finalized off
+// them and its merged-seal book.
 type segmentedSession struct {
 	pub   *Public
 	kind  segmentKind
@@ -68,9 +72,7 @@ type segmentedSession struct {
 	segs  []*Session
 	seals *MergedSeals // the manifest's merged seals
 
-	mu    sync.Mutex
-	state sessionState
-	epoch int
+	mu sync.Mutex // serializes Finalize, Reset and Compact
 }
 
 // openSegmented builds an n-segment board of the given kind. Fresh
@@ -155,45 +157,45 @@ func openSegmented(ctx context.Context, pub *Public, opts SessionOptions, n int,
 //     record that *disagrees* with the recomputed digest is tampering and
 //     refuses to resume (the merged-seal book refuses the second digest).
 func (g *segmentedSession) reconcile() error {
+	epoch := 0
 	for _, s := range g.segs {
-		g.epoch = max(g.epoch, s.Epoch())
+		epoch = max(epoch, s.Epoch())
 	}
 	for i, s := range g.segs {
-		for s.Epoch() < g.epoch {
+		for s.Epoch() < epoch {
 			if err := s.Reset(); err != nil {
-				return fmt.Errorf("vdp: rolling %s %d forward to epoch %d: %w", g.kind.unit, i, g.epoch, err)
+				return fmt.Errorf("vdp: rolling %s %d forward to epoch %d: %w", g.kind.unit, i, epoch, err)
 			}
 		}
 	}
-	if e, _, ok := g.seals.Get(-1); ok && e > g.epoch {
-		return fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", e, g.epoch)
+	if e, _, ok := g.seals.Get(-1); ok && e > epoch {
+		return fmt.Errorf("vdp: manifest seals epoch %d but the segments have only reached epoch %d", e, epoch)
 	}
-	_, _, merged := g.seals.Get(g.epoch)
-	ts := g.sealedTranscripts()
+	_, _, merged := g.seals.Get(epoch)
+	ts := g.sealedTranscripts(epoch)
 	switch {
 	case ts == nil && merged:
 		// The manifest claims the current epoch merged, yet a segment holds
 		// no seal for it: a segment was truncated or swapped after the fact.
 		// Refuse to build on doctored evidence.
-		return fmt.Errorf("vdp: manifest seals epoch %d but not every segment is sealed", g.epoch)
+		return fmt.Errorf("vdp: manifest seals epoch %d but not every segment is sealed", epoch)
 	case ts == nil:
 		return nil
 	}
-	g.state = sessionFinalized
-	err := g.seals.Record(g.epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
+	err := g.seals.Record(epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
 	if err != nil && merged {
-		return fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals: %w", g.epoch, err)
+		return fmt.Errorf("vdp: manifest merged seal for epoch %d disagrees with the segment seals: %w", epoch, err)
 	}
 	return err
 }
 
-// sealedTranscripts returns the current epoch's kept transcripts, in segment
-// order, when every segment has sealed it; nil while any segment is still
-// open, already advanced, or was consumed by a protocol error.
-func (g *segmentedSession) sealedTranscripts() []*Transcript {
+// sealedTranscripts returns epoch's kept transcripts, in segment order, when
+// every segment has sealed it; nil while any segment is still open, already
+// advanced, or was consumed by a protocol error.
+func (g *segmentedSession) sealedTranscripts(epoch int) []*Transcript {
 	ts := make([]*Transcript, len(g.segs))
 	for i, s := range g.segs {
-		if s.Epoch() != g.epoch || !s.Finalized() {
+		if s.Epoch() != epoch || !s.Finalized() {
 			return nil
 		}
 		if ts[i] = s.SealedTranscript(); ts[i] == nil {
@@ -203,121 +205,83 @@ func (g *segmentedSession) sealedTranscripts() []*Transcript {
 	return ts
 }
 
-// Epoch returns the current epoch number.
+// Epoch returns the current epoch number: the one every segment has
+// reached (a turnover that failed part-way leaves some segments ahead).
 func (g *segmentedSession) Epoch() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.epoch
+	epoch := g.segs[0].Epoch()
+	for _, s := range g.segs[1:] {
+		epoch = min(epoch, s.Epoch())
+	}
+	return epoch
 }
 
-// Finalized reports whether the current epoch has been sealed by Finalize
-// (and not yet reopened by Reset or Compact).
+// Finalized reports whether the current epoch is closed: the merged-seal
+// book holds its seal, or a segment was consumed by a protocol error, which
+// spends the epoch. Reset and Compact reopen it.
 func (g *segmentedSession) Finalized() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.state == sessionFinalized
+	epoch := g.Epoch()
+	if _, _, ok := g.seals.Get(epoch); ok {
+		return true
+	}
+	for _, s := range g.segs {
+		if s.Epoch() == epoch && s.Finalized() && s.SealedTranscript() == nil {
+			return true
+		}
+	}
+	return false
 }
 
-// admitting refuses admissions outside an open epoch. It is a courtesy check
-// for fan-out admission (a contribution must not land on some rows of a
-// closing epoch); the sub-sessions' own state is what actually fences.
+// admitting refuses admissions into a finalized epoch. It is a courtesy
+// check for fan-out admission (a contribution must not land on some rows of
+// a closed epoch); the sub-sessions' own state is what actually fences.
 func (g *segmentedSession) admitting() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.state != sessionOpen {
-		return fmt.Errorf("%w: session is %s", ErrBadConfig, g.state)
+	if g.Finalized() {
+		return fmt.Errorf("%w: session is %s", ErrBadConfig, sessionFinalized)
 	}
 	return nil
 }
 
-// setState moves the lifecycle position.
-func (g *segmentedSession) setState(st sessionState) {
-	g.mu.Lock()
-	g.state = st
-	g.mu.Unlock()
-}
-
-// finalize closes the current epoch on every segment in parallel and binds
-// the K seals into one: results and transcripts come back in segment order —
-// the merge order, so the merged digest is reproducible by anyone holding
-// the segment transcripts — with the union of the segments' rejections.
-// assemble, when non-nil, builds the kind's release from the transcripts
-// before anything is bound; its failure spends the epoch. With a durable
-// store the merged digest is appended to the manifest.
+// finalize closes the current epoch through SealMerged: every segment seals
+// in parallel (Session.Seal: a segment already sealed — by an earlier
+// attempt, or before a crash — contributes its kept transcript as-is), the
+// results come back in segment order, the merge order, with the union of the
+// segments' rejections, and the merged digest is recorded in the book (with
+// a durable store, appended to the manifest).
 //
 // Retry contract. A segment that could not complete — cancelled mid-stage,
 // or its seal append failed — reopens itself (Session.Finalize's contract),
-// while a segment consumed by a protocol error stays finalized with no
-// transcript. The epoch is therefore retryable while some segment is still
-// open, or when the fan-out was merely cancelled (sealed segments contribute
-// their kept transcripts, so the re-merge reproduces the identical digest) —
-// but a consumed segment can never merge, so its epoch is spent no matter
-// what state its siblings are in; retrying would only bury the protocol
-// error under lifecycle noise and, durably, seal sibling segments for an
-// epoch that cannot complete. A failed manifest append also reopens: every
-// segment is sealed with its transcript kept, so the retry re-merges to the
-// identical digest and only re-attempts the append (Reset, Compact and
-// resume heal the same gap, so choosing any of them over a retry cannot
-// orphan the epoch).
-func (g *segmentedSession) finalize(ctx context.Context, assemble func([]*Transcript) error) (results []*RunResult, rejected map[int]error, digest []byte, err error) {
+// and no merged seal is recorded, so the epoch stays open and a retry
+// re-merges to the identical digest from the sealed segments' kept
+// transcripts. A segment consumed by a protocol error can never merge, so
+// its epoch is spent whatever state its siblings are in. A failed manifest
+// append also leaves the epoch open: the retry only re-attempts the append
+// (Reset, Compact and resume heal the same gap, so choosing any of them
+// over a retry cannot orphan the epoch).
+func (g *segmentedSession) finalize(ctx context.Context) (results []*RunResult, rejected map[int]error, digest []byte, err error) {
 	g.mu.Lock()
-	if st := g.state; st != sessionOpen {
-		g.mu.Unlock()
-		return nil, nil, nil, fmt.Errorf("%w: session is %s", ErrBadConfig, st)
+	defer g.mu.Unlock()
+	if g.Finalized() {
+		return nil, nil, nil, fmt.Errorf("%w: session is %s", ErrBadConfig, sessionFinalized)
 	}
-	g.state = sessionFinalizing
-	epoch := g.epoch
-	g.mu.Unlock()
-
+	epoch := g.Epoch()
 	results = make([]*RunResult, len(g.segs))
-	err = forEach(ctx, len(g.segs), len(g.segs), func(i int) (err error) {
-		// Session.Seal: a segment already sealed — by an earlier attempt,
-		// or before a crash — contributes its kept transcript as-is.
-		if results[i], err = g.segs[i].Seal(ctx); err != nil {
-			return fmt.Errorf("%s %d: %w", g.kind.unit, i, err)
+	_, digest, err = SealMerged(ctx, g.pub, len(g.segs), func(i int) (*Transcript, error) {
+		res, err := g.segs[i].Seal(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%s %d: %w", g.kind.unit, i, err)
 		}
-		return nil
+		results[i] = res
+		return res.Transcript, nil
+	}, func(digest []byte) error {
+		return g.seals.Record(epoch, len(g.segs), digest)
 	})
 	if err != nil {
-		next := sessionFinalized
-		if cerr := ctxErr(ctx); cerr != nil && errors.Is(err, cerr) {
-			next = sessionOpen
-		}
-		for _, s := range g.segs {
-			if !s.Finalized() {
-				next = sessionOpen
-			}
-		}
-		for _, s := range g.segs {
-			if s.Finalized() && s.SealedTranscript() == nil {
-				next = sessionFinalized
-				break
-			}
-		}
-		g.setState(next)
 		return nil, nil, nil, err
 	}
-
-	ts := make([]*Transcript, len(results))
 	rejected = make(map[int]error)
-	for i, res := range results {
-		ts[i] = res.Transcript
-		for id, rerr := range res.RejectedClients {
-			rejected[id] = rerr
-		}
+	for _, res := range results {
+		maps.Copy(rejected, res.RejectedClients)
 	}
-	if assemble != nil {
-		if err := assemble(ts); err != nil {
-			g.setState(sessionFinalized)
-			return nil, nil, nil, err
-		}
-	}
-	digest = MergedTranscriptDigest(g.pub, ts)
-	if err := g.seals.Record(epoch, len(g.segs), digest); err != nil {
-		g.setState(sessionOpen)
-		return nil, nil, nil, err
-	}
-	g.setState(sessionFinalized)
 	return results, rejected, digest, nil
 }
 
@@ -348,40 +312,36 @@ func (g *segmentedSession) Compact() error {
 func (g *segmentedSession) advance(verb string, step func(*Session) error, sealedOnly bool) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	switch {
-	case sealedOnly && g.state != sessionFinalized:
+	if sealedOnly && !g.Finalized() {
 		return fmt.Errorf("%w: only a finalized epoch can be compacted", ErrBadConfig)
-	case g.state == sessionFinalizing:
-		return fmt.Errorf("%w: session is finalizing", ErrBadConfig)
 	}
-	if err := g.healMergedSeal(); err != nil {
+	epoch := g.Epoch()
+	if err := g.healMergedSeal(epoch); err != nil {
 		return err
 	}
 	for i, s := range g.segs {
-		if s.Epoch() > g.epoch {
+		if s.Epoch() > epoch {
 			continue
 		}
 		if err := step(s); err != nil {
 			return fmt.Errorf("vdp: %s %s %d: %w", verb, g.kind.unit, i, err)
 		}
 	}
-	g.epoch++
-	g.state = sessionOpen
 	return nil
 }
 
-// healMergedSeal records the current epoch's missing merged seal when every
-// segment is sealed with its transcript kept — the state a failed manifest
-// append leaves behind. A no-op when the epoch is not fully sealed (nothing
-// to bind), was consumed by a protocol error (no transcripts to bind), or is
-// already merged-sealed. Callers hold g.mu.
-func (g *segmentedSession) healMergedSeal() error {
-	ts := g.sealedTranscripts()
+// healMergedSeal records epoch's missing merged seal when every segment is
+// sealed with its transcript kept — the state a failed manifest append
+// leaves behind. A no-op when the epoch is not fully sealed (nothing to
+// bind), was consumed by a protocol error (no transcripts to bind), or is
+// already merged-sealed.
+func (g *segmentedSession) healMergedSeal(epoch int) error {
+	ts := g.sealedTranscripts(epoch)
 	if ts == nil {
 		return nil
 	}
-	if _, _, ok := g.seals.Get(g.epoch); ok {
+	if _, _, ok := g.seals.Get(epoch); ok {
 		return nil
 	}
-	return g.seals.Record(g.epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
+	return g.seals.Record(epoch, len(g.segs), MergedTranscriptDigest(g.pub, ts))
 }

@@ -234,14 +234,41 @@ func (r *ShardedResult) Transcripts() []*Transcript {
 func (ss *ShardedSession) Finalize(ctx context.Context) (*ShardedResult, error) {
 	out := new(ShardedResult)
 	var err error
-	out.Shards, out.RejectedClients, out.Digest, err = ss.finalize(ctx, func(ts []*Transcript) (err error) {
-		out.Release, err = MergeReleases(ss.pub, ts)
-		return err
-	})
-	if err != nil {
+	if out.Shards, out.RejectedClients, out.Digest, err = ss.finalize(ctx); err != nil {
+		return nil, err
+	}
+	// The board's own sealed transcripts always merge.
+	if out.Release, err = MergeReleases(ss.pub, out.Transcripts()); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// SealMerged is the one merge step that turns K sealed shards into one
+// epoch, whether the shards are sub-sessions or cluster nodes: seal seals
+// shards 0..shards-1 in parallel, their transcripts are kept in shard order
+// — the merge order — and record is handed MergedTranscriptDigest over them
+// to bind the epoch (a manifest append, a broadcast to every node). The
+// lowest-index seal failure is returned, or ctx's error when it was
+// cancelled meanwhile, and nothing is recorded; a record failure is
+// returned as is.
+func SealMerged(ctx context.Context, pub *Public, shards int, seal func(shard int) (*Transcript, error), record func(digest []byte) error) ([]*Transcript, []byte, error) {
+	ts := make([]*Transcript, shards)
+	err := forEach(ctx, shards, shards, func(i int) (err error) {
+		ts[i], err = seal(i)
+		return err
+	})
+	if err == nil {
+		err = ctxErr(ctx)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	digest := MergedTranscriptDigest(pub, ts)
+	if err := record(digest); err != nil {
+		return nil, nil, err
+	}
+	return ts, digest, nil
 }
 
 // MergedTranscriptDigest pins a sharded epoch: for a single shard it is

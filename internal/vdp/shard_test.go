@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -938,6 +939,64 @@ func TestShardedFinalizeCancellation(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Error("retry after cancellation changed the merged digest")
+		}
+	})
+}
+
+// TestSegmentedFinalizeConcurrent: the segmented core reads its lifecycle
+// off its segments and its merged-seal book, so Epoch and Finalized run
+// beside Finalize unlocked, while one mutex serialises Finalize, Reset and
+// Compact: of concurrent Finalizes one seals the epoch and the rest find it
+// finalized.
+func TestSegmentedFinalizeConcurrent(t *testing.T) {
+	eachSegKind(t, 4, func(t *testing.T, k segCase, pub *Public) {
+		b := k.mustOpen(t, pub, SessionOptions{Rand: testSeed(13), Parallelism: 2}, 2, false)
+		for i := 0; i < 4; i++ {
+			b.admit(t, i, 1)
+		}
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if b.Finalized() && b.Epoch() != 0 {
+					t.Error("finalized at an epoch no Reset reached")
+				}
+				runtime.Gosched()
+			}
+		}()
+		errs := make([]error, 3)
+		var finalizers sync.WaitGroup
+		for i := range errs {
+			finalizers.Add(1)
+			go func(i int) {
+				defer finalizers.Done()
+				_, errs[i] = b.finalize(context.Background())
+			}(i)
+		}
+		finalizers.Wait()
+		close(stop)
+		readers.Wait()
+		sealed := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				sealed++
+			case !errors.Is(err, ErrBadConfig):
+				t.Errorf("losing Finalize: %v, want ErrBadConfig", err)
+			}
+		}
+		if sealed != 1 || !b.Finalized() || b.Epoch() != 0 {
+			t.Fatalf("%d Finalizes sealed; finalized=%v at epoch %d, want one at epoch 0", sealed, b.Finalized(), b.Epoch())
+		}
+		if err := b.Compact(); err != nil || b.Finalized() || b.Epoch() != 1 {
+			t.Fatalf("Compact: %v; finalized=%v at epoch %d, want open epoch 1", err, b.Finalized(), b.Epoch())
 		}
 	})
 }

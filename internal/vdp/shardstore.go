@@ -242,32 +242,49 @@ func auditSegments(ctx context.Context, pub *Public, logs []Replayer, epoch, wor
 	return mergedDigestFromShards(digests), nil
 }
 
-// auditSegmented is auditSegments over one directory: the epoch (< 0 = the
-// latest merged-sealed one) and the digest to match come from the manifest.
+// auditMerged is the one merged-epoch audit, over the segments of one
+// directory or the nodes of a cluster alike: seal looks the epoch's recorded
+// merged seal up (epoch < 0: the newest), the logs are audited by
+// auditSegments, and the recomputed merged digest must equal the seal. It
+// returns the audited epoch and its digest.
+func auditMerged(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, kind segmentKind, seal func(epoch int) (int, []byte, error)) (int, []byte, error) {
+	epoch, want, err := seal(epoch)
+	if err != nil {
+		return 0, nil, err
+	}
+	got, err := auditSegments(ctx, pub, logs, epoch, workers, kind)
+	if err != nil {
+		return 0, nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return 0, nil, fmt.Errorf("%w: epoch %d merged digest %x disagrees with the recorded merged seal %x",
+			ErrAuditFail, epoch, got, want)
+	}
+	return epoch, got, nil
+}
+
+// auditSegmented is auditMerged over one directory, whose manifest holds
+// the merged seals.
 func auditSegmented(ctx context.Context, pub *Public, seg *store.SegmentedLog, epoch, workers int, kind segmentKind) error {
 	seals, err := openMergedSeals(seg.Manifest(), seg.Shards(), true)
 	if err != nil {
 		return err
 	}
-	epoch, want, ok := seals.Get(epoch)
-	switch {
-	case !ok && epoch < 0:
-		return fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
-	case !ok:
-		return fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
-	}
 	logs := make([]Replayer, seg.Shards())
 	for i := range logs {
 		logs[i] = seg.Segment(i)
 	}
-	got, err := auditSegments(ctx, pub, logs, epoch, workers, kind)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("%w: epoch %d merged digest disagrees with the manifest's merged seal", ErrAuditFail, epoch)
-	}
-	return nil
+	_, _, err = auditMerged(ctx, pub, logs, epoch, workers, kind, func(epoch int) (int, []byte, error) {
+		sealed, digest, ok := seals.Get(epoch)
+		switch {
+		case !ok && epoch < 0:
+			return 0, nil, fmt.Errorf("%w: manifest holds no merged-sealed epoch", ErrAuditFail)
+		case !ok:
+			return 0, nil, fmt.Errorf("%w: manifest holds no merged seal for epoch %d", ErrAuditFail, epoch)
+		}
+		return sealed, digest, nil
+	})
+	return err
 }
 
 // AuditSegmentedLog audits a merged (sharded) epoch offline, from the
