@@ -41,16 +41,12 @@ type Backend struct {
 	lastLogLen int
 }
 
-func newBackend(addrs []string, shard int, opts transport.ClientOptions) *Backend {
-	// Born healthy so the first operation attempts the dial.
-	return &Backend{addrs: addrs, Shard: shard, opts: opts, healthy: true, lastEpoch: -1}
-}
-
-// NewBackend opens a standalone backend handle on one shard's replicas
-// (primary first), for tools that talk to nodes without a Router — the
-// live-audit follower chief among them.
+// NewBackend opens a backend handle on one shard's replicas (primary
+// first): a Router's, or a standalone one for tools that talk to nodes
+// without a Router — the live-audit follower chief among them. It is born
+// healthy, so the first operation attempts the dial.
 func NewBackend(addrs []string, shard int, opts transport.ClientOptions) *Backend {
-	return newBackend(addrs, shard, opts)
+	return &Backend{addrs: addrs, Shard: shard, opts: opts, healthy: true, lastEpoch: -1}
 }
 
 // Addr returns the active replica's address.

@@ -154,7 +154,7 @@ func TestReplicaMirrorAndFencedPromotion(t *testing.T) {
 
 	// Promote through the Backend handshake, exactly as the router would:
 	// kill the primary, fail over with its last observed status as the fence.
-	b := newBackend([]string{pr.addr, sb.addr}, 0, transport.ClientOptions{Timeout: 2 * time.Second, Retry: testRetry()})
+	b := NewBackend([]string{pr.addr, sb.addr}, 0, transport.ClientOptions{Timeout: 2 * time.Second, Retry: testRetry()})
 	defer b.Close()
 	b.noteStatus(st)
 	pr.srv.Close()

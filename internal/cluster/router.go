@@ -75,7 +75,7 @@ func New(cfg Config) (*Router, error) {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("cluster: backend %d has an empty address spec", i)
 		}
-		r.backends = append(r.backends, newBackend(addrs, i, opts))
+		r.backends = append(r.backends, NewBackend(addrs, i, opts))
 	}
 	return r, nil
 }

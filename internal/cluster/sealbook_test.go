@@ -153,41 +153,24 @@ func TestMergedSealEvidence(t *testing.T) {
 			return vdp.AuditSegmentedLog(ctx, pub, board(t, r.rec), 0, 2)
 		}},
 		{"manifest/tail", func(t *testing.T, r row) error {
-			// The live merged tail over the segmented board: every segment
-			// drained into its shard's auditor, the manifest fed record by
-			// record into the merged-seal book.
+			// The one live merged tail over the segmented board: every
+			// segment drained into its shard's auditor, the manifest read
+			// into the merged-seal book by the directory's seal lookup.
 			seg := board(t, r.rec)
-			st := vdp.NewMergedTailAuditor(pub, k, vdp.TailOptions{Workers: 2})
-			defer st.Close()
-			for i := 0; i < k; i++ {
-				tl, err := seg.Segment(i).ReadFrom(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.Shard(i).AttachTailer(tl)
-				if _, err := st.Shard(i).Poll(); err != nil {
-					return err
-				}
-			}
-			man, err := seg.Manifest().ReadFrom(0)
+			st, err := vdp.NewSegmentedTail(pub, []vdp.TailSource{seg.Segment(0), seg.Segment(1)}, vdp.ManifestSeals(seg), vdp.TailOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer man.Close()
-			for {
-				rec, off, err := man.Next()
-				if errors.Is(err, store.ErrNoRecord) {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.FeedManifest(rec, off); err != nil {
-					return err
-				}
+			defer st.Close()
+			if _, err := st.Poll(); err != nil {
+				t.Fatal(err)
 			}
-			if got, ready, err := st.VerifyMerged(0); err != nil || !ready || !bytes.Equal(got, digest) {
-				t.Fatalf("tail verifies epoch 0 as %x (ready %v): %v", got, ready, err)
+			got, ready, err := st.VerifyMerged(0)
+			if err != nil {
+				return err
+			}
+			if !ready || !bytes.Equal(got, digest) {
+				t.Fatalf("tail verifies epoch 0 as %x (ready %v)", got, ready)
 			}
 			return nil
 		}},

@@ -12,16 +12,25 @@ import (
 
 // TailFollower is the cluster-wide live audit tail: a third party pointed at
 // the K node addresses follows every shard's bulletin board over ranged
-// node-log reads, feeds the records through per-shard TailAuditors (the same
-// incremental verification a local tail runs), and certifies each merged
-// epoch the moment every shard's seal verifies — cross-checking the
-// merged-seal record replicated on every node. It holds no trust in the
-// router: everything it certifies it verified itself from node evidence.
+// node-log reads through the one merged tail (vdp.SegmentedTail — the same
+// incremental verification a directory tail runs), and certifies each
+// merged epoch once every shard's seal verifies and every node holds the
+// matching merged-seal record. It holds no trust in the router: everything
+// it certifies it verified itself from node evidence.
+//
+// Poll reads every node's board log past the records already fed, up to
+// the node's committed count. Evidence failures — a log that shrank below
+// what was read (rewritten history) or a bad record — wrap
+// vdp.ErrAuditFail, and a bad record is sticky. Any other error (a node
+// down, a reply that breaks the range protocol) leaves the shard at the
+// last record fed, and the next Poll resumes there. When a shard's active
+// replica stops answering and the backend knows another, the follower
+// switches to it without promoting anything; reading carries over safely
+// because nodes ship only the mirrored (standby-acknowledged) prefix of a
+// replicated log, which every surviving replica has.
 type TailFollower struct {
-	backends []*Backend
-	merged   *vdp.MergedTailAuditor
-	cursor   []int // per-node count of records already fed
-	next     int   // next merged epoch to certify
+	*vdp.SegmentedTail     // the merged tail: Poll, VerifyMerged, Records, Close
+	next               int // next merged epoch to certify
 }
 
 // NewTailFollower opens a live tail over a cluster's nodes, given in shard
@@ -32,6 +41,7 @@ func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions)
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: tail needs at least one backend")
 	}
+	sources := make([]vdp.TailSource, k)
 	for i, b := range backends {
 		st, err := b.status()
 		if err != nil {
@@ -41,42 +51,33 @@ func NewTailFollower(pub *vdp.Public, backends []*Backend, opts vdp.TailOptions)
 			return nil, fmt.Errorf("cluster: backend %d serves shard %d/%d, want %d/%d",
 				i, st.Shard, st.Shards, i, k)
 		}
+		sources[i] = logStream{b, k}
 	}
-	return &TailFollower{
-		backends: backends,
-		merged:   vdp.NewMergedTailAuditor(pub, k, opts),
-		cursor:   make([]int, k),
-	}, nil
+	tail, err := vdp.NewSegmentedTail(pub, sources, func(epoch int) ([]byte, bool, error) {
+		_, digest, err := clusterSeal(backends, epoch, k)
+		if errors.Is(err, errNoMergedSeal) {
+			return nil, false, nil
+		}
+		return digest, err == nil, err
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &TailFollower{SegmentedTail: tail}, nil
 }
 
-// Poll reads every node's board log from the follower's cursor up to the
-// node's committed count and feeds each record straight into that shard's
-// auditor, returning how many new records were consumed. Evidence failures
-// — a log that shrank below the cursor (rewritten history) or a bad record —
-// wrap vdp.ErrAuditFail and are fatal; any other error (a node down, a reply
-// that breaks the range protocol) leaves the cursor at the last record fed,
-// and the next Poll resumes from there. When a shard's active replica stops
-// answering and the backend knows another, the follower switches to it
-// without promoting anything; the cursor carries over safely because nodes
-// ship only the mirrored (standby-acknowledged) prefix of a replicated log,
-// which every surviving replica has.
-func (f *TailFollower) Poll() (int, error) {
-	n := 0
-	for i, b := range f.backends {
-		a := f.merged.Shard(i)
-		err := logStream{b, len(f.backends)}.read(f.cursor[i], func(idx int, rec *store.Record) error {
-			if err := a.Feed(rec, int64(idx)); err != nil {
-				return err
-			}
-			f.cursor[i] = idx + 1
-			n++
-			return nil
-		})
-		if err != nil {
-			return n, fmt.Errorf("cluster: shard %d board log: %w", i, err)
-		}
+// VerifyNext tries to certify the next merged epoch: see
+// vdp.SegmentedTail.VerifyMerged, whose seal lookup requires all K nodes to
+// hold the identical merged seal. ready is false while some shard has not
+// sealed the epoch, or while the merged seal has not reached every node;
+// once it certifies, the follower advances to the next epoch.
+func (f *TailFollower) VerifyNext() (epoch int, digest []byte, ready bool, err error) {
+	epoch = f.next
+	digest, ready, err = f.VerifyMerged(epoch)
+	if ready {
+		f.next++
 	}
-	return n, nil
+	return epoch, digest, ready, err
 }
 
 // logStream reads one shard's board log over ranged node-log round trips.
@@ -88,59 +89,101 @@ type logStream struct {
 	shards int
 }
 
+// ReadFrom returns a tailer of the log from record index on.
+func (s logStream) ReadFrom(index int) (store.Tailer, error) {
+	return &logPager{logStream: s, next: index, committed: -1}, nil
+}
+
 // Replay streams the log from its first record up to the committed count
 // of the first reply, so a cross-node audit holds no copy of any node's log.
 func (s logStream) Replay(fn func(*store.Record) error) error {
-	return s.read(0, func(_ int, rec *store.Record) error { return fn(rec) })
-}
-
-// read streams the records [from, committed) to fn with their indices, one
-// chunk per round trip, committed being the count the first reply names. A
-// reply committing fewer records than the reader has already been promised
-// means the log shrank — history was rewritten — and wraps vdp.ErrAuditFail.
-// A reply for another range, with no records while some are due, or with
-// more than the range holds breaks the protocol; the connection is dropped
-// so the next read redials in sync.
-func (s logStream) read(from int, fn func(int, *store.Record) error) error {
-	end := -1
-	for end < 0 || from < end {
-		reply, err := callShard(s.b, s.shards, &transport.Frame{Kind: KindLog, Payload: encodeIndexReq(from)})
-		if err == nil {
-			err = replyErr(reply, KindLog)
-		}
+	p := &logPager{logStream: s, committed: -1}
+	if err := p.fetch(); err != nil {
+		return err
+	}
+	for end := p.committed; p.next < end; {
+		rec, _, err := p.Next()
 		if err != nil {
 			return err
 		}
-		committed, start, recs, err := decodeLogRange(reply.Payload)
-		switch {
-		case err != nil:
-		case committed < max(from, end):
-			return fmt.Errorf("%w: board log shrank from %d to %d records — history was rewritten",
-				vdp.ErrAuditFail, max(from, end), committed)
-		case start != from:
-			err = fmt.Errorf("cluster: node-log reply starts at record %d, asked for %d", start, from)
-		case len(recs) > committed-from:
-			err = fmt.Errorf("cluster: node-log reply ships %d records, the range [%d, %d) holds %d",
-				len(recs), from, committed, committed-from)
-		case len(recs) == 0 && committed > from:
-			err = fmt.Errorf("cluster: node-log reply ships no records, %d are due from %d", committed-from, from)
-		}
-		if err != nil {
-			s.b.Close()
+		if err := fn(rec); err != nil {
 			return err
-		}
-		if end < 0 {
-			end = committed
-		}
-		for _, rec := range recs[:min(len(recs), end-from)] {
-			if err := fn(from, rec); err != nil {
-				return err
-			}
-			from++
 		}
 	}
 	return nil
 }
+
+// logPager is a logStream's tailer; a record's offset is its index. It
+// pages the log in one node-log round trip per chunk: a chunk drained to
+// the count its reply committed reports ErrNoRecord without another round
+// trip, and the call after that asks the node again. A failed round trip
+// moves nothing, so the next call retries it.
+type logPager struct {
+	logStream
+	next int // index of the next record Next returns
+	// committed is the newest reply's committed count, or -1 when none is
+	// known: before the first round trip, and once Next has reported
+	// reaching it, so that the next call asks the node again.
+	committed int
+	chunk     []*store.Record
+}
+
+// Next implements store.Tailer.
+func (p *logPager) Next() (*store.Record, int64, error) {
+	if len(p.chunk) == 0 {
+		if p.next != p.committed {
+			if err := p.fetch(); err != nil {
+				return nil, int64(p.next), err
+			}
+		}
+		if len(p.chunk) == 0 {
+			p.committed = -1
+			return nil, int64(p.next), store.ErrNoRecord
+		}
+	}
+	rec := p.chunk[0]
+	p.chunk, p.next = p.chunk[1:], p.next+1
+	return rec, int64(p.next - 1), nil
+}
+
+// fetch runs one node-log round trip for the chunk from the pager's next
+// record. A reply committing fewer records than the pager has been
+// promised means the log shrank — history was rewritten — and wraps
+// vdp.ErrAuditFail. A reply for another range, with no records while some
+// are due, or with more than the range holds breaks the protocol; the
+// connection is dropped so the next round trip redials in sync.
+func (p *logPager) fetch() error {
+	reply, err := callShard(p.b, p.shards, &transport.Frame{Kind: KindLog, Payload: encodeIndexReq(p.next)})
+	if err == nil {
+		err = replyErr(reply, KindLog)
+	}
+	if err != nil {
+		return err
+	}
+	committed, start, recs, err := decodeLogRange(reply.Payload)
+	switch {
+	case err != nil:
+	case committed < max(p.next, p.committed):
+		return fmt.Errorf("%w: board log shrank from %d to %d records — history was rewritten",
+			vdp.ErrAuditFail, max(p.next, p.committed), committed)
+	case start != p.next:
+		err = fmt.Errorf("cluster: node-log reply starts at record %d, asked for %d", start, p.next)
+	case len(recs) > committed-p.next:
+		err = fmt.Errorf("cluster: node-log reply ships %d records, the range [%d, %d) holds %d",
+			len(recs), p.next, committed, committed-p.next)
+	case len(recs) == 0 && committed > p.next:
+		err = fmt.Errorf("cluster: node-log reply ships no records, %d are due from %d", committed-p.next, p.next)
+	}
+	if err != nil {
+		p.b.Close()
+		return err
+	}
+	p.committed, p.chunk = committed, recs
+	return nil
+}
+
+// Close implements store.Tailer; a pager holds no handle of its own.
+func (p *logPager) Close() error { return nil }
 
 // callShard runs one idempotent round trip on a shard's backend. With
 // shards set, a round trip the active replica does not answer switches the
@@ -212,37 +255,4 @@ func nodeSeal(b *Backend, i, k, epoch, shards int) (int, []byte, error) {
 			vdp.ErrAuditFail, i, got, gotShards, epoch, k)
 	}
 	return got, digest, nil
-}
-
-// VerifyNext tries to certify the next merged epoch. ready is false while
-// some shard has not sealed it yet, or while the merged seal has not been
-// replicated to every node. Once every shard's seal has verified, the
-// merged digest is derived and cross-checked against the merged-seal record
-// on every node — all K must hold the identical claim — and the follower
-// advances to the next epoch. A divergence anywhere is a hard failure.
-func (f *TailFollower) VerifyNext() (epoch int, digest []byte, ready bool, err error) {
-	epoch = f.next
-	digest, ready, err = f.merged.VerifyMerged(epoch)
-	if err != nil || !ready {
-		return epoch, nil, false, err
-	}
-	_, sealed, err := clusterSeal(f.backends, epoch, len(f.backends))
-	switch {
-	case errors.Is(err, errNoMergedSeal):
-		return epoch, nil, false, nil
-	case err != nil:
-		return epoch, nil, false, err
-	case !bytes.Equal(sealed, digest):
-		return epoch, nil, false, fmt.Errorf("%w: the nodes' merged seal for epoch %d disagrees with the live audit",
-			vdp.ErrAuditFail, epoch)
-	}
-	f.next++
-	return epoch, digest, true, nil
-}
-
-// Records returns how many records the follower has consumed per shard.
-func (f *TailFollower) Records() []int {
-	out := make([]int, len(f.cursor))
-	copy(out, f.cursor)
-	return out
 }

@@ -178,9 +178,7 @@ func TailAuditLog(pub *Public, log store.Log, opts TailOptions) (*TailAuditor, e
 	if err != nil {
 		return nil, err
 	}
-	a := NewTailAuditor(pub, opts)
-	a.AttachTailer(t)
-	return a, nil
+	return newTailAuditor(pub, opts, shardSegments, 0, 1, t), nil
 }
 
 // Epoch returns the epoch the tail is currently following.
@@ -195,6 +193,13 @@ func (a *TailAuditor) Records() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.recIdx
+}
+
+// Err returns the sticky audit failure, if any.
+func (a *TailAuditor) Err() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
 }
 
 // Clients returns the live roster-shadow size for the current epoch.

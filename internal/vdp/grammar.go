@@ -107,9 +107,10 @@ type boardGrammar struct {
 	pub   *Public
 	audit bool // errors wrap ErrAuditFail
 
-	// Optional shard pin: every submission must belong to shard shardIdx of
+	// Shard pin: every submission must belong to shard shardIdx of
 	// shardCount under ShardOf, so a curator cannot seat a client on a
 	// segment of its choosing (or, ShardOf being a function, on two).
+	// Shard 0 of 1 admits every client.
 	shardIdx, shardCount int
 
 	// ledger replays the budget-charge chain across epochs (budgets are
@@ -133,13 +134,15 @@ type boardGrammar struct {
 	err    error // the sticky first violation
 }
 
-// newBoardGrammar starts a machine at epoch 0 of an empty log. budget may be
-// nil (chain verification only). audit selects ErrAuditFail-wrapped errors.
-func newBoardGrammar(pub *Public, budget *BudgetConfig, audit bool) *boardGrammar {
+// newBoardGrammar starts a machine at epoch 0 of an empty log, pinned to
+// shard of shards. budget may be nil (chain verification only). audit
+// selects ErrAuditFail-wrapped errors.
+func newBoardGrammar(pub *Public, budget *BudgetConfig, audit bool, shard, shards int) *boardGrammar {
 	return &boardGrammar{
 		pub:        pub,
 		audit:      audit,
-		shardCount: 1,
+		shardIdx:   shard,
+		shardCount: shards,
 		ledger:     newBudgetLedger(budget),
 		clients:    make(map[int]*boardClient),
 	}

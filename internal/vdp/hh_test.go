@@ -334,7 +334,7 @@ func TestSketchBudgetGateEndToEnd(t *testing.T) {
 			t.Errorf("epoch %d tail digest differs from Finalize's", epoch)
 		}
 	}
-	if !bytes.Equal(st.merged.Shard(0).LedgerDigest(), liveLedger) {
+	if !bytes.Equal(st.shards[0].LedgerDigest(), liveLedger) {
 		t.Error("tail ledger head differs from the session's")
 	}
 }

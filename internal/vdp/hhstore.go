@@ -44,11 +44,11 @@ func AuditSketchLog(ctx context.Context, pub *Public, layout sketch.Layout, seg 
 }
 
 // TailSketchLog opens a live audit tail over a sketch session's segmented
-// board log: one TailAuditor per row (unpinned — sketch clients legally
-// appear on every row) plus the manifest's merged-seal stream, drained
-// together by Poll. opts.Budget applies to row 0's auditor only; the other
-// rows carry no charges, and any charge record appearing there fails their
-// chain replay at the unknown-client check.
+// board log: the merged tail with one TailAuditor per row (unpinned —
+// sketch clients legally appear on every row), drained together by Poll,
+// and the manifest as its seal lookup. opts.Budget applies to row 0's
+// auditor only; the other rows carry no charges, and any charge record
+// appearing there fails their chain replay at the unknown-client check.
 func TailSketchLog(pub *Public, layout sketch.Layout, seg *store.SegmentedLog, opts TailOptions) (*SegmentedTail, error) {
 	if err := validateSketchOptions(pub, layout, SessionOptions{Segmented: seg}); err != nil {
 		return nil, err

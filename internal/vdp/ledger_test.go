@@ -239,12 +239,10 @@ func TestBudgetTailParity(t *testing.T) {
 		"policy":     {Budget: cfg},
 		"chain-only": {},
 	} {
-		a := NewTailAuditor(pub, opts)
-		tail, err := log.ReadFrom(0)
+		a, err := TailAuditLog(pub, log, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.AttachTailer(tail)
 		if _, err := a.Poll(); err != nil {
 			t.Fatalf("%s tail: %v", name, err)
 		}
@@ -259,12 +257,10 @@ func TestBudgetTailParity(t *testing.T) {
 
 	// An injected charge that extends nothing breaks the tail at that
 	// record.
-	bad := NewTailAuditor(pub, TailOptions{Budget: cfg})
-	tail, err := log.ReadFrom(0)
+	bad, err := TailAuditLog(pub, log, TailOptions{Budget: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.AttachTailer(tail)
 	if _, err := bad.Poll(); err != nil {
 		t.Fatal(err)
 	}

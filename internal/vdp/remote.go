@@ -38,20 +38,14 @@ import (
 // opts.Segmented must be unset — the shard split lives in the cluster
 // topology, not inside the node's session.
 func NewShardSession(pub *Public, opts SessionOptions, shard, shards int) (*Session, error) {
-	if err := checkShardIndex(shard, shards); err != nil {
-		return nil, err
-	}
-	if opts.Shards > 1 || opts.Segmented != nil {
-		return nil, fmt.Errorf("%w: a shard session is one node of an external shard split; leave Shards/Segmented unset", ErrBadConfig)
-	}
 	if err := ensureEmptyLog(opts.Store); err != nil {
 		return nil, err
 	}
-	root, err := newRandSource(opts.Rand)
+	src, err := shardSource(opts, shard, shards)
 	if err != nil {
 		return nil, err
 	}
-	return newSessionFromSource(pub, opts, root.forkShard(shard, shards), shard, shards), nil
+	return newSessionFromSource(pub, opts, src, shard, shards), nil
 }
 
 // ResumeShardSession recovers one cluster node's Session from its board log
@@ -60,28 +54,29 @@ func NewShardSession(pub *Public, opts SessionOptions, shard, shards int) (*Sess
 // same per-shard transcript the uninterrupted run would have produced.
 // opts.Rand must carry the original root seed.
 func ResumeShardSession(ctx context.Context, pub *Public, opts SessionOptions, shard, shards int) (*Session, error) {
-	if err := checkShardIndex(shard, shards); err != nil {
+	src, err := shardSource(opts, shard, shards)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 || opts.Segmented != nil {
+	return resumeSessionFromSource(ctx, pub, opts, src, shard, shards)
+}
+
+// shardSource validates a shard session's (shard, shards) pair and options
+// and returns its forkShard substream of the root seed opts.Rand carries.
+func shardSource(opts SessionOptions, shard, shards int) (*randSource, error) {
+	switch {
+	case shards < 1:
+		return nil, fmt.Errorf("%w: shard count %d", ErrBadConfig, shards)
+	case shard < 0 || shard >= shards:
+		return nil, fmt.Errorf("%w: shard index %d out of range [0,%d)", ErrBadConfig, shard, shards)
+	case opts.Shards > 1 || opts.Segmented != nil:
 		return nil, fmt.Errorf("%w: a shard session is one node of an external shard split; leave Shards/Segmented unset", ErrBadConfig)
 	}
 	root, err := newRandSource(opts.Rand)
 	if err != nil {
 		return nil, err
 	}
-	return resumeSessionFromSource(ctx, pub, opts, root.forkShard(shard, shards), shard, shards)
-}
-
-// checkShardIndex validates a (shard, shards) pair.
-func checkShardIndex(shard, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("%w: shard count %d", ErrBadConfig, shards)
-	}
-	if shard < 0 || shard >= shards {
-		return fmt.Errorf("%w: shard index %d out of range [0,%d)", ErrBadConfig, shard, shards)
-	}
-	return nil
+	return root.forkShard(shard, shards), nil
 }
 
 // Replayer is the one method the replay-driven readers need of a board log

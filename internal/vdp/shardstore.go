@@ -137,15 +137,6 @@ func (b *MergedSeals) admit(recs []*store.Record, manifest bool) (fresh map[int]
 	return fresh, 0, nil
 }
 
-// feed applies one manifest record read by a live tail.
-func (b *MergedSeals) feed(rec *store.Record) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	fresh, _, err := b.admit([]*store.Record{rec}, true)
-	maps.Copy(b.seals, fresh)
-	return err
-}
-
 // Record seals epoch with a merged digest over shards shards, appending the
 // record to the book's log unless the book already holds that very seal. A
 // failed append records nothing, so a retry appends again.

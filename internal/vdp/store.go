@@ -337,8 +337,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	// The machine's ledger re-verifies every charge link against the
 	// configured policy across the whole log (charges are lifetime state);
 	// its head is byte-identical to the crashed session's.
-	g := newBoardGrammar(pub, opts.Budget, false)
-	g.shardIdx, g.shardCount = shard, shards
+	g := newBoardGrammar(pub, opts.Budget, false, shard, shards)
 	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
 	err = g.replay(ctx, opts.Store, poolWidth(opts.Parallelism),
 		func(i int, _ *store.Record) bool { return i > snapAt },
@@ -478,8 +477,7 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 // returns the verified digest and the sealed roster's client IDs (so the
 // segmented auditors can merge and cross-check per-log verdicts).
 func auditLogEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
-	g := newBoardGrammar(pub, nil, true)
-	g.shardIdx, g.shardCount = shard, shards
+	g := newBoardGrammar(pub, nil, true, shard, shards)
 	v := newEpochVerifier(pub, g, poolWidth(workers), auditWindow)
 	var verr error
 	err = g.replay(ctx, log, v.workers,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/store"
@@ -41,12 +42,12 @@ type TailOptions struct {
 }
 
 // TailAuditor incrementally audits one board log (or one shard segment).
-// Records are consumed in append order — via Feed, or by Poll draining an
-// attached store.Tailer — and every grammar violation, forged verdict, or
-// seal divergence is reported at the first divergent record, with its
-// offset. Errors are sticky: a tail that has flagged its log refuses to
-// consume further records, exactly like a human auditor who stops trusting
-// a ledger at the first bad line.
+// Records are consumed in append order — via Feed, or by Poll draining the
+// store.Tailer it was opened with — and every grammar violation, forged
+// verdict, or seal divergence is reported at the first divergent record,
+// with its offset. Audit failures are sticky: a tail that has flagged its
+// log refuses to consume further records, exactly like a human auditor who
+// stops trusting a ledger at the first bad line.
 //
 // A TailAuditor is safe for concurrent use, though records must arrive in
 // log order (one goroutine per log is the natural shape).
@@ -61,39 +62,34 @@ type TailAuditor struct {
 	history map[int][]byte // sealed epoch -> verified digest
 }
 
-// NewTailAuditor creates a live auditor for a single board log. Feed it
-// records directly, or AttachTailer + Poll to drain a store tail.
+// NewTailAuditor creates a live auditor for a single board log, shard 0 of
+// 1; feed it records directly.
 func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
-	g := newBoardGrammar(pub, opts.Budget, true)
+	return newTailAuditor(pub, opts, shardSegments, 0, 1, nil)
+}
+
+// newTailAuditor creates a live auditor for segment i of an n-segment board
+// of the given kind, under the kind's pin (so a curator cannot smuggle a
+// client onto a shard of its choosing) and charging policy, that drains
+// tailer on Poll and closes it on Close. Segment 0 of 1 is a plain log.
+func newTailAuditor(pub *Public, opts TailOptions, kind segmentKind, i, n int, tailer store.Tailer) *TailAuditor {
+	shard, shards := kind.pin(i, n)
+	g := newBoardGrammar(pub, kind.budget(i, opts.Budget), true, shard, shards)
 	return &TailAuditor{
+		tailer:  tailer,
 		g:       g,
 		v:       newEpochVerifier(pub, g, poolWidth(opts.Workers), tailWindow),
 		history: make(map[int][]byte),
 	}
 }
 
-// SetShard pins the auditor to one shard of a sharded deployment: every
-// submission must belong to shard index under ShardOf(id, count), so a
-// curator cannot smuggle a client onto a shard of its choosing. Call before
-// feeding any record.
-func (a *TailAuditor) SetShard(index, count int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.g.shardIdx, a.g.shardCount = index, count
-}
-
-// AttachTailer hands the auditor a store tail to drain on Poll. The auditor
-// owns the tailer from here: Close closes it.
-func (a *TailAuditor) AttachTailer(t store.Tailer) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.tailer = t
-}
-
-// Poll drains every record the attached tailer has available, returning how
-// many were consumed. A store-level corruption error or an audit failure is
-// sticky and returned from every later call; running out of appended
-// records is not an error.
+// Poll drains every record the tailer has available, returning how many
+// were consumed; running out of appended records is not an error. A record
+// the audit refuses is sticky, returned from every later call. An error of
+// the tailer itself is returned but not kept: the next Poll asks the tailer
+// again from the same record, so a FileLog tailer repeats its corruption
+// error there (as store.Tailer documents) and a node that comes back
+// resumes.
 func (a *TailAuditor) Poll() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -103,20 +99,17 @@ func (a *TailAuditor) Poll() (int, error) {
 	if a.tailer == nil {
 		return 0, fmt.Errorf("vdp: tail: no tailer attached")
 	}
-	n := 0
-	for {
+	for n := 0; ; n++ {
 		rec, off, err := a.tailer.Next()
+		if err == nil {
+			err = a.feedLocked(rec, off)
+		}
 		if errors.Is(err, store.ErrNoRecord) {
 			return n, nil
 		}
 		if err != nil {
-			a.err = err
 			return n, err
 		}
-		if err := a.feedLocked(rec, off); err != nil {
-			return n, err
-		}
-		n++
 	}
 }
 
@@ -130,19 +123,10 @@ func (a *TailAuditor) Feed(rec *store.Record, off int64) error {
 	return a.feedLocked(rec, off)
 }
 
+// feedLocked runs one record through the grammar and hands its event to
+// the verifier, settling a verdict at once: the Feed of a divergent record
+// returns its error, and keeps it.
 func (a *TailAuditor) feedLocked(rec *store.Record, off int64) error {
-	if err := a.consume(rec, off); err != nil {
-		a.err = err
-		return err
-	}
-	a.recIdx++
-	return nil
-}
-
-// consume runs one record through the grammar and hands its event to the
-// verifier, settling a verdict at once: the Feed of a divergent record
-// returns its error.
-func (a *TailAuditor) consume(rec *store.Record, off int64) error {
 	ev, err := a.g.Feed(rec, a.recIdx, off)
 	if err == nil {
 		err = a.v.apply(context.Background(), ev)
@@ -150,29 +134,33 @@ func (a *TailAuditor) consume(rec *store.Record, off int64) error {
 	if err == nil {
 		err = a.v.settle(context.Background())
 	}
-	if err == nil && ev.kind == evSeal {
+	if err != nil {
+		a.err = err
+		return err
+	}
+	if ev.kind == evSeal {
 		a.history[a.g.epoch] = a.v.digest
 	}
-	return err
+	a.recIdx++
+	return nil
 }
 
 // VerifiedDigest returns the verified digest of a sealed epoch the tail has
 // followed, and whether that epoch has sealed yet.
 func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	d, ok := a.history[epoch]
+	d, ok, _ := a.verified(epoch)
 	return d, ok
 }
 
-// Err returns the sticky audit failure, if any.
-func (a *TailAuditor) Err() error {
+// verified is VerifiedDigest together with the sticky audit failure.
+func (a *TailAuditor) verified(epoch int) ([]byte, bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.err
+	d, ok := a.history[epoch]
+	return d, ok, a.err
 }
 
-// Close releases the attached tailer, if any.
+// Close releases the tailer the auditor was opened with, if any.
 func (a *TailAuditor) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -184,153 +172,127 @@ func (a *TailAuditor) Close() error {
 	return t.Close()
 }
 
-// MergedTailAuditor follows a sharded epoch live: one TailAuditor per shard
-// (each pinned to its ShardOf slice, so no client can appear on a foreign
-// shard — or, since ShardOf is a function, on two shards at once) plus the
-// manifest's merged-seal stream. VerifyMerged reproduces
-// MergedTranscriptDigest from the per-shard verified digests and
-// cross-checks the manifest's claim.
-type MergedTailAuditor struct {
-	shards []*TailAuditor
-	book   *MergedSeals // the manifest's merged seals fed so far
+// TailSource is where a merged tail reads one segment from: the read half
+// of a store.Log, or a cluster node's board log over the wire.
+type TailSource interface {
+	ReadFrom(index int) (store.Tailer, error)
 }
 
-// NewMergedTailAuditor creates a live auditor for a K-shard deployment.
-func NewMergedTailAuditor(pub *Public, shards int, opts TailOptions) *MergedTailAuditor {
-	return newMergedTail(pub, max(shards, 1), opts, shardSegments)
+// SealLookup returns the merged seal recorded for epoch; ok is false while
+// none is recorded yet.
+type SealLookup func(epoch int) (digest []byte, ok bool, err error)
+
+// SegmentedTail is the one live merged tail, the live counterpart of
+// auditMerged: one TailAuditor per segment, each pinned and charging under
+// its segment kind (a client on a foreign shard, or — ShardOf being a
+// function — on two shards, fails at its record) and draining its source,
+// plus the lookup of the recorded merged seals. It serves a segmented
+// directory (TailSketchLog, whose lookup reads the manifest) and a cluster's
+// nodes (cluster.TailFollower, whose lookup asks every node) alike. One
+// goroutine drives it.
+type SegmentedTail struct {
+	unit    string // what one segment is called in messages
+	shards  []*TailAuditor
+	seals   SealLookup
+	records []int // records consumed per segment
 }
 
-// newMergedTail builds one TailAuditor per segment, each reading under its
-// kind's roster rule and charging policy.
-func newMergedTail(pub *Public, n int, opts TailOptions, kind segmentKind) *MergedTailAuditor {
-	m := &MergedTailAuditor{book: &MergedSeals{shards: n, seals: make(map[int][]byte)}}
-	for i := 0; i < n; i++ {
-		so := opts
-		so.Budget = kind.budget(i, opts.Budget)
-		a := NewTailAuditor(pub, so)
-		a.SetShard(kind.pin(i, n))
-		m.shards = append(m.shards, a)
-	}
-	return m
+// NewSegmentedTail opens a live tail over the K shards of a sharded board,
+// given in shard order, whose merged seals seals looks up.
+func NewSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts TailOptions) (*SegmentedTail, error) {
+	return newSegmentedTail(pub, sources, seals, opts, shardSegments)
 }
 
-// Shard returns shard i's TailAuditor; feed it that shard's records.
-func (m *MergedTailAuditor) Shard(i int) *TailAuditor { return m.shards[i] }
-
-// FeedManifest consumes one manifest record into the merged-seal book, the
-// rule recovery reads the manifest by.
-func (m *MergedTailAuditor) FeedManifest(rec *store.Record, off int64) error {
-	if err := m.book.feed(rec); err != nil {
-		return fmt.Errorf("%w: manifest record at offset %d: %v", ErrAuditFail, off, err)
-	}
-	return nil
-}
-
-// VerifyMerged reports on a merged epoch: once every shard has sealed and
-// verified it, the merged digest is derived from the per-shard digests (in
-// shard order, exactly MergedTranscriptDigest) and checked against the
-// manifest's merged seal when one has arrived. ready is false while some
-// shard has not sealed the epoch yet; a shard that has flagged its segment
-// makes VerifyMerged fail outright.
-func (m *MergedTailAuditor) VerifyMerged(epoch int) (digest []byte, ready bool, err error) {
-	ds := make([][]byte, len(m.shards))
-	for i, a := range m.shards {
-		if err := a.Err(); err != nil {
-			return nil, false, fmt.Errorf("shard %d: %w", i, err)
+func newSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
+	st := &SegmentedTail{unit: kind.unit, seals: seals, records: make([]int, len(sources))}
+	for i, src := range sources {
+		t, err := src.ReadFrom(0)
+		if err != nil {
+			st.Close()
+			return nil, err
 		}
-		d, ok := a.VerifiedDigest(epoch)
+		st.shards = append(st.shards, newTailAuditor(pub, opts, kind, i, len(sources), t))
+	}
+	return st, nil
+}
+
+// tailSegments opens the merged tail over a segmented directory: its
+// segments, and its manifest read into a merged-seal book.
+func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
+	sources := make([]TailSource, seg.Shards())
+	for i := range sources {
+		sources[i] = seg.Segment(i)
+	}
+	return newSegmentedTail(pub, sources, ManifestSeals(seg), opts, kind)
+}
+
+// ManifestSeals is a segmented directory's seal lookup: every call reads
+// the manifest into a merged-seal book under the book's one rule, so a
+// refused record is an audit failure naming it.
+func ManifestSeals(seg *store.SegmentedLog) SealLookup {
+	return func(epoch int) ([]byte, bool, error) {
+		book, err := openMergedSeals(seg.Manifest(), seg.Shards(), true)
+		if err != nil {
+			return nil, false, fmt.Errorf("%w: %v", ErrAuditFail, err)
+		}
+		_, digest, ok := book.Get(epoch)
+		return digest, ok, nil
+	}
+}
+
+// Poll drains every segment's source, returning the total records
+// consumed, under TailAuditor.Poll's error rule; the first error is
+// returned.
+func (st *SegmentedTail) Poll() (int, error) {
+	n := 0
+	for i, a := range st.shards {
+		k, err := a.Poll()
+		n += k
+		st.records[i] += k
+		if err != nil {
+			return n, fmt.Errorf("%s %d: %w", st.unit, i, err)
+		}
+	}
+	return n, nil
+}
+
+// VerifyMerged reports on a merged epoch. ready is false while some segment
+// has not sealed and verified it, or while no merged seal is recorded for
+// it. Once every segment has, the merged digest is derived from the
+// per-segment digests (in segment order, exactly MergedTranscriptDigest) and
+// must equal the recorded seal. A segment that has flagged its log, or a
+// recorded seal that disagrees, fails outright.
+func (st *SegmentedTail) VerifyMerged(epoch int) (digest []byte, ready bool, err error) {
+	ds := make([][]byte, len(st.shards))
+	for i, a := range st.shards {
+		d, ok, err := a.verified(epoch)
+		if err != nil {
+			return nil, false, fmt.Errorf("%s %d: %w", st.unit, i, err)
+		}
 		if !ok {
 			return nil, false, nil
 		}
 		ds[i] = d
 	}
-	digest = mergedDigestFromShards(ds)
-	if _, want, ok := m.book.Get(epoch); ok && !bytes.Equal(want, digest) {
-		return nil, true, fmt.Errorf("%w: manifest merged seal for epoch %d disagrees with the live per-shard audits",
-			ErrAuditFail, epoch)
+	want, ok, err := st.seals(epoch)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	if digest = mergedDigestFromShards(ds); !bytes.Equal(want, digest) {
+		return nil, false, fmt.Errorf("%w: the recorded merged seal for epoch %d disagrees with the live per-%s audits",
+			ErrAuditFail, epoch, st.unit)
 	}
 	return digest, true, nil
 }
 
-// SegmentedTail is the live counterpart of AuditSegmentedLog: a
-// MergedTailAuditor wired to every segment's (and the manifest's) store
-// tail, drained together by Poll.
-type SegmentedTail struct {
-	merged  *MergedTailAuditor
-	manTail store.Tailer
-}
+// Records returns how many records the tail has consumed per segment.
+func (st *SegmentedTail) Records() []int { return slices.Clone(st.records) }
 
-// tailSegments wires a merged auditor to every segment's (and the
-// manifest's) store tail.
-func tailSegments(pub *Public, seg *store.SegmentedLog, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
-	m := newMergedTail(pub, seg.Shards(), opts, kind)
-	for i := 0; i < seg.Shards(); i++ {
-		t, err := seg.Segment(i).ReadFrom(0)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.Shard(i).AttachTailer(t)
-	}
-	manTail, err := seg.Manifest().ReadFrom(0)
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	return &SegmentedTail{merged: m, manTail: manTail}, nil
-}
-
-// Poll drains every shard tail and the manifest tail, returning the total
-// records consumed. The first shard or manifest failure is returned (shard
-// failures are sticky in their TailAuditor).
-func (st *SegmentedTail) Poll() (int, error) {
-	n := 0
-	for i, a := range st.merged.shards {
-		k, err := a.Poll()
-		n += k
-		if err != nil {
-			return n, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	for {
-		rec, off, err := st.manTail.Next()
-		if errors.Is(err, store.ErrNoRecord) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := st.merged.FeedManifest(rec, off); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
-// VerifyMerged reports on a merged epoch; see MergedTailAuditor.
-func (st *SegmentedTail) VerifyMerged(epoch int) ([]byte, bool, error) {
-	return st.merged.VerifyMerged(epoch)
-}
-
-// Close releases every attached store tail.
+// Close releases every segment's tailer.
 func (st *SegmentedTail) Close() error {
-	err := st.merged.Close()
-	if st.manTail != nil {
-		if cerr := st.manTail.Close(); err == nil {
-			err = cerr
-		}
-		st.manTail = nil
+	var errs []error
+	for _, a := range st.shards {
+		errs = append(errs, a.Close())
 	}
-	return err
-}
-
-// Close releases every shard's attached tailer.
-func (m *MergedTailAuditor) Close() error {
-	var first error
-	for _, a := range m.shards {
-		if err := a.Close(); first == nil {
-			first = err
-		}
-	}
-	return first
+	return errors.Join(errs...)
 }

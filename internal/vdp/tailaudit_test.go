@@ -205,7 +205,9 @@ func copyRecords(recs []*store.Record) []*store.Record {
 // TestTailAuditorFileBitFlip flips a byte of a committed record on disk
 // behind a live tail — in-flight tampering with the file itself, below the
 // record grammar. The storage layer's CRC catches it and the tail surfaces
-// the offending record and byte offset.
+// the offending record and byte offset. A tailer error is not kept by the
+// tail, but the next Poll asks the tailer again from the same record, so it
+// reports the same position and the epoch stays uncertified.
 func TestTailAuditorFileBitFlip(t *testing.T) {
 	ctx := context.Background()
 	pub := testPublic(t, 2, 1, 4)
@@ -251,16 +253,104 @@ func TestTailAuditorFileBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	_, err = a.Poll()
-	if err == nil {
-		t.Fatal("tail certified a log with a flipped byte on disk")
-	}
 	frag := fmt.Sprintf("record 2 (offset %d)", off)
-	if !strings.Contains(err.Error(), frag) {
-		t.Fatalf("error %q does not carry the offending position %q", err, frag)
+	for poll := 1; poll <= 2; poll++ {
+		n, err := a.Poll()
+		if err == nil {
+			t.Fatalf("poll %d certified a log with a flipped byte on disk", poll)
+		}
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("poll %d error %q does not carry the offending position %q", poll, err, frag)
+		}
+		if poll == 2 && n != 0 {
+			t.Fatalf("the second poll consumed %d records past the corruption", n)
+		}
+		if a.Sealed() {
+			t.Fatalf("tampered epoch was certified after poll %d", poll)
+		}
+		if _, ok := a.VerifiedDigest(0); ok {
+			t.Fatalf("tampered epoch has a verified digest after poll %d", poll)
+		}
 	}
-	if a.Sealed() {
-		t.Fatal("tampered epoch was certified")
+}
+
+// TestSegmentedTailWaitsForManifestSeal pins the merged tail's one ready
+// rule: an epoch certifies only once its merged seal is recorded. Every
+// segment of a sharded directory seals, but the manifest's merged-seal
+// record never lands (a crash between the two): the tail verifies every
+// segment and still reports the epoch not ready, without an error, and the
+// offline audit refuses it. Once ResumeShardedSession heals the manifest,
+// the same tail's next Poll and VerifyMerged certify the session's digest.
+func TestSegmentedTailWaitsForManifestSeal(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 1, 1, 4)
+	const shards = 2
+	dir := t.TempDir()
+	seg, err := store.OpenSegmentedLog(dir, shards, store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShardedSession(pub, SessionOptions{Rand: testSeed(34), Segmented: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		sub, err := ss.NewClientSubmission(i, i%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Submit(ctx, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Seal every shard by hand, so the manifest record is never written.
+	ts := make([]*Transcript, shards)
+	for i := range ts {
+		res, err := ss.Shard(i).Finalize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts[i] = res.Transcript
+	}
+	want := MergedTranscriptDigest(pub, ts)
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seg2, err := store.OpenSegmentedLog(dir, shards, store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg2.Close()
+	st, err := tailSegments(pub, seg2, TailOptions{Workers: 2}, shardSegments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range st.shards {
+		if d, ok := a.VerifiedDigest(0); !ok || !bytes.Equal(d, TranscriptDigest(pub, ts[i])) {
+			t.Fatalf("shard %d: the tail did not verify the sealed segment", i)
+		}
+	}
+	if d, ready, err := st.VerifyMerged(0); err != nil || ready {
+		t.Fatalf("tail over a manifest without the merged seal: digest %x ready=%v err=%v, want not ready and no error", d, ready, err)
+	}
+	if err := AuditSegmentedLog(ctx, pub, seg2, 0, 2); !errors.Is(err, ErrAuditFail) {
+		t.Fatalf("offline audit of an epoch without a merged seal: %v, want an audit failure", err)
+	}
+
+	if _, err := ResumeShardedSession(ctx, pub, SessionOptions{Rand: testSeed(34), Segmented: seg2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	got, ready, err := st.VerifyMerged(0)
+	if err != nil || !ready || !bytes.Equal(got, want) {
+		t.Fatalf("tail after the manifest heal: digest %x ready=%v err=%v, want the session's digest %x", got, ready, err, want)
 	}
 }
 
