@@ -91,25 +91,28 @@ type Decoder interface {
 type Hinted struct {
 	G     Group
 	Hints []byte // the hints not yet taken
-	n     int    // elements decoded
+	// N is the index of the next element in its hint section: the elements
+	// decoded so far, plus — for a run that starts mid-section — the ones
+	// before its first. Errors name elements by it.
+	N int
 }
 
 // Decode decodes the next element of the run.
 func (h *Hinted) Decode(b []byte) (Element, error) {
 	w := h.G.HintLen()
 	if len(h.Hints) < w {
-		return nil, fmt.Errorf("group: %s: hint section ends at element %d", h.G.Name(), h.n)
+		return nil, fmt.Errorf("group: %s: hint section ends at element %d", h.G.Name(), h.N)
 	}
 	hint := h.Hints[:w:w]
 	h.Hints = h.Hints[w:]
-	h.n++
+	h.N++
 	return h.G.DecodeHinted(b, hint)
 }
 
 // Finish refuses hints left over after the run's last element.
 func (h *Hinted) Finish() error {
 	if len(h.Hints) != 0 {
-		return fmt.Errorf("group: %s: %d hint bytes left after %d elements", h.G.Name(), len(h.Hints), h.n)
+		return fmt.Errorf("group: %s: %d hint bytes left after %d elements", h.G.Name(), len(h.Hints), h.N)
 	}
 	return nil
 }

@@ -144,13 +144,9 @@ func (c *Commitment) Sub(o *Commitment) *Commitment {
 // Bytes returns the canonical encoding of the commitment.
 func (c *Commitment) Bytes() []byte { return c.pp.grp.Encode(c.e) }
 
-// DecodeCommitment parses a canonical encoding, validating group membership.
-func (p *Params) DecodeCommitment(b []byte) (*Commitment, error) {
-	return p.DecodeCommitmentWith(p.grp, b)
-}
-
-// DecodeCommitmentWith is DecodeCommitment reading the element through d,
-// which must decode elements of p's group.
+// DecodeCommitmentWith parses a canonical encoding, validating group
+// membership, reading the element through d, which must decode elements of
+// p's group: the group itself, or a group.Hinted run.
 func (p *Params) DecodeCommitmentWith(d group.Decoder, b []byte) (*Commitment, error) {
 	e, err := d.Decode(b)
 	if err != nil {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/group"
 )
 
+// DecodeCommitment parses a canonical encoding through p's group.
+func (p *Params) DecodeCommitment(b []byte) (*Commitment, error) {
+	return p.DecodeCommitmentWith(p.grp, b)
+}
+
 func testParams() []*Params {
 	return []*Params{Setup(group.P256()), Setup(group.Schnorr2048())}
 }

@@ -43,12 +43,8 @@ func BitProofLen(pp *pedersen.Params) int {
 	return 2*pp.Group().ElementLen() + 4*pp.ScalarField().ByteLen()
 }
 
-// DecodeBitProof parses a bit proof, validating all components.
-func DecodeBitProof(pp *pedersen.Params, b []byte) (*BitProof, error) {
-	return DecodeBitProofWith(pp, pp.Group(), b)
-}
-
-// DecodeBitProofWith is DecodeBitProof reading its group elements through d.
+// DecodeBitProofWith parses a bit proof, validating all components, reading
+// its group elements through d: the group itself, or a group.Hinted run.
 func DecodeBitProofWith(pp *pedersen.Params, d group.Decoder, b []byte) (*BitProof, error) {
 	g := pp.Group()
 	f := pp.ScalarField()

@@ -19,6 +19,11 @@ var (
 	ctxTx = []byte("session-1")
 )
 
+// DecodeBitProof parses a bit proof through pp's group.
+func DecodeBitProof(pp *pedersen.Params, b []byte) (*BitProof, error) {
+	return DecodeBitProofWith(pp, pp.Group(), b)
+}
+
 func randElem(f *field.Field, rng *rand.Rand) *field.Element {
 	buf := make([]byte, f.ByteLen()+8)
 	rng.Read(buf)

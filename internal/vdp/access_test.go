@@ -97,7 +97,7 @@ func (p *Public) EncodeCoinCommitMsg(msg *CoinCommitMsg) []byte {
 func (p *Public) DecodeCoinCommitMsg(b []byte) (*CoinCommitMsg, error) {
 	var q pointDecodes
 	msg, err := p.coinCommitMsg(b, &q)
-	if err = q.run(1, err); err != nil {
+	if err = q.run(p.pp.Group(), nil, 1, err); err != nil {
 		return nil, err
 	}
 	return msg, nil
@@ -115,7 +115,7 @@ func (p *Public) EncodeMorraRecord(rec *MorraRecord) []byte {
 func (p *Public) DecodeMorraRecord(b []byte) (*MorraRecord, error) {
 	var q pointDecodes
 	rec, err := p.morraRecord(b, &q)
-	if err = q.run(1, err); err != nil {
+	if err = q.run(p.pp.Group(), nil, 1, err); err != nil {
 		return nil, err
 	}
 	return rec, nil

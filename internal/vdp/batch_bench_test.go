@@ -150,3 +150,49 @@ func BenchmarkDecodeArrivalRecords(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeProverSection times the one transcript parser on one
+// goroutine over a bench-shape seal (one prover, one bin, 256 coins: 1 280
+// prover-section points), the decode every seal reader runs: v2 as Finalize
+// writes it, checking a hint per point, and v1, the seal's body alone,
+// taking a square root per point. scripts/check_allocs.sh pins the v2
+// allocs/op.
+func BenchmarkDecodeProverSection(b *testing.B) {
+	ctx := context.Background()
+	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := NewSession(pub, SessionOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := 0; id < 4; id++ {
+		sub, err := pub.NewClientSubmission(id, id%2, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Submit(ctx, sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+	res, err := sess.Finalize(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seal := pub.EncodeTranscript(res.Transcript)
+	body, _ := sealParts(seal)
+	for _, v := range []struct {
+		name string
+		seal []byte
+	}{{"v2", seal}, {"v1", body}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pub.decodeProverSection(v.seal, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

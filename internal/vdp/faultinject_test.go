@@ -461,7 +461,7 @@ func recoverSegmented(t *testing.T, k segCase, pub *Public, members []any, shape
 // complete, at most the one in-flight frame's clients missing from later
 // rows, the audit's row-subset rule still satisfied — so the gap is a stated
 // cell, not an unexamined one (closing it is an admission change; see ROADMAP
-// item 4).
+// items 9(b) and 13).
 //
 // Every cell runs over every frame shape, so a fault at an append inside a
 // frame's lock pass — sibling members already written, none acknowledged —

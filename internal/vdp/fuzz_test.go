@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/group"
 	"repro/internal/sigma"
 	"repro/internal/store"
 )
@@ -308,26 +309,33 @@ type sectionTamper struct {
 	want string
 }
 
-// proverSectionTampers derives from an honest seal: an off-curve commitment
-// in the last coin of bin 0; an off-curve Morra commitment; and, with more
-// than one bin, the first again with the last bin's count claiming a coin
-// more than the message carries — a structural error later in the stream,
-// which must not win over the earlier point. Each must fail with the point's
-// own decode error.
+// proverSectionTampers derives from an honest version-2 seal: an off-curve
+// commitment in the last coin of bin 0; an off-curve Morra commitment; and,
+// with more than one bin, the first again with the last bin's count claiming
+// a coin more than the message carries — a structural error later in the
+// stream, which must not win over the earlier point. Each comes as a
+// version-1 seal (the body alone), which must fail with the point's own
+// decode error, and as the version-2 seal ("hinted-"), which must fail with
+// its hint's refusal — except the one whose structure fails, which has no
+// hint section a reader could find and fails as version 1 does.
 func proverSectionTampers(t testing.TB, pub *Public, seal []byte) []sectionTamper {
 	t.Helper()
 	tr, err := pub.DecodeTranscript(seal)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := sealParts(seal)
 	elemLen := pub.pp.Group().ElementLen()
 	var offCurve []byte // the smallest x with no point on the curve
 	var pointErr error
 	for x := byte(1); pointErr == nil; x++ {
 		offCurve = make([]byte, elemLen)
 		offCurve[0], offCurve[elemLen-1] = 2, x
-		_, pointErr = pub.pp.DecodeCommitment(offCurve)
+		_, pointErr = pub.pp.DecodeCommitmentWith(pub.pp.Group(), offCurve)
 	}
+	// An off-curve x has no y, so whatever hint the seal holds for it is
+	// refused the same way.
+	_, hintErr := pub.pp.DecodeCommitmentWith(&group.Hinted{G: pub.pp.Group(), Hints: make([]byte, 32)}, offCurve)
 	patched := func(at int, b []byte) []byte {
 		out := bytes.Clone(seal)
 		copy(out[at:], b)
@@ -346,16 +354,46 @@ func proverSectionTampers(t testing.TB, pub *Public, seal []byte) []sectionTampe
 	nb, bins := len(msg.Commitments[0]), len(msg.Commitments)
 	binLen := 4 + nb*(elemLen+sigma.BitProofLen(pub.pp))
 	lastCoin := coins + 9 + 4 + (nb-1)*(elemLen+sigma.BitProofLen(pub.pp))
-	out := []sectionTamper{
-		{"off-curve-coin", patched(lastCoin, offCurve), pointErr.Error()},
-		{"off-curve-morra", patched(morraAt+17, offCurve), pointErr.Error()},
+	hinted := []sectionTamper{
+		{"off-curve-coin", patched(lastCoin, offCurve), hintErr.Error()},
+		{"off-curve-morra", patched(morraAt+17, offCurve), hintErr.Error()},
 	}
 	if bins > 1 {
 		short := patched(lastCoin, offCurve)
 		binary.BigEndian.PutUint32(short[coins+9+(bins-1)*binLen:], uint32(nb+1))
-		out = append(out, sectionTamper{"off-curve-coin-then-short-bin", short, pointErr.Error()})
+		hinted = append(hinted, sectionTamper{"off-curve-coin-then-short-bin", short, pointErr.Error()})
+	}
+	var out []sectionTamper
+	for _, c := range hinted {
+		out = append(out, sectionTamper{c.name, c.seal[:len(body)], pointErr.Error()})
+	}
+	for _, c := range hinted {
+		out = append(out, sectionTamper{"hinted-" + c.name, c.seal, c.want})
 	}
 	return out
+}
+
+// sealHintSeeds are a version-2 seal with its hint section damaged, each of
+// which every parse must refuse: the first hint the other root of its x (the
+// y of the wrong parity) and p itself, the section cut by a byte and by a
+// whole hint, a hint too many, and the first two hints swapped.
+func sealHintSeeds(seal []byte) [][]byte {
+	body, hints := sealParts(seal)
+	first := func(y *big.Int) []byte {
+		out := bytes.Clone(seal)
+		y.FillBytes(out[len(body) : len(body)+32])
+		return out
+	}
+	p := elliptic.P256().Params().P
+	y := new(big.Int).SetBytes(hints[:32])
+	swapped := bytes.Clone(seal)
+	copy(swapped[len(body):], hints[32:64])
+	copy(swapped[len(body)+32:], hints[:32])
+	return [][]byte{
+		first(new(big.Int).Sub(p, y)), first(p),
+		seal[:len(seal)-1], seal[:len(seal)-32], append(bytes.Clone(seal), hints[:32]...),
+		swapped,
+	}
 }
 
 // TestProverSectionErrorInStreamOrder: decoding the prover section's group
@@ -386,13 +424,14 @@ func TestProverSectionErrorInStreamOrder(t *testing.T) {
 // readers run plus a decode of every client block, so the two refuse
 // exactly the same inputs except one whose client block alone does not
 // decode; the prover-section parse returns the same transcript, or the same
-// error, on one goroutine and on four; and an accepted transcript digests
-// the same from its raw client section as decoded, and re-encodes byte for
-// byte.
+// error, on one goroutine and on four; a seal with a damaged hint section is
+// refused; and an accepted transcript digests the same from its raw client
+// section as decoded, and re-encodes byte for byte in its own seal version.
 func FuzzDecodeTranscript(f *testing.F) {
 	// Bins 1 (a count: bit proofs) and Bins 16 (one-hot proofs); one coin a
 	// bin keeps the wide seals small enough to mutate quickly.
 	var pubs [2]*Public
+	damaged := make(map[string]bool) // seals with a broken hint section
 	for i, bins := range []int{1, 16} {
 		pub, err := Setup(Config{Provers: 2, Bins: bins, Coins: 1})
 		if err != nil {
@@ -401,14 +440,21 @@ func FuzzDecodeTranscript(f *testing.F) {
 		pubs[i] = pub
 		for _, chunked := range []bool{false, true} {
 			seal := sealedTranscript(f, pub, chunked)
+			body, _ := sealParts(seal)
 			f.Add(i == 1, seal)
+			f.Add(i == 1, body)
 			if !chunked {
 				f.Add(i == 1, seal[:len(seal)/2])
-				// The release (flag 1, bin count, a u64 per bin) flagged 2 instead.
-				cut := len(seal) - 8 - 8*bins
-				f.Add(i == 1, append(seal[:cut:cut], 0, 0, 0, 2))
+				// The release (flag 1, bin count, a u64 per bin) flagged 2
+				// instead, cut back from the body's end.
+				cut := len(body) - 8 - 8*bins
+				f.Add(i == 1, append(body[:cut:cut], 0, 0, 0, 2))
 				for _, c := range proverSectionTampers(f, pub, seal) {
 					f.Add(i == 1, c.seal)
+				}
+				for _, bad := range sealHintSeeds(seal) {
+					damaged[string(bad)] = true
+					f.Add(i == 1, bad)
 				}
 			}
 		}
@@ -431,6 +477,9 @@ func FuzzDecodeTranscript(f *testing.F) {
 			}
 			return
 		}
+		if damaged[string(b)] {
+			t.Fatalf("damaged hint section accepted: %x", b)
+		}
 		if !bytes.Equal(sealDigest(pub, clients, section), sealDigest(pub, pooledClients, pooled)) {
 			t.Fatal("the prover-section parse decodes differently on 1 goroutine and on 4")
 		}
@@ -446,7 +495,11 @@ func FuzzDecodeTranscript(f *testing.F) {
 		if err != nil || !bytes.Equal(d, TranscriptDigest(pub, full)) {
 			t.Fatalf("the digest from the raw client section (%x, %v) differs from TranscriptDigest", d, err)
 		}
-		if enc := pub.EncodeTranscript(full); !bytes.Equal(enc, b) {
+		enc := pub.EncodeTranscript(full)
+		if _, hints := sealParts(b); len(hints) == 0 {
+			enc, _ = sealParts(enc)
+		}
+		if !bytes.Equal(enc, b) {
 			t.Fatalf("accepted transcript is not canonical: %x re-encodes to %x", b, enc)
 		}
 	})

@@ -202,6 +202,15 @@ func (e boardLogError) because(format string, args ...any) error {
 	return &e
 }
 
+// rosterIDs returns the client IDs of the board order.
+func (g *boardGrammar) rosterIDs() []int {
+	ids := make([]int, len(g.roster))
+	for i, cl := range g.roster {
+		ids[i] = cl.id
+	}
+	return ids
+}
+
 // drop splices a client out of the board order; its ID stays reserved
 // unless the caller also deletes it from clients.
 func (g *boardGrammar) drop(cl *boardClient) {

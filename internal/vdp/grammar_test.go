@@ -108,10 +108,104 @@ func v1Records(recs []*store.Record) []*store.Record {
 	return out
 }
 
-// plainV1Board is plainBoard as a version-1 log.
+// sealParts cuts a seal after its release: the body — all a version-1 seal
+// holds — and the hint section. A seal whose structure does not parse to its
+// release comes back whole, with no hints.
+func sealParts(seal []byte) (body, hints []byte) {
+	r := versioned(seal)
+	readSealedClients(&r)
+	for section := 0; section < 3; section++ { // coin messages, Morra records, outputs
+		for n := r.Count(maxWireDim, 4); n > 0; n-- {
+			r.Blob()
+		}
+	}
+	if r.Count(1, 4) == 1 {
+		r.Take(8 * r.Count(maxWireDim, 8))
+	}
+	hints = r.Rest()
+	if r.Err() != nil {
+		return seal, nil
+	}
+	return seal[: len(seal)-len(hints) : len(seal)-len(hints)], hints
+}
+
+// hintedSeal returns a copy of seal's body and the hint section its prover
+// section's points call for, whichever version seal is.
+func hintedSeal(t testing.TB, pub *Public, seal []byte) (body, hints []byte) {
+	t.Helper()
+	_, tr, err := pub.decodeProverSection(seal, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = sealParts(seal)
+	return bytes.Clone(body), pub.appendSealHints(nil, tr)
+}
+
+// editSeal rewrites the seal recs[first..last] hold — one seal record, or a
+// whole chunk sequence — with edit, re-split over as many chunk records as it
+// had, so every record keeps its index.
+func editSeal(t testing.TB, recs []*store.Record, first, last int, edit func(seal []byte) []byte) {
+	t.Helper()
+	if recs[first].Kind == RecordSeal {
+		recs[first] = &store.Record{Kind: RecordSeal, Epoch: recs[first].Epoch, Payload: edit(bytes.Clone(recs[first].Payload))}
+		return
+	}
+	var seal []byte
+	for _, rec := range recs[first : last+1] {
+		_, _, piece, err := decodeSealChunk(rec.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seal = append(seal, piece...)
+	}
+	seal = edit(seal)
+	total := last - first + 1
+	size := (len(seal) + total - 1) / total
+	for k := 0; k < total; k++ {
+		piece := seal[min(k*size, len(seal)):min((k+1)*size, len(seal))]
+		recs[first+k] = &store.Record{Kind: RecordSealChunk, Epoch: recs[first+k].Epoch, Payload: encodeSealChunk(k, total, piece)}
+	}
+}
+
+// v1Seals copies an honest log with every seal cut to its body: the
+// version-1 seal a build before seal hints wrote, at the same record indices.
+func v1Seals(t testing.TB, recs []*store.Record) []*store.Record {
+	out := copyRecords(recs)
+	for i := 0; i < len(out); i++ {
+		last := i
+		switch out[i].Kind {
+		case RecordSealChunk:
+			_, total, _, err := decodeSealChunk(out[i].Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = i + total - 1
+		case RecordSeal:
+		default:
+			continue
+		}
+		editSeal(t, out, i, last, func(seal []byte) []byte {
+			body, _ := sealParts(seal)
+			return body
+		})
+		i = last
+	}
+	return out
+}
+
+// plainV1Board is plainBoard as a version-1 log, what a build before point
+// hints wrote: arrival records and seals without hints.
 func plainV1Board(t *testing.T) *grammarBoard {
 	b := plainBoard(t)
-	b.name, b.victim = "plain-v1", v1Records(b.victim)
+	b.name, b.victim = "plain-v1", v1Seals(t, v1Records(b.victim))
+	return b
+}
+
+// plainV1SealBoard is plainBoard with version-1 seals behind hinted arrival
+// records, what a build before seal hints wrote.
+func plainV1SealBoard(t *testing.T) *grammarBoard {
+	b := plainBoard(t)
+	b.name, b.victim = "plain-v1-seal", v1Seals(t, b.victim)
 	return b
 }
 
@@ -457,14 +551,58 @@ func TestBoardGrammarConformance(t *testing.T) {
 			crypto: true,
 		},
 		{
-			// A flipped byte in the seal's prover section.
+			// A flipped byte in the seal's prover section, addressed from the
+			// end of the seal's body: the hint section behind it is not hit.
 			name: "bit-flipped-seal",
 			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
-				p := recs[sh.sealLast].Payload
-				p[len(p)-40] ^= 0x04
+				editSeal(t, recs, sh.sealFirst, sh.sealLast, func(seal []byte) []byte {
+					body, _ := sealParts(seal)
+					seal[len(body)-40] ^= 0x04
+					return seal
+				})
 				return recs, -1
 			},
 			crypto: true,
+		},
+		{
+			// The seal's first hint the other root of its point's x: the y of
+			// the wrong parity (a version-1 seal gains the hint section it
+			// lacked, hints otherwise right).
+			name: "wrong-seal-hint",
+			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
+				editSeal(t, recs, sh.sealFirst, sh.sealLast, func(seal []byte) []byte {
+					body, hints := hintedSeal(t, b.pub, seal)
+					y := new(big.Int).SetBytes(hints[:32])
+					new(big.Int).Sub(elliptic.P256().Params().P, y).FillBytes(hints[:32])
+					return append(body, hints...)
+				})
+				return recs, sh.sealLast
+			},
+			frag: "seal: pedersen: group: p256: ec: hint is not the y coordinate of the encoded point",
+		},
+		{
+			// The seal's hint section a whole hint short.
+			name: "short-seal-hint",
+			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
+				editSeal(t, recs, sh.sealFirst, sh.sealLast, func(seal []byte) []byte {
+					body, hints := hintedSeal(t, b.pub, seal)
+					return append(body, hints[:len(hints)-32]...)
+				})
+				return recs, sh.sealLast
+			},
+			frag: "seal: pedersen: group: p256: hint section ends at element",
+		},
+		{
+			// The seal's hint section with a hint too many.
+			name: "surplus-seal-hint",
+			mutate: func(b *grammarBoard, sh logShape, recs []*store.Record) ([]*store.Record, int) {
+				editSeal(t, recs, sh.sealFirst, sh.sealLast, func(seal []byte) []byte {
+					body, hints := hintedSeal(t, b.pub, seal)
+					return append(append(body, hints...), hints[:32]...)
+				})
+				return recs, sh.sealLast
+			},
+			frag: "seal: group: p256: 32 hint bytes left after",
 		},
 		{
 			name: "second-verdict",
@@ -566,7 +704,7 @@ func TestBoardGrammarConformance(t *testing.T) {
 		},
 	}
 
-	for _, build := range []func(*testing.T) *grammarBoard{plainBoard, plainV1Board, shardedBoard, sketchBoard} {
+	for _, build := range []func(*testing.T) *grammarBoard{plainBoard, plainV1Board, plainV1SealBoard, shardedBoard, sketchBoard} {
 		b := build(t)
 		sh := shapeOf(t, b.victim)
 		t.Run(b.name+"/honest", func(t *testing.T) {
@@ -678,7 +816,11 @@ func grammarFuzzBases(t testing.TB) (*Public, []*fuzzBase) {
 		} {
 			sealChunkSize = old
 			if i == 0 {
-				sealChunkSize = 900
+				// Epoch 0's seal spans six chunk records and epoch 1's five,
+				// in either seal version: the record indices the corpus in
+				// testdata/fuzz/FuzzBoardGrammar names were found on that
+				// layout.
+				sealChunkSize = 1120
 			}
 			log := store.NewMemLog()
 			so := opts
@@ -857,14 +999,17 @@ func checkGrammarAgreement(t *testing.T, pub *Public, base *fuzzBase, recs []*st
 
 // FuzzBoardGrammar mutates honest board logs record by record and holds the
 // three readers of the log to one verdict (see checkGrammarAgreement). The
-// low seven bits of which pick the base log; its top bit reads that log as
-// record version 1 (v1Records), so an input below 0x80 keeps the base it
-// had before hinted records. The seeds are the three pristine logs in each
-// version; testdata/fuzz/FuzzBoardGrammar holds one input per shape the
-// pre-unification interpreters disagreed on.
+// low seven bits of which pick the base log; its top bit reads that log's
+// arrival records as record version 1 (v1Records), so an input below 0x80
+// keeps the base it had before hinted records, and its 0x40 bit reads its
+// seals as seal version 1 (v1Seals). The seeds are the three pristine logs
+// in each version of each; testdata/fuzz/FuzzBoardGrammar holds one input
+// per shape the pre-unification interpreters disagreed on.
 func FuzzBoardGrammar(f *testing.F) {
-	for _, which := range []uint8{0, 1, 2, 0x80, 0x81, 0x82} {
-		f.Add(which, []byte{})
+	for _, version := range []uint8{0, 0x40, 0x80, 0xc0} {
+		for low := uint8(0); low < 3; low++ { // three low values pick the three bases
+			f.Add(version|low, []byte{})
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, ops []byte) {
 		pub, bases := grammarFuzzBases(t)
@@ -872,6 +1017,9 @@ func FuzzBoardGrammar(f *testing.F) {
 		recs := copyRecords(base.recs)
 		if which&0x80 != 0 {
 			recs = v1Records(recs)
+		}
+		if which&0x40 != 0 {
+			recs = v1Seals(t, recs)
 		}
 		recs = mutateRecords(recs, ops)
 		if len(recs) == 0 {

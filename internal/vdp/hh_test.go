@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sketch"
@@ -336,6 +338,67 @@ func TestSketchBudgetGateEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(st.shards[0].LedgerDigest(), liveLedger) {
 		t.Error("tail ledger head differs from the session's")
+	}
+}
+
+// TestSketchRowGate: a contribution's row-1 submission sent straight to row
+// 1's session seats its client on row 1 although row 0 — the row that admits
+// and charges a contribution — never admitted it. The offline audit and the
+// live tail both refuse the sealed epoch, with the same text.
+func TestSketchRowGate(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 1, 8, 4)
+	layout := testLayout()
+	seg, err := store.OpenSegmentedLog(t.TempDir(), layout.Rows, store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	hs, err := NewSketchSession(pub, layout, SessionOptions{Rand: testSeed(34), Segmented: seg, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 3; id++ {
+		c, err := hs.NewContribution(id, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hs.Submit(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stray, err := hs.NewContribution(9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.segs[1].Submit(ctx, stray.Rows[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.Finalize(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "sketch row 1 seats client 9, which sketch row 0 never admitted"
+	auditErr := AuditSketchLog(ctx, pub, layout, seg, 0, 2)
+	st, err := TailSketchLog(pub, layout, seg, TailOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	_, ready, tailErr := st.VerifyMerged(0)
+	for _, r := range []struct {
+		who string
+		err error
+	}{{"audit", auditErr}, {"tail", tailErr}} {
+		if !errors.Is(r.err, ErrAuditFail) || !strings.Contains(r.err.Error(), want) {
+			t.Errorf("%s: %v, want an audit failure saying %q", r.who, r.err, want)
+		}
+	}
+	if ready || fmt.Sprint(tailErr) != fmt.Sprint(auditErr) {
+		t.Errorf("tail (ready %v) said %v, the audit %v", ready, tailErr, auditErr)
 	}
 }
 

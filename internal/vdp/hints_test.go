@@ -173,6 +173,23 @@ func pointsOf(cp *ClientPublic) uint64 {
 	return n
 }
 
+// proverPoints counts the group elements of a transcript's prover section:
+// each coin's commitment, A0 and A1, and every Morra commitment.
+func proverPoints(tr *Transcript) uint64 {
+	var n uint64
+	for _, msg := range tr.CoinMsgs {
+		for _, comms := range msg.Commitments {
+			n += 3 * uint64(len(comms))
+		}
+	}
+	for _, rec := range tr.Morra {
+		for _, cm := range rec.Commits {
+			n += uint64(len(cm.Commitments))
+		}
+	}
+	return n
+}
+
 // arrivalPoints counts the points of the arrival records of recs, of epoch
 // only when epoch ≥ 0.
 func arrivalPoints(t *testing.T, pub *Public, recs []*store.Record, epoch int) uint64 {
@@ -201,12 +218,11 @@ func encodeV1(pub *Public, sub *ClientSubmission) []byte {
 // TestReadersTakeNoSquareRoots: admission takes no square root for a hinted
 // submission — a "submit" body or a 64-member "submit-batch" — and one per
 // point of a version-1 member, which it still admits and logs as the same
-// arrival record the hinted member would have made; the readers of the
-// board — tail, audit, resume — take none for the points of a version-2
-// arrival record, and one per point of a version-1 record (the fixture).
-// The seal's prover section still decompresses its own points, so a reader
-// that verifies a seal is allowed exactly what decoding that section once
-// takes.
+// arrival record the hinted member would have made. The readers of the
+// board — tail, audit, resume (of an open epoch and of a sealed one), the
+// snapshot check of a compacted epoch — take none on a version-2 board,
+// whose arrival records and seal carry a hint for every point, and one per
+// point of each version-1 record and seal they decode (the fixture).
 func TestReadersTakeNoSquareRoots(t *testing.T) {
 	ctx := context.Background()
 	pub := testPublic(t, 2, 1, 4)
@@ -309,22 +325,58 @@ func TestReadersTakeNoSquareRoots(t *testing.T) {
 		hint bool
 	}{{"v2", v2, true}, {"v1 fixture", v1BoardRecords(t), false}} {
 		recs := board.recs
+		sealed := -1 // the last record of epoch 0's seal
+		for i, rec := range recs {
+			if rec.Epoch == 0 && (rec.Kind == RecordSeal || rec.Kind == RecordSealChunk) {
+				sealed = i
+			}
+		}
 		var seal []byte
 		if err := scanSeals(memLogOf(t, recs), func(epoch int, b []byte) {
 			if epoch == 0 {
 				seal = b
 			}
-		}); err != nil || seal == nil {
+		}); err != nil || seal == nil || sealed < 0 {
 			t.Fatalf("%s: no epoch-0 seal: %v", board.name, err)
 		}
+		if _, hints := sealParts(seal); (len(hints) != 0) != board.hint {
+			t.Fatalf("%s: epoch 0's seal carries %d hint bytes", board.name, len(hints))
+		}
+		var clients [][]byte
+		var tr *Transcript
 		sealRoots := roots(func() {
-			if _, _, err := pub.decodeProverSection(seal, 1); err != nil {
+			var err error
+			if clients, tr, err = pub.decodeProverSection(seal, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
+		// The snapshot check of a compacted epoch 0 decodes its seal once.
+		digest0 := sealDigest(pub, clients, tr)
+		if n := roots(func() {
+			if d, err := transcriptDigestFromBytes(pub, seal); err != nil || !bytes.Equal(d, digest0) {
+				t.Fatalf("%s: snapshot check: %x, %v", board.name, d, err)
+			}
+		}); n != sealRoots {
+			t.Errorf("%s: the snapshot check took %d square roots, the prover section %d", board.name, n, sealRoots)
+		}
+		want := proverPoints(tr)
+		if board.hint {
+			want = 0
+		}
+		if sealRoots != want {
+			t.Errorf("%s: decoding epoch 0's prover section took %d square roots, want %d", board.name, sealRoots, want)
+		}
+		upToSeal := recs[:sealed+1]
+		compacted := append(copyRecords(upToSeal), &store.Record{Kind: RecordSnapshot, Payload: encodeSnapshot(0, digest0)})
 		all, epoch0 := arrivalPoints(t, pub, recs, -1), arrivalPoints(t, pub, recs, 0)
 		if board.hint {
 			all, epoch0 = 0, 0
+		}
+		resume := func(recs []*store.Record) func() error {
+			return func() error {
+				_, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(75), Store: memLogOf(t, recs), Parallelism: 2})
+				return err
+			}
 		}
 		for _, r := range []struct {
 			who  string
@@ -335,9 +387,12 @@ func TestReadersTakeNoSquareRoots(t *testing.T) {
 				return feedAll(NewTailAuditor(pub, TailOptions{Workers: 2}), recs)
 			}},
 			{"audit", sealRoots + epoch0, func() error { return AuditLog(ctx, pub, memLogOf(t, recs), 0, 2) }},
-			{"resume", all, func() error {
-				_, err := ResumeSession(ctx, pub, SessionOptions{Rand: testSeed(75), Store: memLogOf(t, recs), Parallelism: 2})
-				return err
+			{"resume", all, resume(recs)},
+			{"resume of the sealed epoch 0", epoch0 + sealRoots, resume(upToSeal)},
+			// The seal is decoded to verify it, then again by the snapshot
+			// check.
+			{"tail of the compacted epoch 0", epoch0 + 2*sealRoots, func() error {
+				return feedAll(NewTailAuditor(pub, TailOptions{Workers: 2}), compacted)
 			}},
 		} {
 			var err error

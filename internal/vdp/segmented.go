@@ -50,6 +50,31 @@ func (k segmentKind) pin(i, n int) (shard, shards int) {
 	return 0, 1
 }
 
+// checkRosters applies the kind's roster rule to a merged epoch's sealed
+// rosters (client IDs), given in segment order, once every segment has been
+// verified on its own. Shards need none here: each segment's grammar pins
+// its clients to their ShardOf slice, so a client on a foreign shard fails
+// at its submission record. Sketch rows check the admission gate: row 0
+// admits first, so a client a later row seats that row 0 does not is a
+// forged roster. The offline audit and the live tail both apply it.
+func (k segmentKind) checkRosters(rosters [][]int) error {
+	if k.pinned || len(rosters) == 0 {
+		return nil
+	}
+	admitted := make(map[int]bool, len(rosters[0]))
+	for _, id := range rosters[0] {
+		admitted[id] = true
+	}
+	for i := 1; i < len(rosters); i++ {
+		for _, id := range rosters[i] {
+			if !admitted[id] {
+				return fmt.Errorf("%w: %s %d seats client %d, which %s 0 never admitted", ErrAuditFail, k.unit, i, id, k.unit)
+			}
+		}
+	}
+	return nil
+}
+
 // budget returns the charging policy segment i enforces.
 func (k segmentKind) budget(i int, b *BudgetConfig) *BudgetConfig {
 	if k.pinned || i == 0 {

@@ -202,33 +202,26 @@ func (b *MergedSeals) Get(epoch int) (sealed int, digest []byte, ok bool) {
 // segmented or multi-node board, in segment order: each log is audited
 // exactly as AuditLog audits a single board log — grammar over the whole
 // log, seal cross-checked against the log's own arrival records, every
-// verdict and the seal verified — under the roster rule of its kind, and
-// the merged digest over the verified per-log digests is returned. Shards
-// pin every log's grammar to its ShardOf slice (a client on a foreign shard
-// fails at its submission record; on two shards it cannot be). Sketch rows
-// check the admission gate on the sealed rosters instead: row 0 admits
-// first, so a client a later row seats that row 0 does not is a forged
-// roster.
+// verdict and the seal verified — pinned as its kind pins it (a client on a
+// foreign shard fails at its submission record; on two shards it cannot
+// be), the sealed rosters must pass the kind's roster rule (checkRosters),
+// and the merged digest over the verified per-log digests is returned.
 func auditSegments(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, kind segmentKind) ([]byte, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("%w: no board logs to audit", ErrAuditFail)
 	}
 	digests := make([][]byte, len(logs))
-	admitted := make(map[int]bool) // row 0's sealed roster
+	rosters := make([][]int, len(logs))
 	for i, lg := range logs {
 		shard, shards := kind.pin(i, len(logs))
 		digest, roster, err := auditLogEpoch(ctx, pub, lg, epoch, workers, shard, shards)
 		if err != nil {
 			return nil, fmt.Errorf("%s %d: %w", kind.unit, i, err)
 		}
-		digests[i] = digest
-		for _, id := range roster {
-			if i == 0 {
-				admitted[id] = true
-			} else if !kind.pinned && !admitted[id] {
-				return nil, fmt.Errorf("%w: %s %d seats client %d, which %s 0 never admitted", ErrAuditFail, kind.unit, i, id, kind.unit)
-			}
-		}
+		digests[i], rosters[i] = digest, roster
+	}
+	if err := kind.checkRosters(rosters); err != nil {
+		return nil, err
 	}
 	return mergedDigestFromShards(digests), nil
 }

@@ -28,7 +28,9 @@ import (
 //	                   bytes: public + K payloads + (v2) point hints (wirelog.go)
 //	RecordVerdict     payload = client ID, accepted, on-board, reason
 //	RecordWithdraw    payload = client ID (cancelled mid-verification)
-//	RecordSeal        payload = EncodeTranscript (the epoch's full board)
+//	RecordSeal        payload = EncodeTranscript, the epoch's full board:
+//	                   clients + prover section + (v2) the prover section's
+//	                   point hints (wirelog.go)
 //	RecordSealChunk   payload = index, total, piece (oversized seal split)
 //	RecordReset       payload = empty (epoch closed by Reset)
 //	RecordSnapshot    payload = epoch, TranscriptDigest (epoch compacted)
@@ -365,7 +367,10 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 		s.state = sessionFinalized
 		_, t, err := pub.decodeProverSection(g.seal, poolWidth(opts.Parallelism))
 		if err != nil {
-			return nil, fmt.Errorf("vdp: sealed transcript for epoch %d: %w", g.epoch, err)
+			// Nothing but a boundary may follow a seal, so the seal is the
+			// record the replay fed last: the refusal names it, as the
+			// audit's and the tail's do.
+			return nil, g.errorf("seal: %v", err)
 		}
 		t.Clients = make([]*ClientPublic, len(g.roster))
 		for i, cl := range g.roster {
@@ -484,10 +489,7 @@ func auditLogEpoch(ctx context.Context, pub *Public, log Replayer, epoch, worker
 		func(_ int, rec *store.Record) bool { return int(rec.Epoch) == epoch },
 		func(ev boardEvent) error {
 			if verr = v.apply(ctx, ev); verr == nil && ev.kind == evSeal {
-				digest = v.digest
-				for _, cl := range g.roster {
-					roster = append(roster, cl.id)
-				}
+				digest, roster = v.digest, g.rosterIDs()
 			}
 			return verr
 		})

@@ -58,8 +58,14 @@ type TailAuditor struct {
 
 	g       *boardGrammar
 	v       *epochVerifier
-	recIdx  int            // records consumed, all epochs
-	history map[int][]byte // sealed epoch -> verified digest
+	recIdx  int                 // records consumed, all epochs
+	history map[int]sealedEpoch // by epoch, every epoch verified sealed
+}
+
+// sealedEpoch is what a tail keeps of an epoch it has verified sealed.
+type sealedEpoch struct {
+	digest []byte
+	roster []int // the sealed roster's client IDs, board order
 }
 
 // NewTailAuditor creates a live auditor for a single board log, shard 0 of
@@ -79,7 +85,7 @@ func newTailAuditor(pub *Public, opts TailOptions, kind segmentKind, i, n int, t
 		tailer:  tailer,
 		g:       g,
 		v:       newEpochVerifier(pub, g, poolWidth(opts.Workers), tailWindow),
-		history: make(map[int][]byte),
+		history: make(map[int]sealedEpoch),
 	}
 }
 
@@ -139,7 +145,7 @@ func (a *TailAuditor) feedLocked(rec *store.Record, off int64) error {
 		return err
 	}
 	if ev.kind == evSeal {
-		a.history[a.g.epoch] = a.v.digest
+		a.history[a.g.epoch] = sealedEpoch{digest: a.v.digest, roster: a.g.rosterIDs()}
 	}
 	a.recIdx++
 	return nil
@@ -148,16 +154,17 @@ func (a *TailAuditor) feedLocked(rec *store.Record, off int64) error {
 // VerifiedDigest returns the verified digest of a sealed epoch the tail has
 // followed, and whether that epoch has sealed yet.
 func (a *TailAuditor) VerifiedDigest(epoch int) ([]byte, bool) {
-	d, ok, _ := a.verified(epoch)
-	return d, ok
+	s, ok, _ := a.verified(epoch)
+	return s.digest, ok
 }
 
-// verified is VerifiedDigest together with the sticky audit failure.
-func (a *TailAuditor) verified(epoch int) ([]byte, bool, error) {
+// verified returns a sealed epoch's verified digest and roster, whether that
+// epoch has sealed yet, and the sticky audit failure.
+func (a *TailAuditor) verified(epoch int) (sealedEpoch, bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	d, ok := a.history[epoch]
-	return d, ok, a.err
+	s, ok := a.history[epoch]
+	return s, ok, a.err
 }
 
 // Close releases the tailer the auditor was opened with, if any.
@@ -191,7 +198,7 @@ type SealLookup func(epoch int) (digest []byte, ok bool, err error)
 // nodes (cluster.TailFollower, whose lookup asks every node) alike. One
 // goroutine drives it.
 type SegmentedTail struct {
-	unit    string // what one segment is called in messages
+	kind    segmentKind
 	shards  []*TailAuditor
 	seals   SealLookup
 	records []int // records consumed per segment
@@ -204,7 +211,7 @@ func NewSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts 
 }
 
 func newSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
-	st := &SegmentedTail{unit: kind.unit, seals: seals, records: make([]int, len(sources))}
+	st := &SegmentedTail{kind: kind, seals: seals, records: make([]int, len(sources))}
 	for i, src := range sources {
 		t, err := src.ReadFrom(0)
 		if err != nil {
@@ -250,7 +257,7 @@ func (st *SegmentedTail) Poll() (int, error) {
 		n += k
 		st.records[i] += k
 		if err != nil {
-			return n, fmt.Errorf("%s %d: %w", st.unit, i, err)
+			return n, fmt.Errorf("%s %d: %w", st.kind.unit, i, err)
 		}
 	}
 	return n, nil
@@ -258,21 +265,27 @@ func (st *SegmentedTail) Poll() (int, error) {
 
 // VerifyMerged reports on a merged epoch. ready is false while some segment
 // has not sealed and verified it, or while no merged seal is recorded for
-// it. Once every segment has, the merged digest is derived from the
-// per-segment digests (in segment order, exactly MergedTranscriptDigest) and
-// must equal the recorded seal. A segment that has flagged its log, or a
-// recorded seal that disagrees, fails outright.
+// it. Once every segment has, the sealed rosters must pass the kind's roster
+// rule (checkRosters, as the offline audit applies it), and the merged
+// digest is derived from the per-segment digests (in segment order, exactly
+// MergedTranscriptDigest) and must equal the recorded seal. A segment that
+// has flagged its log, a roster the rule refuses, or a recorded seal that
+// disagrees fails outright.
 func (st *SegmentedTail) VerifyMerged(epoch int) (digest []byte, ready bool, err error) {
 	ds := make([][]byte, len(st.shards))
+	rosters := make([][]int, len(st.shards))
 	for i, a := range st.shards {
-		d, ok, err := a.verified(epoch)
+		s, ok, err := a.verified(epoch)
 		if err != nil {
-			return nil, false, fmt.Errorf("%s %d: %w", st.unit, i, err)
+			return nil, false, fmt.Errorf("%s %d: %w", st.kind.unit, i, err)
 		}
 		if !ok {
 			return nil, false, nil
 		}
-		ds[i] = d
+		ds[i], rosters[i] = s.digest, s.roster
+	}
+	if err := st.kind.checkRosters(rosters); err != nil {
+		return nil, false, err
 	}
 	want, ok, err := st.seals(epoch)
 	if err != nil || !ok {
@@ -280,7 +293,7 @@ func (st *SegmentedTail) VerifyMerged(epoch int) (digest []byte, ready bool, err
 	}
 	if digest = mergedDigestFromShards(ds); !bytes.Equal(want, digest) {
 		return nil, false, fmt.Errorf("%w: the recorded merged seal for epoch %d disagrees with the live per-%s audits",
-			ErrAuditFail, epoch, st.unit)
+			ErrAuditFail, epoch, st.kind.unit)
 	}
 	return digest, true, nil
 }

@@ -171,7 +171,7 @@ func (p *Public) putCoinCommitMsg(w *wire.Writer, msg *CoinCommitMsg) {
 }
 
 // coinCommitMsg is a coin-commitment message's structural pass: it queues
-// each coin's commitment and bit-proof decode on q.
+// each coin's commitment and bit-proof decode — three points — on q.
 func (p *Public) coinCommitMsg(b []byte, q *pointDecodes) (*CoinCommitMsg, error) {
 	r := versioned(b)
 	msg := &CoinCommitMsg{Prover: int(r.U32())}
@@ -185,9 +185,9 @@ func (p *Public) coinCommitMsg(b []byte, q *pointDecodes) (*CoinCommitMsg, error
 		comms, proofs := make([]*pedersen.Commitment, nb), make([]*sigma.BitProof, nb)
 		for l := range comms {
 			c, proof := r.Take(elemLen), r.Take(proofLen)
-			*q = append(*q, func() (err error) {
-				if comms[l], err = p.pp.DecodeCommitment(c); err == nil {
-					proofs[l], err = sigma.DecodeBitProof(p.pp, proof)
+			q.add(3, func(d group.Decoder) (err error) {
+				if comms[l], err = p.pp.DecodeCommitmentWith(d, c); err == nil {
+					proofs[l], err = sigma.DecodeBitProofWith(p.pp, d, proof)
 				}
 				return err
 			})
@@ -235,8 +235,8 @@ func (p *Public) morraRecord(b []byte, q *pointDecodes) (*MorraRecord, error) {
 		cm.Commitments = make([]*pedersen.Commitment, r.Count(maxWireDim, elemLen))
 		for l := range cm.Commitments {
 			c := r.Take(elemLen)
-			*q = append(*q, func() (err error) {
-				cm.Commitments[l], err = p.pp.DecodeCommitment(c)
+			q.add(1, func(d group.Decoder) (err error) {
+				cm.Commitments[l], err = p.pp.DecodeCommitmentWith(d, c)
 				return err
 			})
 		}
@@ -257,20 +257,52 @@ func (p *Public) morraRecord(b []byte, q *pointDecodes) (*MorraRecord, error) {
 // pointDecodes is the deferred half of a coin-message or Morra-record
 // decode. The structural pass — counts, lengths, version bytes, scalars —
 // walks the stream and queues the decode of every group-element span, in
-// stream order, with the slot it fills; run then decodes the queue, on a
-// pool when there is one. The structural pass stops at its first error, so
-// every queued span precedes that error in the stream.
-type pointDecodes []func() error
+// stream order, with the slot it fills and the index of its first point;
+// run then decodes the queue, on a pool when there is one. The structural
+// pass stops at its first error, so every queued span precedes that error in
+// the stream.
+type pointDecodes struct {
+	spans  []pointSpan
+	points int // points queued
+}
+
+// pointSpan is one queued decode: the points from index at on, read
+// through the decoder it is handed.
+type pointSpan struct {
+	at     int
+	decode func(group.Decoder) error
+	// hints is the span's hint cursor when the section has hints, kept in
+	// the queue so that handing it over allocates nothing.
+	hints group.Hinted
+}
+
+// add queues a span of points points.
+func (q *pointDecodes) add(points int, decode func(group.Decoder) error) {
+	q.spans = append(q.spans, pointSpan{at: q.points, decode: decode})
+	q.points += points
+}
 
 // run decodes the queued spans on up to workers goroutines and returns the
 // first failure in stream order, else structural (the error the structural
-// pass stopped at, or nil): exactly the error a one-pass decoder meets
-// first. A failure does not stop the pool, so no earlier span goes
-// undecoded.
-func (q pointDecodes) run(workers int, structural error) error {
-	errs := make([]error, len(q))
-	_ = forEach(nil, workers, len(q), func(i int) error {
-		errs[i] = q[i]()
+// pass stopped at, or nil), else a surplus in hints: exactly the error a
+// one-pass decoder meets first. With no hints every point is decoded by its
+// square root; otherwise each span reads the hints at its own points'
+// indices, HintLen bytes a point, so a hint section that ends early fails at
+// the first point it does not cover. A failure does not stop the pool, so
+// no earlier span goes undecoded.
+func (q *pointDecodes) run(g group.Group, hints []byte, workers int, structural error) error {
+	cursor := func(at int) group.Hinted {
+		return group.Hinted{G: g, Hints: hints[min(at*g.HintLen(), len(hints)):], N: at}
+	}
+	errs := make([]error, len(q.spans))
+	_ = forEach(nil, workers, len(q.spans), func(i int) error {
+		s := &q.spans[i]
+		if len(hints) == 0 {
+			errs[i] = s.decode(g)
+		} else {
+			s.hints = cursor(s.at)
+			errs[i] = s.decode(&s.hints)
+		}
 		return nil
 	})
 	for _, err := range errs {
@@ -278,16 +310,31 @@ func (q pointDecodes) run(workers int, structural error) error {
 			return err
 		}
 	}
-	return structural
+	if structural != nil || len(hints) == 0 {
+		return structural
+	}
+	rest := cursor(q.points)
+	return rest.Finish()
 }
 
 // EncodeTranscript serializes the complete public transcript of one epoch —
 // the entire bulletin board — as one record: clients, coin commitments with
-// proofs, Morra records, prover outputs and the release. This is the seal a
-// durable session appends at Finalize, and it is sufficient input for
-// offline auditing: DecodeTranscript followed by Audit re-derives every
-// verifier verdict (the debiased Estimate/Stddev fields are recomputed from
-// Raw, so the encoding stays canonical).
+// proofs, Morra records, prover outputs and the release, then the hint
+// section of the prover section's points (appendSealHints). This is the seal
+// a durable session appends at Finalize and a cluster node's "node-seal"
+// reply, and it is sufficient input for offline auditing: DecodeTranscript
+// followed by Audit re-derives every verifier verdict (the debiased
+// Estimate/Stddev fields are recomputed from Raw, so the encoding stays
+// canonical).
+//
+// Seal versions. From version 2 on the seal ends in a hint section, one
+// decode hint (Group.AppendHint: a P-256 point's y, 32 bytes; nothing on
+// schnorr2048) per point of the prover section, so its readers check each
+// point with a few multiplications instead of taking a square root, exactly
+// as arrival records carry theirs. A seal without one is version 1 and
+// decodes by taking the roots. A wrong, short or surplus hint refuses the
+// seal; no digest covers the hints (TranscriptDigest hashes the points'
+// encodings), so both versions of one epoch digest the same.
 func (p *Public) EncodeTranscript(t *Transcript) []byte {
 	var w wire.Writer
 	w.U8(WireVersion)
@@ -320,7 +367,32 @@ func (p *Public) EncodeTranscript(t *Transcript) []byte {
 		w.U32(1)
 		putRelease(&w, t.Release)
 	}
-	return w.Bytes()
+	return p.appendSealHints(w.Bytes(), t)
+}
+
+// appendSealHints appends the hint of every point of t's prover section in
+// the order the section encodes them — each coin's commitment, its bit
+// proof's A0 and A1, then every Morra commitment — which is the order
+// decodeProverSection queues them in. Each point has just been encoded, so
+// its hint is read off the affine form the encoding computed.
+func (p *Public) appendSealHints(dst []byte, t *Transcript) []byte {
+	g := p.pp.Group()
+	for _, msg := range t.CoinMsgs {
+		for j, comms := range msg.Commitments {
+			for l, c := range comms {
+				proof := msg.Proofs[j][l]
+				dst = g.AppendHint(g.AppendHint(g.AppendHint(dst, c.Element()), proof.A0), proof.A1)
+			}
+		}
+	}
+	for _, rec := range t.Morra {
+		for _, cm := range rec.Commits {
+			for _, c := range cm.Commitments {
+				dst = g.AppendHint(dst, c.Element())
+			}
+		}
+	}
+	return dst
 }
 
 // putRelease writes a release's bin count and raw counts, the part of the
@@ -352,15 +424,21 @@ func (p *Public) DecodeTranscript(b []byte) (*Transcript, error) {
 // back as the raw blocks the encoding carries, with no group element decoded;
 // everything after it — coin messages, Morra records, prover outputs and the
 // release — is decoded and validated into a Transcript without Clients. The
-// board-log readers (AuditLog, TailAuditor, ResumeSession) stop here: the
-// grammar has compared every sealed client block with its logged arrival
-// record byte for byte, so the seal is checked, digested and — on resume —
-// given the clients the replay decoded, without decoding a client twice.
+// board-log readers (AuditLog, TailAuditor, ResumeSession, the snapshot
+// check) stop here: the grammar has compared every sealed client block with
+// its logged arrival record byte for byte, so the seal is checked, digested
+// and — on resume — given the clients the replay decoded, without decoding a
+// client twice.
 //
 // The coins' and Morra commitments' group elements, most of the section's
 // cost, are decoded on up to workers goroutines once the structure has been
 // read (pointDecodes); the error, when there is one, is the one a one-pass
-// decoder meets first, at every width.
+// decoder meets first, at every width. Whatever follows the release is the
+// hint section (EncodeTranscript): a version-2 seal's points are checked
+// against their hints, a version-1 seal's — one whose release ends it —
+// decoded by their square roots. A seal whose structure does not parse to
+// the release has no hint section to read, and reports its first error as a
+// version-1 seal would.
 func (p *Public) decodeProverSection(b []byte, workers int) (clients [][]byte, t *Transcript, err error) {
 	var q pointDecodes
 	r := versioned(b)
@@ -379,7 +457,8 @@ func (p *Public) decodeProverSection(b []byte, workers int) (clients [][]byte, t
 		}
 		t.Release = rel
 	}
-	if err := q.run(workers, r.Finish()); err != nil {
+	hints := r.Rest()
+	if err := q.run(p.pp.Group(), hints, workers, r.Err()); err != nil {
 		return nil, nil, err
 	}
 	return clients, t, nil

@@ -22,6 +22,13 @@
 #                 reader runs per record. 2048 allocs/op (32 per record,
 #                 one more than the v1 decode: the hint cursor); the
 #                 ceiling catches the hinted decode allocating per point.
+#   seal-decode   BenchmarkDecodeProverSection/v2 (internal/vdp): a
+#                 bench-shape v2 seal (one prover, one bin, 256 coins:
+#                 768 queued decodes over 1280 hinted points) through
+#                 decodeProverSection, the parse every seal reader runs.
+#                 9776 allocs/op, the same as its v1 decode: each decode's
+#                 hint cursor lives in its queue slot; the ceiling catches
+#                 the hinted decode allocating per span or per point.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
 #                 verification). 3969 allocs/op at two cores (≈62 per
@@ -42,6 +49,7 @@ set -eu
 commit_ceiling="${1:-16}"
 decode_ceiling=2150
 record_ceiling=2250
+seal_ceiling=10750
 submit_ceiling=4350
 single_ceiling=6650
 
@@ -73,6 +81,8 @@ check "decode" ./internal/vdp 'BenchmarkDecodeSubmissionBatch' 'BenchmarkDecodeS
     "$decode_ceiling" "the batch-frame decoder is allocating per element again"
 check "record-decode" ./internal/vdp 'BenchmarkDecodeArrivalRecords/v2$' 'BenchmarkDecodeArrivalRecords/v2' \
     "$record_ceiling" "the hinted arrival-record decode is allocating per point"
+check "seal-decode" ./internal/vdp 'BenchmarkDecodeProverSection/v2$' 'BenchmarkDecodeProverSection/v2' \
+    "$seal_ceiling" "the hinted seal decode is allocating per span or per point"
 check "submit-batch" ./internal/vdp 'BenchmarkSubmitBatch$' 'BenchmarkSubmitBatch' \
     "$submit_ceiling" "SubmitBatch is back to per-client tasks or per-client buffers"
 check "submit" . 'BenchmarkSessionSubmit/eager$' 'BenchmarkSessionSubmit/eager' \
