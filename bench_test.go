@@ -172,8 +172,8 @@ func BenchmarkEngineWorkers(b *testing.B) {
 // client over a 64-submission board. "eager" submits one client at a time:
 // every submission is verified the moment it arrives, its verdict returned
 // to the client. "batch-at-finalize" admits the same 64 clients as one
-// SubmitBatch — one random-linear-combination Σ-OR check over the whole
-// board, the share openings fanned out — which is how Run admits its
+// SubmitBatch — one random-linear-combination check over the whole
+// board's Σ-OR proofs and share openings — which is how Run admits its
 // clients. The batch's ns/op is lower — that is exactly the
 // latency-vs-throughput trade the Session API makes explicit — and the gap
 // is the price of per-submission verdicts. Divide ns/op by 64 for

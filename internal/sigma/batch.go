@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"math/big"
 
 	"repro/internal/field"
 	"repro/internal/group"
@@ -43,6 +44,12 @@ import (
 // c = Com(x, r) folds into the same combined check. The ΠBin verifier uses
 // this to verify an entire client board, or all of a prover's noise coins
 // across every bin, with one multi-exponentiation.
+//
+// An opening claim weighted by a fresh τ reads c^τ = g^{τx} ∘ h^{τr}. When c
+// is a commitment a bit proof already put on the variable-base side
+// (AddOpeningAt), τ joins that base's exponent and τx, τr the fixed-base
+// sums: the claim costs no new term. Admission checks every share opening of
+// a frame this way.
 
 // batchCoeffBytes is the byte width of the random batching coefficients:
 // 128 bits gives 2^-128 soundness slack, far below the discrete-log
@@ -59,10 +66,18 @@ type BitBatch struct {
 	rnd   io.Reader
 	bases []group.Element  // variable-base side: Π bases[i]^exps[i]
 	exps  []*field.Element //
-	gExps []*field.Element // fixed-base side: g^{Σ gExps} ∘ h^{Σ hExps},
-	hExps []*field.Element // summed once, in Check
+	held  []int            // index into bases of each bit proof's commitment, in fold order
+	gSum  big.Int          // fixed-base side: g^{gSum} ∘ h^{hSum}, reduced
+	hSum  big.Int          // once, in Check
 	n     int              // accumulated equations (for diagnostics)
 	coeff []byte
+	// Scratch for the scalar side, reused by every fold: k and k2 hold
+	// sampled coefficients, x a scalar read out of an element, prod a
+	// product, cExp a commitment's exponent under construction, and the
+	// marks AddOneHot's snapshot of the fixed-base sums.
+	buf                  []byte
+	k, k2, x, prod, cExp big.Int
+	gMark, hMark         big.Int
 }
 
 // NewBitBatch creates an empty accumulator. rnd supplies the batching
@@ -77,19 +92,44 @@ func NewBitBatch(pp *pedersen.Params, rnd io.Reader) *BitBatch {
 		pp:    pp,
 		rnd:   rnd,
 		coeff: make([]byte, batchCoeffBytes),
+		buf:   make([]byte, pp.ScalarField().ByteLen()),
 	}
 }
 
-func (b *BitBatch) sample() (*field.Element, error) {
+// draw samples a fresh coefficient into k.
+func (b *BitBatch) draw(k *big.Int) error {
 	if _, err := io.ReadFull(b.rnd, b.coeff); err != nil {
-		return nil, fmt.Errorf("sigma: sampling batch coefficient: %w", err)
+		return fmt.Errorf("sigma: sampling batch coefficient: %w", err)
+	}
+	k.SetBytes(b.coeff)
+	return nil
+}
+
+// sample draws a fresh coefficient into k and returns it as an exponent.
+func (b *BitBatch) sample(k *big.Int) (*field.Element, error) {
+	if err := b.draw(k); err != nil {
+		return nil, err
 	}
 	return b.pp.ScalarField().Reduce(b.coeff), nil
 }
 
+// mul sets z = k·e, unreduced; z must be neither k nor b.x.
+func (b *BitBatch) mul(z, k *big.Int, e *field.Element) {
+	e.PutBytes(b.buf)
+	b.x.SetBytes(b.buf)
+	z.Mul(&b.x, k)
+}
+
+// addMul adds k·e to the fixed-base sum acc.
+func (b *BitBatch) addMul(acc, k *big.Int, e *field.Element) {
+	b.mul(&b.prod, k, e)
+	acc.Add(acc, &b.prod)
+}
+
 // Add folds one Σ-OR bit proof for commitment c under context ctx. It
 // performs the scalar checks (completeness, challenge split) now; a non-nil
-// error means this proof is individually invalid and was not folded.
+// error means this proof is individually invalid and was not folded. c
+// becomes held commitment Held()-1.
 func (b *BitBatch) Add(c *pedersen.Commitment, p *BitProof, ctx []byte) error {
 	if p == nil || p.A0 == nil || p.A1 == nil || p.E0 == nil || p.E1 == nil || p.Z0 == nil || p.Z1 == nil {
 		return fmt.Errorf("%w: incomplete bit proof", ErrVerify)
@@ -103,22 +143,33 @@ func (b *BitBatch) Add(c *pedersen.Commitment, p *BitProof, ctx []byte) error {
 	if !p.E0.Add(p.E1).Equal(tr.Challenge("e", f)) {
 		return fmt.Errorf("%w: challenge split does not sum to e", ErrVerify)
 	}
-	rho, err := b.sample()
+	rho, err := b.sample(&b.k)
 	if err != nil {
 		return err
 	}
-	sigma, err := b.sample()
+	sigma, err := b.sample(&b.k2)
 	if err != nil {
 		return err
 	}
-	e1s := p.E1.Mul(sigma)
-	b.gExps = append(b.gExps, e1s)
-	b.hExps = append(b.hExps, rho.Mul(p.Z0), sigma.Mul(p.Z1))
+	// c's exponent is e0ρ + e1σ; e1σ also moves to the g side.
+	b.mul(&b.cExp, &b.k, p.E0)
+	b.mul(&b.prod, &b.k2, p.E1)
+	b.gSum.Add(&b.gSum, &b.prod)
+	b.cExp.Add(&b.cExp, &b.prod)
+	b.addMul(&b.hSum, &b.k, p.Z0)
+	b.addMul(&b.hSum, &b.k2, p.Z1)
+	b.held = append(b.held, len(b.bases)+2)
 	b.bases = append(b.bases, p.A0, p.A1, c.Element())
-	b.exps = append(b.exps, rho, sigma, p.E0.Mul(rho).Add(e1s))
+	b.exps = append(b.exps, rho, sigma, f.FromBig(&b.cExp))
 	b.n++
 	return nil
 }
+
+// Held returns how many commitments the batch holds as bases: one per bit
+// proof, in fold order (Add's c; AddOneHot's coordinates one by one). The
+// commitment an Add folds next is held commitment Held(), and coordinate j
+// of the next AddOneHot is Held()+j.
+func (b *BitBatch) Held() int { return len(b.held) }
 
 // AddOpening folds the claim c = Com(x, r), weighted by a fresh ρ:
 // c^ρ = g^{ρx} ∘ h^{ρr} — one variable base with a 128-bit exponent, and
@@ -126,14 +177,36 @@ func (b *BitBatch) Add(c *pedersen.Commitment, p *BitProof, ctx []byte) error {
 // openings and any other commitment checks that travel with a batch of
 // Σ-proofs.
 func (b *BitBatch) AddOpening(c *pedersen.Commitment, x, r *field.Element) error {
-	rho, err := b.sample()
+	rho, err := b.sample(&b.k)
 	if err != nil {
 		return err
 	}
-	b.gExps = append(b.gExps, rho.Mul(x))
-	b.hExps = append(b.hExps, rho.Mul(r))
+	b.addMul(&b.gSum, &b.k, x)
+	b.addMul(&b.hSum, &b.k, r)
 	b.bases = append(b.bases, c.Element())
 	b.exps = append(b.exps, rho)
+	b.n++
+	return nil
+}
+
+// AddOpeningAt folds the claim that held commitment i (see Held) opens to
+// (x, r). It is AddOpening onto a base the batch already holds: the fresh
+// ρ joins that base's exponent, so the claim adds no multi-exponentiation
+// term and no inversion.
+func (b *BitBatch) AddOpeningAt(i int, x, r *field.Element) error {
+	if i < 0 || i >= len(b.held) {
+		return fmt.Errorf("sigma: the batch holds %d commitments, not commitment %d", len(b.held), i)
+	}
+	if err := b.draw(&b.k); err != nil {
+		return err
+	}
+	b.addMul(&b.gSum, &b.k, x)
+	b.addMul(&b.hSum, &b.k, r)
+	at := b.held[i]
+	b.exps[at].PutBytes(b.buf)
+	b.cExp.SetBytes(b.buf)
+	b.cExp.Add(&b.cExp, &b.k)
+	b.exps[at] = b.pp.ScalarField().FromBig(&b.cExp)
 	b.n++
 	return nil
 }
@@ -151,11 +224,14 @@ func (b *BitBatch) AddOneHot(cs []*pedersen.Commitment, p *OneHotProof, ctx []by
 	if len(p.Bits) != len(cs) || len(cs) == 0 {
 		return fmt.Errorf("%w: one-hot proof covers %d of %d coordinates", ErrVerify, len(p.Bits), len(cs))
 	}
-	// Snapshot for rollback: the batch is four slices that only grow.
-	mark, gMark, hMark, nMark := len(b.bases), len(b.gExps), len(b.hExps), b.n
+	// Snapshot for rollback: three slices that only grow, and the sums.
+	mark, held, n := len(b.bases), len(b.held), b.n
+	b.gMark.Set(&b.gSum)
+	b.hMark.Set(&b.hSum)
 	rollback := func() {
-		b.bases, b.exps, b.n = b.bases[:mark], b.exps[:mark], nMark
-		b.gExps, b.hExps = b.gExps[:gMark], b.hExps[:hMark]
+		b.bases, b.exps, b.held, b.n = b.bases[:mark], b.exps[:mark], b.held[:held], n
+		b.gSum.Set(&b.gMark)
+		b.hSum.Set(&b.hMark)
 	}
 	for j := range cs {
 		if err := b.Add(cs[j], p.Bits[j], oneHotCoordCtx(ctx, j)); err != nil {
@@ -183,7 +259,7 @@ func (b *BitBatch) Check(workers int) error {
 		return nil
 	}
 	g, f := b.pp.Group(), b.pp.ScalarField()
-	lhs := b.pp.CommitWith(f.Sum(b.gExps...), f.Sum(b.hExps...)).Element()
+	lhs := b.pp.CommitWith(f.FromBig(&b.gSum), f.FromBig(&b.hSum)).Element()
 	rhs := group.MultiExpParallel(g, b.bases, b.exps, workers)
 	if !g.Equal(lhs, rhs) {
 		return fmt.Errorf("%w: combined batch equation failed", ErrVerify)

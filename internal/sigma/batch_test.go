@@ -270,7 +270,7 @@ func TestBitBatchOneHotRollback(t *testing.T) {
 			if err := b.AddOneHot(css[0], proofs[0], ctxs[0]); err != nil {
 				t.Fatal(err)
 			}
-			before := b.n
+			before := batchState(b)
 			// Client 1's last coordinate is bad: coordinates 0-1 are folded,
 			// then rolled back.
 			mangled := *proofs[1]
@@ -279,8 +279,8 @@ func TestBitBatchOneHotRollback(t *testing.T) {
 			if err := b.AddOneHot(css[1], &mangled, ctxs[1]); err == nil {
 				t.Fatal("poisoned one-hot proof accepted")
 			}
-			if b.n != before {
-				t.Fatalf("failed AddOneHot left %d equations, want %d (rollback)", b.n, before)
+			if after := batchState(b); after != before {
+				t.Fatalf("failed AddOneHot left the batch at %s, want %s (rollback)", after, before)
 			}
 			if err := b.AddOneHot(css[2], proofs[2], ctxs[2]); err != nil {
 				t.Fatal(err)
@@ -289,6 +289,100 @@ func TestBitBatchOneHotRollback(t *testing.T) {
 				if err := b.Check(workers); err != nil {
 					t.Errorf("workers=%d: batch after rollback rejected honest members: %v", workers, err)
 				}
+			}
+		})
+	}
+}
+
+// batchState renders everything a fold may change: the equation count,
+// the held commitments, every variable base with its exponent and the two
+// fixed-base sums.
+func batchState(b *BitBatch) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "n=%d held=%v g=%s h=%s", b.n, b.held, b.gSum.String(), b.hSum.String())
+	for i := range b.bases {
+		fmt.Fprintf(&sb, " %x^%s", b.pp.Group().Encode(b.bases[i]), b.exps[i])
+	}
+	return sb.String()
+}
+
+// TestBitBatchHeldOpening: openings folded onto the commitments the bit
+// proofs already hold (AddOpeningAt) pass Check when every opening is
+// true and fail it when any one is false — a wrong x or r, two members'
+// openings swapped, an opening folded onto another member's base — even
+// though every proof in the batch is valid. A held opening adds no base,
+// on either group.
+func TestBitBatchHeldOpening(t *testing.T) {
+	for _, pp := range both {
+		pp := pp
+		t.Run(pp.Group().Name(), func(t *testing.T) {
+			f := pp.ScalarField()
+			one := f.One()
+			const n = 4
+			xs, rs := make([]*field.Element, n), make([]*field.Element, n)
+			cs, ps := make([]*pedersen.Commitment, n), make([]*BitProof, n)
+			for i := range cs {
+				xs[i], rs[i] = f.FromInt64(int64(i%2)), f.MustRand(nil)
+				cs[i] = pp.CommitWith(xs[i], rs[i])
+				p, err := ProveBit(pp, cs[i], xs[i], rs[i], ctxTx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps[i] = p
+			}
+			type opening struct {
+				at   int
+				x, r *field.Element
+			}
+			honest := func() []opening {
+				out := make([]opening, n)
+				for i := range out {
+					out[i] = opening{i, xs[i], rs[i]}
+				}
+				return out
+			}
+			fold := func(os []opening) *BitBatch {
+				b := NewBitBatch(pp, nil)
+				for i := range cs {
+					if b.Held() != i {
+						t.Fatalf("Held() = %d before proof %d", b.Held(), i)
+					}
+					if err := b.Add(cs[i], ps[i], ctxTx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bases := len(b.bases)
+				for _, o := range os {
+					if err := b.AddOpeningAt(o.at, o.x, o.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(b.bases) != bases {
+					t.Fatalf("held openings added %d bases", len(b.bases)-bases)
+				}
+				return b
+			}
+			if err := fold(honest()).Check(1); err != nil {
+				t.Fatalf("honest held openings rejected: %v", err)
+			}
+			cases := map[string]func(os []opening){
+				"wrong-x":          func(os []opening) { os[2].x = os[2].x.Add(one) },
+				"wrong-r":          func(os []opening) { os[1].r = os[1].r.Add(one) },
+				"swapped-openings": func(os []opening) { os[0].x, os[0].r, os[1].x, os[1].r = os[1].x, os[1].r, os[0].x, os[0].r },
+				"wrong-base":       func(os []opening) { os[3].at = 2 },
+			}
+			for name, corrupt := range cases {
+				os := honest()
+				corrupt(os)
+				for _, workers := range []int{1, 4} {
+					if err := fold(os).Check(workers); err == nil {
+						t.Errorf("%s: workers=%d: a false held opening passed Check", name, workers)
+					}
+				}
+			}
+			b := NewBitBatch(pp, nil)
+			if err := b.AddOpeningAt(0, one, one); err == nil {
+				t.Error("AddOpeningAt on an empty batch succeeded")
 			}
 		})
 	}

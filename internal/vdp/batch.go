@@ -23,8 +23,10 @@ import (
 //     record, so both kinds carry every prover's payload.
 //   - Session.SubmitBatch: admits the whole batch under ONE roster-lock
 //     acquisition, persists it inside ONE group-commit fsync window, and
-//     verifies every board proof with ONE combined Σ-OR batch check — with
-//     the fsync and the multi-exponentiation running concurrently. Verdicts
+//     verifies every board proof and every share opening with ONE combined
+//     batch check — with the fsync and the multi-exponentiation running
+//     concurrently. At K = 1 an opening costs no term of its own: its
+//     commitment is already a base of the Σ-OR fold. Verdicts
 //     are per-client and independent of how arrivals were framed, so
 //     board-reject semantics, log grammar, and transcript digests do not
 //     depend on batch size.
@@ -134,11 +136,12 @@ func DecodeBatchVerdicts(b []byte) ([]BatchVerdict, error) {
 // SubmitBatch admits a whole arrival batch into the current epoch:
 // duplicate screening and board-order reservation for every member happen
 // under one roster-lock acquisition, all submission records land inside one
-// group-commit fsync window, and every member's board proof folds into a
-// single combined Σ-OR batch check (one native multi-exponentiation) that
-// runs concurrently with the fsync. The returned slice holds one verdict
-// per submission, aligned with subs: nil admits the client to the roster; an
-// ErrClientReject-wrapped error records the rejection. A client whose *board
+// group-commit fsync window, and every member's board proof and share
+// openings fold into a single combined batch check (one native
+// multi-exponentiation) that runs concurrently with the fsync. The returned
+// slice holds one verdict per submission, aligned with subs: nil admits the
+// client to the roster; an ErrClientReject-wrapped error records the
+// rejection. A client whose *board
 // proof* fails still appears on the bulletin board with its public verdict; a
 // client whose *payload* fails (bad or missing share openings — a
 // private-channel dispute) is refused outright and never posted, keeping the
@@ -391,63 +394,67 @@ func (s *Session) withdrawBatchLocked(admitted []*sessionClient, epoch int) {
 	}
 }
 
-// verifyBatch decides a whole batch eagerly: ONE combined Σ-OR batch check
-// over every member's board proof (sigma.BitBatch folding the entire
-// arrival batch, decided by a single multi-exponentiation on the native
-// Pippenger backend) and the members' K·N per-prover share-opening checks
-// fanned out over the session pool. Each member's verdict — sentinel, reason
-// and the onBoard split — depends on its own submission alone, whatever else
-// shares the batch: board-level failures are publicly
+// verifyBatch decides a whole batch eagerly with ONE combined check: every
+// member's board proof and every share opening of its K payloads fold into
+// one sigma.BitBatch (foldClients, foldOpenings), decided by a single
+// multi-exponentiation on the native Pippenger backend. A member whose
+// payloads are not openable is not folded and gets checkPayloads' verdict
+// once its board proof has passed. When the combined check fails, the board
+// is re-checked on its own (filterValidClientsBatch) and every board-valid
+// member's openings one by one on the pool, so each member's verdict —
+// sentinel, reason and the onBoard split — depends on its own submission
+// alone, whatever else shares the batch: board-level failures are publicly
 // attributable and stay on the board, private-channel payload failures mean
 // the submission is refused outright. A non-nil err means cancellation, not
 // a verdict.
 func (s *Session) verifyBatch(ctx context.Context, subs []*ClientSubmission) (verdicts []error, onBoard []bool, err error) {
 	n := len(subs)
-	verdicts = make([]error, n)
-	onBoard = make([]bool, n)
 	publics := make([]*ClientPublic, n)
 	for i, sub := range subs {
 		publics[i] = sub.Public
 	}
-	_, rej, ferr := s.pub.filterValidClientsBatch(ctx, publics, s.workers)
-	if ferr != nil {
-		return nil, nil, ferr
+	fold, err := s.pub.foldClients(ctx, publics, s.workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	k := s.pub.cfg.Provers
-	// Members that survived the board check and carry the right payload
-	// count proceed to the fanned-out opening checks.
-	pending := make([]int, 0, n)
+	folded := make([]bool, n)
 	for i, sub := range subs {
-		if r, ok := rej[sub.Public.ID]; ok {
-			verdicts[i] = r
-			onBoard[i] = true
-			continue
+		if fold.reject[i] == nil && s.pub.openable(sub) {
+			if err := s.pub.foldOpenings(fold, i, sub); err != nil {
+				return nil, nil, err
+			}
+			folded[i] = true
 		}
-		if len(sub.Payloads) != k {
-			verdicts[i] = fmt.Errorf("%w: client %d supplied %d per-prover payloads, want %d",
-				ErrClientReject, sub.Public.ID, len(sub.Payloads), k)
-			continue
-		}
-		pending = append(pending, i)
 	}
-	rejects := make([]error, len(pending)*k)
-	ferr = forEach(ctx, s.workers, len(pending)*k, func(t int) error {
-		i := pending[t/k]
-		rejects[t] = s.pub.checkPayloadOpenings(subs[i].Public, subs[i].Payloads[t%k], t%k)
+	if err := ctxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	boardReject := fold.reject
+	if fold.batch.Check(s.workers) != nil {
+		_, rej, err := s.pub.filterValidClientsBatch(ctx, publics, s.workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, sub := range subs {
+			boardReject[i] = rej[sub.Public.ID]
+		}
+		clear(folded) // the fold vouches for no opening
+	}
+	verdicts = make([]error, n)
+	onBoard = make([]bool, n)
+	err = forEach(ctx, s.workers, n, func(i int) error {
+		if r := boardReject[i]; r != nil {
+			verdicts[i], onBoard[i] = r, true
+			return nil
+		}
+		if !folded[i] {
+			verdicts[i] = s.pub.checkPayloads(subs[i])
+		}
+		onBoard[i] = verdicts[i] == nil
 		return nil
 	})
-	if ferr != nil {
-		return nil, nil, ferr
-	}
-	for pi, i := range pending {
-		onBoard[i] = true
-		for pk := 0; pk < k; pk++ { // lowest prover index names the reason
-			if r := rejects[pi*k+pk]; r != nil {
-				verdicts[i] = r
-				onBoard[i] = false
-				break
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	return verdicts, onBoard, nil
 }

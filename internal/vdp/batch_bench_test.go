@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/pedersen"
 	"repro/internal/store"
 )
 
@@ -76,6 +77,39 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		for _, v := range verdicts {
 			if v != nil {
 				b.Fatalf("honest client rejected: %v", v)
+			}
+		}
+	}
+}
+
+// BenchmarkSubmitBatchOneBadOpening is BenchmarkSubmitBatch with one
+// member equivocating: its first share opening does not match its board
+// commitment. The folded check fails, so the frame pays the board-only
+// re-check and the unfolded opening checks on top of it; every other member
+// is still admitted.
+func BenchmarkSubmitBatchOneBadOpening(b *testing.B) {
+	pub, subs := benchBatch(b)
+	bad := *subs[benchBatchClients/2]
+	payload := *bad.Payloads[0]
+	payload.Openings = append([]*pedersen.Opening{}, payload.Openings...)
+	payload.Openings[0] = &pedersen.Opening{X: payload.Openings[0].X.Add(pub.Field().One()), R: payload.Openings[0].R}
+	bad.Payloads = []*ClientPayload{&payload}
+	subs[benchBatchClients/2] = &bad
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := NewSession(pub, SessionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		verdicts, err := sess.SubmitBatch(ctx, subs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, v := range verdicts {
+			if (v != nil) != (j == benchBatchClients/2) {
+				b.Fatalf("member %d: verdict %v", j, v)
 			}
 		}
 	}

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/pedersen"
+	"repro/internal/sigma"
 	"repro/internal/store"
 )
 
@@ -163,108 +166,302 @@ func TestSubmitBatchDigestParity(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchAdversarial: one malicious member in an otherwise honest
-// batch is rejected individually — the exact per-client verdict semantics
-// of the Submit loop — while its neighbours land, and the sealed durable
-// transcript still passes the offline audit.
+// TestSubmitBatchAdversarial: malicious members in an otherwise honest
+// batch are rejected individually — each with the verdict, reason and
+// board placement the unfolded checks give it alone — while their
+// neighbours land, and the sealed durable transcript still passes the
+// offline audit. At K = 1 every share opening rides the board proof's
+// held base; at K = 2 the derived opening does and share 0 is a term of its
+// own.
 func TestSubmitBatchAdversarial(t *testing.T) {
-	pub := testPublic(t, 2, 1, 4)
-	f := pub.Field()
-	cases := []struct {
-		name        string
-		corrupt     func(sub, donor *ClientSubmission)
-		wantOnBoard bool
-	}{
-		{"bit-flipped-commitment", func(sub, donor *ClientSubmission) {
-			sub.Public.ShareCommitments[0][0] = donor.Public.ShareCommitments[0][0]
-		}, true},
-		{"replayed-proof", func(sub, donor *ClientSubmission) {
-			sub.Public.BitProof = donor.Public.BitProof
-		}, true},
-		{"equivocating-payload", func(sub, donor *ClientSubmission) {
-			sub.Payloads[1].Openings[0].X = sub.Payloads[1].Openings[0].X.Add(f.One())
-		}, false},
-		{"truncated-payloads", func(sub, donor *ClientSubmission) {
-			sub.Payloads = sub.Payloads[:1]
-		}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const n, target = 6, 3
-			subs := make([]*ClientSubmission, n)
-			for i := range subs {
-				sub, err := pub.NewClientSubmission(i, 1, nil)
+	for _, k := range []int{1, 2} {
+		pub := testPublic(t, k, 1, 4)
+		f := pub.Field()
+		// Each case corrupts subs in place and names the corrupt members
+		// with their board placement.
+		cases := []struct {
+			name    string
+			corrupt func(subs []*ClientSubmission, donor *ClientSubmission) map[int]bool
+		}{
+			{"bit-flipped-commitment", func(subs []*ClientSubmission, donor *ClientSubmission) map[int]bool {
+				subs[3].Public.ShareCommitments[0][0] = donor.Public.ShareCommitments[0][0]
+				return map[int]bool{3: true}
+			}},
+			{"replayed-proof", func(subs []*ClientSubmission, donor *ClientSubmission) map[int]bool {
+				subs[3].Public.BitProof = donor.Public.BitProof
+				return map[int]bool{3: true}
+			}},
+			{"equivocating-payload", func(subs []*ClientSubmission, _ *ClientSubmission) map[int]bool {
+				o := subs[3].Payloads[k-1].Openings[0]
+				o.X = o.X.Add(f.One())
+				return map[int]bool{3: false}
+			}},
+			{"wrong-r-opening", func(subs []*ClientSubmission, _ *ClientSubmission) map[int]bool {
+				o := subs[3].Payloads[0].Openings[0]
+				o.R = o.R.Add(f.One())
+				return map[int]bool{3: false}
+			}},
+			{"payload-names-another-client", func(subs []*ClientSubmission, donor *ClientSubmission) map[int]bool {
+				subs[3].Payloads[0].ClientID = donor.Public.ID
+				return map[int]bool{3: false}
+			}},
+			{"truncated-payloads", func(subs []*ClientSubmission, _ *ClientSubmission) map[int]bool {
+				subs[3].Payloads = subs[3].Payloads[:k-1]
+				return map[int]bool{3: false}
+			}},
+			{"mixed-frame", func(subs []*ClientSubmission, donor *ClientSubmission) map[int]bool {
+				o := subs[1].Payloads[k-1].Openings[0]
+				o.X = o.X.Add(f.One())
+				subs[4].Public.ShareCommitments[0][0] = donor.Public.ShareCommitments[0][0]
+				return map[int]bool{1: false, 4: true}
+			}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("K=%d/%s", k, tc.name), func(t *testing.T) {
+				const n = 6
+				subs := make([]*ClientSubmission, n)
+				for i := range subs {
+					sub, err := pub.NewClientSubmission(i, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs[i] = sub
+				}
+				donor, err := pub.NewClientSubmission(100, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				subs[i] = sub
-			}
-			donor, err := pub.NewClientSubmission(100+target, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(subs[target], donor)
+				corrupt := tc.corrupt(subs, donor)
 
-			boardLog, err := store.OpenFileLog(filepath.Join(t.TempDir(), "board.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer boardLog.Close()
-			sess, err := NewSession(pub, SessionOptions{Parallelism: 2, Store: boardLog})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			verdicts, err := sess.SubmitBatch(ctx, subs)
-			if err != nil {
-				t.Fatalf("batch-level failure: %v", err)
-			}
-			for i, v := range verdicts {
-				if i == target {
-					if !errors.Is(v, ErrClientReject) {
-						t.Fatalf("corrupt client verdict = %v, want ErrClientReject", v)
+				boardLog, err := store.OpenFileLog(filepath.Join(t.TempDir(), "board.log"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer boardLog.Close()
+				sess, err := NewSession(pub, SessionOptions{Parallelism: 2, Store: boardLog})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				verdicts, err := sess.SubmitBatch(ctx, subs)
+				if err != nil {
+					t.Fatalf("batch-level failure: %v", err)
+				}
+				for i, v := range verdicts {
+					if _, bad := corrupt[i]; !bad {
+						if v != nil {
+							t.Fatalf("honest client %d rejected alongside the corrupt ones: %v", i, v)
+						}
+						continue
 					}
-					continue
+					if !errors.Is(v, ErrClientReject) {
+						t.Fatalf("corrupt client %d verdict = %v, want ErrClientReject", i, v)
+					}
+					want, _ := unfoldedVerdict(pub, subs[i])
+					if want == nil || v.Error() != want.Error() {
+						t.Errorf("corrupt client %d: verdict %q, the unfolded checks give %v", i, v, want)
+					}
 				}
-				if v != nil {
-					t.Fatalf("honest client %d rejected alongside the corrupt one: %v", i, v)
+				// The rejected IDs stay reserved: a batch retry is a duplicate.
+				for i := range corrupt {
+					retry, err := sess.SubmitBatch(ctx, []*ClientSubmission{subs[i]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !errors.Is(retry[0], ErrClientReject) {
+						t.Fatalf("rejected client %d resubmitted through batch: %v", i, retry[0])
+					}
 				}
+
+				res, err := sess.Finalize(ctx)
+				if err != nil {
+					t.Fatalf("finalize: %v", err)
+				}
+				for i, wantOnBoard := range corrupt {
+					if !errors.Is(res.RejectedClients[i], ErrClientReject) {
+						t.Errorf("finalized rejections %v, want client %d", res.RejectedClients, i)
+					}
+					onBoard := false
+					for _, cp := range res.Transcript.Clients {
+						if cp.ID == i {
+							onBoard = true
+						}
+					}
+					if onBoard != wantOnBoard {
+						t.Errorf("corrupt client %d on board = %v, want %v", i, onBoard, wantOnBoard)
+					}
+				}
+				if err := Audit(pub, res.Transcript); err != nil {
+					t.Fatalf("transcript audit: %v", err)
+				}
+				// The durable log must replay and audit cleanly: the batch's
+				// submission, verdict and seal records obey the same grammar
+				// the one-at-a-time path writes.
+				if err := AuditLog(ctx, pub, boardLog, sess.Epoch(), 0); err != nil {
+					t.Fatalf("offline log audit: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// unfoldedVerdict is a member's admission verdict and board placement the
+// sequential way: its board proof through FilterValidClients, then its
+// payload count and each prover's column with checkPayloadOpenings, in
+// prover order.
+func unfoldedVerdict(pub *Public, sub *ClientSubmission) (error, bool) {
+	if _, rej := pub.FilterValidClients([]*ClientPublic{sub.Public}); rej[sub.Public.ID] != nil {
+		return rej[sub.Public.ID], true
+	}
+	if len(sub.Payloads) != pub.cfg.Provers {
+		return fmt.Errorf("%w: client %d supplied %d per-prover payloads, want %d",
+			ErrClientReject, sub.Public.ID, len(sub.Payloads), pub.cfg.Provers), false
+	}
+	for k, payload := range sub.Payloads {
+		if err := pub.checkPayloadOpenings(sub.Public, payload, k); err != nil {
+			return err, false
+		}
+	}
+	return nil, true
+}
+
+// openingAt is payload k's opening of bin j, or nil where an earlier
+// corruption removed it.
+func openingAt(sub *ClientSubmission, j, k int) *pedersen.Opening {
+	if k >= len(sub.Payloads) || sub.Payloads[k] == nil || j >= len(sub.Payloads[k].Openings) {
+		return nil
+	}
+	return sub.Payloads[k].Openings[j]
+}
+
+// TestVerifyBatchMatchesUnfolded: over seeded frames at K ∈ {1, 2, 3} and
+// Bins ∈ {1, 4}, each with random members corrupted in one or two ways —
+// proof, commitment, opening X or R, a value shifted between two shares,
+// payload ID, prover index, a missing payload or opening — verifyBatch gives every member the verdict text and
+// board placement of unfoldedVerdict, whichever way the folded check and
+// its fallback went.
+func TestVerifyBatchMatchesUnfolded(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	corruptions := []struct {
+		name string
+		do   func(pub *Public, sub, donor *ClientSubmission, j, k int)
+	}{
+		{"proof", func(pub *Public, sub, _ *ClientSubmission, j, _ int) {
+			one := pub.Field().One()
+			if p := sub.Public.BitProof; p != nil {
+				q := *p
+				q.Z0 = q.Z0.Add(one)
+				sub.Public.BitProof = &q
+				return
 			}
-			// The rejected ID stays reserved: a batch retry is a duplicate.
-			retry, err := sess.SubmitBatch(ctx, []*ClientSubmission{subs[target]})
+			q := *sub.Public.OneHotProof
+			q.Bits = append([]*sigma.BitProof{}, q.Bits...)
+			b := *q.Bits[j]
+			b.Z1 = b.Z1.Add(one)
+			q.Bits[j] = &b
+			sub.Public.OneHotProof = &q
+		}},
+		{"commitment", func(_ *Public, sub, donor *ClientSubmission, j, k int) {
+			sub.Public.ShareCommitments[j][k] = donor.Public.ShareCommitments[j][k]
+		}},
+		{"opening-x", func(pub *Public, sub, _ *ClientSubmission, j, k int) {
+			if o := openingAt(sub, j, k); o != nil {
+				o.X = o.X.Add(pub.Field().One())
+			}
+		}},
+		{"opening-r", func(pub *Public, sub, _ *ClientSubmission, j, k int) {
+			if o := openingAt(sub, j, k); o != nil {
+				o.R = o.R.Add(pub.Field().One())
+			}
+		}},
+		{"shifted-shares", func(pub *Public, sub, _ *ClientSubmission, j, k int) {
+			// The bin's openings still sum to the derived opening: only
+			// the per-share checks can see it.
+			one := pub.Field().One()
+			from, to := openingAt(sub, j, k), openingAt(sub, j, (k+1)%pub.cfg.Provers)
+			if from != nil && to != nil && from != to {
+				from.X, to.X = from.X.Add(one), to.X.Sub(one)
+			}
+		}},
+		{"payload-id", func(_ *Public, sub, donor *ClientSubmission, _, k int) {
+			if k < len(sub.Payloads) && sub.Payloads[k] != nil {
+				sub.Payloads[k].ClientID = donor.Public.ID
+			}
+		}},
+		{"prover-index", func(pub *Public, sub, _ *ClientSubmission, _, k int) {
+			if k < len(sub.Payloads) && sub.Payloads[k] != nil {
+				sub.Payloads[k].Prover = (k + 1) % (pub.cfg.Provers + 1)
+			}
+		}},
+		{"missing-payload", func(_ *Public, sub, _ *ClientSubmission, j, k int) {
+			switch {
+			case k >= len(sub.Payloads):
+			case j%3 == 0:
+				sub.Payloads[k] = nil
+			case j%3 == 1 && openingAt(sub, j, k) != nil:
+				sub.Payloads[k].Openings[j] = nil
+			default:
+				sub.Payloads = append(sub.Payloads[:k:k], sub.Payloads[k+1:]...)
+			}
+		}},
+	}
+	for _, k := range []int{1, 2, 3} {
+		for _, bins := range []int{1, 4} {
+			pub := testPublic(t, k, bins, 4)
+			sess, err := NewSession(pub, SessionOptions{Parallelism: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !errors.Is(retry[0], ErrClientReject) {
-				t.Fatalf("rejected client resubmitted through batch: %v", retry[0])
-			}
-
-			res, err := sess.Finalize(ctx)
-			if err != nil {
-				t.Fatalf("finalize: %v", err)
-			}
-			if !errors.Is(res.RejectedClients[target], ErrClientReject) {
-				t.Errorf("finalized rejections %v, want client %d", res.RejectedClients, target)
-			}
-			onBoard := false
-			for _, cp := range res.Transcript.Clients {
-				if cp.ID == target {
-					onBoard = true
+			// Frame 0 stays honest; frame 1+c corrupts one member with
+			// corruption c alone, so the folded check itself must find it;
+			// the last frames corrupt a random subset, one or two ways each.
+			frames := 1 + len(corruptions) + 3
+			for frame := 0; frame < frames; frame++ {
+				const n = 8
+				subs := make([]*ClientSubmission, n)
+				for i := range subs {
+					sub, err := pub.NewClientSubmission(100*frame+i, rng.Intn(2)*(bins-1), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs[i] = sub
+				}
+				donor, err := pub.NewClientSubmission(9999, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var applied []string
+				corrupt := func(i int, c int) {
+					corruptions[c].do(pub, subs[i], donor, rng.Intn(bins), rng.Intn(k))
+					applied = append(applied, fmt.Sprintf("%d:%s", i, corruptions[c].name))
+				}
+				switch {
+				case frame == 0:
+				case frame <= len(corruptions):
+					corrupt(rng.Intn(n), frame-1)
+				default:
+					for i := 0; i < n; i++ {
+						if rng.Intn(3) != 0 {
+							continue
+						}
+						for c := 0; c < 1+rng.Intn(2); c++ {
+							corrupt(i, rng.Intn(len(corruptions)))
+						}
+					}
+				}
+				got, onBoard, err := sess.verifyBatch(context.Background(), subs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, sub := range subs {
+					want, wantOnBoard := unfoldedVerdict(pub, sub)
+					if fmt.Sprint(got[i]) != fmt.Sprint(want) || onBoard[i] != wantOnBoard {
+						t.Errorf("K=%d bins=%d frame %d %v: member %d got (%v, onBoard %v), unfolded (%v, onBoard %v)",
+							k, bins, frame, applied, i, got[i], onBoard[i], want, wantOnBoard)
+					}
 				}
 			}
-			if onBoard != tc.wantOnBoard {
-				t.Errorf("corrupt client on board = %v, want %v", onBoard, tc.wantOnBoard)
-			}
-			if err := Audit(pub, res.Transcript); err != nil {
-				t.Fatalf("transcript audit: %v", err)
-			}
-			// The durable log must replay and audit cleanly: the batch's
-			// submission, verdict and seal records obey the same grammar the
-			// one-at-a-time path writes.
-			if err := AuditLog(ctx, pub, boardLog, sess.Epoch(), 0); err != nil {
-				t.Fatalf("offline log audit: %v", err)
-			}
-		})
+		}
 	}
 }
 

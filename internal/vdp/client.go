@@ -169,92 +169,44 @@ func (p *Public) VerifyClient(pub *ClientPublic) error {
 // into the accepted set and a map of rejection reasons. The accepted set is
 // the public roster of inputs the protocol will aggregate; from Line 3 on,
 // "the protocol only uses inputs from validated clients". Σ-OR
-// verification is batched: the derived-commitment recomputation fans out
-// over the worker pool, every structurally sound client's legality proof
-// folds into one BitBatch, and a single (parallel) multi-exponentiation
-// decides the honest case. Only when that combined check fails does it fall
-// back to per-client verification to attribute blame — so a single forged
-// proof hidden among many valid ones is still pinned on exactly its author,
-// at the price of one extra sequential pass. Verdicts and rejection reasons
-// are identical to the sequential reference (FilterValidClients, in the
-// tests) regardless of worker count. A cancelled ctx aborts with ctx.Err()
-// before any verdict is published, so cancellation can never be mistaken
-// for a rejection.
+// verification is batched: foldClients folds every structurally sound
+// client's legality proof into one BitBatch, and a single (parallel)
+// multi-exponentiation decides the honest case. Only when that combined
+// check fails does it fall back to per-client verification to attribute
+// blame — so a single forged proof hidden among many valid ones is still
+// pinned on exactly its author, at the price of one extra sequential pass.
+// Verdicts and rejection reasons are identical to the sequential reference
+// (FilterValidClients, in the tests) regardless of worker count. A
+// cancelled ctx aborts with ctx.Err() before any verdict is published, so
+// cancellation can never be mistaken for a rejection. The readers judge the
+// board with it; admission folds the share openings into the same batch
+// (verifyBatch) and calls it only as the board-only re-check after a
+// failed combined check.
 func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPublic, workers int) (valid []*ClientPublic, rejected map[int]error, err error) {
 	rejected = make(map[int]error)
 	if len(pubs) == 0 {
 		return nil, rejected, ctxErr(ctx)
 	}
-
-	// Pass 1 (parallel, pure): recompute derived per-bin commitments and
-	// check proof presence. Structural failures are attributable on the
-	// spot and never enter the batch.
-	derived := make([][]*pedersen.Commitment, len(pubs))
-	structural := make([]error, len(pubs))
-	ferr := forEach(ctx, workers, len(pubs), func(i int) error {
-		c := pubs[i]
-		d, err := p.derivedCommitments(c)
-		if err != nil {
-			structural[i] = err
-			return nil
-		}
-		if p.cfg.Bins == 1 && c.BitProof == nil {
-			structural[i] = fmt.Errorf("%w: client %d missing bit proof", ErrClientReject, c.ID)
-			return nil
-		}
-		if p.cfg.Bins > 1 && c.OneHotProof == nil {
-			structural[i] = fmt.Errorf("%w: client %d missing one-hot proof", ErrClientReject, c.ID)
-			return nil
-		}
-		derived[i] = d
-		return nil
-	})
-	if ferr != nil {
-		return nil, nil, ferr
+	fold, err := p.foldClients(ctx, pubs, workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	// The fold hashes every derived commitment's encoding into its
-	// Fiat-Shamir challenge: one shared inversion for the batch here, not
-	// one per commitment there. A lone commitment has nothing to share.
-	if n := len(pubs) * p.cfg.Bins; n > 1 {
-		elems := make([]group.Element, 0, n)
-		for _, d := range derived {
-			for _, c := range d {
-				elems = append(elems, c.Element())
-			}
-		}
-		group.NormalizeBatch(p.pp.Group(), elems)
-	}
-
-	// Pass 2 (sequential, scalar-only): fold every remaining proof into the
-	// batch. Fiat-Shamir recomputation rejects malformed proofs here with
-	// the same verdict the per-client verifier would reach.
-	batch := sigma.NewBitBatch(p.pp, nil)
 	inBatch := make([]bool, len(pubs))
 	for i, c := range pubs {
-		if structural[i] != nil {
-			rejected[c.ID] = structural[i]
-			continue
-		}
-		var err error
-		if p.cfg.Bins == 1 {
-			err = batch.Add(derived[i][0], c.BitProof, p.clientContext(c.ID))
-		} else {
-			err = batch.AddOneHot(derived[i], c.OneHotProof, p.clientContext(c.ID))
-		}
-		if err != nil {
-			rejected[c.ID] = fmt.Errorf("%w: client %d: %v", ErrClientReject, c.ID, err)
+		if fold.reject[i] != nil {
+			rejected[c.ID] = fold.reject[i]
 			continue
 		}
 		inBatch[i] = true
 	}
 
-	// Pass 3: one combined check. On failure, re-verify the batch members
+	// One combined check. On failure, re-verify the batch members
 	// individually (in parallel — verdicts are independent) to name every
 	// cheater; the honest majority is still accepted.
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
-	if batch.Check(workers) != nil {
+	if fold.batch.Check(workers) != nil {
 		verdicts := make([]error, len(pubs))
 		ferr := forEach(ctx, workers, len(pubs), func(i int) error {
 			if inBatch[i] {
@@ -280,12 +232,153 @@ func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPubl
 	return valid, rejected, nil
 }
 
-// checkPayloadOpenings validates one client's private payload for prover
-// column `prover` against the public commitment matrix: identity fields,
-// bin count, and every share opening. It is stateless, so a Session runs it
-// at admission — before any Prover exists — and fans the K columns out
-// across a worker pool.
-func (p *Public) checkPayloadOpenings(pub *ClientPublic, payload *ClientPayload, prover int) error {
+// clientFold is a window of board submissions folded into one BitBatch,
+// not yet checked.
+type clientFold struct {
+	batch *sigma.BitBatch
+	// reject[i] is member i's verdict when it never entered the batch (a
+	// structural or scalar failure); nil means it is folded.
+	reject []error
+	// first[i] is the held commitment (sigma.BitBatch.Held) of a folded
+	// member's bin 0; bin j's derived commitment is first[i]+j.
+	first []int
+}
+
+// foldClients folds every structurally sound member's legality proof into
+// one BitBatch, leaving the combined check to the caller.
+func (p *Public) foldClients(ctx context.Context, pubs []*ClientPublic, workers int) (*clientFold, error) {
+	fold := &clientFold{
+		batch:  sigma.NewBitBatch(p.pp, nil),
+		reject: make([]error, len(pubs)),
+		first:  make([]int, len(pubs)),
+	}
+	// Pass 1 (parallel, pure): recompute derived per-bin commitments and
+	// check proof presence. Structural failures are attributable on the
+	// spot and never enter the batch.
+	derived := make([][]*pedersen.Commitment, len(pubs))
+	ferr := forEach(ctx, workers, len(pubs), func(i int) error {
+		c := pubs[i]
+		d, err := p.derivedCommitments(c)
+		if err != nil {
+			fold.reject[i] = err
+			return nil
+		}
+		if p.cfg.Bins == 1 && c.BitProof == nil {
+			fold.reject[i] = fmt.Errorf("%w: client %d missing bit proof", ErrClientReject, c.ID)
+			return nil
+		}
+		if p.cfg.Bins > 1 && c.OneHotProof == nil {
+			fold.reject[i] = fmt.Errorf("%w: client %d missing one-hot proof", ErrClientReject, c.ID)
+			return nil
+		}
+		derived[i] = d
+		return nil
+	})
+	if ferr != nil {
+		return nil, ferr
+	}
+	// The fold hashes every derived commitment's encoding into its
+	// Fiat-Shamir challenge: one shared inversion for the batch here, not
+	// one per commitment there. A lone commitment has nothing to share.
+	if n := len(pubs) * p.cfg.Bins; n > 1 {
+		elems := make([]group.Element, 0, n)
+		for _, d := range derived {
+			for _, c := range d {
+				elems = append(elems, c.Element())
+			}
+		}
+		group.NormalizeBatch(p.pp.Group(), elems)
+	}
+
+	// Pass 2 (sequential, scalar-only): fold every remaining proof into the
+	// batch. Fiat-Shamir recomputation rejects malformed proofs here with
+	// the same verdict the per-client verifier would reach.
+	for i, c := range pubs {
+		if fold.reject[i] != nil {
+			continue
+		}
+		fold.first[i] = fold.batch.Held()
+		var err error
+		if p.cfg.Bins == 1 {
+			err = fold.batch.Add(derived[i][0], c.BitProof, p.clientContext(c.ID))
+		} else {
+			err = fold.batch.AddOneHot(derived[i], c.OneHotProof, p.clientContext(c.ID))
+		}
+		if err != nil {
+			fold.reject[i] = fmt.Errorf("%w: client %d: %v", ErrClientReject, c.ID, err)
+		}
+	}
+	return fold, nil
+}
+
+// foldOpenings folds a member's share openings, every prover's column of
+// them, into the batch that holds its board proof. At K = 1 a share
+// commitment is its bin's derived commitment, which the batch already holds:
+// the opening adds no term. At K ≥ 2 the derived commitment takes the summed
+// opening and shares 0..K−2 join as terms of their own; share K−1 follows,
+// since c_{j,K−1} = derived_j ⊘ Π_{k<K−1} c_{j,k}. The payloads must be
+// openable.
+func (p *Public) foldOpenings(fold *clientFold, i int, sub *ClientSubmission) error {
+	k := p.cfg.Provers
+	for j := 0; j < p.cfg.Bins; j++ {
+		x, r := sub.Payloads[0].Openings[j].X, sub.Payloads[0].Openings[j].R
+		for pk := 1; pk < k; pk++ {
+			o := sub.Payloads[pk].Openings[j]
+			x, r = x.Add(o.X), r.Add(o.R)
+		}
+		if err := fold.batch.AddOpeningAt(fold.first[i]+j, x, r); err != nil {
+			return err
+		}
+		for pk := 0; pk < k-1; pk++ {
+			o := sub.Payloads[pk].Openings[j]
+			if err := fold.batch.AddOpening(sub.Public.ShareCommitments[j][pk], o.X, o.R); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// openable reports whether a member's payloads pass every check of
+// checkPayloads but the opening values: one payload per prover, each of the
+// right shape, with an opening per bin. Only such a member's openings are
+// folded; any other keeps checkPayloads' verdict.
+func (p *Public) openable(sub *ClientSubmission) bool {
+	if len(sub.Payloads) != p.cfg.Provers {
+		return false
+	}
+	for k, payload := range sub.Payloads {
+		if p.payloadShape(sub.Public, payload, k) != nil {
+			return false
+		}
+		for _, o := range payload.Openings {
+			if o == nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkPayloads is a board-valid member's payload verdict, checked without
+// the fold: the payload count, then each prover's column in prover order,
+// the lowest failing prover naming the reason.
+func (p *Public) checkPayloads(sub *ClientSubmission) error {
+	if len(sub.Payloads) != p.cfg.Provers {
+		return fmt.Errorf("%w: client %d supplied %d per-prover payloads, want %d",
+			ErrClientReject, sub.Public.ID, len(sub.Payloads), p.cfg.Provers)
+	}
+	for k, payload := range sub.Payloads {
+		if err := p.checkPayloadOpenings(sub.Public, payload, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// payloadShape checks one payload's identity fields and bin count against
+// prover column `prover`.
+func (p *Public) payloadShape(pub *ClientPublic, payload *ClientPayload, prover int) error {
 	if payload == nil || payload.ClientID != pub.ID {
 		return fmt.Errorf("%w: payload/public ID mismatch for client %d", ErrClientReject, pub.ID)
 	}
@@ -295,6 +388,19 @@ func (p *Public) checkPayloadOpenings(pub *ClientPublic, payload *ClientPayload,
 	if len(payload.Openings) != p.cfg.Bins {
 		return fmt.Errorf("%w: client %d payload has %d bins, want %d",
 			ErrClientReject, pub.ID, len(payload.Openings), p.cfg.Bins)
+	}
+	return nil
+}
+
+// checkPayloadOpenings validates one client's private payload for prover
+// column `prover` against the public commitment matrix: its shape, then
+// every share opening with one fixed-base commitment each. Admission folds
+// the openings instead (foldOpenings) and runs this check only where the
+// fold cannot give the verdict: a member that is not openable, or a frame
+// whose folded check failed.
+func (p *Public) checkPayloadOpenings(pub *ClientPublic, payload *ClientPayload, prover int) error {
+	if err := p.payloadShape(pub, payload, prover); err != nil {
+		return err
 	}
 	// The openings must match the public commitments in this prover's
 	// column; otherwise the client equivocated between board and payload.

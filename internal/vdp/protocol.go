@@ -59,8 +59,8 @@ type RunResult struct {
 // the run; they are excluded from the public roster and reported.
 //
 // Run is a one-epoch Session: the clients' submissions are built on its
-// worker pool, admitted as one SubmitBatch — one folded board check, the
-// share openings fanned out — and finalized. Callers that receive
+// worker pool, admitted as one SubmitBatch — one folded check of every
+// board proof and share opening — and finalized. Callers that receive
 // submissions incrementally should hold a Session instead.
 // RunOptions.Parallelism sets the pool width; the default uses every core.
 func Run(pub *Public, choices []int, opts *RunOptions) (*RunResult, error) {

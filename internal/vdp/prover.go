@@ -104,8 +104,8 @@ func NewMaliciousProver(pub *Public, index int, m Malice) (*Prover, error) {
 }
 
 // acceptChecked installs a client whose board submission and payload the
-// caller has already validated (admission's board check and
-// Public.checkPayloadOpenings). Only the duplicate-submission guard remains
+// caller has already validated (admission's folded check of the board proof
+// and the share openings). Only the duplicate-submission guard remains
 // here. Not safe for concurrent use on the same prover.
 func (pr *Prover) acceptChecked(pub *ClientPublic, payload *ClientPayload) error {
 	if _, dup := pr.payloads[pub.ID]; dup {

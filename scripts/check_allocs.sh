@@ -31,14 +31,15 @@
 #                 the hinted decode allocating per span or per point.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
-#                 verification). 3969 allocs/op at two cores (≈62 per
-#                 client; the frame's multi-exponentiation adds two per
-#                 extra worker); the ceiling catches the batch path
-#                 degenerating into per-client engine tasks or per-client
-#                 encode buffers.
+#                 verification, every share opening folded into the same
+#                 check). 3131 allocs/op at two cores (≈49 per client; the
+#                 frame's multi-exponentiation adds two per extra worker);
+#                 the ceiling catches the batch path degenerating into
+#                 per-client engine tasks, per-client encode buffers or
+#                 per-claim scalar temporaries in the fold.
 #   submit        BenchmarkSessionSubmit/eager (root package): 64 single
 #                 arrivals through Session.Submit, each a batch of one
-#                 through the same SubmitBatch. 6071 allocs/op (≈95 per
+#                 through the same SubmitBatch. 5782 allocs/op (≈90 per
 #                 arrival, ≈7 of them the one-element slices and the sync
 #                 channel a batch of one still sets up); the ceiling
 #                 catches the wrapper growing a per-arrival allocation
@@ -50,8 +51,8 @@ commit_ceiling="${1:-16}"
 decode_ceiling=2150
 record_ceiling=2250
 seal_ceiling=10750
-submit_ceiling=4350
-single_ceiling=6650
+submit_ceiling=3400
+single_ceiling=6100
 
 fail=0
 
