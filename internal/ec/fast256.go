@@ -10,12 +10,14 @@ package ec
 //     g and h, with a fused two-table accumulation for Com(x, r).
 //   - P256MultiExp: Pippenger signed-digit bucket multi-exponentiation for
 //     the batched Σ-OR verification product (hundreds to thousands of
-//     terms), replacing per-term windowing with shared buckets, its window
-//     picked per call from a cost model over the scalars' lengths.
+//     terms), replacing per-term windowing with shared buckets that stay
+//     affine while they fill — their additions share one inversion a round
+//     — its window picked per call from a cost model over the scalars'
+//     lengths.
 //
 // All functions mutate receiver/out parameters in place and allocate only
 // where documented, which is what drives the commit path to near-zero
-// allocs/op. The math/big Curve in this package remains the reference
+// allocs/op; P256MultiExp's scratch comes from pools. The math/big Curve in this package remains the reference
 // implementation; fast256_test.go proves the two agree (and agree with
 // crypto/elliptic) on randomized corpora and adversarial edge cases.
 
@@ -39,9 +41,13 @@ type P256Point struct {
 // P256Affine is an affine point (Montgomery-form coordinates) or the point
 // at infinity. Affine points feed the mixed-addition fast path.
 type P256Affine struct {
-	x, y fp256.Element
-	inf  bool
+	p256XY
+	inf bool
 }
+
+// p256XY is a finite affine point: the coordinates of a P256Affine, and a
+// bucket entry of P256MultiExp's affine fill.
+type p256XY struct{ x, y fp256.Element }
 
 var (
 	fp = fp256.P()
@@ -87,12 +93,6 @@ func (r *P256Point) SetAffine(a *P256Affine) {
 func (r *P256Point) Neg(p *P256Point) {
 	r.x, r.z = p.x, p.z
 	fp.Neg(&r.y, &p.y)
-}
-
-// Neg sets r = -a for affine points.
-func (r *P256Affine) Neg(a *P256Affine) {
-	r.x, r.inf = a.x, a.inf
-	fp.Neg(&r.y, &a.y)
 }
 
 // Double sets r = 2p using the a = -3 doubling formulas (dbl-2001-b:
@@ -471,29 +471,37 @@ func (t *P256Table) Mul(r *P256Point, k fp256.Element) {
 // the currency of the window cost model below and of the budget tables in
 // EXPERIMENTS.md.
 const (
-	costMixedAdd = 11 // AddAffine, 7M + 4S
-	costAdd      = 16 // Add, 11M + 5S
-	costDouble   = 8  // Double, 3M + 5S
+	costBucketAdd = 6  // a batch-affine bucket addition, 5M + 1S (3M of it Montgomery's trick)
+	costMixedAdd  = 11 // AddAffine, 7M + 4S
+	costAdd       = 16 // Add, 11M + 5S
+	costDouble    = 8  // Double, 3M + 5S
 )
 
-// p256MaxWindow bounds the bucket window: 2¹² buckets of 96 bytes is the
-// most scratch one call may take.
+// p256MaxWindow bounds the bucket window at 2¹² buckets a window.
 const p256MaxWindow = 13
+
+// p256RunEntries bounds the bucket entries of one run of windows, and so a
+// worker's scratch at ≈ 52 bytes an entry (p256Run): ≈ 420 KiB. Only a
+// single window with more terms than this exceeds it, by its own term
+// count.
+const p256RunEntries = 1 << 13
 
 // p256PippengerWindow picks the signed-bucket window width c for one
 // product from a cost model: reach[b] is the number of terms
 // whose scalar is at least b bits long, so window w — bits [wc, wc+c) —
-// costs reach[wc] mixed additions to fill (shorter scalars have no digit
-// there; a 128-bit batching coefficient stops costing anything above
-// window 128/c), 2·2^(c−1) general additions to collapse, and c doublings;
-// and there are maxBits/c + 1 windows, counted from the longest scalar
-// present, not from 256.
+// costs reach[wc] batch-affine additions to fill (shorter scalars have no
+// digit there; a 128-bit batching coefficient stops costing anything above
+// window 128/c), 2^(c−1) mixed and 2^(c−1) general additions to collapse,
+// and c doublings; and there are maxBits/c + 1 windows, counted from the
+// longest scalar present, not from 256. The fill's inversions, one per
+// round of a run of windows, are left out: shared by every bucket of the
+// run, they come to a few multiplications a window.
 func p256PippengerWindow(reach *[258]int, maxBits int) uint {
 	best, bestCost := uint(0), 0
 	for c := 2; c <= p256MaxWindow; c++ {
 		cost := 0
 		for lo := 0; lo <= maxBits; lo += c {
-			cost += reach[lo]*costMixedAdd + (1<<c)*costAdd + c*costDouble
+			cost += reach[lo]*costBucketAdd + (1<<(c-1))*(costMixedAdd+costAdd) + c*costDouble
 		}
 		if best == 0 || cost < bestCost {
 			best, bestCost = uint(c), cost
@@ -508,9 +516,9 @@ const p256SmallMultiExp = 8
 
 // p256ParallelMultiExp is the term count below which a product stays on the
 // calling goroutine whatever workers says. Products that small (a Coins-8
-// coin check is 24 terms, 0.6 ms) run inside a per-prover fan-out or on an
+// coin check is 24 terms, 0.5 ms) run inside a per-prover fan-out or on an
 // admission path whose cores are already taken, where a hand-off and a
-// second bucket array buy nothing.
+// second run's inversions buy nothing.
 const p256ParallelMultiExp = 32
 
 // P256MultiExp computes Σ kᵢ·Pᵢ. From p256SmallMultiExp terms up it is
@@ -522,12 +530,21 @@ const p256ParallelMultiExp = 32
 // thousands-of-terms batched Σ-OR verification. The window comes from
 // p256PippengerWindow. Below that it is p256StrausWNAF.
 //
+// The buckets stay affine while they fill (El Housni and Botrel, EdMSM,
+// IACR ePrint 2022/1400): the windows are cut into runs of consecutive
+// windows, and a run's buckets are added up in rounds of pairwise affine
+// additions whose denominators, across every bucket of every window of the
+// run, share one field inversion (p256Run.reduce). An addition then costs
+// 5M + 1S against the mixed addition's 7M + 4S, and a round's inversion is
+// shared by thousands of them.
+//
 // The windows are independent until their sums are combined, so from
-// p256ParallelMultiExp terms up they are shared among up to workers
-// goroutines, the caller's included (workers ≤ 1: the caller alone). Which
-// goroutine sums a window does not change the sum, and the combining chain
-// runs on the caller, so the result is the same limb for limb at every
-// worker count.
+// p256ParallelMultiExp terms up the runs — at least one per worker — are
+// shared among up to workers goroutines, the caller's included (workers ≤
+// 1: the caller alone). Affine sums have one representation, so neither
+// the cut into runs nor which goroutine sums a run changes a window's sum,
+// and the combining chain runs on the caller: the result is the same limb
+// for limb at every worker count.
 //
 // points and scalars must have equal length; scalars are plain limb
 // integers (< 2²⁵⁶). Infinite points and zero scalars contribute nothing.
@@ -560,95 +577,47 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P25
 		return acc
 	}
 	c := p256PippengerWindow(&reach, maxBits)
-	// Signed digits: window values > 2^(c-1) borrow from the next window,
-	// so digits lie in (-2^(c-1), 2^(c-1)]. maxBits/c + 1 windows always
-	// absorb the last borrow: the top one holds only maxBits mod c < c
-	// scalar bits, so its digit stays ≤ 2^(c-1) with the borrow added.
+	// maxBits/c + 1 windows always absorb the last signed-digit borrow
+	// (p256SignedDigits): the top one holds only maxBits mod c < c scalar
+	// bits, so its digit stays ≤ 2^(c-1) with the borrow added.
 	numWin := maxBits/int(c) + 1
-	digits := make([]int16, n*numWin)
-	for i := range scalars {
-		if points[i].inf {
-			continue
-		}
-		k := &scalars[i]
-		carry := int32(0)
-		for w := 0; w < numWin; w++ {
-			bit := w * int(c)
-			limb := bit / 64
-			var v uint64
-			if limb < 4 {
-				off := uint(bit % 64)
-				v = k[limb] >> off
-				if off+c > 64 && limb+1 < 4 {
-					v |= k[limb+1] << (64 - off)
-				}
-			}
-			d := int32(v&((1<<c)-1)) + carry
-			if d > 1<<(c-1) {
-				d -= 1 << c
-				carry = 1
-			} else {
-				carry = 0
-			}
-			digits[i*numWin+w] = int16(d)
-		}
-		if carry != 0 {
-			panic("ec: P256MultiExp scalar overflow")
-		}
+	if n < p256ParallelMultiExp || workers < 1 {
+		workers = 1
 	}
-	// sums[w] = Σᵢ digitᵢ(w)·Pᵢ. Windows are handed out lowest first: the
-	// low ones hold every term, the top ones only the long scalars, so the
-	// expensive windows start earliest.
+	starts := p256Runs(&reach, c, numWin, workers)
+	if workers > len(starts)-1 {
+		workers = len(starts) - 1
+	}
+	// sums[w] = Σᵢ digitᵢ(w)·Pᵢ. Runs are handed out lowest first: the low
+	// windows hold every term, the top ones only the long scalars, so the
+	// expensive runs start earliest.
 	sums := make([]P256Point, numWin)
 	var next atomic.Int32
-	sumWindows := func() {
-		buckets := make([]P256Point, 1<<(c-1))
-		var neg P256Affine
-		var run, sum P256Point
+	sumRuns := func() {
+		s := p256RunPool.Get().(*p256Run)
+		defer p256RunPool.Put(s)
 		for {
-			w := int(next.Add(1)) - 1
-			if w >= numWin {
+			r := int(next.Add(1)) - 1
+			if r >= len(starts)-1 {
 				return
 			}
-			for b := range buckets {
-				buckets[b].SetInfinity()
-			}
-			for i := range points {
-				if points[i].inf {
-					continue
-				}
-				d := digits[i*numWin+w]
-				if d > 0 {
-					buckets[d-1].AddAffine(&buckets[d-1], &points[i])
-				} else if d < 0 {
-					neg.Neg(&points[i])
-					buckets[-d-1].AddAffine(&buckets[-d-1], &neg)
-				}
-			}
-			run.SetInfinity()
-			sum.SetInfinity()
-			for b := len(buckets) - 1; b >= 0; b-- {
-				run.Add(&run, &buckets[b])
-				sum.Add(&sum, &run)
-			}
-			sums[w] = sum
+			w0, w1 := starts[r], starts[r+1]
+			s.digits = resize(s.digits, (w1-w0)*n)
+			p256SignedDigits(s.digits, points, scalars, c, w0, w1 == numWin)
+			s.fill(n, c)
+			s.reduce(points)
+			s.collapse(sums[w0:w1], 1<<(c-1))
 		}
-	}
-	if workers > numWin {
-		workers = numWin
-	}
-	if n < p256ParallelMultiExp {
-		workers = 1
 	}
 	var wg sync.WaitGroup
 	for k := 1; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sumWindows()
+			sumRuns()
 		}()
 	}
-	sumWindows()
+	sumRuns()
 	wg.Wait()
 	for w := numWin - 1; w >= 0; w-- {
 		for s := uint(0); s < c; s++ {
@@ -657,6 +626,326 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P25
 		acc.Add(&acc, &sums[w])
 	}
 	return acc
+}
+
+// p256WindowLoad bounds the entries window w of width c can hold: the live
+// terms with a bit at or above (w−1)·c, since a shorter scalar has neither a
+// digit there nor a borrow into it.
+func p256WindowLoad(reach *[258]int, c uint, w int) int {
+	if w == 0 {
+		return reach[1]
+	}
+	return reach[(w-1)*int(c)+1]
+}
+
+// p256Runs cuts the numWin windows into runs of consecutive windows and
+// returns the first window of each, then numWin: at least workers runs
+// where there are that many windows, of about equal modelled cost (a
+// window's fill and its collapse), and no run above p256RunEntries entries
+// unless one window is.
+func p256Runs(reach *[258]int, c uint, numWin, workers int) []int {
+	collapse := (1 << (c - 1)) * (costMixedAdd + costAdd)
+	entries, total := 0, 0
+	for w := 0; w < numWin; w++ {
+		l := p256WindowLoad(reach, c, w)
+		entries += l
+		total += l*costBucketAdd + collapse
+	}
+	runs := max(workers, (entries+p256RunEntries-1)/p256RunEntries)
+	starts := make([]int, 1, numWin+1)
+	load, before := 0, 0 // entries of the open run, cost of the windows before w
+	for w := 0; w < numWin; w++ {
+		l := p256WindowLoad(reach, c, w)
+		cost := l*costBucketAdd + collapse
+		// Cut where the half-way point of w passes the next share of the
+		// total, or where w would push the run past the budget.
+		share := len(starts) * total / runs
+		if load > 0 && (2*before+cost > 2*share || load+l > p256RunEntries) {
+			starts = append(starts, w)
+			load = 0
+		}
+		load += l
+		before += cost
+	}
+	return append(starts, numWin)
+}
+
+// p256SignedDigits writes the signed digits of every term in the windows
+// from w0 on into digits, window-major, n = len(points) a window; a point
+// at infinity has none. Window values above 2^(c−1) borrow from the next
+// window, so digits lie in (−2^(c−1), 2^(c−1)]; top says the run ends at
+// the top window, which absorbs the last borrow.
+func p256SignedDigits(digits []int16, points []P256Affine, scalars []fp256.Element, c uint, w0 int, top bool) {
+	n := len(points)
+	half := int32(1) << (c - 1)
+	for i := range points {
+		if points[i].inf {
+			for j := i; j < len(digits); j += n {
+				digits[j] = 0
+			}
+			continue
+		}
+		k := &scalars[i]
+		carry := p256Borrow(k, c, w0)
+		for j, w := i, w0; j < len(digits); j, w = j+n, w+1 {
+			d := p256WindowBits(k, c, w) + carry
+			carry = 0
+			if d > half {
+				d -= 2 * half
+				carry = 1
+			}
+			digits[j] = int16(d)
+		}
+		if top && carry != 0 {
+			panic("ec: P256MultiExp scalar overflow")
+		}
+	}
+}
+
+// p256Borrow returns the borrow window w of k receives from below: window
+// w−1 borrows when its bits plus its own borrow exceed 2^(c−1), so bits
+// above 2^(c−1) borrow, bits below do not, and bits equal to it pass on
+// what they received — a scan down to the first window that decides.
+func p256Borrow(k *fp256.Element, c uint, w int) int32 {
+	half := int32(1) << (c - 1)
+	for w--; w >= 0; w-- {
+		if v := p256WindowBits(k, c, w); v != half {
+			if v > half {
+				return 1
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
+// p256Run is one worker's scratch for a run of windows. The run's terms
+// are sorted into their buckets, bucket by bucket and window by window, as
+// placements. A round of additions reads a bucket's entries from the
+// placements (the first round) or from one of two areas of ents, and
+// writes its sums to the other area, into which each sum's slot first
+// holds its pair's denominator and prefix product. It comes from
+// p256RunPool, and each slice grows to the largest run it has served, at
+// most p256RunEntries entries or one window's terms: 4 bytes an entry,
+// 64 a first-round sum and 64 a second-round sum, ≈ 52 an entry, and the
+// run's signed digits, two bytes a term a window.
+type p256Run struct {
+	digits []int16  // window-major: digits[w*n+i] is digitᵢ(w0+w)
+	place  []uint32 // term<<1 | 1 if the point goes in negated
+	ents   []p256XY
+	src    []int32    // per bucket: first placement
+	at     [2][]int32 // per bucket: first slot in each area of ents
+	cnt    []int32    // per bucket: entries left
+	sums   []int32    // per bucket: sums the round writes
+	final  int        // the area that holds the reduced buckets
+}
+
+var p256RunPool = sync.Pool{New: func() any { return new(p256Run) }}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fill sorts the run's digits, n terms a window, into their buckets,
+// 2^(c−1) a window: bucket w·2^(c−1) + |d|−1 of the run receives ±Pᵢ for
+// every digit d = digitᵢ(w) ≠ 0, in term order. A first pass counts each
+// bucket's entries, a second places them.
+func (s *p256Run) fill(n int, c uint) {
+	buckets := len(s.digits) / n << (c - 1)
+	s.src = resize(s.src, buckets)
+	s.at[0] = resize(s.at[0], buckets)
+	s.at[1] = resize(s.at[1], buckets)
+	s.sums = resize(s.sums, buckets)
+	s.cnt = resize(s.cnt, buckets)
+	clear(s.cnt)
+	s.sort(n, c, false)
+	var entries, first, second int32 // a bucket of m entries holds ⌈m/2⌉ after one round, ⌈m/4⌉ after two
+	for b, m := range s.cnt {
+		s.src[b], s.at[0][b], s.at[1][b] = entries, first, second
+		entries += m
+		first += (m + 1) / 2
+		second += (m + 3) / 4
+		s.cnt[b] = 0
+	}
+	for b := range s.at[1] {
+		s.at[1][b] += first
+	}
+	s.place = resize(s.place, int(entries))
+	s.ents = resize(s.ents, int(first+second))
+	s.sort(n, c, true)
+}
+
+// sort counts every nonzero digit in its bucket and, when place is set,
+// also writes the term into the bucket's next placement.
+func (s *p256Run) sort(n int, c uint, place bool) {
+	for lo := 0; lo < len(s.digits); lo += n {
+		first := int32(lo/n) << (c - 1) // the window's bucket for digit 1
+		for i, d := range s.digits[lo : lo+n] {
+			if d == 0 {
+				continue
+			}
+			t := uint32(i) << 1
+			if d < 0 {
+				d, t = -d, t|1
+			}
+			b := first + int32(d) - 1
+			if place {
+				s.place[s.src[b]+s.cnt[b]] = t
+			}
+			s.cnt[b]++
+		}
+	}
+}
+
+// p256WindowBits returns bits [wc, wc+c) of k.
+func p256WindowBits(k *fp256.Element, c uint, w int) int32 {
+	bit := w * int(c)
+	limb := bit / 64
+	if limb >= 4 {
+		return 0
+	}
+	off := uint(bit % 64)
+	v := k[limb] >> off
+	if off+c > 64 && limb+1 < 4 {
+		v |= k[limb+1] << (64 - off)
+	}
+	return int32(v & (1<<c - 1))
+}
+
+// entry returns entry i of bucket b in area from of ents, or, from the
+// placements (from < 0), the placed point, negated into buf if its digit
+// was negative.
+func (s *p256Run) entry(buf *p256XY, points []P256Affine, from, b, i int) *p256XY {
+	if from >= 0 {
+		return &s.ents[int(s.at[from][b])+i]
+	}
+	t := s.place[int(s.src[b])+i]
+	p := &points[t>>1].p256XY
+	if t&1 == 0 {
+		return p
+	}
+	buf.x = p.x
+	fp.Neg(&buf.y, &p.y)
+	return buf
+}
+
+// reduce adds up every bucket until each holds at most one point, in area
+// s.final of ents. A round adds a bucket's entries in pairs (0+1, 2+3, …;
+// an odd last one is carried over) and writes the sums to the area it does
+// not read; the denominators of all the run's pairs share one inversion
+// (Montgomery's trick). A pair on one x is a doubling, whose denominator
+// is 2y (P-256 has no point of order two), or a point and its negation,
+// which cancel.
+func (s *p256Run) reduce(points []P256Affine) {
+	one := fp.One()
+	var pb, qb p256XY
+	var acc, inv, t, lam fp256.Element
+	for from := -1; ; {
+		to := (from + 1) % 2
+		// Each pair's denominator goes to its sum's slot (x), beside the
+		// product of the ones before it (y).
+		pairs, dens := 0, 0
+		acc = one
+		for b, m := range s.cnt {
+			out := s.ents[s.at[to][b]:]
+			w := int32(0)
+			for i := 1; i < int(m); i += 2 {
+				p := s.entry(&pb, points, from, b, i-1)
+				q := s.entry(&qb, points, from, b, i)
+				pairs++
+				o := &out[w]
+				if p.x.Equal(&q.x) {
+					if !p.y.Equal(&q.y) {
+						continue
+					}
+					fp.Double(&o.x, &p.y)
+				} else {
+					fp.Sub(&o.x, &q.x, &p.x)
+				}
+				o.y = acc
+				fp.Mul(&acc, &acc, &o.x)
+				w++
+			}
+			s.sums[b] = w
+			dens += int(w)
+		}
+		if pairs == 0 && from >= 0 {
+			s.final = from
+			return
+		}
+		// One inversion, then every denominator's inverse in its place.
+		if dens > 0 {
+			fp.Inv(&inv, &acc)
+		}
+		for b := len(s.cnt) - 1; b >= 0; b-- {
+			out := s.ents[s.at[to][b]:]
+			for w := s.sums[b] - 1; w >= 0; w-- {
+				o := &out[w]
+				fp.Mul(&t, &inv, &o.y)
+				fp.Mul(&inv, &inv, &o.x)
+				o.x = t
+			}
+		}
+		// The sums: λ = (y_q − y_p)/(x_q − x_p), or 3(x² − 1)/2y for a
+		// doubling; x = λ² − x_p − x_q, y = λ(x_p − x) − y_p.
+		for b, m := range s.cnt {
+			out := s.ents[s.at[to][b]:]
+			w := 0
+			for i := 1; i < int(m); i += 2 {
+				p := s.entry(&pb, points, from, b, i-1)
+				q := s.entry(&qb, points, from, b, i)
+				if p.x.Equal(&q.x) {
+					if !p.y.Equal(&q.y) {
+						continue
+					}
+					fp.Sqr(&t, &p.x)
+					fp.Sub(&t, &t, &one)
+					fp.Double(&lam, &t)
+					fp.Add(&t, &t, &lam)
+				} else {
+					fp.Sub(&t, &q.y, &p.y)
+				}
+				o := &out[w]
+				fp.Mul(&lam, &t, &o.x)
+				fp.Sqr(&o.x, &lam)
+				fp.Sub(&o.x, &o.x, &p.x)
+				fp.Sub(&o.x, &o.x, &q.x)
+				fp.Sub(&t, &p.x, &o.x)
+				fp.Mul(&o.y, &lam, &t)
+				fp.Sub(&o.y, &o.y, &p.y)
+				w++
+			}
+			if m%2 == 1 {
+				out[w] = *s.entry(&pb, points, from, b, int(m)-1)
+				w++
+			}
+			s.cnt[b] = int32(w)
+		}
+		from = to
+	}
+}
+
+// collapse turns each window's reduced buckets into its sum,
+// Σ_b (b+1)·bucket_b, by a running suffix sum from the top bucket down.
+func (s *p256Run) collapse(sums []P256Point, buckets int) {
+	var run, sum P256Point
+	var a P256Affine
+	for w := range sums {
+		run.SetInfinity()
+		sum.SetInfinity()
+		for b := w*buckets + buckets - 1; b >= w*buckets; b-- {
+			if s.cnt[b] != 0 {
+				a.p256XY = s.ents[s.at[s.final][b]]
+				run.AddAffine(&run, &a)
+			}
+			sum.Add(&sum, &run)
+		}
+		sums[w] = sum
+	}
 }
 
 // p256StrausWNAF computes Σ kᵢ·Pᵢ for a handful of terms: every term gets
@@ -828,5 +1117,5 @@ func P256AffineFromPoint(p *Point) (P256Affine, error) {
 		return P256Affine{inf: true}, nil
 	}
 	x, y := p.XY()
-	return P256Affine{x: fp.FromBig(x), y: fp.FromBig(y)}, nil
+	return P256Affine{p256XY: p256XY{x: fp.FromBig(x), y: fp.FromBig(y)}}, nil
 }

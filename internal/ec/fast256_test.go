@@ -53,13 +53,19 @@ func limbsFromBigTest(v *big.Int) fp256.Element {
 }
 
 // randFastPoint returns k·G for a random k on all three backends.
-func randFastPoint(t *testing.T, rng *rand.Rand) (P256Point, *Point, *big.Int) {
+func randFastPoint(t testing.TB, rng *rand.Rand) (P256Point, *Point, *big.Int) {
 	k := randScalarBig(rng)
 	ref := StdP256().ScalarBaseMult(k)
 	var fast P256Point
 	g := P256Generator()
 	fast.ScalarMult(&g, limbsFromBigTest(k))
 	return fast, ref, k
+}
+
+// negAffine returns −a.
+func negAffine(a P256Affine) P256Affine {
+	fp.Neg(&a.y, &a.y)
+	return a
 }
 
 // assertSame fails unless the fast point and the reference point have
@@ -185,8 +191,7 @@ func TestFastAddSpecialCases(t *testing.T) {
 	if !mixed.Equal(&dbl2) {
 		t.Fatal("mixed add P + P != 2P")
 	}
-	var negAff P256Affine
-	negAff.Neg(&afa)
+	negAff := negAffine(afa)
 	mixed.AddAffine(&fa, &negAff)
 	if !mixed.IsInfinity() {
 		t.Fatal("mixed add P + (-P) != O")
@@ -441,6 +446,9 @@ func TestFastMultiExpAllShort(t *testing.T) {
 // allocates exactly what the one-worker call does — while one term more
 // pays for the hand-off, which is what shows the probe can see one.
 func TestFastMultiExpSmallStaysOnCaller(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the bucket scratch is pooled, and sync.Pool drops items at random under the race detector")
+	}
 	rng := rand.New(rand.NewSource(23))
 	points := make([]P256Affine, p256ParallelMultiExp)
 	scalars := make([]fp256.Element, len(points))
@@ -483,12 +491,57 @@ func TestPippengerWindowModel(t *testing.T) {
 	}
 	// Two sizes worked by hand in EXPERIMENTS.md: the collapse's 2^c
 	// general additions outweigh the fill well before c reaches log₂ n.
-	if c := uniform(256, 256); c != 6 {
-		t.Fatalf("256 full-length terms: window %d, want 6", c)
+	if c := uniform(256, 256); c != 5 {
+		t.Fatalf("256 full-length terms: window %d, want 5", c)
 	}
-	if c := uniform(8192, 256); c != 10 {
-		t.Fatalf("8192 full-length terms: window %d, want 10", c)
+	if c := uniform(8192, 256); c != 9 {
+		t.Fatalf("8192 full-length terms: window %d, want 9", c)
 	}
+}
+
+// TestFastMultiExpBucketSlowPaths: terms that share a scalar share a bucket
+// in every window, so a run of one point doubles at every round of the
+// affine fill, and a point beside its negation cancels — alone, or leaving
+// an odd survivor behind.
+func TestFastMultiExpBucketSlowPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	p, _, _ := randFastPoint(t, rng)
+	q, _, _ := randFastPoint(t, rng)
+	pa, qa := p.ToAffine(), q.ToAffine()
+	pn, qn := negAffine(pa), negAffine(qa)
+	k := limbsFromBigTest(randScalarBig(rng))
+	cases := []struct {
+		name   string
+		points []P256Affine
+		times  int64 // the product is times·k·P
+	}{
+		{"one point 40 times", repeat(40, pa), 40},
+		{"P, -P alternating", repeat(20, pa, pn), 0},
+		{"P, -P and one P more", append(repeat(20, pa, pn), pa), 1},
+		{"-P, P, P, then Q cancelled", append(repeat(4, pn, pa, pa), qa, qn), 4},
+	}
+	for _, tc := range cases {
+		scalars := make([]fp256.Element, len(tc.points))
+		for i := range scalars {
+			scalars[i] = k
+		}
+		got := multiExpEveryWorkers(t, tc.name, tc.points, scalars)
+		var want P256Point
+		want.ScalarMult(&p, k)
+		want.ScalarMult(&want, limbsFromBigTest(big.NewInt(tc.times)))
+		if !got.Equal(&want) {
+			t.Fatalf("%s: P256MultiExp disagrees with %d·k·P", tc.name, tc.times)
+		}
+	}
+}
+
+// repeat returns n copies of the sequence pts, one after another.
+func repeat(n int, pts ...P256Affine) []P256Affine {
+	var out []P256Affine
+	for i := 0; i < n; i++ {
+		out = append(out, pts...)
+	}
+	return out
 }
 
 // TestFastMultiExpTopWindowCarry: scalars with a full top byte force the
@@ -664,9 +717,10 @@ func BenchmarkP256Decode(b *testing.B) {
 	})
 }
 
-func BenchmarkFastMultiExp(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	const n = 1024
+// foldShaped returns n distinct points and the scalars a folded Σ-OR check
+// hands P256MultiExp: two of every three 128-bit batching coefficients, the
+// third full length.
+func foldShaped(rng *rand.Rand, n int) ([]P256Affine, []fp256.Element) {
 	points := make([]P256Affine, n)
 	scalars := make([]fp256.Element, n)
 	g := P256Generator()
@@ -674,13 +728,116 @@ func BenchmarkFastMultiExp(b *testing.B) {
 		var jp P256Point
 		jp.ScalarMult(&g, limbsFromBigTest(randScalarBig(rng)))
 		points[i] = jp.ToAffine()
-		scalars[i] = limbsFromBigTest(randScalarBig(rng))
+		k := randScalarBig(rng)
+		if i%3 != 2 {
+			k.Rsh(k, 128)
+		}
+		scalars[i] = limbsFromBigTest(k)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		P256MultiExp(points, scalars, runtime.GOMAXPROCS(0))
+	return points, scalars
+}
+
+// BenchmarkFastMultiExp runs the product at the sizes its callers hand it:
+// 24 terms is one Coins-8 coin check, 192 one 64-member admission frame,
+// 1 152 and 6 144 the offline audit's products over a 2 048-submission
+// epoch. It asks for GOMAXPROCS workers.
+func BenchmarkFastMultiExp(b *testing.B) {
+	for _, n := range []int{24, 192, 1152, 6144} {
+		points, scalars := foldShaped(rand.New(rand.NewSource(21)), n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				P256MultiExp(points, scalars, runtime.GOMAXPROCS(0))
+			}
+		})
 	}
+}
+
+// FuzzP256MultiExp holds P256MultiExp to p256StrausWNAF and to the
+// reference curve on products of 0–300 terms. Every point is a known
+// multiple aG of the generator, so the reference answer is one
+// ScalarBaseMult of Σ kᵢaᵢ. Scalars are fold-shaped (two of every three
+// 128-bit) with zero and 2²⁵⁶−1 mixed in. Points at infinity, a point
+// repeated with its scalar and a point beside its negation with the same
+// scalar — which share a bucket in every window — reach the doubling and
+// cancellation branches of the affine bucket fill. The result must be the
+// same limb for limb at workers 1, 2 and 3.
+func FuzzP256MultiExp(f *testing.F) {
+	for i, n := range []uint16{0, 7, 8, 31, 32, 40, 192, 300} {
+		f.Add(uint64(i), n)
+	}
+	ref := StdP256()
+	order := ref.ScalarField().Modulus()
+	top := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	// A pool of points with known logarithms: a few random multiples of G,
+	// each beside its negation.
+	rng := rand.New(rand.NewSource(25))
+	var pool []P256Affine
+	var logs []*big.Int
+	for i := 0; i < 12; i++ {
+		p, _, a := randFastPoint(f, rng)
+		pa := p.ToAffine()
+		pool = append(pool, pa, negAffine(pa))
+		logs = append(logs, a, new(big.Int).Sub(order, a))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, count uint16) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := int(count % 301)
+		points := make([]P256Affine, 0, n)
+		scalars := make([]fp256.Element, 0, n)
+		want := new(big.Int)
+		push := func(j int, k *big.Int) {
+			if j < 0 {
+				points = append(points, P256Affine{inf: true})
+			} else {
+				points = append(points, pool[j])
+				want.Add(want, new(big.Int).Mul(k, logs[j]))
+			}
+			scalars = append(scalars, limbsFromBigTest(k))
+		}
+		for len(points) < n {
+			var k *big.Int
+			switch v := rng.Intn(30); {
+			case v == 0:
+				k = new(big.Int)
+			case v == 1:
+				k = top
+			case v < 20:
+				k = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 128))
+			default:
+				k = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 256))
+			}
+			j := rng.Intn(len(pool))
+			switch v := rng.Intn(8); {
+			case v == 0:
+				push(-1, k)
+			case v == 1 && len(points) < n-1: // j twice: a doubling
+				push(j, k)
+				push(j, k)
+			case v == 2 && len(points) < n-1: // j beside its negation: a cancellation
+				push(j, k)
+				push(j^1, k)
+			default:
+				push(j, k)
+			}
+		}
+		got := P256MultiExp(points, scalars, 1)
+		for _, workers := range []int{2, 3} {
+			if other := P256MultiExp(points, scalars, workers); other != got {
+				t.Fatalf("%d terms: workers=%d result differs in coordinates from workers=1", n, workers)
+			}
+		}
+		var straus P256Point
+		for lo := 0; lo < n; lo += p256SmallMultiExp - 1 {
+			hi := min(n, lo+p256SmallMultiExp-1)
+			part := p256StrausWNAF(points[lo:hi], scalars[lo:hi])
+			straus.Add(&straus, &part)
+		}
+		if !got.Equal(&straus) {
+			t.Fatalf("%d terms: P256MultiExp disagrees with p256StrausWNAF", n)
+		}
+		assertSame(t, fmt.Sprintf("%d terms against the reference curve", n), &got, ref.ScalarBaseMult(want))
+	})
 }
 
 // hintedSeeds are (encoding, hint) pairs for the hinted decoders: for each

@@ -46,11 +46,10 @@ type Modulus struct {
 	rr   Element // R² mod m (to enter Montgomery form)
 	one  Element // R mod m (Montgomery form of 1)
 
-	coord    bool                             // the coordinate prime: Mul/Sqr take the p-shaped kernel (p256field.go)
-	invChain func(md *Modulus, z, x *Element) // inversion addition chain
-	pm2      Element                          // m-2, generic inversion exponent fallback
-	hasSqrt  bool                             // m ≡ 3 (mod 4) and Sqrt enabled
-	bigM     *big.Int                         // test/interop convenience, never on hot paths
+	coord   bool     // the coordinate prime: Mul/Sqr take the p-shaped kernel (p256field.go), Inv its addition chain
+	pm2     Element  // m-2, generic inversion exponent fallback
+	hasSqrt bool     // m ≡ 3 (mod 4) and Sqrt enabled
+	bigM    *big.Int // test/interop convenience, never on hot paths
 }
 
 var pMod = newModulus("p256-p", "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", true)
@@ -60,7 +59,6 @@ func init() {
 	// Decode (square root) and Encode (normalization) besides: give it the
 	// kernel shaped to its prime and the dedicated addition chain.
 	pMod.coord = true
-	pMod.invChain = p256CoordInvChain
 }
 
 // P returns the coordinate field modulus p = 2²⁵⁶ − 2²²⁴ + 2¹⁹² + 2⁹⁶ − 1.
@@ -366,8 +364,8 @@ func (md *Modulus) Pow(z, x *Element, e *Element) {
 // IsZero first; the EC layer never inverts zero (the point at infinity is
 // tracked structurally, not as a coordinate).
 func (md *Modulus) Inv(z, x *Element) {
-	if md.invChain != nil {
-		md.invChain(md, z, x)
+	if md.coord {
+		p256CoordInvChain(md, z, x)
 		return
 	}
 	md.Pow(z, x, &md.pm2)

@@ -318,13 +318,27 @@ func (g *fastP256) NormalizeBatch(elems []Element) {
 	}
 }
 
+// nativeTerms is MultiExpNative's copy of a product's terms in the
+// backend's form, pooled so a steady stream of products reuses it.
+type nativeTerms struct {
+	points  []ec.P256Affine
+	scalars []fp256.Element
+}
+
+var nativeTermsPool = sync.Pool{New: func() any { return new(nativeTerms) }}
+
 func (g *fastP256) MultiExpNative(bases []Element, exps []*field.Element, workers int) Element {
 	if len(bases) != len(exps) {
 		panic("group: MultiExpNative length mismatch")
 	}
 	n := len(bases)
-	points := make([]ec.P256Affine, n)
-	scalars := make([]fp256.Element, n)
+	t := nativeTermsPool.Get().(*nativeTerms)
+	defer nativeTermsPool.Put(t)
+	if cap(t.points) < n {
+		t.points = make([]ec.P256Affine, n)
+		t.scalars = make([]fp256.Element, n)
+	}
+	points, scalars := t.points[:n], t.scalars[:n]
 	g.NormalizeBatch(bases)
 	for i, b := range bases {
 		points[i] = *g.elem(b).affine()

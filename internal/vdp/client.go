@@ -118,6 +118,8 @@ func (p *Public) NewClientSubmission(clientID, choice int, rnd io.Reader) (*Clie
 }
 
 // derivedCommitments recomputes c_j = Π_k c_{j,k} from a public submission.
+// With one prover c_j is c_{j,0} itself: commitments are immutable, so the
+// share commitment is returned rather than a copy summed onto the identity.
 func (p *Public) derivedCommitments(pub *ClientPublic) ([]*pedersen.Commitment, error) {
 	if len(pub.ShareCommitments) != p.cfg.Bins {
 		return nil, fmt.Errorf("%w: client %d committed %d bins, want %d",
@@ -128,6 +130,10 @@ func (p *Public) derivedCommitments(pub *ClientPublic) ([]*pedersen.Commitment, 
 		if len(row) != p.cfg.Provers {
 			return nil, fmt.Errorf("%w: client %d bin %d has %d share commitments, want %d",
 				ErrClientReject, pub.ID, j, len(row), p.cfg.Provers)
+		}
+		if len(row) == 1 {
+			out[j] = row[0]
+			continue
 		}
 		out[j] = pedersen.Sum(p.pp, row...)
 	}

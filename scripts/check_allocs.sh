@@ -29,11 +29,19 @@
 #                 9776 allocs/op, the same as its v1 decode: each decode's
 #                 hint cursor lives in its queue slot; the ceiling catches
 #                 the hinted decode allocating per span or per point.
+#   multiexp      BenchmarkFastMultiExp/192 (internal/ec) at -cpu 2: one
+#                 192-term product, a 64-member admission frame's, on two
+#                 workers. 6 allocs/op (the window sums, the run cuts, the
+#                 hand-off), 7 when a collection empties the pools during
+#                 the run; the digits, placements, bucket sums and bucket
+#                 offsets come from a pool and the ceiling catches them
+#                 being allocated per call again, ≈ 10 more. Pinned to two
+#                 cores because each further worker adds about one.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
 #                 verification, every share opening folded into the same
-#                 check). 3131 allocs/op at two cores (≈49 per client; the
-#                 frame's multi-exponentiation adds two per extra worker);
+#                 check). 2920 allocs/op at two cores (≈46 per client; the
+#                 frame's multi-exponentiation adds about one per extra worker);
 #                 the ceiling catches the batch path degenerating into
 #                 per-client engine tasks, per-client encode buffers or
 #                 per-claim scalar temporaries in the fold.
@@ -51,15 +59,17 @@ commit_ceiling="${1:-16}"
 decode_ceiling=2150
 record_ceiling=2250
 seal_ceiling=10750
-submit_ceiling=3400
+multiexp_ceiling=9
+submit_ceiling=3200
 single_ceiling=6100
 
 fail=0
 
-# check <label> <package> <bench-regex> <bench-name-prefix> <ceiling> <hint>
+# check <label> <package> <bench-regex> <bench-name-prefix> <ceiling> <hint> [-cpu list]
 check() {
     label="$1"; pkg="$2"; bench="$3"; prefix="$4"; ceiling="$5"; hint="$6"
-    out=$(go test "$pkg" -run '^$' -bench "$bench" -benchmem -benchtime 50x -count=1)
+    shift 6
+    out=$(go test "$pkg" -run '^$' -bench "$bench" -benchmem -benchtime 50x -count=1 "$@")
     echo "$out"
     allocs=$(echo "$out" | awk -v p="$prefix" '$1 ~ "^"p {
         for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
@@ -84,6 +94,8 @@ check "record-decode" ./internal/vdp 'BenchmarkDecodeArrivalRecords/v2$' 'Benchm
     "$record_ceiling" "the hinted arrival-record decode is allocating per point"
 check "seal-decode" ./internal/vdp 'BenchmarkDecodeProverSection/v2$' 'BenchmarkDecodeProverSection/v2' \
     "$seal_ceiling" "the hinted seal decode is allocating per span or per point"
+check "multiexp" ./internal/ec 'BenchmarkFastMultiExp/192$' 'BenchmarkFastMultiExp/192' \
+    "$multiexp_ceiling" "P256MultiExp allocates its bucket scratch per call again" -cpu 2
 check "submit-batch" ./internal/vdp 'BenchmarkSubmitBatch$' 'BenchmarkSubmitBatch' \
     "$submit_ceiling" "SubmitBatch is back to per-client tasks or per-client buffers"
 check "submit" . 'BenchmarkSessionSubmit/eager$' 'BenchmarkSessionSubmit/eager' \
