@@ -588,9 +588,7 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P25
 	if workers > len(starts)-1 {
 		workers = len(starts) - 1
 	}
-	// sums[w] = Σᵢ digitᵢ(w)·Pᵢ. Runs are handed out lowest first: the low
-	// windows hold every term, the top ones only the long scalars, so the
-	// expensive runs start earliest.
+	// sums[w] = Σᵢ digitᵢ(w)·Pᵢ, summed run by run, lowest run first.
 	sums := make([]P256Point, numWin)
 	var next atomic.Int32
 	sumRuns := func() {
