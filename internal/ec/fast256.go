@@ -481,10 +481,13 @@ const (
 const p256MaxWindow = 13
 
 // p256RunEntries bounds the bucket entries of one run of windows, and so a
-// worker's scratch at ≈ 52 bytes an entry (p256Run): ≈ 420 KiB. Only a
+// worker's scratch at ≈ 52 bytes an entry (p256Run): ≈ 210 KiB. Only a
 // single window with more terms than this exceeds it, by its own term
-// count.
-const p256RunEntries = 1 << 13
+// count. Pooled scratch is live heap, which sets the collector's goal, so
+// the budget trades resident memory (2¹³ entries raised the benchmark's
+// node-single peak by ≈ 0.8 MiB more) against the inversions of the extra
+// runs a smaller one cuts a large product into.
+const p256RunEntries = 1 << 12
 
 // p256PippengerWindow picks the signed-bucket window width c for one
 // product from a cost model: reach[b] is the number of terms
