@@ -469,9 +469,13 @@ func (t *P256Table) Mul(r *P256Point, k fp256.Element) {
 
 // Field multiplications per point operation (M and S both counted as one):
 // the currency of the window cost model below and of the budget tables in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. A batch-affine bucket addition is 5M + 1S (3M of it
+// Montgomery's trick) but counts 7: its six additions and subtractions and
+// its loads weigh more beside six multiplications than beside the other
+// operations' eleven or sixteen, and at 7 the model picks the window a
+// sweep of every width measures fastest (EXPERIMENTS.md).
 const (
-	costBucketAdd = 6  // a batch-affine bucket addition, 5M + 1S (3M of it Montgomery's trick)
+	costBucketAdd = 7  // a batch-affine bucket addition
 	costMixedAdd  = 11 // AddAffine, 7M + 4S
 	costAdd       = 16 // Add, 11M + 5S
 	costDouble    = 8  // Double, 3M + 5S

@@ -491,11 +491,11 @@ func TestPippengerWindowModel(t *testing.T) {
 	}
 	// Two sizes worked by hand in EXPERIMENTS.md: the collapse's 2^c
 	// general additions outweigh the fill well before c reaches log₂ n.
-	if c := uniform(256, 256); c != 5 {
-		t.Fatalf("256 full-length terms: window %d, want 5", c)
+	if c := uniform(256, 256); c != 6 {
+		t.Fatalf("256 full-length terms: window %d, want 6", c)
 	}
-	if c := uniform(8192, 256); c != 9 {
-		t.Fatalf("8192 full-length terms: window %d, want 9", c)
+	if c := uniform(8192, 256); c != 10 {
+		t.Fatalf("8192 full-length terms: window %d, want 10", c)
 	}
 }
 
