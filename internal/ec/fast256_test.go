@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/elliptic"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -444,11 +445,11 @@ func TestFastMultiExpAllShort(t *testing.T) {
 // TestFastMultiExpSmallStaysOnCaller: below p256ParallelMultiExp terms a
 // product hands nothing to another goroutine whatever workers says — it
 // allocates exactly what the one-worker call does — while one term more
-// pays for the hand-off, which is what shows the probe can see one.
+// pays for the hand-off, which is what shows the probe can see one. The
+// scratch is pooled, and a pool may drop an item (at random under the race
+// detector, at a collection otherwise), which only adds allocations: each
+// count is the least of many single calls.
 func TestFastMultiExpSmallStaysOnCaller(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the bucket scratch is pooled, and sync.Pool drops items at random under the race detector")
-	}
 	rng := rand.New(rand.NewSource(23))
 	points := make([]P256Affine, p256ParallelMultiExp)
 	scalars := make([]fp256.Element, len(points))
@@ -458,7 +459,11 @@ func TestFastMultiExpSmallStaysOnCaller(t *testing.T) {
 		scalars[i] = limbsFromBigTest(randScalarBig(rng))
 	}
 	allocs := func(n, workers int) float64 {
-		return testing.AllocsPerRun(20, func() { P256MultiExp(points[:n], scalars[:n], workers) })
+		least := math.Inf(1)
+		for range 30 {
+			least = min(least, testing.AllocsPerRun(1, func() { P256MultiExp(points[:n], scalars[:n], workers) }))
+		}
+		return least
 	}
 	for _, n := range []int{p256SmallMultiExp - 1, p256SmallMultiExp, p256ParallelMultiExp - 1} {
 		if one, many := allocs(n, 1), allocs(n, 8); many != one {
