@@ -17,9 +17,10 @@ package ec
 //
 // All functions mutate receiver/out parameters in place and allocate only
 // where documented, which is what drives the commit path to near-zero
-// allocs/op; P256MultiExp's scratch comes from pools. The math/big Curve in this package remains the reference
-// implementation; fast256_test.go proves the two agree (and agree with
-// crypto/elliptic) on randomized corpora and adversarial edge cases.
+// allocs/op; P256MultiExp's bucket scratch comes from a pool. The math/big
+// Curve in this package remains the reference implementation;
+// fast256_test.go proves the two agree (and agree with crypto/elliptic) on
+// randomized corpora and adversarial edge cases.
 
 import (
 	"errors"
@@ -591,6 +592,8 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P25
 	if n < p256ParallelMultiExp || workers < 1 {
 		workers = 1
 	}
+	digits := make([]int16, numWin*n)
+	p256SignedDigits(digits, points, scalars, c)
 	starts := p256Runs(&reach, c, numWin, workers)
 	if workers > len(starts)-1 {
 		workers = len(starts) - 1
@@ -607,9 +610,7 @@ func P256MultiExp(points []P256Affine, scalars []fp256.Element, workers int) P25
 				return
 			}
 			w0, w1 := starts[r], starts[r+1]
-			s.digits = resize(s.digits, (w1-w0)*n)
-			p256SignedDigits(s.digits, points, scalars, c, w0, w1 == numWin)
-			s.fill(n, c)
+			s.fill(digits[w0*n:w1*n], n, c)
 			s.reduce(points)
 			s.collapse(sums[w0:w1], 1<<(c-1))
 		}
@@ -675,24 +676,20 @@ func p256Runs(reach *[258]int, c uint, numWin, workers int) []int {
 	return append(starts, numWin)
 }
 
-// p256SignedDigits writes the signed digits of every term in the windows
-// from w0 on into digits, window-major, n = len(points) a window; a point
-// at infinity has none. Window values above 2^(c−1) borrow from the next
-// window, so digits lie in (−2^(c−1), 2^(c−1)]; top says the run ends at
-// the top window, which absorbs the last borrow.
-func p256SignedDigits(digits []int16, points []P256Affine, scalars []fp256.Element, c uint, w0 int, top bool) {
+// p256SignedDigits writes the signed digits of every term into digits,
+// window-major, n = len(points) a window; a point at infinity has none.
+// Window values above 2^(c−1) borrow from the next window, so digits lie in
+// (−2^(c−1), 2^(c−1)]; the top window absorbs the last borrow.
+func p256SignedDigits(digits []int16, points []P256Affine, scalars []fp256.Element, c uint) {
 	n := len(points)
 	half := int32(1) << (c - 1)
 	for i := range points {
 		if points[i].inf {
-			for j := i; j < len(digits); j += n {
-				digits[j] = 0
-			}
 			continue
 		}
 		k := &scalars[i]
-		carry := p256Borrow(k, c, w0)
-		for j, w := i, w0; j < len(digits); j, w = j+n, w+1 {
+		carry := int32(0)
+		for j, w := i, 0; j < len(digits); j, w = j+n, w+1 {
 			d := p256WindowBits(k, c, w) + carry
 			carry = 0
 			if d > half {
@@ -701,27 +698,10 @@ func p256SignedDigits(digits []int16, points []P256Affine, scalars []fp256.Eleme
 			}
 			digits[j] = int16(d)
 		}
-		if top && carry != 0 {
+		if carry != 0 {
 			panic("ec: P256MultiExp scalar overflow")
 		}
 	}
-}
-
-// p256Borrow returns the borrow window w of k receives from below: window
-// w−1 borrows when its bits plus its own borrow exceed 2^(c−1), so bits
-// above 2^(c−1) borrow, bits below do not, and bits equal to it pass on
-// what they received — a scan down to the first window that decides.
-func p256Borrow(k *fp256.Element, c uint, w int) int32 {
-	half := int32(1) << (c - 1)
-	for w--; w >= 0; w-- {
-		if v := p256WindowBits(k, c, w); v != half {
-			if v > half {
-				return 1
-			}
-			return 0
-		}
-	}
-	return 0
 }
 
 // p256Run is one worker's scratch for a run of windows. The run's terms
@@ -732,17 +712,15 @@ func p256Borrow(k *fp256.Element, c uint, w int) int32 {
 // holds its pair's denominator and prefix product. It comes from
 // p256RunPool, and each slice grows to the largest run it has served, at
 // most p256RunEntries entries or one window's terms: 4 bytes an entry,
-// 64 a first-round sum and 64 a second-round sum, ≈ 52 an entry, and the
-// run's signed digits, two bytes a term a window.
+// 64 a first-round sum and 64 a second-round sum, ≈ 52 an entry.
 type p256Run struct {
-	digits []int16  // window-major: digits[w*n+i] is digitᵢ(w0+w)
-	place  []uint32 // term<<1 | 1 if the point goes in negated
-	ents   []p256XY
-	src    []int32    // per bucket: first placement
-	at     [2][]int32 // per bucket: first slot in each area of ents
-	cnt    []int32    // per bucket: entries left
-	sums   []int32    // per bucket: sums the round writes
-	final  int        // the area that holds the reduced buckets
+	place []uint32 // term<<1 | 1 if the point goes in negated
+	ents  []p256XY
+	src   []int32    // per bucket: first placement
+	at    [2][]int32 // per bucket: first slot in each area of ents
+	cnt   []int32    // per bucket: entries left
+	sums  []int32    // per bucket: sums the round writes
+	final int        // the area that holds the reduced buckets
 }
 
 var p256RunPool = sync.Pool{New: func() any { return new(p256Run) }}
@@ -759,15 +737,15 @@ func resize[T any](s []T, n int) []T {
 // 2^(c−1) a window: bucket w·2^(c−1) + |d|−1 of the run receives ±Pᵢ for
 // every digit d = digitᵢ(w) ≠ 0, in term order. A first pass counts each
 // bucket's entries, a second places them.
-func (s *p256Run) fill(n int, c uint) {
-	buckets := len(s.digits) / n << (c - 1)
+func (s *p256Run) fill(digits []int16, n int, c uint) {
+	buckets := len(digits) / n << (c - 1)
 	s.src = resize(s.src, buckets)
 	s.at[0] = resize(s.at[0], buckets)
 	s.at[1] = resize(s.at[1], buckets)
 	s.sums = resize(s.sums, buckets)
 	s.cnt = resize(s.cnt, buckets)
 	clear(s.cnt)
-	s.sort(n, c, false)
+	s.sort(digits, n, c, false)
 	var entries, first, second int32 // a bucket of m entries holds ⌈m/2⌉ after one round, ⌈m/4⌉ after two
 	for b, m := range s.cnt {
 		s.src[b], s.at[0][b], s.at[1][b] = entries, first, second
@@ -781,15 +759,15 @@ func (s *p256Run) fill(n int, c uint) {
 	}
 	s.place = resize(s.place, int(entries))
 	s.ents = resize(s.ents, int(first+second))
-	s.sort(n, c, true)
+	s.sort(digits, n, c, true)
 }
 
 // sort counts every nonzero digit in its bucket and, when place is set,
 // also writes the term into the bucket's next placement.
-func (s *p256Run) sort(n int, c uint, place bool) {
-	for lo := 0; lo < len(s.digits); lo += n {
+func (s *p256Run) sort(digits []int16, n int, c uint, place bool) {
+	for lo := 0; lo < len(digits); lo += n {
 		first := int32(lo/n) << (c - 1) // the window's bucket for digit 1
-		for i, d := range s.digits[lo : lo+n] {
+		for i, d := range digits[lo : lo+n] {
 			if d == 0 {
 				continue
 			}

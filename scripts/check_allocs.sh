@@ -31,23 +31,23 @@
 #                 the hinted decode allocating per span or per point.
 #   multiexp      BenchmarkFastMultiExp/192 (internal/ec) at -cpu 2: one
 #                 192-term product, a 64-member admission frame's, on two
-#                 workers. 6 allocs/op (the window sums, the run cuts, the
-#                 hand-off), 7 when a collection empties the pools during
-#                 the run; the digits, placements, bucket sums and bucket
-#                 offsets come from a pool and the ceiling catches them
-#                 being allocated per call again, ≈ 10 more. Pinned to two
-#                 cores because each further worker adds about one.
+#                 workers. 7 allocs/op (the digits, the window sums, the
+#                 run cuts, the hand-off), 8 when a collection empties the
+#                 pool during the run; the placements, bucket sums and
+#                 bucket offsets come from a pool and the ceiling catches
+#                 them being allocated per call again, ≈ 14 more. Pinned to
+#                 two cores because each further worker adds about one.
 #   submit-batch  BenchmarkSubmitBatch (internal/vdp): a 64-client batch
 #                 through Session.SubmitBatch (admission + folded Σ-OR
 #                 verification, every share opening folded into the same
-#                 check). 2920 allocs/op at two cores (≈46 per client; the
+#                 check). 2921 allocs/op at two cores (≈46 per client; the
 #                 frame's multi-exponentiation adds about one per extra worker);
 #                 the ceiling catches the batch path degenerating into
 #                 per-client engine tasks, per-client encode buffers or
 #                 per-claim scalar temporaries in the fold.
 #   submit        BenchmarkSessionSubmit/eager (root package): 64 single
 #                 arrivals through Session.Submit, each a batch of one
-#                 through the same SubmitBatch. 5782 allocs/op (≈90 per
+#                 through the same SubmitBatch. 5462 allocs/op (≈85 per
 #                 arrival, ≈7 of them the one-element slices and the sync
 #                 channel a batch of one still sets up); the ceiling
 #                 catches the wrapper growing a per-arrival allocation
@@ -61,7 +61,7 @@ record_ceiling=2250
 seal_ceiling=10750
 multiexp_ceiling=9
 submit_ceiling=3200
-single_ceiling=6100
+single_ceiling=6000
 
 fail=0
 
