@@ -524,7 +524,7 @@ const p256SmallMultiExp = 8
 
 // p256ParallelMultiExp is the term count below which a product stays on the
 // calling goroutine whatever workers says. Products that small (a Coins-8
-// coin check is 24 terms, 0.5 ms) run inside a per-prover fan-out or on an
+// coin check is 24 terms, 0.4 ms) run inside a per-prover fan-out or on an
 // admission path whose cores are already taken, where a hand-off and a
 // second run's inversions buy nothing.
 const p256ParallelMultiExp = 32
