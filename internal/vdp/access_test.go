@@ -178,7 +178,9 @@ func TailAuditLog(pub *Public, log store.Log, opts TailOptions) (*TailAuditor, e
 	if err != nil {
 		return nil, err
 	}
-	return newTailAuditor(pub, opts, shardSegments, 0, 1, t), nil
+	a := newTailAuditor(pub, opts, shardSegments, 0, 1, tailWindow)
+	a.tailer = t
+	return a, nil
 }
 
 // Epoch returns the epoch the tail is currently following.
@@ -192,7 +194,7 @@ func (a *TailAuditor) Epoch() int {
 func (a *TailAuditor) Records() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.recIdx
+	return a.g.fed
 }
 
 // Err returns the sticky audit failure, if any.

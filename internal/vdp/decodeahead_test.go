@@ -12,13 +12,15 @@ import (
 	"repro/internal/store"
 )
 
-// The Replay-driven readers (every audit and every resume funnels into
-// auditLogEpoch and resumeSessionFromSource) decode a window of records
-// ahead of the grammar, on several goroutines, and the audit's epoch
-// verifier decides board proofs a window of submissions at a time. Nothing a
-// reader returns may depend on where the windows fall or how many goroutines
-// decode them: the reference is the window of one record on one worker,
-// which is the record-by-record reader.
+// Every reader of a board log decodes through one windowed drain
+// (boardGrammar.replay): resume (resumeSessionFromSource), the offline audit
+// (a TailAuditor drained over the log's Replay) and the live tail (the same
+// auditor drained by Poll over a tailer) decode a window of records ahead of
+// the grammar, on several goroutines, and the auditors' epoch verifier
+// decides board proofs a window of submissions at a time. Nothing a reader
+// returns may depend on where the windows fall or how many goroutines decode
+// them: the reference is the window of one record on one worker, which is
+// the record-by-record reader.
 
 // sweptLog is one board log and what its readers are told about it.
 type sweptLog struct {
@@ -29,7 +31,7 @@ type sweptLog struct {
 }
 
 // readerSweepMu serialises readers that run in parallel subtests with the
-// sweeps that move decodeAhead and auditWindow under them.
+// sweeps that move decodeAhead, auditWindow and tailWindow under them.
 var readerSweepMu sync.Mutex
 
 // readOutcome is everything one reader returned that a caller can see.
@@ -56,15 +58,28 @@ func (o readOutcome) String() string {
 	return "ok " + o.summary
 }
 
-// sweepReaders reads l with both readers at decode-ahead windows 1, 2, 7
-// and 256 and at 1 and 4 workers — the audit also at epoch-verifier flush
-// windows (auditWindow) 1, 2, 7 and 4096, paired with the decode windows in
-// order and crossed at the extremes — and fails the test unless every
-// combination returns what the record-by-record reader (all three at 1)
-// returns: the same verdict, the same boardLogError{Index, Offset, Epoch,
-// Reason}, and on success the same verified digest and sealed roster or the
-// same resumed session and appended records. The caller must not be running
-// other readers concurrently unless they hold readerSweepMu.
+// auditedEpoch is AuditLog's reader over log, pinned to shard of shards:
+// what it verified of epoch.
+func auditedEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers, shard, shards int) (sealedEpoch, error) {
+	a := newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, shard, shards, auditWindow)
+	if err := a.audit(ctx, log, epoch); err != nil {
+		return sealedEpoch{}, err
+	}
+	s, _, _ := a.verified(epoch)
+	return s, nil
+}
+
+// sweepReaders reads l with resume, the offline audit of every epoch and a
+// live tail drained by one Poll over a MemLog tailer, at decode-ahead
+// windows 1, 2, 7 and 256 and at 1 and 4 workers — the auditors also at
+// epoch-verifier flush windows (auditWindow for the audit, tailWindow for
+// the tail) 1, 2, 7 and 4096, paired with the decode windows in order and
+// crossed at the extremes — and fails the test unless every combination
+// returns what the record-by-record reader (all three at 1) returns: the
+// same verdict, the same boardLogError{Index, Offset, Epoch, Reason}, and on
+// success the same verified digests and sealed rosters or the same resumed
+// session and appended records. The caller must not be running other
+// readers concurrently unless they hold readerSweepMu.
 func sweepReaders(t testing.TB, l sweptLog) {
 	t.Helper()
 	ctx := context.Background()
@@ -96,38 +111,58 @@ func sweepReaders(t testing.TB, l sweptLog) {
 			}
 			return readOutcome{summary: sum}
 		},
-	}
-	audits := map[string]bool{}
-	for epoch := 0; epoch < epochs; epoch++ {
-		who := fmt.Sprintf("audit of epoch %d", epoch)
-		audits[who] = true
-		readers[who] = func(workers int) readOutcome {
-			digest, roster, err := auditLogEpoch(ctx, l.pub, memLogOf(t, l.recs), epoch, workers, l.shard, l.shards)
+		"tail": func(workers int) readOutcome {
+			tailer, err := memLogOf(t, l.recs).ReadFrom(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := newTailAuditor(l.pub, TailOptions{Workers: workers, Budget: l.opts.Budget}, shardSegments, l.shard, l.shards, tailWindow)
+			a.tailer = tailer
+			defer a.Close()
+			n, err := a.Poll()
 			if err != nil {
 				return readOutcome{err: err}
 			}
-			return readOutcome{summary: fmt.Sprintf("%x %v", digest, roster)}
+			sum := fmt.Sprintf("%d records, epoch %d, sealed:", n, a.g.epoch)
+			for epoch := 0; epoch < epochs; epoch++ {
+				if s, ok, _ := a.verified(epoch); ok {
+					sum += fmt.Sprintf(" %d/%x/%v", epoch, s.digest, s.roster)
+				}
+			}
+			return readOutcome{summary: sum}
+		},
+	}
+	windowed := map[string]bool{"tail": true}
+	for epoch := 0; epoch < epochs; epoch++ {
+		who := fmt.Sprintf("audit of epoch %d", epoch)
+		windowed[who] = true
+		readers[who] = func(workers int) readOutcome {
+			s, err := auditedEpoch(ctx, l.pub, memLogOf(t, l.recs), epoch, workers, l.shard, l.shards)
+			if err != nil {
+				return readOutcome{err: err}
+			}
+			return readOutcome{summary: fmt.Sprintf("%x %v", s.digest, s.roster)}
 		}
 	}
-	oldAhead, oldAudit := decodeAhead, auditWindow
-	defer func() { decodeAhead, auditWindow = oldAhead, oldAudit }()
-	// (decode window, audit window): each of both, paired in order, then the
-	// extremes crossed, which only the audit reads differently.
+	oldAhead, oldAudit, oldTail := decodeAhead, auditWindow, tailWindow
+	defer func() { decodeAhead, auditWindow, tailWindow = oldAhead, oldAudit, oldTail }()
+	// (decode window, verifier window): each of both, paired in order, then
+	// the extremes crossed, which only the auditors read differently.
 	windows := [][2]int{{1, 1}, {2, 2}, {7, 7}, {256, 4096}, {1, 4096}, {256, 1}}
 	for who, read := range readers {
-		decodeAhead, auditWindow = 1, 1
+		decodeAhead, auditWindow, tailWindow = 1, 1, 1
 		want := read(1)
 		for i, w := range windows {
-			if i >= 4 && !audits[who] {
+			if i >= 4 && !windowed[who] {
 				continue
 			}
 			for _, workers := range []int{1, 4} {
 				if w == windows[0] && workers == 1 {
 					continue // the reference itself
 				}
-				decodeAhead, auditWindow = w[0], w[1]
+				decodeAhead, auditWindow, tailWindow = w[0], w[1], w[1]
 				if got := read(workers); !got.same(want) {
-					t.Fatalf("%s, window %d, audit window %d, %d workers: %v\nrecord by record: %v", who, w[0], w[1], workers, got, want)
+					t.Fatalf("%s, window %d, verifier window %d, %d workers: %v\nrecord by record: %v", who, w[0], w[1], workers, got, want)
 				}
 			}
 		}

@@ -83,7 +83,8 @@
 // segmentKind (shardSegments, rowSegments) that also parameterises the
 // segmented readers. The merged audit is one function too, auditMerged,
 // which AuditSegmentedLog runs over a directory and AuditMergedLogs over K
-// nodes' logs. The two
+// nodes' logs; it drains the live tail's merged reader (SegmentedTail) to
+// the seal and holds it to the one merge check, VerifyMerged. The two
 // exported types keep only what differs: ShardOf routing and MergeReleases;
 // the row-0 admission gate and assembleSketch. segmented.go is the single
 // place to change a lifecycle rule; the frame dispatch that serves any of

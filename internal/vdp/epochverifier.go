@@ -16,16 +16,21 @@ import "context"
 //   - the seal, by checkSeal against that product: work independent of how
 //     many clients the epoch admitted.
 //
-// TailAuditor drives it one record at a time and auditLogEpoch through
-// boardGrammar.replay, so an offline audit is the live tail run to the seal.
-// The two differ only in when the batched check runs. The tail flushes every
-// tailWindow submissions, and at once when a verdict needs a submission the
-// window has not decided, so the Feed of a divergent verdict returns its
-// error. The audit flushes every auditWindow submissions and at the seal: a
-// verdict waits for the flush with its own record position, and the wait
-// ends before the reader reports anything later — at the seal, at the
-// epoch's boundary, or before a grammar or store error is returned — so the
-// blame still falls on the lowest-index divergent record.
+// A TailAuditor drives it, and every reader that audits is one: the live
+// tail's Poll and the offline audit (AuditLog, the merged audits) alike feed
+// it the events of boardGrammar.replay's windowed decode, in log order, and
+// settle it before the drain returns, so an offline audit is the live tail
+// run to the seal. The drains differ only in their source and their window.
+// Poll drains the auditor's tailer, reading every record in full, and
+// flushes every tailWindow submissions. The offline audit drains the log's
+// Replay, reading the audited epoch in full and skimming the rest, and
+// flushes every auditWindow submissions and at the seal. Feed, the
+// one-record entry, settles after its record, so the Feed of a divergent
+// verdict returns its error. Between flushes a verdict whose submission is
+// undecided waits with its own record position, and the wait ends before
+// the reader reports anything later — at the seal, at the epoch's boundary,
+// or before a grammar or store error is returned — so the blame still falls
+// on the lowest-index divergent record.
 
 // tailWindow is how many undecided submissions a live tail holds before one
 // batched Σ-OR check decides them. A bigger window amortizes the
@@ -130,9 +135,8 @@ func (v *epochVerifier) unpend(c *verifiedClient) {
 	v.pending, c.slot = v.pending[:len(v.pending)-1], -1
 }
 
-// settle judges every waiting verdict, flushing the window they wait on. The
-// tail settles after every record, a reader that is not live before it
-// reports anything past the verdicts.
+// settle judges every waiting verdict, flushing the window they wait on. A
+// drain settles before it reports anything past the verdicts.
 func (v *epochVerifier) settle(ctx context.Context) error {
 	if len(v.verdicts) == 0 {
 		return nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -14,8 +16,10 @@ import (
 //
 // Every party that reads a board log — the restarting server
 // (ResumeSession), the offline auditor (AuditLog) and the live tail
-// (TailAuditor) — feeds its records through a boardGrammar and acts on the
-// events it emits; the two auditors hand them on to one epochVerifier. Every
+// (TailAuditor) — feeds its records through a boardGrammar, by one windowed
+// drain (replay), and acts on the events it emits; the two auditors are one
+// TailAuditor, drained offline or live, which hands them on to one
+// epochVerifier. Every
 // accept/reject rule of the record grammar lives in feed below and nowhere
 // else, so the three readers cannot disagree about which logs a Session can
 // have written: a log one of them refuses, all of them refuse, at the same
@@ -129,6 +133,7 @@ type boardGrammar struct {
 	seal     []byte // sealed transcript of the current epoch, when fed in full
 	chunks   sealAssembly
 
+	fed    int // records consumed: the index the next record takes
 	index  int // position of the record in flight, for errorf
 	offset int64
 	err    error // the sticky first violation
@@ -163,26 +168,6 @@ func (p *Public) decodeSubmission(rec *store.Record) (d submissionDecode) {
 		d.sub, d.err = p.DecodeClientSubmission(rec.Payload)
 	}
 	return d
-}
-
-// Feed consumes one record in full: submissions are decoded, the seal is
-// checked against the roster, a snapshot against the seal it pins.
-func (g *boardGrammar) Feed(rec *store.Record, index int, offset int64) (boardEvent, error) {
-	if g.err != nil {
-		return boardEvent{}, g.err // a machine that refused its log decodes nothing more
-	}
-	return g.feed(rec, index, offset, true, g.pub.decodeSubmission(rec))
-}
-
-// Skim consumes one record enforcing the same grammar but none of the
-// evidence checks that cost a decode: the client ID is peeked off the
-// submission's fixed offset, the seal is not compared with the roster and a
-// snapshot's digest is taken on trust. Readers use it for the epochs they
-// are not asked about — AuditLog for every epoch but the audited one,
-// ResumeSession for everything a snapshot vouches for.
-func (g *boardGrammar) Skim(rec *store.Record, index int, offset int64) error {
-	_, err := g.feed(rec, index, offset, false, submissionDecode{})
-	return err
 }
 
 // errorf stamps a failure with the position of the record in flight.
@@ -238,29 +223,68 @@ func (g *boardGrammar) nextEpoch() {
 // so tests can shrink it to put a window boundary anywhere on a small board.
 var decodeAhead = 256
 
-// replay reads a whole log through the machine: the records full selects
-// are fed in full, every other one skimmed, and on is handed the event of
-// each record fed in full. Decoding a submission is most of the cost of
+// recordSource streams board-log records in append order, each with its
+// byte offset (-1 when the source has none), to fn, stopping at the first
+// error fn returns and returning it.
+type recordSource func(fn func(rec *store.Record, off int64) error) error
+
+// replayed reads a whole log in one sequential Replay; its records carry no
+// offsets.
+func replayed(log Replayer) recordSource {
+	return func(fn func(*store.Record, int64) error) error {
+		return log.Replay(func(rec *store.Record) error { return fn(rec, -1) })
+	}
+}
+
+// tailed drains a tailer up to the first record it does not hold yet.
+func tailed(t store.Tailer) recordSource {
+	return func(fn func(*store.Record, int64) error) error {
+		for {
+			rec, off, err := t.Next()
+			if errors.Is(err, store.ErrNoRecord) {
+				return nil
+			}
+			if err == nil {
+				err = fn(rec, off)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// replay is the one read of a stretch of log: it feeds every record src
+// streams through the machine, the records full selects (by log index) in
+// full and every other one skimmed, and hands on the event of each record
+// fed in full. Skimming enforces the same grammar but none of the evidence
+// checks that cost a decode: the client ID is peeked off the submission's
+// fixed offset, the seal is not compared with the roster and a snapshot's
+// digest is taken on trust. Decoding a submission is most of the cost of
 // reading it and needs no state, so the records fed in full are buffered a
 // window at a time, decoded on up to workers goroutines, and only then fed —
 // in log order, by this goroutine, so the first violation and its position
-// are what a record-by-record Feed would have reported.
-func (g *boardGrammar) replay(ctx context.Context, log Replayer, workers int,
+// are what a record-by-record reader would have reported.
+func (g *boardGrammar) replay(ctx context.Context, src recordSource, workers int,
 	full func(i int, rec *store.Record) bool, on func(boardEvent) error) error {
+	type held struct {
+		rec *store.Record
+		off int64
+	}
 	var (
-		window []*store.Record
-		first  int // log index of window[0]
+		window []held
+		decs   []submissionDecode
 	)
 	flush := func() error {
-		decs := make([]submissionDecode, len(window))
+		decs = slices.Grow(decs[:0], len(window))[:len(window)]
 		if err := forEach(ctx, workers, len(window), func(k int) error {
-			decs[k] = g.pub.decodeSubmission(window[k])
+			decs[k] = g.pub.decodeSubmission(window[k].rec)
 			return nil
 		}); err != nil {
 			return err
 		}
-		for k, rec := range window {
-			ev, err := g.feed(rec, first+k, -1, true, decs[k])
+		for k, h := range window {
+			ev, err := g.feed(h.rec, h.off, true, decs[k])
 			if err == nil {
 				err = on(ev)
 			}
@@ -268,53 +292,47 @@ func (g *boardGrammar) replay(ctx context.Context, log Replayer, workers int,
 				return err
 			}
 		}
+		// Let go of the window's records and decodes before the next one
+		// is read: only the verifier keeps what it still needs.
+		clear(window)
+		clear(decs)
 		window = window[:0]
 		return nil
 	}
-	i := -1
-	take := func(rec *store.Record) error {
-		i++
-		if !full(i, rec) {
-			if err := flush(); err != nil {
-				return err
+	var stopped error // a record's own error, which stops the source
+	err := src(func(rec *store.Record, off int64) error {
+		if !full(g.fed+len(window), rec) {
+			if stopped = flush(); stopped == nil {
+				_, stopped = g.feed(rec, off, false, submissionDecode{})
 			}
-			return g.Skim(rec, i, -1)
+		} else if window = append(window, held{rec, off}); len(window) >= decodeAhead {
+			stopped = flush()
 		}
-		if len(window) == 0 {
-			first = i
-		}
-		window = append(window, rec)
-		if len(window) >= decodeAhead {
-			return flush()
-		}
-		return nil
-	}
-	var stopped error
-	err := log.Replay(func(rec *store.Record) error {
-		stopped = take(rec)
 		return stopped
 	})
 	if stopped != nil {
 		return err
 	}
-	// The log ended, or the store failed under it: the records it did hand
-	// over are judged first, as they would have been one by one.
+	// The source ran dry, or failed under the reader: the records it did
+	// hand over are judged first, as they would have been one by one.
 	if ferr := flush(); ferr != nil {
 		return ferr
 	}
 	return err
 }
 
-func (g *boardGrammar) feed(rec *store.Record, index int, offset int64, full bool, dec submissionDecode) (boardEvent, error) {
+func (g *boardGrammar) feed(rec *store.Record, offset int64, full bool, dec submissionDecode) (boardEvent, error) {
 	if g.err != nil {
 		return boardEvent{}, g.err
 	}
-	g.index, g.offset = index, offset
+	g.index, g.offset = g.fed, offset
 	ev, err := g.step(rec, full, dec)
 	if err != nil {
 		g.err = err
+		return ev, err
 	}
-	return ev, err
+	g.fed++
+	return ev, nil
 }
 
 // step is the grammar. Each rule names the Session behaviour that makes it

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/elliptic"
 	"errors"
+	"fmt"
 	"math/big"
 	"strings"
 	"sync"
@@ -925,7 +926,27 @@ func checkGrammarAgreement(t *testing.T, pub *Public, base *fuzzBase, recs []*st
 	}
 
 	blind := NewTailAuditor(pub, TailOptions{Workers: 1})
-	if blindErr := feedAll(blind, recs); blindErr != nil {
+	blindErr := feedAll(blind, recs)
+	// The same tail drained by Poll, a window of records decoded ahead on
+	// the pool and its verdicts settled when the drain ends, says what the
+	// record-by-record Feed said: the same refusal at the same record, and
+	// the same certified epochs.
+	polled, err := TailAuditLog(pub, memLogOf(t, recs), TailOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer polled.Close()
+	if _, pollErr := polled.Poll(); fmt.Sprint(pollErr) != fmt.Sprint(blindErr) {
+		t.Fatalf("the polled tail said %v, the fed tail %v", pollErr, blindErr)
+	}
+	for epoch := 0; epoch <= max(blind.Epoch(), polled.Epoch()); epoch++ {
+		fed, _ := blind.VerifiedDigest(epoch)
+		got, _ := polled.VerifiedDigest(epoch)
+		if !bytes.Equal(fed, got) {
+			t.Fatalf("epoch %d: the polled tail certified %x, the fed tail %x", epoch, got, fed)
+		}
+	}
+	if blindErr != nil {
 		at := sameRecord(blind, blindErr, "", nil)
 		auditErr := AuditLog(ctx, pub, memLogOf(t, recs), at.Epoch, 1)
 		if auditErr == nil {

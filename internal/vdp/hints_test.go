@@ -103,13 +103,13 @@ func TestV1BoardStillReads(t *testing.T) {
 	if err := AuditLog(ctx, pub, ro, 0, 2); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	digest, roster, err := auditLogEpoch(ctx, pub, ro, 0, 2, 0, 1)
+	s, err := auditedEpoch(ctx, pub, ro, 0, 2, 0, 1)
 	if err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	wantDigest(t, "audit", digest, v1BoardDigest0)
-	if len(roster) != 3 {
-		t.Fatalf("audit roster %v, want three clients", roster)
+	wantDigest(t, "audit", s.digest, v1BoardDigest0)
+	if len(s.roster) != 3 {
+		t.Fatalf("audit roster %v, want three clients", s.roster)
 	}
 
 	tail := NewTailAuditor(pub, TailOptions{Workers: 2})

@@ -17,9 +17,9 @@ import (
 // lifecycle consists of lives here exactly once: construction of fresh and
 // resumed boards, finalize (SealMerged, the merge step the cluster router
 // takes too, over Session.Seal) with its retry/consumed rules, Reset,
-// Compact, and healing a missing merged seal. The readers (auditSegments,
-// tailSegments) are the read-side counterpart, parameterised by the same
-// kinds.
+// Compact, and healing a missing merged seal. The merged reader
+// (SegmentedTail, which auditMerged drains offline and tailSegments opens
+// live) is the read-side counterpart, parameterised by the same kinds.
 
 // segmentKind is the one thing the two segmented boards disagree on: how a
 // client's records spread over the segments. Everything else — per-segment

@@ -198,53 +198,36 @@ func (b *MergedSeals) Get(epoch int) (sealed int, digest []byte, ok bool) {
 	return epoch, digest, ok
 }
 
-// auditSegments audits one epoch across the per-segment board logs of a
-// segmented or multi-node board, in segment order: each log is audited
-// exactly as AuditLog audits a single board log — grammar over the whole
-// log, seal cross-checked against the log's own arrival records, every
-// verdict and the seal verified — pinned as its kind pins it (a client on a
-// foreign shard fails at its submission record; on two shards it cannot
-// be), the sealed rosters must pass the kind's roster rule (checkRosters),
-// and the merged digest over the verified per-log digests is returned.
-func auditSegments(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, kind segmentKind) ([]byte, error) {
-	if len(logs) == 0 {
-		return nil, fmt.Errorf("%w: no board logs to audit", ErrAuditFail)
-	}
-	digests := make([][]byte, len(logs))
-	rosters := make([][]int, len(logs))
-	for i, lg := range logs {
-		shard, shards := kind.pin(i, len(logs))
-		digest, roster, err := auditLogEpoch(ctx, pub, lg, epoch, workers, shard, shards)
-		if err != nil {
-			return nil, fmt.Errorf("%s %d: %w", kind.unit, i, err)
-		}
-		digests[i], rosters[i] = digest, roster
-	}
-	if err := kind.checkRosters(rosters); err != nil {
-		return nil, err
-	}
-	return mergedDigestFromShards(digests), nil
-}
-
 // auditMerged is the one merged-epoch audit, over the segments of one
 // directory or the nodes of a cluster alike: seal looks the epoch's recorded
-// merged seal up (epoch < 0: the newest), the logs are audited by
-// auditSegments, and the recomputed merged digest must equal the seal. It
-// returns the audited epoch and its digest.
+// merged seal up (epoch < 0: the newest), each log is audited exactly as
+// AuditLog audits a single board log — grammar over the whole log, seal
+// cross-checked against the log's own arrival records, every verdict and
+// the seal verified — by one auditor of a merged reader, pinned as its kind
+// pins it (a client on a foreign shard fails at its submission record; on
+// two shards it cannot be), and the reader's one merge check (VerifyMerged)
+// holds the sealed rosters to the kind's rule and the merged digest to the
+// seal. It returns the audited epoch and its digest.
 func auditMerged(ctx context.Context, pub *Public, logs []Replayer, epoch, workers int, kind segmentKind, seal func(epoch int) (int, []byte, error)) (int, []byte, error) {
 	epoch, want, err := seal(epoch)
 	if err != nil {
 		return 0, nil, err
 	}
-	got, err := auditSegments(ctx, pub, logs, epoch, workers, kind)
+	st, err := newSegmentedTail(pub, len(logs), func(int) ([]byte, bool, error) { return want, true, nil },
+		TailOptions{Workers: workers}, kind, auditWindow)
 	if err != nil {
 		return 0, nil, err
 	}
-	if !bytes.Equal(got, want) {
-		return 0, nil, fmt.Errorf("%w: epoch %d merged digest %x disagrees with the recorded merged seal %x",
-			ErrAuditFail, epoch, got, want)
+	for i, a := range st.shards {
+		if err := a.audit(ctx, logs[i], epoch); err != nil {
+			return 0, nil, fmt.Errorf("%s %d: %w", kind.unit, i, err)
+		}
 	}
-	return epoch, got, nil
+	digest, _, err := st.VerifyMerged(epoch)
+	if err != nil {
+		return 0, nil, err
+	}
+	return epoch, digest, nil
 }
 
 // auditSegmented is auditMerged over one directory, whose manifest holds

@@ -341,7 +341,7 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	// its head is byte-identical to the crashed session's.
 	g := newBoardGrammar(pub, opts.Budget, false, shard, shards)
 	subs := make(map[int]*ClientSubmission) // the open epoch's payloads, by client
-	err = g.replay(ctx, opts.Store, poolWidth(opts.Parallelism),
+	err = g.replay(ctx, replayed(opts.Store), poolWidth(opts.Parallelism),
 		func(i int, _ *store.Record) bool { return i > snapAt },
 		func(ev boardEvent) error {
 			switch ev.kind {
@@ -444,20 +444,22 @@ func resumeSessionFromSource(ctx context.Context, pub *Public, opts SessionOptio
 	return s, nil
 }
 
-// AuditLog audits a sealed epoch offline, from the board log alone: the whole
-// log must obey the record grammar, and the audited epoch is read through the
-// same epoch verifier a live TailAuditor runs — every logged verdict held to
-// the submission's board proof, the seal's client section equal to the
-// clients the log's own arrival records admitted (same order, same bytes),
-// and the seal's coin proofs, Morra records, Line-13 products and
-// aggregation verified against the product of the accepted clients. A log
-// whose per-arrival records disagree with the transcript it sealed is
-// rejected even if the transcript verifies in isolation, and every refusal
-// names the first divergent record. epoch < 0 selects the latest sealed
-// epoch. workers follows the AuditParallel convention (0 = all cores) and
-// bounds every stage that is not inherently serial: the submission decode,
-// which runs a window of records ahead of the grammar, each batched check's
-// multi-exponentiation and the per-prover fan-out at the seal.
+// AuditLog audits a sealed epoch offline, from the board log alone: it is
+// the live TailAuditor drained to the end of the log in one Replay, so the
+// whole log must obey the record grammar, and the audited epoch is read in
+// full through the same epoch verifier — every logged verdict held to the
+// submission's board proof, the seal's client section equal to the clients
+// the log's own arrival records admitted (same order, same bytes), and the
+// seal's coin proofs, Morra records, Line-13 products and aggregation
+// verified against the product of the accepted clients. Every other epoch
+// is skimmed. A log whose per-arrival records disagree with the transcript
+// it sealed is rejected even if the transcript verifies in isolation, and
+// every refusal names the first divergent record. epoch < 0 selects the
+// latest sealed epoch. workers follows the AuditParallel convention (0 =
+// all cores) and bounds every stage that is not inherently serial: the
+// submission decode, which runs a window of records ahead of the grammar,
+// each batched check's multi-exponentiation and the per-prover fan-out at
+// the seal.
 func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, workers int) error {
 	if epoch < 0 {
 		// Resolve "latest sealed" with a cheap seal-only scan before the
@@ -471,42 +473,7 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 		}
 		epoch = sealed[len(sealed)-1]
 	}
-	_, _, err := auditLogEpoch(ctx, pub, log, epoch, workers, 0, 1)
-	return err
-}
-
-// auditLogEpoch is the per-epoch core of AuditLog, for a log that is shard
-// `shard` of `shards`: the live tail's reader run over boardGrammar.replay,
-// with the audited epoch's records fed in full to an epochVerifier that
-// flushes every auditWindow submissions, and every other epoch skimmed. It
-// returns the verified digest and the sealed roster's client IDs (so the
-// segmented auditors can merge and cross-check per-log verdicts).
-func auditLogEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers, shard, shards int) (digest []byte, roster []int, err error) {
-	g := newBoardGrammar(pub, nil, true, shard, shards)
-	v := newEpochVerifier(pub, g, poolWidth(workers), auditWindow)
-	var verr error
-	err = g.replay(ctx, log, v.workers,
-		func(_ int, rec *store.Record) bool { return int(rec.Epoch) == epoch },
-		func(ev boardEvent) error {
-			if verr = v.apply(ctx, ev); verr == nil && ev.kind == evSeal {
-				digest, roster = v.digest, g.rosterIDs()
-			}
-			return verr
-		})
-	if verr == nil {
-		// Whatever stopped the replay — a grammar or store error, or the end
-		// of the log — comes after every verdict still waiting for its check.
-		if serr := v.settle(ctx); serr != nil {
-			err = serr
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if digest == nil {
-		return nil, nil, fmt.Errorf("%w: epoch %d is not sealed in the board log", ErrAuditFail, epoch)
-	}
-	return digest, roster, nil
+	return newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, 0, 1, auditWindow).audit(ctx, log, epoch)
 }
 
 // scanSeals streams every completed seal of a board log — a seal record, or

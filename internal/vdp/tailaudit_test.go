@@ -274,6 +274,81 @@ func TestTailAuditorFileBitFlip(t *testing.T) {
 	}
 }
 
+// TestSegmentedTailRefusesNoSegments: a merged reader over no segments has
+// no evidence to hold a seal to, so the live tail refuses to open and the
+// offline merged audit refuses to run, with one text.
+func TestSegmentedTailRefusesNoSegments(t *testing.T) {
+	ctx := context.Background()
+	pub := testPublic(t, 1, 1, 4)
+	seal := make([]byte, 32)
+	st, tailErr := NewSegmentedTail(pub, nil, func(int) ([]byte, bool, error) { return seal, true, nil }, TailOptions{})
+	if st != nil || !errors.Is(tailErr, ErrAuditFail) || !strings.Contains(tailErr.Error(), "no board logs to audit") {
+		t.Fatalf("tail over no segments: %v, %v; want a refusal", st, tailErr)
+	}
+	_, _, auditErr := AuditMergedLogs(ctx, pub, nil, 0, 0, func(int) (int, []byte, error) { return 0, seal, nil })
+	if fmt.Sprint(auditErr) != fmt.Sprint(tailErr) {
+		t.Fatalf("the audit refused no segments with %v, the tail with %v", auditErr, tailErr)
+	}
+}
+
+// TestTailPollRacesTheWriter: Poll decodes on pool goroutines while the
+// session appends to the same FileLog from another goroutine. The poller
+// follows the epoch to its seal and ends on the sealed digest; run under
+// -race, it checks that a drain shares nothing with the writer but the log.
+func TestTailPollRacesTheWriter(t *testing.T) {
+	shrinkTailWindow(t)
+	ctx := context.Background()
+	pub := testPublic(t, 2, 1, 4)
+	log, err := store.OpenFileLog(filepath.Join(t.TempDir(), "board.log"), store.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	sess, err := NewSession(pub, SessionOptions{Rand: testSeed(79), Store: log, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := TailAuditLog(pub, log, TailOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var want []byte
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, sub := range buildSubs(t, pub, []int{1, 0, 1, 1, 0, 1, 0, 0}) {
+			if err := sess.Submit(ctx, sub); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		res, err := sess.Finalize(ctx)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		want = TranscriptDigest(pub, res.Transcript)
+	}()
+	for !a.Sealed() {
+		select {
+		case <-done:
+			if want == nil {
+				t.FailNow() // the writer failed: no seal is coming
+			}
+		default:
+		}
+		if _, err := a.Poll(); err != nil {
+			t.Fatalf("poll beside the writer: %v", err)
+		}
+	}
+	<-done
+	if !bytes.Equal(a.Digest(), want) {
+		t.Fatal("the polled tail's digest differs from the sealed transcript's")
+	}
+}
+
 // TestSegmentedTailWaitsForManifestSeal pins the merged tail's one ready
 // rule: an epoch certifies only once its merged seal is recorded. Every
 // segment of a sharded directory seals, but the manifest's merged-seal
@@ -608,12 +683,14 @@ func BenchmarkTailSealVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkAuditLog times the offline audit of a whole sealed epoch, on the
-// boards BenchmarkTailSealVerify drains. Its cost is the epoch's: every
-// submission decoded and its board proof decided, and every accepted client
-// folded into the Line-13 product. At 1000 submissions the epoch verifier
-// decides them with one batched check at the seal; 10000 crosses auditWindow,
-// so the same work is split over three products.
+// BenchmarkAuditLog times the two uses of the one board read over a whole
+// sealed epoch, on the boards BenchmarkTailSealVerify drains: the offline
+// audit (one Replay, auditWindow) and a fresh tail drained by a single Poll
+// (a tailer, tailWindow). Its cost is the epoch's: every submission decoded
+// and its board proof decided, and every accepted client folded into the
+// Line-13 product. At 1000 submissions the audit decides them with one
+// batched check at the seal; 10000 crosses auditWindow, so the same work is
+// split over three products. The tail decides them 64 at a time.
 func BenchmarkAuditLog(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
 	if err != nil {
@@ -622,16 +699,31 @@ func BenchmarkAuditLog(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{1000, 10000} {
 		var log *store.MemLog
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
+		board := func(b *testing.B) *store.MemLog {
 			if log == nil {
 				log, _ = sealedBoard(b, pub, n)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			return log
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			log := board(b)
 			for i := 0; i < b.N; i++ {
 				if err := AuditLog(ctx, pub, log, 0, 0); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(strconv.Itoa(n)+"/poll", func(b *testing.B) {
+			log := board(b)
+			for i := 0; i < b.N; i++ {
+				tail, err := TailAuditLog(pub, log, TailOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pollUntilSealed(b, tail)
+				tail.Close()
 			}
 		})
 	}
