@@ -381,8 +381,10 @@ func (r *Replicator) send(logID uint8, start int, recs []*store.Record) (int, er
 	return have, nil
 }
 
-// roundTripLocked performs one replicate round trip, redialing and retrying
-// transient transport failures under the retry policy. Callers hold r.mu.
+// roundTripLocked performs one replicate round trip, retrying a failed
+// round trip on a fresh connection under the retry policy. A dial that
+// exhausted the policy (DialClient retries under it already) ends the call,
+// so a refused standby costs Retries+1 dials. Callers hold r.mu.
 func (r *Replicator) roundTripLocked(f *transport.Frame) (*transport.Frame, error) {
 	sleeps := r.opts.Retry.Schedule(r.opts.Retry.Retries)
 	var lastErr error
@@ -393,8 +395,7 @@ func (r *Replicator) roundTripLocked(f *transport.Frame) (*transport.Frame, erro
 		if r.cli == nil {
 			cli, err := transport.DialClient(r.addr, r.opts)
 			if err != nil {
-				lastErr = err
-				continue
+				return nil, fmt.Errorf("cluster: mirroring to standby %s: %w", r.addr, err)
 			}
 			r.cli = cli
 		}

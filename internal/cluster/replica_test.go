@@ -383,3 +383,24 @@ func fenced(r *Replicator) bool {
 	defer r.mu.Unlock()
 	return r.fenced
 }
+
+// TestReplicatorRefusedDials: a mirror call to a standby that refuses every
+// dial makes Retries+1 dials — the dial's own retries, none nested in the
+// round trip's — and then fails.
+func TestReplicatorRefusedDials(t *testing.T) {
+	var dials atomic.Int32
+	refuse := func(string, time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		return nil, errors.New("connection refused")
+	}
+	retry := testRetry()
+	r := NewReplicator("standby:1", 0, 2, transport.ClientOptions{Timeout: time.Second, Retry: retry, Dial: refuse})
+	defer r.Close()
+	recs := []*store.Record{{Kind: 1, Payload: []byte("x")}}
+	if _, err := r.Mirror(ReplLogBoard)(0, recs); err == nil {
+		t.Fatal("mirroring to a refusing standby succeeded")
+	}
+	if got, want := dials.Load(), int32(retry.Retries+1); got != want {
+		t.Fatalf("one mirror call dialed %d times, want %d", got, want)
+	}
+}

@@ -1,15 +1,11 @@
-// Package ec implements short Weierstrass elliptic curve groups
-// y² = x³ + ax + b over prime fields, from first principles.
-//
-// The paper instantiates Pedersen commitments over two groups: a Schnorr
-// subgroup of Z*_p and a prime-order elliptic curve group (Ristretto over
-// Curve25519 in the authors' Rust implementation). This package provides the
-// curve substrate: generic Jacobian-coordinate point arithmetic, windowed
-// scalar multiplication, canonical compressed encodings, and a
-// try-and-increment hash-to-curve used to derive independent ("nothing up my
-// sleeve") Pedersen generators. Only math/big is used; the standard library
-// P-256 implementation serves purely as a cross-check in the tests.
 package ec
+
+// A generic short Weierstrass curve y² = x³ + ax + b over a prime field, on
+// math/big (internal/field): Jacobian point arithmetic, windowed scalar
+// multiplication, canonical compressed encodings and a try-and-increment
+// hash-to-point. It shares no code with the fixed-width P-256 of
+// fast256.go, which the tests hold to it (reference_test.go adds its group
+// law and decoders); crypto/elliptic cross-checks both. No program uses it.
 
 import (
 	"errors"
@@ -131,6 +127,14 @@ func (p *Point) String() string {
 	return fmt.Sprintf("%s(%s, %s)", p.c.name, p.x, p.y)
 }
 
+// dbl returns 2x.
+func dbl(x *field.Element) *field.Element { return x.Add(x) }
+
+// inv returns x⁻¹ for a nonzero x.
+func inv(x *field.Element) *field.Element {
+	return x.Field().FromBig(new(big.Int).ModInverse(x.BigInt(), x.Field().Modulus()))
+}
+
 // jacobian holds a point in Jacobian projective coordinates:
 // (X, Y, Z) represents affine (X/Z², Y/Z³); Z = 0 encodes the identity.
 type jacobian struct {
@@ -148,7 +152,7 @@ func (c *Curve) fromJacobian(j jacobian) *Point {
 	if j.z.IsZero() {
 		return c.Infinity()
 	}
-	zinv := j.z.Inv()
+	zinv := inv(j.z)
 	zinv2 := zinv.Square()
 	x := j.x.Mul(zinv2)
 	y := j.y.Mul(zinv2.Mul(zinv))
@@ -166,13 +170,13 @@ func (c *Curve) jacDouble(p jacobian) jacobian {
 	yyyy := yy.Square()
 	zz := p.z.Square()
 	// S = 2*((X+YY)² - XX - YYYY)
-	s := p.x.Add(yy).Square().Sub(xx).Sub(yyyy).Double()
+	s := dbl(p.x.Add(yy).Square().Sub(xx).Sub(yyyy))
 	// M = 3*XX + a*ZZ²
-	m := xx.Double().Add(xx).Add(c.a.Mul(zz.Square()))
+	m := dbl(xx).Add(xx).Add(c.a.Mul(zz.Square()))
 	// X' = M² - 2S
-	x3 := m.Square().Sub(s.Double())
+	x3 := m.Square().Sub(dbl(s))
 	// Y' = M*(S - X') - 8*YYYY
-	y3 := m.Mul(s.Sub(x3)).Sub(yyyy.Double().Double().Double())
+	y3 := m.Mul(s.Sub(x3)).Sub(dbl(dbl(dbl(yyyy))))
 	// Z' = (Y+Z)² - YY - ZZ  (= 2YZ)
 	z3 := p.y.Add(p.z).Square().Sub(yy).Sub(zz)
 	return jacobian{x3, y3, z3}
@@ -199,12 +203,12 @@ func (c *Curve) jacAdd(p, q jacobian) jacobian {
 		return jacobian{c.p.One(), c.p.One(), c.p.Zero()} // P = -Q
 	}
 	h := u2.Sub(u1)
-	i := h.Double().Square()
+	i := dbl(h).Square()
 	j := h.Mul(i)
-	r := s2.Sub(s1).Double()
+	r := dbl(s2.Sub(s1))
 	v := u1.Mul(i)
-	x3 := r.Square().Sub(j).Sub(v.Double())
-	y3 := r.Mul(v.Sub(x3)).Sub(s1.Mul(j).Double())
+	x3 := r.Square().Sub(j).Sub(dbl(v))
+	y3 := r.Mul(v.Sub(x3)).Sub(dbl(s1.Mul(j)))
 	z3 := p.z.Add(q.z).Square().Sub(z1z1).Sub(z2z2).Mul(h)
 	return jacobian{x3, y3, z3}
 }
@@ -270,7 +274,7 @@ func (c *Curve) Encode(p *Point) []byte {
 // recoverY solves y² = x³+ax+b for the root with the requested parity.
 func (c *Curve) recoverY(x *field.Element, odd bool) (*field.Element, error) {
 	rhs := x.Square().Mul(x).Add(c.a.Mul(x)).Add(c.b)
-	y := rhs.Exp(c.sqrtExp)
+	y := c.p.FromBig(new(big.Int).Exp(rhs.BigInt(), c.sqrtExp, c.p.Modulus()))
 	if !y.Square().Equal(rhs) {
 		return nil, errors.New("ec: x is not on the curve")
 	}

@@ -1,8 +1,8 @@
-package ec
-
-// Fast P-256 backend: in-place Jacobian point arithmetic over the
-// fixed-width Montgomery fields of internal/fp256, plus the three scalar
-// multiplication strategies the protocol's hot paths need:
+// Package ec implements the NIST P-256 curve (secp256r1) over the
+// fixed-width Montgomery fields of internal/fp256: in-place Jacobian point
+// arithmetic, the three scalar multiplication strategies the protocol's hot
+// paths need, canonical compressed encodings, and the try-and-increment
+// hash-to-point that derives the second Pedersen generator h.
 //
 //   - P256ScalarMult: width-5 wNAF variable-base multiplication (Σ-proof
 //     statement terms, commitment ScalarMul).
@@ -17,10 +17,11 @@ package ec
 //
 // All functions mutate receiver/out parameters in place and allocate only
 // where documented, which is what drives the commit path to near-zero
-// allocs/op; P256MultiExp's bucket scratch comes from a pool. The math/big
-// Curve in this package remains the reference implementation;
-// fast256_test.go proves the two agree (and agree with crypto/elliptic) on
-// randomized corpora and adversarial edge cases.
+// allocs/op; P256MultiExp's bucket scratch comes from a pool. The tests
+// hold this code to a generic math/big curve (curve_test.go,
+// reference_test.go) and to crypto/elliptic on randomized corpora and
+// adversarial edge cases; no program builds that curve.
+package ec
 
 import (
 	"errors"
@@ -53,18 +54,16 @@ type p256XY struct{ x, y fp256.Element }
 var (
 	fp = fp256.P()
 
-	// curve constants in Montgomery form, set at init from the reference
-	// curve parameters (math/big at init only).
-	p256B  fp256.Element
-	p256Gx fp256.Element
-	p256Gy fp256.Element
+	// The curve's b and base point G (SEC 2, FIPS 186-4; a = −3), as plain
+	// little-endian limbs entered into Montgomery form.
+	p256B  = mont(fp256.Element{0x3bce3c3e27d2604b, 0x651d06b0cc53b0f6, 0xb3ebbd55769886bc, 0x5ac635d8aa3a93e7})
+	p256Gx = mont(fp256.Element{0xf4a13945d898c296, 0x77037d812deb33a0, 0xf8bce6e563a440f2, 0x6b17d1f2e12c4247})
+	p256Gy = mont(fp256.Element{0xcbb6406837bf51f5, 0x2bce33576b315ece, 0x8ee7eb4a7c0f9e16, 0x4fe342e2fe1a7f9b})
 )
 
-func init() {
-	c := StdP256()
-	p256B = fp.FromBig(c.b.BigInt())
-	p256Gx = fp.FromBig(c.gx.BigInt())
-	p256Gy = fp.FromBig(c.gy.BigInt())
+func mont(v fp256.Element) fp256.Element {
+	fp.ToMont(&v, &v)
+	return v
 }
 
 // P256Generator returns the base point G in Jacobian form.
@@ -133,7 +132,7 @@ func (r *P256Point) Double(p *P256Point) {
 }
 
 // Add sets r = p + q (add-2007-bl with explicit identity/doubling
-// handling, mirroring the reference backend's case analysis). r may alias
+// handling, mirroring the test reference curve's case analysis). r may alias
 // p or q.
 func (r *P256Point) Add(p, q *P256Point) {
 	if p.IsInfinity() {
@@ -978,11 +977,11 @@ func p256StrausWNAF(points []P256Affine, scalars []fp256.Element) P256Point {
 	return acc
 }
 
-// --- encoding (identical bytes to the reference Curve.Encode/Decode) ---
+// --- encoding (identical bytes to crypto/elliptic's compressed form) ---
 
 // Encode writes the canonical 33-byte compressed encoding (sign byte ‖ X)
-// into out; the identity is all zeros. Byte-compatible with Curve.Encode
-// on the reference backend — transcripts cannot tell the backends apart.
+// into out; the identity is all zeros. The finite points encode as
+// crypto/elliptic's MarshalCompressed does.
 func (a *P256Affine) Encode(out []byte) {
 	if len(out) != 33 {
 		panic("ec: P256Affine.Encode needs 33 bytes")
@@ -1016,8 +1015,8 @@ func (a *P256Affine) AppendY(dst []byte) []byte {
 var errWrongHint = errors.New("ec: hint is not the y coordinate of the encoded point")
 
 // P256DecodeAffine parses a canonical 33-byte compressed encoding,
-// rejecting everything Curve.Decode rejects: wrong length, unknown prefix,
-// non-canonical X (≥ p), X not on the curve, malformed identity padding.
+// rejecting wrong length, unknown prefix, non-canonical X (≥ p), X not on
+// the curve and malformed identity padding.
 func P256DecodeAffine(b []byte) (P256Affine, error) {
 	return p256Decode(b, nil)
 }
@@ -1089,16 +1088,23 @@ func p256Decode(b, hint []byte) (P256Affine, error) {
 	}
 }
 
-// P256AffineFromPoint converts a reference-backend affine point. Used at
-// setup time (generator derivation, hash-to-point) to enter the fast
-// representation; never on a hot path.
-func P256AffineFromPoint(p *Point) (P256Affine, error) {
-	if p.Curve() != StdP256() {
-		return P256Affine{}, errors.New("ec: point is not on the shared P-256 curve")
+// P256HashToPoint maps bytes to a curve point by try-and-increment: x is
+// H(domain, msg, ctr) reduced mod p, the parity of y is the digest's last
+// bit, and y is the square root p256Decode takes; a counter whose x has no
+// point (x³ − 3x + b a non-residue, about half of them) is skipped. h must
+// return 32-byte digests. Nobody knows the discrete log of the output to
+// G, which is what the second Pedersen generator needs.
+func P256HashToPoint(h func(data ...[]byte) []byte, domain string, msg []byte) P256Affine {
+	var zero fp256.Element
+	var enc [33]byte
+	for ctr := uint8(0); ; ctr++ {
+		digest := h([]byte(domain), msg, []byte{ctr})
+		x := fp256.LimbsFromBytes(digest)
+		fp.Add(&x, &x, &zero) // x < 2²⁵⁶ < 2p: one conditional subtraction reduces it
+		enc[0] = 0x02 | digest[31]&1
+		x.PutBytes(enc[1:])
+		if a, err := p256Decode(enc[:], nil); err == nil {
+			return a
+		}
 	}
-	if p.IsInfinity() {
-		return P256Affine{inf: true}, nil
-	}
-	x, y := p.XY()
-	return P256Affine{p256XY: p256XY{x: fp.FromBig(x), y: fp.FromBig(y)}}, nil
 }

@@ -905,3 +905,85 @@ func FuzzP256DecodeHinted(f *testing.F) {
 		}
 	})
 }
+
+// TestP256Literals: the curve's b and base point, written as limb literals,
+// are crypto/elliptic's.
+func TestP256Literals(t *testing.T) {
+	std := elliptic.P256().Params()
+	for _, c := range []struct {
+		name string
+		got  *fp256.Element
+		want *big.Int
+	}{{"b", &p256B, std.B}, {"Gx", &p256Gx, std.Gx}, {"Gy", &p256Gy, std.Gy}} {
+		var got, want [32]byte
+		fp.Bytes(c.got, got[:])
+		c.want.FillBytes(want[:])
+		if got != want {
+			t.Errorf("%s = %x, crypto/elliptic has %x", c.name, got, want)
+		}
+	}
+}
+
+// TestP256HashToPoint holds the fast hash-to-point to the reference
+// curve's over the fixed domains' SHA-256 and over the two paths those
+// domains never take: a digest ≥ p, which only the reduction brings onto
+// the curve, and a first x with no point, which the counter skips.
+func TestP256HashToPoint(t *testing.T) {
+	// same returns the fast point and the hash calls it took.
+	calls := 0
+	same := func(label string, h func(...[]byte) []byte, domain string, msg []byte) (P256Affine, int) {
+		t.Helper()
+		calls = 0
+		got := P256HashToPoint(h, domain, msg)
+		n := calls
+		var enc [33]byte
+		got.Encode(enc[:])
+		if want := StdP256().Encode(StdP256().HashToPoint(h, domain, msg)); !bytes.Equal(enc[:], want) {
+			t.Fatalf("%s: fast %x, reference %x", label, enc, want)
+		}
+		if !got.IsOnCurve() {
+			t.Fatalf("%s: off the curve", label)
+		}
+		return got, n
+	}
+	for _, domain := range []string{"p256/pedersen-h/v1", "test", ""} {
+		for _, msg := range []string{"", "message one", "message two"} {
+			same(fmt.Sprintf("sha256(%q, %q)", domain, msg), sha256Concat, domain, []byte(msg))
+		}
+	}
+
+	// at answers counter 0 with the digest d and later counters with
+	// SHA-256, counting the calls.
+	at := func(d []byte) func(...[]byte) []byte {
+		return func(data ...[]byte) []byte {
+			calls++
+			if data[2][0] == 0 {
+				return d
+			}
+			return sha256Concat(data...)
+		}
+	}
+	// Digests p + k: x = k after the reduction, y's parity the digest's
+	// last bit, which is k's flipped (p is odd).
+	p := StdP256().CoordinateField().Modulus()
+	hit := [2]bool{}
+	for k := int64(0); k < 16; k++ {
+		digest := new(big.Int).Add(p, big.NewInt(k)).FillBytes(make([]byte, 32))
+		got, n := same(fmt.Sprintf("digest p+%d", k), at(digest), "d", nil)
+		if n == 1 {
+			if got.x != mont(fp256.Element{uint64(k)}) {
+				t.Fatalf("digest p+%d: x is not %d", k, k)
+			}
+			hit[digest[31]&1] = true
+		}
+	}
+	if !hit[0] || !hit[1] {
+		t.Fatalf("no digest ≥ p mapped at counter 0 for parity even %v, odd %v", hit[0], hit[1])
+	}
+
+	nonResidue := make([]byte, 32)
+	nonResidue[31] = 1 // x = 1: x³ − 3x + b is a non-residue on P-256
+	if _, n := same("non-residue first", at(nonResidue), "d", nil); n < 2 {
+		t.Fatalf("a non-residue x took %d hash calls, want a retry", n)
+	}
+}

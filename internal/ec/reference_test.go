@@ -10,10 +10,10 @@ import (
 	"repro/internal/fp256"
 )
 
-// The generic curve's group law, decoding and hinted decoding, and the
-// fast backend's on-curve check: the references the tests hold the
-// fixed-width P-256 code (fast256.go) and the setup code (NewCurve,
-// HashToPoint) to. No program needs them; they are kept as oracles.
+// The generic curve's group law, decoding and hinted decoding, the bridge
+// from its points to the fast backend's, and the fast backend's on-curve
+// check: the references the tests hold the fixed-width P-256 code
+// (fast256.go) to. No program needs them; they are kept as oracles.
 
 // Equal reports whether two points on the same curve are equal.
 func (p *Point) Equal(q *Point) bool {
@@ -154,4 +154,20 @@ func (a *P256Affine) IsOnCurve() bool {
 	fp.Sub(&rhs, &rhs, &t)
 	fp.Add(&rhs, &rhs, &p256B)
 	return lhs.Equal(&rhs)
+}
+
+// P256AffineFromPoint converts a reference-curve point into the fast
+// representation.
+func P256AffineFromPoint(p *Point) (P256Affine, error) {
+	if p.Curve() != StdP256() {
+		return P256Affine{}, errors.New("ec: point is not on the shared P-256 curve")
+	}
+	if p.IsInfinity() {
+		return P256Affine{inf: true}, nil
+	}
+	var a P256Affine
+	if err := fp.FromBytes(&a.x, p.x.Bytes()); err != nil {
+		return a, err
+	}
+	return a, fp.FromBytes(&a.y, p.y.Bytes())
 }

@@ -10,10 +10,10 @@
 // nothing per operation. math/big appears only at package init (deriving
 // the Montgomery constants) and in tests; never on an operational path.
 //
-// The generic math/big stack (internal/field, the reference ec backend, the
-// Schnorr2048 group) is unaffected: fp256 is an accelerator for the P-256
-// deployment with bit-identical results, enforced by differential tests
-// against math/big and crypto/elliptic.
+// The generic math/big stack (internal/field, the Schnorr2048 group) is
+// unaffected: fp256 is the P-256 deployment's arithmetic, held to
+// bit-identical results by differential tests against math/big and
+// crypto/elliptic.
 //
 // None of this code attempts constant-time execution: the math/big
 // reference backend it replaces is variable-time too, and the threat model
@@ -332,14 +332,6 @@ func (md *Modulus) Bytes(x *Element, b []byte) {
 	var v Element
 	md.FromMont(&v, x)
 	v.PutBytes(b)
-}
-
-// FromBig reduces a big.Int into Montgomery form (setup/test interop).
-func (md *Modulus) FromBig(v *big.Int) Element {
-	var z Element
-	r := limbsFromBig(new(big.Int).Mod(v, md.bigM))
-	md.ToMont(&z, &r)
-	return z
 }
 
 // Pow sets z = x^e mod m for a plain-integer exponent e (square-and-

@@ -25,3 +25,11 @@ func (md *Modulus) ToBig(x *Element) *big.Int {
 	md.Bytes(x, b[:])
 	return new(big.Int).SetBytes(b[:])
 }
+
+// FromBig reduces a big.Int into Montgomery form.
+func (md *Modulus) FromBig(v *big.Int) Element {
+	var z Element
+	r := limbsFromBig(new(big.Int).Mod(v, md.bigM))
+	md.ToMont(&z, &r)
+	return z
+}

@@ -9,22 +9,21 @@ import (
 	"math/big"
 	"sync"
 
-	"repro/internal/ec"
 	"repro/internal/field"
 )
 
 // The reference implementation of the P-256 commitment group, which the
-// differential tests hold the fixed-width backend (p256fast.go) to. Its
-// arithmetic is crypto/elliptic's; its generators, hash-to-element and
-// canonical encodings are the ones ec.Curve defines for every backend.
+// differential tests hold the fixed-width backend (p256fast.go) to. It is
+// crypto/elliptic and a few lines of try-and-increment, sharing no code
+// with internal/ec: its arithmetic, its square roots and its encodings are
+// the standard library's.
 
 // ecGroup adapts crypto/elliptic's P-256 to the Group interface, written
 // multiplicatively: Op is point addition and Exp is scalar multiplication.
 type ecGroup struct {
-	curve *ec.Curve
-	std   elliptic.Curve
-	g, h  *ecElem
-	id    *ecElem
+	std  elliptic.Curve
+	g, h *ecElem
+	id   *ecElem
 }
 
 // ecElem is an affine point; (0, 0), which is not on the curve, is the
@@ -51,22 +50,16 @@ var (
 // strategies run on.
 func P256Generic() Group {
 	p256GenericOnce.Do(func() {
-		curve := ec.StdP256()
-		g := &ecGroup{curve: curve, std: elliptic.P256()}
+		g := &ecGroup{std: elliptic.P256()}
 		g.id = g.point(new(big.Int), new(big.Int))
 		g.g = g.point(g.std.Params().Gx, g.std.Params().Gy)
-		g.h = g.fromEC(curve.HashToPoint(shaConcat, "p256/pedersen-h/v1", curve.Encode(curve.Generator())))
+		g.h = g.HashToElement("pedersen-h/v1", g.Encode(g.g)).(*ecElem)
 		p256GenericStd = g
 	})
 	return p256GenericStd
 }
 
 func (e *ecGroup) point(x, y *big.Int) *ecElem { return &ecElem{g: e, x: x, y: y} }
-
-func (e *ecGroup) fromEC(p *ec.Point) *ecElem {
-	x, y := p.XY()
-	return e.point(x, y)
-}
 
 func (e *ecGroup) elem(x Element) *ecElem {
 	el, ok := x.(*ecElem)
@@ -77,7 +70,7 @@ func (e *ecGroup) elem(x Element) *ecElem {
 }
 
 func (e *ecGroup) Name() string              { return "p256" }
-func (e *ecGroup) ScalarField() *field.Field { return e.curve.ScalarField() }
+func (e *ecGroup) ScalarField() *field.Field { return P256().ScalarField() } // sharedScalar needs the one instance
 func (e *ecGroup) Generator() Element        { return e.g }
 func (e *ecGroup) AltGenerator() Element     { return e.h }
 func (e *ecGroup) Identity() Element         { return e.id }
@@ -153,10 +146,21 @@ func (e *ecGroup) DecodeHinted(b, hint []byte) (Element, error) {
 	return a, nil
 }
 
+// HashToElement is try-and-increment: x = SHA-256(domain, msg, ctr) mod p,
+// y of the digest's last bit's parity, the next ctr while x has no point.
 func (e *ecGroup) HashToElement(domain string, msg []byte) Element {
-	return e.fromEC(e.curve.HashToPoint(shaConcat, "p256/"+domain, msg))
+	for ctr := byte(0); ; ctr++ {
+		digest := shaConcat([]byte("p256/"+domain), msg, []byte{ctr})
+		x := new(big.Int).Mod(new(big.Int).SetBytes(digest), e.std.Params().P)
+		enc := make([]byte, 33)
+		enc[0] = 0x02 | digest[31]&1
+		x.FillBytes(enc[1:])
+		if x, y := elliptic.UnmarshalCompressed(e.std, enc); x != nil {
+			return e.point(x, y)
+		}
+	}
 }
 
 func (e *ecGroup) RandomScalar(r io.Reader) (*field.Element, error) {
-	return e.curve.ScalarField().Rand(r)
+	return e.ScalarField().Rand(r)
 }

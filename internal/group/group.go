@@ -4,7 +4,8 @@
 // The paper evaluates two instantiations: a Schnorr subgroup G_q ⊂ Z*_p
 // based on the finite-field discrete log problem, and an elliptic curve
 // group (Ristretto over Curve25519 in the authors' implementation; NIST
-// P-256 here, see DESIGN.md Substitutions). Both are exposed behind the
+// P-256 here, see EXPERIMENTS.md § "§6 microbenchmark" and ARCHITECTURE.md
+// § Arithmetic backends). Both are exposed behind the
 // Group interface so commitments, Σ-protocols, and the ΠBin protocol are
 // generic over the hardness assumption, and the §6 microbenchmark comparing
 // the two stacks falls out of benchmarking Exp on each implementation.

@@ -3,6 +3,7 @@ package group
 import (
 	"fmt"
 	"io"
+	"math/big"
 	"sync"
 	"sync/atomic"
 
@@ -17,8 +18,9 @@ var (
 )
 
 // P256 returns the shared NIST P-256 commitment group. It stands in for the
-// paper's Ristretto/Curve25519 deployment (see DESIGN.md Substitutions):
-// both are prime-order elliptic-curve groups with 256-bit scalars.
+// paper's Ristretto/Curve25519 deployment (EXPERIMENTS.md § "§6
+// microbenchmark" sets the two side by side): both are prime-order
+// elliptic-curve groups with 256-bit scalars.
 //
 // The returned group runs on the fp256 fixed-width Montgomery backend. The
 // differential tests in p256fast_test.go hold it to byte-identical
@@ -31,14 +33,12 @@ func P256() Group {
 	return p256Std
 }
 
-// fastP256 is the accelerated P-256 commitment group: the same abstract
-// group as the reference (same generators, same canonical encodings, same
-// scalar field), evaluated with the fixed-width Montgomery
-// arithmetic of internal/fp256 and the in-place Jacobian point type of
-// internal/ec. Because Encode/Decode and HashToElement are byte-identical
-// to the reference, every transcript, digest, and stored bulletin-board
-// record is unchanged by the backend swap — only the time and allocation
-// profile differs. See ARCHITECTURE.md "Arithmetic backends".
+// fastP256 is the P-256 commitment group, evaluated with the fixed-width
+// Montgomery arithmetic of internal/fp256 and the in-place Jacobian point
+// type of internal/ec. The tests hold its generators, encodings and
+// HashToElement byte for byte to P256Generic, a reference on
+// crypto/elliptic's arithmetic that shares none of its code, and pin the
+// transcript digests they feed. See ARCHITECTURE.md "Arithmetic backends".
 //
 // Beyond the plain Group interface, fastP256 implements the optional
 // acceleration interfaces consumed by pedersen, MultiExpParallel and the
@@ -48,7 +48,7 @@ func P256() Group {
 // encoded).
 type fastP256 struct {
 	name    string
-	curve   *ec.Curve // reference curve: scalar field, hash-to-point, setup
+	scalars *field.Field // GF(n), n the group order
 	gTbl    *ec.P256Table
 	hTbl    *ec.P256Table
 	g, h    *fastElem
@@ -116,36 +116,29 @@ func (g *fastP256) newAffine(a ec.P256Affine) *fastElem {
 	return e
 }
 
-// newFastP256 builds the accelerated group over the shared reference
-// curve: generators and their fixed-base tables are derived once (the
-// alternate generator h comes from the same nothing-up-my-sleeve
-// hash-to-point as the reference backend, so parameters are identical).
+// newFastP256 builds the group once: its scalar field, the generators and
+// their fixed-base tables. The alternate generator h is the
+// nothing-up-my-sleeve hash of g's encoding, so nobody knows log_g h.
 func newFastP256() *fastP256 {
-	curve := ec.StdP256()
-	g := &fastP256{name: "p256", curve: curve, byteLen: 1 + curve.CoordinateField().ByteLen()}
-
-	var id ec.P256Point
-	id.SetInfinity()
+	n, _ := new(big.Int).SetString("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", 16)
+	scalars, err := field.New(n)
+	if err != nil {
+		panic("group: p256 scalar field: " + err.Error())
+	}
+	g := &fastP256{name: "p256", scalars: scalars, byteLen: 33}
+	var id ec.P256Point // the zero value is the identity
 	g.id = g.newAffine(id.ToAffine())
 
 	gen := ec.P256Generator()
 	g.g = g.newAffine(gen.ToAffine())
-	hPoint := curve.HashToPoint(shaConcat, g.name+"/pedersen-h/v1", curve.Encode(curve.Generator()))
-	hAff, err := ec.P256AffineFromPoint(hPoint)
-	if err != nil {
-		panic("group: deriving fast h: " + err.Error())
-	}
-	g.h = g.newAffine(hAff)
-
+	g.h = g.HashToElement("pedersen-h/v1", g.Encode(g.g)).(*fastElem)
 	g.gTbl = ec.NewP256Table(&gen)
-	var hJac ec.P256Point
-	hJac.SetAffine(&hAff)
-	g.hTbl = ec.NewP256Table(&hJac)
+	g.hTbl = ec.NewP256Table(&g.h.jac)
 	return g
 }
 
 func (g *fastP256) Name() string              { return g.name }
-func (g *fastP256) ScalarField() *field.Field { return g.curve.ScalarField() }
+func (g *fastP256) ScalarField() *field.Field { return g.scalars }
 func (g *fastP256) Generator() Element        { return g.g }
 func (g *fastP256) AltGenerator() Element     { return g.h }
 func (g *fastP256) Identity() Element         { return g.id }
@@ -231,16 +224,11 @@ func (g *fastP256) DecodeHinted(b, hint []byte) (Element, error) {
 }
 
 func (g *fastP256) HashToElement(domain string, msg []byte) Element {
-	p := g.curve.HashToPoint(shaConcat, g.name+"/"+domain, msg)
-	a, err := ec.P256AffineFromPoint(p)
-	if err != nil {
-		panic("group: hash-to-point off the shared curve: " + err.Error())
-	}
-	return g.newAffine(a)
+	return g.newAffine(ec.P256HashToPoint(shaConcat, g.name+"/"+domain, msg))
 }
 
 func (g *fastP256) RandomScalar(r io.Reader) (*field.Element, error) {
-	return g.curve.ScalarField().Rand(r)
+	return g.scalars.Rand(r)
 }
 
 // --- optional acceleration interfaces ---

@@ -189,16 +189,28 @@ func TestFastBackendDecodeParity(t *testing.T) {
 }
 
 // TestFastBackendHashToElement: the nothing-up-my-sleeve derivation is
-// bit-identical across backends (this is what keeps h, and therefore all
-// Pedersen parameters, unchanged).
+// bit-identical across backends, over several domains and messages (this
+// is what keeps h, and therefore all Pedersen parameters, unchanged). The
+// reference shares no code with the fast one: its reduction and square
+// root are math/big's and crypto/elliptic's.
 func TestFastBackendHashToElement(t *testing.T) {
 	fast, ref := P256(), P256Generic()
-	for _, msg := range []string{"", "a", "the quick brown fox"} {
-		fe := fast.HashToElement("diff-test/v1", []byte(msg))
-		re := ref.HashToElement("diff-test/v1", []byte(msg))
-		if !bytes.Equal(encOf(fast, fe), encOf(ref, re)) {
-			t.Fatalf("HashToElement(%q) differs between backends", msg)
+	for _, domain := range []string{"diff-test/v1", "pedersen-h/v1", "microbench/base/v1", "d1", ""} {
+		for _, msg := range []string{"", "a", "the quick brown fox", string(encOf(fast, fast.Generator()))} {
+			fe := fast.HashToElement(domain, []byte(msg))
+			re := ref.HashToElement(domain, []byte(msg))
+			if !bytes.Equal(encOf(fast, fe), encOf(ref, re)) {
+				t.Fatalf("HashToElement(%q, %x) differs between backends", domain, msg)
+			}
 		}
+	}
+}
+
+// TestScalarFieldIsGroupOrder: the scalar field's literal modulus is
+// crypto/elliptic's group order.
+func TestScalarFieldIsGroupOrder(t *testing.T) {
+	if P256().ScalarField().Modulus().Cmp(elliptic.P256().Params().N) != 0 {
+		t.Fatal("P-256 scalar field modulus is not the group order")
 	}
 }
 

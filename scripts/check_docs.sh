@@ -11,10 +11,17 @@
 # uppercase letter). A mention in a // comment does not count: a comment can
 # outlive the code it names. Flags, paths, shell commands, single lowercase
 # words, etc. do not match the pattern and are skipped.
+#
+# It also fails on a cited Markdown file that does not exist: every path
+# ending in .md in the Go sources (comments included), scripts/,
+# .github/workflows/ and the three docs must name a file, from the repo
+# root or from the citing file's directory. CHANGES.md and ROADMAP.md are
+# history and plan, and are not scanned.
 set -u
 fail=0
 code=$(mktemp)
-trap 'rm -f "$code"' EXIT
+cited=$(mktemp)
+trap 'rm -f "$code" "$cited"' EXIT
 find . -name '*.go' -exec sed 's#//.*##' {} + > "$code"
 for doc in README.md ARCHITECTURE.md EXPERIMENTS.md; do
     [ -f "$doc" ] || { echo "missing $doc"; fail=1; continue; }
@@ -35,6 +42,19 @@ for doc in README.md ARCHITECTURE.md EXPERIMENTS.md; do
         done
     done
 done
+{ find . -name '*.go' -not -path './.git/*'; find scripts .github/workflows -type f
+  printf '%s\n' README.md ARCHITECTURE.md EXPERIMENTS.md; } |
+    while read -r src; do
+        grep -o '[A-Za-z0-9_][A-Za-z0-9_./-]*[.]md\b' "$src" | sort -u |
+            while read -r md; do
+                [ -f "$md" ] || [ -f "$(dirname "$src")/$md" ] ||
+                    echo "$src cites $md, which does not exist"
+            done
+    done > "$cited"
+if [ -s "$cited" ]; then
+    cat "$cited"
+    fail=1
+fi
 if [ "$fail" -ne 0 ]; then
     echo "doc check FAILED: fix or remove the stale references above"
     exit 1
