@@ -102,12 +102,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	opts := transport.ClientOptions{
+		Timeout: *timeout,
+		Retry:   transport.RetryPolicy{Retries: *retries, Backoff: *backoff, MaxBackoff: 2 * time.Second},
+	}
 	if *follow != "" {
-		opts := transport.ClientOptions{
-			Timeout: *timeout,
-			Retry:   transport.RetryPolicy{Retries: *retries, Backoff: *backoff, MaxBackoff: 2 * time.Second},
-		}
-		followCluster(pub, strings.Split(*follow, ","), *followN, *interval, opts)
+		followCluster(pub, cluster.SplitList(*follow, ","), *followN, *interval, opts)
 		return
 	}
 	if *auditStore != "" {
@@ -120,16 +120,8 @@ func main() {
 				auditDeadline = *timeout
 			}
 		})
-		if *sketchSp != "" {
-			auditSketch(pub, layout, *auditStore, *epoch, auditDeadline)
-			return
-		}
-		auditOffline(pub, *auditStore, *epoch, auditDeadline)
+		auditOffline(pub, layout, *auditStore, *epoch, auditDeadline)
 		return
-	}
-	opts := transport.ClientOptions{
-		Timeout: *timeout,
-		Retry:   transport.RetryPolicy{Retries: *retries, Backoff: *backoff, MaxBackoff: 2 * time.Second},
 	}
 	if *query != "" {
 		querySketch(*addr, *query, opts)
@@ -357,111 +349,70 @@ func querySketch(addr, spec string, opts transport.ClientOptions) {
 	}
 }
 
-// auditSketch plays the third-party auditor against a sketch-mode server's
-// store: every row segment is re-verified like a board log, the rows are
-// checked against the row-0 roster (a client cannot appear in a row it was
-// never admitted to), budget charges replay to the recorded chain, and the
-// merged digest must match the manifest seal.
-func auditSketch(pub *vdp.Public, layout sketch.Layout, dir string, epoch int, timeout time.Duration) {
-	seg, err := store.OpenSegmentedLogReadOnly(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer seg.Close()
-	fmt.Printf("sketch board log: %d row segments\n", seg.Shards())
-
+// auditOffline plays the third-party auditor against a server's store,
+// entirely offline. The store is opened read-only: the auditor never
+// creates, truncates, or otherwise touches the evidence, so a write-protected
+// published copy audits fine. The layout picks the audit: one board log is
+// replayed and a sealed epoch re-verified against the per-arrival records
+// (vdp.AuditLog); a sharded server's manifest and segments are re-verified
+// shard by shard, the shard map checked and the merged digest held to the
+// manifest seal (vdp.AuditSegmentedLog); and a sketch store (layout.Rows >
+// 0, from -sketch) the same way row by row, with every row's roster held to
+// row 0's and the budget chain replayed (vdp.AuditSketchLog).
+func auditOffline(pub *vdp.Public, layout sketch.Layout, dir string, epoch int, timeout time.Duration) {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
-	}
-	if err := vdp.AuditSketchLog(ctx, pub, layout, seg, epoch, 0); err != nil {
-		log.Fatalf("offline sketch audit FAILED: %v", err)
 	}
 	which := fmt.Sprintf("epoch %d", epoch)
 	if epoch < 0 {
 		which = "latest merged-sealed epoch"
 	}
-	fmt.Printf("offline sketch audit of %s: PASSED — every row's proofs, coins and aggregate check out,\n", which)
-	fmt.Println("every seated client traces to a row-0 admission, and the merged digest matches the manifest seal")
-}
-
-// auditOffline replays the board log under dir and re-verifies a sealed
-// epoch, exactly as an independent third party would. The log is opened
-// read-only: the auditor never creates, truncates, or otherwise touches the
-// evidence, so a write-protected published copy audits fine. A sharded
-// server's store (manifest + per-shard segments) is detected by its
-// manifest file and audited shard by shard, including the merged digest.
-func auditOffline(pub *vdp.Public, dir string, epoch int, timeout time.Duration) {
-	if store.IsSegmented(dir) {
-		auditSharded(pub, dir, epoch, timeout)
-		return
+	var what, checks string
+	var audit func() error
+	if layout.Rows == 0 && !store.IsSegmented(dir) {
+		boardLog, err := store.OpenFileLogReadOnly(filepath.Join(dir, "board.log"))
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer boardLog.Close()
+		if tb := boardLog.Truncated(); tb > 0 {
+			log.Printf("note: log ends in a %d-byte torn tail (interrupted append); auditing the intact prefix", tb)
+		}
+		sealed, err := vdp.SealedEpochs(boardLog)
+		if err != nil {
+			log.Fatalf("replaying board log: %v", err)
+		}
+		fmt.Printf("board log: %d records, sealed epochs %v\n", boardLog.Len(), sealed)
+		if epoch < 0 && len(sealed) > 0 {
+			// Resolve "latest" here so AuditLog needn't rescan the log for it.
+			epoch = sealed[len(sealed)-1]
+			which = fmt.Sprintf("latest sealed epoch (%d)", epoch)
+		}
+		what, checks = "offline audit", "every proof, coin and aggregate checks out,\nand the sealed transcript matches the per-arrival submission records"
+		audit = func() error { return vdp.AuditLog(ctx, pub, boardLog, epoch, 0) }
+	} else {
+		seg, err := store.OpenSegmentedLogReadOnly(dir)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer seg.Close()
+		if layout.Rows > 0 {
+			fmt.Printf("sketch board log: %d row segments\n", seg.Shards())
+			what, checks = "offline sketch audit", "every row's proofs, coins and aggregate check out,\nevery seated client traces to a row-0 admission, and the merged digest matches the manifest seal"
+			audit = func() error { return vdp.AuditSketchLog(ctx, pub, layout, seg, epoch, 0) }
+		} else {
+			fmt.Printf("segmented board log: %d shards\n", seg.Shards())
+			what, checks = "offline sharded audit", "every shard's proofs, coins and aggregate check out,\nevery client sits on its assigned shard, and the merged digest matches the manifest seal"
+			audit = func() error { return vdp.AuditSegmentedLog(ctx, pub, seg, epoch, 0) }
+		}
 	}
-	boardLog, err := store.OpenFileLogReadOnly(filepath.Join(dir, "board.log"))
-	if err != nil {
-		log.Fatal(err)
+	if err := audit(); err != nil {
+		log.Fatalf("%s FAILED: %v", what, err)
 	}
-	defer boardLog.Close()
-	if tb := boardLog.Truncated(); tb > 0 {
-		log.Printf("note: log ends in a %d-byte torn tail (interrupted append); auditing the intact prefix", tb)
-	}
-
-	sealed, err := vdp.SealedEpochs(boardLog)
-	if err != nil {
-		log.Fatalf("replaying board log: %v", err)
-	}
-	fmt.Printf("board log: %d records, sealed epochs %v\n", boardLog.Len(), sealed)
-	latest := epoch < 0
-	if latest && len(sealed) > 0 {
-		// Resolve "latest" here so AuditLog needn't rescan the log for it.
-		epoch = sealed[len(sealed)-1]
-	}
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	if err := vdp.AuditLog(ctx, pub, boardLog, epoch, 0); err != nil {
-		log.Fatalf("offline audit FAILED: %v", err)
-	}
-	which := fmt.Sprintf("epoch %d", epoch)
-	if latest {
-		which = fmt.Sprintf("latest sealed epoch (%d)", epoch)
-	}
-	fmt.Printf("offline audit of %s: PASSED — every proof, coin and aggregate checks out,\n", which)
-	fmt.Println("and the sealed transcript matches the per-arrival submission records")
-}
-
-// auditSharded audits a sharded server's segmented board log: every shard
-// segment is re-verified exactly like a single board log, the shard map is
-// checked, and the recomputed merged digest must match the manifest's
-// merged-seal record.
-func auditSharded(pub *vdp.Public, dir string, epoch int, timeout time.Duration) {
-	seg, err := store.OpenSegmentedLogReadOnly(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer seg.Close()
-	fmt.Printf("segmented board log: %d shards\n", seg.Shards())
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	if err := vdp.AuditSegmentedLog(ctx, pub, seg, epoch, 0); err != nil {
-		log.Fatalf("offline sharded audit FAILED: %v", err)
-	}
-	which := fmt.Sprintf("epoch %d", epoch)
-	if epoch < 0 {
-		which = "latest merged-sealed epoch"
-	}
-	fmt.Printf("offline sharded audit of %s: PASSED — every shard's proofs, coins and aggregate check out,\n", which)
-	fmt.Println("every client sits on its assigned shard, and the merged digest matches the manifest seal")
+	fmt.Printf("%s of %s: PASSED — %s\n", what, which, checks)
 }
 
 // followCluster live-audits a running cluster: it tails every node's board
@@ -473,7 +424,7 @@ func auditSharded(pub *vdp.Public, dir string, epoch int, timeout time.Duration)
 func followCluster(pub *vdp.Public, addrs []string, epochs int, interval time.Duration, opts transport.ClientOptions) {
 	backends := make([]*cluster.Backend, len(addrs))
 	for i, addr := range addrs {
-		backends[i] = cluster.NewBackend(cluster.SplitReplicaSpec(addr), i, opts)
+		backends[i] = cluster.NewBackend(cluster.SplitList(addr, "~"), i, opts)
 	}
 	f, err := cluster.NewTailFollower(pub, backends, vdp.TailOptions{})
 	if err != nil {

@@ -90,7 +90,7 @@ func TestAuditSketchOffline(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	auditSketch(pub, layout, dir, -1, 5*time.Second)
+	auditOffline(pub, layout, dir, -1, 5*time.Second)
 }
 
 // TestFrameFits: a -batch whose frame is over the transport's limit — 4096

@@ -6,6 +6,10 @@
 // fixed offset — the router never decodes a proof). A "submit-batch"
 // frame is partitioned into per-shard sub-batches forwarded concurrently,
 // and the verdicts come back reassembled in the caller's original order.
+// The router is one more server.Admitter behind the server.Dispatch every
+// vdpserver mode serves through, so its clients get the same replies — a
+// rejected "submit" an "error" frame with the connection kept — and it logs
+// one line per frame, as a node does.
 //
 // Once -clients submissions are accepted (or on SIGINT/SIGTERM) the router
 // drives the finalize-merge handshake: every node seals its local epoch
@@ -57,11 +61,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
@@ -85,7 +89,7 @@ func main() {
 	)
 	flag.Parse()
 
-	addrs := splitBackends(*backends)
+	addrs := cluster.SplitList(*backends, ",")
 	if len(addrs) == 0 {
 		log.Fatal("-backends is required: comma-separated node addresses in shard order")
 	}
@@ -100,7 +104,6 @@ func main() {
 		Backends: addrs,
 		Timeout:  *timeout,
 		Retry:    transport.RetryPolicy{Retries: *retries, Backoff: *backoff, MaxBackoff: 2 * time.Second},
-		Target:   *clients,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -128,37 +131,26 @@ func main() {
 	for _, st := range sts {
 		recovered += st.Accepted
 	}
-	// Nodes recovered from their board logs already hold accepted
-	// submissions; count them toward the target so a router replacing a
-	// crashed one does not wait for clients that already landed.
-	router.SeedAccepted(recovered)
 	router.StartProbes(ctx, *probe)
 
-	srv, err := transport.Listen(*addr, router.Handler())
+	// Nodes recovered from their board logs already hold accepted
+	// submissions; they count toward the target so a router replacing a
+	// crashed one does not wait for clients that already landed.
+	d := server.New(ctx, pub, router, server.Options{Accepted: recovered, Target: *clients, Logf: log.Printf})
+	drain, err := d.Serve(ctx, *addr, *grace, "verifiable-dp router", fmt.Sprintf("%d shards, epoch %d, %d/%d accepted, M=%d, nb=%d",
+		router.Shards(), sts[0].Epoch, recovered, *clients, pub.Bins(), pub.Coins()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("verifiable-dp router listening on %s (%d shards, epoch %d, %d/%d accepted, M=%d, nb=%d)",
-		srv.Addr(), router.Shards(), sts[0].Epoch, recovered, *clients, pub.Bins(), pub.Coins())
+	drain()
 
-	select {
-	case <-router.Done():
-	case <-ctx.Done():
-		log.Printf("signal received: shutting down gracefully")
-	}
-
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *grace)
-	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("listener drain: %v", err)
-	}
-
-	if router.Accepted() == 0 {
+	n := d.Accepted()
+	if n == 0 {
 		log.Printf("no accepted submissions; leaving the epoch open on the nodes")
 		return
 	}
-	if router.Accepted() < *clients {
-		log.Printf("finalizing early with %d/%d clients", router.Accepted(), *clients)
+	if n < *clients {
+		log.Printf("finalizing early with %d/%d clients", n, *clients)
 	}
 
 	finalizeCtx, cancelFinalize := context.WithTimeout(context.Background(), *grace)
@@ -184,14 +176,4 @@ func printRelease(rel *vdp.Release) {
 	for j, raw := range rel.Raw {
 		fmt.Printf("  bin %d: raw=%d estimate=%.1f (±%.1f)\n", j, raw, rel.Estimate[j], rel.Stddev)
 	}
-}
-
-func splitBackends(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

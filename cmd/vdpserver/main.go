@@ -82,7 +82,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/sketch"
 	"repro/internal/store"
-	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
@@ -170,31 +169,14 @@ func main() {
 	}
 }
 
-// serve is the one serve loop every mode runs: listen, announce, and wait
-// until the dispatch has accepted its target or the process is signalled (a
-// cluster node has no target and waits for the signal). The listener is still
-// up on return; the returned drain closes the door and waits for in-flight
-// connections within the grace period. A stray connection that never
-// completes (half-open peer, port scanner) only forfeits the drain: whatever
-// the caller does next gets its own fresh budget.
+// serve runs the dispatch's serve loop and fails the process when the
+// listener cannot be opened.
 func serve(ctx context.Context, addr string, d *server.Dispatch, grace time.Duration, role, detail string) (drain func()) {
-	srv, err := transport.Listen(addr, d.Handle)
+	drain, err := d.Serve(ctx, addr, grace, role, detail)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("%s listening on %s (%s)", role, srv.Addr(), detail)
-	select {
-	case <-d.Done():
-	case <-ctx.Done():
-		log.Printf("signal received: shutting down gracefully")
-	}
-	return func() {
-		drainCtx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		if err := srv.Shutdown(drainCtx); err != nil {
-			log.Printf("listener drain: %v", err)
-		}
-	}
+	return drain
 }
 
 // epochBoard is the lifecycle surface the open-or-recover turnover needs;

@@ -164,7 +164,8 @@ func TestClusterDigestParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer router.Close()
-	handler := router.Handler()
+	disp := server.New(ctx, pub, router, server.Options{})
+	handler := disp.Handle
 
 	subs := buildSubs(t, pub, 0, n)
 	half := n / 2
@@ -196,8 +197,8 @@ func TestClusterDigestParity(t *testing.T) {
 			t.Fatalf("client %d: got %q (%s), want ack", sub.Public.ID, reply.Kind, reply.Payload)
 		}
 	}
-	if got := router.Accepted(); got != n {
-		t.Fatalf("router counted %d accepted, want %d", got, n)
+	if got := disp.Accepted(); got != n {
+		t.Fatalf("router's dispatch counted %d accepted, want %d", got, n)
 	}
 
 	res, err := router.FinalizeMerge(ctx)

@@ -8,28 +8,24 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
-// Router is the stateless front door of a K-node cluster. It speaks the
-// existing client wire protocol ("submit", "submit-batch") on the outside
-// and the cluster RPC on the inside: submissions are routed by ShardOf to
-// the owning node over a persistent backend connection, and at finalize
-// time the router drives the merged-seal handshake — seal every node,
-// merge the K sealed transcripts in shard order, replicate the merged seal
-// back to every node. The router itself keeps no durable state; everything
-// needed to resume or audit the cluster lives on the nodes, so a router
-// restart mid-epoch is harmless.
+// Router is the stateless front door of a K-node cluster. It is one more
+// server.Admitter, so the client wire protocol ("submit", "submit-batch") on
+// the outside is served by the one server.Dispatch, and it speaks the cluster
+// RPC on the inside: submissions are routed by ShardOf to the owning node
+// over a persistent backend connection, and at finalize time the router
+// drives the merged-seal handshake — seal every node, merge the K sealed
+// transcripts in shard order, replicate the merged seal back to every node.
+// The router itself keeps no durable state; everything needed to resume or
+// audit the cluster lives on the nodes, so a router restart mid-epoch is
+// harmless.
 type Router struct {
 	pub      *vdp.Public
 	backends []*Backend
-	target   int
-
-	mu       sync.Mutex
-	accepted int
-	done     chan struct{}
-	doneOnce sync.Once
 }
 
 // Config configures a Router.
@@ -50,9 +46,6 @@ type Config struct {
 	// Dial overrides how backend connections are opened (nil = TCP); the
 	// chaos harness injects transport.FaultPlan wrappers here.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// Target, when positive, closes Done() once that many submissions have
-	// been accepted across all shards.
-	Target int
 }
 
 // New builds a Router. No connections are opened yet; backends are dialed
@@ -65,13 +58,9 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one backend")
 	}
 	opts := transport.ClientOptions{Timeout: cfg.Timeout, Retry: cfg.Retry, Dial: cfg.Dial}
-	r := &Router{
-		pub:    cfg.Pub,
-		target: cfg.Target,
-		done:   make(chan struct{}),
-	}
+	r := &Router{pub: cfg.Pub}
 	for i, spec := range cfg.Backends {
-		addrs := SplitReplicaSpec(spec)
+		addrs := SplitList(spec, "~")
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("cluster: backend %d has an empty address spec", i)
 		}
@@ -80,11 +69,12 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// SplitReplicaSpec parses one -backends entry: replica addresses separated
-// by '~', primary first, empty parts dropped.
-func SplitReplicaSpec(spec string) []string {
+// SplitList parses an address list flag: entries separated by sep, trimmed,
+// empty ones dropped. The -backends flag is a ","-list of shards in shard
+// order, each a "~"-list of replica addresses, primary first.
+func SplitList(spec, sep string) []string {
 	var out []string
-	for _, a := range strings.Split(spec, "~") {
+	for _, a := range strings.Split(spec, sep) {
 		if a = strings.TrimSpace(a); a != "" {
 			out = append(out, a)
 		}
@@ -94,36 +84,6 @@ func SplitReplicaSpec(spec string) []string {
 
 // Shards returns the cluster's shard count.
 func (r *Router) Shards() int { return len(r.backends) }
-
-// Accepted returns the count of accepted submissions observed so far.
-func (r *Router) Accepted() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.accepted
-}
-
-// SeedAccepted folds in submissions accepted before this router came up
-// (recovered nodes report them in their status), so Target counts the
-// epoch's total, not just this router process's share.
-func (r *Router) SeedAccepted(n int) {
-	r.countAccepted(n)
-}
-
-// Done is closed once Target accepted submissions have been observed.
-func (r *Router) Done() <-chan struct{} { return r.done }
-
-func (r *Router) countAccepted(n int) {
-	if n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.accepted += n
-	total := r.accepted
-	r.mu.Unlock()
-	if r.target > 0 && total >= r.target {
-		r.doneOnce.Do(func() { close(r.done) })
-	}
-}
 
 // Close drops all backend connections.
 func (r *Router) Close() {
@@ -188,37 +148,26 @@ func (r *Router) submitShard(sh int, f *transport.Frame) (*transport.Frame, erro
 	return b.Submit(f)
 }
 
-// Handler returns the client-facing frame handler: the same protocol a
-// single vdpserver speaks, with admission fanned out to the owning shards. A
-// "submit" body is one submission record, so it is routed as a batch of one
-// and its verdict mapped back to the single-submit reply shape: "ack", or an
-// "error" frame the router writes itself rather than failing the handler,
-// so the client's connection is never dropped because a shard is. A frame
-// whose framing does not parse is a protocol violation, the same terminal
-// error a node would produce.
+// Handler returns the client-facing frame handler: the router behind a
+// server.Dispatch with no target, for callers that keep no count of their
+// own.
 func (r *Router) Handler() transport.Handler {
-	return func(f *transport.Frame) ([]*transport.Frame, error) {
-		switch f.Kind {
-		case "submit":
-			id, err := vdp.PeekSubmissionID(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			v := r.route(f.Sender, [][]byte{f.Payload}, []int{id})[0]
-			if !v.Accepted {
-				return []*transport.Frame{{Kind: "error", Payload: []byte(v.Reason)}}, nil
-			}
-			return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
-		case "submit-batch":
-			recs, ids, err := vdp.SplitSubmissionBatch(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(r.route(f.Sender, recs, ids))}}, nil
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
+	return server.New(context.Background(), r.pub, r, server.Options{}).Handle
+}
+
+// SubmitBatch makes the router a server.Admitter: it peeks each record's
+// client ID (the router never decodes, let alone verifies, a proof; pub is
+// the nodes' to decode under) and routes the records to the shards that own
+// them. A record whose ID cannot be peeked refuses the whole frame.
+func (r *Router) SubmitBatch(_ context.Context, _ *vdp.Public, recs [][]byte) ([]vdp.BatchVerdict, error) {
+	ids := make([]int, len(recs))
+	for i, rec := range recs {
+		var err error
+		if ids[i], err = vdp.PeekSubmissionID(rec); err != nil {
+			return nil, err
 		}
 	}
+	return r.route(recs, ids), nil
 }
 
 // shardLeg forwards one shard's share of a client frame — raw submission
@@ -226,14 +175,10 @@ func (r *Router) Handler() transport.Handler {
 // trip (with failover, see submitShard) and returns the shard's verdicts, one
 // per record in order. A leg that fails as a whole returns the error every
 // one of its members failed with instead. The batch form matters even for a
-// single record: on the node, a rejected batch member is a verdict reply, not
-// a handler error, so the node↔router connection survives rejected clients.
-func (r *Router) shardLeg(sh, sender int, recs [][]byte, ids []int) ([]vdp.BatchVerdict, error) {
-	reply, err := r.submitShard(sh, &transport.Frame{
-		Kind:    "submit-batch",
-		Sender:  sender,
-		Payload: vdp.EncodeRawSubmissionBatch(recs),
-	})
+// single record: its verdict reply names the client, which a single "submit"
+// reply does not, so a desynced reply stream is caught.
+func (r *Router) shardLeg(sh int, recs [][]byte, ids []int) ([]vdp.BatchVerdict, error) {
+	reply, err := r.submitShard(sh, &transport.Frame{Kind: "submit-batch", Payload: vdp.EncodeRawSubmissionBatch(recs)})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d unavailable: %v", sh, err)
 	}
@@ -259,11 +204,10 @@ func (r *Router) shardLeg(sh, sender int, recs [][]byte, ids []int) ([]vdp.Batch
 }
 
 // route admits raw submission records, with the client IDs peeked from
-// them (the router never decodes, let alone verifies, a proof): it groups
-// them by ShardOf, forwards the groups concurrently, and returns the
-// verdicts in the records' order. Members of an unavailable shard get
-// individual unavailable verdicts; the rest proceed normally.
-func (r *Router) route(sender int, recs [][]byte, ids []int) []vdp.BatchVerdict {
+// them: it groups them by ShardOf, forwards the groups concurrently, and
+// returns the verdicts in the records' order. Members of an unavailable shard
+// get individual unavailable verdicts; the rest proceed normally.
+func (r *Router) route(recs [][]byte, ids []int) []vdp.BatchVerdict {
 	k := len(r.backends)
 	groups := make([][][]byte, k)
 	groupIDs := make([][]int, k)
@@ -284,7 +228,7 @@ func (r *Router) route(sender int, recs [][]byte, ids []int) []vdp.BatchVerdict 
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			vs, err := r.shardLeg(sh, sender, groups[sh], groupIDs[sh])
+			vs, err := r.shardLeg(sh, groups[sh], groupIDs[sh])
 			for j, i := range indices[sh] {
 				if err != nil {
 					out[i] = vdp.BatchVerdict{ID: ids[i], Reason: err.Error()}
@@ -295,14 +239,6 @@ func (r *Router) route(sender int, recs [][]byte, ids []int) []vdp.BatchVerdict 
 		}(sh)
 	}
 	wg.Wait()
-
-	ok := 0
-	for _, v := range out {
-		if v.Accepted {
-			ok++
-		}
-	}
-	r.countAccepted(ok)
 	return out
 }
 

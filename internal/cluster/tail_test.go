@@ -23,7 +23,7 @@ import (
 func testBackends(addrs []string) []*Backend {
 	backends := make([]*Backend, len(addrs))
 	for i, addr := range addrs {
-		backends[i] = NewBackend(SplitReplicaSpec(addr), i, transport.ClientOptions{Timeout: 10 * time.Second, Retry: testRetry()})
+		backends[i] = NewBackend(SplitList(addr, "~"), i, transport.ClientOptions{Timeout: 10 * time.Second, Retry: testRetry()})
 	}
 	return backends
 }

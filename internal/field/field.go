@@ -52,6 +52,13 @@ func New(q *big.Int) (*Field, error) {
 	if !q.ProbablyPrime(64) {
 		return nil, ErrNotPrime
 	}
+	return NewKnownPrime(q), nil
+}
+
+// NewKnownPrime constructs Z_q for a literal modulus whose primality the
+// caller's tests assert, without New's run-time checks: the primality test
+// costs a process about 1.4 ms for a 256-bit modulus.
+func NewKnownPrime(q *big.Int) *Field {
 	f := &Field{
 		q:       new(big.Int).Set(q),
 		byteLen: (q.BitLen() + 7) / 8,
@@ -59,7 +66,7 @@ func New(q *big.Int) (*Field, error) {
 	}
 	f.zero = f.newElement(big.NewInt(0))
 	f.one = f.newElement(big.NewInt(1))
-	return f, nil
+	return f
 }
 
 // Modulus returns a copy of the field modulus q.

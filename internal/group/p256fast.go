@@ -120,12 +120,9 @@ func (g *fastP256) newAffine(a ec.P256Affine) *fastElem {
 // their fixed-base tables. The alternate generator h is the
 // nothing-up-my-sleeve hash of g's encoding, so nobody knows log_g h.
 func newFastP256() *fastP256 {
+	// n is prime: TestScalarFieldIsGroupOrder asserts it.
 	n, _ := new(big.Int).SetString("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", 16)
-	scalars, err := field.New(n)
-	if err != nil {
-		panic("group: p256 scalar field: " + err.Error())
-	}
-	g := &fastP256{name: "p256", scalars: scalars, byteLen: 33}
+	g := &fastP256{name: "p256", scalars: field.NewKnownPrime(n), byteLen: 33}
 	var id ec.P256Point // the zero value is the identity
 	g.id = g.newAffine(id.ToAffine())
 

@@ -207,10 +207,15 @@ func TestFastBackendHashToElement(t *testing.T) {
 }
 
 // TestScalarFieldIsGroupOrder: the scalar field's literal modulus is
-// crypto/elliptic's group order.
+// crypto/elliptic's group order, and prime — the check field.New would make
+// at run time, which the group's setup skips for its literal.
 func TestScalarFieldIsGroupOrder(t *testing.T) {
-	if P256().ScalarField().Modulus().Cmp(elliptic.P256().Params().N) != 0 {
+	n := P256().ScalarField().Modulus()
+	if n.Cmp(elliptic.P256().Params().N) != 0 {
 		t.Fatal("P-256 scalar field modulus is not the group order")
+	}
+	if !n.ProbablyPrime(64) {
+		t.Fatal("P-256 scalar field modulus is not prime")
 	}
 }
 

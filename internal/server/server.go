@@ -1,41 +1,45 @@
 // Package server is the admission surface of every serving mode: one admitter
-// interface and one frame dispatch.
+// interface, one frame dispatch and one serve loop.
 //
-// The paper's guarantee is a property of one public bulletin board, so the
-// write side of that board is spelled out once. A client frame is decoded,
-// handed to an Admitter, counted, and answered — "submit-batch" with one
-// "batch-verdicts" frame carrying a verdict per client, "submit" (one
-// submission record, the same bytes as a batch member, admitted as a batch of
-// one right here in Dispatch.Handle) with an "ack" or its verdict as the
-// error — by the same code whether the board behind it is a plain
-// vdp.Session, a vdp.ShardedSession, a cluster.Node, a cluster.Standby that
-// admits once promoted, or a vdp.SketchSession behind its contribution
-// grouping (Sketch). What a mode adds on top — the cluster RPC, sketch
-// queries — is an Extra hook that sees each frame first. cmd/vdpserver, the
-// experiments' loopback clusters and the cluster tests all serve through
+// The paper's guarantee is that every client gets one public verdict from one
+// rule, so the write side of the board is spelled out once. A client frame is
+// cut into its raw member records, handed to an Admitter, counted, and
+// answered — "submit-batch" with one "batch-verdicts" frame carrying a verdict
+// per client, "submit" (one submission record, the same bytes as a batch
+// member, admitted as a batch of one right here in Dispatch.Handle) with an
+// "ack" or an "error" frame carrying its verdict, the connection kept — by the
+// same code whether the admitter is a plain vdp.Session, a
+// vdp.ShardedSession, a cluster.Node, a cluster.Standby that admits once
+// promoted, a vdp.SketchSession behind its contribution grouping (Sketch), or
+// a cluster.Router that routes the records undecoded to the nodes that own
+// them. What a mode adds on top — the cluster RPC, sketch queries — is an
+// Extra hook that sees each frame first. cmd/vdpserver and cmd/vdprouter serve
+// through Dispatch.Serve, the cluster and transport tests through
 // Dispatch.Handle; there is no second copy of the switch.
 //
-// The package imports neither cmd/ nor internal/cluster, so internal/cluster's
-// own tests can serve their nodes through it: a node plugs in as a Board, its
-// RPC endpoint as cluster.Demux(node.Handle).
+// The package imports neither cmd/ nor internal/cluster, so internal/cluster
+// serves its router through it and its tests serve their nodes through it: a
+// node plugs in as a Board, its RPC endpoint as cluster.Demux(node.Handle).
 package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"log"
 	"sync"
+	"time"
 
 	"repro/internal/transport"
 	"repro/internal/vdp"
 )
 
-// Admitter is what the dispatch drives: one decoded batch in, the reply
-// frame's verdicts out, one per submission. A rejected member is a verdict;
-// only a batch-level failure (closed session, store failure) errors the
-// frame.
+// Admitter is what the dispatch drives: a frame's raw member records in —
+// each the EncodeClientSubmission bytes, decoded under pub by the admitters
+// that verify them — and the reply frame's verdicts out, one per record. A
+// rejected member is a verdict; a record that does not decode and a
+// batch-level failure (closed session, store failure) error the frame.
 type Admitter interface {
-	SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]vdp.BatchVerdict, error)
+	SubmitBatch(ctx context.Context, pub *vdp.Public, recs [][]byte) ([]vdp.BatchVerdict, error)
 }
 
 // Board is the admission shape vdp.Session, vdp.ShardedSession, cluster.Node
@@ -49,12 +53,29 @@ func Of(b Board) Admitter { return boardAdmitter{b} }
 
 type boardAdmitter struct{ Board }
 
-func (a boardAdmitter) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]vdp.BatchVerdict, error) {
+func (a boardAdmitter) SubmitBatch(ctx context.Context, pub *vdp.Public, recs [][]byte) ([]vdp.BatchVerdict, error) {
+	subs, err := decode(pub, recs)
+	if err != nil {
+		return nil, err
+	}
 	errs, err := a.Board.SubmitBatch(ctx, subs)
 	if err != nil {
 		return nil, err
 	}
 	return vdp.VerdictsFor(subs, errs), nil
+}
+
+// decode decodes every member record of a frame, refusing the whole frame at
+// the first malformed one, before anything reaches the board.
+func decode(pub *vdp.Public, recs [][]byte) ([]*vdp.ClientSubmission, error) {
+	subs := make([]*vdp.ClientSubmission, len(recs))
+	for i, rec := range recs {
+		var err error
+		if subs[i], err = pub.DecodeClientSubmission(rec); err != nil {
+			return nil, err
+		}
+	}
+	return subs, nil
 }
 
 // Options configures a Dispatch.
@@ -136,54 +157,78 @@ func (d *Dispatch) logf(format string, args ...any) {
 	}
 }
 
-// Handle decodes, admits, counts and encodes one client frame. Verification
-// is eager: the verdict goes straight back on the client's connection, and
-// with a durable board the submission and verdict are on disk before the
-// reply is written. A "submit" frame carries one submission record and is a
-// batch of one whose single verdict is mapped back to the reply shape it
-// always had: an "ack", or the rejection as the handler's error (the
-// connection drops).
+// Handle cuts, admits, counts and encodes one client frame. Verification is
+// eager: the verdict goes straight back on the client's connection, and with
+// a durable board the submission and verdict are on disk before the reply is
+// written. A "submit" frame carries one submission record and is a batch of
+// one whose single verdict is answered with an "ack", or with an "error"
+// frame carrying the verdict on a connection that stays up, as it does for a
+// rejected batch member. A frame that does not parse and a batch-level
+// failure are the handler's error (the connection drops).
 func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 	if d.opts.Extra != nil {
 		if replies, err := d.opts.Extra(f); replies != nil || err != nil {
 			return replies, err
 		}
 	}
+	var recs [][]byte
 	switch f.Kind {
 	case "submit":
-		sub, err := d.pub.DecodeClientSubmission(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		verdicts, err := d.adm.SubmitBatch(d.ctx, []*vdp.ClientSubmission{sub})
-		if err != nil {
-			return nil, err
-		}
-		if !verdicts[0].Accepted {
-			return nil, errors.New(verdicts[0].Reason)
-		}
-		d.logf("accepted client %d (%s)", sub.Public.ID, d.count(1))
-		return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
+		recs = [][]byte{f.Payload}
 	case "submit-batch":
-		subs, err := d.pub.DecodeSubmissionBatch(f.Payload)
-		if err != nil {
+		var err error
+		if recs, _, err = vdp.SplitSubmissionBatch(f.Payload); err != nil {
 			return nil, err
 		}
-		verdicts, err := d.adm.SubmitBatch(d.ctx, subs)
-		if err != nil {
-			return nil, err
-		}
-		ok := 0
-		for _, v := range verdicts {
-			if v.Accepted {
-				ok++
-			}
-		}
-		d.logf("accepted batch of %d: %d admitted, %d rejected (%s)", len(verdicts), ok, len(verdicts)-ok, d.count(ok))
-		return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(verdicts)}}, nil
 	default:
 		return nil, fmt.Errorf("unexpected frame kind %q", f.Kind)
 	}
+	verdicts, err := d.adm.SubmitBatch(d.ctx, d.pub, recs)
+	if err != nil {
+		return nil, err
+	}
+	if f.Kind == "submit" {
+		if v := verdicts[0]; !v.Accepted {
+			return []*transport.Frame{{Kind: "error", Payload: []byte(v.Reason)}}, nil
+		}
+		d.logf("accepted client %d (%s)", verdicts[0].ID, d.count(1))
+		return []*transport.Frame{{Kind: "ack", Payload: []byte("accepted")}}, nil
+	}
+	ok := 0
+	for _, v := range verdicts {
+		if v.Accepted {
+			ok++
+		}
+	}
+	d.logf("accepted batch of %d: %d admitted, %d rejected (%s)", len(verdicts), ok, len(verdicts)-ok, d.count(ok))
+	return []*transport.Frame{{Kind: "batch-verdicts", Payload: vdp.EncodeBatchVerdicts(verdicts)}}, nil
+}
+
+// Serve is the one serve loop every serving binary runs: listen, announce,
+// and wait until the dispatch has accepted its target or ctx is done (a
+// signal; a dispatch with no target waits for that alone). The listener is
+// still up on return; the returned drain closes the door and waits for
+// in-flight connections within the grace period. A stray connection that
+// never completes (half-open peer, port scanner) only forfeits the drain:
+// whatever the caller does next gets its own fresh budget.
+func (d *Dispatch) Serve(ctx context.Context, addr string, grace time.Duration, role, detail string) (drain func(), err error) {
+	srv, err := transport.Listen(addr, d.Handle)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("%s listening on %s (%s)", role, srv.Addr(), detail)
+	select {
+	case <-d.Done():
+	case <-ctx.Done():
+		log.Printf("signal received: shutting down gracefully")
+	}
+	return func() {
+		drainCtx, cancel := context.WithTimeout(context.Background(), grace)
+		defer cancel()
+		if err := srv.Shutdown(drainCtx); err != nil {
+			log.Printf("listener drain: %v", err)
+		}
+	}, nil
 }
 
 // Sketch serves a vdp.SketchSession: as the Admitter it regroups a batch
@@ -211,7 +256,11 @@ func (s *Sketch) Release(ns *vdp.NoisySketch) {
 
 // SubmitBatch admits the frame's contributions through the session's batched
 // pipeline (row 0 first, as the budget gate).
-func (s *Sketch) SubmitBatch(ctx context.Context, subs []*vdp.ClientSubmission) ([]vdp.BatchVerdict, error) {
+func (s *Sketch) SubmitBatch(ctx context.Context, pub *vdp.Public, recs [][]byte) ([]vdp.BatchVerdict, error) {
+	subs, err := decode(pub, recs)
+	if err != nil {
+		return nil, err
+	}
 	contribs, err := vdp.GroupContributions(s.hs.Rows(), subs)
 	if err != nil {
 		return nil, err

@@ -90,9 +90,10 @@ func batchFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame
 }
 
 // step is one frame through the handler and the exact reply it must earn:
-// a reply kind with its payload bytes, or a handler error (the transport
-// answers those with an "error" frame carrying the text and drops the
-// connection) — errIs pins the whole text, errHas a part of it.
+// a reply kind with its payload bytes (an "error" frame among them: the
+// connection stays up), or a handler error (the transport answers those with
+// an "error" frame carrying the text and drops the connection) — errIs pins
+// the whole text, errHas a part of it.
 type step struct {
 	name    string
 	frame   *transport.Frame
@@ -100,6 +101,13 @@ type step struct {
 	payload []byte
 	errHas  string
 	errIs   string
+}
+
+// refused is the step of a single "submit" whose client is rejected: an
+// "error" frame carrying the verdict reason (a format taking the client ID)
+// for client id.
+func refused(name string, frame *transport.Frame, reason string, id int) step {
+	return step{name: name, frame: frame, kind: "error", payload: []byte(fmt.Sprintf(reason, id))}
 }
 
 func run(t *testing.T, h transport.Handler, steps []step) {
@@ -146,13 +154,15 @@ const (
 	forgedRowReason = "vdp: sketch row 1: vdp: client input rejected: client %d: coordinate 0: sigma: proof verification failed: challenge split does not sum to e"
 )
 
-// TestDispatchOverEveryAdmitter drives the one handler over the boards
-// cmd/vdpserver wires it to — plain session, Shards:2 session, one shard's
-// session, cluster node, standby before and after promotion — with the same
-// client frames, asserting reply kinds and payload bytes. The boards differ
-// in exactly one reply: one shard's board — its session, bare or behind a
+// TestDispatchOverEveryAdmitter drives the one handler over the admitters
+// cmd/vdpserver and cmd/vdprouter wire it to — plain session, Shards:2
+// session, one shard's session, cluster node, standby before and after
+// promotion, and a router over two nodes — with the same client frames,
+// asserting reply kinds, payload bytes, counts and log lines. They differ in
+// exactly one reply: one shard's board — its session, bare or behind a
 // cluster node — answers a batch member that belongs to another shard with a
-// per-client verdict, where a whole board admits it.
+// per-client verdict, where a whole board admits it. The router answers as a
+// whole board does: it hands each member to the node that owns it.
 func TestDispatchOverEveryAdmitter(t *testing.T) {
 	pub := setup(t, 1)
 	ctx := context.Background()
@@ -170,35 +180,35 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 	}
 	modes := []struct {
 		name     string
-		open     func(t *testing.T) (server.Board, transport.Handler)
+		open     func(t *testing.T) (server.Admitter, transport.Handler)
 		misroute bool // a shard-1 client is refused, not admitted
 	}{
-		{"plain", func(t *testing.T) (server.Board, transport.Handler) {
+		{"plain", func(t *testing.T) (server.Admitter, transport.Handler) {
 			s, err := vdp.NewSession(pub, vdp.SessionOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, nil
+			return server.Of(s), nil
 		}, false},
-		{"shards-2", func(t *testing.T) (server.Board, transport.Handler) {
+		{"shards-2", func(t *testing.T) (server.Admitter, transport.Handler) {
 			s, err := vdp.NewShardedSession(pub, vdp.SessionOptions{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, nil
+			return server.Of(s), nil
 		}, false},
-		{"shard-session", func(t *testing.T) (server.Board, transport.Handler) {
+		{"shard-session", func(t *testing.T) (server.Admitter, transport.Handler) {
 			s, err := vdp.NewShardSession(pub, vdp.SessionOptions{}, 0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, nil
+			return server.Of(s), nil
 		}, true},
-		{"node", func(t *testing.T) (server.Board, transport.Handler) {
+		{"node", func(t *testing.T) (server.Admitter, transport.Handler) {
 			n := node(t)
-			return n, cluster.Demux(n.Handle)
+			return server.Of(n), cluster.Demux(n.Handle)
 		}, true},
-		{"promoted-standby", func(t *testing.T) (server.Board, transport.Handler) {
+		{"promoted-standby", func(t *testing.T) (server.Admitter, transport.Handler) {
 			sb, err := cluster.NewStandby(ctx, pub, cluster.StandbyConfig{
 				Shard: 0, Shards: 2, Board: store.NewMemLog(), Seal: store.NewMemLog(),
 			})
@@ -215,15 +225,21 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			if replies, err := h(promote); err != nil || len(replies) != 1 || replies[0].Kind != cluster.KindPromote+"-ok" {
 				t.Fatalf("promotion: replies %+v, err %v", replies, err)
 			}
-			return sb, cluster.Demux(sb.Handle)
+			return server.Of(sb), cluster.Demux(sb.Handle)
 		}, true},
+		// Each node is served through the dispatch; the router's own
+		// dispatch is the one under test.
+		{"router", func(t *testing.T) (server.Admitter, transport.Handler) {
+			_, _, r := twoNodes(t, pub)
+			return r, nil
+		}, false},
 	}
 	a, b, c, d := idOn(0, 0), idOn(0, 1), idOn(0, 2), idOn(1, 0)
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			board, extra := m.open(t)
+			adm, extra := m.open(t)
 			var logged []string
-			disp := server.New(ctx, pub, server.Of(board), server.Options{
+			disp := server.New(ctx, pub, adm, server.Options{
 				Accepted: 1, Target: 4, Extra: extra, Label: m.name + ": ",
 				Logf: func(f string, args ...any) { logged = append(logged, fmt.Sprintf(f, args...)) },
 			})
@@ -240,18 +256,18 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			huge := submitFrame(pub, submission(t, pub, a))
 			binary.BigEndian.PutUint32(huge.Payload[1:], 0xffffffff) // wraps a 32-bit int
 			first := submitFrame(pub, submission(t, pub, a))
-			// The single-"submit" reply surface, text for text: an "ack", or the
-			// verdict as the handler's error.
+			// The single-"submit" reply surface, text for text: an "ack", or an
+			// "error" frame carrying the verdict.
 			bad, eq, mis, misB := idOn(0, 3), idOn(0, 4), idOn(0, 5), idOn(0, 6)
 			steps := []step{
 				{name: "submit", frame: first, kind: "ack", payload: []byte("accepted")},
-				{name: "duplicate submit", frame: first, errIs: fmt.Sprintf(duplicateReason, a)},
-				{name: "forged submit", frame: submitFrame(pub, forged(t, pub, bad)), errIs: fmt.Sprintf(forgedReason, bad)},
-				{name: "forged resubmit", frame: submitFrame(pub, submission(t, pub, bad)), errIs: fmt.Sprintf(duplicateReason, bad)},
-				{name: "equivocating payload", frame: submitFrame(pub, equivocating(t, pub, eq)), errIs: fmt.Sprintf(payloadReason, eq)},
+				refused("duplicate submit", first, duplicateReason, a),
+				refused("forged submit", submitFrame(pub, forged(t, pub, bad)), forgedReason, bad),
+				refused("forged resubmit", submitFrame(pub, submission(t, pub, bad)), duplicateReason, bad),
+				refused("equivocating payload", submitFrame(pub, equivocating(t, pub, eq)), payloadReason, eq),
 				// One identity rule: the verdict a payload naming another client
 				// earns is the same in a "submit" as in a "submit-batch".
-				{name: "payload naming another client", frame: submitFrame(pub, mismatched(t, pub, mis)), errIs: fmt.Sprintf(mismatchReason, mis)},
+				refused("payload naming another client", submitFrame(pub, mismatched(t, pub, mis)), mismatchReason, mis),
 				{name: "same, as a batch member", frame: batchFrame(pub, mismatched(t, pub, misB)), kind: "batch-verdicts",
 					payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{{ID: misB, Reason: fmt.Sprintf(mismatchReason, misB)}})},
 				{name: "short submit", frame: &transport.Frame{Kind: "submit", Payload: []byte{0, 0}}, errIs: versionZero},
@@ -262,7 +278,7 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 			}
 			if m.misroute {
 				e := idOn(1, 1)
-				steps = append(steps, step{name: "misrouted submit", frame: submitFrame(pub, submission(t, pub, e)), errIs: fmt.Sprintf(misroutedReason, e)})
+				steps = append(steps, refused("misrouted submit", submitFrame(pub, submission(t, pub, e)), misroutedReason, e))
 			}
 			run(t, disp.Handle, steps)
 			if n := disp.Accepted(); n != 2 {
@@ -360,8 +376,8 @@ func TestBadHintRefusesFrame(t *testing.T) {
 
 // submitBudgetRefusal pins the one single-"submit" reply the boards of
 // TestDispatchOverEveryAdmitter cannot earn in their first epoch: a client
-// whose budget is spent is refused with the ledger's verdict as the handler's
-// error, and the refusal reserves its ID like any other verdict.
+// whose budget is spent is refused with an "error" frame carrying the
+// ledger's verdict, and the refusal reserves its ID like any other verdict.
 func submitBudgetRefusal(t *testing.T) {
 	pub := setup(t, 1)
 	ctx := context.Background()
@@ -378,8 +394,8 @@ func submitBudgetRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, disp.Handle, []step{
-		{name: "epoch 1, budget spent", frame: submitFrame(pub, submission(t, pub, 1)), errIs: fmt.Sprintf(budgetReason, 1)},
-		{name: "refused client again", frame: submitFrame(pub, submission(t, pub, 1)), errIs: fmt.Sprintf(duplicateReason, 1)},
+		refused("epoch 1, budget spent", submitFrame(pub, submission(t, pub, 1)), budgetReason, 1),
+		refused("refused client again", submitFrame(pub, submission(t, pub, 1)), duplicateReason, 1),
 		{name: "fresh client", frame: submitFrame(pub, submission(t, pub, 2)), kind: "ack", payload: []byte("accepted")},
 	})
 	if n := disp.Accepted(); n != 2 {
@@ -599,7 +615,7 @@ func TestDispatchSketch(t *testing.T) {
 				{ID: 3, Reason: fmt.Sprintf(forgedRowReason, 3)},
 			})},
 	})
-	if _, err := board.SubmitBatch(ctx, []*vdp.ClientSubmission{c1[0], nil}); err == nil || !strings.Contains(err.Error(), "row 1 is empty") {
+	if _, err := hs.SubmitBatch(ctx, []*vdp.SketchContribution{{ClientID: 1, Rows: []*vdp.ClientSubmission{c1[0], nil}}}); err == nil || !strings.Contains(err.Error(), "row 1 is empty") {
 		t.Errorf("bundle with a nil row: err = %v", err)
 	}
 	select {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/pedersen"
@@ -112,6 +113,55 @@ func BenchmarkSubmitBatchOneBadOpening(b *testing.B) {
 				b.Fatalf("member %d: verdict %v", j, v)
 			}
 		}
+	}
+}
+
+// forgeBitProof returns a copy of sub whose bit proof is forged past the
+// fold's scalar checks: Z0 + 1 keeps the challenge split, so BitBatch.Add
+// takes the proof and only the group equation fails.
+func forgeBitProof(pub *Public, sub *ClientSubmission) *ClientSubmission {
+	proof := *sub.Public.BitProof
+	proof.Z0 = proof.Z0.Add(pub.Field().One())
+	cp := *sub.Public
+	cp.BitProof = &proof
+	forged := *sub
+	forged.Public = &cp
+	return &forged
+}
+
+// BenchmarkSubmitBatchBadProofs is BenchmarkSubmitBatch with 0, 1 or 4
+// members whose bit proof is forged (forgeBitProof). The folded check fails,
+// so the frame pays the fallback that re-verifies its members one by one;
+// every other member is still admitted. /0 is the honest frame.
+func BenchmarkSubmitBatchBadProofs(b *testing.B) {
+	pub, subs := benchBatch(b)
+	ctx := context.Background()
+	for _, nbad := range []int{0, 1, 4} {
+		b.Run(strconv.Itoa(nbad), func(b *testing.B) {
+			frame := append([]*ClientSubmission{}, subs...)
+			bad := make(map[int]bool)
+			for k := 0; k < nbad; k++ {
+				j := 8 + 16*k // spread over the frame
+				frame[j], bad[j] = forgeBitProof(pub, frame[j]), true
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sess, err := NewSession(pub, SessionOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				verdicts, err := sess.SubmitBatch(ctx, frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j, v := range verdicts {
+					if (v != nil) != bad[j] {
+						b.Fatalf("member %d: verdict %v", j, v)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -690,7 +691,10 @@ func BenchmarkTailSealVerify(b *testing.B) {
 // and its board proof decided, and every accepted client folded into the
 // Line-13 product. At 1000 submissions the audit decides them with one
 // batched check at the seal; 10000 crosses auditWindow, so the same work is
-// split over three products. The tail decides them 64 at a time.
+// split over three products. The tail decides them 64 at a time. 1000/onebad
+// is the 1000-client audit of a board that holds one on-board rejection (a
+// forged bit proof): its window's combined check fails, so the audit takes
+// the fallback that decides the window's submissions one by one.
 func BenchmarkAuditLog(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
 	if err != nil {
@@ -727,6 +731,19 @@ func BenchmarkAuditLog(b *testing.B) {
 			}
 		})
 	}
+	var onebad *store.MemLog
+	b.Run("1000/onebad", func(b *testing.B) {
+		if onebad == nil {
+			onebad, _ = sealedBoard(b, pub, 1000, 500)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := AuditLog(ctx, pub, onebad, 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFinalizeCoins times the coin half of an epoch per noise coin: a
@@ -780,8 +797,10 @@ func BenchmarkFinalizeCoins(b *testing.B) {
 }
 
 // sealedBoard finalizes an n-client epoch, admitted in frames of 256, on a
-// MemLog and returns the log with the sealed transcript.
-func sealedBoard(b *testing.B, pub *Public, n int) (*store.MemLog, *Transcript) {
+// MemLog and returns the log with the sealed transcript. Each client listed
+// in bad submits a forged bit proof (forgeBitProof) and earns an on-board
+// rejection.
+func sealedBoard(b *testing.B, pub *Public, n int, bad ...int) (*store.MemLog, *Transcript) {
 	b.Helper()
 	ctx := context.Background()
 	log := store.NewMemLog()
@@ -796,14 +815,17 @@ func sealedBoard(b *testing.B, pub *Public, n int) (*store.MemLog, *Transcript) 
 		if err != nil {
 			b.Fatal(err)
 		}
+		if slices.Contains(bad, i) {
+			sub = forgeBitProof(pub, sub)
+		}
 		if subs = append(subs, sub); len(subs) == frame || i == n-1 {
 			verdicts, err := sess.SubmitBatch(ctx, subs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, v := range verdicts {
-				if v != nil {
-					b.Fatalf("honest client rejected: %v", v)
+			for j, v := range verdicts {
+				if (v != nil) != slices.Contains(bad, subs[j].Public.ID) {
+					b.Fatalf("client %d: verdict %v", subs[j].Public.ID, v)
 				}
 			}
 			subs = nil

@@ -17,7 +17,12 @@
 # .github/workflows/ and the three docs must name a file, from the repo
 # root or from the citing file's directory. CHANGES.md and ROADMAP.md are
 # history and plan, and are not scanned.
+#
+# And it fails when one of the three docs is larger than its byte budget
+# below, so doc growth is a decision rather than drift: raising a budget is
+# an explicit diff to this file, with the reason given in CHANGES.md.
 set -u
+budgets="ARCHITECTURE.md:77373 EXPERIMENTS.md:115822 README.md:21739"
 fail=0
 code=$(mktemp)
 cited=$(mktemp)
@@ -55,8 +60,16 @@ if [ -s "$cited" ]; then
     cat "$cited"
     fail=1
 fi
+for b in $budgets; do
+    doc=${b%%:*} max=${b##*:}
+    size=$(wc -c < "$doc")
+    if [ "$size" -gt "$max" ]; then
+        echo "$doc is $size bytes, over its budget of $max"
+        fail=1
+    fi
+done
 if [ "$fail" -ne 0 ]; then
-    echo "doc check FAILED: fix or remove the stale references above"
+    echo "doc check FAILED: fix the stale references or the oversized docs above"
     exit 1
 fi
 echo "doc check passed"
