@@ -177,7 +177,7 @@ func (d *Dispatch) Handle(f *transport.Frame) ([]*transport.Frame, error) {
 		recs = [][]byte{f.Payload}
 	case "submit-batch":
 		var err error
-		if recs, _, err = vdp.SplitSubmissionBatch(f.Payload); err != nil {
+		if recs, err = vdp.SplitSubmissionBatch(f.Payload); err != nil {
 			return nil, err
 		}
 	default:

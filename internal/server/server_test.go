@@ -89,6 +89,17 @@ func batchFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame
 	return &transport.Frame{Kind: "submit-batch", Payload: pub.EncodeSubmissionBatch(subs)}
 }
 
+// unreadableFrame is a "submit-batch" frame whose last member, after subs,
+// is cut off before its client ID: every door refuses the whole frame, so
+// none of subs reaches the board.
+func unreadableFrame(pub *vdp.Public, subs ...*vdp.ClientSubmission) *transport.Frame {
+	var recs [][]byte
+	for _, sub := range subs {
+		recs = append(recs, pub.EncodeClientSubmission(sub))
+	}
+	return &transport.Frame{Kind: "submit-batch", Payload: vdp.EncodeRawSubmissionBatch(append(recs, []byte{vdp.WireVersion}))}
+}
+
 // step is one frame through the handler and the exact reply it must earn:
 // a reply kind with its payload bytes (an "error" frame among them: the
 // connection stays up), or a handler error (the transport answers those with
@@ -274,6 +285,8 @@ func TestDispatchOverEveryAdmitter(t *testing.T) {
 				{name: "length field past the end", frame: overlong, errIs: truncated},
 				{name: "length field 2^32-1", frame: huge, errIs: truncated},
 				{name: "garbage batch", frame: &transport.Frame{Kind: "submit-batch", Payload: []byte{9}}, errHas: "version"},
+				// b is admitted by the batch below, so this frame wrote nothing.
+				{name: "member with no readable ID", frame: unreadableFrame(pub, submission(t, pub, b)), errIs: truncated},
 				{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
 			}
 			if m.misroute {
@@ -543,7 +556,7 @@ func TestTwoProversThroughEveryFrontDoor(t *testing.T) {
 				return func(f *transport.Frame) ([]*transport.Frame, error) {
 					replies, err := h(f)
 					if f.Kind == "submit" && err == nil {
-						recs, _, serr := vdp.SplitSubmissionBatch(last(vdp.ShardOf(id, 2)))
+						recs, serr := vdp.SplitSubmissionBatch(last(vdp.ShardOf(id, 2)))
 						if serr != nil || len(recs) != 1 || !bytes.Equal(recs[0], f.Payload) {
 							t.Errorf("client %d: the node was not handed the submit body byte for byte", id)
 						}
@@ -609,6 +622,7 @@ func TestDispatchSketch(t *testing.T) {
 		{name: "ragged batch", frame: batchFrame(pub, c1[0], c1[1], c2[0]), errHas: "positive multiple of 2"},
 		{name: "interleaved batch", frame: batchFrame(pub, c1[0], c2[1]), errHas: "row 1 carries client 2, want 1"},
 		{name: "unknown kind", frame: &transport.Frame{Kind: "release"}, errHas: `unexpected frame kind "release"`},
+		{name: "row with no readable ID", frame: unreadableFrame(pub, c1[0]), errIs: truncated}, // client 1 is admitted next
 		{name: "three contributions", frame: batchFrame(pub, append(append(append([]*vdp.ClientSubmission{}, c1...), c2...), c3...)...),
 			kind: "batch-verdicts", payload: vdp.EncodeBatchVerdicts([]vdp.BatchVerdict{
 				{ID: 1, Accepted: true}, {ID: 2, Accepted: true},

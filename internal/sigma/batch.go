@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/group"
@@ -70,7 +73,16 @@ type BitBatch struct {
 	gSum  big.Int          // fixed-base side: g^{gSum} ∘ h^{hSum}, reduced
 	hSum  big.Int          // once, in Check
 	n     int              // accumulated equations (for diagnostics)
-	coeff []byte
+	// Members, closed by Mark: each one's end in bases, and the fixed-base
+	// sums as they stood then — gSum | hSum, 2·len(buf) bytes each, in
+	// chunks of markChunk members that are never copied — so a run of
+	// members' share of them is the difference of two marks.
+	ends []int
+	sums [][]byte
+	// defect is the variable-base side over the fixed-base side of the
+	// last failed Check: the identity exactly when the equation holds.
+	defect group.Element
+	coeff  []byte
 	// Scratch for the scalar side, reused by every fold: k and k2 hold
 	// sampled coefficients, x a scalar read out of an element, prod a
 	// product, cExp a commitment's exponent under construction, and the
@@ -252,8 +264,8 @@ func (b *BitBatch) AddOneHot(cs []*pedersen.Commitment, p *OneHotProof, ctx []by
 // group; a product of a few dozen terms or fewer stays on the calling
 // goroutine. The verdict does not depend on workers. A nil return means every
 // folded equation holds (up to 2^-128 batching slack); an ErrVerify return
-// means at least one folded statement is false, with no attribution —
-// callers needing to name a culprit re-verify individually.
+// means at least one folded statement is false, with no attribution; Narrow
+// finds the members behind it from the product Check keeps.
 func (b *BitBatch) Check(workers int) error {
 	if b.n == 0 {
 		return nil
@@ -262,19 +274,147 @@ func (b *BitBatch) Check(workers int) error {
 	lhs := b.pp.CommitWith(f.FromBig(&b.gSum), f.FromBig(&b.hSum)).Element()
 	rhs := group.MultiExpParallel(g, b.bases, b.exps, workers)
 	if !g.Equal(lhs, rhs) {
+		b.defect = g.Op(rhs, g.Inv(lhs))
 		return fmt.Errorf("%w: combined batch equation failed", ErrVerify)
 	}
 	return nil
 }
 
+// Mark closes a member: every equation folded since the previous Mark (or
+// since the batch began) is the next member, which Narrow addresses by its
+// index. A caller folds one statement per member — an Add, an AddOneHot —
+// and marks it once the fold succeeded. An opening claim that AddOpeningAt
+// lays on a marked member's commitment moves that member's exponent but not
+// its mark, so a batch that is to be narrowed takes none.
+func (b *BitBatch) Mark() {
+	at := b.mark(len(b.ends))
+	w := len(at) / 2
+	for i, sum := range [2]*big.Int{&b.gSum, &b.hSum} {
+		// A sum is reduced only when it nears the width: a fold adds
+		// products of a 128-bit coefficient and a scalar, so 64 bits of
+		// headroom hold 2^64 of them.
+		if sum.BitLen() > 8*w-64 {
+			sum.Mod(sum, b.pp.ScalarField().Modulus())
+		}
+		sum.FillBytes(at[i*w : (i+1)*w])
+	}
+	b.ends = append(b.ends, len(b.bases))
+}
+
+// markChunk is how many members' marks one allocation holds.
+const markChunk = 64
+
+// mark returns member m's mark, gSum | hSum, allocating its chunk when m
+// opens one.
+func (b *BitBatch) mark(m int) []byte {
+	w := 4 * len(b.buf)
+	if m == markChunk*len(b.sums) {
+		b.sums = append(b.sums, make([]byte, markChunk*w))
+	}
+	return b.sums[m/markChunk][m%markChunk*w:][:w]
+}
+
+// memberRun is members lo..hi-1 of a batch, with the defect of their
+// combined equation.
+type memberRun struct {
+	lo, hi int
+	defect group.Element
+}
+
+// lefts returns the defect of every run's left half (nil for a run of one),
+// the runs spread over the workers: one multi-exponentiation over the half's
+// terms, plus g and h raised to minus its share of the fixed-base sums, the
+// difference of two marks.
+func (b *BitBatch) lefts(runs []memberRun, workers int) []group.Element {
+	out := make([]group.Element, len(runs))
+	stripes := min(workers, len(runs))
+	w, f := 2*len(b.buf), b.pp.ScalarField()
+	share := func(m, i int) *big.Int { return new(big.Int).SetBytes(b.mark(m)[i*w : (i+1)*w]) }
+	var wg sync.WaitGroup
+	for s := range stripes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := s; i < len(runs); i += stripes {
+				lo, hi := runs[i].lo, runs[i].hi
+				if hi-lo == 1 {
+					continue
+				}
+				mid, from := (lo+hi)/2, 0
+				gs, hs := share(mid-1, 0), share(mid-1, 1)
+				if lo > 0 {
+					from = b.ends[lo-1]
+					gs.Sub(gs, share(lo-1, 0))
+					hs.Sub(hs, share(lo-1, 1))
+				}
+				to := b.ends[mid-1]
+				bases := append(slices.Clip(b.bases[from:to]), b.pp.G(), b.pp.H())
+				exps := append(slices.Clip(b.exps[from:to]), f.FromBig(gs).Neg(), f.FromBig(hs).Neg())
+				out[i] = group.MultiExpParallel(b.pp.Group(), bases, exps, workers/stripes)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// Narrow is the fallback of a failed Check, over a batch whose every term
+// belongs to a marked member and that took no fold since: group testing by
+// bisection (Bellare, Garay and Rabin, EUROCRYPT '98). Every run of members
+// known to fail is halved, a level at a time, and the left half's defect is
+// one multi-exponentiation, the runs of a level spread over the workers. A
+// run's equation is the product of its halves', so the right half's defect
+// is the run's divided by the left's, with no check of its own: when the
+// left half holds, the right half fails. A failing run of one is a suspect.
+// Every failing run holds a failing member, so once there are more failing
+// runs and suspects than a quarter of the members, halving costs more than a
+// check per member, and every member of a failing run is a suspect. Narrow
+// returns the suspects in member order; every other member passed with a run
+// (up to the same 2^-128 slack as Check), and the caller decides each
+// suspect alone. d failing members cost about d·log₂(n/d)
+// multi-exponentiations, whose terms add up to about 1 + log₂(d)/2 times the
+// batch's.
+func (b *BitBatch) Narrow(workers int) []int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	g, n := b.pp.Group(), len(b.ends)
+	var suspects []int
+	runs := []memberRun{{0, n, b.defect}}
+	for len(runs) > 0 && 4*(len(suspects)+len(runs)) <= n {
+		lefts := b.lefts(runs, workers)
+		var next []memberRun
+		for i, r := range runs {
+			if r.hi-r.lo == 1 {
+				suspects = append(suspects, r.lo)
+				continue
+			}
+			mid := (r.lo + r.hi) / 2
+			for _, half := range [2]memberRun{{r.lo, mid, lefts[i]}, {mid, r.hi, g.Op(r.defect, g.Inv(lefts[i]))}} {
+				if !g.Equal(half.defect, g.Identity()) {
+					next = append(next, half)
+				}
+			}
+		}
+		runs = next
+	}
+	for _, r := range runs {
+		for m := r.lo; m < r.hi; m++ {
+			suspects = append(suspects, m)
+		}
+	}
+	slices.Sort(suspects)
+	return suspects
+}
+
 // VerifyBitsBatchCtx verifies a batch of Σ-OR bit proofs with the random-
 // linear-combination technique, proof i bound to context ctxFor(i) (the ΠBin
 // verifier binds each proof to its index in an enclosing structure). On
-// success it is significantly faster than VerifyBits; on failure it falls
-// back to the sequential path so the error identifies the first offending
-// index (the verifier must publicly accuse a specific cheater, Line 7 of
-// the protocol description). rnd supplies the batching coefficients (nil =
-// crypto/rand).
+// success it is significantly faster than VerifyBits; on failure Narrow
+// bisects the batch and the suspects are re-verified in index order, so the
+// error identifies the first offending index (the verifier must publicly
+// accuse a specific cheater, Line 7 of the protocol description). rnd
+// supplies the batching coefficients (nil = crypto/rand).
 func VerifyBitsBatchCtx(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*BitProof, ctxFor func(i int) []byte, rnd io.Reader) error {
 	if len(cs) != len(ps) {
 		return fmt.Errorf("%w: %d commitments but %d proofs", ErrVerify, len(cs), len(ps))
@@ -287,14 +427,16 @@ func VerifyBitsBatchCtx(pp *pedersen.Params, cs []*pedersen.Commitment, ps []*Bi
 		if err := b.Add(cs[i], ps[i], ctxFor(i)); err != nil {
 			return fmt.Errorf("index %d: %w", i, err)
 		}
+		b.Mark()
 	}
 	if b.Check(1) == nil {
 		return nil
 	}
-	// The batch failed: some proof is bad. Re-verify sequentially to name
-	// the culprit; if (with probability 2^-128) the sequential pass finds
-	// nothing, report the inconsistency rather than accepting.
-	for i := range cs {
+	// The batch failed: some proof is bad. Every proof is member i, and each
+	// one Narrow leaves is re-verified alone to name the culprit; if (with
+	// probability 2^-128) none of them fails, report the inconsistency
+	// rather than accepting.
+	for _, i := range b.Narrow(1) {
 		if err := VerifyBit(pp, cs[i], ps[i], ctxFor(i)); err != nil {
 			return fmt.Errorf("index %d: %w", i, err)
 		}

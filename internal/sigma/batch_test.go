@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,57 @@ func TestVerifyBitsBatchAgreesWithSequential(t *testing.T) {
 		bat := verifyBitsBatch(pp, cs, ps, ctxTx, nil)
 		if (seq == nil) != (bat == nil) {
 			t.Errorf("trial %d: sequential=%v batch=%v", trial, seq, bat)
+		}
+	}
+}
+
+// TestNarrowFindsEveryFailingMember: over seeded batches of 1–40 bit
+// proofs, some with a forged Z0 (which passes Add's scalar checks), Narrow's
+// suspects are exactly the forged members while they are at most a quarter
+// of the batch and include them all past it, and VerifyBitsBatchCtx names
+// the lowest forged index.
+func TestNarrowFindsEveryFailingMember(t *testing.T) {
+	pp := ppEC
+	one := pp.ScalarField().One()
+	cs, honest := buildBitBatch(t, pp, 40)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(len(cs))
+		ps := append([]*BitProof{}, honest[:n]...)
+		var forged []int
+		for i := range ps {
+			if rng.Intn(1+trial%8) == 0 {
+				q := *ps[i]
+				q.Z0 = q.Z0.Add(one)
+				ps[i] = &q
+				forged = append(forged, i)
+			}
+		}
+		b := NewBitBatch(pp, nil)
+		for i := range ps {
+			if err := b.Add(cs[i], ps[i], ctxTx); err != nil {
+				t.Fatal(err)
+			}
+			b.Mark()
+		}
+		if (b.Check(1) == nil) != (len(forged) == 0) {
+			t.Fatalf("trial %d: %d forged of %d, Check %v", trial, len(forged), n, b.Check(1))
+		}
+		if len(forged) == 0 {
+			continue
+		}
+		suspects := b.Narrow(2)
+		if 4*len(forged) <= n && fmt.Sprint(suspects) != fmt.Sprint(forged) {
+			t.Fatalf("trial %d: %d of %d forged %v, suspects %v", trial, len(forged), n, forged, suspects)
+		}
+		for _, i := range forged {
+			if !slices.Contains(suspects, i) {
+				t.Fatalf("trial %d: forged member %d is not a suspect %v", trial, i, suspects)
+			}
+		}
+		err := verifyBitsBatch(pp, cs[:n], ps, ctxTx, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("index %d: ", forged[0])) {
+			t.Fatalf("trial %d: forged %v, batch verdict %v", trial, forged, err)
 		}
 	}
 }

@@ -178,7 +178,7 @@ func TailAuditLog(pub *Public, log store.Log, opts TailOptions) (*TailAuditor, e
 	if err != nil {
 		return nil, err
 	}
-	a := newTailAuditor(pub, opts, shardSegments, 0, 1, tailWindow)
+	a := newTailAuditor(pub, opts, shardSegments, 0, 1)
 	a.tailer = t
 	return a, nil
 }

@@ -131,8 +131,9 @@ func forgeBitProof(pub *Public, sub *ClientSubmission) *ClientSubmission {
 
 // BenchmarkSubmitBatchBadProofs is BenchmarkSubmitBatch with 0, 1 or 4
 // members whose bit proof is forged (forgeBitProof). The folded check fails,
-// so the frame pays the fallback that re-verifies its members one by one;
-// every other member is still admitted. /0 is the honest frame.
+// so the frame pays the fallback: the board is folded again, its failed
+// product bisected to the forged members, and the openings checked one by
+// one; every other member is still admitted. /0 is the honest frame.
 func BenchmarkSubmitBatchBadProofs(b *testing.B) {
 	pub, subs := benchBatch(b)
 	ctx := context.Background()

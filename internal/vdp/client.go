@@ -176,11 +176,12 @@ func (p *Public) VerifyClient(pub *ClientPublic) error {
 // the public roster of inputs the protocol will aggregate; from Line 3 on,
 // "the protocol only uses inputs from validated clients". Σ-OR
 // verification is batched: foldClients folds every structurally sound
-// client's legality proof into one BitBatch, and a single (parallel)
-// multi-exponentiation decides the honest case. Only when that combined
-// check fails does it fall back to per-client verification to attribute
-// blame — so a single forged proof hidden among many valid ones is still
-// pinned on exactly its author, at the price of one extra sequential pass.
+// client's legality proof into one BitBatch, one member per client, and a
+// single (parallel) multi-exponentiation decides the honest case. Only when
+// that combined check fails does the batch bisect (sigma.BitBatch.Narrow)
+// to the clients whose own equations fail, and VerifyClient names each one's
+// reason — so a single forged proof hidden among many valid ones is still
+// pinned on exactly its author, at the price of about log₂ n range checks.
 // Verdicts and rejection reasons are identical to the sequential reference
 // (FilterValidClients, in the tests) regardless of worker count. A
 // cancelled ctx aborts with ctx.Err() before any verdict is published, so
@@ -206,26 +207,25 @@ func (p *Public) filterValidClientsBatch(ctx context.Context, pubs []*ClientPubl
 		inBatch[i] = true
 	}
 
-	// One combined check. On failure, re-verify the batch members
-	// individually (in parallel — verdicts are independent) to name every
-	// cheater; the honest majority is still accepted.
+	// One combined check. On failure, bisect to the suspects and re-verify
+	// them individually (in parallel — verdicts are independent) to name
+	// every cheater; the honest majority is still accepted.
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 	if fold.batch.Check(workers) != nil {
-		verdicts := make([]error, len(pubs))
-		ferr := forEach(ctx, workers, len(pubs), func(i int) error {
-			if inBatch[i] {
-				verdicts[i] = p.VerifyClient(pubs[i])
-			}
+		suspects := fold.batch.Narrow(workers)
+		verdicts := make([]error, len(suspects))
+		ferr := forEach(ctx, workers, len(suspects), func(k int) error {
+			verdicts[k] = p.VerifyClient(pubs[fold.member[suspects[k]]])
 			return nil
 		})
 		if ferr != nil {
 			return nil, nil, ferr
 		}
-		for i, c := range pubs {
-			if inBatch[i] && verdicts[i] != nil {
-				rejected[c.ID] = verdicts[i]
+		for k, m := range suspects {
+			if i := fold.member[m]; verdicts[k] != nil {
+				rejected[pubs[i].ID] = verdicts[k]
 				inBatch[i] = false
 			}
 		}
@@ -248,6 +248,8 @@ type clientFold struct {
 	// first[i] is the held commitment (sigma.BitBatch.Held) of a folded
 	// member's bin 0; bin j's derived commitment is first[i]+j.
 	first []int
+	// member[m] is the index of the batch's member m (sigma.BitBatch.Mark).
+	member []int
 }
 
 // foldClients folds every structurally sound member's legality proof into
@@ -312,7 +314,10 @@ func (p *Public) foldClients(ctx context.Context, pubs []*ClientPublic, workers 
 		}
 		if err != nil {
 			fold.reject[i] = fmt.Errorf("%w: client %d: %v", ErrClientReject, c.ID, err)
+			continue
 		}
+		fold.batch.Mark()
+		fold.member = append(fold.member, i)
 	}
 	return fold, nil
 }

@@ -31,7 +31,7 @@ type sweptLog struct {
 }
 
 // readerSweepMu serialises readers that run in parallel subtests with the
-// sweeps that move decodeAhead, auditWindow and tailWindow under them.
+// sweeps that move decodeAhead and auditWindow under them.
 var readerSweepMu sync.Mutex
 
 // readOutcome is everything one reader returned that a caller can see.
@@ -61,7 +61,7 @@ func (o readOutcome) String() string {
 // auditedEpoch is AuditLog's reader over log, pinned to shard of shards:
 // what it verified of epoch.
 func auditedEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers, shard, shards int) (sealedEpoch, error) {
-	a := newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, shard, shards, auditWindow)
+	a := newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, shard, shards)
 	if err := a.audit(ctx, log, epoch); err != nil {
 		return sealedEpoch{}, err
 	}
@@ -71,10 +71,10 @@ func auditedEpoch(ctx context.Context, pub *Public, log Replayer, epoch, workers
 
 // sweepReaders reads l with resume, the offline audit of every epoch and a
 // live tail drained by one Poll over a MemLog tailer, at decode-ahead
-// windows 1, 2, 7 and 256 and at 1 and 4 workers — the auditors also at
-// epoch-verifier flush windows (auditWindow for the audit, tailWindow for
-// the tail) 1, 2, 7 and 4096, paired with the decode windows in order and
-// crossed at the extremes — and fails the test unless every combination
+// windows 1, 2, 7 and 256 and at 1 and 4 workers — the auditors, the audit
+// and the tail, also at epoch-verifier flush windows (auditWindow) 1, 2, 7
+// and 4096, paired with the decode windows in order and crossed at the
+// extremes — and fails the test unless every combination
 // returns what the record-by-record reader (all three at 1) returns: the
 // same verdict, the same boardLogError{Index, Offset, Epoch, Reason}, and on
 // success the same verified digests and sealed rosters or the same resumed
@@ -116,7 +116,7 @@ func sweepReaders(t testing.TB, l sweptLog) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := newTailAuditor(l.pub, TailOptions{Workers: workers, Budget: l.opts.Budget}, shardSegments, l.shard, l.shards, tailWindow)
+			a := newTailAuditor(l.pub, TailOptions{Workers: workers, Budget: l.opts.Budget}, shardSegments, l.shard, l.shards)
 			a.tailer = tailer
 			defer a.Close()
 			n, err := a.Poll()
@@ -144,13 +144,13 @@ func sweepReaders(t testing.TB, l sweptLog) {
 			return readOutcome{summary: fmt.Sprintf("%x %v", s.digest, s.roster)}
 		}
 	}
-	oldAhead, oldAudit, oldTail := decodeAhead, auditWindow, tailWindow
-	defer func() { decodeAhead, auditWindow, tailWindow = oldAhead, oldAudit, oldTail }()
+	oldAhead, oldAudit := decodeAhead, auditWindow
+	defer func() { decodeAhead, auditWindow = oldAhead, oldAudit }()
 	// (decode window, verifier window): each of both, paired in order, then
 	// the extremes crossed, which only the auditors read differently.
 	windows := [][2]int{{1, 1}, {2, 2}, {7, 7}, {256, 4096}, {1, 4096}, {256, 1}}
 	for who, read := range readers {
-		decodeAhead, auditWindow, tailWindow = 1, 1, 1
+		decodeAhead, auditWindow = 1, 1
 		want := read(1)
 		for i, w := range windows {
 			if i >= 4 && !windowed[who] {
@@ -160,7 +160,7 @@ func sweepReaders(t testing.TB, l sweptLog) {
 				if w == windows[0] && workers == 1 {
 					continue // the reference itself
 				}
-				decodeAhead, auditWindow, tailWindow = w[0], w[1], w[1]
+				decodeAhead, auditWindow = w[0], w[1]
 				if got := read(workers); !got.same(want) {
 					t.Fatalf("%s, window %d, verifier window %d, %d workers: %v\nrecord by record: %v", who, w[0], w[1], workers, got, want)
 				}

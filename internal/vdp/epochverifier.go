@@ -20,29 +20,23 @@ import "context"
 // tail's Poll and the offline audit (AuditLog, the merged audits) alike feed
 // it the events of boardGrammar.replay's windowed decode, in log order, and
 // settle it before the drain returns, so an offline audit is the live tail
-// run to the seal. The drains differ only in their source and their window.
-// Poll drains the auditor's tailer, reading every record in full, and
-// flushes every tailWindow submissions. The offline audit drains the log's
-// Replay, reading the audited epoch in full and skimming the rest, and
-// flushes every auditWindow submissions and at the seal. Feed, the
-// one-record entry, settles after its record, so the Feed of a divergent
-// verdict returns its error. Between flushes a verdict whose submission is
-// undecided waits with its own record position, and the wait ends before
-// the reader reports anything later — at the seal, at the epoch's boundary,
-// or before a grammar or store error is returned — so the blame still falls
-// on the lowest-index divergent record.
+// run to the seal. The drains differ only in their source: Poll drains the
+// auditor's tailer, reading every record in full; the offline audit drains
+// the log's Replay, reading the audited epoch in full and skimming the rest.
+// Every drain flushes every auditWindow submissions, at the seal and when it
+// settles. Feed, the one-record entry, settles after its record, so the
+// Feed of a divergent verdict returns its error. Between flushes a verdict
+// whose submission is undecided waits with its own record position, and the
+// wait ends before the reader reports anything later — at the seal, at the
+// epoch's boundary, or before a grammar or store error is returned — so the
+// blame still falls on the lowest-index divergent record.
 
-// tailWindow is how many undecided submissions a live tail holds before one
-// batched Σ-OR check decides them. A bigger window amortizes the
-// random-linear-combination batching better; a smaller one keeps the work a
-// record can trigger small. A var so tests can shrink it to exercise window
-// boundaries on small boards.
-var tailWindow = 64
-
-// auditWindow is the same bound for a reader that is not live. An offline
-// audit needs no verdict before the seal, so the window only bounds memory:
-// an epoch of up to auditWindow submissions is decided by one product at its
-// seal. A var so tests can sweep it.
+// auditWindow is how many undecided submissions a reader holds before one
+// batched Σ-OR check decides them. Every drain settles before it returns, so
+// the window only bounds memory and the product's size: a Poll catching up
+// on a backlog, or an epoch of up to auditWindow submissions at its seal, is
+// decided by one product, and a product that fails is bisected
+// (filterValidClientsBatch). A var so tests can sweep it.
 var auditWindow = 4096
 
 // epochVerifier holds the cryptographic state of the epoch a reader is in.
@@ -50,7 +44,6 @@ type epochVerifier struct {
 	pub     *Public
 	g       *boardGrammar // the reader's machine: record positions, the roster at the seal
 	workers int
-	window  int // pending submissions that force a flush
 
 	clients  map[int]*verifiedClient // the open epoch's submissions, by client
 	pending  []*verifiedClient       // the undecided ones, in no particular order
@@ -78,8 +71,8 @@ type waitingVerdict struct {
 
 // newEpochVerifier starts a verifier on the grammar g, which the reader
 // feeds; workers is the pool width of the batched checks.
-func newEpochVerifier(pub *Public, g *boardGrammar, workers, window int) *epochVerifier {
-	return &epochVerifier{pub: pub, g: g, workers: workers, window: window,
+func newEpochVerifier(pub *Public, g *boardGrammar, workers int) *epochVerifier {
+	return &epochVerifier{pub: pub, g: g, workers: workers,
 		clients: make(map[int]*verifiedClient), prod: pub.newClientProduct()}
 }
 
@@ -93,7 +86,7 @@ func (v *epochVerifier) apply(ctx context.Context, ev boardEvent) error {
 		c := &verifiedClient{pub: ev.sub.Public, slot: len(v.pending)}
 		v.clients[ev.client.id] = c
 		v.pending = append(v.pending, c)
-		if len(v.pending) >= v.window {
+		if len(v.pending) >= auditWindow {
 			return v.flush(ctx)
 		}
 	case evVerdict:

@@ -123,7 +123,7 @@ func wireCodecs(t testing.TB, pub *Public) []wireCodec {
 			if err != nil {
 				return nil, err
 			}
-			recs, _, err := SplitSubmissionBatch(b)
+			recs, err := SplitSubmissionBatch(b)
 			if err != nil {
 				t.Fatalf("submission-batch: accepted a frame the router cannot split: %v", err)
 			}
@@ -501,6 +501,123 @@ func FuzzDecodeTranscript(f *testing.F) {
 		}
 		if !bytes.Equal(enc, b) {
 			t.Fatalf("accepted transcript is not canonical: %x re-encodes to %x", b, enc)
+		}
+	})
+}
+
+// FuzzFoldBisection: a window of 1–130 board submissions, at one bin and at
+// three, each member honest or corrupted one way — a forged Z0 + 1 or a
+// challenge split shifted by one from e1 to e0 (both pass the fold's scalar
+// checks and fail only the equation), a split that no longer sums to e, a
+// missing proof — is judged by filterValidClientsBatch, whose failed product
+// is bisected (sigma.BitBatch.Narrow). Every member's verdict must be
+// per-member VerifyClient's, text for text, at one worker and at two.
+func FuzzFoldBisection(f *testing.F) {
+	type board struct {
+		pub  *Public
+		pool []*ClientPublic
+	}
+	var boards []board
+	for _, bins := range []int{1, 3} {
+		pub, err := Setup(Config{Provers: 1, Bins: bins, Coins: 8})
+		if err != nil {
+			f.Fatal(err)
+		}
+		pool := make([]*ClientPublic, 130)
+		for i := range pool {
+			sub, err := pub.NewClientSubmission(i, i%max(bins, 2), testSeed(byte(i)))
+			if err != nil {
+				f.Fatal(err)
+			}
+			pool[i] = sub.Public
+		}
+		boards = append(boards, board{pub, pool})
+	}
+	honest := bytes.Repeat([]byte{0xf0}, 64)
+	oneBad := func(at int, kind byte) []byte {
+		kinds := bytes.Clone(honest)
+		kinds[at] = kind
+		return kinds
+	}
+	f.Add(byte(0), []byte{0})
+	f.Add(byte(1), oneBad(37, 0x10))
+	f.Add(byte(2), oneBad(0, 1))
+	f.Add(byte(3), oneBad(63, 0x21))
+	f.Add(byte(0), append(oneBad(5, 2), oneBad(60, 3)...))
+	f.Add(byte(1), bytes.Repeat([]byte{0xf0, 0, 0xf0, 1}, 32)) // half forged: past a quarter
+	// Every window member is one of a few fixed values (board, pool index,
+	// corruption, bin), so each one's VerifyClient verdict is computed once
+	// per process, not once per input.
+	type member struct {
+		board, i int
+		kind     byte
+		j        int
+	}
+	reference := make(map[member]error)
+	f.Fuzz(func(t *testing.T, shape byte, kinds []byte) {
+		n := min(len(kinds), 130)
+		if n == 0 {
+			return
+		}
+		b := boards[shape&1]
+		workers := 1 + int(shape>>1&1)
+		one := b.pub.Field().One()
+		window := make([]*ClientPublic, n)
+		for i := range window {
+			c := *b.pool[i]
+			kind, j := kinds[i]&15, int(kinds[i]>>4)%b.pub.cfg.Bins
+			forge := func(p *sigma.BitProof) *sigma.BitProof {
+				q := *p
+				switch kind {
+				case 0:
+					q.Z0 = q.Z0.Add(one)
+				case 1:
+					q.E0, q.E1 = q.E0.Add(one), q.E1.Sub(one)
+				case 2:
+					q.E0 = q.E0.Add(one)
+				}
+				return &q
+			}
+			switch {
+			case kind == 3:
+				c.BitProof, c.OneHotProof = nil, nil
+			case kind > 3:
+			case c.BitProof != nil:
+				c.BitProof = forge(c.BitProof)
+			default:
+				oh := *c.OneHotProof
+				oh.Bits = append([]*sigma.BitProof{}, oh.Bits...)
+				oh.Bits[j] = forge(oh.Bits[j])
+				c.OneHotProof = &oh
+			}
+			window[i] = &c
+		}
+		valid, rejected, err := b.pub.filterValidClientsBatch(context.Background(), window, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*ClientPublic
+		for i, c := range window {
+			key := member{int(shape & 1), i, min(kinds[i]&15, 4), int(kinds[i]>>4) % b.pub.cfg.Bins}
+			v, ok := reference[key]
+			if !ok {
+				v = b.pub.VerifyClient(c)
+				reference[key] = v
+			}
+			if v == nil {
+				want = append(want, c)
+			}
+			if got := rejected[c.ID]; (got == nil) != (v == nil) || (v != nil && got.Error() != v.Error()) {
+				t.Fatalf("member %d (kind %d): bisected verdict %v, VerifyClient %v", i, kinds[i]&15, got, v)
+			}
+		}
+		if len(valid) != len(want) || len(valid)+len(rejected) != n {
+			t.Fatalf("%d valid and %d rejected of %d; VerifyClient passes %d", len(valid), len(rejected), n, len(want))
+		}
+		for i := range valid {
+			if valid[i] != want[i] {
+				t.Fatalf("valid member %d is client %d, want client %d", i, valid[i].ID, want[i].ID)
+			}
 		}
 	})
 }

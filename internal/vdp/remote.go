@@ -120,23 +120,23 @@ func PeekSubmissionID(rec []byte) (int, error) {
 }
 
 // SplitSubmissionBatch cuts an encoded "submit-batch" frame body into its
-// raw per-submission records and peeks each record's client ID, without any
-// cryptographic validation — the router's partitioning scan. Each returned
-// record is the exact EncodeClientSubmission encoding (version | blob(public)
-// | payload count | payloads | hints), so EncodeRawSubmissionBatch can
-// reassemble per-shard sub-batches byte-identically.
-func SplitSubmissionBatch(b []byte) (recs [][]byte, ids []int, err error) {
+// raw per-submission records, reading nothing inside them — the dispatch's
+// one cut of a frame. Each returned record is the exact
+// EncodeClientSubmission encoding (version | blob(public) | payload count |
+// payloads | hints), so EncodeRawSubmissionBatch can reassemble per-shard
+// sub-batches byte-identically; whoever admits a record reads its client ID
+// (PeekSubmissionID, DecodeClientSubmission) and refuses the whole frame if
+// one cannot be read.
+func SplitSubmissionBatch(b []byte) ([][]byte, error) {
 	r := versioned(b)
-	recs = make([][]byte, r.Count(MaxBatchClients, 4))
-	ids = make([]int, len(recs))
+	recs := make([][]byte, r.Count(MaxBatchClients, 4))
 	for i := range recs {
 		recs[i] = r.Blob()
-		ids[i] = wire.Parse(&r, recs[i], PeekSubmissionID)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return recs, ids, nil
+	return recs, nil
 }
 
 // EncodeRawSubmissionBatch reassembles raw submission records (as returned

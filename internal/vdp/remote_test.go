@@ -88,7 +88,7 @@ func TestSubmitPayloadWire(t *testing.T) {
 	// batch is the record a "submit" frame carries, and re-encoding the
 	// records reproduces the frame byte for byte.
 	frame := pub.EncodeSubmissionBatch(all)
-	recs, ids, err := SplitSubmissionBatch(frame)
+	recs, err := SplitSubmissionBatch(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestSubmitPayloadWire(t *testing.T) {
 		t.Fatalf("split yielded %d records", len(recs))
 	}
 	for i, rec := range recs {
-		if ids[i] != i+7 || !bytes.Equal(rec, pub.EncodeClientSubmission(all[i])) {
-			t.Fatalf("record %d (peeked id %d) is not client %d's submit body", i, ids[i], i+7)
+		if id, err := PeekSubmissionID(rec); err != nil || id != i+7 || !bytes.Equal(rec, pub.EncodeClientSubmission(all[i])) {
+			t.Fatalf("record %d (peeked id %d, %v) is not client %d's submit body", i, id, err, i+7)
 		}
 	}
 	if !bytes.Equal(EncodeRawSubmissionBatch(recs), frame) {
@@ -121,7 +121,7 @@ func TestSubmitPayloadWire(t *testing.T) {
 			t.Fatalf("peek accepted %v", bad)
 		}
 	}
-	if _, _, err := SplitSubmissionBatch([]byte{WireVersion, 255, 255, 255, 255}); err == nil {
+	if _, err := SplitSubmissionBatch([]byte{WireVersion, 255, 255, 255, 255}); err == nil {
 		t.Fatal("split accepted an absurd batch count")
 	}
 }

@@ -214,7 +214,7 @@ func auditMerged(ctx context.Context, pub *Public, logs []Replayer, epoch, worke
 		return 0, nil, err
 	}
 	st, err := newSegmentedTail(pub, len(logs), func(int) ([]byte, bool, error) { return want, true, nil },
-		TailOptions{Workers: workers}, kind, auditWindow)
+		TailOptions{Workers: workers}, kind)
 	if err != nil {
 		return 0, nil, err
 	}

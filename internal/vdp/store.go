@@ -473,7 +473,7 @@ func AuditLog(ctx context.Context, pub *Public, log store.BoardLog, epoch, worke
 		}
 		epoch = sealed[len(sealed)-1]
 	}
-	return newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, 0, 1, auditWindow).audit(ctx, log, epoch)
+	return newTailAuditor(pub, TailOptions{Workers: workers}, shardSegments, 0, 1).audit(ctx, log, epoch)
 }
 
 // scanSeals streams every completed seal of a board log — a seal record, or

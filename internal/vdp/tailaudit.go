@@ -71,20 +71,19 @@ type sealedEpoch struct {
 // NewTailAuditor creates a live auditor for a single board log, shard 0 of
 // 1; feed it records directly.
 func NewTailAuditor(pub *Public, opts TailOptions) *TailAuditor {
-	return newTailAuditor(pub, opts, shardSegments, 0, 1, tailWindow)
+	return newTailAuditor(pub, opts, shardSegments, 0, 1)
 }
 
 // newTailAuditor creates an auditor for segment i of an n-segment board of
 // the given kind, under the kind's pin (so a curator cannot smuggle a client
-// onto a shard of its choosing) and charging policy, whose verifier decides
-// every window submissions. Segment 0 of 1 is a plain log. A live tail sets
-// the tailer that Poll drains and Close closes.
-func newTailAuditor(pub *Public, opts TailOptions, kind segmentKind, i, n, window int) *TailAuditor {
+// onto a shard of its choosing) and charging policy. Segment 0 of 1 is a
+// plain log. A live tail sets the tailer that Poll drains and Close closes.
+func newTailAuditor(pub *Public, opts TailOptions, kind segmentKind, i, n int) *TailAuditor {
 	shard, shards := kind.pin(i, n)
 	g := newBoardGrammar(pub, kind.budget(i, opts.Budget), true, shard, shards)
 	return &TailAuditor{
 		g:       g,
-		v:       newEpochVerifier(pub, g, poolWidth(opts.Workers), window),
+		v:       newEpochVerifier(pub, g, poolWidth(opts.Workers)),
 		history: make(map[int]sealedEpoch),
 	}
 }
@@ -236,15 +235,14 @@ func NewSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts 
 }
 
 // newSegmentedTail builds the merged reader of an n-segment board of the
-// given kind, whose auditors decide every window submissions. A board of
-// no segments holds no evidence and is refused.
-func newSegmentedTail(pub *Public, n int, seals SealLookup, opts TailOptions, kind segmentKind, window int) (*SegmentedTail, error) {
+// given kind. A board of no segments holds no evidence and is refused.
+func newSegmentedTail(pub *Public, n int, seals SealLookup, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: no board logs to audit", ErrAuditFail)
 	}
 	st := &SegmentedTail{kind: kind, seals: seals, records: make([]int, n)}
 	for i := 0; i < n; i++ {
-		st.shards = append(st.shards, newTailAuditor(pub, opts, kind, i, n, window))
+		st.shards = append(st.shards, newTailAuditor(pub, opts, kind, i, n))
 	}
 	return st, nil
 }
@@ -252,7 +250,7 @@ func newSegmentedTail(pub *Public, n int, seals SealLookup, opts TailOptions, ki
 // openSegmentedTail is the live merged tail: each auditor drains its
 // source's tailer from the first record.
 func openSegmentedTail(pub *Public, sources []TailSource, seals SealLookup, opts TailOptions, kind segmentKind) (*SegmentedTail, error) {
-	st, err := newSegmentedTail(pub, len(sources), seals, opts, kind, tailWindow)
+	st, err := newSegmentedTail(pub, len(sources), seals, opts, kind)
 	if err != nil {
 		return nil, err
 	}

@@ -28,13 +28,13 @@ func pollUntilSealed(t testing.TB, a *TailAuditor) {
 	}
 }
 
-// shrinkTailWindow makes the tail flush its Σ-OR window every two
+// shrinkTailWindow makes every reader flush its Σ-OR window every two
 // submissions for the rest of the test, so four-client boards cross window
 // boundaries.
 func shrinkTailWindow(t *testing.T) {
-	old := tailWindow
-	tailWindow = 2
-	t.Cleanup(func() { tailWindow = old })
+	old := auditWindow
+	auditWindow = 2
+	t.Cleanup(func() { auditWindow = old })
 }
 
 // TestTailAuditorLiveFileLog is the live-follow happy path: a tail attached
@@ -686,15 +686,14 @@ func BenchmarkTailSealVerify(b *testing.B) {
 
 // BenchmarkAuditLog times the two uses of the one board read over a whole
 // sealed epoch, on the boards BenchmarkTailSealVerify drains: the offline
-// audit (one Replay, auditWindow) and a fresh tail drained by a single Poll
-// (a tailer, tailWindow). Its cost is the epoch's: every submission decoded
-// and its board proof decided, and every accepted client folded into the
-// Line-13 product. At 1000 submissions the audit decides them with one
-// batched check at the seal; 10000 crosses auditWindow, so the same work is
-// split over three products. The tail decides them 64 at a time. 1000/onebad
-// is the 1000-client audit of a board that holds one on-board rejection (a
-// forged bit proof): its window's combined check fails, so the audit takes
-// the fallback that decides the window's submissions one by one.
+// audit (one Replay) and a fresh tail drained by a single Poll (a tailer).
+// Its cost is the epoch's: every submission decoded and its board proof
+// decided, and every accepted client folded into the Line-13 product. Both
+// flush at auditWindow: at 1000 submissions one batched check decides them;
+// 10000 crosses the window, so the same work is split over three products.
+// 1000/onebad (and /poll) reads a board that holds one on-board rejection (a
+// forged bit proof): its window's combined check fails, and the fallback
+// bisects it to the forged member.
 func BenchmarkAuditLog(b *testing.B) {
 	pub, err := Setup(Config{Provers: 1, Bins: 1, Coins: 8})
 	if err != nil {
@@ -732,16 +731,31 @@ func BenchmarkAuditLog(b *testing.B) {
 		})
 	}
 	var onebad *store.MemLog
-	b.Run("1000/onebad", func(b *testing.B) {
+	bad := func(b *testing.B) *store.MemLog {
 		if onebad == nil {
 			onebad, _ = sealedBoard(b, pub, 1000, 500)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		return onebad
+	}
+	b.Run("1000/onebad", func(b *testing.B) {
+		log := bad(b)
 		for i := 0; i < b.N; i++ {
-			if err := AuditLog(ctx, pub, onebad, 0, 0); err != nil {
+			if err := AuditLog(ctx, pub, log, 0, 0); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("1000/onebad/poll", func(b *testing.B) {
+		log := bad(b)
+		for i := 0; i < b.N; i++ {
+			tail, err := TailAuditLog(pub, log, TailOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pollUntilSealed(b, tail)
+			tail.Close()
 		}
 	})
 }
