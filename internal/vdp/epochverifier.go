@@ -25,11 +25,12 @@ import "context"
 // the log's Replay, reading the audited epoch in full and skimming the rest.
 // Every drain flushes every auditWindow submissions, at the seal and when it
 // settles. Feed, the one-record entry, settles after its record, so the
-// Feed of a divergent verdict returns its error. Between flushes a verdict
-// whose submission is undecided waits with its own record position, and the
-// wait ends before the reader reports anything later — at the seal, at the
-// epoch's boundary, or before a grammar or store error is returned — so the
-// blame still falls on the lowest-index divergent record.
+// Feed of a divergent verdict returns its error, and also flushes every
+// feedWindow submissions. Between flushes a verdict whose submission is
+// undecided waits with its own record position, and the wait ends before
+// the reader reports anything later — at the seal, at the epoch's boundary,
+// or before a grammar or store error is returned — so the blame still falls
+// on the lowest-index divergent record.
 
 // auditWindow is how many undecided submissions a reader holds before one
 // batched Σ-OR check decides them. Every drain settles before it returns, so
@@ -38,6 +39,16 @@ import "context"
 // decided by one product, and a product that fails is bisected
 // (filterValidClientsBatch). A var so tests can sweep it.
 var auditWindow = 4096
+
+// feedWindow is the smaller bound Feed flushes at. Feed cannot know whether
+// more records follow, so its settle decides whatever is pending when a
+// verdict lands: with auditWindow alone a Feed-driven tail's products would
+// be one frame or two, as concurrent frames' verdicts happened to land
+// between them on the board, and its cost would vary with that timing.
+// Flushing every 64 arrivals cuts the products by the arrivals alone (a
+// board of 64-submission frames is decided a frame a product), and bounds
+// the work one record can trigger on the caller's goroutine.
+const feedWindow = 64
 
 // epochVerifier holds the cryptographic state of the epoch a reader is in.
 type epochVerifier struct {

@@ -106,7 +106,8 @@ func (a *TailAuditor) Poll() (int, error) {
 
 // Feed consumes one record (at the given log offset) in append order,
 // decoding it on the calling goroutine, and settles it: the Feed of a
-// divergent record returns its error, and keeps it.
+// divergent record returns its error, and keeps it. Its arrivals are decided
+// every feedWindow submissions (epochverifier.go).
 func (a *TailAuditor) Feed(rec *store.Record, off int64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -118,8 +119,8 @@ func (a *TailAuditor) Feed(rec *store.Record, off int64) error {
 	if err == nil {
 		err = a.verify(ctx, ev)
 	}
-	if err == nil {
-		err = a.v.settle(ctx)
+	if err == nil && (len(a.v.verdicts) > 0 || len(a.v.pending) >= feedWindow) {
+		err = a.v.flush(ctx) // settles, and decides a full feedWindow
 	}
 	a.err = err
 	return err

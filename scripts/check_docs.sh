@@ -22,7 +22,7 @@
 # below, so doc growth is a decision rather than drift: raising a budget is
 # an explicit diff to this file, with the reason given in CHANGES.md.
 set -u
-budgets="ARCHITECTURE.md:77365 EXPERIMENTS.md:115819 README.md:21739"
+budgets="ARCHITECTURE.md:77354 EXPERIMENTS.md:115819 README.md:21739"
 fail=0
 code=$(mktemp)
 cited=$(mktemp)
